@@ -10,8 +10,9 @@ use std::time::{Duration, Instant};
 use prism_obs::{trace::category, Counter, LatencyHistogram, ObsHub, TraceBuffer};
 use prism_storage::{group_digest, CommitLog, CommitPart, TieredStorage};
 use prism_types::{
-    BatchOp, ConcurrentKvStore, EngineStats, Key, KvStore, Lookup, Nanos, PartitionHealth,
-    PrismError, ReadSource, Result, ScanResult, SnapshotId, TxnStats, Value, WriteBatch,
+    BatchOp, ConcurrentKvStore, EngineStats, IntegrityStatsCells, Key, KvStore, Lookup, Nanos,
+    PartitionHealth, PrismError, ReadSource, Result, ScanResult, SnapshotId, TxnStatsCells, Value,
+    WriteBatch,
 };
 
 use crate::options::{Options, Partitioning};
@@ -36,27 +37,6 @@ const BACKPRESSURE_WAITS: usize = 64;
 /// Bound on each individual wait, so a stuck worker can never hang the
 /// foreground (the waiter re-checks and eventually compacts inline).
 const WAIT_SLICE: Duration = Duration::from_millis(100);
-
-/// Monotone transaction-layer counters (engine-lifetime, like device
-/// counters; they survive `crash_and_recover`).
-#[derive(Debug, Default)]
-struct TxnCounters {
-    snapshots: AtomicU64,
-    commits: AtomicU64,
-    conflicts: AtomicU64,
-}
-
-/// Engine-level integrity counters (engine-lifetime, like device counters;
-/// they survive `crash_and_recover`). Per-partition detection/quarantine
-/// counters live in the partitions; these cover events the engine observes
-/// above the partition layer.
-#[derive(Debug, Default)]
-struct IntegrityCounters {
-    /// Injected I/O errors surfaced to callers as [`PrismError::Io`].
-    io_faults: AtomicU64,
-    /// Snapshot pins force-expired by the history caps.
-    snapshots_expired: AtomicU64,
-}
 
 /// Steady-cadence scrubber state (background-compaction mode): a
 /// foreground-operation counter that paces scrub enqueues and a
@@ -148,8 +128,12 @@ pub(crate) struct EngineShared {
     seq: Arc<CommitSequencer>,
     /// NVM-resident intent log making multi-partition batches atomic.
     commit_log: CommitLog,
-    txn: TxnCounters,
-    integrity: IntegrityCounters,
+    /// Entries the engine counts above the partition layer: snapshot and
+    /// transaction counters, and the integrity events no partition sees
+    /// (injected I/O errors, expired snapshot pins). Engine-lifetime, like
+    /// the device counters: they survive `crash_and_recover`.
+    txn: TxnStatsCells,
+    integrity: IntegrityStatsCells,
     scrub: ScrubCadence,
     pub(crate) obs: EngineObs,
 }
@@ -233,47 +217,19 @@ impl EngineShared {
             ..EngineStats::default()
         };
         for i in 0..self.partitions.len() {
-            let part = self.read_partition(i);
-            let integrity = part.integrity_stats();
-            let p = part.stats();
-            drop(part);
-            stats.integrity = stats.integrity.merged(integrity);
-            stats.reads_from_dram += p.reads_from_dram;
-            stats.reads_from_nvm += p.reads_from_nvm;
-            stats.reads_from_flash += p.reads_from_flash;
-            stats.reads_not_found += p.reads_not_found;
-            stats.user_bytes_written += p.user_bytes_written;
-            stats.batch_groups += p.batch_groups;
-            stats.batch_entries += p.batch_entries;
-            stats.batch_merged_writes += p.batch_merged_writes;
-            stats.compaction.jobs += p.compaction.jobs;
-            stats.compaction.total_time += p.compaction.total_time;
-            stats.compaction.fast_tier_time += p.compaction.fast_tier_time;
-            stats.compaction.slow_tier_time += p.compaction.slow_tier_time;
-            stats.compaction.demoted_objects += p.compaction.demoted_objects;
-            stats.compaction.promoted_objects += p.compaction.promoted_objects;
-            stats.compaction.stall_time += p.compaction.stall_time;
-            stats.compaction.overlap_time += p.compaction.overlap_time;
-            stats.compaction.backpressure_stalls += p.compaction.backpressure_stalls;
+            let partition = self.read_partition(i).stats();
+            stats = stats.merged(partition);
         }
+        stats.txn = self.txn.snapshot();
+        stats.integrity = stats.integrity.merged(self.integrity.snapshot());
         if let Some(sched) = &self.sched {
-            stats.compaction.queue_depth = sched.queue_depth();
-            stats.compaction.max_queue_depth = sched.max_queue_depth();
-            stats.compaction.enqueued_jobs = sched.enqueued_total();
+            stats.compaction = stats.compaction.merged(sched.stats.snapshot());
         }
         let log = self.commit_log.counters();
-        stats.txn = TxnStats {
-            snapshots: self.txn.snapshots.load(Ordering::Relaxed),
-            txn_commits: self.txn.commits.load(Ordering::Relaxed),
-            txn_conflicts: self.txn.conflicts.load(Ordering::Relaxed),
-            commit_intents: log.intents,
-            commit_seals: log.seals,
-            commit_replayed: log.replayed,
-            commit_rolled_back: log.rolled_back,
-        };
-        stats.integrity.io_errors += self.integrity.io_faults.load(Ordering::Relaxed);
-        stats.integrity.snapshots_expired +=
-            self.integrity.snapshots_expired.load(Ordering::Relaxed);
+        stats.txn.commit_intents = log.intents;
+        stats.txn.commit_seals = log.seals;
+        stats.txn.commit_replayed = log.replayed;
+        stats.txn.commit_rolled_back = log.rolled_back;
         stats
     }
 }
@@ -431,8 +387,8 @@ impl PrismDb {
             sched,
             seq,
             commit_log,
-            txn: TxnCounters::default(),
-            integrity: IntegrityCounters::default(),
+            txn: TxnStatsCells::default(),
+            integrity: IntegrityStatsCells::default(),
             scrub: ScrubCadence::default(),
             obs: EngineObs::new(options.obs.clone().unwrap_or_default()),
             options: options.clone(),
@@ -828,7 +784,7 @@ impl PrismDb {
         if matches!(err, PrismError::Io(_)) {
             self.shared
                 .integrity
-                .io_faults
+                .io_errors
                 .fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1571,7 +1527,7 @@ impl ConcurrentKvStore for PrismDb {
         touched.dedup();
         if touched.is_empty() {
             // Nothing read, nothing written: a trivially successful commit.
-            self.shared.txn.commits.fetch_add(1, Ordering::Relaxed);
+            self.shared.txn.txn_commits.fetch_add(1, Ordering::Relaxed);
             return Ok(Nanos::ZERO);
         }
         for &idx in &write_parts {
@@ -1591,7 +1547,10 @@ impl ConcurrentKvStore for PrismDb {
                 .expect("read partitions are in the touched set");
             let newest = guards[pos].1.newest_seq(key);
             if newest.is_some_and(|seq| seq > snapshot.sequence()) {
-                self.shared.txn.conflicts.fetch_add(1, Ordering::Relaxed);
+                self.shared
+                    .txn
+                    .txn_conflicts
+                    .fetch_add(1, Ordering::Relaxed);
                 return Err(PrismError::TxnConflict { key: key.id() });
             }
         }
@@ -1627,7 +1586,7 @@ impl ConcurrentKvStore for PrismDb {
                 }
             }
         }
-        self.shared.txn.commits.fetch_add(1, Ordering::Relaxed);
+        self.shared.txn.txn_commits.fetch_add(1, Ordering::Relaxed);
         let result = self.finish_write(Ok(total));
         if let Ok(latency) = &result {
             self.shared.obs.txn_commit.record(latency.as_nanos());

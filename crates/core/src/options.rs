@@ -69,8 +69,6 @@ pub struct Options {
     pub cache_shards: usize,
     /// Slab slot sizes for the NVM store.
     pub slab_slot_sizes: Vec<u32>,
-    /// Tracker capacity as a fraction of `expected_keys` (0.2 in §7).
-    pub tracker_fraction: f64,
     /// Pinning threshold: fraction of tracked objects to retain on NVM
     /// (0.7 in §7).
     pub pinning_threshold: f64,
@@ -98,9 +96,6 @@ pub struct Options {
     /// Read-triggered compaction configuration; `None` disables the
     /// mechanism entirely.
     pub read_trigger: Option<ReadTriggerConfig>,
-    /// How many flash-served reads accumulate before a promotion compaction
-    /// runs (while read-triggered compactions are active).
-    pub promotion_batch_flash_reads: u64,
     /// Whether [`crate::PrismDb`]'s batched write path merges duplicate
     /// keys inside one partition sub-batch (the last entry wins, exactly
     /// as sequential application would end up, but superseded entries
@@ -108,10 +103,6 @@ pub struct Options {
     /// group commit's lock/overhead amortisation while paying one slab
     /// write per entry.
     pub merge_batch_duplicates: bool,
-    /// Synchronous-durability mode. PrismDB always persists writes to NVM
-    /// synchronously (it has no WAL), so this only affects reporting parity
-    /// with baselines that add an fsync per write.
-    pub fsync: bool,
     /// Deterministic storage fault-injection plan shared by both devices
     /// and the data layers above them; `None` (the default) runs
     /// fault-free.
@@ -179,7 +170,6 @@ impl Options {
             dram_cache_bytes: flash_capacity / 10,
             cache_shards: 8,
             slab_slot_sizes: vec![128, 256, 512, 1024, 2048, 4096],
-            tracker_fraction: 0.2,
             pinning_threshold: 0.7,
             high_watermark: 0.98,
             low_watermark: 0.95,
@@ -192,9 +182,7 @@ impl Options {
             },
             promotions_enabled: true,
             read_trigger: Some(ReadTriggerConfig::scaled_down(scale_factor)),
-            promotion_batch_flash_reads: 200,
             merge_batch_duplicates: true,
-            fsync: false,
             fault_plan: None,
             corruption_quarantine_threshold: 8,
             scrub_io_budget_bytes: 4 << 20,
@@ -207,7 +195,10 @@ impl Options {
 
     /// Tracker capacity in keys, derived from the expected key count.
     pub fn tracker_capacity(&self) -> usize {
-        ((self.expected_keys as f64 * self.tracker_fraction) as usize).max(16)
+        /// The popularity tracker covers this fraction of `expected_keys`
+        /// (0.2 in §7 of the paper; no experiment sweeps it).
+        const TRACKER_FRACTION: f64 = 0.2;
+        ((self.expected_keys as f64 * TRACKER_FRACTION) as usize).max(16)
     }
 
     /// Validate the configuration.
@@ -259,11 +250,6 @@ impl Options {
         if self.compaction_workers > 64 {
             return Err(PrismError::InvalidConfig(
                 "more than 64 compaction workers is not supported".into(),
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.tracker_fraction) || self.tracker_fraction == 0.0 {
-            return Err(PrismError::InvalidConfig(
-                "tracker fraction must be in (0, 1]".into(),
             ));
         }
         if self.sst_target_bytes == 0 {
@@ -371,12 +357,6 @@ impl OptionsBuilder {
         self
     }
 
-    /// Set the tracker size as a fraction of the expected keys.
-    pub fn tracker_fraction(mut self, fraction: f64) -> Self {
-        self.options.tracker_fraction = fraction;
-        self
-    }
-
     /// Set the number of background compaction worker threads (`0` keeps
     /// the inline, stall-on-watermark behaviour).
     pub fn compaction_workers(mut self, workers: usize) -> Self {
@@ -394,12 +374,6 @@ impl OptionsBuilder {
     /// sub-batch of the batched write path (enabled by default).
     pub fn merge_batch_duplicates(mut self, enabled: bool) -> Self {
         self.options.merge_batch_duplicates = enabled;
-        self
-    }
-
-    /// Set synchronous-durability mode.
-    pub fn fsync(mut self, enabled: bool) -> Self {
-        self.options.fsync = enabled;
         self
     }
 
@@ -472,7 +446,6 @@ mod tests {
         let options = Options::scaled_default(100_000);
         options.validate().unwrap();
         assert_eq!(options.num_partitions, 8);
-        assert!((options.tracker_fraction - 0.2).abs() < 1e-9);
         assert!((options.pinning_threshold - 0.7).abs() < 1e-9);
         assert_eq!(options.nvm_capacity_bytes * 5, options.flash_capacity_bytes);
         assert_eq!(options.tracker_capacity(), 20_000);
@@ -486,8 +459,6 @@ mod tests {
             .flash_capacity(5 << 20)
             .pinning_threshold(0.3)
             .promotions(false)
-            .tracker_fraction(0.5)
-            .fsync(true)
             .build()
             .unwrap();
         assert_eq!(options.num_partitions, 2);
@@ -495,8 +466,7 @@ mod tests {
         assert_eq!(options.nvm_profile.capacity_bytes, 1 << 20);
         assert!((options.pinning_threshold - 0.3).abs() < 1e-9);
         assert!(!options.promotions_enabled);
-        assert!(options.fsync);
-        assert_eq!(options.tracker_capacity(), 500);
+        assert_eq!(options.tracker_capacity(), 200);
     }
 
     #[test]
@@ -512,9 +482,6 @@ mod tests {
         assert!(bad.validate().is_err());
         let mut bad = Options::scaled_default(100);
         bad.sst_target_bytes = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = Options::scaled_default(100);
-        bad.tracker_fraction = 0.0;
         assert!(bad.validate().is_err());
         let mut bad = Options::scaled_default(100);
         bad.corruption_quarantine_threshold = 0;

@@ -55,7 +55,7 @@ use prism_nvm::{NvmAddress, SlabConfig, SlabStore};
 use prism_storage::{CpuCosts, Device, FaultOp, FaultPlan, FaultTier, TieredStorage};
 use prism_tracker::{ClockTracker, Mapper, PinDecision};
 use prism_types::{
-    BatchOp, CompactionStats, IntegrityStats, Key, Lookup, Nanos, PartitionHealth, PrismError,
+    BatchOp, EngineStats, EngineStatsCells, Key, Lookup, Nanos, PartitionHealth, PrismError,
     ReadSource, Result, Value,
 };
 
@@ -67,6 +67,11 @@ use crate::sequence::CommitSequencer;
 /// engine to force a drain with a write lock).
 pub(crate) const READ_SIDE_DRAIN: usize = 64;
 
+/// How many flash-served reads accumulate before a promotion compaction
+/// runs (while read-triggered compactions are active). No experiment
+/// sweeps it.
+const PROMOTION_BATCH_FLASH_READS: u64 = 200;
+
 /// Entry in the partition's B-tree index describing the NVM-resident
 /// version of a key.
 #[derive(Debug, Clone, Copy)]
@@ -74,29 +79,6 @@ pub(crate) struct IndexEntry {
     addr: NvmAddress,
     timestamp: u64,
     tombstone: bool,
-}
-
-/// Per-partition counters merged into [`prism_types::EngineStats`].
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct PartitionStats {
-    pub reads_from_dram: u64,
-    pub reads_from_nvm: u64,
-    pub reads_from_flash: u64,
-    pub reads_not_found: u64,
-    pub user_bytes_written: u64,
-    pub batch_groups: u64,
-    pub batch_entries: u64,
-    pub batch_merged_writes: u64,
-    pub compaction: CompactionStats,
-}
-
-/// Read counters updated without the write lock.
-#[derive(Debug, Default)]
-struct ReadStats {
-    dram: AtomicU64,
-    nvm: AtomicU64,
-    flash: AtomicU64,
-    not_found: AtomicU64,
 }
 
 /// Structural tracker admissions buffered by `&self` reads and applied by
@@ -200,7 +182,6 @@ pub(crate) struct Partition {
     cache: ShardedLruCache,
     read_side: Mutex<ReadSideState>,
     read_counters: ReadSideCounters,
-    read_stats: ReadStats,
     /// Global commit sequencer shared by every partition of the engine:
     /// allocates the per-version timestamps (which double as commit
     /// sequences) and tracks pinned snapshots.
@@ -221,7 +202,13 @@ pub(crate) struct Partition {
     epoch: u64,
     /// A read-triggered promotion compaction is due (set by a drain).
     promote_pending: bool,
-    stats: PartitionStats,
+    /// This partition's share of the engine statistics: the entries
+    /// counted under the write lock.
+    stats: EngineStats,
+    /// The entries `&self` paths count without it (tier read counters, the
+    /// engine's degraded refusals under the *read* lock, corruption seen
+    /// by scans); [`Partition::stats`] merges both.
+    live: EngineStatsCells,
     /// Fault plan shared with the storage layer (`None` in healthy runs).
     fault: Option<Arc<FaultPlan>>,
     /// Read-only degraded mode flips on when quarantines cross
@@ -233,14 +220,6 @@ pub(crate) struct Partition {
     /// `Corruption` (never stale data from an older tier); a successful
     /// rewrite or scrub repair removes the sentinel.
     quarantined: HashSet<u64>,
-    /// Integrity counters mutated under the write lock.
-    integrity: IntegrityStats,
-    /// Writes refused while degraded (atomic: the engine counts the
-    /// refusal under the partition *read* lock).
-    degraded_refusals: AtomicU64,
-    /// Corruption detections made by `&self` readers (scans) that cannot
-    /// touch the plain `integrity` struct.
-    scan_detected: AtomicU64,
     /// Bytes currently buffered in `history` (mirrored into the shared
     /// sequencer total for lock-free engine-side cap checks).
     history_bytes: u64,
@@ -289,20 +268,17 @@ impl Partition {
             ),
             read_side: Mutex::new(ReadSideState::default()),
             read_counters: ReadSideCounters::default(),
-            read_stats: ReadStats::default(),
             seq,
             history: BTreeMap::new(),
             fg: AtomicU64::new(0),
             busy_until: Nanos::ZERO,
             epoch: 0,
             promote_pending: false,
-            stats: PartitionStats::default(),
+            stats: EngineStats::default(),
+            live: EngineStatsCells::default(),
             fault: options.fault_plan.clone(),
             health: PartitionHealth::Healthy,
             quarantined: HashSet::new(),
-            integrity: IntegrityStats::default(),
-            degraded_refusals: AtomicU64::new(0),
-            scan_detected: AtomicU64::new(0),
             history_bytes: 0,
             scrub_cursor: None,
             options,
@@ -342,12 +318,11 @@ impl Partition {
         self.fg().max(self.busy_until)
     }
 
-    pub(crate) fn stats(&self) -> PartitionStats {
-        let mut stats = self.stats;
-        stats.reads_from_dram = self.read_stats.dram.load(Ordering::Relaxed);
-        stats.reads_from_nvm = self.read_stats.nvm.load(Ordering::Relaxed);
-        stats.reads_from_flash = self.read_stats.flash.load(Ordering::Relaxed);
-        stats.reads_not_found = self.read_stats.not_found.load(Ordering::Relaxed);
+    /// This partition's statistics: the write-lock counters merged with
+    /// the live cells, plus the degraded gauge.
+    pub(crate) fn stats(&self) -> EngineStats {
+        let mut stats = self.stats.merged(self.live.snapshot());
+        stats.integrity.degraded_partitions = (self.health == PartitionHealth::Degraded) as u64;
         stats
     }
 
@@ -373,20 +348,13 @@ impl Partition {
         self.health
     }
 
-    /// This partition's integrity counters, folding in the atomics that
-    /// `&self` paths maintain and the degraded gauge.
-    pub(crate) fn integrity_stats(&self) -> IntegrityStats {
-        let mut stats = self.integrity;
-        stats.degraded_write_refusals += self.degraded_refusals.load(Ordering::Relaxed);
-        stats.checksum_failures += self.scan_detected.load(Ordering::Relaxed);
-        stats.degraded_partitions = (self.health == PartitionHealth::Degraded) as u64;
-        stats
-    }
-
     /// Count one write refused with `Degraded` (called by the engine
     /// under the partition *read* lock, hence the atomic).
     pub(crate) fn note_degraded_refusal(&self) {
-        self.degraded_refusals.fetch_add(1, Ordering::Relaxed);
+        self.live
+            .integrity
+            .degraded_write_refusals
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of keys currently under a quarantine sentinel.
@@ -404,7 +372,7 @@ impl Partition {
 
     /// Record one detected checksum failure (write-lock paths).
     fn note_checksum_failure(&mut self) {
-        self.integrity.checksum_failures += 1;
+        self.stats.integrity.checksum_failures += 1;
         if let Some(plan) = &self.fault {
             plan.note_detected();
         }
@@ -412,7 +380,10 @@ impl Partition {
 
     /// Record one detected checksum failure from a `&self` reader.
     fn note_checksum_failure_shared(&self) {
-        self.scan_detected.fetch_add(1, Ordering::Relaxed);
+        self.live
+            .integrity
+            .checksum_failures
+            .fetch_add(1, Ordering::Relaxed);
         if let Some(plan) = &self.fault {
             plan.note_detected();
         }
@@ -428,7 +399,7 @@ impl Partition {
         if !self.quarantined.insert(key_id) {
             return false;
         }
-        self.integrity.quarantined_objects += 1;
+        self.stats.integrity.quarantined_objects += 1;
         if let Some(entry) = self.index.get(key).copied() {
             let _ = self.slab.remove(entry.addr);
             self.index.remove(key);
@@ -454,7 +425,7 @@ impl Partition {
             && self.quarantined.len() as u64 >= self.options.corruption_quarantine_threshold
         {
             self.health = PartitionHealth::Degraded;
-            self.integrity.degraded_entered += 1;
+            self.stats.integrity.degraded_entered += 1;
         }
     }
 
@@ -647,7 +618,7 @@ impl Partition {
                     .read_counters
                     .flash_reads_since_promotion
                     .load(Ordering::Relaxed)
-                    >= self.options.promotion_batch_flash_reads)
+                    >= PROMOTION_BATCH_FLASH_READS)
     }
 
     /// Apply buffered structural tracker admissions and drain the atomic
@@ -697,7 +668,7 @@ impl Partition {
         // `&mut self` means no reader holds the partition lock, so the
         // load/store pair cannot lose a concurrent increment.
         let ctr = &self.read_counters.flash_reads_since_promotion;
-        if ctr.load(Ordering::Relaxed) >= self.options.promotion_batch_flash_reads {
+        if ctr.load(Ordering::Relaxed) >= PROMOTION_BATCH_FLASH_READS {
             ctr.store(0, Ordering::Relaxed);
             self.promote_pending = true;
         }
@@ -1061,10 +1032,10 @@ impl Partition {
         }
 
         match source {
-            ReadSource::Dram => self.read_stats.dram.fetch_add(1, Ordering::Relaxed),
-            ReadSource::Nvm => self.read_stats.nvm.fetch_add(1, Ordering::Relaxed),
-            ReadSource::Flash => self.read_stats.flash.fetch_add(1, Ordering::Relaxed),
-            ReadSource::NotFound => self.read_stats.not_found.fetch_add(1, Ordering::Relaxed),
+            ReadSource::Dram => self.live.reads_from_dram.fetch_add(1, Ordering::Relaxed),
+            ReadSource::Nvm => self.live.reads_from_nvm.fetch_add(1, Ordering::Relaxed),
+            ReadSource::Flash => self.live.reads_from_flash.fetch_add(1, Ordering::Relaxed),
+            ReadSource::NotFound => self.live.reads_not_found.fetch_add(1, Ordering::Relaxed),
         };
         if value.is_some() {
             // The popularity update's CPU cost belongs to this read either
@@ -2058,7 +2029,7 @@ impl Partition {
         }
         for id in corrupt_ids {
             if self.quarantined.insert(id) {
-                self.integrity.quarantined_objects += 1;
+                self.stats.integrity.quarantined_objects += 1;
             }
         }
         let mut flash_corrupt: Vec<Key> = Vec::new();
@@ -2219,7 +2190,7 @@ impl Partition {
                     // A newer NVM version shadows the corrupt record:
                     // dropping it from the rebuilt file *is* the repair.
                     report.repaired += 1;
-                    self.integrity.scrub_repairs += 1;
+                    self.stats.integrity.scrub_repairs += 1;
                 } else {
                     self.scrub_repair_or_quarantine(key, &mut report, &mut cost);
                 }
@@ -2249,12 +2220,12 @@ impl Partition {
                 self.buckets.on_nvm_insert(key.id());
                 self.quarantined.remove(&key.id());
                 report.repaired += 1;
-                self.integrity.scrub_repairs += 1;
+                self.stats.integrity.scrub_repairs += 1;
                 return;
             }
         }
         if self.quarantined.insert(key.id()) {
-            self.integrity.quarantined_objects += 1;
+            self.stats.integrity.quarantined_objects += 1;
         }
         report.quarantined += 1;
         self.maybe_degrade();
@@ -2275,12 +2246,12 @@ impl Partition {
             self.busy_until = self.busy_until.max(self.fg()) + cost;
         }
         if report.completed {
-            self.integrity.scrub_passes += 1;
+            self.stats.integrity.scrub_passes += 1;
             if report.corrupt_found == 0 {
-                self.integrity.scrub_clean_passes += 1;
+                self.stats.integrity.scrub_clean_passes += 1;
                 if self.health == PartitionHealth::Degraded {
                     self.health = PartitionHealth::Healthy;
-                    self.integrity.degraded_recovered += 1;
+                    self.stats.integrity.degraded_recovered += 1;
                 }
             }
         }

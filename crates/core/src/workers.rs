@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use prism_compaction::execute_job;
 use prism_obs::trace::category;
-use prism_types::Nanos;
+use prism_types::{CompactionStatsCells, Nanos};
 
 use crate::engine::EngineShared;
 use crate::partition::CompactionOutcome;
@@ -96,12 +96,11 @@ pub(crate) struct Scheduler {
     /// One virtual clock per worker; compaction durations are packed onto
     /// the least-loaded clock at install time.
     virtual_clocks: Mutex<Vec<Nanos>>,
-    queue_depth: AtomicU64,
-    max_queue_depth: AtomicU64,
-    /// Requests accepted onto the queue (after dedup), cumulatively. The
+    /// The compaction entries the scheduler owns: queue depth, its
+    /// high-water mark, and `enqueued_jobs` (counted after dedup — the
     /// batched write path's regression tests pin "at most one demotion
-    /// enqueue per touched partition per batch" against this counter.
-    enqueued_total: AtomicU64,
+    /// enqueue per touched partition per batch" against it).
+    pub(crate) stats: CompactionStatsCells,
 }
 
 impl Scheduler {
@@ -119,9 +118,7 @@ impl Scheduler {
             generation: Mutex::new(0),
             generation_cv: Condvar::new(),
             virtual_clocks: Mutex::new(vec![Nanos::ZERO; workers.max(1)]),
-            queue_depth: AtomicU64::new(0),
-            max_queue_depth: AtomicU64::new(0),
-            enqueued_total: AtomicU64::new(0),
+            stats: CompactionStatsCells::default(),
         }
     }
 
@@ -146,9 +143,11 @@ impl Scheduler {
             RequestKind::Scrub => pending.scrub_queued = true,
         }
         state.queue.push_back(req);
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
-        self.enqueued_total.fetch_add(1, Ordering::Relaxed);
+        let depth = self.stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+        self.stats
+            .max_queue_depth
+            .fetch_max(depth, Ordering::Relaxed);
+        self.stats.enqueued_jobs.fetch_add(1, Ordering::Relaxed);
         // A deeper queue may have grown the effective pool, making workers
         // that were adaptively parked eligible again — wake them all and
         // let `next_request`'s eligibility check sort it out.
@@ -179,7 +178,7 @@ impl Scheduler {
                     }
                     pending.inflight = true;
                     state.inflight += 1;
-                    self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
                     return Some(req);
                 }
             }
@@ -286,15 +285,7 @@ impl Scheduler {
     }
 
     pub(crate) fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn max_queue_depth(&self) -> u64 {
-        self.max_queue_depth.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn enqueued_total(&self) -> u64 {
-        self.enqueued_total.load(Ordering::Relaxed)
+        self.stats.queue_depth.load(Ordering::Relaxed)
     }
 }
 

@@ -8,8 +8,9 @@ use std::time::Instant;
 
 use prism_obs::{LatencyHistogram, ObsHub};
 use prism_types::{
-    completion_pair_gauged, BatchOp, Completion, ConcurrentKvStore, FrontendStats, Key, Lookup,
-    Nanos, PrismError, Result, ScanResult, Ticket, TicketGauge, Value, WriteBatch,
+    completion_pair_gauged, BatchOp, Completion, ConcurrentKvStore, FrontendStats,
+    FrontendStatsCells, Key, Lookup, Nanos, PrismError, Result, ScanResult, Ticket, TicketGauge,
+    Value, WriteBatch,
 };
 
 use crate::options::FrontendOptions;
@@ -204,14 +205,9 @@ struct Shared<E> {
     /// read this flag instead of querying the engine, keeping
     /// `try_submit` free of engine-lock traffic.
     pressured: Vec<AtomicBool>,
-    // Statistics (see `prism_types::FrontendStats`).
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    coalesced_groups: AtomicU64,
-    coalesced_entries: AtomicU64,
-    wakeups: AtomicU64,
-    steals: AtomicU64,
+    /// Live statistics cells. The two ticket entries stay zero here:
+    /// `gauge` is their source (see [`Shared::stats_snapshot`]).
+    stats: FrontendStatsCells,
     /// Rotates which peer a helper wake-up targets, so one hot partition
     /// spreads its overflow across every other executor instead of
     /// pinning a single neighbour.
@@ -220,11 +216,6 @@ struct Shared<E> {
     /// idle executors fan out across the foreign queues instead of all
     /// scanning from partition 0 and colliding on the same drain locks.
     steal_rr: AtomicUsize,
-    depth: AtomicU64,
-    max_queue_depth: AtomicU64,
-    /// High-water mark of the *total* queued-request count (all
-    /// partition queues combined).
-    max_total_depth: AtomicU64,
     /// Per-stage wall-clock histograms and the shared observability hub.
     obs: FrontendObs,
     /// Virtual-time accounting for the benchmark harness: simulated time
@@ -323,7 +314,7 @@ impl<E: ConcurrentKvStore> Shared<E> {
             if items.len() >= effective_capacity {
                 let depth = items.len();
                 drop(items);
-                self.rejected.fetch_add(1, Ordering::Relaxed);
+                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(PrismError::Backpressure { partition, depth });
             }
             items.push_back(request);
@@ -340,11 +331,14 @@ impl<E: ConcurrentKvStore> Shared<E> {
 
     /// Caller holds the partition's queue lock with the request pushed.
     fn note_enqueued(&self, partition_depth: usize) {
-        let total = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.max_total_depth.fetch_max(total, Ordering::Relaxed);
-        self.max_queue_depth
+        let total = self.stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+        self.stats
+            .max_total_queue_depth
+            .fetch_max(total, Ordering::Relaxed);
+        self.stats
+            .max_queue_depth
             .fetch_max(partition_depth as u64, Ordering::Relaxed);
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        self.stats.submitted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The queue bound `try_submit` enforces for writes: halved while the
@@ -383,12 +377,14 @@ impl<E: ConcurrentKvStore> Shared<E> {
             }
             let mut group: Vec<(Vec<BatchOp>, Arc<WriteAgg>, Instant)> =
                 parts.drain(..take).collect();
-            self.coalesced_groups.fetch_add(1, Ordering::Relaxed);
-            self.coalesced_entries
+            self.stats.coalesced_groups.fetch_add(1, Ordering::Relaxed);
+            self.stats
+                .coalesced_entries
                 .fetch_add(entries as u64, Ordering::Relaxed);
             // Count before completing: a client that just saw its ticket
             // resolve must never observe `completed < submitted` for it.
-            self.completed
+            self.stats
+                .completed
                 .fetch_add(group.len() as u64, Ordering::Relaxed);
             if group.len() == 1 {
                 // The common light-pressure case: a per-part retry cannot
@@ -488,6 +484,12 @@ impl<E: ConcurrentKvStore> Shared<E> {
     /// an executor that does not own the partition (statistics only; the
     /// drain lock is what keeps stealing safe).
     fn drain_partition(&self, exec_id: usize, partition: usize, stolen: bool) -> bool {
+        // Peek before taking the drain lock: an idle sweep must never hold
+        // it, or an owner woken for a fresh enqueue bounces off a lock
+        // whose holder has nothing to service and will not re-arm.
+        if lock(&self.queues[partition].items).is_empty() {
+            return false;
+        }
         // Hold the drain lock across swap *and* service: two executors
         // interleaving "swap batch A / swap batch B / service B / service
         // A" would reorder writes across drains. `try_lock` because a
@@ -497,18 +499,21 @@ impl<E: ConcurrentKvStore> Shared<E> {
             Err(std::sync::TryLockError::Poisoned(poison)) => poison.into_inner(),
             Err(std::sync::TryLockError::WouldBlock) => return false,
         };
-        let drained = {
-            let mut items = lock(&self.queues[partition].items);
-            if items.is_empty() {
-                return false;
-            }
-            std::mem::take(&mut *items)
-        };
+        let drained = std::mem::take(&mut *lock(&self.queues[partition].items));
+        if drained.is_empty() {
+            // Another executor drained between the peek and the lock. A
+            // request enqueued since may have bounced its owner off the
+            // lock held here, so release through the same re-arm.
+            drop(_draining);
+            self.rearm(partition);
+            return false;
+        }
         if stolen {
-            self.steals.fetch_add(1, Ordering::Relaxed);
+            self.stats.stolen_drains.fetch_add(1, Ordering::Relaxed);
         }
         self.queues[partition].not_full.notify_all();
-        self.depth
+        self.stats
+            .queue_depth
             .fetch_sub(drained.len() as u64, Ordering::Relaxed);
         // Queue-wait ends here for everything in this batch: each request
         // waited from its enqueue instant to the moment the drain picked
@@ -551,7 +556,7 @@ impl<E: ConcurrentKvStore> Shared<E> {
                             self.charge_write(partition, lookup.latency);
                         }
                     }
-                    self.completed.fetch_add(1, Ordering::Relaxed);
+                    self.stats.completed.fetch_add(1, Ordering::Relaxed);
                     completion.complete(result);
                     self.obs
                         .record_stage(&self.obs.service, OpClass::Get, service.as_nanos());
@@ -575,7 +580,7 @@ impl<E: ConcurrentKvStore> Shared<E> {
                             }
                         }
                     }
-                    self.completed.fetch_add(1, Ordering::Relaxed);
+                    self.stats.completed.fetch_add(1, Ordering::Relaxed);
                     completion.complete(result);
                     self.obs
                         .record_stage(&self.obs.service, OpClass::Scan, service.as_nanos());
@@ -603,10 +608,16 @@ impl<E: ConcurrentKvStore> Shared<E> {
         // bounced off the held drain lock and parked again — re-signal so
         // nothing strands until the next enqueue.
         drop(_draining);
+        self.rearm(partition);
+        true
+    }
+
+    /// After releasing a partition's drain lock: wake the owner if the
+    /// queue is non-empty.
+    fn rearm(&self, partition: usize) {
         if !lock(&self.queues[partition].items).is_empty() {
             self.signal(partition);
         }
-        true
     }
 
     /// Main loop of one executor thread: sweep the owned partitions,
@@ -652,7 +663,7 @@ impl<E: ConcurrentKvStore> Shared<E> {
                     .cv
                     .wait(pending)
                     .unwrap_or_else(|poison| poison.into_inner());
-                self.wakeups.fetch_add(1, Ordering::Relaxed);
+                self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
             }
             *pending = false;
         }
@@ -662,20 +673,10 @@ impl<E: ConcurrentKvStore> Shared<E> {
     /// registry's frontend source, so `GET /stats.json` and
     /// [`Frontend::stats`] read the same numbers).
     fn stats_snapshot(&self) -> FrontendStats {
-        FrontendStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            coalesced_groups: self.coalesced_groups.load(Ordering::Relaxed),
-            coalesced_entries: self.coalesced_entries.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            stolen_drains: self.steals.load(Ordering::Relaxed),
-            queue_depth: self.depth.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            max_total_queue_depth: self.max_total_depth.load(Ordering::Relaxed),
-            outstanding_tickets: self.gauge.outstanding(),
-            max_outstanding_tickets: self.gauge.high_water(),
-        }
+        let mut stats = self.stats.snapshot();
+        stats.outstanding_tickets = self.gauge.outstanding();
+        stats.max_outstanding_tickets = self.gauge.high_water();
+        stats
     }
 
     /// Fail every request still queued (used after the executors exited:
@@ -683,10 +684,11 @@ impl<E: ConcurrentKvStore> Shared<E> {
     fn fail_stragglers(&self) {
         for queue in &self.queues {
             let stragglers = std::mem::take(&mut *lock(&queue.items));
-            self.depth
+            self.stats
+                .queue_depth
                 .fetch_sub(stragglers.len() as u64, Ordering::Relaxed);
             for request in stragglers {
-                self.completed.fetch_add(1, Ordering::Relaxed);
+                self.stats.completed.fetch_add(1, Ordering::Relaxed);
                 match request {
                     Request::Write(_, agg, _) => agg.finish(Err(PrismError::ShuttingDown)),
                     Request::Get(_, completion, _) => {
@@ -760,18 +762,9 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
             concurrent_reads,
             gauge: TicketGauge::new(),
             pressured: (0..partitions).map(|_| AtomicBool::new(false)).collect(),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            coalesced_groups: AtomicU64::new(0),
-            coalesced_entries: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
+            stats: FrontendStatsCells::default(),
             help_rr: AtomicUsize::new(0),
             steal_rr: AtomicUsize::new(0),
-            depth: AtomicU64::new(0),
-            max_queue_depth: AtomicU64::new(0),
-            max_total_depth: AtomicU64::new(0),
             obs: FrontendObs::new(Arc::clone(&hub)),
             exec_clocks: (0..executors).map(|_| AtomicU64::new(0)).collect(),
             shard_serial: (0..partitions).map(|_| AtomicU64::new(0)).collect(),
@@ -1026,6 +1019,7 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
             .max()
             .unwrap_or(0);
         self.shared
+            .stats
             .max_queue_depth
             .store(deepest, Ordering::Relaxed);
     }
@@ -1065,7 +1059,7 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
     /// flight, then exit".
     pub fn drain(&self) {
         loop {
-            let idle = self.shared.depth.load(Ordering::Relaxed) == 0
+            let idle = self.shared.stats.queue_depth.load(Ordering::Relaxed) == 0
                 && self.shared.gauge.outstanding() == 0;
             if idle {
                 return;

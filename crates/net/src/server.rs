@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 use std::io::Read;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -26,7 +26,7 @@ use prism_frontend::{Frontend, FrontendOptions, ReadTicket, ScanTicket, WriteTic
 use prism_obs::registry::{HealthReport, ShardHealthView};
 use prism_obs::trace::category;
 use prism_obs::ObsHub;
-use prism_types::{ConcurrentKvStore, NetStats, PrismError, Result};
+use prism_types::{ConcurrentKvStore, NetStats, NetStatsCells, PrismError, Result};
 
 use crate::protocol::{
     decode_request, encode_response, peek_request_id, split_scan_response, Frame, FrameDecoder,
@@ -148,67 +148,11 @@ impl ConnShared {
     }
 }
 
-struct Counters {
-    connections_accepted: AtomicU64,
-    connections_closed: AtomicU64,
-    frames_received: AtomicU64,
-    frames_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    bytes_sent: AtomicU64,
-    protocol_errors: AtomicU64,
-    backpressure_rejections: AtomicU64,
-    shutdown_refusals: AtomicU64,
-    in_flight: AtomicU64,
-    max_in_flight: AtomicU64,
-    max_conn_in_flight: AtomicU64,
-}
-
-impl Counters {
-    fn new() -> Counters {
-        Counters {
-            connections_accepted: AtomicU64::new(0),
-            connections_closed: AtomicU64::new(0),
-            frames_received: AtomicU64::new(0),
-            frames_sent: AtomicU64::new(0),
-            bytes_received: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            backpressure_rejections: AtomicU64::new(0),
-            shutdown_refusals: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            max_in_flight: AtomicU64::new(0),
-            max_conn_in_flight: AtomicU64::new(0),
-        }
-    }
-
-    fn note_in_flight(&self) {
-        let now = self.in_flight.fetch_add(1, Ordering::AcqRel) + 1;
-        self.max_in_flight.fetch_max(now, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> NetStats {
-        NetStats {
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_closed: self.connections_closed.load(Ordering::Relaxed),
-            frames_received: self.frames_received.load(Ordering::Relaxed),
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            backpressure_rejections: self.backpressure_rejections.load(Ordering::Relaxed),
-            shutdown_refusals: self.shutdown_refusals.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Acquire),
-            max_in_flight: self.max_in_flight.load(Ordering::Relaxed),
-            max_conn_in_flight: self.max_conn_in_flight.load(Ordering::Relaxed),
-        }
-    }
-}
-
 struct NetShared<E: ConcurrentKvStore + 'static> {
     frontend: Frontend<E>,
     obs: Arc<ObsHub>,
     shutdown: AtomicBool,
-    counters: Counters,
+    counters: NetStatsCells,
     max_in_flight_per_conn: usize,
     /// Read-closers of live connections, for interrupting their reader
     /// threads at shutdown.
@@ -218,10 +162,17 @@ struct NetShared<E: ConcurrentKvStore + 'static> {
 }
 
 impl<E: ConcurrentKvStore + 'static> NetShared<E> {
+    fn note_in_flight(&self) {
+        let now = self.counters.in_flight.fetch_add(1, Ordering::AcqRel) + 1;
+        self.counters
+            .max_in_flight
+            .fetch_max(now, Ordering::Relaxed);
+    }
+
     /// Queue one response for the responder and account the in-flight
     /// gauge (the responder decrements when it writes or drops it).
     fn push_ready(&self, conn: &ConnShared, response: Response) {
-        self.counters.note_in_flight();
+        self.note_in_flight();
         let pending = {
             let mut inner = lock(&conn.inner);
             inner.ready.push(response);
@@ -302,7 +253,7 @@ impl<E: ConcurrentKvStore + 'static> NetShared<E> {
         };
         match submitted {
             Ok(ticket) => {
-                self.counters.note_in_flight();
+                self.note_in_flight();
                 let pending = {
                     let mut inner = lock(&conn.inner);
                     inner.inflight.push(InFlight { id, opcode, ticket });
@@ -599,7 +550,7 @@ impl<E: ConcurrentKvStore + 'static> NetServer<E> {
             frontend,
             obs: hub,
             shutdown: AtomicBool::new(false),
-            counters: Counters::new(),
+            counters: NetStatsCells::default(),
             max_in_flight_per_conn: options.max_in_flight_per_conn,
             closers: Mutex::new(HashMap::new()),
             conn_threads: Mutex::new(Vec::new()),

@@ -126,8 +126,19 @@ fn disconnect_with_requests_in_flight_leaks_no_tickets_or_pins() {
     victim.send(&Request::Batch { batch }).expect("send batch");
     drop(victim); // mid-batch, mid-everything: both pipes tear down
 
-    wait_until("the victim's requests to finish server-side", || {
-        server.outstanding_tickets() == 0 && server.stats().in_flight == 0
+    // Quiescent means: the victim's connection is torn down (counted only
+    // after its reader returned and its responder was joined, so nothing
+    // is still being submitted from buffered frames — the seeder stays
+    // open, so the one close is the victim's), no ticket or wire request
+    // is outstanding, and every accepted request has executed. The two
+    // front-end counters are independent loads, so equality is part of
+    // the awaited predicate rather than asserted from one later snapshot.
+    wait_until("the victim's teardown and its requests to finish", || {
+        let (net, frontend) = (server.stats(), server.frontend_stats());
+        net.connections_closed >= 1
+            && net.in_flight == 0
+            && server.outstanding_tickets() == 0
+            && frontend.submitted == frontend.completed
     });
     // Scans release their snapshot pins even though nobody read the
     // results.
@@ -136,8 +147,6 @@ fn disconnect_with_requests_in_flight_leaks_no_tickets_or_pins() {
     // Accepted writes were not torn down with the connection: once
     // submitted they execute — and a fresh connection sees them.
     let mut survivor = client(&connector);
-    let frontend = server.frontend_stats();
-    assert_eq!(frontend.submitted, frontend.completed);
     assert!(
         survivor.get(Key::from_id(1_000)).expect("get").is_some(),
         "a submitted-before-disconnect write must still execute"

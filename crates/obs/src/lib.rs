@@ -12,8 +12,9 @@
 //!   type, so benches and production serve the same numbers.
 //! * [`MetricsRegistry`] / [`MetricsSnapshot`] — named counters, gauges
 //!   (with built-in high-water marks) and histograms, plus typed sources
-//!   for the six pre-existing stats structs. One snapshot yields the
-//!   typed views *and* a flattened name→value map, rendered as
+//!   for the engine / frontend / net stats tables of `prism_types`. One
+//!   snapshot yields the typed views *and* a name→value map walked out
+//!   of the tables (with each entry's kind and help text), rendered as
 //!   Prometheus text or JSON.
 //! * [`TraceBuffer`] — a bounded ring of structured [`TraceEvent`]s
 //!   (compaction pipeline transitions, health flips, snapshot expiry,
@@ -52,7 +53,8 @@ pub use hist::{
     NUM_BOUNDS, NUM_BUCKETS,
 };
 pub use registry::{
-    Counter, Gauge, GaugeView, HealthReport, MetricsRegistry, MetricsSnapshot, ShardHealthView,
+    render_catalogue, Counter, Gauge, GaugeView, HealthReport, MetricsRegistry, MetricsSnapshot,
+    ShardHealthView,
 };
 pub use trace::{TraceBuffer, TraceEvent};
 

@@ -3,25 +3,24 @@
 //! A [`MetricsRegistry`] holds three kinds of live instruments —
 //! monotone [`Counter`]s, instantaneous [`Gauge`]s with built-in
 //! high-water marks, and [`LatencyHistogram`]s — plus *typed stats
-//! sources*: closures that produce the repo's six existing stats structs
-//! ([`EngineStats`], [`FrontendStats`], [`NetStats`] and the
-//! [`CompactionStats`]/[`TxnStats`]/[`IntegrityStats`] nested inside
-//! `EngineStats`) from whatever layer owns them. One
+//! sources*: closures that produce [`EngineStats`], [`FrontendStats`] and
+//! [`NetStats`] from whatever layer owns them. One
 //! [`MetricsRegistry::snapshot`] call folds everything into a
-//! [`MetricsSnapshot`]: the typed structs survive as typed views (no
-//! existing caller breaks) *and* every field is flattened into the
-//! name→value counter map, so the Prometheus and JSON expositions cover
-//! the whole system uniformly.
-//!
-//! [`CompactionStats`]: prism_types::CompactionStats
-//! [`TxnStats`]: prism_types::TxnStats
-//! [`IntegrityStats`]: prism_types::IntegrityStats
+//! [`MetricsSnapshot`]: the typed structs survive as typed views *and*
+//! every entry of their stats tables is walked into the name→value
+//! counter map through the tables' own `visit`, which also supplies the
+//! kind (`# TYPE`) and help text (`# HELP`) of each exported series — so
+//! the Prometheus and JSON expositions, and the README catalogue rendered
+//! by [`render_catalogue`], all come from the one declaration in
+//! `prism_types`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use prism_types::{EngineStats, FrontendStats, NetStats, PartitionHealth};
+use prism_types::{
+    EngineStats, FrontendStats, MetricKind, MetricVisitor, NetStats, PartitionHealth,
+};
 
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
 use crate::json::{fmt_f64, JsonObject};
@@ -319,17 +318,19 @@ impl MetricsRegistry {
         let net = inner.net.as_ref().and_then(|s| s());
         let health = inner.health.as_ref().and_then(|s| s());
         drop(inner);
-        if let Some(stats) = &engine {
-            flatten_engine(stats, &mut counters);
-        }
-        if let Some(stats) = &frontend {
-            flatten_frontend(stats, &mut counters);
-        }
-        if let Some(stats) = &net {
-            flatten_net(stats, &mut counters);
-        }
+        let mut table_meta = BTreeMap::new();
+        visit_tables(
+            engine.as_ref(),
+            frontend.as_ref(),
+            net.as_ref(),
+            &mut |name, kind, help, value| {
+                counters.insert(name.to_string(), value);
+                table_meta.insert(name.to_string(), (kind, help));
+            },
+        );
         MetricsSnapshot {
             counters,
+            table_meta,
             gauges,
             histograms,
             engine,
@@ -342,15 +343,19 @@ impl MetricsRegistry {
 
 /// Point-in-time copy of everything a [`MetricsRegistry`] knows.
 ///
-/// The six pre-existing stats structs survive as the typed views
-/// (`engine` carries `CompactionStats`, `TxnStats` and `IntegrityStats`
-/// inside it); `counters` additionally holds every one of their fields
-/// flattened under `engine_*` / `frontend_*` / `net_*` names, alongside
-/// the explicitly registered counters.
+/// The stats structs survive as the typed views (`engine` carries
+/// `CompactionStats`, `TxnStats` and `IntegrityStats` inside it);
+/// `counters` additionally holds every entry of their tables under
+/// `engine_*` / `frontend_*` / `net_*` names, alongside the explicitly
+/// registered counters.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
-    /// Registered counters plus every flattened typed-stats field.
+    /// Registered counters plus every stats-table entry (gauges included:
+    /// [`MetricsSnapshot::counter`] answers for every exported name).
     pub counters: BTreeMap<String, u64>,
+    /// Kind and help text of each name in `counters` that a stats table
+    /// declares.
+    pub table_meta: BTreeMap<String, (MetricKind, &'static str)>,
     /// Registered gauges with their high-water marks.
     pub gauges: BTreeMap<String, GaugeView>,
     /// Registered histograms.
@@ -382,7 +387,21 @@ impl MetricsSnapshot {
         let mut out = String::new();
         use std::fmt::Write as _;
         for (name, value) in &self.counters {
-            let _ = writeln!(out, "# TYPE {name} counter");
+            let kind = match self.table_meta.get(name) {
+                Some((kind, help)) => {
+                    let _ = match kind {
+                        MetricKind::Nanos => {
+                            writeln!(out, "# HELP {name} {help} ({})", kind.unit())
+                        }
+                        MetricKind::Counter | MetricKind::Gauge => {
+                            writeln!(out, "# HELP {name} {help}")
+                        }
+                    };
+                    kind.prometheus_type()
+                }
+                None => "counter",
+            };
+            let _ = writeln!(out, "# TYPE {name} {kind}");
             let _ = writeln!(out, "{name} {value}");
         }
         for (name, view) in &self.gauges {
@@ -436,145 +455,46 @@ impl MetricsSnapshot {
     }
 }
 
-fn put(map: &mut BTreeMap<String, u64>, name: &str, value: u64) {
-    map.insert(name.to_string(), value);
-}
-
-fn flatten_engine(stats: &EngineStats, map: &mut BTreeMap<String, u64>) {
-    put(map, "engine_reads_from_dram", stats.reads_from_dram);
-    put(map, "engine_reads_from_nvm", stats.reads_from_nvm);
-    put(map, "engine_reads_from_flash", stats.reads_from_flash);
-    put(map, "engine_reads_not_found", stats.reads_not_found);
-    put(map, "engine_user_bytes_written", stats.user_bytes_written);
-    put(map, "engine_batch_groups", stats.batch_groups);
-    put(map, "engine_batch_entries", stats.batch_entries);
-    put(map, "engine_batch_merged_writes", stats.batch_merged_writes);
-    for (tier, io) in [("nvm", stats.nvm_io), ("flash", stats.flash_io)] {
-        put(map, &format!("engine_{tier}_bytes_read"), io.bytes_read);
-        put(
-            map,
-            &format!("engine_{tier}_bytes_written"),
-            io.bytes_written,
-        );
-        put(map, &format!("engine_{tier}_reads"), io.reads);
-        put(map, &format!("engine_{tier}_writes"), io.writes);
+/// Walk the top-level stats tables under the prefixes every exposition
+/// uses.
+fn visit_tables(
+    engine: Option<&EngineStats>,
+    frontend: Option<&FrontendStats>,
+    net: Option<&NetStats>,
+    f: &mut MetricVisitor<'_>,
+) {
+    if let Some(stats) = engine {
+        stats.visit("engine_", f);
     }
-    let c = &stats.compaction;
-    put(map, "engine_compaction_jobs", c.jobs);
-    put(
-        map,
-        "engine_compaction_total_time_ns",
-        c.total_time.as_nanos(),
-    );
-    put(
-        map,
-        "engine_compaction_fast_tier_time_ns",
-        c.fast_tier_time.as_nanos(),
-    );
-    put(
-        map,
-        "engine_compaction_slow_tier_time_ns",
-        c.slow_tier_time.as_nanos(),
-    );
-    put(map, "engine_compaction_demoted_objects", c.demoted_objects);
-    put(
-        map,
-        "engine_compaction_promoted_objects",
-        c.promoted_objects,
-    );
-    put(
-        map,
-        "engine_compaction_stall_time_ns",
-        c.stall_time.as_nanos(),
-    );
-    put(
-        map,
-        "engine_compaction_overlap_time_ns",
-        c.overlap_time.as_nanos(),
-    );
-    put(
-        map,
-        "engine_compaction_backpressure_stalls",
-        c.backpressure_stalls,
-    );
-    put(map, "engine_compaction_enqueued_jobs", c.enqueued_jobs);
-    put(map, "engine_compaction_queue_depth", c.queue_depth);
-    put(map, "engine_compaction_max_queue_depth", c.max_queue_depth);
-    let t = &stats.txn;
-    put(map, "engine_snapshots", t.snapshots);
-    put(map, "engine_txn_commits", t.txn_commits);
-    put(map, "engine_txn_conflicts", t.txn_conflicts);
-    put(map, "engine_commit_intents", t.commit_intents);
-    put(map, "engine_commit_seals", t.commit_seals);
-    put(map, "engine_commit_replayed", t.commit_replayed);
-    put(map, "engine_commit_rolled_back", t.commit_rolled_back);
-    let i = &stats.integrity;
-    put(map, "engine_checksum_failures", i.checksum_failures);
-    put(map, "engine_io_errors", i.io_errors);
-    put(map, "engine_quarantined_objects", i.quarantined_objects);
-    put(map, "engine_scrub_repairs", i.scrub_repairs);
-    put(map, "engine_scrub_passes", i.scrub_passes);
-    put(map, "engine_scrub_clean_passes", i.scrub_clean_passes);
-    put(
-        map,
-        "engine_degraded_write_refusals",
-        i.degraded_write_refusals,
-    );
-    put(map, "engine_degraded_entered", i.degraded_entered);
-    put(map, "engine_degraded_recovered", i.degraded_recovered);
-    put(map, "engine_snapshots_expired", i.snapshots_expired);
-    put(map, "engine_degraded_partitions", i.degraded_partitions);
-    for (level, reads) in stats.reads_per_level.iter().enumerate() {
-        if *reads > 0 {
-            put(map, &format!("engine_reads_level_{level}"), *reads);
-        }
+    if let Some(stats) = frontend {
+        stats.visit("frontend_", f);
+    }
+    if let Some(stats) = net {
+        stats.visit("net_", f);
     }
 }
 
-fn flatten_frontend(stats: &FrontendStats, map: &mut BTreeMap<String, u64>) {
-    put(map, "frontend_submitted", stats.submitted);
-    put(map, "frontend_completed", stats.completed);
-    put(map, "frontend_rejected", stats.rejected);
-    put(map, "frontend_coalesced_groups", stats.coalesced_groups);
-    put(map, "frontend_coalesced_entries", stats.coalesced_entries);
-    put(map, "frontend_wakeups", stats.wakeups);
-    put(map, "frontend_stolen_drains", stats.stolen_drains);
-    put(map, "frontend_queue_depth", stats.queue_depth);
-    put(map, "frontend_max_queue_depth", stats.max_queue_depth);
-    put(
-        map,
-        "frontend_max_total_queue_depth",
-        stats.max_total_queue_depth,
+/// The metric catalogue as a markdown table (name · kind · unit/clock ·
+/// help), one row per series the stats tables can export. The README's
+/// "Metric catalogue" section is this text; a test keeps them equal.
+pub fn render_catalogue() -> String {
+    use std::fmt::Write as _;
+    let mut one = || 1;
+    let mut out = String::from("| name | kind | unit / clock | help |\n|---|---|---|---|\n");
+    visit_tables(
+        Some(&EngineStats::filled_with(&mut one)),
+        Some(&FrontendStats::filled_with(&mut one)),
+        Some(&NetStats::filled_with(&mut one)),
+        &mut |name, kind, help, _| {
+            let _ = writeln!(
+                out,
+                "| `{name}` | {} | {} | {help} |",
+                kind.prometheus_type(),
+                kind.unit()
+            );
+        },
     );
-    put(
-        map,
-        "frontend_outstanding_tickets",
-        stats.outstanding_tickets,
-    );
-    put(
-        map,
-        "frontend_max_outstanding_tickets",
-        stats.max_outstanding_tickets,
-    );
-}
-
-fn flatten_net(stats: &NetStats, map: &mut BTreeMap<String, u64>) {
-    put(map, "net_connections_accepted", stats.connections_accepted);
-    put(map, "net_connections_closed", stats.connections_closed);
-    put(map, "net_frames_received", stats.frames_received);
-    put(map, "net_frames_sent", stats.frames_sent);
-    put(map, "net_bytes_received", stats.bytes_received);
-    put(map, "net_bytes_sent", stats.bytes_sent);
-    put(map, "net_protocol_errors", stats.protocol_errors);
-    put(
-        map,
-        "net_backpressure_rejections",
-        stats.backpressure_rejections,
-    );
-    put(map, "net_shutdown_refusals", stats.shutdown_refusals);
-    put(map, "net_in_flight", stats.in_flight);
-    put(map, "net_max_in_flight", stats.max_in_flight);
-    put(map, "net_max_conn_in_flight", stats.max_conn_in_flight);
+    out
 }
 
 #[cfg(test)]

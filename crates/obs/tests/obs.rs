@@ -1,7 +1,8 @@
 //! Integration battery for the observability crate: a many-thread
 //! recording storm, a property test pinning bucketed percentiles to a
-//! sorted-vec oracle, trace-ring wraparound under concurrency, and a
-//! parse-it-back round trip of the Prometheus exposition. (The
+//! sorted-vec oracle, trace-ring wraparound under concurrency, a
+//! parse-it-back round trip of the Prometheus exposition, and the metric
+//! catalogue checked against a golden name list and the README. (The
 //! end-to-end admin-plane scrape during a fault-injected workload lives
 //! in `prism-net`'s `tests/admin.rs`, next to the transport it drives.)
 
@@ -10,9 +11,10 @@ use std::sync::Arc;
 
 use prism_obs::trace::{category, TraceBuffer};
 use prism_obs::{
-    HistogramSnapshot, LatencyHistogram, MetricsRegistry, ObsHub, BOUNDS, LOWEST_BOUND, NUM_BOUNDS,
+    render_catalogue, HistogramSnapshot, LatencyHistogram, MetricsRegistry, ObsHub, BOUNDS,
+    LOWEST_BOUND, NUM_BOUNDS,
 };
-use prism_types::{EngineStats, FrontendStats, NetStats};
+use prism_types::{EngineStats, FrontendStats, MetricKind, NetStats};
 use proptest::prelude::*;
 
 /// Exact nearest-rank order statistic of a sorted slice — the same rank
@@ -187,9 +189,9 @@ fn trace_ring_survives_concurrent_wraparound() {
 }
 
 /// Parse the Prometheus text exposition back into name→value pairs and
-/// check it reproduces the snapshot: every counter and gauge verbatim,
-/// and each histogram's cumulative buckets monotone, summing to `_count`
-/// with `_sum` intact.
+/// check it reproduces the snapshot: every counter and gauge verbatim
+/// and typed as its stats table declares it, and each histogram's
+/// cumulative buckets monotone, summing to `_count` with `_sum` intact.
 #[test]
 fn prometheus_exposition_round_trips() {
     let registry = MetricsRegistry::new();
@@ -223,10 +225,17 @@ fn prometheus_exposition_round_trips() {
     let snap = registry.snapshot();
     let text = snap.to_prometheus();
 
-    // Parse: skip comments, collect `name value` samples.
+    // Parse: collect `# TYPE` / `# HELP` comments and `name value` samples.
     let mut samples: BTreeMap<String, f64> = BTreeMap::new();
+    let mut types: BTreeMap<String, String> = BTreeMap::new();
+    let mut helps: BTreeMap<String, String> = BTreeMap::new();
     let mut bucket_series: BTreeMap<String, Vec<(f64, u64)>> = BTreeMap::new();
     for line in text.lines() {
+        for (marker, into) in [("# TYPE ", &mut types), ("# HELP ", &mut helps)] {
+            if let Some((name, rest)) = line.strip_prefix(marker).and_then(|l| l.split_once(' ')) {
+                into.insert(name.to_string(), rest.to_string());
+            }
+        }
         if line.starts_with('#') || line.is_empty() {
             continue;
         }
@@ -259,6 +268,40 @@ fn prometheus_exposition_round_trips() {
     assert_eq!(samples["net_frames_received"], 55.0);
     assert_eq!(samples["demo_depth"], 5.0);
     assert_eq!(samples["demo_depth_high_water"], 7.0);
+
+    // Every stats-table entry is typed and documented from its table;
+    // instantaneous values and high-water marks are gauges, not counters.
+    assert!(snap.table_meta.len() >= 70);
+    for (name, (kind, help)) in &snap.table_meta {
+        assert_eq!(types[name], kind.prometheus_type(), "{name}");
+        assert!(helps[name].starts_with(help), "{name}: {}", helps[name]);
+        let is_gauge = name.ends_with("_depth")
+            || name.ends_with("in_flight")
+            || name.ends_with("outstanding_tickets")
+            || name == "engine_degraded_partitions";
+        assert_eq!(*kind == MetricKind::Gauge, is_gauge, "{name}");
+        assert_eq!(
+            helps[name].ends_with("(simulated ns)"),
+            name.ends_with("_ns")
+        );
+        assert!(snap.counter(name).is_some(), "{name}");
+    }
+    for gauge in [
+        "frontend_queue_depth",
+        "frontend_outstanding_tickets",
+        "frontend_max_outstanding_tickets",
+        "net_in_flight",
+        "net_max_conn_in_flight",
+        "engine_compaction_queue_depth",
+        "engine_compaction_max_queue_depth",
+        "engine_degraded_partitions",
+    ] {
+        assert_eq!(types[gauge], "gauge", "{gauge}");
+    }
+    assert_eq!(types["engine_compaction_total_time_ns"], "counter");
+    // Registered instruments keep their own types.
+    assert_eq!(types["demo_total"], "counter");
+    assert_eq!(types["demo_depth"], "gauge");
 
     // Histogram series: bounds and cumulative counts monotone, +Inf
     // bucket equals _count, _sum matches the recorded total.
@@ -301,4 +344,64 @@ fn json_exposition_matches_snapshot() {
     assert!(json.contains("\"sum\":12345"));
     let hist_snap: &HistogramSnapshot = snap.histogram("j_ns").unwrap();
     assert_eq!(hist_snap.count(), 1);
+}
+
+/// The metric catalogue is checked, not trusted: walking every stats
+/// table fully populated yields unique names, a help string per entry,
+/// `_ns` exactly on simulated-time entries, and — sorted — the golden
+/// list captured from the hand-written `flatten_*` functions this walk
+/// replaced, so a rename shows up as a diff of `metric_names.golden`.
+#[test]
+fn metric_catalogue_matches_the_golden_names() {
+    let registry = MetricsRegistry::new();
+    let mut n = 0;
+    let mut next = move || {
+        n += 1;
+        n
+    };
+    let engine = EngineStats::filled_with(&mut next);
+    let frontend = FrontendStats::filled_with(&mut next);
+    let net = NetStats::filled_with(&mut next);
+    registry.set_engine_source(Box::new(move || Some(engine)));
+    registry.set_frontend_source(Box::new(move || Some(frontend)));
+    registry.set_net_source(Box::new(move || Some(net)));
+    let snap = registry.snapshot();
+
+    // One catalogue row per walked entry: a duplicate name would collapse
+    // in the snapshot's map but not here.
+    let rows: Vec<String> = render_catalogue()
+        .lines()
+        .skip(2)
+        .map(|row| row.split('`').nth(1).expect("name cell").to_string())
+        .collect();
+    let mut names = rows.clone();
+    names.sort();
+    names.dedup();
+    assert_eq!(names.len(), rows.len(), "exported names must be unique");
+    assert_eq!(
+        names,
+        snap.table_meta.keys().cloned().collect::<Vec<_>>(),
+        "the catalogue and a live snapshot walk the same tables"
+    );
+
+    for (name, (kind, help)) in &snap.table_meta {
+        assert!(!help.is_empty(), "{name} has no help string");
+        assert_eq!(*kind == MetricKind::Nanos, name.ends_with("_ns"), "{name}");
+        // Every leaf drew a distinct non-zero value, and kept it.
+        assert!(snap.counter(name).is_some_and(|v| v > 0), "{name}");
+    }
+
+    let golden: Vec<&str> = include_str!("metric_names.golden").lines().collect();
+    assert_eq!(names, golden);
+}
+
+/// README's "Metric catalogue" section is `render_catalogue()` verbatim.
+#[test]
+fn readme_metric_catalogue_is_current() {
+    let readme = include_str!("../../../README.md");
+    let expected = render_catalogue();
+    assert!(
+        readme.contains(&expected),
+        "README.md `### Metric catalogue` is stale; replace its table with:\n{expected}"
+    );
 }

@@ -45,8 +45,9 @@ pub use key::Key;
 pub use mem::MemStore;
 pub use ops::{Lookup, Op, OpKind, ReadSource, ScanResult};
 pub use stats::{
-    CompactionStats, EngineStats, FrontendStats, IntegrityStats, NetStats, PartitionHealth, TierIo,
-    TxnStats,
+    CompactionStats, CompactionStatsCells, EngineStats, EngineStatsCells, FrontendStats,
+    FrontendStatsCells, IntegrityStats, IntegrityStatsCells, MetricKind, MetricVisitor, NetStats,
+    NetStatsCells, PartitionHealth, TierIo, TierIoCells, TxnStats, TxnStatsCells,
 };
 pub use time::Nanos;
 pub use txn::{run_transaction, SnapshotId, Transaction};

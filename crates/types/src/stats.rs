@@ -1,158 +1,352 @@
-//! Cumulative statistics exposed by storage engines.
+//! Cumulative statistics exposed by storage engines, the async front-end
+//! and the network server.
+//!
+//! Every metric is declared exactly once, as one entry of a
+//! `stats_table!` invocation below: its kind, its field name and its doc
+//! string. From that single table the macro derives the typed struct, its
+//! `delta_since` / `merged` arithmetic, the [`visit`](EngineStats::visit)
+//! walker that names, types and documents every exported series, and a
+//! lock-free `…Cells` twin for layers that count with atomics. Adding a
+//! metric is one table line plus the site that increments it.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
 use crate::Nanos;
 
-/// I/O counters for one storage tier.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TierIo {
-    /// Bytes read from the tier.
-    pub bytes_read: u64,
-    /// Bytes written to the tier.
-    pub bytes_written: u64,
-    /// Number of read operations issued to the tier.
-    pub reads: u64,
-    /// Number of write operations issued to the tier.
-    pub writes: u64,
+/// What a table entry measures: decides how `delta_since` treats it, the
+/// Prometheus `# TYPE` it is exposed under and the unit it is documented
+/// with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    /// Monotone event or byte count; a window is `later - earlier`.
+    Counter,
+    /// Instantaneous value or high-water mark; a window reports the later
+    /// snapshot's value.
+    Gauge,
+    /// Monotone sum of *simulated* device time, exported in nanoseconds
+    /// under a `_ns` suffix so it cannot be mistaken for wall-clock time.
+    Nanos,
 }
 
-impl TierIo {
-    /// Element-wise sum of two counters.
-    pub fn merged(self, other: TierIo) -> TierIo {
-        TierIo {
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_written: self.bytes_written + other.bytes_written,
-            reads: self.reads + other.reads,
-            writes: self.writes + other.writes,
+impl MetricKind {
+    /// Prometheus metric type (`counter` or `gauge`).
+    pub fn prometheus_type(self) -> &'static str {
+        match self {
+            MetricKind::Counter | MetricKind::Nanos => "counter",
+            MetricKind::Gauge => "gauge",
         }
     }
 
-    /// Element-wise difference (`self - earlier`), saturating at zero.
-    pub fn delta_since(self, earlier: TierIo) -> TierIo {
-        TierIo {
-            bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
-            bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
-            reads: self.reads.saturating_sub(earlier.reads),
-            writes: self.writes.saturating_sub(earlier.writes),
+    /// Unit and clock domain of the exported value.
+    pub fn unit(self) -> &'static str {
+        match self {
+            MetricKind::Counter | MetricKind::Gauge => "count",
+            MetricKind::Nanos => "simulated ns",
         }
     }
-}
 
-/// Compaction / background-work counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CompactionStats {
-    /// Number of compaction (or flush) jobs executed.
-    pub jobs: u64,
-    /// Total simulated time spent in background compaction work.
-    pub total_time: Nanos,
-    /// Simulated time spent compacting data that lives on the fast tier.
-    pub fast_tier_time: Nanos,
-    /// Simulated time spent compacting data that lives on the slow tier.
-    pub slow_tier_time: Nanos,
-    /// Objects demoted from the fast tier to the slow tier.
-    pub demoted_objects: u64,
-    /// Objects promoted from the slow tier to the fast tier.
-    pub promoted_objects: u64,
-    /// Total foreground write-stall time caused by background work.
-    pub stall_time: Nanos,
-    /// Simulated compaction time that was executed on background workers
-    /// and therefore overlapped with foreground service instead of
-    /// stalling it. Zero for engines that compact inline.
-    pub overlap_time: Nanos,
-    /// Number of foreground operations that hit the back-pressure ceiling
-    /// and had to wait for a background worker to free space.
-    pub backpressure_stalls: u64,
-    /// Compaction job requests accepted onto the background queue (after
-    /// the scheduler's per-partition dedup). The batched write path checks
-    /// the watermark once per partition sub-batch, so one batch accepts at
-    /// most one demotion enqueue per touched partition.
-    pub enqueued_jobs: u64,
-    /// Instantaneous number of compaction jobs waiting for a background
-    /// worker (a gauge: `delta_since` keeps the later snapshot's value).
-    pub queue_depth: u64,
-    /// Highest queue depth observed so far (a cumulative high-water mark;
-    /// `delta_since` keeps the later snapshot's value).
-    pub max_queue_depth: u64,
-}
-
-impl CompactionStats {
-    /// Element-wise difference (`self - earlier`).
-    pub fn delta_since(self, earlier: CompactionStats) -> CompactionStats {
-        CompactionStats {
-            jobs: self.jobs.saturating_sub(earlier.jobs),
-            total_time: self.total_time.saturating_sub(earlier.total_time),
-            fast_tier_time: self.fast_tier_time.saturating_sub(earlier.fast_tier_time),
-            slow_tier_time: self.slow_tier_time.saturating_sub(earlier.slow_tier_time),
-            demoted_objects: self.demoted_objects.saturating_sub(earlier.demoted_objects),
-            promoted_objects: self
-                .promoted_objects
-                .saturating_sub(earlier.promoted_objects),
-            stall_time: self.stall_time.saturating_sub(earlier.stall_time),
-            overlap_time: self.overlap_time.saturating_sub(earlier.overlap_time),
-            backpressure_stalls: self
-                .backpressure_stalls
-                .saturating_sub(earlier.backpressure_stalls),
-            enqueued_jobs: self.enqueued_jobs.saturating_sub(earlier.enqueued_jobs),
-            // Gauges, not counters: report the state at the later snapshot.
-            queue_depth: self.queue_depth,
-            max_queue_depth: self.max_queue_depth,
+    fn suffix(self) -> &'static str {
+        match self {
+            MetricKind::Counter | MetricKind::Gauge => "",
+            MetricKind::Nanos => "_ns",
         }
     }
 }
 
-/// Cumulative statistics reported by an async submission front-end.
+/// Callback of the generated `visit` walkers: exported name, kind, help
+/// text (first sentence of the entry's doc string) and current value.
+pub type MetricVisitor<'a> = dyn FnMut(&str, MetricKind, &'static str, u64) + 'a;
+
+/// First sentence of a table entry's (line-joined) doc string.
+fn first_sentence(doc: &'static str) -> &'static str {
+    let doc = doc.trim();
+    doc.split_once(". ")
+        .map_or(doc, |(head, _)| head)
+        .trim_end_matches('.')
+}
+
+fn visit_leaf(
+    prefix: &str,
+    field: &str,
+    kind: MetricKind,
+    doc: &'static str,
+    value: u64,
+    f: &mut MetricVisitor<'_>,
+) {
+    f(
+        &format!("{prefix}{field}{}", kind.suffix()),
+        kind,
+        first_sentence(doc),
+        value,
+    );
+}
+
+/// Declare one stats struct. Entry kinds:
 ///
-/// The front-end multiplexes many logical clients onto a few executor
-/// threads via bounded per-partition request queues; these counters
-/// expose how much coalescing and back-pressure that produced. They are
-/// deliberately separate from [`EngineStats`]: the front-end is a layer
-/// *above* any engine, and one engine may serve several front-ends.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FrontendStats {
-    /// Requests accepted onto a partition queue.
-    pub submitted: u64,
-    /// Requests fully serviced (their ticket completed).
-    pub completed: u64,
-    /// `try_submit` attempts rejected with back-pressure (bounded queue
-    /// full, or shrunk by the engine's watermark pressure hint).
-    pub rejected: u64,
-    /// Write groups installed by executors via `apply_batch` (one per
-    /// partition-queue drain chunk).
-    pub coalesced_groups: u64,
-    /// Write entries carried by those groups. `coalesced_entries /
-    /// coalesced_groups` is the mean coalesce width — the group-commit
-    /// amortisation that emerges from queue pressure.
-    pub coalesced_entries: u64,
-    /// Times an executor thread was woken from its idle wait.
-    pub wakeups: u64,
-    /// Queue drains an executor performed on a partition it does not own
-    /// (work stealing): an idle executor that finds its own partitions
-    /// empty sweeps its neighbours' queues, so one Zipfian-hot partition
-    /// no longer bottlenecks on its owner's throughput.
-    pub stolen_drains: u64,
-    /// Instantaneous number of requests waiting in partition queues (a
-    /// gauge: `delta_since` keeps the later snapshot's value).
-    pub queue_depth: u64,
-    /// Highest single-partition queue depth observed (a cumulative
-    /// high-water mark; `delta_since` keeps the later snapshot's value).
-    pub max_queue_depth: u64,
-    /// Highest *total* queued-request count observed across all
-    /// partition queues at once (a cumulative high-water mark;
-    /// `delta_since` keeps the later snapshot's value). Compare against
-    /// `queue_depth` to see peak aggregate pressure, not just the final
-    /// state.
-    pub max_total_queue_depth: u64,
-    /// Instantaneous number of tickets handed out but neither completed
-    /// nor abandoned (a gauge: `delta_since` keeps the later snapshot's
-    /// value). After a graceful drain this must read zero — a non-zero
-    /// value means a client request was stranded.
-    pub outstanding_tickets: u64,
-    /// Highest outstanding-ticket count ever observed (a cumulative
-    /// high-water mark; `delta_since` keeps the later snapshot's value):
-    /// the peak number of requests in flight between submission and
-    /// completion.
-    pub max_outstanding_tickets: u64,
+/// * `counter f;` / `gauge f;` — a `u64` field;
+/// * `nanos f;` — a [`Nanos`] counter, exported as `f_ns`;
+/// * `group("p_") f: T, TCells;` — a nested table, exported under the
+///   extra prefix `p_` (which may be empty);
+/// * `levels("p_") f;` — the `[u64; 8]` per-level counter array, exported
+///   as `p_{i}` for non-zero levels only.
+///
+/// `delta by_value` / `delta by_ref` picks the receiver of the public
+/// `delta_since` (every struct is `Copy`; `EngineStats` historically takes
+/// references).
+macro_rules! stats_table {
+    (
+        $(#[doc = $sdoc:literal])*
+        pub struct $name:ident, cells $cells:ident, delta $mode:ident {
+            $(
+                $(#[doc = $doc:literal])*
+                $kind:ident $(($gp:literal))? $field:ident $(: $gty:ty, $gcells:ty)?;
+            )*
+        }
+    ) => {
+        $(#[doc = $sdoc])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $(
+                $(#[doc = $doc])*
+                pub $field: stats_table!(@ty $kind $($gty)?),
+            )*
+        }
+
+        #[doc = concat!(
+            "Lock-free live twin of [`", stringify!($name), "`]: one atomic per table ",
+            "entry, bumped at the counting site and copied out by ",
+            "[`snapshot`](Self::snapshot)."
+        )]
+        #[derive(Debug, Default)]
+        pub struct $cells {
+            $(
+                $(#[doc = $doc])*
+                pub $field: stats_table!(@cell $kind $($gcells)?),
+            )*
+        }
+
+        impl $cells {
+            #[doc = concat!("Point-in-time [`", stringify!($name), "`] copy of every cell.")]
+            ///
+            /// Loads are `Acquire` so that a cell a counting site publishes
+            /// with `Release`/`AcqRel` (the in-flight gauges) stays ordered;
+            /// distinct cells are still independent loads, not one cut.
+            pub fn snapshot(&self) -> $name {
+                $name {
+                    $($field: stats_table!(@load $kind, self.$field),)*
+                }
+            }
+        }
+
+        impl $name {
+            /// Element-wise sum, for aggregating disjoint sources (shards,
+            /// layers): counters add, and so do gauges — the instantaneous
+            /// total over disjoint parts is the sum of the parts.
+            pub fn merged(self, other: $name) -> $name {
+                $name {
+                    $($field: stats_table!(@merge $kind, self.$field, other.$field),)*
+                }
+            }
+
+            stats_table!(@delta_since $mode);
+
+            fn delta(self, earlier: $name) -> $name {
+                $name {
+                    $($field: stats_table!(@delta $kind, self.$field, earlier.$field),)*
+                }
+            }
+
+            /// Build a value drawing every leaf, in table order, from
+            /// `next` (the metric catalogue and the table-driven tests
+            /// walk a fully populated value this way).
+            pub fn filled_with(next: &mut dyn FnMut() -> u64) -> $name {
+                $name {
+                    $($field: stats_table!(@fill $kind, next $(, $gty)?),)*
+                }
+            }
+
+            /// Walk every entry in table order, calling `f` with its
+            /// exported name (`prefix` + any group prefix + field name +
+            /// `_ns` for simulated-time entries), kind, help text and
+            /// value.
+            pub fn visit(&self, prefix: &str, f: &mut MetricVisitor<'_>) {
+                $(
+                    stats_table!(
+                        @visit $kind $(($gp))?, self.$field, stringify!($field),
+                        concat!($($doc),*), prefix, f
+                    );
+                )*
+            }
+        }
+    };
+
+    (@ty nanos) => { Nanos };
+    (@ty group $gty:ty) => { $gty };
+    (@ty levels) => { [u64; 8] };
+    (@ty $leaf:ident) => { u64 };
+
+    (@cell group $gcells:ty) => { $gcells };
+    (@cell levels) => { [AtomicU64; 8] };
+    (@cell $leaf:ident) => { AtomicU64 };
+
+    (@load nanos, $cell:expr) => { Nanos::from_nanos($cell.load(Ordering::Acquire)) };
+    (@load group, $cell:expr) => { $cell.snapshot() };
+    (@load levels, $cell:expr) => { std::array::from_fn(|i| $cell[i].load(Ordering::Acquire)) };
+    (@load $leaf:ident, $cell:expr) => { $cell.load(Ordering::Acquire) };
+
+    (@merge group, $a:expr, $b:expr) => { $a.merged($b) };
+    (@merge levels, $a:expr, $b:expr) => { std::array::from_fn(|i| $a[i] + $b[i]) };
+    (@merge $leaf:ident, $a:expr, $b:expr) => { $a + $b };
+
+    (@delta gauge, $a:expr, $b:expr) => { $a };
+    (@delta group, $a:expr, $b:expr) => { $a.delta($b) };
+    (@delta levels, $a:expr, $b:expr) => { std::array::from_fn(|i| $a[i].saturating_sub($b[i])) };
+    (@delta $leaf:ident, $a:expr, $b:expr) => { $a.saturating_sub($b) };
+
+    (@delta_since by_value) => {
+        /// Element-wise difference (`self - earlier`) isolating a
+        /// measurement window: counters subtract (saturating at zero),
+        /// gauges keep the later snapshot's value.
+        pub fn delta_since(self, earlier: Self) -> Self {
+            self.delta(earlier)
+        }
+    };
+    (@delta_since by_ref) => {
+        /// Element-wise difference (`self - earlier`) isolating a
+        /// measurement window: counters subtract (saturating at zero),
+        /// gauges keep the later snapshot's value.
+        pub fn delta_since(&self, earlier: &Self) -> Self {
+            self.delta(*earlier)
+        }
+    };
+
+    (@fill nanos, $next:expr) => { Nanos::from_nanos($next()) };
+    (@fill levels, $next:expr) => { std::array::from_fn(|_| $next()) };
+    (@fill group, $next:expr, $gty:ty) => { <$gty>::filled_with($next) };
+    (@fill $leaf:ident, $next:expr) => { $next() };
+
+    (@visit counter, $v:expr, $field:expr, $doc:expr, $prefix:expr, $f:expr) => {
+        visit_leaf($prefix, $field, MetricKind::Counter, $doc, $v, $f)
+    };
+    (@visit gauge, $v:expr, $field:expr, $doc:expr, $prefix:expr, $f:expr) => {
+        visit_leaf($prefix, $field, MetricKind::Gauge, $doc, $v, $f)
+    };
+    (@visit nanos, $v:expr, $field:expr, $doc:expr, $prefix:expr, $f:expr) => {
+        visit_leaf($prefix, $field, MetricKind::Nanos, $doc, $v.as_nanos(), $f)
+    };
+    (@visit group($gp:literal), $v:expr, $field:expr, $doc:expr, $prefix:expr, $f:expr) => {
+        $v.visit(&format!("{}{}", $prefix, $gp), $f)
+    };
+    (@visit levels($gp:literal), $v:expr, $field:expr, $doc:expr, $prefix:expr, $f:expr) => {
+        for (level, reads) in $v.iter().enumerate().filter(|(_, reads)| **reads > 0) {
+            visit_leaf($prefix, &format!("{}{level}", $gp), MetricKind::Counter, $doc, *reads, $f);
+        }
+    };
+}
+
+stats_table! {
+    /// I/O counters for one storage tier.
+    pub struct TierIo, cells TierIoCells, delta by_value {
+        /// Bytes read from the tier.
+        counter bytes_read;
+        /// Bytes written to the tier.
+        counter bytes_written;
+        /// Number of read operations issued to the tier.
+        counter reads;
+        /// Number of write operations issued to the tier.
+        counter writes;
+    }
+}
+
+stats_table! {
+    /// Compaction / background-work counters.
+    pub struct CompactionStats, cells CompactionStatsCells, delta by_value {
+        /// Number of compaction (or flush) jobs executed.
+        counter jobs;
+        /// Total simulated time spent in background compaction work.
+        nanos total_time;
+        /// Simulated time spent compacting data that lives on the fast tier.
+        nanos fast_tier_time;
+        /// Simulated time spent compacting data that lives on the slow tier.
+        nanos slow_tier_time;
+        /// Objects demoted from the fast tier to the slow tier.
+        counter demoted_objects;
+        /// Objects promoted from the slow tier to the fast tier.
+        counter promoted_objects;
+        /// Total foreground write-stall time caused by background work.
+        nanos stall_time;
+        /// Simulated compaction time that was executed on background workers
+        /// and therefore overlapped with foreground service instead of
+        /// stalling it. Zero for engines that compact inline.
+        nanos overlap_time;
+        /// Number of foreground operations that hit the back-pressure ceiling
+        /// and had to wait for a background worker to free space.
+        counter backpressure_stalls;
+        /// Compaction job requests accepted onto the background queue (after
+        /// the scheduler's per-partition dedup). The batched write path checks
+        /// the watermark once per partition sub-batch, so one batch accepts at
+        /// most one demotion enqueue per touched partition.
+        counter enqueued_jobs;
+        /// Instantaneous number of compaction jobs waiting for a background
+        /// worker.
+        gauge queue_depth;
+        /// Highest compaction queue depth observed so far (a cumulative
+        /// high-water mark).
+        gauge max_queue_depth;
+    }
+}
+
+stats_table! {
+    /// Cumulative statistics reported by an async submission front-end.
+    ///
+    /// The front-end multiplexes many logical clients onto a few executor
+    /// threads via bounded per-partition request queues; these counters
+    /// expose how much coalescing and back-pressure that produced. They are
+    /// deliberately separate from [`EngineStats`]: the front-end is a layer
+    /// *above* any engine, and one engine may serve several front-ends.
+    pub struct FrontendStats, cells FrontendStatsCells, delta by_value {
+        /// Requests accepted onto a partition queue.
+        counter submitted;
+        /// Requests fully serviced (their ticket completed).
+        counter completed;
+        /// `try_submit` attempts rejected with back-pressure (bounded queue
+        /// full, or shrunk by the engine's watermark pressure hint).
+        counter rejected;
+        /// Write groups installed by executors via `apply_batch` (one per
+        /// partition-queue drain chunk).
+        counter coalesced_groups;
+        /// Write entries carried by those groups. `coalesced_entries /
+        /// coalesced_groups` is the mean coalesce width — the group-commit
+        /// amortisation that emerges from queue pressure.
+        counter coalesced_entries;
+        /// Times an executor thread was woken from its idle wait.
+        counter wakeups;
+        /// Queue drains an executor performed on a partition it does not own
+        /// (work stealing): an idle executor that finds its own partitions
+        /// empty sweeps its neighbours' queues, so one Zipfian-hot partition
+        /// no longer bottlenecks on its owner's throughput.
+        counter stolen_drains;
+        /// Instantaneous number of requests waiting in partition queues.
+        gauge queue_depth;
+        /// Highest single-partition queue depth observed (a cumulative
+        /// high-water mark).
+        gauge max_queue_depth;
+        /// Highest *total* queued-request count observed across all
+        /// partition queues at once (a cumulative high-water mark). Compare
+        /// against `queue_depth` to see peak aggregate pressure, not just the
+        /// final state.
+        gauge max_total_queue_depth;
+        /// Instantaneous number of tickets handed out but neither completed
+        /// nor abandoned. After a graceful drain this must read zero — a
+        /// non-zero value means a client request was stranded.
+        gauge outstanding_tickets;
+        /// Highest outstanding-ticket count ever observed (a cumulative
+        /// high-water mark): the peak number of requests in flight between
+        /// submission and completion.
+        gauge max_outstanding_tickets;
+    }
 }
 
 impl FrontendStats {
@@ -164,136 +358,64 @@ impl FrontendStats {
         }
         self.coalesced_entries as f64 / self.coalesced_groups as f64
     }
+}
 
-    /// Element-wise difference (`self - earlier`); gauges keep the later
-    /// snapshot's value.
-    pub fn delta_since(self, earlier: FrontendStats) -> FrontendStats {
-        FrontendStats {
-            submitted: self.submitted.saturating_sub(earlier.submitted),
-            completed: self.completed.saturating_sub(earlier.completed),
-            rejected: self.rejected.saturating_sub(earlier.rejected),
-            coalesced_groups: self
-                .coalesced_groups
-                .saturating_sub(earlier.coalesced_groups),
-            coalesced_entries: self
-                .coalesced_entries
-                .saturating_sub(earlier.coalesced_entries),
-            wakeups: self.wakeups.saturating_sub(earlier.wakeups),
-            stolen_drains: self.stolen_drains.saturating_sub(earlier.stolen_drains),
-            queue_depth: self.queue_depth,
-            max_queue_depth: self.max_queue_depth,
-            max_total_queue_depth: self.max_total_queue_depth,
-            outstanding_tickets: self.outstanding_tickets,
-            max_outstanding_tickets: self.max_outstanding_tickets,
-        }
+stats_table! {
+    /// Cumulative statistics reported by a network server.
+    pub struct NetStats, cells NetStatsCells, delta by_value {
+        /// Connections accepted by the listener.
+        counter connections_accepted;
+        /// Connections fully torn down (reader and responder both finished).
+        counter connections_closed;
+        /// Request frames decoded successfully.
+        counter frames_received;
+        /// Response frames written to a transport.
+        counter frames_sent;
+        /// Payload bytes received in decoded request frames.
+        counter bytes_received;
+        /// Payload bytes written in response frames.
+        counter bytes_sent;
+        /// Malformed frames that produced a `ProtocolError` response (or, when
+        /// the length prefix itself was unsound, tore down the connection).
+        counter protocol_errors;
+        /// Requests refused with the retryable `Backpressure` wire status
+        /// because the submission queue was full.
+        counter backpressure_rejections;
+        /// Requests refused with `ShuttingDown` while the server drained.
+        counter shutdown_refusals;
+        /// Instantaneous number of requests accepted from the wire but not yet
+        /// answered.
+        gauge in_flight;
+        /// Highest per-server in-flight count observed (a cumulative
+        /// high-water mark).
+        gauge max_in_flight;
+        /// Highest in-flight count observed on any *single* connection (a
+        /// cumulative high-water mark): how close the busiest connection came
+        /// to its per-connection pipelining window.
+        gauge max_conn_in_flight;
     }
 }
 
-/// Cumulative statistics reported by a network server ([`delta_since`]
-/// isolates a measurement window; gauges keep the later snapshot's value).
-///
-/// [`delta_since`]: NetStats::delta_since
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NetStats {
-    /// Connections accepted by the listener.
-    pub connections_accepted: u64,
-    /// Connections fully torn down (reader and responder both finished).
-    pub connections_closed: u64,
-    /// Request frames decoded successfully.
-    pub frames_received: u64,
-    /// Response frames written to a transport.
-    pub frames_sent: u64,
-    /// Payload bytes received in decoded request frames.
-    pub bytes_received: u64,
-    /// Payload bytes written in response frames.
-    pub bytes_sent: u64,
-    /// Malformed frames that produced a `ProtocolError` response (or, when
-    /// the length prefix itself was unsound, tore down the connection).
-    pub protocol_errors: u64,
-    /// Requests refused with the retryable `Backpressure` wire status
-    /// because the submission queue was full.
-    pub backpressure_rejections: u64,
-    /// Requests refused with `ShuttingDown` while the server drained.
-    pub shutdown_refusals: u64,
-    /// Instantaneous number of requests accepted from the wire but not yet
-    /// answered (a gauge: `delta_since` keeps the later snapshot's value).
-    pub in_flight: u64,
-    /// Highest per-server in-flight count observed (a cumulative
-    /// high-water mark; `delta_since` keeps the later snapshot's value).
-    pub max_in_flight: u64,
-    /// Highest in-flight count observed on any *single* connection (a
-    /// cumulative high-water mark; `delta_since` keeps the later
-    /// snapshot's value): how close the busiest connection came to its
-    /// per-connection pipelining window.
-    pub max_conn_in_flight: u64,
-}
-
-impl NetStats {
-    /// Element-wise difference (`self - earlier`); gauges keep the later
-    /// snapshot's value.
-    pub fn delta_since(self, earlier: NetStats) -> NetStats {
-        NetStats {
-            connections_accepted: self
-                .connections_accepted
-                .saturating_sub(earlier.connections_accepted),
-            connections_closed: self
-                .connections_closed
-                .saturating_sub(earlier.connections_closed),
-            frames_received: self.frames_received.saturating_sub(earlier.frames_received),
-            frames_sent: self.frames_sent.saturating_sub(earlier.frames_sent),
-            bytes_received: self.bytes_received.saturating_sub(earlier.bytes_received),
-            bytes_sent: self.bytes_sent.saturating_sub(earlier.bytes_sent),
-            protocol_errors: self.protocol_errors.saturating_sub(earlier.protocol_errors),
-            backpressure_rejections: self
-                .backpressure_rejections
-                .saturating_sub(earlier.backpressure_rejections),
-            shutdown_refusals: self
-                .shutdown_refusals
-                .saturating_sub(earlier.shutdown_refusals),
-            in_flight: self.in_flight,
-            max_in_flight: self.max_in_flight,
-            max_conn_in_flight: self.max_conn_in_flight,
-        }
-    }
-}
-
-/// Snapshot, transaction and cross-partition commit-log counters.
-///
-/// All fields are monotone counters; engines without snapshot/transaction
-/// support report all-zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TxnStats {
-    /// Read snapshots pinned via `ConcurrentKvStore::snapshot` (including
-    /// the snapshot every transaction and every scan pins internally).
-    pub snapshots: u64,
-    /// Transactions that validated their read set and committed.
-    pub txn_commits: u64,
-    /// Transactions rejected at commit with `TxnConflict`.
-    pub txn_conflicts: u64,
-    /// Cross-partition commit intents persisted to the commit log.
-    pub commit_intents: u64,
-    /// Commit records sealed after every partition group installed.
-    pub commit_seals: u64,
-    /// Sealed commit records acknowledged (replayed) during recovery.
-    pub commit_replayed: u64,
-    /// Unsealed (torn) commit records rolled back during recovery.
-    pub commit_rolled_back: u64,
-}
-
-impl TxnStats {
-    /// Element-wise difference (`self - earlier`).
-    pub fn delta_since(self, earlier: TxnStats) -> TxnStats {
-        TxnStats {
-            snapshots: self.snapshots.saturating_sub(earlier.snapshots),
-            txn_commits: self.txn_commits.saturating_sub(earlier.txn_commits),
-            txn_conflicts: self.txn_conflicts.saturating_sub(earlier.txn_conflicts),
-            commit_intents: self.commit_intents.saturating_sub(earlier.commit_intents),
-            commit_seals: self.commit_seals.saturating_sub(earlier.commit_seals),
-            commit_replayed: self.commit_replayed.saturating_sub(earlier.commit_replayed),
-            commit_rolled_back: self
-                .commit_rolled_back
-                .saturating_sub(earlier.commit_rolled_back),
-        }
+stats_table! {
+    /// Snapshot, transaction and cross-partition commit-log counters.
+    ///
+    /// Engines without snapshot/transaction support report all-zero.
+    pub struct TxnStats, cells TxnStatsCells, delta by_value {
+        /// Read snapshots pinned via `ConcurrentKvStore::snapshot` (including
+        /// the snapshot every transaction and every scan pins internally).
+        counter snapshots;
+        /// Transactions that validated their read set and committed.
+        counter txn_commits;
+        /// Transactions rejected at commit with `TxnConflict`.
+        counter txn_conflicts;
+        /// Cross-partition commit intents persisted to the commit log.
+        counter commit_intents;
+        /// Commit records sealed after every partition group installed.
+        counter commit_seals;
+        /// Sealed commit records acknowledged (replayed) during recovery.
+        counter commit_replayed;
+        /// Unsealed (torn) commit records rolled back during recovery.
+        counter commit_rolled_back;
     }
 }
 
@@ -309,133 +431,82 @@ pub enum PartitionHealth {
     Degraded,
 }
 
-/// Integrity, fault-injection and scrubber counters.
-///
-/// All fields are monotone counters except the gauges noted; engines
-/// without the integrity subsystem report all-zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IntegrityStats {
-    /// Checksum mismatches detected on any read, recovery scan, scrub
-    /// walk, or compaction execute (each corrupt object counted each time
-    /// it is observed until quarantined).
-    pub checksum_failures: u64,
-    /// Injected I/O errors surfaced to callers as `PrismError::Io`.
-    pub io_errors: u64,
-    /// Objects quarantined (replaced by a tombstone-with-error sentinel)
-    /// after corruption was detected.
-    pub quarantined_objects: u64,
-    /// Corrupt objects repaired by a scrub pass from a surviving clean
-    /// copy instead of quarantined.
-    pub scrub_repairs: u64,
-    /// Scrub passes completed (clean or not).
-    pub scrub_passes: u64,
-    /// Scrub passes that found no corruption and re-armed a degraded
-    /// partition.
-    pub scrub_clean_passes: u64,
-    /// Writes refused with the retryable `Degraded` error.
-    pub degraded_write_refusals: u64,
-    /// Times a partition entered degraded (read-only) mode.
-    pub degraded_entered: u64,
-    /// Times a clean scrub pass returned a degraded partition to healthy.
-    pub degraded_recovered: u64,
-    /// Snapshots aborted with `SnapshotExpired` by the pin age or history
-    /// byte caps.
-    pub snapshots_expired: u64,
-    /// Instantaneous number of partitions currently degraded (a gauge:
-    /// `delta_since` keeps the later snapshot's value).
-    pub degraded_partitions: u64,
-}
-
-impl IntegrityStats {
-    /// Element-wise sum (for aggregating per-partition counters).
-    pub fn merged(self, other: IntegrityStats) -> IntegrityStats {
-        IntegrityStats {
-            checksum_failures: self.checksum_failures + other.checksum_failures,
-            io_errors: self.io_errors + other.io_errors,
-            quarantined_objects: self.quarantined_objects + other.quarantined_objects,
-            scrub_repairs: self.scrub_repairs + other.scrub_repairs,
-            scrub_passes: self.scrub_passes + other.scrub_passes,
-            scrub_clean_passes: self.scrub_clean_passes + other.scrub_clean_passes,
-            degraded_write_refusals: self.degraded_write_refusals + other.degraded_write_refusals,
-            degraded_entered: self.degraded_entered + other.degraded_entered,
-            degraded_recovered: self.degraded_recovered + other.degraded_recovered,
-            snapshots_expired: self.snapshots_expired + other.snapshots_expired,
-            degraded_partitions: self.degraded_partitions + other.degraded_partitions,
-        }
-    }
-
-    /// Element-wise difference (`self - earlier`); the gauge keeps the
-    /// later snapshot's value.
-    pub fn delta_since(self, earlier: IntegrityStats) -> IntegrityStats {
-        IntegrityStats {
-            checksum_failures: self
-                .checksum_failures
-                .saturating_sub(earlier.checksum_failures),
-            io_errors: self.io_errors.saturating_sub(earlier.io_errors),
-            quarantined_objects: self
-                .quarantined_objects
-                .saturating_sub(earlier.quarantined_objects),
-            scrub_repairs: self.scrub_repairs.saturating_sub(earlier.scrub_repairs),
-            scrub_passes: self.scrub_passes.saturating_sub(earlier.scrub_passes),
-            scrub_clean_passes: self
-                .scrub_clean_passes
-                .saturating_sub(earlier.scrub_clean_passes),
-            degraded_write_refusals: self
-                .degraded_write_refusals
-                .saturating_sub(earlier.degraded_write_refusals),
-            degraded_entered: self
-                .degraded_entered
-                .saturating_sub(earlier.degraded_entered),
-            degraded_recovered: self
-                .degraded_recovered
-                .saturating_sub(earlier.degraded_recovered),
-            snapshots_expired: self
-                .snapshots_expired
-                .saturating_sub(earlier.snapshots_expired),
-            degraded_partitions: self.degraded_partitions,
-        }
+stats_table! {
+    /// Integrity, fault-injection and scrubber counters.
+    ///
+    /// Engines without the integrity subsystem report all-zero.
+    pub struct IntegrityStats, cells IntegrityStatsCells, delta by_value {
+        /// Checksum mismatches detected on any read, recovery scan, scrub
+        /// walk, or compaction execute (each corrupt object counted each time
+        /// it is observed until quarantined).
+        counter checksum_failures;
+        /// Injected I/O errors surfaced to callers as `PrismError::Io`.
+        counter io_errors;
+        /// Objects quarantined (replaced by a tombstone-with-error sentinel)
+        /// after corruption was detected.
+        counter quarantined_objects;
+        /// Corrupt objects repaired by a scrub pass from a surviving clean
+        /// copy instead of quarantined.
+        counter scrub_repairs;
+        /// Scrub passes completed (clean or not).
+        counter scrub_passes;
+        /// Scrub passes that found no corruption and re-armed a degraded
+        /// partition.
+        counter scrub_clean_passes;
+        /// Writes refused with the retryable `Degraded` error.
+        counter degraded_write_refusals;
+        /// Times a partition entered degraded (read-only) mode.
+        counter degraded_entered;
+        /// Times a clean scrub pass returned a degraded partition to healthy.
+        counter degraded_recovered;
+        /// Snapshots aborted with `SnapshotExpired` by the pin age or history
+        /// byte caps.
+        counter snapshots_expired;
+        /// Instantaneous number of partitions currently degraded.
+        gauge degraded_partitions;
     }
 }
 
-/// Cumulative statistics reported by an engine via [`crate::KvStore::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EngineStats {
-    /// Reads served from DRAM (caches / memtables).
-    pub reads_from_dram: u64,
-    /// Reads served from the NVM tier.
-    pub reads_from_nvm: u64,
-    /// Reads served from the flash tier.
-    pub reads_from_flash: u64,
-    /// Lookups that found no value.
-    pub reads_not_found: u64,
-    /// I/O issued to the NVM device (foreground + background).
-    pub nvm_io: TierIo,
-    /// I/O issued to the flash device (foreground + background).
-    pub flash_io: TierIo,
-    /// Background compaction counters.
-    pub compaction: CompactionStats,
-    /// Bytes of logical user data written by clients (used to derive write
-    /// amplification: `flash_io.bytes_written / user_bytes_written`).
-    pub user_bytes_written: u64,
-    /// Write-batch groups installed (for PrismDB: per-partition sub-batch
-    /// installs; for single-shard engines: one per batch).
-    pub batch_groups: u64,
-    /// Write-batch entries applied through the batched path (including
-    /// entries merged away as duplicates).
-    pub batch_entries: u64,
-    /// Batched entries that were superseded by a later entry for the same
-    /// key in the same partition sub-batch and therefore never touched the
-    /// storage tiers (the "merge adjacent slab writes" win).
-    pub batch_merged_writes: u64,
-    /// Per-LSM-level read counters (index 0 = L0). Engines without levels
-    /// leave this empty.
-    pub reads_per_level: [u64; 8],
-    /// Snapshot / transaction / commit-log counters (all-zero for engines
-    /// without snapshot support).
-    pub txn: TxnStats,
-    /// Integrity, fault-injection and scrubber counters (all-zero for
-    /// engines without the integrity subsystem).
-    pub integrity: IntegrityStats,
+stats_table! {
+    /// Cumulative statistics reported by an engine via [`crate::KvStore::stats`].
+    pub struct EngineStats, cells EngineStatsCells, delta by_ref {
+        /// Reads served from DRAM (caches / memtables).
+        counter reads_from_dram;
+        /// Reads served from the NVM tier.
+        counter reads_from_nvm;
+        /// Reads served from the flash tier.
+        counter reads_from_flash;
+        /// Lookups that found no value.
+        counter reads_not_found;
+        /// I/O issued to the NVM device (foreground + background).
+        group("nvm_") nvm_io: TierIo, TierIoCells;
+        /// I/O issued to the flash device (foreground + background).
+        group("flash_") flash_io: TierIo, TierIoCells;
+        /// Background compaction counters.
+        group("compaction_") compaction: CompactionStats, CompactionStatsCells;
+        /// Bytes of logical user data written by clients (used to derive write
+        /// amplification: `flash_io.bytes_written / user_bytes_written`).
+        counter user_bytes_written;
+        /// Write-batch groups installed (for PrismDB: per-partition sub-batch
+        /// installs; for single-shard engines: one per batch).
+        counter batch_groups;
+        /// Write-batch entries applied through the batched path (including
+        /// entries merged away as duplicates).
+        counter batch_entries;
+        /// Batched entries that were superseded by a later entry for the same
+        /// key in the same partition sub-batch and therefore never touched the
+        /// storage tiers (the "merge adjacent slab writes" win).
+        counter batch_merged_writes;
+        /// Reads served per LSM level (index 0 = L0). Engines without levels
+        /// leave this all-zero, and zero levels are not exported.
+        levels("reads_level_") reads_per_level;
+        /// Snapshot / transaction / commit-log counters (all-zero for engines
+        /// without snapshot support).
+        group("") txn: TxnStats, TxnStatsCells;
+        /// Integrity, fault-injection and scrubber counters (all-zero for
+        /// engines without the integrity subsystem).
+        group("") integrity: IntegrityStats, IntegrityStatsCells;
+    }
 }
 
 impl EngineStats {
@@ -463,76 +534,146 @@ impl EngineStats {
         }
         self.flash_io.bytes_written as f64 / self.user_bytes_written as f64
     }
-
-    /// Element-wise difference (`self - earlier`), used by the harness to
-    /// isolate the measurement window from the load/warm-up phases.
-    pub fn delta_since(&self, earlier: &EngineStats) -> EngineStats {
-        let mut reads_per_level = [0u64; 8];
-        for (i, slot) in reads_per_level.iter_mut().enumerate() {
-            *slot = self.reads_per_level[i].saturating_sub(earlier.reads_per_level[i]);
-        }
-        EngineStats {
-            reads_from_dram: self.reads_from_dram.saturating_sub(earlier.reads_from_dram),
-            reads_from_nvm: self.reads_from_nvm.saturating_sub(earlier.reads_from_nvm),
-            reads_from_flash: self
-                .reads_from_flash
-                .saturating_sub(earlier.reads_from_flash),
-            reads_not_found: self.reads_not_found.saturating_sub(earlier.reads_not_found),
-            nvm_io: self.nvm_io.delta_since(earlier.nvm_io),
-            flash_io: self.flash_io.delta_since(earlier.flash_io),
-            compaction: self.compaction.delta_since(earlier.compaction),
-            user_bytes_written: self
-                .user_bytes_written
-                .saturating_sub(earlier.user_bytes_written),
-            batch_groups: self.batch_groups.saturating_sub(earlier.batch_groups),
-            batch_entries: self.batch_entries.saturating_sub(earlier.batch_entries),
-            batch_merged_writes: self
-                .batch_merged_writes
-                .saturating_sub(earlier.batch_merged_writes),
-            reads_per_level,
-            txn: self.txn.delta_since(earlier.txn),
-            integrity: self.integrity.delta_since(earlier.integrity),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn integrity_stats_delta_keeps_gauge_and_merges() {
-        let earlier = IntegrityStats {
-            checksum_failures: 2,
-            quarantined_objects: 1,
-            scrub_passes: 3,
-            degraded_partitions: 1,
-            ..IntegrityStats::default()
-        };
-        let later = IntegrityStats {
-            checksum_failures: 5,
-            quarantined_objects: 2,
-            scrub_passes: 7,
-            scrub_clean_passes: 4,
-            degraded_entered: 1,
-            degraded_recovered: 1,
-            snapshots_expired: 2,
-            degraded_partitions: 0,
-            ..IntegrityStats::default()
-        };
-        let delta = later.delta_since(earlier);
-        assert_eq!(delta.checksum_failures, 3);
-        assert_eq!(delta.quarantined_objects, 1);
-        assert_eq!(delta.scrub_passes, 4);
-        assert_eq!(delta.scrub_clean_passes, 4);
-        assert_eq!(delta.snapshots_expired, 2);
-        // The gauge keeps the later value, not the difference.
-        assert_eq!(delta.degraded_partitions, 0);
+    type Row = (String, MetricKind, u64);
 
-        let merged = earlier.merged(later);
-        assert_eq!(merged.checksum_failures, 7);
-        assert_eq!(merged.scrub_passes, 10);
-        assert_eq!(merged.degraded_partitions, 1);
+    /// The arithmetic every table derives, checked entry by entry through
+    /// `visit`: counters (and simulated-time sums) subtract saturating at
+    /// zero, gauges keep the later snapshot's value, `merged` adds both.
+    fn check_table<T: Copy>(
+        fill: fn(&mut dyn FnMut() -> u64) -> T,
+        delta: fn(T, T) -> T,
+        merged: fn(T, T) -> T,
+        visit: fn(&T, &str, &mut MetricVisitor<'_>),
+    ) {
+        let rows = |stats: &T| {
+            let mut rows: Vec<Row> = Vec::new();
+            visit(stats, "t_", &mut |name, kind, help, value| {
+                assert!(!help.is_empty(), "{name} has no help text");
+                rows.push((name.to_string(), kind, value));
+            });
+            rows
+        };
+        let mut n = 0;
+        let earlier = fill(&mut || {
+            n += 1;
+            n
+        });
+        let mut n = 0;
+        let later = fill(&mut || {
+            n += 1;
+            100 + 3 * n
+        });
+        let (before, after) = (rows(&earlier), rows(&later));
+        assert!(!before.is_empty());
+        let forward = rows(&delta(later, earlier));
+        let sum = rows(&merged(earlier, later));
+        // Idle levels are not exported, so the all-zero reversed window is
+        // looked up by name rather than by position.
+        let backward = rows(&delta(earlier, later));
+        for (i, (name, kind, early)) in before.iter().enumerate() {
+            let late = after[i].2;
+            let (window, reversed) = match kind {
+                MetricKind::Gauge => (late, *early),
+                MetricKind::Counter | MetricKind::Nanos => (late - early, 0),
+            };
+            assert_eq!(forward[i], (name.clone(), *kind, window), "delta of {name}");
+            let seen = backward.iter().find(|row| row.0 == *name);
+            assert_eq!(
+                seen.map_or(0, |row| row.2),
+                reversed,
+                "reversed delta of {name}"
+            );
+            assert_eq!(sum[i].2, early + late, "merge of {name}");
+            assert_eq!(name.ends_with("_ns"), *kind == MetricKind::Nanos, "{name}");
+        }
+    }
+
+    #[test]
+    fn every_table_subtracts_counters_keeps_gauges_and_merges_by_sum() {
+        macro_rules! by_value {
+            ($($table:ident),*) => {$(
+                check_table($table::filled_with, $table::delta_since, $table::merged, $table::visit);
+            )*};
+        }
+        by_value!(
+            TierIo,
+            CompactionStats,
+            FrontendStats,
+            NetStats,
+            TxnStats,
+            IntegrityStats
+        );
+        check_table(
+            EngineStats::filled_with,
+            |later, earlier| later.delta_since(&earlier),
+            EngineStats::merged,
+            EngineStats::visit,
+        );
+    }
+
+    #[test]
+    fn visit_names_nest_group_prefixes_and_skip_idle_levels() {
+        let mut stats = EngineStats::default();
+        stats.reads_per_level[2] = 9;
+        stats.compaction.stall_time = Nanos::from_micros(3);
+        let mut seen = Vec::new();
+        stats.visit("engine_", &mut |name, kind, _, value| {
+            seen.push((name.to_string(), kind, value));
+        });
+        let find = |name: &str| seen.iter().find(|row| row.0 == name).cloned();
+        assert_eq!(
+            find("engine_compaction_stall_time_ns"),
+            Some((
+                "engine_compaction_stall_time_ns".to_string(),
+                MetricKind::Nanos,
+                3_000
+            ))
+        );
+        assert!(find("engine_nvm_bytes_read").is_some());
+        // The txn / integrity groups export without an extra prefix.
+        assert!(find("engine_txn_commits").is_some());
+        assert!(find("engine_checksum_failures").is_some());
+        assert_eq!(
+            find("engine_compaction_queue_depth").map(|row| row.1),
+            Some(MetricKind::Gauge)
+        );
+        assert_eq!(find("engine_reads_level_2").map(|row| row.2), Some(9));
+        assert!(find("engine_reads_level_0").is_none());
+    }
+
+    #[test]
+    fn cells_snapshot_reads_back_every_kind() {
+        let cells = EngineStatsCells::default();
+        cells.reads_from_nvm.fetch_add(4, Ordering::Relaxed);
+        cells
+            .compaction
+            .total_time
+            .fetch_add(1_500, Ordering::Relaxed);
+        cells
+            .integrity
+            .degraded_partitions
+            .store(2, Ordering::Relaxed);
+        cells.reads_per_level[7].fetch_add(1, Ordering::Relaxed);
+        let mut expected = EngineStats {
+            reads_from_nvm: 4,
+            ..EngineStats::default()
+        };
+        expected.compaction.total_time = Nanos::from_nanos(1_500);
+        expected.integrity.degraded_partitions = 2;
+        expected.reads_per_level[7] = 1;
+        assert_eq!(cells.snapshot(), expected);
+    }
+
+    #[test]
+    fn help_is_the_first_doc_sentence() {
+        assert_eq!(first_sentence(" One. Two."), "One");
+        assert_eq!(first_sentence(" Spans two lines."), "Spans two lines");
     }
 
     #[test]
@@ -542,88 +683,12 @@ mod tests {
     }
 
     #[test]
-    fn frontend_stats_width_and_delta() {
+    fn mean_coalesce_width_handles_zero_groups() {
         let mut stats = FrontendStats::default();
         assert_eq!(stats.mean_coalesce_width(), 0.0);
         stats.coalesced_groups = 4;
         stats.coalesced_entries = 10;
         assert!((stats.mean_coalesce_width() - 2.5).abs() < 1e-9);
-        let mut later = stats;
-        later.submitted = 30;
-        later.completed = 28;
-        later.rejected = 2;
-        later.wakeups = 5;
-        later.queue_depth = 3;
-        later.max_queue_depth = 9;
-        later.max_total_queue_depth = 14;
-        later.outstanding_tickets = 4;
-        later.max_outstanding_tickets = 21;
-        let delta = later.delta_since(stats);
-        assert_eq!(delta.submitted, 30);
-        assert_eq!(delta.coalesced_groups, 0);
-        // Gauges report the later snapshot, not a difference.
-        assert_eq!(delta.queue_depth, 3);
-        assert_eq!(delta.max_queue_depth, 9);
-        assert_eq!(delta.max_total_queue_depth, 14);
-        assert_eq!(delta.outstanding_tickets, 4);
-        assert_eq!(delta.max_outstanding_tickets, 21);
-    }
-
-    #[test]
-    fn net_stats_delta_keeps_gauges() {
-        let earlier = NetStats {
-            connections_accepted: 2,
-            frames_received: 100,
-            frames_sent: 90,
-            bytes_received: 4000,
-            in_flight: 10,
-            max_in_flight: 12,
-            ..NetStats::default()
-        };
-        let later = NetStats {
-            connections_accepted: 3,
-            connections_closed: 1,
-            frames_received: 250,
-            frames_sent: 240,
-            bytes_received: 9000,
-            bytes_sent: 5000,
-            protocol_errors: 1,
-            backpressure_rejections: 7,
-            shutdown_refusals: 2,
-            in_flight: 4,
-            max_in_flight: 12,
-            max_conn_in_flight: 6,
-        };
-        let delta = later.delta_since(earlier);
-        assert_eq!(delta.connections_accepted, 1);
-        assert_eq!(delta.frames_received, 150);
-        assert_eq!(delta.bytes_received, 5000);
-        assert_eq!(delta.backpressure_rejections, 7);
-        // Gauges report the later snapshot, not a difference.
-        assert_eq!(delta.in_flight, 4);
-        assert_eq!(delta.max_in_flight, 12);
-        assert_eq!(delta.max_conn_in_flight, 6);
-    }
-
-    #[test]
-    fn tier_io_merge_and_delta() {
-        let a = TierIo {
-            bytes_read: 10,
-            bytes_written: 20,
-            reads: 1,
-            writes: 2,
-        };
-        let b = TierIo {
-            bytes_read: 5,
-            bytes_written: 7,
-            reads: 3,
-            writes: 4,
-        };
-        let m = a.merged(b);
-        assert_eq!(m.bytes_read, 15);
-        assert_eq!(m.writes, 6);
-        let d = m.delta_since(a);
-        assert_eq!(d, b);
     }
 
     #[test]
@@ -642,33 +707,5 @@ mod tests {
         stats.user_bytes_written = 100;
         stats.flash_io.bytes_written = 450;
         assert!((stats.flash_write_amplification() - 4.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn delta_since_isolates_window() {
-        let mut earlier = EngineStats {
-            reads_from_flash: 10,
-            ..EngineStats::default()
-        };
-        earlier.compaction.jobs = 2;
-        earlier.reads_per_level[1] = 4;
-        let mut later = earlier;
-        later.reads_from_flash = 25;
-        later.compaction.jobs = 5;
-        later.compaction.total_time = Nanos::from_micros(10);
-        later.reads_per_level[1] = 9;
-        later.compaction.overlap_time = Nanos::from_micros(4);
-        later.compaction.backpressure_stalls = 2;
-        later.compaction.queue_depth = 3;
-        later.compaction.max_queue_depth = 7;
-        let delta = later.delta_since(&earlier);
-        assert_eq!(delta.reads_from_flash, 15);
-        assert_eq!(delta.compaction.jobs, 3);
-        assert_eq!(delta.reads_per_level[1], 5);
-        assert_eq!(delta.compaction.overlap_time, Nanos::from_micros(4));
-        assert_eq!(delta.compaction.backpressure_stalls, 2);
-        // Gauges report the later snapshot, not a difference.
-        assert_eq!(delta.compaction.queue_depth, 3);
-        assert_eq!(delta.compaction.max_queue_depth, 7);
     }
 }
