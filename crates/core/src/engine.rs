@@ -1,11 +1,11 @@
-//! The PrismDB engine: partition routing, per-partition locking, the
-//! background compaction worker pool and the [`KvStore`] /
-//! [`ConcurrentKvStore`] implementations.
+//! The PrismDB engine: partition routing, per-partition locking and the
+//! [`KvStore`] / [`ConcurrentKvStore`] implementations. Compaction is
+//! driven from `crate::workers`.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use prism_obs::{trace::category, Counter, LatencyHistogram, ObsHub, TraceBuffer};
 use prism_storage::{group_digest, CommitLog, CommitPart, TieredStorage};
@@ -18,34 +18,13 @@ use prism_types::{
 use crate::options::{Options, Partitioning};
 use crate::partition::{Partition, ScrubReport};
 use crate::sequence::CommitSequencer;
-use crate::workers::{worker_loop, JobRequest, RequestKind, Scheduler};
+use crate::workers::{worker_loop, Scheduler};
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
-}
-
-/// How many times a write retries after `CapacityExceeded` by waiting on
-/// the background workers before falling back to an inline forced
-/// compaction.
-const CAPACITY_RETRIES: usize = 4;
-/// How many background progress generations a back-pressured write waits
-/// for before falling back to an inline forced compaction.
-const BACKPRESSURE_WAITS: usize = 64;
-/// Bound on each individual wait, so a stuck worker can never hang the
-/// foreground (the waiter re-checks and eventually compacts inline).
-const WAIT_SLICE: Duration = Duration::from_millis(100);
-
-/// Steady-cadence scrubber state (background-compaction mode): a
-/// foreground-operation counter that paces scrub enqueues and a
-/// round-robin cursor over partitions so every partition gets scrubbed in
-/// turn.
-#[derive(Debug, Default)]
-struct ScrubCadence {
-    ops: AtomicU64,
-    next_partition: AtomicU64,
 }
 
 /// Engine-side observability: per-tier read and per-op-class latency
@@ -122,7 +101,9 @@ pub(crate) struct EngineShared {
     partitions: Vec<RwLock<Partition>>,
     /// Key-id span covered by each partition.
     partition_span: u64,
-    sched: Option<Scheduler>,
+    /// The compaction pool's scheduler; `None` runs every compaction
+    /// request on the thread that raised it (see `crate::workers`).
+    pub(crate) sched: Option<Scheduler>,
     /// Global commit sequencer: allocates version timestamps and tracks
     /// pinned snapshots (shared with every partition).
     seq: Arc<CommitSequencer>,
@@ -134,11 +115,45 @@ pub(crate) struct EngineShared {
     /// the device counters: they survive `crash_and_recover`.
     txn: TxnStatsCells,
     integrity: IntegrityStatsCells,
-    scrub: ScrubCadence,
     pub(crate) obs: EngineObs,
 }
 
 impl EngineShared {
+    /// Build the engine state over `storage`; spawns nothing.
+    pub(crate) fn new(options: Options, storage: TieredStorage) -> Result<Self> {
+        options.validate()?;
+        let options = Arc::new(options);
+        let seq = Arc::new(CommitSequencer::new());
+        let mut partitions = Vec::with_capacity(options.num_partitions);
+        for id in 0..options.num_partitions {
+            partitions.push(RwLock::new(Partition::new(
+                id,
+                options.clone(),
+                &storage,
+                seq.clone(),
+            )?));
+        }
+        // Leave headroom above the expected key count so freshly inserted
+        // keys (YCSB-D style) still route to the last partition's range
+        // rather than overflowing.
+        let span = (options.expected_keys * 2 / options.num_partitions as u64).max(1);
+        let sched = (options.compaction_workers > 0)
+            .then(|| Scheduler::new(options.num_partitions, options.compaction_workers));
+        let commit_log = CommitLog::new(storage.nvm.clone());
+        Ok(EngineShared {
+            storage,
+            partitions,
+            partition_span: span,
+            sched,
+            seq,
+            commit_log,
+            txn: TxnStatsCells::default(),
+            integrity: IntegrityStatsCells::default(),
+            obs: EngineObs::new(options.obs.clone().unwrap_or_default()),
+            options,
+        })
+    }
+
     /// Lock one partition for reading. A poisoned lock (a client thread
     /// panicked while holding it) is entered anyway: partition state is
     /// append/replace structured, and [`PrismDb::crash_and_recover`]
@@ -159,11 +174,7 @@ impl EngineShared {
     pub(crate) fn scheduler(&self) -> &Scheduler {
         self.sched
             .as_ref()
-            .expect("scheduler exists in background-compaction mode")
-    }
-
-    fn background(&self) -> bool {
-        self.sched.is_some()
+            .expect("only pool workers ask for the scheduler")
     }
 
     /// Run one budgeted scrub slice against a partition, recording its
@@ -272,17 +283,19 @@ impl EngineShared {
 /// sequence at commit, and cross-partition write sets run the commit-log
 /// protocol so they are atomic even across a crash.
 ///
-/// # Background compaction
+/// # Compaction
 ///
-/// With `Options::compaction_workers > 0` the engine spawns a pool of
-/// worker threads. A write that pushes NVM past the high watermark
-/// enqueues a demotion job and returns immediately; the worker clones the
-/// victim state out under the partition lock, merges without the lock and
-/// installs the result with per-object version checks, so foreground
-/// progress overlaps with compaction. The foreground only stalls when NVM
-/// reaches `Options::backpressure_ceiling`. With `compaction_workers == 0`
-/// (the default) compactions run inline on the triggering client thread,
-/// reproducing the paper's write-stall behaviour.
+/// One pipeline (*plan → execute → install*) with one driver
+/// (`workers.rs`) serves every compaction. A write that pushes NVM to the
+/// high watermark raises a demotion request; with
+/// `Options::compaction_workers > 0` the request is queued to a pool of
+/// worker threads — the worker clones the victim state out under the
+/// partition lock, merges without the lock and installs the result with
+/// per-object version checks, so foreground progress overlaps with
+/// compaction and the foreground only stalls when NVM reaches
+/// `Options::backpressure_ceiling`. With `compaction_workers == 0` (the
+/// default) the same request runs on the triggering client thread under
+/// the lock it holds, reproducing the paper's write-stall behaviour.
 ///
 /// # Example
 ///
@@ -361,45 +374,14 @@ impl PrismDb {
     ///
     /// Returns [`PrismError::InvalidConfig`] if the options fail validation.
     pub fn open_with_storage(options: Options, storage: TieredStorage) -> Result<Self> {
-        options.validate()?;
-        let options = Arc::new(options);
-        let seq = Arc::new(CommitSequencer::new());
-        let mut partitions = Vec::with_capacity(options.num_partitions);
-        for id in 0..options.num_partitions {
-            partitions.push(RwLock::new(Partition::new(
-                id,
-                options.clone(),
-                &storage,
-                seq.clone(),
-            )?));
-        }
-        // Leave headroom above the expected key count so freshly inserted
-        // keys (YCSB-D style) still route to the last partition's range
-        // rather than overflowing.
-        let span = (options.expected_keys * 2 / options.num_partitions as u64).max(1);
-        let sched = (options.compaction_workers > 0)
-            .then(|| Scheduler::new(options.num_partitions, options.compaction_workers));
-        let commit_log = CommitLog::new(storage.nvm.clone());
-        let shared = Arc::new(EngineShared {
-            storage,
-            partitions,
-            partition_span: span,
-            sched,
-            seq,
-            commit_log,
-            txn: TxnStatsCells::default(),
-            integrity: IntegrityStatsCells::default(),
-            scrub: ScrubCadence::default(),
-            obs: EngineObs::new(options.obs.clone().unwrap_or_default()),
-            options: options.clone(),
-        });
+        let shared = Arc::new(EngineShared::new(options, storage)?);
         // The hub serves typed engine stats through a weak handle, so a
         // long-lived hub never keeps a dropped engine alive.
         let weak = Arc::downgrade(&shared);
         shared.obs.hub.registry.set_engine_source(Box::new(move || {
             weak.upgrade().map(|shared| shared.stats_snapshot())
         }));
-        let workers = (0..options.compaction_workers)
+        let workers = (0..shared.options.compaction_workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -558,13 +540,18 @@ impl PrismDb {
                         None => BatchOp::Delete(key.clone()),
                     })
                     .collect();
-                if ops.is_empty() {
-                    continue;
-                }
-                cost += guards[part.partition].apply_group(ops, false).expect(
-                    "rollback restores values that fit before; \
-                     the group path reclaims space inline",
-                );
+                cost += self
+                    .write_group(
+                        part.partition,
+                        &mut guards[part.partition],
+                        ops,
+                        false,
+                        None,
+                    )
+                    .expect(
+                        "rollback restores values that fit before; \
+                         the group path reclaims space on this thread",
+                    );
             }
         }
         cost
@@ -728,57 +715,6 @@ impl PrismDb {
         Ok(())
     }
 
-    /// Ask the background pool to scrub a partition after corruption was
-    /// detected (no-op in inline mode, where callers scrub explicitly via
-    /// [`PrismDb::scrub`]).
-    fn request_scrub(&self, idx: usize) {
-        if self.shared.background() {
-            let fg = self.shared.read_partition(idx).fg();
-            self.shared.scheduler().enqueue(JobRequest {
-                partition: idx,
-                kind: RequestKind::Scrub,
-                trigger_fg: fg,
-            });
-        }
-    }
-
-    /// Steady background scrubber cadence: every
-    /// `Options::scrub_interval_ops` foreground operations, enqueue one
-    /// scrub job for the next partition in round-robin order — but only
-    /// when the compaction pool's queue is idle, so scrubbing spends
-    /// spare background budget and never queues ahead of (or behind)
-    /// demotion work the foreground is waiting on. The idle check runs
-    /// *after* the interval fires: a busy pool slips that interval's
-    /// scrub entirely rather than accumulating debt. Inline-compaction
-    /// mode has no pool; there, callers scrub explicitly via
-    /// [`PrismDb::scrub`].
-    fn tick_scrub_cadence(&self) {
-        let interval = self.shared.options.scrub_interval_ops;
-        if interval == 0 || !self.shared.background() {
-            return;
-        }
-        let n = self.shared.scrub.ops.fetch_add(1, Ordering::Relaxed) + 1;
-        if n % interval != 0 {
-            return;
-        }
-        let sched = self.shared.scheduler();
-        if sched.queue_depth() != 0 {
-            return;
-        }
-        let idx = (self
-            .shared
-            .scrub
-            .next_partition
-            .fetch_add(1, Ordering::Relaxed)
-            % self.partition_count() as u64) as usize;
-        let fg = self.shared.read_partition(idx).fg();
-        sched.enqueue(JobRequest {
-            partition: idx,
-            kind: RequestKind::Scrub,
-            trigger_fg: fg,
-        });
-    }
-
     /// Count an injected I/O error surfaced to a caller.
     fn note_io_fault(&self, err: &PrismError) {
         if matches!(err, PrismError::Io(_)) {
@@ -796,7 +732,7 @@ impl PrismDb {
         match &result {
             Ok(_) => {
                 self.enforce_snapshot_caps();
-                self.tick_scrub_cadence();
+                self.shared.tick_scrub_cadence();
             }
             Err(err) => self.note_io_fault(err),
         }
@@ -856,135 +792,46 @@ impl PrismDb {
         }
     }
 
-    /// Run a write op against a partition in background-compaction mode:
-    /// retry `CapacityExceeded` by waiting for the worker pool (never
-    /// while holding the partition lock), then handle watermark /
-    /// back-pressure bookkeeping. Returns the op's full charged latency.
-    fn background_write<F>(&self, idx: usize, mut op: F) -> Result<Nanos>
-    where
-        F: FnMut(&mut Partition) -> Result<Nanos>,
-    {
-        let sched = self.shared.scheduler();
-        let mut attempts = 0;
-        let mut cost;
-        loop {
-            let result = op(&mut self.shared.write_partition(idx));
-            match result {
-                Ok(c) => {
-                    cost = c;
-                    break;
-                }
-                Err(PrismError::CapacityExceeded { .. }) if attempts < CAPACITY_RETRIES => {
-                    attempts += 1;
-                    let fg = self.shared.read_partition(idx).fg();
-                    let seen = sched.generation();
-                    sched.enqueue(JobRequest {
-                        partition: idx,
-                        kind: RequestKind::Demote,
-                        trigger_fg: fg,
-                    });
-                    sched.wait_past(seen, WAIT_SLICE);
-                }
-                Err(PrismError::CapacityExceeded { .. }) => {
-                    // The workers could not free space in time: compact
-                    // inline as a last resort (this bumps the partition
-                    // epoch, discarding any in-flight job).
-                    let mut p = self.shared.write_partition(idx);
-                    let stall = p.force_free_inline()?;
-                    cost = op(&mut p)? + stall;
-                    break;
-                }
-                Err(err) => return Err(err),
-            }
-        }
-        cost += self.after_background_write(idx)?;
-        Ok(cost)
+    /// One single-partition write: lock, `write` through the compaction
+    /// driver, unlock, then take the foreground's side of back-pressure.
+    /// Returns the op's full charged latency.
+    fn write_locked(
+        &self,
+        idx: usize,
+        write: impl FnOnce(&mut Partition) -> Result<Nanos>,
+    ) -> Result<Nanos> {
+        let cost = write(&mut self.shared.write_partition(idx))?;
+        Ok(cost + self.shared.hold_at_ceiling(idx)?)
     }
 
-    /// Watermark and back-pressure handling after a background-mode write.
-    /// Returns the extra stall (if any) to charge to the operation.
-    fn after_background_write(&self, idx: usize) -> Result<Nanos> {
-        let sched = self.shared.scheduler();
-        let (util, fg, promote_hint) = {
-            let p = self.shared.read_partition(idx);
-            (p.nvm_utilization(), p.fg(), p.promote_pending())
-        };
-        if promote_hint {
-            let due = self.shared.write_partition(idx).take_promote_pending();
-            if due {
-                sched.enqueue(JobRequest {
-                    partition: idx,
-                    kind: RequestKind::Promote,
-                    trigger_fg: fg,
-                });
-            }
-        }
-        if util >= self.shared.options.high_watermark {
-            sched.enqueue(JobRequest {
-                partition: idx,
-                kind: RequestKind::Demote,
-                trigger_fg: fg,
-            });
-        }
-        if util < self.shared.options.backpressure_ceiling {
+    /// Apply one partition's sub-batch under the held guard `p` with a
+    /// fresh commit sequence unless the caller stamps one. The sub-batch
+    /// applies under one continuous write-lock hold; capacity shortfalls
+    /// mid-group are reclaimed on this thread (never by unlocking and
+    /// waiting), which preserves the all-or-nothing contract per
+    /// partition, and the group makes one watermark check → at most one
+    /// demotion request per touched partition.
+    fn write_group(
+        &self,
+        idx: usize,
+        p: &mut Partition,
+        entries: Vec<BatchOp>,
+        merge: bool,
+        seq: Option<u64>,
+    ) -> Result<Nanos> {
+        if entries.is_empty() {
             return Ok(Nanos::ZERO);
         }
-        self.shared.obs.trace().record(
-            category::BACKPRESSURE,
-            Some(idx as u32),
-            0,
-            format!("util={util:.3}"),
-        );
-        // Back-pressure: block until a worker brings utilisation back
-        // under the ceiling, then charge the virtual wait as a stall.
-        let mut waits = 0;
-        loop {
-            let seen = sched.generation();
-            let util = self.shared.read_partition(idx).nvm_utilization();
-            if util < self.shared.options.backpressure_ceiling {
-                break;
-            }
-            sched.enqueue(JobRequest {
-                partition: idx,
-                kind: RequestKind::Demote,
-                trigger_fg: fg,
-            });
-            if waits >= BACKPRESSURE_WAITS {
-                // Workers are not keeping up (or died): reclaim inline.
-                return self.shared.write_partition(idx).force_free_inline();
-            }
-            sched.wait_past(seen, WAIT_SLICE);
-            waits += 1;
-        }
-        Ok(self.shared.write_partition(idx).charge_backpressure_stall())
-    }
-
-    /// Apply one partition's sub-batch and run the engine-level
-    /// after-write bookkeeping once for the whole group (watermark
-    /// enqueue / back-pressure in background mode). Returns the group's
-    /// charged latency.
-    fn apply_partition_group(&self, idx: usize, entries: Vec<BatchOp>) -> Result<Nanos> {
-        let merge = self.shared.options.merge_batch_duplicates;
-        // The sub-batch applies under one continuous write-lock hold;
-        // capacity shortfalls mid-group are reclaimed inline by the
-        // partition (never by unlocking and waiting), which preserves the
-        // all-or-nothing contract per partition.
-        let mut cost = self
-            .shared
-            .write_partition(idx)
-            .apply_group(entries, merge)?;
-        if self.shared.background() {
-            // One watermark check per partition per batch → at most one
-            // demotion enqueue per touched partition.
-            cost += self.after_background_write(idx)?;
-        }
-        Ok(cost)
+        let seq = seq.unwrap_or_else(|| self.shared.seq.allocate());
+        self.shared.write_held(idx, p, entries.len(), |p, reclaim| {
+            p.apply_group(entries, merge, seq, reclaim)
+        })
     }
 
     /// The multi-partition half of [`ConcurrentKvStore::apply_batch`]:
     /// run the commit-log protocol over ascending write locks, then the
-    /// per-partition watermark/back-pressure bookkeeping (which re-locks
-    /// partitions, so it must run after the multi-lock hold is released).
+    /// per-partition back-pressure hold (which re-locks partitions, so it
+    /// must run after the multi-lock hold is released).
     fn apply_batch_multi(&self, groups: &mut [Vec<BatchOp>], touched: &[usize]) -> Result<Nanos> {
         let mut guards: Vec<(usize, RwLockWriteGuard<'_, Partition>)> = touched
             .iter()
@@ -993,10 +840,8 @@ impl PrismDb {
         let result = self.install_groups_with_intent(groups, &mut guards, true, usize::MAX);
         drop(guards);
         let (_batch_id, mut total) = result?;
-        if self.shared.background() {
-            for &idx in touched {
-                total += self.after_background_write(idx)?;
-            }
+        for &idx in touched {
+            total += self.shared.hold_at_ceiling(idx)?;
         }
         Ok(total)
     }
@@ -1072,7 +917,7 @@ impl PrismDb {
             }
             let (idx, guard) = &mut guards[pos];
             let entries = std::mem::take(&mut groups[*idx]);
-            match guard.apply_group_with_seq(entries, merge, seq) {
+            match self.write_group(*idx, guard, entries, merge, Some(seq)) {
                 Ok(cost) => {
                     total += cost;
                     installed = step + 1;
@@ -1097,8 +942,8 @@ impl PrismDb {
                     })
                     .collect();
                 if !ops.is_empty() {
-                    let (_, guard) = &mut guards[active[step]];
-                    guard.apply_group(ops, false)?;
+                    let (idx, guard) = &mut guards[active[step]];
+                    self.write_group(*idx, guard, ops, false, None)?;
                 }
             }
             self.shared.commit_log.seal(batch_id);
@@ -1163,26 +1008,11 @@ impl PrismDb {
     }
 
     /// Drain read-side pressure on a partition after a read: apply the
-    /// buffered tracker updates and run (inline) or enqueue (background)
-    /// any due promotion compaction.
+    /// buffered tracker updates and request any promotion compaction they
+    /// made due.
     fn drain_reads(&self, idx: usize) -> Result<()> {
-        if self.shared.background() {
-            let (due, fg) = {
-                let mut p = self.shared.write_partition(idx);
-                p.apply_read_side();
-                (p.take_promote_pending(), p.fg())
-            };
-            if due {
-                self.shared.scheduler().enqueue(JobRequest {
-                    partition: idx,
-                    kind: RequestKind::Promote,
-                    trigger_fg: fg,
-                });
-            }
-        } else {
-            self.shared.write_partition(idx).absorb_reads()?;
-        }
-        Ok(())
+        self.shared
+            .drain_held(idx, &mut self.shared.write_partition(idx))
     }
 }
 
@@ -1207,11 +1037,10 @@ impl ConcurrentKvStore for PrismDb {
         }
         let idx = self.partition_for(&key);
         self.check_writable(idx)?;
-        let result = if !self.shared.background() {
-            self.shared.write_partition(idx).put(key, value)
-        } else {
-            self.background_write(idx, move |p| p.put(key.clone(), value.clone()))
-        };
+        let result = self.write_locked(idx, |p| {
+            self.shared
+                .write_held(idx, p, 1, |p, reclaim| p.put(key, value, reclaim))
+        });
         let result = self.finish_write(result);
         if let Ok(latency) = &result {
             self.shared.obs.put.record(latency.as_nanos());
@@ -1250,7 +1079,7 @@ impl ConcurrentKvStore for PrismDb {
                         "quarantine threshold crossed",
                     );
                 }
-                self.request_scrub(idx);
+                self.shared.request_scrub(idx);
                 return Err(err);
             }
             Err(err) => {
@@ -1261,7 +1090,7 @@ impl ConcurrentKvStore for PrismDb {
         if pressure {
             self.drain_reads(idx)?;
         }
-        self.tick_scrub_cadence();
+        self.shared.tick_scrub_cadence();
         self.shared.obs.record_get(&lookup);
         Ok(lookup)
     }
@@ -1269,12 +1098,10 @@ impl ConcurrentKvStore for PrismDb {
     fn delete(&self, key: &Key) -> Result<Nanos> {
         let idx = self.partition_for(key);
         self.check_writable(idx)?;
-        let result = if !self.shared.background() {
-            self.shared.write_partition(idx).delete(key)
-        } else {
-            let key = key.clone();
-            self.background_write(idx, move |p| p.delete(&key))
-        };
+        let result = self.write_locked(idx, |p| {
+            self.shared
+                .write_held(idx, p, 1, |p, reclaim| p.delete(key, reclaim))
+        });
         let result = self.finish_write(result);
         if let Ok(latency) = &result {
             self.shared.obs.put.record(latency.as_nanos());
@@ -1351,7 +1178,10 @@ impl ConcurrentKvStore for PrismDb {
         // write-lock hold; skip the commit-log round trip.
         if touched.len() <= 1 {
             let result = touched.into_iter().try_fold(Nanos::ZERO, |acc, idx| {
-                Ok(acc + self.apply_partition_group(idx, std::mem::take(&mut groups[idx]))?)
+                let entries = std::mem::take(&mut groups[idx]);
+                let merge = self.shared.options.merge_batch_duplicates;
+                Ok(acc
+                    + self.write_locked(idx, |p| self.write_group(idx, p, entries, merge, None))?)
             });
             let result = self.finish_write(result);
             if let Ok(latency) = &result {
@@ -1564,9 +1394,8 @@ impl ConcurrentKvStore for PrismDb {
             let pos = touched
                 .binary_search(&idx)
                 .expect("write partitions are in the touched set");
-            guards[pos]
-                .1
-                .apply_group(std::mem::take(&mut groups[idx]), true)
+            let entries = std::mem::take(&mut groups[idx]);
+            self.write_group(idx, &mut guards[pos].1, entries, true, None)
         } else {
             self.install_groups_with_intent(&mut groups, &mut guards, true, usize::MAX)
                 .map(|(_, cost)| cost)
@@ -1576,14 +1405,12 @@ impl ConcurrentKvStore for PrismDb {
             Ok(cost) => cost,
             Err(err) => return self.finish_write(Err(err)),
         };
-        if self.shared.background() {
-            // Watermark/back-pressure bookkeeping re-locks partitions, so
-            // it must run after the multi-lock hold is released.
-            for idx in write_parts {
-                match self.after_background_write(idx) {
-                    Ok(cost) => total += cost,
-                    Err(err) => return self.finish_write(Err(err)),
-                }
+        // The back-pressure hold re-locks partitions, so it must run after
+        // the multi-lock hold is released.
+        for idx in write_parts {
+            match self.shared.hold_at_ceiling(idx) {
+                Ok(cost) => total += cost,
+                Err(err) => return self.finish_write(Err(err)),
             }
         }
         self.shared.txn.txn_commits.fetch_add(1, Ordering::Relaxed);

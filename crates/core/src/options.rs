@@ -76,16 +76,22 @@ pub struct Options {
     pub high_watermark: f64,
     /// NVM utilisation at which compaction stops freeing space (0.95).
     pub low_watermark: f64,
-    /// Number of background compaction worker threads shared by all
-    /// partitions. `0` (the default) compacts inline on the client thread
-    /// that trips the high watermark, charging the paper's write stalls;
-    /// with workers, watermark trips enqueue a job and the foreground only
-    /// stalls at [`Options::backpressure_ceiling`].
+    /// How compaction requests are dispatched: the number of pool worker
+    /// threads, shared by all partitions, that serve them. There is one
+    /// compaction pipeline either way (same trigger, same demotion
+    /// escalation, same job runner). `0` (the default) runs each request
+    /// on the client thread that raised it, under the write lock it holds,
+    /// so a write that trips the high watermark waits for its demotion —
+    /// the paper's write stalls. With workers the request is queued, the
+    /// write returns, and the foreground only waits at
+    /// [`Options::backpressure_ceiling`].
     pub compaction_workers: usize,
-    /// Hard NVM utilisation ceiling in background-compaction mode: a
-    /// foreground write that leaves utilisation at or above this value
-    /// blocks until a background worker frees space (and the wait is
-    /// charged as stall time). Must lie in `(high_watermark, 1.0]`.
+    /// Hard NVM utilisation ceiling while requests are queued to a worker
+    /// pool: a foreground write that leaves utilisation at or above this
+    /// value blocks until a worker frees space, then is charged the wait
+    /// for the partition's background timeline as stall time. Must lie in
+    /// `(high_watermark, 1.0]`. Not consulted with `compaction_workers ==
+    /// 0`, where the request has already run by the time the write ends.
     pub backpressure_ceiling: f64,
     /// Target size of one SST file written by compaction.
     pub sst_target_bytes: u64,
@@ -236,9 +242,9 @@ impl Options {
                 "watermarks must satisfy 0 < low < high <= 1".into(),
             ));
         }
-        // The ceiling is only consulted in background-compaction mode, so
-        // inline-only configs (e.g. a high watermark above the default
-        // ceiling) stay valid as before.
+        // The ceiling is only consulted when requests are queued to a pool,
+        // so configs without workers (e.g. a high watermark above the
+        // default ceiling) stay valid.
         if self.compaction_workers > 0
             && !(self.high_watermark < self.backpressure_ceiling
                 && self.backpressure_ceiling <= 1.0)

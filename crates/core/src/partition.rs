@@ -32,22 +32,25 @@
 //!
 //! Compactions run as a *plan → execute → install* pipeline
 //! (see [`prism_compaction::CompactionJob`]): planning clones the victim
-//! state out under the lock, execution merges without the lock, and
-//! installation re-validates against the live index (timestamp checks per
-//! demoted object, an epoch check per job) before swapping files in. With
-//! `Options::compaction_workers == 0` the three phases run back-to-back on
-//! the client thread that tripped the watermark (inline mode, the paper's
-//! stall behaviour); with workers they are driven by the engine's
-//! background worker pool and the foreground only stalls at the
-//! back-pressure ceiling.
+//! state out under the lock, execution merges without touching the
+//! partition, and installation re-validates against the live index
+//! (timestamp checks per demoted object, an epoch check per job) before
+//! swapping files in. A partition only *plans* and *installs*; it never
+//! decides when a compaction runs or who runs it. That is the engine's
+//! compaction driver (`crate::workers`): it calls into a write between the
+//! read-side drain and the clock advance, raises the promotion and
+//! watermark requests, and runs each job either on the calling thread under
+//! the write guard it already holds or on a pool worker that locks per
+//! phase. The partition keeps the two clocks the driver charges: `fg`,
+//! and `busy_until`, the instant its chained background work completes.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use prism_compaction::{
-    execute_job, msc_score, BucketMap, CompactionJob, CompactionPlanner, CompactionPolicy,
-    DemoteEntry, ExecutedJob, JobKind, MergedOrigin, RangeStatsBuilder, ReadTriggeredController,
+    msc_score, BucketMap, CompactionJob, CompactionPlanner, CompactionPolicy, DemoteEntry,
+    ExecutedJob, JobKind, MergedOrigin, RangeStatsBuilder, ReadTriggeredController,
 };
 use prism_flash::{Manifest, SortedLog, SstBuilder, SstEntry, SstFile};
 use prism_index::FastIndex;
@@ -62,6 +65,7 @@ use prism_types::{
 use crate::cache::ShardedLruCache;
 use crate::options::Options;
 use crate::sequence::CommitSequencer;
+use crate::workers::DemotionPlan;
 
 /// Buffered read-side updates applied at the next drain (threshold for the
 /// engine to force a drain with a write lock).
@@ -120,6 +124,12 @@ struct SlabWriteTally {
     writes: u64,
     bytes: u64,
 }
+
+/// What a write calls when a slab write finds no room: free NVM space on
+/// the spot (the write lock stays held) given the operation's accrued cost,
+/// and return the stall charged for it. The compaction driver supplies it
+/// (`EngineShared::reclaim`).
+pub(crate) type Reclaim<'a> = &'a mut dyn FnMut(&mut Partition, Nanos) -> Result<Nanos>;
 
 /// Result of one compaction job.
 #[derive(Debug, Default, Clone, Copy)]
@@ -296,22 +306,42 @@ impl Partition {
         Nanos::from_nanos(self.fg.load(Ordering::Relaxed))
     }
 
-    fn advance_fg(&self, cost: Nanos) {
+    pub(crate) fn advance_fg(&self, cost: Nanos) {
         self.fg.fetch_add(cost.as_nanos(), Ordering::Relaxed);
     }
 
-    /// Virtual time at which all installed compaction work completes.
-    pub(crate) fn busy_until(&self) -> Nanos {
-        self.busy_until
+    /// Chain one installed job onto the background timeline: it starts no
+    /// earlier than the foreground instant that triggered it and the
+    /// partition's previous job. `overlapped` jobs ran while the foreground
+    /// kept being served.
+    pub(crate) fn chain_background(&mut self, trigger: Nanos, duration: Nanos, overlapped: bool) {
+        self.busy_until = trigger.max(self.busy_until) + duration;
+        if overlapped {
+            self.stats.compaction.overlap_time += duration;
+        }
     }
 
-    pub(crate) fn set_busy_until(&mut self, t: Nanos) {
-        self.busy_until = t;
+    /// The foreground stall rule: an operation standing at `now` that needs
+    /// the space compaction is freeing waits until `busy_until`, and the
+    /// wait is charged exactly once. Returns the stall; the caller folds it
+    /// into the operation's cost (or advances the clock by it).
+    pub(crate) fn stall_until_idle(&mut self, now: Nanos) -> Nanos {
+        let stall = self.busy_until.saturating_sub(now);
+        self.stats.compaction.stall_time += stall;
+        stall
     }
 
-    /// Record compaction time that overlapped foreground service.
-    pub(crate) fn note_overlap(&mut self, duration: Nanos) {
-        self.stats.compaction.overlap_time += duration;
+    /// Count one write that could not proceed until compaction freed NVM
+    /// space (at the back-pressure ceiling, or a slab write with no room).
+    pub(crate) fn note_backpressure_stall(&mut self) {
+        self.stats.compaction.backpressure_stalls += 1;
+    }
+
+    /// Bump the compaction epoch so any job planned against the current
+    /// state — a pool worker may be merging one right now — is discarded
+    /// at install.
+    pub(crate) fn invalidate_planned_jobs(&mut self) {
+        self.epoch += 1;
     }
 
     pub(crate) fn elapsed(&self) -> Nanos {
@@ -456,12 +486,6 @@ impl Partition {
 
     pub(crate) fn clock_histogram(&self) -> [u64; 4] {
         self.mapper.histogram()
-    }
-
-    /// True when compactions are executed by the engine's background
-    /// worker pool rather than inline on the triggering client thread.
-    pub(crate) fn background_mode(&self) -> bool {
-        self.options.compaction_workers > 0
     }
 
     // ------------------------------------------------------------------
@@ -674,30 +698,10 @@ impl Partition {
         }
     }
 
-    /// Peek at the pending-promotion flag without consuming it.
-    pub(crate) fn promote_pending(&self) -> bool {
-        self.promote_pending
-    }
-
-    /// Consume the pending-promotion flag (background mode: the engine
-    /// turns it into a queued promotion job).
+    /// Consume the pending-promotion flag (the driver turns it into a
+    /// promotion request).
     pub(crate) fn take_promote_pending(&mut self) -> bool {
         std::mem::take(&mut self.promote_pending)
-    }
-
-    /// Drain read-side state and, in inline mode, run any due promotion
-    /// compaction immediately (background mode defers it to the worker
-    /// pool via [`Partition::take_promote_pending`]).
-    pub(crate) fn absorb_reads(&mut self) -> Result<()> {
-        self.apply_read_side();
-        if self.promote_pending && !self.background_mode() {
-            self.promote_pending = false;
-            let outcome = self.run_promotion_compaction()?;
-            if !outcome.duration.is_zero() {
-                self.busy_until = self.busy_until.max(self.fg()) + outcome.duration;
-            }
-        }
-        Ok(())
     }
 
     /// Record a write for the read-trigger controller's read-ratio
@@ -713,26 +717,24 @@ impl Partition {
     // Client operations
     // ------------------------------------------------------------------
 
-    pub(crate) fn put(&mut self, key: Key, value: Value) -> Result<Nanos> {
-        self.absorb_reads()?;
-        let mut cost = self.cpu.request_overhead;
+    /// The mutation half of a put: request overhead plus the entry. The
+    /// driver wraps it (`EngineShared::write_held`) with the read-side
+    /// drain before and the watermark check and [`Partition::finish_write`]
+    /// after.
+    pub(crate) fn put(&mut self, key: Key, value: Value, reclaim: Reclaim<'_>) -> Result<Nanos> {
+        let cost = self.cpu.request_overhead;
         let ts = self.seq.allocate();
-        // Inline mode reclaims space on this thread; background mode
-        // surfaces `CapacityExceeded` to the engine, which queues an
-        // urgent job and retries without holding the partition lock.
-        cost += self.put_entry(key, value, ts, cost, !self.background_mode(), None)?;
+        Ok(cost + self.put_entry(key, value, ts, cost, reclaim, None)?)
+    }
 
-        // Watermark check: in inline mode demote cold data on this thread
-        // if NVM is (nearly) full. In background mode the engine enqueues
-        // a job instead (and stalls only at the back-pressure ceiling).
-        if !self.background_mode() {
-            let stall = self.maybe_demote(cost)?;
-            cost += stall;
+    /// Close a write of `ops` logical operations that cost `cost` in
+    /// total: feed the read-trigger controller's read/write ratio, then
+    /// advance the foreground clock.
+    pub(crate) fn finish_write(&mut self, ops: usize, cost: Nanos) {
+        for _ in 0..ops {
+            self.observe_write_op();
         }
-
-        self.observe_write_op();
         self.advance_fg(cost);
-        Ok(cost)
     }
 
     /// The state mutation of one put: slab write, index update, tracker
@@ -743,18 +745,17 @@ impl Partition {
     ///
     /// `accrued` is the cost the enclosing operation accumulated before
     /// this entry (it positions any forced-reclamation stall on the
-    /// virtual timeline). With `inline_reclaim`, `CapacityExceeded` is
-    /// resolved by forced compactions on this thread while the write lock
-    /// stays held; otherwise the error is surfaced to the caller. With a
-    /// `group` tally, the slab device write is tallied for one coalesced
-    /// end-of-group charge instead of being added to the returned cost.
+    /// virtual timeline). `CapacityExceeded` is resolved by `reclaim`
+    /// while the write lock stays held. With a `group` tally, the slab
+    /// device write is tallied for one coalesced end-of-group charge
+    /// instead of being added to the returned cost.
     fn put_entry(
         &mut self,
         key: Key,
         value: Value,
         ts: u64,
         accrued: Nanos,
-        inline_reclaim: bool,
+        reclaim: Reclaim<'_>,
         group: Option<&mut SlabWriteTally>,
     ) -> Result<Nanos> {
         let mut cost = self.cpu.index_op;
@@ -766,13 +767,13 @@ impl Partition {
         let write_result = self.write_to_slab(existing, &key, value.clone(), ts);
         let (addr, write_cost) = match write_result {
             Ok(ok) => ok,
-            Err(PrismError::CapacityExceeded { .. }) if inline_reclaim => {
+            Err(PrismError::CapacityExceeded { .. }) => {
                 // Free space with forced compactions, then retry once. The
                 // entry cannot proceed until space exists, so the entire
                 // wait is charged as a foreground stall here — and only
                 // here (the later watermark check sees `busy_until` caught
                 // up).
-                cost += self.reclaim_inline_for_entry(accrued + cost)?;
+                cost += reclaim(self, accrued + cost)?;
                 let existing = self.index.get(&key).copied();
                 self.write_to_slab(existing, &key, value.clone(), ts)?
             }
@@ -807,19 +808,6 @@ impl Partition {
         Ok(cost)
     }
 
-    /// Forced space reclamation for a batch entry that cannot proceed. In
-    /// background mode the epoch bump discards any in-flight job planned
-    /// against the pre-reclaim state (the group keeps the write lock, so
-    /// waiting for the worker pool mid-group would sacrifice the
-    /// per-partition atomicity contract for no progress).
-    fn reclaim_inline_for_entry(&mut self, accrued: Nanos) -> Result<Nanos> {
-        if self.background_mode() {
-            self.epoch += 1;
-            self.stats.compaction.backpressure_stalls += 1;
-        }
-        self.force_free_and_stall(accrued)
-    }
-
     /// Apply one partition's sub-batch of a [`prism_types::WriteBatch`]
     /// under a single write-lock hold: one read-side drain, one request
     /// overhead, one watermark check (→ at most one compaction run /
@@ -837,29 +825,18 @@ impl Partition {
     /// atomic with respect to readers and crash recovery: afterwards
     /// either every entry or no entry of the group is visible, never a
     /// prefix.
+    ///
+    /// `seq` is the group's commit sequence: the engine's cross-partition
+    /// atomic commit stamps every group of one batch with the *same*
+    /// sequence, so a pinned snapshot sees the whole batch or none of it.
+    /// Like [`Partition::put`] this is the mutation half only.
     pub(crate) fn apply_group(
         &mut self,
         entries: Vec<BatchOp>,
         merge_duplicates: bool,
-    ) -> Result<Nanos> {
-        let seq = self.seq.allocate();
-        self.apply_group_with_seq(entries, merge_duplicates, seq)
-    }
-
-    /// [`Partition::apply_group`] with a caller-allocated commit sequence:
-    /// the engine's cross-partition atomic commit stamps every group of
-    /// one batch with the *same* sequence, so a pinned snapshot sees the
-    /// whole batch or none of it.
-    pub(crate) fn apply_group_with_seq(
-        &mut self,
-        entries: Vec<BatchOp>,
-        merge_duplicates: bool,
         seq: u64,
+        reclaim: Reclaim<'_>,
     ) -> Result<Nanos> {
-        if entries.is_empty() {
-            return Ok(Nanos::ZERO);
-        }
-        self.absorb_reads()?;
         let mut cost = self.cpu.request_overhead;
         let entry_count = entries.len() as u64;
 
@@ -888,16 +865,13 @@ impl Partition {
             } else {
                 cost += match entry {
                     BatchOp::Put(key, value) => {
-                        self.put_entry(key, value, seq, cost, true, Some(&mut tally))?
+                        self.put_entry(key, value, seq, cost, reclaim, Some(&mut tally))?
                     }
                     BatchOp::Delete(key) => {
-                        self.delete_entry(&key, seq, cost, true, Some(&mut tally))?
+                        self.delete_entry(&key, seq, cost, reclaim, Some(&mut tally))?
                     }
                 };
             }
-            // Every logical entry counts towards the read-trigger
-            // controller's read/write ratio, merged or not.
-            self.observe_write_op();
         }
         if tally.writes > 0 {
             // One submission for the whole group's slot writes.
@@ -907,12 +881,6 @@ impl Partition {
         self.stats.batch_groups += 1;
         self.stats.batch_entries += entry_count;
         self.stats.batch_merged_writes += merged;
-
-        if !self.background_mode() {
-            let stall = self.maybe_demote(cost)?;
-            cost += stall;
-        }
-        self.advance_fg(cost);
         Ok(cost)
     }
 
@@ -1088,29 +1056,22 @@ impl Partition {
         ))
     }
 
-    pub(crate) fn delete(&mut self, key: &Key) -> Result<Nanos> {
-        self.absorb_reads()?;
-        let mut cost = self.cpu.request_overhead;
+    /// The mutation half of a delete (see [`Partition::put`]).
+    pub(crate) fn delete(&mut self, key: &Key, reclaim: Reclaim<'_>) -> Result<Nanos> {
+        let cost = self.cpu.request_overhead;
         let ts = self.seq.allocate();
-        cost += self.delete_entry(key, ts, cost, !self.background_mode(), None)?;
-        if !self.background_mode() {
-            let stall = self.maybe_demote(cost)?;
-            cost += stall;
-        }
-        self.observe_write_op();
-        self.advance_fg(cost);
-        Ok(cost)
+        Ok(cost + self.delete_entry(key, ts, cost, reclaim, None)?)
     }
 
     /// The state mutation of one delete (see [`Partition::put_entry`] for
-    /// the wrapper/entry split and the `accrued` / `inline_reclaim` /
-    /// `group` contract).
+    /// the wrapper/entry split and the `accrued` / `reclaim` / `group`
+    /// contract).
     fn delete_entry(
         &mut self,
         key: &Key,
         ts: u64,
         accrued: Nanos,
-        inline_reclaim: bool,
+        reclaim: Reclaim<'_>,
         group: Option<&mut SlabWriteTally>,
     ) -> Result<Nanos> {
         let mut cost = self.cpu.index_op;
@@ -1148,8 +1109,8 @@ impl Partition {
             // a compaction merges and drops both.
             let (addr, write_cost) = match self.slab.insert(key.clone(), Value::empty(), ts) {
                 Ok(ok) => ok,
-                Err(PrismError::CapacityExceeded { .. }) if inline_reclaim => {
-                    cost += self.reclaim_inline_for_entry(accrued + cost)?;
+                Err(PrismError::CapacityExceeded { .. }) => {
+                    cost += reclaim(self, accrued + cost)?;
                     self.slab.insert(key.clone(), Value::empty(), ts)?
                 }
                 Err(err) => return Err(err),
@@ -1349,149 +1310,6 @@ impl Partition {
     }
 
     // ------------------------------------------------------------------
-    // Compaction: stalls and inline driving
-    // ------------------------------------------------------------------
-
-    /// If NVM is above the high watermark, run demotion compactions until
-    /// it drops below the low watermark (inline mode only). Returns the
-    /// foreground stall charged to the triggering operation.
-    ///
-    /// `accrued` is the cost the triggering operation has accumulated so
-    /// far: the operation's position on the virtual timeline is
-    /// `fg + accrued`, and the stall is the gap from there to the end of
-    /// any still-running compaction work. Measuring from `fg` alone would
-    /// double-charge waits already accounted earlier in the same
-    /// operation (e.g. a forced space reclamation), breaking the
-    /// `stall_time <= elapsed` invariant.
-    fn maybe_demote(&mut self, accrued: Nanos) -> Result<Nanos> {
-        if self.slab.usage().utilization() < self.options.high_watermark {
-            return Ok(Nanos::ZERO);
-        }
-        let now = self.fg() + accrued;
-        // If a previous compaction (e.g. a read-triggered promotion) is
-        // still "running" in virtual time, the write waits for it first.
-        let wait_prev = self.busy_until.saturating_sub(now);
-        let mut compacting = Nanos::ZERO;
-        let mut rounds = 0;
-        while self.slab.usage().utilization() > self.options.low_watermark {
-            let outcome = self.run_demotion_compaction(false)?;
-            compacting += outcome.duration;
-            if outcome.demoted == 0 {
-                let forced = self.run_demotion_compaction(true)?;
-                compacting += forced.duration;
-                if forced.demoted == 0 {
-                    break;
-                }
-            }
-            rounds += 1;
-            if rounds > 128 {
-                break;
-            }
-        }
-        // Inline compactions execute synchronously on the client thread
-        // that tripped the watermark (they run right here, holding the
-        // partition's write lock), so the triggering operation is charged
-        // the full duration as a foreground stall — the behaviour
-        // background workers exist to avoid.
-        let stall = wait_prev + compacting;
-        self.stats.compaction.stall_time += stall;
-        self.busy_until = self.busy_until.max(now) + compacting;
-        Ok(stall)
-    }
-
-    /// Forced space reclamation for an operation that cannot proceed until
-    /// space exists. Frees space, advances `busy_until`, and charges the
-    /// operation's wait (for prior pending work plus the forced
-    /// compactions) as stall time exactly once. Returns the stall.
-    fn force_free_and_stall(&mut self, accrued: Nanos) -> Result<Nanos> {
-        let freed = self.free_space_forcibly()?;
-        let now = self.fg() + accrued;
-        self.busy_until = self.busy_until.max(now) + freed;
-        let wait = self.busy_until.saturating_sub(now);
-        self.stats.compaction.stall_time += wait;
-        Ok(wait)
-    }
-
-    /// Emergency inline space reclamation in background mode, used when
-    /// the worker pool could not free space in time. Bumps the compaction
-    /// epoch so any in-flight background job planned against the old state
-    /// is discarded at install, then compacts on the calling thread and
-    /// charges the wait as a back-pressure stall. Returns the stall.
-    pub(crate) fn force_free_inline(&mut self) -> Result<Nanos> {
-        self.epoch += 1;
-        let wait = self.force_free_and_stall(Nanos::ZERO)?;
-        if !wait.is_zero() {
-            self.stats.compaction.backpressure_stalls += 1;
-            self.advance_fg(wait);
-        }
-        Ok(wait)
-    }
-
-    /// Charge the foreground for waiting on background compaction at the
-    /// back-pressure ceiling: the stall is the remaining gap to the
-    /// background completion time. Returns the stall charged.
-    pub(crate) fn charge_backpressure_stall(&mut self) -> Nanos {
-        let stall = self.busy_until.saturating_sub(self.fg());
-        if !stall.is_zero() {
-            self.advance_fg(stall);
-            self.stats.compaction.stall_time += stall;
-            self.stats.compaction.backpressure_stalls += 1;
-        }
-        stall
-    }
-
-    fn free_space_forcibly(&mut self) -> Result<Nanos> {
-        let mut background = Nanos::ZERO;
-        for _ in 0..8 {
-            let outcome = self.run_demotion_compaction(true)?;
-            background += outcome.duration;
-            if outcome.demoted > 0 && self.slab.usage().utilization() < self.options.low_watermark {
-                return Ok(background);
-            }
-            if outcome.demoted == 0 {
-                break;
-            }
-        }
-        // Safety valve: sampled candidates may all have been empty of NVM
-        // objects. Compact the whole key space once, ignoring popularity,
-        // so the write can proceed.
-        let job = self.plan_range(
-            Key::min(),
-            Key::from_id(u64::MAX),
-            JobKind::Demotion { force: true },
-            false,
-            Nanos::ZERO,
-            self.fg(),
-        );
-        if let Some(job) = job {
-            let exec = execute_job(job, &self.cpu, &self.flash_dev);
-            if let Some(outcome) = self.install_compaction(exec)? {
-                background += outcome.duration;
-            }
-        }
-        Ok(background)
-    }
-
-    fn run_demotion_compaction(&mut self, force: bool) -> Result<CompactionOutcome> {
-        let Some(job) = self.plan_demotion(force, self.fg()) else {
-            return Ok(CompactionOutcome::default());
-        };
-        let exec = execute_job(job, &self.cpu, &self.flash_dev);
-        Ok(self.install_compaction(exec)?.unwrap_or_default())
-    }
-
-    /// A promotion-oriented compaction: pick the range with the most
-    /// popular flash-only objects and rewrite it, pulling those objects up
-    /// to NVM.
-    pub(crate) fn run_promotion_compaction(&mut self) -> Result<CompactionOutcome> {
-        let Some(job) = self.plan_promotion(self.fg()) else {
-            return Ok(CompactionOutcome::default());
-        };
-        let exec = execute_job(job, &self.cpu, &self.flash_dev);
-        Ok(self.install_compaction(exec)?.unwrap_or_default())
-    }
-
-    // ------------------------------------------------------------------
     // Compaction: planning
     // ------------------------------------------------------------------
 
@@ -1562,13 +1380,22 @@ impl Partition {
     }
 
     /// Plan a demotion compaction: pick the best-scoring candidate range
-    /// and clone its victim state into a `Send` job. Requires the write
-    /// lock; returns `None` when there is nothing to compact.
+    /// (or, for [`DemotionPlan::Everything`], the whole key space) and
+    /// clone its victim state into a `Send` job. Requires the write lock;
+    /// returns `None` when there is nothing to compact.
     pub(crate) fn plan_demotion(
         &mut self,
-        force: bool,
+        plan: DemotionPlan,
         trigger_fg: Nanos,
     ) -> Option<CompactionJob> {
+        let force = plan != DemotionPlan::Natural;
+        let kind = JobKind::Demotion { force };
+        if plan == DemotionPlan::Everything {
+            // Sampled candidates may all have been empty of NVM objects:
+            // compact the whole key space once, ignoring popularity.
+            let (start, end) = (Key::min(), Key::from_id(u64::MAX));
+            return self.plan_range(start, end, kind, false, Nanos::ZERO, trigger_fg);
+        }
         let candidates = self.candidate_ranges();
         if candidates.is_empty() {
             return None;
@@ -1589,7 +1416,7 @@ impl Partition {
         self.plan_range(
             start,
             end,
-            JobKind::Demotion { force },
+            kind,
             self.options.promotions_enabled,
             planning_cost,
             trigger_fg,
@@ -2243,7 +2070,7 @@ impl Partition {
         report.completed = cursor.is_none();
         self.scrub_cursor = cursor;
         if !cost.is_zero() {
-            self.busy_until = self.busy_until.max(self.fg()) + cost;
+            self.chain_background(self.fg(), cost, false);
         }
         if report.completed {
             self.stats.integrity.scrub_passes += 1;
@@ -2262,33 +2089,48 @@ impl Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineShared;
+    use prism_compaction::execute_job;
     use prism_storage::DeviceProfile;
+    use std::sync::RwLockWriteGuard;
 
-    fn small_options(keys: u64) -> Arc<Options> {
+    fn small_options(keys: u64) -> Options {
         let mut options = Options::scaled_default(keys);
         options.num_partitions = 1;
         options.compaction.bucket_size_keys = 256;
         options.sst_target_bytes = 32 * 1024;
-        Arc::new(options)
+        options
     }
 
-    fn storage_for(options: &Options) -> TieredStorage {
-        TieredStorage::new(
+    /// A one-partition engine state: a partition never compacts by itself,
+    /// so the tests below write through the engine's compaction driver
+    /// ([`put`] / [`delete`]) exactly as `PrismDb` does.
+    fn engine(keys: u64) -> EngineShared {
+        let options = small_options(keys);
+        let storage = TieredStorage::new(
             DeviceProfile::optane_nvm(options.nvm_capacity_bytes),
             options.flash_profile,
-        )
+        );
+        EngineShared::new(options, storage).unwrap()
     }
 
-    fn partition(keys: u64) -> Partition {
-        let options = small_options(keys);
-        let storage = storage_for(&options);
-        Partition::new(0, options, &storage, Arc::new(CommitSequencer::new())).unwrap()
+    fn partition(engine: &EngineShared) -> RwLockWriteGuard<'_, Partition> {
+        engine.write_partition(0)
+    }
+
+    fn put(engine: &EngineShared, p: &mut Partition, key: Key, value: Value) -> Result<Nanos> {
+        engine.write_held(0, p, 1, |p, reclaim| p.put(key, value, reclaim))
+    }
+
+    fn delete(engine: &EngineShared, p: &mut Partition, key: &Key) -> Result<Nanos> {
+        engine.write_held(0, p, 1, |p, reclaim| p.delete(key, reclaim))
     }
 
     #[test]
     fn put_get_roundtrip_served_from_nvm_then_dram() {
-        let mut p = partition(1000);
-        p.put(Key::from_id(1), Value::filled(500, 7)).unwrap();
+        let engine = engine(1000);
+        let mut p = partition(&engine);
+        put(&engine, &mut p, Key::from_id(1), Value::filled(500, 7)).unwrap();
         // First read comes from NVM, second from the DRAM cache.
         let first = p.get(&Key::from_id(1)).unwrap();
         assert_eq!(first.source, ReadSource::Nvm);
@@ -2303,9 +2145,10 @@ mod tests {
 
     #[test]
     fn updates_are_in_place_and_latest_version_wins() {
-        let mut p = partition(1000);
-        p.put(Key::from_id(5), Value::filled(200, 1)).unwrap();
-        p.put(Key::from_id(5), Value::filled(210, 2)).unwrap();
+        let engine = engine(1000);
+        let mut p = partition(&engine);
+        put(&engine, &mut p, Key::from_id(5), Value::filled(200, 1)).unwrap();
+        put(&engine, &mut p, Key::from_id(5), Value::filled(210, 2)).unwrap();
         let got = p.get(&Key::from_id(5)).unwrap();
         assert_eq!(got.value.unwrap().as_bytes()[0], 2);
         assert_eq!(p.nvm_object_count(), 1);
@@ -2314,9 +2157,10 @@ mod tests {
     #[test]
     fn filling_nvm_triggers_demotion_to_flash() {
         let keys = 4_000u64;
-        let mut p = partition(keys);
+        let engine = engine(keys);
+        let mut p = partition(&engine);
         for id in 0..keys {
-            p.put(Key::from_id(id), Value::filled(1000, 1)).unwrap();
+            put(&engine, &mut p, Key::from_id(id), Value::filled(1000, 1)).unwrap();
         }
         assert!(
             p.flash_object_count() > 0,
@@ -2335,21 +2179,27 @@ mod tests {
     #[test]
     fn hot_keys_stay_on_nvm_after_compactions() {
         let keys = 4_000u64;
-        let mut p = partition(keys);
+        let engine = engine(keys);
+        let mut p = partition(&engine);
         // Load everything once.
         for id in 0..keys {
-            p.put(Key::from_id(id), Value::filled(1000, 1)).unwrap();
+            put(&engine, &mut p, Key::from_id(id), Value::filled(1000, 1)).unwrap();
         }
         // Make keys 0..50 hot with repeated reads and updates.
         for _ in 0..20 {
             for id in 0..50u64 {
                 p.get(&Key::from_id(id)).unwrap();
-                p.put(Key::from_id(id), Value::filled(1000, 2)).unwrap();
+                put(&engine, &mut p, Key::from_id(id), Value::filled(1000, 2)).unwrap();
             }
             // Interleave cold inserts to force more compactions.
             for id in 0..200u64 {
-                p.put(Key::from_id(keys + id), Value::filled(1000, 3))
-                    .unwrap();
+                put(
+                    &engine,
+                    &mut p,
+                    Key::from_id(keys + id),
+                    Value::filled(1000, 3),
+                )
+                .unwrap();
             }
         }
         let mut hot_from_fast = 0;
@@ -2368,16 +2218,17 @@ mod tests {
     #[test]
     fn delete_hides_flash_versions_via_tombstones() {
         let keys = 3_000u64;
-        let mut p = partition(keys);
+        let engine = engine(keys);
+        let mut p = partition(&engine);
         for id in 0..keys {
-            p.put(Key::from_id(id), Value::filled(1000, 1)).unwrap();
+            put(&engine, &mut p, Key::from_id(id), Value::filled(1000, 1)).unwrap();
         }
         assert!(p.flash_object_count() > 0);
         // Delete a key that was demoted to flash.
         let victim = (0..keys)
             .find(|id| !p.index.contains_key(&Key::from_id(*id)))
             .expect("some key lives only on flash");
-        p.delete(&Key::from_id(victim)).unwrap();
+        delete(&engine, &mut p, &Key::from_id(victim)).unwrap();
         let got = p.get(&Key::from_id(victim)).unwrap();
         assert!(got.value.is_none(), "deleted key must not be readable");
         // Deleting an NVM-only key removes it immediately.
@@ -2389,17 +2240,23 @@ mod tests {
                     .unwrap_or(false)
             })
             .expect("some key lives on NVM");
-        p.delete(&Key::from_id(nvm_key)).unwrap();
+        delete(&engine, &mut p, &Key::from_id(nvm_key)).unwrap();
         assert!(p.get(&Key::from_id(nvm_key)).unwrap().value.is_none());
     }
 
     #[test]
     fn scan_merges_nvm_and_flash_in_order() {
         let keys = 3_000u64;
-        let mut p = partition(keys);
+        let engine = engine(keys);
+        let mut p = partition(&engine);
         for id in 0..keys {
-            p.put(Key::from_id(id), Value::filled(500, (id % 251) as u8))
-                .unwrap();
+            put(
+                &engine,
+                &mut p,
+                Key::from_id(id),
+                Value::filled(500, (id % 251) as u8),
+            )
+            .unwrap();
         }
         // An unbounded pin sees every live version: the plain merge path.
         let (entries, cost) = p
@@ -2415,11 +2272,12 @@ mod tests {
     #[test]
     fn crash_recovery_rebuilds_index_from_slabs() {
         let keys = 2_000u64;
-        let mut p = partition(keys);
+        let engine = engine(keys);
+        let mut p = partition(&engine);
         for id in 0..keys {
-            p.put(Key::from_id(id), Value::filled(800, 1)).unwrap();
+            put(&engine, &mut p, Key::from_id(id), Value::filled(800, 1)).unwrap();
         }
-        p.put(Key::from_id(3), Value::filled(800, 42)).unwrap();
+        put(&engine, &mut p, Key::from_id(3), Value::filled(800, 42)).unwrap();
         let nvm_before = p.nvm_object_count();
         let flash_before = p.flash_object_count();
         let cost = p.crash_and_recover();
@@ -2438,11 +2296,17 @@ mod tests {
     #[test]
     fn compaction_stats_and_write_stalls_accumulate_under_pressure() {
         let keys = 3_000u64;
-        let mut p = partition(keys);
+        let engine = engine(keys);
+        let mut p = partition(&engine);
         for round in 0..3u64 {
             for id in 0..keys {
-                p.put(Key::from_id(id), Value::filled(1000, round as u8))
-                    .unwrap();
+                put(
+                    &engine,
+                    &mut p,
+                    Key::from_id(id),
+                    Value::filled(1000, round as u8),
+                )
+                .unwrap();
             }
         }
         let stats = p.stats();
@@ -2461,10 +2325,13 @@ mod tests {
         // so a forced reclamation and the watermark check in the same op
         // cannot double-charge the same wait).
         let keys = 3_000u64;
-        let mut p = partition(keys);
+        let engine = engine(keys);
+        let mut p = partition(&engine);
         for round in 0..4u64 {
             for id in 0..keys {
-                p.put(
+                put(
+                    &engine,
+                    &mut p,
                     Key::from_id(id % (keys * 2)),
                     Value::filled(1000, round as u8),
                 )
@@ -2489,14 +2356,16 @@ mod tests {
     #[test]
     fn install_skips_entries_rewritten_by_the_foreground() {
         let keys = 3_000u64;
-        let mut p = partition(keys);
+        let engine = engine(keys);
+        let mut p = partition(&engine);
         for id in 0..keys {
-            p.put(Key::from_id(id), Value::filled(900, 1)).unwrap();
+            put(&engine, &mut p, Key::from_id(id), Value::filled(900, 1)).unwrap();
         }
         // Plan a forced demotion covering everything, then update one of
         // the planned victims and delete another before installing.
+        let fg = p.fg();
         let job = p
-            .plan_demotion(true, p.fg())
+            .plan_demotion(DemotionPlan::Forced, fg)
             .expect("loaded partition must yield a job");
         let updated = job.demote[0].key.clone();
         let deleted = job
@@ -2507,8 +2376,8 @@ mod tests {
             .expect("job demotes more than one key");
         let cpu = p.cpu;
         let dev = p.flash_dev.clone();
-        p.put(updated.clone(), Value::filled(900, 77)).unwrap();
-        p.delete(&deleted).unwrap();
+        put(&engine, &mut p, updated.clone(), Value::filled(900, 77)).unwrap();
+        delete(&engine, &mut p, &deleted).unwrap();
 
         let exec = execute_job(job, &cpu, &dev);
         let outcome = p
@@ -2534,11 +2403,13 @@ mod tests {
     #[test]
     fn stale_epoch_jobs_are_discarded() {
         let keys = 2_000u64;
-        let mut p = partition(keys);
+        let engine = engine(keys);
+        let mut p = partition(&engine);
         for id in 0..keys {
-            p.put(Key::from_id(id), Value::filled(900, 1)).unwrap();
+            put(&engine, &mut p, Key::from_id(id), Value::filled(900, 1)).unwrap();
         }
-        let job = p.plan_demotion(true, p.fg()).expect("job");
+        let fg = p.fg();
+        let job = p.plan_demotion(DemotionPlan::Forced, fg).expect("job");
         let cpu = p.cpu;
         let dev = p.flash_dev.clone();
         let exec = execute_job(job, &cpu, &dev);

@@ -1,34 +1,51 @@
-//! Background compaction worker pool.
+//! The compaction driver: one pipeline, two ways of dispatching it.
 //!
-//! When `Options::compaction_workers > 0`, the engine spawns that many OS
-//! worker threads sharing one [`Scheduler`]. Foreground operations that
-//! trip the NVM high watermark enqueue a [`JobRequest`] and return
-//! immediately; a worker picks the request up, drives the partition's
-//! *plan → execute → install* pipeline (holding the partition's write lock
-//! only for the plan and install phases), and repeats until the partition
-//! drops below its low watermark. At most one worker operates on a given
-//! partition at a time, so jobs for a partition are serialised and a job's
-//! victim files can never be retired underneath it (the install-time epoch
-//! and file-liveness checks make even that race safe by construction).
+//! Every compaction in the engine goes through this module. The *trigger*
+//! ([`EngineShared::compact_if_due`]) runs under the partition's write
+//! guard after a read-side drain and after a write's mutation: a due
+//! promotion raises a promotion request, utilisation at or above the high
+//! watermark raises a demotion request. The *dispatcher* then either
+//! enqueues the request (`Options::compaction_workers > 0`: a pool worker
+//! picks it up, the write returns, and the foreground only waits at
+//! `Options::backpressure_ceiling`) or runs it on the calling thread under
+//! the guard it already holds (`compaction_workers == 0`, the paper's
+//! write stalls). Either way the request is served by the same
+//! [`DemotionRun`] escalation and the same job runner ([`run_job`]: *plan →
+//! execute → install*, the partition's `busy_until` chain, the
+//! `engine_compaction_job_ns` histogram and the `compaction.*` trace
+//! events), and the foreground stall is the same rule: wait until
+//! `busy_until`, charge it once.
+//!
+//! A pool worker locks the partition only for the plan and install phases.
+//! At most one worker operates on a given partition at a time, so jobs for
+//! a partition are serialised and a job's victim files can never be
+//! retired underneath it (the install-time epoch and file-liveness checks
+//! make even that race safe by construction).
 //!
 //! Virtual-time accounting mirrors the real thread structure: the
-//! scheduler keeps one virtual clock per worker, and each installed job is
-//! assigned to the least-loaded virtual worker starting no earlier than
-//! the foreground time that triggered it and the partition's previous
-//! background completion. The busiest virtual worker becomes the third
-//! term of the benchmark harness's makespan lower bound.
+//! scheduler keeps one virtual clock per worker, and each job a worker
+//! installs is tallied onto the least-loaded virtual worker. The busiest
+//! virtual worker becomes the third term of the benchmark harness's
+//! makespan lower bound.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use prism_compaction::execute_job;
+use prism_compaction::{execute_job, CompactionJob, JobKind};
 use prism_obs::trace::category;
-use prism_types::{CompactionStatsCells, Nanos};
+use prism_types::{CompactionStatsCells, Nanos, Result};
 
 use crate::engine::EngineShared;
-use crate::partition::CompactionOutcome;
+use crate::partition::{CompactionOutcome, Partition, Reclaim};
+
+/// How many background progress generations a back-pressured write waits
+/// for before it stops waiting and reclaims space on its own thread.
+const BACKPRESSURE_WAITS: usize = 64;
+/// Bound on each individual wait, so a stuck worker can never hang the
+/// foreground (the waiter re-checks and eventually compacts itself).
+const WAIT_SLICE: Duration = Duration::from_millis(100);
 
 /// A request for background work on one partition.
 #[derive(Debug, Clone, Copy)]
@@ -80,6 +97,15 @@ impl SchedState {
     }
 }
 
+/// Steady-cadence scrubber state: a foreground-operation counter that
+/// paces scrub requests and a round-robin cursor over partitions so every
+/// partition gets scrubbed in turn.
+#[derive(Debug, Default)]
+struct ScrubCadence {
+    ops: AtomicU64,
+    next_partition: AtomicU64,
+}
+
 pub(crate) struct Scheduler {
     /// Size of the configured worker pool (the adaptive ceiling).
     workers: usize,
@@ -101,6 +127,7 @@ pub(crate) struct Scheduler {
     /// batched write path's regression tests pin "at most one demotion
     /// enqueue per touched partition per batch" against it).
     pub(crate) stats: CompactionStatsCells,
+    scrub: ScrubCadence,
 }
 
 impl Scheduler {
@@ -119,6 +146,7 @@ impl Scheduler {
             generation_cv: Condvar::new(),
             virtual_clocks: Mutex::new(vec![Nanos::ZERO; workers.max(1)]),
             stats: CompactionStatsCells::default(),
+            scrub: ScrubCadence::default(),
         }
     }
 
@@ -289,129 +317,411 @@ impl Scheduler {
     }
 }
 
-/// Execute and install one planned job; returns the outcome, or `None` if
-/// the partition discarded it (stale epoch / retired files).
-fn execute_and_install(
+/// One rung of the demotion escalation ladder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DemotionPlan {
+    /// The best-scoring sampled range, unpopular objects only.
+    Natural,
+    /// The best-scoring sampled range, ignoring popularity pins.
+    Forced,
+    /// The whole key space, ignoring popularity pins.
+    Everything,
+}
+
+impl DemotionPlan {
+    fn label(self) -> &'static str {
+        match self {
+            DemotionPlan::Natural => "kind=demote",
+            DemotionPlan::Forced => "kind=forced-demote",
+            DemotionPlan::Everything => "kind=forced-demote-everything",
+        }
+    }
+}
+
+/// The one demotion escalation, as a steppable state: ask it for the
+/// [`next plan`](DemotionRun::next_plan), run that, tell it the
+/// [`outcome`](DemotionRun::note_outcome).
+///
+/// A run is a sequence of rounds. A round climbs the ladder until a job
+/// demotes something: an empty plan, or one whose victims were all
+/// rewritten underneath it, counts as "demoted 0" and escalates. The run
+/// ends once utilisation is at or below the low watermark, once a round's
+/// last rung demoted nothing, or when its rounds run out.
+///
+/// * A *watermark* run (utilisation reached the high watermark) climbs
+///   natural → forced, for at most 128 rounds after the first.
+/// * An *urgent* run (a write cannot proceed until space exists) skips the
+///   natural plan and climbs forced → everything; if 8 forced rounds did
+///   not reach the low watermark it finishes with everything.
+#[derive(Debug)]
+pub(crate) struct DemotionRun {
+    urgent: bool,
+    rounds: u32,
+    next: Option<DemotionPlan>,
+}
+
+impl DemotionRun {
+    pub(crate) fn new(urgent: bool) -> Self {
+        DemotionRun {
+            urgent,
+            rounds: 0,
+            next: Some(Self::first(urgent)),
+        }
+    }
+
+    /// The rung every round starts on.
+    fn first(urgent: bool) -> DemotionPlan {
+        if urgent {
+            DemotionPlan::Forced
+        } else {
+            DemotionPlan::Natural
+        }
+    }
+
+    /// The plan to run next; `None` once the run is over.
+    pub(crate) fn next_plan(&self) -> Option<DemotionPlan> {
+        self.next
+    }
+
+    /// Record what the plan just handed out demoted and whether that left
+    /// utilisation at or below the low watermark.
+    pub(crate) fn note_outcome(&mut self, demoted: u64, at_low_watermark: bool) {
+        let plan = self.next.expect("an outcome follows a plan");
+        self.next = if demoted == 0 {
+            // Climb one rung; falling off the ladder ends the run.
+            match plan {
+                DemotionPlan::Natural => Some(DemotionPlan::Forced),
+                DemotionPlan::Forced if self.urgent => Some(DemotionPlan::Everything),
+                _ => None,
+            }
+        } else {
+            self.rounds += 1;
+            if at_low_watermark || plan == DemotionPlan::Everything {
+                None
+            } else if self.rounds == if self.urgent { 8 } else { 129 } {
+                self.urgent.then_some(DemotionPlan::Everything)
+            } else {
+                Some(Self::first(self.urgent))
+            }
+        };
+    }
+}
+
+/// Run `f` on the partition a request is being served against: the write
+/// guard its caller already holds (requests run on the caller), or — for a
+/// pool worker, `held` empty — the partition's lock, taken for just this
+/// phase so the foreground interleaves with the job's merge.
+fn with_partition<R>(
     shared: &EngineShared,
-    partition: usize,
-    job: prism_compaction::CompactionJob,
-    job_id: u64,
-) -> Option<CompactionOutcome> {
-    let trigger_fg = job.trigger_fg;
-    shared.obs.trace().record(
+    idx: usize,
+    held: &mut Option<&mut Partition>,
+    f: impl FnOnce(&mut Partition) -> R,
+) -> R {
+    match held {
+        Some(p) => f(p),
+        None => f(&mut shared.write_partition(idx)),
+    }
+}
+
+/// The one job runner: plan, execute and install a single compaction job,
+/// chain it onto the partition's background timeline and record it. The
+/// only caller of [`execute_job`] and [`Partition::install_compaction`].
+///
+/// Returns the outcome — an empty plan is a job that moved nothing — or
+/// `None` if the partition discarded the job at install (stale epoch /
+/// retired victim files), which only a pool worker can see.
+fn run_job(
+    shared: &EngineShared,
+    idx: usize,
+    held: &mut Option<&mut Partition>,
+    label: &'static str,
+    plan: impl FnOnce(&mut Partition) -> Option<CompactionJob>,
+) -> Result<Option<CompactionOutcome>> {
+    let Some(job) = with_partition(shared, idx, held, plan) else {
+        return Ok(Some(CompactionOutcome::default()));
+    };
+    let (trace, part, job_id) = (
+        shared.obs.trace(),
+        Some(idx as u32),
+        shared.obs.next_job_id(),
+    );
+    trace.record(category::COMPACTION_PLAN, part, job_id, label);
+    let trigger = job.trigger_fg;
+    // A job overlaps foreground service unless its caller stalls for it:
+    // pool jobs do, and so do promotions run on the caller (they only
+    // extend the background timeline).
+    let overlapped = held.is_none() || job.kind == JobKind::Promotion;
+    trace.record(
         category::COMPACTION_EXECUTE,
-        Some(partition as u32),
+        part,
         job_id,
         "executing planned job",
     );
     let exec = execute_job(job, &shared.storage.cpu, &shared.storage.flash);
-    let mut guard = shared.write_partition(partition);
-    let installed = guard
-        .install_compaction(exec)
-        .expect("background install must not corrupt partition state");
-    if installed.is_none() {
-        shared.obs.install_discards.inc();
-        shared.obs.trace().record(
-            category::COMPACTION_DISCARD,
-            Some(partition as u32),
-            job_id,
-            "stale epoch or retired victim files",
-        );
+    let installed = with_partition(shared, idx, held, |p| {
+        let installed = p.install_compaction(exec)?;
+        if let Some(outcome) = &installed {
+            p.chain_background(trigger, outcome.duration, overlapped);
+        }
+        Ok(installed)
+    })?;
+    match &installed {
+        Some(outcome) => {
+            shared
+                .obs
+                .compaction_job
+                .record(outcome.duration.as_nanos());
+            trace.record(
+                category::COMPACTION_INSTALL,
+                part,
+                job_id,
+                format!(
+                    "demoted={} promoted={} duration_ns={}",
+                    outcome.demoted,
+                    outcome.promoted,
+                    outcome.duration.as_nanos()
+                ),
+            );
+        }
+        None => {
+            shared.obs.install_discards.inc();
+            trace.record(
+                category::COMPACTION_DISCARD,
+                part,
+                job_id,
+                "stale epoch or retired victim files",
+            );
+        }
     }
-    installed.map(|outcome| {
-        // The partition's background completion time chains on its own
-        // virtual timeline, exactly like inline mode: a job starts no
-        // earlier than the foreground instant that triggered it and the
-        // partition's previous job.
-        let end = trigger_fg.max(guard.busy_until()) + outcome.duration;
-        guard.set_busy_until(end);
-        guard.note_overlap(outcome.duration);
-        shared.scheduler().tally_virtual(outcome.duration);
-        shared
-            .obs
-            .compaction_job
-            .record(outcome.duration.as_nanos());
-        shared.obs.trace().record(
-            category::COMPACTION_INSTALL,
-            Some(partition as u32),
-            job_id,
-            format!(
-                "demoted={} promoted={} duration_ns={}",
-                outcome.demoted,
-                outcome.promoted,
-                outcome.duration.as_nanos()
-            ),
-        );
-        outcome
-    })
+    if held.is_none() {
+        let sched = shared.scheduler();
+        if let Some(outcome) = &installed {
+            sched.tally_virtual(outcome.duration);
+        }
+        sched.bump_generation();
+    }
+    Ok(installed)
 }
 
-/// Demote until the partition drops below its low watermark (with the same
-/// natural→forced escalation as inline mode).
-fn run_demotions(shared: &EngineShared, req: JobRequest) {
-    let sched = shared.scheduler();
-    let p = req.partition;
-    let mut rounds = 0;
-    loop {
-        rounds += 1;
-        if rounds > 128 {
+/// Serve a demotion request: step `run` until it is over. A discarded job
+/// ends the run early — the partition changed underneath it, and the
+/// worker loop's watermark re-check asks again against the new state.
+fn run_demotion(
+    shared: &EngineShared,
+    idx: usize,
+    trigger: Nanos,
+    mut run: DemotionRun,
+    held: &mut Option<&mut Partition>,
+) -> Result<()> {
+    while let Some(plan) = run.next_plan() {
+        let planner = |p: &mut Partition| p.plan_demotion(plan, trigger);
+        let Some(outcome) = run_job(shared, idx, held, plan.label(), planner)? else {
             break;
+        };
+        let utilization = with_partition(shared, idx, held, |p| p.nvm_utilization());
+        run.note_outcome(outcome.demoted, utilization <= shared.options.low_watermark);
+    }
+    Ok(())
+}
+
+/// Serve one compaction request, on a pool worker (`held` empty) or on the
+/// caller that raised it.
+fn run_request(
+    shared: &EngineShared,
+    req: JobRequest,
+    held: &mut Option<&mut Partition>,
+) -> Result<()> {
+    let (idx, trigger) = (req.partition, req.trigger_fg);
+    match req.kind {
+        RequestKind::Demote => run_demotion(shared, idx, trigger, DemotionRun::new(false), held),
+        RequestKind::Promote => {
+            let planner = |p: &mut Partition| p.plan_promotion(trigger);
+            run_job(shared, idx, held, "kind=promote", planner).map(drop)
         }
-        let job = shared
-            .write_partition(p)
-            .plan_demotion(false, req.trigger_fg);
-        let Some(job) = job else { break };
-        let job_id = shared.obs.next_job_id();
-        shared.obs.trace().record(
-            category::COMPACTION_PLAN,
-            Some(p as u32),
-            job_id,
-            "kind=demote",
+        RequestKind::Scrub => {
+            debug_assert!(held.is_none(), "scrubs are only ever queued");
+            run_scrub(shared, req);
+            Ok(())
+        }
+    }
+}
+
+/// The trigger, the dispatcher and the foreground's side of back-pressure.
+impl EngineShared {
+    /// Apply one foreground write of `ops` logical operations under the
+    /// held write guard `p`, in the order the simulated clock depends on:
+    /// read-side drain (and any promotion it made due), the mutation, the
+    /// watermark check at `fg + accrued cost`, then the read/write-ratio
+    /// bookkeeping and the clock advance. Returns the charged latency.
+    pub(crate) fn write_held(
+        &self,
+        idx: usize,
+        p: &mut Partition,
+        ops: usize,
+        mutate: impl FnOnce(&mut Partition, Reclaim<'_>) -> Result<Nanos>,
+    ) -> Result<Nanos> {
+        self.drain_held(idx, p)?;
+        let mut cost = mutate(p, &mut |p: &mut Partition, accrued| {
+            self.reclaim(idx, p, accrued)
+        })?;
+        cost += self.compact_if_due(idx, p, cost, true)?;
+        p.finish_write(ops, cost);
+        Ok(cost)
+    }
+
+    /// Apply buffered read-side state under the held write guard and raise
+    /// the promotion request it may have made due.
+    pub(crate) fn drain_held(&self, idx: usize, p: &mut Partition) -> Result<()> {
+        p.apply_read_side();
+        self.compact_if_due(idx, p, Nanos::ZERO, false).map(drop)
+    }
+
+    /// The one compaction trigger: promotion due → request it; the caller
+    /// `grew` NVM and utilisation is at or above the high watermark →
+    /// request demotion. `accrued` positions the caller on the foreground
+    /// timeline (`fg + accrued`). Returns the stall the caller owes.
+    fn compact_if_due(
+        &self,
+        idx: usize,
+        p: &mut Partition,
+        accrued: Nanos,
+        grew: bool,
+    ) -> Result<Nanos> {
+        let trigger_fg = p.fg() + accrued;
+        let request = |kind| JobRequest {
+            partition: idx,
+            kind,
+            trigger_fg,
+        };
+        if p.take_promote_pending() {
+            self.dispatch(request(RequestKind::Promote), p)?;
+        }
+        if grew && p.nvm_utilization() >= self.options.high_watermark {
+            return self.dispatch(request(RequestKind::Demote), p);
+        }
+        Ok(Nanos::ZERO)
+    }
+
+    /// The dispatcher: with a pool the request is enqueued and the caller
+    /// owes nothing yet (see [`EngineShared::hold_at_ceiling`]); without
+    /// one it runs right here under the caller's guard, and a caller that
+    /// asked for space waits for it — until `busy_until`, charged once.
+    /// Promotions only extend the background timeline.
+    fn dispatch(&self, req: JobRequest, p: &mut Partition) -> Result<Nanos> {
+        if let Some(sched) = &self.sched {
+            sched.enqueue(req);
+            return Ok(Nanos::ZERO);
+        }
+        run_request(self, req, &mut Some(&mut *p))?;
+        Ok(match req.kind {
+            RequestKind::Demote => p.stall_until_idle(req.trigger_fg),
+            _ => Nanos::ZERO,
+        })
+    }
+
+    /// A write cannot proceed until NVM space exists: free it with an
+    /// urgent demotion run on this thread, under the guard the write holds
+    /// — in either mode, because a batch group that unlocked to wait for
+    /// the pool would give up its per-partition atomicity. Jobs the pool
+    /// planned against the pre-reclaim state are invalidated. Returns the
+    /// stall, charged like any other wait for space.
+    pub(crate) fn reclaim(&self, idx: usize, p: &mut Partition, accrued: Nanos) -> Result<Nanos> {
+        let now = p.fg() + accrued;
+        p.invalidate_planned_jobs();
+        p.note_backpressure_stall();
+        run_demotion(self, idx, now, DemotionRun::new(true), &mut Some(&mut *p))?;
+        Ok(p.stall_until_idle(now))
+    }
+
+    /// The foreground's side of back-pressure, called after a write has
+    /// released its guard(s). Only a pool leaves anything to do here: its
+    /// demotion request is still queued or running, so while utilisation
+    /// sits at or above `Options::backpressure_ceiling` the caller blocks
+    /// (for real) until a worker makes progress, then charges the virtual
+    /// wait — until `busy_until`, once. Returns the stall charged.
+    pub(crate) fn hold_at_ceiling(&self, idx: usize) -> Result<Nanos> {
+        let Some(sched) = &self.sched else {
+            return Ok(Nanos::ZERO);
+        };
+        let ceiling = self.options.backpressure_ceiling;
+        let (utilization, fg) = {
+            let p = self.read_partition(idx);
+            (p.nvm_utilization(), p.fg())
+        };
+        if utilization < ceiling {
+            return Ok(Nanos::ZERO);
+        }
+        self.obs.trace().record(
+            category::BACKPRESSURE,
+            Some(idx as u32),
+            0,
+            format!("util={utilization:.3}"),
         );
-        let outcome = execute_and_install(shared, p, job, job_id);
-        sched.bump_generation();
-        let Some(outcome) = outcome else { break };
-        if outcome.demoted == 0 {
-            let job = shared
-                .write_partition(p)
-                .plan_demotion(true, req.trigger_fg);
-            let Some(job) = job else { break };
-            let job_id = shared.obs.next_job_id();
-            shared.obs.trace().record(
-                category::COMPACTION_PLAN,
-                Some(p as u32),
-                job_id,
-                "kind=forced-demote",
-            );
-            let forced = execute_and_install(shared, p, job, job_id);
-            sched.bump_generation();
-            match forced {
-                Some(f) if f.demoted > 0 => {}
-                _ => break,
+        for waits in 0..=BACKPRESSURE_WAITS {
+            let seen = sched.generation();
+            if self.read_partition(idx).nvm_utilization() < ceiling {
+                let mut p = self.write_partition(idx);
+                let now = p.fg();
+                let stall = p.stall_until_idle(now);
+                if !stall.is_zero() {
+                    p.note_backpressure_stall();
+                    p.advance_fg(stall);
+                }
+                return Ok(stall);
+            }
+            sched.enqueue(JobRequest {
+                partition: idx,
+                kind: RequestKind::Demote,
+                trigger_fg: fg,
+            });
+            if waits < BACKPRESSURE_WAITS {
+                sched.wait_past(seen, WAIT_SLICE);
             }
         }
-        if shared.read_partition(p).nvm_utilization() <= shared.options.low_watermark {
-            break;
+        // Workers are not keeping up (or died): reclaim on this thread.
+        let mut p = self.write_partition(idx);
+        let stall = self.reclaim(idx, &mut p, Nanos::ZERO)?;
+        p.advance_fg(stall);
+        Ok(stall)
+    }
+
+    /// Ask the pool for a scrub slice of partition `idx` (the response to
+    /// detected corruption). Without a pool nothing is queued: callers
+    /// scrub explicitly via `PrismDb::scrub`.
+    pub(crate) fn request_scrub(&self, idx: usize) {
+        if let Some(sched) = &self.sched {
+            let trigger_fg = self.read_partition(idx).fg();
+            sched.enqueue(JobRequest {
+                partition: idx,
+                kind: RequestKind::Scrub,
+                trigger_fg,
+            });
         }
     }
-}
 
-fn run_promotion(shared: &EngineShared, req: JobRequest) {
-    let sched = shared.scheduler();
-    let job = shared
-        .write_partition(req.partition)
-        .plan_promotion(req.trigger_fg);
-    if let Some(job) = job {
-        let job_id = shared.obs.next_job_id();
-        shared.obs.trace().record(
-            category::COMPACTION_PLAN,
-            Some(req.partition as u32),
-            job_id,
-            "kind=promote",
-        );
-        execute_and_install(shared, req.partition, job, job_id);
+    /// Steady scrubber cadence: every `Options::scrub_interval_ops`
+    /// foreground operations, queue one scrub slice for the next partition
+    /// in round-robin order — but only when the pool's queue is idle, so
+    /// scrubbing spends spare background budget and never queues ahead of
+    /// (or behind) demotion work the foreground is waiting on. The idle
+    /// check runs *after* the interval fires: a busy pool slips that
+    /// interval's scrub entirely rather than accumulating debt. There is
+    /// no cadence without a pool.
+    pub(crate) fn tick_scrub_cadence(&self) {
+        let interval = self.options.scrub_interval_ops;
+        let Some(sched) = &self.sched else {
+            return;
+        };
+        if interval == 0 {
+            return;
+        }
+        let n = sched.scrub.ops.fetch_add(1, Ordering::Relaxed) + 1;
+        if n % interval != 0 || sched.queue_depth() != 0 {
+            return;
+        }
+        let turn = sched.scrub.next_partition.fetch_add(1, Ordering::Relaxed);
+        self.request_scrub((turn % self.options.num_partitions as u64) as usize);
     }
-    sched.bump_generation();
 }
 
 /// Run one budgeted scrub slice and keep the pass going: a parked cursor
@@ -419,17 +729,11 @@ fn run_promotion(shared: &EngineShared, req: JobRequest) {
 /// corruption re-enqueues, so the partition keeps scrubbing until a full
 /// pass comes back clean (which re-arms a degraded partition).
 fn run_scrub(shared: &EngineShared, req: JobRequest) {
-    let sched = shared.scheduler();
     let budget = shared.options.scrub_io_budget_bytes.max(1);
     let report = shared.scrub_pass_traced(req.partition, budget);
-    sched.bump_generation();
+    shared.scheduler().bump_generation();
     if !report.completed || report.corrupt_found > 0 {
-        let fg = shared.read_partition(req.partition).fg();
-        sched.enqueue(JobRequest {
-            partition: req.partition,
-            kind: RequestKind::Scrub,
-            trigger_fg: fg,
-        });
+        shared.request_scrub(req.partition);
     }
 }
 
@@ -458,11 +762,8 @@ pub(crate) fn worker_loop(shared: Arc<EngineShared>, worker_id: usize) {
             sched,
             partition: req.partition,
         };
-        match req.kind {
-            RequestKind::Demote => run_demotions(&shared, req),
-            RequestKind::Promote => run_promotion(&shared, req),
-            RequestKind::Scrub => run_scrub(&shared, req),
-        }
+        run_request(&shared, req, &mut None)
+            .expect("background install must not corrupt partition state");
         drop(finish);
         // Requests raised while this partition was in flight were deduped
         // away; re-check the watermark so pressure is never dropped.

@@ -24,16 +24,12 @@
 //!
 //! [`MetricsSnapshot`]: prism_obs::MetricsSnapshot
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::Arc;
 
 use prism_obs::ObsHub;
 
-use crate::transport::{Conn, Listener, ReadCloser};
+use crate::transport::{Acceptor, Conn, Listener};
 
 /// Default number of trace events served by `GET /trace` when the
 /// `last` query parameter is absent.
@@ -42,10 +38,6 @@ pub const DEFAULT_TRACE_EVENTS: usize = 256;
 /// Hard cap on the size of one admin request's head (request line plus
 /// headers); larger requests are refused with 400.
 const MAX_REQUEST_HEAD: usize = 16 * 1024;
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poison| poison.into_inner())
-}
 
 /// One parsed admin-plane response, as read back by [`AdminClient`].
 #[derive(Debug, Clone)]
@@ -199,65 +191,55 @@ fn write_reply(writer: &mut dyn Write, reply: &Reply, keep_alive: bool) -> io::R
     writer.flush()
 }
 
-struct AdminShared {
-    hub: Arc<ObsHub>,
-    shutdown: AtomicBool,
-    closers: Mutex<HashMap<u64, ReadCloser>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl AdminShared {
-    /// Serve HTTP requests on one connection until the peer closes (or
-    /// asks to, or breaks protocol).
-    fn serve_conn(&self, conn_id: u64, conn: Conn) {
-        let Conn {
-            mut reader,
-            mut writer,
-            ..
-        } = conn;
-        let mut carry = Vec::new();
-        while let Ok(Some(head)) = read_request_head(reader.as_mut(), &mut carry) {
-            let mut lines = head.split("\r\n");
-            let request_line = lines.next().unwrap_or_default();
-            let mut parts = request_line.split_whitespace();
-            let (method, target) = match (parts.next(), parts.next(), parts.next()) {
-                (Some(method), Some(target), Some(version)) if version.starts_with("HTTP/1") => {
-                    (method, target)
-                }
-                _ => {
-                    let reply = Reply::error(400, "Bad Request", "malformed request line");
-                    let _ = write_reply(writer.as_mut(), &reply, false);
-                    break;
-                }
-            };
-            let mut keep_alive = true;
-            let mut body_len = 0usize;
-            for line in lines {
-                let Some((name, value)) = line.split_once(':') else {
-                    continue;
-                };
-                let value = value.trim();
-                if name.eq_ignore_ascii_case("connection") {
-                    keep_alive = !value.eq_ignore_ascii_case("close");
-                } else if name.eq_ignore_ascii_case("content-length") {
-                    body_len = value.parse().unwrap_or(0);
-                }
+/// Serve HTTP requests on one connection until the peer closes (or
+/// asks to, or breaks protocol).
+fn serve_conn(hub: &ObsHub, conn: Conn) {
+    let Conn {
+        mut reader,
+        mut writer,
+        ..
+    } = conn;
+    let mut carry = Vec::new();
+    while let Ok(Some(head)) = read_request_head(reader.as_mut(), &mut carry) {
+        let mut lines = head.split("\r\n");
+        let request_line = lines.next().unwrap_or_default();
+        let mut parts = request_line.split_whitespace();
+        let (method, target) = match (parts.next(), parts.next(), parts.next()) {
+            (Some(method), Some(target), Some(version)) if version.starts_with("HTTP/1") => {
+                (method, target)
             }
-            // GETs have no body, but drain any the client sent so the
-            // stream stays in sync for the next keep-alive request.
-            if body_len > MAX_REQUEST_HEAD
-                || (body_len > 0 && !drain_body(reader.as_mut(), &mut carry, body_len))
-            {
-                let reply = Reply::error(400, "Bad Request", "unsupported request body");
+            _ => {
+                let reply = Reply::error(400, "Bad Request", "malformed request line");
                 let _ = write_reply(writer.as_mut(), &reply, false);
                 break;
             }
-            let reply = route(&self.hub, method, target);
-            if write_reply(writer.as_mut(), &reply, keep_alive).is_err() || !keep_alive {
-                break;
+        };
+        let mut keep_alive = true;
+        let mut body_len = 0usize;
+        for line in lines {
+            let Some((name, value)) = line.split_once(':') else {
+                continue;
+            };
+            let value = value.trim();
+            if name.eq_ignore_ascii_case("connection") {
+                keep_alive = !value.eq_ignore_ascii_case("close");
+            } else if name.eq_ignore_ascii_case("content-length") {
+                body_len = value.parse().unwrap_or(0);
             }
         }
-        lock(&self.closers).remove(&conn_id);
+        // GETs have no body, but drain any the client sent so the
+        // stream stays in sync for the next keep-alive request.
+        if body_len > MAX_REQUEST_HEAD
+            || (body_len > 0 && !drain_body(reader.as_mut(), &mut carry, body_len))
+        {
+            let reply = Reply::error(400, "Bad Request", "unsupported request body");
+            let _ = write_reply(writer.as_mut(), &reply, false);
+            break;
+        }
+        let reply = route(hub, method, target);
+        if write_reply(writer.as_mut(), &reply, keep_alive).is_err() || !keep_alive {
+            break;
+        }
     }
 }
 
@@ -279,81 +261,28 @@ fn drain_body(reader: &mut dyn Read, carry: &mut Vec<u8>, mut remaining: usize) 
 /// [`Listener`] and answers the four observability endpoints on each.
 /// See the [module docs](self) for the endpoint table.
 pub struct AdminServer {
-    shared: Arc<AdminShared>,
-    listener: Arc<dyn Listener>,
-    accept_thread: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl AdminServer {
     /// Start serving `hub` on `listener`.
     pub fn start(hub: Arc<ObsHub>, listener: Arc<dyn Listener>) -> AdminServer {
-        let shared = Arc::new(AdminShared {
-            hub,
-            shutdown: AtomicBool::new(false),
-            closers: Mutex::new(HashMap::new()),
-            conn_threads: Mutex::new(Vec::new()),
-        });
-        let accept_thread = {
-            let shared = Arc::clone(&shared);
-            let listener = Arc::clone(&listener);
-            std::thread::Builder::new()
-                .name("prism-admin-accept".into())
-                .spawn(move || {
-                    let mut next_conn_id = 0u64;
-                    loop {
-                        let conn = match listener.accept() {
-                            Ok(conn) => conn,
-                            Err(_) => {
-                                if shared.shutdown.load(Ordering::Acquire) {
-                                    return;
-                                }
-                                std::thread::sleep(Duration::from_millis(1));
-                                continue;
-                            }
-                        };
-                        next_conn_id += 1;
-                        let conn_id = next_conn_id;
-                        lock(&shared.closers).insert(conn_id, conn.read_closer());
-                        let serving = Arc::clone(&shared);
-                        let handle = std::thread::Builder::new()
-                            .name(format!("prism-admin-conn-{conn_id}"))
-                            .spawn(move || serving.serve_conn(conn_id, conn))
-                            .expect("spawning an admin connection thread");
-                        lock(&shared.conn_threads).push(handle);
-                    }
-                })
-                .expect("spawning the admin accept thread")
-        };
         AdminServer {
-            shared,
-            listener,
-            accept_thread: Some(accept_thread),
+            acceptor: Acceptor::start(listener, "prism-admin", move |_, conn| {
+                serve_conn(&hub, conn)
+            }),
         }
     }
 
     /// The address scrapers dial.
     pub fn local_addr(&self) -> String {
-        self.listener.local_addr()
+        self.acceptor.local_addr()
     }
 
     /// Stop accepting and tear down every admin connection. Idempotent;
     /// also runs on drop.
     pub fn shutdown(&mut self) {
-        let Some(accept_thread) = self.accept_thread.take() else {
-            return;
-        };
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.listener.shutdown();
-        let _ = accept_thread.join();
-        let closers: Vec<ReadCloser> = lock(&self.shared.closers).values().cloned().collect();
-        for closer in closers {
-            closer();
-        }
-        let conn_threads: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *lock(&self.shared.conn_threads));
-        for handle in conn_threads {
-            let _ = handle.join();
-        }
+        self.acceptor.shutdown();
     }
 }
 

@@ -15,11 +15,9 @@
 //! graceful shutdown are refused with [`Status::ShuttingDown`] while
 //! everything already submitted is still acked.
 
-use std::collections::HashMap;
 use std::io::Read;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use prism_frontend::{Frontend, FrontendOptions, ReadTicket, ScanTicket, WriteTicket};
@@ -32,7 +30,7 @@ use crate::protocol::{
     decode_request, encode_response, peek_request_id, split_scan_response, Frame, FrameDecoder,
     Request, Response, ResponseBody, Status,
 };
-use crate::transport::{Conn, Listener, ReadCloser};
+use crate::transport::{Acceptor, Conn, Listener, ReadCloser};
 
 /// Configuration of a [`NetServer`].
 #[derive(Debug, Clone, Copy)]
@@ -154,11 +152,6 @@ struct NetShared<E: ConcurrentKvStore + 'static> {
     shutdown: AtomicBool,
     counters: NetStatsCells,
     max_in_flight_per_conn: usize,
-    /// Read-closers of live connections, for interrupting their reader
-    /// threads at shutdown.
-    closers: Mutex<HashMap<u64, ReadCloser>>,
-    /// Join handles of live connection threads.
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl<E: ConcurrentKvStore + 'static> NetShared<E> {
@@ -492,7 +485,6 @@ impl<E: ConcurrentKvStore + 'static> NetShared<E> {
         }
         state.cv.notify_all();
         let _ = responder.join();
-        lock(&self.closers).remove(&conn_id);
         self.counters
             .connections_closed
             .fetch_add(1, Ordering::Relaxed);
@@ -507,8 +499,7 @@ impl<E: ConcurrentKvStore + 'static> NetShared<E> {
 /// for the threading model and the back-pressure / shutdown contract.
 pub struct NetServer<E: ConcurrentKvStore + 'static> {
     shared: Arc<NetShared<E>>,
-    listener: Arc<dyn Listener>,
-    accept_thread: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl<E: ConcurrentKvStore + 'static> NetServer<E> {
@@ -552,8 +543,6 @@ impl<E: ConcurrentKvStore + 'static> NetServer<E> {
             shutdown: AtomicBool::new(false),
             counters: NetStatsCells::default(),
             max_in_flight_per_conn: options.max_in_flight_per_conn,
-            closers: Mutex::new(HashMap::new()),
-            conn_threads: Mutex::new(Vec::new()),
         });
         let weak = Arc::downgrade(&shared);
         shared.obs.registry.set_net_source(Box::new(move || {
@@ -575,51 +564,20 @@ impl<E: ConcurrentKvStore + 'static> NetServer<E> {
                 }
             })
         }));
-        let accept_thread = {
-            let shared = Arc::clone(&shared);
-            let listener = Arc::clone(&listener);
-            std::thread::Builder::new()
-                .name("prism-net-accept".into())
-                .spawn(move || {
-                    let mut next_conn_id = 0u64;
-                    loop {
-                        let conn = match listener.accept() {
-                            Ok(conn) => conn,
-                            Err(_) => {
-                                if shared.shutdown.load(Ordering::Acquire) {
-                                    return;
-                                }
-                                std::thread::sleep(Duration::from_millis(1));
-                                continue;
-                            }
-                        };
-                        next_conn_id += 1;
-                        let conn_id = next_conn_id;
-                        shared
-                            .counters
-                            .connections_accepted
-                            .fetch_add(1, Ordering::Relaxed);
-                        lock(&shared.closers).insert(conn_id, conn.read_closer());
-                        let serving = Arc::clone(&shared);
-                        let handle = std::thread::Builder::new()
-                            .name(format!("prism-net-conn-{conn_id}"))
-                            .spawn(move || serving.serve_conn(conn_id, conn))
-                            .expect("spawning a connection thread");
-                        lock(&shared.conn_threads).push(handle);
-                    }
-                })
-                .expect("spawning the accept thread")
-        };
-        Ok(NetServer {
-            shared,
-            listener,
-            accept_thread: Some(accept_thread),
-        })
+        let serving = Arc::clone(&shared);
+        let acceptor = Acceptor::start(listener, "prism-net", move |conn_id, conn| {
+            serving
+                .counters
+                .connections_accepted
+                .fetch_add(1, Ordering::Relaxed);
+            serving.serve_conn(conn_id, conn)
+        });
+        Ok(NetServer { shared, acceptor })
     }
 
     /// The address clients dial.
     pub fn local_addr(&self) -> String {
-        self.listener.local_addr()
+        self.acceptor.local_addr()
     }
 
     /// Snapshot of the server's cumulative wire statistics.
@@ -657,22 +615,11 @@ impl<E: ConcurrentKvStore + 'static> NetServer<E> {
     /// then tear down every connection and the front-end's queues.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        let Some(accept_thread) = self.accept_thread.take() else {
-            return;
-        };
+        // Set before the readers are interrupted, so frames they have not
+        // decoded yet are refused rather than submitted.
         self.shared.shutdown.store(true, Ordering::Release);
-        self.listener.shutdown();
-        let _ = accept_thread.join();
-        // EOF every connection's reader; responders keep flushing what is
-        // already in flight before exiting.
-        let closers: Vec<ReadCloser> = lock(&self.shared.closers).values().cloned().collect();
-        for closer in closers {
-            closer();
-        }
-        let conn_threads: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *lock(&self.shared.conn_threads));
-        for handle in conn_threads {
-            let _ = handle.join();
+        if !self.acceptor.shutdown() {
+            return;
         }
         // Tickets dropped by disconnected connections may still be
         // completing inside the front-end; wait until nothing dangles.

@@ -8,11 +8,13 @@
 //! another thread, which is how graceful shutdown interrupts reader
 //! threads without platform-specific tricks.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Unblocks and permanently EOFs the reading half of a [`Conn`] from any
 /// thread. Idempotent.
@@ -69,6 +71,109 @@ pub trait Listener: Send + Sync {
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poison| poison.into_inner())
+}
+
+// ---------------------------------------------------------------------
+// Accept loop
+
+struct AcceptState {
+    stopping: AtomicBool,
+    /// Read-closers of live connections, for interrupting their reader
+    /// threads at shutdown.
+    closers: Mutex<HashMap<u64, ReadCloser>>,
+    /// Join handles of the connection threads.
+    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// A running accept loop over a [`Listener`]: one thread accepts, numbers
+/// each connection from 1 and serves it on a thread of its own. Both the
+/// data plane and the admin plane run on one of these.
+pub(crate) struct Acceptor {
+    listener: Arc<dyn Listener>,
+    state: Arc<AcceptState>,
+    accept_thread: Option<JoinHandle<()>>,
+}
+
+impl Acceptor {
+    /// Start accepting on `listener`, running `serve(conn_id, conn)` on a
+    /// thread per connection. Threads are named `{name}-accept` and
+    /// `{name}-conn-{conn_id}`.
+    pub(crate) fn start(
+        listener: Arc<dyn Listener>,
+        name: &'static str,
+        serve: impl Fn(u64, Conn) + Send + Sync + 'static,
+    ) -> Acceptor {
+        let state = Arc::new(AcceptState {
+            stopping: AtomicBool::new(false),
+            closers: Mutex::new(HashMap::new()),
+            conn_threads: Mutex::new(Vec::new()),
+        });
+        let serve = Arc::new(serve);
+        let accept_thread = {
+            let (listener, state) = (Arc::clone(&listener), Arc::clone(&state));
+            std::thread::Builder::new()
+                .name(format!("{name}-accept"))
+                .spawn(move || {
+                    let mut next_conn_id = 0u64;
+                    loop {
+                        let conn = match listener.accept() {
+                            Ok(conn) => conn,
+                            Err(_) => {
+                                if state.stopping.load(Ordering::Acquire) {
+                                    return;
+                                }
+                                std::thread::sleep(Duration::from_millis(1));
+                                continue;
+                            }
+                        };
+                        next_conn_id += 1;
+                        let conn_id = next_conn_id;
+                        lock(&state.closers).insert(conn_id, conn.read_closer());
+                        let (serve, serving) = (Arc::clone(&serve), Arc::clone(&state));
+                        let handle = std::thread::Builder::new()
+                            .name(format!("{name}-conn-{conn_id}"))
+                            .spawn(move || {
+                                serve(conn_id, conn);
+                                lock(&serving.closers).remove(&conn_id);
+                            })
+                            .expect("spawning a connection thread");
+                        lock(&state.conn_threads).push(handle);
+                    }
+                })
+                .expect("spawning the accept thread")
+        };
+        Acceptor {
+            listener,
+            state,
+            accept_thread: Some(accept_thread),
+        }
+    }
+
+    /// The address clients dial.
+    pub(crate) fn local_addr(&self) -> String {
+        self.listener.local_addr()
+    }
+
+    /// Stop accepting, EOF every live connection's reader (writers keep
+    /// flushing what is already in flight) and join every thread. Returns
+    /// `false` if the loop was already shut down.
+    pub(crate) fn shutdown(&mut self) -> bool {
+        let Some(accept_thread) = self.accept_thread.take() else {
+            return false;
+        };
+        self.state.stopping.store(true, Ordering::Release);
+        self.listener.shutdown();
+        let _ = accept_thread.join();
+        let closers: Vec<ReadCloser> = lock(&self.state.closers).values().cloned().collect();
+        for closer in closers {
+            closer();
+        }
+        let conn_threads = std::mem::take(&mut *lock(&self.state.conn_threads));
+        for handle in conn_threads {
+            let _ = handle.join();
+        }
+        true
+    }
 }
 
 // ---------------------------------------------------------------------

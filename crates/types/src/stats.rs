@@ -277,12 +277,15 @@ stats_table! {
         counter promoted_objects;
         /// Total foreground write-stall time caused by background work.
         nanos stall_time;
-        /// Simulated compaction time that was executed on background workers
-        /// and therefore overlapped with foreground service instead of
-        /// stalling it. Zero for engines that compact inline.
+        /// Simulated compaction time that overlapped with foreground service
+        /// instead of stalling it. Every job a pool worker runs counts, and so
+        /// do promotions run on the calling thread (they only extend the
+        /// background timeline); demotions run on the caller do not.
         nanos overlap_time;
-        /// Number of foreground operations that hit the back-pressure ceiling
-        /// and had to wait for a background worker to free space.
+        /// Number of foreground writes that could not proceed until compaction
+        /// freed NVM space. Counts waits at the back-pressure ceiling and
+        /// writes that found no room in the slabs and reclaimed space on
+        /// their own thread.
         counter backpressure_stalls;
         /// Compaction job requests accepted onto the background queue (after
         /// the scheduler's per-partition dedup). The batched write path checks
