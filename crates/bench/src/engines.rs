@@ -22,9 +22,7 @@ pub fn prismdb_with_nvm_fraction(record_count: u64, nvm_fraction: f64) -> PrismD
     let total = options.nvm_capacity_bytes + options.flash_capacity_bytes;
     let nvm = ((total as f64 * nvm_fraction) as u64).max(64 * 1024);
     options.nvm_capacity_bytes = nvm;
-    options.nvm_profile = DeviceProfile::optane_nvm(nvm);
     options.flash_capacity_bytes = total - nvm;
-    options.flash_profile.capacity_bytes = total - nvm;
     PrismDb::open(options).expect("valid options")
 }
 
@@ -89,7 +87,6 @@ pub fn read_path_options(record_count: u64) -> Options {
     // their whole range without demoting the tail to flash.
     let nvm = (record_count * 1024 * 6).max(64 * 1024);
     options.nvm_capacity_bytes = nvm;
-    options.nvm_profile = DeviceProfile::optane_nvm(nvm);
     options.dram_cache_bytes = record_count * 1024 * 2 * options.num_partitions as u64;
     options
 }
@@ -133,7 +130,6 @@ pub fn prismdb_write_pressured(record_count: u64, workers: usize) -> std::sync::
     let mut options = prism_options(record_count);
     let nvm = (record_count * 1024 / 3).max(64 * 1024);
     options.nvm_capacity_bytes = nvm;
-    options.nvm_profile = DeviceProfile::optane_nvm(nvm);
     options.compaction_workers = workers;
     // A wider watermark band than the paper default (98 %/95 %): at these
     // scaled-down capacities the default band is only a couple of objects

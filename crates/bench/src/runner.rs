@@ -7,8 +7,8 @@ use std::sync::Arc;
 use prism_frontend::{Frontend, FrontendOptions, ReadTicket, ScanTicket, WriteTicket};
 use prism_obs::{HistogramSnapshot, LatencyHistogram};
 use prism_types::{
-    ConcurrentKvStore, EngineStats, FrontendStats, Key, KvStore, Nanos, Op, OpKind, PrismError,
-    Result, Value, WriteBatch,
+    ConcurrentKvStore, EngineStats, FrontendStats, Key, Nanos, Op, OpKind, PrismError, Result,
+    Value, WriteBatch,
 };
 use prism_workloads::{OpStream, Workload};
 
@@ -154,7 +154,7 @@ impl Runner {
         &self.config
     }
 
-    fn apply<E: KvStore + ?Sized>(engine: &mut E, op: &Op) -> Result<(Nanos, OpKind)> {
+    fn apply<E: prism_types::KvStore + ?Sized>(engine: &mut E, op: &Op) -> Result<(Nanos, OpKind)> {
         let kind = op.kind();
         let latency = match op {
             Op::Read(key) => engine.get(key)?.latency,
@@ -178,7 +178,7 @@ impl Runner {
     ///
     /// Panics if the engine returns an error (experiments are expected to be
     /// configured within capacity limits).
-    pub fn run<E: KvStore + ?Sized>(
+    pub fn run<E: prism_types::KvStore + ?Sized>(
         &self,
         engine: &mut E,
         workload: &Workload,

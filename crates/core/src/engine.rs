@@ -1,6 +1,6 @@
 //! The PrismDB engine: partition routing, per-partition locking and the
-//! [`KvStore`] / [`ConcurrentKvStore`] implementations. Compaction is
-//! driven from `crate::workers`.
+//! [`ConcurrentKvStore`] implementation. Compaction is driven from
+//! `crate::workers`.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,15 +10,27 @@ use std::time::Instant;
 use prism_obs::{trace::category, Counter, LatencyHistogram, ObsHub, TraceBuffer};
 use prism_storage::{group_digest, CommitLog, CommitPart, TieredStorage};
 use prism_types::{
-    BatchOp, ConcurrentKvStore, EngineStats, IntegrityStatsCells, Key, KvStore, Lookup, Nanos,
+    BatchOp, ConcurrentKvStore, EngineStats, IntegrityStatsCells, Key, Lookup, Nanos,
     PartitionHealth, PrismError, ReadSource, Result, ScanResult, SnapshotId, TxnStatsCells, Value,
     WriteBatch,
 };
 
 use crate::options::{Options, Partitioning};
-use crate::partition::{Partition, ScrubReport};
+use crate::partition::{Partition, Reclaim, ScrubReport};
 use crate::sequence::CommitSequencer;
 use crate::workers::{worker_loop, Scheduler};
+
+/// The writes that put a commit's pre-images back (an absent pre-image is
+/// a delete).
+fn restore_ops(pre_images: &[(Key, Option<Value>)]) -> Vec<BatchOp> {
+    pre_images
+        .iter()
+        .map(|(key, image)| match image {
+            Some(value) => BatchOp::Put(key.clone(), value.clone()),
+            None => BatchOp::Delete(key.clone()),
+        })
+        .collect()
+}
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -264,13 +276,12 @@ impl EngineShared {
 /// buffer that the next writer drains. Single-key operations take exactly
 /// one partition lock. Scans read through a pinned snapshot sequence and
 /// visit partitions one short read lock at a time, so a long scan never
-/// serialises writers; the only multi-lock paths are the cross-partition
-/// commit protocols (`apply_batch` over several partitions and
-/// `txn_commit`), which acquire write locks in ascending partition order —
-/// a single global order, so lock-order deadlocks are ruled out. The
-/// legacy [`KvStore`] (`&mut self`) impl is a thin adapter over the
-/// shared-reference path, so existing single-threaded callers are
-/// unaffected.
+/// serialises writers; the only multi-lock paths are the multi-key commit
+/// (`apply_batch` and `txn_commit`, one routine) and crash recovery, which
+/// acquire write locks in ascending partition order — a single global
+/// order, so lock-order deadlocks are ruled out. Single-threaded callers
+/// use the same path through `prism_types::KvStore`, which every
+/// [`ConcurrentKvStore`] has by a blanket impl.
 ///
 /// # Snapshots and transactions
 ///
@@ -345,13 +356,18 @@ const _: fn() = || {
 
 impl PrismDb {
     /// Open a database with the given options, creating the simulated
-    /// storage devices from the configured profiles.
+    /// storage devices from the configured profiles at the configured
+    /// tier capacities.
     ///
     /// # Errors
     ///
     /// Returns [`PrismError::InvalidConfig`] if the options fail validation.
-    pub fn open(options: Options) -> Result<Self> {
+    pub fn open(mut options: Options) -> Result<Self> {
         options.validate()?;
+        // One source of truth per tier: the capacity that sizes the slabs
+        // also sizes the device, so utilisation and cost follow it.
+        options.nvm_profile.capacity_bytes = options.nvm_capacity_bytes;
+        options.flash_profile.capacity_bytes = options.flash_capacity_bytes;
         // A configured fault plan is threaded through the devices (latency
         // spikes) and the data-owning layers (torn writes, bit flips, I/O
         // errors) so the whole stack shares one deterministic schedule.
@@ -363,17 +379,6 @@ impl PrismDb {
             ),
             None => TieredStorage::new(options.nvm_profile, options.flash_profile),
         };
-        Self::open_with_storage(options, storage)
-    }
-
-    /// Open a database on an existing pair of simulated devices (used by
-    /// the benchmark harness so all engines in one experiment share device
-    /// profiles).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PrismError::InvalidConfig`] if the options fail validation.
-    pub fn open_with_storage(options: Options, storage: TieredStorage) -> Result<Self> {
         let shared = Arc::new(EngineShared::new(options, storage)?);
         // The hub serves typed engine stats through a weak handle, so a
         // long-lived hub never keeps a dropped engine alive.
@@ -510,44 +515,31 @@ impl PrismDb {
     /// recovery always lands on the last installed (old or new) state —
     /// never a half-compacted one.
     pub fn crash_and_recover(&self) -> Nanos {
-        let mut guards: Vec<RwLockWriteGuard<'_, Partition>> = (0..self.partition_count())
-            .map(|i| self.shared.write_partition(i))
-            .collect();
+        let all: Vec<usize> = (0..self.partition_count()).collect();
+        let mut guards = self.lock_partitions(&all);
         // Recovery time is still max-over-partitions: the serial loop is
         // an artefact of the simulation, not of the modelled hardware.
         let per_partition = guards
             .iter_mut()
-            .map(|p| p.crash_and_recover())
+            .map(|(_, p)| p.crash_and_recover())
             .fold(Nanos::ZERO, Nanos::max);
         per_partition + self.replay_commit_log(&mut guards)
     }
 
     /// Drain the commit log after per-partition recovery: roll torn
     /// records back newest-first by restoring their pre-images into the
-    /// still-locked partitions. Restoring a group that never installed
-    /// re-writes identical state (a no-op for readers), so rollback needs
-    /// no knowledge of how far the torn batch got.
-    fn replay_commit_log(&self, guards: &mut [RwLockWriteGuard<'_, Partition>]) -> Nanos {
+    /// still-locked partitions (`guards` holds every partition, so a
+    /// partition's guard sits at its own index). Restoring a group that
+    /// never installed re-writes identical state (a no-op for readers), so
+    /// rollback needs no knowledge of how far the torn batch got.
+    fn replay_commit_log(&self, guards: &mut [(usize, RwLockWriteGuard<'_, Partition>)]) -> Nanos {
         let (_sealed, torn) = self.shared.commit_log.drain_for_recovery();
         let mut cost = Nanos::ZERO;
         for record in torn {
             for part in &record.parts {
-                let ops: Vec<BatchOp> = part
-                    .pre_images
-                    .iter()
-                    .map(|(key, image)| match image {
-                        Some(value) => BatchOp::Put(key.clone(), value.clone()),
-                        None => BatchOp::Delete(key.clone()),
-                    })
-                    .collect();
+                let (idx, guard) = &mut guards[part.partition];
                 cost += self
-                    .write_group(
-                        part.partition,
-                        &mut guards[part.partition],
-                        ops,
-                        false,
-                        None,
-                    )
+                    .write_group(*idx, guard, restore_ops(&part.pre_images), None)
                     .expect(
                         "rollback restores values that fit before; \
                          the group path reclaims space on this thread",
@@ -585,24 +577,12 @@ impl PrismDb {
         batch: WriteBatch,
         install_groups: usize,
     ) -> Result<u64> {
-        let mut groups: Vec<Vec<BatchOp>> = vec![Vec::new(); self.partition_count()];
-        for op in batch {
-            groups[self.partition_for(op.key())].push(op);
-        }
-        let touched: Vec<usize> = groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .map(|(idx, _)| idx)
-            .collect();
+        let (mut groups, touched) = self.group_by_partition(batch);
         assert!(
             touched.len() >= 2,
             "a torn commit needs at least two partition groups"
         );
-        let mut guards: Vec<(usize, RwLockWriteGuard<'_, Partition>)> = touched
-            .iter()
-            .map(|&idx| (idx, self.shared.write_partition(idx)))
-            .collect();
+        let mut guards = self.lock_partitions(&touched);
         let (batch_id, _cost) =
             self.install_groups_with_intent(&mut groups, &mut guards, false, install_groups)?;
         Ok(batch_id)
@@ -725,14 +705,29 @@ impl PrismDb {
         }
     }
 
-    /// Post-write bookkeeping shared by every write path: successful
-    /// writes enforce the snapshot-history caps, failed ones feed the
-    /// I/O-fault counter.
-    fn finish_write(&self, result: Result<Nanos>) -> Result<Nanos> {
+    /// The tail shared by every write path, run once the write has
+    /// released its guard(s) (the back-pressure hold re-locks partitions):
+    /// take the foreground's side of back-pressure on each of the
+    /// `written` partitions, then the bookkeeping — a successful write
+    /// enforces the snapshot-history caps and lands in `latency`, a failed
+    /// one feeds the I/O-fault counter.
+    fn finish_write(
+        &self,
+        applied: Result<Nanos>,
+        written: &[usize],
+        latency: &LatencyHistogram,
+    ) -> Result<Nanos> {
+        let result = applied.and_then(|mut total| {
+            for &idx in written {
+                total += self.shared.hold_at_ceiling(idx)?;
+            }
+            Ok(total)
+        });
         match &result {
-            Ok(_) => {
+            Ok(total) => {
                 self.enforce_snapshot_caps();
                 self.shared.tick_scrub_cadence();
+                latency.record(total.as_nanos());
             }
             Err(err) => self.note_io_fault(err),
         }
@@ -792,16 +787,18 @@ impl PrismDb {
         }
     }
 
-    /// One single-partition write: lock, `write` through the compaction
-    /// driver, unlock, then take the foreground's side of back-pressure.
-    /// Returns the op's full charged latency.
-    fn write_locked(
+    /// One single-key write: lock, `write` through the compaction driver,
+    /// unlock, finish. Returns the op's full charged latency.
+    fn write_one(
         &self,
         idx: usize,
-        write: impl FnOnce(&mut Partition) -> Result<Nanos>,
+        write: impl FnOnce(&mut Partition, Reclaim<'_>) -> Result<Nanos>,
     ) -> Result<Nanos> {
-        let cost = write(&mut self.shared.write_partition(idx))?;
-        Ok(cost + self.shared.hold_at_ceiling(idx)?)
+        self.check_writable(idx)?;
+        let applied = self
+            .shared
+            .write_held(idx, &mut self.shared.write_partition(idx), 1, write);
+        self.finish_write(applied, &[idx], &self.shared.obs.put)
     }
 
     /// Apply one partition's sub-batch under the held guard `p` with a
@@ -816,7 +813,6 @@ impl PrismDb {
         idx: usize,
         p: &mut Partition,
         entries: Vec<BatchOp>,
-        merge: bool,
         seq: Option<u64>,
     ) -> Result<Nanos> {
         if entries.is_empty() {
@@ -824,26 +820,126 @@ impl PrismDb {
         }
         let seq = seq.unwrap_or_else(|| self.shared.seq.allocate());
         self.shared.write_held(idx, p, entries.len(), |p, reclaim| {
-            p.apply_group(entries, merge, seq, reclaim)
+            p.apply_group(entries, seq, reclaim)
         })
     }
 
-    /// The multi-partition half of [`ConcurrentKvStore::apply_batch`]:
-    /// run the commit-log protocol over ascending write locks, then the
-    /// per-partition back-pressure hold (which re-locks partitions, so it
-    /// must run after the multi-lock hold is released).
-    fn apply_batch_multi(&self, groups: &mut [Vec<BatchOp>], touched: &[usize]) -> Result<Nanos> {
-        let mut guards: Vec<(usize, RwLockWriteGuard<'_, Partition>)> = touched
+    /// Split a batch into one sub-batch per partition (indexed by
+    /// partition; entries keep their relative order, so a later entry for
+    /// a key still wins), with the ascending list of partitions that
+    /// received entries.
+    fn group_by_partition(&self, batch: WriteBatch) -> (Vec<Vec<BatchOp>>, Vec<usize>) {
+        let mut groups: Vec<Vec<BatchOp>> = vec![Vec::new(); self.partition_count()];
+        for op in batch {
+            groups[self.partition_for(op.key())].push(op);
+        }
+        let touched = (0..groups.len())
+            .filter(|&idx| !groups[idx].is_empty())
+            .collect();
+        (groups, touched)
+    }
+
+    /// Write-lock `parts` in the order given. Every multi-lock path passes
+    /// ascending partitions — one global order, so lock-order deadlocks
+    /// are ruled out.
+    fn lock_partitions(&self, parts: &[usize]) -> Vec<(usize, RwLockWriteGuard<'_, Partition>)> {
+        parts
             .iter()
             .map(|&idx| (idx, self.shared.write_partition(idx)))
-            .collect();
-        let result = self.install_groups_with_intent(groups, &mut guards, true, usize::MAX);
-        drop(guards);
-        let (_batch_id, mut total) = result?;
-        for &idx in touched {
-            total += self.shared.hold_at_ceiling(idx)?;
+            .collect()
+    }
+
+    /// The one multi-key write path: apply `writes` atomically, provided
+    /// no key of `reads` changed after the sequence `pinned`.
+    /// [`ConcurrentKvStore::apply_batch`] is the case of no snapshot and an
+    /// empty read set; [`ConcurrentKvStore::txn_commit`] passes both, which
+    /// adds the read keys' partitions to the lock set and a validation
+    /// step under the locks.
+    ///
+    /// 1. Size-check every value, so an oversized one cannot leave the
+    ///    commit half-applied. The bound is the engine's *configured*
+    ///    largest slot class, which may be tighter than the global cap.
+    /// 2. Group the writes by partition. Degraded partitions refuse writes
+    ///    up front, so a commit touching one rejects whole with the
+    ///    retryable error.
+    /// 3. Write-lock the union of written and read partitions, ascending.
+    /// 4. First-committer-wins validation: a read key whose newest version
+    ///    (live or preserved-for-snapshots) postdates the pinned sequence
+    ///    means a concurrent commit overlapped — abort, nothing applied.
+    /// 5. Install: nothing for a read-only set; one partition's group is
+    ///    already atomic under its single write-lock hold; several run the
+    ///    commit-log protocol ([`Self::install_groups_with_intent`]).
+    /// 6. Release the locks, then [`Self::finish_write`] (its back-pressure
+    ///    hold re-locks partitions, so it must run after the multi-lock
+    ///    hold is released).
+    ///
+    /// A commit that reads and writes nothing returns before any check or
+    /// lock and records nothing; any other success lands in `latency`.
+    fn commit(
+        &self,
+        writes: WriteBatch,
+        reads: &[Key],
+        pinned: u64,
+        latency: &LatencyHistogram,
+    ) -> Result<Nanos> {
+        let max_slot = self
+            .shared
+            .options
+            .slab_slot_sizes
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(0) as usize;
+        let max_value = max_slot.min(prism_nvm::MAX_OBJECT_SIZE);
+        for op in writes.entries() {
+            if let BatchOp::Put(_, value) = op {
+                if value.len() > max_value {
+                    return Err(PrismError::ObjectTooLarge {
+                        size: value.len(),
+                        max: max_value,
+                    });
+                }
+            }
         }
-        Ok(total)
+        let (mut groups, write_parts) = self.group_by_partition(writes);
+        let mut touched = write_parts.clone();
+        touched.extend(reads.iter().map(|key| self.partition_for(key)));
+        touched.sort_unstable();
+        touched.dedup();
+        if touched.is_empty() {
+            return Ok(Nanos::ZERO);
+        }
+        for &idx in &write_parts {
+            self.check_writable(idx)?;
+        }
+        let mut guards = self.lock_partitions(&touched);
+        let guard_of = |idx: usize| {
+            touched
+                .binary_search(&idx)
+                .expect("read and write partitions are in the touched set")
+        };
+        for key in reads {
+            let newest = guards[guard_of(self.partition_for(key))].1.newest_seq(key);
+            if newest.is_some_and(|seq| seq > pinned) {
+                self.shared
+                    .txn
+                    .txn_conflicts
+                    .fetch_add(1, Ordering::Relaxed);
+                return Err(PrismError::TxnConflict { key: key.id() });
+            }
+        }
+        let installed = match write_parts[..] {
+            [] => Ok(Nanos::ZERO),
+            [idx] => {
+                let entries = std::mem::take(&mut groups[idx]);
+                self.write_group(idx, &mut guards[guard_of(idx)].1, entries, None)
+            }
+            _ => self
+                .install_groups_with_intent(&mut groups, &mut guards, true, usize::MAX)
+                .map(|(_batch_id, cost)| cost),
+        };
+        drop(guards);
+        self.finish_write(installed, &write_parts, latency)
     }
 
     /// The cross-partition commit protocol, run under an already-held set
@@ -908,7 +1004,6 @@ impl PrismDb {
         // group or none (it cannot observe mid-install state either way,
         // since all touched write locks are held until the seal).
         let seq = self.shared.seq.allocate();
-        let merge = self.shared.options.merge_batch_duplicates;
         let mut installed = 0usize;
         let mut failure: Option<PrismError> = None;
         for (step, &pos) in active.iter().enumerate() {
@@ -917,7 +1012,7 @@ impl PrismDb {
             }
             let (idx, guard) = &mut guards[pos];
             let entries = std::mem::take(&mut groups[*idx]);
-            match self.write_group(*idx, guard, entries, merge, Some(seq)) {
+            match self.write_group(*idx, guard, entries, Some(seq)) {
                 Ok(cost) => {
                     total += cost;
                     installed = step + 1;
@@ -934,17 +1029,8 @@ impl PrismDb {
             // first while all locks are still held, then seal the record
             // as resolved: recovery must not roll it back again.
             for step in (0..installed).rev() {
-                let ops: Vec<BatchOp> = rollback[step]
-                    .iter()
-                    .map(|(key, image)| match image {
-                        Some(value) => BatchOp::Put(key.clone(), value.clone()),
-                        None => BatchOp::Delete(key.clone()),
-                    })
-                    .collect();
-                if !ops.is_empty() {
-                    let (idx, guard) = &mut guards[active[step]];
-                    self.write_group(*idx, guard, ops, false, None)?;
-                }
+                let (idx, guard) = &mut guards[active[step]];
+                self.write_group(*idx, guard, restore_ops(&rollback[step]), None)?;
             }
             self.shared.commit_log.seal(batch_id);
             return Err(err);
@@ -1035,17 +1121,9 @@ impl ConcurrentKvStore for PrismDb {
                 max: prism_nvm::MAX_OBJECT_SIZE,
             });
         }
-        let idx = self.partition_for(&key);
-        self.check_writable(idx)?;
-        let result = self.write_locked(idx, |p| {
-            self.shared
-                .write_held(idx, p, 1, |p, reclaim| p.put(key, value, reclaim))
-        });
-        let result = self.finish_write(result);
-        if let Ok(latency) = &result {
-            self.shared.obs.put.record(latency.as_nanos());
-        }
-        result
+        self.write_one(self.partition_for(&key), |p, reclaim| {
+            p.put(key, value, reclaim)
+        })
     }
 
     fn get(&self, key: &Key) -> Result<Lookup> {
@@ -1096,17 +1174,7 @@ impl ConcurrentKvStore for PrismDb {
     }
 
     fn delete(&self, key: &Key) -> Result<Nanos> {
-        let idx = self.partition_for(key);
-        self.check_writable(idx)?;
-        let result = self.write_locked(idx, |p| {
-            self.shared
-                .write_held(idx, p, 1, |p, reclaim| p.delete(key, reclaim))
-        });
-        let result = self.finish_write(result);
-        if let Ok(latency) = &result {
-            self.shared.obs.put.record(latency.as_nanos());
-        }
-        result
+        self.write_one(self.partition_for(key), |p, reclaim| p.delete(key, reclaim))
     }
 
     /// Apply a [`WriteBatch`] with per-partition group commit.
@@ -1133,68 +1201,7 @@ impl ConcurrentKvStore for PrismDb {
     /// snapshots and [`PrismDb::crash_and_recover`] (which rolls unsealed
     /// records back to their pre-images) never observe a torn batch.
     fn apply_batch(&self, batch: WriteBatch) -> Result<Nanos> {
-        if batch.is_empty() {
-            return Ok(Nanos::ZERO);
-        }
-        // Validate every entry before applying anything, so an oversized
-        // value cannot leave a batch half-applied. The bound is the
-        // engine's *configured* largest slot class, which may be tighter
-        // than the global object cap.
-        let max_slot = self
-            .shared
-            .options
-            .slab_slot_sizes
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0) as usize;
-        let max_value = max_slot.min(prism_nvm::MAX_OBJECT_SIZE);
-        for op in batch.entries() {
-            if let BatchOp::Put(_, value) = op {
-                if value.len() > max_value {
-                    return Err(PrismError::ObjectTooLarge {
-                        size: value.len(),
-                        max: max_value,
-                    });
-                }
-            }
-        }
-        let mut groups: Vec<Vec<BatchOp>> = vec![Vec::new(); self.partition_count()];
-        for op in batch {
-            groups[self.partition_for(op.key())].push(op);
-        }
-        let touched: Vec<usize> = groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .map(|(idx, _)| idx)
-            .collect();
-        // Degraded partitions refuse writes up front, so a batch touching
-        // one rejects whole (all-or-nothing) with the retryable error.
-        for &idx in &touched {
-            self.check_writable(idx)?;
-        }
-        // A single-partition batch is already atomic under its one
-        // write-lock hold; skip the commit-log round trip.
-        if touched.len() <= 1 {
-            let result = touched.into_iter().try_fold(Nanos::ZERO, |acc, idx| {
-                let entries = std::mem::take(&mut groups[idx]);
-                let merge = self.shared.options.merge_batch_duplicates;
-                Ok(acc
-                    + self.write_locked(idx, |p| self.write_group(idx, p, entries, merge, None))?)
-            });
-            let result = self.finish_write(result);
-            if let Ok(latency) = &result {
-                self.shared.obs.batch.record(latency.as_nanos());
-            }
-            return result;
-        }
-        let result = self.apply_batch_multi(&mut groups, &touched);
-        let result = self.finish_write(result);
-        if let Ok(latency) = &result {
-            self.shared.obs.batch.record(latency.as_nanos());
-        }
-        result
+        self.commit(batch, &[], 0, &self.shared.obs.batch)
     }
 
     fn scan(&self, start: &Key, count: usize) -> Result<ScanResult> {
@@ -1320,103 +1327,14 @@ impl ConcurrentKvStore for PrismDb {
         if self.shared.seq.is_expired(snapshot.sequence()) {
             return Err(PrismError::SnapshotExpired);
         }
-        // Validate value sizes up front so an oversized value cannot
-        // leave the transaction half-applied (mirrors `apply_batch`).
-        let max_slot = self
-            .shared
-            .options
-            .slab_slot_sizes
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0) as usize;
-        let max_value = max_slot.min(prism_nvm::MAX_OBJECT_SIZE);
-        for op in writes.entries() {
-            if let BatchOp::Put(_, value) = op {
-                if value.len() > max_value {
-                    return Err(PrismError::ObjectTooLarge {
-                        size: value.len(),
-                        max: max_value,
-                    });
-                }
-            }
-        }
-        let mut groups: Vec<Vec<BatchOp>> = vec![Vec::new(); self.partition_count()];
-        for op in writes {
-            groups[self.partition_for(op.key())].push(op);
-        }
-        let write_parts: Vec<usize> = groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .map(|(idx, _)| idx)
-            .collect();
-        let mut touched: Vec<usize> = write_parts.clone();
-        touched.extend(reads.iter().map(|key| self.partition_for(key)));
-        touched.sort_unstable();
-        touched.dedup();
-        if touched.is_empty() {
-            // Nothing read, nothing written: a trivially successful commit.
+        let result = self.commit(
+            writes,
+            reads,
+            snapshot.sequence(),
+            &self.shared.obs.txn_commit,
+        );
+        if result.is_ok() {
             self.shared.txn.txn_commits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Nanos::ZERO);
-        }
-        for &idx in &write_parts {
-            self.check_writable(idx)?;
-        }
-        let mut guards: Vec<(usize, RwLockWriteGuard<'_, Partition>)> = touched
-            .iter()
-            .map(|&idx| (idx, self.shared.write_partition(idx)))
-            .collect();
-        // First-committer-wins validation: any read key whose newest
-        // version (live or preserved-for-snapshots) postdates the pinned
-        // sequence means a concurrent commit overlapped — abort.
-        for key in reads {
-            let idx = self.partition_for(key);
-            let pos = touched
-                .binary_search(&idx)
-                .expect("read partitions are in the touched set");
-            let newest = guards[pos].1.newest_seq(key);
-            if newest.is_some_and(|seq| seq > snapshot.sequence()) {
-                self.shared
-                    .txn
-                    .txn_conflicts
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(PrismError::TxnConflict { key: key.id() });
-            }
-        }
-        let result = if write_parts.is_empty() {
-            // Read-only transaction: validation alone commits it.
-            Ok(Nanos::ZERO)
-        } else if write_parts.len() == 1 {
-            // One write partition: its single write-lock hold is already
-            // atomic, skip the commit-log round trip.
-            let idx = write_parts[0];
-            let pos = touched
-                .binary_search(&idx)
-                .expect("write partitions are in the touched set");
-            let entries = std::mem::take(&mut groups[idx]);
-            self.write_group(idx, &mut guards[pos].1, entries, true, None)
-        } else {
-            self.install_groups_with_intent(&mut groups, &mut guards, true, usize::MAX)
-                .map(|(_, cost)| cost)
-        };
-        drop(guards);
-        let mut total = match result {
-            Ok(cost) => cost,
-            Err(err) => return self.finish_write(Err(err)),
-        };
-        // The back-pressure hold re-locks partitions, so it must run after
-        // the multi-lock hold is released.
-        for idx in write_parts {
-            match self.shared.hold_at_ceiling(idx) {
-                Ok(cost) => total += cost,
-                Err(err) => return self.finish_write(Err(err)),
-            }
-        }
-        self.shared.txn.txn_commits.fetch_add(1, Ordering::Relaxed);
-        let result = self.finish_write(Ok(total));
-        if let Ok(latency) = &result {
-            self.shared.obs.txn_commit.record(latency.as_nanos());
         }
         result
     }
@@ -1427,43 +1345,6 @@ impl ConcurrentKvStore for PrismDb {
 
     fn quarantined_objects(&self) -> u64 {
         self.quarantined_object_count() as u64
-    }
-}
-
-/// The single-threaded API, kept as a thin adapter over the
-/// [`ConcurrentKvStore`] impl so every existing caller (tests, benches,
-/// experiments) works unchanged.
-impl KvStore for PrismDb {
-    fn put(&mut self, key: Key, value: Value) -> Result<Nanos> {
-        ConcurrentKvStore::put(self, key, value)
-    }
-
-    fn get(&mut self, key: &Key) -> Result<Lookup> {
-        ConcurrentKvStore::get(self, key)
-    }
-
-    fn delete(&mut self, key: &Key) -> Result<Nanos> {
-        ConcurrentKvStore::delete(self, key)
-    }
-
-    fn scan(&mut self, start: &Key, count: usize) -> Result<ScanResult> {
-        ConcurrentKvStore::scan(self, start, count)
-    }
-
-    fn apply_batch(&mut self, batch: WriteBatch) -> Result<Nanos> {
-        ConcurrentKvStore::apply_batch(self, batch)
-    }
-
-    fn stats(&self) -> EngineStats {
-        ConcurrentKvStore::stats(self)
-    }
-
-    fn elapsed(&self) -> Nanos {
-        ConcurrentKvStore::elapsed(self)
-    }
-
-    fn engine_name(&self) -> &str {
-        ConcurrentKvStore::engine_name(self)
     }
 }
 
@@ -1535,13 +1416,13 @@ mod tests {
         for id in (0..5_000u64).step_by(7) {
             db.get(&Key::from_id(id)).unwrap();
         }
-        let stats = KvStore::stats(&db);
+        let stats = db.stats();
         assert!(stats.user_bytes_written >= 5_000 * 1000);
         assert!(stats.nvm_io.bytes_written > 0);
         assert!(stats.reads_found() > 0);
-        assert!(KvStore::elapsed(&db) > Nanos::ZERO);
+        assert!(db.elapsed() > Nanos::ZERO);
         assert!(db.cost_per_gb() > 0.0);
-        assert_eq!(KvStore::engine_name(&db), "prismdb");
+        assert_eq!(db.engine_name(), "prismdb");
         // The inline engine reports no virtual background workers and the
         // compaction time identity holds.
         assert!(db.background_worker_times().is_empty());
@@ -1551,7 +1432,7 @@ mod tests {
         );
         // Stalls are summed across partitions while elapsed is the max
         // over partitions, so the aggregate bound is per-partition.
-        assert!(stats.compaction.stall_time <= KvStore::elapsed(&db) * 2);
+        assert!(stats.compaction.stall_time <= db.elapsed() * 2);
     }
 
     #[test]
@@ -1620,10 +1501,10 @@ mod tests {
         });
         let db = Arc::into_inner(db).expect("all worker handles dropped");
         for t in 0..4u64 {
-            let got = ConcurrentKvStore::get(&db, &Key::from_id(t * 1_500)).unwrap();
+            let got = db.get(&Key::from_id(t * 1_500)).unwrap();
             assert_eq!(got.value.unwrap().as_bytes()[0], t as u8);
         }
-        assert_eq!(ConcurrentKvStore::engine_name(&db), "prismdb");
+        assert_eq!(db.engine_name(), "prismdb");
         assert_eq!(db.shard_count(), 4);
         assert!(db.concurrent_reads());
     }
@@ -1635,7 +1516,7 @@ mod tests {
         options.partitioning = Partitioning::Range;
         let db = Arc::new(PrismDb::open(options).unwrap());
         for id in 0..4_000u64 {
-            ConcurrentKvStore::put(&db, Key::from_id(id), Value::filled(128, 1)).unwrap();
+            db.put(Key::from_id(id), Value::filled(128, 1)).unwrap();
         }
         std::thread::scope(|scope| {
             // Scanners repeatedly cross partition boundaries while writers
@@ -1645,8 +1526,7 @@ mod tests {
                 scope.spawn(move || {
                     for round in 0..60u64 {
                         let start = (s * 900 + round * 37) % 3_500;
-                        let result =
-                            ConcurrentKvStore::scan(&db, &Key::from_id(start), 200).unwrap();
+                        let result = db.scan(&Key::from_id(start), 200).unwrap();
                         let ids: Vec<u64> = result.entries.iter().map(|(k, _)| k.id()).collect();
                         assert!(ids.windows(2).all(|w| w[0] < w[1]), "scan out of order");
                     }
@@ -1657,8 +1537,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..600u64 {
                         let id = (t * 2_000 + i * 7) % 4_000;
-                        ConcurrentKvStore::put(&db, Key::from_id(id), Value::filled(128, 2))
-                            .unwrap();
+                        db.put(Key::from_id(id), Value::filled(128, 2)).unwrap();
                     }
                 });
             }
@@ -1701,7 +1580,7 @@ mod tests {
             worker_times.iter().any(|t| *t > Nanos::ZERO),
             "sustained writes must have produced background compactions"
         );
-        let stats = KvStore::stats(&db);
+        let stats = db.stats();
         assert!(stats.compaction.jobs > 0);
         assert!(stats.compaction.overlap_time > Nanos::ZERO);
         assert_eq!(
@@ -1709,7 +1588,7 @@ mod tests {
             stats.compaction.fast_tier_time + stats.compaction.slow_tier_time
         );
         // Stalls are summed across the 4 partitions; elapsed is the max.
-        assert!(stats.compaction.stall_time <= KvStore::elapsed(&db) * 4);
+        assert!(stats.compaction.stall_time <= db.elapsed() * 4);
         assert!(db.nvm_utilization() <= 1.0 + 1e-9);
     }
 
@@ -1746,23 +1625,20 @@ mod tests {
             batch.put(Key::from_id(id * 7 % 2_000), Value::filled(256, id as u8));
         }
         batch.delete(Key::from_id(7));
-        let cost = ConcurrentKvStore::apply_batch(&db, batch).unwrap();
+        let cost = db.apply_batch(batch).unwrap();
         assert!(cost > Nanos::ZERO);
         assert!(db.get(&Key::from_id(7)).unwrap().value.is_none());
         assert!(db.get(&Key::from_id(14)).unwrap().value.is_some());
-        let stats = KvStore::stats(&db);
+        let stats = db.stats();
         assert!(stats.batch_groups >= 1 && stats.batch_groups <= 4);
         assert_eq!(stats.batch_entries, 201);
         // An empty batch is free; an oversized value rejects the whole
         // batch before anything applies.
-        assert_eq!(
-            ConcurrentKvStore::apply_batch(&db, WriteBatch::new()).unwrap(),
-            Nanos::ZERO
-        );
+        assert_eq!(db.apply_batch(WriteBatch::new()).unwrap(), Nanos::ZERO);
         let mut bad = WriteBatch::new();
         bad.put(Key::from_id(1_999), Value::filled(100, 1));
         bad.put(Key::from_id(1_998), Value::filled(8192, 1));
-        let err = ConcurrentKvStore::apply_batch(&db, bad).unwrap_err();
+        let err = db.apply_batch(bad).unwrap_err();
         assert!(matches!(err, PrismError::ObjectTooLarge { .. }));
         assert!(
             db.get(&Key::from_id(1_999)).unwrap().value.is_none(),
@@ -1778,7 +1654,7 @@ mod tests {
         let mut bad = WriteBatch::new();
         bad.put(Key::from_id(1), Value::filled(100, 1));
         bad.put(Key::from_id(2), Value::filled(1_000, 1));
-        let err = ConcurrentKvStore::apply_batch(&narrow, bad).unwrap_err();
+        let err = narrow.apply_batch(bad).unwrap_err();
         assert!(matches!(err, PrismError::ObjectTooLarge { max: 256, .. }));
         assert!(
             narrow.get(&Key::from_id(1)).unwrap().value.is_none(),
@@ -1795,7 +1671,6 @@ mod tests {
         let mut options = small_options(2_000, 1);
         options.compaction_workers = 1;
         options.nvm_capacity_bytes = 128 * 1024;
-        options.nvm_profile.capacity_bytes = 128 * 1024;
         options.high_watermark = 0.6;
         options.low_watermark = 0.5;
         options.backpressure_ceiling = 0.8;
@@ -1808,9 +1683,9 @@ mod tests {
                     Value::filled(1000, round as u8),
                 );
             }
-            ConcurrentKvStore::apply_batch(&db, batch).unwrap();
+            db.apply_batch(batch).unwrap();
         }
-        let stats = KvStore::stats(&db);
+        let stats = db.stats();
         assert!(
             stats.compaction.backpressure_stalls > 0,
             "the batches must have hit the ceiling or reclaimed inline"
@@ -1823,10 +1698,10 @@ mod tests {
         );
         // One partition: the engine's elapsed is that partition's elapsed.
         assert!(
-            stats.compaction.stall_time <= KvStore::elapsed(&db),
+            stats.compaction.stall_time <= db.elapsed(),
             "stalls ({:?}) cannot exceed elapsed ({:?})",
             stats.compaction.stall_time,
-            KvStore::elapsed(&db)
+            db.elapsed()
         );
         // All 400 keys must still be readable after the pressure.
         for id in (0..400u64).step_by(23) {
@@ -1843,7 +1718,6 @@ mod tests {
         options.partitioning = Partitioning::Range;
         options.compaction_workers = 1;
         options.nvm_capacity_bytes = 512 * 1024; // 256 KB per partition
-        options.nvm_profile.capacity_bytes = 512 * 1024;
         options.high_watermark = 0.9;
         options.low_watermark = 0.7;
         let db = PrismDb::open(options).unwrap();
@@ -1852,15 +1726,15 @@ mod tests {
         for id in 0..200u64 {
             db.put(Key::from_id(id), Value::filled(1000, 1)).unwrap();
         }
-        assert_eq!(KvStore::stats(&db).compaction.enqueued_jobs, 0);
+        assert_eq!(db.stats().compaction.enqueued_jobs, 0);
         // One 40-entry batch into the same partition pushes it past the
         // high watermark (~94 %) but below the ceiling.
         let mut batch = WriteBatch::new();
         for id in 200..240u64 {
             batch.put(Key::from_id(id), Value::filled(1000, 2));
         }
-        ConcurrentKvStore::apply_batch(&db, batch).unwrap();
-        let enqueued = KvStore::stats(&db).compaction.enqueued_jobs;
+        db.apply_batch(batch).unwrap();
+        let enqueued = db.stats().compaction.enqueued_jobs;
         assert!(
             enqueued <= 1,
             "a single-partition batch must accept at most one demotion \
@@ -1887,13 +1761,13 @@ mod tests {
                 "workers failed to park after the queue drained \
                  (parked {}, queue depth {})",
                 db.parked_compaction_workers(),
-                KvStore::stats(&db).compaction.queue_depth
+                db.stats().compaction.queue_depth
             );
             std::thread::yield_now();
         }
         // Reaching 3 above is the assertion; `parked` transiently dips on
         // spurious condvar wakeups, so an equality re-read would be racy.
-        assert_eq!(KvStore::stats(&db).compaction.queue_depth, 0);
+        assert_eq!(db.stats().compaction.queue_depth, 0);
         // Inline engines have no workers to park.
         assert_eq!(small_db(500, 2).parked_compaction_workers(), 0);
     }
@@ -1936,7 +1810,7 @@ mod tests {
             assert_eq!(value.as_bytes()[0], q as u8 + 1);
         }
         assert!(db.get(&Key::from_id(3 * span + 7)).unwrap().value.is_none());
-        let stats = ConcurrentKvStore::stats(&db);
+        let stats = db.stats();
         assert_eq!(stats.txn.commit_intents, 1);
         assert_eq!(stats.txn.commit_rolled_back, 1);
         assert_eq!(stats.txn.commit_seals, 0);
@@ -1949,14 +1823,14 @@ mod tests {
         for q in 0..4u64 {
             batch.put(Key::from_id(q * 1_000), Value::filled(256, 7));
         }
-        ConcurrentKvStore::apply_batch(&db, batch).unwrap();
+        db.apply_batch(batch).unwrap();
         assert_eq!(db.torn_commit_records(), 0);
         db.crash_and_recover();
         for q in 0..4u64 {
             let got = db.get(&Key::from_id(q * 1_000)).unwrap();
             assert_eq!(got.value.expect("sealed batch is durable").len(), 256);
         }
-        let stats = ConcurrentKvStore::stats(&db);
+        let stats = db.stats();
         assert_eq!(stats.txn.commit_seals, 1);
         assert_eq!(stats.txn.commit_replayed, 1);
         assert_eq!(stats.txn.commit_rolled_back, 0);
@@ -1987,7 +1861,7 @@ mod tests {
         assert!(db.get(&Key::from_id(1_500)).unwrap().value.is_none());
         db.release_snapshot(snap);
         assert_eq!(db.active_snapshots(), 0);
-        let stats = ConcurrentKvStore::stats(&db);
+        let stats = db.stats();
         assert_eq!(stats.txn.snapshots, 1);
     }
 
@@ -2020,9 +1894,150 @@ mod tests {
         // The conflicted write set must not have installed.
         assert_eq!(db.get(&Key::from_id(10)).unwrap().value.unwrap().len(), 150);
 
-        let stats = ConcurrentKvStore::stats(&db);
+        let stats = db.stats();
         assert_eq!(stats.txn.txn_commits, 1);
         assert_eq!(stats.txn.txn_conflicts, 1);
+    }
+
+    /// Elapsed time plus every stats entry except the snapshot and
+    /// transaction counters, which only the transaction entry moves.
+    fn accounting_without_txn_counters(db: &PrismDb) -> Vec<(String, u64)> {
+        let mut out = vec![("elapsed_ns".to_string(), db.elapsed().as_nanos())];
+        db.stats().visit("engine_", &mut |name, _, _, value| {
+            if !name.starts_with("engine_txn_") && name != "engine_snapshots" {
+                out.push((name.to_string(), value));
+            }
+        });
+        out
+    }
+
+    /// A batch is a commit with no snapshot and an empty read set: through
+    /// either entry the same writes charge the same simulated time and
+    /// count the same work, under compaction pressure.
+    #[test]
+    fn apply_batch_and_a_commit_without_reads_account_identically() {
+        let mut options = small_options(2_000, 4);
+        options.nvm_capacity_bytes = 256 * 1024;
+        let batched = PrismDb::open(options.clone()).unwrap();
+        let committed = PrismDb::open(options).unwrap();
+        for round in 0..300u64 {
+            let mut batch = WriteBatch::new();
+            // Every seventh round stays on one key (the one-partition
+            // install); the others span partitions, with deletes.
+            if round % 7 != 0 {
+                for i in 0..12u64 {
+                    let key = Key::from_id((round * 37 + i * 211) % 2_000);
+                    if i % 5 == 4 {
+                        batch.delete(key);
+                    } else {
+                        batch.put(key, Value::filled(600, round as u8));
+                    }
+                }
+            }
+            // A duplicate key, so the merge runs.
+            batch.put(Key::from_id(round), Value::filled(300, 1));
+            batch.put(Key::from_id(round), Value::filled(500, 2));
+
+            let as_batch = batched.apply_batch(batch.clone()).unwrap();
+            let snap = committed.snapshot().unwrap();
+            let as_commit = committed.txn_commit(snap, &[], batch).unwrap();
+            committed.release_snapshot(snap);
+            assert_eq!(as_batch, as_commit, "round {round}");
+        }
+        assert_eq!(
+            accounting_without_txn_counters(&batched),
+            accounting_without_txn_counters(&committed)
+        );
+        let stats = batched.stats();
+        assert!(stats.compaction.jobs > 0, "the writes must compact");
+        assert!(stats.txn.commit_intents > 200 && stats.batch_merged_writes >= 300);
+        assert_eq!(committed.stats().txn.txn_commits, 300);
+    }
+
+    /// A multi-partition commit that fails mid-install rolls its installed
+    /// groups back under the locks it holds and seals its record: through
+    /// either entry nothing of it is visible, nothing is left for recovery
+    /// to roll back, and the caller sees the I/O error.
+    #[test]
+    fn a_failed_multi_partition_commit_leaves_no_torn_record() {
+        use prism_storage::{FaultMode, FaultOp, FaultPlan, FaultTier, TargetedFault};
+        let plan = Arc::new(FaultPlan::new(0xC0117));
+        let mut options = small_options(4_000, 4);
+        options.fault_plan = Some(Arc::clone(&plan));
+        let db = PrismDb::open(options).unwrap();
+        let keys: Vec<Key> = (0..40u64).map(Key::from_id).collect();
+        for key in &keys {
+            db.put(key.clone(), Value::filled(300, 1)).unwrap();
+        }
+        let last = keys.iter().map(|key| db.shard_of(key)).max().unwrap();
+        assert!(keys.iter().any(|key| db.shard_of(key) < last));
+
+        for through_txn in [false, true] {
+            let mut writes = WriteBatch::new();
+            for key in &keys {
+                writes.put(key.clone(), Value::filled(400, 2));
+            }
+            // The last group's first slab write fails, after every lower
+            // partition's group has installed.
+            plan.arm(TargetedFault {
+                tier: FaultTier::Nvm,
+                partition: Some(last),
+                op: FaultOp::Write,
+                mode: FaultMode::IoError,
+            });
+            let result = if through_txn {
+                let snap = db.snapshot().unwrap();
+                let result = db.txn_commit(snap, &keys[..1], writes);
+                db.release_snapshot(snap);
+                result
+            } else {
+                db.apply_batch(writes)
+            };
+            assert!(matches!(result, Err(PrismError::Io(_))), "{result:?}");
+            assert_eq!(db.torn_commit_records(), 0);
+            for key in &keys {
+                let value = db.get(key).unwrap().value.expect("pre-image restored");
+                assert_eq!(value.len(), 300, "through_txn={through_txn}");
+            }
+        }
+        let stats = db.stats();
+        assert_eq!(stats.txn.commit_intents, 2);
+        assert_eq!(stats.txn.commit_seals, 2);
+        assert_eq!(stats.txn.txn_commits, 0);
+        assert_eq!(stats.integrity.io_errors, 2);
+        // Nothing for recovery to do either.
+        db.crash_and_recover();
+        assert_eq!(db.stats().txn.commit_rolled_back, 0);
+    }
+
+    /// One capacity per tier: it sizes the slabs *and* the device, so
+    /// utilisation and cost follow an assignment to the capacity field
+    /// alone.
+    #[test]
+    fn tier_capacity_fields_size_the_devices() {
+        let base = small_db(1_000, 2);
+        let mut options = small_options(1_000, 2);
+        options.nvm_capacity_bytes *= 2;
+        options.flash_capacity_bytes *= 3;
+        let grown = PrismDb::open(options.clone()).unwrap();
+        let (nvm, flash) = (&grown.storage().nvm, &grown.storage().flash);
+        assert_eq!(nvm.profile().capacity_bytes, options.nvm_capacity_bytes);
+        assert_eq!(flash.profile().capacity_bytes, options.flash_capacity_bytes);
+        assert_eq!(
+            grown.options().nvm_profile.capacity_bytes,
+            options.nvm_capacity_bytes
+        );
+        // Flash is the cheap tier: tripling it against doubled NVM lowers
+        // the blended price.
+        assert!(grown.cost_per_gb() < base.cost_per_gb());
+    }
+
+    #[test]
+    fn the_engine_is_usable_as_a_kvstore_object() {
+        let mut store: Box<dyn prism_types::KvStore> = Box::new(small_db(1_000, 2));
+        store.put(Key::from_id(1), Value::filled(64, 1)).unwrap();
+        assert!(store.get(&Key::from_id(1)).unwrap().found());
+        assert_eq!(store.engine_name(), "prismdb");
     }
 
     /// The steady scrubber cadence: with a short `scrub_interval_ops`, a
@@ -2044,7 +2059,7 @@ mod tests {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         let mut reads = 0u64;
         loop {
-            let scrubs = ConcurrentKvStore::stats(&db).integrity.scrub_passes;
+            let scrubs = db.stats().integrity.scrub_passes;
             if scrubs >= 2 {
                 break;
             }
@@ -2082,7 +2097,7 @@ mod tests {
                 db.get(&Key::from_id(id)).unwrap();
             }
         }
-        assert_eq!(ConcurrentKvStore::stats(&db).integrity.scrub_passes, 0);
+        assert_eq!(db.stats().integrity.scrub_passes, 0);
 
         let mut options = small_options(1_000, 2);
         options.scrub_interval_ops = 10;
@@ -2093,7 +2108,7 @@ mod tests {
         for id in 0..1_000u64 {
             inline.get(&Key::from_id(id)).unwrap();
         }
-        assert_eq!(ConcurrentKvStore::stats(&inline).integrity.scrub_passes, 0);
+        assert_eq!(inline.stats().integrity.scrub_passes, 0);
     }
 
     /// `dram_cache_stats` aggregates real occupancy and hit/miss traffic,
@@ -2167,6 +2182,6 @@ mod tests {
         // The serial residue is a small slice of each read, not the whole
         // read path: it must stay below the engine's total elapsed time.
         let busiest = after_reads.iter().copied().fold(Nanos::ZERO, Nanos::max);
-        assert!(busiest < ConcurrentKvStore::elapsed(&db));
+        assert!(busiest < db.elapsed());
     }
 }

@@ -82,7 +82,6 @@ mod proptests {
             options.sst_target_bytes = 16 * 1024;
             // Keep NVM tiny so compactions actually happen mid-test.
             options.nvm_capacity_bytes = 96 * 1024;
-            options.nvm_profile.capacity_bytes = 96 * 1024;
             let mut db = PrismDb::open(options).unwrap();
             let mut model: HashMap<u64, usize> = HashMap::new();
 

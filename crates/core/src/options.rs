@@ -35,7 +35,6 @@ pub enum Partitioning {
 ///     .nvm_capacity(64 << 20)
 ///     .flash_capacity(320 << 20)
 ///     .partitions(4)
-///     .pinning_threshold(0.7)
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(options.num_partitions, 4);
@@ -48,13 +47,18 @@ pub struct Options {
     /// Expected number of distinct keys; used for range partitioning and
     /// for sizing the tracker.
     pub expected_keys: u64,
-    /// NVM (fast tier) capacity in bytes.
+    /// NVM (fast tier) capacity in bytes: sizes the slabs and the device
+    /// [`crate::PrismDb::open`] creates (hence utilisation and cost).
     pub nvm_capacity_bytes: u64,
-    /// Flash (slow tier) capacity in bytes.
+    /// Flash (slow tier) capacity in bytes: sizes the device
+    /// [`crate::PrismDb::open`] creates.
     pub flash_capacity_bytes: u64,
-    /// NVM device profile (defaults to Optane-class).
+    /// NVM device profile (defaults to Optane-class). Chooses the device's
+    /// kind, latencies and price; its `capacity_bytes` is overwritten with
+    /// [`Options::nvm_capacity_bytes`] on open.
     pub nvm_profile: DeviceProfile,
-    /// Flash device profile (defaults to QLC-class).
+    /// Flash device profile (defaults to QLC-class); its `capacity_bytes`
+    /// is overwritten with [`Options::flash_capacity_bytes`] on open.
     pub flash_profile: DeviceProfile,
     /// How keys are assigned to partitions.
     pub partitioning: Partitioning,
@@ -102,13 +106,6 @@ pub struct Options {
     /// Read-triggered compaction configuration; `None` disables the
     /// mechanism entirely.
     pub read_trigger: Option<ReadTriggerConfig>,
-    /// Whether [`crate::PrismDb`]'s batched write path merges duplicate
-    /// keys inside one partition sub-batch (the last entry wins, exactly
-    /// as sequential application would end up, but superseded entries
-    /// never touch the slab). Disabling this is an ablation knob: it keeps
-    /// group commit's lock/overhead amortisation while paying one slab
-    /// write per entry.
-    pub merge_batch_duplicates: bool,
     /// Deterministic storage fault-injection plan shared by both devices
     /// and the data layers above them; `None` (the default) runs
     /// fault-free.
@@ -188,7 +185,6 @@ impl Options {
             },
             promotions_enabled: true,
             read_trigger: Some(ReadTriggerConfig::scaled_down(scale_factor)),
-            merge_batch_duplicates: true,
             fault_plan: None,
             corruption_quarantine_threshold: 8,
             scrub_io_budget_bytes: 4 << 20,
@@ -296,26 +292,15 @@ impl OptionsBuilder {
         self
     }
 
-    /// Set the NVM capacity in bytes (also refreshes the NVM device profile
-    /// capacity).
+    /// Set the NVM capacity in bytes.
     pub fn nvm_capacity(mut self, bytes: u64) -> Self {
         self.options.nvm_capacity_bytes = bytes;
-        self.options.nvm_profile = DeviceProfile::optane_nvm(bytes);
         self
     }
 
-    /// Set the flash capacity in bytes (also refreshes the flash device
-    /// profile capacity, keeping its kind).
+    /// Set the flash capacity in bytes.
     pub fn flash_capacity(mut self, bytes: u64) -> Self {
         self.options.flash_capacity_bytes = bytes;
-        self.options.flash_profile.capacity_bytes = bytes;
-        self
-    }
-
-    /// Replace the flash device profile (e.g. TLC instead of QLC).
-    pub fn flash_profile(mut self, profile: DeviceProfile) -> Self {
-        self.options.flash_capacity_bytes = profile.capacity_bytes;
-        self.options.flash_profile = profile;
         self
     }
 
@@ -325,61 +310,9 @@ impl OptionsBuilder {
         self
     }
 
-    /// Set the number of sub-shards each partition's DRAM cache splits
-    /// into (`1` = the old single-mutex cache; default 8).
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.options.cache_shards = shards;
-        self
-    }
-
-    /// Choose the partitioning scheme (hash by default; range keeps scans
-    /// local to few partitions).
-    pub fn partitioning(mut self, partitioning: Partitioning) -> Self {
-        self.options.partitioning = partitioning;
-        self
-    }
-
-    /// Set the pinning threshold.
-    pub fn pinning_threshold(mut self, threshold: f64) -> Self {
-        self.options.pinning_threshold = threshold;
-        self
-    }
-
     /// Set the compaction configuration.
     pub fn compaction(mut self, config: CompactionConfig) -> Self {
         self.options.compaction = config;
-        self
-    }
-
-    /// Enable or disable promotions.
-    pub fn promotions(mut self, enabled: bool) -> Self {
-        self.options.promotions_enabled = enabled;
-        self
-    }
-
-    /// Set or disable the read-triggered compaction controller.
-    pub fn read_trigger(mut self, config: Option<ReadTriggerConfig>) -> Self {
-        self.options.read_trigger = config;
-        self
-    }
-
-    /// Set the number of background compaction worker threads (`0` keeps
-    /// the inline, stall-on-watermark behaviour).
-    pub fn compaction_workers(mut self, workers: usize) -> Self {
-        self.options.compaction_workers = workers;
-        self
-    }
-
-    /// Set the back-pressure ceiling used in background-compaction mode.
-    pub fn backpressure_ceiling(mut self, ceiling: f64) -> Self {
-        self.options.backpressure_ceiling = ceiling;
-        self
-    }
-
-    /// Enable or disable duplicate-key merging inside one partition
-    /// sub-batch of the batched write path (enabled by default).
-    pub fn merge_batch_duplicates(mut self, enabled: bool) -> Self {
-        self.options.merge_batch_duplicates = enabled;
         self
     }
 
@@ -394,40 +327,6 @@ impl OptionsBuilder {
     /// buffer, so an admin plane over the same hub sees the engine.
     pub fn obs(mut self, hub: Arc<ObsHub>) -> Self {
         self.options.obs = Some(hub);
-        self
-    }
-
-    /// Set how many quarantined objects flip a partition into read-only
-    /// degraded mode.
-    pub fn corruption_quarantine_threshold(mut self, threshold: u64) -> Self {
-        self.options.corruption_quarantine_threshold = threshold;
-        self
-    }
-
-    /// Set the scrubber's per-pass I/O budget in bytes.
-    pub fn scrub_io_budget(mut self, bytes: u64) -> Self {
-        self.options.scrub_io_budget_bytes = bytes;
-        self
-    }
-
-    /// Set the steady background scrub cadence in client operations
-    /// (`0` disables it; only active in background-compaction mode).
-    pub fn scrub_interval_ops(mut self, ops: u64) -> Self {
-        self.options.scrub_interval_ops = ops;
-        self
-    }
-
-    /// Cap the age of pinned snapshots in commits (`0` = unlimited); older
-    /// pins are aborted with `SnapshotExpired`.
-    pub fn max_pin_age_ops(mut self, ops: u64) -> Self {
-        self.options.max_pin_age_ops = ops;
-        self
-    }
-
-    /// Cap the bytes of superseded-version history kept for pinned
-    /// snapshots (`0` = unlimited); exceeding it aborts the oldest pin.
-    pub fn max_history_bytes(mut self, bytes: u64) -> Self {
-        self.options.max_history_bytes = bytes;
         self
     }
 
@@ -463,90 +362,56 @@ mod tests {
             .partitions(2)
             .nvm_capacity(1 << 20)
             .flash_capacity(5 << 20)
-            .pinning_threshold(0.3)
-            .promotions(false)
+            .dram_cache(1 << 16)
             .build()
             .unwrap();
         assert_eq!(options.num_partitions, 2);
         assert_eq!(options.nvm_capacity_bytes, 1 << 20);
-        assert_eq!(options.nvm_profile.capacity_bytes, 1 << 20);
-        assert!((options.pinning_threshold - 0.3).abs() < 1e-9);
-        assert!(!options.promotions_enabled);
+        assert_eq!(options.flash_capacity_bytes, 5 << 20);
+        assert_eq!(options.dram_cache_bytes, 1 << 16);
         assert_eq!(options.tracker_capacity(), 200);
+    }
+
+    /// Whether the scaled defaults with one `change` fail validation.
+    fn rejected(change: impl FnOnce(&mut Options)) -> bool {
+        let mut options = Options::scaled_default(100);
+        change(&mut options);
+        options.validate().is_err()
     }
 
     #[test]
     fn invalid_options_are_rejected() {
         assert!(Options::builder(0).build().is_err());
         assert!(Options::builder(100).partitions(0).build().is_err());
-        assert!(Options::builder(100)
-            .pinning_threshold(1.5)
-            .build()
-            .is_err());
-        let mut bad = Options::scaled_default(100);
-        bad.low_watermark = 0.99;
-        assert!(bad.validate().is_err());
-        let mut bad = Options::scaled_default(100);
-        bad.sst_target_bytes = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = Options::scaled_default(100);
-        bad.corruption_quarantine_threshold = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = Options::scaled_default(100);
-        bad.scrub_io_budget_bytes = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = Options::scaled_default(100);
-        bad.cache_shards = 0;
-        assert!(bad.validate().is_err());
-        bad.cache_shards = 2048;
-        assert!(bad.validate().is_err());
+        assert!(Options::builder(100).nvm_capacity(0).build().is_err());
+        assert!(rejected(|o| o.pinning_threshold = 1.5));
+        assert!(rejected(|o| o.low_watermark = 0.99));
+        assert!(rejected(|o| o.sst_target_bytes = 0));
+        assert!(rejected(|o| o.corruption_quarantine_threshold = 0));
+        assert!(rejected(|o| o.scrub_io_budget_bytes = 0));
+        assert!(rejected(|o| o.cache_shards = 0));
+        assert!(rejected(|o| o.cache_shards = 2048));
     }
 
     #[test]
-    fn read_path_knobs_build_and_default_sharded() {
+    fn read_path_and_robustness_knobs_default_as_documented() {
         let defaults = Options::scaled_default(1000);
         assert_eq!(defaults.cache_shards, 8);
         assert_eq!(defaults.scrub_interval_ops, 100_000);
-        let options = Options::builder(1000)
-            .cache_shards(1)
-            .scrub_interval_ops(0)
-            .build()
-            .unwrap();
-        assert_eq!(options.cache_shards, 1);
-        assert_eq!(options.scrub_interval_ops, 0);
-    }
-
-    #[test]
-    fn robustness_knobs_build_and_default_off() {
-        let defaults = Options::scaled_default(1000);
         assert!(defaults.fault_plan.is_none());
         assert_eq!(defaults.max_pin_age_ops, 0);
         assert_eq!(defaults.max_history_bytes, 0);
         let plan = Arc::new(FaultPlan::new(7));
-        let options = Options::builder(1000)
-            .fault_plan(Arc::clone(&plan))
-            .corruption_quarantine_threshold(3)
-            .scrub_io_budget(1 << 16)
-            .max_pin_age_ops(500)
-            .max_history_bytes(1 << 20)
-            .build()
-            .unwrap();
+        let options = Options::builder(1000).fault_plan(plan).build().unwrap();
         assert!(options.fault_plan.is_some());
-        assert_eq!(options.corruption_quarantine_threshold, 3);
-        assert_eq!(options.scrub_io_budget_bytes, 1 << 16);
-        assert_eq!(options.max_pin_age_ops, 500);
-        assert_eq!(options.max_history_bytes, 1 << 20);
     }
 
     #[test]
     fn background_compaction_knobs_validate() {
-        let options = Options::builder(1000)
-            .compaction_workers(2)
-            .backpressure_ceiling(0.999)
-            .build()
-            .unwrap();
-        assert_eq!(options.compaction_workers, 2);
-        assert!((options.backpressure_ceiling - 0.999).abs() < 1e-9);
+        let mut options = Options::scaled_default(1000);
+        options.compaction_workers = 2;
+        options.backpressure_ceiling = 0.999;
+        options.validate().unwrap();
         // Defaults: inline compaction, ceiling above the high watermark.
         let defaults = Options::scaled_default(1000);
         assert_eq!(defaults.compaction_workers, 0);
@@ -560,19 +425,6 @@ mod tests {
         bad.compaction_workers = 0;
         assert!(bad.validate().is_ok());
         // ...and the worker count is sanity-bounded.
-        let mut bad = Options::scaled_default(100);
-        bad.compaction_workers = 1000;
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn flash_profile_override_keeps_capacity_consistent() {
-        let tlc = DeviceProfile::tlc_flash(10 << 20);
-        let options = Options::builder(1000).flash_profile(tlc).build().unwrap();
-        assert_eq!(options.flash_capacity_bytes, 10 << 20);
-        assert_eq!(
-            options.flash_profile.kind,
-            prism_storage::DeviceKind::TlcNand
-        );
+        assert!(rejected(|o| o.compaction_workers = 1000));
     }
 }

@@ -811,14 +811,14 @@ impl Partition {
     /// Apply one partition's sub-batch of a [`prism_types::WriteBatch`]
     /// under a single write-lock hold: one read-side drain, one request
     /// overhead, one watermark check (→ at most one compaction run /
-    /// enqueue per group), and — with `merge_duplicates` — one slab write
-    /// per distinct key (earlier entries superseded by a later entry for
-    /// the same key are merged away; the last entry wins, exactly as
-    /// sequential application would end up). The group's surviving slab
-    /// writes are priced as one coalesced device submission (one access
-    /// latency plus a bandwidth-limited transfer of the total slot bytes)
-    /// instead of one random-write latency each — the storage-level half
-    /// of the group-commit win.
+    /// enqueue per group), and one slab write per distinct key (earlier
+    /// entries superseded by a later entry for the same key are merged
+    /// away; the last entry wins, exactly as sequential application would
+    /// end up). The group's surviving slab writes are priced as one
+    /// coalesced device submission (one access latency plus a
+    /// bandwidth-limited transfer of the total slot bytes) instead of one
+    /// random-write latency each — the storage-level half of the
+    /// group-commit win.
     ///
     /// Because the lock is held for the whole group and
     /// `crash_and_recover` serialises on the same lock, the sub-batch is
@@ -833,7 +833,6 @@ impl Partition {
     pub(crate) fn apply_group(
         &mut self,
         entries: Vec<BatchOp>,
-        merge_duplicates: bool,
         seq: u64,
         reclaim: Reclaim<'_>,
     ) -> Result<Nanos> {
@@ -843,7 +842,7 @@ impl Partition {
         // A later entry for the same key supersedes an earlier one: mark
         // everything but the last occurrence per key as merged.
         let mut superseded = vec![false; entries.len()];
-        if merge_duplicates && entries.len() > 1 {
+        if entries.len() > 1 {
             let mut seen: HashSet<u64> = HashSet::with_capacity(entries.len());
             for (i, entry) in entries.iter().enumerate().rev() {
                 if !seen.insert(entry.key().id()) {
@@ -917,6 +916,50 @@ impl Partition {
         }
     }
 
+    /// The live version of `key` below the DRAM cache — the tier that
+    /// holds it, its commit sequence and its value (`None` for a
+    /// tombstone) — adding what finding it cost to `cost`. The NVM index
+    /// decides first; only a key it does not know goes to flash, whose SST
+    /// index and bloom filter live on NVM.
+    fn probe_tiers(
+        &self,
+        key: &Key,
+        cost: &mut Nanos,
+    ) -> Result<Option<(ReadSource, u64, Option<Value>)>> {
+        if let Some(entry) = self.index.get(key).copied() {
+            if entry.tombstone {
+                return Ok(Some((ReadSource::Nvm, entry.timestamp, None)));
+            }
+            let (slot, read_cost) = self.slab.read(entry.addr)?;
+            *cost += read_cost;
+            let value = Some(slot.value.clone());
+            return Ok(Some((ReadSource::Nvm, entry.timestamp, value)));
+        }
+        *cost += self.cpu.bloom_probe;
+        let Some(file) = self.log.lookup(key) else {
+            return Ok(None);
+        };
+        self.roll_flash_read_fault()?;
+        let probe = file.probe(key);
+        if probe.may_contain {
+            *cost += self.nvm_dev.read_random(512);
+            if probe.data_block_bytes > 0 {
+                *cost += self.flash_dev.read_random(probe.data_block_bytes);
+            }
+        }
+        if probe.corrupt {
+            self.note_checksum_failure_shared();
+            return Err(PrismError::Corruption(format!(
+                "partition {}: flash record for key {} failed its checksum",
+                self.id,
+                key.id()
+            )));
+        }
+        Ok(probe
+            .entry
+            .map(|entry| (ReadSource::Flash, entry.timestamp, entry.value)))
+    }
+
     /// Point lookup without the drain-pressure signal (the engine always
     /// wants both; unit tests usually just want the lookup).
     #[cfg(test)]
@@ -958,45 +1001,11 @@ impl Partition {
             cost += self.cpu.dram_hit;
             source = ReadSource::Dram;
             value = Some(cached);
-        } else if let Some(entry) = self.index.get(key).copied() {
-            if !entry.tombstone {
-                let (slot, read_cost) = self.slab.read(entry.addr)?;
-                let found = slot.value.clone();
-                cost += read_cost;
-                source = ReadSource::Nvm;
-                self.cache.insert(key.clone(), found.clone());
-                self.cache.charge_serial(key, cache_serial);
-                value = Some(found);
-            }
-        } else {
-            // Flash path: the SST index and bloom filter live on NVM.
-            cost += self.cpu.bloom_probe;
-            if let Some(file) = self.log.lookup(key) {
-                self.roll_flash_read_fault()?;
-                let probe = file.probe(key);
-                if probe.may_contain {
-                    cost += self.nvm_dev.read_random(512);
-                    if probe.data_block_bytes > 0 {
-                        cost += self.flash_dev.read_random(probe.data_block_bytes);
-                    }
-                }
-                if probe.corrupt {
-                    self.note_checksum_failure_shared();
-                    return Err(PrismError::Corruption(format!(
-                        "partition {}: flash record for key {} failed its checksum",
-                        self.id,
-                        key.id()
-                    )));
-                }
-                if let Some(entry) = probe.entry {
-                    if let Some(found) = entry.value {
-                        source = ReadSource::Flash;
-                        self.cache.insert(key.clone(), found.clone());
-                        self.cache.charge_serial(key, cache_serial);
-                        value = Some(found);
-                    }
-                }
-            }
+        } else if let Some((tier, _, Some(found))) = self.probe_tiers(key, &mut cost)? {
+            source = tier;
+            self.cache.insert(key.clone(), found.clone());
+            self.cache.charge_serial(key, cache_serial);
+            value = Some(found);
         }
 
         match source {
@@ -1150,41 +1159,8 @@ impl Partition {
             return Err(self.corruption_error(key));
         }
         let mut cost = self.cpu.request_overhead + self.cpu.index_op;
-        let mut live: Option<(u64, Option<Value>)> = None;
-        if let Some(entry) = self.index.get(key).copied() {
-            if entry.tombstone {
-                live = Some((entry.timestamp, None));
-            } else {
-                let (slot, read_cost) = self.slab.read(entry.addr)?;
-                cost += read_cost;
-                live = Some((entry.timestamp, Some(slot.value.clone())));
-            }
-        } else {
-            cost += self.cpu.bloom_probe;
-            if let Some(file) = self.log.lookup(key) {
-                self.roll_flash_read_fault()?;
-                let probe = file.probe(key);
-                if probe.may_contain {
-                    cost += self.nvm_dev.read_random(512);
-                    if probe.data_block_bytes > 0 {
-                        cost += self.flash_dev.read_random(probe.data_block_bytes);
-                    }
-                }
-                if probe.corrupt {
-                    self.note_checksum_failure_shared();
-                    return Err(PrismError::Corruption(format!(
-                        "partition {}: flash record for key {} failed its checksum",
-                        self.id,
-                        key.id()
-                    )));
-                }
-                if let Some(entry) = probe.entry {
-                    live = Some((entry.timestamp, entry.value));
-                }
-            }
-        }
-        let value = match live {
-            Some((seq, value)) if seq <= pinned => value,
+        let value = match self.probe_tiers(key, &mut cost)? {
+            Some((_, seq, value)) if seq <= pinned => value,
             _ => self.history_version_at(key, pinned),
         };
         self.advance_fg(cost);

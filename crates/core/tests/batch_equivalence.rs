@@ -3,10 +3,10 @@
 //! The contract under test: `apply_batch` is observationally equivalent to
 //! applying the same entries front to back with per-op `put`/`delete` —
 //! for arbitrary put/delete interleavings, duplicate keys inside one
-//! batch (the last entry must win), batches straddling partition seams,
-//! and with duplicate-key merging disabled. Only *visible state* must
-//! match (point reads over the whole key universe plus scans); simulated
-//! costs legitimately differ, that being the point of batching.
+//! batch (the last entry must win) and batches straddling partition
+//! seams. Only *visible state* must match (point reads over the whole key
+//! universe plus scans); simulated costs legitimately differ, that being
+//! the point of batching.
 
 use proptest::prelude::*;
 
@@ -19,17 +19,15 @@ const PARTITIONS: usize = 3;
 /// engine's routing arithmetic).
 const SPAN: u64 = KEY_SPACE * 2 / PARTITIONS as u64;
 
-fn small_db(partitioning: Partitioning, merge_duplicates: bool) -> PrismDb {
+fn small_db(partitioning: Partitioning) -> PrismDb {
     let mut options = Options::scaled_default(KEY_SPACE);
     options.num_partitions = PARTITIONS;
     options.partitioning = partitioning;
-    options.merge_batch_duplicates = merge_duplicates;
     options.compaction.bucket_size_keys = 128;
     options.sst_target_bytes = 16 * 1024;
     // NVM far smaller than the dataset so batches regularly trip
     // watermark compactions and forced reclamation mid-group.
     options.nvm_capacity_bytes = 96 * 1024;
-    options.nvm_profile.capacity_bytes = 96 * 1024;
     PrismDb::open(options).expect("valid options")
 }
 
@@ -98,26 +96,25 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..250),
         chunk in 1usize..40,
     ) {
-        let batched = small_db(Partitioning::Hash, true);
-        let mut sequential = small_db(Partitioning::Hash, true);
+        let batched = small_db(Partitioning::Hash);
+        let mut sequential = small_db(Partitioning::Hash);
         apply_batched(&batched, &ops, chunk);
         apply_sequential(&mut sequential, &ops);
         assert_same_state(&batched, &mut sequential, "hash");
     }
 
-    /// Same equivalence on the range-partitioned engine with duplicate
-    /// merging disabled (the ablation configuration must not change
-    /// semantics either).
+    /// Same equivalence on the range-partitioned engine (batches mostly
+    /// stay inside one partition and cross a seam now and then).
     #[test]
-    fn batched_application_matches_sequential_range_unmerged(
+    fn batched_application_matches_sequential_range(
         ops in prop::collection::vec(op_strategy(), 1..250),
         chunk in 1usize..40,
     ) {
-        let batched = small_db(Partitioning::Range, false);
-        let mut sequential = small_db(Partitioning::Range, true);
+        let batched = small_db(Partitioning::Range);
+        let mut sequential = small_db(Partitioning::Range);
         apply_batched(&batched, &ops, chunk);
         apply_sequential(&mut sequential, &ops);
-        assert_same_state(&batched, &mut sequential, "range-unmerged");
+        assert_same_state(&batched, &mut sequential, "range");
     }
 
     /// Duplicate keys inside one batch: the last entry must win, exactly
@@ -127,8 +124,8 @@ proptest! {
     fn duplicate_keys_in_one_batch_last_entry_wins(
         ops in prop::collection::vec((0u8..2, 0u64..12, 1usize..600), 2..120),
     ) {
-        let batched = small_db(Partitioning::Hash, true);
-        let mut sequential = small_db(Partitioning::Hash, true);
+        let batched = small_db(Partitioning::Hash);
+        let mut sequential = small_db(Partitioning::Hash);
         // The whole op vector as ONE batch.
         apply_batched(&batched, &ops, ops.len());
         apply_sequential(&mut sequential, &ops);
@@ -148,8 +145,8 @@ proptest! {
 /// every range seam, with in-batch overwrites and deletes of seam keys.
 #[test]
 fn batch_straddling_partition_seams_matches_sequential() {
-    let batched = small_db(Partitioning::Range, true);
-    let mut sequential = small_db(Partitioning::Range, true);
+    let batched = small_db(Partitioning::Range);
+    let mut sequential = small_db(Partitioning::Range);
     let mut ops: Vec<(u8, u64, usize)> = Vec::new();
     for seam in [SPAN, 2 * SPAN] {
         for id in [seam - 2, seam - 1, seam, seam + 1] {

@@ -16,7 +16,6 @@ fn small_nvm_options(workers: usize) -> Options {
     options.num_partitions = 1;
     options.compaction_workers = workers;
     options.nvm_capacity_bytes = 256 * 1024;
-    options.nvm_profile.capacity_bytes = 256 * 1024;
     options.sst_target_bytes = 32 * 1024;
     options
 }

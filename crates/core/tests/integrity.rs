@@ -76,7 +76,6 @@ fn every_injected_flash_bit_flip_is_detected() {
     options.num_partitions = 1;
     // NVM far smaller than the dataset: inline demotions must run.
     options.nvm_capacity_bytes = 32 * 1024;
-    options.nvm_profile.capacity_bytes = 32 * 1024;
     options.sst_target_bytes = 8 * 1024;
     options.compaction.bucket_size_keys = 64;
     options.fault_plan = Some(Arc::clone(&plan));

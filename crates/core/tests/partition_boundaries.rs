@@ -28,7 +28,6 @@ fn range_db() -> PrismDb {
     // Small NVM so boundary keys regularly live on flash, not just in
     // slabs.
     options.nvm_capacity_bytes = 128 * 1024;
-    options.nvm_profile.capacity_bytes = 128 * 1024;
     PrismDb::open(options).expect("valid options")
 }
 

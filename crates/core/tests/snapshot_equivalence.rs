@@ -26,7 +26,6 @@ fn small_db(partitioning: Partitioning) -> PrismDb {
     // NVM much smaller than the dataset so the post-pin phase triggers
     // compactions that demote/reclaim versions the snapshot still needs.
     options.nvm_capacity_bytes = 96 * 1024;
-    options.nvm_profile.capacity_bytes = 96 * 1024;
     PrismDb::open(options).expect("valid options")
 }
 

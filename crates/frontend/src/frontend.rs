@@ -896,8 +896,9 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
     }
 
     /// Non-blocking [`Frontend::submit_put`]: never waits for queue
-    /// space. The caller keeps ownership of its data (arguments are
-    /// borrowed and only cloned on acceptance), so a rejected submission
+    /// space. The caller keeps ownership of its data — arguments are
+    /// borrowed and cloned into the request before the queue bound is
+    /// checked, so a rejection costs the clone — and a rejected submission
     /// can simply be retried.
     ///
     /// # Errors
@@ -978,8 +979,9 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
 
     /// Non-blocking [`Frontend::submit_batch`]: the batch is routed whole
     /// to its home (first touched) partition with the same back-pressure
-    /// contract as [`Frontend::try_submit_put`]. The batch is borrowed and
-    /// only cloned on acceptance so a rejected submission can be retried.
+    /// contract as [`Frontend::try_submit_put`]. The batch is borrowed
+    /// (and cloned before the queue bound is checked, accepted or not) so
+    /// a rejected submission can be retried.
     ///
     /// # Errors
     ///

@@ -32,7 +32,6 @@ fn pressured_options(hub: &Arc<ObsHub>, plan: &Arc<FaultPlan>) -> Options {
     options.num_partitions = 2;
     options.compaction_workers = 1;
     options.nvm_capacity_bytes = 256 * 1024;
-    options.nvm_profile.capacity_bytes = 256 * 1024;
     options.high_watermark = 0.6;
     options.low_watermark = 0.5;
     options.backpressure_ceiling = 0.85;

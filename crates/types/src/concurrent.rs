@@ -1,23 +1,30 @@
-//! Shared-reference (thread-safe) engine API and adapters.
+//! The engine API and the adapters between its two receivers.
 //!
-//! [`crate::KvStore`] takes `&mut self`: it models a single benchmark thread
-//! driving an engine. Scaling past one thread needs an API that can be
-//! called through a shared reference, so `Arc<Engine>` handles can be
-//! cloned into many OS threads. [`ConcurrentKvStore`] is that API; engines
-//! provide their own internal synchronisation (PrismDB locks each
-//! partition separately, so operations on different partitions proceed in
-//! parallel).
+//! [`ConcurrentKvStore`] (`&self`) is the one trait an internally-locked
+//! engine implements: `Arc<Engine>` handles can be cloned into many OS
+//! threads and the engine provides its own synchronisation (PrismDB locks
+//! each partition separately, so operations on different partitions
+//! proceed in parallel). [`crate::KvStore`] (`&mut self`) is the same
+//! operations for a single-threaded driver; only engines that are
+//! inherently single-threaded ([`crate::MemStore`], the LSM baseline)
+//! implement it by hand.
 //!
-//! Two adapters bridge the traits in both directions:
+//! One adapter bridges the traits in each direction:
 //!
-//! * [`SharedKv`] wraps an `Arc<impl ConcurrentKvStore>` and implements
-//!   [`crate::KvStore`], so existing single-threaded drivers (the benchmark
-//!   runner, tests) can drive a shared engine unchanged — one `SharedKv`
-//!   handle per thread.
+//! * every `ConcurrentKvStore` is a [`crate::KvStore`] through one blanket
+//!   impl, so single-threaded drivers (the benchmark runner, tests) drive a
+//!   shared engine unchanged. `Arc<E>` forwards `ConcurrentKvStore`, so an
+//!   `Arc` clone is the per-thread `&mut` handle.
 //! * [`MutexKv`] wraps any `impl KvStore` in one global mutex and
 //!   implements [`ConcurrentKvStore`]. It is the baseline adapter: safe
 //!   everywhere, parallel nowhere (a single shard), which is exactly the
 //!   foil the scalability experiments compare sharded engines against.
+//!
+//! **Import rule: one trait per module.** `stats`, `elapsed` and
+//! `engine_name` take `&self` in both traits, so with both in scope a call
+//! on an engine that has both is ambiguous. Import the trait the module
+//! drives engines through; where a module needs the other one for a single
+//! call, import it in that function (or name it: `KvStore::stats(&db)`).
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -342,78 +349,42 @@ impl<E: ConcurrentKvStore + ?Sized> ConcurrentKvStore for Arc<E> {
     }
 }
 
-/// A cloneable [`crate::KvStore`] handle over a shared concurrent engine.
-///
-/// Each thread gets its own `SharedKv` (cheap `Arc` clone); every handle
-/// drives the same underlying engine.
-///
-/// # Example
-///
-/// ```
-/// use std::sync::Arc;
-/// use prism_types::{ConcurrentKvStore, Key, KvStore, MemStore, MutexKv, SharedKv, Value};
-///
-/// let engine = Arc::new(MutexKv::new(MemStore::default()));
-/// let mut handle = SharedKv::new(engine.clone());
-/// handle.put(Key::from_id(1), Value::filled(8, 7)).unwrap();
-/// assert!(engine.get(&Key::from_id(1)).unwrap().value.is_some());
-/// ```
-#[derive(Debug)]
-pub struct SharedKv<E: ConcurrentKvStore> {
-    inner: Arc<E>,
-}
-
-impl<E: ConcurrentKvStore> SharedKv<E> {
-    /// Wrap a shared engine.
-    pub fn new(inner: Arc<E>) -> Self {
-        SharedKv { inner }
-    }
-
-    /// The shared engine behind this handle.
-    pub fn engine(&self) -> &Arc<E> {
-        &self.inner
-    }
-}
-
-impl<E: ConcurrentKvStore> Clone for SharedKv<E> {
-    fn clone(&self) -> Self {
-        SharedKv {
-            inner: self.inner.clone(),
-        }
-    }
-}
-
-impl<E: ConcurrentKvStore> KvStore for SharedKv<E> {
+/// The `&mut self` API of every internally-locked engine, derived: a
+/// single-threaded driver written against [`KvStore`] runs an engine, an
+/// `Arc` clone of one (the per-thread handle) or a `dyn ConcurrentKvStore`
+/// unchanged. Exclusive access adds nothing to a shared-reference engine,
+/// so each method is the `&self` one.
+impl<E: ConcurrentKvStore + ?Sized> KvStore for E {
     fn put(&mut self, key: Key, value: Value) -> Result<Nanos> {
-        self.inner.put(key, value)
+        ConcurrentKvStore::put(self, key, value)
     }
 
     fn get(&mut self, key: &Key) -> Result<Lookup> {
-        self.inner.get(key)
+        ConcurrentKvStore::get(self, key)
     }
 
     fn delete(&mut self, key: &Key) -> Result<Nanos> {
-        self.inner.delete(key)
+        ConcurrentKvStore::delete(self, key)
     }
 
     fn scan(&mut self, start: &Key, count: usize) -> Result<ScanResult> {
-        self.inner.scan(start, count)
+        ConcurrentKvStore::scan(self, start, count)
     }
 
     fn apply_batch(&mut self, batch: WriteBatch) -> Result<Nanos> {
-        self.inner.apply_batch(batch)
+        ConcurrentKvStore::apply_batch(self, batch)
     }
 
     fn stats(&self) -> EngineStats {
-        self.inner.stats()
+        ConcurrentKvStore::stats(self)
     }
 
     fn elapsed(&self) -> Nanos {
-        self.inner.elapsed()
+        ConcurrentKvStore::elapsed(self)
     }
 
     fn engine_name(&self) -> &str {
-        self.inner.engine_name()
+        ConcurrentKvStore::engine_name(self)
     }
 }
 
@@ -497,8 +468,13 @@ impl<E: KvStore + Send> ConcurrentKvStore for MutexKv<E> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::MemStore;
+    // One trait per module: `KvStore` is named by path where it is needed.
+    use super::{ConcurrentKvStore, MutexKv};
+    use crate::{
+        EngineStats, Key, Lookup, MemStore, Nanos, PartitionHealth, Result, ScanResult, SnapshotId,
+        Value, WriteBatch,
+    };
+    use std::sync::Arc;
 
     #[test]
     fn concurrent_trait_is_object_safe() {
@@ -530,20 +506,163 @@ mod tests {
         assert_eq!(store.engine_name(), "memstore");
     }
 
+    /// An engine that answers every defaulted method with something the
+    /// default never returns, so a forwarding impl that forgets a method
+    /// (and silently inherits the default) is caught.
+    struct Probe;
+
+    const PROBE_KEY: u64 = 77;
+
+    impl ConcurrentKvStore for Probe {
+        fn put(&self, _key: Key, _value: Value) -> Result<Nanos> {
+            Ok(Nanos::from_nanos(1))
+        }
+        fn get(&self, _key: &Key) -> Result<Lookup> {
+            Ok(Lookup::miss(Nanos::from_nanos(2)))
+        }
+        fn delete(&self, _key: &Key) -> Result<Nanos> {
+            Ok(Nanos::from_nanos(3))
+        }
+        fn scan(&self, _start: &Key, _count: usize) -> Result<ScanResult> {
+            Ok(ScanResult {
+                entries: Vec::new(),
+                latency: Nanos::from_nanos(4),
+            })
+        }
+        fn apply_batch(&self, _batch: WriteBatch) -> Result<Nanos> {
+            Ok(Nanos::from_nanos(5))
+        }
+        fn stats(&self) -> EngineStats {
+            EngineStats {
+                user_bytes_written: 6,
+                ..EngineStats::default()
+            }
+        }
+        fn elapsed(&self) -> Nanos {
+            Nanos::from_nanos(7)
+        }
+        fn engine_name(&self) -> &str {
+            "probe"
+        }
+        fn shard_count(&self) -> usize {
+            9
+        }
+        fn shard_of(&self, _key: &Key) -> usize {
+            8
+        }
+        fn shards_for_scan(&self, _start: &Key) -> std::ops::Range<usize> {
+            3..5
+        }
+        fn concurrent_reads(&self) -> bool {
+            true
+        }
+        fn background_worker_times(&self) -> Vec<Nanos> {
+            vec![Nanos::from_nanos(10)]
+        }
+        fn shard_read_serial_times(&self) -> Vec<Nanos> {
+            vec![Nanos::from_nanos(11)]
+        }
+        fn shard_health(&self, _shard: usize) -> PartitionHealth {
+            PartitionHealth::Degraded
+        }
+        fn quarantined_objects(&self) -> u64 {
+            12
+        }
+        fn shard_write_pressure(&self, _shard: usize) -> f64 {
+            1.5
+        }
+        fn snapshot(&self) -> Result<SnapshotId> {
+            Ok(SnapshotId(13))
+        }
+        fn release_snapshot(&self, _snapshot: SnapshotId) {
+            panic!("release_snapshot reached the probe");
+        }
+        fn snapshot_get(&self, _snapshot: SnapshotId, _key: &Key) -> Result<Option<Value>> {
+            Ok(Some(Value::filled(14, 0)))
+        }
+        fn snapshot_scan(
+            &self,
+            _snapshot: SnapshotId,
+            _start: &Key,
+            _count: usize,
+        ) -> Result<Vec<(Key, Value)>> {
+            Ok(vec![(Key::from_id(PROBE_KEY), Value::filled(15, 0))])
+        }
+        fn txn_commit(
+            &self,
+            _snapshot: SnapshotId,
+            _reads: &[Key],
+            _writes: WriteBatch,
+        ) -> Result<Nanos> {
+            Ok(Nanos::from_nanos(16))
+        }
+    }
+
+    /// Every method of the `&self` trait must reach the probe.
+    fn assert_reaches_probe(store: &(impl ConcurrentKvStore + ?Sized)) {
+        let key = Key::from_id(PROBE_KEY);
+        let snap = SnapshotId(0);
+        assert_eq!(
+            store.put(key.clone(), Value::empty()).unwrap().as_nanos(),
+            1
+        );
+        assert_eq!(store.get(&key).unwrap().latency.as_nanos(), 2);
+        assert_eq!(store.delete(&key).unwrap().as_nanos(), 3);
+        assert_eq!(store.scan(&key, 1).unwrap().latency.as_nanos(), 4);
+        assert_eq!(store.apply_batch(WriteBatch::new()).unwrap().as_nanos(), 5);
+        assert_eq!(store.stats().user_bytes_written, 6);
+        assert_eq!(store.elapsed().as_nanos(), 7);
+        assert_eq!(store.engine_name(), "probe");
+        assert_eq!(store.shard_count(), 9);
+        assert_eq!(store.shard_of(&key), 8);
+        assert_eq!(store.shards_for_scan(&key), 3..5);
+        assert!(store.concurrent_reads());
+        assert_eq!(store.background_worker_times(), [Nanos::from_nanos(10)]);
+        assert_eq!(store.shard_read_serial_times(), [Nanos::from_nanos(11)]);
+        assert_eq!(store.shard_health(0), PartitionHealth::Degraded);
+        assert_eq!(store.quarantined_objects(), 12);
+        assert_eq!(store.shard_write_pressure(0), 1.5);
+        assert_eq!(store.snapshot().unwrap(), SnapshotId(13));
+        let released = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.release_snapshot(snap);
+        }));
+        assert!(released.is_err(), "release_snapshot fell back to the no-op");
+        assert_eq!(store.snapshot_get(snap, &key).unwrap().unwrap().len(), 14);
+        assert_eq!(store.snapshot_scan(snap, &key, 1).unwrap()[0].1.len(), 15);
+        let committed = store.txn_commit(snap, &[], WriteBatch::new());
+        assert_eq!(committed.unwrap().as_nanos(), 16);
+    }
+
+    /// The eight operations the `&mut self` trait shares must reach it too.
+    fn assert_kvstore_view_reaches_probe(store: &mut (impl crate::KvStore + ?Sized)) {
+        let key = Key::from_id(PROBE_KEY);
+        assert_eq!(
+            store.put(key.clone(), Value::empty()).unwrap().as_nanos(),
+            1
+        );
+        assert_eq!(store.get(&key).unwrap().latency.as_nanos(), 2);
+        assert_eq!(store.delete(&key).unwrap().as_nanos(), 3);
+        assert_eq!(store.scan(&key, 1).unwrap().latency.as_nanos(), 4);
+        assert_eq!(store.apply_batch(WriteBatch::new()).unwrap().as_nanos(), 5);
+        assert_eq!(store.stats().user_bytes_written, 6);
+        assert_eq!(store.elapsed().as_nanos(), 7);
+        assert_eq!(store.engine_name(), "probe");
+    }
+
     #[test]
-    fn shared_handle_implements_kvstore_over_one_engine() {
-        let engine = Arc::new(MutexKv::new(MemStore::default()));
-        let mut a = SharedKv::new(engine.clone());
-        let mut b = a.clone();
-        a.put(Key::from_id(1), Value::filled(4, 1)).unwrap();
-        b.put(Key::from_id(2), Value::filled(4, 2)).unwrap();
-        assert!(a.get(&Key::from_id(2)).unwrap().value.is_some());
-        assert_eq!(b.scan(&Key::min(), 10).unwrap().entries.len(), 2);
-        assert_eq!(a.engine_name(), "memstore");
-        assert_eq!(Arc::strong_count(a.engine()), 3);
-        let _ = b.delete(&Key::from_id(1)).unwrap();
-        assert!(a.get(&Key::from_id(1)).unwrap().value.is_none());
-        assert!(b.elapsed() > Nanos::ZERO);
-        assert!(b.stats().reads_found() > 0);
+    fn forwarding_is_total() {
+        assert_reaches_probe(&Probe);
+        assert_reaches_probe(&Arc::new(Probe));
+        let boxed: Box<dyn ConcurrentKvStore> = Box::new(Probe);
+        assert_reaches_probe(&*boxed);
+        let shared: Arc<dyn ConcurrentKvStore> = Arc::new(Probe);
+        assert_reaches_probe(&shared);
+
+        assert_kvstore_view_reaches_probe(&mut Probe);
+        assert_kvstore_view_reaches_probe(&mut Arc::new(Probe));
+        let mut boxed: Box<dyn ConcurrentKvStore> = Box::new(Probe);
+        assert_kvstore_view_reaches_probe(&mut *boxed);
+        let mut object: Box<dyn crate::KvStore> = Box::new(Arc::new(Probe));
+        assert_kvstore_view_reaches_probe(&mut *object);
     }
 }

@@ -1,15 +1,16 @@
 //! Common types shared by every crate in the PrismDB reproduction.
 //!
 //! This crate defines the vocabulary of the system: [`Key`] and [`Value`]
-//! types, simulated-time units ([`Nanos`]), the [`KvStore`] trait implemented
-//! by PrismDB and by every baseline engine, its thread-safe counterpart
-//! [`ConcurrentKvStore`] (plus the [`SharedKv`] / [`MutexKv`] adapters and
-//! the [`MemStore`] reference oracle), the snapshot / optimistic
-//! transaction layer ([`SnapshotId`], [`Transaction`]), operation
-//! descriptions consumed by the benchmark harness, the futures-free
-//! [`Completion`] / [`Ticket`] primitive used by the async submission
-//! front-end (with its [`FrontendStats`]), and the error type used across
-//! the workspace.
+//! types, simulated-time units ([`Nanos`]), the engine API — the `&self`
+//! [`ConcurrentKvStore`] an internally-locked engine implements, the
+//! `&mut self` [`KvStore`] every such engine gets from one blanket impl and
+//! single-threaded engines implement by hand, the [`MutexKv`] adapter for
+//! the other direction and the [`MemStore`] reference oracle — the
+//! snapshot / optimistic transaction layer ([`SnapshotId`],
+//! [`Transaction`]), operation descriptions consumed by the benchmark
+//! harness, the futures-free [`Completion`] / [`Ticket`] primitive used by
+//! the async submission front-end (with its [`FrontendStats`]), and the
+//! error type used across the workspace.
 //!
 //! # Example
 //!
@@ -39,7 +40,7 @@ mod value;
 
 pub use batch::{BatchOp, WriteBatch};
 pub use completion::{completion_pair, completion_pair_gauged, Completion, Ticket, TicketGauge};
-pub use concurrent::{ConcurrentKvStore, MutexKv, SharedKv};
+pub use concurrent::{ConcurrentKvStore, MutexKv};
 pub use error::{PrismError, Result};
 pub use key::Key;
 pub use mem::MemStore;
@@ -56,7 +57,7 @@ pub use value::Value;
 /// A storage engine that the benchmark harness can drive.
 ///
 /// Both PrismDB (`prism-db`) and the LSM baseline family (`prism-lsm`)
-/// implement this trait, so every experiment in the paper can be expressed
+/// have this trait, so every experiment in the paper can be expressed
 /// once and run against any engine.
 ///
 /// All methods take `&mut self`: engines are driven by a single benchmark
@@ -65,10 +66,11 @@ pub use value::Value;
 /// simulated time it consumed so the harness can build latency
 /// distributions without real sleeps.
 ///
-/// Engines that support multi-threaded clients additionally implement
-/// [`ConcurrentKvStore`], the `&self` counterpart of this trait; the
-/// [`SharedKv`] adapter turns any such engine back into a per-thread
-/// `KvStore` handle so single-threaded drivers keep working.
+/// Only inherently single-threaded engines ([`MemStore`], the LSM
+/// baseline) implement it by hand. An engine that supports multi-threaded
+/// clients implements [`ConcurrentKvStore`], the `&self` form of the same
+/// operations, and has this trait through the one blanket impl beside it —
+/// as does every `Arc` clone of it, which is the per-thread handle.
 pub trait KvStore {
     /// Insert or update `key` with `value`.
     ///

@@ -6,7 +6,9 @@
 //! * [`db`] — the PrismDB engine itself ([`db::PrismDb`], [`db::Options`]),
 //! * [`lsm`] — the RocksDB-like baseline family used in the paper's
 //!   comparisons,
-//! * [`types`] — keys, values, the [`types::KvStore`] trait and statistics,
+//! * [`types`] — keys, values, statistics and the engine API
+//!   ([`types::ConcurrentKvStore`], with [`types::KvStore`] derived from it
+//!   for single-threaded drivers),
 //! * [`storage`] — the tiered-device simulator, cost and endurance models,
 //! * [`workloads`] — YCSB and Twitter-trace workload generators,
 //! * [`frontend`] — the async submission front-end (per-partition request
@@ -42,7 +44,9 @@
 //! and drive it from many threads through
 //! [`types::ConcurrentKvStore`] — each partition has its own lock, so
 //! operations on different partitions run in parallel (see the README's
-//! "Concurrency model" section).
+//! "Concurrency model" section). Import one of the two traits per module:
+//! every concurrent engine has both, and they share `stats`, `elapsed` and
+//! `engine_name`.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -86,7 +90,7 @@ pub use prism_obs as obs;
 pub use prism_storage as storage;
 /// Popularity tracker substrate (re-export of `prism-tracker`).
 pub use prism_tracker as tracker;
-/// Common types and the `KvStore` trait (re-export of `prism-types`).
+/// Common types and the engine traits (re-export of `prism-types`).
 pub use prism_types as types;
 /// Workload generators (re-export of `prism-workloads`).
 pub use prism_workloads as workloads;

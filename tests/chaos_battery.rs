@@ -97,7 +97,6 @@ fn scrub_convergence() -> (u128, u64, u64, u64) {
     // NVM far smaller than the dataset: inline demotions must run, so
     // the armed flips land inside SST builds.
     options.nvm_capacity_bytes = 32 * 1024;
-    options.nvm_profile.capacity_bytes = 32 * 1024;
     options.sst_target_bytes = 8 * 1024;
     options.compaction.bucket_size_keys = 64;
     options.fault_plan = Some(Arc::clone(&plan));
@@ -218,7 +217,6 @@ fn fault_storm() -> StormOutcome {
     options.compaction.bucket_size_keys = 128;
     options.sst_target_bytes = 16 * 1024;
     options.nvm_capacity_bytes = 256 * 1024;
-    options.nvm_profile.capacity_bytes = 256 * 1024;
     options.fault_plan = Some(Arc::clone(&plan));
     options.corruption_quarantine_threshold = 3;
     options.scrub_io_budget_bytes = 64 * 1024;

@@ -51,7 +51,6 @@ fn stress_db_with_workers(workers: usize) -> Arc<PrismDb> {
     options.sst_target_bytes = 16 * 1024;
     // NVM far smaller than the dataset: compactions run under concurrency.
     options.nvm_capacity_bytes = 192 * 1024;
-    options.nvm_profile.capacity_bytes = 192 * 1024;
     options.compaction_workers = workers;
     Arc::new(PrismDb::open(options).expect("valid options"))
 }
@@ -658,23 +657,22 @@ fn async_frontend_multiplexes_256_logical_clients_under_stress() {
 }
 
 #[test]
-fn sharedkv_lets_the_single_threaded_runner_drive_a_shared_engine() {
+fn an_arc_clone_lets_the_single_threaded_runner_drive_a_shared_engine() {
     use prismdb::bench::{RunConfig, Runner};
-    use prismdb::types::SharedKv;
+    use prismdb::types::KvStore;
     use prismdb::workloads::Workload;
 
-    // The classic `&mut self` runner drives a shared engine through a
-    // `SharedKv` handle while another handle (on another thread) reads
-    // concurrently — the bridge existing single-threaded drivers use.
+    // The classic `&mut self` runner drives a shared engine through an
+    // `Arc` clone (every `ConcurrentKvStore` is a `KvStore`) while another
+    // clone, on another thread, reads concurrently — the bridge existing
+    // single-threaded drivers use.
     let db = stress_db();
-    let mut handle = SharedKv::new(Arc::clone(&db));
-    let reader = SharedKv::new(Arc::clone(&db));
+    let mut handle = Arc::clone(&db);
+    let mut reader = Arc::clone(&db);
     let result = std::thread::scope(|scope| {
         scope.spawn(move || {
-            let mut reader = reader;
             for id in 0..KEY_SPACE {
-                use prismdb::types::KvStore;
-                let _ = reader.get(&Key::from_id(id)).expect("concurrent get");
+                let _ = KvStore::get(&mut reader, &Key::from_id(id)).expect("concurrent get");
             }
         });
         let runner = Runner::new(RunConfig::quick(KEY_SPACE));

@@ -105,7 +105,6 @@ fn prism_engine_with_workers(partitioning: Partitioning, workers: usize) -> Pris
     // Keep NVM small relative to the dataset so demotion compactions (and
     // on read-heavy phases, promotions) run constantly mid-test.
     options.nvm_capacity_bytes = 256 * 1024;
-    options.nvm_profile.capacity_bytes = 256 * 1024;
     options.compaction_workers = workers;
     PrismDb::open(options).expect("valid options")
 }
@@ -1180,7 +1179,6 @@ fn run_fault_seed(seed: u64) {
     options.compaction.bucket_size_keys = 128;
     options.sst_target_bytes = 16 * 1024;
     options.nvm_capacity_bytes = 256 * 1024;
-    options.nvm_profile.capacity_bytes = 256 * 1024;
     options.fault_plan = Some(Arc::clone(&plan));
     // Hair-trigger degraded mode so the run exercises the full
     // quarantine -> read-only -> scrub -> re-arm lifecycle.

@@ -33,7 +33,6 @@ fn storm_db() -> PrismDb {
     // the measured interval includes real compaction work, not just
     // slab inserts.
     options.nvm_capacity_bytes = 128 * 1024;
-    options.nvm_profile.capacity_bytes = 128 * 1024;
     PrismDb::open(options).expect("valid options")
 }
 

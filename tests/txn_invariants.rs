@@ -78,7 +78,6 @@ fn bank_db() -> PrismDb {
     // NVM holds only a fraction of the account set, so transfers force
     // demotion/promotion compactions while snapshots are pinned.
     options.nvm_capacity_bytes = 12 * 1024;
-    options.nvm_profile.capacity_bytes = 12 * 1024;
     PrismDb::open(options).expect("valid options")
 }
 
