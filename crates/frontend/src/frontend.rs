@@ -1,10 +1,10 @@
-//! The submission subsystem: bounded per-partition queues, the executor
-//! pool, and the coalescing drain loop.
+//! The submission subsystem: bounded per-partition queues, the one ready
+//! list the executor pool pops from, and the coalescing drain.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use prism_obs::{LatencyHistogram, ObsHub};
 use prism_types::{
@@ -36,16 +36,14 @@ const OP_CLASSES: [(&str, OpClass); 4] = [
 /// op class, the time a request waited in its partition queue
 /// (`frontend_queue_wait_*_ns`), the wall time the engine call took
 /// (`frontend_service_*_ns`), and the end-to-end submission→completion
-/// latency (`frontend_e2e_*_ns`); plus the steal-latency histogram (age
-/// of the oldest request in a stolen drain) and whole-drain durations.
-/// All instruments live in the shared [`ObsHub`] registry, so the admin
-/// plane serves them by name.
+/// latency (`frontend_e2e_*_ns`); plus whole-drain durations. All
+/// instruments live in the shared [`ObsHub`] registry, so the admin plane
+/// serves them by name.
 struct FrontendObs {
     hub: Arc<ObsHub>,
     queue_wait: [Arc<LatencyHistogram>; 4],
     service: [Arc<LatencyHistogram>; 4],
     e2e: [Arc<LatencyHistogram>; 4],
-    steal_latency: Arc<LatencyHistogram>,
     drain: Arc<LatencyHistogram>,
 }
 
@@ -61,122 +59,89 @@ impl FrontendObs {
             queue_wait: stage("queue_wait"),
             service: stage("service"),
             e2e: stage("e2e"),
-            steal_latency: hub.registry.histogram("frontend_steal_latency_ns"),
             drain: hub.registry.histogram("frontend_drain_ns"),
             hub,
         }
     }
 
     #[inline]
-    fn record_stage(&self, stage: &[Arc<LatencyHistogram>; 4], class: OpClass, ns: u128) {
-        stage[class as usize].record(clamp_u64(ns));
+    fn record_stage(&self, stage: &[Arc<LatencyHistogram>; 4], class: OpClass, took: Duration) {
+        stage[class as usize].record(clamp_u64(took));
     }
 }
 
 #[inline]
-fn clamp_u64(ns: u128) -> u64 {
-    ns.min(u64::MAX as u128) as u64
+fn clamp_u64(took: Duration) -> u64 {
+    took.as_nanos().min(u64::MAX as u128) as u64
+}
+
+fn timed<T>(call: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    let out = call();
+    (out, start.elapsed())
 }
 
 /// Ticket for a submitted write (put, delete or batch): resolves to the
-/// simulated latency of the group(s) that installed it.
+/// simulated latency of the group that installed it.
 pub type WriteTicket = Ticket<Result<Nanos>>;
 /// Ticket for a submitted point read.
 pub type ReadTicket = Ticket<Result<Lookup>>;
 /// Ticket for a submitted scan.
 pub type ScanTicket = Ticket<Result<ScanResult>>;
 
-/// Aggregates the per-partition parts of one write submission: a single
-/// put/delete has one part, a cross-partition batch one part per touched
-/// partition. The last part to finish completes the client's ticket with
-/// the slowest part's latency (parts install on different partitions in
-/// parallel) or the first error observed.
-struct WriteAgg {
-    remaining: AtomicUsize,
-    latency: Mutex<Nanos>,
-    error: Mutex<Option<PrismError>>,
-    completion: Mutex<Option<Completion<Result<Nanos>>>>,
+/// The answering half of a queued request: the completion its ticket
+/// waits on, plus the class and enqueue instant the drain needs to
+/// decompose latency into queue-wait / service / end-to-end.
+struct Reply<T> {
+    completion: Completion<Result<T>>,
+    class: OpClass,
+    enqueued_at: Instant,
 }
 
-impl WriteAgg {
-    fn new(parts: usize, gauge: &TicketGauge) -> (Arc<Self>, WriteTicket) {
-        let (completion, ticket) = completion_pair_gauged(gauge);
-        (
-            Arc::new(WriteAgg {
-                remaining: AtomicUsize::new(parts),
-                latency: Mutex::new(Nanos::ZERO),
-                error: Mutex::new(None),
-                completion: Mutex::new(Some(completion)),
-            }),
-            ticket,
-        )
-    }
-
-    fn finish(&self, result: Result<Nanos>) {
-        match result {
-            Ok(latency) => {
-                let mut slowest = lock(&self.latency);
-                *slowest = (*slowest).max(latency);
-            }
-            Err(err) => {
-                lock(&self.error).get_or_insert(err);
-            }
-        }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let completion = lock(&self.completion)
-                .take()
-                .expect("a write aggregate completes exactly once");
-            let result = match lock(&self.error).take() {
-                Some(err) => Err(err),
-                None => Ok(*lock(&self.latency)),
-            };
-            completion.complete(result);
-        }
-    }
-}
-
-/// One queued request. Every variant carries its enqueue instant so the
-/// drain can decompose latency into queue-wait / service / end-to-end.
+/// One queued request.
 enum Request {
-    /// Coalescable write work: the ops of one part, in submission order.
-    Write(Vec<BatchOp>, Arc<WriteAgg>, Instant),
-    Get(Key, Completion<Result<Lookup>>, Instant),
-    Scan(Key, usize, Completion<Result<ScanResult>>, Instant),
+    /// Coalescable write work: the ops of one submission, in order.
+    Write(Vec<BatchOp>, Reply<Nanos>),
+    Get(Key, Reply<Lookup>),
+    Scan(Key, usize, Reply<ScanResult>),
 }
 
 impl Request {
-    fn enqueued_at(&self) -> Instant {
+    fn class_and_enqueue_instant(&self) -> (OpClass, Instant) {
         match self {
-            Request::Write(_, _, at) | Request::Get(_, _, at) | Request::Scan(_, _, _, at) => *at,
-        }
-    }
-
-    fn class(&self) -> OpClass {
-        match self {
-            Request::Write(ops, ..) if ops.len() == 1 => OpClass::Put,
-            Request::Write(..) => OpClass::Batch,
-            Request::Get(..) => OpClass::Get,
-            Request::Scan(..) => OpClass::Scan,
+            Request::Write(_, reply) => (reply.class, reply.enqueued_at),
+            Request::Get(_, reply) => (reply.class, reply.enqueued_at),
+            Request::Scan(_, _, reply) => (reply.class, reply.enqueued_at),
         }
     }
 }
 
+/// What a submission does when its partition's queue is full.
+#[derive(Clone, Copy)]
+enum Admit {
+    /// Wait for a drain to free space.
+    Block,
+    /// Refuse with [`PrismError::Backpressure`]; writes are refused at the
+    /// bound shrunk by the engine's watermark hint.
+    Reject,
+}
+
+#[derive(Default)]
+struct QueueState {
+    items: VecDeque<Request>,
+    /// True exactly while the partition is on the ready list or held by
+    /// the executor that popped it. Set by the enqueue that finds it
+    /// clear, cleared by the drain that leaves `items` empty — both under
+    /// this state's lock, so queued work is always scheduled and at most
+    /// one executor services a partition at a time.
+    scheduled: bool,
+}
+
+#[derive(Default)]
 struct PartitionQueue {
-    items: Mutex<VecDeque<Request>>,
+    state: Mutex<QueueState>,
     /// Signalled after a drain frees queue space, for blocked submitters.
     not_full: Condvar,
-    /// Serialises whole drains (swap + service) of this partition, so a
-    /// stealing executor and the owner can never interleave two drained
-    /// batches — the per-partition submission-order contract survives
-    /// work stealing. Always `try_lock`ed: a held lock means someone is
-    /// already servicing the partition, so the contender moves on.
-    drain_lock: Mutex<()>,
-}
-
-/// Wake-up channel of one executor thread.
-struct ExecSignal {
-    pending: Mutex<bool>,
-    cv: Condvar,
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -187,11 +152,12 @@ struct Shared<E> {
     engine: Arc<E>,
     queue_capacity: usize,
     max_coalesce: usize,
-    /// Queue depth at which an enqueue also wakes a helper executor (see
-    /// [`FrontendOptions::steal_help_depth`]; `0` disables).
-    steal_help_depth: usize,
     queues: Vec<PartitionQueue>,
-    signals: Vec<ExecSignal>,
+    /// Scheduled partitions no executor holds yet, oldest first. Popping
+    /// the front is the front-end's one scheduling decision.
+    ready: Mutex<VecDeque<usize>>,
+    /// Signalled once per push onto `ready`; idle executors wait on it.
+    work: Condvar,
     shutdown: AtomicBool,
     concurrent_reads: bool,
     /// Counts tickets handed out but not yet completed/abandoned; every
@@ -208,137 +174,72 @@ struct Shared<E> {
     /// Live statistics cells. The two ticket entries stay zero here:
     /// `gauge` is their source (see [`Shared::stats_snapshot`]).
     stats: FrontendStatsCells,
-    /// Rotates which peer a helper wake-up targets, so one hot partition
-    /// spreads its overflow across every other executor instead of
-    /// pinning a single neighbour.
-    help_rr: AtomicUsize,
-    /// Rotates the start index of the idle steal sweep, so contending
-    /// idle executors fan out across the foreign queues instead of all
-    /// scanning from partition 0 and colliding on the same drain locks.
-    steal_rr: AtomicUsize,
     /// Per-stage wall-clock histograms and the shared observability hub.
     obs: FrontendObs,
     /// Virtual-time accounting for the benchmark harness: simulated time
-    /// each executor spent servicing requests, and the serial (write)
-    /// work charged to each engine shard.
+    /// each executor spent servicing requests (one clock per executor
+    /// thread), and the serial (write) work charged to each engine shard.
     exec_clocks: Vec<AtomicU64>,
     shard_serial: Vec<AtomicU64>,
 }
 
 impl<E: ConcurrentKvStore> Shared<E> {
-    fn executor_of(&self, partition: usize) -> usize {
-        partition % self.signals.len()
+    /// Put a partition on the ready list and wake one idle executor. The
+    /// caller passes in the partition's queue lock, held with `scheduled`
+    /// set; it is released once the partition is on the list.
+    fn schedule(&self, partition: usize, state: MutexGuard<'_, QueueState>) {
+        lock(&self.ready).push_back(partition);
+        drop(state);
+        self.work.notify_one();
     }
 
-    fn signal(&self, partition: usize) {
-        self.signal_executor(self.executor_of(partition));
-    }
-
-    fn signal_executor(&self, exec_id: usize) {
-        let signal = &self.signals[exec_id];
-        *lock(&signal.pending) = true;
-        signal.cv.notify_one();
-    }
-
-    /// Wake one executor that does *not* own `partition`, rotating the
-    /// choice, so an idle peer steal-sweeps its backlog. No-op with a
-    /// single executor.
-    fn signal_helper(&self, partition: usize) {
-        let executors = self.signals.len();
-        if executors < 2 {
-            return;
-        }
-        let owner = self.executor_of(partition);
-        let offset = self.help_rr.fetch_add(1, Ordering::Relaxed) % (executors - 1);
-        self.signal_executor((owner + 1 + offset) % executors);
-    }
-
-    fn signal_all(&self) {
-        for signal in &self.signals {
-            *lock(&signal.pending) = true;
-            signal.cv.notify_all();
-        }
-        for queue in &self.queues {
-            queue.not_full.notify_all();
-        }
-    }
-
-    /// Enqueue onto a partition queue, blocking while it is full.
-    fn enqueue(&self, partition: usize, request: Request) -> Result<()> {
+    /// Enqueue onto a partition queue and schedule the partition if it
+    /// was idle. A full queue blocks or rejects according to `admit`.
+    fn enqueue(&self, partition: usize, admit: Admit, request: Request) -> Result<()> {
+        let capacity = match (admit, &request) {
+            (Admit::Reject, Request::Write(..)) => self.effective_write_capacity(partition),
+            _ => self.queue_capacity,
+        };
         let queue = &self.queues[partition];
-        let depth;
-        {
-            let mut items = lock(&queue.items);
-            loop {
-                if self.shutdown.load(Ordering::Acquire) {
-                    return Err(PrismError::ShuttingDown);
-                }
-                if items.len() < self.queue_capacity {
-                    break;
-                }
-                items = queue
-                    .not_full
-                    .wait(items)
-                    .unwrap_or_else(|poison| poison.into_inner());
-            }
-            items.push_back(request);
-            // Count while still holding the queue lock: a drain that can
-            // already see the item must never decrement `depth` (or
-            // complete the request) before these increments land.
-            depth = items.len();
-            self.note_enqueued(depth);
-        }
-        self.signal(partition);
-        if self.steal_help_depth != 0 && depth >= self.steal_help_depth {
-            self.signal_helper(partition);
-        }
-        Ok(())
-    }
-
-    /// Enqueue without blocking; reports back-pressure when the queue is
-    /// at `effective_capacity` (shrunk by the engine's watermark hint for
-    /// writes).
-    fn try_enqueue(
-        &self,
-        partition: usize,
-        effective_capacity: usize,
-        request: Request,
-    ) -> Result<()> {
-        let queue = &self.queues[partition];
-        let help_depth;
-        {
-            let mut items = lock(&queue.items);
+        let mut state = lock(&queue.state);
+        loop {
             if self.shutdown.load(Ordering::Acquire) {
                 return Err(PrismError::ShuttingDown);
             }
-            if items.len() >= effective_capacity {
-                let depth = items.len();
-                drop(items);
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(PrismError::Backpressure { partition, depth });
+            let depth = state.items.len();
+            if depth < capacity {
+                break;
             }
-            items.push_back(request);
-            // See `enqueue`: counters move under the queue lock.
-            help_depth = items.len();
-            self.note_enqueued(help_depth);
+            match admit {
+                Admit::Block => {
+                    state = queue
+                        .not_full
+                        .wait(state)
+                        .unwrap_or_else(|poison| poison.into_inner());
+                }
+                Admit::Reject => {
+                    drop(state);
+                    self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                    return Err(PrismError::Backpressure { partition, depth });
+                }
+            }
         }
-        self.signal(partition);
-        if self.steal_help_depth != 0 && help_depth >= self.steal_help_depth {
-            self.signal_helper(partition);
-        }
-        Ok(())
-    }
-
-    /// Caller holds the partition's queue lock with the request pushed.
-    fn note_enqueued(&self, partition_depth: usize) {
+        state.items.push_back(request);
+        // Count while still holding the queue lock: a drain that can
+        // already see the item must never decrement `depth` (or complete
+        // the request) before these increments land.
         let total = self.stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats
             .max_total_queue_depth
             .fetch_max(total, Ordering::Relaxed);
         self.stats
             .max_queue_depth
-            .fetch_max(partition_depth as u64, Ordering::Relaxed);
+            .fetch_max(state.items.len() as u64, Ordering::Relaxed);
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        if !std::mem::replace(&mut state.scheduled, true) {
+            self.schedule(partition, state);
+        }
+        Ok(())
     }
 
     /// The queue bound `try_submit` enforces for writes: halved while the
@@ -354,222 +255,135 @@ impl<E: ConcurrentKvStore> Shared<E> {
         }
     }
 
-    /// Install pending write parts as coalesced groups of at most
-    /// `max_coalesce` entries (whole parts are never split). On a group
-    /// error the group is retried part by part so only the failing
-    /// requests observe the error. Returns the summed simulated latency
-    /// of the installed groups (the executor's serial work).
+    /// The one engine write call: install `ops` as a single batch and
+    /// charge its simulated latency to the shard and to `total`.
+    fn install(
+        &self,
+        partition: usize,
+        entries: usize,
+        ops: impl Iterator<Item = BatchOp>,
+        total: &mut Nanos,
+    ) -> (Result<Nanos>, Duration) {
+        let mut batch = WriteBatch::with_capacity(entries);
+        batch.extend(ops);
+        let (result, service) = timed(|| self.engine.apply_batch(batch));
+        if let Ok(latency) = result {
+            self.shard_serial[partition].fetch_add(latency.as_nanos(), Ordering::Relaxed);
+            *total += latency;
+        }
+        (result, service)
+    }
+
+    /// Answer one request and record its service and end-to-end times.
+    fn finish<T>(&self, reply: Reply<T>, result: Result<T>, service: Duration) {
+        // Count before completing: a client that just saw its ticket
+        // resolve must never observe `completed < submitted` for it.
+        self.stats.completed.fetch_add(1, Ordering::Relaxed);
+        reply.completion.complete(result);
+        self.obs
+            .record_stage(&self.obs.service, reply.class, service);
+        self.obs
+            .record_stage(&self.obs.e2e, reply.class, reply.enqueued_at.elapsed());
+    }
+
+    /// Install pending writes as coalesced groups of at most
+    /// `max_coalesce` entries (whole submissions are never split). On a
+    /// group error the group is retried submission by submission so only
+    /// the failing requests observe the error. Returns the summed
+    /// simulated latency of the installed groups (the executor's serial
+    /// work).
     fn flush_writes(
         &self,
         partition: usize,
-        parts: &mut Vec<(Vec<BatchOp>, Arc<WriteAgg>, Instant)>,
+        mut parts: Vec<(Vec<BatchOp>, Reply<Nanos>)>,
     ) -> Nanos {
         let mut total = Nanos::ZERO;
         while !parts.is_empty() {
             let mut take = 0;
             let mut entries = 0;
-            for (ops, _, _) in parts.iter() {
+            for (ops, _) in &parts {
                 if take > 0 && entries + ops.len() > self.max_coalesce {
                     break;
                 }
                 take += 1;
                 entries += ops.len();
             }
-            let mut group: Vec<(Vec<BatchOp>, Arc<WriteAgg>, Instant)> =
-                parts.drain(..take).collect();
+            let group: Vec<_> = parts.drain(..take).collect();
             self.stats.coalesced_groups.fetch_add(1, Ordering::Relaxed);
             self.stats
                 .coalesced_entries
                 .fetch_add(entries as u64, Ordering::Relaxed);
-            // Count before completing: a client that just saw its ticket
-            // resolve must never observe `completed < submitted` for it.
-            self.stats
-                .completed
-                .fetch_add(group.len() as u64, Ordering::Relaxed);
-            if group.len() == 1 {
-                // The common light-pressure case: a per-part retry cannot
-                // differ from the group, so move the payload instead of
-                // cloning it.
-                let (ops, agg, enqueued_at) = group.pop().expect("one part");
-                let class = if ops.len() == 1 {
-                    OpClass::Put
-                } else {
-                    OpClass::Batch
-                };
-                let mut batch = WriteBatch::with_capacity(ops.len());
-                batch.extend(ops);
-                let service_start = Instant::now();
-                let result = self.engine.apply_batch(batch);
-                let service = service_start.elapsed();
+            if group.len() > 1 {
+                // Cloned, because a failing group is retried below.
+                let ops = group.iter().flat_map(|(ops, _)| ops.iter().cloned());
+                let (result, service) = self.install(partition, entries, ops, &mut total);
                 if let Ok(latency) = result {
-                    self.charge_write(partition, latency);
-                    total += latency;
-                }
-                agg.finish(result);
-                self.obs
-                    .record_stage(&self.obs.service, class, service.as_nanos());
-                self.obs
-                    .record_stage(&self.obs.e2e, class, enqueued_at.elapsed().as_nanos());
-                continue;
-            }
-            let mut batch = WriteBatch::with_capacity(entries);
-            for (ops, _, _) in &group {
-                batch.extend(ops.iter().cloned());
-            }
-            let service_start = Instant::now();
-            match self.engine.apply_batch(batch) {
-                Ok(latency) => {
                     // The group installed as one engine call; every part
                     // shares the group's wall-clock service time.
-                    let service = service_start.elapsed();
-                    self.charge_write(partition, latency);
-                    total += latency;
-                    for (ops, agg, enqueued_at) in group {
-                        let class = if ops.len() == 1 {
-                            OpClass::Put
-                        } else {
-                            OpClass::Batch
-                        };
-                        agg.finish(Ok(latency));
-                        self.obs
-                            .record_stage(&self.obs.service, class, service.as_nanos());
-                        self.obs.record_stage(
-                            &self.obs.e2e,
-                            class,
-                            enqueued_at.elapsed().as_nanos(),
-                        );
+                    for (_, reply) in group {
+                        self.finish(reply, Ok(latency), service);
                     }
+                    continue;
                 }
-                Err(_) => {
-                    // Shared fate would fail innocent bystanders (e.g. one
-                    // client's oversized value rejecting the whole group):
-                    // retry each part alone.
-                    for (ops, agg, enqueued_at) in group {
-                        let class = if ops.len() == 1 {
-                            OpClass::Put
-                        } else {
-                            OpClass::Batch
-                        };
-                        let mut batch = WriteBatch::with_capacity(ops.len());
-                        batch.extend(ops);
-                        let service_start = Instant::now();
-                        let result = self.engine.apply_batch(batch);
-                        let service = service_start.elapsed();
-                        if let Ok(latency) = result {
-                            self.charge_write(partition, latency);
-                            total += latency;
-                        }
-                        agg.finish(result);
-                        self.obs
-                            .record_stage(&self.obs.service, class, service.as_nanos());
-                        self.obs.record_stage(
-                            &self.obs.e2e,
-                            class,
-                            enqueued_at.elapsed().as_nanos(),
-                        );
-                    }
-                }
+                // Shared fate would fail innocent bystanders (e.g. one
+                // client's oversized value rejecting the whole group):
+                // fall through and install each part alone.
+            }
+            for (ops, reply) in group {
+                let (result, service) =
+                    self.install(partition, ops.len(), ops.into_iter(), &mut total);
+                self.finish(reply, result, service);
             }
         }
         total
     }
 
-    fn charge_write(&self, partition: usize, latency: Nanos) {
-        self.shard_serial[partition].fetch_add(latency.as_nanos(), Ordering::Relaxed);
-    }
-
-    /// Drain and service one partition queue. Writes install first (all
-    /// coalesced), then the drained reads run against the resulting state
-    /// — see the crate-level ordering contract. `stolen` marks a drain by
-    /// an executor that does not own the partition (statistics only; the
-    /// drain lock is what keeps stealing safe).
-    fn drain_partition(&self, exec_id: usize, partition: usize, stolen: bool) -> bool {
-        // Peek before taking the drain lock: an idle sweep must never hold
-        // it, or an owner woken for a fresh enqueue bounces off a lock
-        // whose holder has nothing to service and will not re-arm.
-        if lock(&self.queues[partition].items).is_empty() {
-            return false;
-        }
-        // Hold the drain lock across swap *and* service: two executors
-        // interleaving "swap batch A / swap batch B / service B / service
-        // A" would reorder writes across drains. `try_lock` because a
-        // held lock means the partition is already being serviced.
-        let _draining = match self.queues[partition].drain_lock.try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::Poisoned(poison)) => poison.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => return false,
-        };
-        let drained = std::mem::take(&mut *lock(&self.queues[partition].items));
-        if drained.is_empty() {
-            // Another executor drained between the peek and the lock. A
-            // request enqueued since may have bounced its owner off the
-            // lock held here, so release through the same re-arm.
-            drop(_draining);
-            self.rearm(partition);
-            return false;
-        }
-        if stolen {
+    /// Service everything queued on a partition this executor popped off
+    /// the ready list, then hand the partition on. Writes install first
+    /// (all coalesced), then the drained reads run against the resulting
+    /// state — see the crate-level ordering contract.
+    fn drain_partition(&self, exec_id: usize, partition: usize) {
+        let queue = &self.queues[partition];
+        let drained = std::mem::take(&mut lock(&queue.state).items);
+        queue.not_full.notify_all();
+        if exec_id != partition % self.exec_clocks.len() {
             self.stats.stolen_drains.fetch_add(1, Ordering::Relaxed);
         }
-        self.queues[partition].not_full.notify_all();
         self.stats
             .queue_depth
             .fetch_sub(drained.len() as u64, Ordering::Relaxed);
         // Queue-wait ends here for everything in this batch: each request
         // waited from its enqueue instant to the moment the drain picked
-        // it up. A stolen drain additionally records the age of its
-        // oldest request as the steal latency — how stale a foreign
-        // backlog was before an idle peer got to it.
+        // it up.
         let drain_start = Instant::now();
-        let mut oldest_wait_ns: u128 = 0;
-        for request in &drained {
-            let waited = drain_start
-                .saturating_duration_since(request.enqueued_at())
-                .as_nanos();
-            oldest_wait_ns = oldest_wait_ns.max(waited);
-            self.obs
-                .record_stage(&self.obs.queue_wait, request.class(), waited);
-        }
-        if stolen {
-            self.obs.steal_latency.record(clamp_u64(oldest_wait_ns));
-        }
-        let mut exec_time = Nanos::ZERO;
-        let mut writes: Vec<(Vec<BatchOp>, Arc<WriteAgg>, Instant)> = Vec::new();
-        let mut reads: Vec<Request> = Vec::new();
+        let mut writes = Vec::new();
+        let mut reads = Vec::new();
         for request in drained {
+            let (class, enqueued_at) = request.class_and_enqueue_instant();
+            let waited = drain_start.saturating_duration_since(enqueued_at);
+            self.obs.record_stage(&self.obs.queue_wait, class, waited);
             match request {
-                Request::Write(ops, agg, at) => writes.push((ops, agg, at)),
+                Request::Write(ops, reply) => writes.push((ops, reply)),
                 read => reads.push(read),
             }
         }
-        exec_time += self.flush_writes(partition, &mut writes);
+        let mut exec_time = self.flush_writes(partition, writes);
         for request in reads {
             match request {
                 Request::Write(..) => unreachable!("writes were split off above"),
-                Request::Get(key, completion, enqueued_at) => {
-                    let service_start = Instant::now();
-                    let result = self.engine.get(&key);
-                    let service = service_start.elapsed();
+                Request::Get(key, reply) => {
+                    let (result, service) = timed(|| self.engine.get(&key));
                     if let Ok(lookup) = &result {
                         exec_time += lookup.latency;
                         if !self.concurrent_reads {
-                            self.charge_write(partition, lookup.latency);
+                            self.shard_serial[partition]
+                                .fetch_add(lookup.latency.as_nanos(), Ordering::Relaxed);
                         }
                     }
-                    self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                    completion.complete(result);
-                    self.obs
-                        .record_stage(&self.obs.service, OpClass::Get, service.as_nanos());
-                    self.obs.record_stage(
-                        &self.obs.e2e,
-                        OpClass::Get,
-                        enqueued_at.elapsed().as_nanos(),
-                    );
+                    self.finish(reply, result, service);
                 }
-                Request::Scan(start, count, completion, enqueued_at) => {
-                    let service_start = Instant::now();
-                    let result = self.engine.scan(&start, count);
-                    let service = service_start.elapsed();
+                Request::Scan(start, count, reply) => {
+                    let (result, service) = timed(|| self.engine.scan(&start, count));
                     if let Ok(scan) = &result {
                         exec_time += scan.latency;
                         if !self.concurrent_reads {
@@ -580,21 +394,11 @@ impl<E: ConcurrentKvStore> Shared<E> {
                             }
                         }
                     }
-                    self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                    completion.complete(result);
-                    self.obs
-                        .record_stage(&self.obs.service, OpClass::Scan, service.as_nanos());
-                    self.obs.record_stage(
-                        &self.obs.e2e,
-                        OpClass::Scan,
-                        enqueued_at.elapsed().as_nanos(),
-                    );
+                    self.finish(reply, result, service);
                 }
             }
         }
-        self.obs
-            .drain
-            .record(clamp_u64(drain_start.elapsed().as_nanos()));
+        self.obs.drain.record(clamp_u64(drain_start.elapsed()));
         self.exec_clocks[exec_id].fetch_add(exec_time.as_nanos(), Ordering::Relaxed);
         // Refresh the partition's watermark hint now that this drain's
         // writes are installed (the executor may briefly take the
@@ -603,69 +407,41 @@ impl<E: ConcurrentKvStore> Shared<E> {
             self.engine.shard_write_pressure(partition) >= 1.0,
             Ordering::Relaxed,
         );
-        // Release the drain lock *before* re-arming: requests enqueued
-        // while we serviced did signal the owner, but the owner may have
-        // bounced off the held drain lock and parked again — re-signal so
-        // nothing strands until the next enqueue.
-        drop(_draining);
-        self.rearm(partition);
-        true
-    }
-
-    /// After releasing a partition's drain lock: wake the owner if the
-    /// queue is non-empty.
-    fn rearm(&self, partition: usize) {
-        if !lock(&self.queues[partition].items).is_empty() {
-            self.signal(partition);
+        // Requests enqueued while this drain ran saw `scheduled` set and
+        // left the partition to us: pass it on, or mark it idle so the
+        // next enqueue schedules it.
+        let mut state = lock(&queue.state);
+        if state.items.is_empty() {
+            state.scheduled = false;
+        } else {
+            self.schedule(partition, state);
         }
     }
 
-    /// Main loop of one executor thread: sweep the owned partitions,
-    /// steal-sweep everyone else's when the owned sweep found nothing,
-    /// and park on the wake-up signal only when the whole pool's queues
-    /// look empty. Stealing means a Zipfian-hot partition is served by
-    /// every idle executor, not just its owner — the drain lock in
-    /// [`Shared::drain_partition`] keeps per-partition ordering intact.
+    /// Main loop of one executor thread: service the oldest ready
+    /// partition, wait while there is none, and exit once the front-end
+    /// is shut down and the ready list is empty (every partition with
+    /// queued work is on the list or held by a running executor, which
+    /// re-checks the list before it exits).
     fn executor_loop(&self, exec_id: usize) {
-        let executors = self.signals.len();
         loop {
-            let mut busy = false;
-            let mut partition = exec_id;
-            while partition < self.queues.len() {
-                busy |= self.drain_partition(exec_id, partition, false);
-                partition += executors;
-            }
-            if !busy && executors > 1 {
-                // Rotate the sweep's start index so simultaneously idle
-                // executors fan out over the foreign queues instead of
-                // all contending for partition 0's drain lock first.
-                let partitions = self.queues.len();
-                let start = self.steal_rr.fetch_add(1, Ordering::Relaxed) % partitions;
-                for i in 0..partitions {
-                    let partition = (start + i) % partitions;
-                    if partition % executors != exec_id {
-                        busy |= self.drain_partition(exec_id, partition, true);
+            let partition = {
+                let mut ready = lock(&self.ready);
+                loop {
+                    if let Some(partition) = ready.pop_front() {
+                        break partition;
                     }
+                    if self.shutdown.load(Ordering::Acquire) {
+                        return;
+                    }
+                    ready = self
+                        .work
+                        .wait(ready)
+                        .unwrap_or_else(|poison| poison.into_inner());
+                    self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
                 }
-            }
-            if busy {
-                continue;
-            }
-            let signal = &self.signals[exec_id];
-            let mut pending = lock(&signal.pending);
-            if !*pending {
-                if self.shutdown.load(Ordering::Acquire) {
-                    // Queues were empty on the last sweep and no new
-                    // signal arrived: drained.
-                    return;
-                }
-                pending = signal
-                    .cv
-                    .wait(pending)
-                    .unwrap_or_else(|poison| poison.into_inner());
-                self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-            }
-            *pending = false;
+            };
+            self.drain_partition(exec_id, partition);
         }
     }
 
@@ -683,20 +459,17 @@ impl<E: ConcurrentKvStore> Shared<E> {
     /// requests that raced shutdown must not strand their clients).
     fn fail_stragglers(&self) {
         for queue in &self.queues {
-            let stragglers = std::mem::take(&mut *lock(&queue.items));
+            let stragglers = std::mem::take(&mut lock(&queue.state).items);
             self.stats
                 .queue_depth
                 .fetch_sub(stragglers.len() as u64, Ordering::Relaxed);
             for request in stragglers {
                 self.stats.completed.fetch_add(1, Ordering::Relaxed);
+                let refused = PrismError::ShuttingDown;
                 match request {
-                    Request::Write(_, agg, _) => agg.finish(Err(PrismError::ShuttingDown)),
-                    Request::Get(_, completion, _) => {
-                        completion.complete(Err(PrismError::ShuttingDown));
-                    }
-                    Request::Scan(_, _, completion, _) => {
-                        completion.complete(Err(PrismError::ShuttingDown));
-                    }
+                    Request::Write(_, reply) => reply.completion.complete(Err(refused)),
+                    Request::Get(_, reply) => reply.completion.complete(Err(refused)),
+                    Request::Scan(_, _, reply) => reply.completion.complete(Err(refused)),
                 }
             }
         }
@@ -744,27 +517,14 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
             engine,
             queue_capacity: options.queue_capacity,
             max_coalesce: options.max_coalesce,
-            steal_help_depth: options.steal_help_depth,
-            queues: (0..partitions)
-                .map(|_| PartitionQueue {
-                    items: Mutex::new(VecDeque::new()),
-                    not_full: Condvar::new(),
-                    drain_lock: Mutex::new(()),
-                })
-                .collect(),
-            signals: (0..executors)
-                .map(|_| ExecSignal {
-                    pending: Mutex::new(false),
-                    cv: Condvar::new(),
-                })
-                .collect(),
+            queues: (0..partitions).map(|_| PartitionQueue::default()).collect(),
+            ready: Mutex::new(VecDeque::new()),
+            work: Condvar::new(),
             shutdown: AtomicBool::new(false),
             concurrent_reads,
             gauge: TicketGauge::new(),
             pressured: (0..partitions).map(|_| AtomicBool::new(false)).collect(),
             stats: FrontendStatsCells::default(),
-            help_rr: AtomicUsize::new(0),
-            steal_rr: AtomicUsize::new(0),
             obs: FrontendObs::new(Arc::clone(&hub)),
             exec_clocks: (0..executors).map(|_| AtomicU64::new(0)).collect(),
             shard_serial: (0..partitions).map(|_| AtomicU64::new(0)).collect(),
@@ -795,11 +555,58 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
 
     /// Number of executor threads.
     pub fn executor_count(&self) -> usize {
-        self.shared.signals.len()
+        self.shared.exec_clocks.len()
     }
 
     fn partition_of(&self, key: &Key) -> usize {
         self.shared.engine.shard_of(key)
+    }
+
+    /// Hand out a ticket and enqueue the request that will answer it.
+    fn submit<T>(
+        &self,
+        partition: usize,
+        admit: Admit,
+        class: OpClass,
+        request: impl FnOnce(Reply<T>) -> Request,
+    ) -> Result<Ticket<Result<T>>> {
+        let enqueued_at = Instant::now();
+        let (completion, ticket) = completion_pair_gauged(&self.shared.gauge);
+        let reply = Reply {
+            completion,
+            class,
+            enqueued_at,
+        };
+        self.shared.enqueue(partition, admit, request(reply))?;
+        Ok(ticket)
+    }
+
+    /// Submit the ops of one write, whole, to the partition of its first
+    /// key; an empty write resolves immediately.
+    fn submit_write(&self, admit: Admit, ops: Vec<BatchOp>) -> Result<WriteTicket> {
+        let Some(home) = ops.first().map(|op| self.partition_of(op.key())) else {
+            let (completion, ticket) = completion_pair_gauged(&self.shared.gauge);
+            completion.complete(Ok(Nanos::ZERO));
+            return Ok(ticket);
+        };
+        let class = if ops.len() == 1 {
+            OpClass::Put
+        } else {
+            OpClass::Batch
+        };
+        self.submit(home, admit, class, |reply| Request::Write(ops, reply))
+    }
+
+    fn submit_read(&self, admit: Admit, key: &Key) -> Result<ReadTicket> {
+        self.submit(self.partition_of(key), admit, OpClass::Get, |reply| {
+            Request::Get(key.clone(), reply)
+        })
+    }
+
+    fn submit_range(&self, admit: Admit, start: &Key, count: usize) -> Result<ScanTicket> {
+        self.submit(self.partition_of(start), admit, OpClass::Scan, |reply| {
+            Request::Scan(start.clone(), count, reply)
+        })
     }
 
     /// Submit an insert/update; blocks only while the partition's queue
@@ -809,13 +616,7 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
     ///
     /// Returns [`PrismError::ShuttingDown`] after [`Frontend::shutdown`].
     pub fn submit_put(&self, key: Key, value: Value) -> Result<WriteTicket> {
-        let partition = self.partition_of(&key);
-        let (agg, ticket) = WriteAgg::new(1, &self.shared.gauge);
-        self.shared.enqueue(
-            partition,
-            Request::Write(vec![BatchOp::Put(key, value)], agg, Instant::now()),
-        )?;
-        Ok(ticket)
+        self.submit_write(Admit::Block, vec![BatchOp::Put(key, value)])
     }
 
     /// Submit a delete; blocks only while the partition's queue is full.
@@ -824,13 +625,7 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
     ///
     /// Returns [`PrismError::ShuttingDown`] after [`Frontend::shutdown`].
     pub fn submit_delete(&self, key: &Key) -> Result<WriteTicket> {
-        let partition = self.partition_of(key);
-        let (agg, ticket) = WriteAgg::new(1, &self.shared.gauge);
-        self.shared.enqueue(
-            partition,
-            Request::Write(vec![BatchOp::Delete(key.clone())], agg, Instant::now()),
-        )?;
-        Ok(ticket)
+        self.submit_write(Admit::Block, vec![BatchOp::Delete(key.clone())])
     }
 
     /// Submit a pre-built [`WriteBatch`].
@@ -839,28 +634,15 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
     /// queue. A batch that spans partitions is enqueued *whole* on the
     /// first touched partition's queue: the engine's cross-partition
     /// commit protocol makes the installation all-or-nothing, so splitting
-    /// it into independently-installed per-partition parts (the old
-    /// behaviour) would forfeit exactly the atomicity the engine now
-    /// guarantees. The ticket resolves once the batch has installed.
+    /// it into independently-installed per-partition parts would forfeit
+    /// exactly the atomicity the engine guarantees. The ticket resolves
+    /// once the batch has installed.
     ///
     /// # Errors
     ///
     /// Returns [`PrismError::ShuttingDown`] after [`Frontend::shutdown`].
     pub fn submit_batch(&self, batch: WriteBatch) -> Result<WriteTicket> {
-        let home = batch
-            .entries()
-            .first()
-            .map(|op| self.shared.engine.shard_of(op.key()));
-        let (agg, ticket) = WriteAgg::new(1, &self.shared.gauge);
-        let Some(home) = home else {
-            agg.finish(Ok(Nanos::ZERO));
-            return Ok(ticket);
-        };
-        self.shared.enqueue(
-            home,
-            Request::Write(batch.into_entries(), agg, Instant::now()),
-        )?;
-        Ok(ticket)
+        self.submit_write(Admit::Block, batch.into_entries())
     }
 
     /// Submit a point read; blocks only while the partition's queue is
@@ -871,13 +653,7 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
     ///
     /// Returns [`PrismError::ShuttingDown`] after [`Frontend::shutdown`].
     pub fn submit_get(&self, key: &Key) -> Result<ReadTicket> {
-        let partition = self.partition_of(key);
-        let (completion, ticket) = completion_pair_gauged(&self.shared.gauge);
-        self.shared.enqueue(
-            partition,
-            Request::Get(key.clone(), completion, Instant::now()),
-        )?;
-        Ok(ticket)
+        self.submit_read(Admit::Block, key)
     }
 
     /// Submit a range scan (routed to the start key's partition queue).
@@ -886,13 +662,7 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
     ///
     /// Returns [`PrismError::ShuttingDown`] after [`Frontend::shutdown`].
     pub fn submit_scan(&self, start: &Key, count: usize) -> Result<ScanTicket> {
-        let partition = self.partition_of(start);
-        let (completion, ticket) = completion_pair_gauged(&self.shared.gauge);
-        self.shared.enqueue(
-            partition,
-            Request::Scan(start.clone(), count, completion, Instant::now()),
-        )?;
-        Ok(ticket)
+        self.submit_range(Admit::Block, start, count)
     }
 
     /// Non-blocking [`Frontend::submit_put`]: never waits for queue
@@ -910,19 +680,10 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
     /// sampled at the end of each drain, so it may lag the engine by one
     /// drain); [`PrismError::ShuttingDown`] after [`Frontend::shutdown`].
     pub fn try_submit_put(&self, key: &Key, value: &Value) -> Result<WriteTicket> {
-        let partition = self.partition_of(key);
-        let capacity = self.shared.effective_write_capacity(partition);
-        let (agg, ticket) = WriteAgg::new(1, &self.shared.gauge);
-        self.shared.try_enqueue(
-            partition,
-            capacity,
-            Request::Write(
-                vec![BatchOp::Put(key.clone(), value.clone())],
-                agg,
-                Instant::now(),
-            ),
-        )?;
-        Ok(ticket)
+        self.submit_write(
+            Admit::Reject,
+            vec![BatchOp::Put(key.clone(), value.clone())],
+        )
     }
 
     /// Non-blocking [`Frontend::submit_delete`] (same back-pressure
@@ -932,15 +693,7 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
     ///
     /// [`PrismError::Backpressure`] or [`PrismError::ShuttingDown`].
     pub fn try_submit_delete(&self, key: &Key) -> Result<WriteTicket> {
-        let partition = self.partition_of(key);
-        let capacity = self.shared.effective_write_capacity(partition);
-        let (agg, ticket) = WriteAgg::new(1, &self.shared.gauge);
-        self.shared.try_enqueue(
-            partition,
-            capacity,
-            Request::Write(vec![BatchOp::Delete(key.clone())], agg, Instant::now()),
-        )?;
-        Ok(ticket)
+        self.submit_write(Admit::Reject, vec![BatchOp::Delete(key.clone())])
     }
 
     /// Non-blocking [`Frontend::submit_get`]. Reads are not subject to
@@ -950,14 +703,7 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
     ///
     /// [`PrismError::Backpressure`] or [`PrismError::ShuttingDown`].
     pub fn try_submit_get(&self, key: &Key) -> Result<ReadTicket> {
-        let partition = self.partition_of(key);
-        let (completion, ticket) = completion_pair_gauged(&self.shared.gauge);
-        self.shared.try_enqueue(
-            partition,
-            self.shared.queue_capacity,
-            Request::Get(key.clone(), completion, Instant::now()),
-        )?;
-        Ok(ticket)
+        self.submit_read(Admit::Reject, key)
     }
 
     /// Non-blocking [`Frontend::submit_scan`]. Like reads, scans are not
@@ -967,14 +713,7 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
     ///
     /// [`PrismError::Backpressure`] or [`PrismError::ShuttingDown`].
     pub fn try_submit_scan(&self, start: &Key, count: usize) -> Result<ScanTicket> {
-        let partition = self.partition_of(start);
-        let (completion, ticket) = completion_pair_gauged(&self.shared.gauge);
-        self.shared.try_enqueue(
-            partition,
-            self.shared.queue_capacity,
-            Request::Scan(start.clone(), count, completion, Instant::now()),
-        )?;
-        Ok(ticket)
+        self.submit_range(Admit::Reject, start, count)
     }
 
     /// Non-blocking [`Frontend::submit_batch`]: the batch is routed whole
@@ -987,22 +726,7 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
     ///
     /// [`PrismError::Backpressure`] or [`PrismError::ShuttingDown`].
     pub fn try_submit_batch(&self, batch: &WriteBatch) -> Result<WriteTicket> {
-        let home = batch
-            .entries()
-            .first()
-            .map(|op| self.shared.engine.shard_of(op.key()));
-        let (agg, ticket) = WriteAgg::new(1, &self.shared.gauge);
-        let Some(home) = home else {
-            agg.finish(Ok(Nanos::ZERO));
-            return Ok(ticket);
-        };
-        let capacity = self.shared.effective_write_capacity(home);
-        self.shared.try_enqueue(
-            home,
-            capacity,
-            Request::Write(batch.entries().to_vec(), agg, Instant::now()),
-        )?;
-        Ok(ticket)
+        self.submit_write(Admit::Reject, batch.entries().to_vec())
     }
 
     /// Reset the per-partition queue-depth high-water mark to the current
@@ -1017,7 +741,7 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
             .shared
             .queues
             .iter()
-            .map(|queue| lock(&queue.items).len() as u64)
+            .map(|queue| lock(&queue.state).items.len() as u64)
             .max()
             .unwrap_or(0);
         self.shared
@@ -1098,8 +822,17 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
     /// queued, and any request that raced past them is failed (never
     /// stranded). Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.signal_all();
+        // Set under the ready lock: an executor is either before its
+        // shutdown check or already waiting, so the wake-up cannot be
+        // lost between the two.
+        {
+            let _ready = lock(&self.shared.ready);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
+        self.shared.work.notify_all();
+        for queue in &self.shared.queues {
+            queue.not_full.notify_all();
+        }
         for handle in self.executors.drain(..) {
             let _ = handle.join();
         }

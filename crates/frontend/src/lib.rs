@@ -18,25 +18,28 @@
 //!   queue space — with the queue capacity shrunk while the engine's
 //!   per-shard watermark pressure hint
 //!   ([`prism_types::ConcurrentKvStore::shard_write_pressure`]) is high.
-//! * A pool of **executor threads** ([`FrontendOptions::executors`],
-//!   default = the engine's shard count clamped to 4) drains the queues.
-//!   Each drain coalesces *every pending write of that partition* into
+//! * **Dispatch.** A partition is *scheduled* or it is not. Each queue
+//!   keeps a `scheduled` flag under the same lock as its requests; an
+//!   enqueue that finds the flag clear sets it and pushes the partition
+//!   onto one shared ready list, waking one idle executor. A pool of
+//!   **executor threads** ([`FrontendOptions::executors`], default = the
+//!   engine's shard count clamped to 4) pops the oldest ready partition,
+//!   takes everything queued on it, services it, and then — under the
+//!   queue lock again — either clears the flag (nothing arrived
+//!   meanwhile) or pushes the partition back. So `scheduled` holds
+//!   exactly while the partition is on the ready list or held by one
+//!   executor: queued work is never stranded, and one executor at a time
+//!   services a partition, which is what keeps its requests in submission
+//!   order. Any executor may take any partition;
+//!   [`prism_types::FrontendStats::stolen_drains`] counts the drains run
+//!   by an executor other than `partition % executors`.
+//! * Each drain coalesces *every pending write of that partition* into
 //!   one [`prism_types::WriteBatch`] installed via the engine's
 //!   group-commit [`apply_batch`](prism_types::ConcurrentKvStore::apply_batch)
 //!   path, then answers the drained reads under the engine's read locks.
 //!   Write coalescing therefore **emerges from queue pressure**: the more
 //!   logical clients are in flight, the wider the groups — no client-side
 //!   buffering required.
-//! * Executors **steal work**: partitions have owning executors (partition
-//!   *p* belongs to executor *p mod E*) for locality, but an executor
-//!   whose own partitions are empty sweeps everyone else's queues before
-//!   parking, and an enqueue that finds a deep backlog
-//!   ([`FrontendOptions::steal_help_depth`]) wakes a rotating peer to
-//!   help. A skew-hot partition (Zipfian/latest workloads) is therefore
-//!   served by the whole pool, not throttled by one owner. A per-partition
-//!   drain lock serialises whole drains (swap + service), so stealing
-//!   cannot reorder a partition's requests;
-//!   [`prism_types::FrontendStats::stolen_drains`] counts stolen drains.
 //!
 //! # Ordering and durability contract
 //!

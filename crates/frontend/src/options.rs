@@ -28,8 +28,8 @@ pub const DEFAULT_EXECUTOR_CLAMP: usize = 4;
 pub struct FrontendOptions {
     /// Number of executor threads draining the partition queues. `0` (the
     /// default) auto-sizes to `min(shard_count, 4)`; explicit values are
-    /// clamped to the shard count (an executor with no partitions would
-    /// never have work).
+    /// clamped to the shard count (one executor at a time services a
+    /// partition, so more could never all be busy).
     pub executors: usize,
     /// Bound of each per-partition request queue. A full queue blocks
     /// [`crate::Frontend::submit_put`] and rejects
@@ -39,13 +39,6 @@ pub struct FrontendOptions {
     /// more pending writes installs several groups back to back (whole
     /// requests are never split across groups).
     pub max_coalesce: usize,
-    /// Queue depth at which an enqueue wakes a *neighbouring* executor in
-    /// addition to the partition's owner, so an idle peer steals the
-    /// backlog instead of letting one hot partition serialise on its
-    /// owner. Idle executors always steal-sweep foreign partitions before
-    /// parking regardless of this knob; it only controls the proactive
-    /// wake-up. `0` disables helper wake-ups.
-    pub steal_help_depth: usize,
 }
 
 impl Default for FrontendOptions {
@@ -54,7 +47,6 @@ impl Default for FrontendOptions {
             executors: 0,
             queue_capacity: 64,
             max_coalesce: 128,
-            steal_help_depth: 8,
         }
     }
 }

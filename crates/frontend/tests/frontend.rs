@@ -1,14 +1,16 @@
 //! Frontend subsystem tests: coalescing, back-pressure, shutdown and the
 //! ack/durability contract against a real PrismDB engine.
 
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::time::{Duration, Instant};
 
 use prism_db::{Options, PrismDb};
 use prism_frontend::{Frontend, FrontendOptions};
 use prism_types::{
     ConcurrentKvStore, EngineStats, Key, Lookup, MemStore, Nanos, PrismError, Result, ScanResult,
-    Value, WriteBatch,
+    Ticket, Value, WriteBatch,
 };
 
 /// A single-shard engine whose `apply_batch` can be blocked by holding
@@ -561,20 +563,45 @@ fn gauge_counts_outstanding_tickets_and_drain_quiesces() {
     assert_eq!(frontend.outstanding_tickets(), 0);
 }
 
-/// A four-shard engine (`shard_of = id % 4`) whose `apply_batch` blocks
-/// on a gate only for batches touching shard 0 — so one executor can be
-/// deterministically wedged on one of its partitions while its *other*
-/// partition accumulates a backlog that only a stealing peer can drain.
-struct ShardedGatedEngine {
+/// A sharded engine (`shard_of = id % shards`) that checks the front-end's
+/// dispatch invariant from below. It panics if two calls for one shard
+/// ever overlap (one executor services a partition at a time) or if a
+/// key's sequence values ([`seq_value`]) are written out of order (two
+/// drains of one partition never reorder). `apply_batch` blocks on a gate
+/// for batches touching shard 0, so an executor can be wedged on that
+/// partition deterministically. Drive it with single-key requests only:
+/// they reach the engine from their own shard's queue.
+struct ExclusiveEngine {
     inner: Mutex<MemStore>,
     gate: Mutex<()>,
+    busy: Vec<AtomicBool>,
+    last_seq: Mutex<HashMap<u64, u64>>,
 }
 
-impl ShardedGatedEngine {
-    fn new() -> Self {
-        ShardedGatedEngine {
+/// Marks a shard busy for the length of one engine call.
+struct Entered<'a>(&'a AtomicBool);
+
+impl Drop for Entered<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::SeqCst);
+    }
+}
+
+fn seq_value(seq: u64) -> Value {
+    Value::from_vec(seq.to_le_bytes().to_vec())
+}
+
+fn seq_of(value: &Value) -> u64 {
+    u64::from_le_bytes(value.as_bytes().try_into().expect("a sequence value"))
+}
+
+impl ExclusiveEngine {
+    fn new(shards: usize) -> Self {
+        ExclusiveEngine {
             inner: Mutex::new(MemStore::default()),
             gate: Mutex::new(()),
+            busy: (0..shards).map(|_| AtomicBool::new(false)).collect(),
+            last_seq: Mutex::new(HashMap::new()),
         }
     }
 
@@ -585,14 +612,24 @@ impl ShardedGatedEngine {
     fn store(&self) -> MutexGuard<'_, MemStore> {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
+
+    fn enter(&self, key: &Key) -> Entered<'_> {
+        let shard = self.shard_of(key);
+        assert!(
+            !self.busy[shard].swap(true, Ordering::SeqCst),
+            "two engine calls for shard {shard} overlap"
+        );
+        Entered(&self.busy[shard])
+    }
 }
 
-impl ConcurrentKvStore for ShardedGatedEngine {
+impl ConcurrentKvStore for ExclusiveEngine {
     fn put(&self, key: Key, value: Value) -> Result<Nanos> {
         prism_types::KvStore::put(&mut *self.store(), key, value)
     }
 
     fn get(&self, key: &Key) -> Result<Lookup> {
+        let _entered = self.enter(key);
         prism_types::KvStore::get(&mut *self.store(), key)
     }
 
@@ -605,8 +642,21 @@ impl ConcurrentKvStore for ShardedGatedEngine {
     }
 
     fn apply_batch(&self, batch: WriteBatch) -> Result<Nanos> {
-        let gated = batch.entries().iter().any(|op| op.key().id() % 4 == 0);
-        let _gate = gated.then(|| self.hold());
+        let home = batch.entries().first().expect("no empty groups").key();
+        let _entered = self.enter(home);
+        let _gate = (self.shard_of(home) == 0).then(|| self.hold());
+        {
+            let mut last_seq = self.last_seq.lock().unwrap_or_else(|p| p.into_inner());
+            for op in batch.entries() {
+                assert_eq!(self.shard_of(op.key()), self.shard_of(home));
+                if let prism_types::BatchOp::Put(key, value) = op {
+                    let last = last_seq.entry(key.id()).or_insert(0);
+                    let seq = seq_of(value);
+                    assert!(seq > *last, "key {}: {seq} after {last}", key.id());
+                    *last = seq;
+                }
+            }
+        }
         prism_types::KvStore::apply_batch(&mut *self.store(), batch)
     }
 
@@ -619,80 +669,231 @@ impl ConcurrentKvStore for ShardedGatedEngine {
     }
 
     fn engine_name(&self) -> &str {
-        "sharded-gated-memstore"
+        "exclusive-memstore"
     }
 
     fn shard_count(&self) -> usize {
-        4
+        self.busy.len()
     }
 
     fn shard_of(&self, key: &Key) -> usize {
-        (key.id() % 4) as usize
+        (key.id() % self.busy.len() as u64) as usize
     }
 }
 
-/// With two executors over four shards, executor 0 owns partitions 0 and
-/// 2. Wedge it inside an install on partition 0, then pile writes onto
-/// partition 2: only executor 1 *stealing* the foreign partition can
-/// complete them while the gate is still held.
-#[test]
-fn idle_executors_steal_a_blocked_owners_backlog() {
-    let engine = Arc::new(ShardedGatedEngine::new());
-    let frontend = Frontend::start(
-        Arc::clone(&engine),
+fn exclusive_frontend(shards: usize, executors: usize) -> Frontend<ExclusiveEngine> {
+    Frontend::start(
+        Arc::new(ExclusiveEngine::new(shards)),
         FrontendOptions {
-            executors: 2,
-            steal_help_depth: 1,
+            executors,
             ..FrontendOptions::default()
         },
     )
-    .expect("valid frontend options");
+    .expect("valid frontend options")
+}
+
+const STRANDED_AFTER: Duration = Duration::from_secs(30);
+
+/// Poll a ticket until it resolves. A stranded request fails the test
+/// after `STRANDED_AFTER` instead of hanging it (and an executor that
+/// panicked shows up as the ticket's abandonment panic); the clock runs
+/// per wait, so a slow host only makes the test slow.
+fn await_ticket<T>(mut ticket: Ticket<T>) -> T {
+    let started = Instant::now();
+    loop {
+        if let Some(result) = ticket.poll() {
+            return result;
+        }
+        assert!(
+            started.elapsed() < STRANDED_AFTER,
+            "request stranded: its ticket is still unresolved"
+        );
+        std::thread::yield_now();
+    }
+}
+
+/// Two executors over four shards. One is wedged inside an install on
+/// partition 0: every other partition keeps being served by the executor
+/// that is left, in submission order, while partition 0's own backlog
+/// waits for the wedged drain to finish.
+#[test]
+fn a_wedged_executor_blocks_only_the_partition_it_holds() {
+    let frontend = exclusive_frontend(4, 2);
+    let engine = Arc::clone(frontend.engine());
     let gate = engine.hold();
     let wedged = frontend
-        .submit_put(Key::from_id(0), Value::filled(16, 0))
+        .submit_put(Key::from_id(0), seq_value(1))
         .expect("submit");
-    // Wait until executor 0 has drained the write and is blocked inside
+    // Wait until an executor has taken the write and is blocked inside
     // apply_batch on the held gate.
     while frontend.stats().queue_depth > 0 {
         std::thread::yield_now();
     }
-    // Backlog on executor 0's *other* partition. The enqueues wake a
-    // helper (steal_help_depth = 1) and executor 1's own partitions are
-    // empty, so it must steal partition 2's drains.
-    let mut stolen_work = Vec::new();
-    for i in 0..50u64 {
-        stolen_work.push(
-            frontend
-                .submit_put(Key::from_id(2 + i * 4), Value::filled(16, i as u8))
-                .expect("submit"),
-        );
+    let behind_the_wedge = frontend
+        .submit_put(Key::from_id(4), seq_value(1))
+        .expect("submit");
+    // 60 writes over partitions 1..=3, twenty rounds per key.
+    let mut elsewhere = Vec::new();
+    for seq in 1..=20u64 {
+        for id in 1..=3u64 {
+            elsewhere.push(
+                frontend
+                    .submit_put(Key::from_id(id), seq_value(seq))
+                    .expect("submit"),
+            );
+        }
     }
-    for ticket in stolen_work {
-        ticket
-            .wait()
-            .expect("a stolen drain must service the backlog");
+    for ticket in elsewhere {
+        await_ticket(ticket).expect("other partitions are served while one is wedged");
     }
-    // The gate is still held: the owner cannot have serviced these.
-    assert!(frontend.stats().stolen_drains >= 1);
-    assert!(
-        engine.get(&Key::from_id(2)).expect("get").value.is_some(),
-        "stolen writes must really land"
-    );
+    // The gate is still held, so partition 0 has not moved.
+    assert!(!wedged.is_done() && !behind_the_wedge.is_done());
+    for id in 1..=3u64 {
+        let lookup = await_ticket(frontend.submit_get(&Key::from_id(id)).expect("submit"));
+        assert_eq!(seq_of(&lookup.expect("read").value.expect("written")), 20);
+    }
     drop(gate);
-    wedged.wait().expect("wedged write completes once released");
+    await_ticket(wedged).expect("wedged write completes once released");
+    await_ticket(behind_the_wedge).expect("its backlog follows");
     frontend.drain();
     assert_eq!(frontend.outstanding_tickets(), 0);
-    // Per-partition order survived stealing: a read after the drain sees
-    // every acked write.
-    for i in 0..50u64 {
-        assert!(frontend
-            .submit_get(&Key::from_id(2 + i * 4))
-            .expect("submit")
-            .wait()
-            .expect("read")
-            .value
-            .is_some());
+}
+
+/// 4 submitter threads x 4 executors x 8 shards, every thread pipelining
+/// increasing sequence values onto its own keys (which cover every
+/// shard). The engine panics on overlapping calls for one shard or on a
+/// key written out of order, so this passing is the dispatch invariant
+/// holding under contention.
+#[test]
+fn one_executor_at_a_time_services_a_partition_in_submission_order() {
+    const THREADS: u64 = 4;
+    const KEYS_PER_THREAD: u64 = 16;
+    const ROUNDS: u64 = 150;
+    let frontend = exclusive_frontend(8, 4);
+    std::thread::scope(|scope| {
+        for thread in 0..THREADS {
+            let frontend = &frontend;
+            scope.spawn(move || {
+                let keys = || (0..KEYS_PER_THREAD).map(|k| Key::from_id(thread * 1_000 + k));
+                let mut tickets = VecDeque::new();
+                for seq in 1..=ROUNDS {
+                    for key in keys() {
+                        tickets
+                            .push_back(frontend.submit_put(key, seq_value(seq)).expect("submit"));
+                        // Keep a bounded window of unanswered writes.
+                        if tickets.len() > 48 {
+                            await_ticket(tickets.pop_front().expect("non-empty")).expect("write");
+                        }
+                    }
+                    // A read queued behind this round's write of its key
+                    // sees exactly that write.
+                    let probe = Key::from_id(thread * 1_000 + seq % KEYS_PER_THREAD);
+                    let lookup = await_ticket(frontend.submit_get(&probe).expect("submit"));
+                    assert_eq!(seq_of(&lookup.expect("read").value.expect("written")), seq);
+                }
+                for ticket in tickets {
+                    await_ticket(ticket).expect("write");
+                }
+                for key in keys() {
+                    let lookup = await_ticket(frontend.submit_get(&key).expect("submit"));
+                    assert_eq!(
+                        seq_of(&lookup.expect("read").value.expect("written")),
+                        ROUNDS
+                    );
+                }
+            });
+        }
+    });
+    let stats = frontend.stats();
+    assert_eq!(stats.submitted, stats.completed);
+    assert_eq!(frontend.outstanding_tickets(), 0);
+}
+
+/// Window-1 ping-pong: every request finds the executors idle (or about
+/// to be), which is exactly where a lost wake-up would strand it.
+#[test]
+fn window_one_round_trips_never_strand() {
+    const ROUND_TRIPS: u64 = 50_000;
+    let frontend = exclusive_frontend(8, 4);
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    for trip in 1..=ROUND_TRIPS {
+        // xorshift64: a cheap, seeded walk over the partitions.
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        let key = Key::from_id(rng % 64);
+        if trip % 2 == 0 {
+            await_ticket(frontend.submit_get(&key).expect("submit")).expect("read");
+        } else {
+            await_ticket(frontend.submit_put(key, seq_value(trip)).expect("submit"))
+                .expect("write");
+        }
     }
+    let stats = frontend.stats();
+    assert_eq!(stats.submitted, ROUND_TRIPS);
+    assert_eq!(stats.completed, ROUND_TRIPS);
+    assert_eq!(frontend.outstanding_tickets(), 0);
+}
+
+/// Four submitters pipeline writes over eight partitions right up to a
+/// shutdown and past it (`shutdown` takes `&mut self`, so they reach the
+/// front-end through an `RwLock` and no submission overlaps the call
+/// itself). Every ticket is answered — accepted requests complete, later
+/// submissions are refused — and none is left outstanding.
+#[test]
+fn shutdown_with_requests_racing_in_answers_every_ticket() {
+    let frontend = RwLock::new(exclusive_frontend(8, 4));
+    let answered: u64 = std::thread::scope(|scope| {
+        let submitters: Vec<_> = (0..4u64)
+            .map(|thread| {
+                let frontend = &frontend;
+                scope.spawn(move || {
+                    let mut answered = 0u64;
+                    let mut resolve = |ticket| match await_ticket(ticket) {
+                        Ok(_) | Err(PrismError::ShuttingDown) => answered += 1,
+                        Err(err) => panic!("unexpected failure: {err}"),
+                    };
+                    let mut window = VecDeque::new();
+                    for seq in 1u64.. {
+                        let key = Key::from_id(thread * 1_000 + seq % 32);
+                        let submitted = frontend
+                            .read()
+                            .expect("lock")
+                            .try_submit_put(&key, &seq_value(seq));
+                        match submitted {
+                            Ok(ticket) => window.push_back(ticket),
+                            Err(PrismError::ShuttingDown) => break,
+                            Err(err) => panic!("unexpected refusal: {err}"),
+                        }
+                        if window.len() == 16 {
+                            resolve(window.pop_front().expect("non-empty"));
+                        }
+                    }
+                    window.into_iter().for_each(&mut resolve);
+                    answered
+                })
+            })
+            .collect();
+        // Shut down under load: the pipelines are full by the time a
+        // thousand requests have completed.
+        let started = Instant::now();
+        while frontend.read().expect("lock").stats().completed < 1_000 {
+            assert!(started.elapsed() < STRANDED_AFTER, "no progress");
+            std::thread::yield_now();
+        }
+        frontend.write().expect("lock").shutdown();
+        // Each submitter runs until its first refused submission.
+        submitters
+            .into_iter()
+            .map(|handle| handle.join().expect("submitter"))
+            .sum()
+    });
+    let frontend = frontend.into_inner().expect("lock");
+    let stats = frontend.stats();
+    assert_eq!(frontend.outstanding_tickets(), 0);
+    assert_eq!(stats.queue_depth, 0);
+    assert_eq!(stats.submitted, stats.completed);
+    assert_eq!(stats.completed, answered);
 }
 
 #[test]

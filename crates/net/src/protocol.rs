@@ -215,6 +215,32 @@ impl Response {
         }
     }
 
+    /// A successful response carrying `body`.
+    pub fn ok(id: u64, opcode: u8, latency: Nanos, body: ResponseBody) -> Response {
+        Response {
+            id,
+            opcode,
+            status: Status::Ok,
+            message: String::new(),
+            latency,
+            body,
+            more: false,
+        }
+    }
+
+    /// The refusal an engine or front-end error maps to on the wire —
+    /// the one place a [`PrismError`] becomes a [`Status`].
+    pub fn from_error(id: u64, opcode: u8, err: &PrismError) -> Response {
+        let status = match err {
+            PrismError::Backpressure { .. } => Status::Backpressure,
+            PrismError::ShuttingDown => Status::ShuttingDown,
+            PrismError::Degraded { .. } => Status::Degraded,
+            PrismError::Corruption(_) => Status::Corruption,
+            _ => Status::ServerError,
+        };
+        Response::refusal(id, opcode, status, err.to_string())
+    }
+
     /// The latency class bucket of this response's latency.
     pub fn latency_class(&self) -> u8 {
         latency_class(self.latency)
@@ -847,6 +873,29 @@ mod tests {
             let frame = encode_response(&response).expect("encode");
             let got = decode_response(&frame[HEADER..]).expect("decode");
             assert_eq!(got, response);
+        }
+    }
+
+    #[test]
+    fn errors_map_onto_their_wire_statuses() {
+        let cases = [
+            (
+                PrismError::Backpressure {
+                    partition: 1,
+                    depth: 64,
+                },
+                Status::Backpressure,
+            ),
+            (PrismError::ShuttingDown, Status::ShuttingDown),
+            (PrismError::Degraded { partition: 2 }, Status::Degraded),
+            (PrismError::Corruption("bad crc".into()), Status::Corruption),
+            (PrismError::Io("disk".into()), Status::ServerError),
+        ];
+        for (err, status) in cases {
+            let response = Response::from_error(7, opcode::PUT, &err);
+            assert_eq!(response.status, status);
+            assert_eq!(response.message, err.to_string());
+            assert_eq!((response.id, response.opcode), (7, opcode::PUT));
         }
     }
 

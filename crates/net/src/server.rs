@@ -84,42 +84,18 @@ struct InFlight {
 impl InFlight {
     /// Non-blocking poll; a completed ticket becomes a wire response.
     fn poll(&mut self) -> Option<Response> {
-        let (status_result, latency, body) = match &mut self.ticket {
-            TicketKind::Write(ticket) => match ticket.poll()? {
-                Ok(latency) => (Ok(()), latency, ResponseBody::Ack),
-                Err(err) => (Err(err), prism_types::Nanos::ZERO, ResponseBody::Ack),
-            },
-            TicketKind::Read(ticket) => match ticket.poll()? {
-                Ok(lookup) => (Ok(()), lookup.latency, ResponseBody::Value(lookup.value)),
-                Err(err) => (Err(err), prism_types::Nanos::ZERO, ResponseBody::Ack),
-            },
-            TicketKind::Scan(ticket) => match ticket.poll()? {
-                Ok(scan) => (Ok(()), scan.latency, ResponseBody::Entries(scan.entries)),
-                Err(err) => (Err(err), prism_types::Nanos::ZERO, ResponseBody::Ack),
-            },
+        let outcome = match &mut self.ticket {
+            TicketKind::Write(ticket) => ticket.poll()?.map(|latency| (latency, ResponseBody::Ack)),
+            TicketKind::Read(ticket) => ticket
+                .poll()?
+                .map(|lookup| (lookup.latency, ResponseBody::Value(lookup.value))),
+            TicketKind::Scan(ticket) => ticket
+                .poll()?
+                .map(|scan| (scan.latency, ResponseBody::Entries(scan.entries))),
         };
-        Some(match status_result {
-            Ok(()) => Response {
-                id: self.id,
-                opcode: self.opcode,
-                status: Status::Ok,
-                message: String::new(),
-                latency,
-                body,
-                more: false,
-            },
-            Err(PrismError::ShuttingDown) => {
-                Response::refusal(self.id, self.opcode, Status::ShuttingDown, "draining")
-            }
-            Err(err @ PrismError::Degraded { .. }) => {
-                Response::refusal(self.id, self.opcode, Status::Degraded, err.to_string())
-            }
-            Err(err @ PrismError::Corruption(_)) => {
-                Response::refusal(self.id, self.opcode, Status::Corruption, err.to_string())
-            }
-            Err(err) => {
-                Response::refusal(self.id, self.opcode, Status::ServerError, err.to_string())
-            }
+        Some(match outcome {
+            Ok((latency, body)) => Response::ok(self.id, self.opcode, latency, body),
+            Err(err) => Response::from_error(self.id, self.opcode, &err),
         })
     }
 }
@@ -210,7 +186,7 @@ impl<E: ConcurrentKvStore + 'static> NetShared<E> {
                 .fetch_add(1, Ordering::Relaxed);
             self.push_ready(
                 conn,
-                Response::refusal(id, opcode, Status::ShuttingDown, "server draining"),
+                Response::from_error(id, opcode, &PrismError::ShuttingDown),
             );
             return;
         }
@@ -229,18 +205,8 @@ impl<E: ConcurrentKvStore + 'static> NetShared<E> {
                 self.frontend.try_submit_batch(batch).map(TicketKind::Write)
             }
             Request::Ping => {
-                self.push_ready(
-                    conn,
-                    Response {
-                        id,
-                        opcode,
-                        status: Status::Ok,
-                        message: String::new(),
-                        latency: prism_types::Nanos::ZERO,
-                        body: ResponseBody::Ack,
-                        more: false,
-                    },
-                );
+                let pong = Response::ok(id, opcode, prism_types::Nanos::ZERO, ResponseBody::Ack);
+                self.push_ready(conn, pong);
                 return;
             }
         };
@@ -257,41 +223,22 @@ impl<E: ConcurrentKvStore + 'static> NetShared<E> {
                     .fetch_max(pending, Ordering::Relaxed);
                 conn.cv.notify_all();
             }
-            Err(PrismError::Backpressure { partition, depth }) => {
-                self.counters
-                    .backpressure_rejections
-                    .fetch_add(1, Ordering::Relaxed);
-                self.push_ready(
-                    conn,
-                    Response::refusal(
-                        id,
-                        opcode,
-                        Status::Backpressure,
-                        format!("partition {partition} queue full ({depth} pending)"),
-                    ),
-                );
+            Err(err) => {
+                match err {
+                    PrismError::Backpressure { .. } => {
+                        self.counters
+                            .backpressure_rejections
+                            .fetch_add(1, Ordering::Relaxed);
+                    }
+                    PrismError::ShuttingDown => {
+                        self.counters
+                            .shutdown_refusals
+                            .fetch_add(1, Ordering::Relaxed);
+                    }
+                    _ => {}
+                }
+                self.push_ready(conn, Response::from_error(id, opcode, &err));
             }
-            Err(PrismError::ShuttingDown) => {
-                self.counters
-                    .shutdown_refusals
-                    .fetch_add(1, Ordering::Relaxed);
-                self.push_ready(
-                    conn,
-                    Response::refusal(id, opcode, Status::ShuttingDown, "server draining"),
-                );
-            }
-            Err(err @ PrismError::Degraded { .. }) => self.push_ready(
-                conn,
-                Response::refusal(id, opcode, Status::Degraded, err.to_string()),
-            ),
-            Err(err @ PrismError::Corruption(_)) => self.push_ready(
-                conn,
-                Response::refusal(id, opcode, Status::Corruption, err.to_string()),
-            ),
-            Err(err) => self.push_ready(
-                conn,
-                Response::refusal(id, opcode, Status::ServerError, err.to_string()),
-            ),
         }
     }
 
@@ -334,9 +281,13 @@ impl<E: ConcurrentKvStore + 'static> NetShared<E> {
                         // The frame failed its header CRC: refuse just
                         // that request (best-effort id) and keep the
                         // connection — the stream is still in sync.
+                        // The refusal occupies a window slot like any
+                        // response, or a peer streaming bad frames and
+                        // never reading would grow `ready` without bound.
                         self.counters
                             .protocol_errors
                             .fetch_add(1, Ordering::Relaxed);
+                        self.wait_for_window(conn);
                         self.push_ready(
                             conn,
                             Response::refusal(

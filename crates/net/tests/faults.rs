@@ -217,6 +217,54 @@ fn checksum_failed_frames_are_refused_and_the_connection_survives() {
     assert_eq!(server.stats().connections_closed, 0);
 }
 
+/// Refusals of checksum-failed frames occupy the per-connection window
+/// like any other response: a peer that streams bad frames and never
+/// reads cannot make the server buffer more than the window.
+#[test]
+fn checksum_failed_frames_are_held_to_the_in_flight_window() {
+    const WINDOW: u64 = 4;
+    let options = ServerOptions {
+        max_in_flight_per_conn: WINDOW as usize,
+        ..ServerOptions::default()
+    };
+    let (server, connector) = test_server(2_000, options);
+    let mut conn = connector.connect().expect("dial");
+
+    let frames = 4 * WINDOW;
+    let mut burst = Vec::new();
+    for id in 0..frames {
+        let mut frame = encode_request(
+            id,
+            &Request::Put {
+                key: Key::from_id(id),
+                value: Value::filled(16, 3),
+            },
+        )
+        .expect("encode");
+        let last = frame.len() - 1;
+        frame[last] ^= 0x40;
+        burst.extend(frame);
+    }
+    conn.writer.write_all(&burst).expect("corrupt burst");
+
+    // Nothing has been read yet.
+    wait_until("every corrupt frame to be detected", || {
+        server.stats().protocol_errors == frames
+    });
+    assert!(
+        server.stats().max_conn_in_flight <= WINDOW,
+        "refusals must respect the window, saw {} pending",
+        server.stats().max_conn_in_flight
+    );
+    let mut client = NetClient::new(conn);
+    for id in 0..frames {
+        let response = client.wait(id).expect("checksum refusal");
+        assert_eq!(response.status, Status::ProtocolError);
+    }
+    assert!(server.stats().max_conn_in_flight <= WINDOW);
+    assert_eq!(server.stats().connections_closed, 0);
+}
+
 #[test]
 fn oversized_scans_stream_as_continuation_frames_and_reassemble() {
     // ~2 000 entries x 1 KiB is several times the 1 MiB frame bound, so

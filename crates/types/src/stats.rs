@@ -326,10 +326,10 @@ stats_table! {
         counter coalesced_entries;
         /// Times an executor thread was woken from its idle wait.
         counter wakeups;
-        /// Queue drains an executor performed on a partition it does not own
-        /// (work stealing): an idle executor that finds its own partitions
-        /// empty sweeps its neighbours' queues, so one Zipfian-hot partition
-        /// no longer bottlenecks on its owner's throughput.
+        /// Queue drains run by an executor other than `partition % executors`.
+        /// Any executor may take any ready partition, so this measures how
+        /// far the pool strays from a static partition-to-executor mapping;
+        /// it is zero with one executor.
         counter stolen_drains;
         /// Instantaneous number of requests waiting in partition queues.
         gauge queue_depth;
