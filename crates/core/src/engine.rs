@@ -16,7 +16,7 @@ use prism_types::{
 };
 
 use crate::options::{Options, Partitioning};
-use crate::partition::{Partition, Reclaim, ScrubReport};
+use crate::partition::{Partition, Reclaim, ScanCursor, ScrubReport};
 use crate::sequence::CommitSequencer;
 use crate::workers::{worker_loop, Scheduler};
 
@@ -263,8 +263,24 @@ impl EngineShared {
 /// The engine is partitioned: each partition owns a contiguous slice of the
 /// key-id space along with its NVM slab store, B-tree index, flash sorted
 /// log, popularity tracker and compaction state (Figure 3 of the paper).
-/// All client operations are routed by key; scans walk partitions in key
-/// order because partitioning is range-based.
+/// All client operations are routed by key.
+///
+/// # Scans
+///
+/// A scan is one bounded merge across partitions. Each partition lends
+/// the merge a lazy, resumable cursor over its NVM index, its flash
+/// sorted log and its snapshot history; a round advances the cursor
+/// standing on the lowest key up to the next-lowest cursor's key, appends
+/// what it yields to the result, and the scan stops at `count`. A record
+/// is read — checksum verified, value shared, bytes counted — only when
+/// it is returned, so a scan costs what it returns whichever
+/// [`Partitioning`] is chosen (`engine_scan_entries_resolved` over
+/// `engine_scan_entries_returned` is its read amplification). Under
+/// `Hash` every partition's cursor is open from the first round; under
+/// `Range` partitions are ordered by key and the next one is opened when
+/// those before it run out. Each partition charges what it contributed
+/// once, at the end: one request, its NVM pages, one sequential flash
+/// read.
 ///
 /// # Concurrency
 ///
@@ -275,7 +291,8 @@ impl EngineShared {
 /// each other* — the read path defers its tracker/clock updates into a
 /// buffer that the next writer drains. Single-key operations take exactly
 /// one partition lock. Scans read through a pinned snapshot sequence and
-/// visit partitions one short read lock at a time, so a long scan never
+/// hold one short read lock at a time — a cursor resumes by key after the
+/// lock is released, which the pin makes consistent — so a long scan never
 /// serialises writers; the only multi-lock paths are the multi-key commit
 /// (`apply_batch` and `txn_commit`, one routine) and crash recovery, which
 /// acquire write locks in ascending partition order — a single global
@@ -1042,55 +1059,51 @@ impl PrismDb {
         Ok((batch_id, total))
     }
 
-    /// Collect a scan as of a pinned sequence, visiting partitions one at
-    /// a time (one short read lock each — never a multi-lock hold).
-    fn snapshot_scan_parts(
-        &self,
-        pinned: u64,
-        start: &Key,
-        count: usize,
-    ) -> Result<(Vec<(Key, Value)>, Nanos)> {
-        match self.shared.options.partitioning {
-            Partitioning::Range => {
-                // Partitions hold contiguous key ranges: walk them in
-                // order until enough entries are collected.
-                let mut entries = Vec::with_capacity(count);
-                let mut latency = Nanos::ZERO;
-                let mut cursor = start.clone();
-                for idx in self.partition_for(start)..self.partition_count() {
-                    if entries.len() >= count {
-                        break;
-                    }
-                    let (mut chunk, cost) = self.shared.read_partition(idx).snapshot_scan_collect(
-                        &cursor,
-                        count - entries.len(),
-                        pinned,
-                    )?;
-                    latency += cost;
-                    entries.append(&mut chunk);
-                    cursor = Key::min();
+    /// Collect a scan as of a pinned sequence: one bounded merge over the
+    /// partitions' [`ScanCursor`]s. Each round advances the cursor with the
+    /// lowest frontier up to the next-lowest one — two partitions never
+    /// hold the same key, so everything it yields goes straight onto the
+    /// result in order — and the scan stops at `count`: a partition reads
+    /// only the records it contributes. Hash partitioning scatters the key
+    /// range, so every cursor is open from the first round; range
+    /// partitioning orders the partitions by key, so the next one is
+    /// opened when those before it run out. One short read lock at a time
+    /// — never a multi-lock hold; the charge is per partition, at the end.
+    fn snapshot_scan_parts(&self, pinned: u64, start: &Key, count: usize) -> ScanResult {
+        let (mut unopened, batch) = match self.shared.options.partitioning {
+            Partitioning::Hash => (0..self.partition_count(), self.partition_count()),
+            Partitioning::Range => (self.partition_for(start)..self.partition_count(), 1),
+        };
+        let mut open: Vec<(usize, ScanCursor)> = Vec::new();
+        let mut entries = Vec::new();
+        while entries.len() < count {
+            let lowest = (0..open.len())
+                .filter(|&i| open[i].1.frontier().is_some())
+                .min_by_key(|&i| open[i].1.frontier());
+            let Some(lowest) = lowest else {
+                if unopened.is_empty() {
+                    break;
                 }
-                Ok((entries, latency))
-            }
-            Partitioning::Hash => {
-                // Keys are scattered: every partition may hold part of
-                // the range, so collect `count` candidates from each and
-                // merge.
-                let mut entries: Vec<(Key, Value)> = Vec::with_capacity(count * 2);
-                let mut latency = Nanos::ZERO;
-                for idx in 0..self.partition_count() {
-                    let (mut chunk, cost) = self
-                        .shared
-                        .read_partition(idx)
-                        .snapshot_scan_collect(start, count, pinned)?;
-                    latency += cost;
-                    entries.append(&mut chunk);
-                }
-                entries.sort_by(|a, b| a.0.cmp(&b.0));
-                entries.truncate(count);
-                Ok((entries, latency))
-            }
+                let next = unopened.by_ref().take(batch);
+                open.extend(next.map(|idx| (idx, ScanCursor::new(start))));
+                continue;
+            };
+            let (before, rest) = open.split_at_mut(lowest);
+            let ((idx, cursor), after) = rest.split_first_mut().expect("lowest indexes open");
+            let bound = before
+                .iter()
+                .chain(after.iter())
+                .filter_map(|(_, other)| other.frontier())
+                .min();
+            self.shared
+                .read_partition(*idx)
+                .scan_pull(cursor, bound, pinned, count, &mut entries);
         }
+        let latency = open
+            .iter()
+            .map(|(idx, cursor)| self.shared.read_partition(*idx).scan_charge(cursor))
+            .sum();
+        ScanResult { entries, latency }
     }
 
     /// Drain read-side pressure on a partition after a read: apply the
@@ -1216,9 +1229,8 @@ impl ConcurrentKvStore for PrismDb {
         let pinned = self.shared.seq.pin();
         let result = self.snapshot_scan_parts(pinned, start, count);
         self.shared.seq.release(pinned);
-        let (entries, latency) = result?;
-        self.shared.obs.scan.record(latency.as_nanos());
-        Ok(ScanResult { entries, latency })
+        self.shared.obs.scan.record(result.latency.as_nanos());
+        Ok(result)
     }
 
     fn stats(&self) -> EngineStats {
@@ -1314,8 +1326,9 @@ impl ConcurrentKvStore for PrismDb {
         if self.shared.seq.is_expired(snapshot.sequence()) {
             return Err(PrismError::SnapshotExpired);
         }
-        let (entries, _cost) = self.snapshot_scan_parts(snapshot.sequence(), start, count)?;
-        Ok(entries)
+        Ok(self
+            .snapshot_scan_parts(snapshot.sequence(), start, count)
+            .entries)
     }
 
     /// Optimistic multi-key commit: lock the union of read and write

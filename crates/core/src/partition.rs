@@ -174,6 +174,37 @@ enum ScrubCursor {
     Flash(Key),
 }
 
+/// One partition's resumable position in a scan. The engine's merge owns
+/// one per partition it visits and lends it to [`Partition::scan_pull`]
+/// under a short read lock; no lock is held between pulls, so the cursor
+/// resumes by key. The scan's pinned sequence makes that consistent: a
+/// key's version at the pin is the same whenever, and in whichever tier,
+/// it is looked up, and a key written after the pin is invisible to it.
+#[derive(Debug, Default)]
+pub(crate) struct ScanCursor {
+    /// Lower bound of this partition's keys not yet examined; `None` once
+    /// there are none.
+    frontier: Option<Key>,
+    /// Consumption so far, charged once by [`Partition::scan_charge`].
+    resolved: u64,
+    emitted: u64,
+    nvm_reads: u64,
+    flash_bytes: u64,
+}
+
+impl ScanCursor {
+    pub(crate) fn new(start: &Key) -> Self {
+        ScanCursor {
+            frontier: Some(start.clone()),
+            ..ScanCursor::default()
+        }
+    }
+
+    pub(crate) fn frontier(&self) -> Option<&Key> {
+        self.frontier.as_ref()
+    }
+}
+
 pub(crate) struct Partition {
     id: usize,
     options: Arc<Options>,
@@ -1167,70 +1198,55 @@ impl Partition {
         Ok((value, cost))
     }
 
-    /// Range scan as of a pinned snapshot sequence: a
-    /// three-way merge of the NVM index, the flash log and the history
-    /// buffer (keys whose only `<= pinned` version was superseded may
-    /// live nowhere else), filtering every key to its version at
-    /// `pinned`. Takes `&self` and a single partition read lock, so long
-    /// snapshot scans never serialise writers on other partitions.
-    pub(crate) fn snapshot_scan_collect(
+    /// Advance one partition's part of a scan as of a pinned snapshot
+    /// sequence: a lazy three-way merge of the NVM index, the flash log
+    /// and the history buffer (keys whose only `<= pinned` version was
+    /// superseded may live nowhere else), resumed at `cursor`'s frontier.
+    /// Appends to `out`, in key order, each visible entry with a key
+    /// `<= bound` (every remaining one when `None`) until `out` holds
+    /// `limit`, then parks the frontier on the first key not examined.
+    /// A record is read — checksum verified, value shared, bytes counted
+    /// towards [`Partition::scan_charge`] — only when its key is taken.
+    /// Takes `&self` under a single partition read lock.
+    pub(crate) fn scan_pull(
         &self,
-        start: &Key,
-        limit: usize,
+        cursor: &mut ScanCursor,
+        bound: Option<&Key>,
         pinned: u64,
-    ) -> Result<(Vec<(Key, Value)>, Nanos)> {
-        let mut cost = self.cpu.request_overhead + self.cpu.index_op;
-        let mut out: Vec<(Key, Value)> = Vec::with_capacity(limit);
-        if limit == 0 {
-            self.advance_fg(cost);
-            return Ok((out, cost));
-        }
-
-        let mut nvm_iter = self.index.range_from(start).peekable();
-        let files = self.log.files();
-        let mut file_idx = files.partition_point(|f| f.max_key() < start);
-        let mut flash_buf: Vec<(Key, SstEntry)> = Vec::new();
-        let mut flash_pos = 0usize;
-        let mut flash_bytes_consumed = 0u64;
-        let max_key = Key::from_id(u64::MAX);
-        let refill = |idx: &mut usize, buf: &mut Vec<(Key, SstEntry)>, pos: &mut usize| {
-            while *pos >= buf.len() && *idx < files.len() {
-                *buf = files[*idx]
-                    .range(start, &max_key)
-                    .map(|(k, e)| (k.clone(), e.clone()))
-                    .collect();
-                *pos = 0;
-                *idx += 1;
-            }
+        limit: usize,
+        out: &mut Vec<(Key, Value)>,
+    ) {
+        let Some(start) = cursor.frontier.take() else {
+            return;
         };
-        let mut hist_iter = self.history.range(start.clone()..).peekable();
-
-        let mut nvm_reads = 0u64;
-        while out.len() < limit {
-            refill(&mut file_idx, &mut flash_buf, &mut flash_pos);
-            let nvm_next = nvm_iter.peek().map(|(k, _)| (*k).clone());
-            let flash_next = flash_buf.get(flash_pos).map(|(k, _)| k.clone());
-            let hist_next = hist_iter.peek().map(|(k, _)| (*k).clone());
-            let Some(key) = [nvm_next.clone(), flash_next.clone(), hist_next.clone()]
-                .into_iter()
-                .flatten()
-                .min()
-            else {
-                break;
+        let mut nvm = self.index.range_from(&start).peekable();
+        let mut flash = self.log.range_from(&start).peekable();
+        let mut hist = self.history.range::<Key, _>(&start..).peekable();
+        loop {
+            let heads = [
+                nvm.peek().map(|(k, _)| *k),
+                flash.peek().map(|e| &e.0),
+                hist.peek().map(|(k, _)| *k),
+            ];
+            let Some(key) = heads.into_iter().flatten().min() else {
+                return;
             };
+            if out.len() >= limit || bound.is_some_and(|b| key > b) {
+                cursor.frontier = Some(key.clone());
+                return;
+            }
+            cursor.resolved += 1;
 
             // Live version at this key: NVM wins over flash.
             let mut live: Option<(u64, Option<Value>)> = None;
-            let mut nvm_holds_key = false;
-            if nvm_next.as_ref() == Some(&key) {
-                nvm_holds_key = true;
-                let (_, entry) = nvm_iter.next().expect("peeked");
+            let on_nvm = nvm.next_if(|(k, _)| *k == key);
+            if let Some((_, entry)) = on_nvm {
                 if entry.tombstone {
                     live = Some((entry.timestamp, None));
                 } else if let Some(slot) = self.slab.peek(entry.addr) {
                     if slot.verify() {
                         live = Some((entry.timestamp, Some(slot.value.clone())));
-                        nvm_reads += 1;
+                        cursor.nvm_reads += 1;
                     } else {
                         // Skip-and-report: a corrupt slot reads as absent
                         // for the scan (counted, never emitted as garbage)
@@ -1239,50 +1255,57 @@ impl Partition {
                     }
                 }
             }
-            if flash_next.as_ref() == Some(&key) {
-                if !nvm_holds_key {
-                    let (fk, entry) = &flash_buf[flash_pos];
+            if let Some((_, entry)) = flash.next_if(|e| &e.0 == key) {
+                if on_nvm.is_none() {
                     if entry.verify() {
-                        match &entry.value {
-                            Some(v) => {
-                                flash_bytes_consumed += v.len() as u64 + fk.len() as u64;
-                                live = Some((entry.timestamp, Some(v.clone())));
-                            }
-                            None => live = Some((entry.timestamp, None)),
+                        if let Some(v) = &entry.value {
+                            cursor.flash_bytes += (v.len() + key.len()) as u64;
                         }
+                        live = Some((entry.timestamp, entry.value.clone()));
                     } else {
                         self.note_checksum_failure_shared();
                     }
                 }
-                flash_pos += 1;
             }
-            if hist_next.as_ref() == Some(&key) {
-                hist_iter.next();
-            }
+            hist.next_if(|(k, _)| *k == key);
 
             let visible = match live {
                 Some((seq, value)) if seq <= pinned => value,
-                _ => self.history_version_at(&key, pinned),
+                _ => self.history_version_at(key, pinned),
             };
-            if let Some(value) = visible {
-                // Quarantined keys are skipped (reported via the
-                // quarantine counters), not served from an older tier.
-                if !self.quarantined.contains(&key.id()) {
-                    out.push((key, value));
-                }
+            // Quarantined keys are skipped (reported via the quarantine
+            // counters), not served from an older tier.
+            if let Some(value) = visible.filter(|_| !self.quarantined.contains(&key.id())) {
+                out.push((key.clone(), value));
+                cursor.emitted += 1;
             }
         }
-        drop(nvm_iter);
+    }
 
-        if nvm_reads > 0 {
-            cost += self.nvm_dev.read_random(4096) * nvm_reads.div_ceil(4);
+    /// Charge a finished scan for what `cursor` consumed here, once per
+    /// partition per scan however many pulls it took: the request and the
+    /// index seek, the NVM pages (four values to a page) and one
+    /// sequential flash read of the record bytes taken, and the merge CPU
+    /// per entry emitted.
+    pub(crate) fn scan_charge(&self, cursor: &ScanCursor) -> Nanos {
+        let mut cost = self.cpu.request_overhead + self.cpu.index_op;
+        if cursor.nvm_reads > 0 {
+            cost += self
+                .nvm_dev
+                .read_random(4096 * cursor.nvm_reads.div_ceil(4));
         }
-        if flash_bytes_consumed > 0 {
-            cost += self.flash_dev.read_sequential(flash_bytes_consumed);
+        if cursor.flash_bytes > 0 {
+            cost += self.flash_dev.read_sequential(cursor.flash_bytes);
         }
-        cost += self.cpu.merge_per_object * out.len() as u64;
+        cost += self.cpu.merge_per_object * cursor.emitted;
+        self.live
+            .scan_entries_resolved
+            .fetch_add(cursor.resolved, Ordering::Relaxed);
+        self.live
+            .scan_entries_returned
+            .fetch_add(cursor.emitted, Ordering::Relaxed);
         self.advance_fg(cost);
-        Ok((out, cost))
+        cost
     }
 
     // ------------------------------------------------------------------
@@ -2220,29 +2243,128 @@ mod tests {
         assert!(p.get(&Key::from_id(nvm_key)).unwrap().value.is_none());
     }
 
+    fn loaded_for_scans(engine: &EngineShared, keys: u64) -> RwLockWriteGuard<'_, Partition> {
+        let mut p = partition(engine);
+        for id in 0..keys {
+            let value = Value::filled(1000, (id % 251) as u8);
+            put(engine, &mut p, Key::from_id(id), value).unwrap();
+        }
+        assert!(p.nvm_object_count() > 0 && p.flash_object_count() > 0);
+        p
+    }
+
+    fn ids(entries: &[(Key, Value)]) -> Vec<u64> {
+        entries.iter().map(|(k, _)| k.id()).collect()
+    }
+
     #[test]
     fn scan_merges_nvm_and_flash_in_order() {
-        let keys = 3_000u64;
-        let engine = engine(keys);
-        let mut p = partition(&engine);
-        for id in 0..keys {
-            put(
-                &engine,
-                &mut p,
-                Key::from_id(id),
-                Value::filled(500, (id % 251) as u8),
-            )
-            .unwrap();
-        }
+        let engine = engine(3_000);
+        let p = loaded_for_scans(&engine, 3_000);
         // An unbounded pin sees every live version: the plain merge path.
-        let (entries, cost) = p
-            .snapshot_scan_collect(&Key::from_id(100), 50, u64::MAX)
-            .unwrap();
-        assert_eq!(entries.len(), 50);
-        let ids: Vec<u64> = entries.iter().map(|(k, _)| k.id()).collect();
-        let expected: Vec<u64> = (100..150).collect();
-        assert_eq!(ids, expected);
-        assert!(cost > Nanos::ZERO);
+        let mut cursor = ScanCursor::new(&Key::from_id(100));
+        let mut entries = Vec::new();
+        p.scan_pull(&mut cursor, None, u64::MAX, 50, &mut entries);
+        assert_eq!(ids(&entries), (100..150).collect::<Vec<u64>>());
+        assert_eq!(cursor.frontier(), Some(&Key::from_id(150)));
+        // Only what was taken was read, and it is charged once.
+        assert_eq!((cursor.resolved, cursor.emitted), (50, 50));
+        let on_flash = cursor.flash_bytes / 1008;
+        assert_eq!(cursor.flash_bytes % 1008, 0);
+        assert_eq!(cursor.nvm_reads + on_flash, 50);
+        let before = (p.nvm_dev.counters().as_tier_io(), p.fg());
+        let cost = p.scan_charge(&cursor);
+        let nvm = p.nvm_dev.counters().as_tier_io().delta_since(before.0);
+        assert_eq!(nvm.reads, (cursor.nvm_reads > 0) as u64);
+        assert_eq!(nvm.bytes_read, 4096 * cursor.nvm_reads.div_ceil(4));
+        assert_eq!(p.fg(), before.1 + cost);
+        assert_eq!(p.stats().scan_entries_resolved, 50);
+        assert_eq!(p.stats().scan_entries_returned, 50);
+    }
+
+    #[test]
+    fn a_cursor_stops_at_its_bound_and_runs_out_at_the_end() {
+        let engine = engine(3_000);
+        let p = loaded_for_scans(&engine, 3_000);
+        let mut cursor = ScanCursor::new(&Key::from_id(2_990));
+        let mut entries = Vec::new();
+        // The bound is inclusive: two partitions never hold the same key.
+        p.scan_pull(
+            &mut cursor,
+            Some(&Key::from_id(2_993)),
+            u64::MAX,
+            50,
+            &mut entries,
+        );
+        assert_eq!(ids(&entries), vec![2_990, 2_991, 2_992, 2_993]);
+        assert_eq!(cursor.frontier(), Some(&Key::from_id(2_994)));
+        // A bound below the frontier reads nothing.
+        p.scan_pull(
+            &mut cursor,
+            Some(&Key::from_id(5)),
+            u64::MAX,
+            50,
+            &mut entries,
+        );
+        assert_eq!((entries.len(), cursor.resolved), (4, 4));
+        p.scan_pull(&mut cursor, None, u64::MAX, 50, &mut entries);
+        assert_eq!(ids(&entries), (2_990..3_000).collect::<Vec<u64>>());
+        assert_eq!(cursor.frontier(), None);
+        p.scan_pull(&mut cursor, None, u64::MAX, 50, &mut entries);
+        assert_eq!(entries.len(), 10, "an exhausted cursor stays exhausted");
+    }
+
+    #[test]
+    fn a_cursor_resumed_after_a_full_demotion_neither_repeats_nor_drops_a_key() {
+        let engine = engine(3_000);
+        let mut p = loaded_for_scans(&engine, 3_000);
+        // The newest keys are still on NVM; start the scan among them.
+        let first = (0..3_000)
+            .rev()
+            .take_while(|id| p.index.contains_key(&Key::from_id(*id)))
+            .last()
+            .expect("the last key written is on NVM");
+        assert!(first < 2_960, "need a run of NVM keys to scan across");
+        let pinned = p.seq.pin();
+        let mut cursor = ScanCursor::new(&Key::from_id(first));
+        let mut entries = Vec::new();
+        p.scan_pull(
+            &mut cursor,
+            Some(&Key::from_id(first + 9)),
+            pinned,
+            40,
+            &mut entries,
+        );
+        assert_eq!(cursor.frontier(), Some(&Key::from_id(first + 10)));
+        assert_eq!(cursor.flash_bytes, 0);
+
+        // Between the two pulls (no lock is held there) every NVM object
+        // moves to flash, the frontier key included, and one key ahead of
+        // the cursor is overwritten and another deleted after the pin.
+        let fg = p.fg();
+        let job = p
+            .plan_demotion(DemotionPlan::Everything, fg)
+            .expect("NVM holds objects to demote");
+        let (cpu, dev) = (p.cpu, p.flash_dev.clone());
+        p.install_compaction(execute_job(job, &cpu, &dev))
+            .unwrap()
+            .expect("same epoch: job installs");
+        assert_eq!(p.nvm_object_count(), 0);
+        let overwritten = Key::from_id(first + 20);
+        put(&engine, &mut p, overwritten.clone(), Value::filled(700, 9)).unwrap();
+        delete(&engine, &mut p, &Key::from_id(first + 21)).unwrap();
+
+        p.scan_pull(&mut cursor, None, pinned, 40, &mut entries);
+        assert_eq!(ids(&entries), (first..first + 40).collect::<Vec<u64>>());
+        assert!(
+            cursor.flash_bytes > 0,
+            "the second pull read the demoted records"
+        );
+        for (key, value) in &entries {
+            let want = Value::filled(1000, (key.id() % 251) as u8);
+            assert_eq!(value, &want, "{key:?} must read as of the pin");
+        }
+        p.seq.release(pinned);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use prism_types::Key;
 
-use crate::sst::{FileId, SstFile};
+use crate::sst::{FileId, SstEntry, SstFile};
 
 /// A sorted, non-overlapping sequence of SST files covering the partition's
 /// flash-resident key space.
@@ -95,17 +95,26 @@ impl SortedLog {
     ///
     /// Files are non-overlapping so concatenation in file order is globally
     /// sorted.
-    pub fn iter(&self) -> impl Iterator<Item = (&Key, &crate::sst::SstEntry)> {
-        self.files
-            .iter()
-            .flat_map(|f| f.iter().map(|(k, e)| (k, e)))
+    pub fn iter(&self) -> impl Iterator<Item = (&Key, &SstEntry)> {
+        self.range_from(&Key::min()).map(|(k, e)| (k, e))
+    }
+
+    /// Iterate, borrowing, over every entry with a key `>= start` in
+    /// ascending key order: one seek (a binary search for the file, one
+    /// inside it), then sequential steps that cross file boundaries. A
+    /// caller pays only for the entries it takes.
+    pub fn range_from<'a>(&'a self, start: &Key) -> impl Iterator<Item = &'a (Key, SstEntry)> {
+        let first = self.files.partition_point(|f| f.max_key() < start);
+        let mut files = self.files[first..].iter();
+        let head = files.next().map_or(&[][..], |f| f.tail_from(start));
+        head.iter().chain(files.flat_map(|f| f.iter()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sst::{SstBuilder, SstEntry};
+    use crate::sst::SstBuilder;
     use prism_storage::{Device, DeviceProfile};
     use prism_types::Value;
 
@@ -168,6 +177,42 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
         assert_eq!(keys.len(), 100);
+    }
+
+    #[test]
+    fn range_from_seeks_once_and_crosses_files() {
+        let mut log = SortedLog::new();
+        // Even ids only, with a gap between the files.
+        let even = |id, ids: std::ops::Range<u64>| {
+            let dev = Arc::new(Device::new(DeviceProfile::qlc_flash(1 << 30)));
+            let mut b = SstBuilder::new(id);
+            for i in ids.filter(|i| i % 2 == 0) {
+                b.add(Key::from_id(i), SstEntry::value(Value::filled(50, 0), i));
+            }
+            Arc::new(b.finish(&dev).0)
+        };
+        log.install(&[], vec![even(1, 0..50), even(2, 100..150)]);
+        let from = |start: u64| -> Vec<u64> {
+            log.range_from(&Key::from_id(start))
+                .map(|(k, _)| k.id())
+                .collect()
+        };
+        let all: Vec<u64> = (0..50).chain(100..150).filter(|i| i % 2 == 0).collect();
+        assert_eq!(from(0), all);
+        // Inside a file, on a key and between two keys.
+        assert_eq!(
+            from(40),
+            [40, 42, 44, 46, 48]
+                .into_iter()
+                .chain((100..150).step_by(2))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(from(41)[0], 42);
+        // In the gap between files, on the last key, and past it.
+        assert_eq!(from(60)[0], 100);
+        assert_eq!(from(148), vec![148]);
+        assert!(from(149).is_empty());
+        assert!(SortedLog::new().range_from(&Key::min()).next().is_none());
     }
 
     #[test]

@@ -267,11 +267,16 @@ impl SstFile {
         self.entries.iter()
     }
 
+    /// The entries with keys `>= start`, in key order: one binary search,
+    /// nothing copied.
+    pub fn tail_from(&self, start: &Key) -> &[(Key, SstEntry)] {
+        &self.entries[self.entries.partition_point(|(k, _)| k < start)..]
+    }
+
     /// Iterate over entries with keys in `[start, end]` (inclusive).
     pub fn range(&self, start: &Key, end: &Key) -> impl Iterator<Item = &(Key, SstEntry)> {
-        let lo = self.entries.partition_point(|(k, _)| k < start);
-        let hi = self.entries.partition_point(|(k, _)| k <= end);
-        self.entries[lo..hi].iter()
+        let tail = self.tail_from(start);
+        tail[..tail.partition_point(|(k, _)| k <= end)].iter()
     }
 
     /// Number of entries with keys in `[start, end]` (inclusive), without

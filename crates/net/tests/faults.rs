@@ -299,6 +299,34 @@ fn oversized_scans_stream_as_continuation_frames_and_reassemble() {
     assert_eq!(stats.connections_closed, 0);
 }
 
+/// The remote-abort regression: a scan's count field is a bound on the
+/// answer, not a buffer size. `u32::MAX` — the largest count the wire
+/// carries — used to make the engine reserve hundreds of gigabytes and
+/// abort the whole server process.
+#[test]
+fn a_scan_for_u32_max_entries_returns_the_store_and_the_server_survives() {
+    const KEYS: u64 = 100;
+    let (server, connector) = test_server(KEYS, ServerOptions::default());
+    let mut client = client(&connector);
+    for id in 0..KEYS {
+        client
+            .put(Key::from_id(id), Value::filled(64, id as u8))
+            .expect("load");
+    }
+    let entries = client.scan(Key::min(), u32::MAX).expect("unbounded scan");
+    let ids: Vec<u64> = entries.iter().map(|(key, _)| key.id()).collect();
+    assert_eq!(ids, (0..KEYS).collect::<Vec<u64>>());
+    assert_eq!(
+        client
+            .get(Key::from_id(7))
+            .expect("still serving")
+            .unwrap()
+            .len(),
+        64
+    );
+    assert_eq!(server.stats().connections_closed, 0);
+}
+
 #[test]
 fn backpressure_storm_returns_retryable_rejections_that_eventually_land() {
     // A queue depth of 1 makes rejections near-certain under a pipelined

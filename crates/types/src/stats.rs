@@ -481,6 +481,12 @@ stats_table! {
         counter reads_from_flash;
         /// Lookups that found no value.
         counter reads_not_found;
+        /// Candidate keys a scan resolved to their visible version (index
+        /// or SST record read, checksum verified). Over
+        /// `scan_entries_returned` this is the scan read amplification.
+        counter scan_entries_resolved;
+        /// Entries scans returned to their callers.
+        counter scan_entries_returned;
         /// I/O issued to the NVM device (foreground + background).
         group("nvm_") nvm_io: TierIo, TierIoCells;
         /// I/O issued to the flash device (foreground + background).

@@ -4,7 +4,9 @@
 //! partition's read lock for the scan's whole duration, so one long scan
 //! serialised the entire write path. Scans now read through a pinned
 //! snapshot sequence and take one short per-partition read lock at a
-//! time; these tests pin that contract:
+//! time; these tests pin that contract, under both partitionings (range
+//! partitions are visited in key order, hash partitions as the cross-
+//! partition merge needs their next key — the path the benchmark runs):
 //!
 //! * a write storm racing a continuous stream of full-keyspace scans
 //!   must finish in wall-clock time comparable to the same storm with no
@@ -23,10 +25,12 @@ const KEY_SPACE: u64 = 2_000;
 const WRITERS: usize = 3;
 const WRITES_PER_WRITER: u64 = 2_000;
 
-fn storm_db() -> PrismDb {
+const BOTH: [Partitioning; 2] = [Partitioning::Range, Partitioning::Hash];
+
+fn storm_db(partitioning: Partitioning) -> PrismDb {
     let mut options = Options::scaled_default(KEY_SPACE);
     options.num_partitions = 4;
-    options.partitioning = Partitioning::Range;
+    options.partitioning = partitioning;
     options.compaction.bucket_size_keys = 128;
     options.sst_target_bytes = 16 * 1024;
     // Small NVM: the storm continuously trips demotion compactions, so
@@ -88,8 +92,12 @@ fn run_storm(db: &Arc<PrismDb>, scanners: usize) -> Duration {
 /// but far below the multiple that duration-long lock holds used to cost.
 #[test]
 fn continuous_scans_do_not_serialize_a_write_storm() {
-    let baseline_db = Arc::new(storm_db());
-    let contested_db = Arc::new(storm_db());
+    BOTH.into_iter().for_each(scans_do_not_serialize_the_storm);
+}
+
+fn scans_do_not_serialize_the_storm(partitioning: Partitioning) {
+    let baseline_db = Arc::new(storm_db(partitioning));
+    let contested_db = Arc::new(storm_db(partitioning));
 
     // Warm both engines identically so neither measures cold-start work.
     for db in [&baseline_db, &contested_db] {
@@ -104,8 +112,8 @@ fn continuous_scans_do_not_serialize_a_write_storm() {
     let limit = baseline * 8 + Duration::from_millis(1_000);
     assert!(
         contested <= limit,
-        "write storm under continuous scans took {contested:?} vs {baseline:?} \
-         uncontested (limit {limit:?}) — scans are serialising writers again"
+        "{partitioning:?}: write storm under continuous scans took {contested:?} vs \
+         {baseline:?} uncontested (limit {limit:?}) — scans are serialising writers again"
     );
 
     // Both engines saw the identical write sequence per writer; their
@@ -116,7 +124,7 @@ fn continuous_scans_do_not_serialize_a_write_storm() {
         assert_eq!(
             a.map(|v| v.len()),
             b.map(|v| v.len()),
-            "storm key {id} diverged between the contested and baseline engines"
+            "{partitioning:?}: storm key {id} diverged between the contested and baseline engines"
         );
     }
 }
@@ -125,8 +133,13 @@ fn continuous_scans_do_not_serialize_a_write_storm() {
 /// must not increase because scans ran concurrently with the storm.
 #[test]
 fn concurrent_scans_add_no_simulated_write_stalls() {
-    let baseline_db = Arc::new(storm_db());
-    let contested_db = Arc::new(storm_db());
+    BOTH.into_iter()
+        .for_each(scans_add_no_simulated_write_stalls);
+}
+
+fn scans_add_no_simulated_write_stalls(partitioning: Partitioning) {
+    let baseline_db = Arc::new(storm_db(partitioning));
+    let contested_db = Arc::new(storm_db(partitioning));
 
     run_storm(&baseline_db, 0);
     run_storm(&contested_db, 2);
@@ -142,7 +155,7 @@ fn concurrent_scans_add_no_simulated_write_stalls() {
     // the scans.
     assert!(
         contested <= baseline + baseline / 4,
-        "concurrent scans inflated simulated write stalls: \
+        "{partitioning:?}: concurrent scans inflated simulated write stalls: \
          {contested:?} with scans vs {baseline:?} without"
     );
     // The contested engine must also have pinned (and released) snapshot
