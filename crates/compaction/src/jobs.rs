@@ -12,9 +12,10 @@
 //!    promotion hints. The resulting [`CompactionJob`] owns everything it
 //!    needs and is `Send`.
 //! 2. **Execute** (no lock): [`execute_job`] merges the two sorted streams
-//!    into a [`MergedEntry`] list, tagging each output entry with its
-//!    origin so the installer can re-validate it, and charges the flash
-//!    read plus merge CPU to the job's duration.
+//!    into a [`MergedEntry`] list, verifying each victim-file record it
+//!    keeps and tagging each output entry with its origin so the installer
+//!    can re-validate it, and charges the flash read plus merge CPU to the
+//!    job's duration.
 //! 3. **Install** (under the partition lock again): the engine re-checks
 //!    each NVM-origin entry against the live index (a foreground write
 //!    between plan and install invalidates that entry only), applies
@@ -113,6 +114,10 @@ pub struct MergedEntry {
     pub entry: SstEntry,
     /// Provenance, for install-time revalidation.
     pub origin: MergedOrigin,
+    /// The record failed its checksum when the merge read it: the
+    /// installer drops it, counts the failure and quarantines the key —
+    /// under the lock, and only if the job installs at all.
+    pub corrupt: bool,
 }
 
 /// The result of executing a [`CompactionJob`] outside the partition lock.
@@ -148,6 +153,13 @@ pub struct ExecutedJob {
 /// respect to the owning partition: only the simulated flash device's
 /// read counters are touched, so a discarded job leaves partition state
 /// untouched.
+///
+/// This is where a compaction re-verifies what it carries: every surviving
+/// victim-file record is checked against its checksum here, off the
+/// partition lock, and a failure travels to the installer as
+/// [`MergedEntry::corrupt`]. A demoted NVM object was verified when the
+/// plan read its slot, and its flash record (checksum included) is built
+/// here from those bytes, so it needs no second pass.
 pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) -> ExecutedJob {
     let mut duration = job.planning_cost;
     let mut flash_time = Nanos::ZERO;
@@ -158,47 +170,44 @@ pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) 
         duration += t;
         flash_time += t;
     }
-    let flash_entries: Vec<(Key, SstEntry)> = job
-        .files
-        .iter()
-        .flat_map(|f| f.iter().map(|(k, e)| (k.clone(), e.clone())))
-        .collect();
+    let flash_len: usize = job.files.iter().map(|f| f.len()).sum();
+    duration += cpu.merge_per_object * (job.demote.len() as u64 + flash_len as u64);
 
-    duration += cpu.merge_per_object * (job.demote.len() as u64 + flash_entries.len() as u64);
-
-    let mut merged: Vec<MergedEntry> = Vec::new();
+    let mut merged: Vec<MergedEntry> = Vec::with_capacity(job.demote.len() + flash_len);
+    let mut demoted: Vec<(Key, u64, bool)> = Vec::with_capacity(job.demote.len());
     let mut removed_from_flash: Vec<u64> = Vec::new();
-    let mut di = 0usize;
-    let mut fi = 0usize;
-    while di < job.demote.len() || fi < flash_entries.len() {
-        let take_nvm = match (job.demote.get(di), flash_entries.get(fi)) {
+    // The victim files are borrowed, never copied: a record is cloned only
+    // if it survives into the output.
+    let mut flash = job.files.iter().flat_map(|f| f.iter()).peekable();
+    let mut nvm = job.demote.into_iter().peekable();
+    loop {
+        let take_nvm = match (nvm.peek(), flash.peek()) {
             (Some(d), Some((fk, _))) => d.key <= *fk,
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => break,
         };
         if take_nvm {
-            let d = &job.demote[di];
-            di += 1;
-            if flash_entries.get(fi).map(|(fk, _)| fk == &d.key) == Some(true) {
-                // The flash version is stale: drop it by advancing past it.
-                fi += 1;
-            }
+            let d = nvm.next().expect("peeked");
+            // The flash version of the same key is stale: drop it by
+            // advancing past it.
+            flash.next_if(|(fk, _)| *fk == d.key);
+            demoted.push((d.key.clone(), d.timestamp, d.tombstone));
             if d.tombstone {
                 // Key is deleted everywhere once the merge completes.
                 removed_from_flash.push(d.key.id());
-            } else if let Some(value) = &d.value {
+            } else if let Some(value) = d.value {
                 merged.push(MergedEntry {
-                    key: d.key.clone(),
-                    entry: SstEntry::value(value.clone(), d.timestamp),
+                    key: d.key,
+                    entry: SstEntry::value(value, d.timestamp),
                     origin: MergedOrigin::Nvm {
                         timestamp: d.timestamp,
                     },
+                    corrupt: false,
                 });
             }
         } else {
-            let (key, entry) = &flash_entries[fi];
-            fi += 1;
+            let (key, entry) = flash.next().expect("peeked");
             if entry.is_tombstone() {
                 // Single-level log: a tombstone with no newer version can
                 // be dropped entirely.
@@ -211,6 +220,7 @@ pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) 
                 origin: MergedOrigin::Flash {
                     promote: job.promote_hints.contains(&key.id()),
                 },
+                corrupt: !entry.verify(),
             });
         }
     }
@@ -221,11 +231,7 @@ pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) 
         kind: job.kind,
         trigger_fg: job.trigger_fg,
         old_file_ids: job.files.iter().map(|f| f.id()).collect(),
-        demote: job
-            .demote
-            .iter()
-            .map(|d| (d.key.clone(), d.timestamp, d.tombstone))
-            .collect(),
+        demote: demoted,
         merged,
         removed_from_flash,
         duration,
@@ -324,6 +330,51 @@ mod tests {
             MergedOrigin::Flash { promote: false }
         );
         assert_eq!(exec.merged[1].origin, MergedOrigin::Flash { promote: true });
+    }
+
+    /// The merge verifies what it carries: a victim-file record that fails
+    /// its checksum comes out flagged (the installer drops and quarantines
+    /// it under the lock), its clean neighbours and the demoted NVM
+    /// objects do not, and a flagged record shadowed by a demotion never
+    /// reaches the output at all.
+    #[test]
+    fn a_checksum_failing_flash_record_is_flagged_by_the_merge() {
+        use prism_storage::{FaultMode, FaultOp, FaultPlan, FaultTier, TargetedFault};
+
+        let plan = Arc::new(FaultPlan::new(5));
+        let dev = Arc::new(Device::with_faults(
+            DeviceProfile::qlc_flash(1 << 30),
+            plan.clone(),
+            FaultTier::Flash,
+        ));
+        plan.arm(TargetedFault {
+            tier: FaultTier::Flash,
+            partition: None,
+            op: FaultOp::Write,
+            mode: FaultMode::BitFlip,
+        });
+        let f = file(&[(1, Some(1)), (2, Some(2)), (3, Some(3))], 1, &dev);
+        let damaged = f.corrupt_keys();
+        assert_eq!(damaged.len(), 1, "the armed flip hit one record");
+
+        let exec = execute_job(
+            job(vec![demote(5, 9, Some(5))], vec![f.clone()]),
+            &CpuCosts::default(),
+            &dev,
+        );
+        let flagged: Vec<&Key> = exec
+            .merged
+            .iter()
+            .filter(|m| m.corrupt)
+            .map(|m| &m.key)
+            .collect();
+        assert_eq!(flagged, [&damaged[0]]);
+        assert_eq!(exec.merged.len(), 4);
+
+        let shadow = demote(damaged[0].id(), 9, Some(7));
+        let exec = execute_job(job(vec![shadow], vec![f]), &CpuCosts::default(), &dev);
+        assert_eq!(exec.merged.len(), 3);
+        assert!(exec.merged.iter().all(|m| !m.corrupt));
     }
 
     #[test]

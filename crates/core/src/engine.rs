@@ -996,10 +996,10 @@ impl PrismDb {
         for &pos in &active {
             let (idx, guard) = &guards[pos];
             let entries = &groups[*idx];
-            let mut seen: HashSet<u64> = HashSet::with_capacity(entries.len());
+            let mut seen: HashSet<&Key> = HashSet::with_capacity(entries.len());
             let mut pre_images = Vec::new();
             for op in entries {
-                if seen.insert(op.key().id()) {
+                if seen.insert(op.key()) {
                     pre_images.push((op.key().clone(), guard.current_visible(op.key())));
                 }
             }
@@ -1910,6 +1910,34 @@ mod tests {
         let stats = db.stats();
         assert_eq!(stats.txn.txn_commits, 1);
         assert_eq!(stats.txn.txn_conflicts, 1);
+    }
+
+    /// A transaction's write buffer and read set are keyed by the whole
+    /// key: a buffered write of one key is not read back as its
+    /// prefix-sharing neighbour's, and a read of the neighbour joins the
+    /// read set (and is validated) even after the first key did.
+    #[test]
+    fn a_transaction_tells_prefix_sharing_keys_apart() {
+        use prism_types::Transaction;
+        let db = small_db(4_000, 4);
+        let a = Key::from_bytes(b"user1234A".to_vec());
+        let b = Key::from_bytes(b"user1234B".to_vec());
+        db.put(b.clone(), Value::filled(100, 0xB0)).unwrap();
+
+        let mut txn = Transaction::begin(&db).unwrap();
+        txn.put(a.clone(), Value::filled(100, 0xA1));
+        assert_eq!(txn.get(&a).unwrap(), Some(Value::filled(100, 0xA1)));
+        assert_eq!(txn.get(&b).unwrap(), Some(Value::filled(100, 0xB0)));
+        txn.commit().unwrap();
+
+        let mut txn = Transaction::begin(&db).unwrap();
+        assert!(txn.get(&a).unwrap().is_some());
+        assert!(txn.get(&b).unwrap().is_some());
+        // `b` changes under the transaction: its commit must conflict.
+        db.put(b.clone(), Value::filled(100, 0xB1)).unwrap();
+        txn.put(a.clone(), Value::filled(100, 0xA2));
+        assert!(matches!(txn.commit(), Err(PrismError::TxnConflict { .. })));
+        assert_eq!(db.get(&a).unwrap().value, Some(Value::filled(100, 0xA1)));
     }
 
     /// Elapsed time plus every stats entry except the snapshot and

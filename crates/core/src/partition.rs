@@ -32,10 +32,12 @@
 //!
 //! Compactions run as a *plan → execute → install* pipeline
 //! (see [`prism_compaction::CompactionJob`]): planning clones the victim
-//! state out under the lock, execution merges without touching the
-//! partition, and installation re-validates against the live index
-//! (timestamp checks per demoted object, an epoch check per job) before
-//! swapping files in. A partition only *plans* and *installs*; it never
+//! state out under the lock, execution merges — and checksum-verifies the
+//! flash records it carries — without touching the partition, and
+//! installation re-validates against the live index (timestamp checks per
+//! demoted object, an epoch check per job), drops and quarantines what the
+//! merge flagged, and moves the rest into the new files before swapping
+//! them in. A partition only *plans* and *installs*; it never
 //! decides when a compaction runs or who runs it. That is the engine's
 //! compaction driver (`crate::workers`): it calls into a write between the
 //! read-side drain and the clock advance, raises the promotion and
@@ -256,11 +258,12 @@ pub(crate) struct Partition {
     /// `Options::corruption_quarantine_threshold` and back off after a
     /// clean scrub pass.
     health: PartitionHealth,
-    /// Key ids quarantined after corruption with no surviving copy: the
+    /// Keys quarantined after corruption with no surviving copy: the
     /// tombstone-with-error sentinel set. Reads of these keys fail with
     /// `Corruption` (never stale data from an older tier); a successful
-    /// rewrite or scrub repair removes the sentinel.
-    quarantined: HashSet<u64>,
+    /// rewrite or scrub repair removes the sentinel. Keyed by the whole
+    /// key — a neighbour sharing its first eight bytes is a different key.
+    quarantined: HashSet<Key>,
     /// Bytes currently buffered in `history` (mirrored into the shared
     /// sequencer total for lock-free engine-side cap checks).
     history_bytes: u64,
@@ -425,9 +428,8 @@ impl Partition {
 
     fn corruption_error(&self, key: &Key) -> PrismError {
         PrismError::Corruption(format!(
-            "partition {}: key {} is quarantined after a checksum failure",
-            self.id,
-            key.id()
+            "partition {}: key {key} is quarantined after a checksum failure",
+            self.id
         ))
     }
 
@@ -456,15 +458,14 @@ impl Partition {
     /// the scrubber's repair source. Returns false if already
     /// quarantined.
     fn quarantine_key(&mut self, key: &Key) -> bool {
-        let key_id = key.id();
-        if !self.quarantined.insert(key_id) {
+        if !self.quarantined.insert(key.clone()) {
             return false;
         }
         self.stats.integrity.quarantined_objects += 1;
         if let Some(entry) = self.index.get(key).copied() {
             let _ = self.slab.remove(entry.addr);
             self.index.remove(key);
-            self.buckets.on_nvm_remove(key_id);
+            self.buckets.on_nvm_remove(key.id());
         }
         self.maybe_degrade();
         true
@@ -832,7 +833,7 @@ impl Partition {
         }
         // A successful rewrite heals a quarantined key: the fresh version
         // supersedes whatever was corrupt.
-        self.quarantined.remove(&key_id);
+        self.quarantined.remove(&key);
         cost += self.observe_access_now(&key, false);
         self.cache.remove(&key);
         self.stats.user_bytes_written += value_len;
@@ -874,9 +875,9 @@ impl Partition {
         // everything but the last occurrence per key as merged.
         let mut superseded = vec![false; entries.len()];
         if entries.len() > 1 {
-            let mut seen: HashSet<u64> = HashSet::with_capacity(entries.len());
+            let mut seen: HashSet<&Key> = HashSet::with_capacity(entries.len());
             for (i, entry) in entries.iter().enumerate().rev() {
-                if !seen.insert(entry.key().id()) {
+                if !seen.insert(entry.key()) {
                     superseded[i] = true;
                 }
             }
@@ -981,9 +982,8 @@ impl Partition {
         if probe.corrupt {
             self.note_checksum_failure_shared();
             return Err(PrismError::Corruption(format!(
-                "partition {}: flash record for key {} failed its checksum",
-                self.id,
-                key.id()
+                "partition {}: flash record for key {key} failed its checksum",
+                self.id
             )));
         }
         Ok(probe
@@ -1011,7 +1011,7 @@ impl Partition {
     pub(crate) fn get_with_pressure(&self, key: &Key) -> Result<(Lookup, bool)> {
         // A quarantined key fails before any tier is consulted: an older
         // clean version on flash must never shadow the corrupt one.
-        if self.quarantined.contains(&key.id()) {
+        if self.quarantined.contains(key) {
             return Err(self.corruption_error(key));
         }
         let mut cost = self.cpu.request_overhead + self.cpu.index_op;
@@ -1175,7 +1175,7 @@ impl Partition {
 
         // A delete supersedes a quarantined version: the key is now
         // legitimately absent (or tombstoned), not corrupt.
-        self.quarantined.remove(&key_id);
+        self.quarantined.remove(key);
         self.cache.remove(key);
         Ok(cost)
     }
@@ -1186,7 +1186,7 @@ impl Partition {
     /// the latest version) and buffers no read-side state — snapshot
     /// reads must not perturb popularity tracking.
     pub(crate) fn snapshot_get(&self, key: &Key, pinned: u64) -> Result<(Option<Value>, Nanos)> {
-        if self.quarantined.contains(&key.id()) {
+        if self.quarantined.contains(key) {
             return Err(self.corruption_error(key));
         }
         let mut cost = self.cpu.request_overhead + self.cpu.index_op;
@@ -1275,7 +1275,7 @@ impl Partition {
             };
             // Quarantined keys are skipped (reported via the quarantine
             // counters), not served from an older tier.
-            if let Some(value) = visible.filter(|_| !self.quarantined.contains(&key.id())) {
+            if let Some(value) = visible.filter(|_| !self.quarantined.contains(key)) {
                 out.push((key.clone(), value));
                 cursor.emitted += 1;
             }
@@ -1609,7 +1609,8 @@ impl Partition {
         let mut out: Vec<(Key, SstEntry)> = Vec::with_capacity(exec.merged.len());
 
         for m in exec.merged {
-            if !m.entry.verify() {
+            if m.corrupt {
+                // The merge verified the record off the lock and it failed.
                 // Corrupt bytes must never propagate through a compaction
                 // into fresh SST files: drop the record, and quarantine
                 // the key unless a live NVM version shadows it.
@@ -1671,7 +1672,7 @@ impl Partition {
         }
 
         // Write the merged output as new SST files.
-        let (new_files, write_cost) = self.write_sst_files(&out)?;
+        let (new_files, write_cost) = self.write_sst_files(out)?;
         duration += write_cost;
         flash_time += write_cost;
 
@@ -1691,7 +1692,7 @@ impl Partition {
                 demoted += 1;
             }
         }
-        for (key, _) in &out {
+        for (key, _) in new_files.iter().flat_map(|file| file.iter()) {
             self.buckets.on_flash_insert(key.id());
         }
         for key_id in removed_from_flash {
@@ -1730,7 +1731,7 @@ impl Partition {
 
     fn write_sst_files(
         &mut self,
-        merged: &[(Key, SstEntry)],
+        merged: Vec<(Key, SstEntry)>,
     ) -> Result<(Vec<Arc<SstFile>>, Nanos)> {
         let mut files = Vec::new();
         let mut cost = Nanos::ZERO;
@@ -1740,7 +1741,7 @@ impl Partition {
         let target = self.options.sst_target_bytes;
         let mut builder = SstBuilder::new(self.manifest.allocate_file_id()).for_partition(self.id);
         for (key, entry) in merged {
-            builder.add(key.clone(), entry.clone());
+            builder.add(key, entry);
             if builder.size_bytes() >= target {
                 let (file, c) = builder.finish(&self.flash_dev);
                 cost += c;
@@ -1804,10 +1805,10 @@ impl Partition {
                 )
             })
             .collect();
-        let corrupt_ids: HashSet<u64> = scanned
+        let corrupt_keys: HashSet<Key> = scanned
             .iter()
             .filter(|(_, _, _, _, ok)| !ok)
-            .map(|(_, key, _, _, _)| key.id())
+            .map(|(_, key, _, _, _)| key.clone())
             .collect();
         let mut newest: std::collections::HashMap<Key, (NvmAddress, u64, bool)> =
             std::collections::HashMap::new();
@@ -1817,7 +1818,7 @@ impl Partition {
             if !ok {
                 self.note_checksum_failure();
             }
-            if corrupt_ids.contains(&key.id()) {
+            if corrupt_keys.contains(&key) {
                 // Every slot of a corrupt key is dropped, clean siblings
                 // included.
                 stale.push(addr);
@@ -1853,8 +1854,8 @@ impl Partition {
                 },
             );
         }
-        for id in corrupt_ids {
-            if self.quarantined.insert(id) {
+        for key in corrupt_keys {
+            if self.quarantined.insert(key) {
                 self.stats.integrity.quarantined_objects += 1;
             }
         }
@@ -2044,13 +2045,13 @@ impl Partition {
                     },
                 );
                 self.buckets.on_nvm_insert(key.id());
-                self.quarantined.remove(&key.id());
+                self.quarantined.remove(&key);
                 report.repaired += 1;
                 self.stats.integrity.scrub_repairs += 1;
                 return;
             }
         }
-        if self.quarantined.insert(key.id()) {
+        if self.quarantined.insert(key) {
             self.stats.integrity.quarantined_objects += 1;
         }
         report.quarantined += 1;
@@ -2496,6 +2497,72 @@ mod tests {
             77
         );
         assert!(p.get(&deleted).unwrap().value.is_none());
+    }
+
+    /// The merge verifies off the lock; the installer acts on its verdict.
+    /// A flash record that fails its checksum is dropped, counted once and
+    /// quarantined when its job installs — and a job discarded for a stale
+    /// epoch counts nothing, however many flagged records it carried.
+    #[test]
+    fn install_acts_on_the_merges_checksum_verdict_and_a_discarded_job_counts_nothing() {
+        use prism_storage::{FaultMode, TargetedFault};
+
+        let keys = 2_000u64;
+        let plan = Arc::new(FaultPlan::new(0xF1A6));
+        let mut options = small_options(keys);
+        options.fault_plan = Some(plan.clone());
+        options.corruption_quarantine_threshold = 100;
+        let storage = TieredStorage::with_fault_plan(
+            DeviceProfile::optane_nvm(options.nvm_capacity_bytes),
+            options.flash_profile,
+            plan.clone(),
+        );
+        let engine = EngineShared::new(options, storage).unwrap();
+        let mut p = partition(&engine);
+        for id in 0..keys / 2 {
+            put(&engine, &mut p, Key::from_id(id), Value::filled(900, 1)).unwrap();
+        }
+        // The next SST write damages one record after its checksum was
+        // computed; a full demotion makes that write happen now.
+        plan.arm(TargetedFault {
+            tier: FaultTier::Flash,
+            partition: None,
+            op: FaultOp::Write,
+            mode: FaultMode::BitFlip,
+        });
+        let (cpu, dev) = (p.cpu, p.flash_dev.clone());
+        let fg = p.fg();
+        let job = p.plan_demotion(DemotionPlan::Everything, fg).expect("job");
+        p.install_compaction(execute_job(job, &cpu, &dev))
+            .unwrap()
+            .expect("installs");
+        let damaged: Vec<Key> = p
+            .log
+            .iter()
+            .filter(|(_, entry)| !entry.verify())
+            .map(|(key, _)| key.clone())
+            .collect();
+        assert_eq!(damaged.len(), 1, "the armed flip hit one record");
+        assert_eq!(p.stats().integrity.checksum_failures, 0);
+
+        // Rewrite everything: a job whose merge crosses the record.
+        let job = p.plan_demotion(DemotionPlan::Everything, fg).expect("job");
+        let exec = execute_job(job, &cpu, &dev);
+        assert_eq!(exec.merged.iter().filter(|m| m.corrupt).count(), 1);
+        p.invalidate_planned_jobs();
+        assert!(p.install_compaction(exec).unwrap().is_none());
+        let stats = p.stats().integrity;
+        assert_eq!((stats.checksum_failures, stats.quarantined_objects), (0, 0));
+
+        let job = p.plan_demotion(DemotionPlan::Everything, fg).expect("job");
+        p.install_compaction(execute_job(job, &cpu, &dev))
+            .unwrap()
+            .expect("installs");
+        let stats = p.stats().integrity;
+        assert_eq!((stats.checksum_failures, stats.quarantined_objects), (1, 1));
+        assert!(matches!(p.get(&damaged[0]), Err(PrismError::Corruption(_))));
+        assert!(p.log.iter().all(|(_, entry)| entry.verify()));
+        assert_eq!(plan.snapshot().detected, 1);
     }
 
     #[test]

@@ -235,6 +235,75 @@ fn recovery_over_a_corrupted_slab_quarantines_not_resurrects() {
     assert_eq!(db.quarantined_object_count(), 0);
 }
 
+/// A quarantine names one key. A neighbour sharing its first eight bytes
+/// (and so its [`Key::id`], partition and bucket) neither trips on it nor
+/// heals it — before and after a crash — and only a write of the
+/// quarantined key itself lifts the sentinel.
+#[test]
+fn a_quarantine_is_neither_triggered_nor_healed_by_a_prefix_sharing_neighbour() {
+    let plan = Arc::new(FaultPlan::new(0x9E16));
+    let db = faulted_db(1, &plan, 16);
+    let a = Key::from_bytes(b"user1234A".to_vec());
+    let b = Key::from_bytes(b"user1234B".to_vec());
+    assert_eq!(a.id(), b.id());
+    let a_is_quarantined = || {
+        assert!(matches!(db.get(&a), Err(PrismError::Corruption(_))));
+        assert_eq!(db.quarantined_object_count(), 1);
+    };
+
+    arm_nvm_write_flip(&plan);
+    db.put(a.clone(), Value::filled(200, 0xAA)).unwrap();
+    a_is_quarantined();
+
+    // Reads, writes and deletes of the neighbour leave the sentinel alone.
+    assert_eq!(db.get(&b).unwrap().value, None, "never written");
+    a_is_quarantined();
+    db.put(b.clone(), Value::filled(200, 0xBB)).unwrap();
+    a_is_quarantined();
+    assert_eq!(db.get(&b).unwrap().value, Some(Value::filled(200, 0xBB)));
+    let pin = db.snapshot().unwrap();
+    assert_eq!(
+        db.snapshot_get(pin, &b).unwrap(),
+        Some(Value::filled(200, 0xBB))
+    );
+    db.release_snapshot(pin);
+    let scanned = db.scan(&Key::min(), 16).unwrap().entries;
+    assert_eq!(scanned, vec![(b.clone(), Value::filled(200, 0xBB))]);
+
+    db.crash_and_recover();
+    a_is_quarantined();
+    assert_eq!(db.get(&b).unwrap().value, Some(Value::filled(200, 0xBB)));
+    db.delete(&b).unwrap();
+    assert_eq!(db.get(&b).unwrap().value, None);
+    a_is_quarantined();
+
+    // Its own rewrite heals it.
+    db.put(a.clone(), Value::filled(200, 0xA2)).unwrap();
+    assert_eq!(db.get(&a).unwrap().value, Some(Value::filled(200, 0xA2)));
+    assert_eq!(db.quarantined_object_count(), 0);
+}
+
+/// Recovery quarantines a key with a corrupt slot *whole*, clean siblings
+/// included — siblings of that key, not of every key sharing its first
+/// eight bytes: the neighbour's acknowledged write survives the crash.
+#[test]
+fn recovery_keeps_the_clean_slot_of_a_prefix_sharing_neighbour() {
+    let plan = Arc::new(FaultPlan::new(0x9E17));
+    let db = faulted_db(1, &plan, 16);
+    let a = Key::from_bytes(b"user1234A".to_vec());
+    let b = Key::from_bytes(b"user1234B".to_vec());
+
+    db.put(b.clone(), Value::filled(200, 0xBB)).unwrap();
+    arm_nvm_write_flip(&plan);
+    db.put(a.clone(), Value::filled(200, 0xAA)).unwrap();
+    // Nothing has read `a` yet: the recovery scan is what finds the slot.
+    db.crash_and_recover();
+
+    assert_eq!(db.get(&b).unwrap().value, Some(Value::filled(200, 0xBB)));
+    assert!(matches!(db.get(&a), Err(PrismError::Corruption(_))));
+    assert_eq!(db.quarantined_object_count(), 1);
+}
+
 /// In background mode a corruption-triggered scrub request re-arms the
 /// degraded partition without any foreground help.
 #[test]

@@ -43,27 +43,46 @@ fn small_db(partitioning: Partitioning) -> PrismDb {
     PrismDb::open(options).expect("valid options")
 }
 
-/// `(op, id, size)`: op 0–1 = put, 2 = delete, 3 = a three-key batch.
+/// `(op, id, size)`: op 0–1 = put, 2 = delete, 3 = a four-key batch.
 fn op_strategy() -> impl Strategy<Value = (u8, u64, usize)> {
     (0u8..4, 0u64..KEY_SPACE, 1usize..900)
 }
 
-fn apply(db: &PrismDb, model: &mut MemStore, (op, id, size): (u8, u64, usize)) {
+/// A key universe where every [`Key::id`] is shared by four distinct
+/// keys: of four consecutive ids the first is the plain 8-byte key, the
+/// next two append one byte to its bytes (still inline) and the last
+/// appends twenty (spilled to the heap).
+fn mixed_key(id: u64) -> Key {
+    let mut bytes = (id - id % 4).to_be_bytes().to_vec();
+    match id % 4 {
+        0 => {}
+        1 => bytes.push(b'A'),
+        2 => bytes.push(b'B'),
+        _ => bytes.extend_from_slice(&[0x42; 20]),
+    }
+    Key::from_bytes(bytes)
+}
+
+type KeyOf = fn(u64) -> Key;
+
+fn apply(db: &PrismDb, model: &mut MemStore, (op, id, size): (u8, u64, usize), key_of: KeyOf) {
     match op {
         0 | 1 => {
             let value = Value::filled(size, id as u8);
-            db.put(Key::from_id(id), value.clone()).unwrap();
-            model.put(Key::from_id(id), value).unwrap();
+            db.put(key_of(id), value.clone()).unwrap();
+            model.put(key_of(id), value).unwrap();
         }
         2 => {
-            db.delete(&Key::from_id(id)).unwrap();
-            model.delete(&Key::from_id(id)).unwrap();
+            db.delete(&key_of(id)).unwrap();
+            model.delete(&key_of(id)).unwrap();
         }
         _ => {
+            // Three keys a third of the key space apart, and the first
+            // one's successor: under `mixed_key` usually a neighbour
+            // sharing its eight-byte prefix, in the same batch.
             let mut batch = WriteBatch::new();
-            for step in 0..3u64 {
-                let kid = (id + step * (KEY_SPACE / 3)) % KEY_SPACE;
-                batch.put(Key::from_id(kid), Value::filled(size, kid as u8));
+            for kid in [0, 1, KEY_SPACE / 3, 2 * (KEY_SPACE / 3)].map(|d| (id + d) % KEY_SPACE) {
+                batch.put(key_of(kid), Value::filled(size, kid as u8));
             }
             ConcurrentKvStore::apply_batch(db, batch.clone()).unwrap();
             model.apply_batch(batch).unwrap();
@@ -100,19 +119,25 @@ proptest! {
         after in prop::collection::vec(op_strategy(), 1..250),
         queries in prop::collection::vec(query_strategy(), 1..10),
     ) {
-        for partitioning in BOTH {
+        // Plain 8-byte keys, then keys that share eight-byte prefixes: the
+        // merge, the cursors' resume-by-key and the SST files order and
+        // tell apart whole keys, not ids.
+        let cases = BOTH
+            .into_iter()
+            .flat_map(|p| [(p, Key::from_id as KeyOf), (p, mixed_key as KeyOf)]);
+        for (partitioning, key_of) in cases {
             let db = small_db(partitioning);
             let mut model = MemStore::default();
             for op in &before {
-                apply(&db, &mut model, *op);
+                apply(&db, &mut model, *op, key_of);
             }
             let snap = db.snapshot().unwrap();
             let frozen = model.clone();
             for op in &after {
-                apply(&db, &mut model, *op);
+                apply(&db, &mut model, *op, key_of);
             }
             for &(start, kind, some) in &queries {
-                let (start, count) = (Key::from_id(start), count_of(kind, some));
+                let (start, count) = (key_of(start), count_of(kind, some));
                 let live = ConcurrentKvStore::scan(&db, &start, count).unwrap().entries;
                 prop_assert_eq!(
                     live, model_scan(&model, &start, count),
@@ -215,7 +240,7 @@ fn a_scan_asking_for_more_than_exists_returns_the_whole_store() {
         let db = small_db(partitioning);
         let mut model = MemStore::default();
         for id in 0..100 {
-            apply(&db, &mut model, (0, id * 3, 200));
+            apply(&db, &mut model, (0, id * 3, 200), Key::from_id);
         }
         for count in [u32::MAX as usize, usize::MAX] {
             let scan = ConcurrentKvStore::scan(&db, &Key::min(), count).unwrap();

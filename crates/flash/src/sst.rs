@@ -26,7 +26,8 @@ pub struct SstEntry {
     pub timestamp: u64,
     /// CRC32 over the timestamp, tombstone flag, value length and value
     /// bytes, written with the record and re-verified on every probe,
-    /// range read, recovery scan and compaction execute.
+    /// range read, recovery scan, scrub pass and compaction execute (the
+    /// record's key is covered by its block's checksum).
     pub checksum: u32,
 }
 
@@ -87,8 +88,9 @@ struct BlockMeta {
     start: usize,
     len: usize,
     bytes: u64,
-    /// CRC32 chaining the record checksums of the block, written in the
-    /// block trailer and verified by [`SstFile::verify_integrity`].
+    /// CRC32 chaining each record's key (length and bytes) and checksum,
+    /// written in the block trailer and verified by
+    /// [`SstFile::verify_integrity`].
     checksum: u32,
 }
 
@@ -162,7 +164,8 @@ impl SstFile {
     fn compute_block_checksum(entries: &[(Key, SstEntry)]) -> u32 {
         let mut crc = Crc32::new();
         for (key, entry) in entries {
-            crc.update_u64(key.id());
+            crc.update_u64(key.len() as u64);
+            crc.update(key.as_bytes());
             crc.update_u32(entry.checksum);
         }
         crc.finish()
@@ -561,6 +564,30 @@ mod tests {
         let probe = sst.probe(&Key::from_id(123));
         assert!(!probe.corrupt);
         assert!(probe.entry.unwrap().verify());
+    }
+
+    /// A record's key is covered, whole, by its block's checksum: damage
+    /// past the eighth byte leaves every record checksum intact and is
+    /// still caught by the file-level integrity check.
+    #[test]
+    fn block_checksums_cover_every_key_byte() {
+        let dev = flash();
+        let mut b = SstBuilder::new(5);
+        for suffix in [b'A', b'B', b'C'] {
+            let key = Key::from_bytes([&b"user1234"[..], &[suffix]].concat());
+            b.add(key, SstEntry::value(Value::filled(50, suffix), 1));
+        }
+        let (mut sst, _) = b.finish(&dev);
+        assert!(sst.verify_integrity());
+        let original = sst.entries[1].0.clone();
+        for damaged in [&b"user1234b"[..], b"user1234B\0"] {
+            sst.entries[1].0 = Key::from(damaged);
+            assert_eq!(sst.entries[1].0.id(), original.id());
+            assert!(sst.corrupt_keys().is_empty());
+            assert!(!sst.verify_integrity(), "key damaged to {damaged:?}");
+        }
+        sst.entries[1].0 = original;
+        assert!(sst.verify_integrity());
     }
 
     #[test]

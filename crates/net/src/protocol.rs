@@ -447,7 +447,7 @@ impl<'a> Cursor<'a> {
 
     fn key(&mut self) -> Result<Key> {
         let len = self.u16()? as usize;
-        Ok(Key::from_bytes(self.take(len)?.to_vec()))
+        Ok(Key::from(self.take(len)?))
     }
 
     fn value(&mut self) -> Result<Value> {

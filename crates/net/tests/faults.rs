@@ -670,6 +670,34 @@ fn corruption_and_degraded_mode_map_onto_their_wire_statuses() {
     let _ = server;
 }
 
+/// Keys are whole byte strings end to end: one wire batch writing two
+/// keys that share their first eight bytes (the engine's routing and
+/// bucketing projection) stores both, and a key too long for the inline
+/// form round-trips through frame decode, engine and scan reply.
+#[test]
+fn a_batch_of_prefix_sharing_keys_lands_whole_over_the_wire() {
+    let (server, connector) = test_server(2_000, ServerOptions::default());
+    let mut client = client(&connector);
+    let a = Key::from_bytes(b"user1234A".to_vec());
+    let b = Key::from_bytes(b"user1234B".to_vec());
+    let long = Key::from_bytes([&b"user1234"[..], &[b'x'; 292]].concat());
+
+    let mut batch = WriteBatch::new();
+    batch.put(a.clone(), Value::filled(64, 0xAA));
+    batch.put(b.clone(), Value::filled(64, 0xBB));
+    batch.put(long.clone(), Value::filled(64, 0xCC));
+    client.batch(batch).expect("batch lands");
+
+    for (key, fill) in [(&a, 0xAA), (&b, 0xBB), (&long, 0xCC)] {
+        let got = client.get(key.clone()).expect("get");
+        assert_eq!(got, Some(Value::filled(64, fill)), "{key:?}");
+    }
+    let scanned = client.scan(Key::min(), 10).expect("scan");
+    let keys: Vec<&Key> = scanned.iter().map(|(key, _)| key).collect();
+    assert_eq!(keys, [&a, &b, &long]);
+    let _ = server;
+}
+
 #[test]
 fn many_connections_interleave_and_drain_clean() {
     let (mut server, connector) = test_server(16_000, ServerOptions::default());

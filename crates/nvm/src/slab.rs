@@ -18,9 +18,10 @@ pub struct SlotEntry {
     /// Logical timestamp assigned by the owning partition; used during
     /// recovery to keep only the most recent version of a key.
     pub timestamp: u64,
-    /// CRC32 over key id, timestamp, value length and value bytes, written
-    /// with the slot header and re-verified on every read, recovery scan
-    /// and compaction execute.
+    /// CRC32 over the key (length and bytes), timestamp, value length and
+    /// value bytes, written with the slot header and re-verified on every
+    /// read, recovery scan, scrub pass and compaction plan (a slot that
+    /// fails there never enters the job).
     pub checksum: u32,
 }
 
@@ -39,7 +40,8 @@ impl SlotEntry {
     /// The CRC32 a slot holding this content must carry.
     pub fn compute_checksum(key: &Key, value: &Value, timestamp: u64) -> u32 {
         let mut crc = Crc32::new();
-        crc.update_u64(key.id());
+        crc.update_u64(key.len() as u64);
+        crc.update(key.as_bytes());
         crc.update_u64(timestamp);
         crc.update_u64(value.len() as u64);
         crc.update(value.as_bytes());
@@ -243,6 +245,27 @@ mod tests {
             ..good
         };
         assert!(!stale_ts.verify());
+    }
+
+    /// The header checksum covers the whole key: damage past the eighth
+    /// byte (invisible to `Key::id`), a lost last byte and a lost
+    /// trailing zero are all caught.
+    #[test]
+    fn slot_checksum_covers_every_key_byte_and_the_key_length() {
+        let good = SlotEntry::new(
+            Key::from_bytes(b"user1234A\0".to_vec()),
+            Value::filled(40, 7),
+            3,
+        );
+        assert!(good.verify());
+        for damaged in [&b"user1234B\0"[..], b"user1234A", b"user1234"] {
+            let slot = SlotEntry {
+                key: Key::from(damaged),
+                ..good.clone()
+            };
+            assert_eq!(slot.key.id(), good.key.id());
+            assert!(!slot.verify(), "key damaged to {damaged:?} went unnoticed");
+        }
     }
 
     #[test]

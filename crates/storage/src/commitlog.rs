@@ -84,7 +84,8 @@ impl CommitRecord {
             crc.update_u64(part.digest);
             crc.update_u64(part.pre_images.len() as u64);
             for (key, value) in &part.pre_images {
-                crc.update_u64(key.id());
+                crc.update_u64(key.len() as u64);
+                crc.update(key.as_bytes());
                 match value {
                     Some(v) => {
                         crc.update_u64(1 + v.len() as u64);
@@ -375,6 +376,28 @@ mod tests {
         );
         assert_eq!(log.counters().corrupt_dropped, 1);
         assert_eq!(log.counters().rolled_back, 0);
+    }
+
+    /// The record checksum covers each pre-image key whole: a key damaged
+    /// past its eighth byte would otherwise roll back a neighbour.
+    #[test]
+    fn record_checksum_covers_every_pre_image_key_byte() {
+        let mut part = part(0);
+        part.pre_images[0].0 = Key::from_bytes(b"user1234A".to_vec());
+        let parts = vec![part];
+        let record = CommitRecord {
+            batch_id: 9,
+            checksum: CommitRecord::compute_checksum(9, &parts),
+            parts,
+            sealed: false,
+        };
+        assert!(record.verify());
+        let mut damaged = record.clone();
+        damaged.parts[0].pre_images[0].0 = Key::from_bytes(b"user1234B".to_vec());
+        assert!(!damaged.verify());
+        let mut shortened = record;
+        shortened.parts[0].pre_images[0].0 = Key::from_bytes(b"user1234".to_vec());
+        assert!(!shortened.verify());
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //! assert_eq!(t.as_micros(), 10);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod batch;
 pub mod checksum;
 mod completion;
@@ -148,6 +150,26 @@ pub trait KvStore {
 
     /// Short human-readable engine name used in experiment tables.
     fn engine_name(&self) -> &str;
+}
+
+/// `len` reproducible pseudo-random bytes (splitmix64) for this crate's
+/// property tests, which have no `rand` to lean on.
+#[cfg(test)]
+pub(crate) fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut bytes = Vec::with_capacity(len + 8);
+    while bytes.len() < len {
+        bytes.extend_from_slice(&next().to_le_bytes());
+    }
+    bytes.truncate(len);
+    bytes
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! not applied and the caller retries against a fresh snapshot (see
 //! [`run_transaction`] for a ready-made retry loop).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::{ConcurrentKvStore, Key, Nanos, PrismError, Result, Value, WriteBatch};
 
@@ -58,11 +58,11 @@ pub struct Transaction<'a, E: ConcurrentKvStore + ?Sized> {
     snapshot: SnapshotId,
     /// Keys read through the snapshot, validated at commit.
     reads: Vec<Key>,
-    read_ids: HashMap<u64, ()>,
+    read_set: HashSet<Key>,
     /// Buffered writes in submission order (last write per key wins).
     writes: WriteBatch,
     /// Latest buffered write per key, for read-your-writes.
-    write_tail: HashMap<u64, Option<Value>>,
+    write_tail: HashMap<Key, Option<Value>>,
     finished: bool,
 }
 
@@ -79,7 +79,7 @@ impl<'a, E: ConcurrentKvStore + ?Sized> Transaction<'a, E> {
             engine,
             snapshot,
             reads: Vec::new(),
-            read_ids: HashMap::new(),
+            read_set: HashSet::new(),
             writes: WriteBatch::new(),
             write_tail: HashMap::new(),
             finished: false,
@@ -99,10 +99,10 @@ impl<'a, E: ConcurrentKvStore + ?Sized> Transaction<'a, E> {
     ///
     /// Returns an error only on internal corruption.
     pub fn get(&mut self, key: &Key) -> Result<Option<Value>> {
-        if let Some(buffered) = self.write_tail.get(&key.id()) {
+        if let Some(buffered) = self.write_tail.get(key) {
             return Ok(buffered.clone());
         }
-        if self.read_ids.insert(key.id(), ()).is_none() {
+        if self.read_set.insert(key.clone()) {
             self.reads.push(key.clone());
         }
         let lookup = self.engine.snapshot_get(self.snapshot, key)?;
@@ -111,13 +111,13 @@ impl<'a, E: ConcurrentKvStore + ?Sized> Transaction<'a, E> {
 
     /// Buffer an insert/update of `key`.
     pub fn put(&mut self, key: Key, value: Value) {
-        self.write_tail.insert(key.id(), Some(value.clone()));
+        self.write_tail.insert(key.clone(), Some(value.clone()));
         self.writes.put(key, value);
     }
 
     /// Buffer a delete of `key`.
     pub fn delete(&mut self, key: Key) {
-        self.write_tail.insert(key.id(), None);
+        self.write_tail.insert(key.clone(), None);
         self.writes.delete(key);
     }
 
