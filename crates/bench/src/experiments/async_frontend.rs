@@ -140,8 +140,21 @@ mod tests {
     /// to pay for the front-end. Real thread interleaving perturbs
     /// shared engine state between runs, so each configuration is
     /// measured three times and the medians are compared.
+    ///
+    /// Both makespans are the busiest thread's clock, which the OS
+    /// scheduler decides: with fewer cores than the 4 executors the
+    /// comparison is a coin flip (it failed about half its runs on a
+    /// 2-core host), so the test only runs where the executors can.
     #[test]
     fn frontend_with_256_clients_on_4_executors_beats_4_raw_threads() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if cores < 4 {
+            eprintln!(
+                "skipped: {cores} core(s) for 4 executors; the makespan comparison \
+                 is schedule-dependent below that"
+            );
+            return;
+        }
         let scale = Scale::quick();
         let keys = scale.record_count;
         let mut raw_runs = Vec::new();

@@ -48,7 +48,7 @@ mod partition;
 mod sequence;
 mod workers;
 
-pub use cache::{CacheStats, LruCache};
+pub use cache::CacheStats;
 pub use engine::PrismDb;
 pub use options::{Options, OptionsBuilder, Partitioning};
 pub use partition::ScrubReport;
@@ -58,7 +58,9 @@ pub use partition::ScrubReport;
 pub use prism_storage::{
     FaultCountersSnapshot, FaultMode, FaultOp, FaultPlan, FaultTier, TargetedFault, TierFaultRates,
 };
-pub use prism_types::{IntegrityStats, PartitionHealth};
+// `LruCache` lives beside `Key` / `Value` (the LSM baseline shares it);
+// the benchmark names it by this path.
+pub use prism_types::{IntegrityStats, LruCache, PartitionHealth};
 
 #[cfg(test)]
 mod proptests {

@@ -45,7 +45,7 @@ mod sorted_log;
 mod sst;
 
 pub use bloom::BloomFilter;
-pub use manifest::{Manifest, ManifestEdit};
+pub use manifest::Manifest;
 pub use sorted_log::SortedLog;
 pub use sst::{BlockProbe, FileId, SstBuilder, SstEntry, SstFile};
 

@@ -15,22 +15,12 @@ use prism_types::{PrismError, Result};
 
 use crate::sst::{FileId, SstFile};
 
-/// One edit applied to the manifest (mirrors RocksDB's version edits).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ManifestEdit {
-    /// A new file became live.
-    AddFile(FileId),
-    /// A file was removed from the live set by a compaction.
-    RemoveFile(FileId),
-}
-
-/// Registry of live SST files plus a log of edits and a deferred-deletion
-/// list for files that still have readers.
+/// Registry of live SST files plus a deferred-deletion list for files that
+/// still have readers.
 #[derive(Debug, Default)]
 pub struct Manifest {
     live: BTreeMap<FileId, Arc<SstFile>>,
     obsolete: Vec<Arc<SstFile>>,
-    edits: Vec<ManifestEdit>,
     next_file_id: FileId,
 }
 
@@ -40,7 +30,6 @@ impl Manifest {
         Manifest {
             live: BTreeMap::new(),
             obsolete: Vec::new(),
-            edits: Vec::new(),
             next_file_id: 1,
         }
     }
@@ -65,7 +54,6 @@ impl Manifest {
                 "manifest already contains live file {id}"
             )));
         }
-        self.edits.push(ManifestEdit::AddFile(id));
         Ok(())
     }
 
@@ -78,7 +66,6 @@ impl Manifest {
     pub fn remove_file(&mut self, id: FileId) -> Result<()> {
         match self.live.remove(&id) {
             Some(file) => {
-                self.edits.push(ManifestEdit::RemoveFile(id));
                 self.obsolete.push(file);
                 Ok(())
             }
@@ -106,11 +93,6 @@ impl Manifest {
     /// The live files, in file-id order.
     pub fn live_files(&self) -> impl Iterator<Item = &Arc<SstFile>> {
         self.live.values()
-    }
-
-    /// The edit log since startup (what the on-disk manifest would contain).
-    pub fn edits(&self) -> &[ManifestEdit] {
-        &self.edits
     }
 
     /// Reclaim obsolete files that no longer have outside readers, releasing
@@ -167,14 +149,6 @@ mod tests {
         manifest.remove_file(id1).unwrap();
         assert!(!manifest.is_live(id1));
         assert_eq!(manifest.obsolete_count(), 1);
-        assert_eq!(
-            manifest.edits(),
-            &[
-                ManifestEdit::AddFile(id1),
-                ManifestEdit::AddFile(id2),
-                ManifestEdit::RemoveFile(id1)
-            ]
-        );
     }
 
     #[test]

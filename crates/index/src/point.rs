@@ -1,33 +1,23 @@
-//! Hash-directory point-lookup fast path.
+//! The point-lookup directory and the mirrored index built on it (see the
+//! crate docs for why the mirror is kept).
 //!
-//! The per-partition B+-tree gives `O(log n)` ordered lookups and range
-//! scans, but a YCSB-C point read pays the full root-to-leaf walk for a
-//! single key. CompassDB reports 2.8× RocksDB point-read throughput from a
-//! perfect-hash index consulted before the ordered structure; this module
-//! is the same idea with a plainer construction: a *hash directory* — a
-//! fixed fan-out of hash-map ways selected by key hash — maintained
-//! alongside the B+-tree and probed first on the point-read path. Probes
-//! are `O(1)`, `&self` and touch exactly one way, so concurrent readers
-//! under the partition read lock never contend; all mutation happens with
-//! `&mut self` under the partition write lock, mirroring every B+-tree
-//! insert/remove.
+//! Probes are `&self`, so readers under the partition's read lock never
+//! contend; all mutation happens with `&mut self` under the partition's
+//! write lock, applied to the tree and the directory together.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash};
 
-use crate::btree::{BTreeIndex, Range};
+use crate::{BTreeIndex, Range};
 
-const DEFAULT_WAYS: usize = 16;
-
-/// A point-lookup directory: key-hash → way → entry.
+/// A point-lookup directory: one `HashMap`, one hash per probe.
 ///
-/// Behaves like a `HashMap` with a bounded per-way footprint; the directory
-/// fan-out keeps rehashes incremental (one way at a time) instead of
-/// stop-the-world over the whole partition's key population.
+/// The hasher is SipHash with fixed keys, and iteration is not exposed, so
+/// nothing observable depends on a per-process random seed.
 #[derive(Debug, Clone)]
 pub struct HashDirectory<K, V> {
-    ways: Vec<HashMap<K, V, BuildHasherDefault<DefaultHasher>>>,
+    map: HashMap<K, V, BuildHasherDefault<DefaultHasher>>,
 }
 
 impl<K: Hash + Eq, V> Default for HashDirectory<K, V> {
@@ -37,67 +27,46 @@ impl<K: Hash + Eq, V> Default for HashDirectory<K, V> {
 }
 
 impl<K: Hash + Eq, V> HashDirectory<K, V> {
-    /// Create a directory with the default fan-out (16 ways).
+    /// Create an empty directory.
     pub fn new() -> Self {
-        Self::with_ways(DEFAULT_WAYS)
-    }
-
-    /// Create a directory with `ways` hash-map ways (clamped to at least 1).
-    pub fn with_ways(ways: usize) -> Self {
-        let ways = ways.max(1);
         HashDirectory {
-            ways: (0..ways).map(|_| HashMap::default()).collect(),
+            map: HashMap::default(),
         }
     }
 
-    /// Number of ways in the directory.
-    pub fn way_count(&self) -> usize {
-        self.ways.len()
-    }
-
-    fn way_of(&self, key: &K) -> usize {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() % self.ways.len() as u64) as usize
-    }
-
-    /// Total entries across all ways.
+    /// Number of entries.
     pub fn len(&self) -> usize {
-        self.ways.iter().map(HashMap::len).sum()
+        self.map.len()
     }
 
     /// True if the directory holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.ways.iter().all(HashMap::is_empty)
+        self.map.is_empty()
     }
 
-    /// `O(1)` point lookup: one hash, one way, one probe.
+    /// `O(1)` point lookup.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.ways[self.way_of(key)].get(key)
+        self.map.get(key)
     }
 
     /// True if the directory contains `key`.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
+        self.map.contains_key(key)
     }
 
     /// Insert or replace an entry, returning the previous value.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let way = self.way_of(&key);
-        self.ways[way].insert(key, value)
+        self.map.insert(key, value)
     }
 
     /// Remove an entry, returning its value if present.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let way = self.way_of(key);
-        self.ways[way].remove(key)
+        self.map.remove(key)
     }
 
-    /// Remove every entry, keeping the way allocation.
+    /// Remove every entry, keeping the allocation.
     pub fn clear(&mut self) {
-        for way in &mut self.ways {
-            way.clear();
-        }
+        self.map.clear();
     }
 }
 
@@ -122,7 +91,7 @@ impl<K: Ord + Hash + Eq + Clone, V: Clone> Default for FastIndex<K, V> {
 }
 
 impl<K: Ord + Hash + Eq + Clone, V: Clone> FastIndex<K, V> {
-    /// Create an empty index with the default directory fan-out.
+    /// Create an empty index.
     pub fn new() -> Self {
         FastIndex {
             tree: BTreeIndex::new(),
@@ -153,29 +122,29 @@ impl<K: Ord + Hash + Eq + Clone, V: Clone> FastIndex<K, V> {
     /// Insert or replace an entry in both structures.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         self.tree.insert(key.clone(), value.clone());
-        self.point.insert(key, value)
+        let previous = self.point.insert(key, value);
+        debug_assert_eq!(self.tree.len(), self.point.len());
+        previous
     }
 
     /// Remove an entry from both structures.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         self.tree.remove(key);
-        self.point.remove(key)
+        let removed = self.point.remove(key);
+        debug_assert_eq!(self.tree.len(), self.point.len());
+        removed
     }
 
     /// Remove every entry.
     pub fn clear(&mut self) {
         self.tree.clear();
         self.point.clear();
-    }
-
-    /// Ordered iteration over all entries (tree-backed).
-    pub fn iter(&self) -> Range<'_, K, V> {
-        self.tree.iter()
+        debug_assert_eq!(self.tree.len(), self.point.len());
     }
 
     /// Ordered iteration from `start` (inclusive, tree-backed).
     pub fn range_from<'a>(&'a self, start: &K) -> Range<'a, K, V> {
-        self.tree.range_from(start)
+        self.tree.range(start..)
     }
 }
 
@@ -199,29 +168,5 @@ mod tests {
         assert_eq!(d.len(), 1);
         d.clear();
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn entries_spread_over_ways() {
-        let mut d: HashDirectory<u64, u64> = HashDirectory::with_ways(8);
-        for id in 0..512u64 {
-            d.insert(id, id);
-        }
-        assert_eq!(d.way_count(), 8);
-        assert_eq!(d.len(), 512);
-        // No single way should hold everything.
-        let max_way = d.ways.iter().map(HashMap::len).max().unwrap();
-        assert!(max_way < 512, "all keys landed in one way");
-        for id in 0..512u64 {
-            assert_eq!(d.get(&id), Some(&id));
-        }
-    }
-
-    #[test]
-    fn zero_ways_clamps_to_one() {
-        let mut d: HashDirectory<u64, ()> = HashDirectory::with_ways(0);
-        assert_eq!(d.way_count(), 1);
-        d.insert(7, ());
-        assert!(d.contains_key(&7));
     }
 }

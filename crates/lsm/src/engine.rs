@@ -6,11 +6,10 @@ use std::sync::Arc;
 use prism_flash::{FileId, SstBuilder, SstEntry, SstFile};
 use prism_storage::{CpuCosts, Device, TieredStorage};
 use prism_types::{
-    BatchOp, CompactionStats, EngineStats, Key, KvStore, Lookup, Nanos, ReadSource, Result,
-    ScanResult, Value, WriteBatch,
+    BatchOp, CompactionStats, EngineStats, Key, KvStore, Lookup, LruCache, Nanos, ReadSource,
+    Result, ScanResult, Value, WriteBatch,
 };
 
-use crate::cache::BlockCache;
 use crate::config::{LsmConfig, Tier};
 use crate::memtable::Memtable;
 
@@ -32,8 +31,8 @@ pub struct LsmTree {
     file_tiers: HashMap<FileId, Tier>,
     file_temperature: HashMap<FileId, u64>,
     compaction_cursor: Vec<usize>,
-    block_cache: BlockCache,
-    l2_cache: Option<BlockCache>,
+    block_cache: LruCache,
+    l2_cache: Option<LruCache>,
     next_file_id: FileId,
     next_timestamp: u64,
     // Virtual clocks.
@@ -71,9 +70,9 @@ impl LsmTree {
             file_tiers: HashMap::new(),
             file_temperature: HashMap::new(),
             compaction_cursor: vec![0; config.num_levels],
-            block_cache: BlockCache::new(config.block_cache_bytes),
+            block_cache: LruCache::new(config.block_cache_bytes),
             l2_cache: if config.l2_cache_bytes > 0 {
-                Some(BlockCache::new(config.l2_cache_bytes))
+                Some(LruCache::new(config.l2_cache_bytes))
             } else {
                 None
             },

@@ -30,13 +30,11 @@
 //! assert!(db.get(&Key::from_id(1)).unwrap().value.is_some());
 //! ```
 
-mod cache;
 mod config;
 mod engine;
 mod locked;
 mod memtable;
 
-pub use cache::BlockCache;
 pub use config::{LsmConfig, Tier};
 pub use engine::LsmTree;
 pub use locked::LockedLsmTree;

@@ -1,7 +1,8 @@
 //! Common types shared by every crate in the PrismDB reproduction.
 //!
 //! This crate defines the vocabulary of the system: [`Key`] and [`Value`]
-//! types, simulated-time units ([`Nanos`]), the engine API — the `&self`
+//! types, the byte-bounded [`LruCache`] of them that both engines cache
+//! objects in, simulated-time units ([`Nanos`]), the engine API — the `&self`
 //! [`ConcurrentKvStore`] an internally-locked engine implements, the
 //! `&mut self` [`KvStore`] every such engine gets from one blanket impl and
 //! single-threaded engines implement by hand, the [`MutexKv`] adapter for
@@ -28,6 +29,7 @@
 #![forbid(unsafe_code)]
 
 mod batch;
+mod cache;
 pub mod checksum;
 mod completion;
 mod concurrent;
@@ -41,6 +43,7 @@ mod txn;
 mod value;
 
 pub use batch::{BatchOp, WriteBatch};
+pub use cache::LruCache;
 pub use completion::{completion_pair, completion_pair_gauged, Completion, Ticket, TicketGauge};
 pub use concurrent::{ConcurrentKvStore, MutexKv};
 pub use error::{PrismError, Result};

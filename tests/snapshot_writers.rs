@@ -40,9 +40,11 @@ fn storm_db(partitioning: Partitioning) -> PrismDb {
     PrismDb::open(options).expect("valid options")
 }
 
-/// Run the standard write storm; returns the wall-clock duration of the
-/// writers (only — scanner threads are excluded from the measurement).
-fn run_storm(db: &Arc<PrismDb>, scanners: usize) -> Duration {
+/// Run the standard write storm — the same `WRITERS * WRITES_PER_WRITER`
+/// puts however many `writers` share them; returns the wall-clock
+/// duration of the writers (only — scanner threads are excluded from the
+/// measurement).
+fn run_storm(db: &Arc<PrismDb>, writers: usize, scanners: usize) -> Duration {
     let stop = AtomicBool::new(false);
     let scans_done = AtomicU64::new(0);
     let mut elapsed = Duration::ZERO;
@@ -60,13 +62,14 @@ fn run_storm(db: &Arc<PrismDb>, scanners: usize) -> Duration {
         }
         let start = Instant::now();
         let mut writer_handles = Vec::new();
-        for writer in 0..WRITERS {
+        let writes_each = WRITERS as u64 * WRITES_PER_WRITER / writers as u64;
+        for writer in 0..writers {
             let db = Arc::clone(db);
             writer_handles.push(scope.spawn(move || {
-                for i in 0..WRITES_PER_WRITER {
+                for i in 0..writes_each {
                     // Interleaved strides so every writer touches every
                     // partition throughout.
-                    let id = (writer as u64 + i * WRITERS as u64) % KEY_SPACE;
+                    let id = (writer as u64 + i * writers as u64) % KEY_SPACE;
                     db.put(Key::from_id(id), Value::filled(500, writer as u8))
                         .expect("storm put");
                 }
@@ -106,8 +109,8 @@ fn scans_do_not_serialize_the_storm(partitioning: Partitioning) {
         }
     }
 
-    let baseline = run_storm(&baseline_db, 0);
-    let contested = run_storm(&contested_db, 2);
+    let baseline = run_storm(&baseline_db, WRITERS, 0);
+    let contested = run_storm(&contested_db, WRITERS, 2);
 
     let limit = baseline * 8 + Duration::from_millis(1_000);
     assert!(
@@ -130,7 +133,14 @@ fn scans_do_not_serialize_the_storm(partitioning: Partitioning) {
 }
 
 /// Scans are read-only: the engine's simulated write-stall accounting
-/// must not increase because scans ran concurrently with the storm.
+/// must not change because scans ran concurrently with the storm.
+///
+/// One writer, so the write sequence — and with it every inline
+/// compaction — is the same in both engines and the accounting can be
+/// compared exactly. (With racing writers the interleaving decides how
+/// many jobs run: the scan-free storm alone spread ±17 % run to run, and
+/// a 25 % tolerance on the ratio of two such samples failed 13 of 75 runs
+/// on a 2-core host.)
 #[test]
 fn concurrent_scans_add_no_simulated_write_stalls() {
     BOTH.into_iter()
@@ -141,8 +151,8 @@ fn scans_add_no_simulated_write_stalls(partitioning: Partitioning) {
     let baseline_db = Arc::new(storm_db(partitioning));
     let contested_db = Arc::new(storm_db(partitioning));
 
-    run_storm(&baseline_db, 0);
-    run_storm(&contested_db, 2);
+    run_storm(&baseline_db, 1, 0);
+    run_storm(&contested_db, 1, 2);
 
     let baseline = ConcurrentKvStore::stats(&*baseline_db)
         .compaction
@@ -150,13 +160,9 @@ fn scans_add_no_simulated_write_stalls(partitioning: Partitioning) {
     let contested = ConcurrentKvStore::stats(&*contested_db)
         .compaction
         .stall_time;
-    // Identical write sequences drive identical inline compactions; the
-    // only tolerated wiggle is bookkeeping noise, never a stall bill for
-    // the scans.
-    assert!(
-        contested <= baseline + baseline / 4,
-        "{partitioning:?}: concurrent scans inflated simulated write stalls: \
-         {contested:?} with scans vs {baseline:?} without"
+    assert_eq!(
+        contested, baseline,
+        "{partitioning:?}: concurrent scans changed the simulated write stalls"
     );
     // The contested engine must also have pinned (and released) snapshot
     // state for its scans: nothing may leak.
