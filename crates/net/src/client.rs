@@ -16,18 +16,20 @@
 //! is safe for this protocol's idempotent operations (last-writer-wins
 //! puts/deletes/batches, pure reads).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::time::Duration;
 
 use prism_types::{Key, Nanos, PrismError, Result, Value, WriteBatch};
 
 use crate::protocol::{
-    decode_response, encode_request, Frame, FrameDecoder, Request, Response, ResponseBody, Status,
+    decode_response, encode_request, FrameDecoder, FrameRef, Request, Response, ResponseBody,
+    Status,
 };
 use crate::transport::Conn;
 
 struct Pending {
+    id: u64,
     /// The encoded frame, kept for back-pressure retransmission and
     /// replay after a reconnect.
     frame: Vec<u8>,
@@ -45,10 +47,16 @@ pub struct NetClient {
     reader: Box<dyn Read + Send>,
     writer: Box<dyn Write + Send>,
     decoder: FrameDecoder,
+    /// Where `read` lands bytes on their way into the decoder.
+    read_buf: Box<[u8]>,
     next_id: u64,
-    pending: HashMap<u64, Pending>,
-    /// Responses received while waiting for a different id.
-    received: HashMap<u64, Response>,
+    /// Sent and unanswered requests. Ids are handed out in sequence, so
+    /// this is in id order — which is also replay order — and a lookup
+    /// is a binary search, not a hash.
+    pending: VecDeque<Pending>,
+    /// Responses received while waiting for a different id (few: at most
+    /// a pipeline's worth).
+    received: Vec<Response>,
     /// Re-dials the server on connection loss; `None` means a lost
     /// connection is terminal ([`PrismError::Disconnected`]).
     dialer: Option<Dialer>,
@@ -86,9 +94,10 @@ impl NetClient {
             reader: conn.reader,
             writer: conn.writer,
             decoder: FrameDecoder::new(),
+            read_buf: vec![0u8; 8192].into_boxed_slice(),
             next_id: 1,
-            pending: HashMap::new(),
-            received: HashMap::new(),
+            pending: VecDeque::new(),
+            received: Vec::new(),
             dialer: None,
             max_retries: 10_000,
             retry_backoff: Duration::from_micros(100),
@@ -144,11 +153,8 @@ impl NetClient {
             // request re-streams every chunk from the start.
             self.decoder = FrameDecoder::new();
             self.partial_scans.clear();
-            let mut ids: Vec<u64> = self.pending.keys().copied().collect();
-            ids.sort_unstable();
-            for id in ids {
-                let frame = self.pending[&id].frame.clone();
-                if self.writer.write_all(&frame).is_err() {
+            for pending in &self.pending {
+                if self.writer.write_all(&pending.frame).is_err() {
                     continue 'dial;
                 }
             }
@@ -162,6 +168,24 @@ impl NetClient {
         self.pending.len()
     }
 
+    fn pending_index(&self, id: u64) -> Option<usize> {
+        self.pending
+            .binary_search_by_key(&id, |pending| pending.id)
+            .ok()
+    }
+
+    /// Write request `id`'s frame again if it is still unanswered.
+    fn resend(&mut self, id: u64) -> Result<()> {
+        if let Some(index) = self.pending_index(id) {
+            if self.writer.write_all(&self.pending[index].frame).is_err() {
+                // The reconnect replays every pending frame, this one
+                // included.
+                self.reconnect_and_replay()?;
+            }
+        }
+        Ok(())
+    }
+
     /// Send a request without waiting; returns its id for [`Self::wait`].
     ///
     /// # Errors
@@ -172,11 +196,16 @@ impl NetClient {
         let id = self.next_id;
         self.next_id += 1;
         let frame = encode_request(id, request)?;
-        // Registered before the write so a reconnect replays it too.
-        self.pending.insert(id, Pending { frame, retries: 0 });
-        if self.writer.write_all(&self.pending[&id].frame).is_err() {
+        let sent = self.writer.write_all(&frame);
+        // Registered before any reconnect, which replays it too.
+        self.pending.push_back(Pending {
+            id,
+            frame,
+            retries: 0,
+        });
+        if sent.is_err() {
             if let Err(err) = self.reconnect_and_replay() {
-                self.pending.remove(&id);
+                self.pending.pop_back();
                 return Err(err);
             }
         }
@@ -191,10 +220,12 @@ impl NetClient {
     /// [`PrismError::Disconnected`] if the server hangs up first,
     /// [`PrismError::Protocol`] on an undecodable response.
     pub fn wait(&mut self, id: u64) -> Result<Response> {
+        // Only answers to *other* ids are stashed below, so one look
+        // before reading is enough.
+        if let Some(at) = self.received.iter().position(|r| r.id == id) {
+            return Ok(self.received.swap_remove(at));
+        }
         loop {
-            if let Some(response) = self.received.remove(&id) {
-                return Ok(response);
-            }
             let response = match self.read_response() {
                 Ok(response) => response,
                 Err(PrismError::Disconnected) => {
@@ -225,28 +256,26 @@ impl NetClient {
                     response.body = ResponseBody::Entries(acc);
                 }
             }
+            let index = self.pending_index(for_id);
             if response.status.is_retryable() {
                 self.backpressure_seen += 1;
-                if let Some(pending) = self.pending.get_mut(&for_id) {
+                if let Some(pending) = index.map(|index| &mut self.pending[index]) {
                     if pending.retries < self.max_retries {
                         pending.retries += 1;
-                        let frame = pending.frame.clone();
                         std::thread::sleep(self.retry_backoff);
-                        if self.writer.write_all(&frame).is_err() {
-                            // The reconnect replays every pending frame,
-                            // this one included.
-                            self.reconnect_and_replay()?;
-                        }
+                        self.resend(for_id)?;
                         continue;
                     }
                 }
                 // Retries exhausted (or an id we never sent): surface it.
             }
-            self.pending.remove(&for_id);
+            if let Some(index) = index {
+                self.pending.remove(index);
+            }
             if for_id == id {
                 return Ok(response);
             }
-            self.received.insert(for_id, response);
+            self.received.push(response);
         }
     }
 
@@ -257,7 +286,7 @@ impl NetClient {
     ///
     /// [`PrismError::Disconnected`] if the server hangs up first.
     pub fn drain(&mut self) -> Result<()> {
-        let ids: Vec<u64> = self.pending.keys().copied().collect();
+        let ids: Vec<u64> = self.pending.iter().map(|pending| pending.id).collect();
         for id in ids {
             let _ = self.wait(id)?;
         }
@@ -266,34 +295,29 @@ impl NetClient {
 
     fn read_response(&mut self) -> Result<Response> {
         loop {
-            match self.decoder.next_frame()? {
-                Some(Frame::Intact(payload)) => return decode_response(&payload),
-                Some(Frame::Corrupt { id }) => {
+            // Responses decode straight out of the decoder's buffer.
+            match self.decoder.next_frame_ref()? {
+                Some(FrameRef::Intact(payload)) => return decode_response(payload),
+                Some(FrameRef::Corrupt { id }) => {
                     // A response frame was corrupted on the wire. The
                     // request itself may have executed, so resend it
                     // (every request is idempotent) if the best-effort
                     // id matches something pending; otherwise the frame
                     // is simply dropped and the stream continues.
                     self.corrupt_frames_seen += 1;
-                    if let Some(pending) = self.pending.get(&id) {
-                        let frame = pending.frame.clone();
-                        if self.writer.write_all(&frame).is_err() {
-                            self.reconnect_and_replay()?;
-                        }
-                    }
+                    self.resend(id)?;
                     continue;
                 }
                 None => {}
             }
-            let mut buf = [0u8; 8192];
             let n = self
                 .reader
-                .read(&mut buf)
+                .read(&mut self.read_buf)
                 .map_err(|_| PrismError::Disconnected)?;
             if n == 0 {
                 return Err(PrismError::Disconnected);
             }
-            self.decoder.push(&buf[..n]);
+            self.decoder.push(&self.read_buf[..n]);
         }
     }
 

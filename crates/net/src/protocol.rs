@@ -250,16 +250,24 @@ impl Response {
 // ---------------------------------------------------------------------
 // Encoding
 
-struct FrameBuilder {
-    buf: Vec<u8>,
+/// Appends one frame to a caller-owned buffer, so a batch of frames can
+/// share one allocation (and one transport write).
+struct FrameBuilder<'a> {
+    buf: &'a mut Vec<u8>,
+    /// Offset of this frame's header in `buf`.
+    start: usize,
 }
 
-impl FrameBuilder {
-    fn new() -> FrameBuilder {
-        // Reserve the length prefix and payload CRC; patched in `finish`.
-        FrameBuilder {
-            buf: vec![0u8; HEADER],
-        }
+impl<'a> FrameBuilder<'a> {
+    /// Start a frame at the end of `buf`, with room for `payload_len`
+    /// payload bytes reserved up front (an estimate only sizes the
+    /// buffer; `finish` writes the real length).
+    fn new(buf: &'a mut Vec<u8>, payload_len: usize) -> FrameBuilder<'a> {
+        let start = buf.len();
+        buf.reserve(HEADER + payload_len);
+        // The length prefix and payload CRC are patched in `finish`.
+        buf.extend_from_slice(&[0u8; HEADER]);
+        FrameBuilder { buf, start }
     }
 
     fn u8(&mut self, v: u8) {
@@ -303,17 +311,64 @@ impl FrameBuilder {
         self.buf.extend_from_slice(&bytes[..take]);
     }
 
-    fn finish(mut self) -> Result<Vec<u8>> {
-        let payload = self.buf.len() - HEADER;
+    fn finish(self) -> Result<()> {
+        let frame = &mut self.buf[self.start..];
+        let payload = frame.len() - HEADER;
         if payload > MAX_FRAME {
             return Err(PrismError::Protocol(format!(
                 "frame payload of {payload} bytes exceeds the maximum of {MAX_FRAME}"
             )));
         }
-        self.buf[..LEN_PREFIX].copy_from_slice(&(payload as u32).to_le_bytes());
-        let crc = crc32(&self.buf[HEADER..]);
-        self.buf[LEN_PREFIX..HEADER].copy_from_slice(&crc.to_le_bytes());
-        Ok(self.buf)
+        let crc = crc32(&frame[HEADER..]);
+        frame[..LEN_PREFIX].copy_from_slice(&(payload as u32).to_le_bytes());
+        frame[LEN_PREFIX..HEADER].copy_from_slice(&crc.to_le_bytes());
+        Ok(())
+    }
+}
+
+/// Wire bytes of one key field / one value field.
+fn key_field_len(key: &Key) -> usize {
+    2 + key.as_bytes().len()
+}
+
+fn value_field_len(value: &Value) -> usize {
+    4 + value.len()
+}
+
+/// Wire bytes of one scan entry.
+fn entry_len((key, value): &(Key, Value)) -> usize {
+    key_field_len(key) + value_field_len(value)
+}
+
+/// Payload bytes `request` encodes to (id and opcode included).
+fn request_payload_len(request: &Request) -> usize {
+    9 + match request {
+        Request::Put { key, value } => key_field_len(key) + value_field_len(value),
+        Request::Delete { key } | Request::Get { key } => key_field_len(key),
+        Request::Scan { start, .. } => key_field_len(start) + 4,
+        Request::Batch { batch } => {
+            let op_len = |op: &BatchOp| match op {
+                BatchOp::Put(key, value) => 1 + key_field_len(key) + value_field_len(value),
+                BatchOp::Delete(key) => 1 + key_field_len(key),
+            };
+            4 + batch.entries().iter().map(op_len).sum::<usize>()
+        }
+        Request::Ping => 0,
+    }
+}
+
+/// Payload bytes `response` encodes to (the 19-byte response header
+/// included).
+fn response_payload_len(response: &Response) -> usize {
+    19 + if response.status as u8 != Status::Ok as u8 {
+        2 + response.message.len()
+    } else {
+        match &response.body {
+            ResponseBody::Ack => 0,
+            ResponseBody::Value(None) => 1,
+            ResponseBody::Value(Some(value)) => 1 + value_field_len(value),
+            ResponseBody::Entries(entries) => 5 + entries.iter().map(entry_len).sum::<usize>(),
+        }
     }
 }
 
@@ -324,7 +379,8 @@ impl FrameBuilder {
 /// [`PrismError::Protocol`] if a key exceeds [`MAX_KEY_LEN`] or the
 /// payload exceeds [`MAX_FRAME`].
 pub fn encode_request(id: u64, request: &Request) -> Result<Vec<u8>> {
-    let mut frame = FrameBuilder::new();
+    let mut buf = Vec::new();
+    let mut frame = FrameBuilder::new(&mut buf, request_payload_len(request));
     frame.u64(id);
     frame.u8(request.opcode());
     match request {
@@ -355,7 +411,8 @@ pub fn encode_request(id: u64, request: &Request) -> Result<Vec<u8>> {
         }
         Request::Ping => {}
     }
-    frame.finish()
+    frame.finish()?;
+    Ok(buf)
 }
 
 /// Encode a response into a complete frame (length prefix included).
@@ -365,7 +422,29 @@ pub fn encode_request(id: u64, request: &Request) -> Result<Vec<u8>> {
 /// [`PrismError::Protocol`] on a key or frame size violation (a scan
 /// result too large to frame).
 pub fn encode_response(response: &Response) -> Result<Vec<u8>> {
-    let mut frame = FrameBuilder::new();
+    let mut buf = Vec::new();
+    encode_response_into(&mut buf, response)?;
+    Ok(buf)
+}
+
+/// Append `response` to `out` as one complete frame, so a batch of
+/// responses goes to the transport as one buffer. On error `out` is left
+/// exactly as it was.
+///
+/// # Errors
+///
+/// As [`encode_response`].
+pub(crate) fn encode_response_into(out: &mut Vec<u8>, response: &Response) -> Result<()> {
+    let start = out.len();
+    let encoded = append_response(out, response);
+    if encoded.is_err() {
+        out.truncate(start);
+    }
+    encoded
+}
+
+fn append_response(out: &mut Vec<u8>, response: &Response) -> Result<()> {
+    let mut frame = FrameBuilder::new(out, response_payload_len(response));
     frame.u64(response.id);
     frame.u8(response.opcode);
     frame.u8(response.status as u8);
@@ -457,7 +536,7 @@ impl<'a> Cursor<'a> {
                 "value length field {len} exceeds the frame maximum"
             )));
         }
-        Ok(Value::from_vec(self.take(len)?.to_vec()))
+        Ok(Value::from(self.take(len)?))
     }
 
     fn str(&mut self) -> Result<String> {
@@ -628,21 +707,21 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
 /// remaining entries and `more == false`. Responses that already fit
 /// (and every non-scan response) come back as a single-element sequence,
 /// unchanged.
-pub fn split_scan_response(response: Response) -> Vec<Response> {
-    let ResponseBody::Entries(entries) = &response.body else {
+pub fn split_scan_response(mut response: Response) -> Vec<Response> {
+    let ResponseBody::Entries(entries) = &mut response.body else {
         return vec![response];
     };
     // Per-entry wire cost plus the fixed response header; stay well
     // under the cap so the estimate never has to be exact.
     let budget = MAX_FRAME - 4096;
-    let entry_bytes = |(key, value): &(Key, Value)| 2 + key.as_bytes().len() + 4 + value.len();
-    if entries.iter().map(entry_bytes).sum::<usize>() <= budget {
+    if entries.iter().map(entry_len).sum::<usize>() <= budget {
         return vec![response];
     }
+    // The response is ours: move the entries into the chunks.
     let mut chunks: Vec<Vec<(Key, Value)>> = vec![Vec::new()];
     let mut used = 0usize;
-    for entry in entries.clone() {
-        let cost = entry_bytes(&entry);
+    for entry in std::mem::take(entries) {
+        let cost = entry_len(&entry);
         if used + cost > budget && !chunks.last().expect("non-empty").is_empty() {
             chunks.push(Vec::new());
             used = 0;
@@ -655,10 +734,13 @@ pub fn split_scan_response(response: Response) -> Vec<Response> {
         .into_iter()
         .enumerate()
         .map(|(i, chunk)| Response {
+            id: response.id,
+            opcode: response.opcode,
+            status: response.status,
+            message: String::new(),
+            latency: response.latency,
             body: ResponseBody::Entries(chunk),
             more: i < last,
-            message: String::new(),
-            ..response.clone()
         })
         .collect()
 }
@@ -676,6 +758,20 @@ pub enum Frame {
     /// stream continues at the next frame; `id` is the (best-effort,
     /// possibly itself corrupt) request id peeked from the payload so
     /// the peer can be told which request was lost.
+    Corrupt {
+        /// Best-effort request id from the corrupt payload.
+        id: u64,
+    },
+}
+
+/// [`Frame`] with the intact payload still in the decoder's buffer: what
+/// this crate's own reader and client decode from, so a payload is
+/// copied once (into the `Key`s and `Value`s it carries), not twice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrameRef<'a> {
+    /// A payload that matched its header CRC.
+    Intact(&'a [u8]),
+    /// See [`Frame::Corrupt`].
     Corrupt {
         /// Best-effort request id from the corrupt payload.
         id: u64,
@@ -737,6 +833,20 @@ impl FrameDecoder {
     /// the decoder is then poisoned and every later call fails too — the
     /// connection must be torn down.
     pub fn next_frame(&mut self) -> Result<Option<Frame>> {
+        Ok(self.next_frame_ref()?.map(|frame| match frame {
+            FrameRef::Intact(payload) => Frame::Intact(payload.to_vec()),
+            FrameRef::Corrupt { id } => Frame::Corrupt { id },
+        }))
+    }
+
+    /// [`FrameDecoder::next_frame`] without the copy: the intact payload
+    /// is borrowed from the decoder's buffer (valid until the next
+    /// `push`, which the borrow rules enforce).
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameDecoder::next_frame`].
+    pub(crate) fn next_frame_ref(&mut self) -> Result<Option<FrameRef<'_>>> {
         if self.poisoned {
             return Err(PrismError::Protocol(
                 "stream poisoned by an earlier unrecoverable framing error".into(),
@@ -761,11 +871,11 @@ impl FrameDecoder {
         self.consumed += HEADER + len;
         if crc32(payload) != wire_crc {
             self.corrupt_frames += 1;
-            return Ok(Some(Frame::Corrupt {
+            return Ok(Some(FrameRef::Corrupt {
                 id: peek_request_id(payload),
             }));
         }
-        Ok(Some(Frame::Intact(payload.to_vec())))
+        Ok(Some(FrameRef::Intact(payload)))
     }
 }
 
@@ -873,6 +983,35 @@ mod tests {
             let frame = encode_response(&response).expect("encode");
             let got = decode_response(&frame[HEADER..]).expect("decode");
             assert_eq!(got, response);
+        }
+    }
+
+    /// A frame is sized from its body before the first byte is pushed:
+    /// one allocation, none of it slack.
+    #[test]
+    fn frames_are_allocated_once_at_their_final_size() {
+        for (id, request) in (0..).zip(sample_requests()) {
+            let frame = encode_request(id, &request).expect("encode");
+            assert_eq!(frame.capacity(), frame.len(), "{request:?}");
+        }
+        let entries = vec![
+            (Key::from_id(1), Value::filled(1024, 1)),
+            (Key::from_bytes(vec![7; 40]), Value::empty()),
+        ];
+        for response in [
+            Response::ok(1, opcode::PUT, Nanos::ZERO, ResponseBody::Ack),
+            Response::ok(2, opcode::GET, Nanos::ZERO, ResponseBody::Value(None)),
+            Response::ok(
+                3,
+                opcode::GET,
+                Nanos::ZERO,
+                ResponseBody::Value(Some(Value::filled(1024, 3))),
+            ),
+            Response::ok(4, opcode::SCAN, Nanos::ZERO, ResponseBody::Entries(entries)),
+            Response::refusal(5, opcode::PUT, Status::Backpressure, "queue full"),
+        ] {
+            let frame = encode_response(&response).expect("encode");
+            assert_eq!(frame.capacity(), frame.len(), "{response:?}");
         }
     }
 

@@ -272,6 +272,9 @@ struct PipeState {
     buf: VecDeque<u8>,
     writer_closed: bool,
     reader_closed: bool,
+    /// The reader is blocked on `cv`; a write into a pipe nobody waits
+    /// on signals nobody.
+    reader_waiting: bool,
 }
 
 #[derive(Default)]
@@ -307,20 +310,26 @@ impl Read for PipeReader {
                 return Ok(0); // closed locally: EOF
             }
             if !state.buf.is_empty() {
+                // The ring's contents are at most two runs; copy each
+                // as a slice.
                 let n = buf.len().min(state.buf.len());
-                for slot in buf.iter_mut().take(n) {
-                    *slot = state.buf.pop_front().expect("n bounded by len");
-                }
+                let (front, back) = state.buf.as_slices();
+                let from_front = n.min(front.len());
+                buf[..from_front].copy_from_slice(&front[..from_front]);
+                buf[from_front..n].copy_from_slice(&back[..n - from_front]);
+                state.buf.drain(..n);
                 return Ok(n);
             }
             if state.writer_closed {
                 return Ok(0); // peer gone and buffer drained: EOF
             }
+            state.reader_waiting = true;
             state = self
                 .pipe
                 .cv
                 .wait(state)
                 .unwrap_or_else(|poison| poison.into_inner());
+            state.reader_waiting = false;
         }
     }
 }
@@ -344,8 +353,12 @@ impl Write for PipeWriter {
                 "pipe reader closed",
             ));
         }
-        state.buf.extend(buf.iter().copied());
-        self.pipe.cv.notify_all();
+        state.buf.extend(buf);
+        let wake = state.reader_waiting && !buf.is_empty();
+        drop(state);
+        if wake {
+            self.pipe.cv.notify_all();
+        }
         Ok(buf.len())
     }
 
@@ -541,6 +554,62 @@ mod tests {
             }
         };
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    /// The pipe against a `VecDeque<u8>` model, byte for byte, for every
+    /// write size 0..=300 crossed with every read-buffer size 1..=64 on
+    /// one long-lived pipe. Each step leaves a residue behind, so the
+    /// ring's head walks around its capacity and both the write and the
+    /// read keep straddling the wrap point at fresh offsets.
+    #[test]
+    fn pipe_matches_a_byte_queue_model_for_every_write_and_read_size() {
+        let (mut client, mut server) = duplex_pair("c", "s");
+        let mut model: VecDeque<u8> = VecDeque::new();
+        let mut next_byte = 0u8;
+        let mut buf = [0u8; 64];
+        let mut read_like_the_model =
+            |reader: &mut dyn Read, model: &mut VecDeque<u8>, n: usize| {
+                let got = reader.read(&mut buf[..n]).expect("read");
+                // A read returns what is buffered, up to the buffer's size.
+                assert_eq!(got, n.min(model.len()));
+                let expected: Vec<u8> = model.drain(..got).collect();
+                assert_eq!(&buf[..got], &expected[..]);
+            };
+        for write_size in 0..=300usize {
+            for read_size in 1..=64usize {
+                let chunk: Vec<u8> = (0..write_size)
+                    .map(|_| {
+                        next_byte = next_byte.wrapping_mul(31).wrapping_add(7);
+                        next_byte
+                    })
+                    .collect();
+                assert_eq!(client.writer.write(&chunk).expect("write"), write_size);
+                model.extend(&chunk);
+                // Read (only while bytes are buffered — an empty pipe
+                // would block) down to a residue that differs per step.
+                let residue = (write_size * 7 + read_size) % 97;
+                while model.len() > residue {
+                    read_like_the_model(server.reader.as_mut(), &mut model, read_size);
+                }
+            }
+        }
+        // EOF comes after the residue, not instead of it.
+        drop(client);
+        while !model.is_empty() {
+            read_like_the_model(server.reader.as_mut(), &mut model, 5);
+        }
+        assert_eq!(server.reader.read(&mut [0u8; 8]).expect("EOF"), 0);
+    }
+
+    #[test]
+    fn an_empty_read_buffer_or_an_empty_write_moves_nothing() {
+        let (mut client, mut server) = duplex_pair("c", "s");
+        assert_eq!(client.writer.write(&[]).expect("empty write"), 0);
+        client.writer.write_all(b"x").expect("write");
+        assert_eq!(server.reader.read(&mut []).expect("empty read"), 0);
+        let mut one = [0u8; 1];
+        assert_eq!(server.reader.read(&mut one).expect("read"), 1);
+        assert_eq!(&one, b"x");
     }
 
     #[test]

@@ -3,12 +3,30 @@
 //! An async submission front-end hands the client a [`Ticket`] when a
 //! request is enqueued and keeps the matching [`Completion`]; whichever
 //! executor thread eventually services the request calls
-//! [`Completion::complete`], which wakes the ticket holder if it is
-//! blocked in [`Ticket::wait`]. There is no runtime and no `Future`:
-//! waiting is plain [`std::thread::park`], waking is
-//! [`std::thread::Thread::unpark`], and non-blocking consumers use
-//! [`Ticket::poll`] to multiplex many outstanding requests on one OS
-//! thread.
+//! [`Completion::complete`]. There is no runtime and no `Future`: the
+//! result is *pushed* to whoever holds the ticket by
+//! [`std::thread::Thread::unpark`], in one of two ways that share one
+//! slot (the ticket's *waiter*):
+//!
+//! * **[`Ticket::wait`]** — one thread, one ticket: the caller names
+//!   itself the waiter and parks until the result is there, then takes
+//!   it.
+//! * **[`Ticket::register`]** — one thread, many tickets: a multiplexer
+//!   (a connection's writer) names the thread to unpark and keeps the
+//!   ticket; when the unpark arrives it [`Ticket::poll`]s what it holds.
+//!   `register` reports whether the request had *already* finished, in
+//!   which case no unpark will ever come for it and the caller must act
+//!   on the result itself — checked under the same lock the producer
+//!   publishes under, so a completion racing the registration is seen
+//!   by exactly one side and never lost. An unpark only says "look";
+//!   it carries no ticket identity and may be spurious (the park token
+//!   is per thread, not per ticket), so the woken thread re-polls.
+//!
+//! Either way the producer wakes at most the one registered thread, the
+//! slot is cleared by the wake (a later `register` or `wait` simply
+//! names a new waiter), and abandoning a request (dropping its
+//! `Completion`) wakes exactly like completing it. Nobody sleeps on a
+//! timer.
 //!
 //! # Example
 //!
@@ -19,6 +37,24 @@
 //! assert!(ticket.poll().is_none());
 //! std::thread::spawn(move || completion.complete(7));
 //! assert_eq!(ticket.wait(), 7);
+//! ```
+//!
+//! Multiplexing with a registration instead of a blocking wait:
+//!
+//! ```
+//! use prism_types::completion_pair;
+//!
+//! let (completion, mut ticket) = completion_pair::<u32>();
+//! let already_done = ticket.register(std::thread::current());
+//! assert!(!already_done);
+//! std::thread::spawn(move || completion.complete(7));
+//! let value = loop {
+//!     match ticket.poll() {
+//!         Some(value) => break value,
+//!         None => std::thread::park(), // woken by `complete`
+//!     }
+//! };
+//! assert_eq!(value, 7);
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,7 +122,8 @@ struct State<T> {
     /// The producer side was dropped without completing; waiting any
     /// longer would hang forever.
     abandoned: bool,
-    /// The thread currently parked in [`Ticket::wait`], if any.
+    /// The thread to unpark when the request finishes: the one parked in
+    /// [`Ticket::wait`] or the one named by [`Ticket::register`].
     waiter: Option<Thread>,
 }
 
@@ -154,7 +191,8 @@ fn pair_with_gauge<T>(gauge: Option<TicketGauge>) -> (Completion<T>, Ticket<T>) 
 }
 
 impl<T> Completion<T> {
-    /// Deliver the result and wake the ticket holder if it is parked.
+    /// Deliver the result and unpark the ticket's waiter, if one is
+    /// named (see [`Ticket::wait`] and [`Ticket::register`]).
     pub fn complete(mut self, value: T) {
         self.completed = true;
         // Decrement before publishing the value: anything downstream of
@@ -223,6 +261,25 @@ impl<T> Ticket<T> {
              without completing it"
         );
         value
+    }
+
+    /// Name `thread` as the one to unpark when the request completes or
+    /// is abandoned, replacing any earlier registration. Returns `true`
+    /// if the request has *already* finished: nothing is registered then
+    /// and no unpark will come, so the caller must [`Ticket::poll`] (or
+    /// have `thread` do so) itself.
+    ///
+    /// Meant for a thread multiplexing many tickets: it parks with no
+    /// timeout and re-polls its tickets on every wake. An unpark may be
+    /// spurious, and an abandoned request surfaces as the panic of the
+    /// `poll` that follows the wake.
+    pub fn register(&self, thread: Thread) -> bool {
+        let mut state = self.inner.lock();
+        let done = state.value.is_some() || state.abandoned;
+        if !done {
+            state.waiter = Some(thread);
+        }
+        done
     }
 
     /// Block (park) until the result is available and return it.
@@ -365,6 +422,98 @@ mod tests {
         assert_eq!(ta.wait(), 1);
         assert_eq!(tc.wait(), 3);
         drop(tb);
+    }
+
+    /// Park until `done()` holds. A lost wakeup fails at the deadline
+    /// instead of hanging; spurious wakes just re-check.
+    fn park_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while !done() {
+            std::thread::park_timeout(deadline - std::time::Instant::now());
+            assert!(
+                std::time::Instant::now() < deadline,
+                "never woken for {what}"
+            );
+        }
+    }
+
+    #[test]
+    fn register_after_completion_reports_done_and_registers_nothing() {
+        let (completion, mut ticket) = completion_pair();
+        completion.complete(5u8);
+        assert!(ticket.register(std::thread::current()));
+        assert!(ticket.inner.lock().waiter.is_none());
+        assert_eq!(ticket.poll(), Some(5));
+        // Abandonment counts as finished too: no unpark will ever come.
+        let (completion, ticket) = completion_pair::<u8>();
+        drop(completion);
+        assert!(ticket.register(std::thread::current()));
+    }
+
+    #[test]
+    fn register_then_complete_unparks_the_registered_thread() {
+        let (completion, mut ticket) = completion_pair();
+        assert!(!ticket.register(std::thread::current()));
+        let producer = std::thread::spawn(move || completion.complete(77u32));
+        // `is_done` is only re-read after a wake: were the unpark lost,
+        // this would sit out the whole deadline and fail.
+        park_until("the completion", || ticket.is_done());
+        assert_eq!(ticket.poll(), Some(77));
+        // The wake consumed the registration.
+        assert!(ticket.inner.lock().waiter.is_none());
+        producer.join().expect("producer");
+    }
+
+    #[test]
+    #[should_panic(expected = "completion abandoned")]
+    fn abandoning_unparks_the_registered_thread_and_its_poll_panics() {
+        let (completion, mut ticket) = completion_pair::<u8>();
+        assert!(!ticket.register(std::thread::current()));
+        std::thread::spawn(move || drop(completion));
+        // A second `register` is the non-panicking done-ness probe.
+        park_until("the abandonment", || {
+            ticket.register(std::thread::current())
+        });
+        ticket.poll();
+    }
+
+    #[test]
+    fn a_second_registration_replaces_the_first() {
+        let (completion, mut ticket) = completion_pair();
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        let bystander = std::thread::spawn(move || {
+            let _ = parked.recv();
+        });
+        assert!(!ticket.register(bystander.thread().clone()));
+        assert!(!ticket.register(std::thread::current()));
+        let waiter = ticket.inner.lock().waiter.as_ref().map(Thread::id);
+        assert_eq!(waiter, Some(std::thread::current().id()));
+        std::thread::spawn(move || completion.complete(1u8));
+        park_until("the completion", || ticket.is_done());
+        assert_eq!(ticket.poll(), Some(1));
+        drop(release);
+        bystander.join().expect("bystander");
+    }
+
+    #[test]
+    fn wait_after_a_registration_still_returns_the_value() {
+        let (completion, ticket) = completion_pair();
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        let bystander = std::thread::spawn(move || {
+            let _ = parked.recv();
+        });
+        assert!(!ticket.register(bystander.thread().clone()));
+        // `wait` names its own thread, displacing the registration; run
+        // it on a thread we can give up on, so a hang fails the test.
+        let (result, waited) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = result.send(ticket.wait());
+        });
+        completion.complete(9u8);
+        let got = waited.recv_timeout(std::time::Duration::from_secs(20));
+        assert_eq!(got, Ok(9));
+        drop(release);
+        bystander.join().expect("bystander");
     }
 
     #[test]
