@@ -217,7 +217,7 @@ impl SummaryEntry {
             let Ok(kops) = cell.parse::<f64>() else {
                 continue;
             };
-            if best.map_or(true, |(b, _)| kops > b) {
+            if best.is_none_or(|(b, _)| kops > b) {
                 best = Some((kops, label));
             }
         }

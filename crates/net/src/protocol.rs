@@ -1,7 +1,9 @@
 //! The wire protocol: length-prefixed, checksummed binary frames.
 //!
-//! Every frame is a little-endian `u32` payload length, a CRC32 of the
-//! payload, then the payload itself. Requests and responses share the
+//! Every frame is a little-endian `u32` payload length, a CRC32C
+//! (Castagnoli; `prism_types::checksum`, the primitive the storage tiers
+//! use) of the payload, then the payload itself. The format carries no
+//! version field: both of its ends are this repository. Requests and responses share the
 //! framing but have distinct payload layouts (see [`Request`] and
 //! [`Response`]); both start with the client-assigned request id, so
 //! responses may be delivered out of order and matched back by id.

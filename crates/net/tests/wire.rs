@@ -66,7 +66,7 @@ fn build_response(op: u8, id_seed: u64, size: usize) -> Response {
         0 => (protocol::opcode::PUT, ResponseBody::Ack),
         1 => (
             protocol::opcode::GET,
-            ResponseBody::Value(if size % 2 == 0 {
+            ResponseBody::Value(if size.is_multiple_of(2) {
                 Some(Value::filled(size % 2048, 7))
             } else {
                 None

@@ -55,7 +55,7 @@ pub const NUM_BUCKETS: usize = NUM_BOUNDS + 1;
 
 /// Upper (inclusive) bound of finite bucket `i`.
 const fn bound(i: usize) -> u64 {
-    if i % 2 == 0 {
+    if i.is_multiple_of(2) {
         LOWEST_BOUND << (i / 2)
     } else {
         141 << (i / 2)

@@ -84,14 +84,14 @@ impl LruCache {
         self.entries.contains_key(key)
     }
 
-    /// Insert or refresh a key. Objects larger than the whole cache are
-    /// ignored.
+    /// Insert or refresh a key. An object larger than the whole cache is
+    /// not cached, but still displaces the value it supersedes.
     pub fn insert(&mut self, key: Key, value: Value) {
         let size = value.len() as u64;
+        self.remove(&key);
         if self.capacity_bytes == 0 || size > self.capacity_bytes {
             return;
         }
-        self.remove(&key);
         while self.used_bytes + size > self.capacity_bytes {
             let Some((&oldest_tick, _)) = self.order.iter().next() else {
                 break;
@@ -189,6 +189,11 @@ mod tests {
         let mut cache = LruCache::new(100);
         cache.insert(key(1), Value::filled(500, 1));
         assert!(cache.is_empty());
+        // An oversized update must not leave the value it replaces behind.
+        cache.insert(key(2), Value::filled(50, 1));
+        cache.insert(key(2), Value::filled(500, 2));
+        assert!(cache.get(&key(2)).is_none());
+        assert_eq!(cache.used_bytes(), 0);
         let mut disabled = LruCache::new(0);
         disabled.insert(key(1), Value::filled(1, 1));
         assert!(disabled.is_empty());

@@ -26,7 +26,7 @@
 //! assert_eq!(t.as_micros(), 10);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 mod batch;
 mod cache;
