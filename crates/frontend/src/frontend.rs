@@ -10,7 +10,7 @@ use prism_obs::{LatencyHistogram, ObsHub};
 use prism_types::{
     completion_pair_gauged, BatchOp, Completion, ConcurrentKvStore, FrontendStats,
     FrontendStatsCells, Key, Lookup, Nanos, PrismError, Result, ScanResult, Ticket, TicketGauge,
-    Value, WriteBatch,
+    Value, WakeList, WriteBatch,
 };
 
 use crate::options::FrontendOptions;
@@ -135,13 +135,30 @@ struct QueueState {
     /// this state's lock, so queued work is always scheduled and at most
     /// one executor services a partition at a time.
     scheduled: bool,
+    /// Submitters waiting on [`PartitionQueue::not_full`].
+    blocked_submitters: usize,
 }
 
 #[derive(Default)]
 struct PartitionQueue {
     state: Mutex<QueueState>,
-    /// Signalled after a drain frees queue space, for blocked submitters.
+    /// Signalled after a drain frees queue space, if a submitter is
+    /// counted blocked.
     not_full: Condvar,
+}
+
+/// The ready list and who is waiting for it.
+#[derive(Default)]
+struct ReadyList {
+    /// Scheduled partitions no executor holds yet, oldest first. Popping
+    /// the front is the front-end's one scheduling decision.
+    partitions: VecDeque<usize>,
+    /// Executors waiting on [`Shared::work`] that no push has signalled
+    /// yet: raised by the executor before it waits, lowered by the push
+    /// that signals. At zero every executor is running and re-reads the
+    /// list before it waits, so a push signals nobody. (A spurious wake
+    /// leaves it one too high until a push spends a signal on nobody.)
+    idle_executors: usize,
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -153,10 +170,8 @@ struct Shared<E> {
     queue_capacity: usize,
     max_coalesce: usize,
     queues: Vec<PartitionQueue>,
-    /// Scheduled partitions no executor holds yet, oldest first. Popping
-    /// the front is the front-end's one scheduling decision.
-    ready: Mutex<VecDeque<usize>>,
-    /// Signalled once per push onto `ready`; idle executors wait on it.
+    ready: Mutex<ReadyList>,
+    /// Signalled by a push onto `ready` that finds an executor idle.
     work: Condvar,
     shutdown: AtomicBool,
     concurrent_reads: bool,
@@ -184,13 +199,24 @@ struct Shared<E> {
 }
 
 impl<E: ConcurrentKvStore> Shared<E> {
-    /// Put a partition on the ready list and wake one idle executor. The
-    /// caller passes in the partition's queue lock, held with `scheduled`
-    /// set; it is released once the partition is on the list.
+    /// Put a partition on the ready list and wake an idle executor, if
+    /// there is one. The caller passes in the partition's queue lock,
+    /// held with `scheduled` set; it is released once the partition is on
+    /// the list.
     fn schedule(&self, partition: usize, state: MutexGuard<'_, QueueState>) {
-        lock(&self.ready).push_back(partition);
+        let wake = {
+            let mut ready = lock(&self.ready);
+            ready.partitions.push_back(partition);
+            let idle = ready.idle_executors > 0;
+            if idle {
+                ready.idle_executors -= 1;
+            }
+            idle
+        };
         drop(state);
-        self.work.notify_one();
+        if wake {
+            self.work.notify_one();
+        }
     }
 
     /// Enqueue onto a partition queue and schedule the partition if it
@@ -212,10 +238,12 @@ impl<E: ConcurrentKvStore> Shared<E> {
             }
             match admit {
                 Admit::Block => {
+                    state.blocked_submitters += 1;
                     state = queue
                         .not_full
                         .wait(state)
                         .unwrap_or_else(|poison| poison.into_inner());
+                    state.blocked_submitters -= 1;
                 }
                 Admit::Reject => {
                     drop(state);
@@ -274,12 +302,19 @@ impl<E: ConcurrentKvStore> Shared<E> {
         (result, service)
     }
 
-    /// Answer one request and record its service and end-to-end times.
-    fn finish<T>(&self, reply: Reply<T>, result: Result<T>, service: Duration) {
+    /// Answer one request — the result is published now, its waiter's
+    /// unpark joins `wakes` — and record its service and end-to-end times.
+    fn finish<T>(
+        &self,
+        reply: Reply<T>,
+        result: Result<T>,
+        service: Duration,
+        wakes: &mut WakeList,
+    ) {
         // Count before completing: a client that just saw its ticket
         // resolve must never observe `completed < submitted` for it.
         self.stats.completed.fetch_add(1, Ordering::Relaxed);
-        reply.completion.complete(result);
+        wakes.push(reply.completion.complete_deferred(result));
         self.obs
             .record_stage(&self.obs.service, reply.class, service);
         self.obs
@@ -296,6 +331,7 @@ impl<E: ConcurrentKvStore> Shared<E> {
         &self,
         partition: usize,
         mut parts: Vec<(Vec<BatchOp>, Reply<Nanos>)>,
+        wakes: &mut WakeList,
     ) -> Nanos {
         let mut total = Nanos::ZERO;
         while !parts.is_empty() {
@@ -321,7 +357,7 @@ impl<E: ConcurrentKvStore> Shared<E> {
                     // The group installed as one engine call; every part
                     // shares the group's wall-clock service time.
                     for (_, reply) in group {
-                        self.finish(reply, Ok(latency), service);
+                        self.finish(reply, Ok(latency), service, wakes);
                     }
                     continue;
                 }
@@ -332,7 +368,7 @@ impl<E: ConcurrentKvStore> Shared<E> {
             for (ops, reply) in group {
                 let (result, service) =
                     self.install(partition, ops.len(), ops.into_iter(), &mut total);
-                self.finish(reply, result, service);
+                self.finish(reply, result, service, wakes);
             }
         }
         total
@@ -341,11 +377,21 @@ impl<E: ConcurrentKvStore> Shared<E> {
     /// Service everything queued on a partition this executor popped off
     /// the ready list, then hand the partition on. Writes install first
     /// (all coalesced), then the drained reads run against the resulting
-    /// state — see the crate-level ordering contract.
-    fn drain_partition(&self, exec_id: usize, partition: usize) {
+    /// state — see the crate-level ordering contract. Every answer is
+    /// published as it is produced; the unparks they owe collect in
+    /// `wakes` for the caller to fire.
+    fn drain_partition(&self, exec_id: usize, partition: usize, wakes: &mut WakeList) {
         let queue = &self.queues[partition];
-        let drained = std::mem::take(&mut lock(&queue.state).items);
-        queue.not_full.notify_all();
+        let (drained, submitter_blocked) = {
+            let mut state = lock(&queue.state);
+            (
+                std::mem::take(&mut state.items),
+                state.blocked_submitters > 0,
+            )
+        };
+        if submitter_blocked {
+            queue.not_full.notify_all();
+        }
         if exec_id != partition % self.exec_clocks.len() {
             self.stats.stolen_drains.fetch_add(1, Ordering::Relaxed);
         }
@@ -367,7 +413,7 @@ impl<E: ConcurrentKvStore> Shared<E> {
                 read => reads.push(read),
             }
         }
-        let mut exec_time = self.flush_writes(partition, writes);
+        let mut exec_time = self.flush_writes(partition, writes, wakes);
         for request in reads {
             match request {
                 Request::Write(..) => unreachable!("writes were split off above"),
@@ -380,7 +426,7 @@ impl<E: ConcurrentKvStore> Shared<E> {
                                 .fetch_add(lookup.latency.as_nanos(), Ordering::Relaxed);
                         }
                     }
-                    self.finish(reply, result, service);
+                    self.finish(reply, result, service, wakes);
                 }
                 Request::Scan(start, count, reply) => {
                     let (result, service) = timed(|| self.engine.scan(&start, count));
@@ -394,7 +440,7 @@ impl<E: ConcurrentKvStore> Shared<E> {
                             }
                         }
                     }
-                    self.finish(reply, result, service);
+                    self.finish(reply, result, service, wakes);
                 }
             }
         }
@@ -418,30 +464,52 @@ impl<E: ConcurrentKvStore> Shared<E> {
         }
     }
 
+    /// Wait for the next ready partition; `None` once the front-end is
+    /// shut down and the list is empty.
+    fn wait_for_work(&self) -> Option<usize> {
+        let mut ready = lock(&self.ready);
+        loop {
+            if let Some(partition) = ready.partitions.pop_front() {
+                return Some(partition);
+            }
+            if self.shutdown.load(Ordering::Acquire) {
+                return None;
+            }
+            ready.idle_executors += 1;
+            ready = self
+                .work
+                .wait(ready)
+                .unwrap_or_else(|poison| poison.into_inner());
+            self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Main loop of one executor thread: service the oldest ready
     /// partition, wait while there is none, and exit once the front-end
     /// is shut down and the ready list is empty (every partition with
     /// queued work is on the list or held by a running executor, which
     /// re-checks the list before it exits).
+    ///
+    /// The waiters of the answers a drain produced are unparked when the
+    /// ready list is found empty — so before this executor waits, and
+    /// with an idle executor right after the one drain — or after
+    /// `queues.len()` drains at the latest: under backlog one unpark per
+    /// waiter carries every answer of the pass. `wakes` fires on drop, so
+    /// leaving this loop by unwinding wakes them too.
     fn executor_loop(&self, exec_id: usize) {
+        let mut wakes = WakeList::default();
+        let mut drains_unfired = 0;
         loop {
-            let partition = {
-                let mut ready = lock(&self.ready);
-                loop {
-                    if let Some(partition) = ready.pop_front() {
-                        break partition;
-                    }
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    ready = self
-                        .work
-                        .wait(ready)
-                        .unwrap_or_else(|poison| poison.into_inner());
-                    self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-                }
+            let next = lock(&self.ready).partitions.pop_front();
+            if next.is_none() || drains_unfired == self.queues.len() {
+                wakes.fire();
+                drains_unfired = 0;
+            }
+            let Some(partition) = next.or_else(|| self.wait_for_work()) else {
+                return;
             };
-            self.drain_partition(exec_id, partition);
+            self.drain_partition(exec_id, partition, &mut wakes);
+            drains_unfired += 1;
         }
     }
 
@@ -518,7 +586,7 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
             queue_capacity: options.queue_capacity,
             max_coalesce: options.max_coalesce,
             queues: (0..partitions).map(|_| PartitionQueue::default()).collect(),
-            ready: Mutex::new(VecDeque::new()),
+            ready: Mutex::new(ReadyList::default()),
             work: Condvar::new(),
             shutdown: AtomicBool::new(false),
             concurrent_reads,

@@ -21,7 +21,9 @@
 //! * **Dispatch.** A partition is *scheduled* or it is not. Each queue
 //!   keeps a `scheduled` flag under the same lock as its requests; an
 //!   enqueue that finds the flag clear sets it and pushes the partition
-//!   onto one shared ready list, waking one idle executor. A pool of
+//!   onto one shared ready list, waking one idle executor if one is
+//!   counted idle (a running executor re-reads the list before it waits,
+//!   so nobody is signalled then). A pool of
 //!   **executor threads** ([`FrontendOptions::executors`], default = the
 //!   engine's shard count clamped to 4) pops the oldest ready partition,
 //!   takes everything queued on it, services it, and then — under the
@@ -40,6 +42,14 @@
 //!   Write coalescing therefore **emerges from queue pressure**: the more
 //!   logical clients are in flight, the wider the groups — no client-side
 //!   buffering required.
+//! * **Wake-ups are batched the same way.** An answer is published the
+//!   moment it is produced (a polled ticket sees it at once), but the
+//!   unpark its waiter is owed joins a [`prism_types::WakeList`] that the
+//!   executor fires when it finds the ready list empty, or after one
+//!   pass of as many drains as there are partitions at the latest. An
+//!   idle front-end therefore wakes a waiter right after its request; a
+//!   backlogged one wakes each waiter once per pass, however many of its
+//!   tickets the pass completed.
 //!
 //! # Ordering and durability contract
 //!

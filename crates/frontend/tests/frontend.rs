@@ -576,6 +576,9 @@ struct ExclusiveEngine {
     gate: Mutex<()>,
     busy: Vec<AtomicBool>,
     last_seq: Mutex<HashMap<u64, u64>>,
+    /// Makes every `get` take a couple of milliseconds, so that a waiter
+    /// woken after one answer would be seen running before the next.
+    slow_reads: AtomicBool,
 }
 
 /// Marks a shard busy for the length of one engine call.
@@ -602,6 +605,7 @@ impl ExclusiveEngine {
             gate: Mutex::new(()),
             busy: (0..shards).map(|_| AtomicBool::new(false)).collect(),
             last_seq: Mutex::new(HashMap::new()),
+            slow_reads: AtomicBool::new(false),
         }
     }
 
@@ -630,6 +634,9 @@ impl ConcurrentKvStore for ExclusiveEngine {
 
     fn get(&self, key: &Key) -> Result<Lookup> {
         let _entered = self.enter(key);
+        if self.slow_reads.load(Ordering::Relaxed) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
         prism_types::KvStore::get(&mut *self.store(), key)
     }
 
@@ -755,6 +762,48 @@ fn a_wedged_executor_blocks_only_the_partition_it_holds() {
     drop(gate);
     await_ticket(wedged).expect("wedged write completes once released");
     await_ticket(behind_the_wedge).expect("its backlog follows");
+    frontend.drain();
+    assert_eq!(frontend.outstanding_tickets(), 0);
+}
+
+/// One executor over four shards, wedged inside an install on partition 0
+/// while nine gets for one registered thread queue up on partitions 1–3.
+/// Released, the executor works through the backlog in one pass and owes
+/// that thread one unpark, fired when it finds the ready list empty — by
+/// which time every answer is published. The reads are slowed only so
+/// that an unpark per answer would show: the thread would return from
+/// `park` with most of its tickets still open. Nothing the assertion
+/// needs depends on the pause.
+#[test]
+fn a_backlogged_pass_wakes_its_waiter_once_with_every_answer() {
+    let frontend = exclusive_frontend(4, 1);
+    let engine = Arc::clone(frontend.engine());
+    engine.slow_reads.store(true, Ordering::Relaxed);
+    let gate = engine.hold();
+    let wedged = frontend
+        .submit_put(Key::from_id(0), seq_value(1))
+        .expect("submit");
+    while frontend.stats().queue_depth > 0 {
+        std::thread::yield_now();
+    }
+    let mut tickets: Vec<_> = (0..9u64)
+        .map(|i| {
+            let ticket = frontend
+                .submit_get(&Key::from_id(1 + i % 3))
+                .expect("submit");
+            assert!(!ticket.register(std::thread::current()));
+            ticket
+        })
+        .collect();
+    drop(gate);
+    let deadline = Instant::now() + STRANDED_AFTER;
+    std::thread::park_timeout(deadline.saturating_duration_since(Instant::now()));
+    assert!(Instant::now() < deadline, "never woken for the answers");
+    for ticket in &mut tickets {
+        let lookup = ticket.poll().expect("every answer precedes the one wake");
+        assert_eq!(lookup.expect("read").value, None);
+    }
+    await_ticket(wedged).expect("the wedged write completed");
     frontend.drain();
     assert_eq!(frontend.outstanding_tickets(), 0);
 }

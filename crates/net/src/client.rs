@@ -7,14 +7,35 @@
 //! transparently with a small backoff, so a caller using the blocking
 //! conveniences only ever sees requests that landed or failed for real.
 //!
+//! # What reaches the transport, and when
+//!
+//! [`NetClient::send`] *queues* the encoded frame; it does not write.
+//! Everything queued goes to the transport in one `write_all`
+//!
+//! * immediately before the client blocks in a transport `read` — so
+//!   [`NetClient::wait`], [`NetClient::drain`] and the blocking
+//!   conveniences flush by construction, and a pipelining caller hands
+//!   over a window's worth of requests per write (and per wake of the
+//!   peer) instead of one;
+//! * on [`NetClient::flush`], for a caller that sends and then watches
+//!   something other than this client for the effect;
+//! * when the queue passes 64 KiB, so a caller that never waits still
+//!   makes progress and holds bounded memory.
+//!
+//! A flush that fails does not stop the read it precedes: answers the
+//! server had already written still arrive, and the loss surfaces as
+//! [`PrismError::Disconnected`] when the read side ends.
+//!
+//! # Reconnecting
+//!
 //! A client built with [`NetClient::with_dialer`] additionally survives
-//! connection loss: on a failed read or write it re-dials with capped
+//! connection loss: on a failed read or flush it re-dials with capped
 //! exponential backoff and replays exactly the unacknowledged frames
-//! (everything sent but not yet answered), in original send order. The
-//! semantics are at-least-once — a request whose response was in flight
-//! when the connection died is re-executed on the new connection, which
-//! is safe for this protocol's idempotent operations (last-writer-wins
-//! puts/deletes/batches, pure reads).
+//! (everything sent — flushed or still queued — but not yet answered),
+//! in original send order. The semantics are at-least-once — a request
+//! whose response was in flight when the connection died is re-executed
+//! on the new connection, which is safe for this protocol's idempotent
+//! operations (last-writer-wins puts/deletes/batches, pure reads).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -36,6 +57,10 @@ struct Pending {
     retries: u32,
 }
 
+/// Queued bytes past which [`NetClient::send`] flushes by itself. Far
+/// below `MAX_FRAME`, far above a pipelining window of point requests.
+const FLUSH_AT: usize = 64 * 1024;
+
 /// Re-dials the server after a connection loss. Called once per
 /// reconnect attempt; each call must produce a fresh connection.
 pub type Dialer = Box<dyn FnMut() -> std::io::Result<Conn> + Send>;
@@ -49,6 +74,10 @@ pub struct NetClient {
     decoder: FrameDecoder,
     /// Where `read` lands bytes on their way into the decoder.
     read_buf: Box<[u8]>,
+    /// Frames queued by `send` (and resends) that no flush has handed to
+    /// the transport yet. Each is also in `pending`, so losing this
+    /// buffer with its connection loses nothing a replay would not send.
+    out: Vec<u8>,
     next_id: u64,
     /// Sent and unanswered requests. Ids are handed out in sequence, so
     /// this is in id order — which is also replay order — and a lookup
@@ -95,6 +124,7 @@ impl NetClient {
             writer: conn.writer,
             decoder: FrameDecoder::new(),
             read_buf: vec![0u8; 8192].into_boxed_slice(),
+            out: Vec::new(),
             next_id: 1,
             pending: VecDeque::new(),
             received: Vec::new(),
@@ -153,6 +183,8 @@ impl NetClient {
             // request re-streams every chunk from the start.
             self.decoder = FrameDecoder::new();
             self.partial_scans.clear();
+            // Whatever was queued is in `pending` and replayed from there.
+            self.out.clear();
             for pending in &self.pending {
                 if self.writer.write_all(&pending.frame).is_err() {
                     continue 'dial;
@@ -174,37 +206,66 @@ impl NetClient {
             .ok()
     }
 
-    /// Write request `id`'s frame again if it is still unanswered.
-    fn resend(&mut self, id: u64) -> Result<()> {
+    /// Queue request `id`'s frame again if it is still unanswered. Both
+    /// callers go back to reading, which flushes before it blocks.
+    fn resend(&mut self, id: u64) {
         if let Some(index) = self.pending_index(id) {
-            if self.writer.write_all(&self.pending[index].frame).is_err() {
-                // The reconnect replays every pending frame, this one
-                // included.
-                self.reconnect_and_replay()?;
-            }
+            self.out.extend_from_slice(&self.pending[index].frame);
+        }
+    }
+
+    /// Hand everything queued to the transport in one write. The queue
+    /// is empty afterwards either way: on failure the frames live on in
+    /// `pending`.
+    fn write_queued(&mut self) -> std::io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let written = self.writer.write_all(&self.out);
+        self.out.clear();
+        written
+    }
+
+    /// Hand every queued request to the transport now. Only a caller that
+    /// sends and then does not wait on this client needs it: every
+    /// blocking read flushes first.
+    ///
+    /// # Errors
+    ///
+    /// [`PrismError::Disconnected`] if the transport rejects the write
+    /// and the client cannot reconnect (with a dialer it re-dials and
+    /// replays instead).
+    pub fn flush(&mut self) -> Result<()> {
+        if self.write_queued().is_err() {
+            // The reconnect replays every pending frame, which covers
+            // everything that was queued.
+            self.reconnect_and_replay()?;
         }
         Ok(())
     }
 
-    /// Send a request without waiting; returns its id for [`Self::wait`].
+    /// Queue a request without waiting; returns its id for
+    /// [`Self::wait`]. The frame reaches the transport with the next
+    /// flush — see the module docs for what flushes.
     ///
     /// # Errors
     ///
     /// [`PrismError::Protocol`] if the request cannot be encoded,
-    /// [`PrismError::Disconnected`] if the transport rejects the write.
+    /// [`PrismError::Disconnected`] if the queue reached its bound and
+    /// the transport rejected the flush.
     pub fn send(&mut self, request: &Request) -> Result<u64> {
         let id = self.next_id;
         self.next_id += 1;
         let frame = encode_request(id, request)?;
-        let sent = self.writer.write_all(&frame);
+        self.out.extend_from_slice(&frame);
         // Registered before any reconnect, which replays it too.
         self.pending.push_back(Pending {
             id,
             frame,
             retries: 0,
         });
-        if sent.is_err() {
-            if let Err(err) = self.reconnect_and_replay() {
+        if self.out.len() > FLUSH_AT {
+            if let Err(err) = self.flush() {
                 self.pending.pop_back();
                 return Err(err);
             }
@@ -218,12 +279,21 @@ impl NetClient {
     /// # Errors
     ///
     /// [`PrismError::Disconnected`] if the server hangs up first,
-    /// [`PrismError::Protocol`] on an undecodable response.
+    /// [`PrismError::Protocol`] on an undecodable response, or if `id`
+    /// is one this client handed out and no longer awaits (an earlier
+    /// `wait` or `drain` already returned its answer, so none will come).
+    /// An id this client never handed out is read for like any other:
+    /// the answer to a frame written beneath the client is routed by it.
     pub fn wait(&mut self, id: u64) -> Result<Response> {
         // Only answers to *other* ids are stashed below, so one look
         // before reading is enough.
         if let Some(at) = self.received.iter().position(|r| r.id == id) {
             return Ok(self.received.swap_remove(at));
+        }
+        if (1..self.next_id).contains(&id) && self.pending_index(id).is_none() {
+            return Err(PrismError::Protocol(format!(
+                "request id {id} was already answered and its answer taken"
+            )));
         }
         loop {
             let response = match self.read_response() {
@@ -263,7 +333,7 @@ impl NetClient {
                     if pending.retries < self.max_retries {
                         pending.retries += 1;
                         std::thread::sleep(self.retry_backoff);
-                        self.resend(for_id)?;
+                        self.resend(for_id);
                         continue;
                     }
                 }
@@ -305,10 +375,17 @@ impl NetClient {
                     // id matches something pending; otherwise the frame
                     // is simply dropped and the stream continues.
                     self.corrupt_frames_seen += 1;
-                    self.resend(id)?;
+                    self.resend(id);
                     continue;
                 }
                 None => {}
+            }
+            // About to block: the peer gets everything queued first. A
+            // failed write does not end the reading — what the server
+            // already answered is still on its way, and the end of the
+            // read side reports the loss — unless a dialer can replay.
+            if self.write_queued().is_err() && self.dialer.is_some() {
+                return Err(PrismError::Disconnected);
             }
             let n = self
                 .reader
@@ -422,5 +499,225 @@ impl std::fmt::Debug for NetClient {
             .field("backpressure_seen", &self.backpressure_seen)
             .field("reconnects", &self.reconnects)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{encode_response, opcode};
+    use crate::transport::duplex_pair;
+    use std::io::Cursor;
+    use std::sync::{Arc, Mutex};
+
+    /// Every `write` call the client made on one connection, in order;
+    /// calls past `healthy_writes` fail with `BrokenPipe`.
+    #[derive(Clone, Default)]
+    struct WriteLog {
+        writes: Arc<Mutex<Vec<Vec<u8>>>>,
+        healthy_writes: Option<usize>,
+    }
+
+    impl WriteLog {
+        fn failing_after(healthy_writes: usize) -> WriteLog {
+            WriteLog {
+                healthy_writes: Some(healthy_writes),
+                ..WriteLog::default()
+            }
+        }
+
+        fn writes(&self) -> Vec<Vec<u8>> {
+            self.writes.lock().expect("write log").clone()
+        }
+    }
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let mut writes = self.writes.lock().expect("write log");
+            if self.healthy_writes.is_some_and(|n| writes.len() >= n) {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A connection whose read side plays `script` and then EOFs, and
+    /// whose write side is `log`.
+    fn scripted_conn(script: Vec<u8>, log: &WriteLog) -> Conn {
+        Conn {
+            reader: Box::new(Cursor::new(script)),
+            writer: Box::new(log.clone()),
+            closer: Arc::new(|| {}),
+            peer: "scripted".to_string(),
+        }
+    }
+
+    fn put(id: u64) -> Request {
+        Request::Put {
+            key: Key::from_id(id),
+            value: Value::filled(32, id as u8),
+        }
+    }
+
+    /// Acks for `ids`, in that order, as the server would frame them.
+    fn acks(ids: &[u64]) -> Vec<u8> {
+        ids.iter()
+            .flat_map(|&id| {
+                let ack = Response::ok(id, opcode::PUT, Nanos::ZERO, ResponseBody::Ack);
+                encode_response(&ack).expect("an ack fits a frame")
+            })
+            .collect()
+    }
+
+    fn frames(ids: std::ops::RangeInclusive<u64>) -> Vec<u8> {
+        ids.flat_map(|id| encode_request(id, &put(id)).expect("a put fits a frame"))
+            .collect()
+    }
+
+    #[test]
+    fn sends_queue_until_a_wait_blocks_and_then_leave_in_one_write() {
+        let log = WriteLog::default();
+        let mut client = NetClient::new(scripted_conn(acks(&[1, 2, 3, 4, 5]), &log));
+        for id in 1..=5 {
+            assert_eq!(client.send(&put(id)).expect("send"), id);
+        }
+        assert!(log.writes().is_empty(), "`send` only queues");
+        assert_eq!(client.in_flight(), 5);
+        assert_eq!(client.wait(5).expect("answered").id, 5);
+        assert_eq!(log.writes(), vec![frames(1..=5)]);
+        // The other four answers arrived with the fifth: no read, no
+        // flush, no write.
+        for id in 1..=4 {
+            assert_eq!(client.wait(id).expect("stashed").id, id);
+        }
+        assert_eq!(log.writes().len(), 1);
+        assert_eq!(client.in_flight(), 0);
+    }
+
+    #[test]
+    fn flush_writes_what_is_queued_once_and_nothing_when_nothing_is() {
+        let log = WriteLog::default();
+        let mut client = NetClient::new(scripted_conn(Vec::new(), &log));
+        client.flush().expect("an empty flush");
+        assert!(log.writes().is_empty());
+        client.send(&put(1)).expect("send");
+        client.send(&put(2)).expect("send");
+        client.flush().expect("flush");
+        client.flush().expect("an empty flush");
+        assert_eq!(log.writes(), vec![frames(1..=2)]);
+    }
+
+    #[test]
+    fn a_caller_that_never_waits_is_flushed_at_the_queue_bound() {
+        let log = WriteLog::default();
+        let mut client = NetClient::new(scripted_conn(Vec::new(), &log));
+        let big = Request::Put {
+            key: Key::from_id(7),
+            value: Value::filled(20_000, 7),
+        };
+        let frame_len = encode_request(1, &big).expect("fits").len();
+        for _ in 0..10 {
+            client.send(&big).expect("send");
+        }
+        // Four frames pass 64 KiB, so ten sends flushed twice and hold two.
+        let writes = log.writes();
+        assert_eq!(writes.len(), 2);
+        assert!(writes.iter().all(|write| write.len() == 4 * frame_len));
+        assert_eq!(client.out.len(), 2 * frame_len);
+    }
+
+    #[test]
+    fn a_frame_still_queued_when_the_connection_dies_is_replayed_exactly_once() {
+        // The first connection takes one write and then breaks; it never
+        // answers. The second answers both requests.
+        let first = WriteLog::failing_after(1);
+        let second = WriteLog::default();
+        let mut conns = vec![
+            scripted_conn(acks(&[1, 2]), &second),
+            scripted_conn(Vec::new(), &first),
+        ];
+        let mut client = NetClient::with_dialer(Box::new(move || {
+            conns
+                .pop()
+                .ok_or_else(|| std::io::ErrorKind::NotConnected.into())
+        }))
+        .expect("the first dial");
+        client.reconnect_backoff = Duration::ZERO;
+        client.send(&put(1)).expect("send");
+        client.flush().expect("flush");
+        client.send(&put(2)).expect("send");
+        // The flush before the blocking read fails: re-dial, replay.
+        assert_eq!(client.wait(2).expect("answered after the replay").id, 2);
+        assert_eq!(client.wait(1).expect("stashed").id, 1);
+        assert_eq!(client.reconnects, 1);
+        assert_eq!(first.writes(), vec![frames(1..=1)]);
+        // Both unanswered frames, once each: the queued one is replayed
+        // from `pending` and not flushed a second time.
+        assert_eq!(second.writes().concat(), frames(1..=2));
+    }
+
+    #[test]
+    fn a_failed_flush_without_a_dialer_still_yields_the_answers_on_their_way() {
+        // Three requests reached the server, then its read side went away
+        // (every write from here on fails) while its answers were still
+        // in the pipe.
+        let log = WriteLog::failing_after(1);
+        let mut client = NetClient::new(scripted_conn(acks(&[1, 2, 3]), &log));
+        for id in 1..=3 {
+            client.send(&put(id)).expect("send");
+        }
+        client.flush().expect("the one healthy write");
+        let lost = client.send(&put(4)).expect("queued");
+        // Flushing request 4 fails; the read that follows still runs.
+        assert_eq!(client.wait(2).expect("readable").id, 2);
+        assert_eq!(client.wait(1).expect("stashed").id, 1);
+        assert_eq!(client.wait(3).expect("readable").id, 3);
+        // The request that never left surfaces as the connection's end.
+        assert!(matches!(client.wait(lost), Err(PrismError::Disconnected)));
+        assert!(
+            matches!(client.flush(), Ok(())),
+            "nothing is queued any more"
+        );
+        client.send(&put(5)).expect("queued");
+        assert!(matches!(client.flush(), Err(PrismError::Disconnected)));
+    }
+
+    /// `wait` for an id whose answer was already handed out, on a live
+    /// connection: an error, not an endless read. Runs on a thread the
+    /// test can give up on, so hanging is a failure rather than a hang.
+    #[test]
+    fn waiting_again_for_an_answered_id_is_a_protocol_error() {
+        let (client_conn, mut server_conn) = duplex_pair("c", "s");
+        server_conn
+            .writer
+            .write_all(&acks(&[1, 2]))
+            .expect("the pipe is open");
+        let (verdicts, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut client = NetClient::new(client_conn);
+            let ids = [1, 2].map(|id| client.send(&put(id)).expect("send"));
+            // Taken off the wire, then taken out of the stash.
+            let first = [ids[1], ids[0]].map(|id| client.wait(id).map(|response| response.id));
+            let again = ids.map(|id| client.wait(id).map(|response| response.id));
+            let _ = verdicts.send((first, again));
+        });
+        let (first, again) = outcome
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a wait that cannot be answered must return, not read forever");
+        assert_eq!(first.map(|id| id.expect("answered")), [2, 1]);
+        for (id, refused) in (1..).zip(again) {
+            match refused {
+                Err(PrismError::Protocol(message)) => {
+                    assert!(message.contains(&format!("id {id} ")), "{message}")
+                }
+                other => panic!("waiting for id {id} again gave {other:?}"),
+            }
+        }
+        drop(server_conn); // alive until here: the reads would have blocked
     }
 }

@@ -22,11 +22,20 @@
 //!   check the window. It wakes the writer only when nobody else will:
 //!   the ticket had already completed when it was registered, the answer
 //!   needed no ticket (a refusal, a pong), or reading is over.
-//! * An **executor** that completes a ticket unparks the thread
-//!   registered on it — the writer. Registration happens after the
-//!   ticket is in the in-flight list and reports an already-finished
-//!   request (checked under the lock the executor publishes under), so a
-//!   completion racing it is seen by one side or the other, never lost.
+//! * An **executor** that completes a ticket publishes the result at
+//!   once and owes the thread registered on it — the writer — an unpark,
+//!   which it delivers when it finds its ready list empty, or after one
+//!   pass over the partition queues at the latest
+//!   ([`WakeList`](prism_types::WakeList)): with an idle executor that
+//!   is right after the request, under backlog one unpark carries every
+//!   answer of the pass. Still never lost: the state changes before the
+//!   wake is even collected, the executor fires what it holds before it
+//!   waits for work, and the list fires when dropped, so an executor
+//!   that unwinds mid-pass wakes its writers too. Registration happens
+//!   after the ticket is in the in-flight list and reports an
+//!   already-finished request (checked under the lock the executor
+//!   publishes under), so a completion racing it is seen by one side or
+//!   the other.
 //! * The **writer** parks. On each wake it takes the lock once, polls
 //!   the in-flight tickets, encodes everything that finished into the
 //!   connection's out-buffer, swaps that buffer for its own (empty) one,

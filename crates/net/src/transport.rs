@@ -28,8 +28,8 @@ pub struct Conn {
     /// The sending half. Writes fail with [`io::ErrorKind::BrokenPipe`]
     /// once the peer's reader is gone.
     pub writer: Box<dyn Write + Send>,
-    closer: ReadCloser,
-    peer: String,
+    pub(crate) closer: ReadCloser,
+    pub(crate) peer: String,
 }
 
 impl Conn {
@@ -272,8 +272,10 @@ struct PipeState {
     buf: VecDeque<u8>,
     writer_closed: bool,
     reader_closed: bool,
-    /// The reader is blocked on `cv`; a write into a pipe nobody waits
-    /// on signals nobody.
+    /// The reader is blocked on `cv` and no write has signalled it yet:
+    /// set by the reader before it waits, cleared by the write that
+    /// signals, so neither a write into a pipe nobody waits on nor a
+    /// second write before the reader has run signals anybody.
     reader_waiting: bool,
 }
 
@@ -354,7 +356,7 @@ impl Write for PipeWriter {
             ));
         }
         state.buf.extend(buf);
-        let wake = state.reader_waiting && !buf.is_empty();
+        let wake = !buf.is_empty() && std::mem::take(&mut state.reader_waiting);
         drop(state);
         if wake {
             self.pipe.cv.notify_all();

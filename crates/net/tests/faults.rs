@@ -124,6 +124,7 @@ fn disconnect_with_requests_in_flight_leaks_no_tickets_or_pins() {
         batch.put(Key::from_id(2_000 + id), Value::filled(16, id as u8));
     }
     victim.send(&Request::Batch { batch }).expect("send batch");
+    victim.flush().expect("flush: `send` only queues");
     drop(victim); // mid-batch, mid-everything: both pipes tear down
 
     // Quiescent means: the victim's connection is torn down (counted only
@@ -437,6 +438,7 @@ fn graceful_shutdown_acks_in_flight_and_refuses_stragglers() {
                 .expect("send")
         })
         .collect();
+    submitter.flush().expect("flush: `send` only queues");
     // Let the server ingest the whole pipeline before draining, so every
     // request is genuinely in flight when shutdown begins.
     wait_until("the server to ingest all frames", || {

@@ -3,19 +3,44 @@
 //! PrismDB uses it (sharded, in `prism-db`) to stand in for the OS page
 //! cache the paper relies on (§4.1); the LSM baseline uses it for RocksDB's
 //! block cache and the optional NVM second-level cache.
+//!
+//! Recency is a doubly linked list threaded through a `Vec` of nodes by
+//! index (`newer` / `older`), with the slots of removed nodes chained into
+//! a free list; a `HashMap<Key, u32>` finds a key's node. A hit unlinks
+//! one node and relinks it at the newest end — no allocation, no key
+//! clone — and eviction walks from the oldest end, so the order is exact
+//! LRU.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::{Key, Value};
+
+/// "No node": the end of the recency list or of the free list.
+const NIL: u32 = u32::MAX;
+
+#[derive(Debug)]
+struct Node {
+    key: Key,
+    value: Value,
+    /// The next more recently used node; for a free slot, unused.
+    newer: u32,
+    /// The next less recently used node; for a free slot, the next free
+    /// slot.
+    older: u32,
+}
 
 /// Byte-bounded least-recently-used object cache.
 #[derive(Debug)]
 pub struct LruCache {
     capacity_bytes: u64,
     used_bytes: u64,
-    tick: u64,
-    entries: HashMap<Key, (Value, u64)>,
-    order: BTreeMap<u64, Key>,
+    /// Where each cached key's node sits in `nodes`.
+    slots: HashMap<Key, u32>,
+    nodes: Vec<Node>,
+    /// Head of the free-slot chain (linked through `older`).
+    free: u32,
+    newest: u32,
+    oldest: u32,
     hits: u64,
     misses: u64,
 }
@@ -26,9 +51,11 @@ impl LruCache {
         LruCache {
             capacity_bytes,
             used_bytes: 0,
-            tick: 0,
-            entries: HashMap::new(),
-            order: BTreeMap::new(),
+            slots: HashMap::new(),
+            nodes: Vec::new(),
+            free: NIL,
+            newest: NIL,
+            oldest: NIL,
             hits: 0,
             misses: 0,
         }
@@ -36,12 +63,12 @@ impl LruCache {
 
     /// Number of cached objects.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// Bytes of cached values.
@@ -59,17 +86,53 @@ impl LruCache {
         self.misses
     }
 
+    /// Take node `at` out of the recency list (its own links go stale).
+    fn unlink(&mut self, at: u32) {
+        let node = &self.nodes[at as usize];
+        let (newer, older) = (node.newer, node.older);
+        match newer {
+            NIL => self.newest = older,
+            newer => self.nodes[newer as usize].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            older => self.nodes[older as usize].newer = newer,
+        }
+    }
+
+    /// Put node `at` at the most recently used end.
+    fn link_newest(&mut self, at: u32) {
+        let below = std::mem::replace(&mut self.newest, at);
+        let node = &mut self.nodes[at as usize];
+        node.newer = NIL;
+        node.older = below;
+        match below {
+            NIL => self.oldest = at,
+            below => self.nodes[below as usize].newer = at,
+        }
+    }
+
+    /// Unlink node `at`, drop its value and chain its slot into the free
+    /// list. The caller has already taken its key out of `slots`.
+    fn release(&mut self, at: u32) {
+        self.unlink(at);
+        let node = &mut self.nodes[at as usize];
+        self.used_bytes -= node.value.len() as u64;
+        node.value = Value::empty();
+        node.older = self.free;
+        self.free = at;
+    }
+
     /// Look up a key, refreshing its recency on a hit.
     pub fn get(&mut self, key: &Key) -> Option<Value> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(key) {
-            Some((value, last)) => {
-                self.order.remove(last);
-                *last = tick;
-                self.order.insert(tick, key.clone());
+        match self.slots.get(key) {
+            Some(&at) => {
+                if self.newest != at {
+                    self.unlink(at);
+                    self.link_newest(at);
+                }
                 self.hits += 1;
-                Some(value.clone())
+                Some(self.nodes[at as usize].value.clone())
             }
             None => {
                 self.misses += 1;
@@ -81,7 +144,7 @@ impl LruCache {
     /// True if `key` is cached; neither recency nor the hit/miss counters
     /// move.
     pub fn contains(&self, key: &Key) -> bool {
-        self.entries.contains_key(key)
+        self.slots.contains_key(key)
     }
 
     /// Insert or refresh a key. An object larger than the whole cache is
@@ -92,34 +155,50 @@ impl LruCache {
         if self.capacity_bytes == 0 || size > self.capacity_bytes {
             return;
         }
-        while self.used_bytes + size > self.capacity_bytes {
-            let Some((&oldest_tick, _)) = self.order.iter().next() else {
-                break;
-            };
-            let oldest_key = self.order.remove(&oldest_tick).expect("tick present");
-            if let Some((old_value, _)) = self.entries.remove(&oldest_key) {
-                self.used_bytes -= old_value.len() as u64;
-            }
+        while self.used_bytes + size > self.capacity_bytes && self.oldest != NIL {
+            let victim = self.oldest;
+            self.slots.remove(&self.nodes[victim as usize].key);
+            self.release(victim);
         }
-        self.tick += 1;
         self.used_bytes += size;
-        self.order.insert(self.tick, key.clone());
-        self.entries.insert(key, (value, self.tick));
+        let node = Node {
+            key: key.clone(),
+            value,
+            newer: NIL,
+            older: NIL,
+        };
+        let at = match self.free {
+            NIL => {
+                let at = self.nodes.len();
+                assert!(at < NIL as usize, "fewer than 2^32 - 1 cached objects");
+                self.nodes.push(node);
+                at as u32
+            }
+            at => {
+                self.free = self.nodes[at as usize].older;
+                self.nodes[at as usize] = node;
+                at
+            }
+        };
+        self.link_newest(at);
+        self.slots.insert(key, at);
     }
 
     /// Remove a key (called on updates and deletes to keep the cache
     /// consistent with the store).
     pub fn remove(&mut self, key: &Key) {
-        if let Some((value, tick)) = self.entries.remove(key) {
-            self.order.remove(&tick);
-            self.used_bytes -= value.len() as u64;
+        if let Some(at) = self.slots.remove(key) {
+            self.release(at);
         }
     }
 
     /// Drop everything (used when simulating a crash).
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+        self.slots.clear();
+        self.nodes.clear();
+        self.free = NIL;
+        self.newest = NIL;
+        self.oldest = NIL;
         self.used_bytes = 0;
     }
 }
@@ -197,5 +276,110 @@ mod tests {
         let mut disabled = LruCache::new(0);
         disabled.insert(key(1), Value::filled(1, 1));
         assert!(disabled.is_empty());
+    }
+
+    /// The cache's keys from least to most recently used, walked through
+    /// the links (so a broken link shows as a wrong or endless walk).
+    fn keys_oldest_first(cache: &LruCache) -> Vec<Key> {
+        let mut keys = Vec::new();
+        let (mut at, mut below) = (cache.oldest, NIL);
+        while at != NIL {
+            let node = &cache.nodes[at as usize];
+            assert_eq!(node.older, below, "back link of node {at}");
+            assert!(keys.len() < cache.len(), "the recency list has a cycle");
+            keys.push(node.key.clone());
+            (at, below) = (node.newer, at);
+        }
+        assert_eq!(cache.newest, below);
+        keys
+    }
+
+    /// Seeded random gets, inserts (fitting, replacing, oversized),
+    /// removes and the odd clear against a `VecDeque` kept in recency
+    /// order: the same hit or miss, the same evictions, the same
+    /// `used_bytes` and the same order after every step.
+    #[test]
+    fn matches_a_recency_queue_model_step_by_step() {
+        use std::collections::VecDeque;
+        for (seed, capacity, universe) in [(1u64, 1_000u64, 24u64), (2, 4_096, 64), (3, 300, 8)] {
+            let mut state = seed;
+            let mut next = move || {
+                // splitmix64
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            let mut cache = LruCache::new(capacity);
+            // Front is the least recently used.
+            let mut model: VecDeque<(Key, Value)> = VecDeque::new();
+            let (mut hits, mut misses) = (0u64, 0u64);
+            for step in 0..20_000u32 {
+                let k = key(next() % universe);
+                let at = model.iter().position(|(cached, _)| *cached == k);
+                match next() % 100 {
+                    0..=44 => {
+                        let expected = at.map(|at| {
+                            let entry = model.remove(at).expect("position is in range");
+                            model.push_back(entry.clone());
+                            entry.1
+                        });
+                        match &expected {
+                            Some(_) => hits += 1,
+                            None => misses += 1,
+                        }
+                        assert_eq!(cache.get(&k), expected, "seed {seed} step {step}");
+                    }
+                    45..=84 => {
+                        // One insert in sixteen does not fit the cache at all.
+                        let len = match next() % 16 {
+                            0 => capacity + 1 + next() % 64,
+                            _ => next() % (capacity / 3),
+                        };
+                        let value = Value::filled(len as usize, next() as u8);
+                        if let Some(at) = at {
+                            model.remove(at);
+                        }
+                        if len <= capacity {
+                            let used = |model: &VecDeque<(Key, Value)>| {
+                                model.iter().map(|(_, v)| v.len() as u64).sum::<u64>()
+                            };
+                            while used(&model) + len > capacity {
+                                model.pop_front().expect("an over-full model is non-empty");
+                            }
+                            model.push_back((k.clone(), value.clone()));
+                        }
+                        cache.insert(k, value);
+                    }
+                    85..=98 => {
+                        if let Some(at) = at {
+                            model.remove(at);
+                        }
+                        cache.remove(&k);
+                    }
+                    _ => {
+                        if next() % 8 == 0 {
+                            model.clear();
+                            cache.clear();
+                        }
+                    }
+                }
+                let model_keys: Vec<Key> = model.iter().map(|(k, _)| k.clone()).collect();
+                assert_eq!(
+                    keys_oldest_first(&cache),
+                    model_keys,
+                    "seed {seed} step {step}"
+                );
+                let used: u64 = model.iter().map(|(_, v)| v.len() as u64).sum();
+                assert_eq!(cache.used_bytes(), used, "seed {seed} step {step}");
+                assert_eq!(cache.len(), model.len());
+                assert_eq!((cache.hits(), cache.misses()), (hits, misses));
+                assert!(
+                    cache.nodes.len() as u64 <= universe,
+                    "freed slots are reused"
+                );
+            }
+        }
     }
 }

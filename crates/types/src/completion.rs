@@ -28,6 +28,21 @@
 //! `Completion`) wakes exactly like completing it. Nobody sleeps on a
 //! timer.
 //!
+//! # Deferred wakes
+//!
+//! An unpark is a system call, and a producer that finishes many
+//! requests in one pass usually finishes several for the same waiter.
+//! [`Completion::complete_deferred`] publishes the result exactly as
+//! [`Completion::complete`] does — a `poll`, an `is_done` or a
+//! `register` that runs afterwards sees it — but *returns* the waiter
+//! instead of unparking it; the producer collects those in a
+//! [`WakeList`], which keeps one entry per thread, and unparks each once
+//! with [`WakeList::fire`] when its pass ends. Nothing can be lost by the
+//! delay: the state changed before the waiter was handed over, whoever
+//! looks in the meantime finds the result, and the list fires when it is
+//! dropped, so a producer that unwinds mid-pass still wakes everyone it
+//! owes.
+//!
 //! # Example
 //!
 //! ```
@@ -193,7 +208,19 @@ fn pair_with_gauge<T>(gauge: Option<TicketGauge>) -> (Completion<T>, Ticket<T>) 
 impl<T> Completion<T> {
     /// Deliver the result and unpark the ticket's waiter, if one is
     /// named (see [`Ticket::wait`] and [`Ticket::register`]).
-    pub fn complete(mut self, value: T) {
+    pub fn complete(self, value: T) {
+        if let Some(thread) = self.complete_deferred(value) {
+            thread.unpark();
+        }
+    }
+
+    /// Deliver the result like [`Completion::complete`], but hand the
+    /// ticket's waiter (if one is named) back instead of unparking it.
+    /// The caller owes that thread an unpark — normally by pushing it
+    /// onto a [`WakeList`] — and may batch it with others; the result is
+    /// visible to `poll` / `is_done` / `register` from this call on.
+    #[must_use = "the returned waiter is parked until somebody unparks it"]
+    pub fn complete_deferred(mut self, value: T) -> Option<Thread> {
         self.completed = true;
         // Decrement before publishing the value: anything downstream of
         // the result (a polled ticket, a wire response built from it)
@@ -202,14 +229,44 @@ impl<T> Completion<T> {
         if let Some(gauge) = self.gauge.take() {
             gauge.decr();
         }
-        let waiter = {
-            let mut state = self.inner.lock();
-            state.value = Some(value);
-            state.waiter.take()
-        };
-        if let Some(thread) = waiter {
+        let mut state = self.inner.lock();
+        state.value = Some(value);
+        state.waiter.take()
+    }
+}
+
+/// Threads owed an unpark, one entry per thread however many of its
+/// tickets completed: what a producer collects from
+/// [`Completion::complete_deferred`] over one pass and [fires](Self::fire)
+/// at the end of it. Dropping the list fires it, so an early return or a
+/// panic between two completions cannot strand a waiter.
+#[derive(Debug, Default)]
+pub struct WakeList {
+    threads: Vec<Thread>,
+}
+
+impl WakeList {
+    /// Owe `waiter` an unpark (once, however often it is pushed before
+    /// the next [`WakeList::fire`]). Takes what
+    /// [`Completion::complete_deferred`] returns as it is.
+    pub fn push(&mut self, waiter: Option<Thread>) {
+        let Some(thread) = waiter else { return };
+        if !self.threads.iter().any(|held| held.id() == thread.id()) {
+            self.threads.push(thread);
+        }
+    }
+
+    /// Unpark every collected thread and empty the list.
+    pub fn fire(&mut self) {
+        for thread in self.threads.drain(..) {
             thread.unpark();
         }
+    }
+}
+
+impl Drop for WakeList {
+    fn drop(&mut self) {
+        self.fire();
     }
 }
 
@@ -524,5 +581,98 @@ mod tests {
         completion.complete(9);
         assert_eq!(ticket.poll(), Some(9));
         assert!(ticket.poll().is_none());
+    }
+
+    /// True if an unpark is pending for the calling thread (consumes
+    /// it): with the token set `park_timeout` returns at once, without
+    /// it the timeout runs out.
+    fn take_park_token() -> bool {
+        let wait = std::time::Duration::from_millis(20);
+        let parked_at = std::time::Instant::now();
+        std::thread::park_timeout(wait);
+        parked_at.elapsed() < wait
+    }
+
+    #[test]
+    fn a_deferred_completion_is_published_at_once_and_hands_its_waiter_over_once() {
+        let (completion, mut ticket) = completion_pair();
+        assert!(!ticket.register(std::thread::current()));
+        let waiter = completion
+            .complete_deferred(7u8)
+            .expect("the registered waiter");
+        assert_eq!(waiter.id(), std::thread::current().id());
+        // Handed over, not kept: nobody else can be given the same wake.
+        assert!(ticket.inner.lock().waiter.is_none());
+        // Visible to every way of looking, and no unpark has happened.
+        assert!(ticket.is_done());
+        assert!(ticket.register(std::thread::current()));
+        assert!(!take_park_token());
+        assert_eq!(ticket.poll(), Some(7));
+        // The wake is the caller's to deliver.
+        waiter.unpark();
+        assert!(take_park_token());
+        // Without a waiter there is nothing to hand over.
+        let (completion, ticket) = completion_pair();
+        assert!(completion.complete_deferred(8u8).is_none());
+        assert_eq!(ticket.wait(), 8);
+    }
+
+    #[test]
+    fn a_registration_racing_a_deferred_completion_is_seen_by_exactly_one_side() {
+        for round in 0..2_000u32 {
+            let (completion, mut ticket) = completion_pair();
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let producer = {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    completion.complete_deferred(round)
+                })
+            };
+            start.wait();
+            let already_done = ticket.register(std::thread::current());
+            let handed_over = producer.join().expect("producer");
+            // Either the producer was handed the waiter (and owes the
+            // unpark) or the registration saw the result — never both,
+            // never neither.
+            assert_ne!(handed_over.is_some(), already_done, "round {round}");
+            assert_eq!(ticket.poll(), Some(round));
+        }
+    }
+
+    #[test]
+    fn a_wake_list_unparks_each_thread_once_per_fire() {
+        let mut wakes = WakeList::default();
+        let mut tickets = Vec::new();
+        for value in 0..5u8 {
+            let (completion, ticket) = completion_pair();
+            assert!(!ticket.register(std::thread::current()));
+            wakes.push(completion.complete_deferred(value));
+            tickets.push(ticket);
+        }
+        wakes.push(None);
+        assert_eq!(wakes.threads.len(), 1, "one entry per thread");
+        assert!(!take_park_token(), "nothing fires before `fire`");
+        wakes.fire();
+        assert!(wakes.threads.is_empty());
+        assert!(take_park_token());
+        for (value, ticket) in (0..).zip(tickets) {
+            assert_eq!(ticket.wait(), value);
+        }
+    }
+
+    #[test]
+    fn a_wake_list_dropped_by_an_unwinding_producer_still_unparks() {
+        let (completion, mut ticket) = completion_pair();
+        assert!(!ticket.register(std::thread::current()));
+        let producer = std::thread::spawn(move || {
+            let mut wakes = WakeList::default();
+            wakes.push(completion.complete_deferred(3u8));
+            // Not `panic!`: same unwind, no message in the test output.
+            std::panic::resume_unwind(Box::new("mid-pass"));
+        });
+        assert!(producer.join().is_err());
+        assert!(take_park_token(), "the unwinding drop fired the list");
+        assert_eq!(ticket.poll(), Some(3));
     }
 }

@@ -44,7 +44,9 @@ mod value;
 
 pub use batch::{BatchOp, WriteBatch};
 pub use cache::LruCache;
-pub use completion::{completion_pair, completion_pair_gauged, Completion, Ticket, TicketGauge};
+pub use completion::{
+    completion_pair, completion_pair_gauged, Completion, Ticket, TicketGauge, WakeList,
+};
 pub use concurrent::{ConcurrentKvStore, MutexKv};
 pub use error::{PrismError, Result};
 pub use key::Key;
