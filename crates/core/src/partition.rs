@@ -54,7 +54,7 @@ use prism_compaction::{
     msc_score, BucketMap, CompactionJob, CompactionPlanner, CompactionPolicy, DemoteEntry,
     ExecutedJob, JobKind, MergedOrigin, RangeStatsBuilder, ReadTriggeredController,
 };
-use prism_flash::{Manifest, SortedLog, SstBuilder, SstEntry, SstFile};
+use prism_flash::{LogPosition, Manifest, SortedLog, SstBuilder, SstEntry, SstFile};
 use prism_index::FastIndex;
 use prism_nvm::{NvmAddress, SlabConfig, SlabStore};
 use prism_storage::{CpuCosts, Device, FaultOp, FaultPlan, FaultTier, TieredStorage};
@@ -179,7 +179,9 @@ enum ScrubCursor {
 /// One partition's resumable position in a scan. The engine's merge owns
 /// one per partition it visits and lends it to [`Partition::scan_pull`]
 /// under a short read lock; no lock is held between pulls, so the cursor
-/// resumes by key. The scan's pinned sequence makes that consistent: a
+/// resumes by key, the frontier — and, while the flash log's file list
+/// stands, by its position in that log instead of a second search for the
+/// same key. The scan's pinned sequence makes that consistent: a
 /// key's version at the pin is the same whenever, and in whichever tier,
 /// it is looked up, and a key written after the pin is invisible to it.
 #[derive(Debug, Default)]
@@ -187,6 +189,11 @@ pub(crate) struct ScanCursor {
     /// Lower bound of this partition's keys not yet examined; `None` once
     /// there are none.
     frontier: Option<Key>,
+    /// Where the flash log's first entry at or above the frontier was when
+    /// the cursor was parked: always `log.seek(frontier)` of that moment,
+    /// so the next pull takes it instead of seeking. The log refuses it
+    /// once a compaction, scrub rebuild or recovery has changed the list.
+    flash: Option<LogPosition>,
     /// Consumption so far, charged once by [`Partition::scan_charge`].
     resolved: u64,
     emitted: u64,
@@ -1220,19 +1227,24 @@ impl Partition {
             return;
         };
         let mut nvm = self.index.range_from(&start).peekable();
-        let mut flash = self.log.range_from(&start).peekable();
+        let mut flash = self.log.resume(cursor.flash.take(), &start);
         let mut hist = self.history.range::<Key, _>(&start..).peekable();
         loop {
+            let on_flash = self.log.entry_at(&mut flash);
             let heads = [
                 nvm.peek().map(|(k, _)| *k),
-                flash.peek().map(|e| &e.0),
+                on_flash.map(|e| &e.0),
                 hist.peek().map(|(k, _)| *k),
             ];
             let Some(key) = heads.into_iter().flatten().min() else {
                 return;
             };
             if out.len() >= limit || bound.is_some_and(|b| key > b) {
+                // Every flash entry taken so far was below `key` and the
+                // flash head is not: `flash` is where a seek of the new
+                // frontier would land.
                 cursor.frontier = Some(key.clone());
+                cursor.flash = Some(flash);
                 return;
             }
             cursor.resolved += 1;
@@ -1255,7 +1267,8 @@ impl Partition {
                     }
                 }
             }
-            if let Some((_, entry)) = flash.next_if(|e| &e.0 == key) {
+            if let Some((_, entry)) = on_flash.filter(|e| &e.0 == key) {
+                flash.advance();
                 if on_nvm.is_none() {
                     if entry.verify() {
                         if let Some(v) = &entry.value {
@@ -1322,7 +1335,7 @@ impl Partition {
             }
             return vec![(Key::min(), Key::from_id(u64::MAX))];
         }
-        let files = self.log.files();
+        let fences = self.log.fences();
         let width = self.options.compaction.range_width_files.max(1);
         let mut ranges = Vec::new();
         // Chain the ranges so together they cover the entire key space:
@@ -1330,13 +1343,13 @@ impl Partition {
         // the range on their left and can still be demoted.
         let mut prev_end = Key::min();
         let mut i = 0;
-        while i < files.len() {
-            let window_end = (i + width).min(files.len());
+        while i < fences.len() {
+            let window_end = (i + width).min(fences.len());
             let start = prev_end.clone();
-            let end = if window_end >= files.len() {
+            let end = if window_end >= fences.len() {
                 Key::from_id(u64::MAX)
             } else {
-                files[window_end - 1].max_key().clone()
+                fences[window_end - 1].clone()
             };
             prev_end = end.clone();
             ranges.push((start, end));
@@ -2365,6 +2378,80 @@ mod tests {
             let want = Value::filled(1000, (key.id() % 251) as u8);
             assert_eq!(value, &want, "{key:?} must read as of the pin");
         }
+        p.seq.release(pinned);
+    }
+
+    /// While no `install` intervenes a scan seeks the flash log once: every
+    /// park leaves the position where a seek of the new frontier would
+    /// land, so the next pull starts from it. Over keys on NVM only, on
+    /// flash only, on both, and tombstones over either.
+    #[test]
+    fn a_parked_cursor_holds_the_flash_position_a_seek_of_its_frontier_would_find() {
+        let engine = engine(3_000);
+        let mut p = loaded_for_scans(&engine, 3_000);
+        // Among the oldest keys — all on flash — every third is given a
+        // newer NVM version, every seventh a tombstone; so are some of the
+        // newest, which flash never held. A pin before a few more deletes
+        // leaves versions only the history buffer holds.
+        for id in (0..400).chain(2_950..3_000) {
+            if id % 7 == 0 {
+                delete(&engine, &mut p, &Key::from_id(id)).unwrap();
+            } else if id % 3 == 0 {
+                put(&engine, &mut p, Key::from_id(id), Value::filled(300, 3)).unwrap();
+            }
+        }
+        let pinned = p.seq.pin();
+        for id in [5, 6, 2_999] {
+            delete(&engine, &mut p, &Key::from_id(id)).unwrap();
+        }
+        let on = |id: u64| {
+            let key = Key::from_id(id);
+            let flash = p
+                .log
+                .lookup(&key)
+                .is_some_and(|f| f.probe(&key).entry.is_some());
+            (p.index.contains_key(&key), flash)
+        };
+        assert_eq!(on(3), (true, true));
+        assert_eq!(on(4), (false, true));
+        assert_eq!(on(2_998), (true, false));
+        assert!(p.index.get(&Key::from_id(7)).is_some_and(|e| e.tombstone));
+
+        let start = Key::min();
+        let mut whole = Vec::new();
+        p.scan_pull(
+            &mut ScanCursor::new(&start),
+            None,
+            pinned,
+            usize::MAX,
+            &mut whole,
+        );
+        assert!(whole.len() > 2_500 && whole.len() < 3_000);
+
+        let check_park = |cursor: &ScanCursor| match cursor.frontier() {
+            Some(frontier) => assert_eq!(cursor.flash, Some(p.log.seek(frontier)), "{frontier:?}"),
+            None => assert_eq!(cursor.flash, None),
+        };
+        for step in [1, 2, 3, 7] {
+            let mut cursor = ScanCursor::new(&start);
+            let mut entries = Vec::new();
+            while cursor.frontier().is_some() {
+                let limit = entries.len() + step;
+                p.scan_pull(&mut cursor, None, pinned, limit, &mut entries);
+                check_park(&cursor);
+            }
+            assert_eq!(entries, whole, "pulled {step} at a time");
+        }
+        // Parked by a bound instead of the limit, as the engine's merge
+        // parks a cursor whose neighbour's frontier comes next.
+        let mut cursor = ScanCursor::new(&start);
+        let mut entries = Vec::new();
+        for bound in (0..3_010).step_by(5).map(Key::from_id) {
+            p.scan_pull(&mut cursor, Some(&bound), pinned, usize::MAX, &mut entries);
+            check_park(&cursor);
+        }
+        assert_eq!(cursor.frontier(), None);
+        assert_eq!(entries, whole);
         p.seq.release(pinned);
     }
 

@@ -46,7 +46,7 @@ mod sst;
 
 pub use bloom::BloomFilter;
 pub use manifest::Manifest;
-pub use sorted_log::SortedLog;
+pub use sorted_log::{LogPosition, SortedLog};
 pub use sst::{BlockProbe, FileId, SstBuilder, SstEntry, SstFile};
 
 #[cfg(test)]

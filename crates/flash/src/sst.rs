@@ -1,4 +1,26 @@
 //! Sorted String Table (SST) files.
+//!
+//! # Finding a record
+//!
+//! A file's records are `(Key, SstEntry)` pairs 56 bytes apart, so a
+//! binary search over them lands on a new cache line at nearly every step
+//! to read eight bytes of it. The file therefore also keeps [`Key::id`]
+//! of every record — the order-preserving eight-byte prefix — in one
+//! array, eight to a line, and every search ([`SstFile::probe`], `range`,
+//! `count_in_range`, a seek of [`crate::SortedLog`]) goes through the one
+//! `lower_bound` over it. Ids and not keys because an id decides the
+//! search for every fixed-width key and narrows it to the run of records
+//! sharing a prefix for any other; those alone are compared whole, by a
+//! second binary search over the run. The blocks' start offsets sit in an
+//! array of their own for the same reason: a probe names the record
+//! first, then asks which block it falls in.
+//!
+//! Both arrays are search structures of this process. They model nothing
+//! a device stores: the on-NVM metadata a file is charged for
+//! ([`SstFile::metadata_bytes`]) is still the block index — a key and a
+//! handle per block — and the bloom filter, and what a probe costs on
+//! the simulated clock ([`BlockProbe`]) is what the block index
+//! formulation returned, field for field.
 
 use std::sync::Arc;
 
@@ -82,10 +104,10 @@ impl SstEntry {
     }
 }
 
+/// One data block's trailer. Where the block starts is in
+/// [`SstFile::block_starts`], beside its neighbours'.
 #[derive(Debug, Clone)]
 struct BlockMeta {
-    first_key: Key,
-    start: usize,
     len: usize,
     bytes: u64,
     /// CRC32 chaining each record's key (length and bytes) and checksum,
@@ -122,7 +144,12 @@ pub struct BlockProbe {
 pub struct SstFile {
     id: FileId,
     entries: Vec<(Key, SstEntry)>,
+    /// [`Key::id`] of every record, in record order: what
+    /// [`SstFile::lower_bound`] searches.
+    ids: Vec<u64>,
     blocks: Vec<BlockMeta>,
+    /// Index into `entries` of every block's first record, ascending.
+    block_starts: Vec<usize>,
     bloom: BloomFilter,
     total_bytes: u64,
     min_key: Key,
@@ -188,10 +215,14 @@ impl SstFile {
     pub fn verify_integrity(&self) -> bool {
         self.footer_checksum
             == SstFile::compute_footer_checksum(self.id, self.total_bytes, &self.blocks)
-            && self.blocks.iter().all(|block| {
-                let slice = &self.entries[block.start..block.start + block.len];
-                SstFile::compute_block_checksum(slice) == block.checksum
-            })
+            && self
+                .blocks
+                .iter()
+                .zip(&self.block_starts)
+                .all(|(block, start)| {
+                    let slice = &self.entries[*start..][..block.len];
+                    SstFile::compute_block_checksum(slice) == block.checksum
+                })
             && self.corrupt_keys().is_empty()
     }
 
@@ -225,44 +256,62 @@ impl SstFile {
         self.min_key() <= end && self.max_key() >= start
     }
 
-    /// Probe the file for `key`: bloom filter, then block index, then a
-    /// binary search within the data block.
-    pub fn probe(&self, key: &Key) -> BlockProbe {
-        if !self.bloom.may_contain(key) {
-            return BlockProbe {
-                entry: None,
-                may_contain: false,
-                data_block_bytes: 0,
-                corrupt: false,
-            };
-        }
-        // Find the block whose first key is <= key.
-        let block_idx = match self.blocks.partition_point(|b| &b.first_key <= key) {
-            0 => {
-                return BlockProbe {
-                    entry: None,
-                    may_contain: true,
-                    data_block_bytes: 0,
-                    corrupt: false,
-                }
-            }
-            n => n - 1,
+    /// Index of the first record with a key `>= key` (`len()` if none).
+    ///
+    /// A binary search over the contiguous ids; only the records sharing
+    /// the key's eight-byte prefix are compared by whole key, and those by
+    /// binary search too, so long keys with a common prefix stay
+    /// logarithmic.
+    pub(crate) fn lower_bound(&self, key: &Key) -> usize {
+        let id = key.id();
+        let lo = self.ids.partition_point(|&other| other < id);
+        let tail = &self.ids[lo..];
+        // Fixed-width keys have at most one record to an id: look one
+        // record ahead before searching for the end of a longer run.
+        let shared = if tail.get(1) == Some(&id) {
+            tail.partition_point(|&other| other == id)
+        } else {
+            usize::from(tail.first() == Some(&id))
         };
-        let block = &self.blocks[block_idx];
-        let slice = &self.entries[block.start..block.start + block.len];
-        let entry = slice
-            .binary_search_by(|(k, _)| k.cmp(key))
-            .ok()
-            .map(|i| slice[i].1.clone());
+        lo + self.entries[lo..lo + shared].partition_point(|(k, _)| k < key)
+    }
+
+    /// Index one past the last record with a key `<= key`.
+    fn upper_bound(&self, key: &Key) -> usize {
+        let at = self.lower_bound(key);
+        at + usize::from(self.entries.get(at).is_some_and(|(k, _)| k == key))
+    }
+
+    /// Probe the file for `key`: bloom filter, then the record search,
+    /// then the block index for the data block a device would have read —
+    /// the one holding the last record at or below `key`.
+    pub fn probe(&self, key: &Key) -> BlockProbe {
+        let mut probe = BlockProbe {
+            entry: None,
+            may_contain: self.bloom.may_contain(key),
+            data_block_bytes: 0,
+            corrupt: false,
+        };
+        if !probe.may_contain {
+            return probe;
+        }
+        let at = self.lower_bound(key);
+        let found = self.entries.get(at).filter(|(k, _)| k == key);
+        let last = match found {
+            Some(_) => at,
+            // Below the first key: no block to read.
+            None if at == 0 => return probe,
+            None => at - 1,
+        };
+        let block = self.block_starts.partition_point(|&start| start <= last) - 1;
+        probe.data_block_bytes = self.blocks[block].bytes;
         // Verify the record before serving it: a failed checksum is
         // reported as corruption, never returned as data.
-        let corrupt = entry.as_ref().map(|e| !e.verify()).unwrap_or(false);
-        BlockProbe {
-            entry: if corrupt { None } else { entry },
-            may_contain: true,
-            data_block_bytes: block.bytes,
-            corrupt,
+        if let Some((_, entry)) = found {
+            probe.corrupt = !entry.verify();
+            probe.entry = (!probe.corrupt).then(|| entry.clone());
         }
+        probe
     }
 
     /// Iterate over all entries in key order.
@@ -270,24 +319,23 @@ impl SstFile {
         self.entries.iter()
     }
 
-    /// The entries with keys `>= start`, in key order: one binary search,
-    /// nothing copied.
-    pub fn tail_from(&self, start: &Key) -> &[(Key, SstEntry)] {
-        &self.entries[self.entries.partition_point(|(k, _)| k < start)..]
+    /// All entries in key order, for [`crate::SortedLog`] to index by
+    /// position.
+    pub(crate) fn entries(&self) -> &[(Key, SstEntry)] {
+        &self.entries
     }
 
     /// Iterate over entries with keys in `[start, end]` (inclusive).
     pub fn range(&self, start: &Key, end: &Key) -> impl Iterator<Item = &(Key, SstEntry)> {
-        let tail = self.tail_from(start);
-        tail[..tail.partition_point(|(k, _)| k <= end)].iter()
+        let lo = self.lower_bound(start);
+        self.entries[lo..self.upper_bound(end).max(lo)].iter()
     }
 
     /// Number of entries with keys in `[start, end]` (inclusive), without
     /// iterating.
     pub fn count_in_range(&self, start: &Key, end: &Key) -> usize {
-        let lo = self.entries.partition_point(|(k, _)| k < start);
-        let hi = self.entries.partition_point(|(k, _)| k <= end);
-        hi - lo
+        self.upper_bound(end)
+            .saturating_sub(self.lower_bound(start))
     }
 }
 
@@ -389,7 +437,9 @@ impl SstBuilder {
             }
         }
 
+        let ids = entries.iter().map(|(key, _)| key.id()).collect();
         let mut blocks = Vec::new();
+        let mut block_starts = Vec::new();
         let mut block_start = 0usize;
         let mut block_bytes = 0u64;
         let mut bloom = BloomFilter::new(entries.len(), 10);
@@ -398,9 +448,8 @@ impl SstBuilder {
             let sz = entry.encoded_size(key) as u64;
             if block_bytes + sz > BLOCK_SIZE as u64 && i > block_start {
                 let slice = &entries[block_start..i];
+                block_starts.push(block_start);
                 blocks.push(BlockMeta {
-                    first_key: entries[block_start].0.clone(),
-                    start: block_start,
                     len: i - block_start,
                     bytes: block_bytes,
                     checksum: SstFile::compute_block_checksum(slice),
@@ -411,9 +460,8 @@ impl SstBuilder {
             block_bytes += sz;
         }
         let tail = &entries[block_start..];
+        block_starts.push(block_start);
         blocks.push(BlockMeta {
-            first_key: entries[block_start].0.clone(),
-            start: block_start,
             len: entries.len() - block_start,
             bytes: block_bytes,
             checksum: SstFile::compute_block_checksum(tail),
@@ -428,7 +476,9 @@ impl SstBuilder {
             SstFile {
                 id: self.id,
                 entries,
+                ids,
                 blocks,
+                block_starts,
                 bloom,
                 total_bytes,
                 min_key,
@@ -647,6 +697,190 @@ mod tests {
             }
         }
         assert!(SstEntry::tombstone(4).verify());
+    }
+
+    /// Deterministic bytes for the key sets below (splitmix64).
+    fn seeded(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    /// The adversarial key set of `key.rs`' tests — every length 0..=64,
+    /// so both representations and the boundary between them, half of
+    /// them over the alphabet {00, 01, FF} so that keys differ by length,
+    /// by a trailing zero or past the eighth byte — plus three families
+    /// that share a whole eight-byte prefix (one id, up to 31 keys) under
+    /// suffixes of every length 0..=30. Sorted, distinct.
+    fn adversarial_keys() -> Vec<Key> {
+        let narrow = |bytes: &mut Vec<u8>| {
+            for b in bytes {
+                *b = [0x00, 0x01, 0xFF][*b as usize % 3];
+            }
+        };
+        let mut pool = Vec::new();
+        for round in 0..6u64 {
+            for len in 0..=64usize {
+                let mut bytes = seeded(round * 1_000 + len as u64, len);
+                if round % 2 == 0 {
+                    narrow(&mut bytes);
+                }
+                pool.push(bytes);
+            }
+        }
+        for (family, prefix) in [[0u8; 8], *b"user1234", [0xFF; 8]].iter().enumerate() {
+            for len in 0..=30usize {
+                let mut suffix = seeded(7_000 + 100 * family as u64 + len as u64, len);
+                narrow(&mut suffix);
+                pool.push([&prefix[..], &suffix].concat());
+            }
+        }
+        let mut keys: Vec<Key> = pool.into_iter().map(Key::from_bytes).collect();
+        keys.sort();
+        keys.dedup();
+        keys
+    }
+
+    /// The keys next to `key`: itself, its immediate successor, and two
+    /// keys just below it.
+    fn neighbours(key: &Key) -> Vec<Key> {
+        let bytes = key.as_bytes();
+        let mut near = vec![key.clone(), Key::from_bytes([bytes, &[0]].concat())];
+        if let Some((last, head)) = bytes.split_last() {
+            near.push(Key::from(head));
+            if *last > 0 {
+                near.push(Key::from_bytes([head, &[last - 1, 0xFF]].concat()));
+            }
+        }
+        near
+    }
+
+    /// `count` of `pool`'s keys, evenly spread, as one file of ~200-byte
+    /// values (so 300 records make many blocks) with one record damaged.
+    fn adversarial_file(pool: &[Key], count: usize) -> SstFile {
+        let mut b = SstBuilder::new(count as u64);
+        // Not the pool's first keys: some samples sort below the file.
+        let spread = pool.iter().skip(5).step_by((pool.len() - 10) / count);
+        for (i, key) in spread.take(count).enumerate() {
+            let entry = match i % 11 {
+                5 => SstEntry::tombstone(i as u64),
+                _ => SstEntry::value(Value::filled(150 + i % 90, i as u8), i as u64),
+            };
+            b.add(key.clone(), entry);
+        }
+        let mut sst = b.finish(&flash()).0;
+        assert_eq!(sst.len(), count);
+        let damaged = count / 2;
+        sst.entries[damaged].1.checksum ^= 1;
+        sst
+    }
+
+    /// `probe` as it was before the id array: the block index searched by
+    /// each block's first key, then the block searched by key. Kept as the
+    /// reference: the simulated clock charges what this returns.
+    fn probe_by_block_index(sst: &SstFile, key: &Key) -> BlockProbe {
+        let absent = |may_contain| BlockProbe {
+            entry: None,
+            may_contain,
+            data_block_bytes: 0,
+            corrupt: false,
+        };
+        if !sst.bloom.may_contain(key) {
+            return absent(false);
+        }
+        let first_key = |start: &usize| &sst.entries[*start].0;
+        let block_idx = match sst.block_starts.partition_point(|s| first_key(s) <= key) {
+            0 => return absent(true),
+            n => n - 1,
+        };
+        let block = &sst.blocks[block_idx];
+        let slice = &sst.entries[sst.block_starts[block_idx]..][..block.len];
+        let entry = slice
+            .binary_search_by(|(k, _)| k.cmp(key))
+            .ok()
+            .map(|i| slice[i].1.clone());
+        let corrupt = entry.as_ref().map(|e| !e.verify()).unwrap_or(false);
+        BlockProbe {
+            entry: if corrupt { None } else { entry },
+            may_contain: true,
+            data_block_bytes: block.bytes,
+            corrupt,
+        }
+    }
+
+    #[test]
+    fn searches_by_id_equal_searches_by_key_on_adversarial_keys() {
+        let pool = adversarial_keys();
+        assert!(pool.len() > 400, "{} distinct keys", pool.len());
+        let (mut false_positives, mut below, mut above, mut corrupt) = (0, 0, 0, 0);
+        for count in [1, 2, 7, 300] {
+            let sst = adversarial_file(&pool, count);
+            assert_eq!(sst.ids.len(), count);
+            if count == 300 {
+                assert!(sst.blocks.len() > 10, "{} blocks", sst.blocks.len());
+                let longest_run = sst.ids.chunk_by(|a, b| a == b).map(<[u64]>::len).max();
+                assert!(longest_run >= Some(10), "ids repeat: {longest_run:?}");
+            }
+            let stored: Vec<Key> = sst.iter().map(|(k, _)| k.clone()).collect();
+            let samples = pool
+                .iter()
+                .cloned()
+                .chain(stored.iter().flat_map(neighbours));
+            for key in samples {
+                let by_key = sst.entries.partition_point(|(k, _)| k < &key);
+                assert_eq!(sst.lower_bound(&key), by_key, "{count} records, {key:?}");
+
+                let (got, want) = (sst.probe(&key), probe_by_block_index(&sst, &key));
+                assert_eq!(got.may_contain, want.may_contain, "{key:?}");
+                assert_eq!(got.corrupt, want.corrupt, "{key:?}");
+                assert_eq!(got.data_block_bytes, want.data_block_bytes, "{key:?}");
+                match (&got.entry, &want.entry) {
+                    (None, None) => {}
+                    (Some(got), Some(want)) => {
+                        assert_eq!(got.value, want.value, "{key:?}");
+                        assert_eq!(got.timestamp, want.timestamp, "{key:?}");
+                        assert_eq!(got.checksum, want.checksum, "{key:?}");
+                    }
+                    _ => panic!("{count} records, {key:?}: {got:?} but {want:?}"),
+                }
+                let is_stored = stored.binary_search(&key).is_ok();
+                assert_eq!(got.entry.is_some() || got.corrupt, is_stored, "{key:?}");
+                false_positives += usize::from(got.may_contain && !is_stored);
+                below += usize::from(&key < sst.min_key());
+                above += usize::from(&key > sst.max_key());
+                corrupt += usize::from(got.corrupt);
+            }
+            // Inclusive ranges between sample keys, in either order.
+            for (start, end) in pool.iter().step_by(7).zip(pool.iter().skip(3).step_by(5)) {
+                let want: Vec<&Key> = stored.iter().filter(|k| *k >= start && *k <= end).collect();
+                let got: Vec<&Key> = sst.range(start, end).map(|(k, _)| k).collect();
+                assert_eq!(got, want, "[{start:?}, {end:?}]");
+                assert_eq!(sst.count_in_range(start, end), want.len());
+            }
+        }
+        // The cases the comparison is there for all occurred.
+        assert!(
+            false_positives > 0 && below > 0 && above > 0 && corrupt >= 4,
+            "{false_positives} false positives, {below} below, {above} above, {corrupt} corrupt"
+        );
+    }
+
+    /// The arrays beside the records model nothing on a device: the
+    /// metadata a file is charged for is its block index and its filter.
+    #[test]
+    fn metadata_bytes_count_the_block_index_and_the_filter_only() {
+        let sst = build_file(&(0..1000).collect::<Vec<_>>());
+        assert_eq!(
+            sst.metadata_bytes(),
+            (sst.blocks.len() * 32 + sst.bloom.size_bytes()) as u64
+        );
     }
 
     #[test]

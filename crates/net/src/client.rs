@@ -350,7 +350,11 @@ impl NetClient {
     }
 
     /// Wait for every pending request, discarding the responses (errors
-    /// and refusals included) — a cheap pipeline barrier.
+    /// and refusals included) — a cheap pipeline barrier. Answers an
+    /// earlier [`Self::wait`] stashed while it read for another id are
+    /// discarded with them: a later `wait` on any id handed out before
+    /// the barrier is the [`PrismError::Protocol`] error of an answer
+    /// already taken.
     ///
     /// # Errors
     ///
@@ -360,6 +364,8 @@ impl NetClient {
         for id in ids {
             let _ = self.wait(id)?;
         }
+        self.received.clear();
+        self.partial_scans.clear();
         Ok(())
     }
 
@@ -719,5 +725,43 @@ mod tests {
             }
         }
         drop(server_conn); // alive until here: the reads would have blocked
+    }
+
+    /// A client that pipelines a window of gets, waits for the last and
+    /// uses `drain` as its barrier: the answers `wait` stashed on the way
+    /// are discarded by the barrier instead of piling up round after round
+    /// (and slowing every later `wait`'s look through the stash).
+    #[test]
+    fn drain_discards_what_earlier_waits_stashed() {
+        const WINDOW: u64 = 64;
+        let (client_conn, mut server_conn) = duplex_pair("c", "s");
+        let mut client = NetClient::new(client_conn);
+        for round in 0..100u64 {
+            // The pipe is unbounded and the client routes by id alone, so
+            // the answers may sit in it before the requests are sent.
+            let first = round * WINDOW + 1;
+            for id in first..first + WINDOW {
+                let body = ResponseBody::Value(Some(Value::filled(1024, id as u8)));
+                let answer = Response::ok(id, opcode::GET, Nanos::ZERO, body);
+                server_conn
+                    .writer
+                    .write_all(&encode_response(&answer).expect("a value fits a frame"))
+                    .expect("the pipe is open");
+            }
+            let mut last = 0;
+            for id in first..first + WINDOW {
+                let key = Key::from_id(id);
+                last = client.send(&Request::Get { key }).expect("send");
+                assert_eq!(last, id);
+            }
+            assert_eq!(client.wait(last).expect("answered").id, last);
+            assert_eq!(client.received.len() as u64, WINDOW - 1, "round {round}");
+            client.drain().expect("nothing left to read for");
+            assert!(client.received.is_empty(), "round {round}");
+            assert!(client.partial_scans.is_empty(), "round {round}");
+            assert_eq!(client.in_flight(), 0);
+            // Discarded means taken: the id is refused, not read for.
+            assert!(matches!(client.wait(first), Err(PrismError::Protocol(_))));
+        }
     }
 }

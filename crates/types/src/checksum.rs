@@ -45,10 +45,13 @@
 //! Deliberately absent: an AArch64 `crc32cx` kernel (no such target is
 //! installed where this is built, so it could not even be compiled, let
 //! alone tested), carry-less-multiply folding (`PCLMULQDQ` / `PMULL`) and
-//! three-stream interleaving of the `crc32` instruction. With the
-//! hardware kernel in place the checksum waits on cold 1 KB values, not on
-//! the instruction's three-cycle latency, so the last two would not pay for
-//! the further kernels to test.
+//! three-stream interleaving of the `crc32` instruction. The one chain is
+//! latency-bound (a three-lane prototype took a 1 KB checksum from 129 to
+//! 46 ns), but what the engine gains from that did not resolve: over ten
+//! alternating pairs against the same tree without it, `scan_e` read
+//! +3.5 % (8 of 10, inside the quartile spread of the runs without) and
+//! `wire_b` +4 % (6 of 10). A further kernel and its 4 KB join table wait
+//! for a workload that shows them.
 
 /// The reflected CRC32C (Castagnoli) polynomial; both table kernels are
 /// built from this one constant.
