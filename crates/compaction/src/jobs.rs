@@ -20,9 +20,11 @@
 //!    each NVM-origin entry against the live index (a foreground write
 //!    between plan and install invalidates that entry only), applies
 //!    promotions, writes the output files and swaps them into the log.
-//!    A partition-epoch mismatch (crash recovery, or an emergency inline
-//!    compaction) discards the whole job, so a job's effects are all-or-
-//!    nothing with respect to the partition's visible state.
+//!    A job installs only into the file list it was planned against: if
+//!    the log's generation moved (another job installed, or crash
+//!    recovery re-installed the list) the whole job is discarded, so a
+//!    job's effects are all-or-nothing with respect to the partition's
+//!    visible state.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -67,10 +69,9 @@ use prism_types::Value;
 pub struct CompactionJob {
     /// Partition the job belongs to.
     pub partition: usize,
-    /// Partition compaction epoch at plan time; install discards the job
-    /// if the epoch moved (crash recovery or an emergency inline
-    /// compaction rewrote state underneath it).
-    pub epoch: u64,
+    /// Generation of the partition's sorted log at plan time; install
+    /// discards the job if the log has installed anything since.
+    pub generation: u64,
     /// What the job does.
     pub kind: JobKind,
     /// Foreground virtual time at which the job was triggered; background
@@ -125,8 +126,8 @@ pub struct MergedEntry {
 pub struct ExecutedJob {
     /// Partition the job belongs to.
     pub partition: usize,
-    /// Epoch copied from the job (checked at install).
-    pub epoch: u64,
+    /// Log generation copied from the job (checked at install).
+    pub generation: u64,
     /// What the job did.
     pub kind: JobKind,
     /// Earliest virtual start time (from the job).
@@ -227,7 +228,7 @@ pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) 
 
     ExecutedJob {
         partition: job.partition,
-        epoch: job.epoch,
+        generation: job.generation,
         kind: job.kind,
         trigger_fg: job.trigger_fg,
         old_file_ids: job.files.iter().map(|f| f.id()).collect(),
@@ -274,7 +275,7 @@ mod tests {
     fn job(demote: Vec<DemoteEntry>, files: Vec<Arc<SstFile>>) -> CompactionJob {
         CompactionJob {
             partition: 0,
-            epoch: 0,
+            generation: 0,
             kind: JobKind::Demotion { force: false },
             trigger_fg: Nanos::ZERO,
             demote,

@@ -8,7 +8,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use prism_obs::{trace::category, Counter, LatencyHistogram, ObsHub, TraceBuffer};
-use prism_storage::{group_digest, CommitLog, CommitPart, TieredStorage};
+use prism_storage::{group_digest, CommitLog, CommitPart, DeviceProfile, TieredStorage};
 use prism_types::{
     BatchOp, ConcurrentKvStore, EngineStats, IntegrityStatsCells, Key, Lookup, Nanos,
     PartitionHealth, PrismError, ReadSource, Result, ScanResult, SnapshotId, TxnStatsCells, Value,
@@ -58,8 +58,9 @@ pub(crate) struct EngineObs {
     pub(crate) compaction_job: Arc<LatencyHistogram>,
     /// Wall-clock duration of each scrub pass slice.
     pub(crate) scrub_pass: Arc<LatencyHistogram>,
-    /// Compaction results discarded at install (stale epoch / retired
-    /// inputs); each discard means the work is re-planned.
+    /// Compaction results discarded at install (the partition's sorted log
+    /// installed since the plan); each discard means the work is
+    /// re-planned.
     pub(crate) install_discards: Arc<Counter>,
     /// Allocates job ids tying a compaction's plan → execute → install
     /// trace events together.
@@ -373,28 +374,24 @@ const _: fn() = || {
 
 impl PrismDb {
     /// Open a database with the given options, creating the simulated
-    /// storage devices from the configured profiles at the configured
-    /// tier capacities.
+    /// storage devices — Optane-class NVM, QLC-class flash — at the
+    /// configured tier capacities.
     ///
     /// # Errors
     ///
     /// Returns [`PrismError::InvalidConfig`] if the options fail validation.
-    pub fn open(mut options: Options) -> Result<Self> {
+    pub fn open(options: Options) -> Result<Self> {
         options.validate()?;
         // One source of truth per tier: the capacity that sizes the slabs
         // also sizes the device, so utilisation and cost follow it.
-        options.nvm_profile.capacity_bytes = options.nvm_capacity_bytes;
-        options.flash_profile.capacity_bytes = options.flash_capacity_bytes;
+        let nvm = DeviceProfile::optane_nvm(options.nvm_capacity_bytes);
+        let flash = DeviceProfile::qlc_flash(options.flash_capacity_bytes);
         // A configured fault plan is threaded through the devices (latency
         // spikes) and the data-owning layers (torn writes, bit flips, I/O
         // errors) so the whole stack shares one deterministic schedule.
         let storage = match &options.fault_plan {
-            Some(plan) => TieredStorage::with_fault_plan(
-                options.nvm_profile,
-                options.flash_profile,
-                Arc::clone(plan),
-            ),
-            None => TieredStorage::new(options.nvm_profile, options.flash_profile),
+            Some(plan) => TieredStorage::with_fault_plan(nvm, flash, Arc::clone(plan)),
+            None => TieredStorage::new(nvm, flash),
         };
         let shared = Arc::new(EngineShared::new(options, storage)?);
         // The hub serves typed engine stats through a weak handle, so a
@@ -526,9 +523,10 @@ impl PrismDb {
     /// (rolled back). Without the continuous hold, recovery could drain
     /// an in-flight record as "torn", then block on the committer's
     /// locks and roll back a batch that sealed — and was acknowledged —
-    /// in the meantime. Each partition's epoch bump aborts any
-    /// background compaction job in flight against it: the job's install
-    /// becomes a no-op, exactly as if the crash had interrupted it, so
+    /// in the meantime. Each partition's recovery re-installs its sorted
+    /// log's file list, and the new generation aborts any background
+    /// compaction job in flight against it: the job's install becomes a
+    /// no-op, exactly as if the crash had interrupted it, so
     /// recovery always lands on the last installed (old or new) state —
     /// never a half-compacted one.
     pub fn crash_and_recover(&self) -> Nanos {
@@ -2064,10 +2062,6 @@ mod tests {
         let (nvm, flash) = (&grown.storage().nvm, &grown.storage().flash);
         assert_eq!(nvm.profile().capacity_bytes, options.nvm_capacity_bytes);
         assert_eq!(flash.profile().capacity_bytes, options.flash_capacity_bytes);
-        assert_eq!(
-            grown.options().nvm_profile.capacity_bytes,
-            options.nvm_capacity_bytes
-        );
         // Flash is the cheap tier: tripling it against doubled NVM lowers
         // the blended price.
         assert!(grown.cost_per_gb() < base.cost_per_gb());

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use prism_compaction::{CompactionConfig, ReadTriggerConfig};
 use prism_obs::ObsHub;
-use prism_storage::{DeviceProfile, FaultPlan};
+use prism_storage::FaultPlan;
 use prism_types::{PrismError, Result};
 
 /// How keys are assigned to partitions.
@@ -47,19 +47,13 @@ pub struct Options {
     /// Expected number of distinct keys; used for range partitioning and
     /// for sizing the tracker.
     pub expected_keys: u64,
-    /// NVM (fast tier) capacity in bytes: sizes the slabs and the device
-    /// [`crate::PrismDb::open`] creates (hence utilisation and cost).
+    /// NVM (fast tier) capacity in bytes: sizes the slabs and the
+    /// Optane-class device [`crate::PrismDb::open`] creates (hence
+    /// utilisation and cost).
     pub nvm_capacity_bytes: u64,
-    /// Flash (slow tier) capacity in bytes: sizes the device
+    /// Flash (slow tier) capacity in bytes: sizes the QLC-class device
     /// [`crate::PrismDb::open`] creates.
     pub flash_capacity_bytes: u64,
-    /// NVM device profile (defaults to Optane-class). Chooses the device's
-    /// kind, latencies and price; its `capacity_bytes` is overwritten with
-    /// [`Options::nvm_capacity_bytes`] on open.
-    pub nvm_profile: DeviceProfile,
-    /// Flash device profile (defaults to QLC-class); its `capacity_bytes`
-    /// is overwritten with [`Options::flash_capacity_bytes`] on open.
-    pub flash_profile: DeviceProfile,
     /// How keys are assigned to partitions.
     pub partitioning: Partitioning,
     /// Bytes of DRAM used as an object cache (stand-in for the OS page
@@ -101,10 +95,9 @@ pub struct Options {
     pub sst_target_bytes: u64,
     /// Compaction policy and candidate-selection configuration.
     pub compaction: CompactionConfig,
-    /// Whether compactions may promote hot flash objects back to NVM.
-    pub promotions_enabled: bool,
-    /// Read-triggered compaction configuration; `None` disables the
-    /// mechanism entirely.
+    /// Read-triggered compaction configuration. `None` turns promotion
+    /// off altogether: no read-triggered promotion jobs, and no promotion
+    /// hints riding on demotions.
     pub read_trigger: Option<ReadTriggerConfig>,
     /// Deterministic storage fault-injection plan shared by both devices
     /// and the data layers above them; `None` (the default) runs
@@ -166,8 +159,6 @@ impl Options {
             expected_keys,
             nvm_capacity_bytes: nvm_capacity,
             flash_capacity_bytes: flash_capacity,
-            nvm_profile: DeviceProfile::optane_nvm(nvm_capacity),
-            flash_profile: DeviceProfile::qlc_flash(flash_capacity),
             partitioning: Partitioning::Hash,
             // The paper provisions DRAM at a 1:10 ratio to storage capacity.
             dram_cache_bytes: flash_capacity / 10,
@@ -183,7 +174,6 @@ impl Options {
                 bucket_size_keys: (expected_keys / 64).clamp(256, 65_536),
                 ..CompactionConfig::default()
             },
-            promotions_enabled: true,
             read_trigger: Some(ReadTriggerConfig::scaled_down(scale_factor)),
             fault_plan: None,
             corruption_quarantine_threshold: 8,

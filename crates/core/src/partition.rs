@@ -2,7 +2,7 @@
 //!
 //! Each partition owns a disjoint slice of the key space and all the data
 //! structures for it (Figure 3 of the paper): the NVM slab store and its
-//! B-tree index, the flash sorted log and manifest, the clock tracker and
+//! B-tree index, the flash sorted log, the clock tracker and
 //! mapper, the bucket map for approx-MSC, and the compaction planner. A
 //! partition also owns its virtual clocks: a foreground clock advanced by
 //! client operations and a background completion time advanced by
@@ -35,9 +35,11 @@
 //! state out under the lock, execution merges — and checksum-verifies the
 //! flash records it carries — without touching the partition, and
 //! installation re-validates against the live index (timestamp checks per
-//! demoted object, an epoch check per job), drops and quarantines what the
-//! merge flagged, and moves the rest into the new files before swapping
-//! them in. A partition only *plans* and *installs*; it never
+//! demoted object; per job, that the sorted log's generation has not moved
+//! since the plan), drops and quarantines what the merge flagged, and
+//! moves the rest into the new files before swapping them in — after
+//! which the log frees whichever replaced file no reader holds. A
+//! partition only *plans* and *installs*; it never
 //! decides when a compaction runs or who runs it. That is the engine's
 //! compaction driver (`crate::workers`): it calls into a write between the
 //! read-side drain and the clock advance, raises the promotion and
@@ -54,7 +56,7 @@ use prism_compaction::{
     msc_score, BucketMap, CompactionJob, CompactionPlanner, CompactionPolicy, DemoteEntry,
     ExecutedJob, JobKind, MergedOrigin, RangeStatsBuilder, ReadTriggeredController,
 };
-use prism_flash::{LogPosition, Manifest, SortedLog, SstBuilder, SstEntry, SstFile};
+use prism_flash::{LogPosition, SortedLog, SstBuilder, SstEntry, SstFile};
 use prism_index::FastIndex;
 use prism_nvm::{NvmAddress, SlabConfig, SlabStore};
 use prism_storage::{CpuCosts, Device, FaultOp, FaultPlan, FaultTier, TieredStorage};
@@ -222,8 +224,9 @@ pub(crate) struct Partition {
     flash_dev: Arc<Device>,
     slab: SlabStore,
     index: FastIndex<Key, IndexEntry>,
+    /// The flash files: their ids, their order, the generation a compaction
+    /// job must match to install, and the retired ones readers still hold.
     log: SortedLog,
-    manifest: Manifest,
     tracker: ClockTracker,
     mapper: Mapper,
     buckets: BucketMap,
@@ -246,10 +249,6 @@ pub(crate) struct Partition {
     fg: AtomicU64,
     /// Virtual time at which all installed compaction work completes.
     busy_until: Nanos,
-    /// Compaction epoch: bumped by crash recovery and emergency inline
-    /// compactions so in-flight background jobs planned against the old
-    /// state are discarded at install.
-    epoch: u64,
     /// A read-triggered promotion compaction is due (set by a drain).
     promote_pending: bool,
     /// This partition's share of the engine statistics: the entries
@@ -307,7 +306,6 @@ impl Partition {
             slab,
             index: FastIndex::new(),
             log: SortedLog::new(),
-            manifest: Manifest::new(),
             tracker: ClockTracker::new(tracker_capacity),
             mapper: Mapper::new(),
             buckets: BucketMap::new(options.compaction.bucket_size_keys),
@@ -323,7 +321,6 @@ impl Partition {
             history: BTreeMap::new(),
             fg: AtomicU64::new(0),
             busy_until: Nanos::ZERO,
-            epoch: 0,
             promote_pending: false,
             stats: EngineStats::default(),
             live: EngineStatsCells::default(),
@@ -376,13 +373,6 @@ impl Partition {
     /// space (at the back-pressure ceiling, or a slab write with no room).
     pub(crate) fn note_backpressure_stall(&mut self) {
         self.stats.compaction.backpressure_stalls += 1;
-    }
-
-    /// Bump the compaction epoch so any job planned against the current
-    /// state — a pool worker may be merging one right now — is discarded
-    /// at install.
-    pub(crate) fn invalidate_planned_jobs(&mut self) {
-        self.epoch += 1;
     }
 
     pub(crate) fn elapsed(&self) -> Nanos {
@@ -670,11 +660,10 @@ impl Partition {
     /// Drain/promotion pressure from the atomic read-side counters alone:
     /// the hot read path calls this without holding any lock.
     fn read_pressure(&self) -> bool {
-        let trigger_enabled = self.options.promotions_enabled
-            && self
-                .read_trigger
-                .as_ref()
-                .is_some_and(|ctrl| ctrl.promotions_enabled());
+        let trigger_enabled = self
+            .read_trigger
+            .as_ref()
+            .is_some_and(|ctrl| ctrl.promotions_enabled());
         self.read_counters.pending_accesses.load(Ordering::Relaxed) as usize >= READ_SIDE_DRAIN
             || (trigger_enabled
                 && self
@@ -720,11 +709,10 @@ impl Partition {
     /// reads accumulated, mark a promotion as pending and reset the batch
     /// counter.
     fn refresh_promote_due(&mut self) {
-        let enabled = self.options.promotions_enabled
-            && self
-                .read_trigger
-                .as_ref()
-                .is_some_and(|ctrl| ctrl.promotions_enabled());
+        let enabled = self
+            .read_trigger
+            .as_ref()
+            .is_some_and(|ctrl| ctrl.promotions_enabled());
         if !enabled {
             return;
         }
@@ -1425,14 +1413,9 @@ impl Partition {
             .collect();
         let best = self.planner.select_best(&scored)?;
         let (start, end) = candidates[best].clone();
-        self.plan_range(
-            start,
-            end,
-            kind,
-            self.options.promotions_enabled,
-            planning_cost,
-            trigger_fg,
-        )
+        // Without a read trigger nothing is promoted, by hint or by job.
+        let allow_promote = self.read_trigger.is_some();
+        self.plan_range(start, end, kind, allow_promote, planning_cost, trigger_fg)
     }
 
     /// Plan a promotion compaction over the range with the most popular
@@ -1565,7 +1548,7 @@ impl Partition {
 
         Some(CompactionJob {
             partition: self.id,
-            epoch: self.epoch,
+            generation: self.log.generation(),
             kind,
             trigger_fg,
             demote,
@@ -1594,23 +1577,16 @@ impl Partition {
     /// and swap them into the log atomically (with respect to the
     /// partition lock).
     ///
-    /// Returns `Ok(None)` when the job is discarded: its epoch is stale
-    /// (crash recovery or an emergency inline compaction rewrote the
-    /// partition underneath it) or one of its victim files is no longer
-    /// live. Discarding is always safe — execution never mutated partition
+    /// Returns `Ok(None)` when the job is discarded: the sorted log has
+    /// installed since the plan (another job, or crash recovery), so the
+    /// files the merge read may no longer be the ones it would replace.
+    /// Discarding is always safe — execution never mutated partition
     /// state, so the partition simply remains in its pre-job state.
     pub(crate) fn install_compaction(
         &mut self,
         exec: ExecutedJob,
     ) -> Result<Option<CompactionOutcome>> {
-        if exec.epoch != self.epoch {
-            return Ok(None);
-        }
-        if !exec
-            .old_file_ids
-            .iter()
-            .all(|id| self.manifest.is_live(*id))
-        {
+        if exec.generation != self.log.generation() {
             return Ok(None);
         }
 
@@ -1711,14 +1687,8 @@ impl Partition {
         for key_id in removed_from_flash {
             self.buckets.on_flash_remove(key_id);
         }
-        for id in &exec.old_file_ids {
-            self.manifest.remove_file(*id)?;
-        }
-        let _retired = self.log.install(&exec.old_file_ids, new_files.clone());
-        for file in &new_files {
-            self.manifest.add_file(file.clone())?;
-        }
-        self.manifest.collect_garbage(&self.flash_dev);
+        self.log.install(&exec.old_file_ids, new_files);
+        self.log.reclaim(&self.flash_dev);
 
         let outcome = CompactionOutcome {
             duration,
@@ -1752,14 +1722,14 @@ impl Partition {
             return Ok((files, cost));
         }
         let target = self.options.sst_target_bytes;
-        let mut builder = SstBuilder::new(self.manifest.allocate_file_id()).for_partition(self.id);
+        let mut builder = SstBuilder::new(self.log.allocate_file_id()).for_partition(self.id);
         for (key, entry) in merged {
             builder.add(key, entry);
             if builder.size_bytes() >= target {
                 let (file, c) = builder.finish(&self.flash_dev);
                 cost += c;
                 files.push(Arc::new(file));
-                builder = SstBuilder::new(self.manifest.allocate_file_id()).for_partition(self.id);
+                builder = SstBuilder::new(self.log.allocate_file_id()).for_partition(self.id);
             }
         }
         if !builder.is_empty() {
@@ -1777,13 +1747,14 @@ impl Partition {
     /// Simulate a crash (losing all DRAM state) followed by recovery: the
     /// B-tree index is rebuilt from a scan of the NVM slabs, keeping only
     /// the newest timestamp per key, and the bucket map is reconstructed
-    /// from the slab scan plus the flash manifest. Any in-flight
-    /// background compaction job is implicitly aborted: the epoch bump
-    /// makes its install a no-op, and since execution never mutates
-    /// partition state the partition recovers to exactly its last
-    /// installed state. Returns the simulated recovery time.
+    /// from the slab scan plus the sorted log's files. Recovery re-installs
+    /// the surviving file list, so the log takes a new generation: any
+    /// in-flight background compaction job is thereby aborted (its install
+    /// is a no-op), and since execution never mutates partition state the
+    /// partition recovers to exactly its last installed state. Returns the
+    /// simulated recovery time.
     pub(crate) fn crash_and_recover(&mut self) -> Nanos {
-        self.epoch += 1;
+        self.log.install(&[], Vec::new());
         self.promote_pending = false;
         self.cache.clear();
         debug_assert!(self.cache.is_empty(), "a crash loses all DRAM state");
@@ -2005,8 +1976,7 @@ impl Partition {
             // pass over this range comes back clean.
             let keep: Vec<(Key, SstEntry)> =
                 file.iter().filter(|(_, e)| e.verify()).cloned().collect();
-            let mut builder =
-                SstBuilder::new(self.manifest.allocate_file_id()).for_partition(self.id);
+            let mut builder = SstBuilder::new(self.log.allocate_file_id()).for_partition(self.id);
             for (k, e) in keep {
                 builder.add(k, e);
             }
@@ -2017,13 +1987,10 @@ impl Partition {
                 new_files.push(Arc::new(rebuilt));
             }
             let old_id = file.id();
-            if self.manifest.remove_file(old_id).is_ok() {
-                let _ = self.log.install(&[old_id], new_files.clone());
-                for f in &new_files {
-                    let _ = self.manifest.add_file(f.clone());
-                }
-                self.manifest.collect_garbage(&self.flash_dev);
-            }
+            // The walk lets go of the old file first, so it is freed now.
+            drop(file);
+            self.log.install(&[old_id], new_files);
+            self.log.reclaim(&self.flash_dev);
             for key in corrupt {
                 self.note_checksum_failure();
                 if self.index.contains_key(&key) {
@@ -2122,7 +2089,7 @@ mod tests {
         let options = small_options(keys);
         let storage = TieredStorage::new(
             DeviceProfile::optane_nvm(options.nvm_capacity_bytes),
-            options.flash_profile,
+            DeviceProfile::qlc_flash(options.flash_capacity_bytes),
         );
         EngineShared::new(options, storage).unwrap()
     }
@@ -2588,8 +2555,9 @@ mod tests {
 
     /// The merge verifies off the lock; the installer acts on its verdict.
     /// A flash record that fails its checksum is dropped, counted once and
-    /// quarantined when its job installs — and a job discarded for a stale
-    /// epoch counts nothing, however many flagged records it carried.
+    /// quarantined when its job installs — and a job discarded because
+    /// another installed first counts nothing, however many flagged
+    /// records it carried.
     #[test]
     fn install_acts_on_the_merges_checksum_verdict_and_a_discarded_job_counts_nothing() {
         use prism_storage::{FaultMode, TargetedFault};
@@ -2601,7 +2569,7 @@ mod tests {
         options.corruption_quarantine_threshold = 100;
         let storage = TieredStorage::with_fault_plan(
             DeviceProfile::optane_nvm(options.nvm_capacity_bytes),
-            options.flash_profile,
+            DeviceProfile::qlc_flash(options.flash_capacity_bytes),
             plan.clone(),
         );
         let engine = EngineShared::new(options, storage).unwrap();
@@ -2632,12 +2600,23 @@ mod tests {
         assert_eq!(damaged.len(), 1, "the armed flip hit one record");
         assert_eq!(p.stats().integrity.checksum_failures, 0);
 
-        // Rewrite everything: a job whose merge crosses the record.
+        // Rewrite everything: a job whose merge crosses the record. Before
+        // it installs, another job does — one demoting a key written since,
+        // which no file covers — and the first is stale.
         let job = p.plan_demotion(DemotionPlan::Everything, fg).expect("job");
         let exec = execute_job(job, &cpu, &dev);
         assert_eq!(exec.merged.iter().filter(|m| m.corrupt).count(), 1);
-        p.invalidate_planned_jobs();
-        assert!(p.install_compaction(exec).unwrap().is_none());
+        let fresh = Key::from_id(keys);
+        put(&engine, &mut p, fresh.clone(), Value::filled(900, 2)).unwrap();
+        let force = JobKind::Demotion { force: true };
+        let other = p
+            .plan_range(fresh.clone(), fresh, force, false, Nanos::ZERO, fg)
+            .expect("job");
+        assert!(other.files.is_empty());
+        p.install_compaction(execute_job(other, &cpu, &dev))
+            .unwrap()
+            .expect("installs");
+        assert_discarded_at_install(&mut p, exec);
         let stats = p.stats().integrity;
         assert_eq!((stats.checksum_failures, stats.quarantined_objects), (0, 0));
 
@@ -2652,25 +2631,78 @@ mod tests {
         assert_eq!(plan.snapshot().detected, 1);
     }
 
+    /// Install `exec`, which must be discarded: no tier changes, nothing
+    /// is counted, no flash space is charged or freed.
+    fn assert_discarded_at_install(p: &mut Partition, exec: ExecutedJob) {
+        let state = |p: &Partition| {
+            let tiers = (p.nvm_object_count(), p.flash_object_count());
+            (p.stats(), tiers, p.flash_dev.used_bytes())
+        };
+        let before = state(p);
+        assert!(p.install_compaction(exec).unwrap().is_none());
+        assert_eq!(state(p), before);
+    }
+
+    /// A job installs only into the file list it was planned against:
+    /// crash recovery or another job's install between its plan and its
+    /// install makes it stale. (Foreground writes alone do not — see
+    /// `install_skips_entries_rewritten_by_the_foreground`.)
     #[test]
-    fn stale_epoch_jobs_are_discarded() {
+    fn a_job_planned_before_a_crash_or_another_install_is_discarded_at_install() {
         let keys = 2_000u64;
         let engine = engine(keys);
         let mut p = partition(&engine);
         for id in 0..keys {
             put(&engine, &mut p, Key::from_id(id), Value::filled(900, 1)).unwrap();
         }
+        let (cpu, dev) = (p.cpu, p.flash_dev.clone());
         let fg = p.fg();
         let job = p.plan_demotion(DemotionPlan::Forced, fg).expect("job");
-        let cpu = p.cpu;
-        let dev = p.flash_dev.clone();
         let exec = execute_job(job, &cpu, &dev);
-        // A crash between execute and install aborts the job.
         p.crash_and_recover();
-        let nvm_before = p.nvm_object_count();
-        let flash_before = p.flash_object_count();
-        assert!(p.install_compaction(exec).unwrap().is_none());
-        assert_eq!(p.nvm_object_count(), nvm_before);
-        assert_eq!(p.flash_object_count(), flash_before);
+        assert_discarded_at_install(&mut p, exec);
+
+        let first = p.plan_demotion(DemotionPlan::Forced, fg).expect("job");
+        let second = p.plan_demotion(DemotionPlan::Forced, fg).expect("job");
+        p.install_compaction(execute_job(second, &cpu, &dev))
+            .unwrap()
+            .expect("nothing installed since its plan");
+        assert_discarded_at_install(&mut p, execute_job(first, &cpu, &dev));
+    }
+
+    /// The flash device is charged for the files the log lists and for a
+    /// replaced one only while a reader holds it: an install frees its
+    /// victims at once, and a victim read outside the log keeps its own
+    /// bytes charged until it is dropped and the next install reclaims.
+    #[test]
+    fn install_frees_a_replaced_file_once_no_reader_holds_it() {
+        let keys = 3_000u64;
+        let engine = engine(keys);
+        let mut p = partition(&engine);
+        for id in 0..keys {
+            put(&engine, &mut p, Key::from_id(id), Value::filled(1000, 1)).unwrap();
+        }
+        assert!(p.stats().compaction.jobs > 0);
+        let listed = |p: &Partition| p.log.files().iter().map(|f| f.size_bytes()).sum::<u64>();
+        assert_eq!(p.flash_dev.used_bytes(), listed(&p));
+
+        let (cpu, dev) = (p.cpu, p.flash_dev.clone());
+        let rewrite_everything = |p: &mut Partition| {
+            let fg = p.fg();
+            let job = p.plan_demotion(DemotionPlan::Everything, fg).expect("job");
+            assert!(!job.files.is_empty());
+            p.install_compaction(execute_job(job, &cpu, &dev))
+                .unwrap()
+                .expect("installs");
+        };
+        let reader = p.log.files()[0].clone();
+        let held = reader.size_bytes();
+        rewrite_everything(&mut p);
+        assert!(p.log.files().iter().all(|f| !Arc::ptr_eq(f, &reader)));
+        assert_eq!(dev.used_bytes(), listed(&p) + held);
+        drop(reader);
+        assert_eq!(dev.used_bytes(), listed(&p) + held);
+        rewrite_everything(&mut p);
+        assert_eq!(dev.used_bytes(), listed(&p));
     }
 }

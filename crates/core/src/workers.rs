@@ -17,10 +17,12 @@
 //! `busy_until`, charge it once.
 //!
 //! A pool worker locks the partition only for the plan and install phases.
-//! At most one worker operates on a given partition at a time, so jobs for
-//! a partition are serialised and a job's victim files can never be
-//! retired underneath it (the install-time epoch and file-liveness checks
-//! make even that race safe by construction).
+//! At most one worker operates on a given partition at a time, so pool jobs
+//! for a partition are serialised. What can still land between a pool
+//! job's plan and its install — a write reclaiming space on its own thread,
+//! or crash recovery — installs into the partition's sorted log and so
+//! moves its generation, and a job installs only if the generation it was
+//! planned against still stands.
 //!
 //! Virtual-time accounting mirrors the real thread structure: the
 //! scheduler keeps one virtual clock per worker, and each job a worker
@@ -428,8 +430,8 @@ fn with_partition<R>(
 /// only caller of [`execute_job`] and [`Partition::install_compaction`].
 ///
 /// Returns the outcome — an empty plan is a job that moved nothing — or
-/// `None` if the partition discarded the job at install (stale epoch /
-/// retired victim files), which only a pool worker can see.
+/// `None` if the partition discarded the job at install (its sorted log
+/// installed since the plan), which only a pool worker can see.
 fn run_job(
     shared: &EngineShared,
     idx: usize,
@@ -489,7 +491,7 @@ fn run_job(
                 category::COMPACTION_DISCARD,
                 part,
                 job_id,
-                "stale epoch or retired victim files",
+                "the sorted log installed since the plan",
             );
         }
     }
@@ -622,12 +624,12 @@ impl EngineShared {
     /// A write cannot proceed until NVM space exists: free it with an
     /// urgent demotion run on this thread, under the guard the write holds
     /// — in either mode, because a batch group that unlocked to wait for
-    /// the pool would give up its per-partition atomicity. Jobs the pool
-    /// planned against the pre-reclaim state are invalidated. Returns the
-    /// stall, charged like any other wait for space.
+    /// the pool would give up its per-partition atomicity. A job the pool
+    /// planned before this run installs no more once the run installs one
+    /// of its own. Returns the stall, charged like any other wait for
+    /// space.
     pub(crate) fn reclaim(&self, idx: usize, p: &mut Partition, accrued: Nanos) -> Result<Nanos> {
         let now = p.fg() + accrued;
-        p.invalidate_planned_jobs();
         p.note_backpressure_stall();
         run_demotion(self, idx, now, DemotionRun::new(true), &mut Some(&mut *p))?;
         Ok(p.stall_until_idle(now))

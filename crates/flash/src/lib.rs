@@ -1,5 +1,4 @@
-//! Flash data layout: bloom filters, SST files, the sorted log and the
-//! manifest.
+//! Flash data layout: bloom filters, SST files and the sorted log.
 //!
 //! PrismDB stores cold data on flash as Sorted String Table (SST) files in a
 //! log (§4.1 of the paper). Each SST file holds a disjoint key range, an
@@ -15,9 +14,10 @@
 //! * [`SstBuilder`] / [`SstFile`] — building and querying immutable sorted
 //!   files made of 4 KB blocks,
 //! * [`SortedLog`] — the single-level, non-overlapping file log PrismDB
-//!   uses by default when NVM holds ≥ 10 % of the database,
-//! * [`Manifest`] — the live-file registry with reference counting, so a
-//!   file replaced by compaction is only reclaimed once no reader holds it.
+//!   uses by default when NVM holds ≥ 10 % of the database, and the one
+//!   record of a partition's flash files: it hands out their ids, stamps
+//!   each file list with a generation, and frees a file replaced by
+//!   compaction once no reader holds it.
 //!
 //! # Example
 //!
@@ -40,12 +40,10 @@
 //! ```
 
 mod bloom;
-mod manifest;
 mod sorted_log;
 mod sst;
 
 pub use bloom::BloomFilter;
-pub use manifest::Manifest;
 pub use sorted_log::{LogPosition, SortedLog};
 pub use sst::{BlockProbe, FileId, SstBuilder, SstEntry, SstFile};
 

@@ -1,4 +1,16 @@
-//! The single-level sorted log of SST files.
+//! The single-level sorted log of SST files: the one record of which files
+//! a partition's flash data lives in.
+//!
+//! # Owning the files
+//!
+//! The log hands out the ids of the files it will hold
+//! ([`SortedLog::allocate_file_id`]) and is changed only by
+//! [`SortedLog::install`], which swaps a compaction's victims for its
+//! output. A file it takes out of the list may still be read — readers
+//! hold `Arc<SstFile>` clones, so the strong count is the reference count
+//! of §6 of the paper — and the log keeps it, charged to the device, until
+//! [`SortedLog::reclaim`] finds the log's own reference the last one and
+//! releases its space.
 //!
 //! # Finding a record
 //!
@@ -24,11 +36,13 @@
 //! has, and [`SortedLog::resume`] answers it with a fresh seek by key
 //! instead of honouring indices into files it was not made for. (A clone
 //! shares its original's generation until either installs: until then the
-//! two lists are the same list.)
+//! two lists are the same list.) The same stamp dates a compaction job: a
+//! job installs only into the list it was planned against.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use prism_storage::Device;
 use prism_types::Key;
 
 use crate::sst::{FileId, SstEntry, SstFile};
@@ -68,6 +82,11 @@ pub struct SortedLog {
     fences: Vec<Key>,
     /// Stamp of the current file list; see the module docs.
     generation: u64,
+    /// Files [`SortedLog::install`] took out of the list, still charged to
+    /// the device until [`SortedLog::reclaim`] finds no reader holding them.
+    retired: Vec<Arc<SstFile>>,
+    /// The last id [`SortedLog::allocate_file_id`] handed out.
+    last_file_id: FileId,
 }
 
 impl SortedLog {
@@ -76,19 +95,22 @@ impl SortedLog {
         SortedLog::default()
     }
 
-    /// Number of live files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// True if the log holds no files.
     pub fn is_empty(&self) -> bool {
         self.files.is_empty()
     }
 
-    /// Total bytes across all live files.
-    pub fn total_bytes(&self) -> u64 {
-        self.files.iter().map(|f| f.size_bytes()).sum()
+    /// An id for a file this log will hold: from 1 up, never handed out
+    /// twice.
+    pub fn allocate_file_id(&mut self) -> FileId {
+        self.last_file_id += 1;
+        self.last_file_id
+    }
+
+    /// Stamp of the current file list, drawn afresh by every
+    /// [`SortedLog::install`].
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Total number of entries across all live files.
@@ -128,37 +150,38 @@ impl SortedLog {
             .collect()
     }
 
-    /// Files in a contiguous window of `width` files starting at file index
-    /// `start_idx` — the paper's compaction key ranges are the key ranges of
-    /// `i` consecutive SST files.
-    pub fn file_window(&self, start_idx: usize, width: usize) -> &[Arc<SstFile>] {
-        let end = (start_idx + width.max(1)).min(self.files.len());
-        &self.files[start_idx.min(self.files.len())..end]
-    }
-
     /// Replace the files with ids in `remove` by `add` (already sorted and
     /// non-overlapping among themselves), keeping the log sorted. The one
     /// mutator of the file list: rebuilds the fences and takes a new
-    /// generation, which every [`LogPosition`] handed out before fails to
-    /// match.
-    ///
-    /// Returns the removed files so the caller can hand them to the
-    /// [`crate::Manifest`] for deferred reclamation.
-    pub fn install(&mut self, remove: &[FileId], add: Vec<Arc<SstFile>>) -> Vec<Arc<SstFile>> {
-        let mut removed = Vec::new();
+    /// generation, which every [`LogPosition`] handed out before — and
+    /// every job planned before — fails to match. The removed files are
+    /// retired, not freed: see [`SortedLog::reclaim`].
+    pub fn install(&mut self, remove: &[FileId], add: Vec<Arc<SstFile>>) {
+        let retired = &mut self.retired;
         self.files.retain(|f| {
-            if remove.contains(&f.id()) {
-                removed.push(f.clone());
-                false
-            } else {
-                true
+            let removed = remove.contains(&f.id());
+            if removed {
+                retired.push(f.clone());
             }
+            !removed
         });
         self.files.extend(add);
         self.files.sort_by(|a, b| a.min_key().cmp(b.min_key()));
         self.fences = self.files.iter().map(|f| f.max_key().clone()).collect();
         self.generation = NEXT_GENERATION.fetch_add(1, Ordering::Relaxed);
-        removed
+    }
+
+    /// Release on `device` the space of every retired file no reader
+    /// holds any more — the log's own reference is the last — and forget
+    /// them.
+    pub fn reclaim(&mut self, device: &Device) {
+        self.retired.retain(|file| {
+            let held = Arc::strong_count(file) > 1;
+            if !held {
+                device.release(file.size_bytes());
+            }
+            held
+        });
     }
 
     /// Iterate over all entries of all files in ascending key order.
@@ -170,18 +193,6 @@ impl SortedLog {
             .iter()
             .flat_map(|f| f.iter())
             .map(|(k, e)| (k, e))
-    }
-
-    /// Iterate, borrowing, over every entry with a key `>= start` in
-    /// ascending key order: [`SortedLog::seek`], then the position walked
-    /// to the end of the log. A caller pays only for the entries it takes.
-    pub fn range_from<'a>(&'a self, start: &Key) -> impl Iterator<Item = &'a (Key, SstEntry)> {
-        let mut position = self.seek(start);
-        std::iter::from_fn(move || {
-            let entry = self.entry_at(&mut position)?;
-            position.advance();
-            Some(entry)
-        })
     }
 
     /// The position of the first entry with a key `>= key` (the end of the
@@ -256,7 +267,7 @@ mod tests {
             &[],
             vec![file(1, 0..100), file(2, 100..200), file(3, 200..300)],
         );
-        assert_eq!(log.file_count(), 3);
+        assert_eq!(log.files().len(), 3);
         assert_eq!(log.lookup(&Key::from_id(50)).unwrap().id(), 1);
         assert_eq!(log.lookup(&Key::from_id(150)).unwrap().id(), 2);
         assert_eq!(log.lookup(&Key::from_id(299)).unwrap().id(), 3);
@@ -282,12 +293,52 @@ mod tests {
     fn install_replaces_files_and_keeps_order() {
         let mut log = SortedLog::new();
         log.install(&[], vec![file(2, 100..200), file(1, 0..100)]);
-        let removed = log.install(&[1], vec![file(4, 0..50), file(5, 50..100)]);
-        assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].id(), 1);
+        log.install(&[1], vec![file(4, 0..50), file(5, 50..100)]);
+        let retired: Vec<FileId> = log.retired.iter().map(|f| f.id()).collect();
+        assert_eq!(retired, vec![1]);
         let mins: Vec<u64> = log.files().iter().map(|f| f.min_key().id()).collect();
         assert_eq!(mins, vec![0, 50, 100]);
         assert_eq!(log.total_entries(), 200);
+    }
+
+    #[test]
+    fn file_ids_are_never_reused() {
+        let mut log = SortedLog::new();
+        let ids: Vec<FileId> = (0..5).map(|_| log.allocate_file_id()).collect();
+        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
+    }
+
+    /// A retired file stays charged to its device while a reader holds it,
+    /// and the next reclaim after the last reader goes frees exactly it.
+    #[test]
+    fn reclaim_waits_for_readers() {
+        let device = Arc::new(Device::new(DeviceProfile::qlc_flash(1 << 30)));
+        let mut log = SortedLog::new();
+        let mut make = |ids: std::ops::Range<u64>| {
+            let mut b = SstBuilder::new(log.allocate_file_id());
+            for i in ids {
+                b.add(Key::from_id(i), SstEntry::value(Value::filled(100, 0), i));
+            }
+            Arc::new(b.finish(&device).0)
+        };
+        let (a, b, c) = (make(0..50), make(50..100), make(0..100));
+        let (a_bytes, b_bytes, c_bytes) = (a.size_bytes(), b.size_bytes(), c.size_bytes());
+        let victims = [a.id(), b.id()];
+        log.install(&[], vec![a.clone(), b]);
+        assert_eq!(device.used_bytes(), a_bytes + b_bytes + c_bytes);
+
+        // `a` is still read outside the log: only `b`'s space comes back.
+        log.install(&victims, vec![c]);
+        assert_eq!(device.used_bytes(), a_bytes + b_bytes + c_bytes);
+        log.reclaim(&device);
+        assert_eq!(device.used_bytes(), a_bytes + c_bytes);
+        log.reclaim(&device);
+        assert_eq!(device.used_bytes(), a_bytes + c_bytes, "a reader holds `a`");
+
+        drop(a);
+        log.reclaim(&device);
+        assert_eq!(device.used_bytes(), c_bytes);
+        assert!(log.retired.is_empty());
     }
 
     #[test]
@@ -314,11 +365,7 @@ mod tests {
             Arc::new(b.finish(&dev).0)
         };
         log.install(&[], vec![even(1, 0..50), even(2, 100..150)]);
-        let from = |start: u64| -> Vec<u64> {
-            log.range_from(&Key::from_id(start))
-                .map(|(k, _)| k.id())
-                .collect()
-        };
+        let from = |start: u64| walk(&log, log.seek(&Key::from_id(start)));
         let all: Vec<u64> = (0..50).chain(100..150).filter(|i| i % 2 == 0).collect();
         assert_eq!(from(0), all);
         // Inside a file, on a key and between two keys.
@@ -334,7 +381,8 @@ mod tests {
         assert_eq!(from(60)[0], 100);
         assert_eq!(from(148), vec![148]);
         assert!(from(149).is_empty());
-        assert!(SortedLog::new().range_from(&Key::min()).next().is_none());
+        let empty = SortedLog::new();
+        assert!(walk(&empty, empty.seek(&Key::min())).is_empty());
     }
 
     /// Two files of even ids 10..50 and 100..150: start keys fall below the
@@ -376,8 +424,6 @@ mod tests {
                 .filter(|(k, _)| **k >= start)
                 .map(|(k, _)| k.id())
                 .collect();
-            let from: Vec<u64> = log.range_from(&start).map(|(k, _)| k.id()).collect();
-            assert_eq!(from, want, "{start:?}");
             let seek = log.seek(&start);
             assert_eq!(log.resume(None, &start), seek, "{start:?}");
             assert_eq!(log.resume(Some(seek), &start), seek, "{start:?}");
@@ -456,20 +502,9 @@ mod tests {
     }
 
     #[test]
-    fn file_window_clamps_bounds() {
-        let mut log = SortedLog::new();
-        log.install(&[], vec![file(1, 0..10), file(2, 10..20), file(3, 20..30)]);
-        assert_eq!(log.file_window(0, 2).len(), 2);
-        assert_eq!(log.file_window(2, 5).len(), 1);
-        assert_eq!(log.file_window(9, 1).len(), 0);
-        assert_eq!(log.file_window(1, 0).len(), 1, "width is at least one file");
-    }
-
-    #[test]
     fn empty_log_behaviour() {
         let log = SortedLog::new();
         assert!(log.is_empty());
-        assert_eq!(log.total_bytes(), 0);
         assert!(log.lookup(&Key::from_id(1)).is_none());
     }
 }

@@ -7,7 +7,7 @@
 //! to read eight bytes of it. The file therefore also keeps [`Key::id`]
 //! of every record — the order-preserving eight-byte prefix — in one
 //! array, eight to a line, and every search ([`SstFile::probe`], `range`,
-//! `count_in_range`, a seek of [`crate::SortedLog`]) goes through the one
+//! a seek of [`crate::SortedLog`]) goes through the one
 //! `lower_bound` over it. Ids and not keys because an id decides the
 //! search for every fixed-width key and narrows it to the run of records
 //! sharing a prefix for any other; those alone are compared whole, by a
@@ -330,13 +330,6 @@ impl SstFile {
         let lo = self.lower_bound(start);
         self.entries[lo..self.upper_bound(end).max(lo)].iter()
     }
-
-    /// Number of entries with keys in `[start, end]` (inclusive), without
-    /// iterating.
-    pub fn count_in_range(&self, start: &Key, end: &Key) -> usize {
-        self.upper_bound(end)
-            .saturating_sub(self.lower_bound(start))
-    }
 }
 
 /// Builder producing an [`SstFile`] from entries added in ascending key
@@ -565,10 +558,6 @@ mod tests {
         assert_eq!(
             in_range,
             vec![100, 110, 120, 130, 140, 150, 160, 170, 180, 190, 200, 210, 220, 230, 240, 250]
-        );
-        assert_eq!(
-            sst.count_in_range(&Key::from_id(95), &Key::from_id(250)),
-            in_range.len()
         );
         assert!(sst.covers(&Key::from_id(500)));
         assert!(!sst.covers(&Key::from_id(5000)));
@@ -862,7 +851,6 @@ mod tests {
                 let want: Vec<&Key> = stored.iter().filter(|k| *k >= start && *k <= end).collect();
                 let got: Vec<&Key> = sst.range(start, end).map(|(k, _)| k).collect();
                 assert_eq!(got, want, "[{start:?}, {end:?}]");
-                assert_eq!(sst.count_in_range(start, end), want.len());
             }
         }
         // The cases the comparison is there for all occurred.

@@ -39,8 +39,9 @@ pub mod category {
     pub const COMPACTION_EXECUTE: &str = "compaction_execute";
     /// A compaction result was installed into its partition.
     pub const COMPACTION_INSTALL: &str = "compaction_install";
-    /// A compaction result was discarded at install (stale epoch /
-    /// retired inputs) and the work will be re-planned.
+    /// A compaction result was discarded at install (its partition's
+    /// flash file list changed since the plan) and the work will be
+    /// re-planned.
     pub const COMPACTION_DISCARD: &str = "compaction_discard";
     /// An object was quarantined after a checksum failure.
     pub const QUARANTINE: &str = "quarantine";

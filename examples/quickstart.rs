@@ -60,7 +60,7 @@ fn main() -> Result<(), PrismError> {
     );
 
     // Crash recovery: drop all DRAM state and rebuild the index from the
-    // NVM slabs and the flash manifest.
+    // NVM slabs and the flash files' sorted log.
     let recovery = db.crash_and_recover();
     let after = db.get(&Key::from_id(42))?;
     println!(

@@ -253,8 +253,9 @@ fn background_compaction_workers_survive_concurrent_stress() {
     // Same mixed workload, but demotions/promotions now run on two
     // background worker threads racing the four client threads: last-
     // writer-wins, torn-value, scan-ordering and utilisation invariants
-    // must all hold, and recovery (which aborts any in-flight job via the
-    // epoch check) must reproduce the visible state exactly.
+    // must all hold, and recovery (which aborts any in-flight job by
+    // moving the sorted log's generation) must reproduce the visible state
+    // exactly.
     let db = stress_db_with_workers(2);
     let logs = run_stress(&db);
 

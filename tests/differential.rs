@@ -752,8 +752,8 @@ fn run_seed(seed: u64) {
         if (ops_done + 1) == OPS_PER_SEED / 2 {
             // Crash the background engine mid-run: with constant pressure
             // the job queue / workers are likely mid-job, so this
-            // exercises recovery with compactions in flight (stale-epoch
-            // jobs must be discarded, not half-applied).
+            // exercises recovery with compactions in flight (jobs planned
+            // before it must be discarded, not half-applied).
             prism_bg.crash_and_recover();
             // The fault injection proper: crash the batched engine *while
             // a 64-entry multi-partition batch is applying* on this
