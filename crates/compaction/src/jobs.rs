@@ -7,15 +7,14 @@
 //! for engines configured without workers. The phases are:
 //!
 //! 1. **Plan** (under the partition lock): pick the victim key range, clone
-//!    out the NVM objects to demote (keys, timestamps *and values*),
-//!    snapshot the overlapping SST files (`Arc` clones) and pre-compute
-//!    promotion hints. The resulting [`CompactionJob`] owns everything it
-//!    needs and is `Send`.
+//!    out the NVM objects to demote (keys, timestamps, *values* and
+//!    version checksums), snapshot the overlapping SST files (`Arc`
+//!    clones) and pre-compute promotion hints. The resulting
+//!    [`CompactionJob`] owns everything it needs and is `Send`.
 //! 2. **Execute** (no lock): [`execute_job`] merges the two sorted streams
-//!    into a [`MergedEntry`] list, verifying each victim-file record it
-//!    keeps and tagging each output entry with its origin so the installer
-//!    can re-validate it, and charges the flash read plus merge CPU to the
-//!    job's duration.
+//!    into a [`MergedEntry`] list, tagging each output entry with its
+//!    origin so the installer can re-validate it, and charges the flash
+//!    read plus merge CPU to the job's duration.
 //! 3. **Install** (under the partition lock again): the engine re-checks
 //!    each NVM-origin entry against the live index (a foreground write
 //!    between plan and install invalidates that entry only), applies
@@ -25,13 +24,23 @@
 //!    recovery re-installed the list) the whole job is discarded, so a
 //!    job's effects are all-or-nothing with respect to the partition's
 //!    visible state.
+//!
+//! No phase reads a value to checksum it. Every version carries the
+//! checksum it was given when it was written
+//! ([`prism_types::checksum::version_checksum`]): a demoted object's
+//! record is built from its slot's checksum, a victim-file record is
+//! carried over as it is, and a promoted one takes its checksum back into
+//! a slot. Damage picked up on the way therefore stays damage — a record
+//! that fails its checksum before the merge fails it after — and is
+//! caught where bytes are trusted: a read, a scan, the recovery scan, the
+//! scrubber.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use prism_flash::{FileId, SstEntry, SstFile};
 use prism_storage::{CpuCosts, Device};
-use prism_types::{Key, Nanos};
+use prism_types::{Key, Nanos, Value};
 
 /// What a compaction job is trying to achieve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,13 +65,12 @@ pub struct DemoteEntry {
     /// only removes the NVM object if the live index still carries exactly
     /// this timestamp.
     pub timestamp: u64,
-    /// True if the NVM version is a delete tombstone.
-    pub tombstone: bool,
-    /// The value (cloned at plan time); `None` for tombstones.
+    /// The value (cloned at plan time); `None` for a delete tombstone.
     pub value: Option<Value>,
+    /// The slot's version checksum, which becomes the flash record's (a
+    /// tombstone leaves no record).
+    pub checksum: u32,
 }
-
-use prism_types::Value;
 
 /// A planned compaction, self-contained and `Send`.
 #[derive(Debug, Clone)]
@@ -115,10 +123,6 @@ pub struct MergedEntry {
     pub entry: SstEntry,
     /// Provenance, for install-time revalidation.
     pub origin: MergedOrigin,
-    /// The record failed its checksum when the merge read it: the
-    /// installer drops it, counts the failure and quarantines the key —
-    /// under the lock, and only if the job installs at all.
-    pub corrupt: bool,
 }
 
 /// The result of executing a [`CompactionJob`] outside the partition lock.
@@ -155,12 +159,9 @@ pub struct ExecutedJob {
 /// read counters are touched, so a discarded job leaves partition state
 /// untouched.
 ///
-/// This is where a compaction re-verifies what it carries: every surviving
-/// victim-file record is checked against its checksum here, off the
-/// partition lock, and a failure travels to the installer as
-/// [`MergedEntry::corrupt`]. A demoted NVM object was verified when the
-/// plan read its slot, and its flash record (checksum included) is built
-/// here from those bytes, so it needs no second pass.
+/// The merge compares keys and moves values; it reads no value byte. A
+/// demoted object's record takes the slot's version checksum and a
+/// surviving victim-file record keeps its own, damaged or not.
 pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) -> ExecutedJob {
     let mut duration = job.planning_cost;
     let mut flash_time = Nanos::ZERO;
@@ -193,19 +194,17 @@ pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) 
             // The flash version of the same key is stale: drop it by
             // advancing past it.
             flash.next_if(|(fk, _)| *fk == d.key);
-            demoted.push((d.key.clone(), d.timestamp, d.tombstone));
-            if d.tombstone {
+            demoted.push((d.key.clone(), d.timestamp, d.value.is_none()));
+            match d.value {
                 // Key is deleted everywhere once the merge completes.
-                removed_from_flash.push(d.key.id());
-            } else if let Some(value) = d.value {
-                merged.push(MergedEntry {
+                None => removed_from_flash.push(d.key.id()),
+                value => merged.push(MergedEntry {
                     key: d.key,
-                    entry: SstEntry::value(value, d.timestamp),
+                    entry: SstEntry::carried(value, d.timestamp, d.checksum),
                     origin: MergedOrigin::Nvm {
                         timestamp: d.timestamp,
                     },
-                    corrupt: false,
-                });
+                }),
             }
         } else {
             let (key, entry) = flash.next().expect("peeked");
@@ -221,7 +220,6 @@ pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) 
                 origin: MergedOrigin::Flash {
                     promote: job.promote_hints.contains(&key.id()),
                 },
-                corrupt: !entry.verify(),
             });
         }
     }
@@ -245,6 +243,7 @@ mod tests {
     use super::*;
     use prism_flash::SstBuilder;
     use prism_storage::DeviceProfile;
+    use prism_types::checksum::version_checksum;
 
     fn flash() -> Arc<Device> {
         Arc::new(Device::new(DeviceProfile::qlc_flash(1 << 30)))
@@ -264,11 +263,12 @@ mod tests {
     }
 
     fn demote(kid: u64, ts: u64, fill: Option<u8>) -> DemoteEntry {
+        let value = fill.map(|f| Value::filled(64, f));
         DemoteEntry {
             key: Key::from_id(kid),
             timestamp: ts,
-            tombstone: fill.is_none(),
-            value: fill.map(|f| Value::filled(64, f)),
+            checksum: version_checksum(ts, value.as_ref().map(Value::as_bytes)),
+            value,
         }
     }
 
@@ -333,13 +333,14 @@ mod tests {
         assert_eq!(exec.merged[1].origin, MergedOrigin::Flash { promote: true });
     }
 
-    /// The merge verifies what it carries: a victim-file record that fails
-    /// its checksum comes out flagged (the installer drops and quarantines
-    /// it under the lock), its clean neighbours and the demoted NVM
-    /// objects do not, and a flagged record shadowed by a demotion never
-    /// reaches the output at all.
+    /// The merge carries checksums, it does not compute them: every output
+    /// record holds, bit for bit, the checksum of the version it came from
+    /// — the slot's for a demoted object, the record's own for a victim
+    /// one. So a record damaged on flash and an object damaged in its slot
+    /// both come out failing, next to clean neighbours that pass, and a
+    /// damaged record shadowed by a demotion never reaches the output.
     #[test]
-    fn a_checksum_failing_flash_record_is_flagged_by_the_merge() {
+    fn a_checksum_failing_record_is_carried_verbatim_by_the_merge() {
         use prism_storage::{FaultMode, FaultOp, FaultPlan, FaultTier, TargetedFault};
 
         let plan = Arc::new(FaultPlan::new(5));
@@ -358,24 +359,43 @@ mod tests {
         let damaged = f.corrupt_keys();
         assert_eq!(damaged.len(), 1, "the armed flip hit one record");
 
+        // An object whose slot bytes were damaged after its checksum was
+        // taken, beside a clean one.
+        let mut torn = demote(6, 9, Some(6));
+        torn.value = Some(Value::filled(63, 6));
+        let demoted = [demote(5, 9, Some(5)), torn];
         let exec = execute_job(
-            job(vec![demote(5, 9, Some(5))], vec![f.clone()]),
+            job(demoted.to_vec(), vec![f.clone()]),
             &CpuCosts::default(),
             &dev,
         );
-        let flagged: Vec<&Key> = exec
+        assert_eq!(exec.merged.len(), 5);
+        for m in &exec.merged {
+            let (checksum, value) = match m.origin {
+                MergedOrigin::Nvm { .. } => {
+                    let d = demoted.iter().find(|d| d.key == m.key).expect("demoted");
+                    (d.checksum, d.value.clone())
+                }
+                MergedOrigin::Flash { .. } => {
+                    let (_, record) = f.iter().find(|(k, _)| *k == m.key).expect("victim");
+                    (record.checksum, record.value.clone())
+                }
+            };
+            assert_eq!(m.entry.checksum, checksum, "{:?}", m.key);
+            assert_eq!(m.entry.value, value, "{:?}", m.key);
+        }
+        let failing: Vec<u64> = exec
             .merged
             .iter()
-            .filter(|m| m.corrupt)
-            .map(|m| &m.key)
+            .filter(|m| !m.entry.verify())
+            .map(|m| m.key.id())
             .collect();
-        assert_eq!(flagged, [&damaged[0]]);
-        assert_eq!(exec.merged.len(), 4);
+        assert_eq!(failing, [damaged[0].id(), 6]);
 
         let shadow = demote(damaged[0].id(), 9, Some(7));
         let exec = execute_job(job(vec![shadow], vec![f]), &CpuCosts::default(), &dev);
         assert_eq!(exec.merged.len(), 3);
-        assert!(exec.merged.iter().all(|m| !m.corrupt));
+        assert!(exec.merged.iter().all(|m| m.entry.verify()));
     }
 
     #[test]

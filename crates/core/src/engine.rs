@@ -1469,6 +1469,55 @@ mod tests {
         }
     }
 
+    /// An empty value is a value, not a delete: acknowledged by a single
+    /// put, it is still there after a crash (recovery reads the slot's
+    /// tombstone flag, not the value's length).
+    #[test]
+    fn an_empty_value_survives_a_crash() {
+        let db = small_db(1_000, 2);
+        let key = Key::from_id(5);
+        db.put(key.clone(), Value::empty()).unwrap();
+        assert_eq!(db.get(&key).unwrap().value, Some(Value::empty()));
+        db.crash_and_recover();
+        assert_eq!(db.get(&key).unwrap().value, Some(Value::empty()));
+    }
+
+    /// The same through the batched path, beside a delete in the same
+    /// batch that must stay one.
+    #[test]
+    fn an_empty_value_in_a_batch_survives_a_crash() {
+        let db = small_db(1_000, 2);
+        let (empty, gone) = (Key::from_id(5), Key::from_id(6));
+        db.put(gone.clone(), Value::filled(64, 6)).unwrap();
+        let mut batch = WriteBatch::new();
+        batch.put(empty.clone(), Value::empty());
+        batch.delete(gone.clone());
+        db.apply_batch(batch).unwrap();
+        db.crash_and_recover();
+        assert_eq!(db.get(&empty).unwrap().value, Some(Value::empty()));
+        assert_eq!(db.get(&gone).unwrap().value, None);
+    }
+
+    /// A delete of a key whose only version is on flash writes a tombstone
+    /// slot; recovery must read it back as a tombstone, neither as an
+    /// empty value nor as nothing (which would expose the flash version).
+    #[test]
+    fn a_delete_over_flash_survives_a_crash_as_a_tombstone() {
+        let db = small_db(3_000, 2);
+        for id in 0..3_000u64 {
+            db.put(Key::from_id(id), Value::filled(900, 1)).unwrap();
+        }
+        let victim = (0..3_000u64)
+            .map(Key::from_id)
+            .find(|key| db.get(key).unwrap().source == ReadSource::Flash)
+            .expect("some key lives only on flash");
+        db.delete(&victim).unwrap();
+        db.crash_and_recover();
+        assert_eq!(db.get(&victim).unwrap().value, None);
+        let scanned = db.scan(&victim, 1).unwrap().entries;
+        assert!(scanned.iter().all(|(key, _)| *key != victim));
+    }
+
     #[test]
     fn read_heavy_workload_keeps_hot_reads_fast() {
         let db = small_db(4_000, 2);

@@ -32,13 +32,15 @@
 //!
 //! Compactions run as a *plan → execute → install* pipeline
 //! (see [`prism_compaction::CompactionJob`]): planning clones the victim
-//! state out under the lock, execution merges — and checksum-verifies the
-//! flash records it carries — without touching the partition, and
-//! installation re-validates against the live index (timestamp checks per
-//! demoted object; per job, that the sorted log's generation has not moved
-//! since the plan), drops and quarantines what the merge flagged, and
-//! moves the rest into the new files before swapping them in — after
-//! which the log frees whichever replaced file no reader holds. A
+//! state out under the lock, execution merges without touching the
+//! partition, and installation re-validates against the live index
+//! (timestamp checks per demoted object; per job, that the sorted log's
+//! generation has not moved since the plan) and moves what survives into
+//! the new files before swapping them in — after which the log frees
+//! whichever replaced file no reader holds. No phase verifies or
+//! recomputes a checksum: each version keeps the one it was written with
+//! across demotion, merge and promotion, so damage stays detectable and
+//! is caught by the next read, scan, recovery scan or scrub pass. A
 //! partition only *plans* and *installs*; it never
 //! decides when a compaction runs or who runs it. That is the engine's
 //! compaction driver (`crate::workers`): it calls into a write between the
@@ -536,7 +538,7 @@ impl Partition {
                 .slab
                 .peek(entry.addr)
                 .filter(|slot| slot.verify())
-                .map(|slot| slot.value.clone());
+                .and_then(|slot| slot.value.clone());
             return Some((entry.timestamp, value));
         }
         let file = self.log.lookup(key)?;
@@ -959,8 +961,7 @@ impl Partition {
             }
             let (slot, read_cost) = self.slab.read(entry.addr)?;
             *cost += read_cost;
-            let value = Some(slot.value.clone());
-            return Ok(Some((ReadSource::Nvm, entry.timestamp, value)));
+            return Ok(Some((ReadSource::Nvm, entry.timestamp, slot.value.clone())));
         }
         *cost += self.cpu.bloom_probe;
         let Some(file) = self.log.lookup(key) else {
@@ -1142,11 +1143,11 @@ impl Partition {
         if on_flash {
             // Write a tombstone to NVM so the flash version is hidden until
             // a compaction merges and drops both.
-            let (addr, write_cost) = match self.slab.insert(key.clone(), Value::empty(), ts) {
+            let (addr, write_cost) = match self.slab.insert_tombstone(key.clone(), ts) {
                 Ok(ok) => ok,
                 Err(PrismError::CapacityExceeded { .. }) => {
                     cost += reclaim(self, accrued + cost)?;
-                    self.slab.insert(key.clone(), Value::empty(), ts)?
+                    self.slab.insert_tombstone(key.clone(), ts)?
                 }
                 Err(err) => return Err(err),
             };
@@ -1245,7 +1246,7 @@ impl Partition {
                     live = Some((entry.timestamp, None));
                 } else if let Some(slot) = self.slab.peek(entry.addr) {
                     if slot.verify() {
-                        live = Some((entry.timestamp, Some(slot.value.clone())));
+                        live = Some((entry.timestamp, slot.value.clone()));
                         cursor.nvm_reads += 1;
                     } else {
                         // Skip-and-report: a corrupt slot reads as absent
@@ -1490,31 +1491,17 @@ impl Partition {
                 decision.should_pin(self.planner.draw())
             };
             if !pinned {
-                let value = if entry.tombstone {
-                    None
-                } else {
-                    match self.slab.peek(entry.addr) {
-                        Some(slot) if slot.verify() => Some(slot.value.clone()),
-                        // A corrupt slot must never enter a demotion job:
-                        // the execute step rebuilds the SST record with a
-                        // freshly computed checksum, which would launder
-                        // the damaged bytes into flash as "clean". Drop
-                        // and quarantine it here instead.
-                        Some(_) => {
-                            self.note_checksum_failure();
-                            self.quarantine_key(&key);
-                            continue;
-                        }
-                        // The index points at a missing slot; skip rather
-                        // than demote a value we cannot read.
-                        None => continue,
-                    }
+                // The index points at a missing slot: nothing to demote.
+                let Some(slot) = self.slab.peek(entry.addr) else {
+                    continue;
                 };
+                // Unverified: a damaged value moves with the checksum it
+                // fails, and is caught on flash where it is next read.
                 demote.push(DemoteEntry {
                     key,
                     timestamp: entry.timestamp,
-                    tombstone: entry.tombstone,
-                    value,
+                    value: slot.value.clone(),
+                    checksum: slot.checksum,
                 });
             }
         }
@@ -1598,17 +1585,6 @@ impl Partition {
         let mut out: Vec<(Key, SstEntry)> = Vec::with_capacity(exec.merged.len());
 
         for m in exec.merged {
-            if m.corrupt {
-                // The merge verified the record off the lock and it failed.
-                // Corrupt bytes must never propagate through a compaction
-                // into fresh SST files: drop the record, and quarantine
-                // the key unless a live NVM version shadows it.
-                self.note_checksum_failure();
-                if !self.index.contains_key(&m.key) {
-                    self.quarantine_key(&m.key);
-                }
-                continue;
-            }
             match m.origin {
                 MergedOrigin::Nvm { timestamp } => {
                     // A foreground write (update or delete) between plan
@@ -1629,10 +1605,13 @@ impl Partition {
                         // the key from snapshots pinned before the
                         // promotion. Safe to reuse — the key has no NVM
                         // entry (checked above) and later foreground
-                        // writes allocate strictly larger sequences.
+                        // writes allocate strictly larger sequences. Its
+                        // checksum comes along too, so a record damaged on
+                        // flash fails in its slot.
                         let ts = m.entry.timestamp;
                         let value = m.entry.value.clone().expect("hints never mark tombstones");
-                        match self.slab.insert(m.key.clone(), value, ts) {
+                        let checksum = m.entry.checksum;
+                        match self.slab.insert_carried(m.key.clone(), value, ts, checksum) {
                             Ok((addr, cost)) => {
                                 duration += cost;
                                 self.index.insert(
@@ -1784,7 +1763,7 @@ impl Partition {
                     addr,
                     slot.key.clone(),
                     slot.timestamp,
-                    slot.value.is_empty(),
+                    slot.is_tombstone(),
                     slot.verify(),
                 )
             })
@@ -1908,7 +1887,7 @@ impl Partition {
                         if !slot.verify() {
                             corrupt.push(key.clone());
                         }
-                        slot.value.len() as u64 + 64
+                        slot.value_len() as u64 + 64
                     }
                     None => {
                         // Dangling index entry: treat as corrupt.
@@ -2553,17 +2532,8 @@ mod tests {
         assert!(p.get(&deleted).unwrap().value.is_none());
     }
 
-    /// The merge verifies off the lock; the installer acts on its verdict.
-    /// A flash record that fails its checksum is dropped, counted once and
-    /// quarantined when its job installs — and a job discarded because
-    /// another installed first counts nothing, however many flagged
-    /// records it carried.
-    #[test]
-    fn install_acts_on_the_merges_checksum_verdict_and_a_discarded_job_counts_nothing() {
-        use prism_storage::{FaultMode, TargetedFault};
-
-        let keys = 2_000u64;
-        let plan = Arc::new(FaultPlan::new(0xF1A6));
+    /// A one-partition engine whose devices and slabs share `plan`.
+    fn faulted_engine(keys: u64, plan: &Arc<FaultPlan>) -> EngineShared {
         let mut options = small_options(keys);
         options.fault_plan = Some(plan.clone());
         options.corruption_quarantine_threshold = 100;
@@ -2572,40 +2542,70 @@ mod tests {
             DeviceProfile::qlc_flash(options.flash_capacity_bytes),
             plan.clone(),
         );
-        let engine = EngineShared::new(options, storage).unwrap();
+        EngineShared::new(options, storage).unwrap()
+    }
+
+    fn arm_write_flip(plan: &FaultPlan, tier: FaultTier) {
+        plan.arm(prism_storage::TargetedFault {
+            tier,
+            partition: None,
+            op: FaultOp::Write,
+            mode: prism_storage::FaultMode::BitFlip,
+        });
+    }
+
+    /// Plan, execute and install a demotion of every NVM object.
+    fn demote_everything(p: &mut Partition) {
+        let (cpu, dev, fg) = (p.cpu, p.flash_dev.clone(), p.fg());
+        let job = p.plan_demotion(DemotionPlan::Everything, fg).expect("job");
+        p.install_compaction(execute_job(job, &cpu, &dev))
+            .unwrap()
+            .expect("nothing installed since the plan");
+    }
+
+    /// The flash record of `key`.
+    fn flash_record(p: &Partition, key: &Key) -> SstEntry {
+        let file = p.log.lookup(key).expect("on flash");
+        file.range(key, key).next().expect("held").1.clone()
+    }
+
+    /// The flash records that fail their checksums.
+    fn failing_records(p: &Partition) -> Vec<Key> {
+        p.log
+            .iter()
+            .filter(|(_, entry)| !entry.verify())
+            .map(|(key, _)| key.clone())
+            .collect()
+    }
+
+    /// A record that fails its checksum is carried through a compaction as
+    /// it is: neither the merge nor the install verifies, counts or drops
+    /// it, so it comes out with the same bytes and the same checksum, and
+    /// a read or the scrubber is what catches it. A job discarded because
+    /// another installed first changes and counts nothing either.
+    #[test]
+    fn install_carries_a_failing_record_verbatim_and_a_discarded_job_counts_nothing() {
+        let keys = 2_000u64;
+        let plan = Arc::new(FaultPlan::new(0xF1A6));
+        let engine = faulted_engine(keys, &plan);
         let mut p = partition(&engine);
         for id in 0..keys / 2 {
             put(&engine, &mut p, Key::from_id(id), Value::filled(900, 1)).unwrap();
         }
         // The next SST write damages one record after its checksum was
-        // computed; a full demotion makes that write happen now.
-        plan.arm(TargetedFault {
-            tier: FaultTier::Flash,
-            partition: None,
-            op: FaultOp::Write,
-            mode: FaultMode::BitFlip,
-        });
-        let (cpu, dev) = (p.cpu, p.flash_dev.clone());
-        let fg = p.fg();
-        let job = p.plan_demotion(DemotionPlan::Everything, fg).expect("job");
-        p.install_compaction(execute_job(job, &cpu, &dev))
-            .unwrap()
-            .expect("installs");
-        let damaged: Vec<Key> = p
-            .log
-            .iter()
-            .filter(|(_, entry)| !entry.verify())
-            .map(|(key, _)| key.clone())
-            .collect();
+        // fixed; a full demotion makes that write happen now.
+        arm_write_flip(&plan, FaultTier::Flash);
+        demote_everything(&mut p);
+        let damaged = failing_records(&p);
         assert_eq!(damaged.len(), 1, "the armed flip hit one record");
-        assert_eq!(p.stats().integrity.checksum_failures, 0);
+        let before = flash_record(&p, &damaged[0]);
 
         // Rewrite everything: a job whose merge crosses the record. Before
         // it installs, another job does — one demoting a key written since,
         // which no file covers — and the first is stale.
+        let (cpu, dev, fg) = (p.cpu, p.flash_dev.clone(), p.fg());
         let job = p.plan_demotion(DemotionPlan::Everything, fg).expect("job");
         let exec = execute_job(job, &cpu, &dev);
-        assert_eq!(exec.merged.iter().filter(|m| m.corrupt).count(), 1);
         let fresh = Key::from_id(keys);
         put(&engine, &mut p, fresh.clone(), Value::filled(900, 2)).unwrap();
         let force = JobKind::Demotion { force: true };
@@ -2617,18 +2617,138 @@ mod tests {
             .unwrap()
             .expect("installs");
         assert_discarded_at_install(&mut p, exec);
+
+        demote_everything(&mut p);
+        assert_eq!(failing_records(&p), damaged, "carried, not dropped");
+        let after = flash_record(&p, &damaged[0]);
+        assert_eq!(
+            (after.value, after.checksum),
+            (before.value, before.checksum),
+            "the same bytes under the same checksum"
+        );
         let stats = p.stats().integrity;
         assert_eq!((stats.checksum_failures, stats.quarantined_objects), (0, 0));
+        assert_eq!(plan.snapshot().detected, 0);
 
-        let job = p.plan_demotion(DemotionPlan::Everything, fg).expect("job");
-        p.install_compaction(execute_job(job, &cpu, &dev))
+        assert!(matches!(p.get(&damaged[0]), Err(PrismError::Corruption(_))));
+        let report = p.scrub_pass(u64::MAX);
+        assert_eq!((report.corrupt_found, report.quarantined), (1, 1));
+        assert!(failing_records(&p).is_empty());
+        assert!(matches!(p.get(&damaged[0]), Err(PrismError::Corruption(_))));
+        assert_eq!(plan.snapshot().detected, 2);
+    }
+
+    /// A demotion copies each slot's version checksum into its flash
+    /// record bit for bit — a damaged slot's included, which a recomputed
+    /// checksum would have certified.
+    #[test]
+    fn a_full_demotion_carries_every_slot_checksum_bit_for_bit() {
+        let keys = 1_000u64;
+        let plan = Arc::new(FaultPlan::new(0xCA7));
+        let engine = faulted_engine(keys, &plan);
+        let mut p = partition(&engine);
+        for id in 0..keys / 2 {
+            if id % 100 == 7 {
+                arm_write_flip(&plan, FaultTier::Nvm);
+            }
+            let value = Value::filled(700, id as u8);
+            put(&engine, &mut p, Key::from_id(id), value).unwrap();
+        }
+        assert_eq!(plan.snapshot().bit_flips, 5);
+        let slots: Vec<(Key, u32, bool)> = p
+            .index
+            .range_from(&Key::min())
+            .map(|(key, entry)| {
+                let slot = p.slab.peek(entry.addr).expect("live slot");
+                (key.clone(), slot.checksum, slot.verify())
+            })
+            .collect();
+        assert_eq!(slots.iter().filter(|(_, _, ok)| !ok).count(), 5);
+
+        demote_everything(&mut p);
+        assert_eq!(p.nvm_object_count(), 0);
+        for (key, checksum, ok) in &slots {
+            let entry = flash_record(&p, key);
+            assert_eq!(entry.checksum, *checksum, "{key:?}");
+            assert_eq!(entry.verify(), *ok, "{key:?}");
+        }
+    }
+
+    /// A slot damaged on NVM and then demoted is still damaged on flash: a
+    /// read reports `Corruption`, never the bytes, and the scrubber takes
+    /// the record out.
+    #[test]
+    fn a_slot_damaged_on_nvm_stays_corrupt_after_its_demotion() {
+        let keys = 1_000u64;
+        let plan = Arc::new(FaultPlan::new(0xD0E));
+        let engine = faulted_engine(keys, &plan);
+        let mut p = partition(&engine);
+        for id in 0..keys / 4 {
+            put(&engine, &mut p, Key::from_id(id), Value::filled(700, 1)).unwrap();
+        }
+        let victim = Key::from_id(keys / 8);
+        arm_write_flip(&plan, FaultTier::Nvm);
+        put(&engine, &mut p, victim.clone(), Value::filled(700, 2)).unwrap();
+
+        demote_everything(&mut p);
+        assert!(!p.index.contains_key(&victim), "demoted unverified");
+        assert_eq!(failing_records(&p), std::slice::from_ref(&victim));
+        assert_eq!(p.stats().integrity.checksum_failures, 0);
+        assert!(matches!(p.get(&victim), Err(PrismError::Corruption(_))));
+
+        let report = p.scrub_pass(u64::MAX);
+        assert_eq!((report.corrupt_found, report.quarantined), (1, 1));
+        assert!(failing_records(&p).is_empty());
+        assert!(matches!(p.get(&victim), Err(PrismError::Corruption(_))));
+        assert_eq!(p.flash_object_count() as u64, keys / 4 - 1);
+    }
+
+    /// A record damaged on flash and then promoted takes its checksum into
+    /// the slot, where it still fails: the read reports `Corruption`.
+    #[test]
+    fn a_record_damaged_on_flash_fails_in_its_slot_after_promotion() {
+        let keys = 1_000u64;
+        let plan = Arc::new(FaultPlan::new(0x9A0));
+        let engine = faulted_engine(keys, &plan);
+        let mut p = partition(&engine);
+        for id in 0..keys / 4 {
+            put(&engine, &mut p, Key::from_id(id), Value::filled(700, 1)).unwrap();
+        }
+        arm_write_flip(&plan, FaultTier::Flash);
+        demote_everything(&mut p);
+        let damaged = failing_records(&p);
+        assert_eq!(damaged.len(), 1, "the armed flip hit one record");
+        let victim = &damaged[0];
+        let carried = flash_record(&p, victim).checksum;
+
+        // Promote it through a hint, as a demotion over its range would.
+        let (cpu, dev, fg) = (p.cpu, p.flash_dev.clone(), p.fg());
+        let force = JobKind::Demotion { force: true };
+        let mut job = p
+            .plan_range(
+                victim.clone(),
+                victim.clone(),
+                force,
+                false,
+                Nanos::ZERO,
+                fg,
+            )
+            .expect("job");
+        job.promote_hints.insert(victim.id());
+        let outcome = p
+            .install_compaction(execute_job(job, &cpu, &dev))
             .unwrap()
             .expect("installs");
-        let stats = p.stats().integrity;
-        assert_eq!((stats.checksum_failures, stats.quarantined_objects), (1, 1));
-        assert!(matches!(p.get(&damaged[0]), Err(PrismError::Corruption(_))));
-        assert!(p.log.iter().all(|(_, entry)| entry.verify()));
-        assert_eq!(plan.snapshot().detected, 1);
+        assert_eq!(outcome.promoted, 1);
+
+        let slot = p
+            .slab
+            .peek(p.index.get(victim).expect("promoted").addr)
+            .unwrap();
+        assert_eq!(slot.checksum, carried);
+        assert!(!slot.verify());
+        assert!(failing_records(&p).is_empty(), "it left flash");
+        assert!(matches!(p.get(victim), Err(PrismError::Corruption(_))));
     }
 
     /// Install `exec`, which must be discarded: no tier changes, nothing

@@ -106,8 +106,11 @@ fn every_injected_flash_bit_flip_is_detected() {
     // compaction merges a newer version over it and drops the damaged
     // record unread, so it never persists and there is nothing left to
     // detect. The engine contract is therefore: every flip is either
-    // detected (install-time verify or scrub) or provably gone — after a
-    // full scrub no corrupt record survives anywhere.
+    // detected (by a reader: here only the scrub reads) or provably gone —
+    // after a full scrub no corrupt record survives anywhere. With this
+    // seed all three flips are superseded before the scrub runs, so
+    // nothing need be detected; the next test is the case where no flip
+    // can be superseded.
     let report = db.scrub();
     assert!(report.completed);
     let second = db.scrub();
@@ -116,9 +119,9 @@ fn every_injected_flash_bit_flip_is_detected() {
         "a corrupt record survived scrubbing (first report {report:?})"
     );
     let snap = plan.snapshot();
-    assert!(
-        snap.detected >= 1,
-        "no flash flip was ever caught (report {report:?})"
+    assert_eq!(
+        snap.detected, report.corrupt_found,
+        "compaction detected (or dropped as detected) a flip nobody read"
     );
 
     // And no probe anywhere returns damaged bytes.
@@ -132,6 +135,63 @@ fn every_injected_flash_bit_flip_is_detected() {
             Err(err) => panic!("key {id} surfaced {err}"),
         }
     }
+}
+
+/// Bit flips injected into the SST writes of one demotion, with nothing
+/// written after it, cannot be superseded: every damaged record is still
+/// on flash, carried with the checksum it fails. One scrub pass finds
+/// exactly the injected flips, and each damaged key then reads
+/// `Corruption`, never its bytes, while every other key reads its value.
+#[test]
+fn every_flash_bit_flip_of_one_demotion_is_found_by_the_scrub() {
+    const FLIPS: u64 = 3;
+    const KEYS: u64 = 200;
+    let plan = Arc::new(FaultPlan::new(0xF1A7));
+    let mut options = Options::scaled_default(KEYS);
+    options.num_partitions = 1;
+    options.nvm_capacity_bytes = 64 * 1024;
+    options.sst_target_bytes = 8 * 1024;
+    options.compaction.bucket_size_keys = 64;
+    options.fault_plan = Some(Arc::clone(&plan));
+    options.corruption_quarantine_threshold = 100;
+    let db = PrismDb::open(options).expect("valid options");
+
+    // Armed before any write: they wait for the first SST write, which
+    // the first demotion makes. Writing stops right after it.
+    for _ in 0..FLIPS {
+        plan.arm(TargetedFault {
+            tier: FaultTier::Flash,
+            partition: None,
+            op: FaultOp::Write,
+            mode: FaultMode::BitFlip,
+        });
+    }
+    let mut written = 0;
+    while db.flash_object_count() == 0 {
+        assert!(written < KEYS, "no demotion after {KEYS} writes");
+        db.put(Key::from_id(written), Value::filled(600, written as u8))
+            .expect("writes stay silent under flash write flips");
+        written += 1;
+    }
+    assert_eq!(plan.snapshot().bit_flips, FLIPS, "every armed flip fired");
+    assert_eq!(plan.snapshot().detected, 0, "nothing has read a record yet");
+
+    let report = db.scrub();
+    assert!(report.completed);
+    assert_eq!(report.corrupt_found, FLIPS, "report {report:?}");
+    assert_eq!(plan.snapshot().detected, FLIPS);
+    assert_eq!(db.scrub().corrupt_found, 0);
+
+    let mut corrupt = 0;
+    for id in 0..written {
+        match db.get(&Key::from_id(id)) {
+            Ok(lookup) => assert_eq!(lookup.value, Some(Value::filled(600, id as u8)), "key {id}"),
+            Err(PrismError::Corruption(_)) => corrupt += 1,
+            Err(err) => panic!("key {id} surfaced {err}"),
+        }
+    }
+    assert_eq!(corrupt, FLIPS);
+    assert_eq!(db.quarantined_object_count() as u64, FLIPS);
 }
 
 /// The quarantine -> degraded -> scrub -> healthy lifecycle: a degraded

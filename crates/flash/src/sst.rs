@@ -21,11 +21,24 @@
 //! handle per block — and the bloom filter, and what a probe costs on
 //! the simulated clock ([`BlockProbe`]) is what the block index
 //! formulation returned, field for field.
+//!
+//! # Checksums
+//!
+//! A record's checksum is its version's
+//! ([`prism_types::checksum::version_checksum`]), computed when the
+//! version was written — for a demoted object, in its slab slot — and
+//! carried in by [`SstEntry::carried`]: building a file never reads a
+//! value to checksum it. What the file computes itself covers what the
+//! record checksum does not: each block's checksum chains its records'
+//! keys (length and bytes) and record checksums, and the footer chains
+//! the blocks'. A record that arrives damaged keeps the checksum it
+//! fails, so [`SstFile::probe`] withholds it and
+//! [`SstFile::corrupt_keys`] lists it for the scrubber.
 
 use std::sync::Arc;
 
 use prism_storage::{Device, FaultTier, InjectedFault};
-use prism_types::checksum::Crc32;
+use prism_types::checksum::{version_checksum, Crc32};
 use prism_types::{Key, Nanos, Value};
 
 use crate::bloom::BloomFilter;
@@ -46,51 +59,41 @@ pub struct SstEntry {
     pub value: Option<Value>,
     /// Logical timestamp of the version.
     pub timestamp: u64,
-    /// CRC32 over the timestamp, tombstone flag, value length and value
-    /// bytes, written with the record and re-verified on every probe,
-    /// range read, recovery scan, scrub pass and compaction execute (the
+    /// The version's checksum ([`version_checksum`]: timestamp, tombstone
+    /// or length tag, value bytes), computed once when the version was
+    /// written and carried here verbatim by demotion and merge. Verified
+    /// on every probe, range read, recovery scan and scrub pass (the
     /// record's key is covered by its block's checksum).
     pub checksum: u32,
 }
 
 impl SstEntry {
-    /// A live value entry.
+    /// A live value entry, checksummed now.
     pub fn value(value: Value, timestamp: u64) -> Self {
-        let checksum = SstEntry::compute_checksum(Some(&value), timestamp);
+        let checksum = version_checksum(timestamp, Some(value.as_bytes()));
+        SstEntry::carried(Some(value), timestamp, checksum)
+    }
+
+    /// A delete tombstone, checksummed now.
+    pub fn tombstone(timestamp: u64) -> Self {
+        SstEntry::carried(None, timestamp, version_checksum(timestamp, None))
+    }
+
+    /// A version whose checksum was computed when it was first written —
+    /// in a slab slot or an earlier record — stored as given, never
+    /// recomputed: bytes damaged on the way keep a checksum they fail.
+    pub fn carried(value: Option<Value>, timestamp: u64, checksum: u32) -> Self {
         SstEntry {
-            value: Some(value),
+            value,
             timestamp,
             checksum,
         }
     }
 
-    /// A delete tombstone.
-    pub fn tombstone(timestamp: u64) -> Self {
-        SstEntry {
-            value: None,
-            timestamp,
-            checksum: SstEntry::compute_checksum(None, timestamp),
-        }
-    }
-
-    /// The CRC32 a record with this content must carry.
-    pub fn compute_checksum(value: Option<&Value>, timestamp: u64) -> u32 {
-        let mut crc = Crc32::new();
-        crc.update_u64(timestamp);
-        match value {
-            Some(v) => {
-                crc.update_u64(1 + v.len() as u64);
-                crc.update(v.as_bytes());
-            }
-            None => crc.update_u64(0),
-        }
-        crc.finish()
-    }
-
     /// True when the stored checksum still matches the record content —
     /// false after a bit flip or a torn write truncated the value.
     pub fn verify(&self) -> bool {
-        self.checksum == SstEntry::compute_checksum(self.value.as_ref(), self.timestamp)
+        self.checksum == version_checksum(self.timestamp, self.value.as_ref().map(Value::as_bytes))
     }
 
     /// True if this entry is a tombstone.

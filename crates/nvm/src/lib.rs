@@ -114,7 +114,7 @@ mod proptests {
                         if let Some(addr) = addrs.get(&id) {
                             let (entry, _) = store.read(*addr).unwrap();
                             let (size, when) = model[&id];
-                            prop_assert_eq!(entry.value.len(), size);
+                            prop_assert_eq!(entry.value_len(), size);
                             prop_assert_eq!(entry.timestamp, when);
                             prop_assert_eq!(entry.key.id(), id);
                         }
@@ -132,7 +132,7 @@ mod proptests {
         }
 
         /// A freshly built slot always verifies, and flipping any single
-        /// bit of its value is always detected by the header CRC.
+        /// bit of its value is always detected by the slot checksums.
         #[test]
         fn slot_checksum_roundtrips_and_catches_any_single_bit_flip(
             id in 0u64..1_000_000,
@@ -148,12 +148,12 @@ mod proptests {
             let idx = flip_at % damaged.len();
             damaged[idx] ^= 1 << flip_bit;
             let flipped = SlotEntry {
-                value: Value::from_vec(damaged),
+                value: Some(Value::from_vec(damaged)),
                 ..entry.clone()
             };
             prop_assert!(!flipped.verify(), "a single bit flip must fail the CRC");
 
-            // Metadata damage is caught too: the CRC covers key id and
+            // Metadata damage is caught too: the checksums cover key and
             // timestamp, not just the value bytes.
             let ts_flip = SlotEntry { timestamp: entry.timestamp ^ 1, ..entry };
             prop_assert!(!ts_flip.verify());
@@ -172,7 +172,7 @@ mod proptests {
             let entry = SlotEntry::new(Key::from_id(id), Value::from_vec(bytes.clone()), ts);
             let keep = keep % bytes.len();
             let torn = SlotEntry {
-                value: Value::from_vec(bytes[..keep].to_vec()),
+                value: Some(Value::from_vec(bytes[..keep].to_vec())),
                 ..entry
             };
             prop_assert!(!torn.verify(), "a truncated slot must fail the CRC");

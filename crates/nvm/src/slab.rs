@@ -1,35 +1,69 @@
 //! A single slab file: fixed-size slots for one object-size class.
+//!
+//! # Checksums
+//!
+//! A slot holds one version of a key and two checksums. The *version
+//! checksum* ([`version_checksum`]: timestamp, tombstone or length tag,
+//! value bytes) is the version's own: computed once when the version is
+//! first written — here for a put or a delete, on flash for a version a
+//! promotion brings back — and carried verbatim whenever the version
+//! moves between tiers, so a demotion copies it into the SST record
+//! without reading the value. The *header checksum* covers the key
+//! (length and bytes) and the version checksum, so every stored byte is
+//! covered and a key damaged past its eighth byte is caught. Both are
+//! verified on every read, scan, recovery scan and scrub pass; nothing
+//! that moves a slot verifies it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use prism_types::checksum::Crc32;
+use prism_types::checksum::{version_checksum, Crc32};
 use prism_types::{Key, Value};
 
-/// One live object stored in a slab slot, together with the metadata header
-/// the paper writes alongside it (logical timestamp and size are implied by
-/// the stored value).
+/// One version stored in a slab slot, together with the metadata header
+/// the paper writes alongside it (key, logical timestamp; the size is
+/// implied by the stored value).
 #[derive(Debug, Clone)]
 pub struct SlotEntry {
     /// The object's key.
     pub key: Key,
-    /// The object's value.
-    pub value: Value,
+    /// The object's value; `None` marks a delete tombstone, which an empty
+    /// value is not. The version checksum's tag tells the two apart.
+    pub value: Option<Value>,
     /// Logical timestamp assigned by the owning partition; used during
     /// recovery to keep only the most recent version of a key.
     pub timestamp: u64,
-    /// CRC32 over the key (length and bytes), timestamp, value length and
-    /// value bytes, written with the slot header and re-verified on every
-    /// read, recovery scan, scrub pass and compaction plan (a slot that
-    /// fails there never enters the job).
+    /// The version checksum, carried verbatim into an SST record when the
+    /// version is demoted.
     pub checksum: u32,
+    /// CRC32C over the key (length and bytes) and `checksum`.
+    pub header_checksum: u32,
 }
 
 impl SlotEntry {
-    /// Build an entry with its header checksum computed over the content.
+    /// A value version, checksummed now.
     pub fn new(key: Key, value: Value, timestamp: u64) -> SlotEntry {
-        let checksum = SlotEntry::compute_checksum(&key, &value, timestamp);
+        let checksum = version_checksum(timestamp, Some(value.as_bytes()));
+        SlotEntry::carried(key, value, timestamp, checksum)
+    }
+
+    /// A delete tombstone, checksummed now.
+    pub fn tombstone(key: Key, timestamp: u64) -> SlotEntry {
+        let checksum = version_checksum(timestamp, None);
+        SlotEntry::with_checksum(key, None, timestamp, checksum)
+    }
+
+    /// A value version whose checksum was computed when it was first
+    /// written (a promoted flash record's): stored as given, so bytes
+    /// damaged before they got here keep a checksum they fail. Only the
+    /// header checksum, over the key, is computed.
+    pub fn carried(key: Key, value: Value, timestamp: u64, checksum: u32) -> SlotEntry {
+        SlotEntry::with_checksum(key, Some(value), timestamp, checksum)
+    }
+
+    fn with_checksum(key: Key, value: Option<Value>, timestamp: u64, checksum: u32) -> SlotEntry {
         SlotEntry {
+            header_checksum: SlotEntry::header_checksum(&key, checksum),
             key,
             value,
             timestamp,
@@ -37,22 +71,35 @@ impl SlotEntry {
         }
     }
 
-    /// The CRC32 a slot holding this content must carry.
-    pub fn compute_checksum(key: &Key, value: &Value, timestamp: u64) -> u32 {
+    /// CRC32C over the little-endian key length and version checksum (as
+    /// eight bytes each: two words for the CRC instruction) and the key.
+    fn header_checksum(key: &Key, checksum: u32) -> u32 {
+        let mut head = [0u8; 16];
+        head[..8].copy_from_slice(&(key.len() as u64).to_le_bytes());
+        head[8..].copy_from_slice(&u64::from(checksum).to_le_bytes());
         let mut crc = Crc32::new();
-        crc.update_u64(key.len() as u64);
+        crc.update(&head);
         crc.update(key.as_bytes());
-        crc.update_u64(timestamp);
-        crc.update_u64(value.len() as u64);
-        crc.update(value.as_bytes());
         crc.finish()
     }
 
-    /// True when the stored checksum still matches the slot's content —
-    /// false after a bit flip in the value bytes or a torn write that
-    /// truncated them.
+    /// True if the version is a delete tombstone.
+    pub fn is_tombstone(&self) -> bool {
+        self.value.is_none()
+    }
+
+    /// Bytes of value stored (0 for a tombstone).
+    pub fn value_len(&self) -> usize {
+        self.value.as_ref().map_or(0, Value::len)
+    }
+
+    /// True when both checksums still match the slot's content — false
+    /// after a bit flip in the value bytes, a torn write that truncated
+    /// them, or damage to the key or timestamp.
     pub fn verify(&self) -> bool {
-        self.checksum == SlotEntry::compute_checksum(&self.key, &self.value, self.timestamp)
+        self.header_checksum == SlotEntry::header_checksum(&self.key, self.checksum)
+            && self.checksum
+                == version_checksum(self.timestamp, self.value.as_ref().map(Value::as_bytes))
     }
 }
 
@@ -110,7 +157,7 @@ impl SlabFile {
     /// Store an entry in the lowest free slot (or a fresh slot at the end),
     /// returning the slot index.
     pub fn insert(&mut self, entry: SlotEntry) -> u32 {
-        debug_assert!(entry.value.len() <= self.slot_size as usize);
+        debug_assert!(entry.value_len() <= self.slot_size as usize);
         let slot = match self.free.pop() {
             Some(Reverse(idx)) => {
                 self.slots[idx as usize] = Some(entry);
@@ -128,7 +175,7 @@ impl SlabFile {
     /// Overwrite the entry in `slot` in place. Returns `false` if the slot
     /// is empty (the caller's index was stale).
     pub fn update_in_place(&mut self, slot: u32, entry: SlotEntry) -> bool {
-        debug_assert!(entry.value.len() <= self.slot_size as usize);
+        debug_assert!(entry.value_len() <= self.slot_size as usize);
         match self.slots.get_mut(slot as usize) {
             Some(existing @ Some(_)) => {
                 *existing = Some(entry);
@@ -205,7 +252,7 @@ mod tests {
         let slot = slab.insert(entry(5, 100, 1));
         assert!(slab.update_in_place(slot, entry(5, 120, 2)));
         let got = slab.get(slot).unwrap();
-        assert_eq!(got.value.len(), 120);
+        assert_eq!(got.value_len(), 120);
         assert_eq!(got.timestamp, 2);
         assert_eq!(slab.live(), 1);
         assert!(!slab.update_in_place(99, entry(5, 10, 3)));
@@ -226,16 +273,17 @@ mod tests {
         let good = entry(9, 80, 4);
         assert!(good.verify());
 
-        let mut flipped_bytes = good.value.as_bytes().to_vec();
+        let bytes = good.value.as_ref().expect("a value").as_bytes();
+        let mut flipped_bytes = bytes.to_vec();
         flipped_bytes[40] ^= 0x20;
         let flipped = SlotEntry {
-            value: Value::from_vec(flipped_bytes),
+            value: Some(Value::from_vec(flipped_bytes)),
             ..good.clone()
         };
         assert!(!flipped.verify());
 
         let torn = SlotEntry {
-            value: Value::from_vec(good.value.as_bytes()[..33].to_vec()),
+            value: Some(Value::from_vec(bytes[..33].to_vec())),
             ..good.clone()
         };
         assert!(!torn.verify(), "a truncated-tail slot must be rejected");
@@ -266,6 +314,43 @@ mod tests {
             assert_eq!(slot.key.id(), good.key.id());
             assert!(!slot.verify(), "key damaged to {damaged:?} went unnoticed");
         }
+    }
+
+    /// A tombstone and an empty value are different versions: each slot
+    /// verifies as what it is and fails when it reads as the other.
+    #[test]
+    fn a_tombstone_is_covered_and_an_empty_value_is_not_a_tombstone() {
+        let key = Key::from_id(4);
+        let tombstone = SlotEntry::tombstone(key.clone(), 7);
+        let empty = SlotEntry::new(key, Value::empty(), 7);
+        assert!(tombstone.is_tombstone() && !empty.is_tombstone());
+        assert_eq!(tombstone.value_len(), empty.value_len());
+        for (slot, other) in [(&tombstone, &empty), (&empty, &tombstone)] {
+            assert!(slot.verify());
+            let swapped = SlotEntry {
+                value: other.value.clone(),
+                ..slot.clone()
+            };
+            assert!(!swapped.verify());
+        }
+    }
+
+    /// A carried checksum is stored as given, never recomputed: the version
+    /// checksum of the same content verifies, and bytes damaged before the
+    /// slot was written keep the checksum they fail.
+    #[test]
+    fn a_carried_checksum_is_kept_verbatim() {
+        let good = entry(3, 90, 5);
+        let value = good.value.clone().expect("a value");
+        let carried = SlotEntry::carried(good.key.clone(), value, 5, good.checksum);
+        assert!(carried.verify());
+        assert_eq!(
+            (carried.checksum, carried.header_checksum),
+            (good.checksum, good.header_checksum)
+        );
+        let damaged = SlotEntry::carried(good.key.clone(), Value::filled(90, 4), 5, good.checksum);
+        assert_eq!(damaged.checksum, good.checksum);
+        assert!(!damaged.verify());
     }
 
     #[test]

@@ -137,8 +137,9 @@ impl SlabStore {
     /// Roll the attached plan for one slab op; returns any extra latency.
     ///
     /// Write-path corruption (bit flip / torn write) is applied to `entry`
-    /// *after* its checksum was computed, so the damage is real: a later
-    /// read sees content that no longer matches the header checksum.
+    /// *after* its checksums were computed, so the damage is real: a later
+    /// read sees content that no longer matches them, and a demotion
+    /// carries the mismatch to flash.
     fn roll_fault(
         &self,
         op: FaultOp,
@@ -148,7 +149,7 @@ impl SlabStore {
         let Some(plan) = &self.fault else {
             return Ok(Nanos::ZERO);
         };
-        let payload = entry.as_ref().map_or(0, |e| e.value.len());
+        let payload = entry.as_ref().map_or(0, |e| e.value_len());
         match plan.roll(FaultTier::Nvm, self.partition, op, payload) {
             None => Ok(Nanos::ZERO),
             Some(InjectedFault::IoError) => Err(PrismError::Io(format!(
@@ -158,24 +159,26 @@ impl SlabStore {
             Some(InjectedFault::LatencySpike(extra)) => Ok(extra),
             Some(InjectedFault::BitFlip { byte, bit }) => {
                 if let Some(entry) = entry {
-                    if !entry.value.is_empty() {
-                        let mut bytes = entry.value.as_bytes().to_vec();
-                        let idx = byte % bytes.len();
-                        bytes[idx] ^= 1 << bit;
-                        entry.value = Value::from_vec(bytes);
-                    } else {
-                        entry.checksum ^= 1;
+                    match &entry.value {
+                        Some(v) if !v.is_empty() => {
+                            let mut bytes = v.as_bytes().to_vec();
+                            let idx = byte % bytes.len();
+                            bytes[idx] ^= 1 << bit;
+                            entry.value = Some(Value::from_vec(bytes));
+                        }
+                        _ => entry.checksum ^= 1,
                     }
                 }
                 Ok(Nanos::ZERO)
             }
             Some(InjectedFault::TornWrite { keep }) => {
                 if let Some(entry) = entry {
-                    if entry.value.is_empty() {
-                        entry.checksum ^= 1;
-                    } else {
-                        let keep = keep.min(entry.value.len() - 1);
-                        entry.value = Value::from_vec(entry.value.as_bytes()[..keep].to_vec());
+                    match &entry.value {
+                        Some(v) if !v.is_empty() => {
+                            let keep = keep.min(v.len() - 1);
+                            entry.value = Some(Value::from_vec(v.as_bytes()[..keep].to_vec()));
+                        }
+                        _ => entry.checksum ^= 1,
                     }
                 }
                 Ok(Nanos::ZERO)
@@ -216,8 +219,8 @@ impl SlabStore {
         Ok(self.slabs[idx as usize].slot_size() as u64)
     }
 
-    /// Insert a fresh object, returning its address and the simulated NVM
-    /// write cost.
+    /// Insert a fresh value version, returning its address and the
+    /// simulated NVM write cost.
     ///
     /// # Errors
     ///
@@ -230,7 +233,37 @@ impl SlabStore {
         value: Value,
         timestamp: u64,
     ) -> Result<(NvmAddress, Nanos)> {
-        let slab_idx = self.slab_for(value.len())?;
+        let slab_idx = self.room_for(value.len())?;
+        self.place(slab_idx, SlotEntry::new(key, value, timestamp))
+    }
+
+    /// Insert a delete tombstone (errors as [`SlabStore::insert`]).
+    pub fn insert_tombstone(&mut self, key: Key, timestamp: u64) -> Result<(NvmAddress, Nanos)> {
+        let slab_idx = self.room_for(0)?;
+        self.place(slab_idx, SlotEntry::tombstone(key, timestamp))
+    }
+
+    /// Insert a value version that already has its version checksum — a
+    /// flash record being promoted — without reading the value to
+    /// checksum it again (errors as [`SlabStore::insert`]).
+    pub fn insert_carried(
+        &mut self,
+        key: Key,
+        value: Value,
+        timestamp: u64,
+        checksum: u32,
+    ) -> Result<(NvmAddress, Nanos)> {
+        let slab_idx = self.room_for(value.len())?;
+        self.place(
+            slab_idx,
+            SlotEntry::carried(key, value, timestamp, checksum),
+        )
+    }
+
+    /// The size class a `value_len`-byte object goes to, if a slot of it
+    /// fits the capacity.
+    fn room_for(&self, value_len: usize) -> Result<u8> {
+        let slab_idx = self.slab_for(value_len)?;
         let slot_size = self.slabs[slab_idx as usize].slot_size() as u64;
         // Capacity is enforced against *live* bytes: freed slots are
         // immediately reusable, and slots freed in one size class are
@@ -243,7 +276,13 @@ impl SlabStore {
                 available: self.capacity_bytes.saturating_sub(self.live_slot_bytes),
             });
         }
-        let mut entry = SlotEntry::new(key, value, timestamp);
+        Ok(slab_idx)
+    }
+
+    /// Write `entry` into a free slot of slab `slab_idx`, which
+    /// [`SlabStore::room_for`] chose.
+    fn place(&mut self, slab_idx: u8, mut entry: SlotEntry) -> Result<(NvmAddress, Nanos)> {
+        let slot_size = self.slabs[slab_idx as usize].slot_size() as u64;
         let key_id = entry.key.id();
         let extra = self.roll_fault(
             FaultOp::Write,
@@ -306,7 +345,7 @@ impl SlabStore {
         }
     }
 
-    /// Read the object stored at `addr`, verifying its header checksum.
+    /// Read the object stored at `addr`, verifying its checksums.
     ///
     /// # Errors
     ///
@@ -380,7 +419,7 @@ impl SlabStore {
 
     /// Bytes of live object payloads (not rounded to slot sizes).
     pub fn live_bytes(&self) -> u64 {
-        self.scan().map(|(_, e)| e.value.len() as u64).sum()
+        self.scan().map(|(_, e)| e.value_len() as u64).sum()
     }
 
     /// Iterate over every live object as `(address, entry)` — the recovery
@@ -419,7 +458,7 @@ mod tests {
         assert_eq!(a_small.slab, 0, "100B object goes to the 128B slab");
         assert_eq!(a_big.slab, 5, "3000B object goes to the 4096B slab");
         assert_eq!(s.read(a_small).unwrap().0.key.id(), 1);
-        assert_eq!(s.read(a_big).unwrap().0.value.len(), 3000);
+        assert_eq!(s.read(a_big).unwrap().0.value_len(), 3000);
         assert_eq!(s.object_count(), 2);
         assert_eq!(s.usage().used_bytes, 128 + 4096);
     }
@@ -612,6 +651,33 @@ mod tests {
             .update(addr, &Key::from_id(9), Value::filled(64, 9), 2)
             .unwrap();
         assert_eq!(s.read(addr2).unwrap().0.timestamp, 2);
+    }
+
+    /// A tombstone takes the smallest class and reads back as one; a
+    /// carried checksum reads back clean when it is the version's and
+    /// fails the read when the value no longer matches it.
+    #[test]
+    fn tombstones_and_carried_checksums_round_trip() {
+        use prism_types::checksum::version_checksum;
+
+        let mut s = store(1 << 20);
+        let (tomb, _) = s.insert_tombstone(Key::from_id(1), 3).unwrap();
+        assert_eq!(tomb.slab, 0);
+        assert!(s.read(tomb).unwrap().0.is_tombstone());
+
+        let value = Value::filled(700, 2);
+        let checksum = version_checksum(4, Some(value.as_bytes()));
+        let (addr, _) = s
+            .insert_carried(Key::from_id(2), value.clone(), 4, checksum)
+            .unwrap();
+        let slot = s.read(addr).unwrap().0;
+        assert_eq!((slot.checksum, &slot.value), (checksum, &Some(value)));
+
+        let (bad, _) = s
+            .insert_carried(Key::from_id(3), Value::filled(700, 3), 4, checksum)
+            .unwrap();
+        assert!(matches!(s.read(bad), Err(PrismError::Corruption(_))));
+        assert_eq!(s.peek(bad).unwrap().checksum, checksum, "kept verbatim");
     }
 
     #[test]

@@ -104,8 +104,9 @@ impl CommitRecord {
     }
 }
 
-/// Order-sensitive digest over a partition group's keys and value sizes
-/// (FNV-1a). Exposed so the engine and tests derive identical digests.
+/// Order-sensitive digest over a partition group's keys (length and every
+/// byte) and value sizes (FNV-1a). Exposed so the engine and tests derive
+/// identical digests.
 pub fn group_digest<'a>(entries: impl Iterator<Item = (&'a Key, Option<u64>)>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |byte: u64| {
@@ -113,7 +114,10 @@ pub fn group_digest<'a>(entries: impl Iterator<Item = (&'a Key, Option<u64>)>) -
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     };
     for (key, value_len) in entries {
-        mix(key.id());
+        mix(key.len() as u64);
+        for &byte in key.as_bytes() {
+            mix(u64::from(byte));
+        }
         match value_len {
             Some(len) => mix(len ^ 0x5bd1_e995),
             None => mix(0xdead_beef),
@@ -355,6 +359,19 @@ mod tests {
             group_digest([(&k1, Some(4u64))].into_iter()),
             group_digest([(&k1, Some(5u64))].into_iter()),
         );
+    }
+
+    /// The digest names whole keys: keys sharing their first eight bytes
+    /// (one `Key::id`), differing past them or only in length, all differ.
+    #[test]
+    fn digest_covers_every_key_byte_and_the_key_length() {
+        let digest = |key: &[u8]| group_digest([(&Key::from(key), Some(4u64))].into_iter());
+        let keys: [&[u8]; 4] = [b"user1234A", b"user1234B", b"user1234", b"user1234A\0"];
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(digest(a), digest(b), "{a:?} and {b:?}");
+            }
+        }
     }
 
     #[test]

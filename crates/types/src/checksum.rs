@@ -1,13 +1,13 @@
 //! CRC32C (the Castagnoli polynomial of RocksDB, iSCSI and ext4 — not the
-//! IEEE one of zlib and Ethernet) for end-to-end integrity: slab-slot
-//! headers, SST record, block and footer checksums, commit-log records and
-//! wire frames all derive their checksums here so every tier detects a
-//! flipped bit with the same primitive.
+//! IEEE one of zlib and Ethernet) for end-to-end integrity: version
+//! checksums, slab-slot headers, SST block and footer checksums,
+//! commit-log records and wire frames all derive their checksums here so
+//! every tier detects a flipped bit with the same primitive.
 //!
 //! Castagnoli rather than IEEE for the reason RocksDB — the paper's
 //! baseline and SST substrate — chose it: it is the one CRC polynomial
 //! CPUs compute in an instruction (`crc32` since SSE4.2, `crc32c*` on
-//! AArch64), and a compaction here re-verifies every record it carries.
+//! AArch64), and every read here verifies the version it serves.
 //! Nothing checksummed outlives the process (devices are simulated in
 //! memory; both ends of the wire format are this repository), so there is
 //! one polynomial and no format version.
@@ -16,6 +16,16 @@
 //! output matches the canonical `crc32c` one bit for bit, verified against
 //! published test vectors (RFC 3720 §B.4 among them) in the unit tests
 //! below.
+//!
+//! # One checksum per version
+//!
+//! A version of a key — a value or a delete, at one timestamp — gets its
+//! checksum once, from [`version_checksum`], when it is written. A slab
+//! slot stores it, a demotion carries it into the SST record, a merge
+//! carries the record over, and a promotion carries it back into a slot:
+//! none of them reads the value to checksum it again. So damage is never
+//! certified by a checksum recomputed over it; it fails wherever the
+//! bytes are trusted (a read, a scan, the recovery scan, the scrubber).
 //!
 //! # Kernels
 //!
@@ -222,6 +232,23 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     hasher.finish()
 }
 
+/// The checksum of one version: CRC32C over its little-endian timestamp,
+/// a little-endian tag (0 for a delete tombstone, `1 + len` for a value)
+/// and the value bytes. The tag tells a tombstone from an empty value and
+/// catches a truncated one.
+pub fn version_checksum(timestamp: u64, value: Option<&[u8]>) -> u32 {
+    let tag = value.map_or(0, |bytes| 1 + bytes.len() as u64);
+    let mut head = [0u8; 16];
+    head[..8].copy_from_slice(&timestamp.to_le_bytes());
+    head[8..].copy_from_slice(&tag.to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&head);
+    if let Some(bytes) = value {
+        crc.update(bytes);
+    }
+    crc.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,6 +403,44 @@ mod tests {
         concat.extend_from_slice(&0xDEAD_BEEF_CAFE_F00Du64.to_le_bytes());
         concat.extend_from_slice(&42u32.to_le_bytes());
         assert_eq!(fields.finish(), crc32(&concat));
+    }
+
+    /// The version checksum is the field-by-field CRC of timestamp, tag and
+    /// value, so an SST record built before it existed reads the same; a
+    /// tombstone, an empty value and a one-byte value all differ.
+    #[test]
+    fn version_checksum_covers_timestamp_tag_and_value() {
+        let fields = |timestamp: u64, value: Option<&[u8]>| {
+            let mut crc = Crc32::new();
+            crc.update_u64(timestamp);
+            match value {
+                Some(bytes) => {
+                    crc.update_u64(1 + bytes.len() as u64);
+                    crc.update(bytes);
+                }
+                None => crc.update_u64(0),
+            }
+            crc.finish()
+        };
+        let value = seeded_bytes(0x7E55, 1024);
+        for len in [0, 1, 7, 8, 9, 100, 1024] {
+            for timestamp in [0, 1, 0xDEAD_BEEF_CAFE_F00D] {
+                let bytes = Some(&value[..len]);
+                assert_eq!(version_checksum(timestamp, bytes), fields(timestamp, bytes));
+            }
+        }
+        assert_eq!(version_checksum(9, None), fields(9, None));
+        let shapes = [None, Some(&b""[..]), Some(&b"\0"[..])];
+        for (i, a) in shapes.iter().enumerate() {
+            for b in &shapes[i + 1..] {
+                assert_ne!(
+                    version_checksum(4, *a),
+                    version_checksum(4, *b),
+                    "{a:?} {b:?}"
+                );
+            }
+        }
+        assert_ne!(version_checksum(4, None), version_checksum(5, None));
     }
 
     /// Every single-bit flip in a message changes the checksum — the

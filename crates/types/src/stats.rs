@@ -439,9 +439,9 @@ stats_table! {
     ///
     /// Engines without the integrity subsystem report all-zero.
     pub struct IntegrityStats, cells IntegrityStatsCells, delta by_value {
-        /// Checksum mismatches detected on any read, recovery scan, scrub
-        /// walk, or compaction execute (each corrupt object counted each time
-        /// it is observed until quarantined).
+        /// Checksum mismatches detected on any read, scan, recovery scan or
+        /// scrub walk (each corrupt object counted each time it is observed
+        /// until quarantined; compaction carries checksums unverified).
         counter checksum_failures;
         /// Injected I/O errors surfaced to callers as `PrismError::Io`.
         counter io_errors;

@@ -602,8 +602,10 @@ fn random_op(rng: &mut StdRng) -> Op {
     }
 }
 
+/// Value lengths, empty values included: an empty value is a value, not a
+/// delete, on every path and across every crash.
 fn rng_len(rng: &mut StdRng) -> usize {
-    rng.gen_range(1usize..=1_024)
+    rng.gen_range(0usize..=1_024)
 }
 
 fn rng_scan_len(rng: &mut StdRng) -> usize {
