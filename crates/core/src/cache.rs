@@ -49,17 +49,12 @@ impl CacheStats {
 
 /// Hash-sharded DRAM object cache: key-hash → sub-cache, each behind its
 /// own lock, so concurrent point reads of one partition only contend when
-/// they land on the same sub-shard.
-///
-/// Each sub-shard also tallies the virtual nanoseconds of serial work
-/// (probe + insert CPU cost) charged against it, so the threaded makespan
-/// model can fold the busiest sub-shard back into the run's critical path:
-/// with one shard every probe serialises, with N shards the residual
-/// serial work shrinks toward `total / N`.
+/// they land on the same sub-shard. It holds entries only: its traffic is
+/// counted by the partition's read counters and its serial time by a
+/// [`SerialTally`], both of which outlive a crash that drops the entries.
 #[derive(Debug)]
 pub struct ShardedLruCache {
     shards: Vec<Mutex<LruCache>>,
-    serial_ns: Vec<AtomicU64>,
 }
 
 /// splitmix64 finalizer: decorrelates sequential key ids so neighbouring
@@ -85,7 +80,6 @@ impl ShardedLruCache {
             shards: (0..shards)
                 .map(|_| Mutex::new(LruCache::new(per_shard)))
                 .collect(),
-            serial_ns: (0..shards).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -119,71 +113,42 @@ impl ShardedLruCache {
         self.lock(self.shard_of(key)).remove(key);
     }
 
-    /// Drop everything (crash simulation).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-    }
-
-    /// Total cache hits across sub-shards.
-    pub fn hits(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).hits())
-            .sum()
-    }
-
-    /// Total cache misses across sub-shards.
-    pub fn misses(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).misses())
-            .sum()
-    }
-
     /// Total cached objects.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
-    }
-
-    /// True if nothing is cached in any sub-shard.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        (0..self.shards.len()).map(|i| self.lock(i).len()).sum()
     }
 
     /// Total bytes of cached values.
     pub fn used_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).used_bytes())
+        (0..self.shards.len())
+            .map(|i| self.lock(i).used_bytes())
             .sum()
     }
+}
 
-    /// Snapshot of this cache's occupancy and hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits(),
-            misses: self.misses(),
-            objects: self.len(),
-            used_bytes: self.used_bytes(),
-            shards: self.shard_count(),
-        }
+/// Virtual nanoseconds of serial work (probe + insert CPU cost) charged
+/// against each sub-shard of a [`ShardedLruCache`], so the threaded
+/// makespan model can fold the busiest sub-shard back into the run's
+/// critical path: with one shard every probe serialises, with N shards
+/// the residual serial work shrinks toward `total / N`.
+#[derive(Debug)]
+pub struct SerialTally(Vec<AtomicU64>);
+
+impl SerialTally {
+    /// A zero tally for a cache of `shards` sub-shards.
+    pub fn new(shards: usize) -> Self {
+        SerialTally((0..shards).map(|_| AtomicU64::new(0)).collect())
     }
 
-    /// Charge `ns` virtual nanoseconds of serial probe work against the
-    /// sub-shard `key` maps to.
-    pub fn charge_serial(&self, key: &Key, ns: u64) {
-        self.serial_ns[self.shard_of(key)].fetch_add(ns, Ordering::Relaxed);
+    /// Charge `ns` virtual nanoseconds against sub-shard `shard`.
+    pub fn charge(&self, shard: usize, ns: u64) {
+        self.0[shard].fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Serial virtual time accumulated by the busiest sub-shard — the
     /// residual serial component of the read path in the makespan model.
-    pub fn busiest_serial_ns(&self) -> u64 {
-        self.serial_ns
+    pub fn busiest(&self) -> u64 {
+        self.0
             .iter()
             .map(|s| s.load(Ordering::Relaxed))
             .max()
@@ -206,16 +171,11 @@ mod tests {
         assert!(cache.get(&key(1)).is_none());
         cache.insert(key(1), Value::filled(100, 1));
         assert_eq!(cache.get(&key(1)).unwrap().len(), 100);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.used_bytes(), 100);
         cache.remove(&key(1));
         assert!(cache.get(&key(1)).is_none());
-        cache.insert(key(2), Value::filled(50, 2));
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.used_bytes(), 0);
+        assert_eq!((cache.len(), cache.used_bytes()), (0, 0));
     }
 
     #[test]
@@ -240,14 +200,14 @@ mod tests {
         let disabled = ShardedLruCache::new(0, 8);
         assert_eq!(disabled.shard_count(), 1);
         disabled.insert(key(1), Value::filled(1, 1));
-        assert!(disabled.is_empty());
+        assert_eq!(disabled.len(), 0);
     }
 
     #[test]
     fn single_shard_matches_the_mutexed_cache_exactly() {
         // With one sub-shard the sharded cache is the mutexed cache: a
-        // deterministic trace must produce identical hit/miss/eviction
-        // behaviour.
+        // deterministic trace must produce identical hits, misses and
+        // evictions.
         let sharded = ShardedLruCache::new(300, 1);
         let mut plain = LruCache::new(300);
         for step in 0..200u64 {
@@ -263,34 +223,35 @@ mod tests {
                 );
             }
         }
-        assert_eq!(sharded.hits(), plain.hits());
-        assert_eq!(sharded.misses(), plain.misses());
+        assert_eq!(sharded.len(), plain.len());
         assert_eq!(sharded.used_bytes(), plain.used_bytes());
     }
 
     #[test]
     fn serial_charge_tracks_the_busiest_sub_shard() {
         let cache = ShardedLruCache::new(1 << 20, 4);
-        assert_eq!(cache.busiest_serial_ns(), 0);
+        let tally = SerialTally::new(cache.shard_count());
+        assert_eq!(tally.busiest(), 0);
         // Charge the same key repeatedly: one shard absorbs it all.
         for _ in 0..10 {
-            cache.charge_serial(&key(42), 7);
+            tally.charge(cache.shard_of(&key(42)), 7);
         }
-        assert_eq!(cache.busiest_serial_ns(), 70);
+        assert_eq!(tally.busiest(), 70);
         // Charges to other shards don't reduce the max.
         for id in 0..64u64 {
-            cache.charge_serial(&key(id), 1);
+            tally.charge(cache.shard_of(&key(id)), 1);
         }
-        assert!(cache.busiest_serial_ns() >= 70);
+        assert!(tally.busiest() >= 70);
     }
 
     #[test]
     fn sharded_cache_is_safe_under_concurrent_mixed_traffic() {
         use std::sync::Arc;
         let cache = Arc::new(ShardedLruCache::new(256 << 10, 8));
+        let tally = Arc::new(SerialTally::new(cache.shard_count()));
         let mut handles = Vec::new();
         for t in 0..4u64 {
-            let cache = Arc::clone(&cache);
+            let (cache, tally) = (Arc::clone(&cache), Arc::clone(&tally));
             handles.push(std::thread::spawn(move || {
                 for i in 0..2000u64 {
                     let id = (t * 131 + i) % 512;
@@ -304,7 +265,7 @@ mod tests {
                             }
                         }
                         2 => cache.remove(&key(id)),
-                        _ => cache.charge_serial(&key(id), 3),
+                        _ => tally.charge(cache.shard_of(&key(id)), 3),
                     }
                 }
             }));
@@ -313,5 +274,6 @@ mod tests {
             h.join().unwrap();
         }
         assert!(cache.used_bytes() <= 256 << 10);
+        assert!(tally.busiest() >= 3);
     }
 }

@@ -432,28 +432,31 @@ impl PrismDb {
         self.shared.partitions.len()
     }
 
+    /// `read` of every partition in turn, each under its own read lock.
+    fn each_partition<'a, T: 'a>(
+        &'a self,
+        read: impl Fn(&Partition) -> T + 'a,
+    ) -> impl Iterator<Item = T> + 'a {
+        (0..self.partition_count()).map(move |i| read(&self.shared.read_partition(i)))
+    }
+
     /// Total live objects currently resident on NVM across partitions.
     pub fn nvm_object_count(&self) -> usize {
-        (0..self.partition_count())
-            .map(|i| self.shared.read_partition(i).nvm_object_count())
-            .sum()
+        self.each_partition(Partition::nvm_object_count).sum()
     }
 
     /// Total objects currently resident on flash across partitions
     /// (including stale versions not yet compacted away).
     pub fn flash_object_count(&self) -> usize {
-        (0..self.partition_count())
-            .map(|i| self.shared.read_partition(i).flash_object_count())
-            .sum()
+        self.each_partition(Partition::flash_object_count).sum()
     }
 
     /// Aggregate clock-value histogram across partitions (index = clock
     /// value), as plotted in Figure 5 of the paper.
     pub fn clock_histogram(&self) -> [u64; 4] {
         let mut total = [0u64; 4];
-        for i in 0..self.partition_count() {
-            let h = self.shared.read_partition(i).clock_histogram();
-            for (slot, value) in total.iter_mut().zip(h.iter()) {
+        for h in self.each_partition(Partition::clock_histogram) {
+            for (slot, value) in total.iter_mut().zip(h) {
                 *slot += value;
             }
         }
@@ -496,10 +499,7 @@ impl PrismDb {
 
     /// Mean NVM utilisation across partitions.
     pub fn nvm_utilization(&self) -> f64 {
-        let sum: f64 = (0..self.partition_count())
-            .map(|i| self.shared.read_partition(i).nvm_utilization())
-            .sum();
-        sum / self.partition_count() as f64
+        self.each_partition(Partition::nvm_utilization).sum::<f64>() / self.partition_count() as f64
     }
 
     /// Simulate a crash that loses all DRAM state, then recover every
@@ -634,9 +634,8 @@ impl PrismDb {
     /// which is what the read-path scalability sweep relies on.
     pub fn dram_cache_stats(&self) -> crate::cache::CacheStats {
         let mut stats = crate::cache::CacheStats::default();
-        for i in 0..self.partition_count() {
-            stats.merge(self.shared.read_partition(i).cache_stats());
-        }
+        self.each_partition(Partition::cache_stats)
+            .for_each(|partition| stats.merge(partition));
         stats
     }
 
@@ -652,9 +651,7 @@ impl PrismDb {
     /// Total objects currently quarantined (tombstoned-with-error after a
     /// checksum failure) across partitions.
     pub fn quarantined_object_count(&self) -> usize {
-        (0..self.partition_count())
-            .map(|i| self.shared.read_partition(i).quarantined_len())
-            .sum()
+        self.each_partition(Partition::quarantined_len).sum()
     }
 
     /// Run one budgeted scrub slice against a partition. A report with
@@ -1236,8 +1233,7 @@ impl ConcurrentKvStore for PrismDb {
     }
 
     fn elapsed(&self) -> Nanos {
-        (0..self.partition_count())
-            .map(|i| self.shared.read_partition(i).elapsed())
+        self.each_partition(Partition::elapsed)
             .fold(Nanos::ZERO, Nanos::max)
     }
 
@@ -1282,8 +1278,7 @@ impl ConcurrentKvStore for PrismDb {
         // briefly inside one DRAM-cache sub-shard mutex; expose the
         // busiest sub-shard's cumulative time per partition so harness
         // queueing models can charge that residue to the shard.
-        (0..self.partition_count())
-            .map(|i| Nanos::from_nanos(self.shared.read_partition(i).read_serial_busiest_ns()))
+        self.each_partition(|p| Nanos::from_nanos(p.read_serial_busiest_ns()))
             .collect()
     }
 
@@ -1516,6 +1511,89 @@ mod tests {
         assert_eq!(db.get(&victim).unwrap().value, None);
         let scanned = db.scan(&victim, 1).unwrap().entries;
         assert!(scanned.iter().all(|(key, _)| *key != victim));
+    }
+
+    /// Snapshot history is DRAM: a crash drops it, and its bytes leave the
+    /// engine's total with it, though the pin itself is still registered.
+    #[test]
+    fn a_crash_drops_snapshot_history_and_its_bytes() {
+        let db = small_db(1_000, 2);
+        for id in 0..20u64 {
+            db.put(Key::from_id(id), Value::filled(300, 1)).unwrap();
+        }
+        let pin = db.snapshot().unwrap();
+        for id in 0..20u64 {
+            db.put(Key::from_id(id), Value::filled(300, 2)).unwrap();
+        }
+        assert!(db.snapshot_history_bytes() > 20 * 300);
+        db.crash_and_recover();
+        assert_eq!(db.snapshot_history_bytes(), 0);
+        assert_eq!(db.active_snapshots(), 1);
+        // Overwritten after the pin and no longer preserved: absent for
+        // the pin, never the newer value.
+        assert_eq!(db.snapshot_get(pin, &Key::from_id(3)).unwrap(), None);
+        db.release_snapshot(pin);
+    }
+
+    /// A second crash finds the state the first recovery left and rebuilds
+    /// the same DRAM state from it: after the same follow-up ops every
+    /// statistic matches a single crash, apart from the NVM reads of the
+    /// second recovery itself.
+    #[test]
+    fn crashing_twice_accounts_as_crashing_once() {
+        let run = |crashes: usize| {
+            let db = small_db(3_000, 2);
+            for id in 0..3_000u64 {
+                db.put(Key::from_id(id), Value::filled(900, 1)).unwrap();
+            }
+            for id in (0..3_000u64).step_by(3) {
+                db.get(&Key::from_id(id)).unwrap();
+            }
+            let mut last_recovery = prism_types::TierIo::default();
+            for _ in 0..crashes {
+                let before = db.stats().nvm_io;
+                db.crash_and_recover();
+                last_recovery = db.stats().nvm_io.delta_since(before);
+            }
+            for id in (0..3_000u64).step_by(5) {
+                db.get(&Key::from_id(id)).unwrap();
+                db.put(Key::from_id(id), Value::filled(900, 2)).unwrap();
+            }
+            (db.stats(), last_recovery)
+        };
+        let (once, _) = run(1);
+        let (mut twice, second) = run(2);
+        assert!(once.compaction.jobs > 0, "the follow-up ops compact");
+        assert_eq!(
+            (second.reads, second.writes),
+            (2, 0),
+            "one scan per partition"
+        );
+        twice.nvm_io = twice.nvm_io.delta_since(second);
+        assert_eq!(twice, once);
+    }
+
+    /// The DRAM cache's entries are volatile, its traffic and serial time
+    /// are not: a crash empties the cache and leaves the counters where
+    /// they were.
+    #[test]
+    fn cache_traffic_and_serial_time_outlive_a_crash() {
+        let db = small_db(2_000, 2);
+        for id in 0..2_000u64 {
+            db.put(Key::from_id(id), Value::filled(400, 1)).unwrap();
+        }
+        for _ in 0..2 {
+            for id in 0..500u64 {
+                db.get(&Key::from_id(id)).unwrap();
+            }
+        }
+        let (cache, serial) = (db.dram_cache_stats(), db.shard_read_serial_times());
+        assert!(cache.hits > 0 && cache.misses > 0 && cache.objects > 0);
+        db.crash_and_recover();
+        let after = db.dram_cache_stats();
+        assert_eq!((after.hits, after.misses), (cache.hits, cache.misses));
+        assert_eq!((after.objects, after.used_bytes), (0, 0));
+        assert_eq!(db.shard_read_serial_times(), serial);
     }
 
     #[test]

@@ -9,6 +9,19 @@
 //! compaction work, which together produce write-stall behaviour when
 //! compactions cannot keep up.
 //!
+//! # Crash model
+//!
+//! A crash is a power cut, and the partition's state is split by what it
+//! does to each field. [`Durable`] is what NVM and flash hold — slabs,
+//! sorted log, quarantine sentinels, health — and survives. [`Volatile`]
+//! is what DRAM holds and is lost: recovery replaces it with an empty one
+//! from the constructor a new partition uses, then rebuilds the index and
+//! bucket map from the durable part (the paper's per-partition recovery,
+//! §6). [`Lifetime`] — statistics and virtual clocks — is outside the
+//! model and carries on. Within an install the file swap is the commit
+//! point: promoted slots and new files are written before it and demoted
+//! slots freed after it (see [`Partition::install_compaction`]).
+//!
 //! # Read path vs write path
 //!
 //! Point reads and scans take `&self`: the engine keeps each partition
@@ -21,7 +34,7 @@
 //! swap on the entry's clock byte) folded into the mapper histogram with
 //! an atomic [`Mapper::promote_to_max`]. Only *structural* tracker work —
 //! admitting a key the tracker has never seen, which may evict another —
-//! is buffered in a [`ReadSideState`] for the next write (or an
+//! is buffered in [`Volatile`]'s read side for the next write (or an
 //! engine-forced drain) to apply under the write lock. The CPU cost of
 //! the tracker update is still charged to the read that caused it; only
 //! structural application is deferred. Point lookups resolve the key's
@@ -50,7 +63,7 @@
 //! phase. The partition keeps the two clocks the driver charges: `fg`,
 //! and `busy_until`, the instant its chained background work completes.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -68,7 +81,7 @@ use prism_types::{
     ReadSource, Result, Value,
 };
 
-use crate::cache::ShardedLruCache;
+use crate::cache::{CacheStats, SerialTally, ShardedLruCache};
 use crate::options::Options;
 use crate::sequence::CommitSequencer;
 use crate::workers::DemotionPlan;
@@ -84,29 +97,18 @@ const PROMOTION_BATCH_FLASH_READS: u64 = 200;
 
 /// Entry in the partition's B-tree index describing the NVM-resident
 /// version of a key.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct IndexEntry {
     addr: NvmAddress,
     timestamp: u64,
     tombstone: bool,
 }
 
-/// Structural tracker admissions buffered by `&self` reads and applied by
-/// the next writer (or an engine-forced drain). Only keys the clock
-/// tracker does not yet track land here — a tracked key's re-access is
-/// applied lock-free on the read path itself ([`ClockTracker::touch`]).
-#[derive(Debug, Default)]
-struct ReadSideState {
-    /// `(key, served_from_flash)` per untracked found read, in arrival
-    /// order.
-    accesses: Vec<(Key, bool)>,
-}
-
 /// Read-side counters maintained entirely with atomics: the hot read path
 /// bumps these without taking any lock, and write-lock holders drain them.
 #[derive(Debug, Default)]
 struct ReadSideCounters {
-    /// Mirrors `ReadSideState::accesses.len()` so drain pressure is
+    /// Mirrors the length of `Volatile::read_side` so drain pressure is
     /// checked without the buffer mutex.
     pending_accesses: AtomicU64,
     /// Total reads observed since the last drain.
@@ -218,446 +220,125 @@ impl ScanCursor {
     }
 }
 
+/// One partition: handles, then its state grouped by what a crash does to
+/// it. A field joins the handles or one of the three parts, so none
+/// survives a crash by accident.
 pub(crate) struct Partition {
     id: usize,
     options: Arc<Options>,
     cpu: CpuCosts,
     nvm_dev: Arc<Device>,
     flash_dev: Arc<Device>,
-    slab: SlabStore,
-    index: FastIndex<Key, IndexEntry>,
-    /// The flash files: their ids, their order, the generation a compaction
-    /// job must match to install, and the retired ones readers still hold.
-    log: SortedLog,
-    tracker: ClockTracker,
-    mapper: Mapper,
-    buckets: BucketMap,
-    planner: CompactionPlanner,
-    read_trigger: Option<ReadTriggeredController>,
-    cache: ShardedLruCache,
-    read_side: Mutex<ReadSideState>,
-    read_counters: ReadSideCounters,
+    /// Fault plan shared with the storage layer (`None` in healthy runs).
+    fault: Option<Arc<FaultPlan>>,
     /// Global commit sequencer shared by every partition of the engine:
     /// allocates the per-version timestamps (which double as commit
     /// sequences) and tracks pinned snapshots.
     seq: Arc<CommitSequencer>,
-    /// Superseded versions preserved for pinned snapshots: per key, the
-    /// `(sequence, value)` pairs (a `None` value is a delete) in
-    /// ascending sequence order. Only populated while snapshots are
-    /// pinned; cleared wholesale once none remain.
-    history: BTreeMap<Key, Vec<(u64, Option<Value>)>>,
-    /// Foreground virtual clock in nanoseconds (atomic so `&self` reads
-    /// can advance it).
-    fg: AtomicU64,
-    /// Virtual time at which all installed compaction work completes.
-    busy_until: Nanos,
-    /// A read-triggered promotion compaction is due (set by a drain).
-    promote_pending: bool,
-    /// This partition's share of the engine statistics: the entries
-    /// counted under the write lock.
-    stats: EngineStats,
-    /// The entries `&self` paths count without it (tier read counters, the
-    /// engine's degraded refusals under the *read* lock, corruption seen
-    /// by scans); [`Partition::stats`] merges both.
-    live: EngineStatsCells,
-    /// Fault plan shared with the storage layer (`None` in healthy runs).
-    fault: Option<Arc<FaultPlan>>,
-    /// Read-only degraded mode flips on when quarantines cross
-    /// `Options::corruption_quarantine_threshold` and back off after a
-    /// clean scrub pass.
-    health: PartitionHealth,
+    durable: Durable,
+    volatile: Volatile,
+    lifetime: Lifetime,
+}
+
+/// What the partition's NVM and flash hold: a crash leaves it as it was.
+struct Durable {
+    slab: SlabStore,
+    /// The flash files: their ids, their order, the generation a compaction
+    /// job must match to install, and the retired ones readers still hold.
+    log: SortedLog,
     /// Keys quarantined after corruption with no surviving copy: the
     /// tombstone-with-error sentinel set. Reads of these keys fail with
     /// `Corruption` (never stale data from an older tier); a successful
     /// rewrite or scrub repair removes the sentinel. Keyed by the whole
     /// key — a neighbour sharing its first eight bytes is a different key.
+    /// Durable: it stands for sentinels persisted beside the slots, and
+    /// without it an older flash version would resurface after a crash.
     quarantined: HashSet<Key>,
+    /// Read-only degraded mode flips on when quarantines cross
+    /// `Options::corruption_quarantine_threshold` and back off after a
+    /// clean scrub pass. Durable like the sentinels it counts: a crash
+    /// does not make damaged media healthy.
+    health: PartitionHealth,
+}
+
+/// What the partition keeps in DRAM: recovery drops all of it and builds
+/// it again from [`Durable`] through [`Volatile::new`].
+struct Volatile {
+    index: FastIndex<Key, IndexEntry>,
+    tracker: ClockTracker,
+    mapper: Mapper,
+    buckets: BucketMap,
+    /// Rebuilt from `Options` with the partition's seed, like the read
+    /// trigger: both steer future compactions and protect no data.
+    planner: CompactionPlanner,
+    read_trigger: Option<ReadTriggeredController>,
+    cache: ShardedLruCache,
+    /// Structural tracker admissions buffered by `&self` reads and applied
+    /// by the next writer (or an engine-forced drain): `(key,
+    /// served_from_flash)` per found read of a key the clock tracker does
+    /// not yet track, in arrival order. A tracked key's re-access is
+    /// applied lock-free on the read path itself ([`ClockTracker::touch`]).
+    read_side: Mutex<Vec<(Key, bool)>>,
+    read_counters: ReadSideCounters,
+    /// Superseded versions preserved for pinned snapshots: per key, the
+    /// `(sequence, value)` pairs (a `None` value is a delete) in
+    /// ascending sequence order. Only populated while snapshots are
+    /// pinned; cleared wholesale once none remain.
+    history: BTreeMap<Key, Vec<(u64, Option<Value>)>>,
     /// Bytes currently buffered in `history` (mirrored into the shared
     /// sequencer total for lock-free engine-side cap checks).
     history_bytes: u64,
+    /// A read-triggered promotion compaction is due (set by a drain).
+    promote_pending: bool,
     /// Parked resume point of an incomplete scrub pass.
     scrub_cursor: Option<ScrubCursor>,
 }
 
-impl Partition {
-    pub(crate) fn new(
-        id: usize,
-        options: Arc<Options>,
-        storage: &TieredStorage,
-        seq: Arc<CommitSequencer>,
-    ) -> Result<Self> {
-        let partitions = options.num_partitions as u64;
-        let slab_config = SlabConfig {
-            slot_sizes: options.slab_slot_sizes.clone(),
-            capacity_bytes: (options.nvm_capacity_bytes / partitions).max(4096),
-        };
-        let mut slab = SlabStore::new(slab_config, storage.nvm.clone())?;
-        if let Some(plan) = &options.fault_plan {
-            slab.attach_faults(plan.clone(), id);
-        }
+impl Volatile {
+    /// Empty DRAM state for partition `id`: what a fresh partition starts
+    /// with and what recovery starts rebuilding from.
+    fn new(options: &Options, id: usize) -> Self {
         let tracker_capacity = (options.tracker_capacity() / options.num_partitions).max(8);
         let mut compaction_config = options.compaction;
         // Give each partition its own deterministic-but-distinct seed.
         compaction_config.seed = compaction_config.seed.wrapping_add(id as u64);
-        let planner = CompactionPlanner::new(compaction_config)?;
-        Ok(Partition {
-            id,
-            cpu: storage.cpu,
-            nvm_dev: storage.nvm.clone(),
-            flash_dev: storage.flash.clone(),
-            slab,
+        Volatile {
             index: FastIndex::new(),
-            log: SortedLog::new(),
             tracker: ClockTracker::new(tracker_capacity),
             mapper: Mapper::new(),
             buckets: BucketMap::new(options.compaction.bucket_size_keys),
-            planner,
+            planner: CompactionPlanner::new(compaction_config)
+                .expect("Options::validate checked the compaction config"),
             read_trigger: options.read_trigger.map(ReadTriggeredController::new),
             cache: ShardedLruCache::new(
-                options.dram_cache_bytes / partitions,
+                options.dram_cache_bytes / options.num_partitions as u64,
                 options.cache_shards,
             ),
-            read_side: Mutex::new(ReadSideState::default()),
+            read_side: Mutex::default(),
             read_counters: ReadSideCounters::default(),
-            seq,
             history: BTreeMap::new(),
-            fg: AtomicU64::new(0),
-            busy_until: Nanos::ZERO,
-            promote_pending: false,
-            stats: EngineStats::default(),
-            live: EngineStatsCells::default(),
-            fault: options.fault_plan.clone(),
-            health: PartitionHealth::Healthy,
-            quarantined: HashSet::new(),
             history_bytes: 0,
+            promote_pending: false,
             scrub_cursor: None,
-            options,
-        })
+        }
     }
 
-    fn lock_read_side(&self) -> MutexGuard<'_, ReadSideState> {
+    fn lock_read_side(&self) -> MutexGuard<'_, Vec<(Key, bool)>> {
         self.read_side
             .lock()
             .unwrap_or_else(|poison| poison.into_inner())
     }
 
-    /// Current foreground virtual time.
-    pub(crate) fn fg(&self) -> Nanos {
-        Nanos::from_nanos(self.fg.load(Ordering::Relaxed))
-    }
-
-    pub(crate) fn advance_fg(&self, cost: Nanos) {
-        self.fg.fetch_add(cost.as_nanos(), Ordering::Relaxed);
-    }
-
-    /// Chain one installed job onto the background timeline: it starts no
-    /// earlier than the foreground instant that triggered it and the
-    /// partition's previous job. `overlapped` jobs ran while the foreground
-    /// kept being served.
-    pub(crate) fn chain_background(&mut self, trigger: Nanos, duration: Nanos, overlapped: bool) {
-        self.busy_until = trigger.max(self.busy_until) + duration;
-        if overlapped {
-            self.stats.compaction.overlap_time += duration;
+    /// Track an access with the write lock held (the caller charges its
+    /// CPU cost).
+    fn observe_access(&mut self, key: &Key, on_flash: bool) {
+        let event = self.tracker.access(key, on_flash);
+        self.mapper.apply(&event);
+        self.buckets.on_access(key.id());
+        if let Some((evicted, _)) = &event.evicted {
+            self.buckets.on_tracker_evict(evicted.id());
         }
     }
-
-    /// The foreground stall rule: an operation standing at `now` that needs
-    /// the space compaction is freeing waits until `busy_until`, and the
-    /// wait is charged exactly once. Returns the stall; the caller folds it
-    /// into the operation's cost (or advances the clock by it).
-    pub(crate) fn stall_until_idle(&mut self, now: Nanos) -> Nanos {
-        let stall = self.busy_until.saturating_sub(now);
-        self.stats.compaction.stall_time += stall;
-        stall
-    }
-
-    /// Count one write that could not proceed until compaction freed NVM
-    /// space (at the back-pressure ceiling, or a slab write with no room).
-    pub(crate) fn note_backpressure_stall(&mut self) {
-        self.stats.compaction.backpressure_stalls += 1;
-    }
-
-    pub(crate) fn elapsed(&self) -> Nanos {
-        self.fg().max(self.busy_until)
-    }
-
-    /// This partition's statistics: the write-lock counters merged with
-    /// the live cells, plus the degraded gauge.
-    pub(crate) fn stats(&self) -> EngineStats {
-        let mut stats = self.stats.merged(self.live.snapshot());
-        stats.integrity.degraded_partitions = (self.health == PartitionHealth::Degraded) as u64;
-        stats
-    }
-
-    /// Serial virtual time accumulated by this partition's busiest DRAM
-    /// cache sub-shard (see [`ShardedLruCache::busiest_serial_ns`]): the
-    /// residual single-lock component of the read path that a threaded
-    /// makespan model must keep on the critical path.
-    pub(crate) fn read_serial_busiest_ns(&self) -> u64 {
-        self.cache.busiest_serial_ns()
-    }
-
-    /// Occupancy and hit/miss counters of this partition's DRAM cache.
-    pub(crate) fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache.stats()
-    }
-
-    // ------------------------------------------------------------------
-    // Integrity, quarantine, degraded mode
-    // ------------------------------------------------------------------
-
-    /// Current health (degraded = read-only until a clean scrub pass).
-    pub(crate) fn health(&self) -> PartitionHealth {
-        self.health
-    }
-
-    /// Count one write refused with `Degraded` (called by the engine
-    /// under the partition *read* lock, hence the atomic).
-    pub(crate) fn note_degraded_refusal(&self) {
-        self.live
-            .integrity
-            .degraded_write_refusals
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of keys currently under a quarantine sentinel.
-    pub(crate) fn quarantined_len(&self) -> usize {
-        self.quarantined.len()
-    }
-
-    fn corruption_error(&self, key: &Key) -> PrismError {
-        PrismError::Corruption(format!(
-            "partition {}: key {key} is quarantined after a checksum failure",
-            self.id
-        ))
-    }
-
-    /// Record one detected checksum failure (write-lock paths).
-    fn note_checksum_failure(&mut self) {
-        self.stats.integrity.checksum_failures += 1;
-        if let Some(plan) = &self.fault {
-            plan.note_detected();
-        }
-    }
-
-    /// Record one detected checksum failure from a `&self` reader.
-    fn note_checksum_failure_shared(&self) {
-        self.live
-            .integrity
-            .checksum_failures
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(plan) = &self.fault {
-            plan.note_detected();
-        }
-    }
-
-    /// Place `key` under a quarantine sentinel: remove any NVM slot (so
-    /// a recovery scan cannot resurrect the corrupt version) but keep
-    /// the DRAM cache entry — it holds the last committed value and is
-    /// the scrubber's repair source. Returns false if already
-    /// quarantined.
-    fn quarantine_key(&mut self, key: &Key) -> bool {
-        if !self.quarantined.insert(key.clone()) {
-            return false;
-        }
-        self.stats.integrity.quarantined_objects += 1;
-        if let Some(entry) = self.index.get(key).copied() {
-            let _ = self.slab.remove(entry.addr);
-            self.index.remove(key);
-            self.buckets.on_nvm_remove(key.id());
-        }
-        self.maybe_degrade();
-        true
-    }
-
-    /// Quarantine after a read-path checksum failure (idempotent); the
-    /// returned error is what the failed read surfaces to the caller.
-    pub(crate) fn quarantine_on_read(&mut self, key: &Key) -> PrismError {
-        if self.quarantine_key(key) {
-            self.note_checksum_failure();
-        }
-        self.corruption_error(key)
-    }
-
-    /// Flip into read-only degraded mode once enough objects are
-    /// quarantined.
-    fn maybe_degrade(&mut self) {
-        if self.health == PartitionHealth::Healthy
-            && self.quarantined.len() as u64 >= self.options.corruption_quarantine_threshold
-        {
-            self.health = PartitionHealth::Degraded;
-            self.stats.integrity.degraded_entered += 1;
-        }
-    }
-
-    /// Roll the fault plan for an injected flash read error.
-    fn roll_flash_read_fault(&self) -> Result<()> {
-        if let Some(plan) = &self.fault {
-            if plan.roll_io_error(FaultTier::Flash, self.id, FaultOp::Read) {
-                return Err(PrismError::Io(format!(
-                    "injected flash read error on partition {}",
-                    self.id
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn nvm_object_count(&self) -> usize {
-        self.slab.object_count()
-    }
-
-    pub(crate) fn flash_object_count(&self) -> usize {
-        self.log.total_entries()
-    }
-
-    pub(crate) fn nvm_utilization(&self) -> f64 {
-        self.slab.usage().utilization()
-    }
-
-    pub(crate) fn clock_histogram(&self) -> [u64; 4] {
-        self.mapper.histogram()
-    }
-
-    // ------------------------------------------------------------------
-    // Version history for pinned snapshots
-    // ------------------------------------------------------------------
-
-    /// The key's current visible version across both tiers: the sequence
-    /// it committed at and its value (`None` = the version is a delete).
-    /// Returns `None` when the key has no version anywhere.
-    pub(crate) fn current_version(&self, key: &Key) -> Option<(u64, Option<Value>)> {
-        if let Some(entry) = self.index.get(key).copied() {
-            if entry.tombstone {
-                return Some((entry.timestamp, None));
-            }
-            // A slot failing its checksum reads as absent here: snapshot
-            // history and transaction pre-images must never capture (and
-            // later re-serve) damaged bytes.
-            let value = self
-                .slab
-                .peek(entry.addr)
-                .filter(|slot| slot.verify())
-                .and_then(|slot| slot.value.clone());
-            return Some((entry.timestamp, value));
-        }
-        let file = self.log.lookup(key)?;
-        let entry = file.probe(key).entry?;
-        Some((entry.timestamp, entry.value))
-    }
-
-    /// The key's current visible value (the engine's pre-image capture
-    /// for commit-log records).
-    pub(crate) fn current_visible(&self, key: &Key) -> Option<Value> {
-        self.current_version(key).and_then(|(_, value)| value)
-    }
-
-    /// Newest sequence at which the key changed, counting full removals
-    /// that only the history buffer still remembers. Used by transaction
-    /// read-set validation: a value `> snapshot` means the key changed
-    /// after the snapshot was pinned.
-    pub(crate) fn newest_seq(&self, key: &Key) -> Option<u64> {
-        let live = self.current_version(key).map(|(seq, _)| seq);
-        let hist = self
-            .history
-            .get(key)
-            .and_then(|list| list.last())
-            .map(|(seq, _)| *seq);
-        live.into_iter().chain(hist).max()
-    }
-
-    /// Approximate DRAM footprint of one preserved history version (key
-    /// + value bytes + per-entry bookkeeping).
-    fn history_entry_bytes(key: &Key, value: &Option<Value>) -> u64 {
-        key.len() as u64 + value.as_ref().map(|v| v.len() as u64).unwrap_or(0) + 16
-    }
-
-    fn push_history(&mut self, key: &Key, version: (u64, Option<Value>)) {
-        let list = self.history.entry(key.clone()).or_default();
-        if list.last().map(|(seq, _)| *seq) != Some(version.0) {
-            let bytes = Self::history_entry_bytes(key, &version.1);
-            self.history_bytes += bytes;
-            self.seq.add_history_bytes(bytes);
-            list.push(version);
-        }
-    }
-
-    /// Drop all preserved history and return its byte accounting.
-    fn clear_history(&mut self) {
-        if !self.history.is_empty() {
-            self.history.clear();
-        }
-        if self.history_bytes > 0 {
-            self.seq.sub_history_bytes(self.history_bytes);
-            self.history_bytes = 0;
-        }
-    }
-
-    /// Free history versions no live pin can reach: for each key, every
-    /// version older than the newest one at or below `oldest_pin` is
-    /// dead for all remaining pins. With no pins at all, everything
-    /// goes. Called by the engine after it force-expires a pin.
-    pub(crate) fn prune_history(&mut self, oldest_pin: Option<u64>) {
-        let Some(pin) = oldest_pin else {
-            self.clear_history();
-            return;
-        };
-        let mut freed = 0u64;
-        self.history.retain(|key, list| {
-            // Newest index with seq <= pin; everything before it is
-            // unreachable by any pin >= `pin`.
-            let keep_from = list.iter().rposition(|(seq, _)| *seq <= pin).unwrap_or(0);
-            if keep_from > 0 {
-                for (_, value) in list.drain(..keep_from) {
-                    freed += Self::history_entry_bytes(key, &value);
-                }
-            }
-            !list.is_empty()
-        });
-        if freed > 0 {
-            self.history_bytes = self.history_bytes.saturating_sub(freed);
-            self.seq.sub_history_bytes(freed);
-        }
-    }
-
-    /// Called by every write *before* it mutates the key: while snapshots
-    /// are pinned, preserve the version about to be superseded so pinned
-    /// readers keep seeing it. Deletes additionally record a
-    /// `(delete_seq, None)` marker — the live tombstone they may write is
-    /// droppable by a later compaction, and without the marker an older
-    /// preserved value could wrongly resurface for snapshots pinned
-    /// after the delete. With no pins the whole buffer is garbage.
-    ///
-    /// The pin check runs after the write's sequence was allocated, and
-    /// [`CommitSequencer::pin`] reads the counter inside the same mutex
-    /// the check takes, so a racing snapshot either registers first (and
-    /// the version is preserved) or pins a sequence that already covers
-    /// the new version (see `crate::sequence`).
-    fn note_supersession(&mut self, key: &Key, delete_seq: Option<u64>) {
-        if !self.seq.has_pins() {
-            self.clear_history();
-            return;
-        }
-        if let Some(version) = self.current_version(key) {
-            self.push_history(key, version);
-        }
-        if let Some(seq) = delete_seq {
-            self.push_history(key, (seq, None));
-        }
-    }
-
-    /// Newest preserved version of `key` with sequence `<= pinned`
-    /// (flattened: `None` for "deleted or never existed at that point").
-    fn history_version_at(&self, key: &Key, pinned: u64) -> Option<Value> {
-        self.history
-            .get(key)
-            .and_then(|list| list.iter().rev().find(|(seq, _)| *seq <= pinned))
-            .and_then(|(_, value)| value.clone())
-    }
-
-    // ------------------------------------------------------------------
-    // Read-side drain
-    // ------------------------------------------------------------------
 
     /// Drain/promotion pressure from the atomic read-side counters alone:
     /// the hot read path calls this without holding any lock.
@@ -676,22 +357,21 @@ impl Partition {
     }
 
     /// Apply buffered structural tracker admissions and drain the atomic
-    /// read counters into the read-trigger controller. Requires the write
-    /// lock (`&mut self`).
-    pub(crate) fn apply_read_side(&mut self) {
+    /// read counters into the read-trigger controller.
+    fn apply_read_side(&mut self) {
         let accesses = {
             let mut rs = self.lock_read_side();
             self.read_counters
                 .pending_accesses
                 .store(0, Ordering::Relaxed);
-            std::mem::take(&mut rs.accesses)
+            std::mem::take(&mut *rs)
         };
         let reads = self.read_counters.reads.swap(0, Ordering::Relaxed);
         let nvm_hits = self.read_counters.nvm_hits.swap(0, Ordering::Relaxed);
         let flash_hits = self.read_counters.flash_hits.swap(0, Ordering::Relaxed);
         for (key, on_flash) in &accesses {
             // Cost already charged to the read that buffered the access.
-            let _ = self.observe_access_now(key, *on_flash);
+            self.observe_access(key, *on_flash);
         }
         if let Some(ctrl) = &mut self.read_trigger {
             for _ in 0..flash_hits {
@@ -727,12 +407,6 @@ impl Partition {
         }
     }
 
-    /// Consume the pending-promotion flag (the driver turns it into a
-    /// promotion request).
-    pub(crate) fn take_promote_pending(&mut self) -> bool {
-        std::mem::take(&mut self.promote_pending)
-    }
-
     /// Record a write for the read-trigger controller's read-ratio
     /// tracking.
     fn observe_write_op(&mut self) {
@@ -740,6 +414,418 @@ impl Partition {
             ctrl.observe_op(false, false, false);
         }
         self.refresh_promote_due();
+    }
+
+    /// Approximate DRAM footprint of one preserved history version (key
+    /// + value bytes + per-entry bookkeeping).
+    fn history_entry_bytes(key: &Key, value: &Option<Value>) -> u64 {
+        key.len() as u64 + value.as_ref().map(|v| v.len() as u64).unwrap_or(0) + 16
+    }
+
+    fn push_history(&mut self, seq: &CommitSequencer, key: &Key, version: (u64, Option<Value>)) {
+        let list = self.history.entry(key.clone()).or_default();
+        if list.last().map(|(seq, _)| *seq) != Some(version.0) {
+            let bytes = Self::history_entry_bytes(key, &version.1);
+            self.history_bytes += bytes;
+            seq.add_history_bytes(bytes);
+            list.push(version);
+        }
+    }
+
+    /// Drop all preserved history and return its bytes to `seq`'s total.
+    fn clear_history(&mut self, seq: &CommitSequencer) {
+        self.history.clear();
+        if self.history_bytes > 0 {
+            seq.sub_history_bytes(std::mem::take(&mut self.history_bytes));
+        }
+    }
+
+    /// Free history versions no live pin can reach: for each key, every
+    /// version older than the newest one at or below `oldest_pin` is
+    /// dead for all remaining pins. With no pins at all, everything
+    /// goes.
+    fn prune_history(&mut self, seq: &CommitSequencer, oldest_pin: Option<u64>) {
+        let Some(pin) = oldest_pin else {
+            self.clear_history(seq);
+            return;
+        };
+        let mut freed = 0u64;
+        self.history.retain(|key, list| {
+            // Newest index with seq <= pin; everything before it is
+            // unreachable by any pin >= `pin`.
+            let keep_from = list.iter().rposition(|(seq, _)| *seq <= pin).unwrap_or(0);
+            if keep_from > 0 {
+                for (_, value) in list.drain(..keep_from) {
+                    freed += Self::history_entry_bytes(key, &value);
+                }
+            }
+            !list.is_empty()
+        });
+        if freed > 0 {
+            self.history_bytes = self.history_bytes.saturating_sub(freed);
+            seq.sub_history_bytes(freed);
+        }
+    }
+
+    /// Newest preserved version of `key` with sequence `<= pinned`
+    /// (flattened: `None` for "deleted or never existed at that point").
+    fn history_version_at(&self, key: &Key, pinned: u64) -> Option<Value> {
+        self.history
+            .get(key)
+            .and_then(|list| list.iter().rev().find(|(seq, _)| *seq <= pinned))
+            .and_then(|(_, value)| value.clone())
+    }
+}
+
+/// Counters and clocks outside the crash model: they run for the engine's
+/// lifetime, so a crash neither rewinds nor resets them.
+struct Lifetime {
+    /// This partition's share of the engine statistics: the entries
+    /// counted under the write lock.
+    stats: EngineStats,
+    /// The entries `&self` paths count without it (tier read counters —
+    /// also the DRAM cache's hits and misses —, the engine's degraded
+    /// refusals under the *read* lock, corruption seen by scans);
+    /// [`Partition::stats`] merges both.
+    live: EngineStatsCells,
+    /// Serial virtual time charged per DRAM cache sub-shard.
+    serial: SerialTally,
+    /// Foreground virtual clock in nanoseconds (atomic so `&self` reads
+    /// can advance it).
+    fg: AtomicU64,
+    /// Virtual time at which all installed compaction work completes.
+    busy_until: Nanos,
+}
+
+impl Partition {
+    pub(crate) fn new(
+        id: usize,
+        options: Arc<Options>,
+        storage: &TieredStorage,
+        seq: Arc<CommitSequencer>,
+    ) -> Result<Self> {
+        let slab_config = SlabConfig {
+            slot_sizes: options.slab_slot_sizes.clone(),
+            capacity_bytes: (options.nvm_capacity_bytes / options.num_partitions as u64).max(4096),
+        };
+        let mut slab = SlabStore::new(slab_config, storage.nvm.clone())?;
+        if let Some(plan) = &options.fault_plan {
+            slab.attach_faults(plan.clone(), id);
+        }
+        let volatile = Volatile::new(&options, id);
+        Ok(Partition {
+            id,
+            cpu: storage.cpu,
+            nvm_dev: storage.nvm.clone(),
+            flash_dev: storage.flash.clone(),
+            fault: options.fault_plan.clone(),
+            seq,
+            durable: Durable {
+                slab,
+                log: SortedLog::new(),
+                quarantined: HashSet::new(),
+                health: PartitionHealth::Healthy,
+            },
+            lifetime: Lifetime {
+                stats: EngineStats::default(),
+                live: EngineStatsCells::default(),
+                serial: SerialTally::new(volatile.cache.shard_count()),
+                fg: AtomicU64::new(0),
+                busy_until: Nanos::ZERO,
+            },
+            volatile,
+            options,
+        })
+    }
+
+    /// Current foreground virtual time.
+    pub(crate) fn fg(&self) -> Nanos {
+        Nanos::from_nanos(self.lifetime.fg.load(Ordering::Relaxed))
+    }
+
+    pub(crate) fn advance_fg(&self, cost: Nanos) {
+        self.lifetime
+            .fg
+            .fetch_add(cost.as_nanos(), Ordering::Relaxed);
+    }
+
+    /// Chain one installed job onto the background timeline: it starts no
+    /// earlier than the foreground instant that triggered it and the
+    /// partition's previous job. `overlapped` jobs ran while the foreground
+    /// kept being served.
+    pub(crate) fn chain_background(&mut self, trigger: Nanos, duration: Nanos, overlapped: bool) {
+        self.lifetime.busy_until = trigger.max(self.lifetime.busy_until) + duration;
+        if overlapped {
+            self.lifetime.stats.compaction.overlap_time += duration;
+        }
+    }
+
+    /// The foreground stall rule: an operation standing at `now` that needs
+    /// the space compaction is freeing waits until `busy_until`, and the
+    /// wait is charged exactly once. Returns the stall; the caller folds it
+    /// into the operation's cost (or advances the clock by it).
+    pub(crate) fn stall_until_idle(&mut self, now: Nanos) -> Nanos {
+        let stall = self.lifetime.busy_until.saturating_sub(now);
+        self.lifetime.stats.compaction.stall_time += stall;
+        stall
+    }
+
+    /// Count one write that could not proceed until compaction freed NVM
+    /// space (at the back-pressure ceiling, or a slab write with no room).
+    pub(crate) fn note_backpressure_stall(&mut self) {
+        self.lifetime.stats.compaction.backpressure_stalls += 1;
+    }
+
+    pub(crate) fn elapsed(&self) -> Nanos {
+        self.fg().max(self.lifetime.busy_until)
+    }
+
+    /// This partition's statistics: the write-lock counters merged with
+    /// the live cells, plus the degraded gauge.
+    pub(crate) fn stats(&self) -> EngineStats {
+        let mut stats = self.lifetime.stats.merged(self.lifetime.live.snapshot());
+        stats.integrity.degraded_partitions =
+            (self.durable.health == PartitionHealth::Degraded) as u64;
+        stats
+    }
+
+    /// Serial virtual time accumulated by this partition's busiest DRAM
+    /// cache sub-shard (see [`SerialTally::busiest`]): the residual
+    /// single-lock component of the read path that a threaded makespan
+    /// model must keep on the critical path.
+    pub(crate) fn read_serial_busiest_ns(&self) -> u64 {
+        self.lifetime.serial.busiest()
+    }
+
+    /// Occupancy of this partition's DRAM cache and its traffic: a get
+    /// served from DRAM is a hit, any other a miss.
+    pub(crate) fn cache_stats(&self) -> CacheStats {
+        let reads = self.lifetime.live.snapshot();
+        let cache = &self.volatile.cache;
+        CacheStats {
+            hits: reads.reads_from_dram,
+            misses: reads.reads_found() + reads.reads_not_found - reads.reads_from_dram,
+            objects: cache.len(),
+            used_bytes: cache.used_bytes(),
+            shards: cache.shard_count(),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Integrity, quarantine, degraded mode
+    // ------------------------------------------------------------------
+
+    /// Current health (degraded = read-only until a clean scrub pass).
+    pub(crate) fn health(&self) -> PartitionHealth {
+        self.durable.health
+    }
+
+    /// Count one write refused with `Degraded` (called by the engine
+    /// under the partition *read* lock, hence the atomic).
+    pub(crate) fn note_degraded_refusal(&self) {
+        self.lifetime
+            .live
+            .integrity
+            .degraded_write_refusals
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Number of keys currently under a quarantine sentinel.
+    pub(crate) fn quarantined_len(&self) -> usize {
+        self.durable.quarantined.len()
+    }
+
+    fn corruption_error(&self, key: &Key) -> PrismError {
+        PrismError::Corruption(format!(
+            "partition {}: key {key} is quarantined after a checksum failure",
+            self.id
+        ))
+    }
+
+    /// Record one detected checksum failure (write-lock paths).
+    fn note_checksum_failure(&mut self) {
+        self.lifetime.stats.integrity.checksum_failures += 1;
+        if let Some(plan) = &self.fault {
+            plan.note_detected();
+        }
+    }
+
+    /// Record one detected checksum failure from a `&self` reader.
+    fn note_checksum_failure_shared(&self) {
+        self.lifetime
+            .live
+            .integrity
+            .checksum_failures
+            .fetch_add(1, Ordering::Relaxed);
+        if let Some(plan) = &self.fault {
+            plan.note_detected();
+        }
+    }
+
+    /// Place `key` under a quarantine sentinel: remove any NVM slot (so
+    /// a recovery scan cannot resurrect the corrupt version) but keep
+    /// the DRAM cache entry — it holds the last committed value and is
+    /// the scrubber's repair source. Returns false if already
+    /// quarantined.
+    fn quarantine_key(&mut self, key: &Key) -> bool {
+        if !self.durable.quarantined.insert(key.clone()) {
+            return false;
+        }
+        self.lifetime.stats.integrity.quarantined_objects += 1;
+        if let Some(entry) = self.volatile.index.get(key).copied() {
+            let _ = self.durable.slab.remove(entry.addr);
+            self.volatile.index.remove(key);
+            self.volatile.buckets.on_nvm_remove(key.id());
+        }
+        self.maybe_degrade();
+        true
+    }
+
+    /// Quarantine after a read-path checksum failure (idempotent); the
+    /// returned error is what the failed read surfaces to the caller.
+    pub(crate) fn quarantine_on_read(&mut self, key: &Key) -> PrismError {
+        if self.quarantine_key(key) {
+            self.note_checksum_failure();
+        }
+        self.corruption_error(key)
+    }
+
+    /// Flip into read-only degraded mode once enough objects are
+    /// quarantined.
+    fn maybe_degrade(&mut self) {
+        if self.durable.health == PartitionHealth::Healthy
+            && self.durable.quarantined.len() as u64 >= self.options.corruption_quarantine_threshold
+        {
+            self.durable.health = PartitionHealth::Degraded;
+            self.lifetime.stats.integrity.degraded_entered += 1;
+        }
+    }
+
+    /// Roll the fault plan for an injected flash read error.
+    fn roll_flash_read_fault(&self) -> Result<()> {
+        if let Some(plan) = &self.fault {
+            if plan.roll_io_error(FaultTier::Flash, self.id, FaultOp::Read) {
+                return Err(PrismError::Io(format!(
+                    "injected flash read error on partition {}",
+                    self.id
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    pub(crate) fn nvm_object_count(&self) -> usize {
+        self.durable.slab.object_count()
+    }
+
+    pub(crate) fn flash_object_count(&self) -> usize {
+        self.durable.log.total_entries()
+    }
+
+    pub(crate) fn nvm_utilization(&self) -> f64 {
+        self.durable.slab.usage().utilization()
+    }
+
+    pub(crate) fn clock_histogram(&self) -> [u64; 4] {
+        self.volatile.mapper.histogram()
+    }
+
+    // ------------------------------------------------------------------
+    // Version history for pinned snapshots
+    // ------------------------------------------------------------------
+
+    /// The key's current visible version across both tiers: the sequence
+    /// it committed at and its value (`None` = the version is a delete).
+    /// Returns `None` when the key has no version anywhere.
+    pub(crate) fn current_version(&self, key: &Key) -> Option<(u64, Option<Value>)> {
+        if let Some(entry) = self.volatile.index.get(key).copied() {
+            if entry.tombstone {
+                return Some((entry.timestamp, None));
+            }
+            // A slot failing its checksum reads as absent here: snapshot
+            // history and transaction pre-images must never capture (and
+            // later re-serve) damaged bytes.
+            let value = self
+                .durable
+                .slab
+                .peek(entry.addr)
+                .filter(|slot| slot.verify())
+                .and_then(|slot| slot.value.clone());
+            return Some((entry.timestamp, value));
+        }
+        let file = self.durable.log.lookup(key)?;
+        let entry = file.probe(key).entry?;
+        Some((entry.timestamp, entry.value))
+    }
+
+    /// The key's current visible value (the engine's pre-image capture
+    /// for commit-log records).
+    pub(crate) fn current_visible(&self, key: &Key) -> Option<Value> {
+        self.current_version(key).and_then(|(_, value)| value)
+    }
+
+    /// Newest sequence at which the key changed, counting full removals
+    /// that only the history buffer still remembers. Used by transaction
+    /// read-set validation: a value `> snapshot` means the key changed
+    /// after the snapshot was pinned.
+    pub(crate) fn newest_seq(&self, key: &Key) -> Option<u64> {
+        let live = self.current_version(key).map(|(seq, _)| seq);
+        let hist = self
+            .volatile
+            .history
+            .get(key)
+            .and_then(|list| list.last())
+            .map(|(seq, _)| *seq);
+        live.into_iter().chain(hist).max()
+    }
+
+    /// Called by every write *before* it mutates the key: while snapshots
+    /// are pinned, preserve the version about to be superseded so pinned
+    /// readers keep seeing it. Deletes additionally record a
+    /// `(delete_seq, None)` marker — the live tombstone they may write is
+    /// droppable by a later compaction, and without the marker an older
+    /// preserved value could wrongly resurface for snapshots pinned
+    /// after the delete. With no pins the whole buffer is garbage.
+    ///
+    /// The pin check runs after the write's sequence was allocated, and
+    /// [`CommitSequencer::pin`] reads the counter inside the same mutex
+    /// the check takes, so a racing snapshot either registers first (and
+    /// the version is preserved) or pins a sequence that already covers
+    /// the new version (see `crate::sequence`).
+    fn note_supersession(&mut self, key: &Key, delete_seq: Option<u64>) {
+        if !self.seq.has_pins() {
+            self.volatile.clear_history(&self.seq);
+            return;
+        }
+        if let Some(version) = self.current_version(key) {
+            self.volatile.push_history(&self.seq, key, version);
+        }
+        if let Some(seq) = delete_seq {
+            self.volatile.push_history(&self.seq, key, (seq, None));
+        }
+    }
+
+    /// Free history versions no live pin can reach (see
+    /// [`Volatile::prune_history`]). Called by the engine after it
+    /// force-expires a pin.
+    pub(crate) fn prune_history(&mut self, oldest_pin: Option<u64>) {
+        self.volatile.prune_history(&self.seq, oldest_pin);
+    }
+
+    // ------------------------------------------------------------------
+    // Read-side drain
+    // ------------------------------------------------------------------
+
+    /// Apply the reads' buffered state (see [`Volatile::apply_read_side`]).
+    /// Requires the write lock (`&mut self`).
+    pub(crate) fn apply_read_side(&mut self) {
+        self.volatile.apply_read_side();
+    }
+
+    /// Consume the pending-promotion flag (the driver turns it into a
+    /// promotion request).
+    pub(crate) fn take_promote_pending(&mut self) -> bool {
+        std::mem::take(&mut self.volatile.promote_pending)
     }
 
     // ------------------------------------------------------------------
@@ -761,7 +847,7 @@ impl Partition {
     /// advance the foreground clock.
     pub(crate) fn finish_write(&mut self, ops: usize, cost: Nanos) {
         for _ in 0..ops {
-            self.observe_write_op();
+            self.volatile.observe_write_op();
         }
         self.advance_fg(cost);
     }
@@ -792,7 +878,7 @@ impl Partition {
         let value_len = value.len() as u64;
 
         self.note_supersession(&key, None);
-        let existing = self.index.get(&key).copied();
+        let existing = self.volatile.index.get(&key).copied();
         let write_result = self.write_to_slab(existing, &key, value.clone(), ts);
         let (addr, write_cost) = match write_result {
             Ok(ok) => ok,
@@ -803,7 +889,7 @@ impl Partition {
                 // here (the later watermark check sees `busy_until` caught
                 // up).
                 cost += reclaim(self, accrued + cost)?;
-                let existing = self.index.get(&key).copied();
+                let existing = self.volatile.index.get(&key).copied();
                 self.write_to_slab(existing, &key, value.clone(), ts)?
             }
             Err(err) => return Err(err),
@@ -811,13 +897,13 @@ impl Partition {
         match group {
             Some(tally) => {
                 tally.writes += 1;
-                tally.bytes += self.slab.slot_bytes_for(value.len())?;
+                tally.bytes += self.durable.slab.slot_bytes_for(value.len())?;
             }
             None => cost += write_cost,
         }
 
         let was_new = existing.is_none();
-        self.index.insert(
+        self.volatile.index.insert(
             key.clone(),
             IndexEntry {
                 addr,
@@ -826,14 +912,15 @@ impl Partition {
             },
         );
         if was_new {
-            self.buckets.on_nvm_insert(key_id);
+            self.volatile.buckets.on_nvm_insert(key_id);
         }
         // A successful rewrite heals a quarantined key: the fresh version
         // supersedes whatever was corrupt.
-        self.quarantined.remove(&key);
-        cost += self.observe_access_now(&key, false);
-        self.cache.remove(&key);
-        self.stats.user_bytes_written += value_len;
+        self.durable.quarantined.remove(&key);
+        self.volatile.observe_access(&key, false);
+        cost += self.cpu.tracker_op;
+        self.volatile.cache.remove(&key);
+        self.lifetime.stats.user_bytes_written += value_len;
         Ok(cost)
     }
 
@@ -888,7 +975,7 @@ impl Partition {
                 // The client still logically wrote these bytes; only the
                 // physical slab write is saved.
                 if let BatchOp::Put(_, value) = entry {
-                    self.stats.user_bytes_written += value.len() as u64;
+                    self.lifetime.stats.user_bytes_written += value.len() as u64;
                 }
             } else {
                 cost += match entry {
@@ -906,22 +993,10 @@ impl Partition {
             cost += self.nvm_dev.write_sequential_cost(tally.bytes);
         }
 
-        self.stats.batch_groups += 1;
-        self.stats.batch_entries += entry_count;
-        self.stats.batch_merged_writes += merged;
+        self.lifetime.stats.batch_groups += 1;
+        self.lifetime.stats.batch_entries += entry_count;
+        self.lifetime.stats.batch_merged_writes += merged;
         Ok(cost)
-    }
-
-    /// Track an access with the write lock held; returns the CPU cost
-    /// charged for it.
-    fn observe_access_now(&mut self, key: &Key, on_flash: bool) -> Nanos {
-        let event = self.tracker.access(key, on_flash);
-        self.mapper.apply(&event);
-        self.buckets.on_access(key.id());
-        if let Some((evicted, _)) = &event.evicted {
-            self.buckets.on_tracker_evict(evicted.id());
-        }
-        self.cpu.tracker_op
     }
 
     fn write_to_slab(
@@ -932,16 +1007,16 @@ impl Partition {
         ts: u64,
     ) -> Result<(NvmAddress, Nanos)> {
         match existing {
-            Some(entry) if !entry.tombstone => self.slab.update(entry.addr, key, value, ts),
+            Some(entry) if !entry.tombstone => self.durable.slab.update(entry.addr, key, value, ts),
             Some(entry) => {
                 // The key currently has a tombstone on NVM: write the new
                 // value first, then reclaim the tombstone slot, so a failed
                 // insert cannot leave a dangling index entry.
-                let inserted = self.slab.insert(key.clone(), value, ts)?;
-                self.slab.remove(entry.addr)?;
+                let inserted = self.durable.slab.insert(key.clone(), value, ts)?;
+                self.durable.slab.remove(entry.addr)?;
                 Ok(inserted)
             }
-            None => self.slab.insert(key.clone(), value, ts),
+            None => self.durable.slab.insert(key.clone(), value, ts),
         }
     }
 
@@ -955,16 +1030,16 @@ impl Partition {
         key: &Key,
         cost: &mut Nanos,
     ) -> Result<Option<(ReadSource, u64, Option<Value>)>> {
-        if let Some(entry) = self.index.get(key).copied() {
+        if let Some(entry) = self.volatile.index.get(key).copied() {
             if entry.tombstone {
                 return Ok(Some((ReadSource::Nvm, entry.timestamp, None)));
             }
-            let (slot, read_cost) = self.slab.read(entry.addr)?;
+            let (slot, read_cost) = self.durable.slab.read(entry.addr)?;
             *cost += read_cost;
             return Ok(Some((ReadSource::Nvm, entry.timestamp, slot.value.clone())));
         }
         *cost += self.cpu.bloom_probe;
-        let Some(file) = self.log.lookup(key) else {
+        let Some(file) = self.durable.log.lookup(key) else {
             return Ok(None);
         };
         self.roll_flash_read_fault()?;
@@ -1007,7 +1082,7 @@ impl Partition {
     pub(crate) fn get_with_pressure(&self, key: &Key) -> Result<(Lookup, bool)> {
         // A quarantined key fails before any tier is consulted: an older
         // clean version on flash must never shadow the corrupt one.
-        if self.quarantined.contains(key) {
+        if self.durable.quarantined.contains(key) {
             return Err(self.corruption_error(key));
         }
         let mut cost = self.cpu.request_overhead + self.cpu.index_op;
@@ -1022,65 +1097,67 @@ impl Partition {
         // copy (`dram_hit`) both run under the sub-shard lock — so the
         // charge is their sum, not just the copy.
         let cache_serial = (self.cpu.index_op + self.cpu.dram_hit).as_nanos();
-        let cached = self.cache.get(key);
-        self.cache.charge_serial(key, cache_serial);
+        let shard = self.volatile.cache.shard_of(key);
+        let cached = self.volatile.cache.get(key);
+        self.lifetime.serial.charge(shard, cache_serial);
         if let Some(cached) = cached {
             cost += self.cpu.dram_hit;
             source = ReadSource::Dram;
             value = Some(cached);
         } else if let Some((tier, _, Some(found))) = self.probe_tiers(key, &mut cost)? {
             source = tier;
-            self.cache.insert(key.clone(), found.clone());
-            self.cache.charge_serial(key, cache_serial);
+            self.volatile.cache.insert(key.clone(), found.clone());
+            self.lifetime.serial.charge(shard, cache_serial);
             value = Some(found);
         }
 
+        let live = &self.lifetime.live;
         match source {
-            ReadSource::Dram => self.live.reads_from_dram.fetch_add(1, Ordering::Relaxed),
-            ReadSource::Nvm => self.live.reads_from_nvm.fetch_add(1, Ordering::Relaxed),
-            ReadSource::Flash => self.live.reads_from_flash.fetch_add(1, Ordering::Relaxed),
-            ReadSource::NotFound => self.live.reads_not_found.fetch_add(1, Ordering::Relaxed),
+            ReadSource::Dram => live.reads_from_dram.fetch_add(1, Ordering::Relaxed),
+            ReadSource::Nvm => live.reads_from_nvm.fetch_add(1, Ordering::Relaxed),
+            ReadSource::Flash => live.reads_from_flash.fetch_add(1, Ordering::Relaxed),
+            ReadSource::NotFound => live.reads_not_found.fetch_add(1, Ordering::Relaxed),
         };
+        let volatile = &self.volatile;
+        let counters = &volatile.read_counters;
         if value.is_some() {
             // The popularity update's CPU cost belongs to this read either
             // way; which path applies it depends on whether the tracker
             // already knows the key.
             cost += self.cpu.tracker_op;
             let on_flash = source == ReadSource::Flash;
-            match self.tracker.touch(key, on_flash) {
+            match volatile.tracker.touch(key, on_flash) {
                 // Tracked: the clock byte was atomically re-heated to the
                 // maximum; fold the class transition into the histogram.
                 // The key's popularity bit is already set (it was set when
                 // the key entered the tracker and only eviction clears it),
                 // so no bucket-map update is needed.
-                Some(old) => self.mapper.promote_to_max(old),
+                Some(old) => volatile.mapper.promote_to_max(old),
                 // Untracked: admission may evict another key — structural
                 // work for the next write-lock holder.
                 None => {
-                    let mut rs = self.lock_read_side();
-                    rs.accesses.push((key.clone(), on_flash));
-                    self.read_counters
+                    let mut rs = volatile.lock_read_side();
+                    rs.push((key.clone(), on_flash));
+                    counters
                         .pending_accesses
-                        .store(rs.accesses.len() as u64, Ordering::Relaxed);
+                        .store(rs.len() as u64, Ordering::Relaxed);
                 }
             }
         }
-        self.read_counters.reads.fetch_add(1, Ordering::Relaxed);
+        counters.reads.fetch_add(1, Ordering::Relaxed);
         match source {
             ReadSource::Nvm => {
-                self.read_counters.nvm_hits.fetch_add(1, Ordering::Relaxed);
+                counters.nvm_hits.fetch_add(1, Ordering::Relaxed);
             }
             ReadSource::Flash => {
-                self.read_counters
-                    .flash_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                self.read_counters
+                counters.flash_hits.fetch_add(1, Ordering::Relaxed);
+                counters
                     .flash_reads_since_promotion
                     .fetch_add(1, Ordering::Relaxed);
             }
             _ => {}
         }
-        let pressure = self.read_pressure();
+        let pressure = volatile.read_pressure();
         self.advance_fg(cost);
         Ok((
             Lookup {
@@ -1114,12 +1191,13 @@ impl Partition {
         let key_id = key.id();
 
         self.note_supersession(key, Some(ts));
-        let existing = self.index.get(key).copied();
+        let existing = self.volatile.index.get(key).copied();
         // Does any version of this key exist on flash? A corrupt flash
         // record counts: it must be tombstone-shadowed too, or reads
         // after the delete would keep tripping on it.
         cost += self.cpu.bloom_probe;
         let on_flash = self
+            .durable
             .log
             .lookup(key)
             .map(|file| {
@@ -1135,30 +1213,30 @@ impl Partition {
             // scan could later resurrect it and shadow a newer flash
             // version (a fresh tombstone is re-written below if a flash
             // version still needs shadowing).
-            self.slab.remove(entry.addr)?;
-            self.buckets.on_nvm_remove(key_id);
-            self.index.remove(key);
+            self.durable.slab.remove(entry.addr)?;
+            self.volatile.buckets.on_nvm_remove(key_id);
+            self.volatile.index.remove(key);
         }
 
         if on_flash {
             // Write a tombstone to NVM so the flash version is hidden until
             // a compaction merges and drops both.
-            let (addr, write_cost) = match self.slab.insert_tombstone(key.clone(), ts) {
+            let (addr, write_cost) = match self.durable.slab.insert_tombstone(key.clone(), ts) {
                 Ok(ok) => ok,
                 Err(PrismError::CapacityExceeded { .. }) => {
                     cost += reclaim(self, accrued + cost)?;
-                    self.slab.insert_tombstone(key.clone(), ts)?
+                    self.durable.slab.insert_tombstone(key.clone(), ts)?
                 }
                 Err(err) => return Err(err),
             };
             match group {
                 Some(tally) => {
                     tally.writes += 1;
-                    tally.bytes += self.slab.slot_bytes_for(0)?;
+                    tally.bytes += self.durable.slab.slot_bytes_for(0)?;
                 }
                 None => cost += write_cost,
             }
-            self.index.insert(
+            self.volatile.index.insert(
                 key.clone(),
                 IndexEntry {
                     addr,
@@ -1166,13 +1244,13 @@ impl Partition {
                     tombstone: true,
                 },
             );
-            self.buckets.on_nvm_insert(key_id);
+            self.volatile.buckets.on_nvm_insert(key_id);
         }
 
         // A delete supersedes a quarantined version: the key is now
         // legitimately absent (or tombstoned), not corrupt.
-        self.quarantined.remove(key);
-        self.cache.remove(key);
+        self.durable.quarantined.remove(key);
+        self.volatile.cache.remove(key);
         Ok(cost)
     }
 
@@ -1182,13 +1260,13 @@ impl Partition {
     /// the latest version) and buffers no read-side state — snapshot
     /// reads must not perturb popularity tracking.
     pub(crate) fn snapshot_get(&self, key: &Key, pinned: u64) -> Result<(Option<Value>, Nanos)> {
-        if self.quarantined.contains(key) {
+        if self.durable.quarantined.contains(key) {
             return Err(self.corruption_error(key));
         }
         let mut cost = self.cpu.request_overhead + self.cpu.index_op;
         let value = match self.probe_tiers(key, &mut cost)? {
             Some((_, seq, value)) if seq <= pinned => value,
-            _ => self.history_version_at(key, pinned),
+            _ => self.volatile.history_version_at(key, pinned),
         };
         self.advance_fg(cost);
         Ok((value, cost))
@@ -1215,11 +1293,11 @@ impl Partition {
         let Some(start) = cursor.frontier.take() else {
             return;
         };
-        let mut nvm = self.index.range_from(&start).peekable();
-        let mut flash = self.log.resume(cursor.flash.take(), &start);
-        let mut hist = self.history.range::<Key, _>(&start..).peekable();
+        let mut nvm = self.volatile.index.range_from(&start).peekable();
+        let mut flash = self.durable.log.resume(cursor.flash.take(), &start);
+        let mut hist = self.volatile.history.range::<Key, _>(&start..).peekable();
         loop {
-            let on_flash = self.log.entry_at(&mut flash);
+            let on_flash = self.durable.log.entry_at(&mut flash);
             let heads = [
                 nvm.peek().map(|(k, _)| *k),
                 on_flash.map(|e| &e.0),
@@ -1244,7 +1322,7 @@ impl Partition {
             if let Some((_, entry)) = on_nvm {
                 if entry.tombstone {
                     live = Some((entry.timestamp, None));
-                } else if let Some(slot) = self.slab.peek(entry.addr) {
+                } else if let Some(slot) = self.durable.slab.peek(entry.addr) {
                     if slot.verify() {
                         live = Some((entry.timestamp, slot.value.clone()));
                         cursor.nvm_reads += 1;
@@ -1273,11 +1351,11 @@ impl Partition {
 
             let visible = match live {
                 Some((seq, value)) if seq <= pinned => value,
-                _ => self.history_version_at(key, pinned),
+                _ => self.volatile.history_version_at(key, pinned),
             };
             // Quarantined keys are skipped (reported via the quarantine
             // counters), not served from an older tier.
-            if let Some(value) = visible.filter(|_| !self.quarantined.contains(key)) {
+            if let Some(value) = visible.filter(|_| !self.durable.quarantined.contains(key)) {
                 out.push((key.clone(), value));
                 cursor.emitted += 1;
             }
@@ -1300,10 +1378,12 @@ impl Partition {
             cost += self.flash_dev.read_sequential(cursor.flash_bytes);
         }
         cost += self.cpu.merge_per_object * cursor.emitted;
-        self.live
+        self.lifetime
+            .live
             .scan_entries_resolved
             .fetch_add(cursor.resolved, Ordering::Relaxed);
-        self.live
+        self.lifetime
+            .live
             .scan_entries_returned
             .fetch_add(cursor.emitted, Ordering::Relaxed);
         self.advance_fg(cost);
@@ -1318,13 +1398,13 @@ impl Partition {
     /// file windows, extended at both ends to cover NVM keys outside any
     /// flash file.
     fn candidate_ranges(&self) -> Vec<(Key, Key)> {
-        if self.log.is_empty() {
-            if self.index.is_empty() {
+        if self.durable.log.is_empty() {
+            if self.volatile.index.is_empty() {
                 return Vec::new();
             }
             return vec![(Key::min(), Key::from_id(u64::MAX))];
         }
-        let fences = self.log.fences();
+        let fences = self.durable.log.fences();
         let width = self.options.compaction.range_width_files.max(1);
         let mut ranges = Vec::new();
         // Chain the ranges so together they cover the entire key space:
@@ -1354,24 +1434,32 @@ impl Partition {
             CompactionPolicy::Random => 0.0,
             CompactionPolicy::ApproxMsc => {
                 *planning_cost += self.cpu.index_op;
-                let stats = self.buckets.estimate(start.id(), end.id(), 0.25);
+                let stats = self.volatile.buckets.estimate(start.id(), end.id(), 0.25);
                 msc_score(&stats)
             }
             CompactionPolicy::PreciseMsc => {
                 let mut builder = RangeStatsBuilder::new();
-                let tracked = self.tracker.len();
-                for (key, _entry) in self.index.range_from(start).take_while(|(k, _)| *k <= end) {
-                    let clock = self.tracker.clock_of(key);
+                let tracked = self.volatile.tracker.len();
+                for (key, _entry) in self
+                    .volatile
+                    .index
+                    .range_from(start)
+                    .take_while(|(k, _)| *k <= end)
+                {
+                    let clock = self.volatile.tracker.clock_of(key);
                     let pinned = matches!(
-                        self.mapper
-                            .pin_decision(clock, self.options.pinning_threshold, tracked),
+                        self.volatile.mapper.pin_decision(
+                            clock,
+                            self.options.pinning_threshold,
+                            tracked
+                        ),
                         PinDecision::Pin
                     );
                     builder.add_nvm_object(clock, pinned);
                 }
-                for file in self.log.overlapping(start, end) {
+                for file in self.durable.log.overlapping(start, end) {
                     for (key, _) in file.range(start, end) {
-                        builder.add_flash_object(self.index.contains_key(key));
+                        builder.add_flash_object(self.volatile.index.contains_key(key));
                     }
                 }
                 *planning_cost += self.cpu.merge_per_object * builder.objects_examined();
@@ -1401,7 +1489,10 @@ impl Partition {
         if candidates.is_empty() {
             return None;
         }
-        let picked = self.planner.pick_candidate_indices(candidates.len());
+        let picked = self
+            .volatile
+            .planner
+            .pick_candidate_indices(candidates.len());
         let mut planning_cost = Nanos::ZERO;
         let scored: Vec<(usize, f64)> = picked
             .iter()
@@ -1412,10 +1503,10 @@ impl Partition {
                 )
             })
             .collect();
-        let best = self.planner.select_best(&scored)?;
+        let best = self.volatile.planner.select_best(&scored)?;
         let (start, end) = candidates[best].clone();
         // Without a read trigger nothing is promoted, by hint or by job.
-        let allow_promote = self.read_trigger.is_some();
+        let allow_promote = self.volatile.read_trigger.is_some();
         self.plan_range(start, end, kind, allow_promote, planning_cost, trigger_fg)
     }
 
@@ -1423,18 +1514,22 @@ impl Partition {
     /// flash-only objects. Requires the write lock; returns `None` when no
     /// range would promote anything.
     pub(crate) fn plan_promotion(&mut self, trigger_fg: Nanos) -> Option<CompactionJob> {
-        if self.log.is_empty() {
+        if self.durable.log.is_empty() {
             return None;
         }
         let candidates = self.candidate_ranges();
-        let picked = self.planner.pick_candidate_indices(candidates.len());
+        let picked = self
+            .volatile
+            .planner
+            .pick_candidate_indices(candidates.len());
         let scored: Vec<(usize, f64)> = picked
             .iter()
             .map(|&i| {
                 let (start, end) = &candidates[i];
                 (
                     i,
-                    self.buckets
+                    self.volatile
+                        .buckets
                         .popular_flash_only_objects(start.id(), end.id()),
                 )
             })
@@ -1469,13 +1564,14 @@ impl Partition {
         trigger_fg: Nanos,
     ) -> Option<CompactionJob> {
         let force = matches!(kind, JobKind::Demotion { force: true });
-        let tracked = self.tracker.len();
+        let tracked = self.volatile.tracker.len();
         let pin_threshold = self.options.pinning_threshold;
 
         // Select the NVM objects to demote (unpopular ones, or everything
         // in forced mode). Tombstones always participate so they can be
         // merged away.
         let in_range: Vec<(Key, IndexEntry)> = self
+            .volatile
             .index
             .range_from(&start)
             .take_while(|(k, _)| *k <= &end)
@@ -1486,13 +1582,16 @@ impl Partition {
             let pinned = if force || entry.tombstone {
                 false
             } else {
-                let clock = self.tracker.clock_of(&key);
-                let decision = self.mapper.pin_decision(clock, pin_threshold, tracked);
-                decision.should_pin(self.planner.draw())
+                let clock = self.volatile.tracker.clock_of(&key);
+                let decision = self
+                    .volatile
+                    .mapper
+                    .pin_decision(clock, pin_threshold, tracked);
+                decision.should_pin(self.volatile.planner.draw())
             };
             if !pinned {
                 // The index points at a missing slot: nothing to demote.
-                let Some(slot) = self.slab.peek(entry.addr) else {
+                let Some(slot) = self.durable.slab.peek(entry.addr) else {
                     continue;
                 };
                 // Unverified: a damaged value moves with the checksum it
@@ -1506,7 +1605,7 @@ impl Partition {
             }
         }
 
-        let files = self.log.overlapping(&start, &end);
+        let files = self.durable.log.overlapping(&start, &end);
         if demote.is_empty() && files.is_empty() {
             return None;
         }
@@ -1515,12 +1614,12 @@ impl Partition {
         if allow_promote {
             for file in &files {
                 for (key, entry) in file.iter() {
-                    if entry.is_tombstone() || self.index.contains_key(key) {
+                    if entry.is_tombstone() || self.volatile.index.contains_key(key) {
                         continue;
                     }
                     let pin = matches!(
-                        self.mapper.pin_decision(
-                            self.tracker.clock_of(key),
+                        self.volatile.mapper.pin_decision(
+                            self.volatile.tracker.clock_of(key),
                             pin_threshold,
                             tracked
                         ),
@@ -1535,7 +1634,7 @@ impl Partition {
 
         Some(CompactionJob {
             partition: self.id,
-            generation: self.log.generation(),
+            generation: self.durable.log.generation(),
             kind,
             trigger_fg,
             demote,
@@ -1553,7 +1652,8 @@ impl Partition {
     /// `key` (foreground writes between plan and install bump the
     /// timestamp or remove the entry).
     fn entry_current(&self, key: &Key, timestamp: u64) -> bool {
-        self.index
+        self.volatile
+            .index
             .get(key)
             .map(|e| e.timestamp == timestamp)
             .unwrap_or(false)
@@ -1564,6 +1664,15 @@ impl Partition {
     /// and swap them into the log atomically (with respect to the
     /// partition lock).
     ///
+    /// Persist order, so that a power cut between any two steps loses no
+    /// acknowledged write: (1) promoted versions are written to slots,
+    /// (2) the output files are written, (3) `log.install` swaps them in —
+    /// the commit point, after which the log answers every demoted key —
+    /// (4) the demoted slots are freed, (5) `log.reclaim` frees the
+    /// replaced files no reader holds. Before (3) the old files still hold
+    /// every promoted version and the slots every demoted one; between (3)
+    /// and (4) a version sits on both tiers, and recovery keeps the slot's.
+    ///
     /// Returns `Ok(None)` when the job is discarded: the sorted log has
     /// installed since the plan (another job, or crash recovery), so the
     /// files the merge read may no longer be the ones it would replace.
@@ -1573,7 +1682,7 @@ impl Partition {
         &mut self,
         exec: ExecutedJob,
     ) -> Result<Option<CompactionOutcome>> {
-        if exec.generation != self.log.generation() {
+        if exec.generation != self.durable.log.generation() {
             return Ok(None);
         }
 
@@ -1596,8 +1705,8 @@ impl Partition {
                 }
                 MergedOrigin::Flash { promote } => {
                     let promotable = promote
-                        && !self.index.contains_key(&m.key)
-                        && self.slab.usage().utilization() < nvm_headroom;
+                        && !self.volatile.index.contains_key(&m.key)
+                        && self.durable.slab.usage().utilization() < nvm_headroom;
                     if promotable {
                         // A promotion moves the *same logical version*
                         // between tiers, so it keeps the flash entry's
@@ -1611,10 +1720,14 @@ impl Partition {
                         let ts = m.entry.timestamp;
                         let value = m.entry.value.clone().expect("hints never mark tombstones");
                         let checksum = m.entry.checksum;
-                        match self.slab.insert_carried(m.key.clone(), value, ts, checksum) {
+                        match self
+                            .durable
+                            .slab
+                            .insert_carried(m.key.clone(), value, ts, checksum)
+                        {
                             Ok((addr, cost)) => {
                                 duration += cost;
-                                self.index.insert(
+                                self.volatile.index.insert(
                                     m.key.clone(),
                                     IndexEntry {
                                         addr,
@@ -1622,8 +1735,8 @@ impl Partition {
                                         tombstone: false,
                                     },
                                 );
-                                self.buckets.on_nvm_insert(m.key.id());
-                                self.tracker.set_location(&m.key, false);
+                                self.volatile.buckets.on_nvm_insert(m.key.id());
+                                self.volatile.tracker.set_location(&m.key, false);
                                 removed_from_flash.push(m.key.id());
                                 promoted += 1;
                             }
@@ -1644,6 +1757,15 @@ impl Partition {
         duration += write_cost;
         flash_time += write_cost;
 
+        for (key, _) in new_files.iter().flat_map(|file| file.iter()) {
+            self.volatile.buckets.on_flash_insert(key.id());
+        }
+        for key_id in removed_from_flash {
+            self.volatile.buckets.on_flash_remove(key_id);
+        }
+        // The commit point: from here on the log answers every demoted key.
+        self.durable.log.install(&exec.old_file_ids, new_files);
+
         // Demoted keys leave NVM — but only the exact planned version; a
         // key rewritten by the foreground since planning stays put.
         let mut demoted = 0u64;
@@ -1651,23 +1773,25 @@ impl Partition {
             if !self.entry_current(key, *timestamp) {
                 continue;
             }
-            let entry = *self.index.get(key).expect("entry_current checked");
-            self.slab.remove(entry.addr)?;
-            self.index.remove(key);
-            self.buckets.on_nvm_remove(key.id());
+            debug_assert!(
+                {
+                    let log = &self.durable.log;
+                    let held = log.lookup(key).and_then(|file| file.range(key, key).next());
+                    held.map_or(*tombstone, |(_, record)| record.timestamp == *timestamp)
+                },
+                "partition {}: the slot of {key:?} is freed before the log holds its version",
+                self.id
+            );
+            let entry = *self.volatile.index.get(key).expect("entry_current checked");
+            self.durable.slab.remove(entry.addr)?;
+            self.volatile.index.remove(key);
+            self.volatile.buckets.on_nvm_remove(key.id());
             if !tombstone {
-                self.tracker.set_location(key, true);
+                self.volatile.tracker.set_location(key, true);
                 demoted += 1;
             }
         }
-        for (key, _) in new_files.iter().flat_map(|file| file.iter()) {
-            self.buckets.on_flash_insert(key.id());
-        }
-        for key_id in removed_from_flash {
-            self.buckets.on_flash_remove(key_id);
-        }
-        self.log.install(&exec.old_file_ids, new_files);
-        self.log.reclaim(&self.flash_dev);
+        self.durable.log.reclaim(&self.flash_dev);
 
         let outcome = CompactionOutcome {
             duration,
@@ -1683,12 +1807,13 @@ impl Partition {
         if outcome.duration.is_zero() {
             return;
         }
-        self.stats.compaction.jobs += 1;
-        self.stats.compaction.total_time += outcome.duration;
-        self.stats.compaction.slow_tier_time += outcome.flash_time;
-        self.stats.compaction.fast_tier_time += outcome.duration.saturating_sub(outcome.flash_time);
-        self.stats.compaction.demoted_objects += outcome.demoted;
-        self.stats.compaction.promoted_objects += outcome.promoted;
+        self.lifetime.stats.compaction.jobs += 1;
+        self.lifetime.stats.compaction.total_time += outcome.duration;
+        self.lifetime.stats.compaction.slow_tier_time += outcome.flash_time;
+        self.lifetime.stats.compaction.fast_tier_time +=
+            outcome.duration.saturating_sub(outcome.flash_time);
+        self.lifetime.stats.compaction.demoted_objects += outcome.demoted;
+        self.lifetime.stats.compaction.promoted_objects += outcome.promoted;
     }
 
     fn write_sst_files(
@@ -1701,14 +1826,16 @@ impl Partition {
             return Ok((files, cost));
         }
         let target = self.options.sst_target_bytes;
-        let mut builder = SstBuilder::new(self.log.allocate_file_id()).for_partition(self.id);
+        let mut builder =
+            SstBuilder::new(self.durable.log.allocate_file_id()).for_partition(self.id);
         for (key, entry) in merged {
             builder.add(key, entry);
             if builder.size_bytes() >= target {
                 let (file, c) = builder.finish(&self.flash_dev);
                 cost += c;
                 files.push(Arc::new(file));
-                builder = SstBuilder::new(self.log.allocate_file_id()).for_partition(self.id);
+                builder =
+                    SstBuilder::new(self.durable.log.allocate_file_id()).for_partition(self.id);
             }
         }
         if !builder.is_empty() {
@@ -1723,126 +1850,121 @@ impl Partition {
     // Crash recovery
     // ------------------------------------------------------------------
 
-    /// Simulate a crash (losing all DRAM state) followed by recovery: the
-    /// B-tree index is rebuilt from a scan of the NVM slabs, keeping only
-    /// the newest timestamp per key, and the bucket map is reconstructed
-    /// from the slab scan plus the sorted log's files. Recovery re-installs
-    /// the surviving file list, so the log takes a new generation: any
-    /// in-flight background compaction job is thereby aborted (its install
-    /// is a no-op), and since execution never mutates partition state the
-    /// partition recovers to exactly its last installed state. Returns the
-    /// simulated recovery time.
+    /// Simulate a crash followed by recovery. The crash drops the whole
+    /// [`Volatile`] part; recovery installs an empty one and rebuilds it
+    /// from the [`Durable`] part: the index from a scan of the NVM slabs,
+    /// keeping only the newest timestamp per key, and the bucket map from
+    /// that scan plus the sorted log's files. The [`Lifetime`] part carries
+    /// on. Recovery re-installs the surviving file list, so the log takes
+    /// a new generation: any in-flight background compaction job is
+    /// thereby aborted (its install is a no-op), and since execution never
+    /// mutates partition state the partition recovers to exactly its last
+    /// installed state. Returns the simulated recovery time.
     pub(crate) fn crash_and_recover(&mut self) -> Nanos {
-        self.log.install(&[], Vec::new());
-        self.promote_pending = false;
-        self.cache.clear();
-        debug_assert!(self.cache.is_empty(), "a crash loses all DRAM state");
-        {
-            let mut rs = self.lock_read_side();
-            *rs = ReadSideState::default();
-        }
-        self.read_counters = ReadSideCounters::default();
-        self.index.clear();
-        let tracker_capacity =
-            (self.options.tracker_capacity() / self.options.num_partitions).max(8);
-        self.tracker = ClockTracker::new(tracker_capacity);
-        self.mapper = Mapper::new();
-        self.buckets = BucketMap::new(self.options.compaction.bucket_size_keys);
+        // What DRAM held goes before the scan below allocates, so a lost
+        // index and a rebuilt one are never held together. Its history's
+        // bytes leave the sequencer's total: snapshots pinned across a
+        // crash lose their preserved versions (a snapshot read may then
+        // see a key as absent, never a stale value — live versions with
+        // `seq <= pinned` are by definition the pinned-time state). Debug
+        // builds keep the lost index, to check the rebuilt one against it.
+        let fresh = Volatile::new(&self.options, self.id);
+        let Volatile {
+            index: lost_index,
+            history_bytes,
+            ..
+        } = std::mem::replace(&mut self.volatile, fresh);
+        let lost_index = cfg!(debug_assertions).then_some(lost_index);
+        self.seq.sub_history_bytes(history_bytes);
+        self.durable.log.install(&[], Vec::new());
 
-        let cost = self.slab.recovery_scan_cost();
+        let cost = self.durable.slab.recovery_scan_cost();
         // First pass: verify every slot. A key with *any* corrupt slot is
         // quarantined whole — a corrupt slot's timestamp cannot be
         // trusted, so newest-version selection among its siblings could
         // resurrect a superseded value. Recovery quarantines; it never
         // guesses.
-        let scanned: Vec<(NvmAddress, Key, u64, bool, bool)> = self
-            .slab
+        let slab = &self.durable.slab;
+        let corrupt: Vec<Key> = slab
             .scan()
-            .map(|(addr, slot)| {
-                (
-                    addr,
-                    slot.key.clone(),
-                    slot.timestamp,
-                    slot.is_tombstone(),
-                    slot.verify(),
-                )
-            })
+            .filter(|(_, slot)| !slot.verify())
+            .map(|(_, slot)| slot.key.clone())
             .collect();
-        let corrupt_keys: HashSet<Key> = scanned
-            .iter()
-            .filter(|(_, _, _, _, ok)| !ok)
-            .map(|(_, key, _, _, _)| key.clone())
-            .collect();
-        let mut newest: std::collections::HashMap<Key, (NvmAddress, u64, bool)> =
-            std::collections::HashMap::new();
+        let corrupt_keys: HashSet<&Key> = corrupt.iter().collect();
+        let mut newest: HashMap<Key, IndexEntry> = HashMap::new();
         let mut stale: Vec<NvmAddress> = Vec::new();
         let mut max_ts = 0u64;
-        for (addr, key, timestamp, tombstone, ok) in scanned {
-            if !ok {
-                self.note_checksum_failure();
-            }
-            if corrupt_keys.contains(&key) {
+        for (addr, slot) in slab.scan() {
+            if corrupt_keys.contains(&slot.key) {
                 // Every slot of a corrupt key is dropped, clean siblings
                 // included.
                 stale.push(addr);
                 continue;
             }
-            max_ts = max_ts.max(timestamp);
-            match newest.get(&key) {
-                Some((_, ts, _)) if *ts >= timestamp => stale.push(addr),
+            max_ts = max_ts.max(slot.timestamp);
+            let entry = IndexEntry {
+                addr,
+                timestamp: slot.timestamp,
+                tombstone: slot.is_tombstone(),
+            };
+            match newest.get(&slot.key) {
+                Some(held) if held.timestamp >= entry.timestamp => stale.push(addr),
                 _ => {
-                    if let Some((old, _, _)) = newest.insert(key, (addr, timestamp, tombstone)) {
-                        stale.push(old);
+                    if let Some(old) = newest.insert(slot.key.clone(), entry) {
+                        stale.push(old.addr);
                     }
                 }
             }
+        }
+        // The lost index and the slabs must agree on every clean key: the
+        // same keys, each at the same slot, version and kind. A slot the
+        // index forgot would otherwise come back here as a live version.
+        if let Some(lost) = lost_index {
+            let mut unmatched = newest.len();
+            for (key, entry) in lost.range_from(&Key::min()) {
+                if !corrupt_keys.contains(key) {
+                    let id = self.id;
+                    assert_eq!(newest.get(key), Some(entry), "partition {id}: {key:?}");
+                    unmatched -= 1;
+                }
+            }
+            assert_eq!(unmatched, 0, "partition {}: slots no index held", self.id);
         }
         // Garbage-collect superseded duplicate slots (e.g. slots orphaned
         // by a bug or torn multi-slot sequence): recovery must leave
         // exactly one slot per key, or the next recovery could pick a
         // different winner.
         for addr in stale {
-            self.slab
+            self.durable
+                .slab
                 .remove(addr)
                 .expect("recovery GC: a slot just seen by the slab scan must be removable");
         }
-        for (key, (addr, timestamp, tombstone)) in newest {
-            self.buckets.on_nvm_insert(key.id());
-            self.index.insert(
-                key,
-                IndexEntry {
-                    addr,
-                    timestamp,
-                    tombstone,
-                },
-            );
+        for (key, entry) in newest {
+            self.volatile.buckets.on_nvm_insert(key.id());
+            self.volatile.index.insert(key, entry);
         }
-        for key in corrupt_keys {
-            if self.quarantined.insert(key) {
-                self.stats.integrity.quarantined_objects += 1;
+        for key in corrupt {
+            self.note_checksum_failure();
+            if self.durable.quarantined.insert(key) {
+                self.lifetime.stats.integrity.quarantined_objects += 1;
             }
         }
         let mut flash_corrupt: Vec<Key> = Vec::new();
-        for (key, entry) in self.log.iter() {
+        for (key, entry) in self.durable.log.iter() {
             if entry.verify() {
-                self.buckets.on_flash_insert(key.id());
+                self.volatile.buckets.on_flash_insert(key.id());
             } else {
                 flash_corrupt.push(key.clone());
             }
         }
         for key in flash_corrupt {
             self.note_checksum_failure();
-            if !self.index.contains_key(&key) {
+            if !self.volatile.index.contains_key(&key) {
                 self.quarantine_key(&key);
             }
         }
         self.maybe_degrade();
-        self.scrub_cursor = None;
-        // The history buffer is DRAM state: snapshots pinned across a
-        // crash lose their preserved versions (a snapshot read may then
-        // see a key as absent, never a stale value — live versions with
-        // `seq <= pinned` are by definition the pinned-time state).
-        self.clear_history();
         // The commit clock is rebuilt from the largest persisted
         // sequence; it never moves backwards, so sequences are not
         // reused even when flash holds later versions than the slabs.
@@ -1868,6 +1990,7 @@ impl Partition {
         let mut budget = budget_bytes.max(1);
         let mut cost = Nanos::ZERO;
         let mut cursor = self
+            .volatile
             .scrub_cursor
             .take()
             .unwrap_or(ScrubCursor::Nvm(Key::min()));
@@ -1876,13 +1999,13 @@ impl Partition {
             let mut corrupt: Vec<Key> = Vec::new();
             let mut resume: Option<Key> = None;
             let mut nvm_bytes = 0u64;
-            for (key, entry) in self.index.range_from(&start) {
+            for (key, entry) in self.volatile.index.range_from(&start) {
                 if budget == 0 {
                     resume = Some(key.clone());
                     break;
                 }
                 report.examined += 1;
-                let slot_bytes = match self.slab.peek(entry.addr) {
+                let slot_bytes = match self.durable.slab.peek(entry.addr) {
                     Some(slot) => {
                         if !slot.verify() {
                             corrupt.push(key.clone());
@@ -1906,10 +2029,10 @@ impl Partition {
                 report.corrupt_found += 1;
                 self.note_checksum_failure();
                 // Drop the corrupt slot before attempting a repair.
-                if let Some(entry) = self.index.get(&key).copied() {
-                    let _ = self.slab.remove(entry.addr);
-                    self.index.remove(&key);
-                    self.buckets.on_nvm_remove(key.id());
+                if let Some(entry) = self.volatile.index.get(&key).copied() {
+                    let _ = self.durable.slab.remove(entry.addr);
+                    self.volatile.index.remove(&key);
+                    self.volatile.buckets.on_nvm_remove(key.id());
                 }
                 self.scrub_repair_or_quarantine(key, &mut report, &mut cost);
             }
@@ -1927,6 +2050,7 @@ impl Partition {
         // Snapshot the file set: rebuilds below swap files out of the
         // log mid-walk.
         let files: Vec<Arc<SstFile>> = self
+            .durable
             .log
             .files()
             .iter()
@@ -1955,7 +2079,8 @@ impl Partition {
             // pass over this range comes back clean.
             let keep: Vec<(Key, SstEntry)> =
                 file.iter().filter(|(_, e)| e.verify()).cloned().collect();
-            let mut builder = SstBuilder::new(self.log.allocate_file_id()).for_partition(self.id);
+            let mut builder =
+                SstBuilder::new(self.durable.log.allocate_file_id()).for_partition(self.id);
             for (k, e) in keep {
                 builder.add(k, e);
             }
@@ -1968,15 +2093,15 @@ impl Partition {
             let old_id = file.id();
             // The walk lets go of the old file first, so it is freed now.
             drop(file);
-            self.log.install(&[old_id], new_files);
-            self.log.reclaim(&self.flash_dev);
+            self.durable.log.install(&[old_id], new_files);
+            self.durable.log.reclaim(&self.flash_dev);
             for key in corrupt {
                 self.note_checksum_failure();
-                if self.index.contains_key(&key) {
+                if self.volatile.index.contains_key(&key) {
                     // A newer NVM version shadows the corrupt record:
                     // dropping it from the rebuilt file *is* the repair.
                     report.repaired += 1;
-                    self.stats.integrity.scrub_repairs += 1;
+                    self.lifetime.stats.integrity.scrub_repairs += 1;
                 } else {
                     self.scrub_repair_or_quarantine(key, &mut report, &mut cost);
                 }
@@ -1990,12 +2115,12 @@ impl Partition {
     /// entry is exactly the newest committed version), or quarantine it
     /// when no clean copy exists.
     fn scrub_repair_or_quarantine(&mut self, key: Key, report: &mut ScrubReport, cost: &mut Nanos) {
-        let cached = self.cache.get(&key);
+        let cached = self.volatile.cache.get(&key);
         if let Some(value) = cached {
             let ts = self.seq.allocate();
-            if let Ok((addr, c)) = self.slab.insert(key.clone(), value, ts) {
+            if let Ok((addr, c)) = self.durable.slab.insert(key.clone(), value, ts) {
                 *cost += c;
-                self.index.insert(
+                self.volatile.index.insert(
                     key.clone(),
                     IndexEntry {
                         addr,
@@ -2003,15 +2128,15 @@ impl Partition {
                         tombstone: false,
                     },
                 );
-                self.buckets.on_nvm_insert(key.id());
-                self.quarantined.remove(&key);
+                self.volatile.buckets.on_nvm_insert(key.id());
+                self.durable.quarantined.remove(&key);
                 report.repaired += 1;
-                self.stats.integrity.scrub_repairs += 1;
+                self.lifetime.stats.integrity.scrub_repairs += 1;
                 return;
             }
         }
-        if self.quarantined.insert(key) {
-            self.stats.integrity.quarantined_objects += 1;
+        if self.durable.quarantined.insert(key) {
+            self.lifetime.stats.integrity.quarantined_objects += 1;
         }
         report.quarantined += 1;
         self.maybe_degrade();
@@ -2027,17 +2152,17 @@ impl Partition {
         cursor: Option<ScrubCursor>,
     ) -> ScrubReport {
         report.completed = cursor.is_none();
-        self.scrub_cursor = cursor;
+        self.volatile.scrub_cursor = cursor;
         if !cost.is_zero() {
             self.chain_background(self.fg(), cost, false);
         }
         if report.completed {
-            self.stats.integrity.scrub_passes += 1;
+            self.lifetime.stats.integrity.scrub_passes += 1;
             if report.corrupt_found == 0 {
-                self.stats.integrity.scrub_clean_passes += 1;
-                if self.health == PartitionHealth::Degraded {
-                    self.health = PartitionHealth::Healthy;
-                    self.stats.integrity.degraded_recovered += 1;
+                self.lifetime.stats.integrity.scrub_clean_passes += 1;
+                if self.durable.health == PartitionHealth::Degraded {
+                    self.durable.health = PartitionHealth::Healthy;
+                    self.lifetime.stats.integrity.degraded_recovered += 1;
                 }
             }
         }
@@ -2185,7 +2310,7 @@ mod tests {
         assert!(p.flash_object_count() > 0);
         // Delete a key that was demoted to flash.
         let victim = (0..keys)
-            .find(|id| !p.index.contains_key(&Key::from_id(*id)))
+            .find(|id| !p.volatile.index.contains_key(&Key::from_id(*id)))
             .expect("some key lives only on flash");
         delete(&engine, &mut p, &Key::from_id(victim)).unwrap();
         let got = p.get(&Key::from_id(victim)).unwrap();
@@ -2193,7 +2318,8 @@ mod tests {
         // Deleting an NVM-only key removes it immediately.
         let nvm_key = (0..keys)
             .find(|id| {
-                p.index
+                p.volatile
+                    .index
                     .get(&Key::from_id(*id))
                     .map(|e| !e.tombstone)
                     .unwrap_or(false)
@@ -2281,7 +2407,7 @@ mod tests {
         // The newest keys are still on NVM; start the scan among them.
         let first = (0..3_000)
             .rev()
-            .take_while(|id| p.index.contains_key(&Key::from_id(*id)))
+            .take_while(|id| p.volatile.index.contains_key(&Key::from_id(*id)))
             .last()
             .expect("the last key written is on NVM");
         assert!(first < 2_960, "need a run of NVM keys to scan across");
@@ -2353,15 +2479,20 @@ mod tests {
         let on = |id: u64| {
             let key = Key::from_id(id);
             let flash = p
+                .durable
                 .log
                 .lookup(&key)
                 .is_some_and(|f| f.probe(&key).entry.is_some());
-            (p.index.contains_key(&key), flash)
+            (p.volatile.index.contains_key(&key), flash)
         };
         assert_eq!(on(3), (true, true));
         assert_eq!(on(4), (false, true));
         assert_eq!(on(2_998), (true, false));
-        assert!(p.index.get(&Key::from_id(7)).is_some_and(|e| e.tombstone));
+        assert!(p
+            .volatile
+            .index
+            .get(&Key::from_id(7))
+            .is_some_and(|e| e.tombstone));
 
         let start = Key::min();
         let mut whole = Vec::new();
@@ -2375,7 +2506,11 @@ mod tests {
         assert!(whole.len() > 2_500 && whole.len() < 3_000);
 
         let check_park = |cursor: &ScanCursor| match cursor.frontier() {
-            Some(frontier) => assert_eq!(cursor.flash, Some(p.log.seek(frontier)), "{frontier:?}"),
+            Some(frontier) => assert_eq!(
+                cursor.flash,
+                Some(p.durable.log.seek(frontier)),
+                "{frontier:?}"
+            ),
             None => assert_eq!(cursor.flash, None),
         };
         for step in [1, 2, 3, 7] {
@@ -2565,13 +2700,14 @@ mod tests {
 
     /// The flash record of `key`.
     fn flash_record(p: &Partition, key: &Key) -> SstEntry {
-        let file = p.log.lookup(key).expect("on flash");
+        let file = p.durable.log.lookup(key).expect("on flash");
         file.range(key, key).next().expect("held").1.clone()
     }
 
     /// The flash records that fail their checksums.
     fn failing_records(p: &Partition) -> Vec<Key> {
-        p.log
+        p.durable
+            .log
             .iter()
             .filter(|(_, entry)| !entry.verify())
             .map(|(key, _)| key.clone())
@@ -2656,10 +2792,11 @@ mod tests {
         }
         assert_eq!(plan.snapshot().bit_flips, 5);
         let slots: Vec<(Key, u32, bool)> = p
+            .volatile
             .index
             .range_from(&Key::min())
             .map(|(key, entry)| {
-                let slot = p.slab.peek(entry.addr).expect("live slot");
+                let slot = p.durable.slab.peek(entry.addr).expect("live slot");
                 (key.clone(), slot.checksum, slot.verify())
             })
             .collect();
@@ -2691,7 +2828,10 @@ mod tests {
         put(&engine, &mut p, victim.clone(), Value::filled(700, 2)).unwrap();
 
         demote_everything(&mut p);
-        assert!(!p.index.contains_key(&victim), "demoted unverified");
+        assert!(
+            !p.volatile.index.contains_key(&victim),
+            "demoted unverified"
+        );
         assert_eq!(failing_records(&p), std::slice::from_ref(&victim));
         assert_eq!(p.stats().integrity.checksum_failures, 0);
         assert!(matches!(p.get(&victim), Err(PrismError::Corruption(_))));
@@ -2742,8 +2882,9 @@ mod tests {
         assert_eq!(outcome.promoted, 1);
 
         let slot = p
+            .durable
             .slab
-            .peek(p.index.get(victim).expect("promoted").addr)
+            .peek(p.volatile.index.get(victim).expect("promoted").addr)
             .unwrap();
         assert_eq!(slot.checksum, carried);
         assert!(!slot.verify());
@@ -2803,7 +2944,14 @@ mod tests {
             put(&engine, &mut p, Key::from_id(id), Value::filled(1000, 1)).unwrap();
         }
         assert!(p.stats().compaction.jobs > 0);
-        let listed = |p: &Partition| p.log.files().iter().map(|f| f.size_bytes()).sum::<u64>();
+        let listed = |p: &Partition| {
+            p.durable
+                .log
+                .files()
+                .iter()
+                .map(|f| f.size_bytes())
+                .sum::<u64>()
+        };
         assert_eq!(p.flash_dev.used_bytes(), listed(&p));
 
         let (cpu, dev) = (p.cpu, p.flash_dev.clone());
@@ -2815,10 +2963,15 @@ mod tests {
                 .unwrap()
                 .expect("installs");
         };
-        let reader = p.log.files()[0].clone();
+        let reader = p.durable.log.files()[0].clone();
         let held = reader.size_bytes();
         rewrite_everything(&mut p);
-        assert!(p.log.files().iter().all(|f| !Arc::ptr_eq(f, &reader)));
+        assert!(p
+            .durable
+            .log
+            .files()
+            .iter()
+            .all(|f| !Arc::ptr_eq(f, &reader)));
         assert_eq!(dev.used_bytes(), listed(&p) + held);
         drop(reader);
         assert_eq!(dev.used_bytes(), listed(&p) + held);

@@ -253,6 +253,42 @@ fn degraded_partition_serves_reads_refuses_writes_and_rearms() {
     assert_eq!(stats.integrity.degraded_partitions, 0);
 }
 
+/// Health is durable: a degraded partition is still degraded after a
+/// crash — entered once, not again — and still refuses writes, and a
+/// clean scrub pass afterwards re-arms it.
+#[test]
+fn a_degraded_partition_stays_degraded_across_a_crash_until_a_clean_scrub() {
+    let plan = Arc::new(FaultPlan::new(0xDE7));
+    let db = faulted_db(1, &plan, 2);
+    for id in [1u64, 2] {
+        arm_nvm_write_flip(&plan);
+        db.put(Key::from_id(id), Value::filled(100, id as u8))
+            .unwrap();
+        assert!(matches!(
+            db.get(&Key::from_id(id)),
+            Err(PrismError::Corruption(_))
+        ));
+    }
+    assert_eq!(db.partition_health(0), PartitionHealth::Degraded);
+
+    db.crash_and_recover();
+    assert_eq!(db.partition_health(0), PartitionHealth::Degraded);
+    assert!(matches!(
+        db.put(Key::from_id(3), Value::filled(100, 3)),
+        Err(PrismError::Degraded { partition: 0 })
+    ));
+    assert_eq!(ConcurrentKvStore::stats(&db).integrity.degraded_entered, 1);
+
+    assert_eq!(db.scrub().corrupt_found, 0);
+    assert_eq!(db.partition_health(0), PartitionHealth::Healthy);
+    db.put(Key::from_id(3), Value::filled(100, 3))
+        .expect("healthy again");
+    assert_eq!(
+        db.get(&Key::from_id(3)).unwrap().value,
+        Some(Value::filled(100, 3))
+    );
+}
+
 /// Crash recovery over a slab holding a corrupt slot quarantines the key
 /// rather than resurrecting any version of it — neither the damaged
 /// bytes nor a stale clean sibling may come back.
