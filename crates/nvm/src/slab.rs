@@ -144,16 +144,6 @@ impl SlabFile {
         self.slots.len()
     }
 
-    /// Bytes of NVM consumed by this slab file (all allocated slots).
-    pub fn allocated_bytes(&self) -> u64 {
-        self.slots.len() as u64 * self.slot_size as u64
-    }
-
-    /// Number of allocated-but-free slots available for reuse.
-    pub fn free_slots(&self) -> usize {
-        self.slots.len() - self.live
-    }
-
     /// Store an entry in the lowest free slot (or a fresh slot at the end),
     /// returning the slot index.
     pub fn insert(&mut self, entry: SlotEntry) -> u32 {
@@ -227,7 +217,7 @@ mod tests {
         assert_eq!(slab.get(s0).unwrap().key.id(), 1);
         assert_eq!(slab.get(s1).unwrap().timestamp, 2);
         assert_eq!(slab.live(), 2);
-        assert_eq!(slab.allocated_bytes(), 512);
+        assert_eq!(slab.allocated_slots(), 2);
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl SlabUsage {
     pub fn utilization(&self) -> f64 {
         self.live_bytes as f64 / self.capacity_bytes.max(1) as f64
     }
-
-    /// Allocated slots (live + free) as a fraction of configured capacity.
-    pub fn allocated_utilization(&self) -> f64 {
-        self.used_bytes as f64 / self.capacity_bytes.max(1) as f64
-    }
 }
 
 /// The NVM object store of one partition: a set of slab files plus capacity
