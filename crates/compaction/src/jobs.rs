@@ -7,9 +7,9 @@
 //! for engines configured without workers. The phases are:
 //!
 //! 1. **Plan** (under the partition lock): pick the victim key range, clone
-//!    out the NVM objects to demote (keys, timestamps, *values* and
-//!    version checksums), snapshot the overlapping SST files (`Arc`
-//!    clones) and pre-compute promotion hints. The resulting
+//!    out the NVM objects to demote (keys and slot [`Version`]s, *values*
+//!    included), snapshot the overlapping SST files (`Arc` clones) and
+//!    pre-compute promotion hints. The resulting
 //!    [`CompactionJob`] owns everything it needs and is `Send`.
 //! 2. **Execute** (no lock): [`execute_job`] merges the two sorted streams
 //!    into a [`MergedEntry`] list, tagging each output entry with its
@@ -25,22 +25,22 @@
 //!    job's effects are all-or-nothing with respect to the partition's
 //!    visible state.
 //!
-//! No phase reads a value to checksum it. Every version carries the
-//! checksum it was given when it was written
-//! ([`prism_types::checksum::version_checksum`]): a demoted object's
-//! record is built from its slot's checksum, a victim-file record is
-//! carried over as it is, and a promoted one takes its checksum back into
-//! a slot. Damage picked up on the way therefore stays damage — a record
-//! that fails its checksum before the merge fails it after — and is
-//! caught where bytes are trusted: a read, a scan, the recovery scan, the
+//! No phase reads a value to checksum it. The unit a compaction moves is
+//! one [`Version`] — value or tombstone, timestamp and the checksum it was
+//! given when it was written — and every phase moves it whole: a demoted
+//! slot's version becomes the flash record, a victim-file record is
+//! carried over as it is, and a promoted one goes back into a slot as it
+//! is. Damage picked up on the way therefore stays damage — a record that
+//! fails its checksum before the merge fails it after — and is caught
+//! where bytes are trusted: a read, a scan, the recovery scan, the
 //! scrubber.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use prism_flash::{FileId, SstEntry, SstFile};
+use prism_flash::{FileId, SstFile};
 use prism_storage::{CpuCosts, Device};
-use prism_types::{Key, Nanos, Value};
+use prism_types::{Key, Nanos, Version};
 
 /// What a compaction job is trying to achieve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,15 +61,11 @@ pub enum JobKind {
 pub struct DemoteEntry {
     /// The object's key.
     pub key: Key,
-    /// Logical timestamp of the NVM version at plan time. The installer
-    /// only removes the NVM object if the live index still carries exactly
-    /// this timestamp.
-    pub timestamp: u64,
-    /// The value (cloned at plan time); `None` for a delete tombstone.
-    pub value: Option<Value>,
-    /// The slot's version checksum, which becomes the flash record's (a
-    /// tombstone leaves no record).
-    pub checksum: u32,
+    /// The slot's version at plan time, which becomes the flash record as
+    /// it is (a tombstone leaves no record). The installer only removes
+    /// the NVM object if the live index still carries exactly its
+    /// timestamp.
+    pub version: Version,
 }
 
 /// A planned compaction, self-contained and `Send`.
@@ -119,8 +115,8 @@ pub enum MergedOrigin {
 pub struct MergedEntry {
     /// The key.
     pub key: Key,
-    /// The surviving version.
-    pub entry: SstEntry,
+    /// The surviving version, as the slot or the victim record held it.
+    pub version: Version,
     /// Provenance, for install-time revalidation.
     pub origin: MergedOrigin,
 }
@@ -156,9 +152,9 @@ pub struct ExecutedJob {
 /// read counters are touched, so a discarded job leaves partition state
 /// untouched.
 ///
-/// The merge compares keys and moves values; it reads no value byte. A
-/// demoted object's record takes the slot's version checksum and a
-/// surviving victim-file record keeps its own, damaged or not.
+/// The merge compares keys and moves versions; it reads no value byte. A
+/// demoted object's record is its slot's version and a surviving
+/// victim-file record is itself, damaged or not.
 pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) -> ExecutedJob {
     let mut duration = job.planning_cost;
     let mut flash_time = Nanos::ZERO;
@@ -190,16 +186,15 @@ pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) 
             // The flash version of the same key is stale: drop it by
             // advancing past it.
             flash.next_if(|(fk, _)| *fk == d.key);
-            demoted.push((d.key.clone(), d.timestamp, d.value.is_none()));
+            let timestamp = d.version.timestamp;
+            demoted.push((d.key.clone(), timestamp, d.version.is_tombstone()));
             // A tombstone leaves no record: the key is deleted everywhere
             // once the merge completes.
-            if d.value.is_some() {
+            if !d.version.is_tombstone() {
                 merged.push(MergedEntry {
                     key: d.key,
-                    entry: SstEntry::carried(d.value, d.timestamp, d.checksum),
-                    origin: MergedOrigin::Nvm {
-                        timestamp: d.timestamp,
-                    },
+                    version: d.version,
+                    origin: MergedOrigin::Nvm { timestamp },
                 });
             }
         } else {
@@ -211,7 +206,7 @@ pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) 
             }
             merged.push(MergedEntry {
                 key: key.clone(),
-                entry: entry.clone(),
+                version: entry.clone(),
                 origin: MergedOrigin::Flash {
                     promote: job.promote_hints.contains(&key.id()),
                 },
@@ -235,9 +230,9 @@ pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prism_flash::SstBuilder;
+    use prism_flash::{SstBuilder, SstEntry};
     use prism_storage::DeviceProfile;
-    use prism_types::checksum::version_checksum;
+    use prism_types::Value;
 
     fn flash() -> Arc<Device> {
         Arc::new(Device::new(DeviceProfile::qlc_flash(1 << 30)))
@@ -257,12 +252,13 @@ mod tests {
     }
 
     fn demote(kid: u64, ts: u64, fill: Option<u8>) -> DemoteEntry {
-        let value = fill.map(|f| Value::filled(64, f));
+        let version = match fill {
+            Some(f) => Version::value(Value::filled(64, f), ts),
+            None => Version::tombstone(ts),
+        };
         DemoteEntry {
             key: Key::from_id(kid),
-            timestamp: ts,
-            checksum: version_checksum(ts, value.as_ref().map(Value::as_bytes)),
-            value,
+            version,
         }
     }
 
@@ -299,7 +295,7 @@ mod tests {
             MergedOrigin::Nvm { timestamp: 7 }
         ));
         assert_eq!(
-            exec.merged[0].entry.value.as_ref().unwrap().as_bytes()[0],
+            exec.merged[0].version.value.as_ref().unwrap().as_bytes()[0],
             1
         );
         assert!(exec.duration > Nanos::ZERO);
@@ -351,7 +347,7 @@ mod tests {
         // An object whose slot bytes were damaged after its checksum was
         // taken, beside a clean one.
         let mut torn = demote(6, 9, Some(6));
-        torn.value = Some(Value::filled(63, 6));
+        torn.version.value = Some(Value::filled(63, 6));
         let demoted = [demote(5, 9, Some(5)), torn];
         let exec = execute_job(
             job(demoted.to_vec(), vec![f.clone()]),
@@ -363,20 +359,20 @@ mod tests {
             let (checksum, value) = match m.origin {
                 MergedOrigin::Nvm { .. } => {
                     let d = demoted.iter().find(|d| d.key == m.key).expect("demoted");
-                    (d.checksum, d.value.clone())
+                    (d.version.checksum, d.version.value.clone())
                 }
                 MergedOrigin::Flash { .. } => {
                     let (_, record) = f.iter().find(|(k, _)| *k == m.key).expect("victim");
                     (record.checksum, record.value.clone())
                 }
             };
-            assert_eq!(m.entry.checksum, checksum, "{:?}", m.key);
-            assert_eq!(m.entry.value, value, "{:?}", m.key);
+            assert_eq!(m.version.checksum, checksum, "{:?}", m.key);
+            assert_eq!(m.version.value, value, "{:?}", m.key);
         }
         let failing: Vec<u64> = exec
             .merged
             .iter()
-            .filter(|m| !m.entry.verify())
+            .filter(|m| !m.version.verify())
             .map(|m| m.key.id())
             .collect();
         assert_eq!(failing, [damaged[0].id(), 6]);
@@ -384,7 +380,7 @@ mod tests {
         let shadow = demote(damaged[0].id(), 9, Some(7));
         let exec = execute_job(job(vec![shadow], vec![f]), &CpuCosts::default(), &dev);
         assert_eq!(exec.merged.len(), 3);
-        assert!(exec.merged.iter().all(|m| m.entry.verify()));
+        assert!(exec.merged.iter().all(|m| m.version.verify()));
     }
 
     #[test]

@@ -613,11 +613,6 @@ impl PrismDb {
         self.shared.seq.active_pins()
     }
 
-    /// The most recently allocated commit sequence (0 before any write).
-    pub fn commit_sequence(&self) -> u64 {
-        self.shared.seq.current()
-    }
-
     /// Approximate DRAM bytes currently held by snapshot version history
     /// across all partitions. Bounded by `Options::max_history_bytes`
     /// when that cap is set.

@@ -99,7 +99,7 @@ use prism_storage::{CpuCosts, Device, FaultOp, FaultPlan, FaultTier, TieredStora
 use prism_tracker::{ClockTracker, Mapper, PinDecision};
 use prism_types::{
     BatchOp, EngineStats, EngineStatsCells, Key, Lookup, Nanos, PartitionHealth, PrismError,
-    ReadSource, Result, Value,
+    ReadSource, Result, Value, Version,
 };
 
 use crate::cache::{CacheStats, SerialTally, ShardedLruCache};
@@ -159,11 +159,9 @@ struct SlabWriteTally {
 enum SlotWrite {
     /// A client's value, checksummed as it is written.
     Value(Value),
-    /// A delete tombstone.
-    Tombstone,
-    /// A value with the version checksum it was first written with (a
-    /// promoted flash record's).
-    Carried(Value, u32),
+    /// A version that already has its checksum — a delete tombstone, or a
+    /// promoted flash record — stored as it is.
+    Version(Version),
     /// A slot the recovery scan found at `addr`: nothing is written, only
     /// the index half runs.
     Scanned { addr: NvmAddress, tombstone: bool },
@@ -172,16 +170,17 @@ enum SlotWrite {
 impl SlotWrite {
     fn value_len(&self) -> usize {
         match self {
-            SlotWrite::Value(value) | SlotWrite::Carried(value, _) => value.len(),
-            SlotWrite::Tombstone | SlotWrite::Scanned { .. } => 0,
+            SlotWrite::Value(value) => value.len(),
+            SlotWrite::Version(version) => version.value_len(),
+            SlotWrite::Scanned { .. } => 0,
         }
     }
 
     fn is_tombstone(&self) -> bool {
         match self {
-            SlotWrite::Tombstone => true,
+            SlotWrite::Value(_) => false,
+            SlotWrite::Version(version) => version.is_tombstone(),
             SlotWrite::Scanned { tombstone, .. } => *tombstone,
-            SlotWrite::Value(_) | SlotWrite::Carried(..) => false,
         }
     }
 }
@@ -695,16 +694,9 @@ impl Partition {
         ))
     }
 
-    /// Record one detected checksum failure (write-lock paths).
-    fn note_checksum_failure(&mut self) {
-        self.lifetime.stats.integrity.checksum_failures += 1;
-        if let Some(plan) = &self.fault {
-            plan.note_detected();
-        }
-    }
-
-    /// Record one detected checksum failure from a `&self` reader.
-    fn note_checksum_failure_shared(&self) {
+    /// Record one detected checksum failure: in the live cell, so readers
+    /// under the read lock and writers under the write lock count alike.
+    fn note_checksum_failure(&self) {
         self.lifetime
             .live
             .integrity
@@ -799,7 +791,7 @@ impl Partition {
                 .slab
                 .peek(entry.addr)
                 .filter(|slot| slot.verify())
-                .and_then(|slot| slot.value.clone());
+                .and_then(|slot| slot.version.value.clone());
             return Some((entry.timestamp, value));
         }
         let file = self.durable.log.lookup(key)?;
@@ -1066,7 +1058,8 @@ impl Partition {
             }
             let (slot, read_cost) = self.durable.slab.read(entry.addr)?;
             *cost += read_cost;
-            return Ok(Some((ReadSource::Nvm, entry.timestamp, slot.value.clone())));
+            let value = slot.version.value.clone();
+            return Ok(Some((ReadSource::Nvm, entry.timestamp, value)));
         }
         *cost += self.cpu.bloom_probe;
         let Some(file) = self.durable.log.lookup(key) else {
@@ -1081,7 +1074,7 @@ impl Partition {
             }
         }
         if probe.corrupt {
-            self.note_checksum_failure_shared();
+            self.note_checksum_failure();
             return Err(PrismError::Corruption(format!(
                 "partition {}: flash record for key {key} failed its checksum",
                 self.id
@@ -1244,7 +1237,7 @@ impl Partition {
         if on_flash {
             // Write a tombstone to NVM so the flash version is hidden until
             // a compaction merges and drops both.
-            let write = SlotWrite::Tombstone;
+            let write = SlotWrite::Version(Version::tombstone(ts));
             cost += self.write_client_slot(key, ts, write, accrued + cost, reclaim, group)?;
         }
 
@@ -1325,13 +1318,13 @@ impl Partition {
                     live = Some((entry.timestamp, None));
                 } else if let Some(slot) = self.durable.slab.peek(entry.addr) {
                     if slot.verify() {
-                        live = Some((entry.timestamp, slot.value.clone()));
+                        live = Some((entry.timestamp, slot.version.value.clone()));
                         cursor.nvm_reads += 1;
                     } else {
                         // Skip-and-report: a corrupt slot reads as absent
                         // for the scan (counted, never emitted as garbage)
                         // — history may still hold a clean pinned version.
-                        self.note_checksum_failure_shared();
+                        self.note_checksum_failure();
                     }
                 }
             }
@@ -1344,7 +1337,7 @@ impl Partition {
                         }
                         live = Some((entry.timestamp, entry.value.clone()));
                     } else {
-                        self.note_checksum_failure_shared();
+                        self.note_checksum_failure();
                     }
                 }
             }
@@ -1597,12 +1590,9 @@ impl Partition {
                 };
                 // Unverified: a damaged value moves with the checksum it
                 // fails, and is caught on flash where it is next read.
-                demote.push(DemoteEntry {
-                    key,
-                    timestamp: entry.timestamp,
-                    value: slot.value.clone(),
-                    checksum: slot.checksum,
-                });
+                let version = slot.version.clone();
+                debug_assert_eq!(version.timestamp, entry.timestamp, "{key:?}");
+                demote.push(DemoteEntry { key, version });
             }
         }
 
@@ -1704,7 +1694,7 @@ impl Partition {
                     // and install supersedes the demoted version: drop it
                     // so a stale value can never resurface from flash.
                     if self.entry_current(&m.key, timestamp) {
-                        out.push((m.key, m.entry));
+                        out.push((m.key, m.version));
                     }
                 }
                 MergedOrigin::Flash { promote } => {
@@ -1721,21 +1711,21 @@ impl Partition {
                         // writes allocate strictly larger sequences. Its
                         // checksum comes along too, so a record damaged on
                         // flash fails in its slot.
-                        let value = m.entry.value.clone().expect("hints never mark tombstones");
-                        let write = SlotWrite::Carried(value, m.entry.checksum);
-                        match self.write_slot(&m.key, m.entry.timestamp, write) {
+                        debug_assert!(!m.version.is_tombstone(), "hints never mark tombstones");
+                        let write = SlotWrite::Version(m.version.clone());
+                        match self.write_slot(&m.key, m.version.timestamp, write) {
                             Ok(cost) => {
                                 duration += cost;
                                 self.volatile.tracker.set_location(&m.key, false);
                                 promoted += 1;
                             }
                             Err(PrismError::CapacityExceeded { .. }) => {
-                                out.push((m.key, m.entry));
+                                out.push((m.key, m.version));
                             }
                             Err(err) => return Err(err),
                         }
                     } else {
-                        out.push((m.key, m.entry));
+                        out.push((m.key, m.version));
                     }
                 }
             }
@@ -1814,10 +1804,7 @@ impl Partition {
             (write, existing) => {
                 let placed = match write {
                     SlotWrite::Value(value) => slab.insert(key.clone(), value, ts)?,
-                    SlotWrite::Tombstone => slab.insert_tombstone(key.clone(), ts)?,
-                    SlotWrite::Carried(value, checksum) => {
-                        slab.insert_carried(key.clone(), value, ts, checksum)?
-                    }
+                    SlotWrite::Version(version) => slab.insert_version(key.clone(), version)?,
                     SlotWrite::Scanned { addr, .. } => (addr, Nanos::ZERO),
                 };
                 if let Some(old) = existing {
@@ -1951,11 +1938,11 @@ impl Partition {
                 stale.push(addr);
                 continue;
             }
-            max_ts = max_ts.max(slot.timestamp);
+            max_ts = max_ts.max(slot.version.timestamp);
             let entry = IndexEntry {
                 addr,
-                timestamp: slot.timestamp,
-                tombstone: slot.is_tombstone(),
+                timestamp: slot.version.timestamp,
+                tombstone: slot.version.is_tombstone(),
             };
             match newest.get(&slot.key) {
                 Some(held) if held.timestamp >= entry.timestamp => stale.push(addr),
@@ -2063,7 +2050,7 @@ impl Partition {
                         if !slot.verify() {
                             corrupt.push(key.clone());
                         }
-                        slot.value_len() as u64 + 64
+                        slot.version.value_len() as u64 + 64
                     }
                     None => {
                         // Dangling index entry: treat as corrupt.
@@ -2826,7 +2813,7 @@ mod tests {
             .range_from(&Key::min())
             .map(|(key, entry)| {
                 let slot = p.durable.slab.peek(entry.addr).expect("live slot");
-                (key.clone(), slot.checksum, slot.verify())
+                (key.clone(), slot.version.checksum, slot.verify())
             })
             .collect();
         assert_eq!(slots.iter().filter(|(_, _, ok)| !ok).count(), 5);
@@ -2915,7 +2902,7 @@ mod tests {
             .slab
             .peek(p.volatile.index.get(victim).expect("promoted").addr)
             .unwrap();
-        assert_eq!(slot.checksum, carried);
+        assert_eq!(slot.version.checksum, carried);
         assert!(!slot.verify());
         assert!(failing_records(&p).is_empty(), "it left flash");
         assert!(matches!(p.get(victim), Err(PrismError::Corruption(_))));

@@ -194,6 +194,53 @@ fn every_flash_bit_flip_of_one_demotion_is_found_by_the_scrub() {
     assert_eq!(db.quarantined_object_count() as u64, FLIPS);
 }
 
+/// One routine damages both tiers: the same injected fault — armed on two
+/// plans with one seed, so both draw the same byte, bit or kept length —
+/// leaves a slab slot's version and an SST record's version identical
+/// byte for byte, and both fail their checksums. Values with bytes and
+/// without (where the checksum takes the damage) alike.
+#[test]
+fn one_injected_fault_damages_a_slot_and_an_sst_record_alike() {
+    use prism_flash::{SstBuilder, SstEntry};
+    use prism_nvm::{SlabConfig, SlabStore};
+    use prism_storage::{Device, DeviceProfile};
+
+    let key = Key::from_id(3);
+    for mode in [FaultMode::BitFlip, FaultMode::TornWrite] {
+        for value in [Value::filled(300, 0x5A), Value::empty()] {
+            let armed = |tier| {
+                let plan = Arc::new(FaultPlan::new(0xDA3));
+                plan.arm(TargetedFault {
+                    tier,
+                    partition: None,
+                    op: FaultOp::Write,
+                    mode,
+                });
+                plan
+            };
+            let nvm = Arc::new(Device::new(DeviceProfile::optane_nvm(1 << 20)));
+            let mut slab = SlabStore::new(SlabConfig::small_objects(1 << 20), nvm).unwrap();
+            slab.attach_faults(armed(FaultTier::Nvm), 0);
+            let (addr, _) = slab.insert(key.clone(), value.clone(), 9).unwrap();
+            let slot = slab.peek(addr).expect("written");
+
+            let profile = DeviceProfile::qlc_flash(1 << 30);
+            let flash = Arc::new(Device::with_faults(
+                profile,
+                armed(FaultTier::Flash),
+                FaultTier::Flash,
+            ));
+            let mut builder = SstBuilder::new(1);
+            builder.add(key.clone(), SstEntry::value(value.clone(), 9));
+            let (sst, _) = builder.finish(&flash);
+            let (_, record) = sst.iter().next().expect("one record");
+
+            assert_eq!(&slot.version, record, "{mode:?} on {value:?}");
+            assert!(!slot.verify() && !record.verify(), "{mode:?} on {value:?}");
+        }
+    }
+}
+
 /// The quarantine -> degraded -> scrub -> healthy lifecycle: a degraded
 /// partition keeps serving clean reads, refuses writes with the
 /// retryable `Degraded` error, re-arms after a clean scrub pass, and a

@@ -45,7 +45,7 @@ mod sst;
 
 pub use bloom::BloomFilter;
 pub use sorted_log::{LogPosition, SortedLog};
-pub use sst::{BlockProbe, FileId, SstBuilder, SstEntry, SstFile};
+pub use sst::{encoded_size, BlockProbe, FileId, SstBuilder, SstEntry, SstFile};
 
 #[cfg(test)]
 mod proptests {

@@ -24,22 +24,24 @@
 //!
 //! # Checksums
 //!
-//! A record's checksum is its version's
-//! ([`prism_types::checksum::version_checksum`]), computed when the
-//! version was written — for a demoted object, in its slab slot — and
-//! carried in by [`SstEntry::carried`]: building a file never reads a
-//! value to checksum it. What the file computes itself covers what the
-//! record checksum does not: each block's checksum chains its records'
-//! keys (length and bytes) and record checksums, and the footer chains
-//! the blocks'. A record that arrives damaged keeps the checksum it
-//! fails, so [`SstFile::probe`] withholds it and
-//! [`SstFile::corrupt_keys`] lists it for the scrubber.
+//! A record is a [`Version`], the same value a slab slot holds: its
+//! checksum was computed when the version was written — for a demoted
+//! object, in its slab slot — and the record keeps it, so building a file
+//! never reads a value to checksum it. What the file computes itself
+//! covers what the record checksum does not: each block's checksum chains
+//! its records' keys (length and bytes) and record checksums, and the
+//! footer chains the blocks'. A record that arrives damaged keeps the
+//! checksum it fails, so [`SstFile::probe`] withholds it and
+//! [`SstFile::corrupt_keys`] lists it for the scrubber. An injected write
+//! fault damages a record through
+//! [`InjectedFault::damage`](prism_storage::InjectedFault::damage), as it
+//! does a slot.
 
 use std::sync::Arc;
 
-use prism_storage::{Device, FaultTier, InjectedFault};
-use prism_types::checksum::{version_checksum, Crc32};
-use prism_types::{Key, Nanos, Value};
+use prism_storage::{Device, FaultTier};
+use prism_types::checksum::Crc32;
+use prism_types::{Key, Nanos, Version};
 
 use crate::bloom::BloomFilter;
 
@@ -49,62 +51,16 @@ pub const BLOCK_SIZE: usize = 4096;
 /// Identifier of an SST file, unique within one engine.
 pub type FileId = u64;
 
-/// One record stored in an SST file.
-///
-/// A record is either a value with its logical timestamp, or a delete
-/// tombstone (written when a deleted key's latest version lives on flash).
-#[derive(Debug, Clone)]
-pub struct SstEntry {
-    /// The stored value; `None` marks a tombstone.
-    pub value: Option<Value>,
-    /// Logical timestamp of the version.
-    pub timestamp: u64,
-    /// The version's checksum ([`version_checksum`]: timestamp, tombstone
-    /// or length tag, value bytes), computed once when the version was
-    /// written and carried here verbatim by demotion and merge. Verified
-    /// on every probe, range read, recovery scan and scrub pass (the
-    /// record's key is covered by its block's checksum).
-    pub checksum: u32,
-}
+/// One record stored in an SST file: a value with its logical timestamp,
+/// or a delete tombstone (written when a deleted key's latest version
+/// lives on flash), with the version's checksum. Verified on every probe,
+/// range read, recovery scan and scrub pass (the record's key is covered
+/// by its block's checksum).
+pub type SstEntry = Version;
 
-impl SstEntry {
-    /// A live value entry, checksummed now.
-    pub fn value(value: Value, timestamp: u64) -> Self {
-        let checksum = version_checksum(timestamp, Some(value.as_bytes()));
-        SstEntry::carried(Some(value), timestamp, checksum)
-    }
-
-    /// A delete tombstone, checksummed now.
-    pub fn tombstone(timestamp: u64) -> Self {
-        SstEntry::carried(None, timestamp, version_checksum(timestamp, None))
-    }
-
-    /// A version whose checksum was computed when it was first written —
-    /// in a slab slot or an earlier record — stored as given, never
-    /// recomputed: bytes damaged on the way keep a checksum they fail.
-    pub fn carried(value: Option<Value>, timestamp: u64, checksum: u32) -> Self {
-        SstEntry {
-            value,
-            timestamp,
-            checksum,
-        }
-    }
-
-    /// True when the stored checksum still matches the record content —
-    /// false after a bit flip or a torn write truncated the value.
-    pub fn verify(&self) -> bool {
-        self.checksum == version_checksum(self.timestamp, self.value.as_ref().map(Value::as_bytes))
-    }
-
-    /// True if this entry is a tombstone.
-    pub fn is_tombstone(&self) -> bool {
-        self.value.is_none()
-    }
-
-    /// Size in bytes this entry contributes to a data block.
-    pub fn encoded_size(&self, key: &Key) -> usize {
-        key.len() + self.value.as_ref().map(Value::len).unwrap_or(0) + 16
-    }
+/// Size in bytes a record contributes to a data block.
+pub fn encoded_size(key: &Key, entry: &SstEntry) -> usize {
+    key.len() + entry.value_len() + 16
 }
 
 /// One data block's trailer. Where the block starts is in
@@ -373,7 +329,7 @@ impl SstBuilder {
             self.entries.last().map(|(k, _)| k < &key).unwrap_or(true),
             "SST entries must be added in ascending key order"
         );
-        self.bytes += entry.encoded_size(&key) as u64;
+        self.bytes += encoded_size(&key, &entry) as u64;
         self.entries.push((key, entry));
     }
 
@@ -410,25 +366,10 @@ impl SstBuilder {
         // media tore — record-level checksums carry the detection.
         if let Some(plan) = device.fault_plan() {
             for (_, entry) in entries.iter_mut() {
-                let payload = entry.value.as_ref().map_or(0, Value::len);
-                match plan.roll_corruption(FaultTier::Flash, self.partition, payload) {
-                    Some(InjectedFault::BitFlip { byte, bit }) => match &entry.value {
-                        Some(v) if !v.is_empty() => {
-                            let mut bytes = v.as_bytes().to_vec();
-                            let idx = byte % bytes.len();
-                            bytes[idx] ^= 1 << bit;
-                            entry.value = Some(Value::from_vec(bytes));
-                        }
-                        _ => entry.checksum ^= 1,
-                    },
-                    Some(InjectedFault::TornWrite { keep }) => match &entry.value {
-                        Some(v) if !v.is_empty() => {
-                            let keep = keep.min(v.len() - 1);
-                            entry.value = Some(Value::from_vec(v.as_bytes()[..keep].to_vec()));
-                        }
-                        _ => entry.checksum ^= 1,
-                    },
-                    _ => {}
+                let fault =
+                    plan.roll_corruption(FaultTier::Flash, self.partition, entry.value_len());
+                if let Some(fault) = fault {
+                    fault.damage(entry);
                 }
             }
         }
@@ -441,7 +382,7 @@ impl SstBuilder {
         let mut bloom = BloomFilter::new(entries.len(), 10);
         for (i, (key, entry)) in entries.iter().enumerate() {
             bloom.add(key);
-            let sz = entry.encoded_size(key) as u64;
+            let sz = encoded_size(key, entry) as u64;
             if block_bytes + sz > BLOCK_SIZE as u64 && i > block_start {
                 let slice = &entries[block_start..i];
                 block_starts.push(block_start);
@@ -490,6 +431,7 @@ impl SstBuilder {
 mod tests {
     use super::*;
     use prism_storage::DeviceProfile;
+    use prism_types::Value;
 
     fn flash() -> Arc<Device> {
         Arc::new(Device::new(DeviceProfile::qlc_flash(1 << 30)))
@@ -672,6 +614,13 @@ mod tests {
             })
             .count();
         assert_eq!(clean_hits, 49);
+    }
+
+    /// The stride the module's search notes rely on: a record is a key and
+    /// a version, 56 bytes apart.
+    #[test]
+    fn a_record_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<(Key, SstEntry)>(), 56);
     }
 
     #[test]

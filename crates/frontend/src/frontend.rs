@@ -838,13 +838,6 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
         self.shared.gauge.outstanding()
     }
 
-    /// The gauge behind [`Frontend::outstanding_tickets`], for callers
-    /// (e.g. a network server) that want to count their own wrappers on
-    /// the same meter.
-    pub fn ticket_gauge(&self) -> &TicketGauge {
-        &self.shared.gauge
-    }
-
     /// Block until every queued request has been serviced and every
     /// handed-out ticket completed (or abandoned by its holder). Unlike
     /// [`Frontend::shutdown`] this keeps the front-end open for new

@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use prism_flash::{FileId, SstBuilder, SstEntry, SstFile};
+use prism_flash::{encoded_size, FileId, SstBuilder, SstEntry, SstFile};
 use prism_storage::{CpuCosts, Device, TieredStorage};
 use prism_types::{
     BatchOp, CompactionStats, EngineStats, Key, KvStore, Lookup, LruCache, Nanos, ReadSource,
@@ -644,7 +644,7 @@ impl KvStore for LsmTree {
                     .unwrap_or(&self.config.placement[level]);
                 let mut consumed = 0u64;
                 for (key, entry) in file.range(start, &max_key).take(budget) {
-                    consumed += entry.encoded_size(key) as u64;
+                    consumed += encoded_size(key, entry) as u64;
                     merged.insert(key.clone(), entry.value.clone());
                 }
                 if consumed > 0 {

@@ -69,7 +69,7 @@ impl fmt::Display for NvmAddress {
 mod proptests {
     use super::*;
     use prism_storage::{Device, DeviceProfile};
-    use prism_types::{Key, Value};
+    use prism_types::{Key, Value, Version};
     use proptest::prelude::*;
     use std::collections::HashMap;
     use std::sync::Arc;
@@ -114,8 +114,8 @@ mod proptests {
                         if let Some(addr) = addrs.get(&id) {
                             let (entry, _) = store.read(*addr).unwrap();
                             let (size, when) = model[&id];
-                            prop_assert_eq!(entry.value_len(), size);
-                            prop_assert_eq!(entry.timestamp, when);
+                            prop_assert_eq!(entry.version.value_len(), size);
+                            prop_assert_eq!(entry.version.timestamp, when);
                             prop_assert_eq!(entry.key.id(), id);
                         }
                     }
@@ -141,21 +141,21 @@ mod proptests {
             flip_at in 0usize..usize::MAX,
             flip_bit in 0u32..8,
         ) {
-            let entry = SlotEntry::new(Key::from_id(id), Value::from_vec(bytes.clone()), ts);
+            let version = Version::value(Value::from_vec(bytes.clone()), ts);
+            let entry = SlotEntry::new(Key::from_id(id), version);
             prop_assert!(entry.verify(), "clean slot must round-trip");
 
             let mut damaged = bytes;
             let idx = flip_at % damaged.len();
             damaged[idx] ^= 1 << flip_bit;
-            let flipped = SlotEntry {
-                value: Some(Value::from_vec(damaged)),
-                ..entry.clone()
-            };
+            let mut flipped = entry.clone();
+            flipped.version.value = Some(Value::from_vec(damaged));
             prop_assert!(!flipped.verify(), "a single bit flip must fail the CRC");
 
             // Metadata damage is caught too: the checksums cover key and
             // timestamp, not just the value bytes.
-            let ts_flip = SlotEntry { timestamp: entry.timestamp ^ 1, ..entry };
+            let mut ts_flip = entry;
+            ts_flip.version.timestamp ^= 1;
             prop_assert!(!ts_flip.verify());
         }
 
@@ -169,12 +169,10 @@ mod proptests {
             bytes in prop::collection::vec(0u8..255, 1..2048),
             keep in 0usize..usize::MAX,
         ) {
-            let entry = SlotEntry::new(Key::from_id(id), Value::from_vec(bytes.clone()), ts);
+            let version = Version::value(Value::from_vec(bytes.clone()), ts);
+            let mut torn = SlotEntry::new(Key::from_id(id), version);
             let keep = keep % bytes.len();
-            let torn = SlotEntry {
-                value: Some(Value::from_vec(bytes[..keep].to_vec())),
-                ..entry
-            };
+            torn.version.value = Some(Value::from_vec(bytes[..keep].to_vec()));
             prop_assert!(!torn.verify(), "a truncated slot must fail the CRC");
         }
     }

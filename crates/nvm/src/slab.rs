@@ -2,23 +2,22 @@
 //!
 //! # Checksums
 //!
-//! A slot holds one version of a key and two checksums. The *version
-//! checksum* ([`version_checksum`]: timestamp, tombstone or length tag,
-//! value bytes) is the version's own: computed once when the version is
-//! first written — here for a put or a delete, on flash for a version a
-//! promotion brings back — and carried verbatim whenever the version
-//! moves between tiers, so a demotion copies it into the SST record
-//! without reading the value. The *header checksum* covers the key
-//! (length and bytes) and the version checksum, so every stored byte is
-//! covered and a key damaged past its eighth byte is caught. Both are
-//! verified on every read, scan, recovery scan and scrub pass; nothing
-//! that moves a slot verifies it.
+//! A slot holds one [`Version`] of a key — value or tombstone, timestamp
+//! and the version's checksum — and a header checksum. The version is
+//! the same value an SST record is: its checksum was computed once when
+//! it was first written — here for a put or a delete, on flash for a
+//! version a promotion brings back — and a slot stores it as it is, so a
+//! demotion moves it into the SST record without reading the value. The
+//! *header checksum* covers the key (length and bytes) and the version
+//! checksum, so every stored byte is covered and a key damaged past its
+//! eighth byte is caught. Both are verified on every read, scan, recovery
+//! scan and scrub pass; nothing that moves a slot verifies it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use prism_types::checksum::{version_checksum, Crc32};
-use prism_types::{Key, Value};
+use prism_types::checksum::Crc32;
+use prism_types::{Key, Version};
 
 /// One version stored in a slab slot, together with the metadata header
 /// the paper writes alongside it (key, logical timestamp; the size is
@@ -27,47 +26,22 @@ use prism_types::{Key, Value};
 pub struct SlotEntry {
     /// The object's key.
     pub key: Key,
-    /// The object's value; `None` marks a delete tombstone, which an empty
-    /// value is not. The version checksum's tag tells the two apart.
-    pub value: Option<Value>,
-    /// Logical timestamp assigned by the owning partition; used during
-    /// recovery to keep only the most recent version of a key.
-    pub timestamp: u64,
-    /// The version checksum, carried verbatim into an SST record when the
-    /// version is demoted.
-    pub checksum: u32,
-    /// CRC32C over the key (length and bytes) and `checksum`.
+    /// The version: value or tombstone, the timestamp recovery keeps the
+    /// newest of, and the checksum a demotion carries into an SST record.
+    pub version: Version,
+    /// CRC32C over the key (length and bytes) and the version checksum.
     pub header_checksum: u32,
 }
 
 impl SlotEntry {
-    /// A value version, checksummed now.
-    pub fn new(key: Key, value: Value, timestamp: u64) -> SlotEntry {
-        let checksum = version_checksum(timestamp, Some(value.as_bytes()));
-        SlotEntry::carried(key, value, timestamp, checksum)
-    }
-
-    /// A delete tombstone, checksummed now.
-    pub fn tombstone(key: Key, timestamp: u64) -> SlotEntry {
-        let checksum = version_checksum(timestamp, None);
-        SlotEntry::with_checksum(key, None, timestamp, checksum)
-    }
-
-    /// A value version whose checksum was computed when it was first
-    /// written (a promoted flash record's): stored as given, so bytes
+    /// `version` of `key`, stored with the checksum it carries: bytes
     /// damaged before they got here keep a checksum they fail. Only the
     /// header checksum, over the key, is computed.
-    pub fn carried(key: Key, value: Value, timestamp: u64, checksum: u32) -> SlotEntry {
-        SlotEntry::with_checksum(key, Some(value), timestamp, checksum)
-    }
-
-    fn with_checksum(key: Key, value: Option<Value>, timestamp: u64, checksum: u32) -> SlotEntry {
+    pub fn new(key: Key, version: Version) -> SlotEntry {
         SlotEntry {
-            header_checksum: SlotEntry::header_checksum(&key, checksum),
+            header_checksum: SlotEntry::header_checksum(&key, version.checksum),
             key,
-            value,
-            timestamp,
-            checksum,
+            version,
         }
     }
 
@@ -83,23 +57,12 @@ impl SlotEntry {
         crc.finish()
     }
 
-    /// True if the version is a delete tombstone.
-    pub fn is_tombstone(&self) -> bool {
-        self.value.is_none()
-    }
-
-    /// Bytes of value stored (0 for a tombstone).
-    pub fn value_len(&self) -> usize {
-        self.value.as_ref().map_or(0, Value::len)
-    }
-
     /// True when both checksums still match the slot's content — false
     /// after a bit flip in the value bytes, a torn write that truncated
     /// them, or damage to the key or timestamp.
     pub fn verify(&self) -> bool {
-        self.header_checksum == SlotEntry::header_checksum(&self.key, self.checksum)
-            && self.checksum
-                == version_checksum(self.timestamp, self.value.as_ref().map(Value::as_bytes))
+        self.header_checksum == SlotEntry::header_checksum(&self.key, self.version.checksum)
+            && self.version.verify()
     }
 }
 
@@ -147,7 +110,7 @@ impl SlabFile {
     /// Store an entry in the lowest free slot (or a fresh slot at the end),
     /// returning the slot index.
     pub fn insert(&mut self, entry: SlotEntry) -> u32 {
-        debug_assert!(entry.value_len() <= self.slot_size as usize);
+        debug_assert!(entry.version.value_len() <= self.slot_size as usize);
         let slot = match self.free.pop() {
             Some(Reverse(idx)) => {
                 self.slots[idx as usize] = Some(entry);
@@ -165,7 +128,7 @@ impl SlabFile {
     /// Overwrite the entry in `slot` in place. Returns `false` if the slot
     /// is empty (the caller's index was stale).
     pub fn update_in_place(&mut self, slot: u32, entry: SlotEntry) -> bool {
-        debug_assert!(entry.value_len() <= self.slot_size as usize);
+        debug_assert!(entry.version.value_len() <= self.slot_size as usize);
         match self.slots.get_mut(slot as usize) {
             Some(existing @ Some(_)) => {
                 *existing = Some(entry);
@@ -202,9 +165,11 @@ impl SlabFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prism_types::Value;
 
     fn entry(id: u64, size: usize, ts: u64) -> SlotEntry {
-        SlotEntry::new(Key::from_id(id), Value::filled(size, id as u8), ts)
+        let value = Value::filled(size, id as u8);
+        SlotEntry::new(Key::from_id(id), Version::value(value, ts))
     }
 
     #[test]
@@ -215,7 +180,7 @@ mod tests {
         assert_eq!(s0, 0);
         assert_eq!(s1, 1);
         assert_eq!(slab.get(s0).unwrap().key.id(), 1);
-        assert_eq!(slab.get(s1).unwrap().timestamp, 2);
+        assert_eq!(slab.get(s1).unwrap().version.timestamp, 2);
         assert_eq!(slab.live(), 2);
         assert_eq!(slab.allocated_slots(), 2);
     }
@@ -242,8 +207,8 @@ mod tests {
         let slot = slab.insert(entry(5, 100, 1));
         assert!(slab.update_in_place(slot, entry(5, 120, 2)));
         let got = slab.get(slot).unwrap();
-        assert_eq!(got.value_len(), 120);
-        assert_eq!(got.timestamp, 2);
+        assert_eq!(got.version.value_len(), 120);
+        assert_eq!(got.version.timestamp, 2);
         assert_eq!(slab.live(), 1);
         assert!(!slab.update_in_place(99, entry(5, 10, 3)));
     }
@@ -262,26 +227,30 @@ mod tests {
     fn slot_checksum_catches_bit_flips_and_truncation() {
         let good = entry(9, 80, 4);
         assert!(good.verify());
+        let with = |version: Version| SlotEntry {
+            version,
+            ..good.clone()
+        };
 
-        let bytes = good.value.as_ref().expect("a value").as_bytes();
+        let bytes = good.version.value.as_ref().expect("a value").as_bytes();
         let mut flipped_bytes = bytes.to_vec();
         flipped_bytes[40] ^= 0x20;
-        let flipped = SlotEntry {
+        let flipped = with(Version {
             value: Some(Value::from_vec(flipped_bytes)),
-            ..good.clone()
-        };
+            ..good.version.clone()
+        });
         assert!(!flipped.verify());
 
-        let torn = SlotEntry {
+        let torn = with(Version {
             value: Some(Value::from_vec(bytes[..33].to_vec())),
-            ..good.clone()
-        };
+            ..good.version.clone()
+        });
         assert!(!torn.verify(), "a truncated-tail slot must be rejected");
 
-        let stale_ts = SlotEntry {
-            timestamp: good.timestamp + 1,
-            ..good
-        };
+        let stale_ts = with(Version {
+            timestamp: good.version.timestamp + 1,
+            ..good.version.clone()
+        });
         assert!(!stale_ts.verify());
     }
 
@@ -292,8 +261,7 @@ mod tests {
     fn slot_checksum_covers_every_key_byte_and_the_key_length() {
         let good = SlotEntry::new(
             Key::from_bytes(b"user1234A\0".to_vec()),
-            Value::filled(40, 7),
-            3,
+            Version::value(Value::filled(40, 7), 3),
         );
         assert!(good.verify());
         for damaged in [&b"user1234B\0"[..], b"user1234A", b"user1234"] {
@@ -311,16 +279,14 @@ mod tests {
     #[test]
     fn a_tombstone_is_covered_and_an_empty_value_is_not_a_tombstone() {
         let key = Key::from_id(4);
-        let tombstone = SlotEntry::tombstone(key.clone(), 7);
-        let empty = SlotEntry::new(key, Value::empty(), 7);
-        assert!(tombstone.is_tombstone() && !empty.is_tombstone());
-        assert_eq!(tombstone.value_len(), empty.value_len());
+        let tombstone = SlotEntry::new(key.clone(), Version::tombstone(7));
+        let empty = SlotEntry::new(key, Version::value(Value::empty(), 7));
+        assert!(tombstone.version.is_tombstone() && !empty.version.is_tombstone());
+        assert_eq!(tombstone.version.value_len(), empty.version.value_len());
         for (slot, other) in [(&tombstone, &empty), (&empty, &tombstone)] {
             assert!(slot.verify());
-            let swapped = SlotEntry {
-                value: other.value.clone(),
-                ..slot.clone()
-            };
+            let mut swapped = slot.clone();
+            swapped.version.value = other.version.value.clone();
             assert!(!swapped.verify());
         }
     }
@@ -331,15 +297,18 @@ mod tests {
     #[test]
     fn a_carried_checksum_is_kept_verbatim() {
         let good = entry(3, 90, 5);
-        let value = good.value.clone().expect("a value");
-        let carried = SlotEntry::carried(good.key.clone(), value, 5, good.checksum);
+        let checksum = good.version.checksum;
+        let carry = |value: Value| {
+            SlotEntry::new(good.key.clone(), Version::carried(Some(value), 5, checksum))
+        };
+        let carried = carry(good.version.value.clone().expect("a value"));
         assert!(carried.verify());
         assert_eq!(
-            (carried.checksum, carried.header_checksum),
-            (good.checksum, good.header_checksum)
+            (carried.version.checksum, carried.header_checksum),
+            (checksum, good.header_checksum)
         );
-        let damaged = SlotEntry::carried(good.key.clone(), Value::filled(90, 4), 5, good.checksum);
-        assert_eq!(damaged.checksum, good.checksum);
+        let damaged = carry(Value::filled(90, 4));
+        assert_eq!(damaged.version.checksum, checksum);
         assert!(!damaged.verify());
     }
 

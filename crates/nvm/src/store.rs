@@ -1,9 +1,17 @@
 //! The per-partition collection of slab files.
+//!
+//! Every slot write stores a [`Version`] as it is: [`SlabStore::insert`]
+//! and [`SlabStore::update`] checksum a client's value first, and
+//! [`SlabStore::insert_version`] takes a tombstone or a promoted record
+//! with the checksum it already carries. An attached [`FaultPlan`]
+//! corrupts the stored version after that, through
+//! [`InjectedFault::damage`] — the routine the SST builder calls too — so
+//! a seeded fault damages a slot exactly as it would an SST record.
 
 use std::sync::Arc;
 
 use prism_storage::{Device, FaultOp, FaultPlan, FaultTier, InjectedFault};
-use prism_types::{Key, Nanos, PrismError, Result, Value};
+use prism_types::{Key, Nanos, PrismError, Result, Value, Version};
 
 use crate::slab::{SlabFile, SlotEntry};
 use crate::NvmAddress;
@@ -131,20 +139,20 @@ impl SlabStore {
 
     /// Roll the attached plan for one slab op; returns any extra latency.
     ///
-    /// Write-path corruption (bit flip / torn write) is applied to `entry`
-    /// *after* its checksums were computed, so the damage is real: a later
-    /// read sees content that no longer matches them, and a demotion
-    /// carries the mismatch to flash.
+    /// Write-path corruption (bit flip / torn write) is applied to the
+    /// slot's `version` *after* its checksums were computed, so the damage
+    /// is real: a later read sees content that no longer matches them, and
+    /// a demotion carries the mismatch to flash.
     fn roll_fault(
         &self,
         op: FaultOp,
-        entry: Option<&mut SlotEntry>,
+        version: Option<&mut Version>,
         addr: impl std::fmt::Display,
     ) -> Result<Nanos> {
         let Some(plan) = &self.fault else {
             return Ok(Nanos::ZERO);
         };
-        let payload = entry.as_ref().map_or(0, |e| e.value_len());
+        let payload = version.as_ref().map_or(0, |v| v.value_len());
         match plan.roll(FaultTier::Nvm, self.partition, op, payload) {
             None => Ok(Nanos::ZERO),
             Some(InjectedFault::IoError) => Err(PrismError::Io(format!(
@@ -152,29 +160,9 @@ impl SlabStore {
                 self.partition
             ))),
             Some(InjectedFault::LatencySpike(extra)) => Ok(extra),
-            Some(InjectedFault::BitFlip { byte, bit }) => {
-                if let Some(entry) = entry {
-                    match &entry.value {
-                        Some(v) if !v.is_empty() => {
-                            let mut bytes = v.as_bytes().to_vec();
-                            let idx = byte % bytes.len();
-                            bytes[idx] ^= 1 << bit;
-                            entry.value = Some(Value::from_vec(bytes));
-                        }
-                        _ => entry.checksum ^= 1,
-                    }
-                }
-                Ok(Nanos::ZERO)
-            }
-            Some(InjectedFault::TornWrite { keep }) => {
-                if let Some(entry) = entry {
-                    match &entry.value {
-                        Some(v) if !v.is_empty() => {
-                            let keep = keep.min(v.len() - 1);
-                            entry.value = Some(Value::from_vec(v.as_bytes()[..keep].to_vec()));
-                        }
-                        _ => entry.checksum ^= 1,
-                    }
+            Some(corruption) => {
+                if let Some(version) = version {
+                    corruption.damage(version);
                 }
                 Ok(Nanos::ZERO)
             }
@@ -228,31 +216,16 @@ impl SlabStore {
         value: Value,
         timestamp: u64,
     ) -> Result<(NvmAddress, Nanos)> {
-        let slab_idx = self.room_for(value.len())?;
-        self.place(slab_idx, SlotEntry::new(key, value, timestamp))
+        self.insert_version(key, Version::value(value, timestamp))
     }
 
-    /// Insert a delete tombstone (errors as [`SlabStore::insert`]).
-    pub fn insert_tombstone(&mut self, key: Key, timestamp: u64) -> Result<(NvmAddress, Nanos)> {
-        let slab_idx = self.room_for(0)?;
-        self.place(slab_idx, SlotEntry::tombstone(key, timestamp))
-    }
-
-    /// Insert a value version that already has its version checksum — a
-    /// flash record being promoted — without reading the value to
-    /// checksum it again (errors as [`SlabStore::insert`]).
-    pub fn insert_carried(
-        &mut self,
-        key: Key,
-        value: Value,
-        timestamp: u64,
-        checksum: u32,
-    ) -> Result<(NvmAddress, Nanos)> {
-        let slab_idx = self.room_for(value.len())?;
-        self.place(
-            slab_idx,
-            SlotEntry::carried(key, value, timestamp, checksum),
-        )
+    /// Insert a version that already has its checksum — a delete
+    /// tombstone, or a flash record being promoted — as it is, without
+    /// reading the value to checksum it again (errors as
+    /// [`SlabStore::insert`]).
+    pub fn insert_version(&mut self, key: Key, version: Version) -> Result<(NvmAddress, Nanos)> {
+        let slab_idx = self.room_for(version.value_len())?;
+        self.place(slab_idx, SlotEntry::new(key, version))
     }
 
     /// The size class a `value_len`-byte object goes to, if a slot of it
@@ -281,7 +254,7 @@ impl SlabStore {
         let key_id = entry.key.id();
         let extra = self.roll_fault(
             FaultOp::Write,
-            Some(&mut entry),
+            Some(&mut entry.version),
             format_args!("key {key_id}"),
         )?;
         let reused_slot = {
@@ -319,8 +292,8 @@ impl SlabStore {
         let new_slab = self.slab_for(value.len())?;
         if new_slab == addr.slab {
             let slot_size = self.slabs[addr.slab as usize].slot_size() as u64;
-            let mut entry = SlotEntry::new(key.clone(), value, timestamp);
-            let extra = self.roll_fault(FaultOp::Write, Some(&mut entry), addr)?;
+            let mut entry = SlotEntry::new(key.clone(), Version::value(value, timestamp));
+            let extra = self.roll_fault(FaultOp::Write, Some(&mut entry.version), addr)?;
             let ok = self.slabs[addr.slab as usize].update_in_place(addr.slot, entry);
             if !ok {
                 return Err(PrismError::Corruption(format!(
@@ -365,7 +338,7 @@ impl SlabStore {
                 "nvm slot {addr} failed checksum (partition {}, key {}, ts {})",
                 self.partition,
                 entry.key.id(),
-                entry.timestamp
+                entry.version.timestamp
             )));
         }
         Ok((entry, cost))
@@ -412,11 +385,6 @@ impl SlabStore {
         self.live_objects
     }
 
-    /// Bytes of live object payloads (not rounded to slot sizes).
-    pub fn live_bytes(&self) -> u64 {
-        self.scan().map(|(_, e)| e.value_len() as u64).sum()
-    }
-
     /// Iterate over every live object as `(address, entry)` — the recovery
     /// scan the paper performs to rebuild the B-tree index after a crash.
     pub fn scan(&self) -> impl Iterator<Item = (NvmAddress, &SlotEntry)> {
@@ -453,7 +421,7 @@ mod tests {
         assert_eq!(a_small.slab, 0, "100B object goes to the 128B slab");
         assert_eq!(a_big.slab, 5, "3000B object goes to the 4096B slab");
         assert_eq!(s.read(a_small).unwrap().0.key.id(), 1);
-        assert_eq!(s.read(a_big).unwrap().0.value_len(), 3000);
+        assert_eq!(s.read(a_big).unwrap().0.version.value_len(), 3000);
         assert_eq!(s.object_count(), 2);
         assert_eq!(s.usage().used_bytes, 128 + 4096);
     }
@@ -502,7 +470,7 @@ mod tests {
             .unwrap();
         assert_ne!(moved.slab, addr.slab, "larger object moves slabs");
         assert_eq!(s.object_count(), 1);
-        assert_eq!(s.read(moved).unwrap().0.timestamp, 3);
+        assert_eq!(s.read(moved).unwrap().0.version.timestamp, 3);
         assert!(s.read(addr).is_err(), "old slot was freed");
     }
 
@@ -533,7 +501,6 @@ mod tests {
         let mut ids: Vec<u64> = s.scan().map(|(_, e)| e.key.id()).collect();
         ids.sort_unstable();
         assert_eq!(ids, (5u64..20).collect::<Vec<_>>());
-        assert!(s.live_bytes() > 0);
         assert!(s.recovery_scan_cost() > Nanos::ZERO);
     }
 
@@ -645,7 +612,7 @@ mod tests {
         let (addr2, _) = s
             .update(addr, &Key::from_id(9), Value::filled(64, 9), 2)
             .unwrap();
-        assert_eq!(s.read(addr2).unwrap().0.timestamp, 2);
+        assert_eq!(s.read(addr2).unwrap().0.version.timestamp, 2);
     }
 
     /// A tombstone takes the smallest class and reads back as one; a
@@ -653,26 +620,26 @@ mod tests {
     /// fails the read when the value no longer matches it.
     #[test]
     fn tombstones_and_carried_checksums_round_trip() {
-        use prism_types::checksum::version_checksum;
-
         let mut s = store(1 << 20);
-        let (tomb, _) = s.insert_tombstone(Key::from_id(1), 3).unwrap();
+        let (tomb, _) = s
+            .insert_version(Key::from_id(1), Version::tombstone(3))
+            .unwrap();
         assert_eq!(tomb.slab, 0);
-        assert!(s.read(tomb).unwrap().0.is_tombstone());
+        assert!(s.read(tomb).unwrap().0.version.is_tombstone());
 
-        let value = Value::filled(700, 2);
-        let checksum = version_checksum(4, Some(value.as_bytes()));
-        let (addr, _) = s
-            .insert_carried(Key::from_id(2), value.clone(), 4, checksum)
-            .unwrap();
-        let slot = s.read(addr).unwrap().0;
-        assert_eq!((slot.checksum, &slot.value), (checksum, &Some(value)));
+        let version = Version::value(Value::filled(700, 2), 4);
+        let checksum = version.checksum;
+        let (addr, _) = s.insert_version(Key::from_id(2), version.clone()).unwrap();
+        assert_eq!(s.read(addr).unwrap().0.version, version);
 
-        let (bad, _) = s
-            .insert_carried(Key::from_id(3), Value::filled(700, 3), 4, checksum)
-            .unwrap();
+        let damaged = Version::carried(Some(Value::filled(700, 3)), 4, checksum);
+        let (bad, _) = s.insert_version(Key::from_id(3), damaged).unwrap();
         assert!(matches!(s.read(bad), Err(PrismError::Corruption(_))));
-        assert_eq!(s.peek(bad).unwrap().checksum, checksum, "kept verbatim");
+        assert_eq!(
+            s.peek(bad).unwrap().version.checksum,
+            checksum,
+            "kept verbatim"
+        );
     }
 
     #[test]

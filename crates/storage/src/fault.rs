@@ -14,11 +14,13 @@
 //!
 //! * **Device paths** apply latency-spike faults directly (they only
 //!   affect the returned service time) and count them.
-//! * **Data-owning layers** (the NVM slab store, the flash SST builder,
-//!   the commit log) call [`FaultPlan::roll`] with tier/partition/op
-//!   context and apply the returned [`InjectedFault`]: flip the chosen
-//!   bit in the bytes they are about to store, drop the tail of a torn
-//!   write, or return `PrismError::Io`.
+//! * **Data-owning layers** (the NVM slab store, the flash SST builder)
+//!   call [`FaultPlan::roll`] (the builder [`FaultPlan::roll_corruption`])
+//!   with tier/partition/op context and apply the returned
+//!   [`InjectedFault`]: a bit flip or a torn write through
+//!   [`InjectedFault::damage`], the one routine that corrupts a version
+//!   about to be stored in either tier, and an I/O error by returning
+//!   `PrismError::Io`.
 //!
 //! Injection counters live on the plan; detection is credited back via
 //! [`FaultPlan::note_detected`] when a checksum catches a corrupted
@@ -27,7 +29,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use prism_types::Nanos;
+use prism_types::{Nanos, Value, Version};
 
 /// Storage tier a fault decision applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +83,36 @@ pub enum InjectedFault {
     },
     /// Complete the operation but add `extra` to its service time.
     LatencySpike(Nanos),
+}
+
+impl InjectedFault {
+    /// Apply a payload corruption to a version about to be stored, after
+    /// its checksum was computed, so the damage is real: whichever tier
+    /// stores it, a later read sees content that no longer matches. A bit
+    /// flip hits the value byte it names (wrapped to the value's length)
+    /// and a torn write keeps a strictly shorter prefix; with no value
+    /// bytes to damage — a tombstone or an empty value — the checksum's
+    /// low bit flips instead. Other faults leave the version alone.
+    pub fn damage(&self, version: &mut Version) {
+        let value = version.value.as_ref().filter(|v| !v.is_empty());
+        let damaged = match (*self, value) {
+            (InjectedFault::BitFlip { byte, bit }, Some(v)) => {
+                let mut bytes = v.as_bytes().to_vec();
+                let idx = byte % bytes.len();
+                bytes[idx] ^= 1 << bit;
+                Value::from_vec(bytes)
+            }
+            (InjectedFault::TornWrite { keep }, Some(v)) => {
+                Value::from(&v.as_bytes()[..keep.min(v.len() - 1)])
+            }
+            (InjectedFault::BitFlip { .. } | InjectedFault::TornWrite { .. }, None) => {
+                version.checksum ^= 1;
+                return;
+            }
+            _ => return,
+        };
+        version.value = Some(damaged);
+    }
 }
 
 /// Per-tier fault probabilities (each in `[0, 1]`, rolled per op).

@@ -19,13 +19,17 @@
 //!
 //! # One checksum per version
 //!
-//! A version of a key — a value or a delete, at one timestamp — gets its
-//! checksum once, from [`version_checksum`], when it is written. A slab
-//! slot stores it, a demotion carries it into the SST record, a merge
-//! carries the record over, and a promotion carries it back into a slot:
-//! none of them reads the value to checksum it again. So damage is never
-//! certified by a checksum recomputed over it; it fails wherever the
-//! bytes are trusted (a read, a scan, the recovery scan, the scrubber).
+//! A version of a key — a value or a delete, at one timestamp — is one
+//! [`Version`], the same value in every tier: a slab slot holds one, an
+//! SST record is one, and a compaction moves one from the first to the
+//! second and back. Its checksum is computed once, by [`Version::value`]
+//! or [`Version::tombstone`], when it is written; a demotion, a merge and
+//! a promotion move the `Version` as it is, and none of them reads the
+//! value to checksum it again. So damage is never certified by a checksum
+//! recomputed over it; it fails [`Version::verify`] wherever the bytes are
+//! trusted (a read, a scan, the recovery scan, the scrubber). The formula
+//! is private to this module, so those two constructors and `verify` are
+//! the only code that computes it.
 //!
 //! # Kernels
 //!
@@ -62,6 +66,8 @@
 //! +3.5 % (8 of 10, inside the quartile spread of the runs without) and
 //! `wire_b` +4 % (6 of 10). A further kernel and its 4 KB join table wait
 //! for a workload that shows them.
+
+use crate::Value;
 
 /// The reflected CRC32C (Castagnoli) polynomial; both table kernels are
 /// built from this one constant.
@@ -232,11 +238,66 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     hasher.finish()
 }
 
+/// One version of a key as every tier stores it: a value or a delete
+/// tombstone, its timestamp, and the checksum it was written with.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Version {
+    /// The value; `None` marks a delete tombstone, which an empty value is
+    /// not. The checksum's tag tells the two apart.
+    pub value: Option<Value>,
+    /// Logical timestamp (the commit sequence) assigned when the version
+    /// was written; a move between tiers keeps it.
+    pub timestamp: u64,
+    /// The checksum of value and timestamp, computed when the version was
+    /// first written and carried verbatim from then on.
+    pub checksum: u32,
+}
+
+impl Version {
+    /// A value version, checksummed now.
+    pub fn value(value: Value, timestamp: u64) -> Version {
+        let checksum = version_checksum(timestamp, Some(value.as_bytes()));
+        Version::carried(Some(value), timestamp, checksum)
+    }
+
+    /// A delete tombstone, checksummed now.
+    pub fn tombstone(timestamp: u64) -> Version {
+        Version::carried(None, timestamp, version_checksum(timestamp, None))
+    }
+
+    /// A version whose checksum was computed when it was first written,
+    /// stored as given: bytes damaged since keep a checksum they fail.
+    pub fn carried(value: Option<Value>, timestamp: u64, checksum: u32) -> Version {
+        Version {
+            value,
+            timestamp,
+            checksum,
+        }
+    }
+
+    /// True when the checksum still matches value and timestamp — false
+    /// after a bit flip, a torn write that truncated the value, or a
+    /// tombstone and an empty value taken for each other.
+    pub fn verify(&self) -> bool {
+        self.checksum == version_checksum(self.timestamp, self.value.as_ref().map(Value::as_bytes))
+    }
+
+    /// True if the version is a delete tombstone.
+    pub fn is_tombstone(&self) -> bool {
+        self.value.is_none()
+    }
+
+    /// Bytes of value (0 for a tombstone).
+    pub fn value_len(&self) -> usize {
+        self.value.as_ref().map_or(0, Value::len)
+    }
+}
+
 /// The checksum of one version: CRC32C over its little-endian timestamp,
 /// a little-endian tag (0 for a delete tombstone, `1 + len` for a value)
 /// and the value bytes. The tag tells a tombstone from an empty value and
 /// catches a truncated one.
-pub fn version_checksum(timestamp: u64, value: Option<&[u8]>) -> u32 {
+fn version_checksum(timestamp: u64, value: Option<&[u8]>) -> u32 {
     let tag = value.map_or(0, |bytes| 1 + bytes.len() as u64);
     let mut head = [0u8; 16];
     head[..8].copy_from_slice(&timestamp.to_le_bytes());
@@ -441,6 +502,58 @@ mod tests {
             }
         }
         assert_ne!(version_checksum(4, None), version_checksum(5, None));
+    }
+
+    /// What every tier relies on when it verifies a version it stores: any
+    /// single-bit flip of the value, the timestamp or the checksum fails,
+    /// so does any truncation of the value, and so does a tombstone read as
+    /// an empty value or a value read as a tombstone.
+    #[test]
+    fn a_version_fails_verify_after_any_bit_flip_truncation_or_tombstone_confusion() {
+        let bytes = seeded_bytes(0x7E25, 1000);
+        let versions = [
+            Version::value(Value::from(&bytes[..1]), 0),
+            Version::value(Value::from(&bytes[..9]), 0xDEAD_BEEF_CAFE_F00D),
+            Version::value(Value::from_vec(bytes), u64::MAX),
+            Version::value(Value::empty(), 7),
+            Version::tombstone(7),
+        ];
+        for good in &versions {
+            assert!(good.verify(), "{good:?}");
+            let damaged = |damage: &dyn Fn(&mut Version)| {
+                let mut version = good.clone();
+                damage(&mut version);
+                !version.verify()
+            };
+            let value = good.value.as_ref().map_or(&[][..], Value::as_bytes);
+            for bit in 0..value.len() * 8 {
+                let mut flipped = value.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let flipped = Value::from_vec(flipped);
+                let flip = |v: &mut Version| v.value = Some(flipped.clone());
+                assert!(damaged(&flip), "{good:?}: value bit {bit}");
+            }
+            for keep in 0..value.len() {
+                let torn = |v: &mut Version| v.value = Some(Value::from(&value[..keep]));
+                assert!(damaged(&torn), "{good:?}: {keep} bytes kept");
+            }
+            for bit in 0..64 {
+                let flip = |v: &mut Version| v.timestamp ^= 1 << bit;
+                assert!(damaged(&flip), "{good:?}: timestamp bit {bit}");
+            }
+            for bit in 0..32 {
+                let flip = |v: &mut Version| v.checksum ^= 1 << bit;
+                assert!(damaged(&flip), "{good:?}: checksum bit {bit}");
+            }
+            let confuse = |v: &mut Version| {
+                v.value = if v.is_tombstone() {
+                    Some(Value::empty())
+                } else {
+                    None
+                }
+            };
+            assert!(damaged(&confuse), "{good:?} read as the other kind");
+        }
     }
 
     /// Every single-bit flip in a message changes the checksum — the

@@ -2,7 +2,8 @@
 //!
 //! This crate defines the vocabulary of the system: [`Key`] and [`Value`]
 //! types, the byte-bounded [`LruCache`] of them that both engines cache
-//! objects in, simulated-time units ([`Nanos`]), the engine API — the `&self`
+//! objects in, the checksummed [`Version`] of a key that both storage tiers
+//! hold, simulated-time units ([`Nanos`]), the engine API — the `&self`
 //! [`ConcurrentKvStore`] an internally-locked engine implements, the
 //! `&mut self` [`KvStore`] every such engine gets from one blanket impl and
 //! single-threaded engines implement by hand, the [`MutexKv`] adapter for
@@ -44,6 +45,7 @@ mod value;
 
 pub use batch::{BatchOp, WriteBatch};
 pub use cache::LruCache;
+pub use checksum::Version;
 pub use completion::{
     completion_pair, completion_pair_gauged, Completion, Ticket, TicketGauge, WakeList,
 };

@@ -121,11 +121,6 @@ impl<'a, E: ConcurrentKvStore + ?Sized> Transaction<'a, E> {
         self.writes.delete(key);
     }
 
-    /// Number of buffered write operations.
-    pub fn pending_writes(&self) -> usize {
-        self.writes.len()
-    }
-
     /// Validate the read set and atomically apply the buffered writes.
     ///
     /// Returns the simulated service time of the commit. On

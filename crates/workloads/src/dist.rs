@@ -112,11 +112,6 @@ impl KeyChooser {
         }
     }
 
-    /// The key-space size this chooser was built for.
-    pub fn key_space(&self) -> u64 {
-        self.n
-    }
-
     /// Draw the next key id. `newest` is the id of the most recently
     /// inserted key (only used by the latest distribution).
     pub fn next(&self, rng: &mut StdRng, newest: u64) -> u64 {
