@@ -16,7 +16,7 @@ use prism_types::{
 };
 
 use crate::options::{Options, Partitioning};
-use crate::partition::{Partition, Reclaim, ScanCursor, ScrubReport};
+use crate::partition::{Partition, Reclaim, Resolution, ScanCursor, ScrubReport};
 use crate::sequence::CommitSequencer;
 use crate::workers::{worker_loop, Scheduler};
 
@@ -190,19 +190,39 @@ impl EngineShared {
             .expect("only pool workers ask for the scheduler")
     }
 
+    /// Run `op` on partition `idx`, write-locked as `p`, and trace the
+    /// health flip it causes — `degraded` on a read, a scrub pass or a
+    /// recovery alike, `rearm` when a clean scrub pass lifted it.
+    pub(crate) fn health_traced<T>(
+        &self,
+        idx: usize,
+        p: &mut Partition,
+        op: impl FnOnce(&mut Partition) -> T,
+    ) -> T {
+        let was = p.health();
+        let out = op(p);
+        if p.health() != was {
+            let (category, detail) = match was {
+                PartitionHealth::Healthy => (category::DEGRADED, "quarantine threshold crossed"),
+                PartitionHealth::Degraded => {
+                    (category::REARM, "clean scrub pass re-armed the partition")
+                }
+            };
+            self.obs
+                .trace()
+                .record(category, Some(idx as u32), 0, detail);
+        }
+        out
+    }
+
     /// Run one budgeted scrub slice against a partition, recording its
-    /// wall duration, a `scrub_pass` trace event, and — when a clean
-    /// completed pass returns a degraded partition to healthy — the
-    /// `rearm` flip. Every scrub path (inline and background) funnels
-    /// through here so the trace sees all of them.
+    /// wall duration, a `scrub_pass` trace event, and any health flip.
+    /// Every scrub path (inline and background) funnels through here so
+    /// the trace sees all of them.
     pub(crate) fn scrub_pass_traced(&self, idx: usize, budget_bytes: u64) -> ScrubReport {
         let start = Instant::now();
-        let (was, report, now) = {
-            let mut p = self.write_partition(idx);
-            let was = p.health();
-            let report = p.scrub_pass(budget_bytes);
-            (was, report, p.health())
-        };
+        let scrub = |p: &mut Partition| p.scrub_pass(budget_bytes);
+        let report = self.health_traced(idx, &mut self.write_partition(idx), scrub);
         let wall = start.elapsed().as_nanos();
         self.obs
             .scrub_pass
@@ -220,14 +240,6 @@ impl EngineShared {
                 report.completed
             ),
         );
-        if was == PartitionHealth::Degraded && now == PartitionHealth::Healthy {
-            self.obs.trace().record(
-                category::REARM,
-                Some(idx as u32),
-                0,
-                "clean scrub pass re-armed the partition",
-            );
-        }
         report
     }
 
@@ -536,7 +548,10 @@ impl PrismDb {
         // an artefact of the simulation, not of the modelled hardware.
         let per_partition = guards
             .iter_mut()
-            .map(|(_, p)| p.crash_and_recover())
+            .map(|(idx, p)| {
+                self.shared
+                    .health_traced(*idx, p, Partition::crash_and_recover)
+            })
             .fold(Nanos::ZERO, Nanos::max);
         per_partition + self.replay_commit_log(&mut guards)
     }
@@ -1137,27 +1152,24 @@ impl ConcurrentKvStore for PrismDb {
         let result = self.shared.read_partition(idx).get_with_pressure(key);
         let (lookup, pressure) = match result {
             Ok(found) => found,
-            Err(PrismError::Corruption(_)) => {
-                // Escalate: quarantine the key so the corrupt version can
-                // never be served again, and get a scrub pass going.
-                let (err, was, now) = {
-                    let mut p = self.shared.write_partition(idx);
-                    let was = p.health();
-                    let err = p.quarantine_on_read(key);
-                    (err, was, p.health())
+            Err(err @ PrismError::Corruption(_)) => {
+                // Escalate: resolve the damage so it is never read again,
+                // and get a scrub pass going.
+                let resolve = |p: &mut Partition| {
+                    let tier = p.damaged_tier(key)?;
+                    Some(p.resolve_damage(key, tier))
                 };
-                self.shared.obs.trace().record(
-                    category::QUARANTINE,
-                    Some(idx as u32),
-                    key.id(),
-                    "checksum failure on read",
-                );
-                if was != now && now == PartitionHealth::Degraded {
+                // The guard is a temporary: the write lock goes with this
+                // statement, before `request_scrub` takes the read lock.
+                let resolution =
+                    self.shared
+                        .health_traced(idx, &mut self.shared.write_partition(idx), resolve);
+                if resolution == Some(Resolution::Quarantined) {
                     self.shared.obs.trace().record(
-                        category::DEGRADED,
+                        category::QUARANTINE,
                         Some(idx as u32),
-                        0,
-                        "quarantine threshold crossed",
+                        key.id(),
+                        "checksum failure on read",
                     );
                 }
                 self.shared.request_scrub(idx);

@@ -29,19 +29,36 @@
 //! map a partition keeps are the ones a crash rebuilds.
 //! [`Partition::write_slot`] writes a slot and points the index at it,
 //! setting the key's NVM bit when the index did not hold the key. Put,
-//! the delete tombstone, promotion and the scrub repair call it, and
+//! the delete tombstone, promotion and a damage repair call it, and
 //! recovery calls its index half for each slot the scan keeps.
 //! [`Partition::free_slot`] unlinks the index entry and the NVM bit, then
-//! frees the slot: delete, demotion, quarantine and the scrub call it.
-//! [`Partition::swap_files`] writes the new files, clears the flash bits
-//! of the retired files' keys, sets those of the new files' keys and
-//! installs. Compaction install, the scrub rebuild and recovery's
+//! frees the slot: delete, demotion and a damaged slot's resolution call
+//! it. [`Partition::swap_files`] writes the new files, clears the flash
+//! bits of the retired files' keys, sets those of the new files' keys,
+//! installs, and frees the retired files no reader holds. Compaction
+//! install, the scrub rebuild and recovery's
 //! generation bump call it. Each call site keeps the slab order it always
 //! had: a delete frees the old slot and then writes its tombstone, and a
 //! put over a tombstone writes the new slot and then frees the old one.
 //! Slot addresses, slab growth and `CapacityExceeded` follow from that
 //! order, and through them the space and throughput the benchmark
 //! measures.
+//!
+//! # Integrity
+//!
+//! What a failed checksum does is decided by [`Partition::resolve_damage`],
+//! which the engine's get escalation, recovery and both scrub phases call:
+//! it counts the detection and frees a damaged slot; a damaged flash
+//! record a live NVM version hides is shadowed; otherwise the DRAM cache's
+//! last committed value is written back, or the key goes under a durable
+//! sentinel and the partition degrades at the threshold. Scans and
+//! snapshot reads only judge, by one rule ([`Partition::visible_at`]): a
+//! damaged version hides every older one from a reader whose pin covers
+//! it — a point read errors, a scan skips and counts the key — while a
+//! reader pinned before a damaged slot, whose sequence the DRAM index
+//! holds, reads its preserved version. A sentinel, and a damaged flash
+//! record, whose sequence is among the damaged bytes, hide the key from
+//! every reader.
 //!
 //! # Read path vs write path
 //!
@@ -185,6 +202,26 @@ impl SlotWrite {
     }
 }
 
+/// A key's live version below the DRAM cache, as a reader found it.
+enum Live {
+    /// Its tier, commit sequence and value (`None` for a tombstone).
+    Clean(ReadSource, u64, Option<Value>),
+    /// Failed its checksum; the sequence is known for an NVM slot (the
+    /// DRAM index holds it), not for a flash record.
+    Damaged(Option<u64>),
+}
+
+/// How [`Partition::resolve_damage`] settled a damaged version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Resolution {
+    /// A flash record a live NVM version hides.
+    Shadowed,
+    /// The cached value was written back, at this device cost.
+    Repaired(Nanos),
+    /// No clean copy survives: the key is under a sentinel.
+    Quarantined,
+}
+
 /// What a write calls when a slab write finds no room: free NVM space on
 /// the spot (the write lock stays held) given the operation's accrued cost,
 /// and return the stall charged for it. The compaction driver supplies it
@@ -220,6 +257,21 @@ pub struct ScrubReport {
     /// Whether the walk reached the end of the partition. `false` means
     /// the IO budget ran out and the pass parked a resume cursor.
     pub completed: bool,
+}
+
+impl ScrubReport {
+    /// Count one corrupt object and its resolution; returns the repair's
+    /// cost.
+    fn note(&mut self, resolution: Resolution) -> Nanos {
+        self.corrupt_found += 1;
+        let (count, cost) = match resolution {
+            Resolution::Shadowed => (&mut self.repaired, Nanos::ZERO),
+            Resolution::Repaired(cost) => (&mut self.repaired, cost),
+            Resolution::Quarantined => (&mut self.quarantined, Nanos::ZERO),
+        };
+        *count += 1;
+        cost
+    }
 }
 
 /// Resume point of a budget-bounded scrub walk: scrub verifies the NVM
@@ -301,7 +353,7 @@ struct Durable {
     /// Keys quarantined after corruption with no surviving copy: the
     /// tombstone-with-error sentinel set. Reads of these keys fail with
     /// `Corruption` (never stale data from an older tier); a successful
-    /// rewrite or scrub repair removes the sentinel. Keyed by the whole
+    /// rewrite or a repair removes the sentinel. Keyed by the whole
     /// key — a neighbour sharing its first eight bytes is a different key.
     /// Durable: it stands for sentinels persisted beside the slots, and
     /// without it an older flash version would resurface after a crash.
@@ -689,7 +741,7 @@ impl Partition {
 
     fn corruption_error(&self, key: &Key) -> PrismError {
         PrismError::Corruption(format!(
-            "partition {}: key {key} is quarantined after a checksum failure",
+            "partition {}: key {key} failed its checksum",
             self.id
         ))
     }
@@ -707,28 +759,61 @@ impl Partition {
         }
     }
 
-    /// Place `key` under a quarantine sentinel: remove any NVM slot (so
-    /// a recovery scan cannot resurrect the corrupt version) but keep
-    /// the DRAM cache entry — it holds the last committed value and is
-    /// the scrubber's repair source. Returns false if already
-    /// quarantined.
-    fn quarantine_key(&mut self, key: &Key) -> bool {
-        if !self.durable.quarantined.insert(key.clone()) {
-            return false;
+    /// Settle a version of `key` that failed its checksum on `tier`: the
+    /// one routine behind every damage path (see the module docs). The
+    /// cache's entry, which writes invalidate, is the last committed value.
+    pub(crate) fn resolve_damage(&mut self, key: &Key, tier: FaultTier) -> Resolution {
+        self.note_checksum_failure();
+        if tier == FaultTier::Flash && self.volatile.index.contains_key(key) {
+            self.lifetime.stats.integrity.scrub_repairs += 1;
+            return Resolution::Shadowed;
         }
-        self.lifetime.stats.integrity.quarantined_objects += 1;
-        let _ = self.free_slot(key);
+        if tier == FaultTier::Nvm {
+            let _ = self.free_slot(key);
+        }
+        if let Some(value) = self.volatile.cache.get(key) {
+            let ts = self.seq.allocate();
+            if let Ok(cost) = self.write_slot(key, ts, SlotWrite::Value(value)) {
+                self.durable.quarantined.remove(key);
+                self.lifetime.stats.integrity.scrub_repairs += 1;
+                return Resolution::Repaired(cost);
+            }
+        }
+        if self.durable.quarantined.insert(key.clone()) {
+            self.lifetime.stats.integrity.quarantined_objects += 1;
+        }
         self.maybe_degrade();
-        true
+        Resolution::Quarantined
     }
 
-    /// Quarantine after a read-path checksum failure (idempotent); the
-    /// returned error is what the failed read surfaces to the caller.
-    pub(crate) fn quarantine_on_read(&mut self, key: &Key) -> PrismError {
-        if self.quarantine_key(key) {
-            self.note_checksum_failure();
+    /// The tier where `key`'s live version is still damaged with no
+    /// sentinel over it: asked under the write lock, so damage a write or
+    /// another reader settled since a read tripped on it is left alone.
+    pub(crate) fn damaged_tier(&self, key: &Key) -> Option<FaultTier> {
+        if self.durable.quarantined.contains(key) {
+            return None;
         }
-        self.corruption_error(key)
+        let Some(entry) = self.volatile.index.get(key) else {
+            let corrupt = self.durable.log.lookup(key)?.probe(key).corrupt;
+            return corrupt.then_some(FaultTier::Flash);
+        };
+        let slot = self.durable.slab.peek(entry.addr);
+        let damaged = !entry.tombstone && slot.is_none_or(|slot| !slot.verify());
+        damaged.then_some(FaultTier::Nvm)
+    }
+
+    /// The reader rule of the module docs: what a reader pinned at
+    /// `pinned` sees of `key` whose live version is `live`. `Err` refuses
+    /// the key: a point read surfaces it, a scan skips the key.
+    fn visible_at(&self, key: &Key, live: Option<Live>, pinned: u64) -> Result<Option<Value>> {
+        match live {
+            _ if self.durable.quarantined.contains(key) => Err(self.corruption_error(key)),
+            Some(Live::Clean(_, seq, value)) if seq <= pinned => Ok(value),
+            Some(Live::Damaged(seq)) if seq.is_none_or(|seq| seq <= pinned) => {
+                Err(self.corruption_error(key))
+            }
+            _ => Ok(self.volatile.history_version_at(key, pinned)),
+        }
     }
 
     /// Flip into read-only degraded mode once enough objects are
@@ -1042,24 +1127,26 @@ impl Partition {
         Ok(cost)
     }
 
-    /// The live version of `key` below the DRAM cache — the tier that
-    /// holds it, its commit sequence and its value (`None` for a
-    /// tombstone) — adding what finding it cost to `cost`. The NVM index
-    /// decides first; only a key it does not know goes to flash, whose SST
-    /// index and bloom filter live on NVM.
-    fn probe_tiers(
-        &self,
-        key: &Key,
-        cost: &mut Nanos,
-    ) -> Result<Option<(ReadSource, u64, Option<Value>)>> {
+    /// The live version of `key` below the DRAM cache, adding what finding
+    /// it cost to `cost`. The NVM index decides first; only a key it does
+    /// not know goes to flash, whose SST index and bloom filter live on
+    /// NVM. A damaged version is returned as such, for the caller's rule
+    /// to judge; only an injected I/O error fails the probe.
+    fn probe_tiers(&self, key: &Key, cost: &mut Nanos) -> Result<Option<Live>> {
         if let Some(entry) = self.volatile.index.get(key).copied() {
+            let ts = entry.timestamp;
             if entry.tombstone {
-                return Ok(Some((ReadSource::Nvm, entry.timestamp, None)));
+                return Ok(Some(Live::Clean(ReadSource::Nvm, ts, None)));
             }
-            let (slot, read_cost) = self.durable.slab.read(entry.addr)?;
-            *cost += read_cost;
-            let value = slot.version.value.clone();
-            return Ok(Some((ReadSource::Nvm, entry.timestamp, value)));
+            let live = match self.durable.slab.read(entry.addr) {
+                Ok((slot, read_cost)) => {
+                    *cost += read_cost;
+                    Live::Clean(ReadSource::Nvm, ts, slot.version.value.clone())
+                }
+                Err(PrismError::Corruption(_)) => Live::Damaged(Some(ts)),
+                Err(err) => return Err(err),
+            };
+            return Ok(Some(live));
         }
         *cost += self.cpu.bloom_probe;
         let Some(file) = self.durable.log.lookup(key) else {
@@ -1075,14 +1162,11 @@ impl Partition {
         }
         if probe.corrupt {
             self.note_checksum_failure();
-            return Err(PrismError::Corruption(format!(
-                "partition {}: flash record for key {key} failed its checksum",
-                self.id
-            )));
+            return Ok(Some(Live::Damaged(None)));
         }
         Ok(probe
             .entry
-            .map(|entry| (ReadSource::Flash, entry.timestamp, entry.value)))
+            .map(|entry| Live::Clean(ReadSource::Flash, entry.timestamp, entry.value)))
     }
 
     /// Point lookup without the drain-pressure signal (the engine always
@@ -1127,11 +1211,18 @@ impl Partition {
             cost += self.cpu.dram_hit;
             source = ReadSource::Dram;
             value = Some(cached);
-        } else if let Some((tier, _, Some(found))) = self.probe_tiers(key, &mut cost)? {
-            source = tier;
-            self.volatile.cache.insert(key.clone(), found.clone());
-            self.lifetime.serial.charge(shard, cache_serial);
-            value = Some(found);
+        } else {
+            match self.probe_tiers(key, &mut cost)? {
+                Some(Live::Clean(tier, _, Some(found))) => {
+                    source = tier;
+                    self.volatile.cache.insert(key.clone(), found.clone());
+                    self.lifetime.serial.charge(shard, cache_serial);
+                    value = Some(found);
+                }
+                // A live read is pinned at now, which covers any version.
+                Some(Live::Damaged(_)) => return Err(self.corruption_error(key)),
+                _ => {}
+            }
         }
 
         let live = &self.lifetime.live;
@@ -1250,18 +1341,18 @@ impl Partition {
 
     /// Point lookup as of a pinned snapshot sequence: the live version if
     /// it committed at or before `pinned`, otherwise the newest preserved
-    /// version at `pinned`. Bypasses the DRAM cache (which only tracks
-    /// the latest version) and buffers no read-side state — snapshot
-    /// reads must not perturb popularity tracking.
+    /// version at `pinned` (see [`Partition::visible_at`] for damage).
+    /// Bypasses the DRAM cache (which only tracks the latest version) and
+    /// buffers no read-side state — snapshot reads must not perturb
+    /// popularity tracking.
     pub(crate) fn snapshot_get(&self, key: &Key, pinned: u64) -> Result<(Option<Value>, Nanos)> {
+        // Refused before any tier is read, as a live get is.
         if self.durable.quarantined.contains(key) {
             return Err(self.corruption_error(key));
         }
         let mut cost = self.cpu.request_overhead + self.cpu.index_op;
-        let value = match self.probe_tiers(key, &mut cost)? {
-            Some((_, seq, value)) if seq <= pinned => value,
-            _ => self.volatile.history_version_at(key, pinned),
-        };
+        let live = self.probe_tiers(key, &mut cost)?;
+        let value = self.visible_at(key, live, pinned)?;
         self.advance_fg(cost);
         Ok((value, cost))
     }
@@ -1310,46 +1401,42 @@ impl Partition {
             }
             cursor.resolved += 1;
 
-            // Live version at this key: NVM wins over flash.
-            let mut live: Option<(u64, Option<Value>)> = None;
+            // Live version at this key: NVM wins over flash. A damaged one
+            // is counted here and judged by the reader rule below.
+            let mut live = None;
             let on_nvm = nvm.next_if(|(k, _)| *k == key);
             if let Some((_, entry)) = on_nvm {
+                let ts = entry.timestamp;
                 if entry.tombstone {
-                    live = Some((entry.timestamp, None));
+                    live = Some(Live::Clean(ReadSource::Nvm, ts, None));
                 } else if let Some(slot) = self.durable.slab.peek(entry.addr) {
-                    if slot.verify() {
-                        live = Some((entry.timestamp, slot.version.value.clone()));
+                    live = Some(if slot.verify() {
                         cursor.nvm_reads += 1;
+                        Live::Clean(ReadSource::Nvm, ts, slot.version.value.clone())
                     } else {
-                        // Skip-and-report: a corrupt slot reads as absent
-                        // for the scan (counted, never emitted as garbage)
-                        // — history may still hold a clean pinned version.
                         self.note_checksum_failure();
-                    }
+                        Live::Damaged(Some(ts))
+                    });
                 }
             }
             if let Some((_, entry)) = on_flash.filter(|e| &e.0 == key) {
                 flash.advance();
                 if on_nvm.is_none() {
-                    if entry.verify() {
+                    live = Some(if entry.verify() {
                         if let Some(v) = &entry.value {
                             cursor.flash_bytes += (v.len() + key.len()) as u64;
                         }
-                        live = Some((entry.timestamp, entry.value.clone()));
+                        Live::Clean(ReadSource::Flash, entry.timestamp, entry.value.clone())
                     } else {
                         self.note_checksum_failure();
-                    }
+                        Live::Damaged(None)
+                    });
                 }
             }
             hist.next_if(|(k, _)| *k == key);
 
-            let visible = match live {
-                Some((seq, value)) if seq <= pinned => value,
-                _ => self.volatile.history_version_at(key, pinned),
-            };
-            // Quarantined keys are skipped (reported via the quarantine
-            // counters), not served from an older tier.
-            if let Some(value) = visible.filter(|_| !self.durable.quarantined.contains(key)) {
+            // A refused key is skipped, never served from an older version.
+            if let Ok(Some(value)) = self.visible_at(key, live, pinned) {
                 out.push((key.clone(), value));
                 cursor.emitted += 1;
             }
@@ -1659,9 +1746,9 @@ impl Partition {
     /// acknowledged write: (1) [`Partition::write_slot`] writes each
     /// promoted version to a slot, (2) [`Partition::swap_files`] writes
     /// the output files and (3) swaps them in — the commit point, after
-    /// which the log answers every demoted key — (4)
-    /// [`Partition::free_slot`] frees each demoted slot, (5) `log.reclaim`
-    /// frees the replaced files no reader holds. Before (3) the old files
+    /// which the log answers every demoted key — and frees the replaced
+    /// files no reader holds, (4) [`Partition::free_slot`] frees each
+    /// demoted slot. Before (3) the old files
     /// still hold every promoted version and the slots every demoted one;
     /// between (3) and (4) a version sits on both tiers, and recovery keeps
     /// the slot's. The flash bits follow the two file lists at (3): a
@@ -1758,7 +1845,6 @@ impl Partition {
                 demoted += 1;
             }
         }
-        self.durable.log.reclaim(&self.flash_dev);
 
         let outcome = CompactionOutcome {
             duration,
@@ -1837,10 +1923,10 @@ impl Partition {
     /// Replace the flash files with ids in `retired` by `records` (in key
     /// order) written as new files: clear the flash bits of the retired
     /// files' keys, set those of the new files' keys, then install, which
-    /// takes a new log generation even when both lists are empty. The
-    /// retired files are found in the log by id, so when the caller
-    /// reclaims, the log's reference is the only one this partition holds.
-    /// Returns the write cost.
+    /// takes a new log generation even when both lists are empty, and
+    /// reclaim every retired file no reader holds. The retired files are
+    /// found in the log by id, so a caller that let go of its own handles
+    /// first sees them freed here. Returns the write cost.
     fn swap_files(&mut self, retired: &[FileId], records: Vec<(Key, SstEntry)>) -> Nanos {
         let (new_files, cost) = self.write_sst_files(records);
         let buckets = &mut self.volatile.buckets;
@@ -1853,6 +1939,7 @@ impl Partition {
             buckets.on_flash_insert(key.id());
         }
         self.durable.log.install(retired, new_files);
+        self.durable.log.reclaim(&self.flash_dev);
         cost
     }
 
@@ -1983,11 +2070,10 @@ impl Partition {
             self.write_slot(&key, entry.timestamp, scanned)
                 .expect("indexing a slot the scan found writes nothing");
         }
+        // The cache is empty now, so no damage is repaired: a damaged slot
+        // quarantines its key, a damaged record unless a slot hides it.
         for key in corrupt {
-            self.note_checksum_failure();
-            if self.durable.quarantined.insert(key) {
-                self.lifetime.stats.integrity.quarantined_objects += 1;
-            }
+            self.resolve_damage(&key, FaultTier::Nvm);
         }
         // Every record holds flash until a merge or a scrub drops it, a
         // damaged one included: the install that wrote it set its bit.
@@ -1999,11 +2085,10 @@ impl Partition {
             }
         }
         for key in flash_corrupt {
-            self.note_checksum_failure();
-            if !self.volatile.index.contains_key(&key) {
-                self.quarantine_key(&key);
-            }
+            self.resolve_damage(&key, FaultTier::Flash);
         }
+        // The threshold counts durable sentinels: a partition a clean scrub
+        // re-armed over as many as it allows degrades again.
         self.maybe_degrade();
         // The commit clock is rebuilt from the largest persisted
         // sequence; it never moves backwards, so sequences are not
@@ -2018,10 +2103,8 @@ impl Partition {
     // ------------------------------------------------------------------
 
     /// One budget-bounded scrub pass: verify NVM slots in index order,
-    /// then flash files in key order. Corrupt objects are repaired from
-    /// a surviving clean copy — a newer NVM version shadowing a corrupt
-    /// flash record, or the DRAM cache's last committed value — and
-    /// quarantined otherwise. Files containing corrupt records are
+    /// then flash files in key order, handing each corrupt object to
+    /// [`Partition::resolve_damage`]. Files containing corrupt records are
     /// rewritten without them, so a later pass over the same data comes
     /// back clean. A completed pass that found no corruption re-arms a
     /// degraded partition.
@@ -2045,19 +2128,12 @@ impl Partition {
                     break;
                 }
                 report.examined += 1;
-                let slot_bytes = match self.durable.slab.peek(entry.addr) {
-                    Some(slot) => {
-                        if !slot.verify() {
-                            corrupt.push(key.clone());
-                        }
-                        slot.version.value_len() as u64 + 64
-                    }
-                    None => {
-                        // Dangling index entry: treat as corrupt.
-                        corrupt.push(key.clone());
-                        64
-                    }
-                };
+                // A dangling index entry counts as corrupt.
+                let slot = self.durable.slab.peek(entry.addr);
+                if slot.is_none_or(|slot| !slot.verify()) {
+                    corrupt.push(key.clone());
+                }
+                let slot_bytes = slot.map_or(0, |slot| slot.version.value_len() as u64) + 64;
                 nvm_bytes += slot_bytes;
                 report.examined_bytes += slot_bytes;
                 budget = budget.saturating_sub(slot_bytes);
@@ -2066,11 +2142,7 @@ impl Partition {
                 cost += self.nvm_dev.read_sequential(nvm_bytes);
             }
             for key in corrupt {
-                report.corrupt_found += 1;
-                self.note_checksum_failure();
-                // Drop the corrupt slot before attempting a repair.
-                let _ = self.free_slot(&key);
-                self.scrub_repair_or_quarantine(key, &mut report, &mut cost);
+                cost += report.note(self.resolve_damage(&key, FaultTier::Nvm));
             }
             match resume {
                 Some(key) => {
@@ -2110,7 +2182,6 @@ impl Partition {
             if corrupt.is_empty() {
                 continue;
             }
-            report.corrupt_found += corrupt.len() as u64;
             // Rewrite the file without its corrupt records so the next
             // pass over this range comes back clean.
             let keep: Vec<(Key, SstEntry)> =
@@ -2119,43 +2190,12 @@ impl Partition {
             // The walk lets go of the old file first, so it is freed now.
             drop(file);
             cost += self.swap_files(&[old_id], keep);
-            self.durable.log.reclaim(&self.flash_dev);
+            // Leaving a shadowed record out of the new file repairs it.
             for key in corrupt {
-                self.note_checksum_failure();
-                if self.volatile.index.contains_key(&key) {
-                    // A newer NVM version shadows the corrupt record:
-                    // dropping it from the rebuilt file *is* the repair.
-                    report.repaired += 1;
-                    self.lifetime.stats.integrity.scrub_repairs += 1;
-                } else {
-                    self.scrub_repair_or_quarantine(key, &mut report, &mut cost);
-                }
+                cost += report.note(self.resolve_damage(&key, FaultTier::Flash));
             }
         }
         self.finish_scrub_pass(report, cost, None)
-    }
-
-    /// Repair a corrupt object by re-inserting the DRAM cache's last
-    /// committed value (writes invalidate the cache, so a surviving
-    /// entry is exactly the newest committed version), or quarantine it
-    /// when no clean copy exists.
-    fn scrub_repair_or_quarantine(&mut self, key: Key, report: &mut ScrubReport, cost: &mut Nanos) {
-        let cached = self.volatile.cache.get(&key);
-        if let Some(value) = cached {
-            let ts = self.seq.allocate();
-            if let Ok(c) = self.write_slot(&key, ts, SlotWrite::Value(value)) {
-                *cost += c;
-                self.durable.quarantined.remove(&key);
-                report.repaired += 1;
-                self.lifetime.stats.integrity.scrub_repairs += 1;
-                return;
-            }
-        }
-        if self.durable.quarantined.insert(key) {
-            self.lifetime.stats.integrity.quarantined_objects += 1;
-        }
-        report.quarantined += 1;
-        self.maybe_degrade();
     }
 
     /// Book-keep the end of a scrub pass: park (or clear) the resume

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use prism_db::{
     FaultMode, FaultOp, FaultPlan, FaultTier, Options, PartitionHealth, PrismDb, TargetedFault,
 };
+use prism_obs::{trace::category, ObsHub};
 use prism_types::{ConcurrentKvStore, Key, PrismError, Value};
 
 fn faulted_db(partitions: usize, plan: &Arc<FaultPlan>, threshold: u64) -> PrismDb {
@@ -334,6 +335,39 @@ fn a_degraded_partition_stays_degraded_across_a_crash_until_a_clean_scrub() {
         db.get(&Key::from_id(3)).unwrap().value,
         Some(Value::filled(100, 3))
     );
+}
+
+/// Every path that degrades a partition traces it, not the read alone: a
+/// recovery scan or a scrub pass that quarantines past the threshold
+/// records `degraded` as a quarantining read does.
+#[test]
+fn a_partition_degraded_by_recovery_or_a_scrub_is_traced() {
+    for crash in [true, false] {
+        let plan = Arc::new(FaultPlan::new(0xDE8));
+        let hub = Arc::new(ObsHub::new());
+        let mut options = Options::scaled_default(512);
+        options.num_partitions = 1;
+        options.fault_plan = Some(Arc::clone(&plan));
+        options.corruption_quarantine_threshold = 2;
+        options.obs = Some(Arc::clone(&hub));
+        let db = PrismDb::open(options).expect("valid options");
+        for id in [1u64, 2] {
+            arm_nvm_write_flip(&plan);
+            db.put(Key::from_id(id), Value::filled(100, id as u8))
+                .unwrap();
+        }
+        // Nothing has read the damaged slots yet.
+        assert!(hub.trace.in_category(category::DEGRADED).is_empty());
+        if crash {
+            db.crash_and_recover();
+        } else {
+            db.scrub();
+        }
+        assert_eq!(db.partition_health(0), PartitionHealth::Degraded);
+        let degraded = hub.trace.in_category(category::DEGRADED);
+        assert_eq!(degraded.len(), 1, "crash={crash}: {degraded:?}");
+        assert_eq!(degraded[0].partition, Some(0));
+    }
 }
 
 /// Crash recovery over a slab holding a corrupt slot quarantines the key

@@ -181,7 +181,8 @@ fn write_damaged(db: &PrismDb, plan: &FaultPlan, id: u64) {
 /// A record that fails its checksum is skipped and counted by every scan
 /// that crosses it — before and after a point read quarantines the key —
 /// while a reader pinned before the damaged write still gets the clean
-/// version the history buffer preserved for it.
+/// version the history buffer preserved for it, by scan and by point
+/// read alike, and a reader pinned after it never does.
 #[test]
 fn a_checksum_failing_record_is_skipped_and_counted() {
     const KEYS: u64 = 64;
@@ -221,12 +222,34 @@ fn a_checksum_failing_record_is_skipped_and_counted() {
 
         let snap = db.snapshot().unwrap();
         write_damaged(&db, &plan, PINNED_VICTIM);
+        // A live reader's pin covers the damaged version: it hides the
+        // clean one preserved for `snap`, so the scan skips the key.
+        let mut live = model.clone();
+        live.delete(&Key::from_id(PINNED_VICTIM)).unwrap();
+        let scan = ConcurrentKvStore::scan(&db, &Key::min(), usize::MAX).unwrap();
+        assert_eq!(
+            scan.entries,
+            model_scan(&live, &Key::min(), usize::MAX),
+            "{partitioning:?}: a live scan never serves the version the damage superseded"
+        );
+        // `snap` was pinned before the damaged write: both of its reads
+        // get the preserved clean version — asked before the `get` below,
+        // which quarantines the key.
+        assert_eq!(
+            db.snapshot_get(snap, &Key::from_id(PINNED_VICTIM)).unwrap(),
+            Some(Value::filled(300, PINNED_VICTIM as u8)),
+            "{partitioning:?}: the pinned point read gets the preserved clean version"
+        );
         let pinned = db.snapshot_scan(snap, &Key::min(), usize::MAX).unwrap();
         assert_eq!(
             pinned,
             model_scan(&model, &Key::min(), usize::MAX),
             "{partitioning:?}: the pinned reader gets the preserved clean version"
         );
+        let err = db
+            .get(&Key::from_id(PINNED_VICTIM))
+            .expect_err("flip is caught");
+        assert!(matches!(err, PrismError::Corruption(_)));
         db.release_snapshot(snap);
     }
 }

@@ -448,8 +448,10 @@ stats_table! {
         /// Objects quarantined (replaced by a tombstone-with-error sentinel)
         /// after corruption was detected.
         counter quarantined_objects;
-        /// Corrupt objects repaired by a scrub pass from a surviving clean
-        /// copy instead of quarantined.
+        /// Corrupt objects resolved from a surviving clean copy instead of
+        /// quarantined: a newer NVM version hiding a damaged flash record,
+        /// or the DRAM cache's last committed value written back (counted
+        /// per resolution, as checksum failures are per detection).
         counter scrub_repairs;
         /// Scrub passes completed (clean or not).
         counter scrub_passes;
