@@ -128,6 +128,17 @@ impl BucketMap {
         Bucket::set(&mut bucket.flash, offset, false);
     }
 
+    /// Whether `other` has the same bucket width and the same NVM and flash
+    /// bits, bucket for bucket; popularity bits are not compared.
+    pub fn same_residency(&self, other: &BucketMap) -> bool {
+        fn residency(map: &BucketMap) -> impl Iterator<Item = (&u64, &Vec<u64>, &Vec<u64>)> {
+            let held = map.buckets.iter();
+            let held = held.filter(|(_, b)| b.nvm.iter().chain(&b.flash).any(|w| *w != 0));
+            held.map(|(idx, b)| (idx, &b.nvm, &b.flash))
+        }
+        self.bucket_size == other.bucket_size && residency(self).eq(residency(other))
+    }
+
     /// Estimate how many popular objects live *only* on flash in the range
     /// `[start_id, end_id]` — the quantity promotion-oriented compactions
     /// maximise when choosing a range (§5.3 of the paper).
