@@ -12,7 +12,8 @@
 //! reader pinned before a damaged slot, whose sequence the DRAM index
 //! holds, reads its preserved version. A sentinel, and a damaged flash
 //! record, whose sequence is among the damaged bytes, hide the key from
-//! every reader.
+//! every reader. A damaged version a write supersedes while snapshots are
+//! pinned stays in the history as a marker that refuses the same readers.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;

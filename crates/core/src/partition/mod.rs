@@ -97,6 +97,15 @@ pub(crate) struct Partition {
     lifetime: Lifetime,
 }
 
+/// A superseded version as the history keeps it for pinned readers.
+#[derive(Debug, Clone)]
+enum Kept {
+    /// Its value; `None` is a delete.
+    Clean(Option<Value>),
+    /// It failed its checksum: a reader whose pin covers it is refused.
+    Damaged,
+}
+
 impl Volatile {
     fn lock_read_side(&self) -> MutexGuard<'_, Vec<(Key, bool)>> {
         self.read_side
@@ -182,11 +191,15 @@ impl Volatile {
 
     /// Approximate DRAM footprint of one preserved history version (key
     /// + value bytes + per-entry bookkeeping).
-    fn history_entry_bytes(key: &Key, value: &Option<Value>) -> u64 {
-        key.len() as u64 + value.as_ref().map(|v| v.len() as u64).unwrap_or(0) + 16
+    fn history_entry_bytes(key: &Key, kept: &Kept) -> u64 {
+        let value = match kept {
+            Kept::Clean(Some(value)) => value.len() as u64,
+            _ => 0,
+        };
+        key.len() as u64 + value + 16
     }
 
-    fn push_history(&mut self, seq: &CommitSequencer, key: &Key, version: (u64, Option<Value>)) {
+    fn push_history(&mut self, seq: &CommitSequencer, key: &Key, version: (u64, Kept)) {
         let list = self.history.entry(key.clone()).or_default();
         if list.last().map(|(seq, _)| *seq) != Some(version.0) {
             let bytes = Self::history_entry_bytes(key, &version.1);
@@ -219,8 +232,8 @@ impl Volatile {
             // unreachable by any pin >= `pin`.
             let keep_from = list.iter().rposition(|(seq, _)| *seq <= pin).unwrap_or(0);
             if keep_from > 0 {
-                for (_, value) in list.drain(..keep_from) {
-                    freed += Self::history_entry_bytes(key, &value);
+                for (_, kept) in list.drain(..keep_from) {
+                    freed += Self::history_entry_bytes(key, &kept);
                 }
             }
             !list.is_empty()
@@ -232,12 +245,12 @@ impl Volatile {
     }
 
     /// Newest preserved version of `key` with sequence `<= pinned`
-    /// (flattened: `None` for "deleted or never existed at that point").
-    fn history_version_at(&self, key: &Key, pinned: u64) -> Option<Value> {
+    /// (`Clean(None)` for "deleted or never existed at that point").
+    fn history_version_at(&self, key: &Key, pinned: u64) -> Kept {
         self.history
             .get(key)
             .and_then(|list| list.iter().rev().find(|(seq, _)| *seq <= pinned))
-            .and_then(|(_, value)| value.clone())
+            .map_or(Kept::Clean(None), |(_, kept)| kept.clone())
     }
 }
 

@@ -38,7 +38,7 @@ use prism_tracker::{ClockTracker, Mapper};
 use prism_types::{Key, Nanos, PartitionHealth, Result, Value, Version};
 
 use super::integrity::ScrubCursor;
-use super::{Partition, ReadSideCounters};
+use super::{Kept, Partition, ReadSideCounters};
 use crate::cache::ShardedLruCache;
 use crate::options::Options;
 
@@ -143,10 +143,11 @@ pub(super) struct Volatile {
     pub(super) read_side: Mutex<Vec<(Key, bool)>>,
     pub(super) read_counters: ReadSideCounters,
     /// Superseded versions preserved for pinned snapshots: per key, the
-    /// `(sequence, value)` pairs (a `None` value is a delete) in
-    /// ascending sequence order. Only populated while snapshots are
-    /// pinned; cleared wholesale once none remain.
-    pub(super) history: BTreeMap<Key, Vec<(u64, Option<Value>)>>,
+    /// `(sequence, version)` pairs in the order they were superseded —
+    /// ascending, but for a damaged flash record's marker at 0. Only
+    /// populated while snapshots are pinned; cleared wholesale once none
+    /// remain.
+    pub(super) history: BTreeMap<Key, Vec<(u64, Kept)>>,
     /// Bytes currently buffered in `history` (mirrored into the shared
     /// sequencer total for lock-free engine-side cap checks).
     pub(super) history_bytes: u64,

@@ -26,7 +26,7 @@ use std::sync::atomic::Ordering;
 use prism_storage::{FaultOp, FaultTier};
 use prism_types::{Key, Lookup, Nanos, PrismError, ReadSource, Result, Value};
 
-use super::Partition;
+use super::{Kept, Partition};
 
 /// A key's live version below the DRAM cache, as a reader found it.
 pub(super) enum Live {
@@ -53,7 +53,10 @@ impl Partition {
             Some(Live::Damaged(seq)) if seq.is_none_or(|seq| seq <= pinned) => {
                 Err(self.corruption_error(key))
             }
-            _ => Ok(self.volatile.history_version_at(key, pinned)),
+            _ => match self.volatile.history_version_at(key, pinned) {
+                Kept::Clean(value) => Ok(value),
+                Kept::Damaged => Err(self.corruption_error(key)),
+            },
         }
     }
 
@@ -70,34 +73,39 @@ impl Partition {
         Ok(())
     }
 
-    /// The key's current visible version across both tiers: the sequence
-    /// it committed at and its value (`None` = the version is a delete).
-    /// Returns `None` when the key has no version anywhere.
-    pub(crate) fn current_version(&self, key: &Key) -> Option<(u64, Option<Value>)> {
+    /// The key's current version across both tiers: the sequence it
+    /// committed at and its value (`Clean(None)` = a delete), or `Damaged`
+    /// — at sequence 0 for a flash record, whose sequence is among the
+    /// damaged bytes, so that every pin covers it. Snapshot history and
+    /// transaction pre-images never capture (and later re-serve) damaged
+    /// bytes. Returns `None` when the key has no version anywhere.
+    fn current_version(&self, key: &Key) -> Option<(u64, Kept)> {
         if let Some(entry) = self.volatile.index().get(key).copied() {
             if entry.tombstone {
-                return Some((entry.timestamp, None));
+                return Some((entry.timestamp, Kept::Clean(None)));
             }
-            // A slot failing its checksum reads as absent here: snapshot
-            // history and transaction pre-images must never capture (and
-            // later re-serve) damaged bytes.
-            let value = self
-                .durable
-                .slab()
-                .peek(entry.addr)
-                .filter(|slot| slot.verify())
-                .and_then(|slot| slot.version.value.clone());
-            return Some((entry.timestamp, value));
+            let slot = self.durable.slab().peek(entry.addr);
+            let kept = match slot.filter(|slot| slot.verify()) {
+                Some(slot) => Kept::Clean(slot.version.value.clone()),
+                None => Kept::Damaged,
+            };
+            return Some((entry.timestamp, kept));
         }
-        let file = self.durable.log().lookup(key)?;
-        let entry = file.probe(key).entry?;
-        Some((entry.timestamp, entry.value))
+        let probe = self.durable.log().lookup(key)?.probe(key);
+        if probe.corrupt {
+            return Some((0, Kept::Damaged));
+        }
+        let entry = probe.entry?;
+        Some((entry.timestamp, Kept::Clean(entry.value)))
     }
 
     /// The key's current visible value (the engine's pre-image capture
     /// for commit-log records).
     pub(crate) fn current_visible(&self, key: &Key) -> Option<Value> {
-        self.current_version(key).and_then(|(_, value)| value)
+        match self.current_version(key)? {
+            (_, Kept::Clean(value)) => value,
+            (_, Kept::Damaged) => None,
+        }
     }
 
     /// Newest sequence at which the key changed, counting full removals
@@ -110,14 +118,14 @@ impl Partition {
             .volatile
             .history
             .get(key)
-            .and_then(|list| list.last())
-            .map(|(seq, _)| *seq);
+            .and_then(|list| list.iter().map(|(seq, _)| *seq).max());
         live.into_iter().chain(hist).max()
     }
 
     /// Called by every write *before* it mutates the key: while snapshots
     /// are pinned, preserve the version about to be superseded so pinned
-    /// readers keep seeing it. Deletes additionally record a
+    /// readers keep seeing it — a damaged one as a marker that refuses
+    /// them, as the live version did. Deletes additionally record a
     /// `(delete_seq, None)` marker — the live tombstone they may write is
     /// droppable by a later compaction, and without the marker an older
     /// preserved value could wrongly resurface for snapshots pinned
@@ -138,7 +146,8 @@ impl Partition {
             self.volatile.push_history(&self.seq, key, version);
         }
         if let Some(seq) = delete_seq {
-            self.volatile.push_history(&self.seq, key, (seq, None));
+            self.volatile
+                .push_history(&self.seq, key, (seq, Kept::Clean(None)));
         }
     }
 

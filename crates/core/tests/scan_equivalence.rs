@@ -182,12 +182,14 @@ fn write_damaged(db: &PrismDb, plan: &FaultPlan, id: u64) {
 /// that crosses it — before and after a point read quarantines the key —
 /// while a reader pinned before the damaged write still gets the clean
 /// version the history buffer preserved for it, by scan and by point
-/// read alike, and a reader pinned after it never does.
+/// read alike, and a reader pinned after it never does — not even once a
+/// clean write supersedes the damaged version, on either tier.
 #[test]
 fn a_checksum_failing_record_is_skipped_and_counted() {
     const KEYS: u64 = 64;
     const VICTIM: u64 = 20;
     const PINNED_VICTIM: u64 = 41;
+    const SUPERSEDED_SLOT: u64 = 50;
     for partitioning in BOTH {
         let plan = Arc::new(FaultPlan::new(0x5CA9));
         let db = faulted_db(partitioning, &plan);
@@ -250,7 +252,77 @@ fn a_checksum_failing_record_is_skipped_and_counted() {
             .get(&Key::from_id(PINNED_VICTIM))
             .expect_err("flip is caught");
         assert!(matches!(err, PrismError::Corruption(_)));
+
+        // A damaged slot superseded by a clean write: the reader whose pin
+        // covers the damaged version is refused, never told the key was
+        // absent, and `snap`, pinned before it, keeps its preserved one.
+        let superseded = Key::from_id(SUPERSEDED_SLOT);
+        write_damaged(&db, &plan, SUPERSEDED_SLOT);
+        let covering = db.snapshot().unwrap();
+        db.put(superseded.clone(), Value::filled(300, 0x77))
+            .unwrap();
+        assert!(
+            matches!(
+                db.snapshot_get(covering, &superseded),
+                Err(PrismError::Corruption(_))
+            ),
+            "{partitioning:?}: a pin covering a superseded damaged slot errors"
+        );
+        assert_eq!(
+            db.snapshot_get(snap, &superseded).unwrap(),
+            Some(Value::filled(300, SUPERSEDED_SLOT as u8)),
+            "{partitioning:?}: a pin before the damaged slot reads its preserved version"
+        );
+        db.release_snapshot(covering);
         db.release_snapshot(snap);
+
+        // A damaged flash record superseded by a clean write: its sequence
+        // is among the damaged bytes, so it is refused to every pin.
+        let flips = plan.snapshot().bit_flips;
+        plan.arm(TargetedFault {
+            tier: FaultTier::Flash,
+            partition: None,
+            op: FaultOp::Write,
+            mode: FaultMode::BitFlip,
+        });
+        let mut written = KEYS;
+        while plan.snapshot().bit_flips == flips {
+            assert!(
+                written < 40 * KEYS,
+                "{partitioning:?}: no demotion wrote a record"
+            );
+            db.put(Key::from_id(written), Value::filled(300, 1))
+                .unwrap();
+            written += 1;
+        }
+        let served: Vec<Key> = ConcurrentKvStore::scan(&db, &Key::min(), usize::MAX)
+            .unwrap()
+            .entries
+            .into_iter()
+            .map(|(key, _)| key)
+            .collect();
+        let quarantined = [VICTIM, PINNED_VICTIM];
+        let damaged: Vec<Key> = (0..written)
+            .filter(|id| !quarantined.contains(id))
+            .map(Key::from_id)
+            .filter(|key| !served.contains(key))
+            .collect();
+        assert_eq!(
+            damaged.len(),
+            1,
+            "{partitioning:?}: the flip hit one record"
+        );
+        let covering = db.snapshot().unwrap();
+        db.put(damaged[0].clone(), Value::filled(300, 0x77))
+            .unwrap();
+        assert!(
+            matches!(
+                db.snapshot_get(covering, &damaged[0]),
+                Err(PrismError::Corruption(_))
+            ),
+            "{partitioning:?}: a pin covering a superseded damaged record errors"
+        );
+        db.release_snapshot(covering);
     }
 }
 
