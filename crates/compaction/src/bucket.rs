@@ -328,6 +328,20 @@ mod tests {
     }
 
     #[test]
+    fn same_residency_ignores_popularity_and_emptied_buckets() {
+        let (mut kept, mut rebuilt) = (BucketMap::new(64), BucketMap::new(64));
+        kept.on_nvm_insert(3);
+        rebuilt.on_nvm_insert(3);
+        kept.on_access(200);
+        kept.on_flash_insert(500);
+        kept.on_flash_remove(500);
+        assert!(kept.same_residency(&rebuilt));
+        rebuilt.on_flash_insert(3);
+        assert!(!kept.same_residency(&rebuilt));
+        assert!(!BucketMap::new(64).same_residency(&BucketMap::new(128)));
+    }
+
+    #[test]
     fn empty_and_inverted_ranges() {
         let b = BucketMap::new(128);
         assert_eq!(b.estimate(0, 1000, 0.25), RangeStats::empty());

@@ -7,7 +7,9 @@
 //! partition also owns its virtual clocks: a foreground clock advanced by
 //! client operations and a background completion time advanced by
 //! compaction work, which together produce write-stall behaviour when
-//! compactions cannot keep up.
+//! compactions cannot keep up. Each concern has its file: `persist` (the
+//! only code that can mutate the slabs, log, index and bucket map),
+//! `write`, `read`, `scan`, `compaction`, `recovery` and `integrity`.
 //!
 //! # Crash model
 //!
@@ -25,7 +27,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard};
 
-use prism_nvm::{SlabConfig, SlabStore};
 use prism_storage::{CpuCosts, Device, FaultPlan, TieredStorage};
 use prism_types::{EngineStats, EngineStatsCells, Key, Nanos, PartitionHealth, Result, Value};
 
@@ -281,14 +282,7 @@ impl Partition {
         storage: &TieredStorage,
         seq: Arc<CommitSequencer>,
     ) -> Result<Self> {
-        let slab_config = SlabConfig {
-            slot_sizes: options.slab_slot_sizes.clone(),
-            capacity_bytes: (options.nvm_capacity_bytes / options.num_partitions as u64).max(4096),
-        };
-        let mut slab = SlabStore::new(slab_config, storage.nvm.clone())?;
-        if let Some(plan) = &options.fault_plan {
-            slab.attach_faults(plan.clone(), id);
-        }
+        let durable = Durable::new(&options, storage, id)?;
         let volatile = Volatile::new(&options, id);
         Ok(Partition {
             id,
@@ -297,7 +291,7 @@ impl Partition {
             flash_dev: storage.flash.clone(),
             fault: options.fault_plan.clone(),
             seq,
-            durable: Durable::new(slab),
+            durable,
             lifetime: Lifetime {
                 stats: EngineStats::default(),
                 live: EngineStatsCells::default(),

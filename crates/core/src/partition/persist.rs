@@ -33,7 +33,8 @@ use std::sync::{Arc, Mutex};
 use prism_compaction::{BucketMap, CompactionPlanner, ReadTriggeredController};
 use prism_flash::{FileId, SortedLog, SstBuilder, SstEntry, SstFile};
 use prism_index::FastIndex;
-use prism_nvm::{NvmAddress, SlabStore};
+use prism_nvm::{NvmAddress, SlabConfig, SlabStore};
+use prism_storage::TieredStorage;
 use prism_tracker::{ClockTracker, Mapper};
 use prism_types::{Key, Nanos, PartitionHealth, Result, Value, Version};
 
@@ -45,7 +46,7 @@ use crate::options::Options;
 /// Entry in the partition's B-tree index describing the NVM-resident
 /// version of a key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct IndexEntry {
+pub(super) struct IndexEntry {
     pub(super) addr: NvmAddress,
     pub(super) timestamp: u64,
     pub(super) tombstone: bool,
@@ -104,14 +105,24 @@ pub(super) struct Durable {
 }
 
 impl Durable {
-    /// A new partition's durable part: `slab`, an empty log, no sentinels.
-    pub(super) fn new(slab: SlabStore) -> Self {
-        Durable {
+    /// Partition `id`'s durable part when it is new: empty slabs holding
+    /// its share of NVM (under the fault plan, if any), an empty log, no
+    /// sentinels.
+    pub(super) fn new(options: &Options, storage: &TieredStorage, id: usize) -> Result<Self> {
+        let slab_config = SlabConfig {
+            slot_sizes: options.slab_slot_sizes.clone(),
+            capacity_bytes: (options.nvm_capacity_bytes / options.num_partitions as u64).max(4096),
+        };
+        let mut slab = SlabStore::new(slab_config, storage.nvm.clone())?;
+        if let Some(plan) = &options.fault_plan {
+            slab.attach_faults(plan.clone(), id);
+        }
+        Ok(Durable {
             slab,
             log: SortedLog::new(),
             quarantined: HashSet::new(),
             health: PartitionHealth::Healthy,
-        }
+        })
     }
 
     pub(super) fn slab(&self) -> &SlabStore {
@@ -207,11 +218,13 @@ impl Volatile {
 }
 
 /// What a scan of the slabs finds: the newest clean slot per key, the
-/// keys with a damaged slot, every other slot, and the newest sequence.
+/// keys with a damaged slot, every other slot — `superseded` of them are
+/// older slots of a clean key — and the newest sequence.
 struct SlabScan {
     newest: HashMap<Key, IndexEntry>,
     corrupt: Vec<Key>,
     stale: Vec<NvmAddress>,
+    superseded: usize,
     max_ts: u64,
 }
 
@@ -230,7 +243,7 @@ impl SlabScan {
         let corrupt_keys: HashSet<&Key> = corrupt.iter().collect();
         let mut newest: HashMap<Key, IndexEntry> = HashMap::new();
         let mut stale: Vec<NvmAddress> = Vec::new();
-        let mut max_ts = 0u64;
+        let (mut max_ts, mut clean) = (0u64, 0usize);
         for (addr, slot) in slab.scan() {
             if corrupt_keys.contains(&slot.key) {
                 // Every slot of a corrupt key is dropped, clean siblings
@@ -238,6 +251,7 @@ impl SlabScan {
                 stale.push(addr);
                 continue;
             }
+            clean += 1;
             max_ts = max_ts.max(slot.version.timestamp);
             let entry = IndexEntry {
                 addr,
@@ -254,6 +268,7 @@ impl SlabScan {
             }
         }
         SlabScan {
+            superseded: clean - newest.len(),
             newest,
             corrupt,
             stale,
@@ -375,6 +390,7 @@ impl Partition {
             corrupt,
             stale,
             max_ts,
+            ..
         } = SlabScan::of(&self.durable.slab);
         // Garbage-collect superseded duplicate slots (e.g. slots orphaned
         // by a bug or torn multi-slot sequence): recovery must leave
@@ -406,8 +422,8 @@ impl Partition {
 
     /// What the persist methods keep, checked against what a crash would
     /// rebuild; `Err` names the first clause that fails. `index`: the index
-    /// holds each key's newest clean slot and no other key, keys with a
-    /// damaged slot aside. `residency bits`: the bucket map's NVM and flash
+    /// holds each key's newest clean slot and no other key, and the slabs
+    /// hold no older slot of it, keys with a damaged slot aside. `residency bits`: the bucket map's NVM and flash
     /// bits are those of the index's and the log's keys (popularity bits
     /// are not compared). Debug builds check it before every crash.
     pub(crate) fn check_invariants(&self) -> std::result::Result<(), String> {
@@ -426,8 +442,11 @@ impl Partition {
             }
             unmatched -= 1;
         }
-        if unmatched > 0 {
-            return Err(format!("index: {unmatched} keys' slots are not indexed"));
+        if unmatched > 0 || scan.superseded > 0 {
+            let superseded = scan.superseded;
+            return Err(format!(
+                "index: {unmatched} keys' slots are not indexed, {superseded} older slots not freed"
+            ));
         }
         let mut rebuilt = BucketMap::new(self.volatile.buckets.bucket_size());
         for (key, _) in self.volatile.index.range_from(&Key::min()) {
@@ -452,7 +471,8 @@ mod tests {
 
     /// Each clause of `check_invariants` names itself when the state it
     /// covers is broken behind the persist methods' back: a slot no index
-    /// entry points at, and residency bits flipped both ways.
+    /// entry points at, an older slot of an indexed key, and residency bits
+    /// flipped both ways.
     #[test]
     fn check_invariants_names_the_clause_a_stray_mutation_breaks() {
         let engine = engine(1_000);
@@ -462,17 +482,24 @@ mod tests {
         }
         assert_eq!(p.check_invariants(), Ok(()));
 
-        let ts = p.seq.allocate();
-        let orphan = Key::from_id(500);
-        let (addr, _) = p
-            .durable
-            .slab
-            .insert(orphan, Value::filled(300, 2), ts)
-            .unwrap();
-        let violation = p.check_invariants().unwrap_err();
-        assert!(violation.starts_with("index: 1 keys' slots"), "{violation}");
-        p.durable.slab.remove(addr).unwrap();
-        assert_eq!(p.check_invariants(), Ok(()));
+        // A slot of a key the index does not hold, and an older slot of
+        // one it does.
+        let fresh = p.seq.allocate();
+        let slots = [
+            (500, fresh, "1 keys' slots are not indexed"),
+            (7, 1, "1 older slots"),
+        ];
+        for (id, ts, found) in slots {
+            let value = Value::filled(300, 2);
+            let (addr, _) = p.durable.slab.insert(Key::from_id(id), value, ts).unwrap();
+            let violation = p.check_invariants().unwrap_err();
+            assert!(
+                violation.starts_with("index:") && violation.contains(found),
+                "{violation}"
+            );
+            p.durable.slab.remove(addr).unwrap();
+            assert_eq!(p.check_invariants(), Ok(()));
+        }
 
         for flip in [
             |buckets: &mut BucketMap| buckets.on_flash_insert(500),

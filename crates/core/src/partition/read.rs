@@ -126,9 +126,9 @@ impl Partition {
     /// are pinned, preserve the version about to be superseded so pinned
     /// readers keep seeing it — a damaged one as a marker that refuses
     /// them, as the live version did. Deletes additionally record a
-    /// `(delete_seq, None)` marker — the live tombstone they may write is
-    /// droppable by a later compaction, and without the marker an older
-    /// preserved value could wrongly resurface for snapshots pinned
+    /// `(delete_seq, Clean(None))` marker — the live tombstone they may
+    /// write is droppable by a later compaction, and without the marker an
+    /// older preserved value could wrongly resurface for snapshots pinned
     /// after the delete. With no pins the whole buffer is garbage.
     ///
     /// The pin check runs after the write's sequence was allocated, and
