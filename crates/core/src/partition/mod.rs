@@ -40,8 +40,6 @@ mod persist;
 mod read;
 mod recovery;
 mod scan;
-#[cfg(test)]
-mod tests;
 mod write;
 
 pub(crate) use compaction::CompactionOutcome;
@@ -405,3 +403,6 @@ impl Partition {
         std::mem::take(&mut self.volatile.promote_pending)
     }
 }
+
+#[cfg(test)]
+mod tests;

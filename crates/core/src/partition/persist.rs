@@ -5,8 +5,7 @@
 //! map a partition keeps are the ones a crash rebuilds.
 //! [`Partition::write_slot`] writes a slot and points the index at it,
 //! setting the key's NVM bit when the index did not hold the key. Put,
-//! the delete tombstone, promotion and a damage repair call it, and
-//! recovery calls its index half for each slot the scan keeps.
+//! the delete tombstone, promotion and a damage repair call it.
 //! [`Partition::free_slot`] unlinks the index entry and the NVM bit, then
 //! frees the slot: delete, demotion and a damaged slot's resolution call
 //! it. [`Partition::swap_files`] writes the new files, clears the flash
@@ -22,8 +21,8 @@
 //!
 //! The compiler holds the rule: this module declares the slabs, the log,
 //! the index and the bucket map as private fields, so only the code here
-//! — the three methods, recovery's rebuild of the index and the flash bits
-//! from what the tiers hold, and the tracker's popularity bits — can
+//! — the three methods, recovery's rebuild of the index and the residency
+//! bits from what the tiers hold, and the tracker's popularity bits — can
 //! mutate them; the sibling modules read them through `&` accessors.
 //! [`Partition::check_invariants`] states what the three methods keep.
 
@@ -60,9 +59,6 @@ pub(super) enum SlotWrite {
     /// A version that already has its checksum — a delete tombstone, or a
     /// promoted flash record — stored as it is.
     Version(Version),
-    /// A slot the recovery scan found at `addr`: nothing is written, only
-    /// the index half runs.
-    Scanned { addr: NvmAddress, tombstone: bool },
 }
 
 impl SlotWrite {
@@ -70,7 +66,6 @@ impl SlotWrite {
         match self {
             SlotWrite::Value(value) => value.len(),
             SlotWrite::Version(version) => version.value_len(),
-            SlotWrite::Scanned { .. } => 0,
         }
     }
 
@@ -78,7 +73,6 @@ impl SlotWrite {
         match self {
             SlotWrite::Value(_) => false,
             SlotWrite::Version(version) => version.is_tombstone(),
-            SlotWrite::Scanned { tombstone, .. } => *tombstone,
         }
     }
 }
@@ -218,13 +212,11 @@ impl Volatile {
 }
 
 /// What a scan of the slabs finds: the newest clean slot per key, the
-/// keys with a damaged slot, every other slot — `superseded` of them are
-/// older slots of a clean key — and the newest sequence.
+/// keys with a damaged slot, every other slot, and the newest sequence.
 struct SlabScan {
     newest: HashMap<Key, IndexEntry>,
     corrupt: Vec<Key>,
     stale: Vec<NvmAddress>,
-    superseded: usize,
     max_ts: u64,
 }
 
@@ -243,7 +235,7 @@ impl SlabScan {
         let corrupt_keys: HashSet<&Key> = corrupt.iter().collect();
         let mut newest: HashMap<Key, IndexEntry> = HashMap::new();
         let mut stale: Vec<NvmAddress> = Vec::new();
-        let (mut max_ts, mut clean) = (0u64, 0usize);
+        let mut max_ts = 0u64;
         for (addr, slot) in slab.scan() {
             if corrupt_keys.contains(&slot.key) {
                 // Every slot of a corrupt key is dropped, clean siblings
@@ -251,7 +243,6 @@ impl SlabScan {
                 stale.push(addr);
                 continue;
             }
-            clean += 1;
             max_ts = max_ts.max(slot.version.timestamp);
             let entry = IndexEntry {
                 addr,
@@ -268,7 +259,6 @@ impl SlabScan {
             }
         }
         SlabScan {
-            superseded: clean - newest.len(),
             newest,
             corrupt,
             stale,
@@ -296,7 +286,6 @@ impl Partition {
                 let placed = match write {
                     SlotWrite::Value(value) => slab.insert(key.clone(), value, ts)?,
                     SlotWrite::Version(version) => slab.insert_version(key.clone(), version)?,
-                    SlotWrite::Scanned { addr, .. } => (addr, Nanos::ZERO),
                 };
                 if let Some(old) = existing {
                     slab.remove(old.addr)?;
@@ -380,8 +369,8 @@ impl Partition {
     }
 
     /// Recovery's rebuild of the DRAM mirrors from what the tiers hold:
-    /// the index and the NVM bits from a scan of the slabs, keeping only
-    /// the newest clean slot per key, and the flash bits from the log.
+    /// the index from a scan of the slabs, keeping only the newest clean
+    /// slot per key, and the residency bits from the index and the log.
     /// Returns the keys of the damaged slots and of the damaged records,
     /// for [`Partition::resolve_damage`], and the newest slot sequence.
     pub(super) fn rebuild_mirrors(&mut self) -> (Vec<Key>, Vec<Key>, u64) {
@@ -390,7 +379,6 @@ impl Partition {
             corrupt,
             stale,
             max_ts,
-            ..
         } = SlabScan::of(&self.durable.slab);
         // Garbage-collect superseded duplicate slots (e.g. slots orphaned
         // by a bug or torn multi-slot sequence): recovery must leave
@@ -403,59 +391,55 @@ impl Partition {
                 .expect("recovery GC: a slot just seen by the slab scan must be removable");
         }
         for (key, entry) in newest {
-            let (addr, tombstone) = (entry.addr, entry.tombstone);
-            let scanned = SlotWrite::Scanned { addr, tombstone };
-            self.write_slot(&key, entry.timestamp, scanned)
-                .expect("indexing a slot the scan found writes nothing");
+            self.volatile.index.insert(key, entry);
         }
-        // Every record holds flash until a merge or a scrub drops it, a
-        // damaged one included: the install that wrote it set its bit.
-        let mut flash_corrupt: Vec<Key> = Vec::new();
-        for (key, entry) in self.durable.log.iter() {
-            self.volatile.buckets.on_flash_insert(key.id());
-            if !entry.verify() {
-                flash_corrupt.push(key.clone());
-            }
-        }
+        self.volatile.buckets = self.residency();
+        let records = self.durable.log.iter();
+        let flash_corrupt = records.filter(|(_, entry)| !entry.verify());
+        let flash_corrupt = flash_corrupt.map(|(key, _)| key.clone()).collect();
         (corrupt, flash_corrupt, max_ts)
+    }
+
+    /// The residency bits the index and the log imply: an NVM bit per
+    /// indexed key and a flash bit per record. A damaged record holds its
+    /// bit until a merge or a scrub drops it: the install that wrote it
+    /// set the bit.
+    fn residency(&self) -> BucketMap {
+        let mut buckets = BucketMap::new(self.volatile.buckets.bucket_size());
+        for (key, _) in self.volatile.index.range_from(&Key::min()) {
+            buckets.on_nvm_insert(key.id());
+        }
+        for (key, _) in self.durable.log.iter() {
+            buckets.on_flash_insert(key.id());
+        }
+        buckets
     }
 
     /// What the persist methods keep, checked against what a crash would
     /// rebuild; `Err` names the first clause that fails. `index`: the index
     /// holds each key's newest clean slot and no other key, and the slabs
-    /// hold no older slot of it, keys with a damaged slot aside. `residency bits`: the bucket map's NVM and flash
-    /// bits are those of the index's and the log's keys (popularity bits
-    /// are not compared). Debug builds check it before every crash.
+    /// hold no older slot of it, keys with a damaged slot aside.
+    /// `residency bits`: the bucket map's NVM and flash bits are those of
+    /// the index's and the log's keys (popularity bits are not compared).
+    /// Debug builds check it before every crash.
     pub(crate) fn check_invariants(&self) -> std::result::Result<(), String> {
         let scan = SlabScan::of(&self.durable.slab);
         let damaged: HashSet<&Key> = scan.corrupt.iter().collect();
-        let mut unmatched = scan.newest.len();
-        for (key, entry) in self.volatile.index.range_from(&Key::min()) {
-            if damaged.contains(key) {
-                continue;
-            }
-            let slot = scan.newest.get(key);
-            if slot != Some(entry) {
-                return Err(format!(
-                    "index: {key:?} holds {entry:?}, the slabs {slot:?}"
-                ));
-            }
-            unmatched -= 1;
+        let indexed: HashMap<Key, IndexEntry> = (self.volatile.index.range_from(&Key::min()))
+            .filter(|(key, _)| !damaged.contains(key))
+            .map(|(key, entry)| (key.clone(), *entry))
+            .collect();
+        let mut keys = indexed.keys().chain(scan.newest.keys());
+        if let Some(key) = keys.find(|key| indexed.get(*key) != scan.newest.get(*key)) {
+            let (held, slot) = (indexed.get(key), scan.newest.get(key));
+            return Err(format!("index: {key:?} holds {held:?}, the slabs {slot:?}"));
         }
-        if unmatched > 0 || scan.superseded > 0 {
-            let superseded = scan.superseded;
-            return Err(format!(
-                "index: {unmatched} keys' slots are not indexed, {superseded} older slots not freed"
-            ));
+        let slab = self.durable.slab.scan();
+        let older = scan.stale.len() - slab.filter(|(_, slot)| damaged.contains(&slot.key)).count();
+        if older > 0 {
+            return Err(format!("index: {older} older slots are not freed"));
         }
-        let mut rebuilt = BucketMap::new(self.volatile.buckets.bucket_size());
-        for (key, _) in self.volatile.index.range_from(&Key::min()) {
-            rebuilt.on_nvm_insert(key.id());
-        }
-        for (key, _) in self.durable.log.iter() {
-            rebuilt.on_flash_insert(key.id());
-        }
-        if !self.volatile.buckets.same_residency(&rebuilt) {
+        if !self.volatile.buckets.same_residency(&self.residency()) {
             return Err("residency bits: they differ from the index's and the log's keys".into());
         }
         Ok(())
@@ -485,10 +469,7 @@ mod tests {
         // A slot of a key the index does not hold, and an older slot of
         // one it does.
         let fresh = p.seq.allocate();
-        let slots = [
-            (500, fresh, "1 keys' slots are not indexed"),
-            (7, 1, "1 older slots"),
-        ];
+        let slots = [(500, fresh, "holds None"), (7, 1, "1 older slots")];
         for (id, ts, found) in slots {
             let value = Value::filled(300, 2);
             let (addr, _) = p.durable.slab.insert(Key::from_id(id), value, ts).unwrap();

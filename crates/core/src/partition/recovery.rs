@@ -15,8 +15,9 @@ impl Partition {
     /// mutates partition state the partition recovers to exactly its last
     /// installed state. Returns the simulated recovery time.
     pub(crate) fn crash_and_recover(&mut self) -> Nanos {
-        // A debug build first checks that the index and the bucket map
-        // the crash drops equal the ones recovery rebuilds below.
+        // A debug build checks that the index and the bucket map the crash
+        // drops equal the ones recovery rebuilds below, and checks those
+        // again once recovery has resolved the damage it found.
         debug_assert_eq!(self.check_invariants(), Ok(()), "partition {}", self.id);
         // What DRAM held goes before the scan below allocates, so a lost
         // index and a rebuilt one are never held together. Its history's
@@ -42,6 +43,12 @@ impl Partition {
         // The threshold counts durable sentinels: a partition a clean scrub
         // re-armed over as many as it allows degrades again.
         self.maybe_degrade();
+        debug_assert_eq!(
+            self.check_invariants(),
+            Ok(()),
+            "partition {} rebuilt",
+            self.id
+        );
         // The commit clock is rebuilt from the largest persisted
         // sequence; it never moves backwards, so sequences are not
         // reused even when flash holds later versions than the slabs.

@@ -835,9 +835,14 @@ fn the_bucket_map_a_crash_rebuilds_is_the_one_the_partition_kept() {
     let engine = faulted_engine(keys, &plan);
     let mut p = partition(&engine);
     let mut drifted = Vec::new();
-    let mut checkpoint = |p: &mut Partition, after: &str| match p.check_invariants() {
-        Ok(()) => drop(p.crash_and_recover()),
-        Err(violation) => drifted.push(format!("{after}: {violation}")),
+    let mut checkpoint = |p: &mut Partition, after: &str| {
+        let kept = p.check_invariants().map_err(|v| format!("{after}: {v}"));
+        let rebuilt = kept.and_then(|()| {
+            p.crash_and_recover();
+            p.check_invariants()
+                .map_err(|v| format!("{after}, rebuilt: {v}"))
+        });
+        drifted.extend(rebuilt.err());
     };
     let (cpu, dev) = (p.cpu, p.flash_dev.clone());
 
