@@ -421,11 +421,12 @@ impl Partition {
     /// hold no older slot of it, keys with a damaged slot aside.
     /// `residency bits`: the bucket map's NVM and flash bits are those of
     /// the index's and the log's keys (popularity bits are not compared).
-    /// Debug builds check it before every crash.
+    /// Debug builds check it before and after every crash.
     pub(crate) fn check_invariants(&self) -> std::result::Result<(), String> {
         let scan = SlabScan::of(&self.durable.slab);
         let damaged: HashSet<&Key> = scan.corrupt.iter().collect();
-        let indexed: HashMap<Key, IndexEntry> = (self.volatile.index.range_from(&Key::min()))
+        let index = self.volatile.index.range_from(&Key::min());
+        let indexed: HashMap<Key, IndexEntry> = index
             .filter(|(key, _)| !damaged.contains(key))
             .map(|(key, entry)| (key.clone(), *entry))
             .collect();

@@ -7,8 +7,8 @@ impl Partition {
     /// Simulate a crash followed by recovery. The crash drops the whole
     /// [`Volatile`] part; recovery installs an empty one and rebuilds it
     /// from the [`super::Durable`] part: the index from a scan of the NVM
-    /// slabs, keeping only the newest timestamp per key, and the bucket map
-    /// from that scan plus the sorted log's files. The [`super::Lifetime`]
+    /// slabs, keeping only the newest timestamp per key, and the bucket
+    /// map's residency bits from that index plus the sorted log's files. The [`super::Lifetime`]
     /// part carries on. Recovery re-installs the surviving file list, so the log takes
     /// a new generation: any in-flight background compaction job is
     /// thereby aborted (its install is a no-op), and since execution never
