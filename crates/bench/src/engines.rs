@@ -37,7 +37,7 @@ pub fn prismdb_with_policy(record_count: u64, policy: CompactionPolicy) -> Prism
 /// (Figure 14b).
 pub fn prismdb_without_promotions(record_count: u64) -> PrismDb {
     let mut options = prism_options(record_count);
-    options.read_trigger = None;
+    options.read_trigger = false;
     PrismDb::open(options).expect("valid options")
 }
 

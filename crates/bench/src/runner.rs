@@ -783,7 +783,6 @@ impl Runner {
                 // of a partition, or closed-loop clients would serialise
                 // on back-pressure instead of multiplexing.
                 queue_capacity: logical_clients.max(64),
-                ..FrontendOptions::default()
             },
         )
         .expect("valid frontend options");

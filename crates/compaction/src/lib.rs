@@ -53,7 +53,7 @@ pub use jobs::{
 };
 pub use msc::{msc_score, RangeStats, RangeStatsBuilder};
 pub use planner::{CompactionConfig, CompactionPlanner, CompactionPolicy};
-pub use read_triggered::{ReadTriggerConfig, ReadTriggerPhase, ReadTriggeredController};
+pub use read_triggered::{ReadTriggerPhase, ReadTriggeredController};
 
 #[cfg(test)]
 mod proptests {

@@ -26,9 +26,6 @@ pub struct CompactionConfig {
     /// Number of candidate ranges sampled per compaction (power-of-k
     /// choices; the paper uses k = 8).
     pub k_candidates: usize,
-    /// Width of a compaction key range in consecutive SST files (the
-    /// paper's `i`, default 1).
-    pub range_width_files: usize,
     /// Keys per bucket for the approx-MSC bucket map (64 K in the paper).
     pub bucket_size_keys: u64,
     /// Random seed for candidate sampling and threshold sampling, so runs
@@ -41,7 +38,6 @@ impl Default for CompactionConfig {
         CompactionConfig {
             policy: CompactionPolicy::ApproxMsc,
             k_candidates: 8,
-            range_width_files: 1,
             bucket_size_keys: 65_536,
             seed: 0x5eed,
         }
@@ -58,11 +54,6 @@ impl CompactionConfig {
         if self.k_candidates == 0 {
             return Err(PrismError::InvalidConfig(
                 "compaction needs at least one candidate".into(),
-            ));
-        }
-        if self.range_width_files == 0 {
-            return Err(PrismError::InvalidConfig(
-                "compaction range width must be at least one file".into(),
             ));
         }
         if self.bucket_size_keys == 0 {
@@ -160,7 +151,6 @@ mod tests {
         let config = CompactionConfig::default();
         config.validate().unwrap();
         assert_eq!(config.k_candidates, 8);
-        assert_eq!(config.range_width_files, 1);
         assert_eq!(config.bucket_size_keys, 65_536);
         assert_eq!(config.policy, CompactionPolicy::ApproxMsc);
     }
@@ -170,10 +160,6 @@ mod tests {
         for bad in [
             CompactionConfig {
                 k_candidates: 0,
-                ..CompactionConfig::default()
-            },
-            CompactionConfig {
-                range_width_files: 0,
                 ..CompactionConfig::default()
             },
             CompactionConfig {

@@ -8,54 +8,22 @@
 //! the NVM read ratio keeps improving, and otherwise backs off for a
 //! cool-down period.
 
-/// Configuration of the read-triggered compaction controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReadTriggerConfig {
-    /// Length of one invocation epoch, in client operations (1 M in the
-    /// paper).
-    pub epoch_ops: u64,
-    /// Minimum improvement of the NVM read ratio per epoch to keep going
-    /// (1 % in the paper).
-    pub improvement_threshold: f64,
-    /// Cool-down length in client operations (10 M in the paper).
-    pub cooldown_ops: u64,
-    /// Number of operations observed per detection check.
-    pub detection_window_ops: u64,
-    /// Fraction of operations that must be reads for the workload to count
-    /// as read-dominated.
-    pub read_fraction_trigger: f64,
-    /// Fraction of reads served from flash above which promotions are
-    /// worthwhile.
-    pub flash_read_fraction_trigger: f64,
-}
-
-impl Default for ReadTriggerConfig {
-    fn default() -> Self {
-        ReadTriggerConfig {
-            epoch_ops: 1_000_000,
-            improvement_threshold: 0.01,
-            cooldown_ops: 10_000_000,
-            detection_window_ops: 100_000,
-            read_fraction_trigger: 0.8,
-            flash_read_fraction_trigger: 0.2,
-        }
-    }
-}
-
-impl ReadTriggerConfig {
-    /// A configuration scaled down by `factor` for small simulated
-    /// databases (benchmarks use key counts far below the paper's 100 M).
-    pub fn scaled_down(factor: u64) -> Self {
-        let d = factor.max(1);
-        let base = ReadTriggerConfig::default();
-        ReadTriggerConfig {
-            epoch_ops: (base.epoch_ops / d).max(100),
-            cooldown_ops: (base.cooldown_ops / d).max(1_000),
-            detection_window_ops: (base.detection_window_ops / d).max(50),
-            ..base
-        }
-    }
-}
+/// Length of one invocation epoch, in client operations (1 M in the
+/// paper).
+const EPOCH_OPS: u64 = 1_000_000;
+/// Minimum improvement of the NVM read ratio per epoch to keep going (1 %
+/// in the paper).
+const IMPROVEMENT_THRESHOLD: f64 = 0.01;
+/// Cool-down length in client operations (10 M in the paper).
+const COOLDOWN_OPS: u64 = 10_000_000;
+/// Number of operations observed per detection check.
+const DETECTION_WINDOW_OPS: u64 = 100_000;
+/// Fraction of operations that must be reads for the workload to count as
+/// read-dominated.
+const READ_FRACTION_TRIGGER: f64 = 0.8;
+/// Fraction of reads served from flash above which promotions are
+/// worthwhile.
+const FLASH_READ_FRACTION_TRIGGER: f64 = 0.2;
 
 /// The controller's current phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +75,9 @@ impl WindowCounters {
 /// State machine deciding when promotion compactions should run.
 #[derive(Debug)]
 pub struct ReadTriggeredController {
-    config: ReadTriggerConfig,
+    epoch_ops: u64,
+    cooldown_ops: u64,
+    detection_window_ops: u64,
     phase: ReadTriggerPhase,
     window: WindowCounters,
     previous_ratio: f64,
@@ -115,10 +85,17 @@ pub struct ReadTriggeredController {
 }
 
 impl ReadTriggeredController {
-    /// Create a controller in the detection phase.
-    pub fn new(config: ReadTriggerConfig) -> Self {
+    /// Create a controller in the detection phase for a database `scale`
+    /// times smaller than the paper's: the epoch, cool-down and detection
+    /// windows are the paper's divided by `scale`, floored at 100, 1 000
+    /// and 50 operations (benchmarks use key counts far below the paper's
+    /// 100 M).
+    pub fn new(scale: u64) -> Self {
+        let d = scale.max(1);
         ReadTriggeredController {
-            config,
+            epoch_ops: (EPOCH_OPS / d).max(100),
+            cooldown_ops: (COOLDOWN_OPS / d).max(1_000),
+            detection_window_ops: (DETECTION_WINDOW_OPS / d).max(50),
             phase: ReadTriggerPhase::Detection,
             window: WindowCounters::default(),
             previous_ratio: 0.0,
@@ -152,11 +129,10 @@ impl ReadTriggeredController {
         }
         match self.phase {
             ReadTriggerPhase::Detection => {
-                if self.window.ops >= self.config.detection_window_ops {
-                    let read_heavy =
-                        self.window.read_fraction() >= self.config.read_fraction_trigger;
-                    let flash_bound = self.window.flash_read_fraction()
-                        >= self.config.flash_read_fraction_trigger;
+                if self.window.ops >= self.detection_window_ops {
+                    let read_heavy = self.window.read_fraction() >= READ_FRACTION_TRIGGER;
+                    let flash_bound =
+                        self.window.flash_read_fraction() >= FLASH_READ_FRACTION_TRIGGER;
                     if read_heavy && flash_bound {
                         self.previous_ratio = self.window.nvm_read_ratio();
                         self.phase = ReadTriggerPhase::Invocation;
@@ -165,14 +141,14 @@ impl ReadTriggeredController {
                 }
             }
             ReadTriggerPhase::Invocation => {
-                if self.window.ops >= self.config.epoch_ops {
+                if self.window.ops >= self.epoch_ops {
                     let ratio = self.window.nvm_read_ratio();
-                    let improved = ratio - self.previous_ratio >= self.config.improvement_threshold;
+                    let improved = ratio - self.previous_ratio >= IMPROVEMENT_THRESHOLD;
                     self.previous_ratio = ratio;
                     self.window = WindowCounters::default();
                     if !improved {
                         self.phase = ReadTriggerPhase::Cooldown;
-                        self.cooldown_remaining = self.config.cooldown_ops;
+                        self.cooldown_remaining = self.cooldown_ops;
                     }
                 }
             }
@@ -191,20 +167,15 @@ impl ReadTriggeredController {
 mod tests {
     use super::*;
 
-    fn small_config() -> ReadTriggerConfig {
-        ReadTriggerConfig {
-            epoch_ops: 100,
-            improvement_threshold: 0.01,
-            cooldown_ops: 200,
-            detection_window_ops: 50,
-            read_fraction_trigger: 0.8,
-            flash_read_fraction_trigger: 0.2,
-        }
+    /// A controller at the window floors: epochs of 100 operations, a
+    /// cool-down of 1 000 and detection windows of 50.
+    fn at_floors() -> ReadTriggeredController {
+        ReadTriggeredController::new(u64::MAX)
     }
 
     #[test]
     fn write_heavy_workload_never_triggers() {
-        let mut c = ReadTriggeredController::new(small_config());
+        let mut c = at_floors();
         for i in 0..1_000 {
             // 50/50 read-write mix, reads from NVM.
             c.observe_op(i % 2 == 0, true, false);
@@ -215,7 +186,7 @@ mod tests {
 
     #[test]
     fn read_heavy_flash_bound_workload_triggers_invocation() {
-        let mut c = ReadTriggeredController::new(small_config());
+        let mut c = at_floors();
         for _ in 0..50 {
             c.observe_op(true, false, true);
         }
@@ -225,7 +196,7 @@ mod tests {
 
     #[test]
     fn invocation_continues_while_ratio_improves() {
-        let mut c = ReadTriggeredController::new(small_config());
+        let mut c = at_floors();
         // Trigger invocation.
         for _ in 0..50 {
             c.observe_op(true, false, true);
@@ -245,7 +216,7 @@ mod tests {
 
     #[test]
     fn cooldown_returns_to_detection() {
-        let mut c = ReadTriggeredController::new(small_config());
+        let mut c = at_floors();
         for _ in 0..50 {
             c.observe_op(true, false, true);
         }
@@ -254,18 +225,27 @@ mod tests {
             c.observe_op(true, false, true);
         }
         assert_eq!(c.phase(), ReadTriggerPhase::Cooldown);
-        for _ in 0..200 {
+        for _ in 0..999 {
             c.observe_op(true, false, true);
         }
+        assert_eq!(c.phase(), ReadTriggerPhase::Cooldown);
+        c.observe_op(true, false, true);
         assert_eq!(c.phase(), ReadTriggerPhase::Detection);
     }
 
     #[test]
     fn scaled_down_config_shrinks_windows() {
-        let scaled = ReadTriggerConfig::scaled_down(1000);
-        let base = ReadTriggerConfig::default();
-        assert!(scaled.epoch_ops < base.epoch_ops);
-        assert!(scaled.cooldown_ops < base.cooldown_ops);
-        assert!(scaled.epoch_ops >= 100);
+        let paper = ReadTriggeredController::new(1);
+        assert_eq!(paper.epoch_ops, EPOCH_OPS);
+        assert_eq!(paper.cooldown_ops, COOLDOWN_OPS);
+        assert_eq!(paper.detection_window_ops, DETECTION_WINDOW_OPS);
+        let scaled = ReadTriggeredController::new(1000);
+        assert_eq!(scaled.epoch_ops, 1_000);
+        assert_eq!(scaled.cooldown_ops, 10_000);
+        assert_eq!(scaled.detection_window_ops, 100);
+        let floors = at_floors();
+        assert_eq!(floors.epoch_ops, 100);
+        assert_eq!(floors.cooldown_ops, 1_000);
+        assert_eq!(floors.detection_window_ops, 50);
     }
 }

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
-use prism_obs::{trace::category, Counter, LatencyHistogram, ObsHub, TraceBuffer};
+use prism_obs::{trace::category, LatencyHistogram, ObsHub, TraceBuffer};
 use prism_storage::{group_digest, CommitLog, CommitPart, DeviceProfile, TieredStorage};
 use prism_types::{
     BatchOp, ConcurrentKvStore, EngineStats, IntegrityStatsCells, Key, Lookup, Nanos,
@@ -41,10 +41,10 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Engine-side observability: per-tier read and per-op-class latency
 /// histograms (simulated-nanosecond domain, unlike the front-end's
-/// wall-clock stage timers), compaction/scrub duration histograms, the
-/// install-discard counter and the shared trace buffer. Instruments live
-/// in the hub's registry, so an admin plane over the same hub serves
-/// them by name.
+/// wall-clock stage timers), compaction/scrub duration histograms and the
+/// shared trace buffer. The histograms live in the hub's registry, so an
+/// admin plane over the same hub serves them by name; the engine's counts
+/// reach it through the registry's engine source (`EngineStats`).
 pub(crate) struct EngineObs {
     pub(crate) hub: Arc<ObsHub>,
     get_dram: Arc<LatencyHistogram>,
@@ -58,10 +58,6 @@ pub(crate) struct EngineObs {
     pub(crate) compaction_job: Arc<LatencyHistogram>,
     /// Wall-clock duration of each scrub pass slice.
     pub(crate) scrub_pass: Arc<LatencyHistogram>,
-    /// Compaction results discarded at install (the partition's sorted log
-    /// installed since the plan); each discard means the work is
-    /// re-planned.
-    pub(crate) install_discards: Arc<Counter>,
     /// Allocates job ids tying a compaction's plan → execute → install
     /// trace events together.
     job_ids: AtomicU64,
@@ -80,7 +76,6 @@ impl EngineObs {
             txn_commit: h("engine_txn_commit_ns"),
             compaction_job: h("engine_compaction_job_ns"),
             scrub_pass: h("engine_scrub_pass_ns"),
-            install_discards: hub.registry.counter("engine_compaction_install_discards"),
             job_ids: AtomicU64::new(0),
             hub,
         }
@@ -662,18 +657,6 @@ impl PrismDb {
     /// checksum failure) across partitions.
     pub fn quarantined_object_count(&self) -> usize {
         self.each_partition(Partition::quarantined_len).sum()
-    }
-
-    /// Run one budgeted scrub slice against a partition. A report with
-    /// `completed == false` parked its cursor mid-walk; call again to
-    /// resume. A completed pass with `corrupt_found == 0` re-arms a
-    /// degraded partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn scrub_partition(&self, idx: usize, budget_bytes: u64) -> ScrubReport {
-        self.shared.scrub_pass_traced(idx, budget_bytes)
     }
 
     /// Drive one complete scrub pass over every partition (in budget

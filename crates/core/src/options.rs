@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use prism_compaction::{CompactionConfig, ReadTriggerConfig};
+use prism_compaction::CompactionConfig;
 use prism_obs::ObsHub;
 use prism_storage::FaultPlan;
 use prism_types::{PrismError, Result};
@@ -95,10 +95,11 @@ pub struct Options {
     pub sst_target_bytes: u64,
     /// Compaction policy and candidate-selection configuration.
     pub compaction: CompactionConfig,
-    /// Read-triggered compaction configuration. `None` turns promotion
-    /// off altogether: no read-triggered promotion jobs, and no promotion
+    /// Read-triggered compactions (§5.3), with the paper's thresholds and
+    /// windows scaled to `expected_keys`. `false` turns promotion off
+    /// altogether: no read-triggered promotion jobs, and no promotion
     /// hints riding on demotions.
-    pub read_trigger: Option<ReadTriggerConfig>,
+    pub read_trigger: bool,
     /// Deterministic storage fault-injection plan shared by both devices
     /// and the data layers above them; `None` (the default) runs
     /// fault-free.
@@ -153,7 +154,6 @@ impl Options {
         // Leave generous headroom on flash; NVM is 1/5 of flash capacity.
         let flash_capacity = logical_bytes * 3;
         let nvm_capacity = (flash_capacity / 5).max(64 * 1024);
-        let scale_factor = (100_000_000 / expected_keys.max(1)).max(1);
         Options {
             num_partitions: 8,
             expected_keys,
@@ -174,7 +174,7 @@ impl Options {
                 bucket_size_keys: (expected_keys / 64).clamp(256, 65_536),
                 ..CompactionConfig::default()
             },
-            read_trigger: Some(ReadTriggerConfig::scaled_down(scale_factor)),
+            read_trigger: true,
             fault_plan: None,
             corruption_quarantine_threshold: 8,
             scrub_io_budget_bytes: 4 << 20,

@@ -44,9 +44,9 @@ pub(crate) struct CompactionOutcome {
 }
 
 impl Partition {
-    /// Candidate compaction key ranges: the key ranges of consecutive SST
-    /// file windows, extended at both ends to cover NVM keys outside any
-    /// flash file.
+    /// Candidate compaction key ranges: the key range of each SST file (a
+    /// range is one file wide, the paper's `i` = 1), extended at both ends
+    /// to cover NVM keys outside any flash file.
     fn candidate_ranges(&self) -> Vec<(Key, Key)> {
         if self.durable.log().is_empty() {
             if self.volatile.index().is_empty() {
@@ -55,24 +55,19 @@ impl Partition {
             return vec![(Key::min(), Key::from_id(u64::MAX))];
         }
         let fences = self.durable.log().fences();
-        let width = self.options.compaction.range_width_files.max(1);
         let mut ranges = Vec::new();
         // Chain the ranges so together they cover the entire key space:
         // NVM keys that fall in the gap between two flash files belong to
         // the range on their left and can still be demoted.
-        let mut prev_end = Key::min();
-        let mut i = 0;
-        while i < fences.len() {
-            let window_end = (i + width).min(fences.len());
-            let start = prev_end.clone();
-            let end = if window_end >= fences.len() {
+        let mut start = Key::min();
+        for (i, fence) in fences.iter().enumerate() {
+            let end = if i + 1 == fences.len() {
                 Key::from_id(u64::MAX)
             } else {
-                fences[window_end - 1].clone()
+                fence.clone()
             };
-            prev_end = end.clone();
-            ranges.push((start, end));
-            i = window_end;
+            ranges.push((start, end.clone()));
+            start = end;
         }
         ranges
     }

@@ -36,7 +36,7 @@ pub(crate) enum Resolution {
     Quarantined,
 }
 
-/// Result of one scrub pass (see [`crate::PrismDb::scrub_partition`]):
+/// Result of one scrub pass (see [`crate::PrismDb::scrub`]):
 /// a budget-bounded integrity walk over the partition's slabs and SST
 /// files.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

@@ -177,7 +177,10 @@ impl Volatile {
             buckets: BucketMap::new(options.compaction.bucket_size_keys),
             planner: CompactionPlanner::new(compaction_config)
                 .expect("Options::validate checked the compaction config"),
-            read_trigger: options.read_trigger.map(ReadTriggeredController::new),
+            // §5.3's windows, scaled down from the paper's 100 M keys.
+            read_trigger: options.read_trigger.then(|| {
+                ReadTriggeredController::new((100_000_000 / options.expected_keys.max(1)).max(1))
+            }),
             cache: ShardedLruCache::new(
                 options.dram_cache_bytes / options.num_partitions as u64,
                 options.cache_shards,

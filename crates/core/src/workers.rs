@@ -125,9 +125,10 @@ pub(crate) struct Scheduler {
     /// the least-loaded clock at install time.
     virtual_clocks: Mutex<Vec<Nanos>>,
     /// The compaction entries the scheduler owns: queue depth, its
-    /// high-water mark, and `enqueued_jobs` (counted after dedup — the
-    /// batched write path's regression tests pin "at most one demotion
-    /// enqueue per touched partition per batch" against it).
+    /// high-water mark, `install_discards` (only a pool job can be
+    /// discarded) and `enqueued_jobs` (counted after dedup — the batched
+    /// write path's regression tests pin "at most one demotion enqueue per
+    /// touched partition per batch" against it).
     pub(crate) stats: CompactionStatsCells,
     scrub: ScrubCadence,
 }
@@ -486,7 +487,6 @@ fn run_job(
             );
         }
         None => {
-            shared.obs.install_discards.inc();
             trace.record(
                 category::COMPACTION_DISCARD,
                 part,
@@ -497,8 +497,11 @@ fn run_job(
     }
     if held.is_none() {
         let sched = shared.scheduler();
-        if let Some(outcome) = &installed {
-            sched.tally_virtual(outcome.duration);
+        match &installed {
+            Some(outcome) => sched.tally_virtual(outcome.duration),
+            None => {
+                sched.stats.install_discards.fetch_add(1, Ordering::Relaxed);
+            }
         }
         sched.bump_generation();
     }
@@ -786,6 +789,10 @@ pub(crate) fn worker_loop(shared: Arc<EngineShared>, worker_id: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prism_storage::{DeviceProfile, TieredStorage};
+    use prism_types::{Key, MetricKind, Value};
+
+    use crate::Options;
 
     fn demote(partition: usize) -> JobRequest {
         JobRequest {
@@ -899,5 +906,57 @@ mod tests {
         let clocks = sched.worker_times();
         assert_eq!(clocks[0], Nanos::from_micros(10));
         assert_eq!(clocks[1], Nanos::from_micros(5));
+    }
+
+    /// A pool job whose partition installed another job between its plan
+    /// and its install is discarded, and the discard is counted in the
+    /// compaction stats the registry exports.
+    #[test]
+    fn a_job_overtaken_before_install_is_discarded_and_counted() {
+        let mut options = Options::scaled_default(1_000);
+        options.num_partitions = 1;
+        options.compaction_workers = 1;
+        let storage = TieredStorage::new(
+            DeviceProfile::optane_nvm(options.nvm_capacity_bytes),
+            DeviceProfile::qlc_flash(options.flash_capacity_bytes),
+        );
+        let shared = Arc::new(EngineShared::new(options, storage).unwrap());
+        let weak = Arc::downgrade(&shared);
+        shared.obs.hub.registry.set_engine_source(Box::new(move || {
+            weak.upgrade().map(|shared| shared.stats_snapshot())
+        }));
+        {
+            let mut p = shared.write_partition(0);
+            for id in 0..64 {
+                let mut no_reclaim = |_: &mut Partition, _| unreachable!("the slabs have room");
+                p.put(Key::from_id(id), Value::filled(100, 1), &mut no_reclaim)
+                    .unwrap();
+            }
+        }
+
+        // Plan job A, then plan, execute and install job B on the same
+        // partition before handing A back: A's install must see B's.
+        let plan_a_then_install_b = |p: &mut Partition| {
+            let a = p.plan_demotion(DemotionPlan::Everything, Nanos::ZERO);
+            let b = p.plan_demotion(DemotionPlan::Everything, Nanos::ZERO);
+            let exec = execute_job(b.expect("B"), &shared.storage.cpu, &shared.storage.flash);
+            assert!(p.install_compaction(exec).unwrap().is_some(), "B installs");
+            a
+        };
+        let outcome = run_job(&shared, 0, &mut None, "test", plan_a_then_install_b).unwrap();
+        assert!(outcome.is_none(), "A is discarded");
+
+        assert_eq!(shared.stats_snapshot().compaction.install_discards, 1);
+        let trace = shared.obs.trace();
+        assert_eq!(trace.in_category(category::COMPACTION_DISCARD).len(), 1);
+        let snap = shared.obs.hub.registry.snapshot();
+        let series = snap.series["engine_compaction_install_discards"];
+        assert_eq!(series.value, 1);
+        assert_eq!(series.kind, MetricKind::Counter);
+        assert!(!series.help.is_empty());
+        let text = snap.to_prometheus();
+        assert!(text.contains("# TYPE engine_compaction_install_discards counter\n"));
+        assert!(text.contains("# HELP engine_compaction_install_discards Compaction jobs"));
+        assert!(text.contains("\nengine_compaction_install_discards 1\n"));
     }
 }

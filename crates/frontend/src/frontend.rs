@@ -15,6 +15,11 @@ use prism_types::{
 
 use crate::options::FrontendOptions;
 
+/// Most write entries installed as one coalesced group. A drain with more
+/// pending writes installs several groups back to back (whole requests are
+/// never split across groups).
+const MAX_COALESCE: usize = 128;
+
 /// Request class a per-stage histogram is keyed by. Writes with one op
 /// are `put`, multi-op writes are `batch`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,7 +173,6 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 struct Shared<E> {
     engine: Arc<E>,
     queue_capacity: usize,
-    max_coalesce: usize,
     queues: Vec<PartitionQueue>,
     ready: Mutex<ReadyList>,
     /// Signalled by a push onto `ready` that finds an executor idle.
@@ -322,7 +326,7 @@ impl<E: ConcurrentKvStore> Shared<E> {
     }
 
     /// Install pending writes as coalesced groups of at most
-    /// `max_coalesce` entries (whole submissions are never split). On a
+    /// [`MAX_COALESCE`] entries (whole submissions are never split). On a
     /// group error the group is retried submission by submission so only
     /// the failing requests observe the error. Returns the summed
     /// simulated latency of the installed groups (the executor's serial
@@ -338,7 +342,7 @@ impl<E: ConcurrentKvStore> Shared<E> {
             let mut take = 0;
             let mut entries = 0;
             for (ops, _) in &parts {
-                if take > 0 && entries + ops.len() > self.max_coalesce {
+                if take > 0 && entries + ops.len() > MAX_COALESCE {
                     break;
                 }
                 take += 1;
@@ -584,7 +588,6 @@ impl<E: ConcurrentKvStore + 'static> Frontend<E> {
         let shared = Arc::new(Shared {
             engine,
             queue_capacity: options.queue_capacity,
-            max_coalesce: options.max_coalesce,
             queues: (0..partitions).map(|_| PartitionQueue::default()).collect(),
             ready: Mutex::new(ReadyList::default()),
             work: Condvar::new(),

@@ -35,10 +35,6 @@ pub struct FrontendOptions {
     /// [`crate::Frontend::submit_put`] and rejects
     /// [`crate::Frontend::try_submit_put`] with back-pressure.
     pub queue_capacity: usize,
-    /// Most write entries installed as one coalesced group. A drain with
-    /// more pending writes installs several groups back to back (whole
-    /// requests are never split across groups).
-    pub max_coalesce: usize,
 }
 
 impl Default for FrontendOptions {
@@ -46,7 +42,6 @@ impl Default for FrontendOptions {
         FrontendOptions {
             executors: 0,
             queue_capacity: 64,
-            max_coalesce: 128,
         }
     }
 }
@@ -71,11 +66,6 @@ impl FrontendOptions {
         if self.queue_capacity == 0 {
             return Err(PrismError::InvalidConfig(
                 "frontend queue_capacity must be non-zero".into(),
-            ));
-        }
-        if self.max_coalesce == 0 {
-            return Err(PrismError::InvalidConfig(
-                "frontend max_coalesce must be non-zero".into(),
             ));
         }
         if self.executors > 64 {
@@ -114,11 +104,6 @@ mod tests {
     fn invalid_options_are_rejected() {
         let bad = FrontendOptions {
             queue_capacity: 0,
-            ..FrontendOptions::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = FrontendOptions {
-            max_coalesce: 0,
             ..FrontendOptions::default()
         };
         assert!(bad.validate().is_err());

@@ -383,10 +383,16 @@ mod tests {
     use super::*;
     use crate::transport::duplex_listener;
     use prism_obs::trace::category;
+    use prism_types::NetStats;
 
     fn test_hub() -> Arc<ObsHub> {
         let hub = Arc::new(ObsHub::default());
-        hub.registry.counter("test_total").add(3);
+        hub.registry.set_net_source(Box::new(|| {
+            Some(NetStats {
+                frames_sent: 3,
+                ..NetStats::default()
+            })
+        }));
         hub.registry.histogram("test_ns").record(1_000);
         hub.trace
             .record(category::COMPACTION_INSTALL, Some(0), 1, "demoted=4");
@@ -398,10 +404,10 @@ mod tests {
         let hub = test_hub();
         let metrics = route(&hub, "GET", "/metrics");
         assert_eq!(metrics.status, 200);
-        assert!(metrics.body.contains("test_total 3"));
+        assert!(metrics.body.contains("net_frames_sent 3"));
         let stats = route(&hub, "GET", "/stats.json");
         assert_eq!(stats.status, 200);
-        assert!(stats.body.contains("\"test_total\":3"));
+        assert!(stats.body.contains("\"net_frames_sent\":3"));
         let health = route(&hub, "GET", "/health");
         assert_eq!(health.status, 200, "health is 200 even without a source");
         let trace = route(&hub, "GET", "/trace?last=10");
@@ -423,7 +429,7 @@ mod tests {
             let response = client.get("/metrics").expect("scrape");
             assert_eq!(response.status, 200);
             assert!(response.content_type.starts_with("text/plain"));
-            assert!(response.body.contains("test_total 3"));
+            assert!(response.body.contains("net_frames_sent 3"));
         }
         let missing = client.get("/absent").expect("scrape");
         assert_eq!(missing.status, 404);

@@ -336,7 +336,6 @@ fn backpressure_storm_returns_retryable_rejections_that_eventually_land() {
         frontend: FrontendOptions {
             executors: 1,
             queue_capacity: 1,
-            ..FrontendOptions::default()
         },
         max_in_flight_per_conn: 256,
     };

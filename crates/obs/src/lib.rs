@@ -10,12 +10,12 @@
 //!   order statistic. The bench runner, the frontend's per-stage timers
 //!   and the engine's per-tier read timers all record into this one
 //!   type, so benches and production serve the same numbers.
-//! * [`MetricsRegistry`] / [`MetricsSnapshot`] — named counters, gauges
-//!   (with built-in high-water marks) and histograms, plus typed sources
-//!   for the engine / frontend / net stats tables of `prism_types`. One
-//!   snapshot yields the typed views *and* a name→value map walked out
-//!   of the tables (with each entry's kind and help text), rendered as
-//!   Prometheus text or JSON.
+//! * [`MetricsRegistry`] / [`MetricsSnapshot`] — named histograms plus
+//!   typed sources for the engine / frontend / net stats tables of
+//!   `prism_types`, which declare every counter and gauge. One snapshot
+//!   yields the typed views *and* a name-keyed map of [`Series`] walked
+//!   out of the tables (each entry's kind, help text and value), rendered
+//!   as Prometheus text or JSON.
 //! * [`TraceBuffer`] — a bounded ring of structured [`TraceEvent`]s
 //!   (compaction pipeline transitions, health flips, snapshot expiry,
 //!   back-pressure stalls, connection lifecycle), dumpable as JSON
@@ -53,8 +53,7 @@ pub use hist::{
     NUM_BOUNDS, NUM_BUCKETS,
 };
 pub use registry::{
-    render_catalogue, Counter, Gauge, GaugeView, HealthReport, MetricsRegistry, MetricsSnapshot,
-    ShardHealthView,
+    render_catalogue, HealthReport, MetricsRegistry, MetricsSnapshot, Series, ShardHealthView,
 };
 pub use trace::{TraceBuffer, TraceEvent};
 
@@ -66,11 +65,11 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 /// Create one `Arc<ObsHub>` per deployment and hand it to every layer
 /// (`Options::obs`, `Frontend::start_with_obs`,
 /// `NetServer::start_with_obs`, `AdminServer::start`); each layer
-/// registers its instruments and typed sources into the hub, and the
+/// registers its histograms and typed sources into the hub, and the
 /// admin plane serves the union.
 #[derive(Debug)]
 pub struct ObsHub {
-    /// Named instruments and typed stats sources.
+    /// Named histograms and typed stats sources.
     pub registry: MetricsRegistry,
     /// Bounded structured event trace.
     pub trace: TraceBuffer,

@@ -1,21 +1,20 @@
 //! Named metrics registry and its snapshot / exposition formats.
 //!
-//! A [`MetricsRegistry`] holds three kinds of live instruments —
-//! monotone [`Counter`]s, instantaneous [`Gauge`]s with built-in
-//! high-water marks, and [`LatencyHistogram`]s — plus *typed stats
-//! sources*: closures that produce [`EngineStats`], [`FrontendStats`] and
-//! [`NetStats`] from whatever layer owns them. One
+//! A [`MetricsRegistry`] holds named [`LatencyHistogram`]s plus *typed
+//! stats sources*: closures that produce [`EngineStats`],
+//! [`FrontendStats`] and [`NetStats`] from whatever layer owns them.
+//! Every counter and gauge is an entry of one of those stats tables;
+//! there is no other way to register one. One
 //! [`MetricsRegistry::snapshot`] call folds everything into a
 //! [`MetricsSnapshot`]: the typed structs survive as typed views *and*
-//! every entry of their stats tables is walked into the name→value
-//! counter map through the tables' own `visit`, which also supplies the
-//! kind (`# TYPE`) and help text (`# HELP`) of each exported series — so
-//! the Prometheus and JSON expositions, and the README catalogue rendered
-//! by [`render_catalogue`], all come from the one declaration in
+//! every entry of their stats tables is walked into the name-keyed
+//! [`Series`] map through the tables' own `visit`, which supplies each
+//! series' kind (`# TYPE`), help text (`# HELP`) and value — so the
+//! Prometheus and JSON expositions, and the README catalogue rendered by
+//! [`render_catalogue`], all come from the one declaration in
 //! `prism_types`.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use prism_types::{
@@ -24,98 +23,6 @@ use prism_types::{
 
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
 use crate::json::{fmt_f64, JsonObject};
-
-/// A monotone event counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// An instantaneous value with a built-in high-water mark: every update
-/// that raises the value also raises the peak, so post-run snapshots see
-/// peak pressure, not just the final state.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-    high_water: AtomicU64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Set the instantaneous value (raising the high-water mark if
-    /// needed).
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-        self.high_water.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Add `n` and return the new value (raising the high-water mark).
-    pub fn add(&self, n: u64) -> u64 {
-        let now = self.value.fetch_add(n, Ordering::Relaxed) + n;
-        self.high_water.fetch_max(now, Ordering::Relaxed);
-        now
-    }
-
-    /// Subtract `n`, saturating at zero.
-    pub fn sub(&self, n: u64) {
-        let mut current = self.value.load(Ordering::Relaxed);
-        loop {
-            let next = current.saturating_sub(n);
-            match self.value.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
-    /// Instantaneous value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Highest value ever observed.
-    pub fn high_water(&self) -> u64 {
-        self.high_water.load(Ordering::Relaxed)
-    }
-}
-
-/// Point-in-time view of one [`Gauge`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GaugeView {
-    /// Instantaneous value at snapshot time.
-    pub value: u64,
-    /// Highest value ever observed.
-    pub high_water: u64,
-}
 
 /// Health of one shard as reported through the admin plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,8 +95,6 @@ type HealthSource = Box<dyn Fn() -> Option<HealthReport> + Send>;
 
 #[derive(Default)]
 struct Inner {
-    counters: BTreeMap<String, Arc<Counter>>,
-    gauges: BTreeMap<String, Arc<Gauge>>,
     histograms: BTreeMap<String, Arc<LatencyHistogram>>,
     engine: Option<EngineSource>,
     frontend: Option<FrontendSource>,
@@ -197,13 +102,13 @@ struct Inner {
     health: Option<HealthSource>,
 }
 
-/// Registry of named instruments plus typed stats sources; see the
+/// Registry of named histograms plus typed stats sources; see the
 /// [module docs](self).
 ///
-/// Instruments are created on first use (`counter`/`gauge`/`histogram`
-/// are get-or-create) and shared by `Arc`, so the layer that records
-/// into an instrument holds it directly — the registry lock is only
-/// taken at registration and snapshot time, never on the record path.
+/// Histograms are created on first use ([`MetricsRegistry::histogram`]
+/// is get-or-create) and shared by `Arc`, so the layer that records into
+/// one holds it directly — the registry lock is only taken at
+/// registration and snapshot time, never on the record path.
 #[derive(Default)]
 pub struct MetricsRegistry {
     inner: Mutex<Inner>,
@@ -213,8 +118,6 @@ impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.lock();
         f.debug_struct("MetricsRegistry")
-            .field("counters", &inner.counters.len())
-            .field("gauges", &inner.gauges.len())
             .field("histograms", &inner.histograms.len())
             .finish()
     }
@@ -230,28 +133,6 @@ impl MetricsRegistry {
         self.inner
             .lock()
             .unwrap_or_else(|poison| poison.into_inner())
-    }
-
-    /// Get or create the counter named `name`.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut inner = self.lock();
-        Arc::clone(
-            inner
-                .counters
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::new())),
-        )
-    }
-
-    /// Get or create the gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut inner = self.lock();
-        Arc::clone(
-            inner
-                .gauges
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::new())),
-        )
     }
 
     /// Get or create the histogram named `name`.
@@ -287,27 +168,9 @@ impl MetricsRegistry {
         self.lock().health = Some(source);
     }
 
-    /// Fold every instrument and typed source into one snapshot.
+    /// Fold every histogram and typed source into one snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.lock();
-        let mut counters: BTreeMap<String, u64> = inner
-            .counters
-            .iter()
-            .map(|(name, c)| (name.clone(), c.get()))
-            .collect();
-        let gauges: BTreeMap<String, GaugeView> = inner
-            .gauges
-            .iter()
-            .map(|(name, g)| {
-                (
-                    name.clone(),
-                    GaugeView {
-                        value: g.get(),
-                        high_water: g.high_water(),
-                    },
-                )
-            })
-            .collect();
         let histograms: BTreeMap<String, HistogramSnapshot> = inner
             .histograms
             .iter()
@@ -318,20 +181,17 @@ impl MetricsRegistry {
         let net = inner.net.as_ref().and_then(|s| s());
         let health = inner.health.as_ref().and_then(|s| s());
         drop(inner);
-        let mut table_meta = BTreeMap::new();
+        let mut series = BTreeMap::new();
         visit_tables(
             engine.as_ref(),
             frontend.as_ref(),
             net.as_ref(),
             &mut |name, kind, help, value| {
-                counters.insert(name.to_string(), value);
-                table_meta.insert(name.to_string(), (kind, help));
+                series.insert(name.to_string(), Series { kind, help, value });
             },
         );
         MetricsSnapshot {
-            counters,
-            table_meta,
-            gauges,
+            series,
             histograms,
             engine,
             frontend,
@@ -341,23 +201,29 @@ impl MetricsRegistry {
     }
 }
 
+/// One flattened stats-table entry: what its table declares about it and
+/// the value it held at snapshot time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Series {
+    /// The entry's kind (`# TYPE` and unit).
+    pub kind: MetricKind,
+    /// The entry's doc line (`# HELP`).
+    pub help: &'static str,
+    /// The value at snapshot time.
+    pub value: u64,
+}
+
 /// Point-in-time copy of everything a [`MetricsRegistry`] knows.
 ///
 /// The stats structs survive as the typed views (`engine` carries
 /// `CompactionStats`, `TxnStats` and `IntegrityStats` inside it);
-/// `counters` additionally holds every entry of their tables under
-/// `engine_*` / `frontend_*` / `net_*` names, alongside the explicitly
-/// registered counters.
+/// `series` additionally holds every entry of their tables under
+/// `engine_*` / `frontend_*` / `net_*` names.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
-    /// Registered counters plus every stats-table entry (gauges included:
-    /// [`MetricsSnapshot::counter`] answers for every exported name).
-    pub counters: BTreeMap<String, u64>,
-    /// Kind and help text of each name in `counters` that a stats table
-    /// declares.
-    pub table_meta: BTreeMap<String, (MetricKind, &'static str)>,
-    /// Registered gauges with their high-water marks.
-    pub gauges: BTreeMap<String, GaugeView>,
+    /// Every stats-table entry by exported name, counters and gauges
+    /// alike ([`MetricsSnapshot::counter`] answers for every one).
+    pub series: BTreeMap<String, Series>,
     /// Registered histograms.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Typed engine view, when an engine source is installed.
@@ -371,9 +237,9 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Value of a (possibly flattened) counter by name.
+    /// Value of a flattened stats-table entry by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).copied()
+        self.series.get(name).map(|series| series.value)
     }
 
     /// A histogram snapshot by name.
@@ -386,29 +252,13 @@ impl MetricsSnapshot {
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         use std::fmt::Write as _;
-        for (name, value) in &self.counters {
-            let kind = match self.table_meta.get(name) {
-                Some((kind, help)) => {
-                    let _ = match kind {
-                        MetricKind::Nanos => {
-                            writeln!(out, "# HELP {name} {help} ({})", kind.unit())
-                        }
-                        MetricKind::Counter | MetricKind::Gauge => {
-                            writeln!(out, "# HELP {name} {help}")
-                        }
-                    };
-                    kind.prometheus_type()
-                }
-                None => "counter",
+        for (name, Series { kind, help, value }) in &self.series {
+            let _ = match kind {
+                MetricKind::Nanos => writeln!(out, "# HELP {name} {help} ({})", kind.unit()),
+                MetricKind::Counter | MetricKind::Gauge => writeln!(out, "# HELP {name} {help}"),
             };
-            let _ = writeln!(out, "# TYPE {name} {kind}");
+            let _ = writeln!(out, "# TYPE {name} {}", kind.prometheus_type());
             let _ = writeln!(out, "{name} {value}");
-        }
-        for (name, view) in &self.gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {}", view.value);
-            let _ = writeln!(out, "# TYPE {name}_high_water gauge");
-            let _ = writeln!(out, "{name}_high_water {}", view.high_water);
         }
         for (name, hist) in &self.histograms {
             hist.to_prometheus(name, &mut out);
@@ -421,18 +271,10 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         let mut obj = JsonObject::new();
         let mut counters = JsonObject::new();
-        for (name, value) in &self.counters {
-            counters.number(name, *value);
+        for (name, series) in &self.series {
+            counters.number(name, series.value);
         }
         obj.raw("counters", &counters.finish());
-        let mut gauges = JsonObject::new();
-        for (name, view) in &self.gauges {
-            let mut entry = JsonObject::new();
-            entry.number("value", view.value);
-            entry.number("high_water", view.high_water);
-            gauges.raw(name, &entry.finish());
-        }
-        obj.raw("gauges", &gauges.finish());
         let mut hists = JsonObject::new();
         for (name, hist) in &self.histograms {
             let mut entry = JsonObject::new();
@@ -502,26 +344,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_are_shared_by_name() {
+    fn histograms_are_shared_by_name() {
         let registry = MetricsRegistry::new();
-        let a = registry.counter("ops");
-        let b = registry.counter("ops");
-        a.inc();
-        b.add(2);
-        assert_eq!(registry.counter("ops").get(), 3);
-
-        let gauge = registry.gauge("depth");
-        gauge.add(5);
-        gauge.sub(3);
-        gauge.sub(10);
-        assert_eq!(gauge.get(), 0);
-        assert_eq!(gauge.high_water(), 5);
+        let a = registry.histogram("op_ns");
+        let b = registry.histogram("op_ns");
+        assert!(Arc::ptr_eq(&a, &b));
+        a.record(100);
+        b.record(200);
+        assert_eq!(registry.histogram("op_ns").snapshot().count(), 2);
+        assert_eq!(registry.snapshot().histogram("op_ns").unwrap().sum, 300);
+        assert!(!Arc::ptr_eq(&a, &registry.histogram("other_ns")));
     }
 
     #[test]
     fn snapshot_flattens_typed_sources_and_keeps_views() {
         let registry = MetricsRegistry::new();
-        registry.counter("custom_total").add(9);
         registry.histogram("lat_ns").record(500);
         registry.set_engine_source(Box::new(|| {
             let mut stats = EngineStats {
@@ -561,12 +398,19 @@ mod tests {
             })
         }));
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("custom_total"), Some(9));
         assert_eq!(snap.counter("engine_reads_from_nvm"), Some(4));
         assert_eq!(snap.counter("engine_compaction_jobs"), Some(2));
         assert_eq!(snap.counter("engine_scrub_passes"), Some(1));
         assert_eq!(snap.counter("frontend_submitted"), Some(11));
         assert_eq!(snap.counter("net_frames_sent"), Some(7));
+        // Every flattened series carries its table's kind and help text.
+        let jobs = snap.series["engine_compaction_jobs"];
+        assert_eq!(jobs.kind, MetricKind::Counter);
+        assert!(jobs.help.starts_with("Number of compaction"));
+        assert_eq!(
+            snap.series["engine_compaction_queue_depth"].kind,
+            MetricKind::Gauge
+        );
         // Typed views survive unchanged.
         assert_eq!(snap.engine.unwrap().reads_from_nvm, 4);
         assert_eq!(snap.frontend.unwrap().submitted, 11);

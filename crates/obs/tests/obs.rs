@@ -7,6 +7,7 @@
 //! in `prism-net`'s `tests/admin.rs`, next to the transport it drives.)
 
 use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use prism_obs::trace::{category, TraceBuffer};
@@ -14,7 +15,7 @@ use prism_obs::{
     render_catalogue, HistogramSnapshot, LatencyHistogram, MetricsRegistry, ObsHub, BOUNDS,
     LOWEST_BOUND, NUM_BOUNDS,
 };
-use prism_types::{EngineStats, FrontendStats, MetricKind, NetStats};
+use prism_types::{EngineStats, FrontendStats, FrontendStatsCells, MetricKind, NetStats};
 use proptest::prelude::*;
 
 /// Exact nearest-rank order statistic of a sorted slice — the same rank
@@ -25,23 +26,25 @@ fn oracle(sorted: &[u64], q: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Many threads hammer one shared histogram, counter, and gauge with no
-/// coordination; every sample must be accounted for exactly — bucketed
-/// recording is lossy in *value resolution*, never in *count*.
+/// Many threads hammer one shared histogram and one typed source's
+/// counter and gauge cells with no coordination; every sample must be
+/// accounted for exactly — bucketed recording is lossy in *value
+/// resolution*, never in *count*.
 #[test]
 fn concurrent_recording_storm_loses_nothing() {
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 25_000;
     let hub = Arc::new(ObsHub::new());
     let hist = hub.registry.histogram("storm_ns");
-    let ops = hub.registry.counter("storm_ops");
-    let depth = hub.registry.gauge("storm_depth");
+    let cells = Arc::new(FrontendStatsCells::default());
+    let source = Arc::clone(&cells);
+    hub.registry
+        .set_frontend_source(Box::new(move || Some(source.snapshot())));
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let hist = Arc::clone(&hist);
-            let ops = Arc::clone(&ops);
-            let depth = Arc::clone(&depth);
+            let cells = Arc::clone(&cells);
             scope.spawn(move || {
                 for i in 0..PER_THREAD {
                     // Deterministic spread across five decades, plus a
@@ -54,9 +57,10 @@ fn concurrent_recording_storm_loses_nothing() {
                         _ => 1_000_000_000,
                     };
                     hist.record(ns);
-                    ops.inc();
-                    depth.add(1);
-                    depth.sub(1);
+                    cells.submitted.fetch_add(1, Ordering::Relaxed);
+                    let depth = cells.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+                    cells.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
+                    cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
                 }
             });
         }
@@ -66,19 +70,23 @@ fn concurrent_recording_storm_loses_nothing() {
     assert_eq!(snap.count(), THREADS * PER_THREAD);
     assert_eq!(snap.min, 100);
     assert_eq!(snap.max, 1_000_000_000);
-    assert_eq!(ops.get(), THREADS * PER_THREAD);
-    assert_eq!(depth.get(), 0, "adds and subs must balance");
-    assert!(depth.high_water() >= 1);
-    // The registry snapshot sees the same instruments by name.
+    // The registry snapshot sees the histogram and the source's cells by
+    // name.
     let registry_snap = hub.registry.snapshot();
     assert_eq!(
         registry_snap.histogram("storm_ns").unwrap().count(),
         THREADS * PER_THREAD
     );
     assert_eq!(
-        registry_snap.counter("storm_ops"),
+        registry_snap.counter("frontend_submitted"),
         Some(THREADS * PER_THREAD)
     );
+    assert_eq!(
+        registry_snap.counter("frontend_queue_depth"),
+        Some(0),
+        "adds and subs must balance"
+    );
+    assert!(registry_snap.counter("frontend_max_queue_depth").unwrap() >= 1);
 }
 
 proptest! {
@@ -189,16 +197,13 @@ fn trace_ring_survives_concurrent_wraparound() {
 }
 
 /// Parse the Prometheus text exposition back into name→value pairs and
-/// check it reproduces the snapshot: every counter and gauge verbatim
-/// and typed as its stats table declares it, and each histogram's
-/// cumulative buckets monotone, summing to `_count` with `_sum` intact.
+/// check it reproduces the snapshot: every counter and gauge verbatim,
+/// typed and documented as its stats table declares it, and each
+/// histogram's cumulative buckets monotone, summing to `_count` with
+/// `_sum` intact.
 #[test]
 fn prometheus_exposition_round_trips() {
     let registry = MetricsRegistry::new();
-    registry.counter("demo_total").add(42);
-    let gauge = registry.gauge("demo_depth");
-    gauge.add(7);
-    gauge.sub(2);
     let hist = registry.histogram("demo_ns");
     for v in [80u64, 150, 150, 40_000, 2_000_000, 15_000_000_000] {
         hist.record(v);
@@ -212,6 +217,8 @@ fn prometheus_exposition_round_trips() {
     registry.set_frontend_source(Box::new(|| {
         Some(FrontendStats {
             completed: 99,
+            queue_depth: 5,
+            max_queue_depth: 7,
             ..FrontendStats::default()
         })
     }));
@@ -258,28 +265,29 @@ fn prometheus_exposition_round_trips() {
         samples.insert(name.to_string(), value.parse().expect("numeric sample"));
     }
 
-    // Counters (registered and flattened) and gauges round-trip exactly.
-    for (name, value) in &snap.counters {
-        assert_eq!(samples.get(name).copied(), Some(*value as f64), "{name}");
+    // Counters and gauges round-trip exactly.
+    for (name, series) in &snap.series {
+        assert_eq!(samples[name], series.value as f64, "{name}");
     }
-    assert_eq!(samples["demo_total"], 42.0);
     assert_eq!(samples["engine_reads_from_nvm"], 13.0);
     assert_eq!(samples["frontend_completed"], 99.0);
     assert_eq!(samples["net_frames_received"], 55.0);
-    assert_eq!(samples["demo_depth"], 5.0);
-    assert_eq!(samples["demo_depth_high_water"], 7.0);
+    assert_eq!(samples["frontend_queue_depth"], 5.0);
+    assert_eq!(samples["frontend_max_queue_depth"], 7.0);
 
-    // Every stats-table entry is typed and documented from its table;
-    // instantaneous values and high-water marks are gauges, not counters.
-    assert!(snap.table_meta.len() >= 70);
-    for (name, (kind, help)) in &snap.table_meta {
+    // Every series is typed and documented from its table; instantaneous
+    // values and high-water marks are gauges, not counters.
+    assert!(snap.series.len() >= 70);
+    for (name, series) in &snap.series {
+        let (kind, help) = (series.kind, series.help);
+        assert!(!help.is_empty(), "{name}");
         assert_eq!(types[name], kind.prometheus_type(), "{name}");
         assert!(helps[name].starts_with(help), "{name}: {}", helps[name]);
         let is_gauge = name.ends_with("_depth")
             || name.ends_with("in_flight")
             || name.ends_with("outstanding_tickets")
             || name == "engine_degraded_partitions";
-        assert_eq!(*kind == MetricKind::Gauge, is_gauge, "{name}");
+        assert_eq!(kind == MetricKind::Gauge, is_gauge, "{name}");
         assert_eq!(
             helps[name].ends_with("(simulated ns)"),
             name.ends_with("_ns")
@@ -299,9 +307,11 @@ fn prometheus_exposition_round_trips() {
         assert_eq!(types[gauge], "gauge", "{gauge}");
     }
     assert_eq!(types["engine_compaction_total_time_ns"], "counter");
-    // Registered instruments keep their own types.
-    assert_eq!(types["demo_total"], "counter");
-    assert_eq!(types["demo_depth"], "gauge");
+    assert_eq!(types["engine_compaction_install_discards"], "counter");
+    // Only stats-table entries and histograms are exported.
+    let families = bucket_series.len() + snap.series.len();
+    assert_eq!(types.len(), families);
+    assert_eq!(helps.len(), snap.series.len());
 
     // Histogram series: bounds and cumulative counts monotone, +Inf
     // bucket equals _count, _sum matches the recorded total.
@@ -335,11 +345,23 @@ fn prometheus_exposition_round_trips() {
 #[test]
 fn json_exposition_matches_snapshot() {
     let registry = MetricsRegistry::new();
-    registry.counter("j_total").add(3);
+    registry.set_net_source(Box::new(|| {
+        Some(NetStats {
+            frames_sent: 3,
+            in_flight: 2,
+            ..NetStats::default()
+        })
+    }));
     registry.histogram("j_ns").record(12_345);
     let snap = registry.snapshot();
     let json = snap.to_json();
-    assert!(json.contains("\"j_total\":3"));
+    for (name, series) in &snap.series {
+        let pair = format!("\"{name}\":{}", series.value);
+        assert!(json.contains(&pair), "{pair}");
+    }
+    assert!(json.contains("\"net_frames_sent\":3"));
+    assert!(json.contains("\"net_in_flight\":2"));
+    assert!(!json.contains("\"gauges\""));
     assert!(json.contains("\"count\":1"));
     assert!(json.contains("\"sum\":12345"));
     let hist_snap: &HistogramSnapshot = snap.histogram("j_ns").unwrap();
@@ -380,15 +402,16 @@ fn metric_catalogue_matches_the_golden_names() {
     assert_eq!(names.len(), rows.len(), "exported names must be unique");
     assert_eq!(
         names,
-        snap.table_meta.keys().cloned().collect::<Vec<_>>(),
+        snap.series.keys().cloned().collect::<Vec<_>>(),
         "the catalogue and a live snapshot walk the same tables"
     );
 
-    for (name, (kind, help)) in &snap.table_meta {
-        assert!(!help.is_empty(), "{name} has no help string");
-        assert_eq!(*kind == MetricKind::Nanos, name.ends_with("_ns"), "{name}");
+    for (name, series) in &snap.series {
+        assert!(!series.help.is_empty(), "{name} has no help string");
+        let is_ns = series.kind == MetricKind::Nanos;
+        assert_eq!(is_ns, name.ends_with("_ns"), "{name}");
         // Every leaf drew a distinct non-zero value, and kept it.
-        assert!(snap.counter(name).is_some_and(|v| v > 0), "{name}");
+        assert!(series.value > 0, "{name}");
     }
 
     let golden: Vec<&str> = include_str!("metric_names.golden").lines().collect();

@@ -292,6 +292,11 @@ stats_table! {
         /// the watermark once per partition sub-batch, so one batch accepts at
         /// most one demotion enqueue per touched partition.
         counter enqueued_jobs;
+        /// Compaction jobs discarded at install because the partition's
+        /// sorted log installed since their plan. Only a pool worker's job
+        /// can be discarded; the worker re-checks the watermark and plans
+        /// again against the new state.
+        counter install_discards;
         /// Instantaneous number of compaction jobs waiting for a background
         /// worker.
         gauge queue_depth;

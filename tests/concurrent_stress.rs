@@ -489,7 +489,6 @@ fn async_frontend_multiplexes_256_logical_clients_under_stress() {
         FrontendOptions {
             executors: 2,
             queue_capacity: 256,
-            ..FrontendOptions::default()
         },
     )
     .expect("valid frontend options");
