@@ -35,16 +35,6 @@ impl CacheStats {
         }
         self.hits as f64 / total as f64
     }
-
-    /// Fold another cache's stats into this one (shard counts add: the
-    /// engine-wide view sums every partition's sub-shards).
-    pub fn merge(&mut self, other: CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.objects += other.objects;
-        self.used_bytes += other.used_bytes;
-        self.shards += other.shards;
-    }
 }
 
 /// Hash-sharded DRAM object cache: key-hash → sub-cache, each behind its

@@ -10,9 +10,8 @@ use std::time::Instant;
 use prism_obs::{trace::category, LatencyHistogram, ObsHub, TraceBuffer};
 use prism_storage::{group_digest, CommitLog, CommitPart, DeviceProfile, TieredStorage};
 use prism_types::{
-    BatchOp, ConcurrentKvStore, EngineStats, IntegrityStatsCells, Key, Lookup, Nanos,
-    PartitionHealth, PrismError, ReadSource, Result, ScanResult, SnapshotId, TxnStatsCells, Value,
-    WriteBatch,
+    BatchOp, ConcurrentKvStore, EngineStats, EngineStatsCells, Key, Lookup, Nanos, PartitionHealth,
+    PrismError, ReadSource, Result, ScanResult, SnapshotId, Value, WriteBatch,
 };
 
 use crate::options::{Options, Partitioning};
@@ -30,6 +29,12 @@ fn restore_ops(pre_images: &[(Key, Option<Value>)]) -> Vec<BatchOp> {
             None => BatchOp::Delete(key.clone()),
         })
         .collect()
+}
+
+/// Add `n` to one cell of the engine's statistics table (the one way a
+/// count is taken: no counter orders other memory).
+pub(crate) fn count(cell: &AtomicU64, n: u64) {
+    cell.fetch_add(n, Ordering::Relaxed);
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -117,12 +122,11 @@ pub(crate) struct EngineShared {
     seq: Arc<CommitSequencer>,
     /// NVM-resident intent log making multi-partition batches atomic.
     commit_log: CommitLog,
-    /// Entries the engine counts above the partition layer: snapshot and
-    /// transaction counters, and the integrity events no partition sees
-    /// (injected I/O errors, expired snapshot pins). Engine-lifetime, like
-    /// the device counters: they survive `crash_and_recover`.
-    txn: TxnStatsCells,
-    integrity: IntegrityStatsCells,
+    /// The engine's one statistics table: every partition (handed a clone,
+    /// like `seq`), the compaction scheduler and the engine itself count
+    /// into it. Engine-lifetime, like the device counters: it survives
+    /// `crash_and_recover`.
+    pub(crate) stats: Arc<EngineStatsCells>,
     pub(crate) obs: EngineObs,
 }
 
@@ -132,6 +136,7 @@ impl EngineShared {
         options.validate()?;
         let options = Arc::new(options);
         let seq = Arc::new(CommitSequencer::new());
+        let stats = Arc::new(EngineStatsCells::default());
         let mut partitions = Vec::with_capacity(options.num_partitions);
         for id in 0..options.num_partitions {
             partitions.push(RwLock::new(Partition::new(
@@ -139,6 +144,7 @@ impl EngineShared {
                 options.clone(),
                 &storage,
                 seq.clone(),
+                stats.clone(),
             )?));
         }
         // Leave headroom above the expected key count so freshly inserted
@@ -155,8 +161,7 @@ impl EngineShared {
             sched,
             seq,
             commit_log,
-            txn: TxnStatsCells::default(),
-            integrity: IntegrityStatsCells::default(),
+            stats,
             obs: EngineObs::new(options.obs.clone().unwrap_or_default()),
             options,
         })
@@ -238,29 +243,26 @@ impl EngineShared {
         report
     }
 
-    /// Aggregate engine statistics (also served through the hub's engine
-    /// source, so `GET /stats.json` and [`ConcurrentKvStore::stats`] read
-    /// the same numbers).
+    /// Engine statistics (also served through the hub's engine source,
+    /// so `GET /stats.json` and [`ConcurrentKvStore::stats`] read the same
+    /// numbers): the table, plus what the devices and the commit log count
+    /// themselves, plus the degraded-partition gauge.
     pub(crate) fn stats_snapshot(&self) -> EngineStats {
         let mut stats = EngineStats {
             nvm_io: self.storage.nvm_io(),
             flash_io: self.storage.flash_io(),
-            ..EngineStats::default()
+            ..self.stats.snapshot()
         };
-        for i in 0..self.partitions.len() {
-            let partition = self.read_partition(i).stats();
-            stats = stats.merged(partition);
-        }
-        stats.txn = self.txn.snapshot();
-        stats.integrity = stats.integrity.merged(self.integrity.snapshot());
-        if let Some(sched) = &self.sched {
-            stats.compaction = stats.compaction.merged(sched.stats.snapshot());
-        }
         let log = self.commit_log.counters();
         stats.txn.commit_intents = log.intents;
         stats.txn.commit_seals = log.seals;
         stats.txn.commit_replayed = log.replayed;
         stats.txn.commit_rolled_back = log.rolled_back;
+        // A commit record that failed its checksum is a detected failure.
+        stats.integrity.checksum_failures += log.corrupt_dropped;
+        let degraded = (0..self.partitions.len())
+            .filter(|&i| self.read_partition(i).health() == PartitionHealth::Degraded);
+        stats.integrity.degraded_partitions = degraded.count() as u64;
         stats
     }
 }
@@ -434,17 +436,12 @@ impl PrismDb {
         self.shared.storage.cost_per_gb()
     }
 
-    /// Number of partitions.
-    pub fn partition_count(&self) -> usize {
-        self.shared.partitions.len()
-    }
-
     /// `read` of every partition in turn, each under its own read lock.
     fn each_partition<'a, T: 'a>(
         &'a self,
         read: impl Fn(&Partition) -> T + 'a,
     ) -> impl Iterator<Item = T> + 'a {
-        (0..self.partition_count()).map(move |i| read(&self.shared.read_partition(i)))
+        (0..self.shard_count()).map(move |i| read(&self.shared.read_partition(i)))
     }
 
     /// Total live objects currently resident on NVM across partitions.
@@ -479,19 +476,6 @@ impl PrismDb {
         self.shared.read_partition(idx).nvm_utilization()
     }
 
-    /// Watermark-relative write pressure of one partition: the partition's
-    /// NVM utilisation divided by the compaction high watermark, so `1.0`
-    /// means "the next write trips (or queues behind) a demotion
-    /// compaction". Submission front-ends use this as a back-pressure
-    /// hint; it is also the engine's [`ConcurrentKvStore::shard_write_pressure`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn partition_write_pressure(&self, idx: usize) -> f64 {
-        self.partition_utilization(idx) / self.shared.options.high_watermark
-    }
-
     /// Number of background compaction worker threads currently parked
     /// waiting for work (0 in inline-compaction mode). The worker pool is
     /// adaptive: a drained queue parks every worker, and light steady
@@ -506,7 +490,7 @@ impl PrismDb {
 
     /// Mean NVM utilisation across partitions.
     pub fn nvm_utilization(&self) -> f64 {
-        self.each_partition(Partition::nvm_utilization).sum::<f64>() / self.partition_count() as f64
+        self.each_partition(Partition::nvm_utilization).sum::<f64>() / self.shard_count() as f64
     }
 
     /// Simulate a crash that loses all DRAM state, then recover every
@@ -537,7 +521,7 @@ impl PrismDb {
     /// recovery always lands on the last installed (old or new) state —
     /// never a half-compacted one.
     pub fn crash_and_recover(&self) -> Nanos {
-        let all: Vec<usize> = (0..self.partition_count()).collect();
+        let all: Vec<usize> = (0..self.shard_count()).collect();
         let mut guards = self.lock_partitions(&all);
         // Recovery time is still max-over-partitions: the serial loop is
         // an artefact of the simulation, not of the modelled hardware.
@@ -638,25 +622,18 @@ impl PrismDb {
     /// same rate on the same trace — only their lock contention differs —
     /// which is what the read-path scalability sweep relies on.
     pub fn dram_cache_stats(&self) -> crate::cache::CacheStats {
-        let mut stats = crate::cache::CacheStats::default();
-        self.each_partition(Partition::cache_stats)
-            .for_each(|partition| stats.merge(partition));
+        let reads = self.shared.stats.snapshot();
+        let mut stats = crate::cache::CacheStats {
+            hits: reads.reads_from_dram,
+            misses: reads.reads_from_nvm + reads.reads_from_flash + reads.reads_not_found,
+            ..Default::default()
+        };
+        for (objects, used_bytes, shards) in self.each_partition(Partition::cache_occupancy) {
+            stats.objects += objects;
+            stats.used_bytes += used_bytes;
+            stats.shards += shards;
+        }
         stats
-    }
-
-    /// Health of one partition under corruption pressure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn partition_health(&self, idx: usize) -> PartitionHealth {
-        self.shared.read_partition(idx).health()
-    }
-
-    /// Total objects currently quarantined (tombstoned-with-error after a
-    /// checksum failure) across partitions.
-    pub fn quarantined_object_count(&self) -> usize {
-        self.each_partition(Partition::quarantined_len).sum()
     }
 
     /// Drive one complete scrub pass over every partition (in budget
@@ -670,7 +647,7 @@ impl PrismDb {
             completed: true,
             ..ScrubReport::default()
         };
-        for idx in 0..self.partition_count() {
+        for idx in 0..self.shard_count() {
             loop {
                 let report = self.shared.scrub_pass_traced(idx, budget);
                 total.examined += report.examined;
@@ -703,10 +680,7 @@ impl PrismDb {
     /// Count an injected I/O error surfaced to a caller.
     fn note_io_fault(&self, err: &PrismError) {
         if matches!(err, PrismError::Io(_)) {
-            self.shared
-                .integrity
-                .io_errors
-                .fetch_add(1, Ordering::Relaxed);
+            count(&self.shared.stats.integrity.io_errors, 1);
         }
     }
 
@@ -760,23 +734,20 @@ impl PrismDb {
             if !over_age && !over_bytes {
                 return;
             }
-            let Some((seq, count)) = self.shared.seq.expire_oldest() else {
+            let Some((seq, handles)) = self.shared.seq.expire_oldest() else {
                 return;
             };
             self.shared.obs.trace().record(
                 category::SNAPSHOT_EXPIRED,
                 None,
                 seq,
-                format!("handles={count}"),
+                format!("handles={handles}"),
             );
-            self.shared
-                .integrity
-                .snapshots_expired
-                .fetch_add(count, Ordering::Relaxed);
+            count(&self.shared.stats.integrity.snapshots_expired, handles);
             // Prune before re-checking, so the byte cap observes the
             // space the expiry actually freed.
             let survivor = self.shared.seq.oldest_pin();
-            for idx in 0..self.partition_count() {
+            for idx in 0..self.shard_count() {
                 self.shared.write_partition(idx).prune_history(survivor);
             }
         }
@@ -784,10 +755,10 @@ impl PrismDb {
 
     fn partition_for(&self, key: &Key) -> usize {
         match self.shared.options.partitioning {
-            Partitioning::Hash => (splitmix64(key.id()) % self.partition_count() as u64) as usize,
+            Partitioning::Hash => (splitmix64(key.id()) % self.shard_count() as u64) as usize,
             Partitioning::Range => {
                 let idx = (key.id() / self.shared.partition_span) as usize;
-                idx.min(self.partition_count() - 1)
+                idx.min(self.shard_count() - 1)
             }
         }
     }
@@ -834,7 +805,7 @@ impl PrismDb {
     /// a key still wins), with the ascending list of partitions that
     /// received entries.
     fn group_by_partition(&self, batch: WriteBatch) -> (Vec<Vec<BatchOp>>, Vec<usize>) {
-        let mut groups: Vec<Vec<BatchOp>> = vec![Vec::new(); self.partition_count()];
+        let mut groups: Vec<Vec<BatchOp>> = vec![Vec::new(); self.shard_count()];
         for op in batch {
             groups[self.partition_for(op.key())].push(op);
         }
@@ -926,10 +897,7 @@ impl PrismDb {
         for key in reads {
             let newest = guards[guard_of(self.partition_for(key))].1.newest_seq(key);
             if newest.is_some_and(|seq| seq > pinned) {
-                self.shared
-                    .txn
-                    .txn_conflicts
-                    .fetch_add(1, Ordering::Relaxed);
+                count(&self.shared.stats.txn.txn_conflicts, 1);
                 return Err(PrismError::TxnConflict { key: key.id() });
             }
         }
@@ -1059,8 +1027,8 @@ impl PrismDb {
     /// — never a multi-lock hold; the charge is per partition, at the end.
     fn snapshot_scan_parts(&self, pinned: u64, start: &Key, count: usize) -> ScanResult {
         let (mut unopened, batch) = match self.shared.options.partitioning {
-            Partitioning::Hash => (0..self.partition_count(), self.partition_count()),
-            Partitioning::Range => (self.partition_for(start)..self.partition_count(), 1),
+            Partitioning::Hash => (0..self.shard_count(), self.shard_count()),
+            Partitioning::Range => (self.partition_for(start)..self.shard_count(), 1),
         };
         let mut open: Vec<(usize, ScanCursor)> = Vec::new();
         let mut entries = Vec::new();
@@ -1232,7 +1200,7 @@ impl ConcurrentKvStore for PrismDb {
     }
 
     fn shard_count(&self) -> usize {
-        self.partition_count()
+        self.shared.partitions.len()
     }
 
     fn shard_of(&self, key: &Key) -> usize {
@@ -1242,11 +1210,11 @@ impl ConcurrentKvStore for PrismDb {
     fn shards_for_scan(&self, start: &Key) -> std::ops::Range<usize> {
         match self.shared.options.partitioning {
             // A hash-partitioned scan visits every partition.
-            Partitioning::Hash => 0..self.partition_count(),
+            Partitioning::Hash => 0..self.shard_count(),
             // A range-partitioned scan walks ascending partitions from the
             // start key's partition; it may stop early once `count`
             // entries are found, so this is a conservative superset.
-            Partitioning::Range => self.partition_for(start)..self.partition_count(),
+            Partitioning::Range => self.partition_for(start)..self.shard_count(),
         }
     }
 
@@ -1272,15 +1240,18 @@ impl ConcurrentKvStore for PrismDb {
             .collect()
     }
 
+    /// The partition's NVM utilisation over the compaction high
+    /// watermark: `1.0` means the next write trips (or queues behind) a
+    /// demotion compaction.
     fn shard_write_pressure(&self, shard: usize) -> f64 {
-        self.partition_write_pressure(shard)
+        self.partition_utilization(shard) / self.shared.options.high_watermark
     }
 
     /// Pin a read snapshot at the current commit sequence. Until the
     /// snapshot is released, writers preserve any version they supersede
     /// so snapshot reads stay frozen at pin time.
     fn snapshot(&self) -> Result<SnapshotId> {
-        self.shared.txn.snapshots.fetch_add(1, Ordering::Relaxed);
+        count(&self.shared.stats.txn.snapshots, 1);
         Ok(SnapshotId(self.shared.seq.pin()))
     }
 
@@ -1330,17 +1301,18 @@ impl ConcurrentKvStore for PrismDb {
             &self.shared.obs.txn_commit,
         );
         if result.is_ok() {
-            self.shared.txn.txn_commits.fetch_add(1, Ordering::Relaxed);
+            count(&self.shared.stats.txn.txn_commits, 1);
         }
         result
     }
 
     fn shard_health(&self, shard: usize) -> PartitionHealth {
-        self.partition_health(shard)
+        self.shared.read_partition(shard).health()
     }
 
     fn quarantined_objects(&self) -> u64 {
-        self.quarantined_object_count() as u64
+        self.each_partition(Partition::quarantined_len)
+            .sum::<usize>() as u64
     }
 }
 
@@ -1376,7 +1348,7 @@ mod tests {
         for id in (0..10_000u64).step_by(101) {
             assert!(db.get(&Key::from_id(id)).unwrap().value.is_some());
         }
-        assert_eq!(db.partition_count(), 4);
+        assert_eq!(db.shard_count(), 4);
         assert!(db.nvm_object_count() > 0);
     }
 
@@ -1944,6 +1916,25 @@ mod tests {
         assert_eq!(stats.txn.commit_seals, 0);
     }
 
+    /// A torn record whose checksum fails is dropped by recovery: it can
+    /// be trusted for neither replay nor rollback, and it is counted as a
+    /// detected checksum failure.
+    #[test]
+    fn a_corrupt_commit_record_is_a_checksum_failure() {
+        let db = small_db(4_000, 4);
+        let mut batch = WriteBatch::new();
+        for q in 0..4u64 {
+            batch.put(Key::from_id(q * 1_000), Value::filled(400, 9));
+        }
+        let batch_id = db.apply_batch_leaving_torn(batch, 1).unwrap();
+        assert!(db.shared.commit_log.corrupt_record(batch_id));
+        db.crash_and_recover();
+        let stats = db.stats();
+        assert_eq!(stats.integrity.checksum_failures, 1);
+        assert_eq!(stats.txn.commit_rolled_back, 0);
+        assert_eq!(db.torn_commit_records(), 0);
+    }
+
     #[test]
     fn sealed_multi_partition_batch_survives_recovery() {
         let db = small_db(4_000, 4);
@@ -2226,9 +2217,9 @@ mod tests {
         }
         // Cadence scrubbing is maintenance, not corruption response: the
         // store stays healthy and nothing was quarantined.
-        assert_eq!(db.quarantined_object_count(), 0);
-        for idx in 0..db.partition_count() {
-            assert_eq!(db.partition_health(idx), PartitionHealth::Healthy);
+        assert_eq!(db.quarantined_objects(), 0);
+        for idx in 0..db.shard_count() {
+            assert_eq!(db.shard_health(idx), PartitionHealth::Healthy);
         }
     }
 
@@ -2335,5 +2326,58 @@ mod tests {
         // read path: it must stay below the engine's total elapsed time.
         let busiest = after_reads.iter().copied().fold(Nanos::ZERO, Nanos::max);
         assert!(busiest < db.elapsed());
+    }
+
+    /// Four threads put, get and scan across every partition at once: the
+    /// one shared table loses no count, and a crash leaves every entry but
+    /// the device I/O where it was (statistics outlive a crash).
+    #[test]
+    fn concurrent_clients_count_exactly_into_the_one_table() {
+        let db = small_db(4_000, 4);
+        let per_thread: Vec<(u64, u64, u64)> = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let db = &db;
+                    scope.spawn(move || {
+                        let (mut bytes, mut gets, mut returned) = (0, 0, 0);
+                        for i in 0..500u64 {
+                            let key = Key::from_id(t * 1_000 + i);
+                            let len = 100 + (i % 7) as usize * 50 + t as usize;
+                            db.put(key, Value::filled(len, t as u8)).unwrap();
+                            bytes += len as u64;
+                            // Every other get asks for a key no one writes.
+                            db.get(&Key::from_id(t * 1_000 + i / 2 + (i % 2) * 600))
+                                .unwrap();
+                            gets += 1;
+                            if i % 25 == 0 {
+                                returned +=
+                                    db.scan(&Key::from_id(t * 1_000), 10).unwrap().entries.len();
+                            }
+                        }
+                        (bytes, gets, returned as u64)
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert!((0..db.shard_count()).all(|idx| db.partition_utilization(idx) > 0.0));
+        let stats = db.stats();
+        let sum = |pick: fn(&(u64, u64, u64)) -> u64| per_thread.iter().map(pick).sum::<u64>();
+        assert_eq!(stats.user_bytes_written, sum(|c| c.0));
+        assert_eq!(stats.reads_found() + stats.reads_not_found, sum(|c| c.1));
+        assert!(stats.reads_not_found > 0);
+        assert_eq!(stats.scan_entries_returned, sum(|c| c.2));
+
+        let rows = |stats: EngineStats| {
+            let mut rows = Vec::new();
+            stats.visit("", &mut |name, _, _, value| {
+                if !name.starts_with("nvm_") && !name.starts_with("flash_") {
+                    rows.push((name.to_string(), value));
+                }
+            });
+            rows
+        };
+        db.crash_and_recover();
+        assert_eq!(rows(db.stats()), rows(stats));
     }
 }

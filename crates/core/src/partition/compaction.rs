@@ -32,6 +32,7 @@ use prism_types::{Key, Nanos, PrismError, Result};
 
 use super::persist::{IndexEntry, SlotWrite};
 use super::Partition;
+use crate::engine::count;
 use crate::workers::DemotionPlan;
 
 /// Result of one compaction job.
@@ -420,12 +421,13 @@ impl Partition {
         if outcome.duration.is_zero() {
             return;
         }
-        self.lifetime.stats.compaction.jobs += 1;
-        self.lifetime.stats.compaction.total_time += outcome.duration;
-        self.lifetime.stats.compaction.slow_tier_time += outcome.flash_time;
-        self.lifetime.stats.compaction.fast_tier_time +=
-            outcome.duration.saturating_sub(outcome.flash_time);
-        self.lifetime.stats.compaction.demoted_objects += outcome.demoted;
-        self.lifetime.stats.compaction.promoted_objects += outcome.promoted;
+        let stats = &self.stats.compaction;
+        let fast_time = outcome.duration.saturating_sub(outcome.flash_time);
+        count(&stats.jobs, 1);
+        count(&stats.total_time, outcome.duration.as_nanos());
+        count(&stats.slow_tier_time, outcome.flash_time.as_nanos());
+        count(&stats.fast_tier_time, fast_time.as_nanos());
+        count(&stats.demoted_objects, outcome.demoted);
+        count(&stats.promoted_objects, outcome.promoted);
     }
 }

@@ -15,7 +15,6 @@
 //! every reader. A damaged version a write supersedes while snapshots are
 //! pinned stays in the history as a marker that refuses the same readers.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use prism_flash::{SstEntry, SstFile};
@@ -24,6 +23,7 @@ use prism_types::{Key, Nanos, PartitionHealth, PrismError};
 
 use super::persist::SlotWrite;
 use super::Partition;
+use crate::engine::count;
 
 /// How [`Partition::resolve_damage`] settled a damaged version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,11 +94,7 @@ impl Partition {
     /// Count one write refused with `Degraded` (called by the engine
     /// under the partition *read* lock, hence the atomic).
     pub(crate) fn note_degraded_refusal(&self) {
-        self.lifetime
-            .live
-            .integrity
-            .degraded_write_refusals
-            .fetch_add(1, Ordering::Relaxed);
+        count(&self.stats.integrity.degraded_write_refusals, 1);
     }
 
     /// Number of keys currently under a quarantine sentinel.
@@ -113,14 +109,10 @@ impl Partition {
         ))
     }
 
-    /// Record one detected checksum failure: in the live cell, so readers
-    /// under the read lock and writers under the write lock count alike.
+    /// Record one detected checksum failure (readers under the read lock
+    /// and writers under the write lock count alike).
     pub(super) fn note_checksum_failure(&self) {
-        self.lifetime
-            .live
-            .integrity
-            .checksum_failures
-            .fetch_add(1, Ordering::Relaxed);
+        count(&self.stats.integrity.checksum_failures, 1);
         if let Some(plan) = &self.fault {
             plan.note_detected();
         }
@@ -132,7 +124,7 @@ impl Partition {
     pub(crate) fn resolve_damage(&mut self, key: &Key, tier: FaultTier) -> Resolution {
         self.note_checksum_failure();
         if tier == FaultTier::Flash && self.volatile.index().contains_key(key) {
-            self.lifetime.stats.integrity.scrub_repairs += 1;
+            count(&self.stats.integrity.scrub_repairs, 1);
             return Resolution::Shadowed;
         }
         if tier == FaultTier::Nvm {
@@ -142,12 +134,12 @@ impl Partition {
             let ts = self.seq.allocate();
             if let Ok(cost) = self.write_slot(key, ts, SlotWrite::Value(value)) {
                 self.durable.quarantined.remove(key);
-                self.lifetime.stats.integrity.scrub_repairs += 1;
+                count(&self.stats.integrity.scrub_repairs, 1);
                 return Resolution::Repaired(cost);
             }
         }
         if self.durable.quarantined.insert(key.clone()) {
-            self.lifetime.stats.integrity.quarantined_objects += 1;
+            count(&self.stats.integrity.quarantined_objects, 1);
         }
         self.maybe_degrade();
         Resolution::Quarantined
@@ -176,7 +168,7 @@ impl Partition {
             && self.durable.quarantined.len() as u64 >= self.options.corruption_quarantine_threshold
         {
             self.durable.health = PartitionHealth::Degraded;
-            self.lifetime.stats.integrity.degraded_entered += 1;
+            count(&self.stats.integrity.degraded_entered, 1);
         }
     }
 
@@ -291,12 +283,13 @@ impl Partition {
             self.chain_background(self.fg(), cost, false);
         }
         if report.completed {
-            self.lifetime.stats.integrity.scrub_passes += 1;
+            let stats = &self.stats.integrity;
+            count(&stats.scrub_passes, 1);
             if report.corrupt_found == 0 {
-                self.lifetime.stats.integrity.scrub_clean_passes += 1;
+                count(&stats.scrub_clean_passes, 1);
                 if self.durable.health == PartitionHealth::Degraded {
                     self.durable.health = PartitionHealth::Healthy;
-                    self.lifetime.stats.integrity.degraded_recovered += 1;
+                    count(&stats.degraded_recovered, 1);
                 }
             }
         }

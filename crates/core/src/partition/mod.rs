@@ -19,18 +19,21 @@
 //! is what DRAM holds and is lost: recovery replaces it with an empty one
 //! from the constructor a new partition uses, then rebuilds the index and
 //! bucket map from the durable part (the paper's per-partition recovery,
-//! §6). [`Lifetime`] — statistics and virtual clocks — is outside the
-//! model and carries on. Within an install the file swap is the commit
-//! point: promoted slots and new files are written before it and demoted
-//! slots freed after it (see [`Partition::install_compaction`]).
+//! §6). [`Lifetime`] — the virtual clocks and the cache's serial-time
+//! tally — is outside the model and carries on, and so do the statistics,
+//! which the partition counts into the engine's one table. Within an
+//! install the file swap is the commit point: promoted slots and new
+//! files are written before it and demoted slots freed after it (see
+//! [`Partition::install_compaction`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard};
 
 use prism_storage::{CpuCosts, Device, FaultPlan, TieredStorage};
-use prism_types::{EngineStats, EngineStatsCells, Key, Nanos, PartitionHealth, Result, Value};
+use prism_types::{EngineStatsCells, Key, Nanos, Result, Value};
 
-use crate::cache::{CacheStats, SerialTally};
+use crate::cache::SerialTally;
+use crate::engine::count;
 use crate::options::Options;
 use crate::sequence::CommitSequencer;
 
@@ -91,6 +94,10 @@ pub(crate) struct Partition {
     /// allocates the per-version timestamps (which double as commit
     /// sequences) and tracks pinned snapshots.
     seq: Arc<CommitSequencer>,
+    /// The engine's one statistics table, shared by every partition and
+    /// the compaction scheduler: each counting site is one atomic add, so
+    /// `&self` and `&mut self` paths count alike.
+    stats: Arc<EngineStatsCells>,
     durable: Durable,
     volatile: Volatile,
     lifetime: Lifetime,
@@ -253,17 +260,10 @@ impl Volatile {
     }
 }
 
-/// Counters and clocks outside the crash model: they run for the engine's
-/// lifetime, so a crash neither rewinds nor resets them.
+/// Clocks and tallies outside the crash model: they run for the engine's
+/// lifetime, so a crash neither rewinds nor resets them. (The statistics
+/// live in the engine's table, which a crash does not touch either.)
 struct Lifetime {
-    /// This partition's share of the engine statistics: the entries
-    /// counted under the write lock.
-    stats: EngineStats,
-    /// The entries `&self` paths count without it (tier read counters —
-    /// also the DRAM cache's hits and misses —, the engine's degraded
-    /// refusals under the *read* lock, corruption seen by scans);
-    /// [`Partition::stats`] merges both.
-    live: EngineStatsCells,
     /// Serial virtual time charged per DRAM cache sub-shard.
     serial: SerialTally,
     /// Foreground virtual clock in nanoseconds (atomic so `&self` reads
@@ -279,6 +279,7 @@ impl Partition {
         options: Arc<Options>,
         storage: &TieredStorage,
         seq: Arc<CommitSequencer>,
+        stats: Arc<EngineStatsCells>,
     ) -> Result<Self> {
         let durable = Durable::new(&options, storage, id)?;
         let volatile = Volatile::new(&options, id);
@@ -289,10 +290,9 @@ impl Partition {
             flash_dev: storage.flash.clone(),
             fault: options.fault_plan.clone(),
             seq,
+            stats,
             durable,
             lifetime: Lifetime {
-                stats: EngineStats::default(),
-                live: EngineStatsCells::default(),
                 serial: SerialTally::new(volatile.cache.shard_count()),
                 fg: AtomicU64::new(0),
                 busy_until: Nanos::ZERO,
@@ -320,7 +320,7 @@ impl Partition {
     pub(crate) fn chain_background(&mut self, trigger: Nanos, duration: Nanos, overlapped: bool) {
         self.lifetime.busy_until = trigger.max(self.lifetime.busy_until) + duration;
         if overlapped {
-            self.lifetime.stats.compaction.overlap_time += duration;
+            count(&self.stats.compaction.overlap_time, duration.as_nanos());
         }
     }
 
@@ -330,27 +330,18 @@ impl Partition {
     /// into the operation's cost (or advances the clock by it).
     pub(crate) fn stall_until_idle(&mut self, now: Nanos) -> Nanos {
         let stall = self.lifetime.busy_until.saturating_sub(now);
-        self.lifetime.stats.compaction.stall_time += stall;
+        count(&self.stats.compaction.stall_time, stall.as_nanos());
         stall
     }
 
     /// Count one write that could not proceed until compaction freed NVM
     /// space (at the back-pressure ceiling, or a slab write with no room).
     pub(crate) fn note_backpressure_stall(&mut self) {
-        self.lifetime.stats.compaction.backpressure_stalls += 1;
+        count(&self.stats.compaction.backpressure_stalls, 1);
     }
 
     pub(crate) fn elapsed(&self) -> Nanos {
         self.fg().max(self.lifetime.busy_until)
-    }
-
-    /// This partition's statistics: the write-lock counters merged with
-    /// the live cells, plus the degraded gauge.
-    pub(crate) fn stats(&self) -> EngineStats {
-        let mut stats = self.lifetime.stats.merged(self.lifetime.live.snapshot());
-        stats.integrity.degraded_partitions =
-            (self.durable.health == PartitionHealth::Degraded) as u64;
-        stats
     }
 
     /// Serial virtual time accumulated by this partition's busiest DRAM
@@ -361,18 +352,11 @@ impl Partition {
         self.lifetime.serial.busiest()
     }
 
-    /// Occupancy of this partition's DRAM cache and its traffic: a get
-    /// served from DRAM is a hit, any other a miss.
-    pub(crate) fn cache_stats(&self) -> CacheStats {
-        let reads = self.lifetime.live.snapshot();
+    /// Occupancy of this partition's DRAM cache: objects, value bytes and
+    /// sub-shards (its traffic is the engine table's tier read counters).
+    pub(crate) fn cache_occupancy(&self) -> (usize, u64, usize) {
         let cache = &self.volatile.cache;
-        CacheStats {
-            hits: reads.reads_from_dram,
-            misses: reads.reads_found() + reads.reads_not_found - reads.reads_from_dram,
-            objects: cache.len(),
-            used_bytes: cache.used_bytes(),
-            shards: cache.shard_count(),
-        }
+        (cache.len(), cache.used_bytes(), cache.shard_count())
     }
 
     pub(crate) fn nvm_object_count(&self) -> usize {

@@ -27,6 +27,7 @@ use prism_storage::{FaultOp, FaultTier};
 use prism_types::{Key, Lookup, Nanos, PrismError, ReadSource, Result, Value};
 
 use super::{Kept, Partition};
+use crate::engine::count;
 
 /// A key's live version below the DRAM cache, as a reader found it.
 pub(super) enum Live {
@@ -249,13 +250,14 @@ impl Partition {
             }
         }
 
-        let live = &self.lifetime.live;
-        match source {
-            ReadSource::Dram => live.reads_from_dram.fetch_add(1, Ordering::Relaxed),
-            ReadSource::Nvm => live.reads_from_nvm.fetch_add(1, Ordering::Relaxed),
-            ReadSource::Flash => live.reads_from_flash.fetch_add(1, Ordering::Relaxed),
-            ReadSource::NotFound => live.reads_not_found.fetch_add(1, Ordering::Relaxed),
+        let stats = &self.stats;
+        let served = match source {
+            ReadSource::Dram => &stats.reads_from_dram,
+            ReadSource::Nvm => &stats.reads_from_nvm,
+            ReadSource::Flash => &stats.reads_from_flash,
+            ReadSource::NotFound => &stats.reads_not_found,
         };
+        count(served, 1);
         let volatile = &self.volatile;
         let counters = &volatile.read_counters;
         if value.is_some() {

@@ -1,10 +1,9 @@
-use std::sync::atomic::Ordering;
-
 use prism_flash::LogPosition;
 use prism_types::{Key, Nanos, ReadSource, Value};
 
 use super::read::Live;
 use super::Partition;
+use crate::engine::count;
 
 /// One partition's resumable position in a scan. The engine's merge owns
 /// one per partition it visits and lends it to [`Partition::scan_pull`]
@@ -147,14 +146,8 @@ impl Partition {
             cost += self.flash_dev.read_sequential(cursor.flash_bytes);
         }
         cost += self.cpu.merge_per_object * cursor.emitted;
-        self.lifetime
-            .live
-            .scan_entries_resolved
-            .fetch_add(cursor.resolved, Ordering::Relaxed);
-        self.lifetime
-            .live
-            .scan_entries_returned
-            .fetch_add(cursor.emitted, Ordering::Relaxed);
+        count(&self.stats.scan_entries_resolved, cursor.resolved);
+        count(&self.stats.scan_entries_returned, cursor.emitted);
         self.advance_fg(cost);
         cost
     }

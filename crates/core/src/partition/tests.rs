@@ -93,8 +93,8 @@ fn filling_nvm_triggers_demotion_to_flash() {
         "cold objects must have been demoted to flash"
     );
     assert!(p.nvm_utilization() <= 1.0);
-    assert!(p.stats().compaction.jobs > 0);
-    assert!(p.stats().compaction.demoted_objects > 0);
+    assert!(p.stats.snapshot().compaction.jobs > 0);
+    assert!(p.stats.snapshot().compaction.demoted_objects > 0);
     // Every key must still be readable (from NVM or flash).
     for id in (0..keys).step_by(97) {
         let got = p.get(&Key::from_id(id)).unwrap();
@@ -206,8 +206,8 @@ fn scan_merges_nvm_and_flash_in_order() {
     assert_eq!(nvm.reads, (cursor.nvm_reads > 0) as u64);
     assert_eq!(nvm.bytes_read, 4096 * cursor.nvm_reads.div_ceil(4));
     assert_eq!(p.fg(), before.1 + cost);
-    assert_eq!(p.stats().scan_entries_resolved, 50);
-    assert_eq!(p.stats().scan_entries_returned, 50);
+    assert_eq!(p.stats.snapshot().scan_entries_resolved, 50);
+    assert_eq!(p.stats.snapshot().scan_entries_returned, 50);
 }
 
 #[test]
@@ -418,7 +418,7 @@ fn compaction_stats_and_write_stalls_accumulate_under_pressure() {
             .unwrap();
         }
     }
-    let stats = p.stats();
+    let stats = p.stats.snapshot();
     assert!(stats.compaction.jobs > 0);
     assert!(stats.compaction.total_time > Nanos::ZERO);
     assert!(stats.user_bytes_written >= keys * 1000);
@@ -447,7 +447,7 @@ fn stall_accounting_identities_hold_under_pressure() {
             .unwrap();
         }
     }
-    let stats = p.stats().compaction;
+    let stats = p.stats.snapshot().compaction;
     assert!(stats.stall_time > Nanos::ZERO, "pressure must cause stalls");
     assert_eq!(
         stats.total_time,
@@ -604,7 +604,7 @@ fn install_carries_a_failing_record_verbatim_and_a_discarded_job_counts_nothing(
         (before.value, before.checksum),
         "the same bytes under the same checksum"
     );
-    let stats = p.stats().integrity;
+    let stats = p.stats.snapshot().integrity;
     assert_eq!((stats.checksum_failures, stats.quarantined_objects), (0, 0));
     assert_eq!(plan.snapshot().detected, 0);
 
@@ -675,7 +675,7 @@ fn a_slot_damaged_on_nvm_stays_corrupt_after_its_demotion() {
         "demoted unverified"
     );
     assert_eq!(failing_records(&p), std::slice::from_ref(&victim));
-    assert_eq!(p.stats().integrity.checksum_failures, 0);
+    assert_eq!(p.stats.snapshot().integrity.checksum_failures, 0);
     assert!(matches!(p.get(&victim), Err(PrismError::Corruption(_))));
 
     let report = p.scrub_pass(u64::MAX);
@@ -739,7 +739,7 @@ fn a_record_damaged_on_flash_fails_in_its_slot_after_promotion() {
 fn assert_discarded_at_install(p: &mut Partition, exec: ExecutedJob) {
     let state = |p: &Partition| {
         let tiers = (p.nvm_object_count(), p.flash_object_count());
-        (p.stats(), tiers, p.flash_dev.used_bytes())
+        (p.stats.snapshot(), tiers, p.flash_dev.used_bytes())
     };
     let before = state(p);
     assert!(p.install_compaction(exec).unwrap().is_none());
@@ -785,7 +785,7 @@ fn install_frees_a_replaced_file_once_no_reader_holds_it() {
     for id in 0..keys {
         put(&engine, &mut p, Key::from_id(id), Value::filled(1000, 1)).unwrap();
     }
-    assert!(p.stats().compaction.jobs > 0);
+    assert!(p.stats.snapshot().compaction.jobs > 0);
     let listed = |p: &Partition| {
         p.durable
             .log()
@@ -849,7 +849,7 @@ fn the_bucket_map_a_crash_rebuilds_is_the_one_the_partition_kept() {
     for id in 0..keys {
         put(&engine, &mut p, Key::from_id(id), Value::filled(900, 1)).unwrap();
     }
-    assert!(p.stats().compaction.jobs > 0);
+    assert!(p.stats.snapshot().compaction.jobs > 0);
     let flash_only = |p: &Partition| {
         let mut ids = (0..keys).map(Key::from_id);
         ids.find(|key| !p.volatile.index().contains_key(key))

@@ -4,6 +4,7 @@ use prism_types::{BatchOp, Key, Nanos, PrismError, Result, Value, Version};
 
 use super::persist::SlotWrite;
 use super::Partition;
+use crate::engine::count;
 
 /// Slab device writes accumulated by one batched partition group. The
 /// group's slot writes are submitted together, so instead of charging one
@@ -76,7 +77,7 @@ impl Partition {
         self.volatile.observe_access(&key, false);
         cost += self.cpu.tracker_op;
         self.volatile.cache.remove(&key);
-        self.lifetime.stats.user_bytes_written += value_len;
+        count(&self.stats.user_bytes_written, value_len);
         Ok(cost)
     }
 
@@ -131,7 +132,7 @@ impl Partition {
                 // The client still logically wrote these bytes; only the
                 // physical slab write is saved.
                 if let BatchOp::Put(_, value) = entry {
-                    self.lifetime.stats.user_bytes_written += value.len() as u64;
+                    count(&self.stats.user_bytes_written, value.len() as u64);
                 }
             } else {
                 cost += match entry {
@@ -149,9 +150,9 @@ impl Partition {
             cost += self.nvm_dev.write_sequential_cost(tally.bytes);
         }
 
-        self.lifetime.stats.batch_groups += 1;
-        self.lifetime.stats.batch_entries += entry_count;
-        self.lifetime.stats.batch_merged_writes += merged;
+        count(&self.stats.batch_groups, 1);
+        count(&self.stats.batch_entries, entry_count);
+        count(&self.stats.batch_merged_writes, merged);
         Ok(cost)
     }
 

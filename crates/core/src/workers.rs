@@ -37,9 +37,9 @@ use std::time::{Duration, Instant};
 
 use prism_compaction::{execute_job, CompactionJob, JobKind};
 use prism_obs::trace::category;
-use prism_types::{CompactionStatsCells, Nanos, Result};
+use prism_types::{EngineStatsCells, Nanos, Result};
 
-use crate::engine::EngineShared;
+use crate::engine::{count, EngineShared};
 use crate::partition::{CompactionOutcome, Partition, Reclaim};
 
 /// How many background progress generations a back-pressured write waits
@@ -124,12 +124,6 @@ pub(crate) struct Scheduler {
     /// One virtual clock per worker; compaction durations are packed onto
     /// the least-loaded clock at install time.
     virtual_clocks: Mutex<Vec<Nanos>>,
-    /// The compaction entries the scheduler owns: queue depth, its
-    /// high-water mark, `install_discards` (only a pool job can be
-    /// discarded) and `enqueued_jobs` (counted after dedup — the batched
-    /// write path's regression tests pin "at most one demotion enqueue per
-    /// touched partition per batch" against it).
-    pub(crate) stats: CompactionStatsCells,
     scrub: ScrubCadence,
 }
 
@@ -148,13 +142,17 @@ impl Scheduler {
             generation: Mutex::new(0),
             generation_cv: Condvar::new(),
             virtual_clocks: Mutex::new(vec![Nanos::ZERO; workers.max(1)]),
-            stats: CompactionStatsCells::default(),
             scrub: ScrubCadence::default(),
         }
     }
 
-    /// Enqueue a request unless an identical one is already queued.
-    pub(crate) fn enqueue(&self, req: JobRequest) {
+    /// Enqueue a request unless an identical one is already queued. The
+    /// queue's entries of the engine's table — `queue_depth`, its
+    /// high-water mark and `enqueued_jobs` (counted after dedup: the
+    /// batched write path's regression tests pin "at most one demotion
+    /// enqueue per touched partition per batch" against it) — move under
+    /// the queue's lock, here and in [`Scheduler::next_request`].
+    pub(crate) fn enqueue(&self, req: JobRequest, stats: &EngineStatsCells) {
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         if state.shutdown {
             return;
@@ -174,11 +172,10 @@ impl Scheduler {
             RequestKind::Scrub => pending.scrub_queued = true,
         }
         state.queue.push_back(req);
-        let depth = self.stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.stats
-            .max_queue_depth
-            .fetch_max(depth, Ordering::Relaxed);
-        self.stats.enqueued_jobs.fetch_add(1, Ordering::Relaxed);
+        let stats = &stats.compaction;
+        let depth = stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+        stats.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
+        count(&stats.enqueued_jobs, 1);
         // A deeper queue may have grown the effective pool, making workers
         // that were adaptively parked eligible again — wake them all and
         // let `next_request`'s eligibility check sort it out.
@@ -188,7 +185,7 @@ impl Scheduler {
     /// Block until a request for a partition nobody else is working on is
     /// available *and* the adaptive pool target admits this worker;
     /// `None` on shutdown.
-    fn next_request(&self, worker_id: usize) -> Option<JobRequest> {
+    fn next_request(&self, worker_id: usize, stats: &EngineStatsCells) -> Option<JobRequest> {
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             if state.shutdown {
@@ -209,7 +206,8 @@ impl Scheduler {
                     }
                     pending.inflight = true;
                     state.inflight += 1;
-                    self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    let depth = &stats.compaction.queue_depth;
+                    depth.fetch_sub(1, Ordering::Relaxed);
                     return Some(req);
                 }
             }
@@ -313,10 +311,6 @@ impl Scheduler {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .clone()
-    }
-
-    pub(crate) fn queue_depth(&self) -> u64 {
-        self.stats.queue_depth.load(Ordering::Relaxed)
     }
 }
 
@@ -500,7 +494,7 @@ fn run_job(
         match &installed {
             Some(outcome) => sched.tally_virtual(outcome.duration),
             None => {
-                sched.stats.install_discards.fetch_add(1, Ordering::Relaxed);
+                count(&shared.stats.compaction.install_discards, 1);
             }
         }
         sched.bump_generation();
@@ -614,7 +608,7 @@ impl EngineShared {
     /// Promotions only extend the background timeline.
     fn dispatch(&self, req: JobRequest, p: &mut Partition) -> Result<Nanos> {
         if let Some(sched) = &self.sched {
-            sched.enqueue(req);
+            sched.enqueue(req, &self.stats);
             return Ok(Nanos::ZERO);
         }
         run_request(self, req, &mut Some(&mut *p))?;
@@ -674,11 +668,12 @@ impl EngineShared {
                 }
                 return Ok(stall);
             }
-            sched.enqueue(JobRequest {
+            let req = JobRequest {
                 partition: idx,
                 kind: RequestKind::Demote,
                 trigger_fg: fg,
-            });
+            };
+            sched.enqueue(req, &self.stats);
             if waits < BACKPRESSURE_WAITS {
                 sched.wait_past(seen, WAIT_SLICE);
             }
@@ -696,11 +691,12 @@ impl EngineShared {
     pub(crate) fn request_scrub(&self, idx: usize) {
         if let Some(sched) = &self.sched {
             let trigger_fg = self.read_partition(idx).fg();
-            sched.enqueue(JobRequest {
+            let req = JobRequest {
                 partition: idx,
                 kind: RequestKind::Scrub,
                 trigger_fg,
-            });
+            };
+            sched.enqueue(req, &self.stats);
         }
     }
 
@@ -721,7 +717,8 @@ impl EngineShared {
             return;
         }
         let n = sched.scrub.ops.fetch_add(1, Ordering::Relaxed) + 1;
-        if n % interval != 0 || sched.queue_depth() != 0 {
+        let queued = self.stats.compaction.queue_depth.load(Ordering::Relaxed);
+        if n % interval != 0 || queued != 0 {
             return;
         }
         let turn = sched.scrub.next_partition.fetch_add(1, Ordering::Relaxed);
@@ -762,7 +759,7 @@ impl Drop for FinishGuard<'_> {
 /// high-id workers stay parked until queue depth demands them.
 pub(crate) fn worker_loop(shared: Arc<EngineShared>, worker_id: usize) {
     let sched = shared.scheduler();
-    while let Some(req) = sched.next_request(worker_id) {
+    while let Some(req) = sched.next_request(worker_id, &shared.stats) {
         let finish = FinishGuard {
             sched,
             partition: req.partition,
@@ -777,11 +774,12 @@ pub(crate) fn worker_loop(shared: Arc<EngineShared>, worker_id: usize) {
             (p.nvm_utilization(), p.fg())
         };
         if util >= shared.options.high_watermark {
-            sched.enqueue(JobRequest {
+            let req = JobRequest {
                 partition: req.partition,
                 kind: RequestKind::Demote,
                 trigger_fg: fg,
-            });
+            };
+            sched.enqueue(req, &shared.stats);
         }
     }
 }
@@ -806,31 +804,33 @@ mod tests {
     /// clamped to `1..=workers`.
     #[test]
     fn effective_pool_tracks_demand() {
-        let sched = Scheduler::new(8, 4);
+        let (sched, stats) = (Scheduler::new(8, 4), EngineStatsCells::default());
+        let queued = || stats.compaction.queue_depth.load(Ordering::Relaxed);
         assert_eq!(sched.effective_pool(), 1, "idle pool shrinks to one");
-        sched.enqueue(demote(0));
+        sched.enqueue(demote(0), &stats);
         assert_eq!(sched.effective_pool(), 1);
-        sched.enqueue(demote(1));
-        sched.enqueue(demote(2));
+        sched.enqueue(demote(1), &stats);
+        sched.enqueue(demote(2), &stats);
         assert_eq!(sched.effective_pool(), 3);
         for p in 3..8 {
-            sched.enqueue(demote(p));
+            sched.enqueue(demote(p), &stats);
         }
         assert_eq!(sched.effective_pool(), 4, "target is clamped to workers");
         // Dequeuing keeps the in-flight jobs in the demand signal.
-        let req = sched.next_request(0).expect("request available");
+        let req = sched.next_request(0, &stats).expect("request available");
         assert_eq!(sched.effective_pool(), 4);
         sched.finish(req.partition);
         // Draining everything shrinks the target back to one.
         for id in 0..4 {
             while let Some(req) = {
-                let drained = sched.queue_depth() == 0;
-                (!drained).then(|| sched.next_request(id)).flatten()
+                (queued() != 0)
+                    .then(|| sched.next_request(id, &stats))
+                    .flatten()
             } {
                 sched.finish(req.partition);
             }
         }
-        assert_eq!(sched.queue_depth(), 0);
+        assert_eq!(queued(), 0);
         assert_eq!(sched.effective_pool(), 1);
     }
 
@@ -840,12 +840,13 @@ mod tests {
     #[test]
     fn surplus_workers_park_until_queue_depth_demands_them() {
         let sched = Arc::new(Scheduler::new(4, 2));
-        sched.enqueue(demote(0));
+        let stats = Arc::new(EngineStatsCells::default());
+        sched.enqueue(demote(0), &stats);
         assert_eq!(sched.effective_pool(), 1);
 
         let surplus = {
-            let sched = Arc::clone(&sched);
-            std::thread::spawn(move || sched.next_request(1))
+            let (sched, stats) = (Arc::clone(&sched), Arc::clone(&stats));
+            std::thread::spawn(move || sched.next_request(1, &stats))
         };
         // The surplus worker must park, not grab the only request. The
         // spin reaching a parked count is itself the assertion: `parked`
@@ -859,13 +860,15 @@ mod tests {
             Instant::now() < deadline,
             "worker 1 must park on light load"
         );
-        let req = sched.next_request(0).expect("worker 0 takes the job");
+        let req = sched
+            .next_request(0, &stats)
+            .expect("worker 0 takes the job");
         assert_eq!(req.partition, 0);
 
         // Two more queued requests push the target past 1: worker 1 wakes
         // and dequeues.
-        sched.enqueue(demote(1));
-        sched.enqueue(demote(2));
+        sched.enqueue(demote(1), &stats);
+        sched.enqueue(demote(2), &stats);
         let woken = surplus.join().expect("surplus worker");
         assert!(woken.is_some(), "deep queue must wake the surplus worker");
         sched.finish(req.partition);
@@ -873,8 +876,8 @@ mod tests {
 
         // Shutdown releases any parked worker with `None`.
         let parked = {
-            let sched = Arc::clone(&sched);
-            std::thread::spawn(move || sched.next_request(1))
+            let (sched, stats) = (Arc::clone(&sched), Arc::clone(&stats));
+            std::thread::spawn(move || sched.next_request(1, &stats))
         };
         // (worker 1 is over the drained queue's target again, so it parks
         // until shutdown — exactly the "drained queue parks surplus
@@ -890,7 +893,7 @@ mod tests {
     /// adaptive pool target admits: serial light load lands on one clock.
     #[test]
     fn virtual_time_packs_onto_the_effective_pool() {
-        let sched = Scheduler::new(4, 4);
+        let (sched, stats) = (Scheduler::new(4, 4), EngineStatsCells::default());
         // Idle scheduler: target 1, so repeated tallies pile onto clock 0.
         sched.tally_virtual(Nanos::from_micros(5));
         sched.tally_virtual(Nanos::from_micros(5));
@@ -899,9 +902,9 @@ mod tests {
         assert!(clocks[1..].iter().all(|c| c.is_zero()));
         // Deep queue: target grows, the next tally takes the least-loaded
         // clock inside the wider pool.
-        sched.enqueue(demote(0));
-        sched.enqueue(demote(1));
-        sched.enqueue(demote(2));
+        sched.enqueue(demote(0), &stats);
+        sched.enqueue(demote(1), &stats);
+        sched.enqueue(demote(2), &stats);
         sched.tally_virtual(Nanos::from_micros(5));
         let clocks = sched.worker_times();
         assert_eq!(clocks[0], Nanos::from_micros(10));

@@ -62,7 +62,7 @@ fn every_injected_nvm_bit_flip_is_detected() {
     );
     let stats = ConcurrentKvStore::stats(&db);
     assert!(stats.integrity.checksum_failures >= FLIPS);
-    assert_eq!(db.quarantined_object_count() as u64, FLIPS);
+    assert_eq!(db.quarantined_objects(), FLIPS);
 }
 
 /// Bit flips injected while records are demoted to flash are all caught:
@@ -192,7 +192,7 @@ fn every_flash_bit_flip_of_one_demotion_is_found_by_the_scrub() {
         }
     }
     assert_eq!(corrupt, FLIPS);
-    assert_eq!(db.quarantined_object_count() as u64, FLIPS);
+    assert_eq!(db.quarantined_objects(), FLIPS);
 }
 
 /// One routine damages both tiers: the same injected fault — armed on two
@@ -263,7 +263,7 @@ fn degraded_partition_serves_reads_refuses_writes_and_rearms() {
             Err(PrismError::Corruption(_))
         ));
     }
-    assert_eq!(db.partition_health(0), PartitionHealth::Degraded);
+    assert_eq!(db.shard_health(0), PartitionHealth::Degraded);
 
     // Reads of clean keys still land; writes are refused retryably.
     assert_eq!(
@@ -283,7 +283,7 @@ fn degraded_partition_serves_reads_refuses_writes_and_rearms() {
     // clean and re-arms the partition.
     let report = db.scrub();
     assert_eq!(report.corrupt_found, 0);
-    assert_eq!(db.partition_health(0), PartitionHealth::Healthy);
+    assert_eq!(db.shard_health(0), PartitionHealth::Healthy);
     db.put(Key::from_id(4), Value::filled(100, 4))
         .expect("healthy again");
 
@@ -317,10 +317,10 @@ fn a_degraded_partition_stays_degraded_across_a_crash_until_a_clean_scrub() {
             Err(PrismError::Corruption(_))
         ));
     }
-    assert_eq!(db.partition_health(0), PartitionHealth::Degraded);
+    assert_eq!(db.shard_health(0), PartitionHealth::Degraded);
 
     db.crash_and_recover();
-    assert_eq!(db.partition_health(0), PartitionHealth::Degraded);
+    assert_eq!(db.shard_health(0), PartitionHealth::Degraded);
     assert!(matches!(
         db.put(Key::from_id(3), Value::filled(100, 3)),
         Err(PrismError::Degraded { partition: 0 })
@@ -328,7 +328,7 @@ fn a_degraded_partition_stays_degraded_across_a_crash_until_a_clean_scrub() {
     assert_eq!(ConcurrentKvStore::stats(&db).integrity.degraded_entered, 1);
 
     assert_eq!(db.scrub().corrupt_found, 0);
-    assert_eq!(db.partition_health(0), PartitionHealth::Healthy);
+    assert_eq!(db.shard_health(0), PartitionHealth::Healthy);
     db.put(Key::from_id(3), Value::filled(100, 3))
         .expect("healthy again");
     assert_eq!(
@@ -363,7 +363,7 @@ fn a_partition_degraded_by_recovery_or_a_scrub_is_traced() {
         } else {
             db.scrub();
         }
-        assert_eq!(db.partition_health(0), PartitionHealth::Degraded);
+        assert_eq!(db.shard_health(0), PartitionHealth::Degraded);
         let degraded = hub.trace.in_category(category::DEGRADED);
         assert_eq!(degraded.len(), 1, "crash={crash}: {degraded:?}");
         assert_eq!(degraded[0].partition, Some(0));
@@ -401,7 +401,7 @@ fn recovery_over_a_corrupted_slab_quarantines_not_resurrects() {
     let entries = db.scan(&Key::from_id(0), 16).unwrap().entries;
     assert_eq!(entries.len(), 1);
     assert_eq!(entries[0].0.id(), 2);
-    assert!(db.quarantined_object_count() >= 1);
+    assert!(db.quarantined_objects() >= 1);
 
     // A fresh write heals it.
     db.put(Key::from_id(1), Value::filled(200, 111)).unwrap();
@@ -409,7 +409,7 @@ fn recovery_over_a_corrupted_slab_quarantines_not_resurrects() {
         db.get(&Key::from_id(1)).unwrap().value,
         Some(Value::filled(200, 111))
     );
-    assert_eq!(db.quarantined_object_count(), 0);
+    assert_eq!(db.quarantined_objects(), 0);
 }
 
 /// A quarantine names one key. A neighbour sharing its first eight bytes
@@ -425,7 +425,7 @@ fn a_quarantine_is_neither_triggered_nor_healed_by_a_prefix_sharing_neighbour() 
     assert_eq!(a.id(), b.id());
     let a_is_quarantined = || {
         assert!(matches!(db.get(&a), Err(PrismError::Corruption(_))));
-        assert_eq!(db.quarantined_object_count(), 1);
+        assert_eq!(db.quarantined_objects(), 1);
     };
 
     arm_nvm_write_flip(&plan);
@@ -457,7 +457,7 @@ fn a_quarantine_is_neither_triggered_nor_healed_by_a_prefix_sharing_neighbour() 
     // Its own rewrite heals it.
     db.put(a.clone(), Value::filled(200, 0xA2)).unwrap();
     assert_eq!(db.get(&a).unwrap().value, Some(Value::filled(200, 0xA2)));
-    assert_eq!(db.quarantined_object_count(), 0);
+    assert_eq!(db.quarantined_objects(), 0);
 }
 
 /// Recovery quarantines a key with a corrupt slot *whole*, clean siblings
@@ -478,7 +478,7 @@ fn recovery_keeps_the_clean_slot_of_a_prefix_sharing_neighbour() {
 
     assert_eq!(db.get(&b).unwrap().value, Some(Value::filled(200, 0xBB)));
     assert!(matches!(db.get(&a), Err(PrismError::Corruption(_))));
-    assert_eq!(db.quarantined_object_count(), 1);
+    assert_eq!(db.quarantined_objects(), 1);
 }
 
 /// In background mode a corruption-triggered scrub request re-arms the
@@ -504,7 +504,7 @@ fn background_scrubber_rearms_a_degraded_partition() {
     // must flip the partition back to healthy on its own.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
-        if db.partition_health(0) == PartitionHealth::Healthy {
+        if db.shard_health(0) == PartitionHealth::Healthy {
             break;
         }
         assert!(

@@ -214,7 +214,7 @@ fn a_checksum_failing_record_is_skipped_and_counted() {
 
         let err = db.get(&Key::from_id(VICTIM)).expect_err("flip is caught");
         assert!(matches!(err, PrismError::Corruption(_)));
-        assert_eq!(db.quarantined_object_count(), 1);
+        assert_eq!(db.quarantined_objects(), 1);
         let scan = ConcurrentKvStore::scan(&db, &Key::from_id(VICTIM), 3).unwrap();
         assert_eq!(
             scan.entries,

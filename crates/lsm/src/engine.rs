@@ -6,8 +6,8 @@ use std::sync::Arc;
 use prism_flash::{encoded_size, FileId, SstBuilder, SstEntry, SstFile};
 use prism_storage::{CpuCosts, Device, TieredStorage};
 use prism_types::{
-    BatchOp, CompactionStats, EngineStats, Key, KvStore, Lookup, LruCache, Nanos, ReadSource,
-    Result, ScanResult, Value, WriteBatch,
+    BatchOp, EngineStats, Key, KvStore, Lookup, LruCache, Nanos, ReadSource, Result, ScanResult,
+    Value, WriteBatch,
 };
 
 use crate::config::{LsmConfig, Tier};
@@ -40,16 +40,9 @@ pub struct LsmTree {
     next_client: usize,
     serial_clock: Nanos,
     bg_busy_until: Nanos,
-    // Statistics.
-    reads_from_dram: u64,
-    reads_from_nvm: u64,
-    reads_from_flash: u64,
-    reads_not_found: u64,
-    reads_per_level: [u64; 8],
-    user_bytes_written: u64,
-    batch_groups: u64,
-    batch_entries: u64,
-    compaction: CompactionStats,
+    // Statistics: every entry but the device I/O, which `stats()` reads
+    // from the devices.
+    stats: EngineStats,
     ops_since_placement: u64,
 }
 
@@ -82,15 +75,7 @@ impl LsmTree {
             next_client: 0,
             serial_clock: Nanos::ZERO,
             bg_busy_until: Nanos::ZERO,
-            reads_from_dram: 0,
-            reads_from_nvm: 0,
-            reads_from_flash: 0,
-            reads_not_found: 0,
-            reads_per_level: [0; 8],
-            user_bytes_written: 0,
-            batch_groups: 0,
-            batch_entries: 0,
-            compaction: CompactionStats::default(),
+            stats: EngineStats::default(),
             ops_since_placement: 0,
             storage,
             config,
@@ -151,8 +136,8 @@ impl LsmTree {
 
     fn charge_tier_time(&mut self, tier: Tier, cost: Nanos) {
         match tier {
-            Tier::Nvm => self.compaction.fast_tier_time += cost,
-            Tier::Flash => self.compaction.slow_tier_time += cost,
+            Tier::Nvm => self.stats.compaction.fast_tier_time += cost,
+            Tier::Flash => self.stats.compaction.slow_tier_time += cost,
         }
     }
 
@@ -182,7 +167,7 @@ impl LsmTree {
             + self.config.polling_overhead;
 
         self.memtable.insert(key.clone(), value, ts);
-        self.user_bytes_written += value_bytes;
+        self.stats.user_bytes_written += value_bytes;
         self.block_cache.remove(&key);
         if let Some(l2) = &mut self.l2_cache {
             l2.remove(&key);
@@ -192,7 +177,7 @@ impl LsmTree {
             let now = arrive + latency;
             let stall = self.bg_busy_until.saturating_sub(now);
             latency += stall;
-            self.compaction.stall_time += stall;
+            self.stats.compaction.stall_time += stall;
             let mut background = self.flush()?;
             background += self.run_compactions()?;
             self.bg_busy_until = self.bg_busy_until.max(now + stall) + background;
@@ -236,15 +221,15 @@ impl LsmTree {
             + self.cpu.request_overhead
             + self.config.polling_overhead;
 
-        self.batch_groups += 1;
-        self.batch_entries += entries.len() as u64;
+        self.stats.batch_groups += 1;
+        self.stats.batch_entries += entries.len() as u64;
         for entry in entries {
             let ts = self.next_ts();
             let (key, value) = match entry {
                 BatchOp::Put(key, value) => (key, Some(value)),
                 BatchOp::Delete(key) => (key, None),
             };
-            self.user_bytes_written += value.as_ref().map(|v| v.len() as u64).unwrap_or(0);
+            self.stats.user_bytes_written += value.as_ref().map(|v| v.len() as u64).unwrap_or(0);
             self.block_cache.remove(&key);
             if let Some(l2) = &mut self.l2_cache {
                 l2.remove(&key);
@@ -256,7 +241,7 @@ impl LsmTree {
             let now = arrive + latency;
             let stall = self.bg_busy_until.saturating_sub(now);
             latency += stall;
-            self.compaction.stall_time += stall;
+            self.stats.compaction.stall_time += stall;
             let mut background = self.flush()?;
             background += self.run_compactions()?;
             self.bg_busy_until = self.bg_busy_until.max(now + stall) + background;
@@ -310,9 +295,9 @@ impl LsmTree {
         let cpu = self.cpu.merge_per_object * entries.len() as u64;
         let (files, io) = self.build_files(&entries, tier);
         self.levels[0].extend(files);
-        self.compaction.jobs += 1;
+        self.stats.compaction.jobs += 1;
         let total = cpu + io;
-        self.compaction.total_time += total;
+        self.stats.compaction.total_time += total;
         self.charge_tier_time(tier, cpu);
         Ok(total)
     }
@@ -446,9 +431,9 @@ impl LsmTree {
             self.levels[level].sort_by(|a, b| a.min_key().cmp(b.min_key()));
         }
 
-        self.compaction.jobs += 1;
-        self.compaction.total_time += duration;
-        self.compaction.demoted_objects += moved.len() as u64;
+        self.stats.compaction.jobs += 1;
+        self.stats.compaction.total_time += duration;
+        self.stats.compaction.demoted_objects += moved.len() as u64;
         Ok(duration)
     }
 
@@ -498,8 +483,8 @@ impl LsmTree {
             }
         }
         if !migration_cost.is_zero() {
-            self.compaction.jobs += 1;
-            self.compaction.total_time += migration_cost;
+            self.stats.compaction.jobs += 1;
+            self.stats.compaction.total_time += migration_cost;
             let now = self
                 .client_clocks
                 .iter()
@@ -595,7 +580,7 @@ impl KvStore for LsmTree {
             if let Some(entry) = entry {
                 if let Some(found) = entry.value {
                     source = found_source;
-                    self.reads_per_level[level.min(7)] += 1;
+                    self.stats.reads_per_level[level.min(7)] += 1;
                     self.block_cache.insert(key.clone(), found.clone());
                     if found_source == ReadSource::Flash {
                         if let Some(l2) = &mut self.l2_cache {
@@ -608,10 +593,10 @@ impl KvStore for LsmTree {
         }
 
         match source {
-            ReadSource::Dram => self.reads_from_dram += 1,
-            ReadSource::Nvm => self.reads_from_nvm += 1,
-            ReadSource::Flash => self.reads_from_flash += 1,
-            ReadSource::NotFound => self.reads_not_found += 1,
+            ReadSource::Dram => self.stats.reads_from_dram += 1,
+            ReadSource::Nvm => self.stats.reads_from_nvm += 1,
+            ReadSource::Flash => self.stats.reads_from_flash += 1,
+            ReadSource::NotFound => self.stats.reads_not_found += 1,
         }
         self.client_clocks[client] += cost;
         self.maybe_run_mutant_placement();
@@ -671,19 +656,9 @@ impl KvStore for LsmTree {
 
     fn stats(&self) -> EngineStats {
         EngineStats {
-            reads_from_dram: self.reads_from_dram,
-            reads_from_nvm: self.reads_from_nvm,
-            reads_from_flash: self.reads_from_flash,
-            reads_not_found: self.reads_not_found,
             nvm_io: self.storage.nvm_io(),
             flash_io: self.storage.flash_io(),
-            compaction: self.compaction,
-            user_bytes_written: self.user_bytes_written,
-            batch_groups: self.batch_groups,
-            batch_entries: self.batch_entries,
-            batch_merged_writes: 0,
-            reads_per_level: self.reads_per_level,
-            ..EngineStats::default()
+            ..self.stats
         }
     }
 

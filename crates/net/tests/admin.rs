@@ -22,7 +22,7 @@ use prism_net::server::{NetServer, ServerOptions};
 use prism_net::transport::{duplex_listener, tcp_connect, Listener, TcpServerListener};
 use prism_obs::trace::category;
 use prism_obs::{MetricsSnapshot, ObsHub};
-use prism_types::{Key, PrismError, Value, WriteBatch};
+use prism_types::{ConcurrentKvStore, Key, PrismError, Value, WriteBatch};
 
 /// Engine options that force background compaction quickly: a tight NVM
 /// budget under 1 KB values, one worker, and a hair-trigger quarantine
@@ -184,8 +184,7 @@ fn obs_smoke_duplex_scrapes_live_fault_injected_workload() {
     }
     let corrupt_key = corrupt_key.expect("an armed bit flip must corrupt one of the writes");
     let degraded_partition =
-        prism_types::ConcurrentKvStore::shard_of(engine.as_ref(), &Key::from_id(corrupt_key))
-            as u32;
+        ConcurrentKvStore::shard_of(engine.as_ref(), &Key::from_id(corrupt_key)) as u32;
     // The degraded flip is recorded synchronously by the quarantining
     // read, so the trace is the race-free witness; the health state
     // itself may already be re-armed — the quarantining read enqueues a
@@ -198,7 +197,7 @@ fn obs_smoke_duplex_scrapes_live_fault_injected_workload() {
             .any(|e| e.partition == Some(degraded_partition)),
         "the quarantine threshold crossing must be traced"
     );
-    if engine.partition_health(degraded_partition as usize) != PartitionHealth::Degraded {
+    if engine.shard_health(degraded_partition as usize) != PartitionHealth::Degraded {
         // The health flip precedes the trace write by a hair, so give
         // the worker a bounded moment to put the re-arm on the record.
         wait_until("the auto-scrub re-arm to be traced", || {
@@ -221,7 +220,7 @@ fn obs_smoke_duplex_scrapes_live_fault_injected_workload() {
     }
     engine.scrub();
     assert_eq!(
-        engine.partition_health(degraded_partition as usize),
+        engine.shard_health(degraded_partition as usize),
         PartitionHealth::Healthy
     );
 

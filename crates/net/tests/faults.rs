@@ -20,7 +20,7 @@ use prism_net::protocol::{encode_request, Request, Status};
 use prism_net::server::{NetServer, ServerOptions};
 use prism_net::transport::{duplex_listener, DuplexConnector};
 use prism_types::checksum::crc32;
-use prism_types::{Key, PrismError, Value, WriteBatch};
+use prism_types::{ConcurrentKvStore, Key, PrismError, Value, WriteBatch};
 
 fn test_server(keys: u64, options: ServerOptions) -> (NetServer<PrismDb>, DuplexConnector) {
     let mut engine_options = Options::scaled_default(keys);
@@ -638,7 +638,7 @@ fn corruption_and_degraded_mode_map_onto_their_wire_statuses() {
         }
         other => panic!("a corrupt read must map to Corruption, got {other:?}"),
     }
-    assert_eq!(engine.partition_health(0), PartitionHealth::Degraded);
+    assert_eq!(engine.shard_health(0), PartitionHealth::Degraded);
 
     // Writes now refuse with the retryable Degraded status...
     match client.put(Key::from_id(3), Value::filled(64, 3)) {
@@ -658,7 +658,7 @@ fn corruption_and_degraded_mode_map_onto_their_wire_statuses() {
     // A clean scrub pass re-arms the partition and writes land again —
     // including a rewrite of the quarantined key, which heals it.
     engine.scrub();
-    assert_eq!(engine.partition_health(0), PartitionHealth::Healthy);
+    assert_eq!(engine.shard_health(0), PartitionHealth::Healthy);
     client
         .put(Key::from_id(3), Value::filled(64, 3))
         .expect("put after scrub re-arm");

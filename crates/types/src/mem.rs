@@ -29,11 +29,7 @@ use crate::{
 pub struct MemStore {
     map: BTreeMap<Key, Value>,
     clock: Nanos,
-    reads_found: u64,
-    reads_not_found: u64,
-    user_bytes_written: u64,
-    batch_groups: u64,
-    batch_entries: u64,
+    stats: EngineStats,
 }
 
 impl MemStore {
@@ -75,7 +71,7 @@ impl MemStore {
 
 impl KvStore for MemStore {
     fn put(&mut self, key: Key, value: Value) -> Result<Nanos> {
-        self.user_bytes_written += value.len() as u64;
+        self.stats.user_bytes_written += value.len() as u64;
         self.map.insert(key, value);
         self.clock += Self::PUT_COST;
         Ok(Self::PUT_COST)
@@ -85,10 +81,10 @@ impl KvStore for MemStore {
         self.clock += Self::GET_COST;
         let value = self.map.get(key).cloned();
         let source = if value.is_some() {
-            self.reads_found += 1;
+            self.stats.reads_from_dram += 1;
             ReadSource::Dram
         } else {
-            self.reads_not_found += 1;
+            self.stats.reads_not_found += 1;
             ReadSource::NotFound
         };
         Ok(Lookup {
@@ -124,12 +120,12 @@ impl KvStore for MemStore {
         }
         let entries = batch.into_entries();
         let cost = Self::BATCH_BASE_COST + Self::BATCH_ENTRY_COST * entries.len() as u64;
-        self.batch_groups += 1;
-        self.batch_entries += entries.len() as u64;
+        self.stats.batch_groups += 1;
+        self.stats.batch_entries += entries.len() as u64;
         for op in entries {
             match op {
                 BatchOp::Put(key, value) => {
-                    self.user_bytes_written += value.len() as u64;
+                    self.stats.user_bytes_written += value.len() as u64;
                     self.map.insert(key, value);
                 }
                 BatchOp::Delete(key) => {
@@ -142,14 +138,7 @@ impl KvStore for MemStore {
     }
 
     fn stats(&self) -> EngineStats {
-        EngineStats {
-            reads_from_dram: self.reads_found,
-            reads_not_found: self.reads_not_found,
-            user_bytes_written: self.user_bytes_written,
-            batch_groups: self.batch_groups,
-            batch_entries: self.batch_entries,
-            ..EngineStats::default()
-        }
+        self.stats
     }
 
     fn elapsed(&self) -> Nanos {

@@ -4,10 +4,13 @@
 //! Every metric is declared exactly once, as one entry of a
 //! `stats_table!` invocation below: its kind, its field name and its doc
 //! string. From that single table the macro derives the typed struct, its
-//! `delta_since` / `merged` arithmetic, the [`visit`](EngineStats::visit)
-//! walker that names, types and documents every exported series, and a
-//! lock-free `…Cells` twin for layers that count with atomics. Adding a
-//! metric is one table line plus the site that increments it.
+//! `delta_since` arithmetic, the [`visit`](EngineStats::visit) walker that
+//! names, types and documents every exported series, and a lock-free
+//! `…Cells` twin for layers that count with atomics. Each source counts
+//! into one table: PrismDB into one shared [`EngineStatsCells`] every
+//! partition and the compaction scheduler bump, single-threaded engines
+//! into one plain [`EngineStats`] field. Adding a metric is one table line
+//! plus the site that increments it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -141,15 +144,6 @@ macro_rules! stats_table {
         }
 
         impl $name {
-            /// Element-wise sum, for aggregating disjoint sources (shards,
-            /// layers): counters add, and so do gauges — the instantaneous
-            /// total over disjoint parts is the sum of the parts.
-            pub fn merged(self, other: $name) -> $name {
-                $name {
-                    $($field: stats_table!(@merge $kind, self.$field, other.$field),)*
-                }
-            }
-
             stats_table!(@delta_since $mode);
 
             fn delta(self, earlier: $name) -> $name {
@@ -195,10 +189,6 @@ macro_rules! stats_table {
     (@load group, $cell:expr) => { $cell.snapshot() };
     (@load levels, $cell:expr) => { std::array::from_fn(|i| $cell[i].load(Ordering::Acquire)) };
     (@load $leaf:ident, $cell:expr) => { $cell.load(Ordering::Acquire) };
-
-    (@merge group, $a:expr, $b:expr) => { $a.merged($b) };
-    (@merge levels, $a:expr, $b:expr) => { std::array::from_fn(|i| $a[i] + $b[i]) };
-    (@merge $leaf:ident, $a:expr, $b:expr) => { $a + $b };
 
     (@delta gauge, $a:expr, $b:expr) => { $a };
     (@delta group, $a:expr, $b:expr) => { $a.delta($b) };
@@ -560,11 +550,10 @@ mod tests {
 
     /// The arithmetic every table derives, checked entry by entry through
     /// `visit`: counters (and simulated-time sums) subtract saturating at
-    /// zero, gauges keep the later snapshot's value, `merged` adds both.
+    /// zero, gauges keep the later snapshot's value.
     fn check_table<T: Copy>(
         fill: fn(&mut dyn FnMut() -> u64) -> T,
         delta: fn(T, T) -> T,
-        merged: fn(T, T) -> T,
         visit: fn(&T, &str, &mut MetricVisitor<'_>),
     ) {
         let rows = |stats: &T| {
@@ -588,7 +577,6 @@ mod tests {
         let (before, after) = (rows(&earlier), rows(&later));
         assert!(!before.is_empty());
         let forward = rows(&delta(later, earlier));
-        let sum = rows(&merged(earlier, later));
         // Idle levels are not exported, so the all-zero reversed window is
         // looked up by name rather than by position.
         let backward = rows(&delta(earlier, later));
@@ -605,16 +593,15 @@ mod tests {
                 reversed,
                 "reversed delta of {name}"
             );
-            assert_eq!(sum[i].2, early + late, "merge of {name}");
             assert_eq!(name.ends_with("_ns"), *kind == MetricKind::Nanos, "{name}");
         }
     }
 
     #[test]
-    fn every_table_subtracts_counters_keeps_gauges_and_merges_by_sum() {
+    fn every_table_subtracts_counters_and_keeps_gauges() {
         macro_rules! by_value {
             ($($table:ident),*) => {$(
-                check_table($table::filled_with, $table::delta_since, $table::merged, $table::visit);
+                check_table($table::filled_with, $table::delta_since, $table::visit);
             )*};
         }
         by_value!(
@@ -628,7 +615,6 @@ mod tests {
         check_table(
             EngineStats::filled_with,
             |later, earlier| later.delta_since(&earlier),
-            EngineStats::merged,
             EngineStats::visit,
         );
     }

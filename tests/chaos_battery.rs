@@ -166,7 +166,7 @@ fn degraded_rearm() -> u128 {
             Err(PrismError::Corruption(_))
         ));
     }
-    assert_eq!(db.partition_health(0), PartitionHealth::Degraded);
+    assert_eq!(db.shard_health(0), PartitionHealth::Degraded);
     assert!(matches!(
         db.put(Key::from_id(9), Value::filled(10, 9)),
         Err(PrismError::Degraded { partition: 0 })
@@ -174,7 +174,7 @@ fn degraded_rearm() -> u128 {
 
     let start = Instant::now();
     let mut rounds = 0;
-    while db.partition_health(0) != PartitionHealth::Healthy {
+    while db.shard_health(0) != PartitionHealth::Healthy {
         db.scrub();
         rounds += 1;
         assert!(rounds < 32, "scrubbing never re-armed the partition");

@@ -1159,7 +1159,7 @@ fn scrub_until_clean(db: &PrismDb, seed: u64) -> u32 {
     for pass in 1..=32u32 {
         let report = db.scrub();
         let all_healthy = (0..ConcurrentKvStore::shard_count(db))
-            .all(|p| db.partition_health(p) == PartitionHealth::Healthy);
+            .all(|p| db.shard_health(p) == PartitionHealth::Healthy);
         if report.corrupt_found == 0 && all_healthy {
             return pass;
         }
@@ -1338,7 +1338,7 @@ fn run_fault_seed(seed: u64) {
         "corruption never led to a quarantine (seed {seed})"
     );
     assert_eq!(
-        db.quarantined_object_count(),
+        db.quarantined_objects(),
         0,
         "healing must clear every quarantine sentinel (seed {seed})"
     );
