@@ -523,6 +523,12 @@ impl PrismDb {
     pub fn crash_and_recover(&self) -> Nanos {
         let all: Vec<usize> = (0..self.shard_count()).collect();
         let mut guards = self.lock_partitions(&all);
+        // With every write lock held no write moves the sequencer's history
+        // total, which is the partitions' bytes; the crash drops them all.
+        let kept = |guards: &[(usize, RwLockWriteGuard<'_, Partition>)]| {
+            guards.iter().map(|(_, p)| p.history_bytes()).sum::<u64>()
+        };
+        debug_assert_eq!(self.shared.seq.history_bytes(), kept(&guards));
         // Recovery time is still max-over-partitions: the serial loop is
         // an artefact of the simulation, not of the modelled hardware.
         let per_partition = guards
@@ -532,6 +538,7 @@ impl PrismDb {
                     .health_traced(*idx, p, Partition::crash_and_recover)
             })
             .fold(Nanos::ZERO, Nanos::max);
+        debug_assert_eq!((self.shared.seq.history_bytes(), kept(&guards)), (0, 0));
         per_partition + self.replay_commit_log(&mut guards)
     }
 
@@ -1024,9 +1031,18 @@ impl PrismDb {
     /// range, so every cursor is open from the first round; range
     /// partitioning orders the partitions by key, so the next one is
     /// opened when those before it run out. One short read lock at a time
-    /// — never a multi-lock hold; the charge is per partition, at the end.
+    /// — never a multi-lock hold.
+    ///
+    /// The charge is per partition, at the end, and the cursors opened in
+    /// one round are one wave: their device reads are in flight together,
+    /// so a wave waits for its slowest. The scan's latency is the sum of
+    /// every partition's CPU part (one thread runs the merge) plus, per
+    /// wave, the largest device part. A `Hash` scan is one wave; a `Range`
+    /// scan is a wave per partition, the sum of their whole charges.
     fn snapshot_scan_parts(&self, pinned: u64, start: &Key, count: usize) -> ScanResult {
-        let (mut unopened, batch) = match self.shared.options.partitioning {
+        // `open` grows by `wave` cursors a round, so its chunks of `wave`
+        // are the waves.
+        let (mut unopened, wave) = match self.shared.options.partitioning {
             Partitioning::Hash => (0..self.shard_count(), self.shard_count()),
             Partitioning::Range => (self.partition_for(start)..self.shard_count(), 1),
         };
@@ -1040,7 +1056,7 @@ impl PrismDb {
                 if unopened.is_empty() {
                     break;
                 }
-                let next = unopened.by_ref().take(batch);
+                let next = unopened.by_ref().take(wave);
                 open.extend(next.map(|idx| (idx, ScanCursor::new(start))));
                 continue;
             };
@@ -1055,10 +1071,16 @@ impl PrismDb {
                 .read_partition(*idx)
                 .scan_pull(cursor, bound, pinned, count, &mut entries);
         }
-        let latency = open
-            .iter()
-            .map(|(idx, cursor)| self.shared.read_partition(*idx).scan_charge(cursor))
-            .sum();
+        let mut latency = Nanos::ZERO;
+        for cursors in open.chunks(wave) {
+            let mut slowest = Nanos::ZERO;
+            for (idx, cursor) in cursors {
+                let charge = self.shared.read_partition(*idx).scan_charge(cursor);
+                latency += charge.cpu;
+                slowest = slowest.max(charge.device);
+            }
+            latency += slowest;
+        }
         ScanResult { entries, latency }
     }
 
@@ -1373,6 +1395,100 @@ mod tests {
         let ids: Vec<u64> = result.entries.iter().map(|(k, _)| k.id()).collect();
         let expected: Vec<u64> = (start..start + 60).collect();
         assert_eq!(ids, expected);
+    }
+
+    /// Every partition's foreground clock, in partition order.
+    fn partition_clocks(db: &PrismDb) -> Vec<Nanos> {
+        db.each_partition(Partition::fg).collect()
+    }
+
+    /// A `Hash` scan opens every partition in its first round, so their
+    /// device reads are one wave: the scan pays every partition's CPU part
+    /// and the slowest device part, while each partition's clock and the
+    /// devices' counters still move by the whole of what it read.
+    #[test]
+    fn a_hash_scan_waits_for_its_slowest_partition_read() {
+        let db = small_db(4_000, 4);
+        for id in 0..4_000u64 {
+            let value = Value::filled(1000, (id % 251) as u8);
+            db.put(Key::from_id(id), value).unwrap();
+        }
+        let storage = db.storage();
+        // NVM reads and bytes, then flash reads and bytes.
+        let io = || {
+            let nvm = storage.nvm.counters().as_tier_io();
+            let flash = storage.flash.counters().as_tier_io();
+            [nvm.reads, nvm.bytes_read, flash.reads, flash.bytes_read]
+        };
+        let delta = |after: [u64; 4], before: [u64; 4]| -> [u64; 4] {
+            std::array::from_fn(|i| after[i] - before[i])
+        };
+        let start = Key::from_id(0);
+        let (io_before, clocks_before) = (io(), partition_clocks(&db));
+        let scan = db.scan(&start, 100).unwrap();
+        let (io_after, clocks_after) = (io(), partition_clocks(&db));
+        assert_eq!(scan.entries.len(), 100);
+
+        // Replay each partition's share alone to learn its two parts and
+        // the reads behind them.
+        let (mut cpu, mut slowest, mut whole) = (Nanos::ZERO, Nanos::ZERO, Nanos::ZERO);
+        let (mut reads, mut from_flash) = ([0; 4], 0);
+        for idx in 0..db.shard_count() {
+            let share: Vec<(Key, Value)> = scan
+                .entries
+                .iter()
+                .filter(|(key, _)| db.partition_for(key) == idx)
+                .cloned()
+                .collect();
+            let p = db.shared.read_partition(idx);
+            let mut cursor = ScanCursor::new(&start);
+            let mut replayed = Vec::new();
+            p.scan_pull(&mut cursor, None, u64::MAX, share.len(), &mut replayed);
+            assert_eq!(replayed, share);
+            let before = io();
+            let charge = p.scan_charge(&cursor);
+            let read = delta(io(), before);
+            let parts = charge.cpu + charge.device;
+            assert_eq!(clocks_after[idx], clocks_before[idx] + parts);
+            cpu += charge.cpu;
+            slowest = slowest.max(charge.device);
+            whole += parts;
+            reads = std::array::from_fn(|i| reads[i] + read[i]);
+            from_flash += u64::from(read[2] > 0);
+        }
+        assert!(from_flash >= 2, "{from_flash} partitions read flash");
+        assert_eq!(scan.latency, cpu + slowest);
+        assert!(scan.latency < whole);
+        // The same reads as one partition after another would issue.
+        assert_eq!(delta(io_after, io_before), reads);
+    }
+
+    /// A `Range` scan opens the next partition only once those before it
+    /// ran out, so each is its own wave: a scan across a boundary pays
+    /// each partition's whole charge in turn.
+    #[test]
+    fn a_range_scan_pays_each_partition_in_turn() {
+        let mut options = small_options(4_000, 4);
+        options.partitioning = Partitioning::Range;
+        let db = PrismDb::open(options).unwrap();
+        for id in 0..4_000u64 {
+            let value = Value::filled(1000, (id % 251) as u8);
+            db.put(Key::from_id(id), value).unwrap();
+        }
+        let clocks_before = partition_clocks(&db);
+        // Partitions span 2 000 keys each.
+        let scan = db.scan(&Key::from_id(1_990), 30).unwrap();
+        let clocks_after = partition_clocks(&db);
+        let ids: Vec<u64> = scan.entries.iter().map(|(k, _)| k.id()).collect();
+        assert_eq!(ids, (1_990..2_020).collect::<Vec<u64>>());
+        let charged: Vec<Nanos> = clocks_after
+            .iter()
+            .zip(&clocks_before)
+            .map(|(after, before)| *after - *before)
+            .collect();
+        assert!(charged[0] > Nanos::ZERO && charged[1] > Nanos::ZERO);
+        assert_eq!(charged[2..], [Nanos::ZERO; 2]);
+        assert_eq!(scan.latency, charged.iter().copied().sum());
     }
 
     #[test]

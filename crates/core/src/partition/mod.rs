@@ -367,6 +367,12 @@ impl Partition {
         self.durable.log().total_entries()
     }
 
+    /// Bytes of superseded versions this partition keeps for pinned
+    /// snapshots (its share of the sequencer's total).
+    pub(crate) fn history_bytes(&self) -> u64 {
+        self.volatile.history_bytes
+    }
+
     pub(crate) fn nvm_utilization(&self) -> f64 {
         self.durable.slab().usage().utilization()
     }

@@ -424,6 +424,8 @@ impl Partition {
     /// hold no older slot of it, keys with a damaged slot aside.
     /// `residency bits`: the bucket map's NVM and flash bits are those of
     /// the index's and the log's keys (popularity bits are not compared).
+    /// `history`: no key keeps an empty list, and `history_bytes` is the
+    /// footprint of every preserved version.
     /// Debug builds check it before and after every crash.
     pub(crate) fn check_invariants(&self) -> std::result::Result<(), String> {
         let scan = SlabScan::of(&self.durable.slab);
@@ -445,6 +447,21 @@ impl Partition {
         }
         if !self.volatile.buckets.same_residency(&self.residency()) {
             return Err("residency bits: they differ from the index's and the log's keys".into());
+        }
+        let history = &self.volatile.history;
+        if let Some((key, _)) = history.iter().find(|(_, list)| list.is_empty()) {
+            return Err(format!("history: {key:?} keeps an empty list"));
+        }
+        let kept: u64 = history
+            .iter()
+            .flat_map(|(key, list)| {
+                list.iter()
+                    .map(move |(_, v)| Volatile::history_entry_bytes(key, v))
+            })
+            .sum();
+        let counted = self.volatile.history_bytes;
+        if kept != counted {
+            return Err(format!("history: {counted} bytes counted, {kept} kept"));
         }
         Ok(())
     }
@@ -497,5 +514,34 @@ mod tests {
             std::mem::swap(&mut kept, &mut p.volatile.buckets);
             assert_eq!(p.check_invariants(), Ok(()));
         }
+    }
+
+    /// The history clause: the byte count is the preserved versions'
+    /// footprint, and a key with nothing preserved has no list.
+    #[test]
+    fn check_invariants_names_a_history_that_does_not_add_up() {
+        let engine = engine(1_000);
+        let mut p = partition(&engine);
+        let pin = p.seq.pin();
+        for value in [1, 2] {
+            for id in 0..10 {
+                put(&engine, &mut p, Key::from_id(id), Value::filled(300, value)).unwrap();
+            }
+        }
+        assert!(p.history_bytes() > 10 * 300);
+        assert_eq!(p.check_invariants(), Ok(()));
+
+        p.volatile.history_bytes += 1;
+        let violation = p.check_invariants().unwrap_err();
+        assert!(violation.starts_with("history:"), "{violation}");
+        p.volatile.history_bytes -= 1;
+        assert_eq!(p.check_invariants(), Ok(()));
+
+        p.volatile.history.insert(Key::from_id(500), Vec::new());
+        let violation = p.check_invariants().unwrap_err();
+        assert!(violation.starts_with("history:"), "{violation}");
+        p.volatile.history.remove(&Key::from_id(500));
+        assert_eq!(p.check_invariants(), Ok(()));
+        p.seq.release(pin);
     }
 }

@@ -30,6 +30,15 @@ pub(crate) struct ScanCursor {
     pub(super) flash_bytes: u64,
 }
 
+/// One partition's charge for its part of a scan, split by what may
+/// overlap: `cpu` adds up across partitions, `device` may be in flight
+/// beside other partitions' reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScanCharge {
+    pub(crate) cpu: Nanos,
+    pub(crate) device: Nanos,
+}
+
 impl ScanCursor {
     pub(crate) fn new(start: &Key) -> Self {
         ScanCursor {
@@ -131,24 +140,29 @@ impl Partition {
     }
 
     /// Charge a finished scan for what `cursor` consumed here, once per
-    /// partition per scan however many pulls it took: the request and the
-    /// index seek, the NVM pages (four values to a page) and one
-    /// sequential flash read of the record bytes taken, and the merge CPU
-    /// per entry emitted.
-    pub(crate) fn scan_charge(&self, cursor: &ScanCursor) -> Nanos {
-        let mut cost = self.cpu.request_overhead + self.cpu.index_op;
+    /// partition per scan however many pulls it took, in two parts. The
+    /// CPU part is the request, the index seek and the merge CPU per entry
+    /// emitted: the one thread that runs the merge pays it. The device part
+    /// is the NVM pages (four values to a page) and one sequential flash
+    /// read of the record bytes taken: a read the engine may have in flight
+    /// beside other partitions' (see `PrismDb::snapshot_scan_parts`). The
+    /// partition's foreground clock still advances by both.
+    pub(crate) fn scan_charge(&self, cursor: &ScanCursor) -> ScanCharge {
+        let cpu = self.cpu.request_overhead
+            + self.cpu.index_op
+            + self.cpu.merge_per_object * cursor.emitted;
+        let mut device = Nanos::ZERO;
         if cursor.nvm_reads > 0 {
-            cost += self
+            device += self
                 .nvm_dev
                 .read_random(4096 * cursor.nvm_reads.div_ceil(4));
         }
         if cursor.flash_bytes > 0 {
-            cost += self.flash_dev.read_sequential(cursor.flash_bytes);
+            device += self.flash_dev.read_sequential(cursor.flash_bytes);
         }
-        cost += self.cpu.merge_per_object * cursor.emitted;
         count(&self.stats.scan_entries_resolved, cursor.resolved);
         count(&self.stats.scan_entries_returned, cursor.emitted);
-        self.advance_fg(cost);
-        cost
+        self.advance_fg(cpu + device);
+        ScanCharge { cpu, device }
     }
 }

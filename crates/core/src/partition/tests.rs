@@ -201,11 +201,16 @@ fn scan_merges_nvm_and_flash_in_order() {
     assert_eq!(cursor.flash_bytes % 1008, 0);
     assert_eq!(cursor.nvm_reads + on_flash, 50);
     let before = (p.nvm_dev.counters().as_tier_io(), p.fg());
-    let cost = p.scan_charge(&cursor);
+    let charge = p.scan_charge(&cursor);
     let nvm = p.nvm_dev.counters().as_tier_io().delta_since(before.0);
     assert_eq!(nvm.reads, (cursor.nvm_reads > 0) as u64);
     assert_eq!(nvm.bytes_read, 4096 * cursor.nvm_reads.div_ceil(4));
-    assert_eq!(p.fg(), before.1 + cost);
+    // The CPU part is the request, the seek and the merge; the device
+    // part is the rest, and the clock advances by both.
+    let cpu = p.cpu.request_overhead + p.cpu.index_op + p.cpu.merge_per_object * 50;
+    assert_eq!(charge.cpu, cpu);
+    assert!(charge.device > Nanos::ZERO);
+    assert_eq!(p.fg(), before.1 + charge.cpu + charge.device);
     assert_eq!(p.stats.snapshot().scan_entries_resolved, 50);
     assert_eq!(p.stats.snapshot().scan_entries_returned, 50);
 }
