@@ -4,6 +4,11 @@
 //! on the OS page cache for recently-read NVM and flash pages (§4.1). In
 //! the simulator we model that effect with a byte-bounded LRU of whole
 //! objects: hits cost a DRAM access instead of an NVM/flash access.
+//!
+//! It is write-update, as a page cache is: a read fills it, an update
+//! replaces the value of a key that is already cached (recency unchanged)
+//! and adds nothing for one that is not, and a delete removes the key.
+//! Reads are the only way a key enters it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -97,8 +102,14 @@ impl ShardedLruCache {
         self.lock(self.shard_of(&key)).insert(key, value);
     }
 
-    /// Remove a key (updates and deletes keep the cache consistent with
-    /// the store).
+    /// Replace a cached key's value under its sub-shard lock (see
+    /// [`LruCache::replace`]); true if the key was cached and now holds
+    /// `value`. Updates keep the cache consistent with the store this way.
+    pub fn replace(&self, key: &Key, value: Value) -> bool {
+        self.lock(self.shard_of(key)).replace(key, value)
+    }
+
+    /// Remove a key (deletes keep the cache consistent with the store).
     pub fn remove(&self, key: &Key) {
         self.lock(self.shard_of(key)).remove(key);
     }
@@ -163,6 +174,11 @@ mod tests {
         assert_eq!(cache.get(&key(1)).unwrap().len(), 100);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.used_bytes(), 100);
+        assert!(cache.replace(&key(1), Value::filled(60, 2)));
+        assert_eq!(cache.get(&key(1)).unwrap().as_bytes(), &[2; 60][..]);
+        assert_eq!((cache.len(), cache.used_bytes()), (1, 60));
+        assert!(!cache.replace(&key(2), Value::filled(60, 2)));
+        assert_eq!(cache.len(), 1);
         cache.remove(&key(1));
         assert!(cache.get(&key(1)).is_none());
         assert_eq!((cache.len(), cache.used_bytes()), (0, 0));

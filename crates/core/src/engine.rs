@@ -2415,10 +2415,10 @@ mod tests {
         assert_eq!(sharded.misses, mutexed.misses);
     }
 
-    /// The per-shard serial read-time export: writes charge nothing (the
-    /// write path only invalidates cache entries), reads accumulate
-    /// busiest-sub-shard time in every partition they touch, and the
-    /// vector always has one slot per partition.
+    /// The per-shard serial read-time export: writes of uncached keys
+    /// charge nothing (an update only replaces a value a read cached),
+    /// reads accumulate busiest-sub-shard time in every partition they
+    /// touch, and the vector always has one slot per partition.
     #[test]
     fn shard_read_serial_times_track_read_traffic() {
         let db = small_db(2_000, 2);

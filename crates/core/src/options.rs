@@ -57,7 +57,9 @@ pub struct Options {
     /// How keys are assigned to partitions.
     pub partitioning: Partitioning,
     /// Bytes of DRAM used as an object cache (stand-in for the OS page
-    /// cache the paper relies on).
+    /// cache the paper relies on). Like a page cache it is write-update:
+    /// reads fill it, an update replaces a cached key's value in place
+    /// (and caches nothing new), a delete removes the key.
     pub dram_cache_bytes: u64,
     /// Number of independently locked sub-shards each partition's DRAM
     /// cache is split into (key-hash → sub-cache). `1` reproduces the old

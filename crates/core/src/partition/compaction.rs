@@ -200,6 +200,13 @@ impl Partition {
     /// [`CompactionJob`]: the NVM objects to demote (with values), the
     /// overlapping SST files, and promotion hints for popular flash-only
     /// objects.
+    ///
+    /// Hints are built only while NVM utilization is below the low
+    /// watermark, since [`Partition::install_compaction`] refuses every
+    /// promotion at or above it. An inline job installs with no write in
+    /// between, so it promotes exactly what it would have with hints. A
+    /// pool job planned at or above the watermark promotes nothing, even
+    /// if the partition drops below it before the install.
     pub(super) fn plan_range(
         &mut self,
         start: Key,
@@ -254,7 +261,8 @@ impl Partition {
         }
 
         let mut promote_hints: HashSet<u64> = HashSet::new();
-        if allow_promote {
+        let below_headroom = self.durable.slab().usage().utilization() < self.options.low_watermark;
+        if allow_promote && below_headroom {
             for file in &files {
                 for (key, entry) in file.iter() {
                     if entry.is_tombstone() || self.volatile.index().contains_key(key) {

@@ -120,7 +120,8 @@ impl Partition {
 
     /// Settle a version of `key` that failed its checksum on `tier`: the
     /// one routine behind every damage path (see the module docs). The
-    /// cache's entry, which writes invalidate, is the last committed value.
+    /// cache's entry, which an update refreshes and a delete removes, is
+    /// the last committed value.
     pub(crate) fn resolve_damage(&mut self, key: &Key, tier: FaultTier) -> Resolution {
         self.note_checksum_failure();
         if tier == FaultTier::Flash && self.volatile.index().contains_key(key) {

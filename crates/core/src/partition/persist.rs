@@ -12,12 +12,13 @@
 //! bits of the retired files' keys, sets those of the new files' keys,
 //! installs, and frees the retired files no reader holds. Compaction
 //! install, the scrub rebuild and recovery's
-//! generation bump call it. Each call site keeps the slab order it always
-//! had: a delete frees the old slot and then writes its tombstone, and a
-//! put over a tombstone writes the new slot and then frees the old one.
-//! Slot addresses, slab growth and `CapacityExceeded` follow from that
-//! order, and through them the space and throughput the benchmark
-//! measures.
+//! generation bump call it. A write over an existing slot frees it only
+//! after the new version is written (a put in the same size class
+//! overwrites it in place), so a failed write leaves the old version
+//! answering. A delete that must shadow a flash version writes
+//! its tombstone that way; one that need not only frees the slot. Slot
+//! addresses, slab growth and `CapacityExceeded` follow from that order,
+//! and through them the space and throughput the benchmark measures.
 //!
 //! The compiler holds the rule: this module declares the slabs, the log,
 //! the index and the bucket map as private fields, so only the code here

@@ -20,6 +20,12 @@
 //! structural application is deferred. Point lookups resolve the key's
 //! NVM address through the index's hash-directory fast path
 //! ([`prism_index::FastIndex`]) instead of a B-tree walk.
+//!
+//! A live read that misses the DRAM cache fills it: reads are the only
+//! way a key enters the cache. The cache is write-update, so a cached key
+//! always holds its newest value: a put replaces the value in place
+//! (`Partition::put_entry`, charged as a fill is), a delete removes the
+//! key, and a crash empties the cache.
 
 use std::sync::atomic::Ordering;
 

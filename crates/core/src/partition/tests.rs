@@ -69,6 +69,35 @@ fn put_get_roundtrip_served_from_nvm_then_dram() {
     assert_eq!(missing.source, ReadSource::NotFound);
 }
 
+/// A put over a cached key replaces the cached value and pays what a
+/// read fill pays: `dram_hit` on its latency, `index_op + dram_hit` on
+/// its sub-shard's serial tally. A put over an uncached key pays neither.
+#[test]
+fn a_put_over_a_cached_key_is_charged_as_a_fill() {
+    // One key: every charge lands on its sub-shard, the busiest.
+    let put_cost = |cached: bool| {
+        let engine = engine(1000);
+        let mut p = partition(&engine);
+        let key = Key::from_id(4);
+        put(&engine, &mut p, key.clone(), Value::filled(300, 1)).unwrap();
+        if cached {
+            p.get(&key).unwrap();
+        }
+        let serial = p.read_serial_busiest_ns();
+        let cost = put(&engine, &mut p, key.clone(), Value::filled(300, 2)).unwrap();
+        let serial = p.read_serial_busiest_ns() - serial;
+        let got = p.get(&key).unwrap();
+        assert_eq!(got.value.unwrap().as_bytes()[0], 2);
+        assert_eq!(got.source == ReadSource::Dram, cached);
+        (cost, serial, p.cpu)
+    };
+    let (uncached, uncached_serial, cpu) = put_cost(false);
+    let (cached, cached_serial, _) = put_cost(true);
+    assert_eq!(cached, uncached + cpu.dram_hit);
+    assert_eq!(uncached_serial, 0);
+    assert_eq!(cached_serial, (cpu.index_op + cpu.dram_hit).as_nanos());
+}
+
 #[test]
 fn updates_are_in_place_and_latest_version_wins() {
     let engine = engine(1000);
@@ -543,6 +572,40 @@ fn demote_everything(p: &mut Partition) {
     p.install_compaction(execute_job(job, &cpu, &dev))
         .unwrap()
         .expect("nothing installed since the plan");
+}
+
+/// A delete that must shadow a flash version writes its tombstone before
+/// it frees the key's newer slot: when that write fails, the slot still
+/// answers and the older flash version stays hidden.
+#[test]
+fn a_failed_tombstone_write_keeps_the_newer_slot() {
+    let plan = Arc::new(FaultPlan::new(0xDE1));
+    let engine = faulted_engine(1_000, &plan);
+    let mut p = partition(&engine);
+    let key = Key::from_id(5);
+    put(&engine, &mut p, key.clone(), Value::filled(300, 1)).unwrap();
+    demote_everything(&mut p);
+    put(&engine, &mut p, key.clone(), Value::filled(300, 2)).unwrap();
+    plan.arm(prism_storage::TargetedFault {
+        tier: FaultTier::Nvm,
+        partition: None,
+        op: FaultOp::Write,
+        mode: prism_storage::FaultMode::IoError,
+    });
+    let failed = delete(&engine, &mut p, &key);
+    assert!(matches!(failed, Err(PrismError::Io(_))), "{failed:?}");
+    let got = p.get(&key).unwrap();
+    assert_eq!(got.source, ReadSource::Nvm);
+    assert_eq!(got.value.unwrap().as_bytes()[0], 2);
+    p.check_invariants().unwrap();
+
+    delete(&engine, &mut p, &key).unwrap();
+    assert!(p.get(&key).unwrap().value.is_none());
+    assert_eq!(
+        p.volatile.index().get(&key).map(|e| e.tombstone),
+        Some(true)
+    );
+    p.check_invariants().unwrap();
 }
 
 /// The flash record of `key`.

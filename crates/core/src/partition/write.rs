@@ -45,7 +45,7 @@ impl Partition {
     }
 
     /// The state mutation of one put: slab write, index update, tracker
-    /// access and cache invalidation, *without* the per-operation wrapper
+    /// access and cache refresh, *without* the per-operation wrapper
     /// (request overhead, read-side drain, watermark check, foreground
     /// clock advance) — shared by the single-op path and the batched
     /// group path, which pays the wrapper once per group.
@@ -69,14 +69,22 @@ impl Partition {
         let value_len = value.len() as u64;
 
         self.note_supersession(&key, None);
-        let write = SlotWrite::Value(value);
+        let write = SlotWrite::Value(value.clone());
         cost += self.write_client_slot(&key, ts, write, accrued + cost, reclaim, group)?;
         // A successful rewrite heals a quarantined key: the fresh version
         // supersedes whatever was corrupt.
         self.durable.quarantined.remove(&key);
         self.volatile.observe_access(&key, false);
         cost += self.cpu.tracker_op;
-        self.volatile.cache.remove(&key);
+        // Write-update: a cached key now holds the new value, an uncached
+        // one stays out. The replace runs under the sub-shard lock, so it
+        // is charged there as a read fill is.
+        if self.volatile.cache.replace(&key, value) {
+            cost += self.cpu.dram_hit;
+            let shard = self.volatile.cache.shard_of(&key);
+            let serial = self.cpu.index_op + self.cpu.dram_hit;
+            self.lifetime.serial.charge(shard, serial.as_nanos());
+        }
         count(&self.stats.user_bytes_written, value_len);
         Ok(cost)
     }
@@ -228,18 +236,20 @@ impl Partition {
             })
             .unwrap_or(false);
 
-        // Free the key's current NVM slot whether it holds a value or an
-        // old tombstone: deleting an already-tombstoned key must not orphan
-        // the previous tombstone slot, or a recovery slab scan could later
-        // resurrect it and shadow a newer flash version (a fresh tombstone
-        // is re-written below if a flash version still needs shadowing).
-        self.free_slot(key)?;
-
         if on_flash {
             // Write a tombstone to NVM so the flash version is hidden until
-            // a compaction merges and drops both.
+            // a compaction merges and drops both. `write_slot` frees the
+            // key's current slot only after the tombstone is written: a
+            // failed write leaves that slot in place, so the older flash
+            // version cannot resurface.
             let write = SlotWrite::Version(Version::tombstone(ts));
             cost += self.write_client_slot(key, ts, write, accrued + cost, reclaim, group)?;
+        } else {
+            // Free the key's current NVM slot whether it holds a value or
+            // an old tombstone: deleting an already-tombstoned key must not
+            // orphan the previous tombstone slot, or a recovery slab scan
+            // could later resurrect it.
+            self.free_slot(key)?;
         }
 
         // A delete supersedes a quarantined version: the key is now

@@ -242,6 +242,42 @@ fn one_injected_fault_damages_a_slot_and_an_sst_record_alike() {
     }
 }
 
+/// A slot damaged as it is written, while the DRAM cache holds its key:
+/// the update refreshed the cached value, so a get serves the
+/// acknowledged value without reading the slot, and a scrub still finds
+/// the damage and writes the cached value back.
+#[test]
+fn a_slot_damaged_under_a_cached_key_serves_the_acknowledged_value() {
+    let plan = Arc::new(FaultPlan::new(0xCAC));
+    let db = faulted_db(2, &plan, 4);
+    let key = Key::from_id(11);
+    db.put(key.clone(), Value::filled(300, 1)).unwrap();
+    db.get(&key).unwrap();
+    arm_nvm_write_flip(&plan);
+    let acknowledged = Value::filled(300, 2);
+    db.put(key.clone(), acknowledged.clone())
+        .expect("a bit flip is silent at write time");
+    assert_eq!(plan.snapshot().bit_flips, 1);
+
+    let got = db.get(&key).unwrap();
+    assert_eq!(got.source, prism_types::ReadSource::Dram);
+    assert_eq!(got.value, Some(acknowledged.clone()));
+    assert_eq!(plan.snapshot().detected, 0, "the damaged slot was not read");
+
+    let report = db.scrub();
+    assert!(report.completed);
+    assert_eq!(
+        (report.corrupt_found, report.repaired),
+        (1, 1),
+        "{report:?}"
+    );
+    assert_eq!(db.quarantined_objects(), 0);
+    db.crash_and_recover();
+    let got = db.get(&key).unwrap();
+    assert_eq!(got.source, prism_types::ReadSource::Nvm);
+    assert_eq!(got.value, Some(acknowledged));
+}
+
 /// The quarantine -> degraded -> scrub -> healthy lifecycle: a degraded
 /// partition keeps serving clean reads, refuses writes with the
 /// retryable `Degraded` error, re-arms after a clean scrub pass, and a

@@ -58,7 +58,10 @@ impl BloomFilter {
         }
     }
 
-    fn probes(&self, key: &Key) -> impl Iterator<Item = u64> + '_ {
+    /// The key's bit positions, computed one at a time as they are
+    /// consumed. The iterator borrows nothing, so [`BloomFilter::add`] can
+    /// set bits while it walks.
+    fn probes(&self, key: &Key) -> impl Iterator<Item = u64> {
         let h1 = fnv1a(key.as_bytes());
         let h2 = mix(h1) | 1;
         let num_bits = self.num_bits;
@@ -67,18 +70,16 @@ impl BloomFilter {
 
     /// Insert a key.
     pub fn add(&mut self, key: &Key) {
-        let positions: Vec<u64> = self.probes(key).collect();
-        for pos in positions {
+        for pos in self.probes(key) {
             self.bits[(pos / 64) as usize] |= 1 << (pos % 64);
         }
     }
 
     /// Check membership. May return `true` for keys never added (false
-    /// positive) but never returns `false` for an added key.
+    /// positive) but never returns `false` for an added key. Stops at the
+    /// first clear bit.
     pub fn may_contain(&self, key: &Key) -> bool {
         self.probes(key)
-            .collect::<Vec<_>>()
-            .iter()
             .all(|pos| self.bits[(pos / 64) as usize] & (1 << (pos % 64)) != 0)
     }
 
@@ -135,6 +136,40 @@ mod tests {
         let small = BloomFilter::new(100, 10);
         let large = BloomFilter::new(100_000, 10);
         assert!(large.size_bytes() > small.size_bytes() * 100);
+    }
+
+    /// The collecting form the filter used before its probes became lazy:
+    /// every position first, then every bit.
+    fn may_contain_collected(bloom: &BloomFilter, key: &Key) -> bool {
+        let positions: Vec<u64> = bloom.probes(key).collect();
+        positions
+            .iter()
+            .all(|pos| bloom.bits[(pos / 64) as usize] & (1 << (pos % 64)) != 0)
+    }
+
+    #[test]
+    fn lazy_probes_answer_as_the_collected_ones_do() {
+        let n = 100_000u64;
+        let mut bloom = BloomFilter::new(n as usize, 10);
+        let mut collected = bloom.clone();
+        for id in 0..n {
+            let key = Key::from_id(id);
+            bloom.add(&key);
+            let positions: Vec<u64> = collected.probes(&key).collect();
+            for pos in positions {
+                collected.bits[(pos / 64) as usize] |= 1 << (pos % 64);
+            }
+        }
+        assert_eq!(bloom.bits, collected.bits, "add sets the same bits");
+        let mut false_positives = 0u64;
+        for id in 0..2 * n {
+            let key = Key::from_id(id);
+            let answer = bloom.may_contain(&key);
+            assert_eq!(answer, may_contain_collected(&bloom, &key), "key {id}");
+            assert!(answer || id >= n, "added key {id} is found");
+            false_positives += u64::from(answer && id >= n);
+        }
+        assert!(false_positives > 0 && false_positives < n / 20);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //!
 //! PrismDB uses it (sharded, in `prism-db`) to stand in for the OS page
 //! cache the paper relies on (§4.1); the LSM baseline uses it for RocksDB's
-//! block cache and the optional NVM second-level cache.
+//! block cache and the optional NVM second-level cache. Reads fill it
+//! ([`LruCache::insert`]). A PrismDB update refreshes a cached key's value
+//! where it sits ([`LruCache::replace`]), as a page cache keeps a written
+//! page resident; the LSM's updates [`LruCache::remove`] the key.
 //!
 //! Recency is a doubly linked list threaded through a `Vec` of nodes by
 //! index (`newer` / `older`), with the slots of removed nodes chained into
@@ -161,8 +164,29 @@ impl LruCache {
         self.slots.insert(key, at);
     }
 
-    /// Remove a key (called on updates and deletes to keep the cache
-    /// consistent with the store).
+    /// Replace the value of a cached key where its entry sits: recency
+    /// does not move and no other entry is evicted. Returns true if the
+    /// key was cached and now holds `value`. A key that is not cached
+    /// stays uncached; one whose new value no longer fits the byte budget
+    /// is removed instead.
+    pub fn replace(&mut self, key: &Key, value: Value) -> bool {
+        let Some(&at) = self.slots.get(key) else {
+            return false;
+        };
+        let old = self.nodes[at as usize].value.len() as u64;
+        let size = value.len() as u64;
+        if self.used_bytes - old + size > self.capacity_bytes {
+            self.slots.remove(key);
+            self.release(at);
+            return false;
+        }
+        self.used_bytes = self.used_bytes - old + size;
+        self.nodes[at as usize].value = value;
+        true
+    }
+
+    /// Remove a key: a PrismDB delete, or any LSM write, keeps the cache
+    /// consistent with the store this way.
     pub fn remove(&mut self, key: &Key) {
         if let Some(at) = self.slots.remove(key) {
             self.release(at);
@@ -216,6 +240,26 @@ mod tests {
     }
 
     #[test]
+    fn replace_updates_a_cached_value_in_place() {
+        let mut cache = LruCache::new(300);
+        assert!(!cache.replace(&key(9), Value::filled(10, 9)), "uncached");
+        assert!(cache.is_empty());
+        cache.insert(key(1), Value::filled(100, 1));
+        cache.insert(key(2), Value::filled(100, 2));
+        assert!(cache.replace(&key(1), Value::filled(150, 7)));
+        assert_eq!(cache.used_bytes(), 250);
+        // Recency did not move: key 1 is still the oldest, so it goes first.
+        cache.insert(key(3), Value::filled(100, 3));
+        assert!(!cache.contains(&key(1)));
+        assert_eq!(cache.get(&key(2)).unwrap().as_bytes()[0], 2);
+        // A value that no longer fits evicts nothing else: its key goes.
+        assert!(!cache.replace(&key(3), Value::filled(250, 3)));
+        assert!(!cache.contains(&key(3)));
+        assert!(cache.contains(&key(2)));
+        assert_eq!(cache.used_bytes(), 100);
+    }
+
+    #[test]
     fn remove_frees_the_entry_and_its_bytes() {
         let mut cache = LruCache::new(1000);
         cache.insert(key(1), Value::filled(100, 1));
@@ -259,10 +303,10 @@ mod tests {
         keys
     }
 
-    /// Seeded random gets, inserts (fitting, replacing, oversized) and
-    /// removes against a `VecDeque` kept in recency order: the same hit or
-    /// miss, the same evictions, the same `used_bytes` and the same order
-    /// after every step.
+    /// Seeded random gets, inserts (fitting, replacing, oversized),
+    /// in-place replaces and removes against a `VecDeque` kept in recency
+    /// order: the same hit or miss, the same evictions, the same
+    /// `used_bytes` and the same order after every step.
     #[test]
     fn matches_a_recency_queue_model_step_by_step() {
         use std::collections::VecDeque;
@@ -311,6 +355,24 @@ mod tests {
                             model.push_back((k.clone(), value.clone()));
                         }
                         cache.insert(k, value);
+                    }
+                    85..=92 => {
+                        let len = next() % (capacity / 2);
+                        let value = Value::filled(len as usize, next() as u8);
+                        let replaced = at.is_some_and(|at| {
+                            let used: u64 = model.iter().map(|(_, v)| v.len() as u64).sum();
+                            if used - model[at].1.len() as u64 + len > capacity {
+                                model.remove(at);
+                                return false;
+                            }
+                            model[at].1 = value.clone();
+                            true
+                        });
+                        assert_eq!(
+                            cache.replace(&k, value),
+                            replaced,
+                            "seed {seed} step {step}"
+                        );
                     }
                     _ => {
                         if let Some(at) = at {
