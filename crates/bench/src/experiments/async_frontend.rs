@@ -54,7 +54,7 @@ pub fn sweep_with(
             // Baseline: one OS thread per client, per-op submission on
             // the same engine configuration.
             let db = engines::prismdb_shared(keys);
-            let result = runner.run_threaded(&db, workload, t);
+            let result = runner.run_threaded(&*db, workload, t);
             table.add_row(vec![
                 format!("{}/t{}/raw", workload.name, t),
                 fmt_f64(result.throughput_kops),

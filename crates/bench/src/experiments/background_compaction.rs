@@ -68,7 +68,7 @@ pub fn sweep_with(
         for &t in threads {
             for &workers in configs {
                 let db = engines::prismdb_write_pressured(keys, workers.unwrap_or(0));
-                let result = runner.run_threaded(&db, workload, t);
+                let result = runner.run_threaded(&*db, workload, t);
                 table.add_row(vec![
                     format!("{}/t{}/{}", workload.name, t, config_label(workers)),
                     fmt_f64(result.throughput_kops),

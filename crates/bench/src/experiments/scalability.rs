@@ -42,9 +42,9 @@ pub fn thread_sweep(scale: &Scale) -> Table {
         // Fresh engines per point: every sweep point starts from the same
         // freshly-loaded state, so points differ only in thread count.
         let prism = engines::prismdb_shared(keys);
-        let prism_result = runner.run_threaded(&prism, &workload, threads);
+        let prism_result = runner.run_threaded(&*prism, &workload, threads);
         let locked = engines::rocksdb_het_locked(keys);
-        let locked_result = runner.run_threaded(&locked, &workload, threads);
+        let locked_result = runner.run_threaded(&*locked, &workload, threads);
         if threads == 1 {
             prism_base = prism_result.throughput_kops;
             locked_base = locked_result.throughput_kops;
@@ -85,7 +85,7 @@ pub fn read_path_sweep(scale: &Scale) -> Table {
     );
     for &threads in scale.thread_sweep() {
         let db = engines::prismdb_shared(keys);
-        let result = runner.run_threaded(&db, &workload, threads);
+        let result = runner.run_threaded(&*db, &workload, threads);
         let rwlock_kops = result.throughput_kops;
         let serial_kops = if result.elapsed_serial_reads.is_zero() {
             0.0
@@ -158,9 +158,9 @@ pub fn cache_sweep(scale: &Scale) -> Table {
     );
     for &threads in scale.thread_sweep() {
         let sharded = engines::prismdb_read_path(keys);
-        let sharded_result = runner.run_threaded(&sharded, &workload, threads);
+        let sharded_result = runner.run_threaded(&*sharded, &workload, threads);
         let mutexed = engines::prismdb_mutexed_cache(keys);
-        let mutexed_result = runner.run_threaded(&mutexed, &workload, threads);
+        let mutexed_result = runner.run_threaded(&*mutexed, &workload, threads);
         let serial_kops = if sharded_result.elapsed_serial_reads.is_zero() {
             0.0
         } else {

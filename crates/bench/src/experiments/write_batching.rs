@@ -49,7 +49,7 @@ pub fn sweep_with(
                 // Fresh engine per point so points differ only in the
                 // submission model.
                 let db = engines::prismdb_shared(keys);
-                let result = runner.run_threaded_batched(&db, workload, t, batch);
+                let result = runner.run_threaded_batched(&*db, workload, t, batch);
                 table.add_row(vec![
                     format!("{}/t{}/b{}", workload.name, t, batch),
                     fmt_f64(result.throughput_kops),

@@ -772,7 +772,7 @@ impl Runner {
 
         // Load phase: sequential inserts directly on the engine.
         for op in spec.stream(self.config.seed).load_ops() {
-            Self::apply_shared(&engine, &op).expect("load phase must not fail");
+            Self::apply_shared(&*engine, &op).expect("load phase must not fail");
         }
 
         let frontend = Frontend::start(

@@ -48,12 +48,10 @@ mod planner;
 mod read_triggered;
 
 pub use bucket::BucketMap;
-pub use jobs::{
-    execute_job, CompactionJob, DemoteEntry, ExecutedJob, JobKind, MergedEntry, MergedOrigin,
-};
+pub use jobs::{execute_job, CompactionJob, DemoteEntry, ExecutedJob, JobKind, MergedOrigin};
 pub use msc::{msc_score, RangeStats, RangeStatsBuilder};
 pub use planner::{CompactionConfig, CompactionPlanner, CompactionPolicy};
-pub use read_triggered::{ReadTriggerPhase, ReadTriggeredController};
+pub use read_triggered::ReadTriggeredController;
 
 #[cfg(test)]
 mod proptests {

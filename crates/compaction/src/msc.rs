@@ -38,7 +38,7 @@ impl RangeStats {
     ///
     /// Returns `f64::INFINITY` when nothing can be migrated (every object
     /// in the range is popular).
-    pub fn cost(&self) -> f64 {
+    pub(crate) fn cost(&self) -> f64 {
         let unpopular = 1.0 - self.popular_fraction;
         if unpopular <= f64::EPSILON {
             return f64::INFINITY;
@@ -65,7 +65,7 @@ pub fn msc_score(stats: &RangeStats) -> f64 {
 /// Coldness of an object given its clock value (`None` = untracked).
 ///
 /// `coldness = 1 / (clock + 1)`; untracked objects are maximally cold.
-pub fn coldness(clock: Option<u8>) -> f64 {
+pub(crate) fn coldness(clock: Option<u8>) -> f64 {
     match clock {
         Some(c) => 1.0 / (c as f64 + 1.0),
         None => 1.0,

@@ -87,11 +87,6 @@ impl CompactionPlanner {
         })
     }
 
-    /// The planner's configuration.
-    pub fn config(&self) -> &CompactionConfig {
-        &self.config
-    }
-
     /// A uniform random draw in `[0, 1)`, used to resolve probabilistic
     /// pinning decisions deterministically from the planner's seed.
     pub fn draw(&mut self) -> f64 {

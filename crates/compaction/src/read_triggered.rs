@@ -27,7 +27,7 @@ const FLASH_READ_FRACTION_TRIGGER: f64 = 0.2;
 
 /// The controller's current phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadTriggerPhase {
+pub(crate) enum ReadTriggerPhase {
     /// Watching for a read-dominated, flash-bound workload.
     Detection,
     /// Promotion compactions are enabled; progress is monitored per epoch.
@@ -103,11 +103,6 @@ impl ReadTriggeredController {
         }
     }
 
-    /// The current phase.
-    pub fn phase(&self) -> ReadTriggerPhase {
-        self.phase
-    }
-
     /// True while promotion compactions should be triggered.
     pub fn promotions_enabled(&self) -> bool {
         self.phase == ReadTriggerPhase::Invocation
@@ -181,7 +176,7 @@ mod tests {
             c.observe_op(i % 2 == 0, true, false);
             assert!(!c.promotions_enabled());
         }
-        assert_eq!(c.phase(), ReadTriggerPhase::Detection);
+        assert_eq!(c.phase, ReadTriggerPhase::Detection);
     }
 
     #[test]
@@ -190,7 +185,7 @@ mod tests {
         for _ in 0..50 {
             c.observe_op(true, false, true);
         }
-        assert_eq!(c.phase(), ReadTriggerPhase::Invocation);
+        assert_eq!(c.phase, ReadTriggerPhase::Invocation);
         assert!(c.promotions_enabled());
     }
 
@@ -205,12 +200,12 @@ mod tests {
         for i in 0..100 {
             c.observe_op(true, i % 2 == 0, i % 2 == 1);
         }
-        assert_eq!(c.phase(), ReadTriggerPhase::Invocation);
+        assert_eq!(c.phase, ReadTriggerPhase::Invocation);
         // Epoch 2: ratio drops back — controller cools down.
         for _ in 0..100 {
             c.observe_op(true, false, true);
         }
-        assert_eq!(c.phase(), ReadTriggerPhase::Cooldown);
+        assert_eq!(c.phase, ReadTriggerPhase::Cooldown);
         assert!(!c.promotions_enabled());
     }
 
@@ -224,13 +219,13 @@ mod tests {
         for _ in 0..100 {
             c.observe_op(true, false, true);
         }
-        assert_eq!(c.phase(), ReadTriggerPhase::Cooldown);
+        assert_eq!(c.phase, ReadTriggerPhase::Cooldown);
         for _ in 0..999 {
             c.observe_op(true, false, true);
         }
-        assert_eq!(c.phase(), ReadTriggerPhase::Cooldown);
+        assert_eq!(c.phase, ReadTriggerPhase::Cooldown);
         c.observe_op(true, false, true);
-        assert_eq!(c.phase(), ReadTriggerPhase::Detection);
+        assert_eq!(c.phase, ReadTriggerPhase::Detection);
     }
 
     #[test]

@@ -31,24 +31,13 @@ pub struct CacheStats {
     pub shards: usize,
 }
 
-impl CacheStats {
-    /// Fraction of lookups served from DRAM (0.0 before any lookup).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
-
 /// Hash-sharded DRAM object cache: key-hash → sub-cache, each behind its
 /// own lock, so concurrent point reads of one partition only contend when
 /// they land on the same sub-shard. It holds entries only: its traffic is
 /// counted by the partition's read counters and its serial time by a
 /// [`SerialTally`], both of which outlive a crash that drops the entries.
 #[derive(Debug)]
-pub struct ShardedLruCache {
+pub(crate) struct ShardedLruCache {
     shards: Vec<Mutex<LruCache>>,
 }
 
@@ -79,12 +68,12 @@ impl ShardedLruCache {
     }
 
     /// Number of independently locked sub-caches.
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
     /// The sub-shard a key maps to.
-    pub fn shard_of(&self, key: &Key) -> usize {
+    pub(crate) fn shard_of(&self, key: &Key) -> usize {
         (mix(key.id()) % self.shards.len() as u64) as usize
     }
 
@@ -133,7 +122,7 @@ impl ShardedLruCache {
 /// critical path: with one shard every probe serialises, with N shards
 /// the residual serial work shrinks toward `total / N`.
 #[derive(Debug)]
-pub struct SerialTally(Vec<AtomicU64>);
+pub(crate) struct SerialTally(Vec<AtomicU64>);
 
 impl SerialTally {
     /// A zero tally for a cache of `shards` sub-shards.
@@ -142,13 +131,13 @@ impl SerialTally {
     }
 
     /// Charge `ns` virtual nanoseconds against sub-shard `shard`.
-    pub fn charge(&self, shard: usize, ns: u64) {
+    pub(crate) fn charge(&self, shard: usize, ns: u64) {
         self.0[shard].fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Serial virtual time accumulated by the busiest sub-shard — the
     /// residual serial component of the read path in the makespan model.
-    pub fn busiest(&self) -> u64 {
+    pub(crate) fn busiest(&self) -> u64 {
         self.0
             .iter()
             .map(|s| s.load(Ordering::Relaxed))

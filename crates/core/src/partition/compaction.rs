@@ -372,7 +372,6 @@ impl Partition {
                         match self.write_slot(&m.key, m.version.timestamp, write) {
                             Ok(cost) => {
                                 duration += cost;
-                                self.volatile.tracker.set_location(&m.key, false);
                                 promoted += 1;
                             }
                             Err(PrismError::CapacityExceeded { .. }) => {
@@ -410,7 +409,6 @@ impl Partition {
             );
             self.free_slot(key)?;
             if !tombstone {
-                self.volatile.tracker.set_location(key, true);
                 demoted += 1;
             }
         }

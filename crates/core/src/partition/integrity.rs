@@ -1,8 +1,11 @@
 //! # Integrity
 //!
-//! What a failed checksum does is decided by [`Partition::resolve_damage`],
+//! A damaged version is counted once, by the code that observes it: the
+//! point-read probe of either tier, the scan merge, the scrub walk and
+//! recovery's rebuild ([`Partition::note_checksum_failure`]). What a failed
+//! checksum does is decided by [`Partition::resolve_damage`],
 //! which the engine's get escalation, recovery and both scrub phases call:
-//! it counts the detection and frees a damaged slot; a damaged flash
+//! it counts nothing and frees a damaged slot; a damaged flash
 //! record a live NVM version hides is shadowed; otherwise the DRAM cache's
 //! last committed value is written back, or the key goes under a durable
 //! sentinel and the partition degrades at the threshold. Scans and
@@ -110,7 +113,9 @@ impl Partition {
     }
 
     /// Record one detected checksum failure (readers under the read lock
-    /// and writers under the write lock count alike).
+    /// and writers under the write lock count alike). Called once per
+    /// damaged version a read, scan, scrub or recovery observes — never by
+    /// [`Partition::resolve_damage`], which settles what was counted.
     pub(super) fn note_checksum_failure(&self) {
         count(&self.stats.integrity.checksum_failures, 1);
         if let Some(plan) = &self.fault {
@@ -121,9 +126,8 @@ impl Partition {
     /// Settle a version of `key` that failed its checksum on `tier`: the
     /// one routine behind every damage path (see the module docs). The
     /// cache's entry, which an update refreshes and a delete removes, is
-    /// the last committed value.
+    /// the last committed value. The caller counted the detection.
     pub(crate) fn resolve_damage(&mut self, key: &Key, tier: FaultTier) -> Resolution {
-        self.note_checksum_failure();
         if tier == FaultTier::Flash && self.volatile.index().contains_key(key) {
             count(&self.stats.integrity.scrub_repairs, 1);
             return Resolution::Shadowed;
@@ -213,6 +217,7 @@ impl Partition {
                 cost += self.nvm_dev.read_sequential(nvm_bytes);
             }
             for key in corrupt {
+                self.note_checksum_failure();
                 cost += report.note(self.resolve_damage(&key, FaultTier::Nvm));
             }
             match resume {
@@ -263,6 +268,7 @@ impl Partition {
             cost += self.swap_files(&[old_id], keep);
             // Leaving a shadowed record out of the new file repairs it.
             for key in corrupt {
+                self.note_checksum_failure();
                 cost += report.note(self.resolve_damage(&key, FaultTier::Flash));
             }
         }

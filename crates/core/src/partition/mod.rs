@@ -113,7 +113,7 @@ enum Kept {
 }
 
 impl Volatile {
-    fn lock_read_side(&self) -> MutexGuard<'_, Vec<(Key, bool)>> {
+    fn lock_read_side(&self) -> MutexGuard<'_, Vec<Key>> {
         self.read_side
             .lock()
             .unwrap_or_else(|poison| poison.into_inner())
@@ -148,9 +148,9 @@ impl Volatile {
         let reads = self.read_counters.reads.swap(0, Ordering::Relaxed);
         let nvm_hits = self.read_counters.nvm_hits.swap(0, Ordering::Relaxed);
         let flash_hits = self.read_counters.flash_hits.swap(0, Ordering::Relaxed);
-        for (key, on_flash) in &accesses {
+        for key in &accesses {
             // Cost already charged to the read that buffered the access.
-            self.observe_access(key, *on_flash);
+            self.observe_access(key);
         }
         if let Some(ctrl) = &mut self.read_trigger {
             for _ in 0..flash_hits {
@@ -205,31 +205,27 @@ impl Volatile {
         key.len() as u64 + value + 16
     }
 
-    fn push_history(&mut self, seq: &CommitSequencer, key: &Key, version: (u64, Kept)) {
+    fn push_history(&mut self, key: &Key, version: (u64, Kept)) {
         let list = self.history.entry(key.clone()).or_default();
         if list.last().map(|(seq, _)| *seq) != Some(version.0) {
-            let bytes = Self::history_entry_bytes(key, &version.1);
-            self.history_bytes += bytes;
-            seq.add_history_bytes(bytes);
+            self.history_bytes += Self::history_entry_bytes(key, &version.1);
             list.push(version);
         }
     }
 
-    /// Drop all preserved history and return its bytes to `seq`'s total.
-    fn clear_history(&mut self, seq: &CommitSequencer) {
+    /// Drop all preserved history.
+    fn clear_history(&mut self) {
         self.history.clear();
-        if self.history_bytes > 0 {
-            seq.sub_history_bytes(std::mem::take(&mut self.history_bytes));
-        }
+        self.history_bytes = 0;
     }
 
     /// Free history versions no live pin can reach: for each key, every
     /// version older than the newest one at or below `oldest_pin` is
     /// dead for all remaining pins. With no pins at all, everything
     /// goes.
-    fn prune_history(&mut self, seq: &CommitSequencer, oldest_pin: Option<u64>) {
+    fn prune_history(&mut self, oldest_pin: Option<u64>) {
         let Some(pin) = oldest_pin else {
-            self.clear_history(seq);
+            self.clear_history();
             return;
         };
         let mut freed = 0u64;
@@ -244,10 +240,7 @@ impl Volatile {
             }
             !list.is_empty()
         });
-        if freed > 0 {
-            self.history_bytes = self.history_bytes.saturating_sub(freed);
-            seq.sub_history_bytes(freed);
-        }
+        self.history_bytes -= freed;
     }
 
     /// Newest preserved version of `key` with sequence `<= pinned`
@@ -368,7 +361,7 @@ impl Partition {
     }
 
     /// Bytes of superseded versions this partition keeps for pinned
-    /// snapshots (its share of the sequencer's total).
+    /// snapshots.
     pub(crate) fn history_bytes(&self) -> u64 {
         self.volatile.history_bytes
     }

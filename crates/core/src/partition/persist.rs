@@ -104,10 +104,8 @@ impl Durable {
     /// its share of NVM (under the fault plan, if any), an empty log, no
     /// sentinels.
     pub(super) fn new(options: &Options, storage: &TieredStorage, id: usize) -> Result<Self> {
-        let slab_config = SlabConfig {
-            slot_sizes: options.slab_slot_sizes.clone(),
-            capacity_bytes: (options.nvm_capacity_bytes / options.num_partitions as u64).max(4096),
-        };
+        let capacity = (options.nvm_capacity_bytes / options.num_partitions as u64).max(4096);
+        let slab_config = SlabConfig::small_objects(capacity);
         let mut slab = SlabStore::new(slab_config, storage.nvm.clone())?;
         if let Some(plan) = &options.fault_plan {
             slab.attach_faults(plan.clone(), id);
@@ -142,11 +140,11 @@ pub(super) struct Volatile {
     pub(super) read_trigger: Option<ReadTriggeredController>,
     pub(super) cache: ShardedLruCache,
     /// Structural tracker admissions buffered by `&self` reads and applied
-    /// by the next writer (or an engine-forced drain): `(key,
-    /// served_from_flash)` per found read of a key the clock tracker does
-    /// not yet track, in arrival order. A tracked key's re-access is
-    /// applied lock-free on the read path itself ([`ClockTracker::touch`]).
-    pub(super) read_side: Mutex<Vec<(Key, bool)>>,
+    /// by the next writer (or an engine-forced drain): the key of each
+    /// found read of a key the clock tracker does not yet track, in arrival
+    /// order. A tracked key's re-access is applied lock-free on the read
+    /// path itself ([`ClockTracker::touch`]).
+    pub(super) read_side: Mutex<Vec<Key>>,
     pub(super) read_counters: ReadSideCounters,
     /// Superseded versions preserved for pinned snapshots: per key, the
     /// `(sequence, version)` pairs in the order they were superseded —
@@ -154,8 +152,8 @@ pub(super) struct Volatile {
     /// populated while snapshots are pinned; cleared wholesale once none
     /// remain.
     pub(super) history: BTreeMap<Key, Vec<(u64, Kept)>>,
-    /// Bytes currently buffered in `history` (mirrored into the shared
-    /// sequencer total for lock-free engine-side cap checks).
+    /// Bytes currently buffered in `history`; the engine's total is the
+    /// sum over partitions.
     pub(super) history_bytes: u64,
     /// A read-triggered promotion compaction is due (set by a drain).
     pub(super) promote_pending: bool,
@@ -205,8 +203,8 @@ impl Volatile {
 
     /// Track an access with the write lock held (the caller charges its
     /// CPU cost).
-    pub(super) fn observe_access(&mut self, key: &Key, on_flash: bool) {
-        let event = self.tracker.access(key, on_flash);
+    pub(super) fn observe_access(&mut self, key: &Key) {
+        let event = self.tracker.access(key, false);
         self.mapper.apply(&event);
         self.buckets.on_access(key.id());
         if let Some((evicted, _)) = &event.evicted {

@@ -146,15 +146,14 @@ impl Partition {
     /// (see `crate::sequence`).
     pub(super) fn note_supersession(&mut self, key: &Key, delete_seq: Option<u64>) {
         if !self.seq.has_pins() {
-            self.volatile.clear_history(&self.seq);
+            self.volatile.clear_history();
             return;
         }
         if let Some(version) = self.current_version(key) {
-            self.volatile.push_history(&self.seq, key, version);
+            self.volatile.push_history(key, version);
         }
         if let Some(seq) = delete_seq {
-            self.volatile
-                .push_history(&self.seq, key, (seq, Kept::Clean(None)));
+            self.volatile.push_history(key, (seq, Kept::Clean(None)));
         }
     }
 
@@ -162,14 +161,15 @@ impl Partition {
     /// [`Volatile::prune_history`](super::Volatile::prune_history)).
     /// Called by the engine after it force-expires a pin.
     pub(crate) fn prune_history(&mut self, oldest_pin: Option<u64>) {
-        self.volatile.prune_history(&self.seq, oldest_pin);
+        self.volatile.prune_history(oldest_pin);
     }
 
     /// The live version of `key` below the DRAM cache, adding what finding
     /// it cost to `cost`. The NVM index decides first; only a key it does
     /// not know goes to flash, whose SST index and bloom filter live on
-    /// NVM. A damaged version is returned as such, for the caller's rule
-    /// to judge; only an injected I/O error fails the probe.
+    /// NVM. A damaged version is counted here and returned as such, for
+    /// the caller's rule to judge; only an injected I/O error fails the
+    /// probe.
     fn probe_tiers(&self, key: &Key, cost: &mut Nanos) -> Result<Option<Live>> {
         if let Some(entry) = self.volatile.index().get(key).copied() {
             let ts = entry.timestamp;
@@ -181,7 +181,10 @@ impl Partition {
                     *cost += read_cost;
                     Live::Clean(ReadSource::Nvm, ts, slot.version.value.clone())
                 }
-                Err(PrismError::Corruption(_)) => Live::Damaged(Some(ts)),
+                Err(PrismError::Corruption(_)) => {
+                    self.note_checksum_failure();
+                    Live::Damaged(Some(ts))
+                }
                 Err(err) => return Err(err),
             };
             return Ok(Some(live));
@@ -271,8 +274,7 @@ impl Partition {
             // way; which path applies it depends on whether the tracker
             // already knows the key.
             cost += self.cpu.tracker_op;
-            let on_flash = source == ReadSource::Flash;
-            match volatile.tracker.touch(key, on_flash) {
+            match volatile.tracker.touch(key, false) {
                 // Tracked: the clock byte was atomically re-heated to the
                 // maximum; fold the class transition into the histogram.
                 // The key's popularity bit is already set (it was set when
@@ -283,7 +285,7 @@ impl Partition {
                 // work for the next write-lock holder.
                 None => {
                     let mut rs = volatile.lock_read_side();
-                    rs.push((key.clone(), on_flash));
+                    rs.push(key.clone());
                     counters
                         .pending_accesses
                         .store(rs.len() as u64, Ordering::Relaxed);

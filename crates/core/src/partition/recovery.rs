@@ -20,14 +20,12 @@ impl Partition {
         // again once recovery has resolved the damage it found.
         debug_assert_eq!(self.check_invariants(), Ok(()), "partition {}", self.id);
         // What DRAM held goes before the scan below allocates, so a lost
-        // index and a rebuilt one are never held together. Its history's
-        // bytes leave the sequencer's total: snapshots pinned across a
-        // crash lose their preserved versions (a snapshot read may then
-        // see a key as absent, never a stale value — live versions with
-        // `seq <= pinned` are by definition the pinned-time state).
-        let fresh = Volatile::new(&self.options, self.id);
-        let Volatile { history_bytes, .. } = std::mem::replace(&mut self.volatile, fresh);
-        self.seq.sub_history_bytes(history_bytes);
+        // index and a rebuilt one are never held together. Snapshots
+        // pinned across a crash lose their preserved versions (a snapshot
+        // read may then see a key as absent, never a stale value — live
+        // versions with `seq <= pinned` are by definition the pinned-time
+        // state).
+        self.volatile = Volatile::new(&self.options, self.id);
         self.swap_files(&[], Vec::new());
 
         let cost = self.durable.slab().recovery_scan_cost();
@@ -35,9 +33,11 @@ impl Partition {
         // The cache is empty now, so no damage is repaired: a damaged slot
         // quarantines its key, a damaged record unless a slot hides it.
         for key in slots {
+            self.note_checksum_failure();
             self.resolve_damage(&key, FaultTier::Nvm);
         }
         for key in records {
+            self.note_checksum_failure();
             self.resolve_damage(&key, FaultTier::Flash);
         }
         // The threshold counts durable sentinels: a partition a clean scrub

@@ -39,11 +39,6 @@ pub(crate) struct CommitSequencer {
     /// permanent and unambiguous. The set grows by one entry per expiry
     /// event, which is bounded by the configured caps in practice.
     expired: Mutex<HashSet<u64>>,
-    /// Total bytes of superseded-version history preserved across all
-    /// partitions for the live pins (partitions add on preserve, subtract
-    /// on prune/clear). The engine's snapshot-cap enforcement reads this
-    /// without touching any partition lock.
-    history_bytes: AtomicU64,
 }
 
 impl CommitSequencer {
@@ -138,34 +133,6 @@ impl CommitSequencer {
             .unwrap_or_else(|poison| poison.into_inner())
             .contains(&seq)
     }
-
-    /// Record history bytes preserved for pinned snapshots.
-    pub(crate) fn add_history_bytes(&self, bytes: u64) {
-        self.history_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Record history bytes freed by a prune or clear.
-    pub(crate) fn sub_history_bytes(&self, bytes: u64) {
-        // Saturate rather than wrap if accounting ever drifts.
-        let mut current = self.history_bytes.load(Ordering::Relaxed);
-        loop {
-            let next = current.saturating_sub(bytes);
-            match self.history_bytes.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    /// Total preserved-history bytes across all partitions.
-    pub(crate) fn history_bytes(&self) -> u64 {
-        self.history_bytes.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -230,19 +197,6 @@ mod tests {
         assert_eq!(seq.expire_oldest(), Some((new, 1)));
         assert_eq!(seq.oldest_pin(), None);
         assert!(seq.expire_oldest().is_none());
-    }
-
-    #[test]
-    fn history_byte_accounting_saturates() {
-        let seq = CommitSequencer::new();
-        assert_eq!(seq.history_bytes(), 0);
-        seq.add_history_bytes(100);
-        seq.add_history_bytes(50);
-        assert_eq!(seq.history_bytes(), 150);
-        seq.sub_history_bytes(100);
-        assert_eq!(seq.history_bytes(), 50);
-        seq.sub_history_bytes(500);
-        assert_eq!(seq.history_bytes(), 0);
     }
 
     #[test]

@@ -54,15 +54,107 @@ fn every_injected_nvm_bit_flip_is_detected() {
             "key {id} surfaced {err} instead of Corruption"
         );
     }
+    // Equality, not `>=`: one read of a damaged version counts once, so a
+    // missed detection cannot hide behind a double count.
     let snap = plan.snapshot();
-    assert!(
-        snap.detected >= FLIPS,
-        "only {} of {FLIPS} injected flips were detected",
+    assert_eq!(
+        snap.detected, FLIPS,
+        "{} detections for {FLIPS} injected flips, one read each",
         snap.detected
     );
     let stats = ConcurrentKvStore::stats(&db);
-    assert!(stats.integrity.checksum_failures >= FLIPS);
+    assert_eq!(stats.integrity.checksum_failures, FLIPS);
     assert_eq!(db.quarantined_objects(), FLIPS);
+}
+
+/// `engine_checksum_failures` and the plan's `detected`, read together.
+fn detections(db: &PrismDb, plan: &FaultPlan) -> (u64, u64) {
+    let failures = ConcurrentKvStore::stats(db).integrity.checksum_failures;
+    (failures, plan.snapshot().detected)
+}
+
+/// Run `read` and return how much it moved [`detections`].
+fn counted<T>(db: &PrismDb, plan: &FaultPlan, read: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    let before = detections(db, plan);
+    let out = read();
+    let after = detections(db, plan);
+    (out, (after.0 - before.0, after.1 - before.1))
+}
+
+/// One read of a damaged version is one detection, on both counters,
+/// whichever reader trips on it: a snapshot read, a scan and a get (whose
+/// escalation then settles the damage) each count it once — the reader
+/// counts, the resolver does not — for a damaged slot and a damaged
+/// flash record alike.
+#[test]
+fn one_read_of_a_damaged_version_is_counted_once() {
+    fn is_corruption<T>(read: &Result<T, PrismError>) -> bool {
+        matches!(read, Err(PrismError::Corruption(_)))
+    }
+
+    // A slot damaged as it is written, under a key the cache never held.
+    let plan = Arc::new(FaultPlan::new(0xC0));
+    let db = faulted_db(1, &plan, 100);
+    let key = Key::from_id(5);
+    db.put(Key::from_id(4), Value::filled(300, 4)).unwrap();
+    arm_nvm_write_flip(&plan);
+    db.put(key.clone(), Value::filled(300, 5)).unwrap();
+    assert_eq!(plan.snapshot().bit_flips, 1);
+    let snap = db.snapshot().unwrap();
+    let (got, delta) = counted(&db, &plan, || db.snapshot_get(snap, &key));
+    assert!(is_corruption(&got), "snapshot_get of the slot: {got:?}");
+    assert_eq!(delta, (1, 1), "snapshot_get of a damaged slot");
+    db.release_snapshot(snap);
+    let (got, delta) = counted(&db, &plan, || db.scan(&Key::min(), 10));
+    assert_eq!(got.unwrap().entries.len(), 1, "the damaged key is skipped");
+    assert_eq!(delta, (1, 1), "scan over a damaged slot");
+    let (got, delta) = counted(&db, &plan, || db.get(&key));
+    assert!(is_corruption(&got), "get of the slot: {got:?}");
+    assert_eq!(delta, (1, 1), "get of a damaged slot");
+    assert_eq!(db.quarantined_objects(), 1);
+
+    // A record damaged as the first demotion writes it, with nothing
+    // written after: its key has no NVM version to shadow it.
+    let plan = Arc::new(FaultPlan::new(0xC1));
+    let mut options = Options::scaled_default(200);
+    options.num_partitions = 1;
+    options.nvm_capacity_bytes = 64 * 1024;
+    options.sst_target_bytes = 8 * 1024;
+    options.compaction.bucket_size_keys = 64;
+    options.fault_plan = Some(Arc::clone(&plan));
+    options.corruption_quarantine_threshold = 100;
+    let db = PrismDb::open(options).expect("valid options");
+    plan.arm(TargetedFault {
+        tier: FaultTier::Flash,
+        partition: None,
+        op: FaultOp::Write,
+        mode: FaultMode::BitFlip,
+    });
+    let mut written = 0;
+    while db.flash_object_count() == 0 {
+        assert!(written < 200, "no demotion after 200 writes");
+        db.put(Key::from_id(written), Value::filled(600, written as u8))
+            .unwrap();
+        written += 1;
+    }
+    assert_eq!(plan.snapshot().bit_flips, 1);
+    let snap = db.snapshot().unwrap();
+    let (damaged, delta) = counted(&db, &plan, || {
+        (0..written)
+            .map(Key::from_id)
+            .filter(|key| is_corruption(&db.snapshot_get(snap, key)))
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(damaged.len(), 1, "one damaged record: {damaged:?}");
+    assert_eq!(delta, (1, 1), "snapshot_get of a damaged record");
+    db.release_snapshot(snap);
+    let (got, delta) = counted(&db, &plan, || db.scan(&Key::min(), written as usize));
+    assert_eq!(got.unwrap().entries.len() as u64, written - 1);
+    assert_eq!(delta, (1, 1), "scan over a damaged record");
+    let (got, delta) = counted(&db, &plan, || db.get(&damaged[0]));
+    assert!(is_corruption(&got), "get of the record: {got:?}");
+    assert_eq!(delta, (1, 1), "get of a damaged record");
+    assert_eq!(db.quarantined_objects(), 1);
 }
 
 /// Bit flips injected while records are demoted to flash are all caught:

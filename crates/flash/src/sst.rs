@@ -16,9 +16,8 @@
 //! first, then asks which block it falls in.
 //!
 //! Both arrays are search structures of this process. They model nothing
-//! a device stores: the on-NVM metadata a file is charged for
-//! ([`SstFile::metadata_bytes`]) is still the block index — a key and a
-//! handle per block — and the bloom filter, and what a probe costs on
+//! a device stores: a file's on-NVM metadata is still the block index — a
+//! key and a handle per block — and the bloom filter, and what a probe costs on
 //! the simulated clock ([`BlockProbe`]) is what the block index
 //! formulation returned, field for field.
 //!
@@ -46,7 +45,7 @@ use prism_types::{Key, Nanos, Version};
 use crate::bloom::BloomFilter;
 
 /// Target size of one SST data block.
-pub const BLOCK_SIZE: usize = 4096;
+pub(crate) const BLOCK_SIZE: usize = 4096;
 
 /// Identifier of an SST file, unique within one engine.
 pub type FileId = u64;
@@ -198,11 +197,6 @@ impl SstFile {
     /// Total bytes of encoded data blocks.
     pub fn size_bytes(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// Bytes of index + filter metadata (stored on NVM in PrismDB).
-    pub fn metadata_bytes(&self) -> u64 {
-        (self.blocks.len() * 32 + self.bloom.size_bytes()) as u64
     }
 
     /// True if `key` falls within the file's key range.
@@ -537,7 +531,6 @@ mod tests {
         assert!(cost > Nanos::ZERO);
         assert_eq!(dev.counters().as_tier_io().bytes_written, expected_bytes);
         assert_eq!(dev.used_bytes(), expected_bytes);
-        assert!(sst.metadata_bytes() > 0);
     }
 
     #[test]
@@ -809,17 +802,6 @@ mod tests {
         assert!(
             false_positives > 0 && below > 0 && above > 0 && corrupt >= 4,
             "{false_positives} false positives, {below} below, {above} above, {corrupt} corrupt"
-        );
-    }
-
-    /// The arrays beside the records model nothing on a device: the
-    /// metadata a file is charged for is its block index and its filter.
-    #[test]
-    fn metadata_bytes_count_the_block_index_and_the_filter_only() {
-        let sst = build_file(&(0..1000).collect::<Vec<_>>());
-        assert_eq!(
-            sst.metadata_bytes(),
-            (sst.blocks.len() * 32 + sst.bloom.size_bytes()) as u64
         );
     }
 

@@ -6,7 +6,7 @@ use prism_types::{PrismError, Result};
 /// threads: one executor per shard stops paying off once executors
 /// outnumber the cores left over for compaction workers, and the whole
 /// point of the front-end is that a few threads serve many clients.
-pub const DEFAULT_EXECUTOR_CLAMP: usize = 4;
+pub(crate) const DEFAULT_EXECUTOR_CLAMP: usize = 4;
 
 /// Configuration of a [`crate::Frontend`].
 ///
@@ -19,10 +19,14 @@ pub const DEFAULT_EXECUTOR_CLAMP: usize = 4;
 ///     executors: 2,
 ///     ..FrontendOptions::default()
 /// };
-/// assert_eq!(options.resolved_executors(8), 2);
+/// assert!(options.validate().is_ok());
 /// // `executors == 0` auto-sizes from the engine's shard count.
-/// assert_eq!(FrontendOptions::default().resolved_executors(8), 4);
-/// assert_eq!(FrontendOptions::default().resolved_executors(2), 2);
+/// assert_eq!(FrontendOptions::default().executors, 0);
+/// let unbounded = FrontendOptions {
+///     queue_capacity: 0,
+///     ..options
+/// };
+/// assert!(unbounded.validate().is_err());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontendOptions {
@@ -48,7 +52,7 @@ impl Default for FrontendOptions {
 
 impl FrontendOptions {
     /// The executor-thread count for an engine with `shard_count` shards.
-    pub fn resolved_executors(&self, shard_count: usize) -> usize {
+    pub(crate) fn resolved_executors(&self, shard_count: usize) -> usize {
         let auto = shard_count.clamp(1, DEFAULT_EXECUTOR_CLAMP);
         match self.executors {
             0 => auto,

@@ -8,7 +8,7 @@ use prism_types::{Key, Value};
 /// A sorted in-memory write buffer, flushed to an L0 SST file when it
 /// exceeds the configured size.
 #[derive(Debug, Default)]
-pub struct Memtable {
+pub(crate) struct Memtable {
     map: BTreeMap<Key, (Option<Value>, u64)>,
     bytes: u64,
 }
@@ -60,7 +60,7 @@ impl Memtable {
 
     /// Drain all entries as SST entries, in key order, emptying the
     /// memtable.
-    pub fn drain_sorted(&mut self) -> Vec<(Key, SstEntry)> {
+    pub(crate) fn drain_sorted(&mut self) -> Vec<(Key, SstEntry)> {
         let map = std::mem::take(&mut self.map);
         self.bytes = 0;
         map.into_iter()

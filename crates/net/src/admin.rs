@@ -33,7 +33,7 @@ use crate::transport::{Acceptor, Conn, Listener};
 
 /// Default number of trace events served by `GET /trace` when the
 /// `last` query parameter is absent.
-pub const DEFAULT_TRACE_EVENTS: usize = 256;
+pub(crate) const DEFAULT_TRACE_EVENTS: usize = 256;
 
 /// Hard cap on the size of one admin request's head (request line plus
 /// headers); larger requests are refused with 400.
@@ -48,13 +48,6 @@ pub struct HttpResponse {
     pub content_type: String,
     /// The response body.
     pub body: String,
-}
-
-impl HttpResponse {
-    /// True for a 2xx status.
-    pub fn is_ok(&self) -> bool {
-        (200..300).contains(&self.status)
-    }
 }
 
 struct Reply {

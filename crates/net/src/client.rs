@@ -63,7 +63,7 @@ const FLUSH_AT: usize = 64 * 1024;
 
 /// Re-dials the server after a connection loss. Called once per
 /// reconnect attempt; each call must produce a fresh connection.
-pub type Dialer = Box<dyn FnMut() -> std::io::Result<Conn> + Send>;
+pub(crate) type Dialer = Box<dyn FnMut() -> std::io::Result<Conn> + Send>;
 
 /// A client connection speaking the wire protocol. Single-threaded by
 /// design: one client pipelines many requests on one connection; drive
@@ -193,11 +193,6 @@ impl NetClient {
             self.reconnects += 1;
             return Ok(());
         }
-    }
-
-    /// Number of sent requests not yet answered.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
     }
 
     fn pending_index(&self, id: u64) -> Option<usize> {
@@ -593,7 +588,7 @@ mod tests {
             assert_eq!(client.send(&put(id)).expect("send"), id);
         }
         assert!(log.writes().is_empty(), "`send` only queues");
-        assert_eq!(client.in_flight(), 5);
+        assert_eq!(client.pending.len(), 5);
         assert_eq!(client.wait(5).expect("answered").id, 5);
         assert_eq!(log.writes(), vec![frames(1..=5)]);
         // The other four answers arrived with the fifth: no read, no
@@ -602,7 +597,7 @@ mod tests {
             assert_eq!(client.wait(id).expect("stashed").id, id);
         }
         assert_eq!(log.writes().len(), 1);
-        assert_eq!(client.in_flight(), 0);
+        assert_eq!(client.pending.len(), 0);
     }
 
     #[test]
@@ -759,7 +754,7 @@ mod tests {
             client.drain().expect("nothing left to read for");
             assert!(client.received.is_empty(), "round {round}");
             assert!(client.partial_scans.is_empty(), "round {round}");
-            assert_eq!(client.in_flight(), 0);
+            assert_eq!(client.pending.len(), 0);
             // Discarded means taken: the id is refused, not read for.
             assert!(matches!(client.wait(first), Err(PrismError::Protocol(_))));
         }

@@ -67,13 +67,13 @@ pub mod server;
 pub mod transport;
 
 pub use admin::{http_get, AdminClient, AdminServer, HttpResponse};
-pub use client::{Dialer, NetClient};
+pub use client::NetClient;
 pub use protocol::{
-    decode_request, decode_response, encode_request, encode_response, latency_class, FrameDecoder,
-    Request, Response, ResponseBody, Status, MAX_FRAME,
+    decode_request, decode_response, encode_request, encode_response, FrameDecoder, Request,
+    Response, ResponseBody, Status, MAX_FRAME,
 };
 pub use server::{NetServer, ServerOptions};
 pub use transport::{
-    duplex_listener, duplex_pair, tcp_connect, Conn, DuplexConnector, DuplexListener, Listener,
+    duplex_listener, tcp_connect, Conn, DuplexConnector, DuplexListener, Listener,
     TcpServerListener,
 };

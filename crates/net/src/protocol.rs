@@ -39,7 +39,7 @@ pub const CRC_PREFIX: usize = 4;
 pub const HEADER: usize = LEN_PREFIX + CRC_PREFIX;
 
 /// Maximum key bytes on the wire (`u16` length field).
-pub const MAX_KEY_LEN: usize = u16::MAX as usize;
+pub(crate) const MAX_KEY_LEN: usize = u16::MAX as usize;
 
 /// One decoded client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,7 +152,7 @@ impl Status {
     }
 
     /// True for statuses a client may transparently retry.
-    pub fn is_retryable(self) -> bool {
+    pub(crate) fn is_retryable(self) -> bool {
         matches!(self, Status::Backpressure | Status::Degraded)
     }
 }
@@ -160,7 +160,7 @@ impl Status {
 /// Latency classes carried in every response so clients can histogram
 /// service quality without trusting their own clocks: the class buckets
 /// the server-side (simulated) service latency by decade.
-pub fn latency_class(latency: Nanos) -> u8 {
+pub(crate) fn latency_class(latency: Nanos) -> u8 {
     let us = latency.as_nanos() / 1_000;
     match us {
         0..=9 => 0,
@@ -218,7 +218,7 @@ impl Response {
     }
 
     /// A successful response carrying `body`.
-    pub fn ok(id: u64, opcode: u8, latency: Nanos, body: ResponseBody) -> Response {
+    pub(crate) fn ok(id: u64, opcode: u8, latency: Nanos, body: ResponseBody) -> Response {
         Response {
             id,
             opcode,
@@ -232,7 +232,7 @@ impl Response {
 
     /// The refusal an engine or front-end error maps to on the wire —
     /// the one place a [`PrismError`] becomes a [`Status`].
-    pub fn from_error(id: u64, opcode: u8, err: &PrismError) -> Response {
+    pub(crate) fn from_error(id: u64, opcode: u8, err: &PrismError) -> Response {
         let status = match err {
             PrismError::Backpressure { .. } => Status::Backpressure,
             PrismError::ShuttingDown => Status::ShuttingDown,
@@ -244,7 +244,7 @@ impl Response {
     }
 
     /// The latency class bucket of this response's latency.
-    pub fn latency_class(&self) -> u8 {
+    pub(crate) fn latency_class(&self) -> u8 {
         latency_class(self.latency)
     }
 }
@@ -378,7 +378,7 @@ fn response_payload_len(response: &Response) -> usize {
 ///
 /// # Errors
 ///
-/// [`PrismError::Protocol`] if a key exceeds [`MAX_KEY_LEN`] or the
+/// [`PrismError::Protocol`] if a key exceeds `u16::MAX` bytes or the
 /// payload exceeds [`MAX_FRAME`].
 pub fn encode_request(id: u64, request: &Request) -> Result<Vec<u8>> {
     let mut buf = Vec::new();
@@ -562,7 +562,7 @@ impl<'a> Cursor<'a> {
 /// The request id of a payload too malformed to decode, so a protocol
 /// error can still be routed back to the requester. `u64::MAX` if the
 /// payload is too short to carry an id.
-pub fn peek_request_id(payload: &[u8]) -> u64 {
+pub(crate) fn peek_request_id(payload: &[u8]) -> u64 {
     payload
         .get(..8)
         .map(|bytes| u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
@@ -709,7 +709,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
 /// remaining entries and `more == false`. Responses that already fit
 /// (and every non-scan response) come back as a single-element sequence,
 /// unchanged.
-pub fn split_scan_response(mut response: Response) -> Vec<Response> {
+pub(crate) fn split_scan_response(mut response: Response) -> Vec<Response> {
     let ResponseBody::Entries(entries) = &mut response.body else {
         return vec![response];
     };

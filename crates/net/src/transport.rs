@@ -18,12 +18,12 @@ use std::time::Duration;
 
 /// Unblocks and permanently EOFs the reading half of a [`Conn`] from any
 /// thread. Idempotent.
-pub type ReadCloser = Arc<dyn Fn() + Send + Sync>;
+pub(crate) type ReadCloser = Arc<dyn Fn() + Send + Sync>;
 
 /// One accepted or dialed full-duplex connection.
 pub struct Conn {
     /// The receiving half. Blocking reads return `Ok(0)` (EOF) once the
-    /// peer's writer closes or [`Conn::read_closer`] fires.
+    /// peer's writer closes or the server closes it from another thread.
     pub reader: Box<dyn Read + Send>,
     /// The sending half. Writes fail with [`io::ErrorKind::BrokenPipe`]
     /// once the peer's reader is gone.
@@ -34,12 +34,12 @@ pub struct Conn {
 
 impl Conn {
     /// A handle that EOFs this connection's reader from another thread.
-    pub fn read_closer(&self) -> ReadCloser {
+    pub(crate) fn read_closer(&self) -> ReadCloser {
         Arc::clone(&self.closer)
     }
 
     /// Human-readable peer description for logs and stats.
-    pub fn peer(&self) -> &str {
+    pub(crate) fn peer(&self) -> &str {
         &self.peer
     }
 }
@@ -379,7 +379,7 @@ impl Drop for PipeWriter {
 /// crosswise). Data written to one side is read by the other; dropping a
 /// side's writer EOFs the peer's reader; closing a side's reader makes
 /// the peer's writes fail with `BrokenPipe`.
-pub fn duplex_pair(client_peer: &str, server_peer: &str) -> (Conn, Conn) {
+pub(crate) fn duplex_pair(client_peer: &str, server_peer: &str) -> (Conn, Conn) {
     let client_to_server = Arc::new(Pipe::default());
     let server_to_client = Arc::new(Pipe::default());
     let client = Conn {

@@ -8,7 +8,7 @@
 //!
 //! This crate implements that layout:
 //!
-//! * [`SlabFile`] — one size class: slot allocation, in-place update, free
+//! * `SlabFile` — one size class: slot allocation, in-place update, free
 //!   slot reuse ordered by disk location (the §7.3 optimisation that keeps
 //!   consecutive writes of tiny objects on the same OS page),
 //! * [`SlabStore`] — the per-partition collection of slab files with
@@ -34,7 +34,7 @@
 mod slab;
 mod store;
 
-pub use slab::{SlabFile, SlotEntry};
+pub use slab::SlotEntry;
 pub use store::{SlabConfig, SlabStore, SlabUsage, MAX_OBJECT_SIZE};
 
 use std::fmt;

@@ -73,11 +73,10 @@ impl SlotEntry {
 /// so that consecutive small writes land on the same 4 KB page (§7.3 of the
 /// paper).
 #[derive(Debug)]
-pub struct SlabFile {
+pub(crate) struct SlabFile {
     slot_size: u32,
     slots: Vec<Option<SlotEntry>>,
     free: BinaryHeap<Reverse<u32>>,
-    live: usize,
 }
 
 impl SlabFile {
@@ -88,22 +87,16 @@ impl SlabFile {
             slot_size,
             slots: Vec::new(),
             free: BinaryHeap::new(),
-            live: 0,
         }
     }
 
     /// The slot size (bytes) of this slab file.
-    pub fn slot_size(&self) -> u32 {
+    pub(crate) fn slot_size(&self) -> u32 {
         self.slot_size
     }
 
-    /// Number of live objects.
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
     /// Number of allocated slots (live + free).
-    pub fn allocated_slots(&self) -> usize {
+    pub(crate) fn allocated_slots(&self) -> usize {
         self.slots.len()
     }
 
@@ -111,7 +104,7 @@ impl SlabFile {
     /// returning the slot index.
     pub fn insert(&mut self, entry: SlotEntry) -> u32 {
         debug_assert!(entry.version.value_len() <= self.slot_size as usize);
-        let slot = match self.free.pop() {
+        match self.free.pop() {
             Some(Reverse(idx)) => {
                 self.slots[idx as usize] = Some(entry);
                 idx
@@ -120,14 +113,12 @@ impl SlabFile {
                 self.slots.push(Some(entry));
                 (self.slots.len() - 1) as u32
             }
-        };
-        self.live += 1;
-        slot
+        }
     }
 
     /// Overwrite the entry in `slot` in place. Returns `false` if the slot
     /// is empty (the caller's index was stale).
-    pub fn update_in_place(&mut self, slot: u32, entry: SlotEntry) -> bool {
+    pub(crate) fn update_in_place(&mut self, slot: u32, entry: SlotEntry) -> bool {
         debug_assert!(entry.version.value_len() <= self.slot_size as usize);
         match self.slots.get_mut(slot as usize) {
             Some(existing @ Some(_)) => {
@@ -148,7 +139,6 @@ impl SlabFile {
         let entry = self.slots.get_mut(slot as usize)?.take();
         if entry.is_some() {
             self.free.push(Reverse(slot));
-            self.live -= 1;
         }
         entry
     }
@@ -181,7 +171,7 @@ mod tests {
         assert_eq!(s1, 1);
         assert_eq!(slab.get(s0).unwrap().key.id(), 1);
         assert_eq!(slab.get(s1).unwrap().version.timestamp, 2);
-        assert_eq!(slab.live(), 2);
+        assert_eq!(slab.iter().count(), 2);
         assert_eq!(slab.allocated_slots(), 2);
     }
 
@@ -193,7 +183,7 @@ mod tests {
         }
         slab.remove(3).unwrap();
         slab.remove(1).unwrap();
-        assert_eq!(slab.live(), 3);
+        assert_eq!(slab.iter().count(), 3);
         // Lowest free slot (1) must be handed out before slot 3.
         assert_eq!(slab.insert(entry(10, 64, 10)), 1);
         assert_eq!(slab.insert(entry(11, 64, 11)), 3);
@@ -209,7 +199,7 @@ mod tests {
         let got = slab.get(slot).unwrap();
         assert_eq!(got.version.value_len(), 120);
         assert_eq!(got.version.timestamp, 2);
-        assert_eq!(slab.live(), 1);
+        assert_eq!(slab.iter().count(), 1);
         assert!(!slab.update_in_place(99, entry(5, 10, 3)));
     }
 
@@ -220,7 +210,7 @@ mod tests {
         let slot = slab.insert(entry(1, 50, 1));
         assert!(slab.remove(slot).is_some());
         assert!(slab.remove(slot).is_none());
-        assert_eq!(slab.live(), 0);
+        assert_eq!(slab.iter().count(), 0);
     }
 
     #[test]

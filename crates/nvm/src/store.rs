@@ -331,9 +331,6 @@ impl SlabStore {
             .ok_or_else(|| PrismError::Corruption(format!("read of empty nvm slot {addr}")))?;
         let cost = self.device.read_random(slab.slot_size() as u64) + extra;
         if !entry.verify() {
-            if let Some(plan) = &self.fault {
-                plan.note_detected();
-            }
             return Err(PrismError::Corruption(format!(
                 "nvm slot {addr} failed checksum (partition {}, key {}, ts {})",
                 self.partition,
@@ -542,7 +539,9 @@ mod tests {
         assert!(err.to_string().contains("partition 7"));
         let snap = plan.snapshot();
         assert_eq!(snap.bit_flips, 1);
-        assert_eq!(snap.detected, 1);
+        // The store reports the damage; the engine code that reads the
+        // slot is what counts it.
+        assert_eq!(snap.detected, 0);
         // The corrupt slot is visible to a scan and fails verification
         // there too (how the scrubber finds it).
         let corrupt: Vec<_> = s.scan().filter(|(_, e)| !e.verify()).collect();

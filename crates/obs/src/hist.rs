@@ -4,7 +4,7 @@
 //! atomic `u64` buckets, so any number of threads can record into one
 //! shared histogram with no coordination beyond cache-line traffic.
 //! Buckets grow geometrically by ~√2 (two buckets per octave) from
-//! [`LOWEST_BOUND`] (100 ns) to past [`HIGHEST_BOUND`] (10 s), which
+//! [`LOWEST_BOUND`] (100 ns) to past 10 s, which
 //! bounds the relative error of any reported percentile by one bucket's
 //! width: a reported value is within ×√2 of the true order statistic,
 //! and the true value always lies inside the reported bucket's
@@ -39,19 +39,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// in bucket 0.
 pub const LOWEST_BOUND: u64 = 100;
 
-/// The histogram resolves values up to at least 10 s; anything beyond the
-/// last finite bound lands in the overflow bucket (whose reported
-/// representative is the recorded maximum).
-pub const HIGHEST_BOUND: u64 = 10_000_000_000;
-
 /// Number of finite bucket bounds. Bound `i` is `100 << (i/2)` for even
 /// `i` and `141 << (i/2)` for odd `i` (141/100 ≈ √2), so consecutive
 /// bounds differ by ~√2 and the last bound (`100 << 27` ≈ 13.4 s) covers
-/// [`HIGHEST_BOUND`].
+/// 10 s; anything beyond it lands in the overflow bucket (whose reported
+/// representative is the recorded maximum).
 pub const NUM_BOUNDS: usize = 55;
 
 /// Total buckets: one per finite bound plus the overflow bucket.
-pub const NUM_BUCKETS: usize = NUM_BOUNDS + 1;
+pub(crate) const NUM_BUCKETS: usize = NUM_BOUNDS + 1;
 
 /// Upper (inclusive) bound of finite bucket `i`.
 const fn bound(i: usize) -> u64 {
@@ -77,7 +73,7 @@ pub const BOUNDS: [u64; NUM_BOUNDS] = build_bounds();
 
 /// Bucket index a value of `ns` nanoseconds lands in.
 #[inline]
-pub fn bucket_index(ns: u64) -> usize {
+pub(crate) fn bucket_index(ns: u64) -> usize {
     // partition_point returns the count of bounds strictly below `ns`,
     // which is exactly the first bucket whose inclusive bound covers it;
     // values beyond every finite bound fall through to the overflow
@@ -138,7 +134,7 @@ impl LatencyHistogram {
     }
 
     /// Fold a previously taken snapshot into `self`.
-    pub fn merge_snapshot(&self, snap: &HistogramSnapshot) {
+    pub(crate) fn merge_snapshot(&self, snap: &HistogramSnapshot) {
         for (i, &n) in snap.buckets.iter().enumerate() {
             if n > 0 {
                 self.buckets[i].fetch_add(n, Ordering::Relaxed);
@@ -320,7 +316,10 @@ mod tests {
             );
         }
         assert_eq!(BOUNDS[0], LOWEST_BOUND);
-        assert!(BOUNDS[NUM_BOUNDS - 1] >= HIGHEST_BOUND);
+        assert!(
+            BOUNDS[NUM_BOUNDS - 1] >= 10_000_000_000,
+            "resolves up to 10 s"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 /// Append `s` to `out` with JSON string escaping applied (quotes are NOT
 /// added by this function).
-pub fn escape_into(s: &str, out: &mut String) {
+pub(crate) fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -25,7 +25,7 @@ pub fn escape_into(s: &str, out: &mut String) {
 }
 
 /// Render `v` as a JSON number (JSON has no NaN/Inf; both become 0).
-pub fn fmt_f64(v: f64) -> String {
+pub(crate) fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

@@ -48,17 +48,14 @@ pub mod json;
 pub mod registry;
 pub mod trace;
 
-pub use hist::{
-    bucket_index, HistogramSnapshot, LatencyHistogram, BOUNDS, HIGHEST_BOUND, LOWEST_BOUND,
-    NUM_BOUNDS, NUM_BUCKETS,
-};
+pub use hist::{HistogramSnapshot, LatencyHistogram, BOUNDS, LOWEST_BOUND, NUM_BOUNDS};
 pub use registry::{
     render_catalogue, HealthReport, MetricsRegistry, MetricsSnapshot, Series, ShardHealthView,
 };
 pub use trace::{TraceBuffer, TraceEvent};
 
 /// Default number of trace events an [`ObsHub`] retains.
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 /// One shared observability hub: a metrics registry plus a trace buffer.
 ///
@@ -88,7 +85,7 @@ impl ObsHub {
     }
 
     /// A hub retaining the last `capacity` trace events.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_trace_capacity(capacity: usize) -> Self {
         ObsHub {
             registry: MetricsRegistry::new(),
             trace: TraceBuffer::new(capacity),

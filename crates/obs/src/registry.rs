@@ -46,7 +46,7 @@ pub struct HealthReport {
 
 impl HealthReport {
     /// Number of shards currently degraded.
-    pub fn degraded_partitions(&self) -> u64 {
+    pub(crate) fn degraded_partitions(&self) -> u64 {
         self.partitions
             .iter()
             .filter(|p| p.health == PartitionHealth::Degraded)

@@ -75,7 +75,7 @@ pub struct CommitRecord {
 
 impl CommitRecord {
     /// CRC32 over the record's intent content (everything but `sealed`).
-    pub fn compute_checksum(batch_id: u64, parts: &[CommitPart]) -> u32 {
+    pub(crate) fn compute_checksum(batch_id: u64, parts: &[CommitPart]) -> u32 {
         let mut crc = Crc32::new();
         crc.update_u64(batch_id);
         for part in parts {

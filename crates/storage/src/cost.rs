@@ -4,7 +4,7 @@ use crate::profile::DeviceProfile;
 
 /// Dollar-cost summary of a storage configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostBreakdown {
+pub(crate) struct CostBreakdown {
     /// Total usable capacity in bytes.
     pub capacity_bytes: u64,
     /// Total hardware cost in dollars.
@@ -35,7 +35,7 @@ pub fn blended_cost_per_gb(devices: &[(&DeviceProfile, u64)]) -> f64 {
 }
 
 /// Full cost breakdown for a set of devices.
-pub fn breakdown(devices: &[(&DeviceProfile, u64)]) -> CostBreakdown {
+pub(crate) fn breakdown(devices: &[(&DeviceProfile, u64)]) -> CostBreakdown {
     let mut capacity_bytes = 0u64;
     let mut total_dollars = 0f64;
     for (profile, capacity) in devices {

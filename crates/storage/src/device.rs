@@ -9,7 +9,7 @@ use crate::fault::{FaultPlan, FaultTier};
 use crate::profile::DeviceProfile;
 
 /// The standard page size used for random-access charging.
-pub const PAGE_SIZE: u64 = 4096;
+pub(crate) const PAGE_SIZE: u64 = 4096;
 
 /// Cumulative I/O counters of a [`Device`].
 #[derive(Debug, Default)]
@@ -232,13 +232,6 @@ impl Device {
     pub fn utilization(&self) -> f64 {
         self.used_bytes() as f64 / self.profile.capacity_bytes.max(1) as f64
     }
-
-    /// Bytes of free capacity remaining.
-    pub fn free_bytes(&self) -> u64 {
-        self.profile
-            .capacity_bytes
-            .saturating_sub(self.used_bytes())
-    }
 }
 
 #[cfg(test)]
@@ -288,7 +281,6 @@ mod tests {
         let dev = Device::new(DeviceProfile::optane_nvm(10_000));
         dev.allocate(6_000);
         assert_eq!(dev.used_bytes(), 6_000);
-        assert_eq!(dev.free_bytes(), 4_000);
         assert!((dev.utilization() - 0.6).abs() < 1e-9);
         dev.release(8_000);
         assert_eq!(dev.used_bytes(), 0);

@@ -3,7 +3,7 @@
 use crate::profile::DeviceProfile;
 
 /// Warranty period (years) over which DWPD ratings are specified.
-pub const WARRANTY_YEARS: f64 = 5.0;
+pub(crate) const WARRANTY_YEARS: f64 = 5.0;
 
 const SECONDS_PER_YEAR: f64 = 365.0 * 24.0 * 3600.0;
 
@@ -29,7 +29,7 @@ pub struct EnduranceModel {
 
 impl EnduranceModel {
     /// Flash bytes written per second under this model.
-    pub fn flash_bytes_per_sec(&self) -> f64 {
+    pub(crate) fn flash_bytes_per_sec(&self) -> f64 {
         self.request_rate_ops
             * self.write_fraction
             * self.object_size_bytes as f64

@@ -158,8 +158,10 @@ pub struct FaultCounters {
     pub torn_writes: AtomicU64,
     /// Latency spikes injected.
     pub latency_spikes: AtomicU64,
-    /// Corrupted payloads caught by a checksum (credited by the
-    /// detecting layer via [`FaultPlan::note_detected`]).
+    /// Corrupted payloads caught by a checksum (credited via
+    /// [`FaultPlan::note_detected`] once per observation, by the engine
+    /// code that read the payload — the storage layers that only report
+    /// a failed checksum do not count it).
     pub detected: AtomicU64,
 }
 
@@ -214,7 +216,7 @@ impl FaultPlan {
     }
 
     /// Set the probabilistic rates for one tier (builder-style).
-    pub fn with_tier_rates(mut self, tier: FaultTier, rates: TierFaultRates) -> FaultPlan {
+    pub(crate) fn with_tier_rates(mut self, tier: FaultTier, rates: TierFaultRates) -> FaultPlan {
         match tier {
             FaultTier::Nvm => self.nvm = rates,
             FaultTier::Flash => self.flash = rates,
@@ -417,7 +419,7 @@ impl FaultPlan {
     /// Device-path helper: roll for a latency spike only (devices hold
     /// no data, so error/corruption faults are rolled by the data-owning
     /// layers instead). Returns the extra latency to add, if any.
-    pub fn roll_latency(&self, tier: FaultTier) -> Option<Nanos> {
+    pub(crate) fn roll_latency(&self, tier: FaultTier) -> Option<Nanos> {
         let rates = self.rates(tier);
         if rates.latency_spike <= 0.0 {
             return None;

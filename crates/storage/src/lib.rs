@@ -36,9 +36,9 @@ mod fault;
 mod profile;
 
 pub use commitlog::{group_digest, CommitLog, CommitLogCounters, CommitPart, CommitRecord};
-pub use cost::{blended_cost_per_gb, CostBreakdown};
+pub use cost::blended_cost_per_gb;
 pub use device::{Device, DeviceCounters};
-pub use endurance::{lifetime_years, EnduranceModel, WARRANTY_YEARS};
+pub use endurance::{lifetime_years, EnduranceModel};
 pub use fault::{
     FaultCounters, FaultCountersSnapshot, FaultMode, FaultOp, FaultPlan, FaultTier, InjectedFault,
     TargetedFault, TierFaultRates,

@@ -1,10 +1,9 @@
 //! Device profiles and CPU cost constants.
 
 use prism_types::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// The class of a storage device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// DRAM (used only for cache latency modelling, never persistent).
     Dram,
@@ -36,7 +35,7 @@ impl DeviceKind {
 /// P5800X and Intel 660p QLC measured with fio) plus public spec sheets for
 /// the TLC and DRAM points; what matters for reproduction is the relative
 /// gaps, which these values preserve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceProfile {
     /// Device class.
     pub kind: DeviceKind,
@@ -117,7 +116,7 @@ impl DeviceProfile {
 
     /// Total bytes that may be written to the device before it wears out,
     /// assuming the industry-standard warranty window.
-    pub fn endurance_bytes(&self) -> f64 {
+    pub(crate) fn endurance_bytes(&self) -> f64 {
         if self.dwpd.is_infinite() {
             return f64::INFINITY;
         }
@@ -130,7 +129,7 @@ impl DeviceProfile {
 /// These model the "CPU becomes the bottleneck once most requests are served
 /// from DRAM or NVM" effect the paper observes in §3, including the large
 /// cost of merge-sorting objects during LSM compactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuCosts {
     /// Cost of a memtable / B-tree / hash index lookup or insert.
     pub index_op: Nanos,

@@ -1,22 +1,12 @@
 //! The multi-bit clock tracker.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 use prism_types::Key;
 
 /// Maximum clock value (two clock bits).
 pub const MAX_CLOCK: u8 = 3;
-
-/// One tracked key's state. The clock value and location bit are atomics
-/// so the read path can re-heat an already-tracked key ([`ClockTracker::touch`])
-/// without the partition write lock; structural changes (inserts, ring
-/// management, evictions) still require `&mut self`.
-#[derive(Debug)]
-struct Entry {
-    clock: AtomicU8,
-    on_flash: AtomicBool,
-}
 
 /// What happened to the tracker state as a result of one access.
 ///
@@ -45,13 +35,16 @@ pub struct AccessEvent {
 /// * When the tracker is full, the clock hand sweeps the ring, decrementing
 ///   non-zero clock values until it finds a value-0 entry to evict.
 ///
-/// The tracker also records one location bit per key (whether the latest
-/// version of the object lives on flash), which read-triggered compaction
-/// uses to detect read-heavy workloads whose hot set sits on flash.
+/// Where a key's newest version lives (NVM or flash) is not kept here:
+/// the engine's bucket map holds it as NVM and flash residency bits.
 #[derive(Debug)]
 pub struct ClockTracker {
     capacity: usize,
-    map: HashMap<Key, Entry>,
+    /// Each tracked key's clock value, an atomic so the read path can
+    /// re-heat an already-tracked key ([`ClockTracker::touch`]) without the
+    /// partition write lock; structural changes (inserts, ring management,
+    /// evictions) still require `&mut self`.
+    map: HashMap<Key, AtomicU8>,
     ring: Vec<Key>,
     hand: usize,
 }
@@ -74,11 +67,6 @@ impl ClockTracker {
         }
     }
 
-    /// Maximum number of tracked keys.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of tracked keys.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -91,61 +79,35 @@ impl ClockTracker {
 
     /// The clock value of `key`, if tracked.
     pub fn clock_of(&self, key: &Key) -> Option<u8> {
-        self.map.get(key).map(|e| e.clock.load(Ordering::Relaxed))
-    }
-
-    /// True if the tracked key's latest version is recorded as living on
-    /// flash.
-    pub fn is_on_flash(&self, key: &Key) -> Option<bool> {
-        self.map
-            .get(key)
-            .map(|e| e.on_flash.load(Ordering::Relaxed))
-    }
-
-    /// Update the location bit of a tracked key (e.g. after a demotion or
-    /// promotion); does nothing if the key is not tracked.
-    pub fn set_location(&self, key: &Key, on_flash: bool) {
-        if let Some(entry) = self.map.get(key) {
-            entry.on_flash.store(on_flash, Ordering::Relaxed);
-        }
-    }
-
-    /// Fraction of tracked keys whose latest version lives on flash.
-    pub fn flash_fraction(&self) -> f64 {
-        if self.map.is_empty() {
-            return 0.0;
-        }
-        let on_flash = self
-            .map
-            .values()
-            .filter(|e| e.on_flash.load(Ordering::Relaxed))
-            .count();
-        on_flash as f64 / self.map.len() as f64
+        self.map.get(key).map(|clock| clock.load(Ordering::Relaxed))
     }
 
     /// Re-heat an already-tracked key without the write lock: atomically
-    /// swap its clock value to [`MAX_CLOCK`], refresh the location bit and
-    /// return the previous clock value. Returns `None` (and changes
-    /// nothing) if the key is not tracked — the caller defers such
-    /// accesses to the structural [`ClockTracker::access`] path.
+    /// swap its clock value to [`MAX_CLOCK`] and return the previous clock
+    /// value. Returns `None` (and changes nothing) if the key is not
+    /// tracked — the caller defers such accesses to the structural
+    /// [`ClockTracker::access`] path.
+    ///
+    /// `_on_flash` is unused (residency lives in the bucket map); it stays
+    /// because the benchmark's tracker probes pass it.
     ///
     /// Safe against concurrent touches of the same key: the swap
     /// serialises the clock transitions, so exactly one racing touch
     /// observes each pre-`MAX` value (keeping the mapper's histogram
     /// exact). Structural changes never race with touches because they
     /// require `&mut self` (the partition write lock).
-    pub fn touch(&self, key: &Key, on_flash: bool) -> Option<u8> {
-        let entry = self.map.get(key)?;
-        entry.on_flash.store(on_flash, Ordering::Relaxed);
-        Some(entry.clock.swap(MAX_CLOCK, Ordering::Relaxed))
+    pub fn touch(&self, key: &Key, _on_flash: bool) -> Option<u8> {
+        let clock = self.map.get(key)?;
+        Some(clock.swap(MAX_CLOCK, Ordering::Relaxed))
     }
 
     /// Record an access to `key`, inserting it if necessary (possibly
     /// evicting a cold key) and returning the resulting state changes.
-    pub fn access(&mut self, key: &Key, on_flash: bool) -> AccessEvent {
-        if let Some(entry) = self.map.get_mut(key) {
-            let old = entry.clock.swap(MAX_CLOCK, Ordering::Relaxed);
-            entry.on_flash.store(on_flash, Ordering::Relaxed);
+    ///
+    /// `_on_flash` is unused, as in [`ClockTracker::touch`].
+    pub fn access(&mut self, key: &Key, _on_flash: bool) -> AccessEvent {
+        if let Some(clock) = self.map.get_mut(key) {
+            let old = clock.swap(MAX_CLOCK, Ordering::Relaxed);
             return AccessEvent {
                 old_clock: Some(old),
                 new_clock: MAX_CLOCK,
@@ -176,13 +138,7 @@ impl ClockTracker {
             self.ring[slot] = key.clone();
         }
 
-        self.map.insert(
-            key.clone(),
-            Entry {
-                clock: AtomicU8::new(0),
-                on_flash: AtomicBool::new(on_flash),
-            },
-        );
+        self.map.insert(key.clone(), AtomicU8::new(0));
         AccessEvent {
             old_clock: None,
             new_clock: 0,
@@ -204,13 +160,13 @@ impl ClockTracker {
                 .map
                 .get_mut(&candidate)
                 .expect("ring keys are always tracked");
-            let clock = entry.clock.load(Ordering::Relaxed);
+            let clock = entry.load(Ordering::Relaxed);
             if clock == 0 {
                 self.map.remove(&candidate);
                 return (candidate, decrements);
             }
             decrements.push(clock);
-            entry.clock.store(clock - 1, Ordering::Relaxed);
+            entry.store(clock - 1, Ordering::Relaxed);
         }
     }
 }
@@ -269,21 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn location_bits_and_flash_fraction() {
-        let mut t = ClockTracker::new(10);
-        t.access(&Key::from_id(1), true);
-        t.access(&Key::from_id(2), false);
-        t.access(&Key::from_id(3), true);
-        assert_eq!(t.is_on_flash(&Key::from_id(1)), Some(true));
-        assert_eq!(t.is_on_flash(&Key::from_id(2)), Some(false));
-        assert!((t.flash_fraction() - 2.0 / 3.0).abs() < 1e-9);
-        t.set_location(&Key::from_id(1), false);
-        assert!((t.flash_fraction() - 1.0 / 3.0).abs() < 1e-9);
-        t.set_location(&Key::from_id(99), true); // untracked: no effect
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
     fn heavily_skewed_access_keeps_hot_set_resident() {
         let mut t = ClockTracker::new(50);
         // 10 hot keys accessed often interleaved with a long scan of cold keys.
@@ -307,10 +248,9 @@ mod tests {
     fn touch_reheats_tracked_keys_without_structural_changes() {
         let mut t = ClockTracker::new(4);
         let k = Key::from_id(1);
-        t.access(&k, false); // clock 0, on NVM
+        t.access(&k, false); // clock 0
         assert_eq!(t.touch(&k, true), Some(0));
         assert_eq!(t.clock_of(&k), Some(MAX_CLOCK));
-        assert_eq!(t.is_on_flash(&k), Some(true));
         // A second touch sees the key already at MAX.
         assert_eq!(t.touch(&k, true), Some(MAX_CLOCK));
         // Untracked keys are not inserted by touch.

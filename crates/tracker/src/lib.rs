@@ -2,7 +2,9 @@
 //!
 //! PrismDB estimates object popularity with a multi-bit clock algorithm
 //! (§4.3 of the paper): a capacity-bounded map from recently-accessed keys
-//! to a 2-bit clock value plus a location bit. The *tracker* maintains that
+//! to a 2-bit clock value. Where a key's newest version lives is not kept
+//! here but in the engine's bucket map, whose NVM and flash residency bits
+//! promotion planning and approx-MSC read. The *tracker* maintains that
 //! map; the *mapper* maintains the distribution of clock values and turns a
 //! configured *pinning threshold* (the fraction of tracked objects that
 //! should stay on NVM) into per-object pin/demote decisions, sampling the

@@ -113,7 +113,7 @@ impl Mapper {
 
     /// Overwrite the histogram (used by tests and by engines that rebuild
     /// the mapper after recovery).
-    pub fn set_histogram(&self, counts: [u64; (MAX_CLOCK as usize) + 1]) {
+    pub(crate) fn set_histogram(&self, counts: [u64; (MAX_CLOCK as usize) + 1]) {
         for (counter, value) in self.counts.iter().zip(counts.iter()) {
             counter.store(*value, Ordering::Relaxed);
         }

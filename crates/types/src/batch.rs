@@ -31,11 +31,6 @@ impl BatchOp {
             BatchOp::Put(key, _) | BatchOp::Delete(key) => key,
         }
     }
-
-    /// True for [`BatchOp::Put`].
-    pub fn is_put(&self) -> bool {
-        matches!(self, BatchOp::Put(_, _))
-    }
 }
 
 /// An ordered collection of writes applied as a group.
@@ -143,8 +138,8 @@ mod tests {
         batch.push(BatchOp::Put(Key::from_id(3), Value::filled(4, 3)));
         assert_eq!(batch.len(), 3);
         assert_eq!(batch.entries()[0].key(), &Key::from_id(1));
-        assert!(batch.entries()[0].is_put());
-        assert!(!batch.entries()[1].is_put());
+        assert!(matches!(batch.entries()[0], BatchOp::Put(..)));
+        assert!(matches!(batch.entries()[1], BatchOp::Delete(_)));
         let keys: Vec<u64> = batch.clone().into_iter().map(|op| op.key().id()).collect();
         assert_eq!(keys, vec![1, 2, 3]);
         let entries = batch.into_entries();

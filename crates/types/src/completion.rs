@@ -46,9 +46,9 @@
 //! # Example
 //!
 //! ```
-//! use prism_types::completion_pair;
+//! use prism_types::{completion_pair_gauged, TicketGauge};
 //!
-//! let (completion, mut ticket) = completion_pair::<u32>();
+//! let (completion, mut ticket) = completion_pair_gauged::<u32>(&TicketGauge::new());
 //! assert!(ticket.poll().is_none());
 //! std::thread::spawn(move || completion.complete(7));
 //! assert_eq!(ticket.wait(), 7);
@@ -57,9 +57,9 @@
 //! Multiplexing with a registration instead of a blocking wait:
 //!
 //! ```
-//! use prism_types::completion_pair;
+//! use prism_types::{completion_pair_gauged, TicketGauge};
 //!
-//! let (completion, mut ticket) = completion_pair::<u32>();
+//! let (completion, mut ticket) = completion_pair_gauged::<u32>(&TicketGauge::new());
 //! let already_done = ticket.register(std::thread::current());
 //! assert!(!already_done);
 //! std::thread::spawn(move || completion.complete(7));
@@ -163,7 +163,7 @@ impl<T> Inner<T> {
 pub struct Completion<T> {
     inner: Arc<Inner<T>>,
     completed: bool,
-    gauge: Option<TicketGauge>,
+    gauge: TicketGauge,
 }
 
 /// The consumer half: observe the result by polling or by blocking.
@@ -171,23 +171,13 @@ pub struct Ticket<T> {
     inner: Arc<Inner<T>>,
 }
 
-/// Create a connected [`Completion`] / [`Ticket`] pair.
-pub fn completion_pair<T>() -> (Completion<T>, Ticket<T>) {
-    pair_with_gauge(None)
-}
-
-/// [`completion_pair`] counted on `gauge`: the gauge rises now and falls
-/// when the [`Completion`] completes or is dropped uncompleted, so a
+/// Create a connected [`Completion`] / [`Ticket`] pair counted on
+/// `gauge`: the gauge rises now and falls when the [`Completion`]
+/// completes or is dropped uncompleted, so a
 /// producer (a submission front-end, a network server) can prove it never
 /// stranded a request by asserting the gauge reads zero after a drain.
 pub fn completion_pair_gauged<T>(gauge: &TicketGauge) -> (Completion<T>, Ticket<T>) {
-    pair_with_gauge(Some(gauge.clone()))
-}
-
-fn pair_with_gauge<T>(gauge: Option<TicketGauge>) -> (Completion<T>, Ticket<T>) {
-    if let Some(gauge) = &gauge {
-        gauge.incr();
-    }
+    gauge.incr();
     let inner = Arc::new(Inner {
         state: Mutex::new(State {
             value: None,
@@ -199,7 +189,7 @@ fn pair_with_gauge<T>(gauge: Option<TicketGauge>) -> (Completion<T>, Ticket<T>) 
         Completion {
             inner: Arc::clone(&inner),
             completed: false,
-            gauge,
+            gauge: gauge.clone(),
         },
         Ticket { inner },
     )
@@ -226,9 +216,7 @@ impl<T> Completion<T> {
         // the result (a polled ticket, a wire response built from it)
         // must observe the gauge already dropped, so a drain check can
         // read zero the instant the last response is visible.
-        if let Some(gauge) = self.gauge.take() {
-            gauge.decr();
-        }
+        self.gauge.decr();
         let mut state = self.inner.lock();
         state.value = Some(value);
         state.waiter.take()
@@ -278,9 +266,7 @@ impl<T> Drop for Completion<T> {
         // An abandoned request is no longer outstanding either — the
         // gauge tracks "could still complete", not "completed cleanly".
         // As in `complete`, decrement before publishing the abandonment.
-        if let Some(gauge) = self.gauge.take() {
-            gauge.decr();
-        }
+        self.gauge.decr();
         let waiter = {
             let mut state = self.inner.lock();
             state.abandoned = true;
@@ -385,6 +371,10 @@ impl<T> std::fmt::Debug for Completion<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn completion_pair<T>() -> (Completion<T>, Ticket<T>) {
+        completion_pair_gauged(&TicketGauge::new())
+    }
 
     #[test]
     fn complete_before_wait_returns_immediately() {

@@ -13,8 +13,7 @@
 //!
 //! * every `ConcurrentKvStore` is a [`crate::KvStore`] through one blanket
 //!   impl, so single-threaded drivers (the benchmark runner, tests) drive a
-//!   shared engine unchanged. `Arc<E>` forwards `ConcurrentKvStore`, so an
-//!   `Arc` clone is the per-thread `&mut` handle.
+//!   shared engine unchanged. A holder of an `Arc<E>` passes `&*arc`.
 //! * [`MutexKv`] wraps any `impl KvStore` in one global mutex and
 //!   implements [`ConcurrentKvStore`]. It is the baseline adapter: safe
 //!   everywhere, parallel nowhere (a single shard), which is exactly the
@@ -26,7 +25,7 @@
 //! drives engines through; where a module needs the other one for a single
 //! call, import it in that function (or name it: `KvStore::stats(&db)`).
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::{
     BatchOp, EngineStats, Key, KvStore, Lookup, Nanos, PartitionHealth, PrismError, Result,
@@ -251,108 +250,9 @@ pub trait ConcurrentKvStore: Send + Sync {
     }
 }
 
-/// `Arc<E>` is itself a concurrent engine: every clone addresses the same
-/// underlying store. This lets harness code accept `impl ConcurrentKvStore`
-/// without caring whether the caller passed the engine or a shared handle.
-impl<E: ConcurrentKvStore + ?Sized> ConcurrentKvStore for Arc<E> {
-    fn put(&self, key: Key, value: Value) -> Result<Nanos> {
-        (**self).put(key, value)
-    }
-
-    fn get(&self, key: &Key) -> Result<Lookup> {
-        (**self).get(key)
-    }
-
-    fn delete(&self, key: &Key) -> Result<Nanos> {
-        (**self).delete(key)
-    }
-
-    fn scan(&self, start: &Key, count: usize) -> Result<ScanResult> {
-        (**self).scan(start, count)
-    }
-
-    fn apply_batch(&self, batch: WriteBatch) -> Result<Nanos> {
-        (**self).apply_batch(batch)
-    }
-
-    fn stats(&self) -> EngineStats {
-        (**self).stats()
-    }
-
-    fn elapsed(&self) -> Nanos {
-        (**self).elapsed()
-    }
-
-    fn engine_name(&self) -> &str {
-        (**self).engine_name()
-    }
-
-    fn shard_count(&self) -> usize {
-        (**self).shard_count()
-    }
-
-    fn shard_of(&self, key: &Key) -> usize {
-        (**self).shard_of(key)
-    }
-
-    fn shards_for_scan(&self, start: &Key) -> std::ops::Range<usize> {
-        (**self).shards_for_scan(start)
-    }
-
-    fn concurrent_reads(&self) -> bool {
-        (**self).concurrent_reads()
-    }
-
-    fn background_worker_times(&self) -> Vec<Nanos> {
-        (**self).background_worker_times()
-    }
-
-    fn shard_read_serial_times(&self) -> Vec<Nanos> {
-        (**self).shard_read_serial_times()
-    }
-
-    fn shard_health(&self, shard: usize) -> PartitionHealth {
-        (**self).shard_health(shard)
-    }
-
-    fn quarantined_objects(&self) -> u64 {
-        (**self).quarantined_objects()
-    }
-
-    fn shard_write_pressure(&self, shard: usize) -> f64 {
-        (**self).shard_write_pressure(shard)
-    }
-
-    fn snapshot(&self) -> Result<SnapshotId> {
-        (**self).snapshot()
-    }
-
-    fn release_snapshot(&self, snapshot: SnapshotId) {
-        (**self).release_snapshot(snapshot)
-    }
-
-    fn snapshot_get(&self, snapshot: SnapshotId, key: &Key) -> Result<Option<Value>> {
-        (**self).snapshot_get(snapshot, key)
-    }
-
-    fn snapshot_scan(
-        &self,
-        snapshot: SnapshotId,
-        start: &Key,
-        count: usize,
-    ) -> Result<Vec<(Key, Value)>> {
-        (**self).snapshot_scan(snapshot, start, count)
-    }
-
-    fn txn_commit(&self, snapshot: SnapshotId, reads: &[Key], writes: WriteBatch) -> Result<Nanos> {
-        (**self).txn_commit(snapshot, reads, writes)
-    }
-}
-
 /// The `&mut self` API of every internally-locked engine, derived: a
-/// single-threaded driver written against [`KvStore`] runs an engine, an
-/// `Arc` clone of one (the per-thread handle) or a `dyn ConcurrentKvStore`
-/// unchanged. Exclusive access adds nothing to a shared-reference engine,
+/// single-threaded driver written against [`KvStore`] runs an engine or a
+/// `dyn ConcurrentKvStore` unchanged. Exclusive access adds nothing to a shared-reference engine,
 /// so each method is the `&self` one.
 impl<E: ConcurrentKvStore + ?Sized> KvStore for E {
     fn put(&mut self, key: Key, value: Value) -> Result<Nanos> {
@@ -411,16 +311,9 @@ impl<E: KvStore> MutexKv<E> {
         }
     }
 
-    /// Unwrap, returning the inner engine.
-    pub fn into_inner(self) -> E {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|poison| poison.into_inner())
-    }
-
     /// Lock the inner engine directly (e.g. to read engine-specific state
     /// that is not part of the trait).
-    pub fn lock(&self) -> MutexGuard<'_, E> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, E> {
         self.inner
             .lock()
             .unwrap_or_else(|poison| poison.into_inner())
@@ -652,17 +545,13 @@ mod tests {
     #[test]
     fn forwarding_is_total() {
         assert_reaches_probe(&Probe);
-        assert_reaches_probe(&Arc::new(Probe));
         let boxed: Box<dyn ConcurrentKvStore> = Box::new(Probe);
         assert_reaches_probe(&*boxed);
-        let shared: Arc<dyn ConcurrentKvStore> = Arc::new(Probe);
-        assert_reaches_probe(&shared);
 
         assert_kvstore_view_reaches_probe(&mut Probe);
-        assert_kvstore_view_reaches_probe(&mut Arc::new(Probe));
         let mut boxed: Box<dyn ConcurrentKvStore> = Box::new(Probe);
         assert_kvstore_view_reaches_probe(&mut *boxed);
-        let mut object: Box<dyn crate::KvStore> = Box::new(Arc::new(Probe));
+        let mut object: Box<dyn crate::KvStore> = Box::new(Probe);
         assert_kvstore_view_reaches_probe(&mut *object);
     }
 }

@@ -5,8 +5,6 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 /// Longest key stored inline, without a heap allocation.
 const INLINE_CAP: usize = 22;
 
@@ -41,10 +39,10 @@ const INLINE_CAP: usize = 22;
 /// let named = Key::from_bytes(b"user12345".to_vec());
 /// assert_eq!(named.as_bytes(), b"user12345");
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Key(Repr);
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 enum Repr {
     /// `bytes[..len]` is the key; the rest stays zero, which is what lets
     /// [`Key::id`] read the first eight bytes without looking at `len`.

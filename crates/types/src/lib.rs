@@ -46,9 +46,7 @@ mod value;
 pub use batch::{BatchOp, WriteBatch};
 pub use cache::LruCache;
 pub use checksum::Version;
-pub use completion::{
-    completion_pair, completion_pair_gauged, Completion, Ticket, TicketGauge, WakeList,
-};
+pub use completion::{completion_pair_gauged, Completion, Ticket, TicketGauge, WakeList};
 pub use concurrent::{ConcurrentKvStore, MutexKv};
 pub use error::{PrismError, Result};
 pub use key::Key;
@@ -78,8 +76,8 @@ pub use value::Value;
 /// Only inherently single-threaded engines ([`MemStore`], the LSM
 /// baseline) implement it by hand. An engine that supports multi-threaded
 /// clients implements [`ConcurrentKvStore`], the `&self` form of the same
-/// operations, and has this trait through the one blanket impl beside it —
-/// as does every `Arc` clone of it, which is the per-thread handle.
+/// operations, and has this trait through the one blanket impl beside it.
+/// An `Arc` of it is not a store: a holder passes `&*arc` to `&self` code.
 pub trait KvStore {
     /// Insert or update `key` with `value`.
     ///

@@ -1,7 +1,5 @@
 //! Operation descriptions and operation results.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Key, Nanos, Value};
 
 /// Where a read was ultimately served from.
@@ -9,7 +7,7 @@ use crate::{Key, Nanos, Value};
 /// The paper's Figure 2b breaks RocksDB reads down by source (memtable,
 /// block cache, LSM level) and Figure 14a compares read-latency CDFs, both
 /// of which need per-read source attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReadSource {
     /// Served from DRAM (engine object cache, memtable, or block cache).
     Dram,
@@ -19,13 +17,6 @@ pub enum ReadSource {
     Flash,
     /// The key was not found on any tier.
     NotFound,
-}
-
-impl ReadSource {
-    /// True if the read had to touch the slow flash tier.
-    pub fn is_flash(self) -> bool {
-        matches!(self, ReadSource::Flash)
-    }
 }
 
 /// Result of a point lookup.
@@ -65,7 +56,7 @@ pub struct ScanResult {
 }
 
 /// The kind of a client operation, used for per-type latency breakdowns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Point read.
     Read,
@@ -79,16 +70,6 @@ pub enum OpKind {
     Scan,
     /// Delete.
     Delete,
-}
-
-impl OpKind {
-    /// True for operations that write to the database.
-    pub fn is_write(self) -> bool {
-        matches!(
-            self,
-            OpKind::Update | OpKind::Insert | OpKind::ReadModifyWrite | OpKind::Delete
-        )
-    }
 }
 
 /// A single client operation produced by a workload generator.
@@ -139,16 +120,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn op_kind_classification() {
-        assert!(!OpKind::Read.is_write());
-        assert!(!OpKind::Scan.is_write());
-        assert!(OpKind::Update.is_write());
-        assert!(OpKind::Insert.is_write());
-        assert!(OpKind::ReadModifyWrite.is_write());
-        assert!(OpKind::Delete.is_write());
-    }
-
-    #[test]
     fn op_accessors() {
         let key = Key::from_id(3);
         let ops = vec![
@@ -181,7 +152,5 @@ mod tests {
         let miss = Lookup::miss(Nanos::from_micros(1));
         assert!(!miss.found());
         assert_eq!(miss.source, ReadSource::NotFound);
-        assert!(ReadSource::Flash.is_flash());
-        assert!(!ReadSource::Nvm.is_flash());
     }
 }

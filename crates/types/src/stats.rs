@@ -14,8 +14,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use crate::Nanos;
 
 /// What a table entry measures: decides how `delta_since` treats it, the
@@ -418,7 +416,7 @@ stats_table! {
 }
 
 /// Health of one partition under corruption pressure.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PartitionHealth {
     /// No unresolved corruption: reads and writes both served.
     #[default]
@@ -435,8 +433,9 @@ stats_table! {
     /// Engines without the integrity subsystem report all-zero.
     pub struct IntegrityStats, cells IntegrityStatsCells, delta by_value {
         /// Checksum mismatches detected on any read, scan, recovery scan or
-        /// scrub walk (each corrupt object counted each time it is observed
-        /// until quarantined; compaction carries checksums unverified).
+        /// scrub walk (each corrupt object counted once per observation, by
+        /// the code that observed it, until quarantined; compaction carries
+        /// checksums unverified).
         counter checksum_failures;
         /// Injected I/O errors surfaced to callers as `PrismError::Io`.
         counter io_errors;

@@ -9,8 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A span (or instant) of simulated time, in nanoseconds.
 ///
 /// `Nanos` is used both as a duration ("this read cost 6 µs") and as an
@@ -28,9 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(read > write);
 /// assert_eq!((read + write).as_micros(), 401);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nanos(u64);
 
 impl Nanos {
@@ -45,16 +41,6 @@ impl Nanos {
     /// Construct from microseconds.
     pub const fn from_micros(us: u64) -> Self {
         Nanos(us * 1_000)
-    }
-
-    /// Construct from milliseconds.
-    pub const fn from_millis(ms: u64) -> Self {
-        Nanos(ms * 1_000_000)
-    }
-
-    /// Construct from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        Nanos(s * 1_000_000_000)
     }
 
     /// Raw nanosecond count.
@@ -103,11 +89,6 @@ impl Nanos {
         } else {
             other
         }
-    }
-
-    /// Scale by a floating point factor (used by bandwidth models).
-    pub fn mul_f64(self, factor: f64) -> Nanos {
-        Nanos((self.0 as f64 * factor).round().max(0.0) as u64)
     }
 
     /// True if this is exactly zero.
@@ -183,9 +164,9 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(Nanos::from_micros(6).as_nanos(), 6_000);
-        assert_eq!(Nanos::from_millis(2).as_micros(), 2_000);
-        assert_eq!(Nanos::from_secs(3).as_millis(), 3_000);
-        assert!((Nanos::from_secs(1).as_secs_f64() - 1.0).abs() < 1e-12);
+        assert_eq!(Nanos::from_micros(2_000).as_micros(), 2_000);
+        assert_eq!(Nanos::from_micros(3_000_000).as_millis(), 3_000);
+        assert!((Nanos::from_micros(1_000_000).as_secs_f64() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -202,17 +183,16 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_mul_f64() {
+    fn sum_of_nanos() {
         let total: Nanos = (1..=4).map(Nanos::from_nanos).sum();
         assert_eq!(total.as_nanos(), 10);
-        assert_eq!(Nanos::from_nanos(1000).mul_f64(1.5).as_nanos(), 1500);
     }
 
     #[test]
     fn display_picks_reasonable_units() {
         assert_eq!(format!("{}", Nanos::from_nanos(500)), "500ns");
         assert!(format!("{}", Nanos::from_micros(42)).ends_with("us"));
-        assert!(format!("{}", Nanos::from_millis(42)).ends_with("ms"));
-        assert!(format!("{}", Nanos::from_secs(2)).ends_with('s'));
+        assert!(format!("{}", Nanos::from_micros(42_000)).ends_with("ms"));
+        assert!(format!("{}", Nanos::from_micros(2_000_000)).ends_with('s'));
     }
 }

@@ -142,7 +142,7 @@ impl<'a, E: ConcurrentKvStore + ?Sized> Transaction<'a, E> {
 
     /// Abandon the transaction, releasing its snapshot. Buffered writes
     /// are discarded; this cannot fail.
-    pub fn rollback(mut self) {
+    pub(crate) fn rollback(mut self) {
         self.finished = true;
         self.engine.release_snapshot(self.snapshot);
     }

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// A value stored in the database.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(v.len(), 1024);
 /// assert!(v.as_bytes().iter().all(|&b| b == 0x5A));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Value(Bytes);
 
 impl Value {

@@ -29,7 +29,7 @@ impl Distribution {
 
 /// Draws keys in `[0, n)` according to a [`Distribution`].
 #[derive(Debug, Clone)]
-pub struct KeyChooser {
+pub(crate) struct KeyChooser {
     distribution: Distribution,
     n: u64,
     zipf: Option<ZipfianState>,
@@ -114,7 +114,7 @@ impl KeyChooser {
 
     /// Draw the next key id. `newest` is the id of the most recently
     /// inserted key (only used by the latest distribution).
-    pub fn next(&self, rng: &mut StdRng, newest: u64) -> u64 {
+    pub(crate) fn next(&self, rng: &mut StdRng, newest: u64) -> u64 {
         match self.distribution {
             Distribution::Uniform => rng.gen_range(0..self.n),
             Distribution::Zipfian(_) => {

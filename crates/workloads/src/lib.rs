@@ -32,7 +32,7 @@ mod dist;
 mod spec;
 mod stream;
 
-pub use dist::{Distribution, KeyChooser};
+pub use dist::Distribution;
 pub use spec::{OpMix, Workload};
 pub use stream::OpStream;
 

@@ -19,11 +19,6 @@ pub struct OpMix {
 }
 
 impl OpMix {
-    /// Fraction of operations that write.
-    pub fn write_fraction(&self) -> f64 {
-        self.updates + self.inserts + self.read_modify_writes
-    }
-
     fn normalized(mut self) -> Self {
         let sum = self.reads + self.updates + self.inserts + self.read_modify_writes + self.scans;
         if sum > 0.0 {
@@ -152,7 +147,7 @@ impl Workload {
     }
 
     /// YCSB-F: 50 % reads, 50 % read-modify-writes.
-    pub fn ycsb_f(record_count: u64) -> Self {
+    pub(crate) fn ycsb_f(record_count: u64) -> Self {
         Self::base(
             "ycsb-f",
             record_count,
@@ -308,7 +303,7 @@ mod tests {
     #[test]
     fn twitter_clusters_match_paper_description() {
         let c39 = Workload::twitter_cluster39(100);
-        assert!((c39.mix.write_fraction() - 0.94).abs() < 1e-9);
+        assert!((c39.mix.reads + c39.mix.scans - 0.06).abs() < 1e-9);
         assert_eq!(c39.distribution, Distribution::Uniform);
         let c19 = Workload::twitter_cluster19(100);
         assert_eq!(c19.value_size, 102);
@@ -332,7 +327,7 @@ mod tests {
             },
         );
         assert!((w.mix.reads - 0.5).abs() < 1e-9);
-        assert!((w.mix.write_fraction() - 0.5).abs() < 1e-9);
+        assert!((w.mix.updates - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -655,32 +655,3 @@ fn async_frontend_multiplexes_256_logical_clients_under_stress() {
         assert_explained_by_logs(a, id as u64, &logs, "after async recovery");
     }
 }
-
-#[test]
-fn an_arc_clone_lets_the_single_threaded_runner_drive_a_shared_engine() {
-    use prismdb::bench::{RunConfig, Runner};
-    use prismdb::types::KvStore;
-    use prismdb::workloads::Workload;
-
-    // The classic `&mut self` runner drives a shared engine through an
-    // `Arc` clone (every `ConcurrentKvStore` is a `KvStore`) while another
-    // clone, on another thread, reads concurrently — the bridge existing
-    // single-threaded drivers use.
-    let db = stress_db();
-    let mut handle = Arc::clone(&db);
-    let mut reader = Arc::clone(&db);
-    let result = std::thread::scope(|scope| {
-        scope.spawn(move || {
-            for id in 0..KEY_SPACE {
-                let _ = KvStore::get(&mut reader, &Key::from_id(id)).expect("concurrent get");
-            }
-        });
-        let runner = Runner::new(RunConfig::quick(KEY_SPACE));
-        runner.run(&mut handle, &Workload::ycsb_b(KEY_SPACE), db.cost_per_gb())
-    });
-    assert!(result.throughput_kops > 0.0);
-    assert_eq!(result.engine, "prismdb");
-    // The writes went to the shared engine, not a copy.
-    assert!(db.nvm_object_count() + db.flash_object_count() > 0);
-    assert!(db.scan(&Key::min(), 10).expect("scan").entries.len() == 10);
-}

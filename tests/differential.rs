@@ -173,20 +173,20 @@ impl KvStore for BatchingKv {
 
     fn get(&mut self, key: &Key) -> Result<Lookup> {
         self.flush()?;
-        ConcurrentKvStore::get(&self.db, key)
+        ConcurrentKvStore::get(&*self.db, key)
     }
 
     fn scan(&mut self, start: &Key, count: usize) -> Result<ScanResult> {
         self.flush()?;
-        ConcurrentKvStore::scan(&self.db, start, count)
+        ConcurrentKvStore::scan(&*self.db, start, count)
     }
 
     fn stats(&self) -> EngineStats {
-        ConcurrentKvStore::stats(&self.db)
+        ConcurrentKvStore::stats(&*self.db)
     }
 
     fn elapsed(&self) -> Nanos {
-        ConcurrentKvStore::elapsed(&self.db)
+        ConcurrentKvStore::elapsed(&*self.db)
     }
 
     fn engine_name(&self) -> &str {
