@@ -1,19 +1,29 @@
-//! A small LRU object cache standing in for the OS page cache.
+//! A sharded object cache standing in for the OS page cache.
 //!
 //! The paper's PrismDB deliberately has no userspace DRAM cache and relies
 //! on the OS page cache for recently-read NVM and flash pages (§4.1). In
-//! the simulator we model that effect with a byte-bounded LRU of whole
+//! the simulator we model that effect with a byte-bounded cache of whole
 //! objects: hits cost a DRAM access instead of an NVM/flash access.
 //!
+//! It keeps what is dear to refetch: each sub-shard is a GreedyDual
+//! [`LruCache`] whose cheap lane is priced at an NVM read and whose dear
+//! lane at a flash read (the devices' `read_latency_4k`). A read served
+//! from flash of a key the clock tracker already tracks fills the dear
+//! lane; every other fill — an NVM-served read, a one-off flash read of a
+//! Zipf-tail key — fills the cheap lane, so a popular flash value outlives
+//! many turnovers of NVM-served ones while a cold flash read does not
+//! flood DRAM. A compaction install re-prices the cached keys it moves
+//! (see `Partition::install_compaction`).
+//!
 //! It is write-update, as a page cache is: a read fills it, an update
-//! replaces the value of a key that is already cached (recency unchanged)
-//! and adds nothing for one that is not, and a delete removes the key.
-//! Reads are the only way a key enters it.
+//! replaces the value of a key that is already cached (lane, priority and
+//! recency unchanged) and adds nothing for one that is not, and a delete
+//! removes the key. Reads are the only way a key enters it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use prism_types::{Key, LruCache, Value};
+use prism_types::{Key, Lane, LruCache, Nanos, Value};
 
 /// Observed state of a DRAM object cache: occupancy plus cumulative
 /// hit/miss counters (see [`crate::PrismDb::dram_cache_stats`]).
@@ -51,9 +61,10 @@ fn mix(mut x: u64) -> u64 {
 
 impl ShardedLruCache {
     /// Create a cache of `capacity_bytes` split over (up to) `shards`
-    /// sub-caches. The shard count is reduced for tiny capacities so each
+    /// sub-caches whose cheap and dear lanes cost `cheap` and `dear` to
+    /// refetch. The shard count is reduced for tiny capacities so each
     /// sub-shard keeps a workable byte budget, and clamped to at least 1.
-    pub fn new(capacity_bytes: u64, shards: usize) -> Self {
+    pub fn new(capacity_bytes: u64, shards: usize, cheap: Nanos, dear: Nanos) -> Self {
         let shards = if capacity_bytes == 0 {
             1
         } else {
@@ -62,7 +73,7 @@ impl ShardedLruCache {
         let per_shard = capacity_bytes / shards as u64;
         ShardedLruCache {
             shards: (0..shards)
-                .map(|_| Mutex::new(LruCache::new(per_shard)))
+                .map(|_| Mutex::new(LruCache::with_prices(per_shard, cheap, dear)))
                 .collect(),
         }
     }
@@ -86,9 +97,15 @@ impl ShardedLruCache {
         self.lock(self.shard_of(key)).get(key)
     }
 
-    /// Insert or refresh a key in its sub-shard.
-    pub fn insert(&self, key: Key, value: Value) {
-        self.lock(self.shard_of(&key)).insert(key, value);
+    /// Insert or refresh a key in `lane` of its sub-shard.
+    pub fn insert(&self, key: Key, value: Value, lane: Lane) {
+        self.lock(self.shard_of(&key)).insert_in(key, value, lane);
+    }
+
+    /// Move a cached key to `lane` (see [`LruCache::reprice`]); a key that
+    /// is not cached stays out.
+    pub fn reprice(&self, key: &Key, lane: Lane) {
+        self.lock(self.shard_of(key)).reprice(key, lane);
     }
 
     /// Replace a cached key's value under its sub-shard lock (see
@@ -113,6 +130,26 @@ impl ShardedLruCache {
         (0..self.shards.len())
             .map(|i| self.lock(i).used_bytes())
             .sum()
+    }
+
+    /// Every cached key and value, shard by shard (a copy; nothing moves).
+    pub(crate) fn entries(&self) -> Vec<(Key, Value)> {
+        (0..self.shards.len())
+            .flat_map(|i| {
+                let shard = self.lock(i);
+                let entries: Vec<(Key, Value)> = shard
+                    .entries()
+                    .map(|(key, value)| (key.clone(), value.clone()))
+                    .collect();
+                entries
+            })
+            .collect()
+    }
+
+    /// The lane a cached key sits in.
+    #[cfg(test)]
+    pub(crate) fn lane_of(&self, key: &Key) -> Option<Lane> {
+        self.lock(self.shard_of(key)).lane_of(key)
     }
 }
 
@@ -154,12 +191,17 @@ mod tests {
         Key::from_id(id)
     }
 
+    /// A cache with both lanes priced at zero: plain LRU per sub-shard.
+    fn lru(capacity_bytes: u64, shards: usize) -> ShardedLruCache {
+        ShardedLruCache::new(capacity_bytes, shards, Nanos::ZERO, Nanos::ZERO)
+    }
+
     #[test]
     fn sharded_cache_matches_basic_semantics() {
-        let cache = ShardedLruCache::new(64 << 10, 8);
+        let cache = lru(64 << 10, 8);
         assert_eq!(cache.shard_count(), 8);
         assert!(cache.get(&key(1)).is_none());
-        cache.insert(key(1), Value::filled(100, 1));
+        cache.insert(key(1), Value::filled(100, 1), Lane::Cheap);
         assert_eq!(cache.get(&key(1)).unwrap().len(), 100);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.used_bytes(), 100);
@@ -175,7 +217,7 @@ mod tests {
 
     #[test]
     fn sharded_cache_spreads_keys_over_sub_shards() {
-        let cache = ShardedLruCache::new(1 << 20, 8);
+        let cache = lru(1 << 20, 8);
         let mut hit = vec![false; cache.shard_count()];
         for id in 0..256u64 {
             hit[cache.shard_of(&key(id))] = true;
@@ -188,13 +230,13 @@ mod tests {
 
     #[test]
     fn tiny_capacities_collapse_to_fewer_shards() {
-        let cache = ShardedLruCache::new(2048, 8);
+        let cache = lru(2048, 8);
         assert_eq!(cache.shard_count(), 2);
-        cache.insert(key(1), Value::filled(100, 1));
+        cache.insert(key(1), Value::filled(100, 1), Lane::Cheap);
         assert_eq!(cache.get(&key(1)).unwrap().len(), 100);
-        let disabled = ShardedLruCache::new(0, 8);
+        let disabled = lru(0, 8);
         assert_eq!(disabled.shard_count(), 1);
-        disabled.insert(key(1), Value::filled(1, 1));
+        disabled.insert(key(1), Value::filled(1, 1), Lane::Cheap);
         assert_eq!(disabled.len(), 0);
     }
 
@@ -203,12 +245,12 @@ mod tests {
         // With one sub-shard the sharded cache is the mutexed cache: a
         // deterministic trace must produce identical hits, misses and
         // evictions.
-        let sharded = ShardedLruCache::new(300, 1);
+        let sharded = lru(300, 1);
         let mut plain = LruCache::new(300);
         for step in 0..200u64 {
             let id = step % 7;
             if step % 3 == 0 {
-                sharded.insert(key(id), Value::filled(100, id as u8));
+                sharded.insert(key(id), Value::filled(100, id as u8), Lane::Cheap);
                 plain.insert(key(id), Value::filled(100, id as u8));
             } else {
                 assert_eq!(
@@ -224,7 +266,7 @@ mod tests {
 
     #[test]
     fn serial_charge_tracks_the_busiest_sub_shard() {
-        let cache = ShardedLruCache::new(1 << 20, 4);
+        let cache = lru(1 << 20, 4);
         let tally = SerialTally::new(cache.shard_count());
         assert_eq!(tally.busiest(), 0);
         // Charge the same key repeatedly: one shard absorbs it all.
@@ -242,7 +284,7 @@ mod tests {
     #[test]
     fn sharded_cache_is_safe_under_concurrent_mixed_traffic() {
         use std::sync::Arc;
-        let cache = Arc::new(ShardedLruCache::new(256 << 10, 8));
+        let cache = Arc::new(lru(256 << 10, 8));
         let tally = Arc::new(SerialTally::new(cache.shard_count()));
         let mut handles = Vec::new();
         for t in 0..4u64 {
@@ -251,7 +293,7 @@ mod tests {
                 for i in 0..2000u64 {
                     let id = (t * 131 + i) % 512;
                     match i % 4 {
-                        0 => cache.insert(key(id), Value::filled(64, id as u8)),
+                        0 => cache.insert(key(id), Value::filled(64, id as u8), Lane::Cheap),
                         1 => {
                             if let Some(v) = cache.get(&key(id)) {
                                 // Entries are whole or absent, never torn.

@@ -59,7 +59,11 @@ pub struct Options {
     /// Bytes of DRAM used as an object cache (stand-in for the OS page
     /// cache the paper relies on). Like a page cache it is write-update:
     /// reads fill it, an update replaces a cached key's value in place
-    /// (and caches nothing new), a delete removes the key.
+    /// (and caches nothing new), a delete removes the key. Unlike a page
+    /// cache it weighs what a miss would cost: a value flash served to a
+    /// key the tracker tracks is priced at a flash read, every other one
+    /// at an NVM read, and eviction keeps the dearer (GreedyDual; the
+    /// prices are the devices' `read_latency_4k`).
     pub dram_cache_bytes: u64,
     /// Number of independently locked sub-shards each partition's DRAM
     /// cache is split into (key-hash → sub-cache). `1` reproduces the old

@@ -28,7 +28,7 @@ use prism_compaction::{
 };
 use prism_flash::SstEntry;
 use prism_tracker::PinDecision;
-use prism_types::{Key, Nanos, PrismError, Result};
+use prism_types::{Key, Lane, Nanos, PrismError, Result};
 
 use super::persist::{IndexEntry, SlotWrite};
 use super::Partition;
@@ -373,6 +373,8 @@ impl Partition {
                             Ok(cost) => {
                                 duration += cost;
                                 promoted += 1;
+                                // NVM serves it now: cheap to refetch.
+                                self.volatile.cache.reprice(&m.key, Lane::Cheap);
                             }
                             Err(PrismError::CapacityExceeded { .. }) => {
                                 out.push((m.key, m.version));
@@ -410,6 +412,10 @@ impl Partition {
             self.free_slot(key)?;
             if !tombstone {
                 demoted += 1;
+                // Flash serves it now: dear to refetch if it is popular.
+                if self.volatile.tracker.clock_of(key).is_some() {
+                    self.volatile.cache.reprice(key, Lane::Dear);
+                }
             }
         }
 

@@ -275,7 +275,7 @@ impl Partition {
         stats: Arc<EngineStatsCells>,
     ) -> Result<Self> {
         let durable = Durable::new(&options, storage, id)?;
-        let volatile = Volatile::new(&options, id);
+        let volatile = Volatile::new(&options, id, &storage.nvm, &storage.flash);
         Ok(Partition {
             id,
             cpu: storage.cpu,

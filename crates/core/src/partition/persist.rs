@@ -34,7 +34,7 @@ use prism_compaction::{BucketMap, CompactionPlanner, ReadTriggeredController};
 use prism_flash::{FileId, SortedLog, SstBuilder, SstEntry, SstFile};
 use prism_index::FastIndex;
 use prism_nvm::{NvmAddress, SlabConfig, SlabStore};
-use prism_storage::TieredStorage;
+use prism_storage::{Device, TieredStorage};
 use prism_tracker::{ClockTracker, Mapper};
 use prism_types::{Key, Nanos, PartitionHealth, Result, Value, Version};
 
@@ -163,8 +163,10 @@ pub(super) struct Volatile {
 
 impl Volatile {
     /// Empty DRAM state for partition `id`: what a fresh partition starts
-    /// with and what recovery starts rebuilding from.
-    pub(super) fn new(options: &Options, id: usize) -> Self {
+    /// with and what recovery starts rebuilding from. The cache prices its
+    /// cheap lane at a page read of `nvm` and its dear lane at one of
+    /// `flash`.
+    pub(super) fn new(options: &Options, id: usize, nvm: &Device, flash: &Device) -> Self {
         let tracker_capacity = (options.tracker_capacity() / options.num_partitions).max(8);
         let mut compaction_config = options.compaction;
         // Give each partition its own deterministic-but-distinct seed.
@@ -183,6 +185,8 @@ impl Volatile {
             cache: ShardedLruCache::new(
                 options.dram_cache_bytes / options.num_partitions as u64,
                 options.cache_shards,
+                nvm.profile().read_latency_4k,
+                flash.profile().read_latency_4k,
             ),
             read_side: Mutex::default(),
             read_counters: ReadSideCounters::default(),
@@ -424,7 +428,9 @@ impl Partition {
     /// `residency bits`: the bucket map's NVM and flash bits are those of
     /// the index's and the log's keys (popularity bits are not compared).
     /// `history`: no key keeps an empty list, and `history_bytes` is the
-    /// footprint of every preserved version.
+    /// footprint of every preserved version. `cache`: every cached value
+    /// is its key's live version wherever that version verifies and the
+    /// key is not quarantined — the write-update rule.
     /// Debug builds check it before and after every crash.
     pub(crate) fn check_invariants(&self) -> std::result::Result<(), String> {
         let scan = SlabScan::of(&self.durable.slab);
@@ -462,6 +468,23 @@ impl Partition {
         if kept != counted {
             return Err(format!("history: {counted} bytes counted, {kept} kept"));
         }
+        // A quarantined key is refused before the cache is consulted, and
+        // a damaged version is what the cache's copy repairs.
+        for (key, cached) in self.volatile.cache.entries() {
+            if self.durable.quarantined.contains(&key) {
+                continue;
+            }
+            match self.current_version(&key) {
+                Some((_, Kept::Damaged)) => {}
+                Some((_, Kept::Clean(Some(live)))) if live == cached => {}
+                live => {
+                    let live = live.map(|(seq, _)| seq);
+                    return Err(format!(
+                        "cache: {key:?} holds a value its live version (seq {live:?}) does not"
+                    ));
+                }
+            }
+        }
         Ok(())
     }
 }
@@ -469,9 +492,9 @@ impl Partition {
 #[cfg(test)]
 mod tests {
     use prism_compaction::BucketMap;
-    use prism_types::{Key, Value};
+    use prism_types::{Key, Lane, Value};
 
-    use super::super::tests::{engine, partition, put};
+    use super::super::tests::{delete, engine, partition, put};
 
     /// Each clause of `check_invariants` names itself when the state it
     /// covers is broken behind the persist methods' back: a slot no index
@@ -542,5 +565,38 @@ mod tests {
         p.volatile.history.remove(&Key::from_id(500));
         assert_eq!(p.check_invariants(), Ok(()));
         p.seq.release(pin);
+    }
+
+    /// The cache clause: reads fill the cache, puts refresh it and deletes
+    /// empty it, and the clause holds throughout; a cached value that its
+    /// key's live version does not match — stale, or of a deleted key —
+    /// names the clause.
+    #[test]
+    fn check_invariants_names_a_cached_value_the_tiers_do_not_serve() {
+        let engine = engine(1_000);
+        let mut p = partition(&engine);
+        for id in 0..20 {
+            put(&engine, &mut p, Key::from_id(id), Value::filled(300, 1)).unwrap();
+            p.get(&Key::from_id(id)).unwrap();
+        }
+        for id in 0..10 {
+            put(&engine, &mut p, Key::from_id(id), Value::filled(200, 2)).unwrap();
+        }
+        delete(&engine, &mut p, &Key::from_id(19)).unwrap();
+        let cache = &p.volatile.cache;
+        assert_eq!(cache.len(), 19);
+        assert_eq!(p.check_invariants(), Ok(()));
+
+        let (key, stale) = (Key::from_id(3), Value::filled(300, 1));
+        assert!(cache.replace(&key, stale));
+        let violation = p.check_invariants().unwrap_err();
+        assert!(violation.starts_with("cache:"), "{violation}");
+        assert!(cache.replace(&key, Value::filled(200, 2)));
+        assert_eq!(p.check_invariants(), Ok(()));
+
+        let deleted = Key::from_id(19);
+        cache.insert(deleted, Value::filled(300, 1), Lane::Cheap);
+        let violation = p.check_invariants().unwrap_err();
+        assert!(violation.starts_with("cache:"), "{violation}");
     }
 }

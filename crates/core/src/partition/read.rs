@@ -22,15 +22,20 @@
 //! ([`prism_index::FastIndex`]) instead of a B-tree walk.
 //!
 //! A live read that misses the DRAM cache fills it: reads are the only
-//! way a key enters the cache. The cache is write-update, so a cached key
-//! always holds its newest value: a put replaces the value in place
-//! (`Partition::put_entry`, charged as a fill is), a delete removes the
-//! key, and a crash empties the cache.
+//! way a key enters the cache. The fill's lane prices the refetch: a
+//! value flash served to a key the tracker already tracked (the touch
+//! runs before the fill and answers that) enters the dear lane, every
+//! other value the cheap lane, so a one-off flash read of a tail key
+//! does not crowd out popular flash values (see [`crate::cache`]). The
+//! cache is write-update, so a cached key always holds its newest value:
+//! a put replaces the value in place (`Partition::put_entry`, charged as
+//! a fill is), a delete removes the key, and a crash empties the cache;
+//! `Partition::check_invariants` checks it.
 
 use std::sync::atomic::Ordering;
 
 use prism_storage::{FaultOp, FaultTier};
-use prism_types::{Key, Lookup, Nanos, PrismError, ReadSource, Result, Value};
+use prism_types::{Key, Lane, Lookup, Nanos, PrismError, ReadSource, Result, Value};
 
 use super::{Kept, Partition};
 use crate::engine::count;
@@ -86,7 +91,7 @@ impl Partition {
     /// damaged bytes, so that every pin covers it. Snapshot history and
     /// transaction pre-images never capture (and later re-serve) damaged
     /// bytes. Returns `None` when the key has no version anywhere.
-    fn current_version(&self, key: &Key) -> Option<(u64, Kept)> {
+    pub(super) fn current_version(&self, key: &Key) -> Option<(u64, Kept)> {
         if let Some(entry) = self.volatile.index().get(key).copied() {
             if entry.tombstone {
                 return Some((entry.timestamp, Kept::Clean(None)));
@@ -249,8 +254,6 @@ impl Partition {
             match self.probe_tiers(key, &mut cost)? {
                 Some(Live::Clean(tier, _, Some(found))) => {
                     source = tier;
-                    self.volatile.cache.insert(key.clone(), found.clone());
-                    self.lifetime.serial.charge(shard, cache_serial);
                     value = Some(found);
                 }
                 // A live read is pinned at now, which covers any version.
@@ -269,18 +272,21 @@ impl Partition {
         count(served, 1);
         let volatile = &self.volatile;
         let counters = &volatile.read_counters;
-        if value.is_some() {
+        if let Some(found) = &value {
             // The popularity update's CPU cost belongs to this read either
             // way; which path applies it depends on whether the tracker
             // already knows the key.
             cost += self.cpu.tracker_op;
-            match volatile.tracker.touch(key, false) {
+            let tracked = match volatile.tracker.touch(key, false) {
                 // Tracked: the clock byte was atomically re-heated to the
                 // maximum; fold the class transition into the histogram.
                 // The key's popularity bit is already set (it was set when
                 // the key entered the tracker and only eviction clears it),
                 // so no bucket-map update is needed.
-                Some(old) => volatile.mapper.promote_to_max(old),
+                Some(old) => {
+                    volatile.mapper.promote_to_max(old);
+                    true
+                }
                 // Untracked: admission may evict another key — structural
                 // work for the next write-lock holder.
                 None => {
@@ -289,7 +295,17 @@ impl Partition {
                     counters
                         .pending_accesses
                         .store(rs.len() as u64, Ordering::Relaxed);
+                    false
                 }
+            };
+            // The fill: only a popular value that flash served is dear to
+            // refetch; a one-off flash read of a tail key would otherwise
+            // crowd out what DRAM is for.
+            if source != ReadSource::Dram {
+                let dear = tracked && source == ReadSource::Flash;
+                let lane = if dear { Lane::Dear } else { Lane::Cheap };
+                volatile.cache.insert(key.clone(), found.clone(), lane);
+                self.lifetime.serial.charge(shard, cache_serial);
             }
         }
         counters.reads.fetch_add(1, Ordering::Relaxed);

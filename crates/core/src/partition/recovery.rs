@@ -25,7 +25,7 @@ impl Partition {
         // read may then see a key as absent, never a stale value — live
         // versions with `seq <= pinned` are by definition the pinned-time
         // state).
-        self.volatile = Volatile::new(&self.options, self.id);
+        self.volatile = Volatile::new(&self.options, self.id, &self.nvm_dev, &self.flash_dev);
         self.swap_files(&[], Vec::new());
 
         let cost = self.durable.slab().recovery_scan_cost();

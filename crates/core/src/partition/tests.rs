@@ -4,7 +4,7 @@ use crate::workers::DemotionPlan;
 use prism_compaction::{execute_job, ExecutedJob, JobKind};
 use prism_flash::SstEntry;
 use prism_storage::{DeviceProfile, FaultOp, FaultTier};
-use prism_types::{Lookup, PrismError, ReadSource};
+use prism_types::{Lane, Lookup, PrismError, ReadSource};
 use std::sync::RwLockWriteGuard;
 
 impl Partition {
@@ -48,7 +48,7 @@ pub(super) fn put(
     engine.write_held(0, p, 1, |p, reclaim| p.put(key, value, reclaim))
 }
 
-fn delete(engine: &EngineShared, p: &mut Partition, key: &Key) -> Result<Nanos> {
+pub(super) fn delete(engine: &EngineShared, p: &mut Partition, key: &Key) -> Result<Nanos> {
     engine.write_held(0, p, 1, |p, reclaim| p.delete(key, reclaim))
 }
 
@@ -976,4 +976,65 @@ fn the_bucket_map_a_crash_rebuilds_is_the_one_the_partition_kept() {
     checkpoint(&mut p, "a scrub that dropped damaged records");
 
     assert!(drifted.is_empty(), "{drifted:#?}");
+}
+
+/// The cache's lane follows what a refetch would cost: a read NVM serves
+/// fills the cheap lane, a flash read of a key the tracker tracks fills
+/// the dear lane and one of a key it does not track the cheap lane; an
+/// install moves a cached promoted key to the cheap lane and a cached,
+/// tracked demoted key to the dear lane.
+#[test]
+fn cache_lanes_follow_the_refetch_price() {
+    let keys = 1_000u64;
+    let engine = engine(keys);
+    let mut p = partition(&engine);
+    // Twice the 200 keys the tracker holds, so some are not tracked.
+    let written = 400;
+    for id in 0..written {
+        put(&engine, &mut p, Key::from_id(id), Value::filled(700, 1)).unwrap();
+    }
+    let ids = || (0..written).map(Key::from_id);
+    let tracked = |p: &Partition, key: &Key| p.volatile.tracker.clock_of(key).is_some();
+    let nvm_read = ids().find(|key| tracked(&p, key)).expect("a tracked key");
+    let lookup = p.get(&nvm_read).unwrap();
+    assert_eq!(lookup.source, ReadSource::Nvm);
+    assert_eq!(p.volatile.cache.lane_of(&nvm_read), Some(Lane::Cheap));
+
+    demote_everything(&mut p);
+    assert_eq!(
+        p.volatile.cache.lane_of(&nvm_read),
+        Some(Lane::Dear),
+        "a tracked key demoted while cached"
+    );
+    let popular = ids().find(|key| *key != nvm_read && tracked(&p, key));
+    let tail = ids().find(|key| !tracked(&p, key));
+    let (popular, tail) = (popular.expect("tracked"), tail.expect("untracked"));
+    for (key, lane) in [(&popular, Lane::Dear), (&tail, Lane::Cheap)] {
+        assert_eq!(p.get(key).unwrap().source, ReadSource::Flash);
+        assert_eq!(p.volatile.cache.lane_of(key), Some(lane), "{key:?}");
+    }
+
+    // Promote the popular key through a hint, as a demotion over its
+    // range would.
+    let (cpu, dev, fg) = (p.cpu, p.flash_dev.clone(), p.fg());
+    let force = JobKind::Demotion { force: true };
+    let mut job = p
+        .plan_range(
+            popular.clone(),
+            popular.clone(),
+            force,
+            false,
+            Nanos::ZERO,
+            fg,
+        )
+        .expect("job");
+    job.promote_hints.insert(popular.id());
+    let outcome = p
+        .install_compaction(execute_job(job, &cpu, &dev))
+        .unwrap()
+        .expect("installs");
+    assert_eq!(outcome.promoted, 1);
+    assert_eq!(p.volatile.cache.lane_of(&popular), Some(Lane::Cheap));
+    assert_eq!(p.get(&popular).unwrap().source, ReadSource::Dram);
+    assert_eq!(p.check_invariants(), Ok(()));
 }

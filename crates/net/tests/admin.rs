@@ -159,7 +159,12 @@ fn obs_smoke_duplex_scrapes_live_fault_injected_workload() {
     // The fault-injection leg: one bit flip on the next NVM write, read
     // it back (wire-level Corruption), watch the partition degrade, and
     // let a scrub pass re-arm it. The admin scraper keeps running
-    // through all of it.
+    // through all of it. The flip is armed only once the compaction pool
+    // is idle: a worker's promotion writes a slot too, and could take the
+    // flip meant for the first put below that lands on partition 0.
+    wait_until("the compaction pool to go idle", || {
+        engine.stats().compaction.queue_depth == 0 && engine.parked_compaction_workers() == 1
+    });
     plan.arm(TargetedFault {
         tier: FaultTier::Nvm,
         partition: Some(0),

@@ -1,38 +1,74 @@
-//! The one byte-bounded LRU of whole objects.
+//! The one byte-bounded object cache: GreedyDual over two recency lanes.
 //!
 //! PrismDB uses it (sharded, in `prism-db`) to stand in for the OS page
 //! cache the paper relies on (§4.1); the LSM baseline uses it for RocksDB's
 //! block cache and the optional NVM second-level cache. Reads fill it
-//! ([`LruCache::insert`]). A PrismDB update refreshes a cached key's value
-//! where it sits ([`LruCache::replace`]), as a page cache keeps a written
-//! page resident; the LSM's updates [`LruCache::remove`] the key.
+//! ([`LruCache::insert`], [`LruCache::insert_in`]). A PrismDB update
+//! refreshes a cached key's value where it sits ([`LruCache::replace`]), as
+//! a page cache keeps a written page resident; the LSM's updates
+//! [`LruCache::remove`] the key.
 //!
-//! Recency is a doubly linked list threaded through a `Vec` of nodes by
-//! index (`newer` / `older`), with the slots of removed nodes chained into
-//! a free list; a `HashMap<Key, u32>` finds a key's node. A hit unlinks
-//! one node and relinks it at the newest end — no allocation, no key
-//! clone — and eviction walks from the oldest end, so the order is exact
-//! LRU.
+//! Each entry sits in one of two [`Lane`]s, priced by what its miss would
+//! cost to refetch ([`LruCache::with_prices`]: PrismDB prices the cheap
+//! lane at an NVM read, the dear lane at a flash read). This is GreedyDual
+//! (Young 1994; Cao & Irani 1997) with two prices. An access — a fill, a
+//! hit, a [`LruCache::reprice`] — sets the entry's priority to `floor +
+//! price` and moves it to its lane's newest end. Eviction takes the
+//! lower-priority of the two lanes' oldest entries, the cheap one on a
+//! tie, and raises `floor` to that priority. `floor` never falls, so each
+//! lane is in priority order and its oldest entry is its minimum: a dear
+//! entry outlives about `dear / cheap` turnovers of the cheap lane unless
+//! it is read again. [`LruCache::new`] prices both lanes at zero and
+//! [`LruCache::insert`] fills the cheap lane, so a cache used that way is
+//! exact LRU.
+//!
+//! Each lane is a doubly linked list threaded through one `Vec` of nodes
+//! by index (`newer` / `older`), with the slots of removed nodes chained
+//! into a free list; a `HashMap<Key, u32>` finds a key's node. An access
+//! unlinks one node and relinks it at its lane's newest end — no
+//! allocation, no key clone, no heap — and eviction compares the two
+//! oldest ends, so every operation is O(1).
 
 use std::collections::HashMap;
 
-use crate::{Key, Value};
+use crate::{Key, Nanos, Value};
 
-/// "No node": the end of the recency list or of the free list.
+/// "No node": the end of a lane or of the free list.
 const NIL: u32 = u32::MAX;
+
+/// The recency list an entry sits in, by what refetching it would cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    /// Priced at the cheaper refetch (PrismDB: a value NVM serves).
+    Cheap,
+    /// Priced at the dearer refetch (PrismDB: a popular value on flash).
+    Dear,
+}
 
 #[derive(Debug)]
 struct Node {
     key: Key,
     value: Value,
-    /// The next more recently used node; for a free slot, unused.
+    /// `floor + price` at the entry's last access.
+    priority: u64,
+    lane: Lane,
+    /// The next more recently used node of the lane; for a free slot,
+    /// unused.
     newer: u32,
-    /// The next less recently used node; for a free slot, the next free
-    /// slot.
+    /// The next less recently used node of the lane; for a free slot, the
+    /// next free slot.
     older: u32,
 }
 
-/// Byte-bounded least-recently-used object cache.
+/// The two ends of one lane.
+#[derive(Debug, Clone, Copy)]
+struct Ends {
+    newest: u32,
+    oldest: u32,
+}
+
+/// Byte-bounded object cache: GreedyDual over a cheap and a dear lane,
+/// exact LRU when only the cheap lane is used (see the module docs).
 #[derive(Debug)]
 pub struct LruCache {
     capacity_bytes: u64,
@@ -42,21 +78,38 @@ pub struct LruCache {
     nodes: Vec<Node>,
     /// Head of the free-slot chain (linked through `older`).
     free: u32,
-    newest: u32,
-    oldest: u32,
+    /// Indexed by `Lane as usize`, as `prices` is.
+    lanes: [Ends; 2],
+    /// Refetch price of each lane, in nanoseconds.
+    prices: [u64; 2],
+    /// The priority of the last eviction: no entry's is lower.
+    floor: u64,
 }
 
 impl LruCache {
-    /// Create a cache bounded to `capacity_bytes` of values.
+    /// Create an LRU cache bounded to `capacity_bytes` of values: both
+    /// lanes are priced at zero.
     pub fn new(capacity_bytes: u64) -> Self {
+        Self::with_prices(capacity_bytes, Nanos::ZERO, Nanos::ZERO)
+    }
+
+    /// Create a cache bounded to `capacity_bytes` of values whose
+    /// [`Lane::Cheap`] and [`Lane::Dear`] entries cost `cheap` and `dear`
+    /// to refetch.
+    pub fn with_prices(capacity_bytes: u64, cheap: Nanos, dear: Nanos) -> Self {
+        let empty = Ends {
+            newest: NIL,
+            oldest: NIL,
+        };
         LruCache {
             capacity_bytes,
             used_bytes: 0,
             slots: HashMap::new(),
             nodes: Vec::new(),
             free: NIL,
-            newest: NIL,
-            oldest: NIL,
+            lanes: [empty; 2],
+            prices: [cheap.as_nanos(), dear.as_nanos()],
+            floor: 0,
         }
     }
 
@@ -75,29 +128,36 @@ impl LruCache {
         self.used_bytes
     }
 
-    /// Take node `at` out of the recency list (its own links go stale).
+    /// Take node `at` out of its lane (its own links go stale).
     fn unlink(&mut self, at: u32) {
         let node = &self.nodes[at as usize];
         let (newer, older) = (node.newer, node.older);
+        let ends = &mut self.lanes[node.lane as usize];
         match newer {
-            NIL => self.newest = older,
+            NIL => ends.newest = older,
             newer => self.nodes[newer as usize].older = older,
         }
         match older {
-            NIL => self.oldest = newer,
+            NIL => ends.oldest = newer,
             older => self.nodes[older as usize].newer = newer,
         }
     }
 
-    /// Put node `at` at the most recently used end.
-    fn link_newest(&mut self, at: u32) {
-        let below = std::mem::replace(&mut self.newest, at);
+    /// Access node `at`, unlinked: price it for `lane` and put it at that
+    /// lane's newest end.
+    fn link_newest(&mut self, at: u32, lane: Lane) {
+        let ends = &mut self.lanes[lane as usize];
+        let below = std::mem::replace(&mut ends.newest, at);
+        if below == NIL {
+            ends.oldest = at;
+        }
         let node = &mut self.nodes[at as usize];
+        node.priority = self.floor + self.prices[lane as usize];
+        node.lane = lane;
         node.newer = NIL;
         node.older = below;
-        match below {
-            NIL => self.oldest = at,
-            below => self.nodes[below as usize].newer = at,
+        if below != NIL {
+            self.nodes[below as usize].newer = at;
         }
     }
 
@@ -112,31 +172,55 @@ impl LruCache {
         self.free = at;
     }
 
-    /// Look up a key, refreshing its recency on a hit.
+    /// The node eviction takes: the lower-priority of the two lanes'
+    /// oldest, the cheap one on a tie. `NIL` when nothing is cached.
+    fn victim(&self) -> u32 {
+        let [cheap, dear] = self.lanes.map(|ends| ends.oldest);
+        match (cheap, dear) {
+            (at, NIL) | (NIL, at) => at,
+            _ if self.nodes[dear as usize].priority < self.nodes[cheap as usize].priority => dear,
+            _ => cheap,
+        }
+    }
+
+    /// Look up a key, counting a hit as an access in its lane.
     pub fn get(&mut self, key: &Key) -> Option<Value> {
         let at = *self.slots.get(key)?;
-        if self.newest != at {
-            self.unlink(at);
-            self.link_newest(at);
-        }
+        let lane = self.nodes[at as usize].lane;
+        self.unlink(at);
+        self.link_newest(at, lane);
         Some(self.nodes[at as usize].value.clone())
     }
 
-    /// True if `key` is cached; its recency does not move.
+    /// True if `key` is cached; nothing moves.
     pub fn contains(&self, key: &Key) -> bool {
         self.slots.contains_key(key)
     }
 
-    /// Insert or refresh a key. An object larger than the whole cache is
-    /// not cached, but still displaces the value it supersedes.
+    /// The lane `key` sits in, if it is cached; nothing moves.
+    pub fn lane_of(&self, key: &Key) -> Option<Lane> {
+        let at = *self.slots.get(key)?;
+        Some(self.nodes[at as usize].lane)
+    }
+
+    /// Insert or refresh a key in the cheap lane (see
+    /// [`LruCache::insert_in`]).
     pub fn insert(&mut self, key: Key, value: Value) {
+        self.insert_in(key, value, Lane::Cheap);
+    }
+
+    /// Insert or refresh a key in `lane`, evicting until it fits. An
+    /// object larger than the whole cache is not cached, but still
+    /// displaces the value it supersedes.
+    pub fn insert_in(&mut self, key: Key, value: Value, lane: Lane) {
         let size = value.len() as u64;
         self.remove(&key);
         if self.capacity_bytes == 0 || size > self.capacity_bytes {
             return;
         }
-        while self.used_bytes + size > self.capacity_bytes && self.oldest != NIL {
-            let victim = self.oldest;
+        while self.used_bytes + size > self.capacity_bytes {
+            let victim = self.victim();
+            self.floor = self.nodes[victim as usize].priority;
             self.slots.remove(&self.nodes[victim as usize].key);
             self.release(victim);
         }
@@ -144,6 +228,8 @@ impl LruCache {
         let node = Node {
             key: key.clone(),
             value,
+            priority: 0,
+            lane,
             newer: NIL,
             older: NIL,
         };
@@ -160,15 +246,27 @@ impl LruCache {
                 at
             }
         };
-        self.link_newest(at);
+        self.link_newest(at, lane);
         self.slots.insert(key, at);
     }
 
-    /// Replace the value of a cached key where its entry sits: recency
-    /// does not move and no other entry is evicted. Returns true if the
-    /// key was cached and now holds `value`. A key that is not cached
-    /// stays uncached; one whose new value no longer fits the byte budget
-    /// is removed instead.
+    /// Move a cached key to `lane`, counting the move as an access (its
+    /// refetch price changed: it moved between tiers). Returns true if the
+    /// key was cached.
+    pub fn reprice(&mut self, key: &Key, lane: Lane) -> bool {
+        let Some(&at) = self.slots.get(key) else {
+            return false;
+        };
+        self.unlink(at);
+        self.link_newest(at, lane);
+        true
+    }
+
+    /// Replace the value of a cached key where its entry sits: its lane,
+    /// priority and recency do not move and no other entry is evicted.
+    /// Returns true if the key was cached and now holds `value`. A key
+    /// that is not cached stays uncached; one whose new value no longer
+    /// fits the byte budget is removed instead.
     pub fn replace(&mut self, key: &Key, value: Value) -> bool {
         let Some(&at) = self.slots.get(key) else {
             return false;
@@ -191,6 +289,13 @@ impl LruCache {
         if let Some(at) = self.slots.remove(key) {
             self.release(at);
         }
+    }
+
+    /// Every cached key and value, in no particular order; nothing moves.
+    pub fn entries(&self) -> impl Iterator<Item = (&Key, &Value)> + '_ {
+        self.slots
+            .iter()
+            .map(|(key, &at)| (key, &self.nodes[at as usize].value))
     }
 }
 
@@ -287,20 +392,30 @@ mod tests {
         assert!(disabled.is_empty());
     }
 
-    /// The cache's keys from least to most recently used, walked through
-    /// the links (so a broken link shows as a wrong or endless walk).
-    fn keys_oldest_first(cache: &LruCache) -> Vec<Key> {
+    /// The keys of one lane from least to most recently used, walked
+    /// through the links (so a broken link shows as a wrong or endless
+    /// walk).
+    fn lane_oldest_first(cache: &LruCache, lane: Lane) -> Vec<Key> {
+        let ends = cache.lanes[lane as usize];
         let mut keys = Vec::new();
-        let (mut at, mut below) = (cache.oldest, NIL);
+        let (mut at, mut below) = (ends.oldest, NIL);
         while at != NIL {
             let node = &cache.nodes[at as usize];
             assert_eq!(node.older, below, "back link of node {at}");
+            assert_eq!(node.lane, lane, "node {at} is linked into the other lane");
             assert!(keys.len() < cache.len(), "the recency list has a cycle");
             keys.push(node.key.clone());
             (at, below) = (node.newer, at);
         }
-        assert_eq!(cache.newest, below);
+        assert_eq!(ends.newest, below);
         keys
+    }
+
+    /// The whole cache from least to most recently used, for a cache that
+    /// only ever filled the cheap lane: the dear lane must be empty.
+    fn keys_oldest_first(cache: &LruCache) -> Vec<Key> {
+        assert!(lane_oldest_first(cache, Lane::Dear).is_empty());
+        lane_oldest_first(cache, Lane::Cheap)
     }
 
     /// Seeded random gets, inserts (fitting, replacing, oversized),
@@ -390,6 +505,214 @@ mod tests {
                 let used: u64 = model.iter().map(|(_, v)| v.len() as u64).sum();
                 assert_eq!(cache.used_bytes(), used, "seed {seed} step {step}");
                 assert_eq!(cache.len(), model.len());
+                assert!(
+                    cache.nodes.len() as u64 <= universe,
+                    "freed slots are reused"
+                );
+            }
+        }
+    }
+
+    /// A dear entry outlives the cheap lane's turnover: each eviction of a
+    /// cheap entry raises the floor by at most the cheap price, so a dear
+    /// entry read once stays until the floor has climbed to its priority.
+    #[test]
+    fn a_dear_entry_outlives_cheap_turnover_until_the_floor_reaches_it() {
+        let mut cache = LruCache::with_prices(300, Nanos::from_nanos(10), Nanos::from_nanos(40));
+        cache.insert_in(key(0), Value::filled(100, 0), Lane::Dear);
+        assert_eq!(cache.lane_of(&key(0)), Some(Lane::Dear));
+        // Priority 40; cheap fills enter at floor + 10 and the floor takes
+        // each victim's priority, so it climbs 10 per two-entry turnover.
+        let mut evicted_at = None;
+        for id in 1..=40u64 {
+            cache.insert(key(id), Value::filled(100, id as u8));
+            if evicted_at.is_none() && !cache.contains(&key(0)) {
+                evicted_at = Some(id);
+            }
+        }
+        let plain = {
+            let mut lru = LruCache::new(300);
+            lru.insert(key(0), Value::filled(100, 0));
+            (1..=40u64)
+                .find(|&id| {
+                    lru.insert(key(id), Value::filled(100, id as u8));
+                    !lru.contains(&key(0))
+                })
+                .expect("an LRU evicts it")
+        };
+        assert_eq!(plain, 3, "as LRU, the third fill evicts it");
+        // The floor climbs 10, 20, 30, 40 over fills 3–10; at 40 the tie
+        // still evicts cheap entries, and fill 11 finds the dear one least.
+        assert_eq!(evicted_at, Some(11));
+        assert_eq!(cache.used_bytes(), 300);
+    }
+
+    /// Equal priorities evict the cheap lane's oldest first, and a
+    /// re-price counts as an access in the lane it moves to.
+    #[test]
+    fn ties_go_to_the_cheap_lane_and_a_reprice_is_an_access() {
+        let mut cache = LruCache::with_prices(200, Nanos::from_nanos(5), Nanos::from_nanos(5));
+        cache.insert_in(key(1), Value::filled(100, 1), Lane::Dear);
+        cache.insert(key(2), Value::filled(100, 2));
+        cache.insert(key(3), Value::filled(100, 3));
+        assert!(cache.contains(&key(1)) && !cache.contains(&key(2)));
+
+        let mut cache = LruCache::with_prices(200, Nanos::from_nanos(5), Nanos::from_nanos(50));
+        cache.insert(key(1), Value::filled(100, 1));
+        cache.insert(key(2), Value::filled(100, 2));
+        assert!(cache.reprice(&key(1), Lane::Dear));
+        assert!(!cache.reprice(&key(9), Lane::Dear), "uncached");
+        assert_eq!(cache.lane_of(&key(1)), Some(Lane::Dear));
+        cache.insert(key(3), Value::filled(100, 3));
+        assert!(cache.contains(&key(1)) && !cache.contains(&key(2)));
+        // Back to the cheap lane: now the older of two cheap entries.
+        assert!(cache.reprice(&key(1), Lane::Cheap));
+        cache.insert(key(4), Value::filled(100, 4));
+        assert!(!cache.contains(&key(3)) && cache.contains(&key(1)));
+        cache.insert(key(5), Value::filled(100, 5));
+        assert!(!cache.contains(&key(1)));
+        assert_eq!(cache.lane_of(&key(1)), None);
+    }
+
+    /// Seeded random gets, fills in either lane (fitting, replacing,
+    /// oversized), in-place replaces, re-prices and removes against a
+    /// brute-force GreedyDual model: a list of `(key, value, priority,
+    /// lane, access order)` whose victim is found by scanning for the
+    /// least `(priority, lane, access order)`. After every step the hits,
+    /// the evictions, `used_bytes` and each lane's order agree.
+    #[test]
+    fn matches_a_greedy_dual_model_step_by_step() {
+        struct Entry {
+            key: Key,
+            value: Value,
+            priority: u64,
+            lane: Lane,
+            order: u64,
+        }
+        let lanes = [Lane::Cheap, Lane::Dear];
+        let cases = [
+            (1u64, 1_000u64, 24u64, [6u64, 391u64]),
+            (2, 4_096, 64, [6, 391]),
+            (3, 300, 8, [1, 3]),
+            (4, 1_000, 24, [7, 7]),
+            (5, 2_000, 40, [0, 50]),
+        ];
+        for (seed, capacity, universe, prices) in cases {
+            let mut state = seed;
+            let mut next = move || {
+                // splitmix64
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            let [cheap, dear] = prices.map(Nanos::from_nanos);
+            let mut cache = LruCache::with_prices(capacity, cheap, dear);
+            let mut model: Vec<Entry> = Vec::new();
+            let (mut floor, mut tick) = (0u64, 0u64);
+            let used = |model: &[Entry]| model.iter().map(|e| e.value.len() as u64).sum::<u64>();
+            for step in 0..20_000u32 {
+                let k = key(next() % universe);
+                let at = model.iter().position(|e| e.key == k);
+                let lane = lanes[(next() % 2) as usize];
+                tick += 1;
+                let access = |entry: &mut Entry, lane: Lane| {
+                    entry.lane = lane;
+                    entry.priority = floor + prices[lane as usize];
+                    entry.order = tick;
+                };
+                match next() % 100 {
+                    0..=39 => {
+                        let expected = at.map(|at| {
+                            let lane = model[at].lane;
+                            access(&mut model[at], lane);
+                            model[at].value.clone()
+                        });
+                        assert_eq!(cache.get(&k), expected, "seed {seed} step {step}");
+                    }
+                    40..=79 => {
+                        // One fill in sixteen does not fit the cache at all.
+                        let len = match next() % 16 {
+                            0 => capacity + 1 + next() % 64,
+                            _ => next() % (capacity / 3),
+                        };
+                        let value = Value::filled(len as usize, next() as u8);
+                        if let Some(at) = at {
+                            model.remove(at);
+                        }
+                        if len <= capacity {
+                            while used(&model) + len > capacity {
+                                let victim = (0..model.len())
+                                    .min_by_key(|&i| {
+                                        let e = &model[i];
+                                        (e.priority, e.lane as usize, e.order)
+                                    })
+                                    .expect("an over-full model is non-empty");
+                                floor = model.remove(victim).priority;
+                            }
+                            let mut entry = Entry {
+                                key: k.clone(),
+                                value: value.clone(),
+                                priority: 0,
+                                lane,
+                                order: 0,
+                            };
+                            // The floor may have risen: price after evicting.
+                            entry.priority = floor + prices[lane as usize];
+                            entry.order = tick;
+                            model.push(entry);
+                        }
+                        cache.insert_in(k, value, lane);
+                    }
+                    80..=86 => {
+                        let len = next() % (capacity / 2);
+                        let value = Value::filled(len as usize, next() as u8);
+                        let replaced = at.is_some_and(|at| {
+                            if used(&model) - model[at].value.len() as u64 + len > capacity {
+                                model.remove(at);
+                                return false;
+                            }
+                            model[at].value = value.clone();
+                            true
+                        });
+                        assert_eq!(
+                            cache.replace(&k, value),
+                            replaced,
+                            "seed {seed} step {step}"
+                        );
+                    }
+                    87..=93 => {
+                        if let Some(at) = at {
+                            access(&mut model[at], lane);
+                        }
+                        assert_eq!(
+                            cache.reprice(&k, lane),
+                            at.is_some(),
+                            "seed {seed} step {step}"
+                        );
+                    }
+                    _ => {
+                        if let Some(at) = at {
+                            model.remove(at);
+                        }
+                        cache.remove(&k);
+                    }
+                }
+                for lane in lanes {
+                    let mut in_lane: Vec<&Entry> =
+                        model.iter().filter(|e| e.lane == lane).collect();
+                    in_lane.sort_by_key(|e| e.order);
+                    let expected: Vec<Key> = in_lane.iter().map(|e| e.key.clone()).collect();
+                    assert_eq!(
+                        lane_oldest_first(&cache, lane),
+                        expected,
+                        "seed {seed} step {step} lane {lane:?}"
+                    );
+                }
+                assert_eq!(cache.used_bytes(), used(&model), "seed {seed} step {step}");
+                assert_eq!(cache.len(), model.len());
+                assert_eq!(cache.floor, floor, "seed {seed} step {step}");
                 assert!(
                     cache.nodes.len() as u64 <= universe,
                     "freed slots are reused"

@@ -44,7 +44,7 @@ mod txn;
 mod value;
 
 pub use batch::{BatchOp, WriteBatch};
-pub use cache::LruCache;
+pub use cache::{Lane, LruCache};
 pub use checksum::Version;
 pub use completion::{completion_pair_gauged, Completion, Ticket, TicketGauge, WakeList};
 pub use concurrent::{ConcurrentKvStore, MutexKv};
