@@ -161,7 +161,8 @@ impl EngineShared {
         }
         // Leave headroom above the expected key count so freshly inserted
         // keys (YCSB-D style) still route to the last partition's range
-        // rather than overflowing.
+        // rather than overflowing. `validate` bounds `expected_keys`, so
+        // doubling it cannot overflow.
         let span = (options.expected_keys * 2 / options.num_partitions as u64).max(1);
         let sched = (options.compaction_workers > 0)
             .then(|| Scheduler::new(options.num_partitions, options.compaction_workers));

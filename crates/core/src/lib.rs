@@ -6,8 +6,8 @@
 //!
 //! * all writes land in NVM slab files with in-place updates
 //!   ([`prism_nvm`]),
-//! * an in-memory B-tree indexes the NVM-resident objects
-//!   ([`prism_index`]),
+//! * an in-memory B-tree (std's `BTreeMap`) indexes the NVM-resident
+//!   objects,
 //! * cold objects are demoted to SST files in a sorted log on flash
 //!   ([`prism_flash`]),
 //! * a clock tracker and mapper decide which objects are hot enough to pin

@@ -66,9 +66,8 @@ pub struct Options {
     /// prices are the devices' `read_latency_4k`).
     pub dram_cache_bytes: u64,
     /// Number of independently locked sub-shards each partition's DRAM
-    /// cache is split into (key-hash → sub-cache). `1` reproduces the old
-    /// single-mutex cache; higher values let concurrent point reads of one
-    /// partition proceed without serialising on the cache lock. The
+    /// cache is split into (key-hash → sub-cache), so concurrent point
+    /// reads of one partition need not serialise on one lock. The
     /// effective count is reduced for tiny cache capacities.
     pub cache_shards: usize,
     /// Pinning threshold: fraction of tracked objects to retain on NVM
@@ -154,9 +153,8 @@ impl Options {
     /// Defaults scaled to `expected_keys` 1 KB objects with the paper's
     /// 1:5 NVM:flash ratio.
     pub fn scaled_default(expected_keys: u64) -> Self {
-        let logical_bytes = expected_keys.max(1) * 1024;
-        // Leave generous headroom on flash; NVM is 1/5 of flash capacity.
-        let flash_capacity = logical_bytes * 3;
+        // `validate` refuses a count whose sizes overflow.
+        let flash_capacity = scaled_flash_bytes(expected_keys).unwrap_or(u64::MAX);
         let nvm_capacity = (flash_capacity / 5).max(64 * 1024);
         Options {
             num_partitions: 8,
@@ -208,9 +206,9 @@ impl Options {
                 "at least one partition is required".into(),
             ));
         }
-        if self.expected_keys == 0 {
+        if self.expected_keys == 0 || scaled_flash_bytes(self.expected_keys).is_none() {
             return Err(PrismError::InvalidConfig(
-                "expected_keys must be non-zero".into(),
+                "expected_keys must be non-zero and small enough that its sizes fit a u64".into(),
             ));
         }
         if self.nvm_capacity_bytes == 0 || self.flash_capacity_bytes == 0 {
@@ -270,6 +268,14 @@ impl Options {
         self.compaction.validate()?;
         Ok(())
     }
+}
+
+/// The flash bytes [`Options::scaled_default`] provisions for
+/// `expected_keys` 1 KB objects (three times their size; NVM gets a
+/// fifth), or `None` past `u64`: every other size derived from the count
+/// is smaller.
+fn scaled_flash_bytes(expected_keys: u64) -> Option<u64> {
+    expected_keys.max(1).checked_mul(1024)?.checked_mul(3)
 }
 
 /// Fluent builder for [`Options`].
@@ -370,6 +376,20 @@ mod tests {
         assert!(rejected(|o| o.scrub_io_budget_bytes = 0));
         assert!(rejected(|o| o.cache_shards = 0));
         assert!(rejected(|o| o.cache_shards = 2048));
+    }
+
+    #[test]
+    fn an_expected_keys_whose_sizes_overflow_is_refused() {
+        let largest = u64::MAX / 3072;
+        let options = Options::builder(largest).build().unwrap();
+        assert_eq!(options.flash_capacity_bytes, largest * 3072);
+        for keys in [largest + 1, u64::MAX] {
+            let refused = Options::builder(keys).build();
+            assert!(
+                matches!(refused, Err(PrismError::InvalidConfig(_))),
+                "{keys}"
+            );
+        }
     }
 
     #[test]

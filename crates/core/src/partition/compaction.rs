@@ -89,7 +89,7 @@ impl Partition {
                 for (key, _entry) in self
                     .volatile
                     .index()
-                    .range_from(start)
+                    .range::<Key, _>(start..)
                     .take_while(|(k, _)| *k <= end)
                 {
                     let clock = self.volatile.tracker.clock_of(key);
@@ -226,7 +226,7 @@ impl Partition {
         let in_range: Vec<(Key, IndexEntry)> = self
             .volatile
             .index()
-            .range_from(&start)
+            .range::<Key, _>(&start..)
             .take_while(|(k, _)| *k <= &end)
             .map(|(k, e)| (k.clone(), *e))
             .collect();

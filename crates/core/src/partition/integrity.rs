@@ -197,7 +197,7 @@ impl Partition {
             let mut corrupt: Vec<Key> = Vec::new();
             let mut resume: Option<Key> = None;
             let mut nvm_bytes = 0u64;
-            for (key, entry) in self.volatile.index().range_from(&start) {
+            for (key, entry) in self.volatile.index().range(start..) {
                 if budget == 0 {
                     resume = Some(key.clone());
                     break;

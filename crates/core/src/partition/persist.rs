@@ -27,12 +27,11 @@
 //! mutate them; the sibling modules read them through `&` accessors.
 //! [`Partition::check_invariants`] states what the three methods keep.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use prism_compaction::{BucketMap, CompactionPlanner, ReadTriggeredController};
 use prism_flash::{FileId, SortedLog, SstBuilder, SstEntry, SstFile};
-use prism_index::FastIndex;
 use prism_nvm::{NvmAddress, SlabConfig, SlabStore};
 use prism_storage::{Device, TieredStorage};
 use prism_tracker::{ClockTracker, Mapper};
@@ -130,7 +129,7 @@ impl Durable {
 /// What the partition keeps in DRAM: recovery drops all of it and builds
 /// it again from [`Durable`] through [`Volatile::new`].
 pub(super) struct Volatile {
-    index: FastIndex<Key, IndexEntry>,
+    index: BTreeMap<Key, IndexEntry>,
     pub(super) tracker: ClockTracker,
     pub(super) mapper: Mapper,
     buckets: BucketMap,
@@ -172,7 +171,7 @@ impl Volatile {
         // Give each partition its own deterministic-but-distinct seed.
         compaction_config.seed = compaction_config.seed.wrapping_add(id as u64);
         Volatile {
-            index: FastIndex::new(),
+            index: BTreeMap::new(),
             tracker: ClockTracker::new(tracker_capacity),
             mapper: Mapper::new(),
             buckets: BucketMap::new(options.compaction.bucket_size_keys),
@@ -197,7 +196,7 @@ impl Volatile {
         }
     }
 
-    pub(super) fn index(&self) -> &FastIndex<Key, IndexEntry> {
+    pub(super) fn index(&self) -> &BTreeMap<Key, IndexEntry> {
         &self.index
     }
 
@@ -219,8 +218,9 @@ impl Volatile {
 
 /// What a scan of the slabs finds: the newest clean slot per key, the
 /// keys with a damaged slot, every other slot, and the newest sequence.
+/// `newest` is the index recovery installs.
 struct SlabScan {
-    newest: HashMap<Key, IndexEntry>,
+    newest: BTreeMap<Key, IndexEntry>,
     corrupt: Vec<Key>,
     stale: Vec<NvmAddress>,
     max_ts: u64,
@@ -239,7 +239,7 @@ impl SlabScan {
             .map(|(_, slot)| slot.key.clone())
             .collect();
         let corrupt_keys: HashSet<&Key> = corrupt.iter().collect();
-        let mut newest: HashMap<Key, IndexEntry> = HashMap::new();
+        let mut newest: BTreeMap<Key, IndexEntry> = BTreeMap::new();
         let mut stale: Vec<NvmAddress> = Vec::new();
         let mut max_ts = 0u64;
         for (addr, slot) in slab.scan() {
@@ -396,9 +396,7 @@ impl Partition {
                 .remove(addr)
                 .expect("recovery GC: a slot just seen by the slab scan must be removable");
         }
-        for (key, entry) in newest {
-            self.volatile.index.insert(key, entry);
-        }
+        self.volatile.index = newest;
         self.volatile.buckets = self.residency();
         let records = self.durable.log.iter();
         let flash_corrupt = records.filter(|(_, entry)| !entry.verify());
@@ -412,7 +410,7 @@ impl Partition {
     /// set the bit.
     fn residency(&self) -> BucketMap {
         let mut buckets = BucketMap::new(self.volatile.buckets.bucket_size());
-        for (key, _) in self.volatile.index.range_from(&Key::min()) {
+        for key in self.volatile.index.keys() {
             buckets.on_nvm_insert(key.id());
         }
         for (key, _) in self.durable.log.iter() {
@@ -435,11 +433,8 @@ impl Partition {
     pub(crate) fn check_invariants(&self) -> std::result::Result<(), String> {
         let scan = SlabScan::of(&self.durable.slab);
         let damaged: HashSet<&Key> = scan.corrupt.iter().collect();
-        let index = self.volatile.index.range_from(&Key::min());
-        let indexed: HashMap<Key, IndexEntry> = index
-            .filter(|(key, _)| !damaged.contains(key))
-            .map(|(key, entry)| (key.clone(), *entry))
-            .collect();
+        let mut indexed = self.volatile.index.clone();
+        indexed.retain(|key, _| !damaged.contains(key));
         let mut keys = indexed.keys().chain(scan.newest.keys());
         if let Some(key) = keys.find(|key| indexed.get(*key) != scan.newest.get(*key)) {
             let (held, slot) = (indexed.get(key), scan.newest.get(key));

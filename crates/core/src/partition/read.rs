@@ -18,8 +18,7 @@
 //! engine-forced drain) to apply under the write lock. The CPU cost of
 //! the tracker update is still charged to the read that caused it; only
 //! structural application is deferred. Point lookups resolve the key's
-//! NVM address through the index's hash-directory fast path
-//! ([`prism_index::FastIndex`]) instead of a B-tree walk.
+//! NVM address with one probe of the partition's B-tree index.
 //!
 //! A live read that misses the DRAM cache fills it: reads are the only
 //! way a key enters the cache. The fill's lane prices the refetch: a
@@ -220,8 +219,8 @@ impl Partition {
     /// (structural tracker admissions, or a due promotion compaction).
     ///
     /// The hot path acquires no partition-wide mutex: the DRAM cache probe
-    /// locks only the key's cache sub-shard, the index probe is the hash
-    /// directory's `O(1)` fast path, popularity is re-heated with an atomic
+    /// locks only the key's cache sub-shard, the index probe runs under the
+    /// partition read lock alone, popularity is re-heated with an atomic
     /// clock swap, and every counter (including the pressure inputs) is an
     /// atomic. Only a read of a key the tracker has never seen touches the
     /// read-side buffer mutex, to queue the structural admission.

@@ -74,7 +74,7 @@ impl Partition {
         let Some(start) = cursor.frontier.take() else {
             return;
         };
-        let mut nvm = self.volatile.index().range_from(&start).peekable();
+        let mut nvm = self.volatile.index().range::<Key, _>(&start..).peekable();
         let mut flash = self.durable.log().resume(cursor.flash.take(), &start);
         let mut hist = self.volatile.history.range::<Key, _>(&start..).peekable();
         loop {

@@ -704,7 +704,7 @@ fn a_full_demotion_carries_every_slot_checksum_bit_for_bit() {
     let slots: Vec<(Key, u32, bool)> = p
         .volatile
         .index()
-        .range_from(&Key::min())
+        .iter()
         .map(|(key, entry)| {
             let slot = p.durable.slab().peek(entry.addr).expect("live slot");
             (key.clone(), slot.version.checksum, slot.verify())

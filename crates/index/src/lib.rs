@@ -1,20 +1,12 @@
-//! The in-memory NVM index.
+//! Index structures the benchmark's probes and the microbenchmarks time.
 //!
-//! PrismDB keeps an in-memory B-tree per partition that maps every key
-//! currently stored on NVM to its slab address (§4.1 of the paper; §6 uses
-//! "Google's B-tree implementation" off the shelf). This crate does the
-//! same with the standard library's: [`BTreeIndex`] *is*
-//! [`std::collections::BTreeMap`] and [`Range`] is its range iterator — the
-//! names survive only because the benchmark, the microbenchmarks and the
-//! facade spell them.
-//!
-//! What the crate adds is [`FastIndex`], the type the engine holds: the
-//! ordered map mirrored by one hash map ([`HashDirectory`]). The mirror is
-//! kept because the engine probes by key far more often than it walks in
-//! order — every `get`, and every `put` before it inserts — and over
-//! 24-byte keys a hash probe costs 18–25 ns where the tree's descent
-//! costs 95–119 (`index.get_ns` vs `index.btree_get_ns` in `benchmark/`),
-//! at the price of a second insert/remove per mutation.
+//! A PrismDB partition maps every NVM key to its slab address with an
+//! off-the-shelf B-tree (§4.1, §6); the engine holds std's
+//! [`std::collections::BTreeMap`] itself and does not use this
+//! crate. [`BTreeIndex`] and [`Range`] name that map and its iterator,
+//! and [`FastIndex`] mirrors it with one hash map ([`HashDirectory`]), a
+//! second copy of every entry that bought the engine no end-to-end gain;
+//! they stay for `benchmark/`'s probes.
 //!
 //! # Example
 //!

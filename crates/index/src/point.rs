@@ -1,5 +1,5 @@
 //! The point-lookup directory and the mirrored index built on it (see the
-//! crate docs for why the mirror is kept).
+//! crate docs for why the engine no longer holds them).
 //!
 //! Probes are `&self`, so readers under the partition's read lock never
 //! contend; all mutation happens with `&mut self` under the partition's

@@ -81,7 +81,8 @@ struct AcceptState {
     /// Read-closers of live connections, for interrupting their reader
     /// threads at shutdown.
     closers: Mutex<HashMap<u64, ReadCloser>>,
-    /// Join handles of the connection threads.
+    /// Join handles of the connection threads not yet joined: the accept
+    /// loop joins those that finished, `shutdown` the rest.
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -137,7 +138,11 @@ impl Acceptor {
                                 lock(&serving.closers).remove(&conn_id);
                             })
                             .expect("spawning a connection thread");
-                        lock(&state.conn_threads).push(handle);
+                        let mut threads = lock(&state.conn_threads);
+                        for finished in threads.extract_if(.., |h| h.is_finished()) {
+                            let _ = finished.join();
+                        }
+                        threads.push(handle);
                     }
                 })
                 .expect("spawning the accept thread")
@@ -626,6 +631,23 @@ mod tests {
         listener.shutdown();
         assert!(connector.connect().is_err());
         assert!(listener.accept().is_err());
+    }
+
+    #[test]
+    fn the_acceptor_joins_the_threads_of_closed_connections() {
+        let (listener, connector) = duplex_listener();
+        let (served, closed) = std::sync::mpsc::channel();
+        let mut acceptor = Acceptor::start(Arc::new(listener), "join", move |_, mut conn| {
+            let _ = io::copy(&mut conn.reader, &mut io::sink());
+            let _ = served.send(());
+        });
+        for _ in 0..64 {
+            drop(connector.connect().expect("dial"));
+            closed.recv().expect("the connection was served");
+        }
+        let held = lock(&acceptor.state.conn_threads).len();
+        assert!(held <= 2, "{held} handles held after 64 closed connections");
+        assert!(acceptor.shutdown());
     }
 
     #[test]

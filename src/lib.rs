@@ -76,7 +76,8 @@ pub use prism_db as db;
 pub use prism_flash as flash;
 /// Async submission front-end (re-export of `prism-frontend`).
 pub use prism_frontend as frontend;
-/// B-tree index substrate (re-export of `prism-index`).
+/// Index structures the microbenchmarks measure (re-export of
+/// `prism-index`); the engine indexes NVM with std's `BTreeMap` directly.
 pub use prism_index as index;
 /// The LSM baseline family (re-export of `prism-lsm`).
 pub use prism_lsm as lsm;
