@@ -2,16 +2,17 @@
 //! path: B-tree lookups, bloom filter probes, clock tracker accesses and
 //! MSC scoring.
 
+use std::collections::BTreeMap;
+
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use prism_compaction::{msc_score, BucketMap};
 use prism_flash::BloomFilter;
-use prism_index::BTreeIndex;
 use prism_tracker::ClockTracker;
 use prism_types::Key;
 
 fn bench_btree(c: &mut Criterion) {
-    let mut index: BTreeIndex<u64, u64> = BTreeIndex::new();
+    let mut index: BTreeMap<u64, u64> = BTreeMap::new();
     for id in 0..100_000u64 {
         index.insert(id, id);
     }

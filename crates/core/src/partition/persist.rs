@@ -28,10 +28,10 @@
 //! [`Partition::check_invariants`] states what the three methods keep.
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use prism_compaction::{BucketMap, CompactionPlanner, ReadTriggeredController};
-use prism_flash::{FileId, SortedLog, SstBuilder, SstEntry, SstFile};
+use prism_flash::{write_run, FileId, SortedLog, SstBuilder, SstEntry};
 use prism_nvm::{NvmAddress, SlabConfig, SlabStore};
 use prism_storage::{Device, TieredStorage};
 use prism_tracker::{ClockTracker, Mapper};
@@ -332,7 +332,13 @@ impl Partition {
         retired: &[FileId],
         records: Vec<(Key, SstEntry)>,
     ) -> Nanos {
-        let (new_files, cost) = self.write_sst_files(records);
+        let next = || SstBuilder::new(self.durable.log.allocate_file_id()).for_partition(self.id);
+        let (new_files, cost) = write_run(
+            records,
+            self.options.sst_target_bytes,
+            next,
+            &self.flash_dev,
+        );
         let buckets = &mut self.volatile.buckets;
         let files = self.durable.log.files().iter();
         let leaving = files.filter(|file| retired.contains(&file.id()));
@@ -345,33 +351,6 @@ impl Partition {
         self.durable.log.install(retired, new_files);
         self.durable.log.reclaim(&self.flash_dev);
         cost
-    }
-
-    fn write_sst_files(&mut self, merged: Vec<(Key, SstEntry)>) -> (Vec<Arc<SstFile>>, Nanos) {
-        let mut files = Vec::new();
-        let mut cost = Nanos::ZERO;
-        if merged.is_empty() {
-            return (files, cost);
-        }
-        let target = self.options.sst_target_bytes;
-        let mut builder =
-            SstBuilder::new(self.durable.log.allocate_file_id()).for_partition(self.id);
-        for (key, entry) in merged {
-            builder.add(key, entry);
-            if builder.size_bytes() >= target {
-                let (file, c) = builder.finish(&self.flash_dev);
-                cost += c;
-                files.push(Arc::new(file));
-                builder =
-                    SstBuilder::new(self.durable.log.allocate_file_id()).for_partition(self.id);
-            }
-        }
-        if !builder.is_empty() {
-            let (file, c) = builder.finish(&self.flash_dev);
-            cost += c;
-            files.push(Arc::new(file));
-        }
-        (files, cost)
     }
 
     /// Recovery's rebuild of the DRAM mirrors from what the tiers hold:

@@ -12,7 +12,9 @@
 //!
 //! * [`BloomFilter`] — a classic partitioned-hash bloom filter,
 //! * [`SstBuilder`] / [`SstFile`] — building and querying immutable sorted
-//!   files made of 4 KB blocks,
+//!   files made of 4 KB blocks, and [`write_run`], the one routine that
+//!   cuts a sorted run into files of a target size (PrismDB's compactions
+//!   and the LSM baseline's flushes and compactions both call it),
 //! * [`SortedLog`] — the single-level, non-overlapping file log PrismDB
 //!   uses by default when NVM holds ≥ 10 % of the database, and the one
 //!   record of a partition's flash files: it hands out their ids, stamps
@@ -45,7 +47,7 @@ mod sst;
 
 pub use bloom::BloomFilter;
 pub use sorted_log::{LogPosition, SortedLog};
-pub use sst::{encoded_size, BlockProbe, FileId, SstBuilder, SstEntry, SstFile};
+pub use sst::{encoded_size, write_run, BlockProbe, FileId, SstBuilder, SstEntry, SstFile};
 
 #[cfg(test)]
 mod proptests {

@@ -421,6 +421,42 @@ impl SstBuilder {
     }
 }
 
+/// Write `records` (in ascending key order) as a run of SST files on
+/// `device`: a file ends at the first record that brings it to
+/// `target_bytes`, the next builder comes from `next` right after each
+/// cut, and a short tail still makes a file. An empty run never calls
+/// `next`, so it takes no file id. Returns the files and the summed write
+/// cost.
+pub fn write_run(
+    records: Vec<(Key, SstEntry)>,
+    target_bytes: u64,
+    mut next: impl FnMut() -> SstBuilder,
+    device: &Arc<Device>,
+) -> (Vec<Arc<SstFile>>, Nanos) {
+    let mut files = Vec::new();
+    let mut cost = Nanos::ZERO;
+    if records.is_empty() {
+        return (files, cost);
+    }
+    let mut seal = |builder: SstBuilder| {
+        let (file, c) = builder.finish(device);
+        cost += c;
+        files.push(Arc::new(file));
+    };
+    let mut builder = next();
+    for (key, entry) in records {
+        builder.add(key, entry);
+        if builder.size_bytes() >= target_bytes {
+            seal(builder);
+            builder = next();
+        }
+    }
+    if !builder.is_empty() {
+        seal(builder);
+    }
+    (files, cost)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,6 +567,46 @@ mod tests {
         assert!(cost > Nanos::ZERO);
         assert_eq!(dev.counters().as_tier_io().bytes_written, expected_bytes);
         assert_eq!(dev.used_bytes(), expected_bytes);
+    }
+
+    /// Writes `count` equal records with a target of `target_records`
+    /// records' bytes; returns the files' lengths and how often `next`
+    /// ran.
+    fn cut(count: u64, target_records: f64) -> (Vec<usize>, u64) {
+        let record = |id| (Key::from_id(id), SstEntry::value(Value::filled(100, 0), id));
+        let records: Vec<_> = (0..count).map(record).collect();
+        let (key, entry) = record(0);
+        let record = encoded_size(&key, &entry) as f64;
+        let mut calls = 0;
+        let next = || {
+            calls += 1;
+            SstBuilder::new(calls)
+        };
+        let dev = flash();
+        let (files, cost) = write_run(records, (record * target_records) as u64, next, &dev);
+        let bytes: u64 = files.iter().map(|f| f.size_bytes()).sum();
+        assert_eq!(dev.counters().as_tier_io().bytes_written, bytes);
+        assert_eq!(cost.is_zero(), files.is_empty());
+        let ids: Vec<FileId> = files.iter().map(|f| f.id()).collect();
+        assert_eq!(ids, (1..=files.len() as u64).collect::<Vec<_>>());
+        (files.iter().map(|f| f.len()).collect(), calls)
+    }
+
+    #[test]
+    fn write_run_cuts_at_the_first_record_that_reaches_the_target() {
+        assert_eq!(cut(9, 3.0), (vec![3, 3, 3], 4));
+        assert_eq!(cut(9, 2.5), (vec![3, 3, 3], 4));
+    }
+
+    #[test]
+    fn write_run_keeps_a_short_tail_file() {
+        assert_eq!(cut(7, 3.0), (vec![3, 3, 1], 3));
+        assert_eq!(cut(2, 3.0), (vec![2], 1));
+    }
+
+    #[test]
+    fn write_run_never_calls_next_for_an_empty_run() {
+        assert_eq!(cut(0, 3.0), (vec![], 0));
     }
 
     #[test]

@@ -3,6 +3,20 @@
 use prism_storage::DeviceProfile;
 use prism_types::{Nanos, PrismError, Result};
 
+/// Number of levels, L0 included: the paper's RocksDB shape, L0–L3 on
+/// NVM and L4 on QLC flash for the `het` presets.
+pub(crate) const LEVELS: usize = 5;
+/// Number of L0 files past which L0 is compacted into L1.
+pub(crate) const L0_FILE_LIMIT: usize = 4;
+/// Growth factor between the size targets of adjacent levels.
+pub(crate) const LEVEL_MULTIPLIER: u64 = 10;
+/// Number of client clocks: the paper's testbed runs eight client
+/// threads.
+pub(crate) const CLIENTS: usize = 8;
+/// The largest `expected_keys` whose sizes fit a `u64`: the presets give
+/// flash 3 KB a key and NVM a fifth of that, and `het` adds the two.
+const MAX_EXPECTED_KEYS: u64 = u64::MAX / 3072 * 5 / 6;
+
 /// Which storage tier a level, file or WAL lives on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
@@ -21,17 +35,10 @@ pub struct LsmConfig {
     pub expected_keys: u64,
     /// Memtable size that triggers a flush.
     pub memtable_bytes: u64,
-    /// Number of L0 files that triggers an L0→L1 compaction.
-    pub l0_file_limit: usize,
-    /// Size target of L1; level `i` targets `level_base_bytes *
-    /// level_multiplier^(i-1)`.
+    /// Size target of L1; level `i` targets `level_base_bytes * 10^(i-1)`.
     pub level_base_bytes: u64,
-    /// Growth factor between levels.
-    pub level_multiplier: u64,
-    /// Number of levels (including L0).
-    pub num_levels: usize,
-    /// Device placement per level (`placement.len() == num_levels`).
-    pub placement: Vec<Tier>,
+    /// Device placement of each level, L0 to L4.
+    pub placement: [Tier; LEVELS],
     /// Target size of SST files written by flushes and compactions.
     pub sst_target_bytes: u64,
     /// DRAM block-cache capacity in bytes.
@@ -56,8 +63,6 @@ pub struct LsmConfig {
     pub mutant_placement: bool,
     /// Operations between Mutant placement re-evaluations.
     pub mutant_interval_ops: u64,
-    /// Number of concurrent client threads the paper's testbed uses (8).
-    pub clients: usize,
     /// NVM device profile.
     pub nvm_profile: DeviceProfile,
     /// Flash device profile.
@@ -66,7 +71,8 @@ pub struct LsmConfig {
 
 impl LsmConfig {
     fn scaled_base(name: &str, expected_keys: u64) -> Self {
-        let logical = expected_keys.max(1) * 1024;
+        // `validate` refuses a count past the clamp.
+        let logical = expected_keys.clamp(1, MAX_EXPECTED_KEYS) * 1024;
         let flash_capacity = logical * 3;
         let nvm_capacity = (flash_capacity / 5).max(64 * 1024);
         let memtable = (logical / 64).clamp(64 * 1024, 64 << 20);
@@ -74,11 +80,8 @@ impl LsmConfig {
             name: name.to_string(),
             expected_keys,
             memtable_bytes: memtable,
-            l0_file_limit: 4,
             level_base_bytes: memtable * 4,
-            level_multiplier: 10,
-            num_levels: 5,
-            placement: vec![Tier::Flash; 5],
+            placement: [Tier::Flash; LEVELS],
             sst_target_bytes: (memtable / 4).max(32 * 1024),
             // The paper provisions DRAM at 1:10 of storage capacity and
             // dedicates 20% of DRAM to the block cache.
@@ -91,7 +94,6 @@ impl LsmConfig {
             read_aware_pinning: false,
             mutant_placement: false,
             mutant_interval_ops: 5_000,
-            clients: 8,
             nvm_profile: DeviceProfile::optane_nvm(nvm_capacity),
             flash_profile: DeviceProfile::qlc_flash(flash_capacity),
         }
@@ -100,24 +102,24 @@ impl LsmConfig {
     /// RocksDB on a single storage device: every level (and the WAL) lives
     /// on `profile`.
     pub fn single_tier(expected_keys: u64, profile: DeviceProfile) -> Self {
-        let logical = expected_keys.max(1) * 1024;
         let mut config =
             Self::scaled_base(&format!("rocksdb-{}", profile.kind.label()), expected_keys);
+        let capacity = config.flash_profile.capacity_bytes;
         let tier = match profile.kind {
             prism_storage::DeviceKind::Nvm | prism_storage::DeviceKind::Dram => Tier::Nvm,
             _ => Tier::Flash,
         };
-        config.placement = vec![tier; config.num_levels];
+        config.placement = [tier; LEVELS];
         config.wal_tier = tier;
         match tier {
             Tier::Nvm => {
                 config.nvm_profile = profile;
-                config.nvm_profile.capacity_bytes = logical * 3;
+                config.nvm_profile.capacity_bytes = capacity;
                 config.flash_profile.capacity_bytes = 1;
             }
             Tier::Flash => {
                 config.flash_profile = profile;
-                config.flash_profile.capacity_bytes = logical * 3;
+                config.flash_profile.capacity_bytes = capacity;
                 config.nvm_profile.capacity_bytes = 1;
             }
         }
@@ -133,19 +135,16 @@ impl LsmConfig {
         let nvm_capacity = ((total as f64 * nvm_fraction) as u64).max(64 * 1024);
         config.nvm_profile.capacity_bytes = nvm_capacity;
         config.flash_profile.capacity_bytes = total - nvm_capacity;
-        let mut placement = vec![Tier::Nvm; config.num_levels];
-        placement[config.num_levels - 1] = Tier::Flash;
-        config.placement = placement;
+        config.placement[..LEVELS - 1].fill(Tier::Nvm);
         config.wal_tier = Tier::Nvm;
-        // Size the NVM-resident levels (L1..Ln-1) so together they fill at
+        // Size the NVM-resident levels (L1..L3) so together they fill at
         // most ~90 % of the NVM device; everything beyond that spills to the
         // flash-resident bottom level, mirroring the paper's ~89 % on QLC.
-        let nvm_levels = config.num_levels.saturating_sub(2).max(1) as u32;
-        let geometric_sum: u64 = (0..nvm_levels)
-            .map(|i| config.level_multiplier.pow(i))
+        let geometric_sum: u64 = (0..LEVELS as u32 - 2)
+            .map(|i| LEVEL_MULTIPLIER.pow(i))
             .sum();
         config.level_base_bytes =
-            ((nvm_capacity as f64 * 0.9) as u64 / geometric_sum.max(1)).max(16 * 1024);
+            ((nvm_capacity as f64 * 0.9) as u64 / geometric_sum).max(16 * 1024);
         config
     }
 
@@ -155,7 +154,7 @@ impl LsmConfig {
     pub fn l2_cache(expected_keys: u64, nvm_fraction: f64) -> Self {
         let mut config = Self::het(expected_keys, nvm_fraction);
         config.name = "rocksdb-l2c".to_string();
-        config.placement = vec![Tier::Flash; config.num_levels];
+        config.placement = [Tier::Flash; LEVELS];
         config.wal_tier = Tier::Flash;
         config.l2_cache_bytes = config.nvm_profile.capacity_bytes;
         config
@@ -176,7 +175,7 @@ impl LsmConfig {
     pub fn mutant(expected_keys: u64, nvm_fraction: f64) -> Self {
         let mut config = Self::het(expected_keys, nvm_fraction);
         config.name = "mutant".to_string();
-        config.placement = vec![Tier::Flash; config.num_levels];
+        config.placement = [Tier::Flash; LEVELS];
         config.mutant_placement = true;
         config
     }
@@ -205,31 +204,14 @@ impl LsmConfig {
     ///
     /// Returns [`PrismError::InvalidConfig`] describing the problem.
     pub fn validate(&self) -> Result<()> {
-        if self.num_levels < 2 {
+        if self.expected_keys > MAX_EXPECTED_KEYS {
             return Err(PrismError::InvalidConfig(
-                "an LSM tree needs at least two levels".into(),
+                "expected_keys must be small enough that its sizes fit a u64".into(),
             ));
-        }
-        if self.placement.len() != self.num_levels {
-            return Err(PrismError::InvalidConfig(format!(
-                "placement has {} entries for {} levels",
-                self.placement.len(),
-                self.num_levels
-            )));
         }
         if self.memtable_bytes == 0 || self.sst_target_bytes == 0 {
             return Err(PrismError::InvalidConfig(
                 "memtable and SST sizes must be non-zero".into(),
-            ));
-        }
-        if self.l0_file_limit == 0 || self.level_multiplier < 2 {
-            return Err(PrismError::InvalidConfig(
-                "l0_file_limit must be >= 1 and level_multiplier >= 2".into(),
-            ));
-        }
-        if self.clients == 0 {
-            return Err(PrismError::InvalidConfig(
-                "at least one client is required".into(),
             ));
         }
         Ok(())
@@ -264,7 +246,7 @@ mod tests {
         let config = LsmConfig::het(10_000, 0.2);
         config.validate().unwrap();
         assert_eq!(config.placement[0], Tier::Nvm);
-        assert_eq!(config.placement[config.num_levels - 1], Tier::Flash);
+        assert_eq!(config.placement[LEVELS - 1], Tier::Flash);
         assert_eq!(config.wal_tier, Tier::Nvm);
         assert!(config.nvm_profile.capacity_bytes < config.flash_profile.capacity_bytes);
     }
@@ -308,17 +290,38 @@ mod tests {
     #[test]
     fn invalid_configs_are_rejected() {
         let mut bad = LsmConfig::het(100, 0.2);
-        bad.placement.pop();
-        assert!(bad.validate().is_err());
-        let mut bad = LsmConfig::het(100, 0.2);
         bad.memtable_bytes = 0;
         assert!(bad.validate().is_err());
-        let mut bad = LsmConfig::het(100, 0.2);
-        bad.clients = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = LsmConfig::het(100, 0.2);
-        bad.num_levels = 1;
-        bad.placement = vec![Tier::Nvm];
-        assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn an_expected_keys_whose_sizes_overflow_is_refused() {
+        // Flash holds 3 KB a key and NVM a fifth of that; `het` adds them.
+        let sizes = |keys: u64| {
+            let flash = keys.checked_mul(3072)?;
+            flash.checked_add(flash / 5)
+        };
+        let largest = MAX_EXPECTED_KEYS;
+        assert!(sizes(largest + 1).is_none());
+        let config = LsmConfig::het(largest, 0.2);
+        config.validate().unwrap();
+        assert_eq!(
+            config.nvm_profile.capacity_bytes + config.flash_profile.capacity_bytes,
+            sizes(largest).unwrap()
+        );
+        for keys in [largest + 1, u64::MAX] {
+            for config in [
+                LsmConfig::het(keys, 0.2),
+                LsmConfig::single_tier(keys, DeviceProfile::qlc_flash(1)),
+                LsmConfig::l2_cache(keys, 0.2),
+            ] {
+                let refused = config.validate();
+                assert!(
+                    matches!(refused, Err(PrismError::InvalidConfig(_))),
+                    "{keys}"
+                );
+                assert!(crate::LsmTree::open(config).is_err(), "{keys}");
+            }
+        }
     }
 }

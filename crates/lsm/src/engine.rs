@@ -3,15 +3,18 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use prism_flash::{encoded_size, FileId, SstBuilder, SstEntry, SstFile};
+use prism_flash::{encoded_size, write_run, FileId, SstBuilder, SstEntry, SstFile};
 use prism_storage::{CpuCosts, Device, TieredStorage};
 use prism_types::{
     BatchOp, EngineStats, Key, KvStore, Lookup, LruCache, Nanos, ReadSource, Result, ScanResult,
     Value, WriteBatch,
 };
 
-use crate::config::{LsmConfig, Tier};
+use crate::config::{LsmConfig, Tier, CLIENTS, L0_FILE_LIMIT, LEVELS, LEVEL_MULTIPLIER};
 use crate::memtable::Memtable;
+
+/// The bytes a scan took from each file it read, with the file's tier.
+type FileReads = Vec<(Tier, u64)>;
 
 /// A leveled LSM-tree key-value store with per-level (or, for Mutant,
 /// per-file) device placement.
@@ -30,13 +33,15 @@ pub struct LsmTree {
     levels: Vec<Vec<Arc<SstFile>>>,
     file_tiers: HashMap<FileId, Tier>,
     file_temperature: HashMap<FileId, u64>,
-    compaction_cursor: Vec<usize>,
+    compaction_cursor: [usize; LEVELS],
     block_cache: LruCache,
-    l2_cache: Option<LruCache>,
+    /// NVM second-level cache; zero capacity (every preset but
+    /// `l2_cache`) caches nothing.
+    l2_cache: LruCache,
     next_file_id: FileId,
     next_timestamp: u64,
     // Virtual clocks.
-    client_clocks: Vec<Nanos>,
+    client_clocks: [Nanos; CLIENTS],
     next_client: usize,
     serial_clock: Nanos,
     bg_busy_until: Nanos,
@@ -59,19 +64,15 @@ impl LsmTree {
         Ok(LsmTree {
             cpu: storage.cpu,
             memtable: Memtable::new(),
-            levels: vec![Vec::new(); config.num_levels],
+            levels: vec![Vec::new(); LEVELS],
             file_tiers: HashMap::new(),
             file_temperature: HashMap::new(),
-            compaction_cursor: vec![0; config.num_levels],
+            compaction_cursor: [0; LEVELS],
             block_cache: LruCache::new(config.block_cache_bytes),
-            l2_cache: if config.l2_cache_bytes > 0 {
-                Some(LruCache::new(config.l2_cache_bytes))
-            } else {
-                None
-            },
+            l2_cache: LruCache::new(config.l2_cache_bytes),
             next_file_id: 1,
             next_timestamp: 1,
-            client_clocks: vec![Nanos::ZERO; config.clients],
+            client_clocks: [Nanos::ZERO; CLIENTS],
             next_client: 0,
             serial_clock: Nanos::ZERO,
             bg_busy_until: Nanos::ZERO,
@@ -108,16 +109,12 @@ impl LsmTree {
 
     fn pick_client(&mut self) -> usize {
         let client = self.next_client;
-        self.next_client = (self.next_client + 1) % self.client_clocks.len();
+        self.next_client = (self.next_client + 1) % CLIENTS;
         client
     }
 
     fn level_target_bytes(&self, level: usize) -> u64 {
-        self.config.level_base_bytes
-            * self
-                .config
-                .level_multiplier
-                .pow(level.saturating_sub(1) as u32)
+        self.config.level_base_bytes * LEVEL_MULTIPLIER.pow(level.saturating_sub(1) as u32)
     }
 
     fn level_bytes(&self, level: usize) -> u64 {
@@ -135,54 +132,12 @@ impl LsmTree {
     // Writes
     // ------------------------------------------------------------------
 
-    fn write_entry(&mut self, key: Key, value: Option<Value>) -> Result<Nanos> {
-        let ts = self.next_ts();
-        let client = self.pick_client();
-        let value_bytes = value.as_ref().map(|v| v.len() as u64).unwrap_or(0);
-
-        // Serialized section: WAL append (+ optional fsync) and memtable
-        // insert protected by the writer lock.
-        let wal_dev = self.device_for(self.config.wal_tier).clone();
-        let mut serial =
-            self.cpu.index_op + wal_dev.write_sequential(key.len() as u64 + value_bytes + 16);
-        if self.config.fsync_wal {
-            serial += self.config.wal_sync_cost.unwrap_or_else(|| wal_dev.sync());
-        }
-        let arrive = self.client_clocks[client];
-        let start = arrive.max(self.serial_clock);
-        self.serial_clock = start + serial;
-        let mut latency = (start.saturating_sub(arrive))
-            + serial
-            + self.cpu.request_overhead
-            + self.config.polling_overhead;
-
-        self.memtable.insert(key.clone(), value, ts);
-        self.stats.user_bytes_written += value_bytes;
-        self.block_cache.remove(&key);
-        if let Some(l2) = &mut self.l2_cache {
-            l2.remove(&key);
-        }
-
-        if self.memtable.size_bytes() >= self.config.memtable_bytes {
-            let now = arrive + latency;
-            let stall = self.bg_busy_until.saturating_sub(now);
-            latency += stall;
-            self.stats.compaction.stall_time += stall;
-            let mut background = self.flush()?;
-            background += self.run_compactions()?;
-            self.bg_busy_until = self.bg_busy_until.max(now + stall) + background;
-        }
-
-        self.client_clocks[client] = arrive + latency;
-        self.maybe_run_mutant_placement();
-        Ok(latency)
-    }
-
-    /// Group commit: all entries of a batch share one WAL append (and, in
-    /// fsync mode, one sync), one serialised-section reservation and one
-    /// request overhead — modelling RocksDB's write-group leader paying
-    /// the WAL cost for its followers. Memtable semantics are identical to
-    /// applying the entries front to back.
+    /// The one write path. A group commit: all entries share one WAL
+    /// append (and, in fsync mode, one sync), one serialised-section
+    /// reservation and one request overhead — modelling RocksDB's
+    /// write-group leader paying the WAL cost for its followers. Memtable
+    /// semantics are identical to applying the entries front to back. A
+    /// put or a delete is a group of one.
     fn write_group(&mut self, entries: Vec<BatchOp>) -> Result<Nanos> {
         if entries.is_empty() {
             return Ok(Nanos::ZERO);
@@ -211,8 +166,6 @@ impl LsmTree {
             + self.cpu.request_overhead
             + self.config.polling_overhead;
 
-        self.stats.batch_groups += 1;
-        self.stats.batch_entries += entries.len() as u64;
         for entry in entries {
             let ts = self.next_ts();
             let (key, value) = match entry {
@@ -221,9 +174,7 @@ impl LsmTree {
             };
             self.stats.user_bytes_written += value.as_ref().map(|v| v.len() as u64).unwrap_or(0);
             self.block_cache.remove(&key);
-            if let Some(l2) = &mut self.l2_cache {
-                l2.remove(&key);
-            }
+            self.l2_cache.remove(&key);
             self.memtable.insert(key, value, ts);
         }
 
@@ -244,30 +195,13 @@ impl LsmTree {
 
     fn build_files(
         &mut self,
-        entries: &[(Key, SstEntry)],
+        entries: Vec<(Key, SstEntry)>,
         tier: Tier,
     ) -> (Vec<Arc<SstFile>>, Nanos) {
-        let mut files = Vec::new();
-        let mut cost = Nanos::ZERO;
-        if entries.is_empty() {
-            return (files, cost);
-        }
         let device = self.device_for(tier).clone();
-        let mut builder = SstBuilder::new(self.allocate_file_id());
-        for (key, entry) in entries {
-            builder.add(key.clone(), entry.clone());
-            if builder.size_bytes() >= self.config.sst_target_bytes {
-                let (file, c) = builder.finish(&device);
-                cost += c;
-                files.push(Arc::new(file));
-                builder = SstBuilder::new(self.allocate_file_id());
-            }
-        }
-        if !builder.is_empty() {
-            let (file, c) = builder.finish(&device);
-            cost += c;
-            files.push(Arc::new(file));
-        }
+        let target = self.config.sst_target_bytes;
+        let next = || SstBuilder::new(self.allocate_file_id());
+        let (files, cost) = write_run(entries, target, next, &device);
         for file in &files {
             self.file_tiers.insert(file.id(), tier);
             self.file_temperature.insert(file.id(), 0);
@@ -283,7 +217,7 @@ impl LsmTree {
         let entries = self.memtable.drain_sorted();
         let tier = self.config.placement[0];
         let cpu = self.cpu.merge_per_object * entries.len() as u64;
-        let (files, io) = self.build_files(&entries, tier);
+        let (files, io) = self.build_files(entries, tier);
         self.levels[0].extend(files);
         self.stats.compaction.jobs += 1;
         let total = cpu + io;
@@ -315,12 +249,12 @@ impl LsmTree {
     fn run_compactions(&mut self) -> Result<Nanos> {
         let mut total = Nanos::ZERO;
         for _ in 0..64 {
-            if self.levels[0].len() > self.config.l0_file_limit {
+            if self.levels[0].len() > L0_FILE_LIMIT {
                 total += self.compact_into_next(0)?;
                 continue;
             }
             let mut compacted = false;
-            for level in 1..self.config.num_levels - 1 {
+            for level in 1..LEVELS - 1 {
                 if self.level_bytes(level) > self.level_target_bytes(level) {
                     total += self.compact_into_next(level)?;
                     compacted = true;
@@ -384,7 +318,7 @@ impl LsmTree {
                 merged.insert(key.clone(), entry.clone());
             }
         }
-        let is_last_level = next == self.config.num_levels - 1;
+        let is_last_level = next == LEVELS - 1;
         let entries: Vec<(Key, SstEntry)> = merged
             .into_iter()
             .filter(|(_, entry)| !(is_last_level && entry.is_tombstone()))
@@ -405,9 +339,10 @@ impl LsmTree {
             (Vec::new(), entries)
         };
 
-        let (new_next_files, write_cost) = self.build_files(&moved, self.config.placement[next]);
+        let demoted = moved.len() as u64;
+        let (new_next_files, write_cost) = self.build_files(moved, self.config.placement[next]);
         duration += write_cost;
-        let (pinned_files, pin_cost) = self.build_files(&pinned, self.config.placement[level]);
+        let (pinned_files, pin_cost) = self.build_files(pinned, self.config.placement[level]);
         duration += pin_cost;
 
         let input_ids: Vec<FileId> = inputs.iter().map(|f| f.id()).collect();
@@ -423,7 +358,7 @@ impl LsmTree {
 
         self.stats.compaction.jobs += 1;
         self.stats.compaction.total_time += duration;
-        self.stats.compaction.demoted_objects += moved.len() as u64;
+        self.stats.compaction.demoted_objects += demoted;
         Ok(duration)
     }
 
@@ -493,7 +428,7 @@ impl LsmTree {
         key: &Key,
         cost: &mut Nanos,
     ) -> (Option<SstEntry>, ReadSource, usize) {
-        for level in 0..self.config.num_levels {
+        for level in 0..LEVELS {
             let candidates: Vec<Arc<SstFile>> = if level == 0 {
                 self.levels[0].iter().rev().cloned().collect()
             } else {
@@ -528,19 +463,77 @@ impl LsmTree {
         }
         (None, ReadSource::NotFound, 0)
     }
+
+    /// One pass of a scan's merge: up to `budget` records from `start` on
+    /// out of each file and of the memtable, gathered from the deepest
+    /// level up so the newest version of a key wins. The merge is exact up
+    /// to the horizon, the smallest last key taken from a source that had
+    /// more. Returns the first `count` live records up to it with the bytes
+    /// taken from each file, in merge order, for the caller to charge; or
+    /// `None` when fewer lie there and a wider budget would find more.
+    fn gather(
+        &self,
+        start: &Key,
+        count: usize,
+        budget: usize,
+    ) -> Option<(Vec<(Key, Value)>, FileReads)> {
+        let max_key = Key::from_id(u64::MAX);
+        let mut merged: BTreeMap<Key, Option<Value>> = BTreeMap::new();
+        let mut horizon: Option<&Key> = None;
+        let mut reads = Vec::new();
+        for level in (0..LEVELS).rev() {
+            for file in self.levels[level].iter().filter(|f| f.max_key() >= start) {
+                let mut records = file.range(start, &max_key);
+                let (mut consumed, mut last) = (0u64, None);
+                for (key, entry) in records.by_ref().take(budget) {
+                    consumed += encoded_size(key, entry) as u64;
+                    merged.insert(key.clone(), entry.value.clone());
+                    last = Some(key);
+                }
+                if records.next().is_some() {
+                    horizon = horizon.into_iter().chain(last).min();
+                }
+                if consumed > 0 {
+                    let tier = self.file_tiers.get(&file.id());
+                    reads.push((*tier.unwrap_or(&self.config.placement[level]), consumed));
+                }
+            }
+        }
+        let mut records = self.memtable.range_from(start);
+        let mut last = None;
+        for (key, (value, _)) in records.by_ref().take(budget) {
+            merged.insert(key.clone(), value.clone());
+            last = Some(key);
+        }
+        if records.next().is_some() {
+            horizon = horizon.into_iter().chain(last).min();
+        }
+        let entries: Vec<(Key, Value)> = merged
+            .into_iter()
+            .take_while(|(key, _)| horizon.is_none_or(|last| key <= last))
+            .filter_map(|(key, value)| value.map(|value| (key, value)))
+            .take(count)
+            .collect();
+        (entries.len() == count || horizon.is_none()).then_some((entries, reads))
+    }
 }
 
 impl KvStore for LsmTree {
     fn put(&mut self, key: Key, value: Value) -> Result<Nanos> {
-        self.write_entry(key, Some(value))
+        self.write_group(vec![BatchOp::Put(key, value)])
     }
 
     fn delete(&mut self, key: &Key) -> Result<Nanos> {
-        self.write_entry(key.clone(), None)
+        self.write_group(vec![BatchOp::Delete(key.clone())])
     }
 
     fn apply_batch(&mut self, batch: WriteBatch) -> Result<Nanos> {
-        self.write_group(batch.into_entries())
+        let entries = batch.into_entries();
+        if !entries.is_empty() {
+            self.stats.batch_groups += 1;
+            self.stats.batch_entries += entries.len() as u64;
+        }
+        self.write_group(entries)
     }
 
     fn get(&mut self, key: &Key) -> Result<Lookup> {
@@ -560,7 +553,7 @@ impl KvStore for LsmTree {
             cost += self.cpu.dram_hit;
             source = ReadSource::Dram;
             value = Some(cached);
-        } else if let Some(cached) = self.l2_cache.as_mut().and_then(|cache| cache.get(key)) {
+        } else if let Some(cached) = self.l2_cache.get(key) {
             cost += self.storage.nvm.read_random(cached.len().max(1) as u64);
             source = ReadSource::Nvm;
             self.block_cache.insert(key.clone(), cached.clone());
@@ -573,9 +566,7 @@ impl KvStore for LsmTree {
                     self.stats.reads_per_level[level.min(7)] += 1;
                     self.block_cache.insert(key.clone(), found.clone());
                     if found_source == ReadSource::Flash {
-                        if let Some(l2) = &mut self.l2_cache {
-                            l2.insert(key.clone(), found.clone());
-                        }
+                        self.l2_cache.insert(key.clone(), found.clone());
                     }
                     value = Some(found);
                 }
@@ -600,42 +591,20 @@ impl KvStore for LsmTree {
     fn scan(&mut self, start: &Key, count: usize) -> Result<ScanResult> {
         let client = self.pick_client();
         let mut cost = self.cpu.request_overhead + self.config.polling_overhead + self.cpu.index_op;
-        let budget = count.saturating_mul(3).max(count);
-        let max_key = Key::from_id(u64::MAX);
-
-        // Gather candidates from lowest precedence (deepest level) upward so
-        // newer versions override older ones.
-        let mut merged: BTreeMap<Key, Option<Value>> = BTreeMap::new();
-        for level in (0..self.config.num_levels).rev() {
-            let files: Vec<Arc<SstFile>> = self.levels[level]
-                .iter()
-                .filter(|f| f.max_key() >= start)
-                .cloned()
-                .collect();
-            for file in files {
-                let tier = *self
-                    .file_tiers
-                    .get(&file.id())
-                    .unwrap_or(&self.config.placement[level]);
-                let mut consumed = 0u64;
-                for (key, entry) in file.range(start, &max_key).take(budget) {
-                    consumed += encoded_size(key, entry) as u64;
-                    merged.insert(key.clone(), entry.value.clone());
-                }
-                if consumed > 0 {
-                    cost += self.device_for(tier).read_sequential(consumed);
-                }
+        // Tombstones can hide any number of the first keys, so the budget
+        // widens until `count` live keys lie below the horizon. Without
+        // them the first pass always suffices: a source cut short gave at
+        // least `budget >= count` keys up to its last one.
+        let mut budget = count.saturating_mul(3);
+        let (entries, reads) = loop {
+            match self.gather(start, count, budget) {
+                Some(found) => break found,
+                None => budget = budget.saturating_mul(2),
             }
+        };
+        for (tier, bytes) in reads {
+            cost += self.device_for(tier).read_sequential(bytes);
         }
-        for (key, (value, _)) in self.memtable.range_from(start).take(budget) {
-            merged.insert(key.clone(), value.clone());
-        }
-
-        let entries: Vec<(Key, Value)> = merged
-            .into_iter()
-            .filter_map(|(k, v)| v.map(|value| (k, value)))
-            .take(count)
-            .collect();
         cost += self.cpu.merge_per_object * entries.len() as u64;
         self.client_clocks[client] += cost;
         Ok(ScanResult {
@@ -846,6 +815,67 @@ mod tests {
         assert_eq!(ids, (100..200).collect::<Vec<_>>());
         let updated = result.entries.iter().find(|(k, _)| k.id() == 150).unwrap();
         assert_eq!(updated.1.as_bytes()[0], 77);
+
+        // Tombstones in front of the start key must not hide the live
+        // keys behind them, whether those sit in the memtable or in the
+        // levels.
+        let first_live = |db: &mut LsmTree| -> Vec<u64> {
+            for id in 0..3u64 {
+                db.delete(&Key::from_id(id)).unwrap();
+            }
+            let result = db.scan(&Key::min(), 1).unwrap();
+            result.entries.iter().map(|(k, _)| k.id()).collect()
+        };
+        let mut in_memtable = small_het(100);
+        for id in 0..100u64 {
+            in_memtable
+                .put(Key::from_id(id), Value::filled(64, 1))
+                .unwrap();
+        }
+        assert!(in_memtable.levels.iter().all(Vec::is_empty));
+        assert_eq!(first_live(&mut in_memtable), vec![3]);
+        let mut in_levels = small_het(2_000);
+        for id in 0..2_000u64 {
+            in_levels
+                .put(Key::from_id(id), Value::filled(64, 1))
+                .unwrap();
+        }
+        assert!(in_levels.levels.iter().any(|level| !level.is_empty()));
+        assert_eq!(first_live(&mut in_levels), vec![3]);
+    }
+
+    #[test]
+    fn single_writes_cost_what_one_entry_batches_do() {
+        let mut direct = small_het(2_000);
+        let mut batched = small_het(2_000);
+        for i in 0..4_000u64 {
+            let key = Key::from_id(i * 7 % 2_000);
+            let mut batch = WriteBatch::new();
+            if i % 5 == 4 {
+                direct.delete(&key).unwrap();
+                batch.delete(key);
+            } else {
+                direct
+                    .put(key.clone(), Value::filled(300, i as u8))
+                    .unwrap();
+                batch.put(key, Value::filled(300, i as u8));
+            }
+            batched.apply_batch(batch).unwrap();
+        }
+        assert_eq!(direct.elapsed(), batched.elapsed());
+        let (direct, batched) = (direct.stats(), batched.stats());
+        assert!(direct.compaction.jobs > 0);
+        assert_eq!((direct.batch_groups, direct.batch_entries), (0, 0));
+        assert_eq!(
+            (batched.batch_groups, batched.batch_entries),
+            (4_000, 4_000)
+        );
+        let uncounted = EngineStats {
+            batch_groups: 0,
+            batch_entries: 0,
+            ..batched
+        };
+        assert_eq!(direct, uncounted);
     }
 
     #[test]

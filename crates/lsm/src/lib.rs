@@ -19,6 +19,15 @@
 //! All presets implement [`prism_types::KvStore`], so the benchmark harness
 //! drives them exactly like PrismDB.
 //!
+//! The tree's shape is fixed at the paper's RocksDB setup, so it is not
+//! part of [`LsmConfig`]: five levels (L0–L3 on NVM and L4 on QLC for the
+//! `het` presets), an L0 compacted into L1 once it holds more than four
+//! files, level size targets growing tenfold, and eight client clocks.
+//! Writes take one path: a put or a delete is a write group of one entry,
+//! paying the WAL append and the serialised section a batch pays once.
+//! Flushes and compactions cut their sorted output into SST files through
+//! [`prism_flash::write_run`], the routine PrismDB's compactions use.
+//!
 //! # Example
 //!
 //! ```

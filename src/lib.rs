@@ -22,7 +22,7 @@
 //!   metrics registry, structured event trace) every layer records into,
 //! * [`bench`](mod@bench) — the experiment harness that regenerates every table and
 //!   figure of the paper,
-//! * the individual substrates ([`nvm`], [`flash`], [`index`], [`tracker`],
+//! * the individual substrates ([`nvm`], [`flash`], [`tracker`],
 //!   [`compaction`]) for users who want to build their own tiered engines.
 //!
 //! # Quick start
@@ -76,9 +76,6 @@ pub use prism_db as db;
 pub use prism_flash as flash;
 /// Async submission front-end (re-export of `prism-frontend`).
 pub use prism_frontend as frontend;
-/// Index structures the microbenchmarks measure (re-export of
-/// `prism-index`); the engine indexes NVM with std's `BTreeMap` directly.
-pub use prism_index as index;
 /// The LSM baseline family (re-export of `prism-lsm`).
 pub use prism_lsm as lsm;
 /// Network serving layer (re-export of `prism-net`).
@@ -112,7 +109,6 @@ mod tests {
         let _ = crate::net::ServerOptions::default();
         let _ = crate::nvm::NvmAddress::new(0, 0);
         let _ = crate::flash::BloomFilter::new(1, 10);
-        let _: crate::index::BTreeIndex<u64, u64> = crate::index::BTreeIndex::new();
         let _ = crate::tracker::Mapper::new();
         let _ = crate::compaction::CompactionConfig::default();
         let _ = crate::obs::ObsHub::new();
