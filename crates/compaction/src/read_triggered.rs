@@ -108,20 +108,16 @@ impl ReadTriggeredController {
         self.phase == ReadTriggerPhase::Invocation
     }
 
-    /// Record one client operation. `is_read` marks point reads;
-    /// `from_flash` / `from_nvm` say where a read was served from (both
-    /// false for cache hits and writes).
-    pub fn observe_op(&mut self, is_read: bool, from_nvm: bool, from_flash: bool) {
-        self.window.ops += 1;
-        if is_read {
-            self.window.reads += 1;
-            if from_flash {
-                self.window.reads_from_flash += 1;
-            }
-            if from_nvm {
-                self.window.reads_from_nvm += 1;
-            }
-        }
+    /// Record a batch of `ops` client operations, `reads` of them point
+    /// reads, of which NVM served `from_nvm` and flash `from_flash` (the
+    /// rest were cache hits or misses). A batch is judged whole: a window
+    /// or an epoch that reaches its length inside it closes at its end,
+    /// so the order of the batch's operations cannot move the outcome.
+    pub fn observe_ops(&mut self, ops: u64, reads: u64, from_nvm: u64, from_flash: u64) {
+        self.window.ops += ops;
+        self.window.reads += reads;
+        self.window.reads_from_nvm += from_nvm;
+        self.window.reads_from_flash += from_flash;
         match self.phase {
             ReadTriggerPhase::Detection => {
                 if self.window.ops >= self.detection_window_ops {
@@ -148,7 +144,7 @@ impl ReadTriggeredController {
                 }
             }
             ReadTriggerPhase::Cooldown => {
-                self.cooldown_remaining = self.cooldown_remaining.saturating_sub(1);
+                self.cooldown_remaining = self.cooldown_remaining.saturating_sub(ops);
                 if self.cooldown_remaining == 0 {
                     self.phase = ReadTriggerPhase::Detection;
                     self.window = WindowCounters::default();
@@ -168,12 +164,17 @@ mod tests {
         ReadTriggeredController::new(u64::MAX)
     }
 
+    /// One operation: a write, a cache hit, or a read NVM or flash served.
+    fn one(c: &mut ReadTriggeredController, is_read: bool, from_nvm: bool, from_flash: bool) {
+        c.observe_ops(1, is_read as u64, from_nvm as u64, from_flash as u64);
+    }
+
     #[test]
     fn write_heavy_workload_never_triggers() {
         let mut c = at_floors();
         for i in 0..1_000 {
             // 50/50 read-write mix, reads from NVM.
-            c.observe_op(i % 2 == 0, true, false);
+            one(&mut c, i % 2 == 0, i % 2 == 0, false);
             assert!(!c.promotions_enabled());
         }
         assert_eq!(c.phase, ReadTriggerPhase::Detection);
@@ -182,9 +183,9 @@ mod tests {
     #[test]
     fn read_heavy_flash_bound_workload_triggers_invocation() {
         let mut c = at_floors();
-        for _ in 0..50 {
-            c.observe_op(true, false, true);
-        }
+        c.observe_ops(49, 49, 0, 49);
+        assert_eq!(c.phase, ReadTriggerPhase::Detection);
+        one(&mut c, true, false, true);
         assert_eq!(c.phase, ReadTriggerPhase::Invocation);
         assert!(c.promotions_enabled());
     }
@@ -193,18 +194,12 @@ mod tests {
     fn invocation_continues_while_ratio_improves() {
         let mut c = at_floors();
         // Trigger invocation.
-        for _ in 0..50 {
-            c.observe_op(true, false, true);
-        }
+        c.observe_ops(50, 50, 0, 50);
         // Epoch 1: 50% of reads now come from NVM (improvement).
-        for i in 0..100 {
-            c.observe_op(true, i % 2 == 0, i % 2 == 1);
-        }
+        c.observe_ops(100, 100, 50, 50);
         assert_eq!(c.phase, ReadTriggerPhase::Invocation);
         // Epoch 2: ratio drops back — controller cools down.
-        for _ in 0..100 {
-            c.observe_op(true, false, true);
-        }
+        c.observe_ops(100, 100, 0, 100);
         assert_eq!(c.phase, ReadTriggerPhase::Cooldown);
         assert!(!c.promotions_enabled());
     }
@@ -212,20 +207,58 @@ mod tests {
     #[test]
     fn cooldown_returns_to_detection() {
         let mut c = at_floors();
-        for _ in 0..50 {
-            c.observe_op(true, false, true);
-        }
+        c.observe_ops(50, 50, 0, 50);
         // Immediately fail the first epoch (no improvement: all flash).
-        for _ in 0..100 {
-            c.observe_op(true, false, true);
-        }
+        c.observe_ops(100, 100, 0, 100);
         assert_eq!(c.phase, ReadTriggerPhase::Cooldown);
-        for _ in 0..999 {
-            c.observe_op(true, false, true);
-        }
+        c.observe_ops(999, 999, 0, 999);
         assert_eq!(c.phase, ReadTriggerPhase::Cooldown);
-        c.observe_op(true, false, true);
+        one(&mut c, true, false, true);
         assert_eq!(c.phase, ReadTriggerPhase::Detection);
+    }
+
+    /// A drain hands over its reads as counts, so the order they arrived
+    /// in cannot move the outcome: an epoch that ends inside the batch is
+    /// judged on the batch's whole mix. Fed one read at a time, the same
+    /// reads close the epoch on whichever came first — flash-served first,
+    /// the epoch looks worse than it was; NVM-served first, better.
+    #[test]
+    fn a_batch_is_judged_on_its_mix_whatever_the_order_of_its_reads() {
+        // Invocation, after a detection window that read 0.5 from NVM, 90
+        // operations into the first epoch at 0.5 too.
+        let invoked = || {
+            let mut c = at_floors();
+            c.observe_ops(50, 50, 25, 25);
+            c.observe_ops(90, 90, 45, 45);
+            assert_eq!(c.phase, ReadTriggerPhase::Invocation);
+            c
+        };
+        // The batch: 20 NVM-served and 20 flash-served reads, in three
+        // orders (`true` = NVM served it).
+        let nvm_first: Vec<bool> = (0..40).map(|i| i < 20).collect();
+        let flash_first: Vec<bool> = (0..40).map(|i| i >= 20).collect();
+        let interleaved: Vec<bool> = (0..40).map(|i| i % 2 == 0).collect();
+        let mut judged = Vec::new();
+        for order in [&nvm_first, &flash_first, &interleaved] {
+            let mut c = invoked();
+            let nvm = order.iter().filter(|&&nvm| nvm).count() as u64;
+            c.observe_ops(40, 40, nvm, 40 - nvm);
+            judged.push((c.phase, c.previous_ratio, c.window.ops));
+        }
+        // The epoch closed at 130 operations, at the mix's 0.5: no
+        // improvement on 0.5, so the controller cools down.
+        assert_eq!(judged[0], (ReadTriggerPhase::Cooldown, 0.5, 0));
+        assert!(judged.iter().all(|j| *j == judged[0]), "{judged:?}");
+
+        let one_at_a_time = |order: &[bool]| {
+            let mut c = invoked();
+            for &nvm in order {
+                one(&mut c, true, nvm, !nvm);
+            }
+            c.previous_ratio
+        };
+        assert!(one_at_a_time(&flash_first) < 0.5);
+        assert!(one_at_a_time(&nvm_first) > 0.5);
     }
 
     #[test]

@@ -196,6 +196,23 @@ impl Partition {
         )
     }
 
+    /// How many objects a promotion job pins, hottest clock class first:
+    /// what the slabs hold at the low watermark (their capacity times the
+    /// watermark over the mean live slot), capped at the tracked keys
+    /// whose clock is above 0. A promotion job runs in a read-dominated
+    /// phase, which needs no NVM headroom for writes; demotion jobs keep
+    /// `Options::pinning_threshold` of the tracked keys.
+    pub(super) fn promotion_budget(&self) -> usize {
+        let warm: u64 = self.volatile.mapper.histogram()[1..].iter().sum();
+        let usage = self.durable.slab().usage();
+        if usage.live_objects == 0 {
+            return warm as usize;
+        }
+        let mean_slot = usage.live_bytes as f64 / usage.live_objects as f64;
+        let held = usage.capacity_bytes as f64 * self.options.low_watermark / mean_slot;
+        (held as u64).min(warm) as usize
+    }
+
     /// Clone the victim state of `[start, end]` into a self-contained
     /// [`CompactionJob`]: the NVM objects to demote (with values), the
     /// overlapping SST files, and promotion hints for popular flash-only
@@ -217,8 +234,14 @@ impl Partition {
         trigger_fg: Nanos,
     ) -> Option<CompactionJob> {
         let force = matches!(kind, JobKind::Demotion { force: true });
-        let tracked = self.volatile.tracker.len();
-        let pin_threshold = self.options.pinning_threshold;
+        let (pin_threshold, tracked) = match kind {
+            // Pinned by [`Partition::promotion_budget`]: a fraction of 1
+            // of that many objects.
+            JobKind::Promotion => (1.0, self.promotion_budget()),
+            JobKind::Demotion { .. } => {
+                (self.options.pinning_threshold, self.volatile.tracker.len())
+            }
+        };
 
         // Select the NVM objects to demote (unpopular ones, or everything
         // in forced mode). Tombstones always participate so they can be

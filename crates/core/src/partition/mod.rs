@@ -135,8 +135,10 @@ impl Volatile {
                     >= PROMOTION_BATCH_FLASH_READS)
     }
 
-    /// Apply buffered structural tracker admissions and drain the atomic
-    /// read counters into the read-trigger controller.
+    /// Apply buffered structural tracker admissions — a key enters the
+    /// tracker on its second read, the first only enters the doorkeeper —
+    /// and drain the atomic read counters into the read-trigger controller
+    /// as one batch.
     fn apply_read_side(&mut self) {
         let accesses = {
             let mut rs = self.lock_read_side();
@@ -148,20 +150,12 @@ impl Volatile {
         let reads = self.read_counters.reads.swap(0, Ordering::Relaxed);
         let nvm_hits = self.read_counters.nvm_hits.swap(0, Ordering::Relaxed);
         let flash_hits = self.read_counters.flash_hits.swap(0, Ordering::Relaxed);
-        for key in &accesses {
+        for key in accesses {
             // Cost already charged to the read that buffered the access.
-            self.observe_access(key);
+            self.observe_read(key);
         }
         if let Some(ctrl) = &mut self.read_trigger {
-            for _ in 0..flash_hits {
-                ctrl.observe_op(true, false, true);
-            }
-            for _ in 0..nvm_hits {
-                ctrl.observe_op(true, true, false);
-            }
-            for _ in 0..reads.saturating_sub(nvm_hits + flash_hits) {
-                ctrl.observe_op(true, false, false);
-            }
+            ctrl.observe_ops(reads, reads, nvm_hits, flash_hits);
         }
         self.refresh_promote_due();
     }
@@ -186,11 +180,11 @@ impl Volatile {
         }
     }
 
-    /// Record a write for the read-trigger controller's read-ratio
+    /// Record `ops` writes for the read-trigger controller's read-ratio
     /// tracking.
-    fn observe_write_op(&mut self) {
+    fn observe_writes(&mut self, ops: u64) {
         if let Some(ctrl) = &mut self.read_trigger {
-            ctrl.observe_op(false, false, false);
+            ctrl.observe_ops(ops, 0, 0, 0);
         }
         self.refresh_promote_due();
     }

@@ -141,9 +141,16 @@ pub(super) struct Volatile {
     /// Structural tracker admissions buffered by `&self` reads and applied
     /// by the next writer (or an engine-forced drain): the key of each
     /// found read of a key the clock tracker does not yet track, in arrival
-    /// order. A tracked key's re-access is applied lock-free on the read
-    /// path itself ([`ClockTracker::touch`]).
+    /// order, for [`Volatile::observe_read`]. A tracked key's re-access is
+    /// applied lock-free on the read path itself ([`ClockTracker::touch`]).
     pub(super) read_side: Mutex<Vec<Key>>,
+    /// Keys one read found untracked and the tracker has not admitted
+    /// since: the next read of such a key admits it, so a one-off flash
+    /// read of a tail key does not sweep the clock hand. At most the
+    /// tracker's capacity; a first read that finds it full clears it
+    /// (TinyLFU's doorkeeper, Einziger et al. 2017 — not in the PrismDB
+    /// paper, which admits on every access). Writes admit at once.
+    pub(super) doorkeeper: HashSet<Key>,
     pub(super) read_counters: ReadSideCounters,
     /// Superseded versions preserved for pinned snapshots: per key, the
     /// `(sequence, version)` pairs in the order they were superseded —
@@ -188,6 +195,7 @@ impl Volatile {
                 flash.profile().read_latency_4k,
             ),
             read_side: Mutex::default(),
+            doorkeeper: HashSet::new(),
             read_counters: ReadSideCounters::default(),
             history: BTreeMap::new(),
             history_bytes: 0,
@@ -204,10 +212,28 @@ impl Volatile {
         &self.buckets
     }
 
+    /// Track a read that found `key` untracked, with the write lock held:
+    /// admit it if the doorkeeper holds it (re-heat it if a write or an
+    /// earlier read admitted it since), else enter it in the doorkeeper,
+    /// clearing that first if it holds the tracker's capacity.
+    pub(super) fn observe_read(&mut self, key: Key) {
+        if self.tracker.clock_of(&key).is_some() || self.doorkeeper.contains(&key) {
+            self.observe_access(&key);
+            return;
+        }
+        if self.doorkeeper.len() >= self.tracker.capacity() {
+            self.doorkeeper.clear();
+        }
+        self.doorkeeper.insert(key);
+    }
+
     /// Track an access with the write lock held (the caller charges its
-    /// CPU cost).
+    /// CPU cost). A key the tracker admits leaves the doorkeeper.
     pub(super) fn observe_access(&mut self, key: &Key) {
         let event = self.tracker.access(key, false);
+        if event.old_clock.is_none() {
+            self.doorkeeper.remove(key);
+        }
         self.mapper.apply(&event);
         self.buckets.on_access(key.id());
         if let Some((evicted, _)) = &event.evicted {
@@ -404,6 +430,9 @@ impl Partition {
     /// hold no older slot of it, keys with a damaged slot aside.
     /// `residency bits`: the bucket map's NVM and flash bits are those of
     /// the index's and the log's keys (popularity bits are not compared).
+    /// `tracker`: the mapper's histogram is the tracker's count of keys
+    /// per clock value, and the doorkeeper holds no tracked key and no
+    /// more keys than the tracker's capacity.
     /// `history`: no key keeps an empty list, and `history_bytes` is the
     /// footprint of every preserved version. `cache`: every cached value
     /// is its key's live version wherever that version verifies and the
@@ -426,6 +455,23 @@ impl Partition {
         }
         if !self.volatile.buckets.same_residency(&self.residency()) {
             return Err("residency bits: they differ from the index's and the log's keys".into());
+        }
+        let volatile = &self.volatile;
+        let (histogram, counts) = (volatile.mapper.histogram(), volatile.tracker.clock_counts());
+        if histogram != counts {
+            return Err(format!(
+                "tracker: the mapper counts {histogram:?}, the tracker {counts:?}"
+            ));
+        }
+        let tracked = |key: &&Key| volatile.tracker.clock_of(key).is_some();
+        if let Some(key) = volatile.doorkeeper.iter().find(tracked) {
+            return Err(format!("tracker: {key:?} is tracked and in the doorkeeper"));
+        }
+        let (held, cap) = (volatile.doorkeeper.len(), volatile.tracker.capacity());
+        if held > cap {
+            return Err(format!(
+                "tracker: the doorkeeper holds {held} keys, its cap {cap}"
+            ));
         }
         let history = &self.volatile.history;
         if let Some((key, _)) = history.iter().find(|(_, list)| list.is_empty()) {
@@ -539,6 +585,45 @@ mod tests {
         p.volatile.history.remove(&Key::from_id(500));
         assert_eq!(p.check_invariants(), Ok(()));
         p.seq.release(pin);
+    }
+
+    /// The tracker clause: the mapper's histogram is the tracker's count
+    /// per clock value, and the doorkeeper holds only untracked keys, at
+    /// most the tracker's capacity of them.
+    #[test]
+    fn check_invariants_names_a_tracker_the_mapper_or_the_doorkeeper_disagrees_with() {
+        let engine = engine(1_000);
+        let mut p = partition(&engine);
+        for id in 0..100 {
+            put(&engine, &mut p, Key::from_id(id), Value::filled(300, 1)).unwrap();
+        }
+        let untracked = Key::from_id(500);
+        p.volatile.observe_read(untracked.clone());
+        assert_eq!(p.check_invariants(), Ok(()));
+
+        let kept = p.volatile.mapper.clone();
+        p.volatile.mapper.promote_to_max(0);
+        let violation = p.check_invariants().unwrap_err();
+        assert!(violation.starts_with("tracker:"), "{violation}");
+        p.volatile.mapper = kept;
+        assert_eq!(p.check_invariants(), Ok(()));
+
+        let tracked = Key::from_id(7);
+        assert!(p.volatile.tracker.clock_of(&tracked).is_some());
+        p.volatile.doorkeeper.insert(tracked.clone());
+        let violation = p.check_invariants().unwrap_err();
+        assert!(violation.starts_with("tracker:"), "{violation}");
+        p.volatile.doorkeeper.remove(&tracked);
+        assert_eq!(p.check_invariants(), Ok(()));
+
+        let cap = p.volatile.tracker.capacity() as u64;
+        p.volatile
+            .doorkeeper
+            .extend((1_000..1_001 + cap).map(Key::from_id));
+        let violation = p.check_invariants().unwrap_err();
+        assert!(violation.starts_with("tracker:"), "{violation}");
+        p.volatile.doorkeeper.clear();
+        assert_eq!(p.check_invariants(), Ok(()));
     }
 
     /// The cache clause: reads fill the cache, puts refresh it and deletes

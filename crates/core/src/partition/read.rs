@@ -15,17 +15,22 @@
 //! Only *structural* tracker work — admitting a key the tracker has never
 //! seen, which may evict another — is buffered in
 //! [`Volatile`](super::Volatile)'s read side for the next write (or an
-//! engine-forced drain) to apply under the write lock. The CPU cost of
-//! the tracker update is still charged to the read that caused it; only
-//! structural application is deferred. Point lookups resolve the key's
-//! NVM address with one probe of the partition's B-tree index.
+//! engine-forced drain) to apply under the write lock. There a read
+//! admits a key on its second read only: the first puts the key in a
+//! doorkeeper set, so a one-off read of a tail key leaves the clock hand
+//! where it was (a write admits at once; the doorkeeper is TinyLFU's, not
+//! the paper's). The CPU cost of the tracker update is still charged to
+//! the read that caused it; only structural application is deferred.
+//! Point lookups resolve the key's NVM address with one probe of the
+//! partition's B-tree index.
 //!
 //! A live read that misses the DRAM cache fills it: reads are the only
 //! way a key enters the cache. The fill's lane prices the refetch: a
 //! value flash served to a key the tracker already tracked (the touch
 //! runs before the fill and answers that) enters the dear lane, every
-//! other value the cheap lane, so a one-off flash read of a tail key
-//! does not crowd out popular flash values (see [`crate::cache`]). The
+//! other value the cheap lane, so a flash read of a key the tracker has
+//! not admitted yet does not crowd out popular flash values (see
+//! [`crate::cache`]). The
 //! cache is write-update, so a cached key always holds its newest value:
 //! a put replaces the value in place (`Partition::put_entry`, charged as
 //! a fill is), a delete removes the key, and a crash empties the cache;
@@ -286,8 +291,9 @@ impl Partition {
                     volatile.mapper.promote_to_max(old);
                     true
                 }
-                // Untracked: admission may evict another key — structural
-                // work for the next write-lock holder.
+                // Untracked: the next write-lock holder enters the key in
+                // the doorkeeper, or admits it if the doorkeeper holds it
+                // already — structural work, as admission may evict.
                 None => {
                     let mut rs = volatile.lock_read_side();
                     rs.push(key.clone());

@@ -1038,3 +1038,137 @@ fn cache_lanes_follow_the_refetch_price() {
     assert_eq!(p.get(&popular).unwrap().source, ReadSource::Dram);
     assert_eq!(p.check_invariants(), Ok(()));
 }
+
+fn tracked(p: &Partition, key: &Key) -> bool {
+    p.volatile.tracker.clock_of(key).is_some()
+}
+
+/// Keys `0..written` after `written` puts of 300 bytes that the tracker
+/// (capacity 200) no longer tracks.
+fn untracked_after(engine: &EngineShared, p: &mut Partition, written: u64) -> Vec<Key> {
+    for id in 0..written {
+        put(engine, p, Key::from_id(id), Value::filled(300, 1)).unwrap();
+    }
+    let keys = (0..written).map(Key::from_id);
+    keys.filter(|key| !tracked(p, key)).collect()
+}
+
+/// A key that one read found untracked waits in the doorkeeper, and its
+/// second read admits it; a put admits a key at once, and takes it out of
+/// the doorkeeper; a crash empties the doorkeeper.
+#[test]
+fn a_read_admits_a_key_on_its_second_read_and_a_put_at_once() {
+    let engine = engine(1_000);
+    let mut p = partition(&engine);
+    let untracked = untracked_after(&engine, &mut p, 400);
+    let [read, written, lost] = [0, 1, 2].map(|i| untracked[i].clone());
+    let in_doorkeeper = |p: &Partition, key: &Key| p.volatile.doorkeeper.contains(key);
+
+    p.get(&read).unwrap();
+    p.apply_read_side();
+    assert!(!tracked(&p, &read) && in_doorkeeper(&p, &read));
+    p.get(&read).unwrap();
+    p.apply_read_side();
+    assert_eq!(p.volatile.tracker.clock_of(&read), Some(0));
+    assert!(!in_doorkeeper(&p, &read));
+
+    p.get(&written).unwrap();
+    p.apply_read_side();
+    assert!(in_doorkeeper(&p, &written));
+    put(&engine, &mut p, written.clone(), Value::filled(300, 2)).unwrap();
+    assert!(tracked(&p, &written) && !in_doorkeeper(&p, &written));
+    let new = Key::from_id(1_000);
+    put(&engine, &mut p, new.clone(), Value::filled(300, 2)).unwrap();
+    assert!(tracked(&p, &new));
+
+    p.get(&lost).unwrap();
+    p.apply_read_side();
+    assert!(in_doorkeeper(&p, &lost));
+    assert_eq!(p.check_invariants(), Ok(()));
+    p.crash_and_recover();
+    assert!(p.volatile.doorkeeper.is_empty());
+    p.get(&lost).unwrap();
+    p.apply_read_side();
+    assert!(!tracked(&p, &lost), "the crash forgot its first read");
+}
+
+/// The doorkeeper holds at most the tracker's capacity: the first read
+/// that finds it full clears it, and a key it forgot needs two reads
+/// again.
+#[test]
+fn the_doorkeeper_clears_when_it_holds_the_trackers_capacity() {
+    let engine = engine(1_000);
+    let mut p = partition(&engine);
+    let untracked = untracked_after(&engine, &mut p, 600);
+    let cap = p.volatile.tracker.capacity();
+    assert!(untracked.len() > cap);
+    for key in &untracked[..cap] {
+        p.get(key).unwrap();
+    }
+    p.apply_read_side();
+    assert_eq!(p.volatile.doorkeeper.len(), cap);
+    assert_eq!(p.check_invariants(), Ok(()));
+
+    p.get(&untracked[cap]).unwrap();
+    p.apply_read_side();
+    assert_eq!(p.volatile.doorkeeper.len(), 1);
+    p.get(&untracked[0]).unwrap();
+    p.apply_read_side();
+    assert!(!tracked(&p, &untracked[0]));
+    assert_eq!(p.volatile.doorkeeper.len(), 2);
+    assert_eq!(p.check_invariants(), Ok(()));
+}
+
+/// 201 keys of `value_len` bytes, 200 of them tracked: keys 0..140 at
+/// clock 3, 140..150 at clock 2 and 50 at clock 0. Puts fill the tracker
+/// in key order, reads heat keys 0..150, and a 201st put sweeps the clock
+/// hand over them once — each cools to 2 — before it evicts key 150.
+fn warmed(engine: &EngineShared, value_len: usize) -> RwLockWriteGuard<'_, Partition> {
+    let mut p = partition(engine);
+    assert_eq!(p.volatile.tracker.capacity(), 200);
+    let write =
+        |p: &mut Partition, id| put(engine, p, Key::from_id(id), Value::filled(value_len, 1));
+    for id in 0..200 {
+        write(&mut p, id).unwrap();
+    }
+    for id in 0..150 {
+        p.get(&Key::from_id(id)).unwrap();
+    }
+    write(&mut p, 200).unwrap();
+    for id in 0..140 {
+        p.get(&Key::from_id(id)).unwrap();
+    }
+    assert_eq!(p.clock_histogram(), [50, 0, 10, 140]);
+    p
+}
+
+/// A promotion job pins the hottest keys up to what NVM holds at the low
+/// watermark, capped at the keys whose clock is above 0; a demotion job
+/// pins `pinning_threshold` (0.7) of the tracked keys. Over 140 keys at
+/// clock 3 and 10 at clock 2 of 200 tracked, a demotion job pins the 140
+/// and a promotion job all 150 while NVM has room for them; with slots
+/// so large that NVM holds fewer, the slots are the budget.
+#[test]
+fn a_promotion_job_pins_what_nvm_holds_and_a_demotion_job_its_threshold() {
+    let engine = engine(1_000);
+    let mut p = warmed(&engine, 300);
+    let pinned = |p: &mut Partition, kind| {
+        let (start, end, fg) = (Key::min(), Key::from_id(u64::MAX), p.fg());
+        let job = p.plan_range(start, end, kind, false, Nanos::ZERO, fg);
+        p.nvm_object_count() - job.expect("job").demote.len()
+    };
+    assert_eq!(p.nvm_object_count(), 201);
+    assert_eq!(pinned(&mut p, JobKind::Demotion { force: false }), 140);
+    assert_eq!(p.promotion_budget(), 150);
+    assert_eq!(pinned(&mut p, JobKind::Promotion), 150);
+    drop(p);
+
+    let engine = self::engine(1_000);
+    let p = warmed(&engine, 3_000);
+    let usage = p.durable.slab().usage();
+    let slot = p.durable.slab().slot_bytes_for(3_000).unwrap();
+    assert_eq!(usage.live_bytes, slot * usage.live_objects as u64);
+    let held = (usage.capacity_bytes as f64 * p.options.low_watermark / slot as f64) as usize;
+    assert!(held < 150, "NVM holds {held} slots");
+    assert_eq!(p.promotion_budget(), held);
+}

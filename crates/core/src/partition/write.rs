@@ -38,9 +38,7 @@ impl Partition {
     /// total: feed the read-trigger controller's read/write ratio, then
     /// advance the foreground clock.
     pub(crate) fn finish_write(&mut self, ops: usize, cost: Nanos) {
-        for _ in 0..ops {
-            self.volatile.observe_write_op();
-        }
+        self.volatile.observe_writes(ops as u64);
         self.advance_fg(cost);
     }
 

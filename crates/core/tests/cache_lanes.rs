@@ -20,7 +20,7 @@ struct Loaded {
 /// One partition whose one cache shard holds 16 values, with 512 KB of
 /// NVM and one SST file, loaded with [`KEYS`] keys: about 270 of them
 /// stay on NVM, the first ones written live on flash only. The tracker
-/// holds 400 keys, so a flash key is untracked until it is read.
+/// holds 400 keys, so a flash key is untracked until it is read twice.
 fn loaded() -> Loaded {
     let mut options = Options::scaled_default(2_000);
     options.num_partitions = 1;
@@ -55,9 +55,9 @@ impl Loaded {
         }
     }
 
-    /// Read flash-only `key` once, which has the tracker admit it at the
-    /// next write; let a burst evict its cheap entry; read it again, now
-    /// tracked.
+    /// Read flash-only `key` twice, each read drained by a write, which
+    /// has the tracker admit it on the second; let a burst evict its cheap
+    /// entry; read it again, now tracked.
     fn fill_the_dear_lane(&self, key: &Key) {
         let db = &self.db;
         assert_eq!(
@@ -65,6 +65,9 @@ impl Loaded {
             ReadSource::Flash,
             "{key:?} is on flash only"
         );
+        db.put(self.on_nvm[0].clone(), Value::filled(1_000, 1))
+            .unwrap();
+        source(db, key);
         db.put(self.on_nvm[0].clone(), Value::filled(1_000, 1))
             .unwrap();
         self.burst_of_nvm_fills();

@@ -72,6 +72,21 @@ impl ClockTracker {
         self.map.len()
     }
 
+    /// The most keys the tracker holds.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// How many tracked keys hold each clock value, index = clock value:
+    /// what [`crate::Mapper::histogram`] mirrors. Counts the whole map.
+    pub fn clock_counts(&self) -> [u64; (MAX_CLOCK as usize) + 1] {
+        let mut counts = [0u64; (MAX_CLOCK as usize) + 1];
+        for clock in self.map.values() {
+            counts[clock.load(Ordering::Relaxed) as usize] += 1;
+        }
+        counts
+    }
+
     /// True if no keys are tracked.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()

@@ -47,7 +47,7 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The tracker never exceeds its capacity and the mapper's histogram
-        /// always sums to the tracker's population.
+        /// is always the tracker's count of keys per clock value.
         #[test]
         fn capacity_and_histogram_invariants(
             capacity in 4usize..64,
@@ -61,13 +61,14 @@ mod proptests {
                 prop_assert!(tracker.len() <= capacity);
                 let total: u64 = mapper.histogram().iter().sum();
                 prop_assert_eq!(total as usize, tracker.len());
+                prop_assert_eq!(mapper.histogram(), tracker.clock_counts());
             }
         }
 
         /// Interleaving lock-free touches (tracked keys) with structural
-        /// accesses (untracked keys) keeps the histogram summing to the
-        /// tracker population — the invariant the read path's atomic
-        /// fast path relies on.
+        /// accesses (untracked keys) keeps the histogram equal to the
+        /// tracker's per-clock counts — the invariant the read path's
+        /// atomic fast path relies on, and `check_invariants` checks.
         #[test]
         fn touches_keep_histogram_consistent(
             capacity in 4usize..64,
@@ -84,6 +85,7 @@ mod proptests {
                 prop_assert!(tracker.len() <= capacity);
                 let total: u64 = mapper.histogram().iter().sum();
                 prop_assert_eq!(total as usize, tracker.len());
+                prop_assert_eq!(mapper.histogram(), tracker.clock_counts());
             }
         }
 

@@ -68,10 +68,14 @@ impl Mapper {
         if let Some((_, clock)) = &event.evicted {
             self.dec(*clock as usize, 1);
         }
-        for (from, count) in &event.decremented {
-            let from = *from as usize;
-            self.dec(from, *count);
-            self.counts[from - 1].fetch_add(*count, Ordering::Relaxed);
+        // Hottest class first: a sweep that passes a key more than once
+        // moves it 3 → 2 before 2 → 1, so a class loses keys only after
+        // it gained those it passes on, and no decrement saturates.
+        for from in (1..=MAX_CLOCK).rev() {
+            let moved = event.decremented.iter().filter(|(f, _)| *f == from);
+            let count: u64 = moved.map(|(_, count)| count).sum();
+            self.dec(from as usize, count);
+            self.counts[from as usize - 1].fetch_add(count, Ordering::Relaxed);
         }
     }
 
@@ -202,6 +206,25 @@ mod tests {
         let dist = mapper.distribution();
         assert!((dist[0] - 0.6).abs() < 1e-9);
         assert!((dist[3] - 0.4).abs() < 1e-9);
+    }
+
+    /// A sweep that passes a key twice moves it down two classes. With
+    /// key 1 at clock 2 under the hand and key 3 at clock 3 behind it, the
+    /// sweep for key 4 meets a 2 before a 3: the histogram must count the
+    /// 3 → 2 move before the 2 → 1 moves it feeds.
+    #[test]
+    fn a_sweep_that_passes_a_key_twice_keeps_the_histogram_exact() {
+        let mut tracker = ClockTracker::new(2);
+        let mapper = Mapper::new();
+        for id in [0, 1, 0, 1, 2, 1, 3, 3] {
+            mapper.apply(&tracker.access(&Key::from_id(id), false));
+        }
+        assert_eq!(tracker.clock_counts(), [0, 0, 1, 1]);
+        let event = tracker.access(&Key::from_id(4), false);
+        assert_eq!(event.decremented, [(2, 2), (3, 1), (1, 1)]);
+        mapper.apply(&event);
+        assert_eq!(tracker.clock_counts(), [1, 1, 0, 0]);
+        assert_eq!(mapper.histogram(), tracker.clock_counts());
     }
 
     #[test]
