@@ -100,8 +100,9 @@ pub struct Options {
     pub sst_target_bytes: u64,
     /// Compaction policy and candidate-selection configuration.
     pub compaction: CompactionConfig,
-    /// Read-triggered compactions (§5.3), with the paper's thresholds and
-    /// windows scaled to `expected_keys`. `false` turns promotion off
+    /// Read-triggered compactions (§5.3), with the paper's thresholds, a
+    /// detection window scaled to `expected_keys`, and epochs that close
+    /// on 10 000 reads served by NVM or flash. `false` turns promotion off
     /// altogether: no read-triggered promotion jobs, and no promotion
     /// hints riding on demotions.
     pub read_trigger: bool,

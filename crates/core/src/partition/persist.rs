@@ -184,7 +184,8 @@ impl Volatile {
             buckets: BucketMap::new(options.compaction.bucket_size_keys),
             planner: CompactionPlanner::new(compaction_config)
                 .expect("Options::validate checked the compaction config"),
-            // §5.3's windows, scaled down from the paper's 100 M keys.
+            // §5.3's detection window, scaled down from the paper's 100 M
+            // keys; its epochs count reads and do not scale.
             read_trigger: options.read_trigger.then(|| {
                 ReadTriggeredController::new((100_000_000 / options.expected_keys.max(1)).max(1))
             }),
