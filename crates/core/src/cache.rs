@@ -23,7 +23,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use prism_types::{Key, Lane, LruCache, Nanos, Value};
+use prism_types::{splitmix64_finalize, Key, Lane, LruCache, Nanos, Value};
 
 /// Observed state of a DRAM object cache: occupancy plus cumulative
 /// hit/miss counters (see [`crate::PrismDb::dram_cache_stats`]).
@@ -49,14 +49,6 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub(crate) struct ShardedLruCache {
     shards: Vec<Mutex<LruCache>>,
-}
-
-/// splitmix64 finalizer: decorrelates sequential key ids so neighbouring
-/// keys spread over the sub-shards instead of clustering.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl ShardedLruCache {
@@ -85,7 +77,9 @@ impl ShardedLruCache {
 
     /// The sub-shard a key maps to.
     pub(crate) fn shard_of(&self, key: &Key) -> usize {
-        (mix(key.id()) % self.shards.len() as u64) as usize
+        // The finalizer decorrelates sequential key ids, so neighbouring
+        // keys spread over the sub-shards instead of clustering.
+        (splitmix64_finalize(key.id()) % self.shards.len() as u64) as usize
     }
 
     fn lock(&self, idx: usize) -> MutexGuard<'_, LruCache> {

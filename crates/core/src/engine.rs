@@ -10,12 +10,12 @@ use std::time::Instant;
 use prism_obs::{trace::category, LatencyHistogram, ObsHub, TraceBuffer};
 use prism_storage::{group_digest, CommitLog, CommitPart, DeviceProfile, TieredStorage};
 use prism_types::{
-    BatchOp, ConcurrentKvStore, EngineStats, EngineStatsCells, Key, Lookup, Nanos, PartitionHealth,
-    PrismError, ReadSource, Result, ScanResult, SnapshotId, Value, WriteBatch,
+    splitmix64, BatchOp, ConcurrentKvStore, EngineStats, EngineStatsCells, Key, Lookup, Nanos,
+    PartitionHealth, PrismError, ReadSource, Result, ScanResult, SnapshotId, Value, WriteBatch,
 };
 
 use crate::options::{Options, Partitioning};
-use crate::partition::{Partition, Reclaim, Resolution, ScanCursor, ScrubReport};
+use crate::partition::{Partition, Resolution, ScanCursor, ScrubReport};
 use crate::sequence::CommitSequencer;
 use crate::workers::{worker_loop, Scheduler};
 
@@ -47,13 +47,6 @@ fn check_object_size(value: &Value) -> Result<()> {
 /// count is taken: no counter orders other memory).
 pub(crate) fn count(cell: &AtomicU64, n: u64) {
     cell.fetch_add(n, Ordering::Relaxed);
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Engine-side observability: per-tier read and per-op-class latency
@@ -131,7 +124,7 @@ pub(crate) struct EngineShared {
     pub(crate) sched: Option<Scheduler>,
     /// Global commit sequencer: allocates version timestamps and tracks
     /// pinned snapshots (shared with every partition).
-    seq: Arc<CommitSequencer>,
+    pub(crate) seq: Arc<CommitSequencer>,
     /// NVM-resident intent log making multi-partition batches atomic.
     commit_log: CommitLog,
     /// The engine's one statistics table: every partition (handed a clone,
@@ -316,10 +309,12 @@ impl EngineShared {
 /// one partition lock. Scans read through a pinned snapshot sequence and
 /// hold one short read lock at a time — a cursor resumes by key after the
 /// lock is released, which the pin makes consistent — so a long scan never
-/// serialises writers; the only multi-lock paths are the multi-key commit
-/// (`apply_batch` and `txn_commit`, one routine) and crash recovery, which
-/// acquire write locks in ascending partition order — a single global
-/// order, so lock-order deadlocks are ruled out. Single-threaded callers
+/// serialises writers. Every write — `put`, `delete`, `apply_batch` and
+/// `txn_commit` — installs its partition groups through one routine, and
+/// a put or a delete is a group of one. The only multi-lock paths are the
+/// multi-key commit (`apply_batch` and `txn_commit`) and crash recovery,
+/// which acquire write locks in ascending partition order — a single
+/// global order, so lock-order deadlocks are ruled out. Single-threaded callers
 /// use the same path through `prism_types::KvStore`, which every
 /// [`ConcurrentKvStore`] has by a blanket impl.
 ///
@@ -778,17 +773,13 @@ impl PrismDb {
         }
     }
 
-    /// One single-key write: lock, `write` through the compaction driver,
-    /// unlock, finish. Returns the op's full charged latency.
-    fn write_one(
-        &self,
-        idx: usize,
-        write: impl FnOnce(&mut Partition, Reclaim<'_>) -> Result<Nanos>,
-    ) -> Result<Nanos> {
+    /// A put or a delete: a one-entry group, installed by
+    /// [`Self::write_group`] as [`Self::commit`] installs a one-partition
+    /// batch, without building the batch's partition and lock lists.
+    fn write_op(&self, op: BatchOp) -> Result<Nanos> {
+        let idx = self.partition_for(op.key());
         self.check_writable(idx)?;
-        let applied = self
-            .shared
-            .write_held(idx, &mut self.shared.write_partition(idx), 1, write);
+        let applied = self.write_group(idx, &mut self.shared.write_partition(idx), vec![op], None);
         self.finish_write(applied, &[idx], &self.shared.obs.put)
     }
 
@@ -840,12 +831,15 @@ impl PrismDb {
             .collect()
     }
 
-    /// The one multi-key write path: apply `writes` atomically, provided
+    /// The client-batch write path: apply `writes` atomically, provided
     /// no key of `reads` changed after the sequence `pinned`.
     /// [`ConcurrentKvStore::apply_batch`] is the case of no snapshot and an
     /// empty read set; [`ConcurrentKvStore::txn_commit`] passes both, which
     /// adds the read keys' partitions to the lock set and a validation
-    /// step under the locks.
+    /// step under the locks. Each written partition gets one group through
+    /// [`Self::write_group`] and [`Partition::apply_group`], which is also
+    /// how [`Self::write_op`] installs a put or a delete, as a group of
+    /// one.
     ///
     /// 1. Size-check every value, so an oversized one cannot leave the
     ///    commit half-applied.
@@ -859,9 +853,12 @@ impl PrismDb {
     /// 5. Install: nothing for a read-only set; one partition's group is
     ///    already atomic under its single write-lock hold; several run the
     ///    commit-log protocol ([`Self::install_groups_with_intent`]).
-    /// 6. Release the locks, then [`Self::finish_write`] (its back-pressure
-    ///    hold re-locks partitions, so it must run after the multi-lock
-    ///    hold is released).
+    /// 6. Release the locks, count an installed batch — one group per
+    ///    written partition, its entries, and the entries a later one for
+    ///    the same key merged away (a put or a delete counts none of them)
+    ///    — then [`Self::finish_write`] (its back-pressure hold re-locks
+    ///    partitions, so it must run after the multi-lock hold is
+    ///    released).
     ///
     /// A commit that reads and writes nothing returns before any check or
     /// lock and records nothing; any other success lands in `latency`.
@@ -877,6 +874,9 @@ impl PrismDb {
                 check_object_size(value)?;
             }
         }
+        let entries = writes.len() as u64;
+        let keys: HashSet<&Key> = writes.entries().iter().map(BatchOp::key).collect();
+        let merged = entries - keys.len() as u64;
         let (mut groups, write_parts) = self.group_by_partition(writes);
         let mut touched = write_parts.clone();
         touched.extend(reads.iter().map(|key| self.partition_for(key)));
@@ -912,6 +912,12 @@ impl PrismDb {
                 .map(|(_batch_id, cost)| cost),
         };
         drop(guards);
+        if installed.is_ok() {
+            let stats = &self.shared.stats;
+            count(&stats.batch_groups, write_parts.len() as u64);
+            count(&stats.batch_entries, entries);
+            count(&stats.batch_merged_writes, merged);
+        }
         self.finish_write(installed, &write_parts, latency)
     }
 
@@ -1100,9 +1106,7 @@ impl Drop for PrismDb {
 impl ConcurrentKvStore for PrismDb {
     fn put(&self, key: Key, value: Value) -> Result<Nanos> {
         check_object_size(&value)?;
-        self.write_one(self.partition_for(&key), |p, reclaim| {
-            p.put(key, value, reclaim)
-        })
+        self.write_op(BatchOp::Put(key, value))
     }
 
     fn get(&self, key: &Key) -> Result<Lookup> {
@@ -1150,7 +1154,7 @@ impl ConcurrentKvStore for PrismDb {
     }
 
     fn delete(&self, key: &Key) -> Result<Nanos> {
-        self.write_one(self.partition_for(key), |p, reclaim| p.delete(key, reclaim))
+        self.write_op(BatchOp::Delete(key.clone()))
     }
 
     /// Apply a [`WriteBatch`] with per-partition group commit.
@@ -2187,6 +2191,85 @@ mod tests {
         assert!(stats.compaction.jobs > 0, "the writes must compact");
         assert!(stats.txn.commit_intents > 200 && stats.batch_merged_writes >= 300);
         assert_eq!(committed.stats().txn.txn_commits, 300);
+    }
+
+    /// The twin of the LSM baseline's test of the same name: a put or a
+    /// delete is a one-entry group, so it charges what the same write sent
+    /// as a one-entry batch does — per call, in `elapsed()` and in every
+    /// count, device I/O included, under compaction pressure. Only the
+    /// batch counters tell the two apart.
+    #[test]
+    fn single_writes_cost_what_one_entry_batches_do() {
+        let mut options = small_options(2_000, 4);
+        options.nvm_capacity_bytes = 256 * 1024;
+        let direct = PrismDb::open(options.clone()).unwrap();
+        let batched = PrismDb::open(options).unwrap();
+        for i in 0..4_000u64 {
+            let key = Key::from_id(i * 7 % 2_000);
+            let mut batch = WriteBatch::new();
+            let single = if i % 5 == 4 {
+                batch.delete(key.clone());
+                direct.delete(&key)
+            } else {
+                batch.put(key.clone(), Value::filled(300, i as u8));
+                direct.put(key, Value::filled(300, i as u8))
+            };
+            let as_batch = batched.apply_batch(batch).unwrap();
+            assert_eq!(single.unwrap(), as_batch, "write {i}");
+        }
+        assert_eq!(direct.elapsed(), batched.elapsed());
+        let (direct, batched) = (direct.stats(), batched.stats());
+        assert!(direct.compaction.jobs > 0, "the writes must compact");
+        assert!(direct.nvm_io.writes > 0 && direct.flash_io.writes > 0);
+        let counters = |stats: &EngineStats| {
+            [
+                stats.batch_groups,
+                stats.batch_entries,
+                stats.batch_merged_writes,
+            ]
+        };
+        assert_eq!(counters(&direct), [0, 0, 0]);
+        assert_eq!(counters(&batched), [4_000, 4_000, 0]);
+        let uncounted = EngineStats {
+            batch_groups: 0,
+            batch_entries: 0,
+            ..batched
+        };
+        assert_eq!(direct, uncounted);
+    }
+
+    /// A group of two or more slot writes pays one coalesced submission,
+    /// plus the latency spike each write rolled: with every NVM access
+    /// spiking, a two-put batch is charged at least the spike time the
+    /// device counted during it.
+    #[test]
+    fn a_batch_is_charged_the_latency_spikes_of_its_slot_writes() {
+        use prism_storage::{FaultPlan, TierFaultRates};
+        let spike = Nanos::from_micros(100);
+        let plan = FaultPlan::new(0x5B1CE).with_rates(TierFaultRates {
+            latency_spike: 1.0,
+            spike,
+            ..TierFaultRates::default()
+        });
+        let mut options = small_options(1_000, 1);
+        options.fault_plan = Some(Arc::new(plan));
+        let db = PrismDb::open(options).unwrap();
+        let spiked = || {
+            let counters = db.shared.storage.nvm.counters();
+            counters.spike_nanos_injected.load(Ordering::Relaxed)
+        };
+
+        let before = spiked();
+        let mut batch = WriteBatch::new();
+        batch.put(Key::from_id(1), Value::filled(1000, 1));
+        batch.put(Key::from_id(2), Value::filled(1000, 2));
+        let latency = db.apply_batch(batch).unwrap();
+        let counted = spiked() - before;
+        assert_eq!(counted, 2 * spike.as_nanos(), "each slot write spiked");
+        assert!(
+            latency.as_nanos() >= counted,
+            "a {latency:?} batch hides {counted} ns of counted spikes"
+        );
     }
 
     /// A multi-partition commit that fails mid-install rolls its installed

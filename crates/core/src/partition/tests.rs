@@ -4,7 +4,7 @@ use crate::workers::DemotionPlan;
 use prism_compaction::{execute_job, ExecutedJob, JobKind};
 use prism_flash::SstEntry;
 use prism_storage::{DeviceProfile, FaultOp, FaultTier};
-use prism_types::{Lane, Lookup, PrismError, ReadSource};
+use prism_types::{BatchOp, Lane, Lookup, PrismError, ReadSource};
 use std::sync::RwLockWriteGuard;
 
 impl Partition {
@@ -45,11 +45,20 @@ pub(super) fn put(
     key: Key,
     value: Value,
 ) -> Result<Nanos> {
-    engine.write_held(0, p, 1, |p, reclaim| p.put(key, value, reclaim))
+    write(engine, p, BatchOp::Put(key, value))
 }
 
 pub(super) fn delete(engine: &EngineShared, p: &mut Partition, key: &Key) -> Result<Nanos> {
-    engine.write_held(0, p, 1, |p, reclaim| p.delete(key, reclaim))
+    write(engine, p, BatchOp::Delete(key.clone()))
+}
+
+/// One client write, a one-entry group, as `PrismDb::put` and
+/// `PrismDb::delete` send it.
+fn write(engine: &EngineShared, p: &mut Partition, op: BatchOp) -> Result<Nanos> {
+    engine.write_held(0, p, 1, |p, reclaim| {
+        let seq = p.seq.allocate();
+        p.apply_group(vec![op], seq, reclaim)
+    })
 }
 
 #[test]

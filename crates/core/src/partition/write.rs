@@ -1,20 +1,35 @@
 use std::collections::HashSet;
 
+use prism_storage::Device;
 use prism_types::{BatchOp, Key, Nanos, PrismError, Result, Value, Version};
 
 use super::persist::SlotWrite;
 use super::Partition;
 use crate::engine::count;
 
-/// Slab device writes accumulated by one batched partition group. The
-/// group's slot writes are submitted together, so instead of charging one
-/// random-write latency per slot, the group pays one access latency plus a
-/// bandwidth-limited transfer of the total bytes (the device I/O counters
-/// are still recorded per slot by the slab store).
+/// The slab device writes of one partition group. One surviving write
+/// pays its own cost, a random write. Two or more are submitted together:
+/// they pay one access latency plus a bandwidth-limited transfer of their
+/// total bytes, and every latency spike a write rolled on top of its
+/// random-write price (the device I/O counters are still recorded per
+/// slot by the slab store).
 #[derive(Debug, Default, Clone, Copy)]
 struct SlabWriteTally {
     writes: u64,
     bytes: u64,
+    /// The writes' own costs, summed.
+    own: Nanos,
+    /// What the writes' latency spikes added to their random-write price.
+    spikes: Nanos,
+}
+
+impl SlabWriteTally {
+    fn price(&self, nvm: &Device) -> Nanos {
+        match self.writes {
+            0 | 1 => self.own,
+            _ => nvm.write_sequential_cost(self.bytes) + self.spikes,
+        }
+    }
 }
 
 /// What a write calls when a slab write finds no room: free NVM space on
@@ -24,16 +39,6 @@ struct SlabWriteTally {
 pub(crate) type Reclaim<'a> = &'a mut dyn FnMut(&mut Partition, Nanos) -> Result<Nanos>;
 
 impl Partition {
-    /// The mutation half of a put: request overhead plus the entry. The
-    /// driver wraps it (`EngineShared::write_held`) with the read-side
-    /// drain before and the watermark check and [`Partition::finish_write`]
-    /// after.
-    pub(crate) fn put(&mut self, key: Key, value: Value, reclaim: Reclaim<'_>) -> Result<Nanos> {
-        let cost = self.cpu.request_overhead;
-        let ts = self.seq.allocate();
-        Ok(cost + self.put_entry(key, value, ts, cost, reclaim, None)?)
-    }
-
     /// Close a write of `ops` logical operations that cost `cost` in
     /// total: feed the read-trigger controller's read/write ratio, then
     /// advance the foreground clock.
@@ -43,17 +48,15 @@ impl Partition {
     }
 
     /// The state mutation of one put: slab write, index update, tracker
-    /// access and cache refresh, *without* the per-operation wrapper
-    /// (request overhead, read-side drain, watermark check, foreground
-    /// clock advance) — shared by the single-op path and the batched
-    /// group path, which pays the wrapper once per group.
+    /// access and cache refresh, *without* the wrapper that
+    /// [`Partition::apply_group`] pays once per group (request overhead,
+    /// read-side drain, watermark check, foreground clock advance).
     ///
-    /// `accrued` is the cost the enclosing operation accumulated before
-    /// this entry (it positions any forced-reclamation stall on the
-    /// virtual timeline). `CapacityExceeded` is resolved by `reclaim`
-    /// while the write lock stays held. With a `group` tally, the slab
-    /// device write is tallied for one coalesced end-of-group charge
-    /// instead of being added to the returned cost.
+    /// `accrued` is the cost the enclosing group accumulated before this
+    /// entry (it positions any forced-reclamation stall on the virtual
+    /// timeline). `CapacityExceeded` is resolved by `reclaim` while the
+    /// write lock stays held. The slab device write goes on the group's
+    /// `tally`, which prices it at the end of the group.
     fn put_entry(
         &mut self,
         key: Key,
@@ -61,14 +64,14 @@ impl Partition {
         ts: u64,
         accrued: Nanos,
         reclaim: Reclaim<'_>,
-        group: Option<&mut SlabWriteTally>,
+        tally: &mut SlabWriteTally,
     ) -> Result<Nanos> {
         let mut cost = self.cpu.index_op;
         let value_len = value.len() as u64;
 
         self.note_supersession(&key, None);
         let write = SlotWrite::Value(value.clone());
-        cost += self.write_client_slot(&key, ts, write, accrued + cost, reclaim, group)?;
+        cost += self.write_client_slot(&key, ts, write, accrued + cost, reclaim, tally)?;
         // A successful rewrite heals a quarantined key: the fresh version
         // supersedes whatever was corrupt.
         self.durable.quarantined.remove(&key);
@@ -87,16 +90,18 @@ impl Partition {
         Ok(cost)
     }
 
-    /// Apply one partition's sub-batch of a [`prism_types::WriteBatch`]
-    /// under a single write-lock hold: one read-side drain, one request
-    /// overhead, one watermark check (→ at most one compaction run /
-    /// enqueue per group), and one slab write per distinct key (earlier
-    /// entries superseded by a later entry for the same key are merged
-    /// away; the last entry wins, exactly as sequential application would
-    /// end up). The group's surviving slab writes are priced as one
-    /// coalesced device submission (one access latency plus a
-    /// bandwidth-limited transfer of the total slot bytes) instead of one
-    /// random-write latency each — the storage-level half of the
+    /// Apply one partition's group of client writes — a put or a delete
+    /// is a group of one, a [`prism_types::WriteBatch`] or a transaction
+    /// brings one group per partition it writes — under a single
+    /// write-lock hold: one read-side drain, one request overhead, one
+    /// watermark check (→ at most one compaction run / enqueue per
+    /// group), and one slab write per distinct key (earlier entries
+    /// superseded by a later entry for the same key are merged away; the
+    /// last entry wins, exactly as sequential application would end up).
+    /// One surviving slab write costs its own random write; two or more
+    /// are priced as one coalesced device submission (one access latency
+    /// plus a bandwidth-limited transfer of the total slot bytes) plus the
+    /// latency spikes they rolled — the storage-level half of the
     /// group-commit win.
     ///
     /// Because the lock is held for the whole group and
@@ -108,7 +113,9 @@ impl Partition {
     /// `seq` is the group's commit sequence: the engine's cross-partition
     /// atomic commit stamps every group of one batch with the *same*
     /// sequence, so a pinned snapshot sees the whole batch or none of it.
-    /// Like [`Partition::put`] this is the mutation half only.
+    /// This is the mutation half only: `EngineShared::write_held` wraps
+    /// it with the read-side drain before and the watermark check and
+    /// [`Partition::finish_write`] after.
     pub(crate) fn apply_group(
         &mut self,
         entries: Vec<BatchOp>,
@@ -116,7 +123,6 @@ impl Partition {
         reclaim: Reclaim<'_>,
     ) -> Result<Nanos> {
         let mut cost = self.cpu.request_overhead;
-        let entry_count = entries.len() as u64;
 
         // A later entry for the same key supersedes an earlier one: mark
         // everything but the last occurrence per key as merged.
@@ -130,11 +136,9 @@ impl Partition {
             }
         }
 
-        let mut merged = 0u64;
         let mut tally = SlabWriteTally::default();
         for (i, entry) in entries.into_iter().enumerate() {
             if superseded[i] {
-                merged += 1;
                 // The client still logically wrote these bytes; only the
                 // physical slab write is saved.
                 if let BatchOp::Put(_, value) = entry {
@@ -143,29 +147,20 @@ impl Partition {
             } else {
                 cost += match entry {
                     BatchOp::Put(key, value) => {
-                        self.put_entry(key, value, seq, cost, reclaim, Some(&mut tally))?
+                        self.put_entry(key, value, seq, cost, reclaim, &mut tally)?
                     }
                     BatchOp::Delete(key) => {
-                        self.delete_entry(&key, seq, cost, reclaim, Some(&mut tally))?
+                        self.delete_entry(&key, seq, cost, reclaim, &mut tally)?
                     }
                 };
             }
         }
-        if tally.writes > 0 {
-            // One submission for the whole group's slot writes.
-            cost += self.nvm_dev.write_sequential_cost(tally.bytes);
-        }
-
-        count(&self.stats.batch_groups, 1);
-        count(&self.stats.batch_entries, entry_count);
-        count(&self.stats.batch_merged_writes, merged);
-        Ok(cost)
+        Ok(cost + tally.price(&self.nvm_dev))
     }
 
     /// The slot write of one client entry ([`Partition::write_slot`]),
     /// standing at `at` on the operation's timeline; returns what it adds
-    /// to the entry's cost. With a `group` tally the device write is
-    /// tallied for the group's one coalesced charge instead of returned.
+    /// to the entry's cost. The device write goes on `tally` instead.
     fn write_client_slot(
         &mut self,
         key: &Key,
@@ -173,10 +168,10 @@ impl Partition {
         write: SlotWrite,
         at: Nanos,
         reclaim: Reclaim<'_>,
-        group: Option<&mut SlabWriteTally>,
+        tally: &mut SlabWriteTally,
     ) -> Result<Nanos> {
         let value_len = write.value_len();
-        let (mut cost, write_cost) = match self.write_slot(key, ts, write.clone()) {
+        let (stall, write_cost) = match self.write_slot(key, ts, write.clone()) {
             Ok(write_cost) => (Nanos::ZERO, write_cost),
             Err(PrismError::CapacityExceeded { .. }) => {
                 // Free space with forced compactions, then retry once. The
@@ -189,25 +184,16 @@ impl Partition {
             }
             Err(err) => return Err(err),
         };
-        match group {
-            Some(tally) => {
-                tally.writes += 1;
-                tally.bytes += self.durable.slab().slot_bytes_for(value_len)?;
-            }
-            None => cost += write_cost,
-        }
-        Ok(cost)
-    }
-
-    /// The mutation half of a delete (see [`Partition::put`]).
-    pub(crate) fn delete(&mut self, key: &Key, reclaim: Reclaim<'_>) -> Result<Nanos> {
-        let cost = self.cpu.request_overhead;
-        let ts = self.seq.allocate();
-        Ok(cost + self.delete_entry(key, ts, cost, reclaim, None)?)
+        let bytes = self.durable.slab().slot_bytes_for(value_len)?;
+        tally.writes += 1;
+        tally.bytes += bytes;
+        tally.own += write_cost;
+        tally.spikes += write_cost - self.nvm_dev.write_random_cost(bytes);
+        Ok(stall)
     }
 
     /// The state mutation of one delete (see [`Partition::put_entry`] for
-    /// the wrapper/entry split and the `accrued` / `reclaim` / `group`
+    /// the wrapper/entry split and the `accrued` / `reclaim` / `tally`
     /// contract).
     fn delete_entry(
         &mut self,
@@ -215,7 +201,7 @@ impl Partition {
         ts: u64,
         accrued: Nanos,
         reclaim: Reclaim<'_>,
-        group: Option<&mut SlabWriteTally>,
+        tally: &mut SlabWriteTally,
     ) -> Result<Nanos> {
         let mut cost = self.cpu.index_op;
 
@@ -241,7 +227,7 @@ impl Partition {
             // failed write leaves that slot in place, so the older flash
             // version cannot resurface.
             let write = SlotWrite::Version(Version::tombstone(ts));
-            cost += self.write_client_slot(key, ts, write, accrued + cost, reclaim, group)?;
+            cost += self.write_client_slot(key, ts, write, accrued + cost, reclaim, tally)?;
         } else {
             // Free the key's current NVM slot whether it holds a value or
             // an old tombstone: deleting an already-tombstoned key must not

@@ -788,7 +788,7 @@ pub(crate) fn worker_loop(shared: Arc<EngineShared>, worker_id: usize) {
 mod tests {
     use super::*;
     use prism_storage::{DeviceProfile, TieredStorage};
-    use prism_types::{Key, MetricKind, Value};
+    use prism_types::{BatchOp, Key, MetricKind, Value};
 
     use crate::Options;
 
@@ -932,8 +932,9 @@ mod tests {
             let mut p = shared.write_partition(0);
             for id in 0..64 {
                 let mut no_reclaim = |_: &mut Partition, _| unreachable!("the slabs have room");
-                p.put(Key::from_id(id), Value::filled(100, 1), &mut no_reclaim)
-                    .unwrap();
+                let put = BatchOp::Put(Key::from_id(id), Value::filled(100, 1));
+                let seq = shared.seq.allocate();
+                p.apply_group(vec![put], seq, &mut no_reclaim).unwrap();
             }
         }
 

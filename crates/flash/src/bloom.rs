@@ -5,7 +5,7 @@
 //! hashing over a 64-bit FNV-1a base hash, the same construction LevelDB
 //! and RocksDB use.
 
-use prism_types::Key;
+use prism_types::{splitmix64, Key};
 
 /// A space-efficient approximate set membership structure.
 ///
@@ -35,14 +35,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn mix(hash: u64) -> u64 {
-    // 64-bit finalizer (splitmix64) to derive the second hash.
-    let mut z = hash.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl BloomFilter {
     /// Build a filter sized for `expected_keys` keys with `bits_per_key`
     /// bits each (10 bits/key gives ~1 % false positives).
@@ -63,7 +55,7 @@ impl BloomFilter {
     /// set bits while it walks.
     fn probes(&self, key: &Key) -> impl Iterator<Item = u64> {
         let h1 = fnv1a(key.as_bytes());
-        let h2 = mix(h1) | 1;
+        let h2 = splitmix64(h1) | 1;
         let num_bits = self.num_bits;
         (0..self.num_probes).map(move |i| h1.wrapping_add(h2.wrapping_mul(i as u64)) % num_bits)
     }

@@ -128,23 +128,6 @@ impl LatencyHistogram {
         self.max.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Fold every sample of `other` into `self` (bucket-wise addition).
-    pub fn merge(&self, other: &LatencyHistogram) {
-        self.merge_snapshot(&other.snapshot());
-    }
-
-    /// Fold a previously taken snapshot into `self`.
-    pub(crate) fn merge_snapshot(&self, snap: &HistogramSnapshot) {
-        for (i, &n) in snap.buckets.iter().enumerate() {
-            if n > 0 {
-                self.buckets[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.sum.fetch_add(snap.sum, Ordering::Relaxed);
-        self.min.fetch_min(snap.min, Ordering::Relaxed);
-        self.max.fetch_max(snap.max, Ordering::Relaxed);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
@@ -271,16 +254,6 @@ impl HistogramSnapshot {
         mid.clamp(self.min as f64, self.max as f64)
     }
 
-    /// Fold another snapshot's samples into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (i, &n) in other.buckets.iter().enumerate() {
-            self.buckets[i] += n;
-        }
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Render the histogram in Prometheus text exposition format
     /// (cumulative `_bucket{le=...}` series plus `_sum` and `_count`),
     /// using `name` as the metric family name.
@@ -377,21 +350,6 @@ mod tests {
         let (lo, hi) = snap.percentile_bounds(1.0);
         assert!(lo > BOUNDS[NUM_BOUNDS - 1]);
         assert_eq!(hi, 30_000_000_000);
-    }
-
-    #[test]
-    fn merge_is_bucketwise_addition() {
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        a.record(200);
-        b.record(200);
-        b.record(5_000);
-        a.merge(&b);
-        let snap = a.snapshot();
-        assert_eq!(snap.count(), 3);
-        assert_eq!(snap.sum, 5_400);
-        assert_eq!(snap.min, 200);
-        assert_eq!(snap.max, 5_000);
     }
 
     #[test]

@@ -162,7 +162,16 @@ impl Device {
         self.counters
             .random_pages_written
             .fetch_add(pages, Ordering::Relaxed);
-        self.profile.write_latency_4k * pages + self.spike()
+        self.write_random_cost(bytes) + self.spike()
+    }
+
+    /// The simulated latency of a random write of `bytes`, *without*
+    /// recording any I/O or rolling a latency spike: what
+    /// [`Device::write_random`] charges when no spike fires. A group of
+    /// slot writes subtracts it from what each write was charged to find
+    /// the spikes it owes on top of its coalesced price.
+    pub fn write_random_cost(&self, bytes: u64) -> Nanos {
+        self.profile.write_latency_4k * Self::pages(bytes)
     }
 
     /// Sequential read of `bytes` bytes: one access latency plus a
@@ -187,10 +196,11 @@ impl Device {
 
     /// The simulated latency of writing `bytes` as one sequential
     /// submission, *without* recording any I/O against the device
-    /// counters. Group-commit paths use this to re-price a set of slot
-    /// writes that were already counted individually: the batch pays one
-    /// access latency plus a bandwidth-limited transfer instead of one
-    /// random-write latency per slot.
+    /// counters or rolling a latency spike. A PrismDB partition group of
+    /// two or more slot writes, already counted one by one, is re-priced
+    /// with it: one access latency plus a bandwidth-limited transfer
+    /// instead of one random-write latency per slot, plus the spikes
+    /// those writes rolled. A group of one pays its own random write.
     pub fn write_sequential_cost(&self, bytes: u64) -> Nanos {
         self.profile.write_latency_4k + Self::seq_transfer_time(bytes, self.profile.seq_write_mbps)
     }

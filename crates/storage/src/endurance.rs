@@ -126,7 +126,10 @@ mod tests {
 
     #[test]
     fn dwpd_infinite_device_is_immortal() {
-        let dram = DeviceProfile::dram(1 << 30);
-        assert!(lifetime_years(&dram, 1e9).is_infinite());
+        let unwearable = DeviceProfile {
+            dwpd: f64::INFINITY,
+            ..DeviceProfile::optane_nvm(1 << 30)
+        };
+        assert!(lifetime_years(&unwearable, 1e9).is_infinite());
     }
 }

@@ -29,7 +29,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use prism_types::{Nanos, Value, Version};
+use prism_types::{splitmix64, Nanos, Value, Version, SPLITMIX64_GAMMA};
 
 /// Storage tier a fault decision applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,15 +180,6 @@ pub struct FaultCountersSnapshot {
     pub detected: u64,
 }
 
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(GOLDEN);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic, seedable fault-injection plan shared by every layer of
 /// one engine (see the module docs for the division of labour).
 #[derive(Debug)]
@@ -269,7 +260,7 @@ impl FaultPlan {
 
     fn draw(&self) -> u64 {
         let n = self.counter.fetch_add(1, Ordering::Relaxed);
-        splitmix64(self.seed.wrapping_add(n.wrapping_mul(GOLDEN)))
+        splitmix64(self.seed.wrapping_add(n.wrapping_mul(SPLITMIX64_GAMMA)))
     }
 
     /// A uniform float in `[0, 1)` from the deterministic stream.

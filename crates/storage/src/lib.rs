@@ -102,18 +102,6 @@ impl TieredStorage {
         }
     }
 
-    /// The paper's default heterogeneous configuration: a small Optane NVM
-    /// device holding `nvm_fraction` of the total capacity and QLC flash
-    /// holding the rest.
-    pub fn heterogeneous(total_capacity: u64, nvm_fraction: f64) -> Self {
-        let nvm_capacity = (total_capacity as f64 * nvm_fraction) as u64;
-        let flash_capacity = total_capacity - nvm_capacity;
-        TieredStorage::new(
-            DeviceProfile::optane_nvm(nvm_capacity.max(1)),
-            DeviceProfile::qlc_flash(flash_capacity.max(1)),
-        )
-    }
-
     /// Blended dollar cost per gigabyte across the two tiers, weighted by
     /// capacity, as reported in Table 2 and Figure 9 of the paper.
     pub fn cost_per_gb(&self) -> f64 {
@@ -140,14 +128,20 @@ mod tests {
 
     #[test]
     fn heterogeneous_splits_capacity() {
-        let storage = TieredStorage::heterogeneous(100 << 30, 0.2);
+        let storage = TieredStorage::new(
+            DeviceProfile::optane_nvm(20 << 30),
+            DeviceProfile::qlc_flash(80 << 30),
+        );
         assert_eq!(storage.nvm.profile().capacity_bytes, 20 << 30);
         assert_eq!(storage.flash.profile().capacity_bytes, 80 << 30);
     }
 
     #[test]
     fn het_cost_sits_between_tiers() {
-        let storage = TieredStorage::heterogeneous(100 << 30, 0.11);
+        let storage = TieredStorage::new(
+            DeviceProfile::optane_nvm(11 << 30),
+            DeviceProfile::qlc_flash(89 << 30),
+        );
         let cost = storage.cost_per_gb();
         let nvm_cost = storage.nvm.profile().cost_per_gb;
         let qlc_cost = storage.flash.profile().cost_per_gb;
@@ -176,7 +170,10 @@ mod tests {
 
     #[test]
     fn io_counters_visible_through_tiered_view() {
-        let storage = TieredStorage::heterogeneous(1 << 30, 0.5);
+        let storage = TieredStorage::new(
+            DeviceProfile::optane_nvm(1 << 29),
+            DeviceProfile::qlc_flash(1 << 29),
+        );
         storage.nvm.write_random(4096);
         storage.flash.read_sequential(1 << 20);
         assert_eq!(storage.nvm_io().bytes_written, 4096);

@@ -56,20 +56,6 @@ pub struct DeviceProfile {
 }
 
 impl DeviceProfile {
-    /// DRAM profile (for cache modelling).
-    pub fn dram(capacity_bytes: u64) -> Self {
-        DeviceProfile {
-            kind: DeviceKind::Dram,
-            capacity_bytes,
-            read_latency_4k: Nanos::from_nanos(200),
-            write_latency_4k: Nanos::from_nanos(200),
-            seq_read_mbps: 20_000,
-            seq_write_mbps: 20_000,
-            cost_per_gb: 4.0,
-            dwpd: f64::INFINITY,
-        }
-    }
-
     /// Intel Optane SSD P5800X class NVM device (Table 1: 6 µs random 4 KB
     /// read, $2.5/GB, 200 DWPD).
     pub fn optane_nvm(capacity_bytes: u64) -> Self {
@@ -184,14 +170,11 @@ mod tests {
 
     #[test]
     fn ordering_of_tiers() {
-        let dram = DeviceProfile::dram(1 << 30);
         let nvm = DeviceProfile::optane_nvm(1 << 30);
         let tlc = DeviceProfile::tlc_flash(1 << 30);
         let qlc = DeviceProfile::qlc_flash(1 << 30);
-        assert!(dram.read_latency_4k < nvm.read_latency_4k);
         assert!(nvm.read_latency_4k < tlc.read_latency_4k);
         assert!(tlc.read_latency_4k < qlc.read_latency_4k);
-        assert!(dram.cost_per_gb > nvm.cost_per_gb);
         assert!(nvm.cost_per_gb > tlc.cost_per_gb);
         assert!(tlc.cost_per_gb > qlc.cost_per_gb);
     }
@@ -201,7 +184,11 @@ mod tests {
         let small = DeviceProfile::qlc_flash(1 << 30);
         let big = DeviceProfile::qlc_flash(10 << 30);
         assert!(big.endurance_bytes() > 9.0 * small.endurance_bytes());
-        assert!(DeviceProfile::dram(1).endurance_bytes().is_infinite());
+        let unwearable = DeviceProfile {
+            dwpd: f64::INFINITY,
+            ..DeviceProfile::optane_nvm(1)
+        };
+        assert!(unwearable.endurance_bytes().is_infinite());
     }
 
     #[test]

@@ -123,21 +123,6 @@ impl Mapper {
         }
     }
 
-    /// The histogram normalised to fractions of the tracked population
-    /// (all zeros when nothing is tracked). Index = clock value.
-    pub fn distribution(&self) -> [f64; (MAX_CLOCK as usize) + 1] {
-        let counts = self.histogram();
-        let total: u64 = counts.iter().sum();
-        let mut dist = [0.0; (MAX_CLOCK as usize) + 1];
-        if total == 0 {
-            return dist;
-        }
-        for (i, &c) in counts.iter().enumerate() {
-            dist[i] = c as f64 / total as f64;
-        }
-        dist
-    }
-
     /// Decide whether an object with clock value `clock` (or `None` if the
     /// object is not tracked at all) should stay pinned on NVM.
     ///
@@ -203,7 +188,7 @@ mod tests {
             mapper.apply(&tracker.access(&Key::from_id(id), false));
         }
         assert_eq!(mapper.histogram(), [3, 0, 0, 2]);
-        let dist = mapper.distribution();
+        let dist = mapper.histogram().map(|count| count as f64 / 5.0);
         assert!((dist[0] - 0.6).abs() < 1e-9);
         assert!((dist[3] - 0.4).abs() < 1e-9);
     }
@@ -325,7 +310,7 @@ mod tests {
     #[test]
     fn empty_mapper_distribution_is_zero() {
         let mapper = Mapper::new();
-        assert_eq!(mapper.distribution(), [0.0; 4]);
+        assert_eq!(mapper.histogram(), [0; 4]);
         assert_eq!(mapper.pin_decision(Some(3), 0.5, 0), PinDecision::Demote);
     }
 }

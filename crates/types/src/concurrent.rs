@@ -364,8 +364,8 @@ mod tests {
     // One trait per module: `KvStore` is named by path where it is needed.
     use super::{ConcurrentKvStore, MutexKv};
     use crate::{
-        EngineStats, Key, Lookup, MemStore, Nanos, PartitionHealth, Result, ScanResult, SnapshotId,
-        Value, WriteBatch,
+        EngineStats, Key, Lookup, MemStore, Nanos, PartitionHealth, ReadSource, Result, ScanResult,
+        SnapshotId, Value, WriteBatch,
     };
     use std::sync::Arc;
 
@@ -411,7 +411,11 @@ mod tests {
             Ok(Nanos::from_nanos(1))
         }
         fn get(&self, _key: &Key) -> Result<Lookup> {
-            Ok(Lookup::miss(Nanos::from_nanos(2)))
+            Ok(Lookup {
+                value: None,
+                latency: Nanos::from_nanos(2),
+                source: ReadSource::NotFound,
+            })
         }
         fn delete(&self, _key: &Key) -> Result<Nanos> {
             Ok(Nanos::from_nanos(3))

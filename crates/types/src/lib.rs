@@ -38,6 +38,7 @@ mod error;
 mod key;
 mod mem;
 mod ops;
+mod splitmix;
 mod stats;
 mod time;
 mod txn;
@@ -52,6 +53,7 @@ pub use error::{PrismError, Result};
 pub use key::Key;
 pub use mem::MemStore;
 pub use ops::{Lookup, Op, OpKind, ReadSource, ScanResult};
+pub use splitmix::{splitmix64, splitmix64_finalize, SPLITMIX64_GAMMA};
 pub use stats::{
     CompactionStats, CompactionStatsCells, EngineStats, EngineStatsCells, FrontendStats,
     FrontendStatsCells, IntegrityStats, IntegrityStatsCells, MetricKind, MetricVisitor, NetStats,

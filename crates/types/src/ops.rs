@@ -31,15 +31,6 @@ pub struct Lookup {
 }
 
 impl Lookup {
-    /// A lookup that found nothing after spending `latency`.
-    pub fn miss(latency: Nanos) -> Self {
-        Lookup {
-            value: None,
-            latency,
-            source: ReadSource::NotFound,
-        }
-    }
-
     /// True if a value was found.
     pub fn found(&self) -> bool {
         self.value.is_some()
@@ -149,7 +140,11 @@ mod tests {
 
     #[test]
     fn lookup_helpers() {
-        let miss = Lookup::miss(Nanos::from_micros(1));
+        let miss = Lookup {
+            value: None,
+            latency: Nanos::from_micros(1),
+            source: ReadSource::NotFound,
+        };
         assert!(!miss.found());
         assert_eq!(miss.source, ReadSource::NotFound);
     }
