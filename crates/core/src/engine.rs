@@ -594,11 +594,12 @@ impl PrismDb {
         batch: WriteBatch,
         install_groups: usize,
     ) -> Result<u64> {
-        let (mut groups, touched) = self.group_by_partition(batch);
+        let mut groups = self.group_by_partition(batch);
         assert!(
-            touched.len() >= 2,
+            groups.len() >= 2,
             "a torn commit needs at least two partition groups"
         );
+        let touched: Vec<usize> = groups.iter().map(|(idx, _)| *idx).collect();
         let mut guards = self.lock_partitions(&touched);
         let (batch_id, _cost) =
             self.install_groups_with_intent(&mut groups, &mut guards, false, install_groups)?;
@@ -703,11 +704,11 @@ impl PrismDb {
     fn finish_write(
         &self,
         applied: Result<Nanos>,
-        written: &[usize],
+        written: impl IntoIterator<Item = usize>,
         latency: &LatencyHistogram,
     ) -> Result<Nanos> {
         let result = applied.and_then(|mut total| {
-            for &idx in written {
+            for idx in written {
                 total += self.shared.hold_at_ceiling(idx)?;
             }
             Ok(total)
@@ -780,7 +781,7 @@ impl PrismDb {
         let idx = self.partition_for(op.key());
         self.check_writable(idx)?;
         let applied = self.write_group(idx, &mut self.shared.write_partition(idx), vec![op], None);
-        self.finish_write(applied, &[idx], &self.shared.obs.put)
+        self.finish_write(applied, [idx], &self.shared.obs.put)
     }
 
     /// Apply one partition's sub-batch under the held guard `p` with a
@@ -806,19 +807,23 @@ impl PrismDb {
         })
     }
 
-    /// Split a batch into one sub-batch per partition (indexed by
-    /// partition; entries keep their relative order, so a later entry for
-    /// a key still wins), with the ascending list of partitions that
-    /// received entries.
-    fn group_by_partition(&self, batch: WriteBatch) -> (Vec<Vec<BatchOp>>, Vec<usize>) {
-        let mut groups: Vec<Vec<BatchOp>> = vec![Vec::new(); self.shard_count()];
+    /// Split a batch into its sub-batches: one per partition that
+    /// receives entries, in ascending partition order, each entry keeping
+    /// its relative order (so a later entry for a key still wins).
+    fn group_by_partition(&self, batch: WriteBatch) -> Vec<(usize, Vec<BatchOp>)> {
+        let mut groups: Vec<(usize, Vec<BatchOp>)> = Vec::new();
         for op in batch {
-            groups[self.partition_for(op.key())].push(op);
+            let idx = self.partition_for(op.key());
+            let at = match groups.binary_search_by_key(&idx, |(idx, _)| *idx) {
+                Ok(at) => at,
+                Err(at) => {
+                    groups.insert(at, (idx, Vec::new()));
+                    at
+                }
+            };
+            groups[at].1.push(op);
         }
-        let touched = (0..groups.len())
-            .filter(|&idx| !groups[idx].is_empty())
-            .collect();
-        (groups, touched)
+        groups
     }
 
     /// Write-lock `parts` in the order given. Every multi-lock path passes
@@ -875,18 +880,23 @@ impl PrismDb {
             }
         }
         let entries = writes.len() as u64;
-        let keys: HashSet<&Key> = writes.entries().iter().map(BatchOp::key).collect();
-        let merged = entries - keys.len() as u64;
-        let (mut groups, write_parts) = self.group_by_partition(writes);
-        let mut touched = write_parts.clone();
-        touched.extend(reads.iter().map(|key| self.partition_for(key)));
-        touched.sort_unstable();
-        touched.dedup();
+        // Only a later entry for the same key merges one away.
+        let merged = match writes.entries() {
+            [] | [_] => 0,
+            ops => entries - ops.iter().map(BatchOp::key).collect::<HashSet<_>>().len() as u64,
+        };
+        let mut groups = self.group_by_partition(writes);
+        let mut touched: Vec<usize> = groups.iter().map(|(idx, _)| *idx).collect();
+        if !reads.is_empty() {
+            touched.extend(reads.iter().map(|key| self.partition_for(key)));
+            touched.sort_unstable();
+            touched.dedup();
+        }
         if touched.is_empty() {
             return Ok(Nanos::ZERO);
         }
-        for &idx in &write_parts {
-            self.check_writable(idx)?;
+        for (idx, _) in &groups {
+            self.check_writable(*idx)?;
         }
         let mut guards = self.lock_partitions(&touched);
         let guard_of = |idx: usize| {
@@ -901,11 +911,11 @@ impl PrismDb {
                 return Err(PrismError::TxnConflict { key: key.id() });
             }
         }
-        let installed = match write_parts[..] {
+        let installed = match &mut groups[..] {
             [] => Ok(Nanos::ZERO),
-            [idx] => {
-                let entries = std::mem::take(&mut groups[idx]);
-                self.write_group(idx, &mut guards[guard_of(idx)].1, entries, None)
+            [(idx, entries)] => {
+                let entries = std::mem::take(entries);
+                self.write_group(*idx, &mut guards[guard_of(*idx)].1, entries, None)
             }
             _ => self
                 .install_groups_with_intent(&mut groups, &mut guards, true, usize::MAX)
@@ -914,17 +924,18 @@ impl PrismDb {
         drop(guards);
         if installed.is_ok() {
             let stats = &self.shared.stats;
-            count(&stats.batch_groups, write_parts.len() as u64);
+            count(&stats.batch_groups, groups.len() as u64);
             count(&stats.batch_entries, entries);
             count(&stats.batch_merged_writes, merged);
         }
-        self.finish_write(installed, &write_parts, latency)
+        let written = groups.into_iter().map(|(idx, _)| idx);
+        self.finish_write(installed, written, latency)
     }
 
     /// The cross-partition commit protocol, run under an already-held set
-    /// of ascending partition write `guards` covering every non-empty
-    /// group of `groups` (read-only guards with empty groups are allowed
-    /// and ignored):
+    /// of ascending partition write `guards` covering the partition of
+    /// every group of `groups` (guards of partitions only read are
+    /// allowed and ignored):
     ///
     /// 1. capture pre-images and persist a [`CommitLog`] intent record,
     /// 2. allocate **one** commit sequence for the whole batch,
@@ -941,23 +952,25 @@ impl PrismDb {
     /// Returns the commit-log batch id and the total charged latency.
     fn install_groups_with_intent(
         &self,
-        groups: &mut [Vec<BatchOp>],
+        groups: &mut [(usize, Vec<BatchOp>)],
         guards: &mut [(usize, RwLockWriteGuard<'_, Partition>)],
         seal: bool,
         install_limit: usize,
     ) -> Result<(u64, Nanos)> {
-        let active: Vec<usize> = guards
+        // The guard of each group's partition.
+        let active: Vec<usize> = groups
             .iter()
-            .enumerate()
-            .filter(|(_, (idx, _))| !groups[*idx].is_empty())
-            .map(|(pos, _)| pos)
+            .map(|(idx, _)| {
+                guards
+                    .binary_search_by_key(idx, |(held, _)| *held)
+                    .expect("every written partition is locked")
+            })
             .collect();
 
         let mut parts = Vec::with_capacity(active.len());
         let mut rollback: Vec<Vec<(Key, Option<Value>)>> = Vec::with_capacity(active.len());
-        for &pos in &active {
+        for (&pos, (_, entries)) in active.iter().zip(groups.iter()) {
             let (idx, guard) = &guards[pos];
-            let entries = &groups[*idx];
             let mut seen: HashSet<&Key> = HashSet::with_capacity(entries.len());
             let mut pre_images = Vec::new();
             for op in entries {
@@ -990,7 +1003,7 @@ impl PrismDb {
                 break;
             }
             let (idx, guard) = &mut guards[pos];
-            let entries = std::mem::take(&mut groups[*idx]);
+            let entries = std::mem::take(&mut groups[step].1);
             match self.write_group(*idx, guard, entries, Some(seq)) {
                 Ok(cost) => {
                     total += cost;

@@ -70,10 +70,12 @@ pub struct Options {
     /// reads of one partition need not serialise on one lock. The
     /// effective count is reduced for tiny cache capacities.
     pub cache_shards: usize,
-    /// Pinning threshold: fraction of tracked objects a demotion job
-    /// retains on NVM (0.7 in §7). It governs demotion jobs only: a
-    /// read-triggered promotion job pins up to what NVM holds at
-    /// `low_watermark`, capped at the tracked keys whose clock is above 0.
+    /// Pinning threshold: the fraction a demotion job retains on NVM of
+    /// the objects NVM holds at `low_watermark`, capped at the tracked
+    /// objects (the paper's 0.7 of the tracked objects, §7). It governs
+    /// demotion jobs only: a read-triggered promotion job pins up to all
+    /// of what NVM holds there, capped at the tracked keys whose clock is
+    /// above 0.
     pub pinning_threshold: f64,
     /// NVM utilisation that triggers a demotion compaction (0.98).
     pub high_watermark: f64,

@@ -196,21 +196,28 @@ impl Partition {
         )
     }
 
-    /// How many objects a promotion job pins, hottest clock class first:
-    /// what the slabs hold at the low watermark (their capacity times the
-    /// watermark over the mean live slot), capped at the tracked keys
-    /// whose clock is above 0. A promotion job runs in a read-dominated
-    /// phase, which needs no NVM headroom for writes; demotion jobs keep
-    /// `Options::pinning_threshold` of the tracked keys.
-    pub(super) fn promotion_budget(&self) -> usize {
-        let warm: u64 = self.volatile.mapper.histogram()[1..].iter().sum();
+    /// How many objects the slabs hold at the low watermark: their
+    /// capacity times the watermark over the mean live slot, or no bound
+    /// while they hold nothing to take the mean of.
+    fn nvm_held(&self) -> usize {
         let usage = self.durable.slab().usage();
         if usage.live_objects == 0 {
-            return warm as usize;
+            return usize::MAX;
         }
         let mean_slot = usage.live_bytes as f64 / usage.live_objects as f64;
-        let held = usage.capacity_bytes as f64 * self.options.low_watermark / mean_slot;
-        (held as u64).min(warm) as usize
+        (usage.capacity_bytes as f64 * self.options.low_watermark / mean_slot) as usize
+    }
+
+    /// How many objects a promotion job pins, hottest clock class first:
+    /// what NVM holds ([`Partition::nvm_held`]), capped at the tracked
+    /// keys whose clock is above 0. A promotion job runs in a
+    /// read-dominated phase, which needs no NVM headroom for writes;
+    /// demotion jobs pin `Options::pinning_threshold` of what NVM holds,
+    /// capped at the tracked keys, so the tracker's size does not set the
+    /// write path's pin budget.
+    pub(super) fn promotion_budget(&self) -> usize {
+        let warm: u64 = self.volatile.mapper.histogram()[1..].iter().sum();
+        self.nvm_held().min(warm as usize)
     }
 
     /// Clone the victim state of `[start, end]` into a self-contained
@@ -239,7 +246,8 @@ impl Partition {
             // of that many objects.
             JobKind::Promotion => (1.0, self.promotion_budget()),
             JobKind::Demotion { .. } => {
-                (self.options.pinning_threshold, self.volatile.tracker.len())
+                let tracked = self.volatile.tracker.len();
+                (self.options.pinning_threshold, self.nvm_held().min(tracked))
             }
         };
 

@@ -57,9 +57,13 @@ pub(crate) use write::Reclaim;
 pub(crate) const READ_SIDE_DRAIN: usize = 64;
 
 /// How many flash-served reads accumulate before a promotion compaction
-/// runs (while read-triggered compactions are active). No experiment
-/// sweeps it.
-const PROMOTION_BATCH_FLASH_READS: u64 = 200;
+/// runs (while read-triggered compactions are active). A read-trigger
+/// epoch of 10 000 reads below DRAM holds about 3 100 flash reads on
+/// YCSB-C at the benchmark's tiers, so 100 runs about 31 jobs an epoch
+/// over a partition's ~41 ranges (200 ran 16). `tier_read_c` (seed 42)
+/// read 19.18 simulated kops/s at 50 with 3 823 jobs, 19.29 at 100 with
+/// 2 064 and 18.97 at 150 with 1 241.
+const PROMOTION_BATCH_FLASH_READS: u64 = 100;
 
 /// Read-side counters maintained entirely with atomics: the hot read path
 /// bumps these without taking any lock, and write-lock holders drain them.
@@ -136,7 +140,8 @@ impl Volatile {
     }
 
     /// Apply buffered structural tracker admissions — a key enters the
-    /// tracker on its second read, the first only enters the doorkeeper —
+    /// tracker no earlier than its second read, past the sketch's gate,
+    /// and the first only enters the doorkeeper —
     /// and drain the atomic read counters into the read-trigger controller
     /// as one batch.
     fn apply_read_side(&mut self) {

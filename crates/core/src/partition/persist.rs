@@ -34,7 +34,7 @@ use prism_compaction::{BucketMap, CompactionPlanner, ReadTriggeredController};
 use prism_flash::{write_run, FileId, SortedLog, SstBuilder, SstEntry};
 use prism_nvm::{NvmAddress, SlabConfig, SlabStore};
 use prism_storage::{Device, TieredStorage};
-use prism_tracker::{ClockTracker, Mapper};
+use prism_tracker::{ClockTracker, FrequencySketch, Mapper};
 use prism_types::{Key, Nanos, PartitionHealth, Result, Value, Version};
 
 use super::integrity::ScrubCursor;
@@ -145,12 +145,19 @@ pub(super) struct Volatile {
     /// applied lock-free on the read path itself ([`ClockTracker::touch`]).
     pub(super) read_side: Mutex<Vec<Key>>,
     /// Keys one read found untracked and the tracker has not admitted
-    /// since: the next read of such a key admits it, so a one-off flash
-    /// read of a tail key does not sweep the clock hand. At most the
-    /// tracker's capacity; a first read that finds it full clears it
-    /// (TinyLFU's doorkeeper, Einziger et al. 2017 — not in the PrismDB
-    /// paper, which admits on every access). Writes admit at once.
+    /// since: a later read of such a key admits it if `sketch` counts it
+    /// more often than the key the clock would evict next
+    /// ([`ClockTracker::next_victim`]), so a one-off flash read of a tail
+    /// key does not sweep the clock hand, and a tail key read twice does
+    /// not sweep out a warmer one. At most the tracker's capacity; a
+    /// first read that finds it full clears it (TinyLFU's doorkeeper and
+    /// frequency gate, Einziger et al. 2017 — not in the PrismDB paper,
+    /// which admits on every access). Writes admit at once.
     pub(super) doorkeeper: HashSet<Key>,
+    /// Recent access counts: every found read (before its tracker touch)
+    /// and every put counts its key, and the doorkeeper's gate compares
+    /// them.
+    pub(super) sketch: FrequencySketch,
     pub(super) read_counters: ReadSideCounters,
     /// Superseded versions preserved for pinned snapshots: per key, the
     /// `(sequence, version)` pairs in the order they were superseded —
@@ -180,6 +187,7 @@ impl Volatile {
         Volatile {
             index: BTreeMap::new(),
             tracker: ClockTracker::new(tracker_capacity),
+            sketch: FrequencySketch::new(tracker_capacity),
             mapper: Mapper::new(),
             buckets: BucketMap::new(options.compaction.bucket_size_keys),
             planner: CompactionPlanner::new(compaction_config)
@@ -214,12 +222,22 @@ impl Volatile {
     }
 
     /// Track a read that found `key` untracked, with the write lock held:
-    /// admit it if the doorkeeper holds it (re-heat it if a write or an
-    /// earlier read admitted it since), else enter it in the doorkeeper,
-    /// clearing that first if it holds the tracker's capacity.
+    /// re-heat it if a write or an earlier read admitted it since; if the
+    /// doorkeeper holds it, admit it when the tracker has room or the
+    /// sketch counts it more often than the key the admission would
+    /// evict (else it waits in the doorkeeper); otherwise enter it in the
+    /// doorkeeper, clearing that first if it holds the tracker's capacity.
     pub(super) fn observe_read(&mut self, key: Key) {
-        if self.tracker.clock_of(&key).is_some() || self.doorkeeper.contains(&key) {
+        if self.tracker.clock_of(&key).is_some() {
             self.observe_access(&key);
+            return;
+        }
+        if self.doorkeeper.contains(&key) {
+            let estimate = |key: &Key| self.sketch.estimate(key);
+            let victim = self.tracker.next_victim();
+            if victim.is_none_or(|victim| estimate(&key) > estimate(victim)) {
+                self.observe_access(&key);
+            }
             return;
         }
         if self.doorkeeper.len() >= self.tracker.capacity() {

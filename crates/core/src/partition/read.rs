@@ -16,11 +16,18 @@
 //! seen, which may evict another — is buffered in
 //! [`Volatile`](super::Volatile)'s read side for the next write (or an
 //! engine-forced drain) to apply under the write lock. There a read
-//! admits a key on its second read only: the first puts the key in a
-//! doorkeeper set, so a one-off read of a tail key leaves the clock hand
-//! where it was (a write admits at once; the doorkeeper is TinyLFU's, not
-//! the paper's). The CPU cost of the tracker update is still charged to
-//! the read that caused it; only structural application is deferred.
+//! admits a key no earlier than its second read: the first puts the key
+//! in a doorkeeper set, so a one-off read of a tail key leaves the clock
+//! hand where it was. A later read admits it only if the partition's
+//! [`FrequencySketch`](prism_tracker::FrequencySketch) counts it more
+//! often than the key the admission would evict
+//! ([`ClockTracker::next_victim`](prism_tracker::ClockTracker::next_victim)),
+//! so a flood of tail keys read twice does not sweep out warmer ones.
+//! Every found read counts its key in the sketch, before the touch, with
+//! atomic counters and no lock. A write counts and admits at once; the
+//! doorkeeper and the gate are TinyLFU's, not the paper's. The CPU cost
+//! of the tracker update is still charged to the read that caused it;
+//! only structural application is deferred.
 //! Point lookups resolve the key's NVM address with one probe of the
 //! partition's B-tree index.
 //!
@@ -281,6 +288,7 @@ impl Partition {
             // way; which path applies it depends on whether the tracker
             // already knows the key.
             cost += self.cpu.tracker_op;
+            volatile.sketch.increment(key);
             let tracked = match volatile.tracker.touch(key, false) {
                 // Tracked: the clock byte was atomically re-heated to the
                 // maximum; fold the class transition into the histogram.
@@ -292,8 +300,9 @@ impl Partition {
                     true
                 }
                 // Untracked: the next write-lock holder enters the key in
-                // the doorkeeper, or admits it if the doorkeeper holds it
-                // already — structural work, as admission may evict.
+                // the doorkeeper, or, if the doorkeeper holds it already,
+                // admits it past the sketch's gate — structural work, as
+                // admission may evict.
                 None => {
                     let mut rs = volatile.lock_read_side();
                     rs.push(key.clone());

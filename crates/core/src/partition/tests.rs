@@ -1128,6 +1128,55 @@ fn the_doorkeeper_clears_when_it_holds_the_trackers_capacity() {
     assert_eq!(p.check_invariants(), Ok(()));
 }
 
+/// Keys read every round stay tracked through a flood of tail keys that
+/// are each read twice: the doorkeeper passes every tail key, and the
+/// sketch's gate then refuses the ones that would evict a key counted more
+/// often. Each round's flood is four tracker capacities, so admitting it
+/// all would sweep the clock hand past every hot key more than three
+/// times and evict it.
+#[test]
+fn keys_read_every_round_stay_tracked_through_a_flood_of_twice_read_tail_keys() {
+    let engine = engine(1_000);
+    let mut p = partition(&engine);
+    let flood = 4 * p.volatile.tracker.capacity() as u64;
+    let rounds = 3;
+    let hot: Vec<Key> = (0..20).map(Key::from_id).collect();
+    let tail = |round: u64, i: u64| Key::from_id(1_000 + round * flood + i);
+    let value = || Value::filled(100, 1);
+    for round in 0..rounds {
+        for i in 0..flood {
+            put(&engine, &mut p, tail(round, i), value()).unwrap();
+        }
+    }
+    for key in &hot {
+        put(&engine, &mut p, key.clone(), value()).unwrap();
+    }
+    for round in 0..rounds {
+        for _ in 0..8 {
+            for key in &hot {
+                p.get(key).unwrap();
+            }
+        }
+        for i in 0..flood {
+            let key = tail(round, i);
+            for _ in 0..2 {
+                assert!(p.get(&key).unwrap().value.is_some());
+            }
+        }
+        p.apply_read_side();
+        let lost: Vec<u64> = hot
+            .iter()
+            .filter(|key| !tracked(&p, key))
+            .map(Key::id)
+            .collect();
+        assert!(
+            lost.is_empty(),
+            "round {round}: hot keys {lost:?} untracked"
+        );
+    }
+    assert_eq!(p.check_invariants(), Ok(()));
+}
+
 /// 201 keys of `value_len` bytes, 200 of them tracked: keys 0..140 at
 /// clock 3, 140..150 at clock 2 and 50 at clock 0. Puts fill the tracker
 /// in key order, reads heat keys 0..150, and a 201st put sweeps the clock
@@ -1153,10 +1202,12 @@ fn warmed(engine: &EngineShared, value_len: usize) -> RwLockWriteGuard<'_, Parti
 
 /// A promotion job pins the hottest keys up to what NVM holds at the low
 /// watermark, capped at the keys whose clock is above 0; a demotion job
-/// pins `pinning_threshold` (0.7) of the tracked keys. Over 140 keys at
-/// clock 3 and 10 at clock 2 of 200 tracked, a demotion job pins the 140
-/// and a promotion job all 150 while NVM has room for them; with slots
-/// so large that NVM holds fewer, the slots are the budget.
+/// pins `pinning_threshold` (0.7) of the same, capped at the tracked keys
+/// instead. Over 140 keys at clock 3 and 10 at clock 2 of 200 tracked, a
+/// demotion job pins the 140 and a promotion job all 150 while NVM has
+/// room for them; with slots so large that NVM holds fewer, the slots are
+/// the budget of both, and a demotion job keeps a key of the hottest
+/// class with the chance 0.7 of them over that class's 140.
 #[test]
 fn a_promotion_job_pins_what_nvm_holds_and_a_demotion_job_its_threshold() {
     let engine = engine(1_000);
@@ -1173,11 +1224,22 @@ fn a_promotion_job_pins_what_nvm_holds_and_a_demotion_job_its_threshold() {
     drop(p);
 
     let engine = self::engine(1_000);
-    let p = warmed(&engine, 3_000);
+    let mut p = warmed(&engine, 3_000);
     let usage = p.durable.slab().usage();
     let slot = p.durable.slab().slot_bytes_for(3_000).unwrap();
     assert_eq!(usage.live_bytes, slot * usage.live_objects as u64);
     let held = (usage.capacity_bytes as f64 * p.options.low_watermark / slot as f64) as usize;
     assert!(held < 150, "NVM holds {held} slots");
     assert_eq!(p.promotion_budget(), held);
+    // 0.7 × `held` is below the 140 keys at clock 3, so a demotion job
+    // keeps each of those that NVM holds with that share of 140.
+    let share = 0.7 * held as f64 / 140.0;
+    let index = p.volatile.index().keys();
+    let hot = index.filter(|key| p.volatile.tracker.clock_of(key) == Some(3));
+    let expected = share * hot.count() as f64;
+    let demotion = pinned(&mut p, JobKind::Demotion { force: false }) as f64;
+    assert!(
+        (demotion - expected).abs() < 0.25 * expected,
+        "a demotion job pinned {demotion}, expected about {expected}"
+    );
 }

@@ -75,6 +75,7 @@ impl Partition {
         // A successful rewrite heals a quarantined key: the fresh version
         // supersedes whatever was corrupt.
         self.durable.quarantined.remove(&key);
+        self.volatile.sketch.increment(&key);
         self.volatile.observe_access(&key);
         cost += self.cpu.tracker_op;
         // Write-update: a cached key now holds the new value, an uncached

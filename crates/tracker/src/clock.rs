@@ -116,6 +116,31 @@ impl ClockTracker {
         Some(clock.swap(MAX_CLOCK, Ordering::Relaxed))
     }
 
+    /// The key the next [`ClockTracker::access`] of an untracked key
+    /// would evict, found without moving the hand: `None` while the
+    /// tracker has room. The sweep decrements every clock it passes, so a
+    /// key at clock `c` reaches 0 on the hand's `c + 1`-th visit: the
+    /// victim is the first key at the lowest clock value, counting from
+    /// the hand.
+    pub fn next_victim(&self) -> Option<&Key> {
+        if self.map.len() < self.capacity {
+            return None;
+        }
+        let len = self.ring.len();
+        let mut victim: Option<(u8, &Key)> = None;
+        for offset in 0..len {
+            let key = &self.ring[(self.hand + offset) % len];
+            let clock = self.map[key].load(Ordering::Relaxed);
+            if victim.is_none_or(|(lowest, _)| clock < lowest) {
+                victim = Some((clock, key));
+                if clock == 0 {
+                    break;
+                }
+            }
+        }
+        victim.map(|(_, key)| key)
+    }
+
     /// Record an access to `key`, inserting it if necessary (possibly
     /// evicting a cold key) and returning the resulting state changes.
     ///

@@ -33,9 +33,11 @@
 
 mod clock;
 mod mapper;
+mod sketch;
 
 pub use clock::{AccessEvent, ClockTracker, MAX_CLOCK};
 pub use mapper::{Mapper, PinDecision};
+pub use sketch::FrequencySketch;
 
 #[cfg(test)]
 mod proptests {
@@ -86,6 +88,32 @@ mod proptests {
                 let total: u64 = mapper.histogram().iter().sum();
                 prop_assert_eq!(total as usize, tracker.len());
                 prop_assert_eq!(mapper.histogram(), tracker.clock_counts());
+            }
+        }
+
+        /// `next_victim` names exactly the key the next access of an
+        /// untracked key evicts, and nothing while the tracker has room,
+        /// whatever mix of accesses and lock-free touches came before.
+        #[test]
+        fn next_victim_is_the_key_the_next_access_evicts(
+            capacity in 1usize..32,
+            ops in prop::collection::vec((0u64..100, prop::bool::ANY), 1..600)
+        ) {
+            let mut tracker = ClockTracker::new(capacity);
+            for (id, touch_only) in ops {
+                let key = Key::from_id(id);
+                if touch_only {
+                    tracker.touch(&key, false);
+                    continue;
+                }
+                let named = tracker.next_victim().cloned();
+                let untracked = tracker.clock_of(&key).is_none();
+                let evicted = tracker.access(&key, false).evicted.map(|(key, _)| key);
+                if untracked {
+                    prop_assert_eq!(named, evicted);
+                } else {
+                    prop_assert_eq!(evicted, None);
+                }
             }
         }
 
