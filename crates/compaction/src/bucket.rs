@@ -151,10 +151,12 @@ impl BucketMap {
         let mut total = 0.0;
         for (idx, bucket) in self.buckets.range(first_bucket..=last_bucket) {
             let bucket_start = idx * self.bucket_size;
-            let bucket_end = bucket_start + self.bucket_size - 1;
+            // The last bucket is cut short by the largest id.
+            let bucket_end = bucket_start.saturating_add(self.bucket_size - 1);
+            let span = (bucket_end - bucket_start + 1) as f64;
             let overlap_start = start_id.max(bucket_start);
             let overlap_end = end_id.min(bucket_end);
-            let weight = (overlap_end - overlap_start + 1) as f64 / self.bucket_size as f64;
+            let weight = (overlap_end - overlap_start + 1) as f64 / span;
             let count: u64 = bucket
                 .pop
                 .iter()
@@ -186,10 +188,12 @@ impl BucketMap {
 
         for (idx, bucket) in self.buckets.range(first_bucket..=last_bucket) {
             let bucket_start = idx * self.bucket_size;
-            let bucket_end = bucket_start + self.bucket_size - 1;
+            // The last bucket is cut short by the largest id.
+            let bucket_end = bucket_start.saturating_add(self.bucket_size - 1);
+            let span = (bucket_end - bucket_start + 1) as f64;
             let overlap_start = start_id.max(bucket_start);
             let overlap_end = end_id.min(bucket_end);
-            let weight = (overlap_end - overlap_start + 1) as f64 / self.bucket_size as f64;
+            let weight = (overlap_end - overlap_start + 1) as f64 / span;
 
             let nvm_keys = Bucket::count(&bucket.nvm) as f64;
             let flash_keys = Bucket::count(&bucket.flash) as f64;
@@ -339,6 +343,22 @@ mod tests {
         rebuilt.on_flash_insert(3);
         assert!(!kept.same_residency(&rebuilt));
         assert!(!BucketMap::new(64).same_residency(&BucketMap::new(128)));
+    }
+
+    /// A bucket size that does not divide 2^64 leaves the last bucket
+    /// short: a range up to the largest id counts its keys in full, and
+    /// part of it the share of the ids it spans.
+    #[test]
+    fn the_last_bucket_ends_at_the_largest_id() {
+        let mut b = BucketMap::new(1_000);
+        b.on_nvm_insert(u64::MAX);
+        b.on_flash_insert(u64::MAX - 1);
+        b.on_access(u64::MAX - 1);
+        let stats = b.estimate(0, u64::MAX, 0.25);
+        assert_eq!((stats.nvm_objects, stats.flash_objects), (1.0, 1.0));
+        assert_eq!(b.popular_flash_only_objects(0, u64::MAX), 1.0);
+        let popular = b.popular_flash_only_objects(u64::MAX - 5, u64::MAX);
+        assert!((popular - 6.0 / 616.0).abs() < 1e-12, "{popular}");
     }
 
     #[test]

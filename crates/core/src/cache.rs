@@ -16,9 +16,12 @@
 //! (see `Partition::install_compaction`).
 //!
 //! It is write-update, as a page cache is: a read fills it, an update
-//! replaces the value of a key that is already cached (lane, priority and
-//! recency unchanged) and adds nothing for one that is not, and a delete
-//! removes the key. Reads are the only way a key enters it.
+//! replaces the value of a key that is already cached and adds nothing for
+//! one that is not, and a delete removes the key. Reads are the only way a
+//! key enters it. An update puts the key's newest version on NVM, so the
+//! replaced entry moves to the cheap lane as an access, however it was
+//! priced before: a value flash once served would otherwise hold the dear
+//! lane's price for a key NVM now serves.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -102,11 +105,14 @@ impl ShardedLruCache {
         self.lock(self.shard_of(key)).reprice(key, lane);
     }
 
-    /// Replace a cached key's value under its sub-shard lock (see
-    /// [`LruCache::replace`]); true if the key was cached and now holds
-    /// `value`. Updates keep the cache consistent with the store this way.
-    pub fn replace(&self, key: &Key, value: Value) -> bool {
-        self.lock(self.shard_of(key)).replace(key, value)
+    /// Replace a cached key's value and move it to `lane`, as an access,
+    /// under one sub-shard lock (see [`LruCache::replace`] and
+    /// [`LruCache::reprice`]); true if the key was cached and now holds
+    /// `value`. Updates keep the cache consistent with the store this way,
+    /// and priced at the tier that now serves the key.
+    pub fn replace(&self, key: &Key, value: Value, lane: Lane) -> bool {
+        let mut shard = self.lock(self.shard_of(key));
+        shard.replace(key, value) && shard.reprice(key, lane)
     }
 
     /// Remove a key (deletes keep the cache consistent with the store).
@@ -199,10 +205,10 @@ mod tests {
         assert_eq!(cache.get(&key(1)).unwrap().len(), 100);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.used_bytes(), 100);
-        assert!(cache.replace(&key(1), Value::filled(60, 2)));
+        assert!(cache.replace(&key(1), Value::filled(60, 2), Lane::Cheap));
         assert_eq!(cache.get(&key(1)).unwrap().as_bytes(), &[2; 60][..]);
         assert_eq!((cache.len(), cache.used_bytes()), (1, 60));
-        assert!(!cache.replace(&key(2), Value::filled(60, 2)));
+        assert!(!cache.replace(&key(2), Value::filled(60, 2), Lane::Cheap));
         assert_eq!(cache.len(), 1);
         cache.remove(&key(1));
         assert!(cache.get(&key(1)).is_none());

@@ -666,10 +666,10 @@ mod tests {
         assert_eq!(p.check_invariants(), Ok(()));
 
         let (key, stale) = (Key::from_id(3), Value::filled(300, 1));
-        assert!(cache.replace(&key, stale));
+        assert!(cache.replace(&key, stale, Lane::Cheap));
         let violation = p.check_invariants().unwrap_err();
         assert!(violation.starts_with("cache:"), "{violation}");
-        assert!(cache.replace(&key, Value::filled(200, 2)));
+        assert!(cache.replace(&key, Value::filled(200, 2), Lane::Cheap));
         assert_eq!(p.check_invariants(), Ok(()));
 
         let deleted = Key::from_id(19);

@@ -5,6 +5,7 @@ use prism_compaction::{execute_job, ExecutedJob, JobKind};
 use prism_flash::SstEntry;
 use prism_storage::{DeviceProfile, FaultOp, FaultTier};
 use prism_types::{BatchOp, Lane, Lookup, PrismError, ReadSource};
+use std::ops::RangeBounds;
 use std::sync::RwLockWriteGuard;
 
 impl Partition {
@@ -665,7 +666,7 @@ fn install_carries_a_failing_record_verbatim_and_a_discarded_job_counts_nothing(
     put(&engine, &mut p, fresh.clone(), Value::filled(900, 2)).unwrap();
     let force = JobKind::Demotion { force: true };
     let other = p
-        .plan_range(fresh.clone(), fresh, force, false, Nanos::ZERO, fg)
+        .plan_range(fresh.clone()..=fresh, force, false, Nanos::ZERO, fg)
         .expect("job");
     assert!(other.files.is_empty());
     p.install_compaction(execute_job(other, &cpu, &dev))
@@ -785,8 +786,7 @@ fn a_record_damaged_on_flash_fails_in_its_slot_after_promotion() {
     let force = JobKind::Demotion { force: true };
     let mut job = p
         .plan_range(
-            victim.clone(),
-            victim.clone(),
+            victim.clone()..=victim.clone(),
             force,
             false,
             Nanos::ZERO,
@@ -934,9 +934,9 @@ fn the_bucket_map_a_crash_rebuilds_is_the_one_the_partition_kept() {
     };
     let promoted = flash_only(&p);
     let force = JobKind::Demotion { force: true };
-    let (start, end, fg) = (promoted.clone(), promoted.clone(), p.fg());
+    let (range, fg) = (promoted.clone()..=promoted.clone(), p.fg());
     let mut job = p
-        .plan_range(start, end, force, false, Nanos::ZERO, fg)
+        .plan_range(range, force, false, Nanos::ZERO, fg)
         .expect("job");
     job.promote_hints.insert(promoted.id());
     let outcome = p.install_compaction(execute_job(job, &cpu, &dev));
@@ -1029,8 +1029,7 @@ fn cache_lanes_follow_the_refetch_price() {
     let force = JobKind::Demotion { force: true };
     let mut job = p
         .plan_range(
-            popular.clone(),
-            popular.clone(),
+            popular.clone()..=popular.clone(),
             force,
             false,
             Nanos::ZERO,
@@ -1213,8 +1212,8 @@ fn a_promotion_job_pins_what_nvm_holds_and_a_demotion_job_its_threshold() {
     let engine = engine(1_000);
     let mut p = warmed(&engine, 300);
     let pinned = |p: &mut Partition, kind| {
-        let (start, end, fg) = (Key::min(), Key::from_id(u64::MAX), p.fg());
-        let job = p.plan_range(start, end, kind, false, Nanos::ZERO, fg);
+        let fg = p.fg();
+        let job = p.plan_range(.., kind, false, Nanos::ZERO, fg);
         p.nvm_object_count() - job.expect("job").demote.len()
     };
     assert_eq!(p.nvm_object_count(), 201);
@@ -1242,4 +1241,118 @@ fn a_promotion_job_pins_what_nvm_holds_and_a_demotion_job_its_threshold() {
         (demotion - expected).abs() < 0.25 * expected,
         "a demotion job pinned {demotion}, expected about {expected}"
     );
+}
+
+/// A partition whose 200 keys — even ids 0 to 398, 1 000 bytes each —
+/// were all demoted into at least three 32 KB flash files, and nothing
+/// since.
+fn tiled(engine: &EngineShared) -> RwLockWriteGuard<'_, Partition> {
+    let mut p = partition(engine);
+    for id in (0..400).step_by(2) {
+        put(engine, &mut p, Key::from_id(id), Value::filled(1_000, 1)).unwrap();
+    }
+    demote_everything(&mut p);
+    assert_eq!(p.nvm_object_count(), 0);
+    assert!(p.durable.log().files().len() >= 3);
+    p
+}
+
+fn file_ids(files: &[Arc<prism_flash::SstFile>]) -> Vec<u64> {
+    files.iter().map(|file| file.id()).collect()
+}
+
+/// The candidate ranges tile the key space: every key lies in exactly one
+/// of them, each file's keys all in the same one, in file order, and a key
+/// above `Key::from_id(u64::MAX)` in the last.
+#[test]
+fn candidate_ranges_tile_the_key_space() {
+    let engine = engine(1_000);
+    let p = tiled(&engine);
+    let ranges = p.candidate_ranges();
+    let holding = |key: &Key| -> Vec<usize> {
+        let holds = ranges
+            .iter()
+            .enumerate()
+            .filter(|(_, range)| range.contains(key));
+        holds.map(|(i, _)| i).collect()
+    };
+    let files = p.durable.log().files();
+    assert_eq!(ranges.len(), files.len());
+    for (i, file) in files.iter().enumerate() {
+        for (key, _) in file.iter() {
+            assert_eq!(holding(key), [i], "{key:?}");
+        }
+    }
+    let above = Key::from_bytes([[0xFF; 8], 7u64.to_be_bytes()].concat());
+    assert!(above > Key::from_id(u64::MAX));
+    let keys = (0..=400).map(Key::from_id);
+    for key in keys.chain([Key::min(), Key::from_id(u64::MAX), above.clone()]) {
+        assert_eq!(holding(&key).len(), 1, "{key:?}");
+    }
+    assert_eq!(holding(&above), [ranges.len() - 1]);
+}
+
+/// A demotion job over a candidate range reads and rewrites the one file
+/// the range covers — not also the file on its left, whose largest key
+/// the range starts after — and demotes only keys inside the range.
+#[test]
+fn a_demotion_job_plans_the_one_file_its_range_covers() {
+    let engine = engine(1_000);
+    let mut p = tiled(&engine);
+    // New versions on NVM in every range: odd ids fall between records
+    // and between files.
+    for id in (0..400).step_by(9) {
+        put(&engine, &mut p, Key::from_id(id), Value::filled(1_000, 2)).unwrap();
+    }
+    let files = p.durable.log().files().to_vec();
+    let ranges = p.candidate_ranges();
+    let force = JobKind::Demotion { force: true };
+    for (range, file) in ranges.iter().zip(&files) {
+        let fg = p.fg();
+        let job = p.plan_range(range.clone(), force, false, Nanos::ZERO, fg);
+        let job = job.expect("the range covers a file");
+        assert_eq!(file_ids(&job.files), [file.id()], "{range:?}");
+        assert!(!job.demote.is_empty(), "{range:?}");
+        assert!(job.demote.iter().all(|entry| range.contains(&entry.key)));
+    }
+    // So does a job the planner picks.
+    for _ in 0..8 {
+        let fg = p.fg();
+        let job = p.plan_demotion(DemotionPlan::Natural, fg).expect("job");
+        assert_eq!(job.files.len(), 1);
+    }
+}
+
+/// A promotion job over range `i` takes promotion hints from, and
+/// rewrites, file `i` and its left neighbour, but demotes NVM keys only
+/// inside range `i`: not the neighbour's, and not the neighbour's largest
+/// key, which the range starts after.
+#[test]
+fn a_promotion_job_sweeps_its_left_neighbour_and_demotes_only_its_range() {
+    let engine = engine(1_000);
+    let mut p = tiled(&engine);
+    let files = p.durable.log().files().to_vec();
+    let (left, file) = (&files[1], &files[2]);
+    // Tombstones on NVM (the keys have flash versions), which every job
+    // demotes: the neighbour's first and last key, and one of file 2's.
+    let inside = file.min_key().clone();
+    for key in [left.min_key(), left.max_key(), &inside] {
+        delete(&engine, &mut p, key).unwrap();
+    }
+    let range = p.candidate_ranges().swap_remove(2);
+    let (cpu, dev, fg) = (p.cpu, p.flash_dev.clone(), p.fg());
+    let job = p.plan_range(range, JobKind::Promotion, true, Nanos::ZERO, fg);
+    let job = job.expect("the range covers a file");
+    assert_eq!(file_ids(&job.files), [left.id(), file.id()]);
+    let demoted: Vec<&Key> = job.demote.iter().map(|entry| &entry.key).collect();
+    assert_eq!(demoted, [&inside]);
+
+    p.install_compaction(execute_job(job, &cpu, &dev))
+        .unwrap()
+        .expect("nothing installed since the plan");
+    assert_eq!(p.nvm_object_count(), 2, "the neighbour's tombstones stay");
+    for key in [left.min_key(), left.max_key(), &inside] {
+        assert!(p.get(key).unwrap().value.is_none(), "{key:?}");
+    }
+    assert_eq!(p.check_invariants(), Ok(()));
 }

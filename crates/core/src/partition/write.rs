@@ -1,7 +1,7 @@
 use std::collections::HashSet;
 
 use prism_storage::Device;
-use prism_types::{BatchOp, Key, Nanos, PrismError, Result, Value, Version};
+use prism_types::{BatchOp, Key, Lane, Nanos, PrismError, Result, Value, Version};
 
 use super::persist::SlotWrite;
 use super::Partition;
@@ -79,9 +79,10 @@ impl Partition {
         self.volatile.observe_access(&key);
         cost += self.cpu.tracker_op;
         // Write-update: a cached key now holds the new value, an uncached
-        // one stays out. The replace runs under the sub-shard lock, so it
-        // is charged there as a read fill is.
-        if self.volatile.cache.replace(&key, value) {
+        // one stays out. NVM serves the new value, so it is cheap to
+        // refetch. The replace runs under the sub-shard lock, so it is
+        // charged there as a read fill is.
+        if self.volatile.cache.replace(&key, value, Lane::Cheap) {
             cost += self.cpu.dram_hit;
             let shard = self.volatile.cache.shard_of(&key);
             let serial = self.cpu.index_op + self.cpu.dram_hit;

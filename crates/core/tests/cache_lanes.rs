@@ -2,8 +2,8 @@
 //! served to a key the clock tracker already tracks enters the cache's
 //! dear lane and outlives a burst of NVM-served fills; a one-off flash
 //! read enters the cheap lane with the NVM-served values and goes with
-//! them; a promotion moves a cached value to the cheap lane, since NVM
-//! serves it from then on.
+//! them; a promotion or a put moves a cached value to the cheap lane, since
+//! NVM serves it from then on.
 
 use prism_db::{Options, PrismDb};
 use prism_types::{ConcurrentKvStore, Key, ReadSource, Value};
@@ -96,6 +96,25 @@ fn a_one_off_flash_read_does_not_outlive_the_burst() {
     assert_eq!(source(&loaded.db, &key), ReadSource::Flash, "untracked");
     loaded.burst_of_nvm_fills();
     assert_eq!(source(&loaded.db, &key), ReadSource::Flash);
+}
+
+/// A put writes the key's newest version to NVM, so its cached value
+/// leaves the dear lane with it and goes with the next burst of
+/// NVM-served fills.
+#[test]
+fn a_put_moves_a_cached_value_to_the_cheap_lane() {
+    let loaded = loaded();
+    let (db, key) = (&loaded.db, Key::from_id(5));
+    loaded.fill_the_dear_lane(&key);
+    assert_eq!(source(db, &key), ReadSource::Dram, "in the dear lane");
+    db.put(key.clone(), Value::filled(1_000, 2)).unwrap();
+    assert_eq!(source(db, &key), ReadSource::Dram, "updated in place");
+    loaded.burst_of_nvm_fills();
+    assert_eq!(
+        source(db, &key),
+        ReadSource::Nvm,
+        "written, then evicted as an NVM-served value"
+    );
 }
 
 /// A read-heavy phase over 100 flash keys, with a put every 20 reads so

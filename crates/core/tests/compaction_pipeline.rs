@@ -126,3 +126,23 @@ fn compaction_jobs_are_recorded_and_traced_in_both_modes() {
         assert!(plan < execute && execute < install.seq);
     }
 }
+
+/// Keys are arbitrary bytes, and the candidate ranges tile all of them:
+/// keys that sort above `Key::from_id(u64::MAX)` — eight `0xFF` bytes and
+/// a suffix — are demoted like any others, so a stream of them runs past
+/// NVM's capacity onto flash.
+#[test]
+fn keys_above_eight_ff_bytes_are_demoted() {
+    let options = Options::builder(2_000).partitions(1).build().unwrap();
+    let db = PrismDb::open(options).unwrap();
+    let key = |i: u64| Key::from_bytes([[0xFF; 8], i.to_be_bytes()].concat());
+    for i in 0..2_000 {
+        db.put(key(i), Value::filled(1_000, 1))
+            .unwrap_or_else(|err| panic!("put {i}: {err}"));
+    }
+    assert!(db.flash_object_count() > 0);
+    for i in (0..2_000).step_by(97) {
+        let value = db.get(&key(i)).unwrap().value;
+        assert_eq!(value, Some(Value::filled(1_000, 1)), "{i}");
+    }
+}

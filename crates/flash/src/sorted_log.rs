@@ -39,6 +39,7 @@
 //! two lists are the same list.) The same stamp dates a compaction job: a
 //! job installs only into the list it was planned against.
 
+use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -141,11 +142,23 @@ impl SortedLog {
             .filter(|file| file.min_key() <= key)
     }
 
-    /// All files whose key ranges overlap `[start, end]` (inclusive).
-    pub fn overlapping(&self, start: &Key, end: &Key) -> Vec<Arc<SstFile>> {
-        self.files[self.first_file_reaching(start)..]
+    /// All files holding a key `range` may contain. A range that starts
+    /// after a fence, `(Excluded(fence), ..)`, leaves out the file that
+    /// fence closes.
+    pub fn overlapping(&self, range: impl RangeBounds<Key>) -> Vec<Arc<SstFile>> {
+        let first = match range.start_bound() {
+            Bound::Included(start) => self.first_file_reaching(start),
+            Bound::Excluded(start) => self.fences.partition_point(|fence| fence <= start),
+            Bound::Unbounded => 0,
+        };
+        let end = range.end_bound();
+        self.files[first..]
             .iter()
-            .take_while(|file| file.min_key() <= end)
+            .take_while(|file| match end {
+                Bound::Included(end) => file.min_key() <= end,
+                Bound::Excluded(end) => file.min_key() < end,
+                Bound::Unbounded => true,
+            })
             .cloned()
             .collect()
     }
@@ -281,12 +294,24 @@ mod tests {
             &[],
             vec![file(1, 0..100), file(2, 100..200), file(3, 200..300)],
         );
-        let overlap = log.overlapping(&Key::from_id(150), &Key::from_id(250));
-        let ids: Vec<FileId> = overlap.iter().map(|f| f.id()).collect();
-        assert_eq!(ids, vec![2, 3]);
-        assert!(log
-            .overlapping(&Key::from_id(1000), &Key::from_id(2000))
-            .is_empty());
+        let ids = |range: (Bound<u64>, Bound<u64>)| -> Vec<FileId> {
+            let key = |bound: Bound<u64>| bound.map(Key::from_id);
+            let overlap = log.overlapping((key(range.0), key(range.1)));
+            overlap.iter().map(|f| f.id()).collect()
+        };
+        use Bound::{Excluded, Included, Unbounded};
+        assert_eq!(ids((Included(150), Included(250))), vec![2, 3]);
+        assert!(ids((Included(1000), Included(2000))).is_empty());
+        // A range from a fence takes the file it closes; one after it
+        // does not, and one that ends before a file's first key stops.
+        assert_eq!(ids((Included(99), Included(199))), vec![1, 2]);
+        assert_eq!(ids((Excluded(99), Included(199))), vec![2]);
+        assert_eq!(ids((Excluded(99), Excluded(200))), vec![2]);
+        assert_eq!(ids((Excluded(99), Included(200))), vec![2, 3]);
+        assert_eq!(ids((Unbounded, Included(99))), vec![1]);
+        assert_eq!(ids((Excluded(199), Unbounded)), vec![3]);
+        assert_eq!(ids((Excluded(299), Unbounded)), Vec::<FileId>::new());
+        assert_eq!(ids((Unbounded, Unbounded)), vec![1, 2, 3]);
     }
 
     #[test]
