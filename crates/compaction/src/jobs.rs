@@ -71,8 +71,6 @@ pub struct DemoteEntry {
 /// A planned compaction, self-contained and `Send`.
 #[derive(Debug, Clone)]
 pub struct CompactionJob {
-    /// Partition the job belongs to.
-    pub partition: usize,
     /// Generation of the partition's sorted log at plan time; install
     /// discards the job if the log has installed anything since.
     pub generation: u64,
@@ -85,10 +83,9 @@ pub struct CompactionJob {
     pub demote: Vec<DemoteEntry>,
     /// The overlapping SST files being rewritten.
     pub files: Vec<Arc<SstFile>>,
-    /// Key ids of flash-only objects the planner decided to promote to
-    /// NVM (popularity pin at plan time; capacity is re-checked at
-    /// install).
-    pub promote_hints: HashSet<u64>,
+    /// Keys of flash-only objects the planner decided to promote to NVM
+    /// (popularity pin at plan time; capacity is re-checked at install).
+    pub promote_hints: HashSet<Key>,
     /// CPU time spent scoring candidate ranges for this job.
     pub planning_cost: Nanos,
 }
@@ -124,14 +121,8 @@ pub struct MergedEntry {
 /// The result of executing a [`CompactionJob`] outside the partition lock.
 #[derive(Debug, Clone)]
 pub struct ExecutedJob {
-    /// Partition the job belongs to.
-    pub partition: usize,
     /// Log generation copied from the job (checked at install).
     pub generation: u64,
-    /// What the job did.
-    pub kind: JobKind,
-    /// Earliest virtual start time (from the job).
-    pub trigger_fg: Nanos,
     /// Ids of the victim files to retire at install.
     pub old_file_ids: Vec<FileId>,
     /// Planned demotions (metadata only; values live in `merged`). The
@@ -208,17 +199,14 @@ pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) 
                 key: key.clone(),
                 version: entry.clone(),
                 origin: MergedOrigin::Flash {
-                    promote: job.promote_hints.contains(&key.id()),
+                    promote: job.promote_hints.contains(key),
                 },
             });
         }
     }
 
     ExecutedJob {
-        partition: job.partition,
         generation: job.generation,
-        kind: job.kind,
-        trigger_fg: job.trigger_fg,
         old_file_ids: job.files.iter().map(|f| f.id()).collect(),
         demote: demoted,
         merged,
@@ -264,7 +252,6 @@ mod tests {
 
     fn job(demote: Vec<DemoteEntry>, files: Vec<Arc<SstFile>>) -> CompactionJob {
         CompactionJob {
-            partition: 0,
             generation: 0,
             kind: JobKind::Demotion { force: false },
             trigger_fg: Nanos::ZERO,
@@ -308,7 +295,7 @@ mod tests {
         let dev = flash();
         let f = file(&[(10, Some(1)), (11, Some(2))], 2, &dev);
         let mut j = job(Vec::new(), vec![f]);
-        j.promote_hints.insert(11);
+        j.promote_hints.insert(Key::from_id(11));
         let exec = execute_job(j, &CpuCosts::default(), &dev);
         assert_eq!(exec.merged.len(), 2);
         assert_eq!(

@@ -10,8 +10,9 @@
 //!   objects,
 //! * cold objects are demoted to SST files in a sorted log on flash
 //!   ([`prism_flash`]),
-//! * a clock tracker and mapper decide which objects are hot enough to pin
-//!   on NVM ([`prism_tracker`]),
+//! * a clock tracker, and the pin rule each compaction plan counts from
+//!   it, decide which objects are hot enough to pin on NVM
+//!   ([`prism_tracker`]),
 //! * the multi-tiered storage compaction metric picks which key range to
 //!   compact, balancing reclaimed cold data against flash I/O
 //!   ([`prism_compaction`]),

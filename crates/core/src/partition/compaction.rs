@@ -46,7 +46,7 @@ use prism_compaction::{
     RangeStatsBuilder,
 };
 use prism_flash::SstEntry;
-use prism_tracker::PinDecision;
+use prism_tracker::{PinDecision, PinRule};
 use prism_types::{Key, Lane, Nanos, PrismError, Result};
 
 use super::persist::{IndexEntry, SlotWrite};
@@ -102,9 +102,15 @@ impl Partition {
         starts.zip(ends).collect()
     }
 
-    /// Score one candidate range according to the configured policy, adding
-    /// the planning CPU time to `planning_cost`.
-    fn score_candidate(&self, range: &KeyRange, planning_cost: &mut Nanos) -> f64 {
+    /// Score one candidate range according to the configured policy, with
+    /// `rule` deciding which NVM objects precise-MSC counts as popular, and
+    /// add the planning CPU time to `planning_cost`.
+    pub(super) fn score_candidate(
+        &self,
+        range: &KeyRange,
+        rule: &PinRule,
+        planning_cost: &mut Nanos,
+    ) -> f64 {
         match self.options.compaction.policy {
             CompactionPolicy::Random => 0.0,
             CompactionPolicy::ApproxMsc => {
@@ -116,18 +122,9 @@ impl Partition {
             CompactionPolicy::PreciseMsc => {
                 let range = (range.0.as_ref(), range.1.as_ref());
                 let mut builder = RangeStatsBuilder::new();
-                let tracked = self.volatile.tracker.len();
                 for (key, _entry) in self.volatile.index().range::<Key, _>(range) {
                     let clock = self.volatile.tracker.clock_of(key);
-                    let pinned = matches!(
-                        self.volatile.mapper.pin_decision(
-                            clock,
-                            self.options.pinning_threshold,
-                            tracked
-                        ),
-                        PinDecision::Pin
-                    );
-                    builder.add_nvm_object(clock, pinned);
+                    builder.add_nvm_object(clock, rule.decision(clock) == PinDecision::Pin);
                 }
                 for file in self.durable.log().overlapping(range) {
                     for (key, _) in file.iter().filter(|(key, _)| range.contains(key)) {
@@ -151,10 +148,11 @@ impl Partition {
     ) -> Option<CompactionJob> {
         let force = plan != DemotionPlan::Natural;
         let kind = JobKind::Demotion { force };
+        let rule = self.pin_rule(kind);
         if plan == DemotionPlan::Everything {
             // Sampled candidates may all have been empty of NVM objects:
             // compact the whole key space once, ignoring popularity.
-            return self.plan_range(.., kind, false, Nanos::ZERO, trigger_fg);
+            return self.plan_range(.., kind, &rule, false, Nanos::ZERO, trigger_fg);
         }
         let mut candidates = self.candidate_ranges();
         if candidates.is_empty() {
@@ -167,13 +165,16 @@ impl Partition {
         let mut planning_cost = Nanos::ZERO;
         let scored: Vec<(usize, f64)> = picked
             .iter()
-            .map(|&i| (i, self.score_candidate(&candidates[i], &mut planning_cost)))
+            .map(|&i| {
+                let score = self.score_candidate(&candidates[i], &rule, &mut planning_cost);
+                (i, score)
+            })
             .collect();
         let best = self.volatile.planner.select_best(&scored)?;
         let range = candidates.swap_remove(best);
         // Without a read trigger nothing is promoted, by hint or by job.
         let allow_promote = self.volatile.read_trigger.is_some();
-        self.plan_range(range, kind, allow_promote, planning_cost, trigger_fg)
+        self.plan_range(range, kind, &rule, allow_promote, planning_cost, trigger_fg)
     }
 
     /// Plan a promotion compaction over the range with the most popular
@@ -202,7 +203,9 @@ impl Partition {
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
             .map(|(i, _)| *i)?;
         let range = candidates.swap_remove(best);
-        self.plan_range(range, JobKind::Promotion, true, Nanos::ZERO, trigger_fg)
+        let kind = JobKind::Promotion;
+        let rule = self.pin_rule(kind);
+        self.plan_range(range, kind, &rule, true, Nanos::ZERO, trigger_fg)
     }
 
     /// How many objects the slabs hold at the low watermark: their
@@ -217,22 +220,28 @@ impl Partition {
         (usage.capacity_bytes as f64 * self.options.low_watermark / mean_slot) as usize
     }
 
-    /// How many objects a promotion job pins, hottest clock class first:
-    /// what NVM holds ([`Partition::nvm_held`]), capped at the tracked
-    /// keys whose clock is above 0. A promotion job runs in a
-    /// read-dominated phase, which needs no NVM headroom for writes;
-    /// demotion jobs pin `Options::pinning_threshold` of what NVM holds,
-    /// capped at the tracked keys, so the tracker's size does not set the
-    /// write path's pin budget.
-    pub(super) fn promotion_budget(&self) -> usize {
-        let warm: u64 = self.volatile.mapper.histogram()[1..].iter().sum();
-        self.nvm_held().min(warm as usize)
+    /// The pin rule of a job of `kind`, over one count of the tracker's
+    /// clock values, filled hottest class first. A demotion job pins
+    /// `Options::pinning_threshold` of what NVM holds
+    /// ([`Partition::nvm_held`]), capped at the tracked keys, so the
+    /// tracker's size does not set the write path's pin budget. A promotion
+    /// job runs in a read-dominated phase, which needs no NVM headroom for
+    /// writes: it pins all of what NVM holds, capped at the tracked keys
+    /// whose clock is above 0.
+    pub(super) fn pin_rule(&self, kind: JobKind) -> PinRule {
+        let counts = self.volatile.tracker.clock_counts();
+        let (threshold, candidates): (f64, u64) = match kind {
+            JobKind::Demotion { .. } => (self.options.pinning_threshold, counts.iter().sum()),
+            JobKind::Promotion => (1.0, counts[1..].iter().sum()),
+        };
+        PinRule::new(counts, threshold, self.nvm_held().min(candidates as usize))
     }
 
     /// Clone the victim state of `range` into a self-contained
     /// [`CompactionJob`]: the NVM objects to demote (with values), the
     /// SST files the range overlaps, and promotion hints for popular
-    /// flash-only objects in those files. A promotion job also sweeps
+    /// flash-only objects in those files, both decided by `rule`, the
+    /// job's [`Partition::pin_rule`]. A promotion job also sweeps
     /// the file whose largest key is the range's excluded start, its left
     /// neighbour (see the module docs).
     ///
@@ -246,21 +255,13 @@ impl Partition {
         &mut self,
         range: impl RangeBounds<Key>,
         kind: JobKind,
+        rule: &PinRule,
         allow_promote: bool,
         planning_cost: Nanos,
         trigger_fg: Nanos,
     ) -> Option<CompactionJob> {
         let range = (range.start_bound(), range.end_bound());
         let force = matches!(kind, JobKind::Demotion { force: true });
-        let (pin_threshold, tracked) = match kind {
-            // Pinned by [`Partition::promotion_budget`]: a fraction of 1
-            // of that many objects.
-            JobKind::Promotion => (1.0, self.promotion_budget()),
-            JobKind::Demotion { .. } => {
-                let tracked = self.volatile.tracker.len();
-                (self.options.pinning_threshold, self.nvm_held().min(tracked))
-            }
-        };
 
         // Select the NVM objects to demote (unpopular ones, or everything
         // in forced mode). Tombstones always participate so they can be
@@ -276,11 +277,7 @@ impl Partition {
             let pinned = if force || entry.tombstone {
                 false
             } else {
-                let clock = self.volatile.tracker.clock_of(&key);
-                let decision = self
-                    .volatile
-                    .mapper
-                    .pin_decision(clock, pin_threshold, tracked);
+                let decision = rule.decision(self.volatile.tracker.clock_of(&key));
                 decision.should_pin(self.volatile.planner.draw())
             };
             if !pinned {
@@ -306,7 +303,7 @@ impl Partition {
             return None;
         }
 
-        let mut promote_hints: HashSet<u64> = HashSet::new();
+        let mut promote_hints: HashSet<Key> = HashSet::new();
         let below_headroom = self.durable.slab().usage().utilization() < self.options.low_watermark;
         if allow_promote && below_headroom {
             for file in &files {
@@ -314,23 +311,14 @@ impl Partition {
                     if entry.is_tombstone() || self.volatile.index().contains_key(key) {
                         continue;
                     }
-                    let pin = matches!(
-                        self.volatile.mapper.pin_decision(
-                            self.volatile.tracker.clock_of(key),
-                            pin_threshold,
-                            tracked
-                        ),
-                        PinDecision::Pin
-                    );
-                    if pin {
-                        promote_hints.insert(key.id());
+                    if rule.decision(self.volatile.tracker.clock_of(key)) == PinDecision::Pin {
+                        promote_hints.insert(key.clone());
                     }
                 }
             }
         }
 
         Some(CompactionJob {
-            partition: self.id,
             generation: self.durable.log().generation(),
             kind,
             trigger_fg,

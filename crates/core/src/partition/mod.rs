@@ -2,8 +2,9 @@
 //!
 //! Each partition owns a disjoint slice of the key space and all the data
 //! structures for it (Figure 3 of the paper): the NVM slab store and its
-//! B-tree index, the flash sorted log, the clock tracker and
-//! mapper, the bucket map for approx-MSC, and the compaction planner. A
+//! B-tree index, the flash sorted log, the clock tracker (whose clock
+//! values each compaction plan counts into its pin rule, the paper's
+//! mapper), the bucket map for approx-MSC, and the compaction planner. A
 //! partition also owns its virtual clocks: a foreground clock advanced by
 //! client operations and a background completion time advanced by
 //! compaction work, which together produce write-stall behaviour when
@@ -370,7 +371,7 @@ impl Partition {
     }
 
     pub(crate) fn clock_histogram(&self) -> [u64; 4] {
-        self.volatile.mapper.histogram()
+        self.volatile.tracker.clock_counts()
     }
 
     /// Apply the reads' buffered state (see [`Volatile::apply_read_side`]).

@@ -34,7 +34,7 @@ use prism_compaction::{BucketMap, CompactionPlanner, ReadTriggeredController};
 use prism_flash::{write_run, FileId, SortedLog, SstBuilder, SstEntry};
 use prism_nvm::{NvmAddress, SlabConfig, SlabStore};
 use prism_storage::{Device, TieredStorage};
-use prism_tracker::{ClockTracker, FrequencySketch, Mapper};
+use prism_tracker::{ClockTracker, FrequencySketch};
 use prism_types::{Key, Nanos, PartitionHealth, Result, Value, Version};
 
 use super::integrity::ScrubCursor;
@@ -131,7 +131,6 @@ impl Durable {
 pub(super) struct Volatile {
     index: BTreeMap<Key, IndexEntry>,
     pub(super) tracker: ClockTracker,
-    pub(super) mapper: Mapper,
     buckets: BucketMap,
     /// Rebuilt from `Options` with the partition's seed, like the read
     /// trigger: both steer future compactions and protect no data.
@@ -188,7 +187,6 @@ impl Volatile {
             index: BTreeMap::new(),
             tracker: ClockTracker::new(tracker_capacity),
             sketch: FrequencySketch::new(tracker_capacity),
-            mapper: Mapper::new(),
             buckets: BucketMap::new(options.compaction.bucket_size_keys),
             planner: CompactionPlanner::new(compaction_config)
                 .expect("Options::validate checked the compaction config"),
@@ -253,7 +251,6 @@ impl Volatile {
         if event.old_clock.is_none() {
             self.doorkeeper.remove(key);
         }
-        self.mapper.apply(&event);
         self.buckets.on_access(key.id());
         if let Some((evicted, _)) = &event.evicted {
             self.buckets.on_tracker_evict(evicted.id());
@@ -449,9 +446,8 @@ impl Partition {
     /// hold no older slot of it, keys with a damaged slot aside.
     /// `residency bits`: the bucket map's NVM and flash bits are those of
     /// the index's and the log's keys (popularity bits are not compared).
-    /// `tracker`: the mapper's histogram is the tracker's count of keys
-    /// per clock value, and the doorkeeper holds no tracked key and no
-    /// more keys than the tracker's capacity.
+    /// `tracker`: the doorkeeper holds no tracked key and no more keys
+    /// than the tracker's capacity.
     /// `history`: no key keeps an empty list, and `history_bytes` is the
     /// footprint of every preserved version. `cache`: every cached value
     /// is its key's live version wherever that version verifies and the
@@ -476,12 +472,6 @@ impl Partition {
             return Err("residency bits: they differ from the index's and the log's keys".into());
         }
         let volatile = &self.volatile;
-        let (histogram, counts) = (volatile.mapper.histogram(), volatile.tracker.clock_counts());
-        if histogram != counts {
-            return Err(format!(
-                "tracker: the mapper counts {histogram:?}, the tracker {counts:?}"
-            ));
-        }
         let tracked = |key: &&Key| volatile.tracker.clock_of(key).is_some();
         if let Some(key) = volatile.doorkeeper.iter().find(tracked) {
             return Err(format!("tracker: {key:?} is tracked and in the doorkeeper"));
@@ -606,11 +596,10 @@ mod tests {
         p.seq.release(pin);
     }
 
-    /// The tracker clause: the mapper's histogram is the tracker's count
-    /// per clock value, and the doorkeeper holds only untracked keys, at
+    /// The tracker clause: the doorkeeper holds only untracked keys, at
     /// most the tracker's capacity of them.
     #[test]
-    fn check_invariants_names_a_tracker_the_mapper_or_the_doorkeeper_disagrees_with() {
+    fn check_invariants_names_a_doorkeeper_the_tracker_disowns() {
         let engine = engine(1_000);
         let mut p = partition(&engine);
         for id in 0..100 {
@@ -618,13 +607,6 @@ mod tests {
         }
         let untracked = Key::from_id(500);
         p.volatile.observe_read(untracked.clone());
-        assert_eq!(p.check_invariants(), Ok(()));
-
-        let kept = p.volatile.mapper.clone();
-        p.volatile.mapper.promote_to_max(0);
-        let violation = p.check_invariants().unwrap_err();
-        assert!(violation.starts_with("tracker:"), "{violation}");
-        p.volatile.mapper = kept;
         assert_eq!(p.check_invariants(), Ok(()));
 
         let tracked = Key::from_id(7);

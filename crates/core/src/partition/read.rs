@@ -9,10 +9,9 @@
 //! counter is an atomic, and the clock-tracker update for an
 //! already-tracked key is a lock-free
 //! [`ClockTracker::touch`](prism_tracker::ClockTracker::touch) (an atomic
-//! swap on the entry's clock byte) folded into the mapper histogram with
-//! an atomic
-//! [`Mapper::promote_to_max`](prism_tracker::Mapper::promote_to_max).
-//! Only *structural* tracker work — admitting a key the tracker has never
+//! swap on the entry's clock byte). Nothing mirrors the clock values: a
+//! compaction plan counts them once under the write lock. Only
+//! *structural* tracker work — admitting a key the tracker has never
 //! seen, which may evict another — is buffered in
 //! [`Volatile`](super::Volatile)'s read side for the next write (or an
 //! engine-forced drain) to apply under the write lock. There a read
@@ -289,29 +288,22 @@ impl Partition {
             // already knows the key.
             cost += self.cpu.tracker_op;
             volatile.sketch.increment(key);
-            let tracked = match volatile.tracker.touch(key, false) {
-                // Tracked: the clock byte was atomically re-heated to the
-                // maximum; fold the class transition into the histogram.
-                // The key's popularity bit is already set (it was set when
-                // the key entered the tracker and only eviction clears it),
-                // so no bucket-map update is needed.
-                Some(old) => {
-                    volatile.mapper.promote_to_max(old);
-                    true
-                }
+            // Tracked: the clock byte was atomically re-heated to the
+            // maximum. The key's popularity bit is already set (it was set
+            // when the key entered the tracker and only eviction clears
+            // it), so no bucket-map update is needed.
+            let tracked = volatile.tracker.touch(key, false).is_some();
+            if !tracked {
                 // Untracked: the next write-lock holder enters the key in
                 // the doorkeeper, or, if the doorkeeper holds it already,
                 // admits it past the sketch's gate — structural work, as
                 // admission may evict.
-                None => {
-                    let mut rs = volatile.lock_read_side();
-                    rs.push(key.clone());
-                    counters
-                        .pending_accesses
-                        .store(rs.len() as u64, Ordering::Relaxed);
-                    false
-                }
-            };
+                let mut rs = volatile.lock_read_side();
+                rs.push(key.clone());
+                counters
+                    .pending_accesses
+                    .store(rs.len() as u64, Ordering::Relaxed);
+            }
             // The fill: only a popular value that flash served is dear to
             // refetch; a one-off flash read of a tail key would otherwise
             // crowd out what DRAM is for.

@@ -1,10 +1,13 @@
 use super::*;
 use crate::engine::EngineShared;
 use crate::workers::DemotionPlan;
-use prism_compaction::{execute_job, ExecutedJob, JobKind};
+use prism_compaction::{execute_job, CompactionPolicy, ExecutedJob, JobKind};
 use prism_flash::SstEntry;
 use prism_storage::{DeviceProfile, FaultOp, FaultTier};
+use prism_tracker::{PinDecision, PinRule, MAX_CLOCK};
 use prism_types::{BatchOp, Lane, Lookup, PrismError, ReadSource};
+use std::collections::HashSet;
+use std::ops::Bound::Unbounded;
 use std::ops::RangeBounds;
 use std::sync::RwLockWriteGuard;
 
@@ -665,8 +668,9 @@ fn install_carries_a_failing_record_verbatim_and_a_discarded_job_counts_nothing(
     let fresh = Key::from_id(keys);
     put(&engine, &mut p, fresh.clone(), Value::filled(900, 2)).unwrap();
     let force = JobKind::Demotion { force: true };
+    let rule = p.pin_rule(force);
     let other = p
-        .plan_range(fresh.clone()..=fresh, force, false, Nanos::ZERO, fg)
+        .plan_range(fresh.clone()..=fresh, force, &rule, false, Nanos::ZERO, fg)
         .expect("job");
     assert!(other.files.is_empty());
     p.install_compaction(execute_job(other, &cpu, &dev))
@@ -784,16 +788,12 @@ fn a_record_damaged_on_flash_fails_in_its_slot_after_promotion() {
     // Promote it through a hint, as a demotion over its range would.
     let (cpu, dev, fg) = (p.cpu, p.flash_dev.clone(), p.fg());
     let force = JobKind::Demotion { force: true };
+    let rule = p.pin_rule(force);
+    let range = victim.clone()..=victim.clone();
     let mut job = p
-        .plan_range(
-            victim.clone()..=victim.clone(),
-            force,
-            false,
-            Nanos::ZERO,
-            fg,
-        )
+        .plan_range(range, force, &rule, false, Nanos::ZERO, fg)
         .expect("job");
-    job.promote_hints.insert(victim.id());
+    job.promote_hints.insert(victim.clone());
     let outcome = p
         .install_compaction(execute_job(job, &cpu, &dev))
         .unwrap()
@@ -934,11 +934,15 @@ fn the_bucket_map_a_crash_rebuilds_is_the_one_the_partition_kept() {
     };
     let promoted = flash_only(&p);
     let force = JobKind::Demotion { force: true };
-    let (range, fg) = (promoted.clone()..=promoted.clone(), p.fg());
+    let (range, rule, fg) = (
+        promoted.clone()..=promoted.clone(),
+        p.pin_rule(force),
+        p.fg(),
+    );
     let mut job = p
-        .plan_range(range, force, false, Nanos::ZERO, fg)
+        .plan_range(range, force, &rule, false, Nanos::ZERO, fg)
         .expect("job");
-    job.promote_hints.insert(promoted.id());
+    job.promote_hints.insert(promoted.clone());
     let outcome = p.install_compaction(execute_job(job, &cpu, &dev));
     assert_eq!(outcome.unwrap().expect("installs").promoted, 1);
     checkpoint(&mut p, "inline demotions and a promotion");
@@ -1027,16 +1031,12 @@ fn cache_lanes_follow_the_refetch_price() {
     // range would.
     let (cpu, dev, fg) = (p.cpu, p.flash_dev.clone(), p.fg());
     let force = JobKind::Demotion { force: true };
+    let rule = p.pin_rule(force);
+    let range = popular.clone()..=popular.clone();
     let mut job = p
-        .plan_range(
-            popular.clone()..=popular.clone(),
-            force,
-            false,
-            Nanos::ZERO,
-            fg,
-        )
+        .plan_range(range, force, &rule, false, Nanos::ZERO, fg)
         .expect("job");
-    job.promote_hints.insert(popular.id());
+    job.promote_hints.insert(popular.clone());
     let outcome = p
         .install_compaction(execute_job(job, &cpu, &dev))
         .unwrap()
@@ -1212,13 +1212,17 @@ fn a_promotion_job_pins_what_nvm_holds_and_a_demotion_job_its_threshold() {
     let engine = engine(1_000);
     let mut p = warmed(&engine, 300);
     let pinned = |p: &mut Partition, kind| {
-        let fg = p.fg();
-        let job = p.plan_range(.., kind, false, Nanos::ZERO, fg);
+        let (rule, fg) = (p.pin_rule(kind), p.fg());
+        let job = p.plan_range(.., kind, &rule, false, Nanos::ZERO, fg);
         p.nvm_object_count() - job.expect("job").demote.len()
     };
     assert_eq!(p.nvm_object_count(), 201);
     assert_eq!(pinned(&mut p, JobKind::Demotion { force: false }), 140);
-    assert_eq!(p.promotion_budget(), 150);
+    let counts = p.clock_histogram();
+    assert_eq!(
+        p.pin_rule(JobKind::Promotion),
+        PinRule::new(counts, 1.0, 150)
+    );
     assert_eq!(pinned(&mut p, JobKind::Promotion), 150);
     drop(p);
 
@@ -1229,7 +1233,11 @@ fn a_promotion_job_pins_what_nvm_holds_and_a_demotion_job_its_threshold() {
     assert_eq!(usage.live_bytes, slot * usage.live_objects as u64);
     let held = (usage.capacity_bytes as f64 * p.options.low_watermark / slot as f64) as usize;
     assert!(held < 150, "NVM holds {held} slots");
-    assert_eq!(p.promotion_budget(), held);
+    let counts = p.clock_histogram();
+    assert_eq!(
+        p.pin_rule(JobKind::Promotion),
+        PinRule::new(counts, 1.0, held)
+    );
     // 0.7 × `held` is below the 140 keys at clock 3, so a demotion job
     // keeps each of those that NVM holds with that share of 140.
     let share = 0.7 * held as f64 / 140.0;
@@ -1241,6 +1249,68 @@ fn a_promotion_job_pins_what_nvm_holds_and_a_demotion_job_its_threshold() {
         (demotion - expected).abs() < 0.25 * expected,
         "a demotion job pinned {demotion}, expected about {expected}"
     );
+}
+
+/// Precise-MSC counts as popular the NVM objects its job's own pin rule
+/// pins. With slots so large that NVM holds fewer objects than the
+/// tracker tracks, a demotion job pins 0.7 of what NVM holds, fewer than
+/// the 140 keys at clock 3: that class is sampled, so no object counts as
+/// popular. Scoring with 0.7 of the 200 tracked keys instead would pin
+/// all 140 and score the range lower.
+#[test]
+fn precise_msc_counts_as_popular_what_its_jobs_rule_pins() {
+    let engine = engine(1_000);
+    let mut p = warmed(&engine, 3_000);
+    Arc::make_mut(&mut p.options).compaction.policy = CompactionPolicy::PreciseMsc;
+    // Flash objects, without which the popular share moves no cost.
+    let version = SstEntry::value(Value::filled(300, 1), p.seq.allocate());
+    let records = (1_000..1_100).map(|id| (Key::from_id(id), version.clone()));
+    p.swap_files(&[], records.collect());
+
+    let rule = p.pin_rule(JobKind::Demotion { force: false });
+    let mut clocks = p
+        .volatile
+        .index()
+        .keys()
+        .map(|key| p.volatile.tracker.clock_of(key));
+    assert!(clocks.all(|clock| rule.decision(clock) != PinDecision::Pin));
+    let all = (Unbounded, Unbounded);
+    let mut cost = Nanos::ZERO;
+    let mut score = |rule: &PinRule| p.score_candidate(&all, rule, &mut cost);
+    let counts = p.clock_histogram();
+    assert_eq!(score(&rule), score(&PinRule::new(counts, 0.0, 0)));
+    assert!(score(&PinRule::new(counts, 0.7, 200)) < score(&rule));
+}
+
+/// A promotion hint names a whole key: of two flash keys that share
+/// their first eight bytes, a promotion job promotes the one its rule
+/// pins and leaves its cold neighbour on flash.
+#[test]
+fn a_promotion_hint_promotes_its_key_and_not_one_sharing_its_id() {
+    let engine = engine(1_000);
+    let mut p = partition(&engine);
+    let hot = Key::from_id(5);
+    let cold = Key::from_bytes([hot.as_bytes(), &[1]].concat());
+    assert_eq!(hot.id(), cold.id());
+    for key in [&hot, &cold] {
+        put(&engine, &mut p, key.clone(), Value::filled(300, 1)).unwrap();
+    }
+    demote_everything(&mut p);
+    assert_eq!(p.nvm_object_count(), 0);
+    p.get(&hot).unwrap();
+    assert_eq!(p.volatile.tracker.clock_of(&hot), Some(MAX_CLOCK));
+    assert_eq!(p.volatile.tracker.clock_of(&cold), Some(0));
+
+    let (cpu, dev, fg) = (p.cpu, p.flash_dev.clone(), p.fg());
+    let rule = p.pin_rule(JobKind::Promotion);
+    let job = p.plan_range(.., JobKind::Promotion, &rule, true, Nanos::ZERO, fg);
+    let job = job.expect("flash holds both keys");
+    assert_eq!(job.promote_hints, HashSet::from([hot.clone()]));
+    let outcome = p.install_compaction(execute_job(job, &cpu, &dev));
+    assert_eq!(outcome.unwrap().expect("installs").promoted, 1);
+    assert!(p.volatile.index().contains_key(&hot));
+    assert!(!p.volatile.index().contains_key(&cold));
+    assert_eq!(p.check_invariants(), Ok(()));
 }
 
 /// A partition whose 200 keys — even ids 0 to 398, 1 000 bytes each —
@@ -1308,8 +1378,8 @@ fn a_demotion_job_plans_the_one_file_its_range_covers() {
     let ranges = p.candidate_ranges();
     let force = JobKind::Demotion { force: true };
     for (range, file) in ranges.iter().zip(&files) {
-        let fg = p.fg();
-        let job = p.plan_range(range.clone(), force, false, Nanos::ZERO, fg);
+        let (rule, fg) = (p.pin_rule(force), p.fg());
+        let job = p.plan_range(range.clone(), force, &rule, false, Nanos::ZERO, fg);
         let job = job.expect("the range covers a file");
         assert_eq!(file_ids(&job.files), [file.id()], "{range:?}");
         assert!(!job.demote.is_empty(), "{range:?}");
@@ -1341,7 +1411,8 @@ fn a_promotion_job_sweeps_its_left_neighbour_and_demotes_only_its_range() {
     }
     let range = p.candidate_ranges().swap_remove(2);
     let (cpu, dev, fg) = (p.cpu, p.flash_dev.clone(), p.fg());
-    let job = p.plan_range(range, JobKind::Promotion, true, Nanos::ZERO, fg);
+    let rule = p.pin_rule(JobKind::Promotion);
+    let job = p.plan_range(range, JobKind::Promotion, &rule, true, Nanos::ZERO, fg);
     let job = job.expect("the range covers a file");
     assert_eq!(file_ids(&job.files), [left.id(), file.id()]);
     let demoted: Vec<&Key> = job.demote.iter().map(|entry| &entry.key).collect();

@@ -477,13 +477,12 @@ impl LsmTree {
         count: usize,
         budget: usize,
     ) -> Option<(Vec<(Key, Value)>, FileReads)> {
-        let max_key = Key::from_id(u64::MAX);
         let mut merged: BTreeMap<Key, Option<Value>> = BTreeMap::new();
         let mut horizon: Option<&Key> = None;
         let mut reads = Vec::new();
         for level in (0..LEVELS).rev() {
             for file in self.levels[level].iter().filter(|f| f.max_key() >= start) {
-                let mut records = file.range(start, &max_key);
+                let mut records = file.range(start, file.max_key());
                 let (mut consumed, mut last) = (0u64, None);
                 for (key, entry) in records.by_ref().take(budget) {
                     consumed += encoded_size(key, entry) as u64;
@@ -842,6 +841,21 @@ mod tests {
         }
         assert!(in_levels.levels.iter().any(|level| !level.is_empty()));
         assert_eq!(first_live(&mut in_levels), vec![3]);
+    }
+
+    /// A key that sorts above eight `0xFF` bytes is scanned from the
+    /// levels as from the memtable.
+    #[test]
+    fn scan_returns_keys_above_the_largest_id_from_the_levels() {
+        let mut db = small_het(2_000);
+        let high = |i: u64| Key::from_bytes([[0xFF; 8], i.to_be_bytes()].concat());
+        for i in 0..2_000u64 {
+            db.put(high(i), Value::filled(300, 1)).unwrap();
+        }
+        assert!(db.levels.iter().any(|level| !level.is_empty()));
+        let result = db.scan(&Key::min(), 2_000).unwrap();
+        let keys: Vec<Key> = result.entries.into_iter().map(|(key, _)| key).collect();
+        assert_eq!(keys, (0..2_000).map(high).collect::<Vec<_>>());
     }
 
     #[test]

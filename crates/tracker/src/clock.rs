@@ -10,8 +10,8 @@ pub const MAX_CLOCK: u8 = 3;
 
 /// What happened to the tracker state as a result of one access.
 ///
-/// The [`crate::Mapper`] consumes these events to keep its clock-value
-/// histogram in sync without the tracker and the mapper sharing state.
+/// A [`crate::Mapper`] consumes these events to keep a clock-value
+/// histogram without sharing state with the tracker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessEvent {
     /// The previous clock value of the accessed key, if it was tracked.
@@ -78,7 +78,8 @@ impl ClockTracker {
     }
 
     /// How many tracked keys hold each clock value, index = clock value:
-    /// what [`crate::Mapper::histogram`] mirrors. Counts the whole map.
+    /// the distribution a [`crate::PinRule`] is built over. Counts the
+    /// whole map.
     pub fn clock_counts(&self) -> [u64; (MAX_CLOCK as usize) + 1] {
         let mut counts = [0u64; (MAX_CLOCK as usize) + 1];
         for clock in self.map.values() {
@@ -108,9 +109,9 @@ impl ClockTracker {
     ///
     /// Safe against concurrent touches of the same key: the swap
     /// serialises the clock transitions, so exactly one racing touch
-    /// observes each pre-`MAX` value (keeping the mapper's histogram
-    /// exact). Structural changes never race with touches because they
-    /// require `&mut self` (the partition write lock).
+    /// observes each pre-`MAX` value. Structural changes never race with
+    /// touches because they require `&mut self` (the partition write
+    /// lock).
     pub fn touch(&self, key: &Key, _on_flash: bool) -> Option<u8> {
         let clock = self.map.get(key)?;
         Some(clock.swap(MAX_CLOCK, Ordering::Relaxed))

@@ -1,34 +1,35 @@
-//! Popularity tracking: the clock tracker and the mapper.
+//! Popularity tracking: the clock tracker and the pin rule.
 //!
 //! PrismDB estimates object popularity with a multi-bit clock algorithm
 //! (§4.3 of the paper): a capacity-bounded map from recently-accessed keys
 //! to a 2-bit clock value. Where a key's newest version lives is not kept
 //! here but in the engine's bucket map, whose NVM and flash residency bits
 //! promotion planning and approx-MSC read. The *tracker* maintains that
-//! map; the *mapper* maintains the distribution of clock values and turns a
+//! map and counts its distribution of clock values on demand
+//! ([`ClockTracker::clock_counts`]); a [`PinRule`] turns that count and a
 //! configured *pinning threshold* (the fraction of tracked objects that
 //! should stay on NVM) into per-object pin/demote decisions, sampling the
 //! boundary clock class probabilistically when it straddles the threshold.
+//! The paper's *mapper* keeps the distribution up to date from every
+//! access instead; [`Mapper`] is that mirror, fed by its caller.
 //!
 //! # Example
 //!
 //! ```
-//! use prism_tracker::{ClockTracker, Mapper, PinDecision};
+//! use prism_tracker::{ClockTracker, PinDecision, PinRule};
 //! use prism_types::Key;
 //!
 //! let mut tracker = ClockTracker::new(100);
-//! let mapper = Mapper::new();
 //! for id in 0..50u64 {
-//!     let event = tracker.access(&Key::from_id(id), false);
-//!     mapper.apply(&event);
+//!     tracker.access(&Key::from_id(id), false);
 //!     // A second access promotes the key to the maximum clock value.
-//!     let event = tracker.access(&Key::from_id(id), false);
-//!     mapper.apply(&event);
+//!     tracker.access(&Key::from_id(id), false);
 //! }
 //! // With a 100% pinning threshold every tracked object may be pinned.
-//! assert_eq!(mapper.pin_decision(Some(3), 1.0, tracker.len()), PinDecision::Pin);
+//! let rule = PinRule::new(tracker.clock_counts(), 1.0, tracker.len());
+//! assert_eq!(rule.decision(Some(3)), PinDecision::Pin);
 //! // Untracked objects are always demoted.
-//! assert_eq!(mapper.pin_decision(None, 0.5, tracker.len()), PinDecision::Demote);
+//! assert_eq!(rule.decision(None), PinDecision::Demote);
 //! ```
 
 mod clock;
@@ -36,7 +37,7 @@ mod mapper;
 mod sketch;
 
 pub use clock::{AccessEvent, ClockTracker, MAX_CLOCK};
-pub use mapper::{Mapper, PinDecision};
+pub use mapper::{Mapper, PinDecision, PinRule};
 pub use sketch::FrequencySketch;
 
 #[cfg(test)]
@@ -44,6 +45,7 @@ mod proptests {
     use super::*;
     use prism_types::Key;
     use proptest::prelude::*;
+    use std::iter;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -67,27 +69,34 @@ mod proptests {
             }
         }
 
-        /// Interleaving lock-free touches (tracked keys) with structural
-        /// accesses (untracked keys) keeps the histogram equal to the
-        /// tracker's per-clock counts — the invariant the read path's
-        /// atomic fast path relies on, and `check_invariants` checks.
+        /// A pin rule over the tracker's counted distribution decides as
+        /// a `Mapper` does that was fed every `AccessEvent` (the benchmark
+        /// probe's path) of a twin tracker, which takes each lock-free
+        /// touch of a tracked key as an access.
         #[test]
-        fn touches_keep_histogram_consistent(
+        fn a_counted_pin_rule_decides_as_a_mapper_fed_every_access(
             capacity in 4usize..64,
-            ops in prop::collection::vec((0u64..200, prop::bool::ANY), 1..800)
+            ops in prop::collection::vec((0u64..200, prop::bool::ANY), 1..800),
+            threshold in 0.0f64..1.0
         ) {
             let mut tracker = ClockTracker::new(capacity);
-            let mapper = Mapper::new();
-            for (id, on_flash) in ops {
+            let (mut twin, mapper) = (ClockTracker::new(capacity), Mapper::new());
+            for (id, touch) in ops {
                 let key = Key::from_id(id);
-                match tracker.touch(&key, on_flash) {
-                    Some(old) => mapper.promote_to_max(old),
-                    None => mapper.apply(&tracker.access(&key, on_flash)),
+                if touch {
+                    if tracker.touch(&key, false).is_some() {
+                        mapper.apply(&twin.access(&key, false));
+                    }
+                } else {
+                    tracker.access(&key, false);
+                    mapper.apply(&twin.access(&key, false));
                 }
-                prop_assert!(tracker.len() <= capacity);
-                let total: u64 = mapper.histogram().iter().sum();
-                prop_assert_eq!(total as usize, tracker.len());
-                prop_assert_eq!(mapper.histogram(), tracker.clock_counts());
+                prop_assert_eq!(tracker.clock_of(&key), twin.clock_of(&key));
+                let rule = PinRule::new(tracker.clock_counts(), threshold, tracker.len());
+                for clock in iter::once(None).chain((0..=MAX_CLOCK).map(Some)) {
+                    let mirrored = mapper.pin_decision(clock, threshold, twin.len());
+                    prop_assert_eq!(rule.decision(clock), mirrored);
+                }
             }
         }
 
@@ -124,12 +133,11 @@ mod proptests {
             counts in prop::array::uniform4(0u64..1000),
             threshold in 0.0f64..1.0
         ) {
-            let mapper = Mapper::new();
-            mapper.set_histogram(counts);
             let tracked: u64 = counts.iter().sum();
+            let rule = PinRule::new(counts, threshold, tracked as usize);
             let mut seen_non_pin = false;
             for clock in (0..=MAX_CLOCK).rev() {
-                let decision = mapper.pin_decision(Some(clock), threshold, tracked as usize);
+                let decision = rule.decision(Some(clock));
                 match decision {
                     PinDecision::Pin => {
                         prop_assert!(!seen_non_pin, "a hotter class was not pinned while a colder one was");

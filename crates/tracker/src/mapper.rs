@@ -1,9 +1,12 @@
-//! The mapper: clock-value distribution and the pinning-threshold
-//! algorithm.
+//! The pinning-threshold algorithm over a clock-value distribution, and
+//! the mapper that keeps such a distribution from a stream of accesses.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use crate::clock::{AccessEvent, MAX_CLOCK};
+
+/// One clock class per clock value.
+const CLASSES: usize = MAX_CLOCK as usize + 1;
 
 /// Placement decision for one object during compaction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,28 +32,56 @@ impl PinDecision {
     }
 }
 
-/// Tracks the distribution of clock values over the tracked keys and
-/// enforces the pinning threshold.
-///
-/// The mapper is deliberately tiny — four counters — matching the paper's
-/// implementation as an array of four atomic integers. Since the lock-free
-/// read path landed, the counters really are atomics: a hot read that
-/// promotes a tracked key to [`MAX_CLOCK`] moves the key between clock
-/// classes with two relaxed atomic ops ([`Mapper::promote_to_max`]) and no
-/// lock, while structural tracker changes (inserts, evictions, hand
-/// sweeps) keep flowing through [`Mapper::apply`] under the partition
-/// write lock.
-#[derive(Debug, Default)]
-pub struct Mapper {
-    counts: [AtomicU64; (MAX_CLOCK as usize) + 1],
+/// One compaction plan's pin rule (§4.3 of the paper): a distribution of
+/// clock values and a budget of objects to keep on NVM, filled from the
+/// hottest clock class downward; the class that straddles the budget is
+/// sampled with the residual probability. A plan builds it from one count
+/// of the tracker ([`crate::ClockTracker::clock_counts`]) and asks it
+/// about every object it places.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PinRule {
+    counts: [u64; CLASSES],
+    budget: f64,
 }
 
-impl Clone for Mapper {
-    fn clone(&self) -> Self {
-        let mapper = Mapper::new();
-        mapper.set_histogram(self.histogram());
-        mapper
+impl PinRule {
+    /// The rule that keeps `pinning_threshold` (clamped to `0..=1`) of
+    /// `tracked` objects on NVM over the distribution `counts` (index =
+    /// clock value).
+    pub fn new(counts: [u64; CLASSES], pinning_threshold: f64, tracked: usize) -> Self {
+        let budget = pinning_threshold.clamp(0.0, 1.0) * tracked as f64;
+        PinRule { counts, budget }
     }
+
+    /// Whether an object with clock value `clock` (or `None` if the object
+    /// is not tracked at all) stays pinned on NVM.
+    pub fn decision(&self, clock: Option<u8>) -> PinDecision {
+        let Some(clock) = clock.map(usize::from) else {
+            return PinDecision::Demote;
+        };
+        if self.budget <= 0.0 {
+            return PinDecision::Demote;
+        }
+        let hotter: u64 = self.counts[clock + 1..].iter().sum();
+        let (hotter, class) = (hotter as f64, self.counts[clock] as f64);
+        if hotter + class <= self.budget {
+            PinDecision::Pin
+        } else if hotter >= self.budget {
+            PinDecision::Demote
+        } else {
+            let p = (self.budget - hotter) / class.max(1.0);
+            PinDecision::Sample(p.clamp(0.0, 1.0))
+        }
+    }
+}
+
+/// The paper's mapper: four counters of tracked keys per clock value, kept
+/// up to date from the tracker's [`AccessEvent`]s. The engine keeps none —
+/// its plans count the tracker — and the benchmark's tracker probe feeds
+/// one alongside every access.
+#[derive(Debug, Default)]
+pub struct Mapper {
+    counts: Cell<[u64; CLASSES]>,
 }
 
 impl Mapper {
@@ -61,112 +92,39 @@ impl Mapper {
 
     /// Apply the state changes of one tracker access.
     pub fn apply(&self, event: &AccessEvent) {
+        let mut counts = self.counts.get();
         if let Some(old) = event.old_clock {
-            self.dec(old as usize, 1);
+            counts[old as usize] -= 1;
         }
-        self.counts[event.new_clock as usize].fetch_add(1, Ordering::Relaxed);
+        counts[event.new_clock as usize] += 1;
         if let Some((_, clock)) = &event.evicted {
-            self.dec(*clock as usize, 1);
+            counts[*clock as usize] -= 1;
         }
         // Hottest class first: a sweep that passes a key more than once
         // moves it 3 → 2 before 2 → 1, so a class loses keys only after
-        // it gained those it passes on, and no decrement saturates.
+        // it gained those it passes on.
         for from in (1..=MAX_CLOCK).rev() {
             let moved = event.decremented.iter().filter(|(f, _)| *f == from);
             let count: u64 = moved.map(|(_, count)| count).sum();
-            self.dec(from as usize, count);
-            self.counts[from as usize - 1].fetch_add(count, Ordering::Relaxed);
+            counts[from as usize] -= count;
+            counts[from as usize - 1] += count;
         }
+        self.counts.set(counts);
     }
 
-    /// A tracked key at clock value `old` was promoted to [`MAX_CLOCK`] by
-    /// a read-path touch. Lock-free: two relaxed atomic ops. A no-op when
-    /// the key was already at the maximum (racing touches of the same key
-    /// observe `old == MAX_CLOCK` for all but the first, because the
-    /// tracker's clock swap serialises the transitions).
-    pub fn promote_to_max(&self, old: u8) {
-        if old == MAX_CLOCK {
-            return;
-        }
-        self.dec(old as usize, 1);
-        self.counts[MAX_CLOCK as usize].fetch_add(1, Ordering::Relaxed);
+    /// The clock-value histogram, index = clock value.
+    pub(crate) fn histogram(&self) -> [u64; CLASSES] {
+        self.counts.get()
     }
 
-    /// Saturating decrement of one clock class.
-    fn dec(&self, idx: usize, by: u64) {
-        let counter = &self.counts[idx];
-        let mut current = counter.load(Ordering::Relaxed);
-        loop {
-            let next = current.saturating_sub(by);
-            match counter.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    /// The raw clock-value histogram, index = clock value.
-    pub fn histogram(&self) -> [u64; (MAX_CLOCK as usize) + 1] {
-        let mut out = [0u64; (MAX_CLOCK as usize) + 1];
-        for (slot, counter) in out.iter_mut().zip(self.counts.iter()) {
-            *slot = counter.load(Ordering::Relaxed);
-        }
-        out
-    }
-
-    /// Overwrite the histogram (used by tests and by engines that rebuild
-    /// the mapper after recovery).
-    pub(crate) fn set_histogram(&self, counts: [u64; (MAX_CLOCK as usize) + 1]) {
-        for (counter, value) in self.counts.iter().zip(counts.iter()) {
-            counter.store(*value, Ordering::Relaxed);
-        }
-    }
-
-    /// Decide whether an object with clock value `clock` (or `None` if the
-    /// object is not tracked at all) should stay pinned on NVM.
-    ///
-    /// `pinning_threshold` is the fraction of *tracked* objects that should
-    /// be retained on NVM; `tracked` is the tracker population used to turn
-    /// the threshold into an object budget. The budget is filled from the
-    /// hottest clock class downward; the class that straddles the budget is
-    /// sampled with the residual probability (§4.3 of the paper).
+    /// The [`PinRule`] decision for `clock` over this histogram.
     pub fn pin_decision(
         &self,
         clock: Option<u8>,
         pinning_threshold: f64,
         tracked: usize,
     ) -> PinDecision {
-        let Some(clock) = clock else {
-            return PinDecision::Demote;
-        };
-        let threshold = pinning_threshold.clamp(0.0, 1.0);
-        if threshold <= 0.0 {
-            return PinDecision::Demote;
-        }
-        let budget = threshold * tracked as f64;
-        if budget <= 0.0 {
-            return PinDecision::Demote;
-        }
-        // Count objects in classes strictly hotter than `clock`.
-        let counts = self.histogram();
-        let hotter: u64 = counts
-            .iter()
-            .enumerate()
-            .filter(|(c, _)| *c > clock as usize)
-            .map(|(_, &n)| n)
-            .sum();
-        let class = counts[clock as usize];
-        let hotter = hotter as f64;
-        let class = class as f64;
-        if hotter + class <= budget {
-            PinDecision::Pin
-        } else if hotter >= budget {
-            PinDecision::Demote
-        } else {
-            let p = (budget - hotter) / class.max(1.0);
-            PinDecision::Sample(p.clamp(0.0, 1.0))
-        }
+        PinRule::new(self.histogram(), pinning_threshold, tracked).decision(clock)
     }
 }
 
@@ -213,40 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn promote_to_max_moves_one_key_between_classes() {
-        let mapper = Mapper::new();
-        mapper.set_histogram([5, 2, 0, 1]);
-        mapper.promote_to_max(0);
-        assert_eq!(mapper.histogram(), [4, 2, 0, 2]);
-        mapper.promote_to_max(1);
-        assert_eq!(mapper.histogram(), [4, 1, 0, 3]);
-        // A key already at MAX must not be double-counted (racing touches
-        // of the same key observe old == MAX for all but the first).
-        mapper.promote_to_max(MAX_CLOCK);
-        assert_eq!(mapper.histogram(), [4, 1, 0, 3]);
-    }
-
-    #[test]
-    fn concurrent_promotions_keep_the_population_exact() {
-        use std::sync::Arc;
-        let mapper = Arc::new(Mapper::new());
-        mapper.set_histogram([4000, 0, 0, 0]);
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let mapper = Arc::clone(&mapper);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    mapper.promote_to_max(0);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(mapper.histogram(), [0, 0, 0, 4000]);
-    }
-
-    #[test]
     fn histogram_stays_consistent_under_eviction() {
         let mut tracker = ClockTracker::new(8);
         let mapper = Mapper::new();
@@ -262,41 +186,26 @@ mod tests {
         // §4.3 example: 10% at clock 3, 10% at clock 2, 30% at clock 1,
         // 50% at clock 0, threshold 15%: clock 3 always pinned, clock 2
         // sampled at 0.5, clock 1/0 and untracked demoted.
-        let mapper = Mapper::new();
-        mapper.set_histogram([500, 300, 100, 100]);
-        let tracked = 1000;
-        assert_eq!(
-            mapper.pin_decision(Some(3), 0.15, tracked),
-            PinDecision::Pin
-        );
-        match mapper.pin_decision(Some(2), 0.15, tracked) {
+        let rule = PinRule::new([500, 300, 100, 100], 0.15, 1000);
+        assert_eq!(rule.decision(Some(3)), PinDecision::Pin);
+        match rule.decision(Some(2)) {
             PinDecision::Sample(p) => assert!((p - 0.5).abs() < 1e-9, "p = {p}"),
             other => panic!("expected sampling, got {other:?}"),
         }
-        assert_eq!(
-            mapper.pin_decision(Some(1), 0.15, tracked),
-            PinDecision::Demote
-        );
-        assert_eq!(
-            mapper.pin_decision(Some(0), 0.15, tracked),
-            PinDecision::Demote
-        );
-        assert_eq!(
-            mapper.pin_decision(None, 0.15, tracked),
-            PinDecision::Demote
-        );
+        assert_eq!(rule.decision(Some(1)), PinDecision::Demote);
+        assert_eq!(rule.decision(Some(0)), PinDecision::Demote);
+        assert_eq!(rule.decision(None), PinDecision::Demote);
     }
 
     #[test]
     fn extreme_thresholds() {
-        let mapper = Mapper::new();
-        mapper.set_histogram([10, 10, 10, 10]);
-        assert_eq!(mapper.pin_decision(Some(3), 0.0, 40), PinDecision::Demote);
-        assert_eq!(mapper.pin_decision(Some(0), 1.0, 40), PinDecision::Pin);
+        let rule = |threshold| PinRule::new([10, 10, 10, 10], threshold, 40);
+        assert_eq!(rule(0.0).decision(Some(3)), PinDecision::Demote);
+        assert_eq!(rule(1.0).decision(Some(0)), PinDecision::Pin);
         // Threshold above 1.0 is clamped.
-        assert_eq!(mapper.pin_decision(Some(0), 3.0, 40), PinDecision::Pin);
+        assert_eq!(rule(3.0).decision(Some(0)), PinDecision::Pin);
         // Untracked objects are never pinned regardless of threshold.
-        assert_eq!(mapper.pin_decision(None, 1.0, 40), PinDecision::Demote);
+        assert_eq!(rule(1.0).decision(None), PinDecision::Demote);
     }
 
     #[test]
