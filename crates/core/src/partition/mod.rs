@@ -140,11 +140,10 @@ impl Volatile {
                     >= PROMOTION_BATCH_FLASH_READS)
     }
 
-    /// Apply buffered structural tracker admissions — a key enters the
-    /// tracker no earlier than its second read, past the sketch's gate,
-    /// and the first only enters the doorkeeper —
-    /// and drain the atomic read counters into the read-trigger controller
-    /// as one batch.
+    /// Apply buffered structural tracker admissions — a read's key
+    /// enters the tracker once it passes the sketch's gate — and drain
+    /// the atomic read counters into the read-trigger controller as one
+    /// batch.
     fn apply_read_side(&mut self) {
         let accesses = {
             let mut rs = self.lock_read_side();

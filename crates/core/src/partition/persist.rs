@@ -143,19 +143,15 @@ pub(super) struct Volatile {
     /// order, for [`Volatile::observe_read`]. A tracked key's re-access is
     /// applied lock-free on the read path itself ([`ClockTracker::touch`]).
     pub(super) read_side: Mutex<Vec<Key>>,
-    /// Keys one read found untracked and the tracker has not admitted
-    /// since: a later read of such a key admits it if `sketch` counts it
-    /// more often than the key the clock would evict next
+    /// Recent access counts: every found read (before its tracker touch)
+    /// and every put counts its key. A read admits an untracked key only
+    /// once the sketch counts it at least twice and, with the tracker
+    /// full, more often than the key the clock would evict next
     /// ([`ClockTracker::next_victim`]), so a one-off flash read of a tail
     /// key does not sweep the clock hand, and a tail key read twice does
-    /// not sweep out a warmer one. At most the tracker's capacity; a
-    /// first read that finds it full clears it (TinyLFU's doorkeeper and
-    /// frequency gate, Einziger et al. 2017 — not in the PrismDB paper,
-    /// which admits on every access). Writes admit at once.
-    pub(super) doorkeeper: HashSet<Key>,
-    /// Recent access counts: every found read (before its tracker touch)
-    /// and every put counts its key, and the doorkeeper's gate compares
-    /// them.
+    /// not sweep out a warmer one
+    /// (TinyLFU's frequency gate, Einziger et al. 2017 — not in the
+    /// PrismDB paper, which admits on every access). Writes admit at once.
     pub(super) sketch: FrequencySketch,
     pub(super) read_counters: ReadSideCounters,
     /// Superseded versions preserved for pinned snapshots: per key, the
@@ -202,7 +198,6 @@ impl Volatile {
                 flash.profile().read_latency_4k,
             ),
             read_side: Mutex::default(),
-            doorkeeper: HashSet::new(),
             read_counters: ReadSideCounters::default(),
             history: BTreeMap::new(),
             history_bytes: 0,
@@ -220,39 +215,25 @@ impl Volatile {
     }
 
     /// Track a read that found `key` untracked, with the write lock held:
-    /// re-heat it if a write or an earlier read admitted it since; if the
-    /// doorkeeper holds it, admit it when the tracker has room or the
-    /// sketch counts it more often than the key the admission would
-    /// evict (else it waits in the doorkeeper); otherwise enter it in the
-    /// doorkeeper, clearing that first if it holds the tracker's capacity.
+    /// re-heat it if a write or an earlier read admitted it since;
+    /// otherwise admit it once the sketch counts it at least twice, when
+    /// the tracker has room or the sketch counts it more often than the
+    /// key the admission would evict.
     pub(super) fn observe_read(&mut self, key: Key) {
-        if self.tracker.clock_of(&key).is_some() {
+        let tracked = self.tracker.clock_of(&key).is_some();
+        let count = self.sketch.estimate(&key);
+        let beats = |victim: &Key| count > self.sketch.estimate(victim);
+        if tracked || (count >= 2 && self.tracker.next_victim().is_none_or(beats)) {
             self.observe_access(&key);
-            return;
         }
-        if self.doorkeeper.contains(&key) {
-            let estimate = |key: &Key| self.sketch.estimate(key);
-            let victim = self.tracker.next_victim();
-            if victim.is_none_or(|victim| estimate(&key) > estimate(victim)) {
-                self.observe_access(&key);
-            }
-            return;
-        }
-        if self.doorkeeper.len() >= self.tracker.capacity() {
-            self.doorkeeper.clear();
-        }
-        self.doorkeeper.insert(key);
     }
 
     /// Track an access with the write lock held (the caller charges its
-    /// CPU cost). A key the tracker admits leaves the doorkeeper.
+    /// CPU cost).
     pub(super) fn observe_access(&mut self, key: &Key) {
         let event = self.tracker.access(key, false);
-        if event.old_clock.is_none() {
-            self.doorkeeper.remove(key);
-        }
         self.buckets.on_access(key.id());
-        if let Some((evicted, _)) = &event.evicted {
+        if let Some(evicted) = &event.evicted {
             self.buckets.on_tracker_evict(evicted.id());
         }
     }
@@ -446,8 +427,6 @@ impl Partition {
     /// hold no older slot of it, keys with a damaged slot aside.
     /// `residency bits`: the bucket map's NVM and flash bits are those of
     /// the index's and the log's keys (popularity bits are not compared).
-    /// `tracker`: the doorkeeper holds no tracked key and no more keys
-    /// than the tracker's capacity.
     /// `history`: no key keeps an empty list, and `history_bytes` is the
     /// footprint of every preserved version. `cache`: every cached value
     /// is its key's live version wherever that version verifies and the
@@ -470,17 +449,6 @@ impl Partition {
         }
         if !self.volatile.buckets.same_residency(&self.residency()) {
             return Err("residency bits: they differ from the index's and the log's keys".into());
-        }
-        let volatile = &self.volatile;
-        let tracked = |key: &&Key| volatile.tracker.clock_of(key).is_some();
-        if let Some(key) = volatile.doorkeeper.iter().find(tracked) {
-            return Err(format!("tracker: {key:?} is tracked and in the doorkeeper"));
-        }
-        let (held, cap) = (volatile.doorkeeper.len(), volatile.tracker.capacity());
-        if held > cap {
-            return Err(format!(
-                "tracker: the doorkeeper holds {held} keys, its cap {cap}"
-            ));
         }
         let history = &self.volatile.history;
         if let Some((key, _)) = history.iter().find(|(_, list)| list.is_empty()) {
@@ -594,37 +562,6 @@ mod tests {
         p.volatile.history.remove(&Key::from_id(500));
         assert_eq!(p.check_invariants(), Ok(()));
         p.seq.release(pin);
-    }
-
-    /// The tracker clause: the doorkeeper holds only untracked keys, at
-    /// most the tracker's capacity of them.
-    #[test]
-    fn check_invariants_names_a_doorkeeper_the_tracker_disowns() {
-        let engine = engine(1_000);
-        let mut p = partition(&engine);
-        for id in 0..100 {
-            put(&engine, &mut p, Key::from_id(id), Value::filled(300, 1)).unwrap();
-        }
-        let untracked = Key::from_id(500);
-        p.volatile.observe_read(untracked.clone());
-        assert_eq!(p.check_invariants(), Ok(()));
-
-        let tracked = Key::from_id(7);
-        assert!(p.volatile.tracker.clock_of(&tracked).is_some());
-        p.volatile.doorkeeper.insert(tracked.clone());
-        let violation = p.check_invariants().unwrap_err();
-        assert!(violation.starts_with("tracker:"), "{violation}");
-        p.volatile.doorkeeper.remove(&tracked);
-        assert_eq!(p.check_invariants(), Ok(()));
-
-        let cap = p.volatile.tracker.capacity() as u64;
-        p.volatile
-            .doorkeeper
-            .extend((1_000..1_001 + cap).map(Key::from_id));
-        let violation = p.check_invariants().unwrap_err();
-        assert!(violation.starts_with("tracker:"), "{violation}");
-        p.volatile.doorkeeper.clear();
-        assert_eq!(p.check_invariants(), Ok(()));
     }
 
     /// The cache clause: reads fill the cache, puts refresh it and deletes

@@ -14,17 +14,17 @@
 //! *structural* tracker work — admitting a key the tracker has never
 //! seen, which may evict another — is buffered in
 //! [`Volatile`](super::Volatile)'s read side for the next write (or an
-//! engine-forced drain) to apply under the write lock. There a read
-//! admits a key no earlier than its second read: the first puts the key
-//! in a doorkeeper set, so a one-off read of a tail key leaves the clock
-//! hand where it was. A later read admits it only if the partition's
-//! [`FrequencySketch`](prism_tracker::FrequencySketch) counts it more
-//! often than the key the admission would evict
+//! engine-forced drain) to apply under the write lock. There one gate
+//! admits a read's key: the partition's
+//! [`FrequencySketch`](prism_tracker::FrequencySketch) must count it at
+//! least twice, so a one-off read of a tail key leaves the clock hand
+//! where it was, and, once the tracker is full, more often than the key
+//! the admission would evict
 //! ([`ClockTracker::next_victim`](prism_tracker::ClockTracker::next_victim)),
 //! so a flood of tail keys read twice does not sweep out warmer ones.
 //! Every found read counts its key in the sketch, before the touch, with
 //! atomic counters and no lock. A write counts and admits at once; the
-//! doorkeeper and the gate are TinyLFU's, not the paper's. The CPU cost
+//! gate is TinyLFU's, not the paper's. The CPU cost
 //! of the tracker update is still charged to the read that caused it;
 //! only structural application is deferred.
 //! Point lookups resolve the key's NVM address with one probe of the
@@ -294,9 +294,8 @@ impl Partition {
             // it), so no bucket-map update is needed.
             let tracked = volatile.tracker.touch(key, false).is_some();
             if !tracked {
-                // Untracked: the next write-lock holder enters the key in
-                // the doorkeeper, or, if the doorkeeper holds it already,
-                // admits it past the sketch's gate — structural work, as
+                // Untracked: the next write-lock holder admits the key if
+                // it passes the sketch's gate — structural work, as
                 // admission may evict.
                 let mut rs = volatile.lock_read_side();
                 rs.push(key.clone());

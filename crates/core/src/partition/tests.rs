@@ -1061,78 +1061,52 @@ fn untracked_after(engine: &EngineShared, p: &mut Partition, written: u64) -> Ve
     keys.filter(|key| !tracked(p, key)).collect()
 }
 
-/// A key that one read found untracked waits in the doorkeeper, and its
-/// second read admits it; a put admits a key at once, and takes it out of
-/// the doorkeeper; a crash empties the doorkeeper.
+/// A read admits a key the sketch counts at least twice. A key whose put
+/// has faded from the sketch (one halving period of reads of another key
+/// since) stays untracked on its first read and enters at clock 0 on its
+/// second; a put admits a key at once; a crash forgets the counts, so a
+/// key read once before it stays untracked on its next read.
 #[test]
 fn a_read_admits_a_key_on_its_second_read_and_a_put_at_once() {
     let engine = engine(1_000);
     let mut p = partition(&engine);
     let untracked = untracked_after(&engine, &mut p, 400);
+    let hot = Key::from_id(399);
+    assert!(tracked(&p, &hot));
+    for _ in 0..10 * p.volatile.tracker.capacity() {
+        p.get(&hot).unwrap();
+    }
     let [read, written, lost] = [0, 1, 2].map(|i| untracked[i].clone());
-    let in_doorkeeper = |p: &Partition, key: &Key| p.volatile.doorkeeper.contains(key);
+    let read_once = |p: &mut Partition, key: &Key| {
+        assert!(p.get(key).unwrap().value.is_some());
+        p.apply_read_side();
+    };
 
-    p.get(&read).unwrap();
-    p.apply_read_side();
-    assert!(!tracked(&p, &read) && in_doorkeeper(&p, &read));
-    p.get(&read).unwrap();
-    p.apply_read_side();
+    read_once(&mut p, &read);
+    assert!(!tracked(&p, &read));
+    read_once(&mut p, &read);
     assert_eq!(p.volatile.tracker.clock_of(&read), Some(0));
-    assert!(!in_doorkeeper(&p, &read));
 
-    p.get(&written).unwrap();
-    p.apply_read_side();
-    assert!(in_doorkeeper(&p, &written));
     put(&engine, &mut p, written.clone(), Value::filled(300, 2)).unwrap();
-    assert!(tracked(&p, &written) && !in_doorkeeper(&p, &written));
+    assert!(tracked(&p, &written));
     let new = Key::from_id(1_000);
     put(&engine, &mut p, new.clone(), Value::filled(300, 2)).unwrap();
     assert!(tracked(&p, &new));
 
-    p.get(&lost).unwrap();
-    p.apply_read_side();
-    assert!(in_doorkeeper(&p, &lost));
+    read_once(&mut p, &lost);
+    assert!(!tracked(&p, &lost));
     assert_eq!(p.check_invariants(), Ok(()));
     p.crash_and_recover();
-    assert!(p.volatile.doorkeeper.is_empty());
-    p.get(&lost).unwrap();
-    p.apply_read_side();
+    read_once(&mut p, &lost);
     assert!(!tracked(&p, &lost), "the crash forgot its first read");
 }
 
-/// The doorkeeper holds at most the tracker's capacity: the first read
-/// that finds it full clears it, and a key it forgot needs two reads
-/// again.
-#[test]
-fn the_doorkeeper_clears_when_it_holds_the_trackers_capacity() {
-    let engine = engine(1_000);
-    let mut p = partition(&engine);
-    let untracked = untracked_after(&engine, &mut p, 600);
-    let cap = p.volatile.tracker.capacity();
-    assert!(untracked.len() > cap);
-    for key in &untracked[..cap] {
-        p.get(key).unwrap();
-    }
-    p.apply_read_side();
-    assert_eq!(p.volatile.doorkeeper.len(), cap);
-    assert_eq!(p.check_invariants(), Ok(()));
-
-    p.get(&untracked[cap]).unwrap();
-    p.apply_read_side();
-    assert_eq!(p.volatile.doorkeeper.len(), 1);
-    p.get(&untracked[0]).unwrap();
-    p.apply_read_side();
-    assert!(!tracked(&p, &untracked[0]));
-    assert_eq!(p.volatile.doorkeeper.len(), 2);
-    assert_eq!(p.check_invariants(), Ok(()));
-}
-
 /// Keys read every round stay tracked through a flood of tail keys that
-/// are each read twice: the doorkeeper passes every tail key, and the
-/// sketch's gate then refuses the ones that would evict a key counted more
-/// often. Each round's flood is four tracker capacities, so admitting it
-/// all would sweep the clock hand past every hot key more than three
-/// times and evict it.
+/// are each read twice: two reads bring every tail key to the sketch
+/// count of two that admission asks for, and the gate then refuses the
+/// ones that would evict a key counted more often. Each round's flood is
+/// four tracker capacities, so admitting it all would sweep the clock
+/// hand past every hot key more than three times and evict it.
 #[test]
 fn keys_read_every_round_stay_tracked_through_a_flood_of_twice_read_tail_keys() {
     let engine = engine(1_000);

@@ -461,7 +461,7 @@ pub fn write_run(
 mod tests {
     use super::*;
     use prism_storage::DeviceProfile;
-    use prism_types::Value;
+    use prism_types::{splitmix64, Value, SPLITMIX64_GAMMA};
 
     fn flash() -> Arc<Device> {
         Arc::new(Device::new(DeviceProfile::qlc_flash(1 << 30)))
@@ -714,11 +714,9 @@ mod tests {
         let mut state = seed;
         (0..len)
             .map(|_| {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) as u8
+                let out = splitmix64(state);
+                state = state.wrapping_add(SPLITMIX64_GAMMA);
+                out as u8
             })
             .collect()
     }

@@ -8,6 +8,9 @@ use prism_types::Key;
 /// Maximum clock value (two clock bits).
 pub const MAX_CLOCK: u8 = 3;
 
+/// One clock class per clock value.
+pub(crate) const CLASSES: usize = MAX_CLOCK as usize + 1;
+
 /// What happened to the tracker state as a result of one access.
 ///
 /// A [`crate::Mapper`] consumes these events to keep a clock-value
@@ -18,13 +21,13 @@ pub struct AccessEvent {
     pub old_clock: Option<u8>,
     /// The new clock value of the accessed key.
     pub new_clock: u8,
-    /// Keys that were evicted, with their clock value at eviction time
-    /// (always 0 with the clock policy) — reported so callers can clear
-    /// per-key popularity bits.
-    pub evicted: Option<(Key, u8)>,
-    /// Clock values decremented during the eviction sweep, as
-    /// `(from, count)` pairs aggregated per starting value.
-    pub decremented: Vec<(u8, u64)>,
+    /// The key the access evicted, if any — reported so callers can clear
+    /// per-key popularity bits. The clock policy evicts only at clock 0.
+    pub evicted: Option<Key>,
+    /// How many clock values the eviction sweep decremented, index = the
+    /// value before the decrement (index 0 stays 0: a key at 0 is
+    /// evicted, not decremented).
+    pub decremented: [u64; CLASSES],
 }
 
 /// A capacity-bounded popularity tracker using the multi-bit clock
@@ -80,8 +83,8 @@ impl ClockTracker {
     /// How many tracked keys hold each clock value, index = clock value:
     /// the distribution a [`crate::PinRule`] is built over. Counts the
     /// whole map.
-    pub fn clock_counts(&self) -> [u64; (MAX_CLOCK as usize) + 1] {
-        let mut counts = [0u64; (MAX_CLOCK as usize) + 1];
+    pub fn clock_counts(&self) -> [u64; CLASSES] {
+        let mut counts = [0u64; CLASSES];
         for clock in self.map.values() {
             counts[clock.load(Ordering::Relaxed) as usize] += 1;
         }
@@ -153,22 +156,12 @@ impl ClockTracker {
                 old_clock: Some(old),
                 new_clock: MAX_CLOCK,
                 evicted: None,
-                decremented: Vec::new(),
+                decremented: [0; CLASSES],
             };
         }
 
-        let mut evicted = None;
-        let mut decremented: Vec<(u8, u64)> = Vec::new();
-        if self.map.len() >= self.capacity {
-            let (victim, decrements) = self.evict();
-            for d in decrements {
-                match decremented.iter_mut().find(|(from, _)| *from == d) {
-                    Some((_, count)) => *count += 1,
-                    None => decremented.push((d, 1)),
-                }
-            }
-            evicted = Some((victim, 0));
-        }
+        let mut decremented = [0; CLASSES];
+        let evicted = (self.map.len() >= self.capacity).then(|| self.evict(&mut decremented));
 
         if self.ring.len() < self.capacity {
             self.ring.push(key.clone());
@@ -188,11 +181,10 @@ impl ClockTracker {
         }
     }
 
-    /// Run the clock hand until a value-0 victim is found; returns the
-    /// evicted key and the list of clock values that were decremented along
-    /// the way.
-    fn evict(&mut self) -> (Key, Vec<u8>) {
-        let mut decrements = Vec::new();
+    /// Run the clock hand until a value-0 victim is found and return the
+    /// evicted key, counting each clock value decremented along the way
+    /// into `decremented` by its value before the decrement.
+    fn evict(&mut self, decremented: &mut [u64; CLASSES]) -> Key {
         loop {
             let slot = self.hand;
             self.hand = (self.hand + 1) % self.ring.len();
@@ -204,9 +196,9 @@ impl ClockTracker {
             let clock = entry.load(Ordering::Relaxed);
             if clock == 0 {
                 self.map.remove(&candidate);
-                return (candidate, decrements);
+                return candidate;
             }
-            decrements.push(clock);
+            decremented[clock as usize] += 1;
             entry.store(clock - 1, Ordering::Relaxed);
         }
     }
@@ -242,7 +234,7 @@ mod tests {
         // Inserting a new key must evict one of the cold keys (2 or 3), not
         // a hot one.
         let event = t.access(&Key::from_id(100), false);
-        let (victim, _) = event.evicted.expect("a key must be evicted");
+        let victim = event.evicted.expect("a key must be evicted");
         assert!(victim.id() == 2 || victim.id() == 3, "evicted {victim:?}");
         assert_eq!(t.len(), 4);
         assert!(t.clock_of(&Key::from_id(0)).is_some());
@@ -261,7 +253,7 @@ mod tests {
         // decrementing until one reaches zero.
         let event = t.access(&Key::from_id(3), false);
         assert!(event.evicted.is_some());
-        assert!(!event.decremented.is_empty());
+        assert!(event.decremented.iter().any(|&count| count > 0));
         assert_eq!(t.len(), 2);
     }
 

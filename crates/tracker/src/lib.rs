@@ -117,7 +117,7 @@ mod proptests {
                 }
                 let named = tracker.next_victim().cloned();
                 let untracked = tracker.clock_of(&key).is_none();
-                let evicted = tracker.access(&key, false).evicted.map(|(key, _)| key);
+                let evicted = tracker.access(&key, false).evicted;
                 if untracked {
                     prop_assert_eq!(named, evicted);
                 } else {

@@ -3,10 +3,7 @@
 
 use std::cell::Cell;
 
-use crate::clock::{AccessEvent, MAX_CLOCK};
-
-/// One clock class per clock value.
-const CLASSES: usize = MAX_CLOCK as usize + 1;
+use crate::clock::{AccessEvent, CLASSES};
 
 /// Placement decision for one object during compaction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,17 +94,15 @@ impl Mapper {
             counts[old as usize] -= 1;
         }
         counts[event.new_clock as usize] += 1;
-        if let Some((_, clock)) = &event.evicted {
-            counts[*clock as usize] -= 1;
+        if event.evicted.is_some() {
+            counts[0] -= 1;
         }
         // Hottest class first: a sweep that passes a key more than once
         // moves it 3 → 2 before 2 → 1, so a class loses keys only after
         // it gained those it passes on.
-        for from in (1..=MAX_CLOCK).rev() {
-            let moved = event.decremented.iter().filter(|(f, _)| *f == from);
-            let count: u64 = moved.map(|(_, count)| count).sum();
-            counts[from as usize] -= count;
-            counts[from as usize - 1] += count;
+        for from in (1..CLASSES).rev() {
+            counts[from] -= event.decremented[from];
+            counts[from - 1] += event.decremented[from];
         }
         self.counts.set(counts);
     }
@@ -164,7 +159,7 @@ mod tests {
         }
         assert_eq!(tracker.clock_counts(), [0, 0, 1, 1]);
         let event = tracker.access(&Key::from_id(4), false);
-        assert_eq!(event.decremented, [(2, 2), (3, 1), (1, 1)]);
+        assert_eq!(event.decremented, [0, 1, 2, 1]);
         mapper.apply(&event);
         assert_eq!(tracker.clock_counts(), [1, 1, 0, 0]);
         assert_eq!(mapper.histogram(), tracker.clock_counts());

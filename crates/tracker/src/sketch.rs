@@ -16,11 +16,24 @@ const PER_WORD: usize = 16;
 /// Every counter's low bits, for halving a word's sixteen at once.
 const HALVE_MASK: u64 = 0x7777_7777_7777_7777;
 
+/// Counters per row for each key of the tracker's capacity, before
+/// rounding the row up to a power of two.
+const WIDTH_PER_KEY: usize = 16;
+
 /// A count-min sketch of recent access frequency (TinyLFU's, Einziger et
 /// al. 2017 — not in the PrismDB paper): four rows of four-bit saturating
 /// counters over a power-of-two width, all halved once every ten times
 /// the tracker capacity's increments, so a count fades unless the key
 /// keeps coming back.
+///
+/// A row holds at least sixteen times the tracker's capacity in
+/// counters, so the ten capacities of keys one period counts put less
+/// than one key on a counter on average, and a key counted once seldom
+/// shares all four of its counters: its estimate stays 1, and the
+/// engine's "counted at least twice" admission test tells a second read
+/// from a collision. With 10 × 2 500 − 1 keys counted once, 1.1 % of them
+/// estimate 2 or more at this width and 37.5 % at four times the
+/// capacity.
 ///
 /// The counters are atomics, sixteen to a word, so the `&self` read path
 /// counts without the partition write lock. One splitmix64 of the key id
@@ -40,11 +53,12 @@ pub struct FrequencySketch {
 
 impl FrequencySketch {
     /// A sketch sized for a tracker of `capacity` keys: each row is the
-    /// next power of two at or above four times `capacity` (at least one
-    /// word), and the counters halve every `10 × capacity` increments.
+    /// next power of two at or above sixteen times `capacity`
+    /// (at least one word), and the counters halve every
+    /// `10 × capacity` increments.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        let width = (4 * capacity).next_power_of_two().max(PER_WORD);
+        let width = (WIDTH_PER_KEY * capacity).next_power_of_two().max(PER_WORD);
         FrequencySketch {
             words: (0..ROWS * width / PER_WORD)
                 .map(|_| AtomicU64::new(0))
@@ -186,6 +200,29 @@ mod tests {
         let halved: Vec<u8> = expected.iter().map(|count| count / 2).collect();
         assert_eq!(counters(&sketch), halved);
         assert_eq!(sketch.estimate(&hot), 6);
+    }
+
+    /// A key counted once reads as counted once: of `10 × capacity - 1`
+    /// distinct keys counted once each, one short of a halving, fewer
+    /// than 5 % estimate 2 or more, so a first read seldom passes for a
+    /// second. The keys are one partition's of eight (they share the low
+    /// bits of their hash) at the benchmark's per-partition capacity.
+    #[test]
+    fn few_keys_counted_once_estimate_two() {
+        let capacity = 2_500;
+        let sketch = FrequencySketch::new(capacity);
+        let ids = (0..).filter(|&id| splitmix64(id).is_multiple_of(8));
+        let keys: Vec<Key> = ids.take(10 * capacity - 1).map(Key::from_id).collect();
+        for key in &keys {
+            sketch.increment(key);
+        }
+        let doubled = keys.iter().filter(|key| sketch.estimate(key) >= 2);
+        let share = doubled.count() as f64 / keys.len() as f64;
+        assert!(
+            share < 0.05,
+            "{:.1} % of once-counted keys estimate 2+",
+            share * 100.0
+        );
     }
 
     /// No per-process seed: the same keys in the same order leave the

@@ -302,6 +302,7 @@ impl LruCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{splitmix64, SPLITMIX64_GAMMA};
 
     fn key(id: u64) -> Key {
         Key::from_id(id)
@@ -428,12 +429,9 @@ mod tests {
         for (seed, capacity, universe) in [(1u64, 1_000u64, 24u64), (2, 4_096, 64), (3, 300, 8)] {
             let mut state = seed;
             let mut next = move || {
-                // splitmix64
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
+                let out = splitmix64(state);
+                state = state.wrapping_add(SPLITMIX64_GAMMA);
+                out
             };
             let mut cache = LruCache::new(capacity);
             // Front is the least recently used.
@@ -600,12 +598,9 @@ mod tests {
         for (seed, capacity, universe, prices) in cases {
             let mut state = seed;
             let mut next = move || {
-                // splitmix64
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
+                let out = splitmix64(state);
+                state = state.wrapping_add(SPLITMIX64_GAMMA);
+                out
             };
             let [cheap, dear] = prices.map(Nanos::from_nanos);
             let mut cache = LruCache::with_prices(capacity, cheap, dear);

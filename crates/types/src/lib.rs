@@ -165,11 +165,9 @@ pub trait KvStore {
 pub(crate) fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
     let mut state = seed;
     let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let out = splitmix64(state);
+        state = state.wrapping_add(SPLITMIX64_GAMMA);
+        out
     };
     let mut bytes = Vec::with_capacity(len + 8);
     while bytes.len() < len {
