@@ -51,7 +51,7 @@ pub use bucket::BucketMap;
 pub use jobs::{execute_job, CompactionJob, DemoteEntry, ExecutedJob, JobKind, MergedOrigin};
 pub use msc::{msc_score, RangeStats, RangeStatsBuilder};
 pub use planner::{CompactionConfig, CompactionPlanner, CompactionPolicy};
-pub use read_triggered::ReadTriggeredController;
+pub use read_triggered::{ReadTriggeredController, PROMOTION_BATCH_FLASH_READS};
 
 #[cfg(test)]
 mod proptests {

@@ -18,6 +18,10 @@ pub enum CompactionPolicy {
     ApproxMsc,
 }
 
+/// The widest bucket a config may ask for, 16 × the paper's 64 K: the
+/// bucket map allocates three `width / 64`-word bitmaps per bucket.
+const MAX_BUCKET_SIZE_KEYS: u64 = 1 << 20;
+
 /// Configuration of the compaction planner.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompactionConfig {
@@ -26,7 +30,8 @@ pub struct CompactionConfig {
     /// Number of candidate ranges sampled per compaction (power-of-k
     /// choices; the paper uses k = 8).
     pub k_candidates: usize,
-    /// Keys per bucket for the approx-MSC bucket map (64 K in the paper).
+    /// Keys per bucket for the approx-MSC bucket map (64 K in the paper),
+    /// at most `1 << 20`.
     pub bucket_size_keys: u64,
     /// Random seed for candidate sampling and threshold sampling, so runs
     /// are reproducible.
@@ -56,10 +61,10 @@ impl CompactionConfig {
                 "compaction needs at least one candidate".into(),
             ));
         }
-        if self.bucket_size_keys == 0 {
-            return Err(PrismError::InvalidConfig(
-                "bucket size must be non-zero".into(),
-            ));
+        if self.bucket_size_keys == 0 || self.bucket_size_keys > MAX_BUCKET_SIZE_KEYS {
+            return Err(PrismError::InvalidConfig(format!(
+                "bucket size must be in [1, {MAX_BUCKET_SIZE_KEYS}]"
+            )));
         }
         Ok(())
     }
@@ -159,6 +164,14 @@ mod tests {
             },
             CompactionConfig {
                 bucket_size_keys: 0,
+                ..CompactionConfig::default()
+            },
+            CompactionConfig {
+                bucket_size_keys: MAX_BUCKET_SIZE_KEYS + 1,
+                ..CompactionConfig::default()
+            },
+            CompactionConfig {
+                bucket_size_keys: 1 << 40,
                 ..CompactionConfig::default()
             },
         ] {

@@ -17,6 +17,10 @@
 //! flat ratio would be close to a coin flip. DRAM hits and writes do not
 //! close an epoch. The cool-down keeps the paper's ten epochs, counted in
 //! operations.
+//!
+//! The controller also paces the promotions it enables: it counts the
+//! flash-served reads in every phase, and while promotions are enabled a
+//! job is due every [`PROMOTION_BATCH_FLASH_READS`] of them.
 
 /// Length of one invocation epoch, in point reads served by NVM or flash.
 const EPOCH_READS: u64 = 10_000;
@@ -34,6 +38,15 @@ const READ_FRACTION_TRIGGER: f64 = 0.8;
 /// Fraction of reads served from flash above which promotions are
 /// worthwhile.
 const FLASH_READ_FRACTION_TRIGGER: f64 = 0.2;
+
+/// How many flash-served reads accumulate before a promotion compaction
+/// runs (while promotions are enabled). A read-trigger epoch of 10 000
+/// reads below DRAM holds about 3 100 flash reads on YCSB-C at the
+/// benchmark's tiers, so 100 runs about 31 jobs an epoch over a
+/// partition's ~41 ranges (200 ran 16). `tier_read_c` (seed 42) read
+/// 19.18 simulated kops/s at 50 with 3 823 jobs, 19.29 at 100 with 2 064
+/// and 18.97 at 150 with 1 241.
+pub const PROMOTION_BATCH_FLASH_READS: u64 = 100;
 
 /// The controller's current phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +108,9 @@ pub struct ReadTriggeredController {
     window: WindowCounters,
     previous_ratio: f64,
     cooldown_remaining: u64,
+    /// Flash-served reads observed, in any phase, since the last
+    /// promotion was taken.
+    flash_since_promotion: u64,
 }
 
 impl ReadTriggeredController {
@@ -112,12 +128,26 @@ impl ReadTriggeredController {
             window: WindowCounters::default(),
             previous_ratio: 0.0,
             cooldown_remaining: 0,
+            flash_since_promotion: 0,
         }
     }
 
-    /// True while promotion compactions should be triggered.
-    pub fn promotions_enabled(&self) -> bool {
+    /// Whether a promotion job is due once `unobserved` flash-served reads
+    /// not yet handed to [`ReadTriggeredController::observe_ops`] are
+    /// counted: promotions are enabled and a batch has accumulated.
+    pub fn promotion_due(&self, unobserved: u64) -> bool {
         self.phase == ReadTriggerPhase::Invocation
+            && self.flash_since_promotion + unobserved >= PROMOTION_BATCH_FLASH_READS
+    }
+
+    /// Take a due promotion job: true if one was due, and the batch count
+    /// restarts.
+    pub fn take_promotion(&mut self) -> bool {
+        let due = self.promotion_due(0);
+        if due {
+            self.flash_since_promotion = 0;
+        }
+        due
     }
 
     /// Record a batch of `ops` client operations, `reads` of them point
@@ -126,6 +156,7 @@ impl ReadTriggeredController {
     /// or an epoch that reaches its length inside it closes at its end,
     /// so the order of the batch's operations cannot move the outcome.
     pub fn observe_ops(&mut self, ops: u64, reads: u64, from_nvm: u64, from_flash: u64) {
+        self.flash_since_promotion += from_flash;
         self.window.ops += ops;
         self.window.reads += reads;
         self.window.reads_from_nvm += from_nvm;
@@ -188,9 +219,8 @@ mod tests {
         for i in 0..1_000 {
             // 50/50 read-write mix, reads from NVM.
             one(&mut c, i % 2 == 0, i % 2 == 0, false);
-            assert!(!c.promotions_enabled());
+            assert_eq!(c.phase, ReadTriggerPhase::Detection);
         }
-        assert_eq!(c.phase, ReadTriggerPhase::Detection);
     }
 
     #[test]
@@ -200,7 +230,6 @@ mod tests {
         assert_eq!(c.phase, ReadTriggerPhase::Detection);
         one(&mut c, true, false, true);
         assert_eq!(c.phase, ReadTriggerPhase::Invocation);
-        assert!(c.promotions_enabled());
     }
 
     #[test]
@@ -214,7 +243,6 @@ mod tests {
         // Epoch 2: ratio drops back — controller cools down.
         c.observe_ops(EPOCH_READS, EPOCH_READS, 0, EPOCH_READS);
         assert_eq!(c.phase, ReadTriggerPhase::Cooldown);
-        assert!(!c.promotions_enabled());
     }
 
     #[test]
@@ -367,6 +395,69 @@ mod tests {
         };
         assert!(one_at_a_time(&flash_first) < 0.5);
         assert!(one_at_a_time(&nvm_first) > 0.5);
+    }
+
+    /// Flash-served reads count towards the next promotion in every
+    /// phase, whether promotions are enabled or not.
+    #[test]
+    fn flash_reads_count_towards_a_promotion_in_every_phase() {
+        let mut c = at_floors();
+        c.observe_ops(10, 10, 0, 10);
+        assert_eq!(c.phase, ReadTriggerPhase::Detection);
+        assert_eq!(c.flash_since_promotion, 10);
+        c.observe_ops(40, 40, 0, 40);
+        assert_eq!(c.phase, ReadTriggerPhase::Invocation);
+        assert_eq!(c.flash_since_promotion, 50);
+        c.observe_ops(EPOCH_READS, EPOCH_READS, 0, EPOCH_READS);
+        assert_eq!(c.phase, ReadTriggerPhase::Cooldown);
+        assert_eq!(c.flash_since_promotion, 50 + EPOCH_READS);
+        c.observe_ops(7, 7, 3, 4);
+        assert_eq!(c.flash_since_promotion, 54 + EPOCH_READS);
+    }
+
+    /// A promotion is due only while promotions are enabled and once a
+    /// batch of flash reads has accumulated, counting the ones the caller
+    /// has not handed over yet; only handed-over reads make one taken.
+    #[test]
+    fn a_promotion_is_due_only_in_invocation_and_at_a_full_batch() {
+        let batch = PROMOTION_BATCH_FLASH_READS;
+        let mut c = at_floors();
+        // Detection: a batch's worth of flash reads, promotions off.
+        c.observe_ops(49, 49, 0, 49);
+        assert!(!c.promotion_due(batch));
+        assert!(!c.take_promotion());
+        c.observe_ops(1, 1, 0, 1);
+        assert_eq!(c.phase, ReadTriggerPhase::Invocation);
+        // 50 counted: the undrained reads decide.
+        assert!(!c.promotion_due(batch - 51));
+        assert!(c.promotion_due(batch - 50));
+        assert!(!c.take_promotion());
+        c.observe_ops(batch - 50, batch - 50, 0, batch - 50);
+        assert!(c.promotion_due(0));
+        // Cool-down: however many flash reads, none is due.
+        c.observe_ops(EPOCH_READS, EPOCH_READS, 0, EPOCH_READS);
+        assert_eq!(c.phase, ReadTriggerPhase::Cooldown);
+        assert!(!c.promotion_due(batch));
+        assert!(!c.take_promotion());
+    }
+
+    /// Taking a promotion restarts the count: a surplus past the batch
+    /// does not carry over, and the next job is due a full batch later.
+    #[test]
+    fn take_promotion_takes_one_job_and_restarts_the_count() {
+        let batch = PROMOTION_BATCH_FLASH_READS;
+        let mut c = at_floors();
+        c.observe_ops(50, 50, 0, 50);
+        c.observe_ops(2 * batch, 2 * batch, 0, 2 * batch);
+        assert_eq!(c.phase, ReadTriggerPhase::Invocation);
+        assert!(c.take_promotion());
+        assert_eq!(c.flash_since_promotion, 0);
+        assert!(!c.take_promotion());
+        c.observe_ops(batch - 1, batch - 1, 0, batch - 1);
+        assert!(!c.promotion_due(0));
+        assert!(c.promotion_due(1));
+        c.observe_ops(1, 1, 0, 1);
+        assert!(c.take_promotion());
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub enum Partitioning {
 #[derive(Debug, Clone)]
 pub struct Options {
     /// Number of shared-nothing partitions (each with its own worker and
-    /// compaction accounting).
+    /// compaction accounting), at most 1 024.
     pub num_partitions: usize,
     /// Expected number of distinct keys; used for range partitioning and
     /// for sizing the tracker.
@@ -206,9 +206,9 @@ impl Options {
     /// Returns [`PrismError::InvalidConfig`] describing the first invalid
     /// field found.
     pub fn validate(&self) -> Result<()> {
-        if self.num_partitions == 0 {
+        if self.num_partitions == 0 || self.num_partitions > 1024 {
             return Err(PrismError::InvalidConfig(
-                "at least one partition is required".into(),
+                "num_partitions must be in [1, 1024]".into(),
             ));
         }
         if self.expected_keys == 0 || scaled_flash_bytes(self.expected_keys).is_none() {
@@ -373,6 +373,8 @@ mod tests {
     fn invalid_options_are_rejected() {
         assert!(Options::builder(0).build().is_err());
         assert!(Options::builder(100).partitions(0).build().is_err());
+        assert!(rejected(|o| o.num_partitions = 1025));
+        assert!(rejected(|o| o.num_partitions = usize::MAX));
         assert!(Options::builder(100).nvm_capacity(0).build().is_err());
         assert!(rejected(|o| o.pinning_threshold = 1.5));
         assert!(rejected(|o| o.low_watermark = 0.99));

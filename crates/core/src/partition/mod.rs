@@ -53,35 +53,20 @@ use persist::{Durable, Volatile};
 pub(crate) use scan::ScanCursor;
 pub(crate) use write::Reclaim;
 
-/// Buffered read-side updates applied at the next drain (threshold for the
-/// engine to force a drain with a write lock).
-pub(crate) const READ_SIDE_DRAIN: usize = 64;
-
-/// How many flash-served reads accumulate before a promotion compaction
-/// runs (while read-triggered compactions are active). A read-trigger
-/// epoch of 10 000 reads below DRAM holds about 3 100 flash reads on
-/// YCSB-C at the benchmark's tiers, so 100 runs about 31 jobs an epoch
-/// over a partition's ~41 ranges (200 ran 16). `tier_read_c` (seed 42)
-/// read 19.18 simulated kops/s at 50 with 3 823 jobs, 19.29 at 100 with
-/// 2 064 and 18.97 at 150 with 1 241.
-const PROMOTION_BATCH_FLASH_READS: u64 = 100;
+/// Buffered tracker admissions at which a read asks the engine to drain
+/// the read side under the write lock.
+const READ_SIDE_DRAIN: usize = 64;
 
 /// Read-side counters maintained entirely with atomics: the hot read path
 /// bumps these without taking any lock, and write-lock holders drain them.
 #[derive(Debug, Default)]
 struct ReadSideCounters {
-    /// Mirrors the length of `Volatile::read_side` so drain pressure is
-    /// checked without the buffer mutex.
-    pending_accesses: AtomicU64,
     /// Total reads observed since the last drain.
     reads: AtomicU64,
     /// Reads served from NVM since the last drain.
     nvm_hits: AtomicU64,
     /// Reads served from flash since the last drain.
     flash_hits: AtomicU64,
-    /// Flash-served reads since the last promotion compaction (persists
-    /// across drains; reset when a promotion is scheduled).
-    flash_reads_since_promotion: AtomicU64,
 }
 
 /// One partition: handles, then its state grouped by what a crash does to
@@ -124,34 +109,12 @@ impl Volatile {
             .unwrap_or_else(|poison| poison.into_inner())
     }
 
-    /// Drain/promotion pressure from the atomic read-side counters alone:
-    /// the hot read path calls this without holding any lock.
-    fn read_pressure(&self) -> bool {
-        let trigger_enabled = self
-            .read_trigger
-            .as_ref()
-            .is_some_and(|ctrl| ctrl.promotions_enabled());
-        self.read_counters.pending_accesses.load(Ordering::Relaxed) as usize >= READ_SIDE_DRAIN
-            || (trigger_enabled
-                && self
-                    .read_counters
-                    .flash_reads_since_promotion
-                    .load(Ordering::Relaxed)
-                    >= PROMOTION_BATCH_FLASH_READS)
-    }
-
     /// Apply buffered structural tracker admissions — a read's key
     /// enters the tracker once it passes the sketch's gate — and drain
     /// the atomic read counters into the read-trigger controller as one
     /// batch.
     fn apply_read_side(&mut self) {
-        let accesses = {
-            let mut rs = self.lock_read_side();
-            self.read_counters
-                .pending_accesses
-                .store(0, Ordering::Relaxed);
-            std::mem::take(&mut *rs)
-        };
+        let accesses = std::mem::take(&mut *self.lock_read_side());
         let reads = self.read_counters.reads.swap(0, Ordering::Relaxed);
         let nvm_hits = self.read_counters.nvm_hits.swap(0, Ordering::Relaxed);
         let flash_hits = self.read_counters.flash_hits.swap(0, Ordering::Relaxed);
@@ -162,27 +125,6 @@ impl Volatile {
         if let Some(ctrl) = &mut self.read_trigger {
             ctrl.observe_ops(reads, reads, nvm_hits, flash_hits);
         }
-        self.refresh_promote_due();
-    }
-
-    /// If the read-trigger controller allows promotions and enough flash
-    /// reads accumulated, mark a promotion as pending and reset the batch
-    /// counter.
-    fn refresh_promote_due(&mut self) {
-        let enabled = self
-            .read_trigger
-            .as_ref()
-            .is_some_and(|ctrl| ctrl.promotions_enabled());
-        if !enabled {
-            return;
-        }
-        // `&mut self` means no reader holds the partition lock, so the
-        // load/store pair cannot lose a concurrent increment.
-        let ctr = &self.read_counters.flash_reads_since_promotion;
-        if ctr.load(Ordering::Relaxed) >= PROMOTION_BATCH_FLASH_READS {
-            ctr.store(0, Ordering::Relaxed);
-            self.promote_pending = true;
-        }
     }
 
     /// Record `ops` writes for the read-trigger controller's read-ratio
@@ -191,7 +133,6 @@ impl Volatile {
         if let Some(ctrl) = &mut self.read_trigger {
             ctrl.observe_ops(ops, 0, 0, 0);
         }
-        self.refresh_promote_due();
     }
 
     /// Approximate DRAM footprint of one preserved history version (key
@@ -379,10 +320,11 @@ impl Partition {
         self.volatile.apply_read_side();
     }
 
-    /// Consume the pending-promotion flag (the driver turns it into a
-    /// promotion request).
-    pub(crate) fn take_promote_pending(&mut self) -> bool {
-        std::mem::take(&mut self.volatile.promote_pending)
+    /// Take a due promotion job from the read-trigger controller; the
+    /// driver turns it into a promotion request.
+    pub(crate) fn take_promotion(&mut self) -> bool {
+        let ctrl = self.volatile.read_trigger.as_mut();
+        ctrl.is_some_and(|ctrl| ctrl.take_promotion())
     }
 }
 

@@ -163,8 +163,6 @@ pub(super) struct Volatile {
     /// Bytes currently buffered in `history`; the engine's total is the
     /// sum over partitions.
     pub(super) history_bytes: u64,
-    /// A read-triggered promotion compaction is due (set by a drain).
-    pub(super) promote_pending: bool,
     /// Parked resume point of an incomplete scrub pass.
     pub(super) scrub_cursor: Option<ScrubCursor>,
 }
@@ -201,7 +199,6 @@ impl Volatile {
             read_counters: ReadSideCounters::default(),
             history: BTreeMap::new(),
             history_bytes: 0,
-            promote_pending: false,
             scrub_cursor: None,
         }
     }
@@ -219,6 +216,15 @@ impl Volatile {
     /// otherwise admit it once the sketch counts it at least twice, when
     /// the tracker has room or the sketch counts it more often than the
     /// key the admission would evict.
+    ///
+    /// A drain replays its reads in arrival order, so a key read twice
+    /// before one drain is admitted by its first replay (the sketch counts
+    /// both reads already) and re-heated to the top clock by its second,
+    /// while a key read once in each of two drain windows enters at clock
+    /// 0. The re-heat stays: replaying a drain's reads as admissions only,
+    /// without re-heating a key an earlier replay admitted, read worse on
+    /// `tier_read_c` (seed 42, 16 s: `sim_kops` 19.4929 → 19.4491,
+    /// `fast_read_ratio` 0.87834 → 0.87807).
     pub(super) fn observe_read(&mut self, key: Key) {
         let tracked = self.tracker.clock_of(&key).is_some();
         let count = self.sketch.estimate(&key);

@@ -26,7 +26,10 @@
 //! atomic counters and no lock. A write counts and admits at once; the
 //! gate is TinyLFU's, not the paper's. The CPU cost
 //! of the tracker update is still charged to the read that caused it;
-//! only structural application is deferred.
+//! only structural application is deferred. A read asks for a drain only
+//! when it can have made one due: its push fills the buffer, or its flash
+//! read completes the read-trigger controller's promotion batch, counted
+//! with the flash reads no drain has handed over yet.
 //! Point lookups resolve the key's NVM address with one probe of the
 //! partition's B-tree index.
 //!
@@ -47,7 +50,7 @@ use std::sync::atomic::Ordering;
 use prism_storage::{FaultOp, FaultTier};
 use prism_types::{Key, Lane, Lookup, Nanos, PrismError, ReadSource, Result, Value};
 
-use super::{Kept, Partition};
+use super::{Kept, Partition, READ_SIDE_DRAIN};
 use crate::engine::count;
 
 /// A key's live version below the DRAM cache, as a reader found it.
@@ -225,16 +228,19 @@ impl Partition {
             .map(|entry| Live::Clean(ReadSource::Flash, entry.timestamp, entry.value)))
     }
 
-    /// Point lookup, also reporting whether enough read-side state has
-    /// accumulated that the engine should take the write lock and drain it
-    /// (structural tracker admissions, or a due promotion compaction).
+    /// Point lookup, also reporting whether the engine should take the
+    /// write lock and drain the read side. Only two reads can say so: one
+    /// whose push brings the admission buffer to [`READ_SIDE_DRAIN`]
+    /// (measured under the buffer's mutex, which the push holds anyway),
+    /// and a flash read after which the read-trigger controller, counting
+    /// the flash reads not yet drained, says a promotion is due.
     ///
     /// The hot path acquires no partition-wide mutex: the DRAM cache probe
     /// locks only the key's cache sub-shard, the index probe runs under the
     /// partition read lock alone, popularity is re-heated with an atomic
-    /// clock swap, and every counter (including the pressure inputs) is an
-    /// atomic. Only a read of a key the tracker has never seen touches the
-    /// read-side buffer mutex, to queue the structural admission.
+    /// clock swap, and every counter is an atomic. Only a read of a key
+    /// the tracker has never seen touches the read-side buffer mutex, to
+    /// queue the structural admission.
     pub(crate) fn get_with_pressure(&self, key: &Key) -> Result<(Lookup, bool)> {
         // A quarantined key fails before any tier is consulted: an older
         // clean version on flash must never shadow the corrupt one.
@@ -282,6 +288,7 @@ impl Partition {
         count(served, 1);
         let volatile = &self.volatile;
         let counters = &volatile.read_counters;
+        let mut pressure = false;
         if let Some(found) = &value {
             // The popularity update's CPU cost belongs to this read either
             // way; which path applies it depends on whether the tracker
@@ -299,9 +306,7 @@ impl Partition {
                 // admission may evict.
                 let mut rs = volatile.lock_read_side();
                 rs.push(key.clone());
-                counters
-                    .pending_accesses
-                    .store(rs.len() as u64, Ordering::Relaxed);
+                pressure = rs.len() >= READ_SIDE_DRAIN;
             }
             // The fill: only a popular value that flash served is dear to
             // refetch; a one-off flash read of a tail key would otherwise
@@ -319,14 +324,14 @@ impl Partition {
                 counters.nvm_hits.fetch_add(1, Ordering::Relaxed);
             }
             ReadSource::Flash => {
-                counters.flash_hits.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .flash_reads_since_promotion
-                    .fetch_add(1, Ordering::Relaxed);
+                // The controller has counted the drained flash reads;
+                // `flash_hits` holds the rest, this read included.
+                let unobserved = counters.flash_hits.fetch_add(1, Ordering::Relaxed) + 1;
+                let trigger = volatile.read_trigger.as_ref();
+                pressure |= trigger.is_some_and(|ctrl| ctrl.promotion_due(unobserved));
             }
             _ => {}
         }
-        let pressure = volatile.read_pressure();
         self.advance_fg(cost);
         Ok((
             Lookup {

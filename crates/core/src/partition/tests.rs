@@ -1061,26 +1061,36 @@ fn untracked_after(engine: &EngineShared, p: &mut Partition, written: u64) -> Ve
     keys.filter(|key| !tracked(p, key)).collect()
 }
 
+/// Keys `0..400`, written as [`untracked_after`] does, that the tracker
+/// no longer tracks and whose puts have faded from the sketch: one
+/// halving period of reads of a tracked key came after them.
+fn faded_untracked(engine: &EngineShared, p: &mut Partition) -> Vec<Key> {
+    let untracked = untracked_after(engine, p, 400);
+    let hot = Key::from_id(399);
+    assert!(tracked(p, &hot));
+    for _ in 0..10 * p.volatile.tracker.capacity() {
+        p.get(&hot).unwrap();
+    }
+    untracked
+}
+
+/// One found read and the drain after it.
+fn read_once(p: &mut Partition, key: &Key) {
+    assert!(p.get(key).unwrap().value.is_some());
+    p.apply_read_side();
+}
+
 /// A read admits a key the sketch counts at least twice. A key whose put
-/// has faded from the sketch (one halving period of reads of another key
-/// since) stays untracked on its first read and enters at clock 0 on its
-/// second; a put admits a key at once; a crash forgets the counts, so a
-/// key read once before it stays untracked on its next read.
+/// has faded from the sketch stays untracked on its first read and enters
+/// at clock 0 on its second; a put admits a key at once; a crash forgets
+/// the counts, so a key read once before it stays untracked on its next
+/// read.
 #[test]
 fn a_read_admits_a_key_on_its_second_read_and_a_put_at_once() {
     let engine = engine(1_000);
     let mut p = partition(&engine);
-    let untracked = untracked_after(&engine, &mut p, 400);
-    let hot = Key::from_id(399);
-    assert!(tracked(&p, &hot));
-    for _ in 0..10 * p.volatile.tracker.capacity() {
-        p.get(&hot).unwrap();
-    }
+    let untracked = faded_untracked(&engine, &mut p);
     let [read, written, lost] = [0, 1, 2].map(|i| untracked[i].clone());
-    let read_once = |p: &mut Partition, key: &Key| {
-        assert!(p.get(key).unwrap().value.is_some());
-        p.apply_read_side();
-    };
 
     read_once(&mut p, &read);
     assert!(!tracked(&p, &read));
@@ -1099,6 +1109,72 @@ fn a_read_admits_a_key_on_its_second_read_and_a_put_at_once() {
     p.crash_and_recover();
     read_once(&mut p, &lost);
     assert!(!tracked(&p, &lost), "the crash forgot its first read");
+}
+
+/// A drain replays its buffered reads in order, so where a key read
+/// twice enters the tracker depends on the drains between its reads: read
+/// twice before one drain, its first replay admits it (the sketch already
+/// counts both reads) and its second re-heats it to the top clock; read
+/// once in each of two drain windows, it enters at clock 0.
+#[test]
+fn a_key_read_twice_in_one_drain_window_enters_hot_and_across_two_cold() {
+    let engine = engine(1_000);
+    let mut p = partition(&engine);
+    let untracked = faded_untracked(&engine, &mut p);
+    let [within, across] = [0, 1].map(|i| untracked[i].clone());
+
+    for _ in 0..2 {
+        assert!(p.get(&within).unwrap().value.is_some());
+    }
+    assert!(!tracked(&p, &within));
+    p.apply_read_side();
+    assert_eq!(p.volatile.tracker.clock_of(&within), Some(MAX_CLOCK));
+
+    read_once(&mut p, &across);
+    assert!(!tracked(&p, &across));
+    read_once(&mut p, &across);
+    assert_eq!(p.volatile.tracker.clock_of(&across), Some(0));
+    assert_eq!(p.check_invariants(), Ok(()));
+}
+
+/// A read asks for a drain only when it can have made one due: the read
+/// whose push fills the admission buffer, and a flash read that completes
+/// a promotion batch while promotions are enabled. The reads before each
+/// do not ask, and the drain after the batch yields one promotion.
+#[test]
+fn a_read_asks_for_a_drain_when_it_fills_the_buffer_or_completes_a_promotion_batch() {
+    let engine = engine(1_000);
+    let mut p = partition(&engine);
+    let untracked = untracked_after(&engine, &mut p, 400);
+    demote_everything(&mut p);
+    let batch = prism_compaction::PROMOTION_BATCH_FLASH_READS as usize;
+    let drain = READ_SIDE_DRAIN;
+    assert!(untracked.len() >= drain + batch);
+    let pressure = |p: &Partition, key: &Key| {
+        let (lookup, pressure) = p.get_with_pressure(key).unwrap();
+        assert_eq!(lookup.source, ReadSource::Flash);
+        pressure
+    };
+
+    // Every read queues an admission and is a flash read, but promotions
+    // are off: the writes left the read trigger detecting.
+    for (i, key) in untracked[..drain].iter().enumerate() {
+        assert_eq!(pressure(&p, key), i + 1 == drain, "read {i}");
+    }
+    // The drain hands the controller a read-only, all-flash window, which
+    // enables promotions with `drain` flash reads counted.
+    p.apply_read_side();
+    assert!(!p.take_promotion());
+
+    // The rest of the batch queues fewer admissions than a drain.
+    let rest = &untracked[drain..batch];
+    for (i, key) in rest.iter().enumerate() {
+        assert_eq!(pressure(&p, key), i + 1 == rest.len(), "read {i}");
+    }
+    p.apply_read_side();
+    assert!(p.take_promotion());
+    assert!(!p.take_promotion(), "one drain, one promotion");
+    assert!(!pressure(&p, &untracked[batch]));
 }
 
 /// Keys read every round stay tracked through a flood of tail keys that

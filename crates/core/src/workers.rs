@@ -592,7 +592,7 @@ impl EngineShared {
             kind,
             trigger_fg,
         };
-        if p.take_promote_pending() {
+        if p.take_promotion() {
             self.dispatch(request(RequestKind::Promote), p)?;
         }
         if grew && p.nvm_utilization() >= self.options.high_watermark {

@@ -61,6 +61,15 @@ struct Pending {
 /// below `MAX_FRAME`, far above a pipelining window of point requests.
 const FLUSH_AT: usize = 64 * 1024;
 
+/// Most consecutive failed dial attempts before a connection loss is
+/// surfaced as [`PrismError::Disconnected`].
+const MAX_RECONNECT_ATTEMPTS: u32 = 64;
+/// Nap before the first reconnect attempt; doubles per failed attempt up
+/// to [`RECONNECT_BACKOFF_CAP`].
+const RECONNECT_BACKOFF: Duration = Duration::from_micros(500);
+/// Ceiling for the exponential reconnect backoff.
+const RECONNECT_BACKOFF_CAP: Duration = Duration::from_millis(50);
+
 /// Re-dials the server after a connection loss. Called once per
 /// reconnect attempt; each call must produce a fresh connection.
 pub(crate) type Dialer = Box<dyn FnMut() -> std::io::Result<Conn> + Send>;
@@ -94,14 +103,6 @@ pub struct NetClient {
     pub max_retries: u32,
     /// Nap between a back-pressure refusal and the resend.
     pub retry_backoff: Duration,
-    /// Most consecutive failed dial attempts before a connection loss is
-    /// surfaced as [`PrismError::Disconnected`].
-    pub max_reconnect_attempts: u32,
-    /// Nap before the first reconnect attempt; doubles per failed
-    /// attempt up to [`Self::reconnect_backoff_cap`].
-    pub reconnect_backoff: Duration,
-    /// Ceiling for the exponential reconnect backoff.
-    pub reconnect_backoff_cap: Duration,
     /// Back-pressure refusals observed (including retried ones).
     pub backpressure_seen: u64,
     /// Successful reconnects performed (each replays the unacked frames).
@@ -131,9 +132,6 @@ impl NetClient {
             dialer: None,
             max_retries: 10_000,
             retry_backoff: Duration::from_micros(100),
-            max_reconnect_attempts: 64,
-            reconnect_backoff: Duration::from_micros(500),
-            reconnect_backoff_cap: Duration::from_millis(50),
             backpressure_seen: 0,
             reconnects: 0,
             corrupt_frames_seen: 0,
@@ -161,15 +159,15 @@ impl NetClient {
         if self.dialer.is_none() {
             return Err(PrismError::Disconnected);
         }
-        let mut backoff = self.reconnect_backoff;
+        let mut backoff = RECONNECT_BACKOFF;
         let mut attempts = 0u32;
         'dial: loop {
-            if attempts >= self.max_reconnect_attempts {
+            if attempts >= MAX_RECONNECT_ATTEMPTS {
                 return Err(PrismError::Disconnected);
             }
             attempts += 1;
             std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(self.reconnect_backoff_cap);
+            backoff = (backoff * 2).min(RECONNECT_BACKOFF_CAP);
             let dialer = self.dialer.as_mut().expect("checked above");
             let conn = match dialer() {
                 Ok(conn) => conn,
@@ -648,7 +646,6 @@ mod tests {
                 .ok_or_else(|| std::io::ErrorKind::NotConnected.into())
         }))
         .expect("the first dial");
-        client.reconnect_backoff = Duration::ZERO;
         client.send(&put(1)).expect("send");
         client.flush().expect("flush");
         client.send(&put(2)).expect("send");
