@@ -9,7 +9,9 @@
 //! 1/2/4 background compaction workers (watermark trips enqueue a job;
 //! clients only stall at the back-pressure ceiling). Makespans come from
 //! [`crate::Runner::run_threaded`]'s virtual-time model:
-//! `max(busiest client, busiest shard, busiest compaction worker)`.
+//! `max(busiest client, busiest shard, busiest compaction worker)`, where
+//! a worker's clock sums the jobs that worker thread installed, so the
+//! third term follows how the OS spread the jobs over the pool.
 
 use prism_workloads::{Distribution, Workload};
 

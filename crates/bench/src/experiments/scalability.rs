@@ -13,11 +13,11 @@
 use std::sync::atomic::Ordering;
 
 use prism_types::ConcurrentKvStore;
-use prism_workloads::Workload;
+use prism_workloads::{Distribution, Workload};
 
 use crate::engines;
 use crate::report::{fmt_f64, write_bench_json, Table};
-use crate::{Runner, Scale};
+use crate::{Runner, Scale, ThreadedRunResult};
 
 /// Aggregate YCSB-C throughput for 1/2/4/8 client threads, PrismDB
 /// (8 partition locks) vs the coarse-locked multi-tier LSM (1 lock).
@@ -61,21 +61,53 @@ pub fn thread_sweep(scale: &Scale) -> Table {
     table
 }
 
-/// Read-path lock sharpening (RwLock partitions): on the read-only
-/// YCSB-C mix, reads on the same partition overlap with each other, so
-/// the makespan is bounded by the busiest *client* rather than the
-/// busiest partition. The table compares the measured makespan against
-/// what the serialise-everything shard model would have charged
-/// ([`crate::ThreadedRunResult::elapsed_serial_reads`]): the gap is the
-/// win from taking tracker/clock updates out of the partition critical
-/// section.
-pub fn read_path_sweep(scale: &Scale) -> Table {
-    let runner = Runner::new(super::run_config(scale));
-    let keys = scale.record_count;
-    let workload = Workload::ycsb_c(keys);
+/// The hot-partition read run both read-path sweeps use: the YCSB-C op
+/// mix (100 % reads) over YCSB-D's *latest* distribution, for engines
+/// configured by [`engines::read_path_options`] (range-partitioned,
+/// NVM-resident). Latest-skewed reads land on the partition holding the
+/// newest key range, so one partition carries most of the reads. Plain
+/// YCSB-C *scrambles* its Zipfian ranks across the key space, and hash
+/// partitioning then spreads the read time: at quick scale the hottest of
+/// 8 partitions held 21 % of the reads but about 15 % of their time (its
+/// hot keys are DRAM hits; flash reads of the cold tail dominate), close
+/// to the busiest of 8 clients' 14 %, so no shard model separated from
+/// the client-bound one.
+///
+/// A quarter of the sweep's usual key universe: the latest distribution's
+/// cold tail (keys only ever read once) can never be cached, and at the
+/// full universe those compulsory NVM misses dominate the average read
+/// latency, hiding the read-path locks the sweeps measure. (The runner
+/// stamps its own record count onto the workload, so the override goes
+/// through the run config.) Returns the runner, the workload and the key
+/// count to build engines for.
+fn hot_partition_reads(scale: &Scale) -> (Runner, Workload, u64) {
+    let keys = (scale.record_count / 4).max(500);
+    let mut config = super::run_config(scale);
+    config.record_count = keys;
+    let workload = Workload::ycsb_c(keys).with_distribution(Distribution::Latest(0.99));
+    (Runner::new(config), workload, keys)
+}
 
+/// Throughput under the serialise-everything shard model
+/// ([`crate::ThreadedRunResult::elapsed_serial_reads`]).
+fn serial_kops(result: &ThreadedRunResult) -> f64 {
+    if result.elapsed_serial_reads.is_zero() {
+        return 0.0;
+    }
+    result.measured_ops as f64 / result.elapsed_serial_reads.as_secs_f64() / 1_000.0
+}
+
+/// Read-path lock sharpening (RwLock partitions): reads on the same
+/// partition overlap with each other, so the makespan is bounded by the
+/// busiest *client* rather than the busiest partition. The table compares
+/// the measured makespan against what the serialise-everything shard
+/// model would have charged, on latest-skewed reads whose range partition
+/// is hot (`hot_partition_reads`): the gap is the win from taking
+/// tracker/clock updates out of the partition critical section.
+pub fn read_path_sweep(scale: &Scale) -> Table {
+    let (runner, workload, keys) = hot_partition_reads(scale);
     let mut table = Table::new(
-        "Read path: YCSB-C throughput, RwLock read overlap vs mutex-serialised reads",
+        "Read path: hot-partition reads, RwLock read overlap vs mutex-serialised reads",
         &[
             "threads",
             "rwlock (Kops/s)",
@@ -84,19 +116,14 @@ pub fn read_path_sweep(scale: &Scale) -> Table {
         ],
     );
     for &threads in scale.thread_sweep() {
-        let db = engines::prismdb_shared(keys);
+        let db = engines::prismdb_read_path(keys);
         let result = runner.run_threaded(&*db, &workload, threads);
-        let rwlock_kops = result.throughput_kops;
-        let serial_kops = if result.elapsed_serial_reads.is_zero() {
-            0.0
-        } else {
-            result.measured_ops as f64 / result.elapsed_serial_reads.as_secs_f64() / 1_000.0
-        };
+        let (rwlock, serial) = (result.throughput_kops, serial_kops(&result));
         table.add_row(vec![
             threads.to_string(),
-            fmt_f64(rwlock_kops),
-            fmt_f64(serial_kops),
-            fmt_f64(rwlock_kops / serial_kops.max(f64::MIN_POSITIVE)),
+            fmt_f64(rwlock),
+            fmt_f64(serial),
+            fmt_f64(rwlock / serial.max(f64::MIN_POSITIVE)),
         ]);
     }
     table.print();
@@ -122,31 +149,11 @@ pub fn read_path_sweep(scale: &Scale) -> Table {
 ///   ([`crate::ThreadedRunResult::elapsed_serial_reads`] of the sharded
 ///   run): whole reads count as serial shard work.
 ///
-/// The workload is the YCSB-C op mix (100 % reads) over YCSB-D's
-/// *latest* distribution, on the range-partitioned, NVM-resident
-/// configuration of [`engines::read_path_options`]: latest-skewed reads
-/// land on the partition holding the newest key range, which is exactly
-/// the Zipfian-hot-partition case where a single per-partition cache
-/// lock becomes the bottleneck. (Plain YCSB-C *scrambles* its Zipfian
-/// ranks across the key space, so hash partitioning spreads the hot
-/// keys and no partition's lock ever saturates — a true observation,
-/// but not the case this sweep exists to gate.)
+/// It runs latest-skewed reads over range partitions
+/// (`hot_partition_reads`): the Zipfian-hot-partition case where a single
+/// per-partition cache lock becomes the bottleneck.
 pub fn cache_sweep(scale: &Scale) -> Table {
-    // A quarter of the sweep's usual key universe: the latest
-    // distribution's cold tail (keys only ever read once) can never be
-    // cached, and at the full universe those compulsory NVM misses
-    // dominate the average read latency, hiding the cache lock this
-    // sweep exists to measure. A smaller universe pushes the measured
-    // window past the cold-miss regime without touching the op counts.
-    // (The runner stamps its own record count onto the workload, so the
-    // override has to go through the run config.)
-    let keys = (scale.record_count / 4).max(500);
-    let mut config = super::run_config(scale);
-    config.record_count = keys;
-    let runner = Runner::new(config);
-    let workload =
-        Workload::ycsb_c(keys).with_distribution(prism_workloads::Distribution::Latest(0.99));
-
+    let (runner, workload, keys) = hot_partition_reads(scale);
     let mut table = Table::new(
         "Read path: YCSB-C throughput, sharded vs mutexed DRAM cache",
         &[
@@ -161,18 +168,11 @@ pub fn cache_sweep(scale: &Scale) -> Table {
         let sharded_result = runner.run_threaded(&*sharded, &workload, threads);
         let mutexed = engines::prismdb_mutexed_cache(keys);
         let mutexed_result = runner.run_threaded(&*mutexed, &workload, threads);
-        let serial_kops = if sharded_result.elapsed_serial_reads.is_zero() {
-            0.0
-        } else {
-            sharded_result.measured_ops as f64
-                / sharded_result.elapsed_serial_reads.as_secs_f64()
-                / 1_000.0
-        };
         table.add_row(vec![
             threads.to_string(),
             fmt_f64(sharded_result.throughput_kops),
             fmt_f64(mutexed_result.throughput_kops),
-            fmt_f64(serial_kops),
+            fmt_f64(serial_kops(&sharded_result)),
         ]);
     }
     table.print();
@@ -298,9 +298,10 @@ mod tests {
                 "read overlap can never lose to serialised reads (threads {threads})"
             );
         }
-        // With 8 zipfian clients on 8 partitions the hottest partition
-        // holds well over 1/8 of the reads, so the serialised model is
-        // shard-bound while the RwLock model stays client-bound.
+        // The latest distribution puts most reads on one of the range
+        // partitions (about 80 % of them at quick scale), so the
+        // serialised model is shard-bound while the RwLock model stays
+        // client-bound.
         assert!(
             get("8", "rwlock (Kops/s)") > get("8", "mutex model (Kops/s)"),
             "at 8 threads the RwLock read path must win outright"

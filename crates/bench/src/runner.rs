@@ -326,8 +326,8 @@ pub struct ThreadedRunResult {
     /// partition locks on read-heavy mixes; for engines without concurrent
     /// reads the two are identical.
     pub elapsed_serial_reads: Nanos,
-    /// Simulated time consumed by the busiest virtual background
-    /// compaction worker during the measured phase (zero for inline
+    /// Simulated time of the jobs the busiest background compaction
+    /// worker installed during the measured phase (zero for inline
     /// engines).
     pub background_time: Nanos,
     /// Real wall-clock time of the measured phase (informational; on a
@@ -387,10 +387,11 @@ impl Runner {
     ///   to every shard in [`ConcurrentKvStore::shards_for_scan`] — the
     ///   shards whose locks a cross-partition scan may hold simultaneously
     ///   (a conservative superset);
-    /// * each virtual background compaction worker
+    /// * each background compaction worker's clock
     ///   ([`ConcurrentKvStore::background_worker_times`]) accumulates the
-    ///   compaction work assigned to it, so with `W` workers the busiest
-    ///   worker bounds the makespan by roughly `total compaction / W`.
+    ///   jobs that worker installed, so the busiest worker bounds the
+    ///   makespan by at least `total compaction / W` with `W` workers, and
+    ///   by more when the jobs fall unevenly across the threads.
     ///
     /// The simulated makespan is the classic schedule lower bound
     /// `max(busiest client, busiest shard, busiest background worker)`,
@@ -608,7 +609,7 @@ impl Runner {
 
         // Makespan lower bound: no schedule can finish before the busiest
         // closed-loop client, the busiest (serial) shard, or the busiest
-        // virtual background compaction worker.
+        // background compaction worker.
         let busiest = |work: &[AtomicU64]| {
             work.iter()
                 .map(|w| Nanos::from_nanos(w.load(Ordering::Relaxed)))
@@ -703,8 +704,9 @@ pub struct AsyncRunResult {
     pub busiest_executor: Nanos,
     /// Serial work of the busiest engine shard (front-end-charged).
     pub busiest_shard: Nanos,
-    /// Simulated time of the busiest virtual background compaction
-    /// worker during the measured phase (zero for inline engines).
+    /// Simulated time of the jobs the busiest background compaction
+    /// worker installed during the measured phase (zero for inline
+    /// engines).
     pub background_time: Nanos,
     /// Real wall-clock time of the measured phase (informational).
     pub wall: std::time::Duration,

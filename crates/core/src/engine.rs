@@ -485,10 +485,9 @@ impl PrismDb {
     }
 
     /// Number of background compaction worker threads currently parked
-    /// waiting for work (0 in inline-compaction mode). The worker pool is
-    /// adaptive: a drained queue parks every worker, and light steady
-    /// load keeps all but the first parked — see
-    /// `Options::compaction_workers`.
+    /// waiting for work (0 in inline-compaction mode): a worker parks
+    /// while no queued request is for a partition no other worker holds,
+    /// so a drained queue parks every worker.
     pub fn parked_compaction_workers(&self) -> u64 {
         self.shared
             .sched
@@ -1512,7 +1511,7 @@ mod tests {
         assert!(db.elapsed() > Nanos::ZERO);
         assert!(db.cost_per_gb() > 0.0);
         assert_eq!(db.engine_name(), "prismdb");
-        // The inline engine reports no virtual background workers and the
+        // The inline engine reports no background workers and the
         // compaction time identity holds.
         assert!(db.background_worker_times().is_empty());
         assert_eq!(
@@ -1948,9 +1947,8 @@ mod tests {
         assert_eq!(enqueued, 1, "crossing the watermark must enqueue the job");
     }
 
-    /// The adaptive-pool contract at engine level: once the compaction
-    /// queue drains, every background worker parks (none spins), and an
-    /// inline engine reports no workers at all.
+    /// Once the compaction queue drains, every background worker parks
+    /// (none spins), and an inline engine reports no workers at all.
     #[test]
     fn a_drained_compaction_queue_parks_all_workers() {
         let db = background_db(3_000, 4, 3);

@@ -25,19 +25,18 @@
 //! planned against still stands.
 //!
 //! Virtual-time accounting mirrors the real thread structure: the
-//! scheduler keeps one virtual clock per worker, and each job a worker
-//! installs is tallied onto the least-loaded virtual worker. The busiest
-//! virtual worker becomes the third term of the benchmark harness's
-//! makespan lower bound.
+//! scheduler keeps one clock per worker, and each job is charged to the
+//! clock of the worker that installed it. The busiest worker's clock
+//! becomes the third term of the benchmark harness's makespan lower bound.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use prism_compaction::{execute_job, CompactionJob, JobKind};
 use prism_obs::trace::category;
-use prism_types::{EngineStatsCells, Nanos, Result};
+use prism_types::{EngineStatsCells, Nanos, PrismError, Result};
 
 use crate::engine::{count, EngineShared};
 use crate::partition::{CompactionOutcome, Partition, Reclaim};
@@ -70,33 +69,18 @@ pub(crate) enum RequestKind {
     Scrub,
 }
 
-/// Queued/in-flight flags per partition (dedup: at most one queued request
-/// per kind, at most one worker per partition).
-#[derive(Debug, Default, Clone, Copy)]
-struct Pending {
-    demote_queued: bool,
-    promote_queued: bool,
-    scrub_queued: bool,
-    inflight: bool,
-}
-
 struct SchedState {
+    /// Requests in arrival order, at most one per `(partition, kind)`.
     queue: VecDeque<JobRequest>,
-    pending: Vec<Pending>,
-    /// Number of partitions currently being worked on.
-    inflight: usize,
+    /// Partitions a worker is serving (at most one worker each).
+    busy: Vec<bool>,
+    /// Workers waiting in [`Scheduler::next_request`].
+    parked: u64,
+    /// Progress generation: bumped after every install attempt so
+    /// back-pressured writes can sleep until "some background progress
+    /// happened".
+    generation: u64,
     shutdown: bool,
-}
-
-impl SchedState {
-    /// The adaptive worker-pool target: enough workers for the demand the
-    /// scheduler can see (queued requests plus in-flight jobs), clamped to
-    /// `1..=workers`. Worker `w` only dequeues while `w < effective`, so a
-    /// drained queue keeps surplus workers parked and a deepening queue
-    /// grows the effective pool one wakeup at a time.
-    fn effective_pool(&self, workers: usize) -> usize {
-        (self.queue.len() + self.inflight).clamp(1, workers.max(1))
-    }
 }
 
 /// Steady-cadence scrubber state: a foreground-operation counter that
@@ -108,209 +92,136 @@ struct ScrubCadence {
     next_partition: AtomicU64,
 }
 
+/// The pool's one queue: any idle worker takes the oldest request whose
+/// partition no other worker holds.
 pub(crate) struct Scheduler {
-    /// Size of the configured worker pool (the adaptive ceiling).
-    workers: usize,
     state: Mutex<SchedState>,
+    /// Wakes one parked worker: a request was queued or a partition freed.
     work_cv: Condvar,
-    /// Number of worker threads currently parked waiting for work (either
-    /// no eligible request, or the adaptive pool target excludes them).
-    parked: AtomicU64,
-    /// Progress generation: bumped after every install attempt so
-    /// foreground waiters (back-pressure, capacity retries) can sleep
-    /// until "some background progress happened".
-    generation: Mutex<u64>,
-    generation_cv: Condvar,
-    /// One virtual clock per worker; compaction durations are packed onto
-    /// the least-loaded clock at install time.
-    virtual_clocks: Mutex<Vec<Nanos>>,
+    /// Wakes back-pressured writes when the progress generation moves.
+    progress_cv: Condvar,
+    /// Simulated time of the jobs each worker installed, in nanoseconds.
+    clocks: Vec<AtomicU64>,
     scrub: ScrubCadence,
 }
 
 impl Scheduler {
     pub(crate) fn new(partitions: usize, workers: usize) -> Self {
         Scheduler {
-            workers,
             state: Mutex::new(SchedState {
                 queue: VecDeque::new(),
-                pending: vec![Pending::default(); partitions],
-                inflight: 0,
+                busy: vec![false; partitions],
+                parked: 0,
+                generation: 0,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
-            parked: AtomicU64::new(0),
-            generation: Mutex::new(0),
-            generation_cv: Condvar::new(),
-            virtual_clocks: Mutex::new(vec![Nanos::ZERO; workers.max(1)]),
+            progress_cv: Condvar::new(),
+            clocks: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             scrub: ScrubCadence::default(),
         }
     }
 
-    /// Enqueue a request unless an identical one is already queued. The
-    /// queue's entries of the engine's table — `queue_depth`, its
-    /// high-water mark and `enqueued_jobs` (counted after dedup: the
-    /// batched write path's regression tests pin "at most one demotion
-    /// enqueue per touched partition per batch" against it) — move under
-    /// the queue's lock, here and in [`Scheduler::next_request`].
+    fn lock(&self) -> MutexGuard<'_, SchedState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Enqueue a request unless one for the same partition and kind is
+    /// already queued. The queue's entries of the engine's table —
+    /// `queue_depth`, its high-water mark and `enqueued_jobs` (counted
+    /// after dedup: the batched write path's regression tests pin "at most
+    /// one demotion enqueue per touched partition per batch" against it) —
+    /// move under the queue's lock, here and in
+    /// [`Scheduler::next_request`].
     pub(crate) fn enqueue(&self, req: JobRequest, stats: &EngineStatsCells) {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        if state.shutdown {
+        let mut state = self.lock();
+        let same = |r: &JobRequest| r.partition == req.partition && r.kind == req.kind;
+        if state.shutdown || state.queue.iter().any(same) {
             return;
-        }
-        let pending = &mut state.pending[req.partition];
-        let already = match req.kind {
-            RequestKind::Demote => pending.demote_queued,
-            RequestKind::Promote => pending.promote_queued,
-            RequestKind::Scrub => pending.scrub_queued,
-        };
-        if already {
-            return;
-        }
-        match req.kind {
-            RequestKind::Demote => pending.demote_queued = true,
-            RequestKind::Promote => pending.promote_queued = true,
-            RequestKind::Scrub => pending.scrub_queued = true,
         }
         state.queue.push_back(req);
         let stats = &stats.compaction;
         let depth = stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         stats.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
         count(&stats.enqueued_jobs, 1);
-        // A deeper queue may have grown the effective pool, making workers
-        // that were adaptively parked eligible again — wake them all and
-        // let `next_request`'s eligibility check sort it out.
-        self.work_cv.notify_all();
+        self.work_cv.notify_one();
     }
 
-    /// Block until a request for a partition nobody else is working on is
-    /// available *and* the adaptive pool target admits this worker;
-    /// `None` on shutdown.
-    fn next_request(&self, worker_id: usize, stats: &EngineStatsCells) -> Option<JobRequest> {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
+    /// Block until a request for a partition no other worker holds is
+    /// queued, and take the oldest; `None` on shutdown.
+    fn next_request(&self, stats: &EngineStatsCells) -> Option<JobRequest> {
+        let mut state = self.lock();
         loop {
             if state.shutdown {
                 return None;
             }
-            if worker_id < state.effective_pool(self.workers) {
-                let pos = state
-                    .queue
-                    .iter()
-                    .position(|r| !state.pending[r.partition].inflight);
-                if let Some(pos) = pos {
-                    let req = state.queue.remove(pos).expect("position just found");
-                    let pending = &mut state.pending[req.partition];
-                    match req.kind {
-                        RequestKind::Demote => pending.demote_queued = false,
-                        RequestKind::Promote => pending.promote_queued = false,
-                        RequestKind::Scrub => pending.scrub_queued = false,
-                    }
-                    pending.inflight = true;
-                    state.inflight += 1;
-                    let depth = &stats.compaction.queue_depth;
-                    depth.fetch_sub(1, Ordering::Relaxed);
-                    return Some(req);
-                }
+            if let Some(pos) = state.queue.iter().position(|r| !state.busy[r.partition]) {
+                let req = state.queue.remove(pos).expect("position just found");
+                state.busy[req.partition] = true;
+                stats.compaction.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                return Some(req);
             }
-            self.parked.fetch_add(1, Ordering::Relaxed);
+            state.parked += 1;
             state = self.work_cv.wait(state).unwrap_or_else(|p| p.into_inner());
-            self.parked.fetch_sub(1, Ordering::Relaxed);
+            state.parked -= 1;
         }
     }
 
-    /// Mark a partition's in-flight work finished and wake workers in
-    /// case requests for that partition were skipped while it ran.
+    /// Free a partition its worker is done with, count the progress, and
+    /// wake a worker if a request for that partition waited on it.
     fn finish(&self, partition: usize) {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        state.pending[partition].inflight = false;
-        state.inflight = state.inflight.saturating_sub(1);
+        let mut state = self.lock();
+        state.busy[partition] = false;
+        state.generation += 1;
         if state.queue.iter().any(|r| r.partition == partition) {
-            self.work_cv.notify_all();
+            self.work_cv.notify_one();
         }
-    }
-
-    /// The adaptive worker-pool target right now (see
-    /// [`SchedState::effective_pool`]).
-    pub(crate) fn effective_pool(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .effective_pool(self.workers)
+        self.progress_cv.notify_all();
     }
 
     /// Number of worker threads currently parked in [`Scheduler::next_request`].
     pub(crate) fn parked_workers(&self) -> u64 {
-        self.parked.load(Ordering::Relaxed)
+        self.lock().parked
     }
 
     pub(crate) fn shutdown(&self) {
-        {
-            let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-            state.shutdown = true;
-        }
+        self.lock().shutdown = true;
         self.work_cv.notify_all();
         self.bump_generation();
     }
 
     pub(crate) fn generation(&self) -> u64 {
-        *self.generation.lock().unwrap_or_else(|p| p.into_inner())
+        self.lock().generation
     }
 
     fn bump_generation(&self) {
-        let mut gen = self.generation.lock().unwrap_or_else(|p| p.into_inner());
-        *gen += 1;
-        self.generation_cv.notify_all();
+        self.lock().generation += 1;
+        self.progress_cv.notify_all();
     }
 
     /// Wait (bounded) until the progress generation moves past `seen`.
     pub(crate) fn wait_past(&self, seen: u64, timeout: Duration) {
         let deadline = Instant::now() + timeout;
-        let mut gen = self.generation.lock().unwrap_or_else(|p| p.into_inner());
-        while *gen <= seen {
+        let mut state = self.lock();
+        while state.generation <= seen {
             let now = Instant::now();
             if now >= deadline {
                 return;
             }
             let (guard, _) = self
-                .generation_cv
-                .wait_timeout(gen, deadline - now)
+                .progress_cv
+                .wait_timeout(state, deadline - now)
                 .unwrap_or_else(|p| p.into_inner());
-            gen = guard;
+            state = guard;
         }
     }
 
-    /// Charge `duration` of compaction work to the least-loaded virtual
-    /// worker *within the adaptive pool target at install time*. The
-    /// clocks are pure load tallies: with an effective pool of `k` the
-    /// busiest clock approaches `total compaction work / k`, which is the
-    /// schedule lower bound the benchmark harness folds into its makespan
-    /// — and matches what the adaptive scaling really allows (surplus
-    /// workers the demand never woke must not absorb virtual work).
-    /// Partition-local ordering (jobs of one partition serialise) is
-    /// expressed on the partition's own `busy_until` timeline instead —
-    /// mixing per-partition virtual instants onto shared clocks would
-    /// compare unsynchronised timelines.
-    fn tally_virtual(&self, duration: Nanos) {
-        let effective = self.effective_pool();
-        let mut clocks = self
-            .virtual_clocks
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let pool = effective.min(clocks.len()).max(1);
-        let idx = clocks[..pool]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| **c)
-            .map(|(i, _)| i)
-            .expect("at least one virtual worker");
-        clocks[idx] += duration;
-    }
-
-    /// Cumulative virtual time per background worker.
+    /// Cumulative virtual time per background worker: the durations of the
+    /// jobs each one installed. The clocks only sum work; the order of one
+    /// partition's jobs lives on that partition's `busy_until` timeline.
     pub(crate) fn worker_times(&self) -> Vec<Nanos> {
-        self.virtual_clocks
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
+        let load = |c: &AtomicU64| Nanos::from_nanos(c.load(Ordering::Relaxed));
+        self.clocks.iter().map(load).collect()
     }
 }
 
@@ -404,19 +315,26 @@ impl DemotionRun {
     }
 }
 
-/// Run `f` on the partition a request is being served against: the write
-/// guard its caller already holds (requests run on the caller), or — for a
-/// pool worker, `held` empty — the partition's lock, taken for just this
-/// phase so the foreground interleaves with the job's merge.
+/// Where a request is served.
+enum Site<'a> {
+    /// On the thread that raised it, under the write guard it holds.
+    Caller(&'a mut Partition),
+    /// On pool worker `w`, which takes the partition's lock for the plan
+    /// and install phases only, so the foreground interleaves with the
+    /// job's merge.
+    Worker(usize),
+}
+
+/// Run `f` on the partition a request is being served against.
 fn with_partition<R>(
     shared: &EngineShared,
     idx: usize,
-    held: &mut Option<&mut Partition>,
+    site: &mut Site<'_>,
     f: impl FnOnce(&mut Partition) -> R,
 ) -> R {
-    match held {
-        Some(p) => f(p),
-        None => f(&mut shared.write_partition(idx)),
+    match site {
+        Site::Caller(p) => f(p),
+        Site::Worker(_) => f(&mut shared.write_partition(idx)),
     }
 }
 
@@ -430,11 +348,11 @@ fn with_partition<R>(
 fn run_job(
     shared: &EngineShared,
     idx: usize,
-    held: &mut Option<&mut Partition>,
+    site: &mut Site<'_>,
     label: &'static str,
     plan: impl FnOnce(&mut Partition) -> Option<CompactionJob>,
 ) -> Result<Option<CompactionOutcome>> {
-    let Some(job) = with_partition(shared, idx, held, plan) else {
+    let Some(job) = with_partition(shared, idx, site, plan) else {
         return Ok(Some(CompactionOutcome::default()));
     };
     let (trace, part, job_id) = (
@@ -447,7 +365,7 @@ fn run_job(
     // A job overlaps foreground service unless its caller stalls for it:
     // pool jobs do, and so do promotions run on the caller (they only
     // extend the background timeline).
-    let overlapped = held.is_none() || job.kind == JobKind::Promotion;
+    let overlapped = matches!(site, Site::Worker(_)) || job.kind == JobKind::Promotion;
     trace.record(
         category::COMPACTION_EXECUTE,
         part,
@@ -455,7 +373,7 @@ fn run_job(
         "executing planned job",
     );
     let exec = execute_job(job, &shared.storage.cpu, &shared.storage.flash);
-    let installed = with_partition(shared, idx, held, |p| {
+    let installed = with_partition(shared, idx, site, |p| {
         let installed = p.install_compaction(exec)?;
         if let Some(outcome) = &installed {
             p.chain_background(trigger, outcome.duration, overlapped);
@@ -489,13 +407,14 @@ fn run_job(
             );
         }
     }
-    if held.is_none() {
+    if let Site::Worker(w) = site {
         let sched = shared.scheduler();
         match &installed {
-            Some(outcome) => sched.tally_virtual(outcome.duration),
-            None => {
-                count(&shared.stats.compaction.install_discards, 1);
+            Some(outcome) => {
+                let clock = &sched.clocks[*w];
+                clock.fetch_add(outcome.duration.as_nanos(), Ordering::Relaxed);
             }
+            None => count(&shared.stats.compaction.install_discards, 1),
         }
         sched.bump_generation();
     }
@@ -510,35 +429,30 @@ fn run_demotion(
     idx: usize,
     trigger: Nanos,
     mut run: DemotionRun,
-    held: &mut Option<&mut Partition>,
+    site: &mut Site<'_>,
 ) -> Result<()> {
     while let Some(plan) = run.next_plan() {
         let planner = |p: &mut Partition| p.plan_demotion(plan, trigger);
-        let Some(outcome) = run_job(shared, idx, held, plan.label(), planner)? else {
+        let Some(outcome) = run_job(shared, idx, site, plan.label(), planner)? else {
             break;
         };
-        let utilization = with_partition(shared, idx, held, |p| p.nvm_utilization());
+        let utilization = with_partition(shared, idx, site, |p| p.nvm_utilization());
         run.note_outcome(outcome.demoted, utilization <= shared.options.low_watermark);
     }
     Ok(())
 }
 
-/// Serve one compaction request, on a pool worker (`held` empty) or on the
-/// caller that raised it.
-fn run_request(
-    shared: &EngineShared,
-    req: JobRequest,
-    held: &mut Option<&mut Partition>,
-) -> Result<()> {
+/// Serve one compaction request.
+fn run_request(shared: &EngineShared, req: JobRequest, site: &mut Site<'_>) -> Result<()> {
     let (idx, trigger) = (req.partition, req.trigger_fg);
     match req.kind {
-        RequestKind::Demote => run_demotion(shared, idx, trigger, DemotionRun::new(false), held),
+        RequestKind::Demote => run_demotion(shared, idx, trigger, DemotionRun::new(false), site),
         RequestKind::Promote => {
             let planner = |p: &mut Partition| p.plan_promotion(trigger);
-            run_job(shared, idx, held, "kind=promote", planner).map(drop)
+            run_job(shared, idx, site, "kind=promote", planner).map(drop)
         }
         RequestKind::Scrub => {
-            debug_assert!(held.is_none(), "scrubs are only ever queued");
+            debug_assert!(matches!(site, Site::Worker(_)), "scrubs are queued");
             run_scrub(shared, req);
             Ok(())
         }
@@ -611,7 +525,7 @@ impl EngineShared {
             sched.enqueue(req, &self.stats);
             return Ok(Nanos::ZERO);
         }
-        run_request(self, req, &mut Some(&mut *p))?;
+        run_request(self, req, &mut Site::Caller(p))?;
         Ok(match req.kind {
             RequestKind::Demote => p.stall_until_idle(req.trigger_fg),
             _ => Nanos::ZERO,
@@ -628,7 +542,7 @@ impl EngineShared {
     pub(crate) fn reclaim(&self, idx: usize, p: &mut Partition, accrued: Nanos) -> Result<Nanos> {
         let now = p.fg() + accrued;
         p.note_backpressure_stall();
-        run_demotion(self, idx, now, DemotionRun::new(true), &mut Some(&mut *p))?;
+        run_demotion(self, idx, now, DemotionRun::new(true), &mut Site::Caller(p))?;
         Ok(p.stall_until_idle(now))
     }
 
@@ -678,7 +592,8 @@ impl EngineShared {
                 sched.wait_past(seen, WAIT_SLICE);
             }
         }
-        // Workers are not keeping up (or died): reclaim on this thread.
+        // The pool has not brought utilisation under the ceiling in time:
+        // reclaim on this thread.
         let mut p = self.write_partition(idx);
         let stall = self.reclaim(idx, &mut p, Nanos::ZERO)?;
         p.advance_fg(stall);
@@ -739,9 +654,9 @@ fn run_scrub(shared: &EngineShared, req: JobRequest) {
     }
 }
 
-/// Clears a partition's in-flight flag (and wakes waiters) when dropped,
-/// so even a panicking job cannot leave the partition permanently marked
-/// busy — which would silently disable background compaction for it.
+/// Frees a partition (and wakes waiters) when dropped, so even a
+/// panicking job cannot leave the partition permanently marked busy —
+/// which would silently disable background compaction for it.
 struct FinishGuard<'a> {
     sched: &'a Scheduler,
     partition: usize,
@@ -750,25 +665,31 @@ struct FinishGuard<'a> {
 impl Drop for FinishGuard<'_> {
     fn drop(&mut self) {
         self.sched.finish(self.partition);
-        self.sched.bump_generation();
     }
 }
 
-/// Main loop of one background worker thread. `worker_id` feeds the
-/// adaptive pool gate: low-id workers serve steady light load alone while
-/// high-id workers stay parked until queue depth demands them.
-pub(crate) fn worker_loop(shared: Arc<EngineShared>, worker_id: usize) {
+/// Main loop of background worker `worker`. A job that fails (an injected
+/// I/O error) fails as it would on the caller, which gets the error back:
+/// the worker counts and traces it, drops the request and keeps serving.
+pub(crate) fn worker_loop(shared: Arc<EngineShared>, worker: usize) {
     let sched = shared.scheduler();
-    while let Some(req) = sched.next_request(worker_id, &shared.stats) {
+    while let Some(req) = sched.next_request(&shared.stats) {
         let finish = FinishGuard {
             sched,
             partition: req.partition,
         };
-        run_request(&shared, req, &mut None)
-            .expect("background install must not corrupt partition state");
+        if let Err(err) = run_request(&shared, req, &mut Site::Worker(worker)) {
+            if matches!(err, PrismError::Io(_)) {
+                count(&shared.stats.integrity.io_errors, 1);
+            }
+            let (trace, part) = (shared.obs.trace(), Some(req.partition as u32));
+            let detail = format!("{:?} request dropped: {err}", req.kind);
+            trace.record(category::COMPACTION_FAILED, part, 0, detail);
+        }
         drop(finish);
         // Requests raised while this partition was in flight were deduped
-        // away; re-check the watermark so pressure is never dropped.
+        // away, and a failed job freed nothing; re-check the watermark so
+        // pressure is never dropped.
         let (util, fg) = {
             let p = shared.read_partition(req.partition);
             (p.nvm_utilization(), p.fg())
@@ -786,6 +707,8 @@ pub(crate) fn worker_loop(shared: Arc<EngineShared>, worker_id: usize) {
 
 #[cfg(test)]
 mod tests {
+    use std::thread::JoinHandle;
+
     use super::*;
     use prism_storage::{DeviceProfile, TieredStorage};
     use prism_types::{BatchOp, Key, MetricKind, Value};
@@ -800,125 +723,95 @@ mod tests {
         }
     }
 
-    /// The adaptive pool target follows queue depth + in-flight jobs,
-    /// clamped to `1..=workers`.
-    #[test]
-    fn effective_pool_tracks_demand() {
-        let (sched, stats) = (Scheduler::new(8, 4), EngineStatsCells::default());
-        let queued = || stats.compaction.queue_depth.load(Ordering::Relaxed);
-        assert_eq!(sched.effective_pool(), 1, "idle pool shrinks to one");
-        sched.enqueue(demote(0), &stats);
-        assert_eq!(sched.effective_pool(), 1);
-        sched.enqueue(demote(1), &stats);
-        sched.enqueue(demote(2), &stats);
-        assert_eq!(sched.effective_pool(), 3);
-        for p in 3..8 {
-            sched.enqueue(demote(p), &stats);
+    /// Spin until `workers` workers are parked. Reaching the count is the
+    /// assertion: `parked` dips on (possibly spurious) condvar wakeups, so
+    /// an equality re-read afterwards would be racy.
+    fn wait_parked(sched: &Scheduler, workers: u64) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while sched.parked_workers() < workers {
+            assert!(Instant::now() < deadline, "{workers} workers must park");
+            std::thread::yield_now();
         }
-        assert_eq!(sched.effective_pool(), 4, "target is clamped to workers");
-        // Dequeuing keeps the in-flight jobs in the demand signal.
-        let req = sched.next_request(0, &stats).expect("request available");
-        assert_eq!(sched.effective_pool(), 4);
-        sched.finish(req.partition);
-        // Draining everything shrinks the target back to one.
-        for id in 0..4 {
-            while let Some(req) = {
-                (queued() != 0)
-                    .then(|| sched.next_request(id, &stats))
-                    .flatten()
-            } {
-                sched.finish(req.partition);
-            }
-        }
-        assert_eq!(queued(), 0);
-        assert_eq!(sched.effective_pool(), 1);
     }
 
-    /// With demand for a single worker, a surplus (high-id) worker parks
-    /// even though the queue is non-empty, while worker 0 gets the job; a
-    /// deepening queue then wakes the surplus worker.
+    /// A worker thread of `sched` that takes one request and returns it.
+    fn spawn_worker(
+        sched: &Arc<Scheduler>,
+        stats: &Arc<EngineStatsCells>,
+    ) -> JoinHandle<Option<JobRequest>> {
+        let (sched, stats) = (Arc::clone(sched), Arc::clone(stats));
+        std::thread::spawn(move || sched.next_request(&stats))
+    }
+
+    /// Join `worker` once it has returned, failing after five seconds.
+    fn join_within(worker: JoinHandle<Option<JobRequest>>) -> Option<JobRequest> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !worker.is_finished() {
+            assert!(Instant::now() < deadline, "the worker must return");
+            std::thread::yield_now();
+        }
+        worker.join().expect("worker thread")
+    }
+
+    /// An idle worker parks, and shutdown releases it with `None`.
     #[test]
-    fn surplus_workers_park_until_queue_depth_demands_them() {
+    fn an_idle_worker_parks_and_shutdown_releases_it() {
+        let sched = Arc::new(Scheduler::new(4, 1));
+        let worker = spawn_worker(&sched, &Arc::new(EngineStatsCells::default()));
+        wait_parked(&sched, 1);
+        sched.shutdown();
+        assert!(join_within(worker).is_none(), "released empty");
+    }
+
+    /// A request for a partition another worker holds waits in the queue,
+    /// and that worker's `finish` hands it to a parked worker. The parked
+    /// worker spends the enqueue's one wake finding the partition busy
+    /// (given the 50 ms to do so), so only `finish`'s own wake can deliver
+    /// the request.
+    #[test]
+    fn a_request_for_a_held_partition_is_taken_after_its_finish() {
         let sched = Arc::new(Scheduler::new(4, 2));
         let stats = Arc::new(EngineStatsCells::default());
         sched.enqueue(demote(0), &stats);
-        assert_eq!(sched.effective_pool(), 1);
-
-        let surplus = {
-            let (sched, stats) = (Arc::clone(&sched), Arc::clone(&stats));
-            std::thread::spawn(move || sched.next_request(1, &stats))
-        };
-        // The surplus worker must park, not grab the only request. The
-        // spin reaching a parked count is itself the assertion: `parked`
-        // transiently dips on (possibly spurious) condvar wakeups, so an
-        // equality re-read after the loop would be racy.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while sched.parked_workers() == 0 && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert!(
-            Instant::now() < deadline,
-            "worker 1 must park on light load"
-        );
-        let req = sched
-            .next_request(0, &stats)
-            .expect("worker 0 takes the job");
-        assert_eq!(req.partition, 0);
-
-        // Two more queued requests push the target past 1: worker 1 wakes
-        // and dequeues.
-        sched.enqueue(demote(1), &stats);
-        sched.enqueue(demote(2), &stats);
-        let woken = surplus.join().expect("surplus worker");
-        assert!(woken.is_some(), "deep queue must wake the surplus worker");
-        sched.finish(req.partition);
-        sched.finish(woken.expect("request").partition);
-
-        // Shutdown releases any parked worker with `None`.
-        let parked = {
-            let (sched, stats) = (Arc::clone(&sched), Arc::clone(&stats));
-            std::thread::spawn(move || sched.next_request(1, &stats))
-        };
-        // (worker 1 is over the drained queue's target again, so it parks
-        // until shutdown — exactly the "drained queue parks surplus
-        // workers" contract.)
-        while sched.parked_workers() == 0 && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        sched.shutdown();
-        assert!(parked.join().expect("parked worker").is_none());
-    }
-
-    /// Virtual compaction time only spreads across the clocks the
-    /// adaptive pool target admits: serial light load lands on one clock.
-    #[test]
-    fn virtual_time_packs_onto_the_effective_pool() {
-        let (sched, stats) = (Scheduler::new(4, 4), EngineStatsCells::default());
-        // Idle scheduler: target 1, so repeated tallies pile onto clock 0.
-        sched.tally_virtual(Nanos::from_micros(5));
-        sched.tally_virtual(Nanos::from_micros(5));
-        let clocks = sched.worker_times();
-        assert_eq!(clocks[0], Nanos::from_micros(10));
-        assert!(clocks[1..].iter().all(|c| c.is_zero()));
-        // Deep queue: target grows, the next tally takes the least-loaded
-        // clock inside the wider pool.
+        let held = sched.next_request(&stats).expect("partition 0 is free");
+        let worker = spawn_worker(&sched, &stats);
+        wait_parked(&sched, 1);
         sched.enqueue(demote(0), &stats);
-        sched.enqueue(demote(1), &stats);
-        sched.enqueue(demote(2), &stats);
-        sched.tally_virtual(Nanos::from_micros(5));
-        let clocks = sched.worker_times();
-        assert_eq!(clocks[0], Nanos::from_micros(10));
-        assert_eq!(clocks[1], Nanos::from_micros(5));
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!worker.is_finished(), "partition 0 is held");
+        sched.finish(held.partition);
+        let taken = join_within(worker).expect("finish wakes the parked worker");
+        assert_eq!(taken.partition, 0);
+        assert_eq!(stats.compaction.queue_depth.load(Ordering::Relaxed), 0);
     }
 
-    /// A pool job whose partition installed another job between its plan
-    /// and its install is discarded, and the discard is counted in the
-    /// compaction stats the registry exports.
+    /// A request equal in partition and kind to a queued one is dropped
+    /// and not counted; once taken, the same request queues again.
     #[test]
-    fn a_job_overtaken_before_install_is_discarded_and_counted() {
+    fn a_duplicate_request_is_queued_and_counted_once() {
+        let (sched, stats) = (Scheduler::new(2, 1), EngineStatsCells::default());
+        let promote = JobRequest {
+            kind: RequestKind::Promote,
+            ..demote(0)
+        };
+        for req in [demote(0), demote(0), promote, promote, demote(1)] {
+            sched.enqueue(req, &stats);
+        }
+        let counted = || stats.compaction.enqueued_jobs.load(Ordering::Relaxed);
+        let queued = || stats.compaction.queue_depth.load(Ordering::Relaxed);
+        assert_eq!((counted(), queued()), (3, 3));
+        let taken = sched.next_request(&stats).expect("queued");
+        assert_eq!((taken.partition, taken.kind), (0, RequestKind::Demote));
+        sched.enqueue(demote(0), &stats);
+        assert_eq!((counted(), queued()), (4, 3));
+    }
+
+    /// An engine whose `partitions` partitions hold 64 keys each, and
+    /// whose scheduler has `workers` clocks but no threads.
+    fn loaded_shared(partitions: usize, workers: usize) -> Arc<EngineShared> {
         let mut options = Options::scaled_default(1_000);
-        options.num_partitions = 1;
-        options.compaction_workers = 1;
+        options.num_partitions = partitions;
+        options.compaction_workers = workers;
         let storage = TieredStorage::new(
             DeviceProfile::optane_nvm(options.nvm_capacity_bytes),
             DeviceProfile::qlc_flash(options.flash_capacity_bytes),
@@ -928,8 +821,8 @@ mod tests {
         shared.obs.hub.registry.set_engine_source(Box::new(move || {
             weak.upgrade().map(|shared| shared.stats_snapshot())
         }));
-        {
-            let mut p = shared.write_partition(0);
+        for idx in 0..partitions {
+            let mut p = shared.write_partition(idx);
             for id in 0..64 {
                 let mut no_reclaim = |_: &mut Partition, _| unreachable!("the slabs have room");
                 let put = BatchOp::Put(Key::from_id(id), Value::filled(100, 1));
@@ -937,6 +830,45 @@ mod tests {
                 p.apply_group(vec![put], seq, &mut no_reclaim).unwrap();
             }
         }
+        shared
+    }
+
+    /// Each job is charged to the clock of the worker that installed it,
+    /// by exactly its duration.
+    #[test]
+    fn each_worker_clock_counts_the_jobs_it_installed() {
+        let shared = loaded_shared(2, 2);
+        let everything = |p: &mut Partition| p.plan_demotion(DemotionPlan::Everything, Nanos::ZERO);
+        let run = |idx, worker| {
+            let outcome = run_job(&shared, idx, &mut Site::Worker(worker), "test", everything);
+            let duration = outcome.unwrap().expect("installed").duration;
+            assert!(!duration.is_zero(), "partition {idx} demotes its keys");
+            duration
+        };
+        let clocks = || shared.scheduler().worker_times();
+        let first = run(0, 1);
+        assert_eq!(clocks(), [Nanos::ZERO, first]);
+        let second = run(1, 1);
+        assert_eq!(clocks(), [Nanos::ZERO, first + second]);
+        // A job run on its caller is charged to no worker.
+        let on_caller = {
+            let mut p = shared.write_partition(0);
+            let put = BatchOp::Put(Key::from_id(0), Value::filled(100, 2));
+            let seq = shared.seq.allocate();
+            let mut no_reclaim = |_: &mut Partition, _| unreachable!("the slabs have room");
+            p.apply_group(vec![put], seq, &mut no_reclaim).unwrap();
+            run_job(&shared, 0, &mut Site::Caller(&mut p), "test", everything)
+        };
+        assert!(on_caller.unwrap().expect("installed").demoted > 0);
+        assert_eq!(clocks(), [Nanos::ZERO, first + second]);
+    }
+
+    /// A pool job whose partition installed another job between its plan
+    /// and its install is discarded, and the discard is counted in the
+    /// compaction stats the registry exports.
+    #[test]
+    fn a_job_overtaken_before_install_is_discarded_and_counted() {
+        let shared = loaded_shared(1, 1);
 
         // Plan job A, then plan, execute and install job B on the same
         // partition before handing A back: A's install must see B's.
@@ -947,8 +879,10 @@ mod tests {
             assert!(p.install_compaction(exec).unwrap().is_some(), "B installs");
             a
         };
-        let outcome = run_job(&shared, 0, &mut None, "test", plan_a_then_install_b).unwrap();
-        assert!(outcome.is_none(), "A is discarded");
+        let worker = &mut Site::Worker(0);
+        let outcome = run_job(&shared, 0, worker, "test", plan_a_then_install_b);
+        assert!(outcome.unwrap().is_none(), "A is discarded");
+        assert_eq!(shared.scheduler().worker_times(), [Nanos::ZERO]);
 
         assert_eq!(shared.stats_snapshot().compaction.install_discards, 1);
         let trace = shared.obs.trace();

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use prism_db::{Options, PrismDb};
+use prism_db::{FaultMode, FaultOp, FaultPlan, FaultTier, Options, PrismDb, TargetedFault};
 use prism_obs::{trace::category, ObsHub};
 use prism_types::{ConcurrentKvStore, Key, Value};
 
@@ -144,5 +144,57 @@ fn keys_above_eight_ff_bytes_are_demoted() {
     for i in (0..2_000).step_by(97) {
         let value = db.get(&key(i)).unwrap().value;
         assert_eq!(value, Some(Value::filled(1_000, 1)), "{i}");
+    }
+}
+
+/// Regression: a pool job that failed with an I/O error used to panic its
+/// worker thread, and every later request of the pool then waited in the
+/// queue. A one-shot NVM write fault, armed once the load has settled, is
+/// taken by the first promotion job that writes a slot (reads write
+/// nothing): the worker counts and traces the failure, drops the request,
+/// and a later promotion installs.
+#[test]
+fn a_pool_worker_serves_on_after_a_job_fails_with_an_io_error() {
+    let plan = Arc::new(FaultPlan::new(7));
+    let hub = Arc::new(ObsHub::new());
+    let mut options = Options::scaled_default(2_000);
+    options.num_partitions = 1;
+    options.compaction_workers = 1;
+    options.cache_shards = 1;
+    options.dram_cache_bytes = 16 * 1_000;
+    options.nvm_capacity_bytes = 512 * 1024;
+    options.sst_target_bytes = 16 << 20;
+    options.fault_plan = Some(Arc::clone(&plan));
+    options.obs = Some(Arc::clone(&hub));
+    let db = PrismDb::open(options).expect("valid options");
+    for id in 0..1_000u64 {
+        db.put(Key::from_id(id), Value::filled(1_000, 1)).unwrap();
+    }
+    wait_until("the compaction pool is idle", || {
+        db.stats().compaction.queue_depth == 0 && db.parked_compaction_workers() == 1
+    });
+    plan.arm(TargetedFault {
+        tier: FaultTier::Nvm,
+        partition: None,
+        op: FaultOp::Write,
+        mode: FaultMode::IoError,
+    });
+
+    // Read 100 flash-resident keys round and round until a promotion
+    // installs; the pool runs on its own time, so the bound is generous.
+    let mut reads = 0u64;
+    while db.stats().compaction.promoted_objects == 0 {
+        assert!(reads < 200_000, "no promotion after {reads} reads");
+        db.get(&Key::from_id(200 + reads % 100)).unwrap();
+        reads += 1;
+    }
+    assert_eq!(plan.snapshot().io_errors, 1, "the armed fault fired once");
+    assert_eq!(db.stats().integrity.io_errors, 1);
+    let failed = hub.trace.in_category(category::COMPACTION_FAILED);
+    assert_eq!(failed.len(), 1, "{failed:?}");
+    assert!(failed[0].payload.contains("Promote"), "{failed:?}");
+    for id in 0..1_000u64 {
+        let value = db.get(&Key::from_id(id)).unwrap().value;
+        assert_eq!(value, Some(Value::filled(1_000, 1)), "{id}");
     }
 }

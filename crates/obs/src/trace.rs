@@ -43,6 +43,9 @@ pub mod category {
     /// flash file list changed since the plan) and the work will be
     /// re-planned.
     pub const COMPACTION_DISCARD: &str = "compaction_discard";
+    /// A pool worker dropped a compaction request whose job failed (an
+    /// I/O error) and went on serving.
+    pub const COMPACTION_FAILED: &str = "compaction_failed";
     /// An object was quarantined after a checksum failure.
     pub const QUARANTINE: &str = "quarantine";
     /// A partition entered degraded (read-only) mode.

@@ -138,8 +138,8 @@ pub trait ConcurrentKvStore: Send + Sync {
         false
     }
 
-    /// Cumulative simulated time consumed by each virtual background
-    /// compaction worker, indexed by worker. Engines that compact inline on
+    /// Cumulative simulated time of the jobs each background compaction
+    /// worker installed, indexed by worker. Engines that compact inline on
     /// the triggering client thread (charging stalls instead) return an
     /// empty vector. Harnesses extend the makespan lower bound with the
     /// busiest worker's delta over the measured window:

@@ -437,7 +437,8 @@ stats_table! {
         /// the code that observed it, until quarantined; compaction carries
         /// checksums unverified).
         counter checksum_failures;
-        /// Injected I/O errors surfaced to callers as `PrismError::Io`.
+        /// Injected I/O errors surfaced to callers as `PrismError::Io`, or
+        /// failing a pool worker's compaction job (its request is dropped).
         counter io_errors;
         /// Objects quarantined (replaced by a tombstone-with-error sentinel)
         /// after corruption was detected.
