@@ -61,7 +61,7 @@ pub fn thread_sweep(scale: &Scale) -> Table {
     table
 }
 
-/// The hot-partition read run both read-path sweeps use: the YCSB-C op
+/// The hot-partition read run of the read-path sweep: the YCSB-C op
 /// mix (100 % reads) over YCSB-D's *latest* distribution, for engines
 /// configured by [`engines::read_path_options`] (range-partitioned,
 /// NVM-resident). Latest-skewed reads land on the partition holding the
@@ -76,7 +76,7 @@ pub fn thread_sweep(scale: &Scale) -> Table {
 /// A quarter of the sweep's usual key universe: the latest distribution's
 /// cold tail (keys only ever read once) can never be cached, and at the
 /// full universe those compulsory NVM misses dominate the average read
-/// latency, hiding the read-path locks the sweeps measure. (The runner
+/// latency, hiding the read-path locks the sweep measures. (The runner
 /// stamps its own record count onto the workload, so the override goes
 /// through the run config.) Returns the runner, the workload and the key
 /// count to build engines for.
@@ -97,39 +97,6 @@ fn serial_kops(result: &ThreadedRunResult) -> f64 {
     result.measured_ops as f64 / result.elapsed_serial_reads.as_secs_f64() / 1_000.0
 }
 
-/// Read-path lock sharpening (RwLock partitions): reads on the same
-/// partition overlap with each other, so the makespan is bounded by the
-/// busiest *client* rather than the busiest partition. The table compares
-/// the measured makespan against what the serialise-everything shard
-/// model would have charged, on latest-skewed reads whose range partition
-/// is hot (`hot_partition_reads`): the gap is the win from taking
-/// tracker/clock updates out of the partition critical section.
-pub fn read_path_sweep(scale: &Scale) -> Table {
-    let (runner, workload, keys) = hot_partition_reads(scale);
-    let mut table = Table::new(
-        "Read path: hot-partition reads, RwLock read overlap vs mutex-serialised reads",
-        &[
-            "threads",
-            "rwlock (Kops/s)",
-            "mutex model (Kops/s)",
-            "speedup",
-        ],
-    );
-    for &threads in scale.thread_sweep() {
-        let db = engines::prismdb_read_path(keys);
-        let result = runner.run_threaded(&*db, &workload, threads);
-        let (rwlock, serial) = (result.throughput_kops, serial_kops(&result));
-        table.add_row(vec![
-            threads.to_string(),
-            fmt_f64(rwlock),
-            fmt_f64(serial),
-            fmt_f64(rwlock / serial.max(f64::MIN_POSITIVE)),
-        ]);
-    }
-    table.print();
-    table
-}
-
 /// Read-path cache sharding: even with RwLock partitions, every read
 /// still serialises briefly inside the partition's DRAM cache. The
 /// engine reports that residue per partition
@@ -147,7 +114,9 @@ pub fn read_path_sweep(scale: &Scale) -> Table {
 ///   caps read throughput as clients grow;
 /// * **serialised reads** — the old everything-under-the-mutex model
 ///   ([`crate::ThreadedRunResult::elapsed_serial_reads`] of the sharded
-///   run): whole reads count as serial shard work.
+///   run): whole reads count as serial shard work. Its gap to the sharded
+///   cache is the win of RwLock partitions, whose reads overlap because
+///   tracker and clock updates left the partition's critical section.
 ///
 /// It runs latest-skewed reads over range partitions
 /// (`hot_partition_reads`): the Zipfian-hot-partition case where a single
@@ -155,7 +124,7 @@ pub fn read_path_sweep(scale: &Scale) -> Table {
 pub fn cache_sweep(scale: &Scale) -> Table {
     let (runner, workload, keys) = hot_partition_reads(scale);
     let mut table = Table::new(
-        "Read path: YCSB-C throughput, sharded vs mutexed DRAM cache",
+        "Read path: hot-partition reads, sharded vs mutexed DRAM cache vs serialised reads",
         &[
             "threads",
             "sharded cache (Kops/s)",
@@ -239,17 +208,16 @@ pub fn scan_liveness(scale: &Scale) -> Table {
     table
 }
 
-/// Run the thread sweep, the read-path sweep, the cache-sharding sweep
-/// and the liveness check, and emit `BENCH_scalability.json` plus the
-/// sweep's `BENCH_summary.json` entry.
+/// Run the thread sweep, the read-path sweep and the liveness check, and
+/// emit `BENCH_scalability.json` plus the sweep's `BENCH_summary.json`
+/// entry.
 pub fn run(scale: &Scale) -> Vec<Table> {
     let tables = vec![
         thread_sweep(scale),
-        read_path_sweep(scale),
         cache_sweep(scale),
         scan_liveness(scale),
     ];
-    write_bench_json("scalability", &tables[..3]);
+    write_bench_json("scalability", &tables[..2]);
     if let Some(entry) = crate::report::SummaryEntry::best_of(
         "scalability",
         &tables[0],
@@ -283,28 +251,6 @@ mod tests {
         assert!(
             l4 < l1 * 1.25,
             "a single global lock cannot scale: {l1:.1} → {l4:.1}"
-        );
-    }
-
-    #[test]
-    fn rwlock_read_path_beats_the_serialised_shard_model() {
-        let table = read_path_sweep(&Scale::quick());
-        let get = |threads: &str, col: &str| -> f64 {
-            table.cell(threads, col).unwrap().parse().unwrap()
-        };
-        for threads in ["1", "2", "4", "8"] {
-            assert!(
-                get(threads, "rwlock (Kops/s)") >= get(threads, "mutex model (Kops/s)") - 1e-9,
-                "read overlap can never lose to serialised reads (threads {threads})"
-            );
-        }
-        // The latest distribution puts most reads on one of the range
-        // partitions (about 80 % of them at quick scale), so the
-        // serialised model is shard-bound while the RwLock model stays
-        // client-bound.
-        assert!(
-            get("8", "rwlock (Kops/s)") > get("8", "mutex model (Kops/s)"),
-            "at 8 threads the RwLock read path must win outright"
         );
     }
 

@@ -19,6 +19,11 @@
 //!    each NVM-origin entry against the live index (a foreground write
 //!    between plan and install invalidates that entry only), applies
 //!    promotions, writes the output files and swaps them into the log.
+//!    The output leaves out every record whose key NVM holds at a
+//!    strictly newer timestamp: a merge drops the versions a newer one
+//!    obsoletes, and here the newer one may stay pinned on NVM instead of
+//!    joining the merge. A demoted record carries its slot's timestamp,
+//!    so it stays.
 //!    A job installs only into the file list it was planned against: if
 //!    the log's generation moved (another job installed, or crash
 //!    recovery re-installed the list) the whole job is discarded, so a
@@ -38,7 +43,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use prism_flash::{FileId, SstFile};
+use prism_flash::SstFile;
 use prism_storage::{CpuCosts, Device};
 use prism_types::{Key, Nanos, Version};
 
@@ -123,8 +128,9 @@ pub struct MergedEntry {
 pub struct ExecutedJob {
     /// Log generation copied from the job (checked at install).
     pub generation: u64,
-    /// Ids of the victim files to retire at install.
-    pub old_file_ids: Vec<FileId>,
+    /// The victim files to retire at install, held until then so that
+    /// the installer, under the partition lock, lets go of them last.
+    pub files: Vec<Arc<SstFile>>,
     /// Planned demotions (metadata only; values live in `merged`). The
     /// installer removes each from NVM only if its timestamp still
     /// matches the live index.
@@ -204,10 +210,11 @@ pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) 
             });
         }
     }
+    drop(flash);
 
     ExecutedJob {
         generation: job.generation,
-        old_file_ids: job.files.iter().map(|f| f.id()).collect(),
+        files: job.files,
         demote: demoted,
         merged,
         duration,
@@ -218,7 +225,7 @@ pub fn execute_job(job: CompactionJob, cpu: &CpuCosts, flash_dev: &Arc<Device>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prism_flash::{SstBuilder, SstEntry};
+    use prism_flash::{FileId, SstBuilder, SstEntry};
     use prism_storage::DeviceProfile;
     use prism_types::Value;
 
@@ -287,7 +294,8 @@ mod tests {
         );
         assert!(exec.duration > Nanos::ZERO);
         assert!(exec.flash_time > Nanos::ZERO);
-        assert_eq!(exec.old_file_ids, vec![1]);
+        let victims: Vec<FileId> = exec.files.iter().map(|f| f.id()).collect();
+        assert_eq!(victims, vec![1]);
     }
 
     #[test]

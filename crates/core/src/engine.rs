@@ -196,6 +196,32 @@ impl EngineShared {
             .expect("only pool workers ask for the scheduler")
     }
 
+    /// The engine's invariants over `partitions` (each with its index, in
+    /// ascending order, all locked by the caller, so no install lands
+    /// between two of them): every partition's clauses
+    /// ([`Partition::check_invariants`]), then `flash bytes`: the shared
+    /// flash device is charged for exactly the partitions' log files plus
+    /// the retired files a reader still holds — a retired file kept past
+    /// its last reader is a leak. `Err` names the first clause that fails.
+    fn check_invariants_of<'a>(
+        &self,
+        partitions: impl Iterator<Item = (usize, &'a Partition)>,
+    ) -> std::result::Result<(), String> {
+        let mut held = 0;
+        for (idx, p) in partitions {
+            p.check_invariants()
+                .map_err(|violation| format!("{violation} (partition {idx})"))?;
+            held += p.flash_bytes_held();
+        }
+        let charged = self.storage.flash.used_bytes();
+        if charged != held {
+            return Err(format!(
+                "flash bytes: the device is charged {charged}, the logs hold {held}"
+            ));
+        }
+        Ok(())
+    }
+
     /// Run `op` on partition `idx`, write-locked as `p`, and trace the
     /// health flip it causes — `degraded` on a read, a scrub pass or a
     /// recovery alike, `rearm` when a clean scrub pass lifted it.
@@ -530,6 +556,11 @@ impl PrismDb {
     pub fn crash_and_recover(&self) -> Nanos {
         let all: Vec<usize> = (0..self.shard_count()).collect();
         let mut guards = self.lock_partitions(&all);
+        let check = |guards: &[(usize, RwLockWriteGuard<'_, Partition>)]| {
+            self.shared
+                .check_invariants_of(guards.iter().map(|(idx, p)| (*idx, &**p)))
+        };
+        debug_assert_eq!(check(&guards), Ok(()), "before the crash");
         // Recovery time is still max-over-partitions: the serial loop is
         // an artefact of the simulation, not of the modelled hardware.
         let per_partition = guards
@@ -539,7 +570,23 @@ impl PrismDb {
                     .health_traced(*idx, p, Partition::crash_and_recover)
             })
             .fold(Nanos::ZERO, Nanos::max);
-        per_partition + self.replay_commit_log(&mut guards)
+        let cost = per_partition + self.replay_commit_log(&mut guards);
+        debug_assert_eq!(check(&guards), Ok(()), "after recovery");
+        cost
+    }
+
+    /// Check the engine's invariants under every partition's read lock,
+    /// taken in ascending order: each partition's clauses — `index`,
+    /// `residency bits`, `tiers`, `history`, `cache` — and `flash bytes`,
+    /// the flash device's charge against the partitions' files. `Err`
+    /// names the first clause that fails. Debug builds check the same
+    /// before and after every [`PrismDb::crash_and_recover`].
+    pub fn check_invariants(&self) -> std::result::Result<(), String> {
+        let guards: Vec<_> = (0..self.shard_count())
+            .map(|idx| self.shared.read_partition(idx))
+            .collect();
+        let partitions = guards.iter().enumerate().map(|(idx, p)| (idx, &**p));
+        self.shared.check_invariants_of(partitions)
     }
 
     /// Drain the commit log after per-partition recovery: roll torn
@@ -1363,6 +1410,24 @@ mod tests {
         let mut options = small_options(keys, partitions);
         options.compaction_workers = workers;
         PrismDb::open(options).unwrap()
+    }
+
+    /// The `flash bytes` clause: the flash device is charged for the
+    /// partitions' files alone, so a charge no file holds names it.
+    #[test]
+    fn check_invariants_names_flash_bytes_no_file_holds() {
+        let db = small_db(2_000, 2);
+        for id in 0..2_000u64 {
+            db.put(Key::from_id(id), Value::filled(1_000, 1)).unwrap();
+        }
+        assert!(db.flash_object_count() > 0);
+        assert_eq!(db.check_invariants(), Ok(()));
+        let flash = &db.shared.storage.flash;
+        flash.allocate(4096);
+        let violation = db.check_invariants().unwrap_err();
+        assert!(violation.starts_with("flash bytes:"), "{violation}");
+        flash.release(4096);
+        assert_eq!(db.check_invariants(), Ok(()));
     }
 
     #[test]

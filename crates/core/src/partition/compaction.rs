@@ -45,7 +45,7 @@ use prism_compaction::{
     msc_score, CompactionJob, CompactionPolicy, DemoteEntry, ExecutedJob, JobKind, MergedOrigin,
     RangeStatsBuilder,
 };
-use prism_flash::SstEntry;
+use prism_flash::{FileId, SstEntry};
 use prism_tracker::{PinDecision, PinRule};
 use prism_types::{Key, Lane, Nanos, PrismError, Result};
 
@@ -352,11 +352,13 @@ impl Partition {
     /// which the log answers every demoted key — and frees the replaced
     /// files no reader holds, (4) [`Partition::free_slot`] frees each
     /// demoted slot. Before (3) the old files
-    /// still hold every promoted version and the slots every demoted one;
-    /// between (3) and (4) a version sits on both tiers, and recovery keeps
-    /// the slot's. The flash bits follow the two file lists at (3): a
-    /// promoted key and a version that lost its race with a foreground
-    /// write leave flash with the retired files.
+    /// still hold every promoted version and the slots every demoted one,
+    /// so a promotion that fails with an I/O error frees the slots the job
+    /// wrote before it and leaves the partition as it was; between (3) and
+    /// (4) a version sits on both tiers, and recovery keeps the slot's. The
+    /// flash bits follow the two file lists at (3): a promoted key, a
+    /// version that lost its race with a foreground write and a record a
+    /// newer slot shadows leave flash with the retired files.
     ///
     /// Returns `Ok(None)` when the job is discarded: the sorted log has
     /// installed since the plan (another job, or crash recovery), so the
@@ -368,12 +370,16 @@ impl Partition {
         exec: ExecutedJob,
     ) -> Result<Option<CompactionOutcome>> {
         if exec.generation != self.durable.log().generation() {
+            // The install that moved the generation may have retired the
+            // job's victims: let go of them and free what no reader holds.
+            drop(exec);
+            self.reclaim_files();
             return Ok(None);
         }
 
         let mut duration = exec.duration;
         let mut flash_time = exec.flash_time;
-        let mut promoted = 0u64;
+        let mut promoted: Vec<Key> = Vec::new();
         let nvm_headroom = self.options.low_watermark;
         let mut out: Vec<(Key, SstEntry)> = Vec::with_capacity(exec.merged.len());
 
@@ -406,14 +412,21 @@ impl Partition {
                         match self.write_slot(&m.key, m.version.timestamp, write) {
                             Ok(cost) => {
                                 duration += cost;
-                                promoted += 1;
-                                // NVM serves it now: cheap to refetch.
-                                self.volatile.cache.reprice(&m.key, Lane::Cheap);
+                                promoted.push(m.key);
                             }
                             Err(PrismError::CapacityExceeded { .. }) => {
                                 out.push((m.key, m.version));
                             }
-                            Err(err) => return Err(err),
+                            Err(err) => {
+                                // The old files still hold every version
+                                // promoted so far: free their slots, or each
+                                // would sit beside its record at the same
+                                // sequence after the job is dropped.
+                                for key in &promoted {
+                                    self.free_slot(key)?;
+                                }
+                                return Err(err);
+                            }
                         }
                     } else {
                         out.push((m.key, m.version));
@@ -422,8 +435,16 @@ impl Partition {
             }
         }
 
+        for key in &promoted {
+            // NVM serves it now: cheap to refetch.
+            self.volatile.cache.reprice(key, Lane::Cheap);
+        }
+
         // The commit point: from here on the log answers every demoted key.
-        let write_cost = self.swap_files(&exec.old_file_ids, out);
+        // The job lets go of its victims first, so the swap frees them.
+        let victims: Vec<FileId> = exec.files.iter().map(|file| file.id()).collect();
+        drop(exec.files);
+        let write_cost = self.swap_files(&victims, out);
         duration += write_cost;
         flash_time += write_cost;
 
@@ -457,7 +478,7 @@ impl Partition {
             duration,
             flash_time,
             demoted,
-            promoted,
+            promoted: promoted.len() as u64,
         };
         self.record_compaction(&outcome);
         Ok(Some(outcome))

@@ -6,7 +6,9 @@
 //! checksum does is decided by [`Partition::resolve_damage`],
 //! which the engine's get escalation, recovery and both scrub phases call:
 //! it counts nothing and frees a damaged slot; a damaged flash
-//! record a live NVM version hides is shadowed; otherwise the DRAM cache's
+//! record a live NVM version hides is shadowed, and the next rewrite of
+//! its file leaves it out, as it does every record a newer NVM version
+//! hides; otherwise the DRAM cache's
 //! last committed value is written back, or the key goes under a durable
 //! sentinel and the partition degrades at the threshold. Scans and
 //! snapshot reads only judge, by one rule ([`Partition::visible_at`]): a

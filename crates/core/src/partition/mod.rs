@@ -300,6 +300,12 @@ impl Partition {
         self.durable.log().total_entries()
     }
 
+    /// Bytes of this partition's files that the flash device should be
+    /// charged for: see [`prism_flash::SortedLog::held_bytes`].
+    pub(crate) fn flash_bytes_held(&self) -> u64 {
+        self.durable.log().held_bytes()
+    }
+
     /// Bytes of superseded versions this partition keeps for pinned
     /// snapshots.
     pub(crate) fn history_bytes(&self) -> u64 {

@@ -10,7 +10,8 @@
 //! frees the slot: delete, demotion and a damaged slot's resolution call
 //! it. [`Partition::swap_files`] writes the new files, clears the flash
 //! bits of the retired files' keys, sets those of the new files' keys,
-//! installs, and frees the retired files no reader holds. Compaction
+//! installs, and frees the retired files no reader holds; it leaves out
+//! every record a newer NVM version shadows. Compaction
 //! install, the scrub rebuild and recovery's
 //! generation bump call it. A write over an existing slot frees it only
 //! after the new version is written (a put in the same size class
@@ -356,11 +357,29 @@ impl Partition {
     /// reclaim every retired file no reader holds. The retired files are
     /// found in the log by id, so a caller that let go of its own handles
     /// first sees them freed here. Returns the write cost.
+    ///
+    /// A record whose key the index holds at a strictly newer timestamp
+    /// is left out of the new files: the point and scan paths take NVM
+    /// first, a snapshot pinned before the newer version reads the one it
+    /// superseded from the history, and damage to the slot is repaired
+    /// from the DRAM cache or quarantined, never answered from flash. A
+    /// demoted record carries its slot's timestamp and stays.
     pub(super) fn swap_files(
         &mut self,
         retired: &[FileId],
-        records: Vec<(Key, SstEntry)>,
+        mut records: Vec<(Key, SstEntry)>,
     ) -> Nanos {
+        if let (Some((first, _)), Some((last, _))) = (records.first(), records.last()) {
+            let span = first.clone()..=last.clone();
+            let mut slots = self.volatile.index.range(span).peekable();
+            records.retain(|(key, record)| {
+                while slots.next_if(|(slot_key, _)| *slot_key < key).is_some() {}
+                let newer = |(slot_key, slot): &(&Key, &IndexEntry)| {
+                    *slot_key == key && slot.timestamp > record.timestamp
+                };
+                !slots.peek().is_some_and(newer)
+            });
+        }
         let next = || SstBuilder::new(self.durable.log.allocate_file_id()).for_partition(self.id);
         let (new_files, cost) = write_run(
             records,
@@ -380,6 +399,12 @@ impl Partition {
         self.durable.log.install(retired, new_files);
         self.durable.log.reclaim(&self.flash_dev);
         cost
+    }
+
+    /// Free the retired files no reader holds any more: a discarded job
+    /// lets go of its victims, which another install may have retired.
+    pub(super) fn reclaim_files(&mut self) {
+        self.durable.log.reclaim(&self.flash_dev);
     }
 
     /// Recovery's rebuild of the DRAM mirrors from what the tiers hold:
@@ -433,6 +458,9 @@ impl Partition {
     /// hold no older slot of it, keys with a damaged slot aside.
     /// `residency bits`: the bucket map's NVM and flash bits are those of
     /// the index's and the log's keys (popularity bits are not compared).
+    /// `tiers`: every clean flash record of a key the index holds is
+    /// strictly older than the index entry — a promotion takes its record
+    /// off flash, a demotion frees its slot once the swap has committed.
     /// `history`: no key keeps an empty list, and `history_bytes` is the
     /// footprint of every preserved version. `cache`: every cached value
     /// is its key's live version wherever that version verifies and the
@@ -455,6 +483,17 @@ impl Partition {
         }
         if !self.volatile.buckets.same_residency(&self.residency()) {
             return Err("residency bits: they differ from the index's and the log's keys".into());
+        }
+        let index = &self.volatile.index;
+        let unshadowed = self.durable.log.iter().find_map(|(key, record)| {
+            let nvm = index.get(key)?.timestamp;
+            let flash = record.timestamp;
+            (flash >= nvm && record.verify()).then_some((key, flash, nvm))
+        });
+        if let Some((key, flash, nvm)) = unshadowed {
+            return Err(format!(
+                "tiers: flash holds {key:?} at seq {flash}, not older than its slot's {nvm}"
+            ));
         }
         let history = &self.volatile.history;
         if let Some((key, _)) = history.iter().find(|(_, list)| list.is_empty()) {
@@ -497,7 +536,8 @@ mod tests {
     use prism_compaction::BucketMap;
     use prism_types::{Key, Lane, Value};
 
-    use super::super::tests::{delete, engine, partition, put};
+    use super::super::tests::{delete, demote_everything, engine, partition, put};
+    use super::SlotWrite;
 
     /// Each clause of `check_invariants` names itself when the state it
     /// covers is broken behind the persist methods' back: a slot no index
@@ -539,6 +579,30 @@ mod tests {
             std::mem::swap(&mut kept, &mut p.volatile.buckets);
             assert_eq!(p.check_invariants(), Ok(()));
         }
+    }
+
+    /// The tiers clause: a slot beside its key's flash record at the same
+    /// sequence — what a promotion that left its record on flash would
+    /// leave — names it, and freeing the slot clears it.
+    #[test]
+    fn check_invariants_names_a_flash_record_its_slot_does_not_shadow() {
+        let engine = engine(1_000);
+        let mut p = partition(&engine);
+        for id in 0..100 {
+            put(&engine, &mut p, Key::from_id(id), Value::filled(300, 1)).unwrap();
+        }
+        demote_everything(&mut p);
+        assert_eq!(p.check_invariants(), Ok(()));
+
+        let key = Key::from_id(7);
+        let file = p.durable.log.lookup(&key).expect("a file").clone();
+        let record = file.probe(&key).entry.expect("a record");
+        p.write_slot(&key, record.timestamp, SlotWrite::Version(record))
+            .unwrap();
+        let violation = p.check_invariants().unwrap_err();
+        assert!(violation.starts_with("tiers:"), "{violation}");
+        p.free_slot(&key).unwrap();
+        assert_eq!(p.check_invariants(), Ok(()));
     }
 
     /// The history clause: the byte count is the preserved versions'

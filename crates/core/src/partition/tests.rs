@@ -579,7 +579,7 @@ fn arm_write_flip(plan: &FaultPlan, tier: FaultTier) {
 }
 
 /// Plan, execute and install a demotion of every NVM object.
-fn demote_everything(p: &mut Partition) {
+pub(super) fn demote_everything(p: &mut Partition) {
     let (cpu, dev, fg) = (p.cpu, p.flash_dev.clone(), p.fg());
     let job = p.plan_demotion(DemotionPlan::Everything, fg).expect("job");
     p.install_compaction(execute_job(job, &cpu, &dev))
@@ -896,6 +896,199 @@ fn install_frees_a_replaced_file_once_no_reader_holds_it() {
     assert_eq!(dev.used_bytes(), listed(&p) + held);
     rewrite_everything(&mut p);
     assert_eq!(dev.used_bytes(), listed(&p));
+}
+
+/// Keys `0..100`, 300 bytes filled with 1, written and demoted: each has a
+/// flash record and no slot.
+fn loaded_on_flash(engine: &EngineShared, p: &mut Partition) {
+    for id in 0..100 {
+        put(engine, p, Key::from_id(id), Value::filled(300, 1)).unwrap();
+    }
+    demote_everything(p);
+    assert_eq!((p.nvm_object_count(), p.flash_object_count()), (0, 100));
+}
+
+/// Update key 7 of [`loaded_on_flash`] to a value filled with 2, then
+/// rewrite its file in a demotion job that pins every tracked key, so the
+/// key, which the put admitted, stays on NVM and its old record goes.
+fn shadow_and_rewrite(engine: &EngineShared, p: &mut Partition) -> Key {
+    let key = Key::from_id(7);
+    put(engine, p, key.clone(), Value::filled(300, 2)).unwrap();
+    let kind = JobKind::Demotion { force: false };
+    let rule = PinRule::new(p.clock_histogram(), 1.0, usize::MAX);
+    let (cpu, dev, fg) = (p.cpu, p.flash_dev.clone(), p.fg());
+    let range = key.clone()..=key.clone();
+    let job = p.plan_range(range, kind, &rule, false, Nanos::ZERO, fg);
+    let job = job.expect("the range covers a file");
+    assert!(job.demote.is_empty(), "{key:?} stays pinned");
+    p.install_compaction(execute_job(job, &cpu, &dev))
+        .unwrap()
+        .expect("nothing installed since the plan");
+    assert_eq!(p.flash_object_count(), 99, "the old record is left out");
+    key
+}
+
+fn first_byte(value: Option<Value>) -> u8 {
+    value.expect("a value").as_bytes()[0]
+}
+
+/// A file rewrite leaves out the record of a key NVM holds at a newer
+/// timestamp: after an update of a flash-resident key, a demotion over
+/// its range that keeps it pinned drops its old record, and a get reads
+/// the new value.
+#[test]
+fn a_rewrite_leaves_out_a_record_its_keys_newer_slot_shadows() {
+    let engine = engine(1_000);
+    let mut p = partition(&engine);
+    loaded_on_flash(&engine, &mut p);
+    let key = shadow_and_rewrite(&engine, &mut p);
+    assert_eq!(p.nvm_object_count(), 1);
+    assert_eq!(first_byte(p.get(&key).unwrap().value), 2);
+    assert_eq!(p.check_invariants(), Ok(()));
+}
+
+/// A snapshot pinned before the update reads the value it superseded
+/// from the history, which the update filled, once the old record has
+/// left flash.
+#[test]
+fn a_snapshot_pinned_before_an_update_reads_the_old_value_after_the_rewrite() {
+    let engine = engine(1_000);
+    let mut p = partition(&engine);
+    loaded_on_flash(&engine, &mut p);
+    let pin = p.seq.pin();
+    let key = shadow_and_rewrite(&engine, &mut p);
+    assert_eq!(first_byte(p.snapshot_get(&key, pin).unwrap().0), 1);
+    assert_eq!(first_byte(p.get(&key).unwrap().value), 2);
+    p.seq.release(pin);
+}
+
+/// A crash after the rewrite rebuilds the index from the slot that holds
+/// the update: the get after recovery reads the new value.
+#[test]
+fn a_crash_after_the_rewrite_keeps_the_new_value() {
+    let engine = engine(1_000);
+    let mut p = partition(&engine);
+    loaded_on_flash(&engine, &mut p);
+    let key = shadow_and_rewrite(&engine, &mut p);
+    p.crash_and_recover();
+    assert_eq!(p.flash_object_count(), 99);
+    assert_eq!(first_byte(p.get(&key).unwrap().value), 2);
+}
+
+/// Once the old record is gone, damage to the key's slot with the key out
+/// of the cache leaves no clean copy: the key goes under a sentinel, and
+/// a get errors — before and after a crash — instead of returning an
+/// older value.
+#[test]
+fn a_damaged_slot_over_a_dropped_record_quarantines_its_key() {
+    let plan = Arc::new(FaultPlan::new(0x5AD));
+    let engine = faulted_engine(1_000, &plan);
+    let mut p = partition(&engine);
+    loaded_on_flash(&engine, &mut p);
+    let key = shadow_and_rewrite(&engine, &mut p);
+    arm_write_flip(&plan, FaultTier::Nvm);
+    put(&engine, &mut p, key.clone(), Value::filled(300, 3)).unwrap();
+    let cached = p.volatile.cache.get(&key);
+    assert!(cached.is_none(), "never read, never cached");
+    assert!(matches!(p.get(&key), Err(PrismError::Corruption(_))));
+    assert_eq!(
+        p.resolve_damage(&key, FaultTier::Nvm),
+        Resolution::Quarantined
+    );
+    assert!(matches!(p.get(&key), Err(PrismError::Corruption(_))));
+    p.crash_and_recover();
+    assert!(matches!(p.get(&key), Err(PrismError::Corruption(_))));
+}
+
+/// A demoted record carries its slot's timestamp, which the index still
+/// holds when the files are swapped in: equal is not newer, so every
+/// record stays.
+#[test]
+fn a_demoted_record_carries_its_slots_timestamp_and_stays() {
+    let engine = engine(1_000);
+    let mut p = partition(&engine);
+    for id in 0..100 {
+        put(&engine, &mut p, Key::from_id(id), Value::filled(300, 1)).unwrap();
+    }
+    let slots: Vec<(Key, u64)> = p
+        .volatile
+        .index()
+        .iter()
+        .map(|(key, slot)| (key.clone(), slot.timestamp))
+        .collect();
+    demote_everything(&mut p);
+    assert_eq!(p.flash_object_count(), 100);
+    for (key, timestamp) in slots {
+        assert_eq!(flash_record(&p, &key).timestamp, timestamp, "{key:?}");
+    }
+}
+
+/// The scrub's rewrite of a file with a damaged record leaves out a
+/// record a newer slot shadows too.
+#[test]
+fn a_scrub_rewrite_leaves_out_a_shadowed_record() {
+    let plan = Arc::new(FaultPlan::new(0x5CB));
+    let engine = faulted_engine(1_000, &plan);
+    let mut p = partition(&engine);
+    for id in 0..100 {
+        put(&engine, &mut p, Key::from_id(id), Value::filled(300, 1)).unwrap();
+    }
+    arm_write_flip(&plan, FaultTier::Flash);
+    demote_everything(&mut p);
+    let damaged = failing_records(&p);
+    assert_eq!(damaged.len(), 1, "the armed flip hit one record");
+    let file = p.durable.log().lookup(&damaged[0]).expect("a file");
+    let neighbour = file.iter().find(|(key, _)| *key != damaged[0]);
+    let key = neighbour.expect("two records").0.clone();
+    put(&engine, &mut p, key.clone(), Value::filled(300, 2)).unwrap();
+
+    let report = p.scrub_pass(u64::MAX);
+    assert!(report.completed);
+    assert_eq!(report.corrupt_found, 1);
+    assert_eq!(p.flash_object_count(), 98, "the damaged and the shadowed");
+    assert_eq!(first_byte(p.get(&key).unwrap().value), 2);
+    assert_eq!(p.check_invariants(), Ok(()));
+}
+
+/// A promotion that fails with an I/O error frees the slots its job had
+/// already promoted: the old files still hold those versions, and a slot
+/// left beside its record at the same sequence would outlive the dropped
+/// job. A latency spike takes the first promotion's write, the error the
+/// second's.
+#[test]
+fn a_promotion_failing_mid_job_frees_the_slots_it_already_wrote() {
+    let plan = Arc::new(FaultPlan::new(0x10E));
+    let engine = faulted_engine(1_000, &plan);
+    let mut p = partition(&engine);
+    loaded_on_flash(&engine, &mut p);
+    let (first, second) = (Key::from_id(3), Key::from_id(4));
+    let kind = JobKind::Demotion { force: true };
+    let rule = p.pin_rule(kind);
+    let (cpu, dev, fg) = (p.cpu, p.flash_dev.clone(), p.fg());
+    let range = first.clone()..=second.clone();
+    let mut job = p
+        .plan_range(range, kind, &rule, false, Nanos::ZERO, fg)
+        .expect("the range covers a file");
+    job.promote_hints.extend([first.clone(), second.clone()]);
+    for mode in [
+        prism_storage::FaultMode::LatencySpike,
+        prism_storage::FaultMode::IoError,
+    ] {
+        plan.arm(prism_storage::TargetedFault {
+            tier: FaultTier::Nvm,
+            partition: None,
+            op: FaultOp::Write,
+            mode,
+        });
+    }
+    let installed = p.install_compaction(execute_job(job, &cpu, &dev));
+    assert!(matches!(installed, Err(PrismError::Io(_))), "{installed:?}");
+    assert_eq!(plan.snapshot().io_errors, 1);
+    assert_eq!((p.nvm_object_count(), p.flash_object_count()), (0, 100));
+    assert_eq!(p.check_invariants(), Ok(()));
+    for key in [first, second] {
+        assert_eq!(first_byte(p.get(&key).unwrap().value), 1);
+    }
 }
 
 /// Every slot write, slot free and file swap moves the index and the

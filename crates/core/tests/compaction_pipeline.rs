@@ -147,6 +147,33 @@ fn keys_above_eight_ff_bytes_are_demoted() {
     }
 }
 
+/// A pool job holds its victim files until its install, which lets go of
+/// them under the partition lock before the swap frees the replaced files
+/// no reader holds, and a discarded job's install frees them too: once
+/// the pool is idle, and after a crash, the flash device is charged for
+/// exactly the log's files.
+#[test]
+fn the_flash_device_is_charged_for_the_logs_files_alone() {
+    let db = PrismDb::open(small_nvm_options(2)).expect("valid options");
+    for round in 1..=3u8 {
+        for id in 0..600u64 {
+            db.put(Key::from_id(id), Value::filled(1_000, round))
+                .unwrap();
+        }
+    }
+    wait_until("the compaction pool is idle", || {
+        db.stats().compaction.queue_depth == 0 && db.parked_compaction_workers() == 2
+    });
+    assert!(db.stats().compaction.jobs > 0);
+    assert_eq!(db.check_invariants(), Ok(()));
+    db.crash_and_recover();
+    assert_eq!(db.check_invariants(), Ok(()));
+    for id in 0..600u64 {
+        let value = db.get(&Key::from_id(id)).unwrap().value;
+        assert_eq!(value, Some(Value::filled(1_000, 3)), "{id}");
+    }
+}
+
 /// Regression: a pool job that failed with an I/O error used to panic its
 /// worker thread, and every later request of the pool then waited in the
 /// queue. A one-shot NVM write fault, armed once the load has settled, is
@@ -197,4 +224,5 @@ fn a_pool_worker_serves_on_after_a_job_fails_with_an_io_error() {
         let value = db.get(&Key::from_id(id)).unwrap().value;
         assert_eq!(value, Some(Value::filled(1_000, 1)), "{id}");
     }
+    assert_eq!(db.check_invariants(), Ok(()));
 }

@@ -197,6 +197,18 @@ impl SortedLog {
         });
     }
 
+    /// Bytes of the live files plus those of the retired files a reader
+    /// still holds: what the device is charged for once every retired
+    /// file's last reader is followed by a [`SortedLog::reclaim`].
+    pub fn held_bytes(&self) -> u64 {
+        let held = self
+            .retired
+            .iter()
+            .filter(|file| Arc::strong_count(file) > 1);
+        let files = self.files.iter().chain(held);
+        files.map(|file| file.size_bytes()).sum()
+    }
+
     /// Iterate over all entries of all files in ascending key order.
     ///
     /// Files are non-overlapping so concatenation in file order is globally
