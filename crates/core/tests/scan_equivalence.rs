@@ -15,6 +15,9 @@
 //! * **Work bound** — a `count = n` scan over `P` hash partitions resolves
 //!   at most `n + 2P` entries and reads at most 1.5x the bytes it returns
 //!   plus one block per partition from flash.
+//! * **Accounting** — a fixed set of scans on a `Hash` and a `Range`
+//!   store charges exactly the latency, entries and reads recorded in
+//!   the test, and counts a damaged slot only when it reaches it.
 
 use std::sync::Arc;
 
@@ -498,5 +501,168 @@ fn a_hash_partitioned_scan_resolves_and_reads_in_proportion_to_what_it_returns()
             0,
             "NVM bytes read are the pages charged"
         );
+    }
+}
+
+const PIN_KEYS: u64 = 1_000;
+/// Damaged slots: the first key of the second `Range` partition, and a
+/// key whose `Hash` partition holds none of the five keys before it.
+const PIN_DAMAGED: [u64; 2] = [500, 502];
+
+/// The store the accounting pin scans: most of its data on flash,
+/// tombstones on both tiers, a live snapshot that writes after it
+/// overwrote and deleted keys under (so their pinned versions sit in the
+/// history buffer), and last the damaged slots of [`PIN_DAMAGED`].
+fn accounting_store(partitioning: Partitioning) -> (PrismDb, prism_types::SnapshotId) {
+    let plan = Arc::new(FaultPlan::new(0xACC0));
+    let mut options = Options::scaled_default(PIN_KEYS);
+    options.num_partitions = PARTITIONS;
+    options.partitioning = partitioning;
+    options.nvm_capacity_bytes = PIN_KEYS * 1024 / 5;
+    options.fault_plan = Some(Arc::clone(&plan));
+    options.corruption_quarantine_threshold = 100;
+    let db = PrismDb::open(options).expect("valid options");
+    let put = |id: u64, fill: u8| {
+        let value = Value::filled(200 + (id % 7) as usize * 100, fill);
+        db.put(Key::from_id(id), value).unwrap();
+    };
+    for id in 0..PIN_KEYS {
+        put(id, id as u8);
+    }
+    for id in (0..PIN_KEYS).step_by(9) {
+        db.delete(&Key::from_id(id)).unwrap();
+    }
+    for id in (3..PIN_KEYS).step_by(11) {
+        put(id, 0x11);
+    }
+    let snap = db.snapshot().unwrap();
+    for id in (5..PIN_KEYS).step_by(13) {
+        put(id, 0x13);
+    }
+    for id in (6..PIN_KEYS).step_by(17) {
+        db.delete(&Key::from_id(id)).unwrap();
+    }
+    for id in PIN_DAMAGED {
+        write_damaged(&db, &plan, id);
+    }
+    assert!(
+        ConcurrentKvStore::stats(&db).compaction.demoted_objects > PIN_KEYS / 2,
+        "most of the data must sit on flash"
+    );
+    (db, snap)
+}
+
+/// What one scan charged: its latency (0 for a snapshot scan, which
+/// reports none), the growth of the slowest partition clock, the entries
+/// returned, then the deltas of `scan_entries_resolved`,
+/// `scan_entries_returned`, NVM reads and bytes read, flash reads and
+/// bytes read, and checksum failures.
+type ScanCharges = [u64; 10];
+
+/// Run the pin's fixed scans on `db`, in order: from the first key, a
+/// few windows, the whole store, for each damaged key a scan that ends on
+/// the visible entry just before it (on another partition) and one that
+/// takes the damaged key's place, snapshot scans that read the history
+/// buffer, and scans at and past the end.
+fn accounting_scans(db: &PrismDb, snap: prism_types::SnapshotId) -> Vec<ScanCharges> {
+    let measure = |scan: &dyn Fn() -> (u64, usize)| -> ScanCharges {
+        let (before, elapsed) = (ConcurrentKvStore::stats(db), ConcurrentKvStore::elapsed(db));
+        let (latency, returned) = scan();
+        let d = ConcurrentKvStore::stats(db).delta_since(&before);
+        [
+            latency,
+            (ConcurrentKvStore::elapsed(db) - elapsed).as_nanos(),
+            returned as u64,
+            d.scan_entries_resolved,
+            d.scan_entries_returned,
+            d.nvm_io.reads,
+            d.nvm_io.bytes_read,
+            d.flash_io.reads,
+            d.flash_io.bytes_read,
+            d.integrity.checksum_failures,
+        ]
+    };
+    let live = |start: u64, count: usize| {
+        move || {
+            let scan = ConcurrentKvStore::scan(db, &Key::from_id(start), count).unwrap();
+            (scan.latency.as_nanos(), scan.entries.len())
+        }
+    };
+    let pinned = |start: u64, count: usize| {
+        move || {
+            let entries = db.snapshot_scan(snap, &Key::from_id(start), count).unwrap();
+            (0, entries.len())
+        }
+    };
+    let whole = ConcurrentKvStore::scan(db, &Key::min(), usize::MAX).unwrap();
+    let mut charges = vec![];
+    for (start, count) in [(0, 1), (17, 10), (300, 50), (0, usize::MAX)] {
+        charges.push(measure(&live(start, count)));
+    }
+    for (start, damaged) in [(470, PIN_DAMAGED[0]), (496, PIN_DAMAGED[1])] {
+        let before_damaged = whole
+            .entries
+            .iter()
+            .filter(|(key, _)| (start..damaged).contains(&key.id()))
+            .count();
+        charges.push(measure(&live(start, before_damaged)));
+        charges.push(measure(&live(start, before_damaged + 1)));
+    }
+    for (start, count) in [(0, 40), (480, 30)] {
+        charges.push(measure(&pinned(start, count)));
+    }
+    for (start, count) in [(990, 100), (2 * PIN_KEYS, 5)] {
+        charges.push(measure(&live(start, count)));
+    }
+    charges
+}
+
+/// The accounting pin: every scan of a fixed set, on a `Hash` and on a
+/// `Range` store, charges exactly the latency, entries and reads recorded
+/// here, and sees the damaged slot only when it reaches it. A change to
+/// how the merge pulls from the partitions must leave all of it alone.
+#[test]
+fn a_fixed_set_of_scans_charges_exactly_the_recorded_reads_and_latency() {
+    let recorded: [(Partitioning, [ScanCharges; 12]); 2] = [
+        (
+            Partitioning::Hash,
+            [
+                [395871, 259205, 1, 1, 1, 0, 0, 1, 308, 0],
+                [408564, 135592, 10, 11, 10, 2, 8192, 3, 3964, 0],
+                [440288, 410848, 50, 56, 50, 4, 16384, 4, 21836, 0],
+                [1121320, 667888, 850, 927, 850, 4, 221184, 4, 325528, 2],
+                [421231, 401813, 26, 27, 26, 3, 12288, 4, 10468, 0],
+                [421931, 402851, 27, 30, 27, 3, 12288, 4, 11076, 1],
+                [398364, 393037, 4, 6, 4, 1, 4096, 2, 1624, 1],
+                [399064, 393037, 5, 8, 5, 1, 4096, 3, 2432, 2],
+                [0, 406224, 40, 42, 40, 3, 12288, 4, 15556, 0],
+                [0, 403551, 30, 31, 30, 3, 12288, 4, 11076, 2],
+                [406126, 1000, 7, 8, 7, 3, 12288, 2, 616, 0],
+                [4000, 1000, 0, 0, 0, 0, 0, 0, 0, 0],
+            ],
+        ),
+        (
+            Partitioning::Range,
+            [
+                [392871, 386040, 1, 1, 1, 0, 0, 1, 308, 0],
+                [401877, 401877, 10, 11, 10, 0, 0, 1, 5180, 0],
+                [451917, 451917, 50, 53, 50, 1, 8192, 1, 23252, 0],
+                [1729121, 854553, 850, 911, 850, 2, 90112, 2, 389020, 2],
+                [422468, 422468, 26, 27, 26, 1, 4096, 1, 11284, 0],
+                [815505, 422468, 27, 30, 27, 1, 4096, 2, 11892, 1],
+                [793701, 400664, 4, 6, 4, 1, 4096, 2, 1624, 1],
+                [794850, 400664, 5, 8, 5, 1, 4096, 2, 2432, 2],
+                [0, 430280, 40, 41, 40, 0, 0, 1, 18504, 0],
+                [0, 414722, 30, 31, 30, 2, 8192, 2, 12392, 2],
+                [406371, 0, 7, 8, 7, 1, 4096, 1, 2648, 0],
+                [1000, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            ],
+        ),
+    ];
+    for (partitioning, want) in recorded {
+        let (db, snap) = accounting_store(partitioning);
+        let got = accounting_scans(&db, snap);
+        db.release_snapshot(snap);
+        assert_eq!(got, want, "{partitioning:?}");
     }
 }
