@@ -311,14 +311,15 @@ impl EngineShared {
 ///
 /// A scan is one bounded merge across partitions. Each partition lends
 /// the merge a lazy, resumable cursor over its NVM index, its flash
-/// sorted log and its snapshot history; a round advances the cursor
-/// standing on the lowest key up to the next-lowest cursor's key, appends
-/// what it yields to the result, and the scan stops at `count`. A record
-/// is read — checksum verified, value shared, bytes counted — only when
-/// it is returned, so a scan costs what it returns whichever
-/// [`Partitioning`] is chosen (`engine_scan_entries_resolved` over
-/// `engine_scan_entries_returned` is its read amplification). Under
-/// `Hash` every partition's cursor is open from the first round; under
+/// sorted log and its snapshot history, which resolves a batch of keys
+/// into its own buffer under one short read lock; the merge takes the
+/// buffers' heads in key order and the scan stops at `count`. A key's
+/// reads are counted — and a flash record read, checksum verified and
+/// shared — only when the merge takes it, so a scan costs what it
+/// consumes whichever [`Partitioning`] is chosen
+/// (`engine_scan_entries_resolved` over `engine_scan_entries_returned` is
+/// its read amplification). Under
+/// `Hash` every partition's cursor is open from the start; under
 /// `Range` partitions are ordered by key and the next one is opened when
 /// those before it run out. Each partition charges what it contributed
 /// once, at the end: one request, its NVM pages, one sequential flash
@@ -810,6 +811,9 @@ impl PrismDb {
         }
     }
 
+    /// The partition holding `key`: a function of [`Key::id`] alone, so
+    /// no two partitions hold keys of one id (the scan merge orders its
+    /// cursors by id).
     fn partition_for(&self, key: &Key) -> usize {
         match self.shared.options.partitioning {
             Partitioning::Hash => (splitmix64(key.id()) % self.shard_count() as u64) as usize,
@@ -1081,59 +1085,80 @@ impl PrismDb {
     }
 
     /// Collect a scan as of a pinned sequence: one bounded merge over the
-    /// partitions' [`ScanCursor`]s. Each round advances the cursor with the
-    /// lowest frontier up to the next-lowest one — two partitions never
-    /// hold the same key, so everything it yields goes straight onto the
-    /// result in order — and the scan stops at `count`: a partition reads
-    /// only the records it contributes. Hash partitioning scatters the key
-    /// range, so every cursor is open from the first round; range
-    /// partitioning orders the partitions by key, so the next one is
-    /// opened when those before it run out. One short read lock at a time
-    /// — never a multi-lock hold.
+    /// partitions' [`ScanCursor`]s. A pull resolves a batch of one
+    /// partition's keys into its cursor's buffer under one short read
+    /// lock, and the merge takes the lowest head across the cursors, one
+    /// entry at a time, until the result holds `count`. A cursor is
+    /// refilled only when its buffer is empty and its frontier is the
+    /// lowest head, with the entries the scan still needs divided over the
+    /// cursors not yet exhausted, rounded up: a hash-partitioned scan of
+    /// `n` starts with about `n / P` keys from each of its `P` partitions.
+    /// An entry is charged to its partition only when the merge takes it,
+    /// so a scan pays for what it consumed in key order up to the
+    /// `count`-th visible entry, however far a pull read ahead. Hash
+    /// partitioning scatters the key range, so every cursor is open from
+    /// the start; range partitioning orders the partitions by key, so the
+    /// next one is opened when those before it run out. One short read
+    /// lock at a time — never a multi-lock hold.
     ///
-    /// The charge is per partition, at the end, and the cursors opened in
-    /// one round are one wave: their device reads are in flight together,
+    /// The charge is per partition, at the end, and the cursors opened
+    /// together are one wave: their device reads are in flight together,
     /// so a wave waits for its slowest. The scan's latency is the sum of
     /// every partition's CPU part (one thread runs the merge) plus, per
     /// wave, the largest device part. A `Hash` scan is one wave; a `Range`
     /// scan is a wave per partition, the sum of their whole charges.
     fn snapshot_scan_parts(&self, pinned: u64, start: &Key, count: usize) -> ScanResult {
-        // `open` grows by `wave` cursors a round, so its chunks of `wave`
+        // `open` grows by `wave` cursors at a time, so its chunks of `wave`
         // are the waves.
         let (mut unopened, wave) = match self.shared.options.partitioning {
             Partitioning::Hash => (0..self.shard_count(), self.shard_count()),
             Partitioning::Range => (self.partition_for(start)..self.shard_count(), 1),
         };
-        let mut open: Vec<(usize, ScanCursor)> = Vec::new();
-        let mut entries = Vec::new();
+        let mut open: Vec<(usize, ScanCursor)> = Vec::with_capacity(unopened.len());
+        // `heads[i]` is `open[i].1.head()`, kept beside the cursors so that
+        // finding the lowest reads one small array.
+        let mut heads: Vec<Option<u64>> = Vec::with_capacity(unopened.len());
+        // At most `count`, and at most about the store's size.
+        let expected = self.shared.options.expected_keys;
+        let mut entries = Vec::with_capacity(count.min(expected as usize));
         while entries.len() < count {
-            let lowest = (0..open.len())
-                .filter(|&i| open[i].1.frontier().is_some())
-                .min_by_key(|&i| open[i].1.frontier());
-            let Some(lowest) = lowest else {
+            let lowest = heads
+                .iter()
+                .enumerate()
+                .filter_map(|(i, head)| Some(((*head)?, i)))
+                .min();
+            let Some((_, lowest)) = lowest else {
                 if unopened.is_empty() {
                     break;
                 }
                 let next = unopened.by_ref().take(wave);
                 open.extend(next.map(|idx| (idx, ScanCursor::new(start))));
+                heads.resize(open.len(), Some(start.id()));
                 continue;
             };
-            let (before, rest) = open.split_at_mut(lowest);
-            let ((idx, cursor), after) = rest.split_first_mut().expect("lowest indexes open");
-            let bound = before
-                .iter()
-                .chain(after.iter())
-                .filter_map(|(_, other)| other.frontier())
-                .min();
-            self.shared
-                .read_partition(*idx)
-                .scan_pull(cursor, bound, pinned, count, &mut entries);
+            let (idx, cursor) = &mut open[lowest];
+            match cursor.take() {
+                Some((key, value)) => entries.extend(value.map(|value| (key, value))),
+                None => {
+                    // Its buffer is empty and its frontier comes first:
+                    // refill it with its share of what the scan still needs.
+                    let live = heads.iter().flatten().count();
+                    let limit = (count - entries.len()).div_ceil(live);
+                    self.shared
+                        .read_partition(*idx)
+                        .scan_pull(cursor, pinned, limit);
+                }
+            }
+            heads[lowest] = cursor.head();
         }
         let mut latency = Nanos::ZERO;
-        for cursors in open.chunks(wave) {
+        for cursors in open.chunks_mut(wave) {
             let mut slowest = Nanos::ZERO;
             for (idx, cursor) in cursors {
                 let charge = self.shared.read_partition(*idx).scan_charge(cursor);
+                if cursor.holds_files() {
+                    self.shared.write_partition(*idx).scan_release(cursor);
+                }
                 latency += charge.cpu;
                 slowest = slowest.max(charge.device);
             }
@@ -1471,7 +1496,7 @@ mod tests {
         db.each_partition(Partition::fg).collect()
     }
 
-    /// A `Hash` scan opens every partition in its first round, so their
+    /// A `Hash` scan opens every partition at once, so their
     /// device reads are one wave: the scan pays every partition's CPU part
     /// and the slowest device part, while each partition's clock and the
     /// devices' counters still move by the whole of what it read.
@@ -1512,10 +1537,11 @@ mod tests {
             let p = db.shared.read_partition(idx);
             let mut cursor = ScanCursor::new(&start);
             let mut replayed = Vec::new();
-            p.scan_pull(&mut cursor, None, u64::MAX, share.len(), &mut replayed);
+            p.scan_pull(&mut cursor, u64::MAX, share.len());
+            cursor.take_all(&mut replayed);
             assert_eq!(replayed, share);
             let before = io();
-            let charge = p.scan_charge(&cursor);
+            let charge = p.scan_charge(&mut cursor);
             let read = delta(io(), before);
             let parts = charge.cpu + charge.device;
             assert_eq!(clocks_after[idx], clocks_before[idx] + parts);

@@ -53,34 +53,51 @@ use prism_types::{Key, Lane, Lookup, Nanos, PrismError, ReadSource, Result, Valu
 use super::{Kept, Partition, READ_SIDE_DRAIN};
 use crate::engine::count;
 
-/// A key's live version below the DRAM cache, as a reader found it.
-pub(super) enum Live {
+/// A key's live version below the DRAM cache, as a reader found it. `V`
+/// is its value; a scan judges with `()` and reads the value only when
+/// its merge takes the key.
+pub(super) enum Live<V = Option<Value>> {
     /// Its tier, commit sequence and value (`None` for a tombstone).
-    Clean(ReadSource, u64, Option<Value>),
+    Clean(ReadSource, u64, V),
     /// Failed its checksum; the sequence is known for an NVM slot (the
     /// DRAM index holds it), not for a flash record.
     Damaged(Option<u64>),
 }
 
+/// What the reader rule serves: the live version's value, or the version
+/// the history buffer kept for the reader's pin (`None`: a delete, or
+/// nothing at all).
+#[derive(Debug)]
+pub(super) enum Seen<V> {
+    Live(V),
+    Kept(Option<Value>),
+}
+
+impl Seen<Option<Value>> {
+    pub(super) fn value(self) -> Option<Value> {
+        match self {
+            Seen::Live(value) | Seen::Kept(value) => value,
+        }
+    }
+}
+
 impl Partition {
     /// The reader rule of the integrity docs: what a reader pinned at
-    /// `pinned` sees of `key` whose live version is `live`. `Err` refuses
-    /// the key: a point read surfaces it, a scan skips the key.
-    pub(super) fn visible_at(
+    /// `pinned` sees of `key` whose live version is `live`. `None` refuses
+    /// the key: a point read surfaces it as corruption, a scan skips it.
+    pub(super) fn visible_at<V>(
         &self,
         key: &Key,
-        live: Option<Live>,
+        live: Option<Live<V>>,
         pinned: u64,
-    ) -> Result<Option<Value>> {
+    ) -> Option<Seen<V>> {
         match live {
-            _ if self.durable.quarantined.contains(key) => Err(self.corruption_error(key)),
-            Some(Live::Clean(_, seq, value)) if seq <= pinned => Ok(value),
-            Some(Live::Damaged(seq)) if seq.is_none_or(|seq| seq <= pinned) => {
-                Err(self.corruption_error(key))
-            }
+            _ if self.durable.quarantined.contains(key) => None,
+            Some(Live::Clean(_, seq, value)) if seq <= pinned => Some(Seen::Live(value)),
+            Some(Live::Damaged(seq)) if seq.is_none_or(|seq| seq <= pinned) => None,
             _ => match self.volatile.history_version_at(key, pinned) {
-                Kept::Clean(value) => Ok(value),
-                Kept::Damaged => Err(self.corruption_error(key)),
+                Kept::Clean(value) => Some(Seen::Kept(value)),
+                Kept::Damaged => None,
             },
         }
     }
@@ -356,7 +373,8 @@ impl Partition {
         }
         let mut cost = self.cpu.request_overhead + self.cpu.index_op;
         let live = self.probe_tiers(key, &mut cost)?;
-        let value = self.visible_at(key, live, pinned)?;
+        let seen = self.visible_at(key, live, pinned);
+        let value = seen.ok_or_else(|| self.corruption_error(key))?.value();
         self.advance_fg(cost);
         Ok((value, cost))
     }

@@ -1,18 +1,31 @@
-use prism_flash::LogPosition;
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use prism_flash::{LogPosition, SstFile};
 use prism_types::{Key, Nanos, ReadSource, Value};
 
-use super::read::Live;
+use super::read::{Live, Seen};
 use super::Partition;
 use crate::engine::count;
 
-/// One partition's resumable position in a scan. The engine's merge owns
-/// one per partition it visits and lends it to [`Partition::scan_pull`]
-/// under a short read lock; no lock is held between pulls, so the cursor
-/// resumes by key, the frontier — and, while the flash log's file list
-/// stands, by its position in that log instead of a second search for the
-/// same key. The scan's pinned sequence makes that consistent: a
+/// One partition's resumable position in a scan, and the keys it has
+/// resolved that the merge has not taken yet. The engine's merge owns one
+/// per partition it visits and lends it to [`Partition::scan_pull`] under
+/// a short read lock, which fills the buffer; the merge takes the entries
+/// one at a time, in key order across cursors, with no lock held. A
+/// cursor resumes by key, the frontier — and, while the flash log's file
+/// list stands, by its position in that log instead of a second search
+/// for the same key. The scan's pinned sequence makes that consistent: a
 /// key's version at the pin is the same whenever, and in whichever tier,
 /// it is looked up, and a key written after the pin is invisible to it.
+///
+/// A pull copies an NVM slot out (the slab reuses slots once the lock is
+/// gone) but leaves a flash record in its file, which never changes: the
+/// record is read — checksum verified, value shared — when
+/// [`ScanCursor::take`] hands it to the merge, in the scan's key order.
+/// Either way what reading a key cost, and whether it failed its checksum,
+/// is counted only when it is taken, so what a pull resolved past the
+/// scan's end is dropped with the cursor, uncharged and unseen.
 #[derive(Debug, Default)]
 pub(crate) struct ScanCursor {
     /// Lower bound of this partition's keys not yet examined; `None` once
@@ -23,11 +36,48 @@ pub(crate) struct ScanCursor {
     /// so the next pull takes it instead of seeking. The log refuses it
     /// once a compaction, scrub rebuild or recovery has changed the list.
     pub(super) flash: Option<LogPosition>,
+    /// Resolved keys below the frontier, in key order, not yet taken.
+    buffer: VecDeque<Pulled>,
+    /// The flash files of the records pulled so far. The cursor lets go of
+    /// them under the partition's lock ([`Partition::scan_charge`]), so a
+    /// file an install retired meanwhile is freed with its last reader.
+    files: Vec<Arc<SstFile>>,
     /// Consumption so far, charged once by [`Partition::scan_charge`].
     pub(super) resolved: u64,
     pub(super) emitted: u64,
     pub(super) nvm_reads: u64,
     pub(super) flash_bytes: u64,
+    /// Versions taken that failed their checksums.
+    damaged: u64,
+}
+
+/// One key a pull resolved.
+#[derive(Debug)]
+struct Pulled {
+    key: Key,
+    /// `key.id()`, what the merge orders cursors by.
+    id: u64,
+    read: Read,
+}
+
+/// What a pulled key's live version is, and what the pin sees of the key.
+#[derive(Debug)]
+enum Read {
+    /// Judged under the lock: what the pin sees, and the NVM slot read
+    /// for it, if any (`Some(false)`: the slot failed its checksum).
+    Judged {
+        value: Option<Value>,
+        slot: Option<bool>,
+    },
+    /// A flash record, read when taken: its file in
+    /// [`ScanCursor::files`], its index there, and what the pin sees if it
+    /// checks out (`Seen::Live`: the record's value). A damaged record is
+    /// refused to every pin.
+    Flash {
+        file: usize,
+        index: usize,
+        seen: Seen<()>,
+    },
 }
 
 /// One partition's charge for its part of a scan, split by what may
@@ -47,38 +97,104 @@ impl ScanCursor {
         }
     }
 
+    #[cfg(test)]
     pub(crate) fn frontier(&self) -> Option<&Key> {
         self.frontier.as_ref()
+    }
+
+    /// Take every buffered entry, as the merge would, and append the
+    /// visible ones to `out`.
+    #[cfg(test)]
+    pub(crate) fn take_all(&mut self, out: &mut Vec<(Key, Value)>) {
+        while let Some((key, value)) = self.take() {
+            out.extend(value.map(|value| (key, value)));
+        }
+    }
+
+    /// The id ([`Key::id`]) of the lowest key this cursor can still
+    /// yield: its buffer's first entry, or the frontier once the buffer is
+    /// empty. `None` when the partition has nothing left. A key's partition
+    /// is a function of its id, so no two partitions hold keys of one id
+    /// and the merge orders cursors by this alone.
+    pub(crate) fn head(&self) -> Option<u64> {
+        match self.buffer.front() {
+            Some(pulled) => Some(pulled.id),
+            None => self.frontier.as_ref().map(Key::id),
+        }
+    }
+
+    /// Whether the cursor still holds flash files: see
+    /// [`Partition::scan_charge`].
+    pub(crate) fn holds_files(&self) -> bool {
+        !self.files.is_empty()
+    }
+
+    fn let_go(&mut self) {
+        self.buffer.clear();
+        self.files.clear();
+    }
+
+    /// Hand the buffer's first entry to the merge: read its flash record,
+    /// count what reading the key cost, and return the key with what the
+    /// pin sees of it (`None`: skip it). `None` when the buffer is empty —
+    /// the next entry needs a pull.
+    pub(crate) fn take(&mut self) -> Option<(Key, Option<Value>)> {
+        let Pulled { key, read, .. } = self.buffer.pop_front()?;
+        self.resolved += 1;
+        let value = match read {
+            Read::Judged { value, slot } => {
+                match slot {
+                    Some(true) => self.nvm_reads += 1,
+                    Some(false) => self.damaged += 1,
+                    None => {}
+                }
+                value
+            }
+            Read::Flash { file, index, seen } => {
+                let (_, version) = self.files[file].record(index);
+                if version.verify() {
+                    if let Some(value) = &version.value {
+                        self.flash_bytes += (value.len() + key.len()) as u64;
+                    }
+                    match seen {
+                        Seen::Live(()) => version.value.clone(),
+                        Seen::Kept(kept) => kept,
+                    }
+                } else {
+                    self.damaged += 1;
+                    None
+                }
+            }
+        };
+        self.emitted += u64::from(value.is_some());
+        Some((key, value))
     }
 }
 
 impl Partition {
-    /// Advance one partition's part of a scan as of a pinned snapshot
-    /// sequence: a lazy three-way merge of the NVM index, the flash log
-    /// and the history buffer (keys whose only `<= pinned` version was
-    /// superseded may live nowhere else), resumed at `cursor`'s frontier.
-    /// Appends to `out`, in key order, each visible entry with a key
-    /// `<= bound` (every remaining one when `None`) until `out` holds
-    /// `limit`, then parks the frontier on the first key not examined.
-    /// A record is read — checksum verified, value shared, bytes counted
-    /// towards [`Partition::scan_charge`] — only when its key is taken.
-    /// Takes `&self` under a single partition read lock.
-    pub(crate) fn scan_pull(
-        &self,
-        cursor: &mut ScanCursor,
-        bound: Option<&Key>,
-        pinned: u64,
-        limit: usize,
-        out: &mut Vec<(Key, Value)>,
-    ) {
+    /// Resolve the next `limit` keys of one partition's part of a scan
+    /// into `cursor`'s buffer, as of a pinned snapshot sequence: a lazy
+    /// three-way merge of the NVM index, the flash log and the history
+    /// buffer (keys whose only `<= pinned` version was superseded may
+    /// live nowhere else), resumed at `cursor`'s frontier, which it then
+    /// parks on the first key not examined. Every key counts towards
+    /// `limit`, visible or not, and is judged by the reader rule
+    /// ([`Partition::visible_at`]); a flash record is judged as if it
+    /// checks out and read only when the merge takes it. Takes `&self`
+    /// under a single partition read lock.
+    pub(crate) fn scan_pull(&self, cursor: &mut ScanCursor, pinned: u64, limit: usize) {
         let Some(start) = cursor.frontier.take() else {
             return;
         };
+        let log = self.durable.log();
         let mut nvm = self.volatile.index().range::<Key, _>(&start..).peekable();
-        let mut flash = self.durable.log().resume(cursor.flash.take(), &start);
+        let mut flash = log.resume(cursor.flash.take(), &start);
         let mut hist = self.volatile.history.range::<Key, _>(&start..).peekable();
-        loop {
-            let on_flash = self.durable.log().entry_at(&mut flash);
+        // Room for the pull, up to about the partition's share of the store.
+        let share = self.options.expected_keys / self.options.num_partitions as u64;
+        cursor.buffer.reserve(limit.min(share as usize));
+        for pulled in 0.. {
+            let on_flash = log.entry_at(&mut flash);
             let heads = [
                 nvm.peek().map(|(k, _)| *k),
                 on_flash.map(|e| &e.0),
@@ -87,7 +203,7 @@ impl Partition {
             let Some(key) = heads.into_iter().flatten().min() else {
                 return;
             };
-            if out.len() >= limit || bound.is_some_and(|b| key > b) {
+            if pulled == limit {
                 // Every flash entry taken so far was below `key` and the
                 // flash head is not: `flash` is where a seek of the new
                 // frontier would land.
@@ -95,47 +211,59 @@ impl Partition {
                 cursor.flash = Some(flash);
                 return;
             }
-            cursor.resolved += 1;
 
-            // Live version at this key: NVM wins over flash. A damaged one
-            // is counted here and judged by the reader rule below.
-            let mut live = None;
-            let on_nvm = nvm.next_if(|(k, _)| *k == key);
-            if let Some((_, entry)) = on_nvm {
-                let ts = entry.timestamp;
-                if entry.tombstone {
-                    live = Some(Live::Clean(ReadSource::Nvm, ts, None));
-                } else if let Some(slot) = self.durable.slab().peek(entry.addr) {
-                    live = Some(if slot.verify() {
-                        cursor.nvm_reads += 1;
-                        Live::Clean(ReadSource::Nvm, ts, slot.version.value.clone())
-                    } else {
-                        self.note_checksum_failure();
-                        Live::Damaged(Some(ts))
-                    });
-                }
-            }
-            if let Some((_, entry)) = on_flash.filter(|e| &e.0 == key) {
-                flash.advance();
-                if on_nvm.is_none() {
-                    live = Some(if entry.verify() {
-                        if let Some(v) = &entry.value {
-                            cursor.flash_bytes += (v.len() + key.len()) as u64;
+            // Live version at this key: NVM wins over flash. A refused key
+            // is skipped, never served from an older version.
+            let judged = |live| self.visible_at(key, live, pinned).and_then(Seen::value);
+            let on_nvm = nvm.next_if(|(k, _)| *k == key).map(|(_, index)| *index);
+            let on_flash = on_flash.filter(|e| &e.0 == key);
+            let read = match (on_nvm, on_flash) {
+                (Some(index), _) if index.tombstone => Read::Judged {
+                    value: judged(Some(Live::Clean(ReadSource::Nvm, index.timestamp, None))),
+                    slot: None,
+                },
+                (Some(index), _) => {
+                    let live = self.durable.slab().peek(index.addr).map(|slot| {
+                        let (ts, value) = (index.timestamp, &slot.version.value);
+                        match slot.verify() {
+                            true => Live::Clean(ReadSource::Nvm, ts, value.clone()),
+                            false => Live::Damaged(Some(ts)),
                         }
-                        Live::Clean(ReadSource::Flash, entry.timestamp, entry.value.clone())
-                    } else {
-                        self.note_checksum_failure();
-                        Live::Damaged(None)
                     });
+                    Read::Judged {
+                        slot: live.as_ref().map(|live| matches!(live, Live::Clean(..))),
+                        value: judged(live),
+                    }
                 }
+                (None, Some((_, record))) => {
+                    let (file, index) = log.file_at(&flash);
+                    let held = cursor.files.last();
+                    if !held.is_some_and(|held| Arc::ptr_eq(held, file)) {
+                        cursor.files.push(Arc::clone(file));
+                    }
+                    let live = Live::Clean(ReadSource::Flash, record.timestamp, ());
+                    Read::Flash {
+                        file: cursor.files.len() - 1,
+                        index,
+                        seen: self
+                            .visible_at(key, Some(live), pinned)
+                            .unwrap_or(Seen::Kept(None)),
+                    }
+                }
+                (None, None) => Read::Judged {
+                    value: judged(None),
+                    slot: None,
+                },
+            };
+            if on_flash.is_some() {
+                flash.advance();
             }
             hist.next_if(|(k, _)| *k == key);
-
-            // A refused key is skipped, never served from an older version.
-            if let Ok(Some(value)) = self.visible_at(key, live, pinned) {
-                out.push((key.clone(), value));
-                cursor.emitted += 1;
-            }
+            cursor.buffer.push_back(Pulled {
+                key: key.clone(),
+                id: key.id(),
+                read,
+            });
         }
     }
 
@@ -146,8 +274,11 @@ impl Partition {
     /// is the NVM pages (four values to a page) and one sequential flash
     /// read of the record bytes taken: a read the engine may have in flight
     /// beside other partitions' (see `PrismDb::snapshot_scan_parts`). The
-    /// partition's foreground clock still advances by both.
-    pub(crate) fn scan_charge(&self, cursor: &ScanCursor) -> ScanCharge {
+    /// partition's foreground clock still advances by both. Each damaged
+    /// version the merge took is counted here. The cursor then lets go of
+    /// its flash files, unless the log keeps a retired file, which only
+    /// [`Partition::scan_release`] may let go of.
+    pub(crate) fn scan_charge(&self, cursor: &mut ScanCursor) -> ScanCharge {
         let cpu = self.cpu.request_overhead
             + self.cpu.index_op
             + self.cpu.merge_per_object * cursor.emitted;
@@ -162,7 +293,21 @@ impl Partition {
         }
         count(&self.stats.scan_entries_resolved, cursor.resolved);
         count(&self.stats.scan_entries_returned, cursor.emitted);
+        for _ in 0..cursor.damaged {
+            self.note_checksum_failure();
+        }
         self.advance_fg(cpu + device);
+        if !self.durable.log().has_retired() {
+            cursor.let_go();
+        }
         ScanCharge { cpu, device }
+    }
+
+    /// Let go of the flash files a charged cursor still holds and free
+    /// every retired one no reader holds any more: an install that
+    /// retired a file the scan was reading left it to the last reader.
+    pub(crate) fn scan_release(&mut self, cursor: &mut ScanCursor) {
+        cursor.let_go();
+        self.reclaim_files();
     }
 }

@@ -234,16 +234,18 @@ fn scan_merges_nvm_and_flash_in_order() {
     // An unbounded pin sees every live version: the plain merge path.
     let mut cursor = ScanCursor::new(&Key::from_id(100));
     let mut entries = Vec::new();
-    p.scan_pull(&mut cursor, None, u64::MAX, 50, &mut entries);
-    assert_eq!(ids(&entries), (100..150).collect::<Vec<u64>>());
+    p.scan_pull(&mut cursor, u64::MAX, 50);
     assert_eq!(cursor.frontier(), Some(&Key::from_id(150)));
+    assert_eq!(cursor.resolved, 0, "nothing is charged before it is taken");
+    cursor.take_all(&mut entries);
+    assert_eq!(ids(&entries), (100..150).collect::<Vec<u64>>());
     // Only what was taken was read, and it is charged once.
     assert_eq!((cursor.resolved, cursor.emitted), (50, 50));
     let on_flash = cursor.flash_bytes / 1008;
     assert_eq!(cursor.flash_bytes % 1008, 0);
     assert_eq!(cursor.nvm_reads + on_flash, 50);
     let before = (p.nvm_dev.counters().as_tier_io(), p.fg());
-    let charge = p.scan_charge(&cursor);
+    let charge = p.scan_charge(&mut cursor);
     let nvm = p.nvm_dev.counters().as_tier_io().delta_since(before.0);
     assert_eq!(nvm.reads, (cursor.nvm_reads > 0) as u64);
     assert_eq!(nvm.bytes_read, 4096 * cursor.nvm_reads.div_ceil(4));
@@ -263,29 +265,22 @@ fn a_cursor_stops_at_its_bound_and_runs_out_at_the_end() {
     let p = loaded_for_scans(&engine, 3_000);
     let mut cursor = ScanCursor::new(&Key::from_id(2_990));
     let mut entries = Vec::new();
-    // The bound is inclusive: two partitions never hold the same key.
-    p.scan_pull(
-        &mut cursor,
-        Some(&Key::from_id(2_993)),
-        u64::MAX,
-        50,
-        &mut entries,
-    );
+    // The limit counts keys; the pull parks on the first one it leaves.
+    p.scan_pull(&mut cursor, u64::MAX, 4);
+    cursor.take_all(&mut entries);
     assert_eq!(ids(&entries), vec![2_990, 2_991, 2_992, 2_993]);
     assert_eq!(cursor.frontier(), Some(&Key::from_id(2_994)));
-    // A bound below the frontier reads nothing.
-    p.scan_pull(
-        &mut cursor,
-        Some(&Key::from_id(5)),
-        u64::MAX,
-        50,
-        &mut entries,
-    );
+    // A pull with no room reads nothing.
+    p.scan_pull(&mut cursor, u64::MAX, 0);
+    cursor.take_all(&mut entries);
     assert_eq!((entries.len(), cursor.resolved), (4, 4));
-    p.scan_pull(&mut cursor, None, u64::MAX, 50, &mut entries);
+    assert_eq!(cursor.frontier(), Some(&Key::from_id(2_994)));
+    p.scan_pull(&mut cursor, u64::MAX, 50);
+    cursor.take_all(&mut entries);
     assert_eq!(ids(&entries), (2_990..3_000).collect::<Vec<u64>>());
     assert_eq!(cursor.frontier(), None);
-    p.scan_pull(&mut cursor, None, u64::MAX, 50, &mut entries);
+    p.scan_pull(&mut cursor, u64::MAX, 50);
+    cursor.take_all(&mut entries);
     assert_eq!(entries.len(), 10, "an exhausted cursor stays exhausted");
 }
 
@@ -303,13 +298,8 @@ fn a_cursor_resumed_after_a_full_demotion_neither_repeats_nor_drops_a_key() {
     let pinned = p.seq.pin();
     let mut cursor = ScanCursor::new(&Key::from_id(first));
     let mut entries = Vec::new();
-    p.scan_pull(
-        &mut cursor,
-        Some(&Key::from_id(first + 9)),
-        pinned,
-        40,
-        &mut entries,
-    );
+    p.scan_pull(&mut cursor, pinned, 10);
+    cursor.take_all(&mut entries);
     assert_eq!(cursor.frontier(), Some(&Key::from_id(first + 10)));
     assert_eq!(cursor.flash_bytes, 0);
 
@@ -329,7 +319,8 @@ fn a_cursor_resumed_after_a_full_demotion_neither_repeats_nor_drops_a_key() {
     put(&engine, &mut p, overwritten.clone(), Value::filled(700, 9)).unwrap();
     delete(&engine, &mut p, &Key::from_id(first + 21)).unwrap();
 
-    p.scan_pull(&mut cursor, None, pinned, 40, &mut entries);
+    p.scan_pull(&mut cursor, pinned, 30);
+    cursor.take_all(&mut entries);
     assert_eq!(ids(&entries), (first..first + 40).collect::<Vec<u64>>());
     assert!(
         cursor.flash_bytes > 0,
@@ -385,13 +376,9 @@ fn a_parked_cursor_holds_the_flash_position_a_seek_of_its_frontier_would_find() 
 
     let start = Key::min();
     let mut whole = Vec::new();
-    p.scan_pull(
-        &mut ScanCursor::new(&start),
-        None,
-        pinned,
-        usize::MAX,
-        &mut whole,
-    );
+    let mut cursor = ScanCursor::new(&start);
+    p.scan_pull(&mut cursor, pinned, usize::MAX);
+    cursor.take_all(&mut whole);
     assert!(whole.len() > 2_500 && whole.len() < 3_000);
 
     let check_park = |cursor: &ScanCursor| match cursor.frontier() {
@@ -406,23 +393,59 @@ fn a_parked_cursor_holds_the_flash_position_a_seek_of_its_frontier_would_find() 
         let mut cursor = ScanCursor::new(&start);
         let mut entries = Vec::new();
         while cursor.frontier().is_some() {
-            let limit = entries.len() + step;
-            p.scan_pull(&mut cursor, None, pinned, limit, &mut entries);
+            p.scan_pull(&mut cursor, pinned, step);
             check_park(&cursor);
+            cursor.take_all(&mut entries);
         }
-        assert_eq!(entries, whole, "pulled {step} at a time");
+        assert_eq!(entries, whole, "pulled {step} keys at a time");
     }
-    // Parked by a bound instead of the limit, as the engine's merge
-    // parks a cursor whose neighbour's frontier comes next.
+    // Limits that change from pull to pull, as the engine's refills do.
     let mut cursor = ScanCursor::new(&start);
     let mut entries = Vec::new();
-    for bound in (0..3_010).step_by(5).map(Key::from_id) {
-        p.scan_pull(&mut cursor, Some(&bound), pinned, usize::MAX, &mut entries);
+    for limit in (1..10).cycle() {
+        if cursor.frontier().is_none() {
+            break;
+        }
+        p.scan_pull(&mut cursor, pinned, limit);
         check_park(&cursor);
+        cursor.take_all(&mut entries);
     }
-    assert_eq!(cursor.frontier(), None);
     assert_eq!(entries, whole);
     p.seq.release(pinned);
+}
+
+/// A cursor holds the flash files of the records it pulled until it is
+/// charged, so a file an install retires under it stays charged to the
+/// device and readable; the cursor lets go of it under the write lock,
+/// where the log reclaims it, and the device is charged for the log again.
+#[test]
+fn a_cursor_lets_go_of_a_file_an_install_retired_under_it() {
+    let engine = engine(3_000);
+    let mut p = loaded_for_scans(&engine, 3_000);
+    let mut cursor = ScanCursor::new(&Key::min());
+    p.scan_pull(&mut cursor, u64::MAX, 10);
+    assert!(cursor.holds_files(), "the oldest keys are on flash");
+    // Newer versions of the first keys, merged into the file the cursor
+    // reads: the install retires it.
+    for id in 0..5 {
+        put(&engine, &mut p, Key::from_id(id), Value::filled(300, 7)).unwrap();
+    }
+    demote_everything(&mut p);
+    assert!(p.durable.log().has_retired());
+    assert_eq!(p.flash_dev.used_bytes(), p.flash_bytes_held());
+
+    let mut entries = Vec::new();
+    cursor.take_all(&mut entries);
+    assert_eq!(ids(&entries), (0..10).collect::<Vec<u64>>());
+    assert_eq!(entries[0].1, Value::filled(1000, 0), "the pulled version");
+    p.scan_charge(&mut cursor);
+    assert!(
+        cursor.holds_files(),
+        "a retired file is let go of only here"
+    );
+    p.scan_release(&mut cursor);
+    assert!(!cursor.holds_files() && !p.durable.log().has_retired());
+    assert_eq!(p.flash_dev.used_bytes(), p.flash_bytes_held());
 }
 
 #[test]
@@ -576,6 +599,64 @@ fn arm_write_flip(plan: &FaultPlan, tier: FaultTier) {
         op: FaultOp::Write,
         mode: prism_storage::FaultMode::BitFlip,
     });
+}
+
+/// A pull reads no record: a damaged version is counted only when the
+/// merge takes its key — once, when the cursor is charged — and the key
+/// is skipped, while one a pull resolved past where the scan ended is
+/// dropped unseen. On both tiers.
+#[test]
+fn a_cursor_counts_damage_only_when_the_merge_takes_it() {
+    for tier in [FaultTier::Nvm, FaultTier::Flash] {
+        let keys = 1_000u64;
+        let plan = Arc::new(FaultPlan::new(0x5EE));
+        let engine = faulted_engine(keys, &plan);
+        let mut p = partition(&engine);
+        for id in 0..keys / 4 {
+            put(&engine, &mut p, Key::from_id(id), Value::filled(700, 1)).unwrap();
+        }
+        // A slot damaged on NVM, demoted as it is for the flash case.
+        let damaged = Key::from_id(keys / 8);
+        arm_write_flip(&plan, FaultTier::Nvm);
+        put(&engine, &mut p, damaged.clone(), Value::filled(700, 2)).unwrap();
+        if tier == FaultTier::Flash {
+            demote_everything(&mut p);
+            assert_eq!(failing_records(&p), std::slice::from_ref(&damaged));
+        }
+        let id = damaged.id();
+        let seen = || {
+            let failures = p.stats.snapshot().integrity.checksum_failures;
+            (failures, plan.snapshot().detected)
+        };
+
+        // The scan ends on the key before the damaged one: the pull went
+        // past it, the merge did not.
+        let mut cursor = ScanCursor::new(&Key::from_id(id - 5));
+        let mut entries = Vec::new();
+        p.scan_pull(&mut cursor, u64::MAX, 10);
+        for _ in 0..5 {
+            let (key, value) = cursor.take().expect("buffered");
+            entries.extend(value.map(|value| (key, value)));
+        }
+        p.scan_charge(&mut cursor);
+        assert_eq!(ids(&entries), (id - 5..id).collect::<Vec<u64>>());
+        assert_eq!(seen(), (0, 0), "{tier:?}: resolved, never read");
+        assert_eq!(p.stats.snapshot().scan_entries_resolved, 5);
+
+        // A scan that takes the damaged key counts it once and skips it.
+        let mut cursor = ScanCursor::new(&Key::from_id(id - 5));
+        let mut entries = Vec::new();
+        p.scan_pull(&mut cursor, u64::MAX, 8);
+        cursor.take_all(&mut entries);
+        p.scan_charge(&mut cursor);
+        assert_eq!(seen(), (1, 1), "{tier:?}: counted once");
+        let skipped: Vec<u64> = (id - 5..id + 3).filter(|i| *i != id).collect();
+        assert_eq!(
+            ids(&entries),
+            skipped,
+            "{tier:?}: the damaged key is skipped"
+        );
+    }
 }
 
 /// Plan, execute and install a demotion of every NVM object.

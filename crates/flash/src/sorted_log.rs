@@ -267,6 +267,32 @@ impl SortedLog {
             position.offset = 0;
         }
     }
+
+    /// The file holding the record at `position`, where
+    /// [`SortedLog::entry_at`] found one, and the record's index in it
+    /// ([`SstFile::record`]): what a reader keeps to read the record after
+    /// it lets go of the log.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position` belongs to another file list or names no
+    /// record.
+    pub fn file_at(&self, position: &LogPosition) -> (&Arc<SstFile>, usize) {
+        assert!(
+            position.generation == self.generation,
+            "a log position outlived the file list it indexes"
+        );
+        let file = &self.files[position.file];
+        assert!(position.offset < file.len(), "the position names a record");
+        (file, position.offset)
+    }
+
+    /// Whether the log keeps a file [`SortedLog::install`] retired: one a
+    /// reader held then, which the next [`SortedLog::reclaim`] after its
+    /// last reader lets go frees.
+    pub fn has_retired(&self) -> bool {
+        !self.retired.is_empty()
+    }
 }
 
 #[cfg(test)]

@@ -272,6 +272,15 @@ impl SstFile {
         self.entries.iter()
     }
 
+    /// The record at `index` in key order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`SstFile::len`].
+    pub fn record(&self, index: usize) -> &(Key, SstEntry) {
+        &self.entries[index]
+    }
+
     /// All entries in key order, for [`crate::SortedLog`] to index by
     /// position.
     pub(crate) fn entries(&self) -> &[(Key, SstEntry)] {

@@ -679,6 +679,19 @@ fn assert_state_matches(
     }
 }
 
+/// Every PrismDB column's engine — hash, range, background, batched,
+/// async, transactional and wire, in that order — holds its invariants
+/// ([`PrismDb::check_invariants`]) at a visible-state checkpoint, not
+/// only around its crashes, where debug builds check them anyway.
+fn assert_invariants(columns: [&PrismDb; 7], seed: u64, ops_done: usize) {
+    let names = ["hash", "range", "bg", "batched", "async", "txn", "net"];
+    for (name, db) in names.into_iter().zip(columns) {
+        if let Err(violation) = db.check_invariants() {
+            panic!("prismdb-{name} broke an invariant (seed {seed}, after {ops_done} ops): {violation}");
+        }
+    }
+}
+
 /// Generate a burst of 64 writes for the racing mid-batch crash: applied
 /// per-op to the oracle and to every non-batched engine, and returned as
 /// one multi-partition [`WriteBatch`] for the batched engine.
@@ -750,6 +763,22 @@ fn run_seed(seed: u64) {
         }
         if (ops_done + 1) % BATCH == 0 {
             assert_state_matches(&mut engines, &mut oracle, seed, ops_done + 1);
+            let [batched, frontend, txn, net] = [
+                prism_batched.engine(),
+                prism_async.engine(),
+                prism_txn.engine(),
+                prism_net.engine(),
+            ];
+            let columns: [&PrismDb; 7] = [
+                &prism_hash,
+                &prism_range,
+                &prism_bg,
+                &batched,
+                &frontend,
+                &txn,
+                &net,
+            ];
+            assert_invariants(columns, seed, ops_done + 1);
         }
         if (ops_done + 1) == OPS_PER_SEED / 2 {
             // Crash the background engine mid-run: with constant pressure
@@ -887,6 +916,22 @@ fn run_seed(seed: u64) {
         ("rocksdb-het", &mut lsm),
     ];
     assert_state_matches(&mut engines, &mut oracle, seed, OPS_PER_SEED);
+    let [batched, frontend, txn, net] = [
+        prism_batched.engine(),
+        prism_async.engine(),
+        prism_txn.engine(),
+        prism_net.engine(),
+    ];
+    let columns: [&PrismDb; 7] = [
+        &prism_hash,
+        &prism_range,
+        &prism_bg,
+        &batched,
+        &frontend,
+        &txn,
+        &net,
+    ];
+    assert_invariants(columns, seed, OPS_PER_SEED);
 
     // The batched column must really have exercised the batched path.
     let batched_stats = KvStore::stats(&prism_batched);
