@@ -19,13 +19,14 @@ use crate::engine::count;
 /// key's version at the pin is the same whenever, and in whichever tier,
 /// it is looked up, and a key written after the pin is invisible to it.
 ///
-/// A pull copies an NVM slot out (the slab reuses slots once the lock is
-/// gone) but leaves a flash record in its file, which never changes: the
-/// record is read — checksum verified, value shared — when
-/// [`ScanCursor::take`] hands it to the merge, in the scan's key order.
-/// Either way what reading a key cost, and whether it failed its checksum,
-/// is counted only when it is taken, so what a pull resolved past the
-/// scan's end is dropped with the cursor, uncharged and unseen.
+/// A pull reads an NVM slot under the lock (the slab reuses slots once
+/// it is gone) but leaves a flash record in its file, which never
+/// changes: the record is read — checksum verified, value shared — when
+/// [`ScanCursor::take`] hands it to the merge, in the scan's key order,
+/// and a key the scan ends before is never read. Either way what reading
+/// a key cost, and whether it failed its checksum, is counted only when
+/// it is taken, so what a pull resolved past the scan's end is dropped
+/// with the cursor, uncharged and unseen.
 #[derive(Debug, Default)]
 pub(crate) struct ScanCursor {
     /// Lower bound of this partition's keys not yet examined; `None` once

@@ -433,6 +433,10 @@ fn scans_racing_writers_and_compactions_neither_drop_nor_repeat_a_key() {
             "the writers must have driven compactions under the scans"
         );
         assert_eq!(db.active_snapshots(), 0, "every scan released its pin");
+        // A file an install retired under a scan was freed once the scan
+        // let go of it: the device is charged for the logs alone.
+        db.check_invariants()
+            .expect("every retired file was reclaimed");
     }
 }
 

@@ -397,11 +397,12 @@ mod tests {
         assert_eq!(device.used_bytes(), a_bytes + c_bytes);
         log.reclaim(&device);
         assert_eq!(device.used_bytes(), a_bytes + c_bytes, "a reader holds `a`");
+        assert!(log.has_retired());
 
         drop(a);
         log.reclaim(&device);
         assert_eq!(device.used_bytes(), c_bytes);
-        assert!(log.retired.is_empty());
+        assert!(log.retired.is_empty() && !log.has_retired());
     }
 
     #[test]
@@ -465,11 +466,14 @@ mod tests {
         log
     }
 
-    /// Walk `position` to the end of `log`, collecting key ids.
+    /// Walk `position` to the end of `log`, collecting key ids; the file
+    /// and index [`SortedLog::file_at`] names hold each record walked.
     fn walk(log: &SortedLog, mut position: LogPosition) -> Vec<u64> {
         let mut ids = Vec::new();
-        while let Some((key, _)) = log.entry_at(&mut position) {
-            ids.push(key.id());
+        while let Some(entry) = log.entry_at(&mut position) {
+            let (file, index) = log.file_at(&position);
+            assert!(std::ptr::eq(file.record(index), entry));
+            ids.push(entry.0.id());
             position.advance();
         }
         ids
