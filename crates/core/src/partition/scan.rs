@@ -56,8 +56,6 @@ pub(crate) struct ScanCursor {
 #[derive(Debug)]
 struct Pulled {
     key: Key,
-    /// `key.id()`, what the merge orders cursors by.
-    id: u64,
     read: Read,
 }
 
@@ -118,10 +116,8 @@ impl ScanCursor {
     /// is a function of its id, so no two partitions hold keys of one id
     /// and the merge orders cursors by this alone.
     pub(crate) fn head(&self) -> Option<u64> {
-        match self.buffer.front() {
-            Some(pulled) => Some(pulled.id),
-            None => self.frontier.as_ref().map(Key::id),
-        }
+        let buffered = self.buffer.front().map(|pulled| &pulled.key);
+        buffered.or(self.frontier.as_ref()).map(Key::id)
     }
 
     /// Whether the cursor still holds flash files: see
@@ -140,7 +136,7 @@ impl ScanCursor {
     /// pin sees of it (`None`: skip it). `None` when the buffer is empty —
     /// the next entry needs a pull.
     pub(crate) fn take(&mut self) -> Option<(Key, Option<Value>)> {
-        let Pulled { key, read, .. } = self.buffer.pop_front()?;
+        let Pulled { key, read } = self.buffer.pop_front()?;
         self.resolved += 1;
         let value = match read {
             Read::Judged { value, slot } => {
@@ -262,7 +258,6 @@ impl Partition {
             hist.next_if(|(k, _)| *k == key);
             cursor.buffer.push_back(Pulled {
                 key: key.clone(),
-                id: key.id(),
                 read,
             });
         }
