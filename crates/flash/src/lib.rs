@@ -42,6 +42,7 @@
 //! ```
 
 mod bloom;
+mod search;
 mod sorted_log;
 mod sst;
 

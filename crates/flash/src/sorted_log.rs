@@ -16,10 +16,11 @@
 //!
 //! The log keeps every file's largest key in one contiguous array of
 //! *fences*, in file order. Files do not overlap, so the file that may
-//! hold a key is the first whose fence is not below it: a binary search
-//! over the fences alone, where searching the files themselves would
-//! chase one `Arc` — one cold line — per step. The files are only
-//! touched once the search has named one.
+//! hold a key is the first whose fence is not below it: a search over the
+//! fences alone ([`crate::search`]: a guess interpolated from the first
+//! and last fences' ids, then a gallop), where searching the files
+//! themselves would chase one `Arc` — one cold line — per step. The files
+//! are only touched once the search has named one.
 //!
 //! # Positions and generations
 //!
@@ -46,6 +47,7 @@ use std::sync::Arc;
 use prism_storage::Device;
 use prism_types::Key;
 
+use crate::search::interpolated_partition_point;
 use crate::sst::{FileId, SstEntry, SstFile};
 
 /// Source of generations: one counter for every log in the process, so no
@@ -131,7 +133,12 @@ impl SortedLog {
 
     /// Index of the first file that may hold keys `>= key`.
     fn first_file_reaching(&self, key: &Key) -> usize {
-        self.fences.partition_point(|fence| fence < key)
+        let fences = &self.fences;
+        let ends = match (fences.first(), fences.last()) {
+            (Some(first), Some(last)) => (first.id(), last.id()),
+            _ => (0, 0),
+        };
+        interpolated_partition_point(fences.len(), ends, key.id(), |at| &fences[at] < key)
     }
 
     /// The file whose key range covers `key`, if any.
@@ -221,16 +228,24 @@ impl SortedLog {
     }
 
     /// The position of the first entry with a key `>= key` (the end of the
-    /// log if there is none): a binary search over the fences for the file,
-    /// one inside it.
+    /// log if there is none): a search over the fences for the file, one
+    /// inside it.
     pub fn seek(&self, key: &Key) -> LogPosition {
         let file = self.first_file_reaching(key);
+        // The file's fence is not below the key, so neither is its last
+        // record: the offset names a record. Its keys lie between the
+        // fence before it and its own.
+        let offset = self.files.get(file).map_or(0, |f| {
+            let low = match file.checked_sub(1) {
+                Some(before) => self.fences[before].id(),
+                None => f.min_key().id(),
+            };
+            f.lower_bound_between(key, (low, self.fences[file].id()))
+        });
         LogPosition {
             generation: self.generation,
             file,
-            // The file's fence is not below the key, so neither is its
-            // last record: the offset names a record.
-            offset: self.files.get(file).map_or(0, |f| f.lower_bound(key)),
+            offset,
         }
     }
 

@@ -8,10 +8,11 @@
 //! of every record — the order-preserving eight-byte prefix — in one
 //! array, eight to a line, and every search ([`SstFile::probe`], `range`,
 //! a seek of [`crate::SortedLog`]) goes through the one
-//! `lower_bound` over it. Ids and not keys because an id decides the
-//! search for every fixed-width key and narrows it to the run of records
-//! sharing a prefix for any other; those alone are compared whole, by a
-//! second binary search over the run. The blocks' start offsets sit in an
+//! `lower_bound` over it, which starts from a guess interpolated between
+//! the file's first and last ids ([`crate::search`]). Ids and not keys
+//! because an id decides the search for every fixed-width key and narrows
+//! it to the run of records sharing a prefix for any other; those alone
+//! are compared whole, by a binary search over the run. The blocks' start offsets sit in an
 //! array of their own for the same reason: a probe names the record
 //! first, then asks which block it falls in.
 //!
@@ -43,6 +44,7 @@ use prism_types::checksum::Crc32;
 use prism_types::{Key, Nanos, Version};
 
 use crate::bloom::BloomFilter;
+use crate::search::interpolated_partition_point;
 
 /// Target size of one SST data block.
 pub(crate) const BLOCK_SIZE: usize = 4096;
@@ -211,13 +213,22 @@ impl SstFile {
 
     /// Index of the first record with a key `>= key` (`len()` if none).
     ///
-    /// A binary search over the contiguous ids; only the records sharing
-    /// the key's eight-byte prefix are compared by whole key, and those by
-    /// binary search too, so long keys with a common prefix stay
+    /// A search over the contiguous ids from a guess interpolated between
+    /// the file's first and last ids ([`crate::search`]); only the records
+    /// sharing the key's eight-byte prefix are compared by whole key, and
+    /// those by binary search, so long keys with a common prefix stay
     /// logarithmic.
     pub(crate) fn lower_bound(&self, key: &Key) -> usize {
+        self.lower_bound_between(key, (self.min_key.id(), self.max_key.id()))
+    }
+
+    /// [`SstFile::lower_bound`] with the search's guess interpolated
+    /// between `ends` instead of the file's own first and last ids: a
+    /// caller that holds bounds on them already (the log's fences) spares
+    /// the search the lines of the file's footer keys.
+    pub(crate) fn lower_bound_between(&self, key: &Key, ends: (u64, u64)) -> usize {
         let id = key.id();
-        let lo = self.ids.partition_point(|&other| other < id);
+        let lo = interpolated_partition_point(self.ids.len(), ends, id, |at| self.ids[at] < id);
         let tail = &self.ids[lo..];
         // Fixed-width keys have at most one record to an id: look one
         // record ahead before searching for the end of a longer run.
