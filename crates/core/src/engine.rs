@@ -1138,7 +1138,8 @@ impl PrismDb {
             };
             let (idx, cursor) = &mut open[lowest];
             match cursor.take() {
-                Some((key, value)) => entries.extend(value.map(|value| (key, value))),
+                Some((key, Some(value))) => entries.push((key, value)),
+                Some((_, None)) => {}
                 None => {
                     // Its buffer is empty and its frontier comes first:
                     // refill it with its share of what the scan still needs.

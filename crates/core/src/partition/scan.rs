@@ -1,7 +1,9 @@
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use prism_flash::{LogPosition, SstFile};
+use prism_nvm::SlotEntry;
 use prism_types::{Key, Nanos, ReadSource, Value};
 
 use super::read::{Live, Seen};
@@ -19,14 +21,14 @@ use crate::engine::count;
 /// key's version at the pin is the same whenever, and in whichever tier,
 /// it is looked up, and a key written after the pin is invisible to it.
 ///
-/// A pull reads an NVM slot under the lock (the slab reuses slots once
-/// it is gone) but leaves a flash record in its file, which never
-/// changes: the record is read — checksum verified, value shared — when
-/// [`ScanCursor::take`] hands it to the merge, in the scan's key order,
-/// and a key the scan ends before is never read. Either way what reading
-/// a key cost, and whether it failed its checksum, is counted only when
-/// it is taken, so what a pull resolved past the scan's end is dropped
-/// with the cursor, uncharged and unseen.
+/// A pull reads no value. It copies an NVM slot under the lock (the slab
+/// reuses slots once it is gone) and leaves a flash record in its file,
+/// which never changes; either is read — checksum verified, value shared
+/// — when [`ScanCursor::take`] hands it to the merge, in the scan's key
+/// order, and a key the scan ends before is never read. What reading a
+/// key cost, and whether it failed its checksum, is counted only when it
+/// is taken, so what a pull resolved past the scan's end is dropped with
+/// the cursor, uncharged and unseen.
 #[derive(Debug, Default)]
 pub(crate) struct ScanCursor {
     /// Lower bound of this partition's keys not yet examined; `None` once
@@ -62,16 +64,15 @@ struct Pulled {
 /// What a pulled key's live version is, and what the pin sees of the key.
 #[derive(Debug)]
 enum Read {
-    /// Judged under the lock: what the pin sees, and the NVM slot read
-    /// for it, if any (`Some(false)`: the slot failed its checksum).
-    Judged {
-        value: Option<Value>,
-        slot: Option<bool>,
-    },
-    /// A flash record, read when taken: its file in
-    /// [`ScanCursor::files`], its index there, and what the pin sees if it
-    /// checks out (`Seen::Live`: the record's value). A damaged record is
-    /// refused to every pin.
+    /// Nothing to read: an NVM tombstone, or a key only the history holds.
+    /// What the pin sees of it.
+    Judged(Option<Value>),
+    /// The key's NVM slot, copied under the lock, and what the pin sees if
+    /// it checks out (`Seen::Live`: the slot's value).
+    Slot { slot: SlotEntry, seen: Seen<()> },
+    /// A flash record: its file in [`ScanCursor::files`], its index there,
+    /// and what the pin sees if it checks out (`Seen::Live`: the record's
+    /// value). A damaged record is refused to every pin.
     Flash {
         file: usize,
         index: usize,
@@ -131,21 +132,27 @@ impl ScanCursor {
         self.files.clear();
     }
 
-    /// Hand the buffer's first entry to the merge: read its flash record,
-    /// count what reading the key cost, and return the key with what the
-    /// pin sees of it (`None`: skip it). `None` when the buffer is empty —
-    /// the next entry needs a pull.
+    /// Hand the buffer's first entry to the merge: verify its NVM slot or
+    /// flash record, count what reading the key cost, and return the key
+    /// with what the pin sees of it (`None`: skip it). `None` when the
+    /// buffer is empty — the next entry needs a pull.
     pub(crate) fn take(&mut self) -> Option<(Key, Option<Value>)> {
         let Pulled { key, read } = self.buffer.pop_front()?;
         self.resolved += 1;
         let value = match read {
-            Read::Judged { value, slot } => {
-                match slot {
-                    Some(true) => self.nvm_reads += 1,
-                    Some(false) => self.damaged += 1,
-                    None => {}
+            Read::Judged(value) => value,
+            Read::Slot { slot, seen } => {
+                let clean = slot.verify();
+                match clean {
+                    true => self.nvm_reads += 1,
+                    false => self.damaged += 1,
                 }
-                value
+                // A damaged slot hides older versions from a pin that
+                // covers it; a pin before it reads the history's.
+                match seen {
+                    Seen::Live(()) => slot.version.value.filter(|_| clean),
+                    Seen::Kept(kept) => kept,
+                }
             }
             Read::Flash { file, index, seen } => {
                 let (_, version) = self.files[file].record(index);
@@ -166,6 +173,27 @@ impl ScanCursor {
         self.emitted += u64::from(value.is_some());
         Some((key, value))
     }
+}
+
+/// The lowest of the three sources' head keys (NVM, flash, history) and
+/// which of them hold it: one comparison per further source, however many
+/// hold the key.
+fn lowest<'k>(heads: [Option<&'k Key>; 3]) -> Option<(&'k Key, [bool; 3])> {
+    let mut lowest: Option<(&Key, [bool; 3])> = None;
+    for (source, head) in heads.into_iter().enumerate() {
+        let Some(head) = head else { continue };
+        let mut only = [false; 3];
+        only[source] = true;
+        match &mut lowest {
+            Some((key, holds)) => match head.cmp(key) {
+                Ordering::Less => lowest = Some((head, only)),
+                Ordering::Equal => holds[source] = true,
+                Ordering::Greater => {}
+            },
+            None => lowest = Some((head, only)),
+        }
+    }
+    lowest
 }
 
 impl Partition {
@@ -197,7 +225,7 @@ impl Partition {
                 on_flash.map(|e| &e.0),
                 hist.peek().map(|(k, _)| *k),
             ];
-            let Some(key) = heads.into_iter().flatten().min() else {
+            let Some((key, [at_nvm, at_flash, at_hist])) = lowest(heads) else {
                 return;
             };
             if pulled == limit {
@@ -210,52 +238,48 @@ impl Partition {
             }
 
             // Live version at this key: NVM wins over flash. A refused key
-            // is skipped, never served from an older version.
-            let judged = |live| self.visible_at(key, live, pinned).and_then(Seen::value);
-            let on_nvm = nvm.next_if(|(k, _)| *k == key).map(|(_, index)| *index);
-            let on_flash = on_flash.filter(|e| &e.0 == key);
+            // is skipped, never served from an older version. A version to
+            // read is judged as if it checks out; `take` verifies it.
+            let seen = |source, ts| {
+                self.visible_at(key, Some(Live::Clean(source, ts, ())), pinned)
+                    .unwrap_or(Seen::Kept(None))
+            };
+            let on_nvm = at_nvm.then(|| nvm.next()).flatten().map(|(_, index)| *index);
+            let on_flash = on_flash.filter(|_| at_flash);
             let read = match (on_nvm, on_flash) {
-                (Some(index), _) if index.tombstone => Read::Judged {
-                    value: judged(Some(Live::Clean(ReadSource::Nvm, index.timestamp, None))),
-                    slot: None,
-                },
-                (Some(index), _) => {
-                    let live = self.durable.slab().peek(index.addr).map(|slot| {
-                        let (ts, value) = (index.timestamp, &slot.version.value);
-                        match slot.verify() {
-                            true => Live::Clean(ReadSource::Nvm, ts, value.clone()),
-                            false => Live::Damaged(Some(ts)),
-                        }
-                    });
-                    Read::Judged {
-                        slot: live.as_ref().map(|live| matches!(live, Live::Clean(..))),
-                        value: judged(live),
-                    }
+                (Some(index), _) if index.tombstone => {
+                    let live = Live::Clean(ReadSource::Nvm, index.timestamp, None);
+                    Read::Judged(self.visible_at(key, Some(live), pinned).and_then(Seen::value))
                 }
+                (Some(index), _) => match self.durable.slab().peek(index.addr) {
+                    Some(slot) => Read::Slot {
+                        slot: slot.clone(),
+                        seen: seen(ReadSource::Nvm, index.timestamp),
+                    },
+                    None => Read::Judged(self.visible_at(key, None, pinned).and_then(Seen::value)),
+                },
                 (None, Some((_, record))) => {
                     let (file, index) = log.file_at(&flash);
                     let held = cursor.files.last();
                     if !held.is_some_and(|held| Arc::ptr_eq(held, file)) {
                         cursor.files.push(Arc::clone(file));
                     }
-                    let live = Live::Clean(ReadSource::Flash, record.timestamp, ());
                     Read::Flash {
                         file: cursor.files.len() - 1,
                         index,
-                        seen: self
-                            .visible_at(key, Some(live), pinned)
-                            .unwrap_or(Seen::Kept(None)),
+                        seen: seen(ReadSource::Flash, record.timestamp),
                     }
                 }
-                (None, None) => Read::Judged {
-                    value: judged(None),
-                    slot: None,
-                },
+                (None, None) => {
+                    Read::Judged(self.visible_at(key, None, pinned).and_then(Seen::value))
+                }
             };
             if on_flash.is_some() {
                 flash.advance();
             }
-            hist.next_if(|(k, _)| *k == key);
+            if at_hist {
+                hist.next();
+            }
             cursor.buffer.push_back(Pulled {
                 key: key.clone(),
                 read,
