@@ -110,6 +110,7 @@ const fn build_tables() -> [[u32; 256]; 16] {
     tables
 }
 
+/// Bytes in each of the hardware kernel's three lanes.
 /// The bytewise table-driven loop: the tail of every update and the
 /// reference the kernel tests compare against.
 fn update_bytewise(mut crc: u32, bytes: &[u8]) -> u32 {
@@ -152,20 +153,95 @@ fn update_tables(mut crc: u32, bytes: &[u8]) -> u32 {
     update_bytewise(crc, tail)
 }
 
+/// Bytes in each of the hardware kernel's three lanes: a 1 KB value is two
+/// blocks of three and a 40-byte tail.
+#[cfg(target_arch = "x86_64")]
+const LANE: usize = 160;
+
+/// `SHIFT[k][b]`: the CRC register `b << 8k` advanced over `LANE` zero
+/// bytes. The advance is linear in the register, so four lookups advance
+/// any register over a lane: what joins a lane's CRC to the next lane's.
+#[cfg(target_arch = "x86_64")]
+static SHIFT: [[u32; 256]; 4] = build_shift();
+
+#[cfg(target_arch = "x86_64")]
+const fn build_shift() -> [[u32; 256]; 4] {
+    // Advance each single-bit register bit by bit, then combine the bits
+    // of every byte value.
+    let mut bits = [0u32; 32];
+    let mut bit = 0;
+    while bit < 32 {
+        let mut crc = 1u32 << bit;
+        let mut step = 0;
+        while step < 8 * LANE {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
+            step += 1;
+        }
+        bits[bit] = crc;
+        bit += 1;
+    }
+    let mut shift = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let mut i = 0;
+            while i < 8 {
+                if b & (1 << i) != 0 {
+                    shift[k][b] ^= bits[8 * k + i];
+                }
+                i += 1;
+            }
+            b += 1;
+        }
+        k += 1;
+    }
+    shift
+}
+
+/// The CRC register `crc` advanced over `LANE` zero bytes.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn shift_lane(crc: u32) -> u32 {
+    SHIFT[0][(crc & 0xFF) as usize]
+        ^ SHIFT[1][((crc >> 8) & 0xFF) as usize]
+        ^ SHIFT[2][((crc >> 16) & 0xFF) as usize]
+        ^ SHIFT[3][(crc >> 24) as usize]
+}
+
 /// The hardware kernel: the SSE4.2 `crc32` instruction, which computes
-/// exactly this polynomial, over eight-byte words and then single bytes.
+/// exactly this polynomial. Whole blocks of three lanes go through three
+/// independent chains, one per lane, joined by [`shift_lane`]; the rest
+/// goes through one chain, eight bytes and then one byte at a time.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
 fn update_sse42(crc: u32, bytes: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
 
-    let mut words = bytes.chunks_exact(8);
+    let word = |chunk: &[u8]| u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
+    let mut crc = crc;
+    let mut blocks = bytes.chunks_exact(3 * LANE);
+    for block in &mut blocks {
+        let (a, rest) = block.split_at(LANE);
+        let (b, c) = rest.split_at(LANE);
+        let (mut x, mut y, mut z) = (u64::from(crc), 0, 0);
+        for ((a, b), c) in a.chunks_exact(8).zip(b.chunks_exact(8)).zip(c.chunks_exact(8)) {
+            x = _mm_crc32_u64(x, word(a));
+            y = _mm_crc32_u64(y, word(b));
+            z = _mm_crc32_u64(z, word(c));
+        }
+        // The instruction zeroes the upper half of its 64-bit destination.
+        crc = shift_lane(shift_lane(x as u32) ^ y as u32) ^ z as u32;
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
     let mut wide = u64::from(crc);
     for chunk in &mut words {
-        let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
-        wide = _mm_crc32_u64(wide, word);
+        wide = _mm_crc32_u64(wide, word(chunk));
     }
-    // The instruction zeroes the upper half of its 64-bit destination.
     let mut crc = wide as u32;
     for &byte in words.remainder() {
         crc = _mm_crc32_u8(crc, byte);
@@ -380,10 +456,12 @@ mod tests {
     /// alignment of the input.
     #[test]
     fn kernel_equals_the_bytewise_reference_at_every_length_and_offset() {
-        let buffer = seeded_bytes(0xC32C, 316);
+        // Up to 1 000 bytes: the hardware kernel's three-lane blocks (480
+        // bytes each) none, one and two times, with every tail.
+        let buffer = seeded_bytes(0xC32C, 1_016);
         let kernels = kernels();
         for offset in 0..16 {
-            for len in 0..=300 {
+            for len in 0..=1_000 {
                 let bytes = &buffer[offset..offset + len];
                 let expected = reference(bytes);
                 for (name, kernel) in &kernels {
