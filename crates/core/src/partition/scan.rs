@@ -204,9 +204,9 @@ impl Partition {
     /// live nowhere else), resumed at `cursor`'s frontier, which it then
     /// parks on the first key not examined. Every key counts towards
     /// `limit`, visible or not, and is judged by the reader rule
-    /// ([`Partition::visible_at`]); a flash record is judged as if it
-    /// checks out and read only when the merge takes it. Takes `&self`
-    /// under a single partition read lock.
+    /// ([`Partition::visible_at`]); an NVM slot or a flash record is
+    /// judged as if it checks out and verified only when the merge takes
+    /// it. Takes `&self` under a single partition read lock.
     pub(crate) fn scan_pull(&self, cursor: &mut ScanCursor, pinned: u64, limit: usize) {
         let Some(start) = cursor.frontier.take() else {
             return;
@@ -240,23 +240,27 @@ impl Partition {
             // Live version at this key: NVM wins over flash. A refused key
             // is skipped, never served from an older version. A version to
             // read is judged as if it checks out; `take` verifies it.
+            let judged = |live| self.visible_at(key, live, pinned).and_then(Seen::value);
             let seen = |source, ts| {
                 self.visible_at(key, Some(Live::Clean(source, ts, ())), pinned)
                     .unwrap_or(Seen::Kept(None))
             };
-            let on_nvm = at_nvm.then(|| nvm.next()).flatten().map(|(_, index)| *index);
+            let on_nvm = at_nvm
+                .then(|| nvm.next())
+                .flatten()
+                .map(|(_, index)| *index);
             let on_flash = on_flash.filter(|_| at_flash);
             let read = match (on_nvm, on_flash) {
                 (Some(index), _) if index.tombstone => {
                     let live = Live::Clean(ReadSource::Nvm, index.timestamp, None);
-                    Read::Judged(self.visible_at(key, Some(live), pinned).and_then(Seen::value))
+                    Read::Judged(judged(Some(live)))
                 }
                 (Some(index), _) => match self.durable.slab().peek(index.addr) {
                     Some(slot) => Read::Slot {
                         slot: slot.clone(),
                         seen: seen(ReadSource::Nvm, index.timestamp),
                     },
-                    None => Read::Judged(self.visible_at(key, None, pinned).and_then(Seen::value)),
+                    None => Read::Judged(judged(None)),
                 },
                 (None, Some((_, record))) => {
                     let (file, index) = log.file_at(&flash);
@@ -270,9 +274,7 @@ impl Partition {
                         seen: seen(ReadSource::Flash, record.timestamp),
                     }
                 }
-                (None, None) => {
-                    Read::Judged(self.visible_at(key, None, pinned).and_then(Seen::value))
-                }
+                (None, None) => Read::Judged(judged(None)),
             };
             if on_flash.is_some() {
                 flash.advance();
