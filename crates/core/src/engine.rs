@@ -314,9 +314,9 @@ impl EngineShared {
 /// sorted log and its snapshot history, which resolves a batch of keys
 /// into its own buffer under one short read lock; the merge takes the
 /// buffers' heads in key order and the scan stops at `count`. A key's
-/// reads are counted — and a flash record read, checksum verified and
-/// shared — only when the merge takes it, so a scan costs what it
-/// consumes whichever [`Partitioning`] is chosen
+/// reads are counted — and its NVM slot or flash record read, checksum
+/// verified and shared — only when the merge takes it, so a scan costs
+/// what it consumes whichever [`Partitioning`] is chosen
 /// (`engine_scan_entries_resolved` over `engine_scan_entries_returned` is
 /// its read amplification). Under
 /// `Hash` every partition's cursor is open from the start; under
