@@ -318,10 +318,9 @@ impl EngineShared {
 /// verified and shared — only when the merge takes it, so a scan costs
 /// what it consumes whichever [`Partitioning`] is chosen
 /// (`engine_scan_entries_resolved` over `engine_scan_entries_returned` is
-/// its read amplification). Under
-/// `Hash` every partition's cursor is open from the start; under
-/// `Range` partitions are ordered by key and the next one is opened when
-/// those before it run out. Each partition charges what it contributed
+/// its read amplification). Under `Hash` every partition's cursor is open
+/// from the start; under `Range` partitions are ordered by key and the
+/// next one is opened when those before it run out. Each partition charges what it contributed
 /// once, at the end: one request, its NVM pages, one sequential flash
 /// read.
 ///
