@@ -178,7 +178,7 @@ impl ScanCursor {
 /// The lowest of the three sources' head keys (NVM, flash, history) and
 /// which of them hold it: one comparison per further source, however many
 /// hold the key.
-fn lowest<'k>(heads: [Option<&'k Key>; 3]) -> Option<(&'k Key, [bool; 3])> {
+fn lowest(heads: [Option<&Key>; 3]) -> Option<(&Key, [bool; 3])> {
     let mut lowest: Option<(&Key, [bool; 3])> = None;
     for (source, head) in heads.into_iter().enumerate() {
         let Some(head) = head else { continue };

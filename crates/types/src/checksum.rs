@@ -236,7 +236,11 @@ fn update_sse42(crc: u32, bytes: &[u8]) -> u32 {
         let (a, rest) = block.split_at(LANE);
         let (b, c) = rest.split_at(LANE);
         let (mut x, mut y, mut z) = (u64::from(crc), 0, 0);
-        for ((a, b), c) in a.chunks_exact(8).zip(b.chunks_exact(8)).zip(c.chunks_exact(8)) {
+        for ((a, b), c) in a
+            .chunks_exact(8)
+            .zip(b.chunks_exact(8))
+            .zip(c.chunks_exact(8))
+        {
             x = _mm_crc32_u64(x, word(a));
             y = _mm_crc32_u64(y, word(b));
             z = _mm_crc32_u64(z, word(c));
