@@ -7,13 +7,13 @@
 //! to read eight bytes of it. The file therefore also keeps [`Key::id`]
 //! of every record — the order-preserving eight-byte prefix — in one
 //! array, eight to a line, and every search ([`SstFile::probe`], `range`,
-//! a seek of [`crate::SortedLog`]) goes through the one
-//! `lower_bound` over it, which starts from a guess interpolated between
-//! the file's first and last ids ([`crate::search`]). Ids and not keys
-//! because an id decides the search for every fixed-width key and narrows
-//! it to the run of records sharing a prefix for any other; those alone
-//! are compared whole, by a binary search over the run. The blocks' start offsets sit in an
-//! array of their own for the same reason: a probe names the record
+//! a seek of [`crate::SortedLog`]) goes through the one `lower_bound`
+//! over it, which starts from a guess interpolated between the file's
+//! first and last ids ([`crate::search`]). Ids and not keys because an id
+//! decides the search for every fixed-width key and narrows it to the run
+//! of records sharing a prefix for any other; those alone are compared
+//! whole, by a binary search over the run. The blocks' start offsets sit
+//! in an array of their own for the same reason: a probe names the record
 //! first, then asks which block it falls in.
 //!
 //! Both arrays are search structures of this process. They model nothing
