@@ -88,15 +88,17 @@ pub struct Options {
     /// on the client thread that raised it, under the write lock it holds,
     /// so a write that trips the high watermark waits for its demotion —
     /// the paper's write stalls. With workers the request is queued, the
-    /// write returns, and the foreground only waits at
-    /// [`Options::backpressure_ceiling`].
+    /// write returns, and only a write that reaches
+    /// [`Options::backpressure_ceiling`] stalls.
     pub compaction_workers: usize,
     /// Hard NVM utilisation ceiling while requests are queued to a worker
     /// pool: a foreground write that leaves utilisation at or above this
-    /// value blocks until a worker frees space, then is charged the wait
-    /// for the partition's background timeline as stall time. Must lie in
-    /// `(high_watermark, 1.0]`. Not consulted with `compaction_workers ==
-    /// 0`, where the request has already run by the time the write ends.
+    /// value does not wait for a worker. It frees the space on its own
+    /// thread with an urgent demotion run, the one a slab write with no
+    /// room runs, and is charged the wait for the partition's background
+    /// timeline as stall time. Must lie in `(high_watermark, 1.0]`. Not
+    /// consulted with `compaction_workers == 0`, where the request has
+    /// already run by the time the write ends.
     pub backpressure_ceiling: f64,
     /// Target size of one SST file written by compaction.
     pub sst_target_bytes: u64,

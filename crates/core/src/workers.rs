@@ -6,15 +6,20 @@
 //! promotion raises a promotion request, utilisation at or above the high
 //! watermark raises a demotion request. The *dispatcher* then either
 //! enqueues the request (`Options::compaction_workers > 0`: a pool worker
-//! picks it up, the write returns, and the foreground only waits at
-//! `Options::backpressure_ceiling`) or runs it on the calling thread under
-//! the guard it already holds (`compaction_workers == 0`, the paper's
+//! picks it up, the write returns, and only a write that reaches
+//! `Options::backpressure_ceiling` stalls) or runs it on the calling thread
+//! under the guard it already holds (`compaction_workers == 0`, the paper's
 //! write stalls). Either way the request is served by the same
 //! [`DemotionRun`] escalation and the same job runner ([`run_job`]: *plan →
 //! execute → install*, the partition's `busy_until` chain, the
 //! `engine_compaction_job_ns` histogram and the `compaction.*` trace
 //! events), and the foreground stall is the same rule: wait until
 //! `busy_until`, charge it once.
+//!
+//! No foreground path waits on a worker or a timer. A write that needs
+//! space now — its slab has no room, or a pool has let utilisation reach
+//! the ceiling — runs the urgent escalation on its own thread
+//! ([`EngineShared::reclaim`]) under the partition's write guard.
 //!
 //! A pool worker locks the partition only for the plan and install phases.
 //! At most one worker operates on a given partition at a time, so pool jobs
@@ -32,7 +37,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 use prism_compaction::{execute_job, CompactionJob, JobKind};
 use prism_obs::trace::category;
@@ -40,13 +44,6 @@ use prism_types::{EngineStatsCells, Nanos, PrismError, Result};
 
 use crate::engine::{count, EngineShared};
 use crate::partition::{CompactionOutcome, Partition, Reclaim};
-
-/// How many background progress generations a back-pressured write waits
-/// for before it stops waiting and reclaims space on its own thread.
-const BACKPRESSURE_WAITS: usize = 64;
-/// Bound on each individual wait, so a stuck worker can never hang the
-/// foreground (the waiter re-checks and eventually compacts itself).
-const WAIT_SLICE: Duration = Duration::from_millis(100);
 
 /// A request for background work on one partition.
 #[derive(Debug, Clone, Copy)]
@@ -76,10 +73,6 @@ struct SchedState {
     busy: Vec<bool>,
     /// Workers waiting in [`Scheduler::next_request`].
     parked: u64,
-    /// Progress generation: bumped after every install attempt so
-    /// back-pressured writes can sleep until "some background progress
-    /// happened".
-    generation: u64,
     shutdown: bool,
 }
 
@@ -98,8 +91,6 @@ pub(crate) struct Scheduler {
     state: Mutex<SchedState>,
     /// Wakes one parked worker: a request was queued or a partition freed.
     work_cv: Condvar,
-    /// Wakes back-pressured writes when the progress generation moves.
-    progress_cv: Condvar,
     /// Simulated time of the jobs each worker installed, in nanoseconds.
     clocks: Vec<AtomicU64>,
     scrub: ScrubCadence,
@@ -112,11 +103,9 @@ impl Scheduler {
                 queue: VecDeque::new(),
                 busy: vec![false; partitions],
                 parked: 0,
-                generation: 0,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
-            progress_cv: Condvar::new(),
             clocks: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             scrub: ScrubCadence::default(),
         }
@@ -167,16 +156,14 @@ impl Scheduler {
         }
     }
 
-    /// Free a partition its worker is done with, count the progress, and
-    /// wake a worker if a request for that partition waited on it.
+    /// Free a partition its worker is done with, and wake a worker if a
+    /// request for that partition waited on it.
     fn finish(&self, partition: usize) {
         let mut state = self.lock();
         state.busy[partition] = false;
-        state.generation += 1;
         if state.queue.iter().any(|r| r.partition == partition) {
             self.work_cv.notify_one();
         }
-        self.progress_cv.notify_all();
     }
 
     /// Number of worker threads currently parked in [`Scheduler::next_request`].
@@ -187,33 +174,6 @@ impl Scheduler {
     pub(crate) fn shutdown(&self) {
         self.lock().shutdown = true;
         self.work_cv.notify_all();
-        self.bump_generation();
-    }
-
-    pub(crate) fn generation(&self) -> u64 {
-        self.lock().generation
-    }
-
-    fn bump_generation(&self) {
-        self.lock().generation += 1;
-        self.progress_cv.notify_all();
-    }
-
-    /// Wait (bounded) until the progress generation moves past `seen`.
-    pub(crate) fn wait_past(&self, seen: u64, timeout: Duration) {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.lock();
-        while state.generation <= seen {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            let (guard, _) = self
-                .progress_cv
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|p| p.into_inner());
-            state = guard;
-        }
     }
 
     /// Cumulative virtual time per background worker: the durations of the
@@ -416,7 +376,6 @@ fn run_job(
             }
             None => count(&shared.stats.compaction.install_discards, 1),
         }
-        sched.bump_generation();
     }
     Ok(installed)
 }
@@ -548,54 +507,33 @@ impl EngineShared {
 
     /// The foreground's side of back-pressure, called after a write has
     /// released its guard(s). Only a pool leaves anything to do here: its
-    /// demotion request is still queued or running, so while utilisation
-    /// sits at or above `Options::backpressure_ceiling` the caller blocks
-    /// (for real) until a worker makes progress, then charges the virtual
-    /// wait — until `busy_until`, once. Returns the stall charged.
+    /// demotion request may still be queued or running. A write that left
+    /// utilisation at or above `Options::backpressure_ceiling` does not
+    /// wait for a worker: under the partition's write guard it re-checks
+    /// and, still at the ceiling, frees the space on its own thread
+    /// ([`EngineShared::reclaim`]); if another thread freed it first, the
+    /// write is charged the wait for the partition's background timeline —
+    /// until `busy_until`, once. Returns the stall charged.
     pub(crate) fn hold_at_ceiling(&self, idx: usize) -> Result<Nanos> {
-        let Some(sched) = &self.sched else {
-            return Ok(Nanos::ZERO);
-        };
         let ceiling = self.options.backpressure_ceiling;
-        let (utilization, fg) = {
-            let p = self.read_partition(idx);
-            (p.nvm_utilization(), p.fg())
-        };
-        if utilization < ceiling {
+        if self.sched.is_none() || self.read_partition(idx).nvm_utilization() < ceiling {
             return Ok(Nanos::ZERO);
         }
-        self.obs.trace().record(
-            category::BACKPRESSURE,
-            Some(idx as u32),
-            0,
-            format!("util={utilization:.3}"),
-        );
-        for waits in 0..=BACKPRESSURE_WAITS {
-            let seen = sched.generation();
-            if self.read_partition(idx).nvm_utilization() < ceiling {
-                let mut p = self.write_partition(idx);
-                let now = p.fg();
-                let stall = p.stall_until_idle(now);
-                if !stall.is_zero() {
-                    p.note_backpressure_stall();
-                    p.advance_fg(stall);
-                }
-                return Ok(stall);
-            }
-            let req = JobRequest {
-                partition: idx,
-                kind: RequestKind::Demote,
-                trigger_fg: fg,
-            };
-            sched.enqueue(req, &self.stats);
-            if waits < BACKPRESSURE_WAITS {
-                sched.wait_past(seen, WAIT_SLICE);
-            }
-        }
-        // The pool has not brought utilisation under the ceiling in time:
-        // reclaim on this thread.
         let mut p = self.write_partition(idx);
-        let stall = self.reclaim(idx, &mut p, Nanos::ZERO)?;
+        let utilization = p.nvm_utilization();
+        let stall = if utilization >= ceiling {
+            let detail = format!("util={utilization:.3}");
+            let trace = self.obs.trace();
+            trace.record(category::BACKPRESSURE, Some(idx as u32), 0, detail);
+            self.reclaim(idx, &mut p, Nanos::ZERO)?
+        } else {
+            let now = p.fg();
+            let stall = p.stall_until_idle(now);
+            if !stall.is_zero() {
+                p.note_backpressure_stall();
+            }
+            stall
+        };
         p.advance_fg(stall);
         Ok(stall)
     }
@@ -648,15 +586,14 @@ impl EngineShared {
 fn run_scrub(shared: &EngineShared, req: JobRequest) {
     let budget = shared.options.scrub_io_budget_bytes.max(1);
     let report = shared.scrub_pass_traced(req.partition, budget);
-    shared.scheduler().bump_generation();
     if !report.completed || report.corrupt_found > 0 {
         shared.request_scrub(req.partition);
     }
 }
 
-/// Frees a partition (and wakes waiters) when dropped, so even a
-/// panicking job cannot leave the partition permanently marked busy —
-/// which would silently disable background compaction for it.
+/// Frees a partition (and wakes a worker waiting on it) when dropped, so
+/// even a panicking job cannot leave the partition permanently marked busy
+/// — which would silently disable background compaction for it.
 struct FinishGuard<'a> {
     sched: &'a Scheduler,
     partition: usize,
@@ -708,6 +645,7 @@ pub(crate) fn worker_loop(shared: Arc<EngineShared>, worker: usize) {
 #[cfg(test)]
 mod tests {
     use std::thread::JoinHandle;
+    use std::time::{Duration, Instant};
 
     use super::*;
     use prism_storage::{DeviceProfile, TieredStorage};
@@ -861,6 +799,72 @@ mod tests {
         };
         assert!(on_caller.unwrap().expect("installed").demoted > 0);
         assert_eq!(clocks(), [Nanos::ZERO, first + second]);
+    }
+
+    /// A job run on its caller overlaps foreground service only if it is a
+    /// promotion: a demotion is waited for, so it adds nothing to
+    /// `overlap_time`; a promotion only extends the background timeline, so
+    /// it adds exactly its duration.
+    #[test]
+    fn a_caller_run_promotion_overlaps_and_a_caller_run_demotion_does_not() {
+        let shared = loaded_shared(1, 0);
+        let overlap = || shared.stats.compaction.overlap_time.load(Ordering::Relaxed);
+        let mut p = shared.write_partition(0);
+        let everything = |p: &mut Partition| p.plan_demotion(DemotionPlan::Everything, Nanos::ZERO);
+        let demotion = run_job(&shared, 0, &mut Site::Caller(&mut p), "test", everything);
+        assert_eq!(demotion.unwrap().expect("installed").demoted, 64);
+        assert_eq!(overlap(), 0, "a caller-run demotion stalls its caller");
+
+        // Reading keys on flash heats their clocks, so a promotion picks them.
+        for id in 0..8 {
+            p.get_with_pressure(&Key::from_id(id)).unwrap();
+        }
+        let fg = p.fg();
+        let promote = |p: &mut Partition| p.plan_promotion(fg);
+        let promotion = run_job(&shared, 0, &mut Site::Caller(&mut p), "test", promote);
+        let promotion = promotion.unwrap().expect("installed");
+        assert!(promotion.promoted > 0, "the read keys are popular on flash");
+        assert_eq!(overlap(), promotion.duration.as_nanos());
+    }
+
+    /// With a pool that serves nothing, a write that leaves its partition
+    /// at the back-pressure ceiling frees the space on its own thread: it
+    /// returns at or below the low watermark, counted and traced once,
+    /// charged the wait until the partition's background timeline is idle.
+    #[test]
+    fn a_write_at_the_ceiling_reclaims_on_its_own_thread() {
+        let shared = loaded_shared(1, 1);
+        let ceiling = shared.options.backpressure_ceiling;
+        let compaction = &shared.stats.compaction;
+        let stalls = || compaction.backpressure_stalls.load(Ordering::Relaxed);
+        let mut id = 64;
+        loop {
+            let put = BatchOp::Put(Key::from_id(id), Value::filled(100, 1));
+            let seq = shared.seq.allocate();
+            let mut p = shared.write_partition(0);
+            let held = shared.write_held(0, &mut p, 1, |p, reclaim| {
+                p.apply_group(vec![put], seq, reclaim)
+            });
+            held.unwrap();
+            if p.nvm_utilization() >= ceiling {
+                break;
+            }
+            drop(p);
+            assert_eq!(shared.hold_at_ceiling(0).unwrap(), Nanos::ZERO);
+            id += 1;
+        }
+        assert_eq!(stalls(), 0, "no write has waited for space yet");
+        let fg = shared.read_partition(0).fg();
+
+        let stall = shared.hold_at_ceiling(0).unwrap();
+        let p = shared.read_partition(0);
+        assert!(p.nvm_utilization() <= shared.options.low_watermark);
+        assert_eq!(stalls(), 1);
+        let trace = shared.obs.trace();
+        assert_eq!(trace.in_category(category::BACKPRESSURE).len(), 1);
+        assert!(!stall.is_zero(), "the write waits for the urgent run");
+        assert_eq!(stall, p.elapsed() - fg, "until the timeline is idle");
+        assert_eq!(p.fg(), fg + stall);
     }
 
     /// A pool job whose partition installed another job between its plan

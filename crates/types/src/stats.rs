@@ -271,9 +271,10 @@ stats_table! {
         /// background timeline); demotions run on the caller do not.
         nanos overlap_time;
         /// Number of foreground writes that could not proceed until compaction
-        /// freed NVM space. Counts waits at the back-pressure ceiling and
-        /// writes that found no room in the slabs and reclaimed space on
-        /// their own thread.
+        /// freed NVM space. Counts each write that reclaimed space on its
+        /// own thread (its slab had no room, or it left utilisation at the
+        /// back-pressure ceiling) and each write at the ceiling charged a
+        /// wait for space another thread had freed first.
         counter backpressure_stalls;
         /// Compaction job requests accepted onto the background queue (after
         /// the scheduler's per-partition dedup). The batched write path checks
